@@ -120,25 +120,29 @@ fn run_case(case: &GoldenCase) {
         case.name
     );
 
-    let path = fixture_path(case.name);
+    check_or_bless(case.name, &got);
+}
+
+/// Compare `got` against the stored fixture `name`, or (re)write the
+/// fixture when `GOLDEN_BLESS` is set.
+fn check_or_bless(name: &str, got: &str) {
+    let path = fixture_path(name);
     if std::env::var_os("GOLDEN_BLESS").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &got).unwrap();
+        std::fs::write(&path, got).unwrap();
         eprintln!("blessed {}", path.display());
         return;
     }
     let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
-            "{}: missing fixture {} ({e}); run GOLDEN_BLESS=1 cargo test --test golden",
-            case.name,
+            "{name}: missing fixture {} ({e}); run GOLDEN_BLESS=1 cargo test --test golden",
             path.display()
         )
     });
     assert_eq!(
         got, want,
-        "{}: digests changed — if the numerical change is intentional, re-bless with \
-         GOLDEN_BLESS=1 cargo test --test golden",
-        case.name
+        "{name}: digests changed — if the numerical change is intentional, re-bless with \
+         GOLDEN_BLESS=1 cargo test --test golden"
     );
 }
 
@@ -155,6 +159,74 @@ fn golden_aneurysm_trt_velocity_d3q19() {
 #[test]
 fn golden_porous_mrt_pressure_d3q15() {
     run_case(&CASES[2]);
+}
+
+/// The exhaustive operator grid the three named fixtures only sample:
+/// {cylinder, porous seed 42} × {D3Q15, D3Q19} × {BGK, TRT-magic,
+/// MRT ω=1.2} × {pressure, velocity}, 10 steps each, one digest line per
+/// cell in `tests/golden/operator_grid.txt`.
+fn operator_grid_lines(layout: KernelLayout) -> String {
+    let geos = [
+        (
+            "cylinder",
+            common::GeoSpec::Cylinder {
+                len: 10.0,
+                radius: 2.5,
+            },
+        ),
+        (
+            "porous42",
+            common::GeoSpec::Porous {
+                nx: 7,
+                ny: 5,
+                nz: 5,
+                seed: 42,
+            },
+        ),
+    ];
+    let mut out = String::new();
+    for (geo_name, geo_spec) in &geos {
+        let geo = geo_spec.build();
+        for (model_name, model) in [("d3q15", ModelKind::D3Q15), ("d3q19", ModelKind::D3Q19)] {
+            for (coll_name, collision) in [
+                ("bgk", CollisionKind::Bgk),
+                ("trt", CollisionKind::trt_magic()),
+                ("mrt", CollisionKind::Mrt { omega_ghost: 1.2 }),
+            ] {
+                for (bc_name, velocity_inlet) in [("pressure", false), ("velocity", true)] {
+                    let case = common::CaseSpec {
+                        geo: geo_spec.clone(),
+                        model,
+                        collision,
+                        velocity_inlet,
+                    };
+                    let mut solver = Solver::new(geo.clone(), case.config().with_layout(layout));
+                    solver.step_n(10);
+                    let digests = digest_lines(&solver, 10).replace('\n', " ");
+                    out.push_str(&format!(
+                        "{geo_name} {model_name} {coll_name} {bc_name} {}\n",
+                        digests.trim_end()
+                    ));
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn golden_operator_grid() {
+    // Final cross-layout audit: the fixture is blessed from the legacy
+    // layout with both SoA layouts asserted equal cell for cell.
+    let got = operator_grid_lines(KernelLayout::Legacy);
+    for layout in [KernelLayout::SoaScalar, KernelLayout::SoaSimd] {
+        assert_eq!(
+            got,
+            operator_grid_lines(layout),
+            "operator grid: {layout:?} diverged from the legacy layout"
+        );
+    }
+    check_or_bless("operator_grid", &got);
 }
 
 /// Long soak: 500 steps at 8 threads must stay bit-identical to serial.
