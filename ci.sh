@@ -3,15 +3,15 @@
 #
 #   ./ci.sh --quick        # lint + tier1: format, clippy, release
 #                          #   build, root-package tests
-#   ./ci.sh                # + determinism, kernel-layout, obs, render,
+#   ./ci.sh                # + determinism, obs, render,
 #                          #   fault-injection, farm and projection
 #                          #   suites + bench smokes, each gated against
 #                          #   the blessed baselines under
-#                          #   benches/baselines/
-#   ./ci.sh --soak         # + long soaks: golden --ignored, the
-#                          #   500-step SoA kernel soak, the 200-step
-#                          #   two-kill fault recovery and the farm
-#                          #   kill/restart soak
+#                          #   benches/baselines/, the repo benchmark's
+#                          #   --quick checks and the LOC report
+#   ./ci.sh --soak         # + long soaks: golden --ignored (500 steps,
+#                          #   8 threads), the 200-step two-kill fault
+#                          #   recovery and the farm kill/restart soak
 #   ./ci.sh --only GROUP   # one group (what the staged GitHub workflow
 #                          #   jobs shell into)
 #
@@ -30,7 +30,7 @@ cd "$(dirname "$0")"
 
 # The single source of truth for group names: the default tier runs
 # them in this order, and `--only` accepts exactly these (plus soak).
-CI_GROUPS_ALL=(lint tier1 determinism kernel overlap faults gateway farm projection smoke bench-gate)
+CI_GROUPS_ALL=(lint tier1 determinism overlap faults gateway farm projection smoke bench-gate benchmark-quick loc)
 usage_groups() { (IFS='|'; echo "${CI_GROUPS_ALL[*]}|soak"); }
 
 TIER="full"
@@ -125,21 +125,15 @@ group_tier1() {
     stage test  cargo test -q
 }
 
-# Determinism suite (bit-exactness proptests + golden fixtures),
-# observability (phase timings end to end, lossless JSON export) and
-# the render path (macrocell marcher bit-identity, sparse compositing).
+# Determinism suite (bit-exactness proptests + golden fixtures, incl.
+# the operator grid, the corrupted-streaming-index negative control and
+# the serial/threaded checkpoint hand-off), observability (phase
+# timings end to end, lossless JSON export) and the render path
+# (macrocell marcher bit-identity, sparse compositing).
 group_determinism() {
     stage determinism cargo test -q --test properties --test golden
     stage obs         cargo test -q --test obs_smoke
     stage render      cargo test -q --test render_compositing
-}
-
-# Kernel memory layouts: legacy / SoA-scalar / SoA-SIMD bitwise
-# equivalence across operators and boundary conditions, mid-run
-# checkpoint hand-off between layouts, and the corrupted-streaming-index
-# negative test against the golden digests.
-group_kernel() {
-    stage kernel cargo test -q --test kernel_layout
 }
 
 # Overlapped halo exchange: classifier per-orientation suite, the
@@ -195,7 +189,7 @@ group_projection() {
 
 # Release bench smokes, exercising the reproduce binary end to end:
 # E13 (render), E14 (faults), E15 (adaptive LB) and E16 (kernel
-# layouts) also write out/BENCH_*.json; the kernel report is gated.
+# throughput) also write out/BENCH_*.json; the kernel report is gated.
 group_smoke() {
     stage render-smoke cargo run --release -q -p hemelb-bench --bin reproduce -- render --size small --ranks 2
     stage faults-smoke cargo run --release -q -p hemelb-bench --bin reproduce -- faults --size tiny --ranks 3
@@ -220,10 +214,34 @@ group_bench_gate() {
     stage bench-gate cargo run --release -q -p hemelb-bench --bin ci-gate -- kernel overlap gateway farm projection
 }
 
+# The repo benchmark's correctness checks, all six workloads (~4 s after
+# the build). benchmark/ is a package with its own [workspace], so this
+# is the only stage that compiles it against crates/*.
+group_benchmark_quick() {
+    stage benchmark-quick bash benchmark/run.sh --quick
+}
+
+# Size report for simplicity PRs: per-crate non-test lines (everything
+# before the first `#[cfg(test)]` of each file) and `pub` item counts.
+group_loc() {
+    stage loc loc_report
+}
+loc_report() {
+    local crate lines pubs total_lines=0 total_pubs=0
+    printf '    %-12s %8s %6s\n' crate non-test pub
+    for crate in crates/*/; do
+        lines=$(find "$crate/src" -name '*.rs' -print0 | xargs -0 -n1 awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' | awk '{s+=$1} END{print s+0}')
+        pubs=$(find "$crate/src" -name '*.rs' -print0 | xargs -0 grep -hcE "^\s*pub (fn|struct|enum|const|type|trait|mod)" | awk '{s+=$1} END{print s+0}')
+        printf '    %-12s %8s %6s\n' "$(basename "$crate")" "$lines" "$pubs"
+        total_lines=$((total_lines + lines))
+        total_pubs=$((total_pubs + pubs))
+    done
+    printf '    %-12s %8s %6s\n' workspace "$total_lines" "$total_pubs"
+}
+
 # Long soaks.
 group_soak() {
     stage golden-soak cargo test -q --test golden -- --ignored
-    stage kernel-soak cargo test -q --test kernel_layout -- --ignored
     stage fault-soak  cargo test -q --test fault_injection -- --ignored
     stage farm-soak   cargo test -q --test farm -- --ignored
 }

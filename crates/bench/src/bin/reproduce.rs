@@ -167,7 +167,7 @@ fn main() {
     }
     if run_all || args.what == "kernel" {
         ran = true;
-        println!("=== E16: kernel memory-layout ablation (legacy vs SoA vs SoA-SIMD) ===");
+        println!("=== E16: kernel throughput (site-updates/s, golden digest re-checked) ===");
         let steps = match args.size {
             Size::Tiny => 50,
             Size::Small => 40,

@@ -1,47 +1,27 @@
-//! Experiment E16 — kernel memory-layout ablation: the legacy
-//! site-major brick against the SoA fluid-site list, scalar and
-//! chunked-lane (SIMD-style) collision, on the standard aneurysm
-//! workload.
+//! Experiment E16 — kernel throughput: site-updates/sec of the serial
+//! solver on the standard aneurysm workload, one core.
 //!
-//! The co-design claim being measured: the lattice-Boltzmann inner loop
-//! is memory-bound, so a structure-of-arrays walk (one contiguous lane
-//! per velocity direction, streaming resolved through a precomputed
-//! index table, boundary work hoisted out of the bulk loop) buys
-//! site-updates/sec *without* touching the arithmetic — every layout is
-//! bit-identical, which the run re-verifies inline.
+//! The lattice-Boltzmann inner loop is memory-bound; the kernel walks
+//! one contiguous lane per velocity direction with streaming resolved
+//! through a compiled plan. This report is the gated record of how fast
+//! that runs, plus an inline check that the arithmetic is still the
+//! blessed one: the `cylinder_bgk_pressure_d3q15` golden case is re-run
+//! and its `f=` digest compared with the stored fixture.
 //!
-//! Methodology: one solver per layout stepped in interleaved rounds
-//! (layout A steps, then B, then C, repeat), best-of-`reps` per-step
-//! time kept per layout, so cache warm-up and machine noise hit all
-//! layouts alike. Results export to `out/BENCH_kernel.json`.
+//! Methodology: best-of-`reps` per-step time after an untimed warm-up.
+//! Results export to `out/BENCH_kernel.json` under the `kernel.soa-simd.*`
+//! names the gate history has carried since PR 6.
 
 use crate::workloads::{self, Size};
-use hemelb_core::{KernelLayout, Solver, SolverConfig};
+use hemelb_core::{Solver, SolverConfig};
+use hemelb_geometry::VesselBuilder;
 use hemelb_obs::Recorder;
 use std::fmt;
+use std::sync::Arc;
 use std::time::Instant;
 
-/// The layouts under test, in reporting order.
-const LAYOUTS: [(&str, KernelLayout); 3] = [
-    ("legacy", KernelLayout::Legacy),
-    ("soa-scalar", KernelLayout::SoaScalar),
-    ("soa-simd", KernelLayout::SoaSimd),
-];
-
-/// One layout measurement.
-#[derive(Debug, Clone)]
-pub struct LayoutRow {
-    /// "legacy", "soa-scalar" or "soa-simd".
-    pub layout: &'static str,
-    /// Best-of-`reps` wall seconds per LB step.
-    pub seconds_per_step: f64,
-    /// Fluid-site updates per second at that rate.
-    pub site_updates_per_sec: f64,
-    /// Throughput relative to the legacy row.
-    pub speedup_vs_legacy: f64,
-    /// Whether the final distributions matched legacy bit-for-bit.
-    pub bit_identical: bool,
-}
+/// The fixture the inline digest check reproduces (see `tests/golden.rs`).
+const GOLDEN_CYLINDER: &str = include_str!("../../../tests/golden/cylinder_bgk_pressure_d3q15.txt");
 
 /// The E16 result.
 pub struct KernelResult {
@@ -49,85 +29,66 @@ pub struct KernelResult {
     pub sites: usize,
     /// Steps per timed round.
     pub steps: u64,
-    /// Timed rounds per layout (best kept).
+    /// Timed rounds (best kept).
     pub reps: usize,
-    /// Fraction of sites on the branch-free bulk path of the SoA
-    /// streaming table.
+    /// Fraction of sites whose streaming is segment copies alone.
     pub bulk_fraction: f64,
-    /// One row per layout.
-    pub rows: Vec<LayoutRow>,
+    /// Best-of-`reps` wall seconds per LB step.
+    pub seconds_per_step: f64,
+    /// Fluid-site updates per second at that rate.
+    pub site_updates_per_sec: f64,
+    /// Whether the golden cylinder case reproduced its stored `f=` digest.
+    pub bit_identical: bool,
 }
 
-/// Run E16: interleaved best-of-5 timing of the three kernel layouts on
-/// the standard aneurysm, with inline bit-identity verification.
-pub fn run(size: Size, steps: u64) -> KernelResult {
-    let geo = workloads::aneurysm(size);
-    let cfg = SolverConfig::pressure_driven(1.005, 0.995);
-    let sites = geo.fluid_count();
-
-    let mut solvers: Vec<Solver> = LAYOUTS
-        .iter()
-        .map(|&(_, layout)| Solver::new(geo.clone(), cfg.clone().with_layout(layout)))
-        .collect();
-    let bulk_fraction = solvers
-        .iter()
-        .find_map(|s| s.bulk_fraction())
-        .expect("an SoA solver reports its bulk fraction");
-
-    // Warm-up round (untimed): touches every lane and settles the flow
-    // off the uniform initial state.
-    for s in &mut solvers {
-        s.step_n(steps.min(5));
-    }
-
-    // Interleaved best-of-`reps`: every round steps each layout once,
-    // so thermal/cache drift cannot favour whichever ran last.
-    let reps = 5usize;
-    let mut best = [f64::INFINITY; LAYOUTS.len()];
-    for _ in 0..reps {
-        for (k, s) in solvers.iter_mut().enumerate() {
-            let t0 = Instant::now();
-            s.step_n(steps);
-            best[k] = best[k].min(t0.elapsed().as_secs_f64() / steps as f64);
+/// Re-run the `cylinder_bgk_pressure_d3q15` golden case and compare the
+/// FNV-1a digest of its distribution bit patterns with the fixture.
+fn golden_digest_reproduced() -> bool {
+    let geo = Arc::new(VesselBuilder::straight_tube(12.0, 3.0).voxelise(1.0));
+    let mut solver = Solver::new(geo, SolverConfig::pressure_driven(1.01, 0.99));
+    solver.step_n(50);
+    let mut h = 0xcbf29ce484222325u64;
+    for v in solver.raw_distributions() {
+        for b in v.to_bits().to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x100000001b3);
         }
     }
+    let want = GOLDEN_CYLINDER
+        .lines()
+        .find_map(|l| l.strip_prefix("f="))
+        .expect("fixture has an f= digest line");
+    format!("{h:016x}") == want
+}
 
-    // Inline bit-identity: all solvers have taken the same total step
-    // count, so their states must agree exactly.
-    let want = solvers[0].raw_distributions().to_vec();
-    let rows: Vec<LayoutRow> = LAYOUTS
-        .iter()
-        .enumerate()
-        .map(|(k, &(name, _))| {
-            let bit_identical = k == 0
-                || solvers[k]
-                    .raw_distributions()
-                    .iter()
-                    .zip(want.iter())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-            LayoutRow {
-                layout: name,
-                seconds_per_step: best[k],
-                site_updates_per_sec: sites as f64 / best[k],
-                speedup_vs_legacy: best[0] / best[k],
-                bit_identical,
-            }
-        })
-        .collect();
+/// Run E16: best-of-5 timing of the kernel on the standard aneurysm,
+/// with the inline golden-digest check.
+pub fn run(size: Size, steps: u64) -> KernelResult {
+    let geo = workloads::aneurysm(size);
+    let sites = geo.fluid_count();
+    let mut solver = Solver::new(geo, SolverConfig::pressure_driven(1.005, 0.995));
+    let bulk_fraction = solver.bulk_fraction().unwrap_or(0.0);
+
+    // Warm-up round (untimed): touches every lane, settles the flow off
+    // the uniform initial state and lets the core clock ramp.
+    solver.step_n(steps);
+
+    let reps = 5usize;
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        solver.step_n(steps);
+        best = best.min(t0.elapsed().as_secs_f64() / steps as f64);
+    }
+    let bit_identical = golden_digest_reproduced();
 
     // Export through the obs codec.
     let mut rec = Recorder::new();
-    for row in &rows {
-        rec.record_secs(&format!("kernel.{}.step", row.layout), row.seconds_per_step);
-        rec.count(
-            &format!("kernel.{}.site_updates_per_sec", row.layout),
-            row.site_updates_per_sec as u64,
-        );
-        rec.count(
-            &format!("kernel.{}.bit_identical", row.layout),
-            u64::from(row.bit_identical),
-        );
-    }
+    rec.record_secs("kernel.soa-simd.step", best);
+    rec.count(
+        "kernel.soa-simd.site_updates_per_sec",
+        (sites as f64 / best) as u64,
+    );
+    rec.count("kernel.soa-simd.bit_identical", u64::from(bit_identical));
     rec.count("kernel.sites", sites as u64);
     rec.count("kernel.bulk_permille", (bulk_fraction * 1000.0) as u64);
     let path = workloads::out_dir().join("BENCH_kernel.json");
@@ -138,7 +99,9 @@ pub fn run(size: Size, steps: u64) -> KernelResult {
         steps,
         reps,
         bulk_fraction,
-        rows,
+        seconds_per_step: best,
+        site_updates_per_sec: sites as f64 / best,
+        bit_identical,
     }
 }
 
@@ -146,31 +109,30 @@ impl fmt::Display for KernelResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "Kernel memory-layout ablation — {} sites, {} steps/round, best of {} \
-             interleaved rounds",
+            "Kernel throughput — {} sites, {} steps/round, best of {} rounds",
             self.sites, self.steps, self.reps
         )?;
         writeln!(
             f,
-            "bulk (branch-free) fraction of the SoA streaming table: {:.1}%",
+            "bulk (copy-only) fraction of the streaming plan: {:.1}%",
             self.bulk_fraction * 100.0
         )?;
         writeln!(
             f,
-            "{:<12} {:>12} {:>16} {:>9} {:>10}",
-            "layout", "ms/step", "site-updates/s", "speedup", "bit-exact"
+            "{:>12} {:>16} {:>14}",
+            "ms/step", "site-updates/s", "golden digest"
         )?;
-        for r in &self.rows {
-            writeln!(
-                f,
-                "{:<12} {:>12.3} {:>16.0} {:>8.2}x {:>10}",
-                r.layout,
-                r.seconds_per_step * 1e3,
-                r.site_updates_per_sec,
-                r.speedup_vs_legacy,
-                r.bit_identical,
-            )?;
-        }
+        writeln!(
+            f,
+            "{:>12.3} {:>16.0} {:>14}",
+            self.seconds_per_step * 1e3,
+            self.site_updates_per_sec,
+            if self.bit_identical {
+                "reproduced"
+            } else {
+                "DIVERGED"
+            },
+        )?;
         writeln!(f, "JSON: out/BENCH_kernel.json")
     }
 }
@@ -180,15 +142,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn layout_ablation_measures_and_stays_bit_exact() {
+    fn kernel_report_measures_and_reproduces_the_golden_digest() {
         let result = run(Size::Tiny, 3);
-        assert_eq!(result.rows.len(), 3);
-        assert_eq!(result.rows[0].layout, "legacy");
-        assert!((result.rows[0].speedup_vs_legacy - 1.0).abs() < 1e-12);
-        for r in &result.rows {
-            assert!(r.bit_identical, "{} diverged from legacy", r.layout);
-            assert!(r.site_updates_per_sec > 0.0);
-        }
+        assert!(result.bit_identical, "golden cylinder digest diverged");
+        assert!(result.site_updates_per_sec > 0.0);
         assert!(result.bulk_fraction > 0.0 && result.bulk_fraction <= 1.0);
         assert!(workloads::out_dir().join("BENCH_kernel.json").exists());
     }

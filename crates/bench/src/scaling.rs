@@ -19,7 +19,7 @@
 
 use crate::projection::effective_model;
 use crate::workloads::{self, Size};
-use hemelb_core::{DistSolver, KernelLayout, ParallelSolver, Solver, SolverConfig};
+use hemelb_core::{DistSolver, ParallelSolver, Solver, SolverConfig};
 use hemelb_parallel::{calibrate_fit, run_spmd_with_stats, CalSample, CostModel};
 use hemelb_partition::graph::{Connectivity, SiteGraph};
 use hemelb_partition::{quality, HilbertSfc, MultilevelKWay, NaiveBlock, Partitioner};
@@ -52,7 +52,7 @@ pub struct ScalingRow {
 /// one exactly (`f64::to_bits`) after the measured steps.
 #[derive(Debug, Clone)]
 pub struct KernelRow {
-    /// "legacy", "soa-scalar", "soa-simd" or "threaded".
+    /// "serial" or "threaded".
     pub kernel: &'static str,
     /// Rayon worker threads (1 for the serial rows).
     pub threads: usize,
@@ -196,39 +196,18 @@ pub fn run(size: Size, rank_counts: &[usize], steps: u64) -> ScalingResult {
     // everywhere is bit-identical output.
     let cfg = SolverConfig::pressure_driven(1.01, 0.99);
     let mut kernel_rows = Vec::new();
-    let mut serial = Solver::new(geo.clone(), cfg.clone().with_layout(KernelLayout::Legacy));
+    let mut serial = Solver::new(geo.clone(), cfg.clone());
     let t0 = Instant::now();
     serial.step_n(steps);
     let s_per_step = t0.elapsed().as_secs_f64() / steps as f64;
     kernel_rows.push(KernelRow {
-        kernel: "legacy",
+        kernel: "serial",
         threads: 1,
         seconds_per_step: s_per_step,
         site_updates_per_sec: geo.fluid_count() as f64 / s_per_step,
         bit_identical: true,
     });
-    // The SoA layouts, serially: same arithmetic, different memory walk.
-    for (name, layout) in [
-        ("soa-scalar", KernelLayout::SoaScalar),
-        ("soa-simd", KernelLayout::SoaSimd),
-    ] {
-        let mut soa = Solver::new(geo.clone(), cfg.clone().with_layout(layout));
-        let t0 = Instant::now();
-        soa.step_n(steps);
-        let s_per_step = t0.elapsed().as_secs_f64() / steps as f64;
-        let bit_identical = soa
-            .raw_distributions()
-            .iter()
-            .zip(serial.raw_distributions().iter())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        kernel_rows.push(KernelRow {
-            kernel: name,
-            threads: 1,
-            seconds_per_step: s_per_step,
-            site_updates_per_sec: geo.fluid_count() as f64 / s_per_step,
-            bit_identical,
-        });
-    }
+    let want = serial.raw_distributions();
     for t in [1usize, 2, 4] {
         let mut par = ParallelSolver::new(geo.clone(), cfg.clone(), t);
         let t0 = Instant::now();
@@ -237,7 +216,7 @@ pub fn run(size: Size, rank_counts: &[usize], steps: u64) -> ScalingResult {
         let bit_identical = par
             .raw_distributions()
             .iter()
-            .zip(serial.raw_distributions().iter())
+            .zip(&want)
             .all(|(a, b)| a.to_bits() == b.to_bits());
         kernel_rows.push(KernelRow {
             kernel: "threaded",
@@ -397,8 +376,8 @@ mod tests {
         assert!(result.projection.model.gamma.is_finite());
         assert!(result.projection.halo_coefficient > 0.0);
         assert!(result.projection.compute_s > 0.0 && result.projection.comm_s > 0.0);
-        // Legacy + two SoA rows + three threaded rows, all bit-identical.
-        assert_eq!(result.kernel_rows.len(), 6);
+        // One serial row + three threaded rows, all bit-identical.
+        assert_eq!(result.kernel_rows.len(), 4);
         for k in &result.kernel_rows {
             assert!(k.bit_identical, "threads={} diverged", k.threads);
             assert!(k.site_updates_per_sec > 0.0);

@@ -72,7 +72,13 @@ fn read_state(r: &mut impl Read) -> io::Result<RawState> {
     let step = u64::from_le_bytes(body[0..8].try_into().expect("8 bytes"));
     let site_count = u64::from_le_bytes(body[8..16].try_into().expect("8 bytes"));
     let q = u64::from_le_bytes(body[16..24].try_into().expect("8 bytes"));
-    let expect_len = (site_count * q) as usize * 8;
+    // The header is outside input: a crafted file can carry a valid
+    // (non-cryptographic) checksum, so the product must not overflow.
+    let expect_len = site_count
+        .checked_mul(q)
+        .and_then(|n| n.checked_mul(8))
+        .and_then(|n| usize::try_from(n).ok())
+        .ok_or_else(|| bad("checkpoint header overflows (site count × q)"))?;
     if body.len() - 24 != expect_len {
         return Err(bad(format!(
             "checkpoint body {} bytes, expected {expect_len}",
@@ -98,7 +104,7 @@ impl Solver {
             step: self.step_count(),
             site_count: self.geometry().fluid_count() as u64,
             q: self.model().q as u64,
-            f: self.raw_distributions().to_vec(),
+            f: self.raw_distributions(),
         };
         let mut file = std::fs::File::create(path)?;
         write_state(&state, &mut file)
@@ -120,7 +126,7 @@ impl Solver {
         if state.q as usize != self.model().q {
             return Err(bad("checkpoint velocity set differs"));
         }
-        self.install_state(state.step, state.f);
+        self.lat.install_site_major(state.step, &state.f);
         Ok(())
     }
 }
@@ -135,7 +141,7 @@ impl<'a> DistSolver<'a> {
             step: self.step_count(),
             site_count: self.local_sites().len() as u64,
             q: self.model_q() as u64,
-            f: self.raw_distributions().to_vec(),
+            f: self.raw_distributions(),
         };
         let mut file = std::fs::File::create(&path).expect("checkpoint file");
         write_state(&state, &mut file).expect("checkpoint write");
@@ -206,7 +212,7 @@ impl<'a> DistSolver<'a> {
             "checkpoint decomposition differs; repartition before restoring"
         );
         assert_eq!(state.q as usize, self.model_q());
-        self.install_state(state.step, state.f);
+        self.lat.install_site_major(state.step, &state.f);
         self.barrier()
     }
 }

@@ -26,17 +26,16 @@
 //! (`cfg.overlap = false`), which is retained as the fast path for
 //! degenerate domains (no peers, or no interior sites).
 
-use crate::equilibrium::feq_all;
+use crate::boundary::IoletBc;
 use crate::fields::FieldSnapshot;
 use crate::layout::{
-    KernelLayout, SitePartition, SoaLattice, HALO_FLAG, LINK_BOUNDARY as BOUNDARY,
+    build_stream_table, SitePartition, SoaLattice, HALO_FLAG, LINK_BOUNDARY as BOUNDARY,
 };
 use crate::model::LatticeModel;
-use crate::solver::{boundary_rule, precompute_bc_velocities, SolverConfig};
+use crate::solver::SolverConfig;
 use bytes::Bytes;
-use hemelb_geometry::{SiteKind, SparseGeometry};
+use hemelb_geometry::{IoLetKind, SparseGeometry};
 use hemelb_parallel::{CommResult, Communicator, Tag, WireReader, WireWriter};
-use std::borrow::Cow;
 use std::sync::Arc;
 
 const T_HALO: Tag = Tag::halo(0);
@@ -50,16 +49,8 @@ pub struct DistSolver<'a> {
     owner: Vec<usize>,
     /// Global ids of the sites this rank owns, ascending.
     locals: Vec<u32>,
-    model: LatticeModel,
-    cfg: SolverConfig,
-    /// Local distributions, `[local_site][direction]`.
-    f: Vec<f64>,
-    f_next: Vec<f64>,
-    moments: Vec<(f64, [f64; 3])>,
-    bc_velocity: Vec<[f64; 3]>,
-    /// Local pull table: local src index, `HALO_FLAG | slot`, or
-    /// `BOUNDARY`.
-    pull: Vec<u32>,
+    /// The lattice over the owned sites, local order.
+    pub(crate) lat: SoaLattice,
     /// Per peer rank: `(peer, requests)` where requests are
     /// `(local_src, dir)` pairs to ship each step, in the peer's order.
     send_plan: Vec<(usize, Vec<(u32, u16)>)>,
@@ -67,13 +58,6 @@ pub struct DistSolver<'a> {
     recv_plan: Vec<(usize, usize, usize)>,
     /// Halo buffer of received post-collision populations.
     halo: Vec<f64>,
-    /// MRT operator when configured.
-    mrt: Option<crate::mrt::MrtOperator>,
-    /// SoA state when `cfg.layout` is not [`KernelLayout::Legacy`]; the
-    /// site-major `f`/`f_next` stay empty in that case.
-    soa: Option<SoaLattice>,
-    /// Site kinds of the owned sites, local order.
-    kinds: Vec<SiteKind>,
     /// Interior/frontier split of the local sites, compiled at setup
     /// (see [`SitePartition`]); drives the overlapped step schedule.
     partition: SitePartition,
@@ -81,102 +65,6 @@ pub struct DistSolver<'a> {
     pack_scratch: Vec<f64>,
     /// Reusable decode buffer for bulk halo unpacking.
     recv_scratch: Vec<f64>,
-    step: u64,
-}
-
-/// Pull-stream a span of a rank's local sites into `out` (the slice of
-/// `f_next` starting at local site `first`). The distributed twin of
-/// [`crate::kernel::stream_span`]: identical per-site arithmetic, plus
-/// the halo branch for cross-rank links. Reads only immutable
-/// previous-step state, so spans may run concurrently.
-#[allow(clippy::too_many_arguments)]
-fn stream_halo_span(
-    model: &LatticeModel,
-    cfg: &SolverConfig,
-    geo: &SparseGeometry,
-    locals: &[u32],
-    f_old: &[f64],
-    moments: &[(f64, [f64; 3])],
-    bc_velocity: &[[f64; 3]],
-    pull: &[u32],
-    halo: &[f64],
-    step: u64,
-    first: usize,
-    out: &mut [f64],
-) {
-    let q = model.q;
-    for k in 0..out.len() / q {
-        let l = first + k;
-        let kind = geo.kind(locals[l]);
-        for i in 0..q {
-            let entry = pull[l * q + i];
-            out[k * q + i] = if entry == BOUNDARY {
-                boundary_rule(
-                    model,
-                    cfg,
-                    kind,
-                    bc_velocity[l],
-                    i,
-                    f_old[l * q + model.opp[i]],
-                    moments[l],
-                    step,
-                )
-            } else if entry & HALO_FLAG != 0 {
-                halo[(entry & !HALO_FLAG) as usize]
-            } else {
-                f_old[entry as usize * q + i]
-            };
-        }
-    }
-}
-
-/// Chunk-parallel [`stream_halo_span`] restricted to ascending disjoint
-/// `(start, len)` site ranges; destination sites outside the ranges are
-/// untouched. Passing one full-domain range reproduces the classic
-/// whole-array streaming chunk for chunk.
-#[allow(clippy::too_many_arguments)]
-fn par_stream_halo_ranges(
-    model: &LatticeModel,
-    cfg: &SolverConfig,
-    geo: &SparseGeometry,
-    locals: &[u32],
-    f_old: &[f64],
-    moments: &[(f64, [f64; 3])],
-    bc_velocity: &[[f64; 3]],
-    pull: &[u32],
-    halo: &[f64],
-    step: u64,
-    ranges: &[(u32, u32)],
-    f_next: &mut [f64],
-) {
-    let q = model.q;
-    let mut work: Vec<(usize, &mut [f64])> = Vec::new();
-    let mut rest = f_next;
-    let mut cursor = 0usize;
-    for (first, len) in crate::kernel::range_chunks(ranges) {
-        let gap = first - cursor;
-        let (_, tail) = rest.split_at_mut(gap * q);
-        let (out, tail) = tail.split_at_mut(len * q);
-        rest = tail;
-        cursor = first + len;
-        work.push((first, out));
-    }
-    crate::kernel::run_grouped(work, |(first, out)| {
-        stream_halo_span(
-            model,
-            cfg,
-            geo,
-            locals,
-            f_old,
-            moments,
-            bc_velocity,
-            pull,
-            halo,
-            step,
-            first,
-            out,
-        )
-    });
 }
 
 /// Compute the ascending list of global site ids owned by `rank`.
@@ -213,9 +101,7 @@ impl<'a> DistSolver<'a> {
         );
         let me = comm.rank();
         let model = cfg.model.build();
-        let q = model.q;
         let locals = locals_of(&owner, me);
-        let nl = locals.len();
 
         // Global → local index for owned sites.
         let mut g2l = vec![u32::MAX; geo.fluid_count()];
@@ -223,38 +109,22 @@ impl<'a> DistSolver<'a> {
             g2l[g as usize] = l as u32;
         }
 
-        // Build the pull table, registering remote sources per peer.
-        let mut pull = vec![BOUNDARY; nl * q];
+        // Build the streaming table, registering remote sources per peer.
         // needed[r] = list of (global_src, dir) this rank must receive
         // from r each step, in deterministic (local site, dir) order.
         let mut needed: Vec<Vec<(u32, u16)>> = vec![Vec::new(); comm.size()];
         let mut halo_slot_of: Vec<Vec<usize>> = vec![Vec::new(); comm.size()];
         let mut n_halo = 0usize;
-        for (l, &g) in locals.iter().enumerate() {
-            let [x, y, z] = geo.position(g);
-            for i in 0..q {
-                let c = model.c[i];
-                let src = geo.site_at(
-                    x as i64 - c[0] as i64,
-                    y as i64 - c[1] as i64,
-                    z as i64 - c[2] as i64,
-                );
-                match src {
-                    None => {} // boundary, already marked
-                    Some(sg) => {
-                        let o = owner[sg as usize];
-                        if o == me {
-                            pull[l * q + i] = g2l[sg as usize];
-                        } else {
-                            needed[o].push((sg, i as u16));
-                            halo_slot_of[o].push(n_halo);
-                            pull[l * q + i] = HALO_FLAG | n_halo as u32;
-                            n_halo += 1;
-                        }
-                    }
-                }
+        let mut stream = build_stream_table(&geo, &model, locals.iter().copied(), |sg, i| {
+            let o = owner[sg as usize];
+            if o == me {
+                return g2l[sg as usize];
             }
-        }
+            needed[o].push((sg, i as u16));
+            halo_slot_of[o].push(n_halo);
+            n_halo += 1;
+            HALO_FLAG | (n_halo - 1) as u32
+        });
 
         // Exchange request lists so each rank learns what to send.
         // (One all-to-all at construction; steady-state steps use only
@@ -311,58 +181,29 @@ impl<'a> DistSolver<'a> {
             }
             recv_plan.push((peer, start, slots.len()));
         }
-        for entry in pull.iter_mut() {
+        for entry in stream.iter_mut().flatten() {
             if *entry != BOUNDARY && *entry & HALO_FLAG != 0 {
                 let old = (*entry & !HALO_FLAG) as usize;
                 *entry = HALO_FLAG | remap[old] as u32;
             }
         }
 
-        // Initialise at rest.
-        let mut f = vec![0.0; nl * q];
-        for l in 0..nl {
-            feq_all(&model, 1.0, [0.0; 3], &mut f[l * q..(l + 1) * q]);
-        }
-
-        // Boundary velocities for owned sites only.
-        let bc_all = precompute_bc_velocities(&geo, &cfg);
-        let bc_velocity = locals.iter().map(|&g| bc_all[g as usize]).collect();
-
-        let mrt = match cfg.collision {
-            crate::collision::CollisionKind::Mrt { omega_ghost } => {
-                Some(crate::mrt::MrtOperator::new(&model, omega_ghost))
-            }
-            _ => None,
-        };
-        let kinds: Vec<SiteKind> = locals.iter().map(|&g| geo.kind(g)).collect();
-        let soa = match cfg.layout {
-            KernelLayout::Legacy => None,
-            _ => Some(SoaLattice::new(q, &pull, &f)),
-        };
-        let (f, f_next) = if soa.is_some() {
-            (Vec::new(), Vec::new())
-        } else {
-            (f.clone(), f)
-        };
+        let lat = SoaLattice::new(&geo, locals.iter().copied(), cfg, model, stream);
 
         // Frontier classification for the overlapped step: a site is
         // frontier iff a peer needs its post-collision populations
         // (send plan) or it pulls at least one population from a peer
-        // (halo link in its pull row). Interior sites touch no halo
+        // (halo link in its streaming row). Interior sites touch no halo
         // state in either direction, so they can collide and stream
         // while the exchange is in flight.
-        let mut frontier = vec![false; nl];
+        let mut frontier = vec![false; locals.len()];
         for (_, requests) in &send_plan {
             for &(l, _) in requests {
                 frontier[l as usize] = true;
             }
         }
-        for (l, flag) in frontier.iter_mut().enumerate() {
-            if !*flag {
-                *flag = pull[l * q..(l + 1) * q]
-                    .iter()
-                    .any(|&e| e != BOUNDARY && e & HALO_FLAG != 0);
-            }
+        for &(l, _, _) in &lat.plan.halo {
+            frontier[l as usize] = true;
         }
         let partition = SitePartition::from_flags(&frontier);
 
@@ -371,23 +212,13 @@ impl<'a> DistSolver<'a> {
             geo,
             owner,
             locals,
-            model,
-            cfg,
-            f_next,
-            moments: vec![(1.0, [0.0; 3]); nl],
-            f,
-            bc_velocity,
-            pull,
+            lat,
             send_plan,
             recv_plan,
             halo: vec![0.0; n_halo],
-            mrt,
-            soa,
-            kinds,
             partition,
             pack_scratch: Vec::new(),
             recv_scratch: Vec::new(),
-            step: 0,
         })
     }
 
@@ -408,24 +239,18 @@ impl<'a> DistSolver<'a> {
 
     /// Replace the BC of inlet `id` at runtime (steering). Must be
     /// called identically on every rank.
-    pub fn set_inlet_bc(&mut self, id: usize, bc: crate::boundary::IoletBc) {
-        if id >= self.cfg.inlet_bcs.len() {
-            self.cfg.inlet_bcs.resize(id + 1, bc);
-        }
-        self.cfg.inlet_bcs[id] = bc;
-        let bc_all = precompute_bc_velocities(&self.geo, &self.cfg);
-        self.bc_velocity = self.locals.iter().map(|&g| bc_all[g as usize]).collect();
+    pub fn set_inlet_bc(&mut self, id: usize, bc: IoletBc) {
+        let sites = self.locals.iter().copied();
+        self.lat
+            .set_iolet_bc(&self.geo, sites, IoLetKind::Inlet, id, bc);
     }
 
     /// Replace the BC of outlet `id` at runtime (steering). Must be
     /// called identically on every rank.
-    pub fn set_outlet_bc(&mut self, id: usize, bc: crate::boundary::IoletBc) {
-        if id >= self.cfg.outlet_bcs.len() {
-            self.cfg.outlet_bcs.resize(id + 1, bc);
-        }
-        self.cfg.outlet_bcs[id] = bc;
-        let bc_all = precompute_bc_velocities(&self.geo, &self.cfg);
-        self.bc_velocity = self.locals.iter().map(|&g| bc_all[g as usize]).collect();
+    pub fn set_outlet_bc(&mut self, id: usize, bc: IoletBc) {
+        let sites = self.locals.iter().copied();
+        self.lat
+            .set_iolet_bc(&self.geo, sites, IoLetKind::Outlet, id, bc);
     }
 
     /// Whether this rank runs the overlapped step schedule: overlap must
@@ -434,7 +259,7 @@ impl<'a> DistSolver<'a> {
     /// Degenerate domains (zero-peer ranks, all-frontier single-brick
     /// ranks) take the synchronous fast path.
     pub fn overlap_active(&self) -> bool {
-        self.cfg.overlap
+        self.lat.cfg.overlap
             && !(self.send_plan.is_empty() && self.recv_plan.is_empty())
             && self.partition.interior_count() > 0
     }
@@ -444,34 +269,17 @@ impl<'a> DistSolver<'a> {
         &self.partition
     }
 
-    /// The pull-table entry of `(local_site, dir)`: a local source
-    /// index, `HALO_FLAG | slot`, or the boundary sentinel `u32::MAX`.
-    /// Test-only hook for classifier validation from integration tests.
-    #[doc(hidden)]
-    pub fn debug_pull_entry(&self, l: usize, dir: usize) -> u32 {
-        self.pull[l * self.model.q + dir]
-    }
-
     /// Stage the requested post-collision populations for every peer
     /// into contiguous scratch and encode each peer's message as one
     /// length-prefixed `f64` slice (the bulk wire path).
     fn pack_halo(&mut self) -> Vec<(usize, Bytes)> {
-        let q = self.model.q;
         let scratch = &mut self.pack_scratch;
+        let f = &self.lat.f;
         self.send_plan
             .iter()
             .map(|(peer, requests)| {
                 scratch.clear();
-                match &self.soa {
-                    Some(soa) => {
-                        scratch.extend(requests.iter().map(|&(l, d)| soa.f[d as usize][l as usize]))
-                    }
-                    None => scratch.extend(
-                        requests
-                            .iter()
-                            .map(|&(l, d)| self.f[l as usize * q + d as usize]),
-                    ),
-                }
+                scratch.extend(requests.iter().map(|&(l, d)| f[d as usize][l as usize]));
                 let mut w = WireWriter::with_capacity(8 + scratch.len() * 8);
                 w.put_f64_slice(scratch);
                 (*peer, w.finish())
@@ -498,9 +306,26 @@ impl<'a> DistSolver<'a> {
         Ok(())
     }
 
+    /// Receive and unpack every peer's halo payload in arrival order, so
+    /// one slow peer does not delay unpacking of already-delivered
+    /// payloads. Returns the seconds spent blocked (`lb.halo-wait`).
+    fn drain_halo(&mut self) -> CommResult<f64> {
+        let mut waited = 0.0;
+        let mut remaining: Vec<usize> = self.recv_plan.iter().map(|(peer, _, _)| *peer).collect();
+        while !remaining.is_empty() {
+            let span = self.comm.with_obs(|o| o.begin());
+            let (peer, payload) = self.comm.recv_any_of(T_HALO, &remaining)?;
+            waited += self.comm.with_obs(|o| span.end(o, "lb.halo-wait"));
+            let pos = remaining.iter().position(|&p| p == peer).expect("listed");
+            remaining.swap_remove(pos);
+            self.unpack_halo(peer, payload)?;
+        }
+        Ok(waited)
+    }
+
     /// Advance one time step: collide, halo-exchange, stream.
     ///
-    /// Collide and stream run through the chunked kernels in
+    /// Collide and stream run through the lattice drivers in
     /// [`crate::kernel`]: inside a rayon pool (the runner's
     /// threads-per-rank knob) the site loops split across worker
     /// threads, and with one thread they degenerate to the exact serial
@@ -512,42 +337,24 @@ impl<'a> DistSolver<'a> {
         // The LB step drives the fault clock: a `FaultPlan` keyed by
         // step sees the simulation's notion of time (no-op without an
         // active plan).
-        self.comm.set_fault_step(self.step);
+        self.comm.set_fault_step(self.lat.step);
+        let threads = rayon::current_num_threads();
         if self.overlap_active() {
-            self.step_overlapped()?;
+            self.step_overlapped(threads)?;
         } else {
-            self.step_sync()?;
+            self.step_sync(threads)?;
         }
-        self.step += 1;
+        self.lat.finish_step();
         Ok(())
     }
 
     /// The synchronous schedule: collide all, exchange (draining
     /// receives in arrival order), stream all.
-    fn step_sync(&mut self) -> CommResult<()> {
+    fn step_sync(&mut self, threads: usize) -> CommResult<()> {
+        let full = self.lat.full_range();
         // Collide in place (f becomes f*).
         let span = self.comm.with_obs(|o| o.begin());
-        if let Some(soa) = self.soa.as_mut() {
-            let simd = self.cfg.layout == KernelLayout::SoaSimd;
-            crate::kernel::par_collide_soa(
-                &self.model,
-                self.cfg.collision,
-                self.cfg.tau,
-                self.mrt.as_ref(),
-                &mut soa.f,
-                &mut self.moments,
-                simd,
-            );
-        } else {
-            crate::kernel::par_collide(
-                &self.model,
-                self.cfg.collision,
-                self.cfg.tau,
-                self.mrt.as_ref(),
-                &mut self.f,
-                &mut self.moments,
-            );
-        }
+        self.lat.collide(&full, threads);
         self.comm.with_obs(|o| span.end(o, "lb.collide"));
 
         // Halo exchange of requested post-collision populations.
@@ -555,29 +362,17 @@ impl<'a> DistSolver<'a> {
         let outgoing = self.pack_halo();
         self.comm.with_obs(|o| span.end(o, "lb.halo-pack"));
         // The halo-wait spans cover posting the (buffered) sends and
-        // blocking on peers' post-collision data. Receives drain in
-        // arrival order so one slow peer does not delay unpacking of
-        // already-delivered payloads.
+        // blocking on peers' post-collision data.
         let span = self.comm.with_obs(|o| o.begin());
         self.comm.exchange_start(T_HALO, &outgoing)?;
         self.comm.with_obs(|o| span.end(o, "lb.halo-wait"));
-        let mut remaining: Vec<usize> = self.recv_plan.iter().map(|(peer, _, _)| *peer).collect();
-        while !remaining.is_empty() {
-            let span = self.comm.with_obs(|o| o.begin());
-            let (peer, payload) = self.comm.recv_any_of(T_HALO, &remaining)?;
-            self.comm.with_obs(|o| span.end(o, "lb.halo-wait"));
-            let pos = remaining.iter().position(|&p| p == peer).expect("listed");
-            remaining.swap_remove(pos);
-            self.unpack_halo(peer, payload)?;
-        }
+        self.drain_halo()?;
 
         // Stream: disjoint chunks of f_next, all reading the immutable
         // post-collision state (local f + halo) — race-free, bit-exact.
         let span = self.comm.with_obs(|o| o.begin());
-        let full = [(0u32, self.locals.len() as u32)];
-        self.stream_ranges(&full);
+        self.lat.stream(&full, &self.halo, threads);
         self.comm.with_obs(|o| span.end(o, "lb.stream"));
-        self.swap_after_stream();
         Ok(())
     }
 
@@ -598,14 +393,13 @@ impl<'a> DistSolver<'a> {
     /// before any stream that could read it (interior streams after
     /// phases 1 and 3a; the frontier streams last); and the pack in
     /// phase 2 reads only frontier sites, which phase 3 never touches.
-    fn step_overlapped(&mut self) -> CommResult<()> {
-        let simd = self.cfg.layout == KernelLayout::SoaSimd;
+    fn step_overlapped(&mut self, threads: usize) -> CommResult<()> {
         let frontier = self.partition.frontier_ranges().to_vec();
         let interior = self.partition.interior_ranges().to_vec();
 
         // (1) Frontier-first collide.
         let span = self.comm.with_obs(|o| o.begin());
-        self.collide_ranges(&frontier, simd);
+        self.lat.collide(&frontier, threads);
         self.comm.with_obs(|o| span.end(o, "lb.collide-frontier"));
 
         // (2) Pack and post all sends; messages are now in flight.
@@ -620,10 +414,10 @@ impl<'a> DistSolver<'a> {
         // rank had available.
         let overlap_span = self.comm.with_obs(|o| o.begin());
         let span = self.comm.with_obs(|o| o.begin());
-        self.collide_ranges(&interior, simd);
+        self.lat.collide(&interior, threads);
         self.comm.with_obs(|o| span.end(o, "lb.collide"));
         let span = self.comm.with_obs(|o| o.begin());
-        self.stream_ranges(&interior);
+        self.lat.stream(&interior, &self.halo, threads);
         self.comm.with_obs(|o| span.end(o, "lb.stream"));
         let compute_secs = self
             .comm
@@ -631,98 +425,15 @@ impl<'a> DistSolver<'a> {
 
         // (4) Residual drain: only time still blocked *after* the
         // interior work counts as halo wait under overlap.
-        let mut residual_secs = 0.0;
-        let mut remaining: Vec<usize> = self.recv_plan.iter().map(|(peer, _, _)| *peer).collect();
-        while !remaining.is_empty() {
-            let span = self.comm.with_obs(|o| o.begin());
-            let (peer, payload) = self.comm.recv_any_of(T_HALO, &remaining)?;
-            residual_secs += self.comm.with_obs(|o| span.end(o, "lb.halo-wait"));
-            let pos = remaining.iter().position(|&p| p == peer).expect("listed");
-            remaining.swap_remove(pos);
-            self.unpack_halo(peer, payload)?;
-        }
+        let residual_secs = self.drain_halo()?;
 
         // (5) Frontier stream from the complete halo buffer.
         let span = self.comm.with_obs(|o| o.begin());
-        self.stream_ranges(&frontier);
+        self.lat.stream(&frontier, &self.halo, threads);
         self.comm.with_obs(|o| span.end(o, "lb.stream"));
-        self.swap_after_stream();
 
         self.comm.note_overlap(compute_secs, residual_secs);
         Ok(())
-    }
-
-    /// Collide the sites in `ranges` in place, recording their moments;
-    /// sites outside the ranges are untouched.
-    fn collide_ranges(&mut self, ranges: &[(u32, u32)], simd: bool) {
-        if let Some(soa) = self.soa.as_mut() {
-            crate::kernel::par_collide_soa_ranges(
-                &self.model,
-                self.cfg.collision,
-                self.cfg.tau,
-                self.mrt.as_ref(),
-                &mut soa.f,
-                &mut self.moments,
-                ranges,
-                simd,
-            );
-        } else {
-            crate::kernel::par_collide_ranges(
-                &self.model,
-                self.cfg.collision,
-                self.cfg.tau,
-                self.mrt.as_ref(),
-                &mut self.f,
-                &mut self.moments,
-                ranges,
-            );
-        }
-    }
-
-    /// Pull-stream the destination sites in `ranges` into the next
-    /// buffer; reads only immutable post-collision state. Does **not**
-    /// swap the double buffers — the overlapped step streams in two
-    /// pieces before one swap.
-    fn stream_ranges(&mut self, ranges: &[(u32, u32)]) {
-        if let Some(soa) = self.soa.as_mut() {
-            let (f_old, f_next, plan) = soa.split_for_stream();
-            crate::kernel::par_stream_soa_ranges(
-                &self.model,
-                &self.cfg,
-                &self.kinds,
-                f_old,
-                plan,
-                &self.moments,
-                &self.bc_velocity,
-                &self.halo,
-                self.step,
-                ranges,
-                f_next,
-            );
-        } else {
-            par_stream_halo_ranges(
-                &self.model,
-                &self.cfg,
-                &self.geo,
-                &self.locals,
-                &self.f,
-                &self.moments,
-                &self.bc_velocity,
-                &self.pull,
-                &self.halo,
-                self.step,
-                ranges,
-                &mut self.f_next,
-            );
-        }
-    }
-
-    /// Swap the double buffers once all destination sites are streamed.
-    fn swap_after_stream(&mut self) {
-        match self.soa.as_mut() {
-            Some(soa) => soa.swap_buffers(),
-            None => std::mem::swap(&mut self.f, &mut self.f_next),
-        }
     }
 
     /// Advance `count` steps.
@@ -747,14 +458,14 @@ impl<'a> DistSolver<'a> {
         assert_eq!(new_owner.len(), self.geo.fluid_count());
         assert!(new_owner.iter().all(|&o| o < self.comm.size()));
         let me = self.comm.rank();
-        let q = self.model.q;
+        let q = self.lat.model.q;
 
         // Partition my sites into kept and outgoing-by-new-owner.
         let mut kept: Vec<(u32, Vec<f64>)> = Vec::new();
         let mut outgoing: Vec<Vec<(u32, Vec<f64>)>> = vec![Vec::new(); self.comm.size()];
         let mut moved = 0usize;
         for (l, &g) in self.locals.iter().enumerate() {
-            let fs = self.site_f(l);
+            let fs = self.lat.site_values(l);
             let no = new_owner[g as usize];
             if no == me {
                 kept.push((g, fs));
@@ -809,8 +520,9 @@ impl<'a> DistSolver<'a> {
 
         // Rebuild the solver state for the new decomposition and install
         // the migrated distributions.
-        let step = self.step;
-        let mut fresh = DistSolver::new(self.geo.clone(), new_owner, self.cfg.clone(), self.comm)?;
+        let step = self.lat.step;
+        let mut fresh =
+            DistSolver::new(self.geo.clone(), new_owner, self.lat.cfg.clone(), self.comm)?;
         let mut g2l = vec![u32::MAX; self.geo.fluid_count()];
         for (l, &g) in fresh.locals.iter().enumerate() {
             g2l[g as usize] = l as u32;
@@ -819,7 +531,7 @@ impl<'a> DistSolver<'a> {
         for (g, fs) in kept {
             let l = g2l[g as usize];
             assert_ne!(l, u32::MAX, "migrated site {g} not owned under new map");
-            fresh.set_site_f(l as usize, &fs);
+            fresh.lat.set_site_values(l as usize, &fs);
             installed += 1;
         }
         assert_eq!(
@@ -827,7 +539,7 @@ impl<'a> DistSolver<'a> {
             fresh.locals.len(),
             "every new-local site received data"
         );
-        fresh.step = step;
+        fresh.lat.step = step;
         *self = fresh;
         self.comm.note_rebalance();
         self.comm.with_obs(|o| {
@@ -841,36 +553,10 @@ impl<'a> DistSolver<'a> {
     /// Snapshot of this rank's sites only (indexed like
     /// [`DistSolver::local_sites`]).
     pub fn local_snapshot(&self) -> FieldSnapshot {
-        let nl = self.locals.len();
-        let mut rho = vec![0.0; nl];
-        let mut u = vec![[0.0; 3]; nl];
-        let mut shear = vec![0.0; nl];
         let span = self.comm.with_obs(|o| o.begin());
-        match &self.soa {
-            Some(soa) => crate::kernel::par_macroscopics_soa(
-                &self.model,
-                self.cfg.tau,
-                &soa.f,
-                &mut rho,
-                &mut u,
-                &mut shear,
-            ),
-            None => crate::kernel::par_macroscopics(
-                &self.model,
-                self.cfg.tau,
-                &self.f,
-                &mut rho,
-                &mut u,
-                &mut shear,
-            ),
-        }
+        let snap = self.lat.snapshot(rayon::current_num_threads());
         self.comm.with_obs(|o| span.end(o, "lb.macroscopics"));
-        FieldSnapshot {
-            step: self.step,
-            rho,
-            u,
-            shear,
-        }
+        snap
     }
 
     /// Gather the global snapshot at rank 0 (collective). Non-root ranks
@@ -911,7 +597,7 @@ impl<'a> DistSolver<'a> {
             }
         }
         Ok(Some(FieldSnapshot {
-            step: self.step,
+            step: self.lat.step,
             rho,
             u,
             shear,
@@ -920,16 +606,12 @@ impl<'a> DistSolver<'a> {
 
     /// Global mass via all-reduce (collective).
     pub fn mass(&self) -> CommResult<f64> {
-        let local: f64 = match &self.soa {
-            Some(soa) => soa.mass(),
-            None => self.f.iter().sum(),
-        };
-        self.comm.all_reduce_f64(local, |a, b| a + b)
+        self.comm.all_reduce_f64(self.lat.mass(), |a, b| a + b)
     }
 
     /// Completed steps.
     pub fn step_count(&self) -> u64 {
-        self.step
+        self.lat.step
     }
 
     /// This rank's index (checkpoint naming).
@@ -939,39 +621,13 @@ impl<'a> DistSolver<'a> {
 
     /// Number of discrete velocities.
     pub fn model_q(&self) -> usize {
-        self.model.q
+        self.lat.model.q
     }
 
     /// This rank's whole local distribution array in the canonical
-    /// site-major order (borrowed for the legacy layout, transposed on
-    /// the fly for SoA).
-    pub fn raw_distributions(&self) -> Cow<'_, [f64]> {
-        match &self.soa {
-            Some(soa) => Cow::Owned(soa.to_site_major()),
-            None => Cow::Borrowed(&self.f),
-        }
-    }
-
-    /// The `q` populations of local site `l`, direction order.
-    fn site_f(&self, l: usize) -> Vec<f64> {
-        match &self.soa {
-            Some(soa) => soa.site_values(l),
-            None => {
-                let q = self.model.q;
-                self.f[l * q..(l + 1) * q].to_vec()
-            }
-        }
-    }
-
-    /// Overwrite the `q` populations of local site `l`.
-    fn set_site_f(&mut self, l: usize, values: &[f64]) {
-        match self.soa.as_mut() {
-            Some(soa) => soa.set_site_values(l, values),
-            None => {
-                let q = self.model.q;
-                self.f[l * q..(l + 1) * q].copy_from_slice(values);
-            }
-        }
+    /// site-major order.
+    pub fn raw_distributions(&self) -> Vec<f64> {
+        self.lat.to_site_major()
     }
 
     /// Block until every rank reaches this point (checkpoint fencing).
@@ -983,17 +639,6 @@ impl<'a> DistSolver<'a> {
     /// in sibling modules, e.g. checkpoint restore agreement).
     pub(crate) fn comm(&self) -> &'a Communicator {
         self.comm
-    }
-
-    /// Overwrite the local dynamical state from a site-major array
-    /// (checkpoint restore); layout-agnostic.
-    pub(crate) fn install_state(&mut self, step: u64, f: Vec<f64>) {
-        assert_eq!(f.len(), self.locals.len() * self.model.q);
-        match self.soa.as_mut() {
-            Some(soa) => soa.install_site_major(&f),
-            None => self.f = f,
-        }
-        self.step = step;
     }
 
     /// The geometry.
@@ -1008,13 +653,13 @@ impl<'a> DistSolver<'a> {
 
     /// The configuration.
     pub fn config(&self) -> &SolverConfig {
-        &self.cfg
+        &self.lat.cfg
     }
 
     /// The lattice model in use (the adaptive load balancer sizes
     /// migration payloads from `model().q`).
     pub fn model(&self) -> &LatticeModel {
-        &self.model
+        &self.lat.model
     }
 }
 
@@ -1238,72 +883,63 @@ mod tests {
         let owner: Vec<usize> = (0..geo.fluid_count() as u32)
             .map(|s| usize::from(geo.position(s)[0] >= x_cut))
             .collect();
-        for layout in [KernelLayout::Legacy, KernelLayout::SoaSimd] {
-            let cfg = SolverConfig::pressure_driven(1.01, 0.99).with_layout(layout);
-            let geo2 = geo.clone();
-            let owner2 = owner.clone();
-            run_spmd(2, move |comm| {
-                let ds = DistSolver::new(geo2.clone(), owner2.clone(), cfg.clone(), comm).unwrap();
-                let me = comm.rank();
-                let q = ds.model.q;
-                let mut halo_links = vec![0usize; q];
-                for (l, &g) in ds.locals.iter().enumerate() {
-                    let [x, y, z] = geo2.position(g);
-                    for (i, links) in halo_links.iter_mut().enumerate() {
-                        let c = ds.model.c[i];
-                        let src = geo2.site_at(
-                            x as i64 - c[0] as i64,
-                            y as i64 - c[1] as i64,
-                            z as i64 - c[2] as i64,
-                        );
-                        let entry = ds.pull[l * q + i];
-                        if let Some(soa) = &ds.soa {
+        let cfg = SolverConfig::pressure_driven(1.01, 0.99);
+        let geo2 = geo.clone();
+        let owner2 = owner.clone();
+        run_spmd(2, move |comm| {
+            let ds = DistSolver::new(geo2.clone(), owner2.clone(), cfg.clone(), comm).unwrap();
+            let me = comm.rank();
+            let q = ds.lat.model.q;
+            let mut halo_links = vec![0usize; q];
+            for (l, &g) in ds.locals.iter().enumerate() {
+                let [x, y, z] = geo2.position(g);
+                for (i, links) in halo_links.iter_mut().enumerate() {
+                    let c = ds.lat.model.c[i];
+                    let src = geo2.site_at(
+                        x as i64 - c[0] as i64,
+                        y as i64 - c[1] as i64,
+                        z as i64 - c[2] as i64,
+                    );
+                    let entry = ds.lat.stream[i][l];
+                    match src {
+                        None => assert_eq!(entry, BOUNDARY, "dir {i} at local {l}"),
+                        Some(sg) if owner2[sg as usize] == me => {
+                            assert_eq!(entry & HALO_FLAG, 0, "owned source marked halo");
                             assert_eq!(
-                                soa.stream_entry(i, l),
-                                entry,
-                                "SoA stream table must mirror the pull table"
+                                ds.locals[entry as usize], sg,
+                                "dir {i} at local {l}: wrong local source"
                             );
                         }
-                        match src {
-                            None => assert_eq!(entry, BOUNDARY, "dir {i} at local {l}"),
-                            Some(sg) if owner2[sg as usize] == me => {
-                                assert_eq!(entry & HALO_FLAG, 0, "owned source marked halo");
-                                assert_eq!(
-                                    ds.locals[entry as usize], sg,
-                                    "dir {i} at local {l}: wrong local source"
-                                );
-                            }
-                            Some(_) => {
-                                assert_ne!(entry, BOUNDARY);
-                                assert_ne!(entry & HALO_FLAG, 0, "peer source must be a halo slot");
-                                assert!(((entry & !HALO_FLAG) as usize) < ds.halo.len());
-                                *links += 1;
-                            }
+                        Some(_) => {
+                            assert_ne!(entry, BOUNDARY);
+                            assert_ne!(entry & HALO_FLAG, 0, "peer source must be a halo slot");
+                            assert!(((entry & !HALO_FLAG) as usize) < ds.halo.len());
+                            *links += 1;
                         }
                     }
                 }
-                for (i, &links) in halo_links.iter().enumerate().take(q) {
-                    let cx = ds.model.c[i][0];
-                    let crosses = (me == 0 && cx == -1) || (me == 1 && cx == 1);
-                    if crosses {
-                        assert!(
-                            links > 0,
-                            "rank {me}: direction {i} (c_x = {cx}) must cross the cut"
-                        );
-                    } else {
-                        assert_eq!(
-                            links, 0,
-                            "rank {me}: direction {i} (c_x = {cx}) must not cross the cut"
-                        );
-                    }
+            }
+            for (i, &links) in halo_links.iter().enumerate().take(q) {
+                let cx = ds.lat.model.c[i][0];
+                let crosses = (me == 0 && cx == -1) || (me == 1 && cx == 1);
+                if crosses {
+                    assert!(
+                        links > 0,
+                        "rank {me}: direction {i} (c_x = {cx}) must cross the cut"
+                    );
+                } else {
+                    assert_eq!(
+                        links, 0,
+                        "rank {me}: direction {i} (c_x = {cx}) must not cross the cut"
+                    );
                 }
-            });
-        }
+            }
+        });
     }
 
     /// Satellite: the interior/frontier classifier, validated **per
     /// link orientation at rank boundaries** with the same explicit
-    /// x-slab decomposition as the pull-table test above. A site must
+    /// x-slab decomposition as the streaming-table test above. A site must
     /// be frontier iff it appears in the send plan or owns a halo pull
     /// link; the compiled [`SitePartition`] must agree with that
     /// definition, and the two range lists must tile the local site
@@ -1315,92 +951,86 @@ mod tests {
         let owner: Vec<usize> = (0..geo.fluid_count() as u32)
             .map(|s| usize::from(geo.position(s)[0] >= x_cut))
             .collect();
-        for layout in [
-            KernelLayout::Legacy,
-            KernelLayout::SoaScalar,
-            KernelLayout::SoaSimd,
-        ] {
-            let cfg = SolverConfig::pressure_driven(1.01, 0.99).with_layout(layout);
-            let geo2 = geo.clone();
-            let owner2 = owner.clone();
-            run_spmd(2, move |comm| {
-                let ds = DistSolver::new(geo2.clone(), owner2.clone(), cfg.clone(), comm).unwrap();
-                let me = comm.rank();
-                let q = ds.model.q;
-                let nl = ds.locals.len();
+        let cfg = SolverConfig::pressure_driven(1.01, 0.99);
+        let geo2 = geo.clone();
+        let owner2 = owner.clone();
+        run_spmd(2, move |comm| {
+            let ds = DistSolver::new(geo2.clone(), owner2.clone(), cfg.clone(), comm).unwrap();
+            let me = comm.rank();
+            let q = ds.lat.model.q;
+            let nl = ds.locals.len();
 
-                // Independent reconstruction of the frontier set.
-                let mut expected = vec![false; nl];
-                for (_, requests) in &ds.send_plan {
-                    for &(l, _) in requests {
-                        expected[l as usize] = true;
-                    }
+            // Independent reconstruction of the frontier set.
+            let mut expected = vec![false; nl];
+            for (_, requests) in &ds.send_plan {
+                for &(l, _) in requests {
+                    expected[l as usize] = true;
                 }
-                for (l, flag) in expected.iter_mut().enumerate() {
-                    *flag |= (0..q).any(|d| {
-                        let e = ds.pull[l * q + d];
-                        e != BOUNDARY && e & HALO_FLAG != 0
-                    });
-                }
-                for (l, &want) in expected.iter().enumerate() {
-                    assert_eq!(
-                        ds.partition.is_frontier(l),
-                        want,
-                        "rank {me}: site {l} misclassified"
-                    );
-                }
-
-                // Per orientation: only links crossing the x-cut may
-                // make a site frontier, and every crossing orientation
-                // must contribute at least one frontier site.
-                for (i, c) in ds.model.c.iter().enumerate() {
-                    let crosses = (me == 0 && c[0] == -1) || (me == 1 && c[0] == 1);
-                    let halo_sites = (0..nl)
-                        .filter(|&l| {
-                            let e = ds.pull[l * q + i];
-                            e != BOUNDARY && e & HALO_FLAG != 0
-                        })
-                        .count();
-                    if crosses {
-                        assert!(halo_sites > 0, "rank {me}: dir {i} should cross the cut");
-                    } else {
-                        assert_eq!(halo_sites, 0, "rank {me}: dir {i} must not cross");
-                    }
-                    for l in 0..nl {
-                        let e = ds.pull[l * q + i];
-                        if e != BOUNDARY && e & HALO_FLAG != 0 {
-                            assert!(ds.partition.is_frontier(l));
-                        }
-                    }
-                }
-
-                // The two range lists tile [0, nl) exactly once.
-                let mut covered = vec![0u32; nl];
-                for &(start, len) in ds
-                    .partition
-                    .frontier_ranges()
-                    .iter()
-                    .chain(ds.partition.interior_ranges())
-                {
-                    for l in start..start + len {
-                        covered[l as usize] += 1;
-                    }
-                }
-                assert!(
-                    covered.iter().all(|&c| c == 1),
-                    "rank {me}: ranges must tile"
-                );
+            }
+            for (l, flag) in expected.iter_mut().enumerate() {
+                *flag |= (0..q).any(|d| {
+                    let e = ds.lat.stream[d][l];
+                    e != BOUNDARY && e & HALO_FLAG != 0
+                });
+            }
+            for (l, &want) in expected.iter().enumerate() {
                 assert_eq!(
-                    ds.partition.frontier_count() + ds.partition.interior_count(),
-                    nl,
-                    "rank {me}: counts partition the site list"
+                    ds.partition.is_frontier(l),
+                    want,
+                    "rank {me}: site {l} misclassified"
                 );
+            }
 
-                // An x-slab of a 16-long tube has interior sites, so
-                // overlap engages by default.
-                assert!(ds.overlap_active(), "rank {me}: overlap should engage");
-            });
-        }
+            // Per orientation: only links crossing the x-cut may
+            // make a site frontier, and every crossing orientation
+            // must contribute at least one frontier site.
+            for (i, c) in ds.lat.model.c.iter().enumerate() {
+                let crosses = (me == 0 && c[0] == -1) || (me == 1 && c[0] == 1);
+                let halo_sites = (0..nl)
+                    .filter(|&l| {
+                        let e = ds.lat.stream[i][l];
+                        e != BOUNDARY && e & HALO_FLAG != 0
+                    })
+                    .count();
+                if crosses {
+                    assert!(halo_sites > 0, "rank {me}: dir {i} should cross the cut");
+                } else {
+                    assert_eq!(halo_sites, 0, "rank {me}: dir {i} must not cross");
+                }
+                for l in 0..nl {
+                    let e = ds.lat.stream[i][l];
+                    if e != BOUNDARY && e & HALO_FLAG != 0 {
+                        assert!(ds.partition.is_frontier(l));
+                    }
+                }
+            }
+
+            // The two range lists tile [0, nl) exactly once.
+            let mut covered = vec![0u32; nl];
+            for &(start, len) in ds
+                .partition
+                .frontier_ranges()
+                .iter()
+                .chain(ds.partition.interior_ranges())
+            {
+                for l in start..start + len {
+                    covered[l as usize] += 1;
+                }
+            }
+            assert!(
+                covered.iter().all(|&c| c == 1),
+                "rank {me}: ranges must tile"
+            );
+            assert_eq!(
+                ds.partition.frontier_count() + ds.partition.interior_count(),
+                nl,
+                "rank {me}: counts partition the site list"
+            );
+
+            // An x-slab of a 16-long tube has interior sites, so
+            // overlap engages by default.
+            assert!(ds.overlap_active(), "rank {me}: overlap should engage");
+        });
     }
 
     /// Satellite: interior stream segments must contain **no halo
@@ -1416,11 +1046,11 @@ mod tests {
             run_spmd(p, move |comm| {
                 let owner = even_owner(geo2.fluid_count(), comm.size());
                 let ds = DistSolver::new(geo2.clone(), owner, cfg2.clone(), comm).unwrap();
-                let q = ds.model.q;
+                let q = ds.lat.model.q;
                 for &(start, len) in ds.partition.interior_ranges() {
                     for l in start..start + len {
                         for d in 0..q {
-                            let entry = ds.pull[l as usize * q + d];
+                            let entry = ds.lat.stream[d][l as usize];
                             assert!(
                                 entry == BOUNDARY || entry & HALO_FLAG == 0,
                                 "rank {}: interior site {l} dir {d} reads the halo",
@@ -1486,33 +1116,30 @@ mod tests {
     }
 
     /// Overlapped and synchronous schedules are bit-identical (the
-    /// heavyweight proptest over geometries × layouts lives in
+    /// heavyweight proptest over geometries × operators lives in
     /// `tests/overlap.rs`; this is the fast in-module check).
     #[test]
     fn overlapped_step_matches_sync_bitwise_quick() {
         let geo = demo_geo();
         let base = SolverConfig::pressure_driven(1.01, 0.99);
-        for layout in [KernelLayout::Legacy, KernelLayout::SoaSimd] {
-            let snapshots: Vec<_> = [true, false]
-                .into_iter()
-                .map(|overlap| {
-                    let geo2 = geo.clone();
-                    let cfg = base.clone().with_layout(layout).with_overlap(overlap);
-                    let results = run_spmd(3, move |comm| {
-                        let owner = even_owner(geo2.fluid_count(), comm.size());
-                        let mut ds =
-                            DistSolver::new(geo2.clone(), owner, cfg.clone(), comm).unwrap();
-                        ds.step_n(15).unwrap();
-                        ds.gather_snapshot().unwrap()
-                    });
-                    results[0].clone().expect("root gathers")
-                })
-                .collect();
-            let (over, sync) = (&snapshots[0], &snapshots[1]);
-            for s in 0..sync.rho.len() {
-                assert_eq!(over.rho[s], sync.rho[s], "rho at {s}, {layout:?}");
-                assert_eq!(over.u[s], sync.u[s], "u at {s}, {layout:?}");
-            }
+        let snapshots: Vec<_> = [true, false]
+            .into_iter()
+            .map(|overlap| {
+                let geo2 = geo.clone();
+                let cfg = base.clone().with_overlap(overlap);
+                let results = run_spmd(3, move |comm| {
+                    let owner = even_owner(geo2.fluid_count(), comm.size());
+                    let mut ds = DistSolver::new(geo2.clone(), owner, cfg.clone(), comm).unwrap();
+                    ds.step_n(15).unwrap();
+                    ds.gather_snapshot().unwrap()
+                });
+                results[0].clone().expect("root gathers")
+            })
+            .collect();
+        let (over, sync) = (&snapshots[0], &snapshots[1]);
+        for s in 0..sync.rho.len() {
+            assert_eq!(over.rho[s], sync.rho[s], "rho at {s}");
+            assert_eq!(over.u[s], sync.u[s], "u at {s}");
         }
     }
 

@@ -1,264 +1,102 @@
-//! Shared collide/stream kernel spans and the rayon-parallel solver.
+//! The collide, stream and macroscopics drivers over [`SoaLattice`] and
+//! the thread-parallel solver.
 //!
-//! The serial [`Solver`], the [`ParallelSolver`] here, and the
-//! distributed solver all execute the *same* per-site code path — the
-//! span primitives below. Pull streaming reads only the previous-step
-//! buffer and every site writes only its own `f_next` entries, so
-//! partitioning the site array into contiguous chunks and running them
-//! on worker threads is race-free **and** bit-exact by construction: no
-//! atomics, no reductions, no operation reordering. The determinism
-//! proptests in `tests/properties.rs` assert
+//! The serial [`Solver`], the [`ParallelSolver`] here and the distributed
+//! solver all step through the three drivers below; they differ only in
+//! the site ranges and the thread count they pass. Pull streaming reads
+//! only the previous-step buffer and every site writes only its own
+//! `f_next` entries, so partitioning the site list into contiguous
+//! chunks and running them on worker threads is race-free **and**
+//! bit-exact by construction: no atomics, no reductions, no operation
+//! reordering. The determinism proptests in `tests/properties.rs` assert
 //! `serial == parallel(1) == parallel(4)` via `f64::to_bits`.
 
 use crate::boundary::IoletBc;
-use crate::collision::{collide, CollisionKind};
-use crate::equilibrium::{moments as site_moments, pi_neq, shear_rate_magnitude};
 use crate::fields::FieldSnapshot;
-use crate::model::LatticeModel;
-use crate::mrt::MrtOperator;
-use crate::solver::{boundary_rule, Solver, SolverConfig, LINK_BOUNDARY};
-use hemelb_geometry::{SiteKind, SparseGeometry};
-use std::borrow::Cow;
+use crate::layout::{collide_span_soa, macroscopics_span_soa, stream_span_soa, SoaLattice};
+use crate::solver::{Solver, SolverConfig};
+use hemelb_geometry::SparseGeometry;
 use std::sync::Arc;
 
-/// Collide the sites in `f` (a span of `moments.len()` sites, site-major)
-/// in place, recording each site's pre-collision moments.
-///
-/// This is the one collide loop in the codebase: serial, thread-chunked
-/// and distributed steps all call it, which is what makes them
-/// bit-identical per site.
-pub(crate) fn collide_span(
-    model: &LatticeModel,
-    collision: CollisionKind,
-    tau: f64,
-    mut mrt: Option<&mut MrtOperator>,
-    f: &mut [f64],
-    moments: &mut [(f64, [f64; 3])],
-) {
-    let q = model.q;
-    debug_assert_eq!(f.len(), moments.len() * q);
-    let mut scratch = vec![0.0; q];
-    for (s, m) in moments.iter_mut().enumerate() {
-        let fs = &mut f[s * q..(s + 1) * q];
-        *m = match mrt.as_deref_mut() {
-            Some(op) => op.collide(model, tau, fs),
-            None => collide(model, collision, tau, fs, &mut scratch),
-        };
+/// Split a list of ascending, disjoint `(start, len)` site ranges into
+/// `(first_site, len)` chunks of at most ⌈total/threads⌉ sites, each
+/// contained in one source range. The subdivision never affects results
+/// — collide is per-site independent and stream writes disjoint outputs
+/// — only which thread computes which sites.
+pub(crate) fn range_chunks(ranges: &[(u32, u32)], threads: usize) -> Vec<(usize, usize)> {
+    let total: usize = ranges.iter().map(|&(_, len)| len as usize).sum();
+    if total == 0 {
+        return Vec::new();
     }
-}
-
-/// Pull-stream into `out`, a span of `f_next` beginning at global site
-/// `first_site`. Reads only the immutable previous-step state, so spans
-/// may run concurrently.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn stream_span(
-    model: &LatticeModel,
-    cfg: &SolverConfig,
-    geo: &SparseGeometry,
-    f_old: &[f64],
-    moments: &[(f64, [f64; 3])],
-    bc_velocity: &[[f64; 3]],
-    pull: &[u32],
-    step: u64,
-    first_site: usize,
-    out: &mut [f64],
-) {
-    let q = model.q;
-    debug_assert_eq!(out.len() % q, 0);
-    for k in 0..out.len() / q {
-        let s = first_site + k;
-        let kind = geo.kind(s as u32);
-        for i in 0..q {
-            let src = pull[s * q + i];
-            out[k * q + i] = if src != LINK_BOUNDARY {
-                f_old[src as usize * q + i]
-            } else {
-                boundary_rule(
-                    model,
-                    cfg,
-                    kind,
-                    bc_velocity[s],
-                    i,
-                    f_old[s * q + model.opp[i]],
-                    moments[s],
-                    step,
-                )
-            };
+    let chunk = total.div_ceil(threads.max(1));
+    let mut out = Vec::new();
+    for &(start, len) in ranges {
+        let mut first = start as usize;
+        let mut rem = len as usize;
+        while rem > 0 {
+            let take = chunk.min(rem);
+            out.push((first, take));
+            first += take;
+            rem -= take;
         }
-    }
-}
-
-/// Macroscopic fields of the span of sites starting at `first_site`:
-/// density, velocity and shear-rate magnitude, written into the
-/// corresponding output spans.
-pub(crate) fn macroscopics_span(
-    model: &LatticeModel,
-    tau: f64,
-    f: &[f64],
-    rho: &mut [f64],
-    u: &mut [[f64; 3]],
-    shear: &mut [f64],
-) {
-    let q = model.q;
-    debug_assert_eq!(f.len(), rho.len() * q);
-    for s in 0..rho.len() {
-        let fs = &f[s * q..(s + 1) * q];
-        let (r, v) = site_moments(model, fs);
-        let pi = pi_neq(model, fs, r, v);
-        rho[s] = r;
-        u[s] = v;
-        shear[s] = shear_rate_magnitude(pi, r, tau);
-    }
-}
-
-/// Split the site range `0..n` into one contiguous chunk per rayon
-/// worker. Returns `(first_site, len)` pairs covering the range in
-/// order; the chunking never affects results, only which thread computes
-/// which sites.
-pub(crate) fn site_chunks(n: usize) -> Vec<(usize, usize)> {
-    let threads = rayon::current_num_threads().max(1);
-    let chunk = n.div_ceil(threads).max(1);
-    let mut out = Vec::with_capacity(threads);
-    let mut first = 0;
-    while first < n {
-        let len = chunk.min(n - first);
-        out.push((first, len));
-        first += len;
     }
     out
 }
 
-/// One collide work item: a disjoint `(f, moments)` span pair.
-type CollideWork<'a> = (&'a mut [f64], &'a mut [(f64, [f64; 3])]);
-/// One SoA collide work item: the same site span of every lane plus the
-/// matching moments span.
-type SoaCollideWork<'a> = (Vec<&'a mut [f64]>, &'a mut [(f64, [f64; 3])]);
-
-/// Chunk-parallel collide over the whole site array. Each worker gets a
-/// disjoint `(f, moments)` pair of spans and (for MRT) its own clone of
-/// the operator, whose only mutable state is scratch space.
-pub(crate) fn par_collide(
-    model: &LatticeModel,
-    collision: CollisionKind,
-    tau: f64,
-    mrt: Option<&MrtOperator>,
-    f: &mut [f64],
-    moments: &mut [(f64, [f64; 3])],
-) {
-    let q = model.q;
-    let mut work: Vec<CollideWork<'_>> = Vec::new();
-    let mut f_rest = f;
-    let mut m_rest = moments;
-    for (_, len) in site_chunks(m_rest.len()) {
-        let (f_chunk, f_tail) = f_rest.split_at_mut(len * q);
-        let (m_chunk, m_tail) = m_rest.split_at_mut(len);
-        f_rest = f_tail;
-        m_rest = m_tail;
-        work.push((f_chunk, m_chunk));
-    }
-    run_grouped(work, |(f_chunk, m_chunk)| {
-        let mut op = mrt.cloned();
-        collide_span(model, collision, tau, op.as_mut(), f_chunk, m_chunk)
-    });
+/// Detach the first `len` elements of `rest`, leaving the tail — the
+/// safe-Rust way to hand disjoint spans of one array to workers.
+fn take_span<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let (head, tail) = std::mem::take(rest).split_at_mut(len);
+    *rest = tail;
+    head
 }
 
-/// Chunk-parallel pull-stream over the whole site array: disjoint spans
-/// of `f_next` are written from the shared immutable previous state.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn par_stream(
-    model: &LatticeModel,
-    cfg: &SolverConfig,
-    geo: &SparseGeometry,
-    f_old: &[f64],
-    moments: &[(f64, [f64; 3])],
-    bc_velocity: &[[f64; 3]],
-    pull: &[u32],
-    step: u64,
-    f_next: &mut [f64],
-) {
-    let q = model.q;
-    let mut work: Vec<(usize, &mut [f64])> = Vec::new();
-    let mut rest = f_next;
-    for (first, len) in site_chunks(moments.len()) {
-        let (out, tail) = rest.split_at_mut(len * q);
-        rest = tail;
-        work.push((first, out));
-    }
-    run_grouped(work, |(first, out)| {
-        stream_span(
-            model,
-            cfg,
-            geo,
-            f_old,
-            moments,
-            bc_velocity,
-            pull,
-            step,
-            first,
-            out,
-        )
-    });
-}
-
-/// Chunk-parallel macroscopic-field extraction into pre-sized arrays.
-pub(crate) fn par_macroscopics(
-    model: &LatticeModel,
-    tau: f64,
-    f: &[f64],
-    rho: &mut [f64],
-    u: &mut [[f64; 3]],
-    shear: &mut [f64],
-) {
-    let q = model.q;
-    type MacroWork<'a> = (&'a [f64], &'a mut [f64], &'a mut [[f64; 3]], &'a mut [f64]);
-    let mut work: Vec<MacroWork<'_>> = Vec::new();
-    let mut f_rest = f;
-    let mut rho_rest = rho;
-    let mut u_rest = u;
-    let mut sh_rest = shear;
-    for (_, len) in site_chunks(rho_rest.len()) {
-        let (f_c, f_t) = f_rest.split_at(len * q);
-        let (rho_c, rho_t) = rho_rest.split_at_mut(len);
-        let (u_c, u_t) = u_rest.split_at_mut(len);
-        let (sh_c, sh_t) = sh_rest.split_at_mut(len);
-        f_rest = f_t;
-        rho_rest = rho_t;
-        u_rest = u_t;
-        sh_rest = sh_t;
-        work.push((f_c, rho_c, u_c, sh_c));
-    }
-    run_grouped(work, |(f_c, rho_c, u_c, sh_c)| {
-        macroscopics_span(model, tau, f_c, rho_c, u_c, sh_c)
-    });
-}
-
-/// Split each SoA lane at `len`, collecting the heads into one per-lane
-/// chunk bundle and leaving the tails in `rest` — the safe-Rust way to
-/// hand disjoint site spans of every lane to a worker.
-fn take_lane_chunk<'a>(rest: &mut [&'a mut [f64]], len: usize) -> Vec<&'a mut [f64]> {
-    rest.iter_mut()
-        .map(|lane| {
-            let taken = std::mem::take(lane);
-            let (head, tail) = taken.split_at_mut(len);
-            *lane = tail;
-            head
+/// Carve `lanes` into one bundle per chunk — the same site span of every
+/// direction, for one worker; sites between chunks are skipped.
+fn split_lanes<'a>(
+    lanes: &'a mut [Vec<f64>],
+    chunks: &[(usize, usize)],
+) -> Vec<Vec<&'a mut [f64]>> {
+    let mut rest: Vec<&mut [f64]> = lanes.iter_mut().map(|l| l.as_mut_slice()).collect();
+    let mut cursor = 0;
+    chunks
+        .iter()
+        .map(|&(first, len)| {
+            for lane in rest.iter_mut() {
+                take_span(lane, first - cursor);
+            }
+            cursor = first + len;
+            rest.iter_mut().map(|lane| take_span(lane, len)).collect()
         })
         .collect()
 }
 
-/// Execute `work` items across at most one scoped worker per rayon
-/// thread, preserving item order within each worker. With a single
-/// thread — or a single item — everything runs inline on the caller's
-/// thread with no spawn at all. The grouping can never affect results
-/// (items write disjoint spans; order within a worker is the global
-/// order); it exists to bound thread churn, which matters when site
-/// ranges are fragmented and chunks far outnumber workers.
-pub(crate) fn run_grouped<W, F>(work: Vec<W>, run: F)
+/// [`split_lanes`] for one per-site array.
+fn split_spans<'a, T>(array: &'a mut [T], chunks: &[(usize, usize)]) -> Vec<&'a mut [T]> {
+    let mut rest = array;
+    let mut cursor = 0;
+    chunks
+        .iter()
+        .map(|&(first, len)| {
+            take_span(&mut rest, first - cursor);
+            cursor = first + len;
+            take_span(&mut rest, len)
+        })
+        .collect()
+}
+
+/// Execute `work` items across at most `threads` scoped workers,
+/// preserving item order within each worker. With a single thread — or
+/// a single item — everything runs inline on the caller's thread with
+/// no spawn at all. The grouping can never affect results (items write
+/// disjoint spans; order within a worker is the global order); it
+/// exists to bound thread churn, which matters when site ranges are
+/// fragmented and chunks far outnumber workers.
+fn run_grouped<W, F>(work: Vec<W>, threads: usize, run: F)
 where
     W: Send,
     F: Fn(W) + Sync,
 {
-    let threads = rayon::current_num_threads().max(1);
     if threads <= 1 || work.len() <= 1 {
         for w in work {
             run(w);
@@ -287,258 +125,91 @@ where
     });
 }
 
-/// Chunk-parallel collide over SoA lanes: each worker gets the same
-/// site span of every lane plus its moments span.
-pub(crate) fn par_collide_soa(
-    model: &LatticeModel,
-    collision: CollisionKind,
-    tau: f64,
-    mrt: Option<&MrtOperator>,
-    f: &mut [Vec<f64>],
-    moments: &mut [(f64, [f64; 3])],
-    simd: bool,
-) {
-    let mut lane_rest: Vec<&mut [f64]> = f.iter_mut().map(|l| l.as_mut_slice()).collect();
-    let mut m_rest = moments;
-    let mut work: Vec<SoaCollideWork<'_>> = Vec::new();
-    for (_, len) in site_chunks(m_rest.len()) {
-        let chunk = take_lane_chunk(&mut lane_rest, len);
-        let (m_chunk, m_tail) = m_rest.split_at_mut(len);
-        m_rest = m_tail;
-        work.push((chunk, m_chunk));
+impl SoaLattice {
+    /// Collide the sites in `ranges` in place (`f` becomes `f*`),
+    /// recording their pre-collision moments; sites outside the ranges
+    /// are untouched. The chunked BGK path is chunk-offset-invariant, so
+    /// neither the ranges nor `threads` can change any site's value.
+    /// Each worker gets (for MRT) its own clone of the operator, whose
+    /// only mutable state is scratch space.
+    pub(crate) fn collide(&mut self, ranges: &[(u32, u32)], threads: usize) {
+        let chunks = range_chunks(ranges, threads);
+        let work: Vec<_> = split_lanes(&mut self.f, &chunks)
+            .into_iter()
+            .zip(split_spans(&mut self.moments, &chunks))
+            .collect();
+        run_grouped(work, threads, |(mut lanes, moments)| {
+            let mut op = self.mrt.clone();
+            collide_span_soa(
+                &self.model,
+                self.cfg.collision,
+                self.cfg.tau,
+                op.as_mut(),
+                &mut lanes,
+                moments,
+            );
+        });
     }
-    run_grouped(work, |(mut chunk, m_chunk)| {
-        let mut op = mrt.cloned();
-        crate::layout::collide_span_soa(
-            model,
-            collision,
-            tau,
-            op.as_mut(),
-            &mut chunk,
-            m_chunk,
-            simd,
-        );
-    });
-}
 
-/// Chunk-parallel pull-stream over SoA lanes: disjoint site spans of
-/// `f_next` are written from the shared immutable previous state.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn par_stream_soa(
-    model: &LatticeModel,
-    cfg: &SolverConfig,
-    kinds: &[SiteKind],
-    f_old: &[Vec<f64>],
-    plan: &crate::layout::StreamPlan,
-    moments: &[(f64, [f64; 3])],
-    bc_velocity: &[[f64; 3]],
-    halo: &[f64],
-    step: u64,
-    f_next: &mut [Vec<f64>],
-) {
-    let mut lane_rest: Vec<&mut [f64]> = f_next.iter_mut().map(|l| l.as_mut_slice()).collect();
-    let mut work: Vec<(usize, Vec<&mut [f64]>)> = Vec::new();
-    for (first, len) in site_chunks(moments.len()) {
-        let chunk = take_lane_chunk(&mut lane_rest, len);
-        work.push((first, chunk));
+    /// Pull-stream the destination sites in `ranges` into the next
+    /// buffer, with boundary rules on missing links and `halo` feeding
+    /// cross-rank links (empty for non-distributed solvers). Reads only
+    /// immutable post-collision state and does **not** close the step
+    /// (see [`SoaLattice::finish_step`]) — the overlapped distributed
+    /// schedule streams in two pieces first.
+    pub(crate) fn stream(&mut self, ranges: &[(u32, u32)], halo: &[f64], threads: usize) {
+        let chunks = range_chunks(ranges, threads);
+        let work: Vec<_> = chunks
+            .iter()
+            .map(|&(first, _)| first)
+            .zip(split_lanes(&mut self.f_next, &chunks))
+            .collect();
+        run_grouped(work, threads, |(first, mut out)| {
+            stream_span_soa(
+                &self.model,
+                &self.cfg,
+                &self.kinds,
+                &self.f,
+                &self.plan,
+                &self.moments,
+                &self.bc_velocity,
+                halo,
+                self.step,
+                first,
+                &mut out,
+            );
+        });
     }
-    run_grouped(work, |(first, mut chunk)| {
-        crate::layout::stream_span_soa(
-            model,
-            cfg,
-            kinds,
-            f_old,
-            plan,
-            moments,
-            bc_velocity,
-            halo,
-            step,
-            first,
-            &mut chunk,
-        );
-    });
-}
 
-/// Split a list of ascending, disjoint `(start, len)` site ranges into
-/// `(first_site, len)` chunks of at most ⌈total/threads⌉ sites, each
-/// contained in one source range. Like [`site_chunks`] the subdivision
-/// never affects results — collide is per-site independent and stream
-/// writes disjoint outputs — only which thread computes which sites.
-pub(crate) fn range_chunks(ranges: &[(u32, u32)]) -> Vec<(usize, usize)> {
-    let total: usize = ranges.iter().map(|&(_, len)| len as usize).sum();
-    if total == 0 {
-        return Vec::new();
-    }
-    let threads = rayon::current_num_threads().max(1);
-    let chunk = total.div_ceil(threads).max(1);
-    let mut out = Vec::new();
-    for &(start, len) in ranges {
-        let mut first = start as usize;
-        let mut rem = len as usize;
-        while rem > 0 {
-            let take = chunk.min(rem);
-            out.push((first, take));
-            first += take;
-            rem -= take;
+    /// Macroscopic fields (density, velocity, shear-rate magnitude) of
+    /// every site.
+    pub(crate) fn snapshot(&self, threads: usize) -> FieldSnapshot {
+        let n = self.site_count();
+        let mut rho = vec![0.0; n];
+        let mut u = vec![[0.0; 3]; n];
+        let mut shear = vec![0.0; n];
+        let chunks = range_chunks(&self.full_range(), threads);
+        let work: Vec<_> = chunks
+            .iter()
+            .map(|&(first, _)| first)
+            .zip(split_spans(&mut rho, &chunks))
+            .zip(split_spans(&mut u, &chunks))
+            .zip(split_spans(&mut shear, &chunks))
+            .collect();
+        run_grouped(work, threads, |(((first, rho), u), shear)| {
+            macroscopics_span_soa(&self.model, self.cfg.tau, &self.f, first, rho, u, shear)
+        });
+        FieldSnapshot {
+            step: self.step,
+            rho,
+            u,
+            shear,
         }
     }
-    out
 }
 
-/// Chunk-parallel collide restricted to `ranges` of the site-major
-/// array; sites outside the ranges are untouched. `f` and `moments`
-/// cover the full site list.
-pub(crate) fn par_collide_ranges(
-    model: &LatticeModel,
-    collision: CollisionKind,
-    tau: f64,
-    mrt: Option<&MrtOperator>,
-    f: &mut [f64],
-    moments: &mut [(f64, [f64; 3])],
-    ranges: &[(u32, u32)],
-) {
-    let q = model.q;
-    let mut work: Vec<CollideWork<'_>> = Vec::new();
-    let mut f_rest = f;
-    let mut m_rest = moments;
-    let mut cursor = 0usize;
-    for (first, len) in range_chunks(ranges) {
-        let gap = first - cursor;
-        let (_, f_tail) = f_rest.split_at_mut(gap * q);
-        let (_, m_tail) = m_rest.split_at_mut(gap);
-        let (f_chunk, f_tail) = f_tail.split_at_mut(len * q);
-        let (m_chunk, m_tail) = m_tail.split_at_mut(len);
-        f_rest = f_tail;
-        m_rest = m_tail;
-        cursor = first + len;
-        work.push((f_chunk, m_chunk));
-    }
-    run_grouped(work, |(f_chunk, m_chunk)| {
-        let mut op = mrt.cloned();
-        collide_span(model, collision, tau, op.as_mut(), f_chunk, m_chunk)
-    });
-}
-
-/// Chunk-parallel collide restricted to `ranges` over SoA lanes; sites
-/// outside the ranges are untouched. The chunked-SIMD path is
-/// chunk-offset-invariant, so restricting to ranges cannot change any
-/// site's value.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn par_collide_soa_ranges(
-    model: &LatticeModel,
-    collision: CollisionKind,
-    tau: f64,
-    mrt: Option<&MrtOperator>,
-    f: &mut [Vec<f64>],
-    moments: &mut [(f64, [f64; 3])],
-    ranges: &[(u32, u32)],
-    simd: bool,
-) {
-    let mut lane_rest: Vec<&mut [f64]> = f.iter_mut().map(|l| l.as_mut_slice()).collect();
-    let mut m_rest = moments;
-    let mut cursor = 0usize;
-    let mut work: Vec<SoaCollideWork<'_>> = Vec::new();
-    for (first, len) in range_chunks(ranges) {
-        let gap = first - cursor;
-        if gap > 0 {
-            drop(take_lane_chunk(&mut lane_rest, gap));
-        }
-        let chunk = take_lane_chunk(&mut lane_rest, len);
-        let (_, m_tail) = m_rest.split_at_mut(gap);
-        let (m_chunk, m_tail) = m_tail.split_at_mut(len);
-        m_rest = m_tail;
-        cursor = first + len;
-        work.push((chunk, m_chunk));
-    }
-    run_grouped(work, |(mut chunk, m_chunk)| {
-        let mut op = mrt.cloned();
-        crate::layout::collide_span_soa(
-            model,
-            collision,
-            tau,
-            op.as_mut(),
-            &mut chunk,
-            m_chunk,
-            simd,
-        );
-    });
-}
-
-/// Chunk-parallel pull-stream restricted to `ranges` over SoA lanes:
-/// only the listed destination sites of `f_next` are written.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn par_stream_soa_ranges(
-    model: &LatticeModel,
-    cfg: &SolverConfig,
-    kinds: &[SiteKind],
-    f_old: &[Vec<f64>],
-    plan: &crate::layout::StreamPlan,
-    moments: &[(f64, [f64; 3])],
-    bc_velocity: &[[f64; 3]],
-    halo: &[f64],
-    step: u64,
-    ranges: &[(u32, u32)],
-    f_next: &mut [Vec<f64>],
-) {
-    let mut lane_rest: Vec<&mut [f64]> = f_next.iter_mut().map(|l| l.as_mut_slice()).collect();
-    let mut cursor = 0usize;
-    let mut work: Vec<(usize, Vec<&mut [f64]>)> = Vec::new();
-    for (first, len) in range_chunks(ranges) {
-        let gap = first - cursor;
-        if gap > 0 {
-            drop(take_lane_chunk(&mut lane_rest, gap));
-        }
-        let chunk = take_lane_chunk(&mut lane_rest, len);
-        cursor = first + len;
-        work.push((first, chunk));
-    }
-    run_grouped(work, |(first, mut chunk)| {
-        crate::layout::stream_span_soa(
-            model,
-            cfg,
-            kinds,
-            f_old,
-            plan,
-            moments,
-            bc_velocity,
-            halo,
-            step,
-            first,
-            &mut chunk,
-        );
-    });
-}
-
-/// Chunk-parallel macroscopic-field extraction from SoA lanes.
-pub(crate) fn par_macroscopics_soa(
-    model: &LatticeModel,
-    tau: f64,
-    f: &[Vec<f64>],
-    rho: &mut [f64],
-    u: &mut [[f64; 3]],
-    shear: &mut [f64],
-) {
-    type SoaMacroWork<'a> = (usize, &'a mut [f64], &'a mut [[f64; 3]], &'a mut [f64]);
-    let mut work: Vec<SoaMacroWork<'_>> = Vec::new();
-    let mut rho_rest = rho;
-    let mut u_rest = u;
-    let mut sh_rest = shear;
-    for (first, len) in site_chunks(rho_rest.len()) {
-        let (rho_c, rho_t) = rho_rest.split_at_mut(len);
-        let (u_c, u_t) = u_rest.split_at_mut(len);
-        let (sh_c, sh_t) = sh_rest.split_at_mut(len);
-        rho_rest = rho_t;
-        u_rest = u_t;
-        sh_rest = sh_t;
-        work.push((first, rho_c, u_c, sh_c));
-    }
-    run_grouped(work, |(first, rho_c, u_c, sh_c)| {
-        crate::layout::macroscopics_span_soa(model, tau, f, first, rho_c, u_c, sh_c)
-    });
-}
-
-/// The thread-parallel solver: the serial [`Solver`]'s state stepped by
-/// the chunked kernels above inside a dedicated rayon pool.
+/// The thread-parallel solver: the serial [`Solver`]'s state stepped
+/// with the site list split across `threads` workers.
 ///
 /// Because pull streaming reads only the old buffer and chunk writes are
 /// disjoint, the result is **bit-for-bit identical** to [`Solver`] at
@@ -546,7 +217,6 @@ pub(crate) fn par_macroscopics_soa(
 /// fixtures under `tests/golden/`.
 pub struct ParallelSolver {
     inner: Solver,
-    pool: rayon::ThreadPool,
     threads: usize,
 }
 
@@ -558,15 +228,9 @@ impl ParallelSolver {
 
     /// Wrap an existing solver (mid-run states carry over unchanged).
     pub fn from_solver(inner: Solver, threads: usize) -> Self {
-        let threads = threads.max(1);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("thread pool");
         ParallelSolver {
             inner,
-            pool,
-            threads,
+            threads: threads.max(1),
         }
     }
 
@@ -591,11 +255,9 @@ impl ParallelSolver {
         self.inner.step_count()
     }
 
-    /// Advance one time step (collide + stream), chunk-parallel over the
-    /// configured layout.
+    /// Advance one time step (collide + stream), chunk-parallel.
     pub fn step(&mut self) {
-        let s = &mut self.inner;
-        self.pool.install(|| s.step_impl(true));
+        self.inner.step_with(self.threads);
     }
 
     /// Advance `count` steps.
@@ -608,8 +270,7 @@ impl ParallelSolver {
     /// Macroscopic snapshot, extracted chunk-parallel. Bit-identical to
     /// [`Solver::snapshot`] on the same state.
     pub fn snapshot(&self) -> FieldSnapshot {
-        let s = &self.inner;
-        self.pool.install(|| s.snapshot_impl(true))
+        self.inner.snapshot_with(self.threads)
     }
 
     /// Total mass (delegates to the serial implementation).
@@ -618,7 +279,7 @@ impl ParallelSolver {
     }
 
     /// Raw distributions, canonical site-major order.
-    pub fn raw_distributions(&self) -> Cow<'_, [f64]> {
+    pub fn raw_distributions(&self) -> Vec<f64> {
         self.inner.raw_distributions()
     }
 
@@ -636,6 +297,7 @@ impl ParallelSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collision::CollisionKind;
     use crate::solver::ModelKind;
     use hemelb_geometry::VesselBuilder;
 
@@ -675,7 +337,7 @@ mod tests {
     #[test]
     fn range_chunks_respect_range_bounds() {
         let ranges = [(2u32, 5u32), (10, 1), (20, 7)];
-        let chunks = range_chunks(&ranges);
+        let chunks = range_chunks(&ranges, 2);
         let sites: Vec<usize> = chunks
             .iter()
             .flat_map(|&(first, len)| first..first + len)
@@ -690,85 +352,43 @@ mod tests {
                 .iter()
                 .any(|&(s, l)| first >= s as usize && first + len <= (s + l) as usize));
         }
-        assert!(range_chunks(&[]).is_empty());
+        assert!(range_chunks(&[], 2).is_empty());
     }
 
     /// Collide over a two-piece range split is bit-identical on covered
     /// sites to collide over everything, and leaves uncovered sites
     /// untouched — the invariant the overlapped step's frontier/interior
-    /// phases rely on.
+    /// phases rely on (the chunked BGK path must be offset-invariant
+    /// across the range seams).
     #[test]
     fn range_collide_matches_full_collide_on_covered_sites() {
-        let model = LatticeModel::d3q15();
-        let q = model.q;
-        let n = 23usize;
+        let geo = Arc::new(VesselBuilder::straight_tube(6.0, 2.0).voxelise(1.0));
+        let cfg = SolverConfig::pressure_driven(1.0, 1.0).with_tau(0.9);
+        let mut full = Solver::new(geo.clone(), cfg.clone()).lat;
+        let mut part = Solver::new(geo, cfg).lat;
+        let (n, q) = (full.site_count(), full.model.q);
+        assert!(n > 23, "need room for the split below");
         let init: Vec<f64> = (0..n * q).map(|k| 0.05 + (k as f64).cos().abs()).collect();
+        full.install_site_major(0, &init);
+        part.install_site_major(0, &init);
 
-        let mut full = init.clone();
-        let mut m_full = vec![(0.0, [0.0; 3]); n];
-        par_collide(
-            &model,
-            CollisionKind::Bgk,
-            0.9,
-            None,
-            &mut full,
-            &mut m_full,
-        );
-
-        // Cover sites 0..4 and 9..23, leaving 4..9 untouched.
+        full.collide(&full.full_range(), 1);
+        // Cover sites 0..4 and 9..23, leaving the rest untouched.
         let ranges = [(0u32, 4u32), (9, 14)];
-        let mut part = init.clone();
-        let mut m_part = vec![(0.0, [0.0; 3]); n];
-        par_collide_ranges(
-            &model,
-            CollisionKind::Bgk,
-            0.9,
-            None,
-            &mut part,
-            &mut m_part,
-            &ranges,
-        );
-        // SoA range collide over the same split (SIMD on: the chunked
-        // path must be offset-invariant across the range seams).
-        let mut lanes: Vec<Vec<f64>> = (0..q)
-            .map(|i| (0..n).map(|s| init[s * q + i]).collect())
-            .collect();
-        let mut m_soa = vec![(0.0, [0.0; 3]); n];
-        par_collide_soa_ranges(
-            &model,
-            CollisionKind::Bgk,
-            0.9,
-            None,
-            &mut lanes,
-            &mut m_soa,
-            &ranges,
-            true,
-        );
+        part.collide(&ranges, 3);
 
+        let (full_f, part_f) = (full.to_site_major(), part.to_site_major());
         for s in 0..n {
             let covered = ranges
                 .iter()
                 .any(|&(st, l)| s >= st as usize && s < (st + l) as usize);
-            for i in 0..q {
-                let want = if covered {
-                    full[s * q + i]
-                } else {
-                    init[s * q + i]
-                };
-                assert_eq!(
-                    part[s * q + i].to_bits(),
-                    want.to_bits(),
-                    "site {s} dir {i}"
-                );
-                assert_eq!(
-                    lanes[i][s].to_bits(),
-                    want.to_bits(),
-                    "soa site {s} dir {i}"
-                );
-            }
+            let want = if covered { &full_f } else { &init };
+            assert!(
+                bit_eq(&part_f[s * q..(s + 1) * q], &want[s * q..(s + 1) * q]),
+                "site {s}"
+            );
             if covered {
-                assert_eq!(m_part[s].0.to_bits(), m_full[s].0.to_bits());
-                assert_eq!(m_soa[s].0.to_bits(), m_full[s].0.to_bits());
+                assert_eq!(part.moments[s].0.to_bits(), full.moments[s].0.to_bits());
             }
         }
     }

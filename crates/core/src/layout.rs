@@ -1,44 +1,38 @@
-//! Data-oriented memory layout for the LB kernels: the structure-of-
-//! arrays (SoA) fluid-site list.
+//! The lattice state and its per-span kernels: the structure-of-arrays
+//! (SoA) fluid-site list every solver in this crate steps.
 //!
-//! The legacy layout stores distributions site-major (`f[site][dir]`,
-//! one contiguous block per site). The SoA layout of this module keeps
-//! **one contiguous `f64` lane per velocity direction** (`f[dir][site]`)
-//! plus a streaming-index table built once at setup: `stream[dir][site]`
-//! names the site whose direction-`dir` population streams *into*
-//! `site` (pull streaming), with missing links resolved to the sentinel
-//! [`LINK_BOUNDARY`] (bounce-back / iolet rule) and cross-rank links to
-//! `HALO_FLAG | slot`. Sites are additionally classified into runs
-//! ([`SiteRun`]): maximal index ranges whose links are all plain local
-//! sources, so the bulk streaming loop is a branch-free per-lane gather
-//! and only the (thin) boundary runs pay the per-link dispatch.
+//! Distributions are kept as **one contiguous `f64` lane per velocity
+//! direction** (`f[dir][site]`) plus a streaming-index table built once
+//! at setup: `stream[dir][site]` names the site whose direction-`dir`
+//! population streams *into* `site` (pull streaming), with missing links
+//! resolved to the sentinel [`LINK_BOUNDARY`] (bounce-back / iolet rule)
+//! and cross-rank links to `HALO_FLAG | slot`. The table is compiled
+//! into a [`StreamPlan`], so the streaming phase is segment copies plus
+//! two flat link lists with no per-link dispatch.
 //!
-//! The site *numbering* is untouched — site `s` is the same fluid site
-//! in every layout — so snapshots, checkpoints (site-major on disk),
-//! in situ sampling and the distributed owner maps are layout-agnostic.
+//! Site `s` of a lattice is the `s`-th fluid site handed to it at
+//! construction (every fluid site for the serial solver, a rank's owned
+//! sites for the distributed one); snapshots and checkpoints exchange
+//! state in the canonical site-major order (`[site][dir]`).
 //!
-//! ## Bitwise parity
+//! ## Bitwise reference
 //!
-//! Every code path over this layout performs the exact per-site
-//! operation sequence of the legacy kernels (same associativity, same
-//! visit order within a site), so `legacy == SoA-scalar == SoA-SIMD`
-//! holds by `f64::to_bits` for **all** collision operators and boundary
-//! conditions — there are no documented-divergent cases in the solver
-//! core (contrast the renderer's LUT fast path, which is documented as
-//! tolerance-compared). The equivalence suite `tests/kernel_layout.rs`
-//! and the golden fixtures pin this.
+//! The chunked-lane BGK path performs the exact per-site operation
+//! sequence of the scalar [`collide`](crate::collision::collide) (same
+//! associativity, same visit order within a site); TRT and MRT run that
+//! scalar code per site directly. Whole-step behaviour is pinned by the
+//! digests under `tests/golden/`.
 
+use crate::boundary::IoletBc;
 use crate::collision::{collide, CollisionKind};
 use crate::equilibrium::{moments as site_moments, pi_neq, shear_rate_magnitude};
 use crate::model::LatticeModel;
 use crate::mrt::MrtOperator;
-use crate::solver::{boundary_rule, SolverConfig};
+use crate::solver::{boundary_rule, precompute_bc_velocities, SolverConfig};
 use crate::CS2;
-use hemelb_geometry::SiteKind;
-use serde::{Deserialize, Serialize};
+use hemelb_geometry::{IoLetKind, SiteKind, SparseGeometry};
 
-/// Sentinel in streaming/pull tables marking a missing (boundary) link.
-/// Shared by the serial, thread-parallel and distributed tables.
+/// Sentinel in the streaming table marking a missing (boundary) link.
 pub(crate) const LINK_BOUNDARY: u32 = u32::MAX;
 
 /// Flag bit marking a streaming source that lives in the halo buffer of
@@ -46,36 +40,9 @@ pub(crate) const LINK_BOUNDARY: u32 = u32::MAX;
 /// [`LINK_BOUNDARY`] first — the sentinel has this bit set too.
 pub(crate) const HALO_FLAG: u32 = 1 << 31;
 
-/// Which kernel memory layout / instruction mix a solver runs.
-///
-/// All three produce bit-identical states; the layout only changes how
-/// fast the same arithmetic runs. Selectable per solver via
-/// [`SolverConfig::with_layout`](crate::SolverConfig::with_layout).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum KernelLayout {
-    /// Site-major two-buffer layout (the original reference kernels).
-    Legacy,
-    /// SoA fluid-site list, scalar per-site collision.
-    SoaScalar,
-    /// SoA fluid-site list with the chunked-lane vectorised BGK
-    /// collision path (TRT/MRT fall back to the scalar site loop over
-    /// the same lanes).
-    #[default]
-    SoaSimd,
-}
-
-/// A maximal run of consecutive site indices with uniform streaming
-/// character: `bulk` runs have every link resolved to a plain local
-/// source (branch-free gather), non-bulk runs contain at least one
-/// boundary or halo link per site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SiteRun {
-    /// First site index of the run.
-    pub start: u32,
-    /// Number of sites in the run.
-    pub len: u32,
-    /// Whether every `(site, dir)` link in the run is a local source.
-    pub bulk: bool,
+/// Whether a streaming-table entry names a plain local source site.
+fn is_local(entry: u32) -> bool {
+    entry & HALO_FLAG == 0
 }
 
 /// One contiguous copy segment of the bulk streaming plan: destination
@@ -121,7 +88,7 @@ fn build_stream_plan(stream: &[Vec<u32>], n: usize) -> StreamPlan {
             let e = lane[s];
             if e == LINK_BOUNDARY {
                 boundary.push((s as u32, i as u32));
-            } else if e & HALO_FLAG != 0 {
+            } else if !is_local(e) {
                 halo.push((s as u32, i as u32, e & !HALO_FLAG));
             }
         }
@@ -133,14 +100,14 @@ fn build_stream_plan(stream: &[Vec<u32>], n: usize) -> StreamPlan {
             let mut s = 0;
             while s < n {
                 let e = lane[s];
-                if e == LINK_BOUNDARY || e & HALO_FLAG != 0 {
+                if !is_local(e) {
                     s += 1;
                     continue;
                 }
                 let mut len = 1usize;
                 while s + len < n {
                     let e2 = lane[s + len];
-                    if e2 == LINK_BOUNDARY || e2 & HALO_FLAG != 0 || e2 != e + len as u32 {
+                    if !is_local(e2) || e2 != e + len as u32 {
                         break;
                     }
                     len += 1;
@@ -162,38 +129,48 @@ fn build_stream_plan(stream: &[Vec<u32>], n: usize) -> StreamPlan {
     }
 }
 
-fn site_is_bulk(stream: &[Vec<u32>], s: usize) -> bool {
-    stream.iter().all(|lane| {
-        let e = lane[s];
-        e != LINK_BOUNDARY && e & HALO_FLAG == 0
-    })
-}
-
-fn classify_runs(stream: &[Vec<u32>], n: usize) -> Vec<SiteRun> {
-    let mut runs = Vec::new();
-    let mut s = 0;
-    while s < n {
-        let bulk = site_is_bulk(stream, s);
-        let start = s;
-        s += 1;
-        while s < n && site_is_bulk(stream, s) == bulk {
-            s += 1;
+/// Build the lane-major streaming table for `sites` (global ids):
+/// `table[dir][k]` is `resolve(g, dir)` for the fluid site `g` found at
+/// `pos(sites[k]) − c_dir`, or [`LINK_BOUNDARY`] when there is none.
+/// `resolve` is called in `(site, dir)` order.
+pub(crate) fn build_stream_table(
+    geo: &SparseGeometry,
+    model: &LatticeModel,
+    sites: impl ExactSizeIterator<Item = u32>,
+    mut resolve: impl FnMut(u32, usize) -> u32,
+) -> Vec<Vec<u32>> {
+    let mut table = vec![vec![LINK_BOUNDARY; sites.len()]; model.q];
+    for (k, g) in sites.enumerate() {
+        let [x, y, z] = geo.position(g);
+        for (i, c) in model.c.iter().enumerate() {
+            let src = geo.site_at(
+                x as i64 - c[0] as i64,
+                y as i64 - c[1] as i64,
+                z as i64 - c[2] as i64,
+            );
+            if let Some(src) = src {
+                table[i][k] = resolve(src, i);
+            }
         }
-        runs.push(SiteRun {
-            start: start as u32,
-            len: (s - start) as u32,
-            bulk,
-        });
     }
-    runs
+    table
 }
 
-/// The SoA state of one solver (or one rank): per-direction lanes for
-/// the double-buffered distributions plus the lane-major streaming
-/// table and its run classification.
-pub struct SoaLattice {
-    n: usize,
-    q: usize,
+/// The complete lattice state of one solver (or one rank): the
+/// double-buffered distribution lanes, the streaming schedule, the
+/// per-site collision inputs and the step counter. The collide, stream
+/// and macroscopics drivers over it live in [`crate::kernel`].
+pub(crate) struct SoaLattice {
+    pub(crate) model: LatticeModel,
+    pub(crate) cfg: SolverConfig,
+    /// MRT operator when `cfg.collision` is [`CollisionKind::Mrt`].
+    pub(crate) mrt: Option<MrtOperator>,
+    /// Site kinds, local order.
+    pub(crate) kinds: Vec<SiteKind>,
+    /// Precomputed iolet velocities (zero away from velocity iolets).
+    pub(crate) bc_velocity: Vec<[f64; 3]>,
+    /// Pre-collision moments of the current step, per site.
+    pub(crate) moments: Vec<(f64, [f64; 3])>,
     /// Current distributions, `f[dir][site]`.
     pub(crate) f: Vec<Vec<f64>>,
     /// Streaming destination buffer, same shape.
@@ -201,90 +178,118 @@ pub struct SoaLattice {
     /// Streaming source table, `stream[dir][site]`: local site index,
     /// `HALO_FLAG | slot`, or [`LINK_BOUNDARY`].
     pub(crate) stream: Vec<Vec<u32>>,
-    runs: Vec<SiteRun>,
     /// The compiled streaming schedule (copies + boundary + halo lists).
-    plan: StreamPlan,
+    pub(crate) plan: StreamPlan,
+    /// Completed time steps.
+    pub(crate) step: u64,
 }
 
 impl SoaLattice {
-    /// Build the SoA state from a site-major pull table and the
-    /// site-major initial distributions (both `n × q`).
-    pub(crate) fn new(q: usize, pull: &[u32], f_site_major: &[f64]) -> Self {
-        assert!(q > 0 && pull.len().is_multiple_of(q), "pull table shape");
-        let n = pull.len() / q;
-        assert_eq!(f_site_major.len(), n * q, "distribution array shape");
-        let mut f = vec![vec![0.0f64; n]; q];
-        let mut stream = vec![vec![0u32; n]; q];
-        for s in 0..n {
-            for i in 0..q {
-                f[i][s] = f_site_major[s * q + i];
-                stream[i][s] = pull[s * q + i];
-            }
-        }
-        let runs = classify_runs(&stream, n);
-        let plan = build_stream_plan(&stream, n);
+    /// The rest state (`ρ = 1`, `u = 0`: lane `i` is the constant `w_i`)
+    /// on `sites` of `geo`, streaming by `stream`.
+    pub(crate) fn new(
+        geo: &SparseGeometry,
+        sites: impl ExactSizeIterator<Item = u32> + Clone,
+        cfg: SolverConfig,
+        model: LatticeModel,
+        stream: Vec<Vec<u32>>,
+    ) -> Self {
+        let n = sites.len();
+        assert!(
+            stream.len() == model.q && stream.iter().all(|lane| lane.len() == n),
+            "streaming table shape"
+        );
+        let f: Vec<Vec<f64>> = model.w.iter().map(|&w| vec![w; n]).collect();
+        let mrt = match cfg.collision {
+            CollisionKind::Mrt { omega_ghost } => Some(MrtOperator::new(&model, omega_ghost)),
+            _ => None,
+        };
         SoaLattice {
-            n,
-            q,
+            mrt,
+            kinds: sites.clone().map(|g| geo.kind(g)).collect(),
+            bc_velocity: precompute_bc_velocities(geo, &cfg, sites),
+            moments: vec![(1.0, [0.0; 3]); n],
             f_next: f.clone(),
             f,
+            plan: build_stream_plan(&stream, n),
             stream,
-            runs,
-            plan,
+            model,
+            cfg,
+            step: 0,
         }
     }
 
     /// Number of fluid sites.
-    pub fn site_count(&self) -> usize {
-        self.n
+    pub(crate) fn site_count(&self) -> usize {
+        self.moments.len()
     }
 
-    /// The run classification (bulk runs stream branch-free).
-    pub fn runs(&self) -> &[SiteRun] {
-        &self.runs
+    /// The whole site list as one `(start, len)` range.
+    pub(crate) fn full_range(&self) -> [(u32, u32); 1] {
+        [(0, self.site_count() as u32)]
     }
 
-    /// Fraction of sites living in branch-free bulk runs.
-    pub fn bulk_fraction(&self) -> f64 {
-        if self.n == 0 {
+    /// Fraction of sites whose every link is a plain local source (they
+    /// stream by segment copies alone).
+    pub(crate) fn bulk_fraction(&self) -> f64 {
+        let n = self.site_count();
+        if n == 0 {
             return 0.0;
         }
-        let bulk: usize = self
-            .runs
-            .iter()
-            .filter(|r| r.bulk)
-            .map(|r| r.len as usize)
-            .sum();
-        bulk as f64 / self.n as f64
+        let bulk = (0..n)
+            .filter(|&s| self.stream.iter().all(|lane| is_local(lane[s])))
+            .count();
+        bulk as f64 / n as f64
     }
 
-    /// The streaming source entry for `(dir, site)` (tests).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn stream_entry(&self, dir: usize, site: usize) -> u32 {
-        self.stream[dir][site]
+    /// Replace the BC of one inlet or outlet and refresh the precomputed
+    /// boundary velocities; `geo` and `sites` as at construction.
+    pub(crate) fn set_iolet_bc(
+        &mut self,
+        geo: &SparseGeometry,
+        sites: impl ExactSizeIterator<Item = u32>,
+        kind: IoLetKind,
+        id: usize,
+        bc: IoletBc,
+    ) {
+        let bcs = match kind {
+            IoLetKind::Inlet => &mut self.cfg.inlet_bcs,
+            IoLetKind::Outlet => &mut self.cfg.outlet_bcs,
+        };
+        if id >= bcs.len() {
+            bcs.resize(id + 1, bc);
+        }
+        bcs[id] = bc;
+        self.bc_velocity = precompute_bc_velocities(geo, &self.cfg, sites);
     }
 
-    /// Transpose the current distributions back to the canonical
-    /// site-major order (checkpointing, cross-layout comparison).
+    /// Transpose the current distributions to the canonical site-major
+    /// order (checkpointing, digests).
     pub(crate) fn to_site_major(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.n * self.q];
+        let q = self.model.q;
+        let mut out = vec![0.0; self.site_count() * q];
         for (i, lane) in self.f.iter().enumerate() {
             for (s, &v) in lane.iter().enumerate() {
-                out[s * self.q + i] = v;
+                out[s * q + i] = v;
             }
         }
         out
     }
 
-    /// Overwrite the current distributions from a site-major array
-    /// (checkpoint restore).
-    pub(crate) fn install_site_major(&mut self, f_site_major: &[f64]) {
-        assert_eq!(f_site_major.len(), self.n * self.q);
-        for s in 0..self.n {
-            for i in 0..self.q {
-                self.f[i][s] = f_site_major[s * self.q + i];
+    /// Overwrite the dynamical state from a site-major array and its
+    /// step counter (checkpoint restore).
+    ///
+    /// # Panics
+    /// Panics if the array length does not match `sites × q`.
+    pub(crate) fn install_site_major(&mut self, step: u64, f_site_major: &[f64]) {
+        let q = self.model.q;
+        assert_eq!(f_site_major.len(), self.site_count() * q);
+        for (i, lane) in self.f.iter_mut().enumerate() {
+            for (s, v) in lane.iter_mut().enumerate() {
+                *v = f_site_major[s * q + i];
             }
         }
+        self.step = step;
     }
 
     /// The `q` populations of one site, in direction order.
@@ -294,17 +299,17 @@ impl SoaLattice {
 
     /// Overwrite the `q` populations of one site.
     pub(crate) fn set_site_values(&mut self, s: usize, values: &[f64]) {
-        assert_eq!(values.len(), self.q);
+        assert_eq!(values.len(), self.model.q);
         for (lane, &v) in self.f.iter_mut().zip(values) {
             lane[s] = v;
         }
     }
 
-    /// Total mass, summed in the canonical site-major order so the
-    /// result is bit-identical to the legacy `f.iter().sum()`.
+    /// Total mass `Σ_s Σ_i f_si`, summed in the canonical site-major
+    /// order so the value does not depend on the storage order.
     pub(crate) fn mass(&self) -> f64 {
         let mut acc = 0.0;
-        for s in 0..self.n {
+        for s in 0..self.site_count() {
             for lane in &self.f {
                 acc += lane[s];
             }
@@ -312,31 +317,24 @@ impl SoaLattice {
         acc
     }
 
-    /// Swap the double buffers after streaming.
-    pub(crate) fn swap_buffers(&mut self) {
+    /// Close a step once every destination site is streamed: swap the
+    /// double buffers and advance the step counter.
+    pub(crate) fn finish_step(&mut self) {
         std::mem::swap(&mut self.f, &mut self.f_next);
-    }
-
-    /// Disjoint borrows for the streaming phase:
-    /// `(f_old, f_next, plan)`.
-    pub(crate) fn split_for_stream(&mut self) -> (&[Vec<f64>], &mut [Vec<f64>], &StreamPlan) {
-        (&self.f, &mut self.f_next, &self.plan)
+        self.step += 1;
     }
 
     /// Deliberately corrupt the streaming table by swapping the sources
-    /// of two `(dir, site)` links, then re-classify runs so the corrupt
-    /// table is still self-consistent (no out-of-range bulk gathers).
-    /// Returns `true` if the two entries actually differed. Test-only
-    /// hook for the golden-digest negative test.
-    #[doc(hidden)]
-    pub fn debug_swap_stream_entries(&mut self, dir: usize, a: usize, b: usize) -> bool {
+    /// of two `(dir, site)` links and recompiling the plan. Returns
+    /// `true` if the two entries actually differed. Test-only hook for
+    /// the golden-digest negative test.
+    pub(crate) fn debug_swap_stream_entries(&mut self, dir: usize, a: usize, b: usize) -> bool {
         let lane = &mut self.stream[dir];
         if lane[a] == lane[b] {
             return false;
         }
         lane.swap(a, b);
-        self.runs = classify_runs(&self.stream, self.n);
-        self.plan = build_stream_plan(&self.stream, self.n);
+        self.plan = build_stream_plan(&self.stream, self.site_count());
         true
     }
 }
@@ -347,7 +345,7 @@ impl SoaLattice {
 /// **Frontier** sites are the communication surface: their
 /// post-collision populations are sent to peers (they appear in the
 /// send plan) or they pull at least one population *from* a peer (their
-/// pull table contains a halo link). **Interior** sites are everything
+/// streaming row contains a halo link). **Interior** sites are everything
 /// else — by construction their streaming reads touch no halo slot, so
 /// they can collide and stream while halo messages are still in flight.
 ///
@@ -429,10 +427,9 @@ impl SitePartition {
 }
 
 /// Collide a span of sites over per-lane chunks, recording pre-collision
-/// moments. `lanes[i]` and `moments` cover the same site span. The SIMD
-/// flag routes BGK through the chunked-lane vectorised path; TRT/MRT
-/// always take the scalar gather/scatter site loop (identical values
-/// either way — the chunked path replicates the scalar operation order).
+/// moments. `lanes[i]` and `moments` cover the same site span. BGK runs
+/// the chunked-lane vectorised path; TRT/MRT take the scalar
+/// gather/scatter site loop.
 pub(crate) fn collide_span_soa(
     model: &LatticeModel,
     collision: CollisionKind,
@@ -440,10 +437,9 @@ pub(crate) fn collide_span_soa(
     mut mrt: Option<&mut MrtOperator>,
     lanes: &mut [&mut [f64]],
     moments: &mut [(f64, [f64; 3])],
-    simd: bool,
 ) {
     debug_assert_eq!(lanes.len(), model.q);
-    if simd && matches!(collision, CollisionKind::Bgk) && mrt.is_none() {
+    if matches!(collision, CollisionKind::Bgk) && mrt.is_none() {
         bgk_collide_chunked(model, tau, lanes, moments);
         return;
     }
@@ -716,9 +712,8 @@ pub(crate) fn stream_span_soa(
 }
 
 /// Macroscopic fields of the site span `first..first + rho.len()` over
-/// SoA lanes: gather each site into a scratch buffer and reuse the
-/// scalar moment/stress code, so values are bit-identical to the
-/// site-major extraction.
+/// SoA lanes: gather each site into a scratch buffer and run the scalar
+/// moment/stress code on it.
 pub(crate) fn macroscopics_span_soa(
     model: &LatticeModel,
     tau: f64,
@@ -747,7 +742,7 @@ pub(crate) fn macroscopics_span_soa(
 mod tests {
     use super::*;
     use crate::equilibrium::feq_all;
-    use crate::solver::build_pull_table;
+    use crate::solver::ModelKind;
     use hemelb_geometry::{SparseGeometry, VesselBuilder};
     use std::sync::Arc;
 
@@ -755,53 +750,27 @@ mod tests {
         Arc::new(VesselBuilder::straight_tube(12.0, 3.0).voxelise(1.0))
     }
 
-    fn soa_for(geo: &SparseGeometry, model: &LatticeModel) -> SoaLattice {
-        let n = geo.fluid_count();
-        let q = model.q;
-        let pull = build_pull_table(geo, model);
-        // Distinct per-entry values so transposition bugs cannot cancel.
-        let f: Vec<f64> = (0..n * q).map(|k| k as f64 + 0.25).collect();
-        SoaLattice::new(q, &pull, &f)
+    fn lattice_for(geo: &SparseGeometry, kind: ModelKind) -> SoaLattice {
+        let cfg = SolverConfig::pressure_driven(1.0, 1.0).with_model(kind);
+        let model = kind.build();
+        let sites = 0..geo.fluid_count() as u32;
+        let stream = build_stream_table(geo, &model, sites.clone(), |src, _| src);
+        SoaLattice::new(geo, sites, cfg, model, stream)
     }
 
     #[test]
     fn transpose_round_trips_site_major() {
         let geo = tube();
-        let model = LatticeModel::d3q15();
-        let n = geo.fluid_count();
-        let q = model.q;
-        let f: Vec<f64> = (0..n * q).map(|k| (k as f64).sin()).collect();
-        let pull = build_pull_table(&geo, &model);
-        let mut soa = SoaLattice::new(q, &pull, &f);
-        assert_eq!(soa.to_site_major(), f);
-        let g: Vec<f64> = f.iter().map(|v| v * 2.0 + 1.0).collect();
-        soa.install_site_major(&g);
-        assert_eq!(soa.to_site_major(), g);
-        assert_eq!(soa.site_values(3), g[3 * q..4 * q].to_vec());
-    }
-
-    #[test]
-    fn runs_partition_the_site_range_and_bulk_runs_are_all_local() {
-        let geo = tube();
-        for model in [LatticeModel::d3q15(), LatticeModel::d3q19()] {
-            let soa = soa_for(&geo, &model);
-            let mut next = 0u32;
-            for run in soa.runs() {
-                assert_eq!(run.start, next, "runs must tile the range in order");
-                assert!(run.len > 0);
-                next += run.len;
-                for s in run.start..run.start + run.len {
-                    assert_eq!(
-                        run.bulk,
-                        site_is_bulk(&soa.stream, s as usize),
-                        "site {s} misclassified"
-                    );
-                }
-            }
-            assert_eq!(next as usize, geo.fluid_count());
-            assert!(soa.bulk_fraction() > 0.0, "a tube interior has bulk sites");
-            assert!(soa.bulk_fraction() < 1.0, "a tube has boundary sites");
-        }
+        let mut lat = lattice_for(&geo, ModelKind::D3Q15);
+        let q = lat.model.q;
+        // Distinct per-entry values so transposition bugs cannot cancel.
+        let g: Vec<f64> = (0..geo.fluid_count() * q)
+            .map(|k| (k as f64).sin())
+            .collect();
+        lat.install_site_major(7, &g);
+        assert_eq!(lat.step, 7);
+        assert_eq!(lat.to_site_major(), g);
+        assert_eq!(lat.site_values(3), g[3 * q..4 * q].to_vec());
     }
 
     /// Satellite: validate streaming-index construction at **domain
@@ -813,8 +782,10 @@ mod tests {
     #[test]
     fn stream_table_matches_geometry_per_orientation() {
         let geo = tube();
-        for model in [LatticeModel::d3q15(), LatticeModel::d3q19()] {
-            let soa = soa_for(&geo, &model);
+        for kind in [ModelKind::D3Q15, ModelKind::D3Q19] {
+            let soa = lattice_for(&geo, kind);
+            let model = &soa.model;
+            let mut bulk = vec![true; geo.fluid_count()];
             for i in 0..model.q {
                 let c = model.c[i];
                 let mut boundary_links = 0usize;
@@ -825,7 +796,8 @@ mod tests {
                         y as i64 - c[1] as i64,
                         z as i64 - c[2] as i64,
                     );
-                    let entry = soa.stream_entry(i, s as usize);
+                    let entry = soa.stream[i][s as usize];
+                    bulk[s as usize] &= src.is_some();
                     match src {
                         Some(g) => assert_eq!(
                             entry, g,
@@ -847,6 +819,9 @@ mod tests {
                     );
                 }
             }
+            let bulk = bulk.iter().filter(|&&b| b).count();
+            assert!(0 < bulk && bulk < geo.fluid_count(), "a tube has both");
+            assert_eq!(soa.bulk_fraction(), bulk as f64 / geo.fluid_count() as f64);
         }
     }
 
@@ -871,7 +846,7 @@ mod tests {
             );
             site_major[s * q + (s % q)] += 1e-3; // off-equilibrium
         }
-        // Scalar reference via the legacy collide().
+        // Scalar reference via the per-site collide().
         let mut reference = site_major.clone();
         let mut moments_ref = vec![(0.0, [0.0; 3]); n];
         let mut scratch = vec![0.0; q];
@@ -955,32 +930,23 @@ mod tests {
     }
 
     #[test]
-    fn swapping_stream_entries_corrupts_and_reclassifies() {
+    fn swapping_stream_entries_corrupts_and_recompiles_the_plan() {
         let geo = tube();
-        let model = LatticeModel::d3q15();
-        let mut soa = soa_for(&geo, &model);
+        let mut soa = lattice_for(&geo, ModelKind::D3Q15);
         // Find two sites with different sources in direction 1.
-        let (mut a, mut b) = (usize::MAX, usize::MAX);
-        'outer: for s in 0..soa.site_count() {
-            for t in s + 1..soa.site_count() {
-                if soa.stream_entry(1, s) != soa.stream_entry(1, t) {
-                    (a, b) = (s, t);
-                    break 'outer;
-                }
-            }
-        }
-        assert!(a != usize::MAX, "tube must have differing sources");
-        let ea = soa.stream_entry(1, a);
-        let eb = soa.stream_entry(1, b);
-        assert!(soa.debug_swap_stream_entries(1, a, b));
-        assert_eq!(soa.stream_entry(1, a), eb);
-        assert_eq!(soa.stream_entry(1, b), ea);
-        // Runs still tile the range after reclassification.
-        let mut next = 0u32;
-        for run in soa.runs() {
-            assert_eq!(run.start, next);
-            next += run.len;
-        }
-        assert_eq!(next as usize, soa.site_count());
+        let lane = &soa.stream[1];
+        let b = (1..lane.len())
+            .find(|&t| lane[t] != lane[0])
+            .expect("tube must have differing sources");
+        let (ea, eb) = (lane[0], lane[b]);
+        assert!(soa.debug_swap_stream_entries(1, 0, b));
+        assert_eq!((soa.stream[1][0], soa.stream[1][b]), (eb, ea));
+        assert!(!soa.debug_swap_stream_entries(1, 0, 0), "equal entries");
+        // The recompiled plan still covers every link exactly once.
+        let copied: usize = soa.plan.copy.iter().flatten().map(|s| s.len as usize).sum();
+        assert_eq!(
+            copied + soa.plan.boundary.len() + soa.plan.halo.len(),
+            soa.site_count() * soa.model.q
+        );
     }
 }

@@ -44,7 +44,7 @@ pub mod units;
 pub use dist::DistSolver;
 pub use fields::FieldSnapshot;
 pub use kernel::ParallelSolver;
-pub use layout::{KernelLayout, SitePartition};
+pub use layout::SitePartition;
 pub use model::LatticeModel;
 pub use solver::{Solver, SolverConfig};
 pub use units::UnitConverter;

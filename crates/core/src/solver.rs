@@ -1,4 +1,4 @@
-//! The serial sparse-geometry LB solver (reference implementation).
+//! The serial sparse-geometry LB solver.
 //!
 //! One time step is collide → stream (pull) with local boundary rules on
 //! missing links. The distributed solver in [`crate::dist`] reproduces
@@ -6,14 +6,12 @@
 
 use crate::boundary::{pressure_anti_bounce_back, velocity_bounce_back, wall_bounce_back, IoletBc};
 use crate::collision::CollisionKind;
-use crate::equilibrium::feq_all;
 use crate::fields::FieldSnapshot;
-use crate::layout::{KernelLayout, SoaLattice};
+use crate::layout::{build_stream_table, SoaLattice};
 use crate::model::LatticeModel;
-use hemelb_geometry::{SiteKind, SparseGeometry};
+use hemelb_geometry::{IoLetKind, SiteKind, SparseGeometry};
 use hemelb_obs::{ObsReport, Recorder};
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -50,10 +48,6 @@ pub struct SolverConfig {
     pub inlet_bcs: Vec<IoletBc>,
     /// Boundary prescriptions for outlets, indexed likewise.
     pub outlet_bcs: Vec<IoletBc>,
-    /// Kernel memory layout (see [`KernelLayout`]); every choice is
-    /// bit-identical, only throughput differs.
-    #[serde(default)]
-    pub layout: KernelLayout,
     /// Whether the distributed solver overlaps the halo exchange with
     /// interior compute (frontier-first collide, interior collide+stream
     /// under in-flight messages). Bit-identical to the synchronous
@@ -76,7 +70,6 @@ impl SolverConfig {
             collision: CollisionKind::Bgk,
             inlet_bcs: vec![IoletBc::Pressure { rho: rho_in }],
             outlet_bcs: vec![IoletBc::Pressure { rho: rho_out }],
-            layout: KernelLayout::default(),
             overlap: default_overlap(),
         }
     }
@@ -93,7 +86,6 @@ impl SolverConfig {
                 parabolic: true,
             }],
             outlet_bcs: vec![IoletBc::Pressure { rho: 1.0 }],
-            layout: KernelLayout::default(),
             overlap: default_overlap(),
         }
     }
@@ -114,12 +106,6 @@ impl SolverConfig {
     /// Override the collision operator.
     pub fn with_collision(mut self, collision: CollisionKind) -> Self {
         self.collision = collision;
-        self
-    }
-
-    /// Override the kernel memory layout.
-    pub fn with_layout(mut self, layout: KernelLayout) -> Self {
-        self.layout = layout;
         self
     }
 
@@ -149,39 +135,16 @@ impl SolverConfig {
     }
 }
 
-/// Sentinel in the pull table marking a missing (boundary) link
-/// (canonical definition lives with the layout machinery).
-pub(crate) use crate::layout::LINK_BOUNDARY;
-
-/// Build the pull-streaming source table: `table[s*q + i]` is the fluid
-/// site found at `pos(s) − c_i`, or [`LINK_BOUNDARY`].
-pub(crate) fn build_pull_table(geo: &SparseGeometry, model: &LatticeModel) -> Vec<u32> {
-    let n = geo.fluid_count();
-    let q = model.q;
-    let mut table = vec![LINK_BOUNDARY; n * q];
-    for s in 0..n as u32 {
-        let [x, y, z] = geo.position(s);
-        for i in 0..q {
-            let c = model.c[i];
-            let src = geo.site_at(
-                x as i64 - c[0] as i64,
-                y as i64 - c[1] as i64,
-                z as i64 - c[2] as i64,
-            );
-            if let Some(src) = src {
-                table[s as usize * q + i] = src;
-            }
-        }
-    }
-    table
-}
-
-/// Per-site precomputed boundary velocity for velocity iolets (zero for
-/// everything else), evaluated once at construction.
-pub(crate) fn precompute_bc_velocities(geo: &SparseGeometry, cfg: &SolverConfig) -> Vec<[f64; 3]> {
+/// Precomputed boundary velocity of each of `sites` (global ids) for
+/// velocity iolets (zero for everything else).
+pub(crate) fn precompute_bc_velocities(
+    geo: &SparseGeometry,
+    cfg: &SolverConfig,
+    sites: impl Iterator<Item = u32>,
+) -> Vec<[f64; 3]> {
     let inlets = geo.inlets();
     let outlets = geo.outlets();
-    (0..geo.fluid_count() as u32)
+    sites
         .map(|s| match geo.kind(s) {
             SiteKind::Inlet(id) => {
                 let io = inlets[(id as usize).min(inlets.len() - 1)];
@@ -231,77 +194,28 @@ pub(crate) fn boundary_rule(
     }
 }
 
-/// The serial solver.
-///
-/// Fields are crate-visible so [`crate::kernel::ParallelSolver`] can
-/// step the same state with the chunked kernels.
+/// The serial solver: the lattice over every fluid site of the
+/// geometry, stepped on the calling thread.
 pub struct Solver {
-    pub(crate) geo: Arc<SparseGeometry>,
-    pub(crate) cfg: SolverConfig,
-    pub(crate) model: LatticeModel,
-    /// Current distributions, site-major `[site][direction]`.
-    pub(crate) f: Vec<f64>,
-    /// Double buffer for streaming.
-    pub(crate) f_next: Vec<f64>,
-    /// Pull table.
-    pub(crate) pull: Vec<u32>,
-    /// Pre-collision moments of the current step, per site.
-    pub(crate) moments: Vec<(f64, [f64; 3])>,
-    /// Precomputed iolet velocities.
-    pub(crate) bc_velocity: Vec<[f64; 3]>,
-    /// MRT operator when `cfg.collision` is [`CollisionKind::Mrt`].
-    pub(crate) mrt: Option<crate::mrt::MrtOperator>,
-    /// SoA state when `cfg.layout` is not [`KernelLayout::Legacy`]; the
-    /// legacy `f`/`f_next` buffers stay empty in that case.
-    pub(crate) soa: Option<SoaLattice>,
-    /// Completed time steps.
-    pub(crate) step: u64,
+    geo: Arc<SparseGeometry>,
+    /// Crate-visible for checkpoint restore.
+    pub(crate) lat: SoaLattice,
     /// Per-phase observability recorder (`lb.collide`, `lb.stream`,
     /// `lb.macroscopics`). Interior-mutable so `snapshot(&self)` can
     /// record; never touched inside the per-site kernels, so the
     /// instrumentation cannot perturb results.
-    pub(crate) obs: RefCell<Recorder>,
+    obs: RefCell<Recorder>,
 }
 
 impl Solver {
     /// Initialise at rest (`ρ = 1`, `u = 0`) on the given geometry.
     pub fn new(geo: Arc<SparseGeometry>, cfg: SolverConfig) -> Self {
         let model = cfg.model.build();
-        let n = geo.fluid_count();
-        let q = model.q;
-        let mut f = vec![0.0; n * q];
-        for s in 0..n {
-            feq_all(&model, 1.0, [0.0; 3], &mut f[s * q..(s + 1) * q]);
-        }
-        let pull = build_pull_table(&geo, &model);
-        let bc_velocity = precompute_bc_velocities(&geo, &cfg);
-        let mrt = match cfg.collision {
-            CollisionKind::Mrt { omega_ghost } => {
-                Some(crate::mrt::MrtOperator::new(&model, omega_ghost))
-            }
-            _ => None,
-        };
-        let soa = match cfg.layout {
-            KernelLayout::Legacy => None,
-            _ => Some(SoaLattice::new(q, &pull, &f)),
-        };
-        let (f, f_next) = if soa.is_some() {
-            (Vec::new(), Vec::new())
-        } else {
-            (f.clone(), f)
-        };
+        let sites = 0..geo.fluid_count() as u32;
+        let stream = build_stream_table(&geo, &model, sites.clone(), |src, _| src);
         Solver {
-            f_next,
-            moments: vec![(1.0, [0.0; 3]); n],
-            f,
-            pull,
-            bc_velocity,
-            mrt,
-            soa,
+            lat: SoaLattice::new(&geo, sites, cfg, model, stream),
             geo,
-            cfg,
-            model,
-            step: 0,
             obs: RefCell::new(Recorder::new()),
         }
     }
@@ -331,187 +245,51 @@ impl Solver {
 
     /// The configuration.
     pub fn config(&self) -> &SolverConfig {
-        &self.cfg
+        &self.lat.cfg
     }
 
     /// The velocity set.
     pub fn model(&self) -> &LatticeModel {
-        &self.model
+        &self.lat.model
     }
 
     /// Completed steps.
     pub fn step_count(&self) -> u64 {
-        self.step
+        self.lat.step
     }
 
     /// Replace the BC of inlet `id` at runtime (computational steering:
     /// "not only simulation parameters … can be further modified").
     /// Precomputed boundary velocities are refreshed.
-    pub fn set_inlet_bc(&mut self, id: usize, bc: crate::boundary::IoletBc) {
-        if id >= self.cfg.inlet_bcs.len() {
-            self.cfg.inlet_bcs.resize(id + 1, bc);
-        }
-        self.cfg.inlet_bcs[id] = bc;
-        self.bc_velocity = precompute_bc_velocities(&self.geo, &self.cfg);
+    pub fn set_inlet_bc(&mut self, id: usize, bc: IoletBc) {
+        let sites = 0..self.geo.fluid_count() as u32;
+        self.lat
+            .set_iolet_bc(&self.geo, sites, IoLetKind::Inlet, id, bc);
     }
 
     /// Replace the BC of outlet `id` at runtime.
-    pub fn set_outlet_bc(&mut self, id: usize, bc: crate::boundary::IoletBc) {
-        if id >= self.cfg.outlet_bcs.len() {
-            self.cfg.outlet_bcs.resize(id + 1, bc);
-        }
-        self.cfg.outlet_bcs[id] = bc;
-        self.bc_velocity = precompute_bc_velocities(&self.geo, &self.cfg);
+    pub fn set_outlet_bc(&mut self, id: usize, bc: IoletBc) {
+        let sites = 0..self.geo.fluid_count() as u32;
+        self.lat
+            .set_iolet_bc(&self.geo, sites, IoLetKind::Outlet, id, bc);
     }
 
-    /// Advance one time step (collide + stream).
-    ///
-    /// Both phases run through the span primitives in [`crate::kernel`]
-    /// / [`crate::layout`], the same per-site code the parallel and
-    /// distributed solvers use — which is what makes them bit-identical.
+    /// Advance one time step (collide + stream) on the calling thread.
     pub fn step(&mut self) {
-        self.step_impl(false);
+        self.step_with(1);
     }
 
-    /// One step, serial or chunk-parallel, dispatched on the configured
-    /// layout. The parallel flavour must run inside a rayon pool (see
+    /// One step with the site list split across `threads` workers (see
     /// [`crate::kernel::ParallelSolver`]).
-    pub(crate) fn step_impl(&mut self, parallel: bool) {
-        if self.soa.is_some() {
-            self.step_soa(parallel);
-            return;
-        }
-        // Collide in place: f becomes f*.
+    pub(crate) fn step_with(&mut self, threads: usize) {
+        let full = self.lat.full_range();
         let span = self.obs.borrow().begin();
-        if parallel {
-            crate::kernel::par_collide(
-                &self.model,
-                self.cfg.collision,
-                self.cfg.tau,
-                self.mrt.as_ref(),
-                &mut self.f,
-                &mut self.moments,
-            );
-        } else {
-            crate::kernel::collide_span(
-                &self.model,
-                self.cfg.collision,
-                self.cfg.tau,
-                self.mrt.as_mut(),
-                &mut self.f,
-                &mut self.moments,
-            );
-        }
-        span.end(&mut self.obs.borrow_mut(), "lb.collide");
-        // Stream (pull) with boundary rules on missing links.
-        let span = self.obs.borrow().begin();
-        if parallel {
-            crate::kernel::par_stream(
-                &self.model,
-                &self.cfg,
-                &self.geo,
-                &self.f,
-                &self.moments,
-                &self.bc_velocity,
-                &self.pull,
-                self.step,
-                &mut self.f_next,
-            );
-        } else {
-            crate::kernel::stream_span(
-                &self.model,
-                &self.cfg,
-                &self.geo,
-                &self.f,
-                &self.moments,
-                &self.bc_velocity,
-                &self.pull,
-                self.step,
-                0,
-                &mut self.f_next,
-            );
-        }
-        span.end(&mut self.obs.borrow_mut(), "lb.stream");
-        std::mem::swap(&mut self.f, &mut self.f_next);
-        self.step += 1;
-    }
-
-    /// One step over the SoA lanes. The SIMD flavour only changes the
-    /// BGK collide loop shape, never the per-site arithmetic.
-    fn step_soa(&mut self, parallel: bool) {
-        let simd = self.cfg.layout == KernelLayout::SoaSimd;
-        let span = self.obs.borrow().begin();
-        {
-            let soa = self.soa.as_mut().expect("SoA state");
-            if parallel {
-                crate::kernel::par_collide_soa(
-                    &self.model,
-                    self.cfg.collision,
-                    self.cfg.tau,
-                    self.mrt.as_ref(),
-                    &mut soa.f,
-                    &mut self.moments,
-                    simd,
-                );
-            } else {
-                let mut lanes: Vec<&mut [f64]> =
-                    soa.f.iter_mut().map(|l| l.as_mut_slice()).collect();
-                crate::layout::collide_span_soa(
-                    &self.model,
-                    self.cfg.collision,
-                    self.cfg.tau,
-                    self.mrt.as_mut(),
-                    &mut lanes,
-                    &mut self.moments,
-                    simd,
-                );
-            }
-        }
+        self.lat.collide(&full, threads);
         span.end(&mut self.obs.borrow_mut(), "lb.collide");
         let span = self.obs.borrow().begin();
-        {
-            let model = &self.model;
-            let cfg = &self.cfg;
-            let kinds = self.geo.kinds();
-            let moments = &self.moments[..];
-            let bc_velocity = &self.bc_velocity[..];
-            let step = self.step;
-            let soa = self.soa.as_mut().expect("SoA state");
-            let (f_old, f_next, plan) = soa.split_for_stream();
-            if parallel {
-                crate::kernel::par_stream_soa(
-                    model,
-                    cfg,
-                    kinds,
-                    f_old,
-                    plan,
-                    moments,
-                    bc_velocity,
-                    &[],
-                    step,
-                    f_next,
-                );
-            } else {
-                let mut out: Vec<&mut [f64]> =
-                    f_next.iter_mut().map(|l| l.as_mut_slice()).collect();
-                crate::layout::stream_span_soa(
-                    model,
-                    cfg,
-                    kinds,
-                    f_old,
-                    plan,
-                    moments,
-                    bc_velocity,
-                    &[],
-                    step,
-                    0,
-                    &mut out,
-                );
-            }
-        }
+        self.lat.stream(&full, &[], threads);
         span.end(&mut self.obs.borrow_mut(), "lb.stream");
-        self.soa.as_mut().expect("SoA state").swap_buffers();
-        self.step += 1;
+        self.lat.finish_step();
     }
 
     /// Advance `count` steps.
@@ -523,132 +301,44 @@ impl Solver {
 
     /// Macroscopic snapshot of the current state.
     pub fn snapshot(&self) -> FieldSnapshot {
-        self.snapshot_impl(false)
+        self.snapshot_with(1)
     }
 
-    /// Snapshot, serial or chunk-parallel, dispatched on the layout.
-    pub(crate) fn snapshot_impl(&self, parallel: bool) -> FieldSnapshot {
-        let n = self.geo.fluid_count();
-        let mut rho = vec![0.0; n];
-        let mut u = vec![[0.0; 3]; n];
-        let mut shear = vec![0.0; n];
+    /// Snapshot extracted across `threads` workers.
+    pub(crate) fn snapshot_with(&self, threads: usize) -> FieldSnapshot {
         let span = self.obs.borrow().begin();
-        match (&self.soa, parallel) {
-            (Some(soa), false) => crate::layout::macroscopics_span_soa(
-                &self.model,
-                self.cfg.tau,
-                &soa.f,
-                0,
-                &mut rho,
-                &mut u,
-                &mut shear,
-            ),
-            (Some(soa), true) => crate::kernel::par_macroscopics_soa(
-                &self.model,
-                self.cfg.tau,
-                &soa.f,
-                &mut rho,
-                &mut u,
-                &mut shear,
-            ),
-            (None, false) => crate::kernel::macroscopics_span(
-                &self.model,
-                self.cfg.tau,
-                &self.f,
-                &mut rho,
-                &mut u,
-                &mut shear,
-            ),
-            (None, true) => crate::kernel::par_macroscopics(
-                &self.model,
-                self.cfg.tau,
-                &self.f,
-                &mut rho,
-                &mut u,
-                &mut shear,
-            ),
-        }
+        let snap = self.lat.snapshot(threads);
         span.end(&mut self.obs.borrow_mut(), "lb.macroscopics");
-        FieldSnapshot {
-            step: self.step,
-            rho,
-            u,
-            shear,
-        }
+        snap
     }
 
     /// Total mass `Σ_s Σ_i f_si` (conserved by interior dynamics; open
-    /// boundaries exchange mass by design). Summed in site-major order
-    /// regardless of layout, so the value is layout-independent.
+    /// boundaries exchange mass by design).
     pub fn mass(&self) -> f64 {
-        match &self.soa {
-            Some(soa) => soa.mass(),
-            None => self.f.iter().sum(),
-        }
-    }
-
-    /// Raw distributions of one site (for tests and the distributed
-    /// equality check), in direction order.
-    pub fn distributions(&self, site: u32) -> Vec<f64> {
-        match &self.soa {
-            Some(soa) => soa.site_values(site as usize),
-            None => {
-                let q = self.model.q;
-                self.f[site as usize * q..(site as usize + 1) * q].to_vec()
-            }
-        }
+        self.lat.mass()
     }
 
     /// The whole distribution array in the canonical site-major order
-    /// (checkpointing, cross-layout comparison). Borrowed for the legacy
-    /// layout, transposed on the fly for SoA.
-    pub fn raw_distributions(&self) -> Cow<'_, [f64]> {
-        match &self.soa {
-            Some(soa) => Cow::Owned(soa.to_site_major()),
-            None => Cow::Borrowed(&self.f),
-        }
-    }
-
-    /// Overwrite the dynamical state from a site-major array (checkpoint
-    /// restore). Works across layouts: a checkpoint written under any
-    /// layout restores into any other.
-    ///
-    /// # Panics
-    /// Panics if the array length does not match `sites × q`.
-    pub(crate) fn install_state(&mut self, step: u64, f: Vec<f64>) {
-        assert_eq!(f.len(), self.geo.fluid_count() * self.model.q);
-        match self.soa.as_mut() {
-            Some(soa) => soa.install_site_major(&f),
-            None => self.f = f,
-        }
-        self.step = step;
+    /// (checkpointing, bitwise comparison).
+    pub fn raw_distributions(&self) -> Vec<f64> {
+        self.lat.to_site_major()
     }
 
     /// Deliberately corrupt the streaming-index table by swapping the
     /// sources of two `(direction, site)` links. Test-only harness hook
     /// (the golden-digest negative test proves a single swapped
-    /// neighbour fails the FNV digest); works on every layout. Returns
-    /// `true` if the two entries actually differed.
+    /// neighbour fails the FNV digest). Returns `true` if the two
+    /// entries actually differed.
     #[doc(hidden)]
     pub fn debug_swap_stream_entries(&mut self, dir: usize, a: usize, b: usize) -> bool {
-        match self.soa.as_mut() {
-            Some(soa) => soa.debug_swap_stream_entries(dir, a, b),
-            None => {
-                let q = self.model.q;
-                if self.pull[a * q + dir] == self.pull[b * q + dir] {
-                    return false;
-                }
-                self.pull.swap(a * q + dir, b * q + dir);
-                true
-            }
-        }
+        self.lat.debug_swap_stream_entries(dir, a, b)
     }
 
-    /// Fraction of sites in branch-free bulk runs, when running a SoA
-    /// layout (`None` under the legacy layout). Reported by the kernel
-    /// bench.
+    /// Fraction of sites whose every link is a plain local source.
+    /// Always `Some`; the `Option` is the signature the benchmark
+    /// package compiles against.
     pub fn bulk_fraction(&self) -> Option<f64> {
-        self.soa.as_ref().map(|soa| soa.bulk_fraction())
+        Some(self.lat.bulk_fraction())
     }
 
     /// Run until the RMS velocity change over `check_every` steps drops
@@ -660,17 +350,17 @@ impl Solver {
         check_every: u64,
         max_steps: u64,
     ) -> (bool, u64, f64) {
-        let start = self.step;
+        let start = self.lat.step;
         let mut prev = self.snapshot();
         loop {
             self.step_n(check_every);
             let now = self.snapshot();
             let change = now.velocity_rms_change(&prev) / check_every as f64;
             if change < tol {
-                return (true, self.step - start, change);
+                return (true, self.lat.step - start, change);
             }
-            if self.step - start >= max_steps {
-                return (false, self.step - start, change);
+            if self.lat.step - start >= max_steps {
+                return (false, self.lat.step - start, change);
             }
             prev = now;
         }
@@ -825,7 +515,6 @@ mod tests {
                 period,
             }],
             outlet_bcs: vec![IoletBc::Pressure { rho: 1.0 }],
-            layout: KernelLayout::default(),
             overlap: true,
         };
         let mut s = tube_solver(cfg);
@@ -885,11 +574,7 @@ mod tests {
         quiet.set_obs_enabled(false);
         quiet.step_n(7);
         assert!(quiet.obs_report().phases.is_empty());
-        for (a, b) in s
-            .raw_distributions()
-            .iter()
-            .zip(quiet.raw_distributions().iter())
-        {
+        for (a, b) in s.raw_distributions().iter().zip(&quiet.raw_distributions()) {
             assert_eq!(a.to_bits(), b.to_bits(), "obs must not perturb physics");
         }
     }

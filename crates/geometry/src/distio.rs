@@ -257,15 +257,16 @@ mod tests {
     use hemelb_parallel::run_spmd_with_stats;
     use std::io::Write as _;
 
-    fn write_demo_file() -> (std::path::PathBuf, usize) {
+    /// One file per test (`tag`): tests run on parallel threads and each
+    /// removes its file when done.
+    fn write_demo_file(tag: &str) -> (std::path::PathBuf, usize) {
         let geo = VesselBuilder::aneurysm(24.0, 5.0, 6.0).voxelise(1.0);
         let mut buf = Vec::new();
         write_sgmy(&geo, 8, &mut buf).unwrap();
         let dir = std::env::temp_dir();
         let path = dir.join(format!(
-            "hemelb_distio_test_{}_{}.sgmy",
-            std::process::id(),
-            geo.fluid_count()
+            "hemelb_distio_test_{}_{tag}.sgmy",
+            std::process::id()
         ));
         let mut f = File::create(&path).unwrap();
         f.write_all(&buf).unwrap();
@@ -298,7 +299,7 @@ mod tests {
 
     #[test]
     fn distributed_read_delivers_every_site_exactly_once() {
-        let (path, fluid_count) = write_demo_file();
+        let (path, fluid_count) = write_demo_file("exactly_once");
         for (p, readers) in [(1, 1), (4, 1), (4, 2), (4, 4), (6, 3)] {
             let path2 = path.clone();
             let out = run_spmd_with_stats(p, move |comm| {
@@ -313,7 +314,7 @@ mod tests {
 
     #[test]
     fn fewer_readers_means_less_file_io_but_more_forwarding() {
-        let (path, _) = write_demo_file();
+        let (path, _) = write_demo_file("readers");
         let p = 8;
         let run = |readers: usize| {
             let path2 = path.clone();

@@ -139,8 +139,6 @@ pub struct BackendComparison {
     pub serial_seconds: f64,
     /// Wall seconds for the parallel solver + pipeline pass.
     pub parallel_seconds: f64,
-    /// Wall seconds for the serial SoA-SIMD solver + pipeline pass.
-    pub simd_seconds: f64,
     /// Worker threads of the parallel backend.
     pub threads: usize,
     /// Time steps advanced per backend.
@@ -168,10 +166,9 @@ fn snapshots_bit_identical(a: &hemelb_core::FieldSnapshot, b: &hemelb_core::Fiel
             .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// Drive the same extract→…→render pipeline from all solver backends:
-/// the serial [`hemelb_core::Solver`], the chunk-parallel
-/// [`hemelb_core::ParallelSolver`] with `threads` workers, and the
-/// serial solver on the SoA-SIMD kernel layout. Every
+/// Drive the same extract→…→render pipeline from both on-node solver
+/// backends: the serial [`hemelb_core::Solver`] and the chunk-parallel
+/// [`hemelb_core::ParallelSolver`] with `threads` workers. Every
 /// `snapshot_every` steps a macroscopic snapshot is taken and pushed
 /// through a fresh pipeline built by `make_pipeline`; the comparison
 /// records wall time per backend and whether all pipeline outputs were
@@ -213,33 +210,14 @@ where
     }
     let parallel_seconds = span.end(&mut rec, "backend.parallel");
 
-    let span = rec.begin();
-    let mut simd = hemelb_core::Solver::new(
-        geo.clone(),
-        cfg.clone().with_layout(hemelb_core::KernelLayout::SoaSimd),
-    );
-    let mut simd_pipe = make_pipeline();
-    let mut simd_frames = Vec::new();
-    for _ in 0..steps / snapshot_every {
-        simd.step_n(snapshot_every);
-        simd_frames.push(simd_pipe.run(simd.snapshot()));
-    }
-    let simd_seconds = span.end(&mut rec, "backend.simd");
-
     let bit_identical = serial_frames.len() == par_frames.len()
-        && serial_frames.len() == simd_frames.len()
         && serial_frames
             .iter()
             .zip(&par_frames)
-            .all(|(a, b)| snapshots_bit_identical(a, b))
-        && serial_frames
-            .iter()
-            .zip(&simd_frames)
             .all(|(a, b)| snapshots_bit_identical(a, b));
     BackendComparison {
         serial_seconds,
         parallel_seconds,
-        simd_seconds,
         threads,
         steps,
         frames: serial_frames.len(),
@@ -309,7 +287,6 @@ mod tests {
         assert_eq!(cmp.frames, 4);
         assert_eq!(cmp.threads, 4);
         assert!(cmp.serial_seconds > 0.0 && cmp.parallel_seconds > 0.0);
-        assert!(cmp.simd_seconds > 0.0);
     }
 
     #[test]

@@ -9,27 +9,25 @@
 //! GOLDEN_BLESS=1 cargo test --test golden
 //! ```
 //!
-//! Each case is run on every kernel layout — the legacy site-major
-//! brick, the SoA fluid-site list with scalar collision, and the SoA
-//! chunked-lane SIMD path — serially and on the chunk-parallel
-//! `ParallelSolver`; all must match the *same* fixture, which pins the
-//! bit-exact determinism contract to stored bytes. (The SoA refactor
-//! re-blessed here was a no-op: every digest was reproduced unchanged,
-//! so the fixtures still certify the original arithmetic.)
+//! The stored digests are the whole-step reference: they were blessed
+//! from the original site-major kernels (with the SoA kernels asserted
+//! equal cell for cell) before those were deleted, and have never been
+//! re-blessed since. Each named case is run serially and on the
+//! chunk-parallel `ParallelSolver`; both must match the *same* fixture.
 
 mod common;
 
 use hemelb::core::collision::CollisionKind;
 use hemelb::core::solver::ModelKind;
-use hemelb::core::{KernelLayout, ParallelSolver, Solver, SolverConfig};
-use hemelb::geometry::VesselBuilder;
+use hemelb::core::{ParallelSolver, Solver, SolverConfig};
+use hemelb::geometry::{SparseGeometry, VesselBuilder};
 use std::path::PathBuf;
 use std::sync::Arc;
 
 struct GoldenCase {
     name: &'static str,
     steps: u64,
-    build: fn() -> (Arc<hemelb::geometry::SparseGeometry>, SolverConfig),
+    build: fn() -> (Arc<SparseGeometry>, SolverConfig),
 }
 
 const CASES: &[GoldenCase] = &[
@@ -92,30 +90,16 @@ fn digest_lines(solver: &Solver, steps: u64) -> String {
 fn run_case(case: &GoldenCase) {
     let (geo, cfg) = (case.build)();
 
-    // Legacy layout is the reference the fixtures were blessed against.
-    let mut legacy = Solver::new(geo.clone(), cfg.clone().with_layout(KernelLayout::Legacy));
-    legacy.step_n(case.steps);
-    let got = digest_lines(&legacy, case.steps);
+    let mut serial = Solver::new(geo.clone(), cfg.clone());
+    serial.step_n(case.steps);
+    let got = digest_lines(&serial, case.steps);
 
-    // Both SoA layouts must reproduce the legacy digests bit-for-bit.
-    for layout in [KernelLayout::SoaScalar, KernelLayout::SoaSimd] {
-        let mut soa = Solver::new(geo.clone(), cfg.clone().with_layout(layout));
-        soa.step_n(case.steps);
-        assert_eq!(
-            got,
-            digest_lines(&soa, case.steps),
-            "{}: {layout:?} diverged from the legacy layout",
-            case.name
-        );
-    }
-
-    // The parallel solver (SoA-SIMD layout) must produce the *same*
-    // fixture.
-    let mut par = ParallelSolver::new(geo, cfg.with_layout(KernelLayout::SoaSimd), 3);
+    // The parallel solver must produce the *same* fixture.
+    let mut par = ParallelSolver::new(geo, cfg, 3);
     par.step_n(case.steps);
-    let got_par = digest_lines(par.solver(), case.steps);
     assert_eq!(
-        got, got_par,
+        got,
+        digest_lines(par.solver(), case.steps),
         "{}: parallel kernel diverged from serial",
         case.name
     );
@@ -165,7 +149,7 @@ fn golden_porous_mrt_pressure_d3q15() {
 /// {cylinder, porous seed 42} × {D3Q15, D3Q19} × {BGK, TRT-magic,
 /// MRT ω=1.2} × {pressure, velocity}, 10 steps each, one digest line per
 /// cell in `tests/golden/operator_grid.txt`.
-fn operator_grid_lines(layout: KernelLayout) -> String {
+fn operator_grid_lines() -> String {
     let geos = [
         (
             "cylinder",
@@ -200,7 +184,7 @@ fn operator_grid_lines(layout: KernelLayout) -> String {
                         collision,
                         velocity_inlet,
                     };
-                    let mut solver = Solver::new(geo.clone(), case.config().with_layout(layout));
+                    let mut solver = Solver::new(geo.clone(), case.config());
                     solver.step_n(10);
                     let digests = digest_lines(&solver, 10).replace('\n', " ");
                     out.push_str(&format!(
@@ -216,17 +200,97 @@ fn operator_grid_lines(layout: KernelLayout) -> String {
 
 #[test]
 fn golden_operator_grid() {
-    // Final cross-layout audit: the fixture is blessed from the legacy
-    // layout with both SoA layouts asserted equal cell for cell.
-    let got = operator_grid_lines(KernelLayout::Legacy);
-    for layout in [KernelLayout::SoaScalar, KernelLayout::SoaSimd] {
-        assert_eq!(
-            got,
-            operator_grid_lines(layout),
-            "operator grid: {layout:?} diverged from the legacy layout"
-        );
-    }
-    check_or_bless("operator_grid", &got);
+    check_or_bless("operator_grid", &operator_grid_lines());
+}
+
+/// Negative control for the fixtures: swapping one pair of
+/// streaming-index entries (a single-direction source mix-up between two
+/// sites) must change the blessed `f` digest of the
+/// `cylinder_bgk_pressure_d3q15` case. If this test ever passes with an
+/// *unchanged* digest, the fixtures have stopped watching the streaming
+/// table.
+#[test]
+fn corrupted_streaming_index_fails_golden_digest() {
+    let case = &CASES[0];
+    let (geo, cfg) = (case.build)();
+    let blessed = std::fs::read_to_string(fixture_path(case.name))
+        .expect("golden fixture must exist (GOLDEN_BLESS=1 cargo test --test golden)");
+    let blessed_f = blessed
+        .lines()
+        .find_map(|l| l.strip_prefix("f="))
+        .expect("fixture has an f= digest line");
+
+    let mut solver = Solver::new(geo.clone(), cfg);
+    // Find a swappable pair: distinct sources for the same non-rest
+    // direction at two different lattice positions.
+    let q = solver.model().q;
+    let swapped = (1..q).any(|dir| {
+        (1..geo.fluid_count()).any(|b| {
+            geo.position(0) != geo.position(b as u32) && solver.debug_swap_stream_entries(dir, 0, b)
+        })
+    });
+    assert!(swapped, "no swappable streaming-index pair found");
+    solver.step_n(case.steps);
+    let got_f = format!(
+        "{:016x}",
+        common::fnv1a_bits(solver.raw_distributions().iter().copied())
+    );
+    assert_ne!(
+        got_f, blessed_f,
+        "a corrupted streaming index reproduced the blessed f digest — \
+         the golden fixtures are not sensitive to the streaming table"
+    );
+}
+
+/// The mid-run checkpoint hand-off case: geometry, configuration, a
+/// scratch checkpoint path for `tag`, and the distributions of an
+/// uninterrupted 20-step serial run.
+fn handoff_case(tag: &str) -> (Arc<SparseGeometry>, SolverConfig, PathBuf, Vec<f64>) {
+    let geo = Arc::new(VesselBuilder::aneurysm(12.0, 2.5, 3.5).voxelise(1.0));
+    let cfg = SolverConfig::pressure_driven(1.005, 0.995);
+    let path = std::env::temp_dir().join(format!("hlb_handoff_{tag}_{}.chkp", std::process::id()));
+    let mut reference = Solver::new(geo.clone(), cfg.clone());
+    reference.step_n(20);
+    let want = reference.raw_distributions();
+    (geo, cfg, path, want)
+}
+
+/// State written by the serial solver at step 10 restores into the
+/// threaded solver and continues on exactly the uninterrupted trajectory.
+#[test]
+fn serial_checkpoint_resumes_on_the_threaded_solver_mid_run() {
+    let (geo, cfg, path, want) = handoff_case("serial");
+    let mut writer = Solver::new(geo.clone(), cfg.clone());
+    writer.step_n(10);
+    writer.checkpoint(&path).unwrap();
+    let mut restored = Solver::new(geo, cfg);
+    restored.restore(&path).unwrap();
+    assert_eq!(restored.step_count(), 10, "restored step count");
+    let mut par = ParallelSolver::from_solver(restored, 3);
+    par.step_n(10);
+    assert!(
+        common::bits_eq(&want, &par.raw_distributions()),
+        "serial checkpoint + 10 threaded steps diverged from the uninterrupted run"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+/// The reverse hand-off: threaded writes, serial resumes.
+#[test]
+fn threaded_checkpoint_resumes_on_the_serial_solver_mid_run() {
+    let (geo, cfg, path, want) = handoff_case("threaded");
+    let mut writer = ParallelSolver::new(geo.clone(), cfg.clone(), 3);
+    writer.step_n(10);
+    writer.solver().checkpoint(&path).unwrap();
+    let mut serial = Solver::new(geo, cfg);
+    serial.restore(&path).unwrap();
+    assert_eq!(serial.step_count(), 10, "restored step count");
+    serial.step_n(10);
+    assert!(
+        common::bits_eq(&want, &serial.raw_distributions()),
+        "threaded checkpoint + 10 serial steps diverged from the uninterrupted run"
+    );
+    std::fs::remove_file(&path).ok();
 }
 
 /// Long soak: 500 steps at 8 threads must stay bit-identical to serial.

@@ -2,15 +2,15 @@
 //! schedule (collide frontier → post sends → interior compute under
 //! in-flight messages → arrival-order drain → frontier stream) must be
 //! **bit-identical** to the synchronous schedule and to the serial
-//! solver, over random geometries × kernel layouts × collision
-//! operators × boundary-condition families. Checkpoints written
+//! solver, over random geometries × collision operators ×
+//! boundary-condition families. Checkpoints written
 //! mid-run under one schedule must restore and continue under the
 //! other on the same bit trajectory, and the overlap accounting in
 //! `CommStats` must engage exactly when the overlapped path runs.
 
 mod common;
 
-use hemelb::core::{DistSolver, KernelLayout, Solver, SolverConfig};
+use hemelb::core::{DistSolver, Solver, SolverConfig};
 use hemelb::geometry::VesselBuilder;
 use hemelb::parallel::{
     run_spmd, run_spmd_opts, run_spmd_with_stats, FaultEvent, FaultKind, FaultPlan, SpmdOptions,
@@ -18,12 +18,6 @@ use hemelb::parallel::{
 };
 use proptest::prelude::*;
 use std::sync::Arc;
-
-const LAYOUTS: [KernelLayout; 3] = [
-    KernelLayout::Legacy,
-    KernelLayout::SoaScalar,
-    KernelLayout::SoaSimd,
-];
 
 /// Contiguous owner map splitting sites evenly by index.
 fn even_owner(n: usize, p: usize) -> Vec<usize> {
@@ -44,7 +38,7 @@ fn run_dist(
         let owner = even_owner(geo2.fluid_count(), comm.size());
         let mut ds = DistSolver::new(geo2.clone(), owner, cfg2.clone(), comm).unwrap();
         ds.step_n(steps).unwrap();
-        let f = ds.raw_distributions().to_vec();
+        let f = ds.raw_distributions();
         (f, ds.gather_snapshot().unwrap())
     });
     let digests = common::snapshot_digests(results[0].1.as_ref().expect("root gathers"));
@@ -55,30 +49,28 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Random geometries × {D3Q15, D3Q19} × {BGK, TRT, MRT} ×
-    /// {pressure, velocity} × all three kernel layouts: the overlapped
-    /// schedule equals the synchronous schedule **per rank, per
-    /// population**, and both equal the serial solver, by `to_bits`.
+    /// {pressure, velocity}: the overlapped schedule equals the
+    /// synchronous schedule **per rank, per population**, and both equal
+    /// the serial solver, by `to_bits`.
     #[test]
     fn overlapped_equals_sync_and_serial_bitwise(case in common::case_strategy()) {
         let geo = case.geo.build();
         let steps = 10u64;
-        for layout in LAYOUTS {
-            let cfg = case.config().with_layout(layout);
-            let mut serial = Solver::new(geo.clone(), cfg.clone());
-            serial.step_n(steps);
-            let want = common::snapshot_digests(&serial.snapshot());
+        let cfg = case.config();
+        let mut serial = Solver::new(geo.clone(), cfg.clone());
+        serial.step_n(steps);
+        let want = common::snapshot_digests(&serial.snapshot());
 
-            let (f_over, snap_over) = run_dist(&geo, &cfg.clone().with_overlap(true), 2, steps);
-            let (f_sync, snap_sync) = run_dist(&geo, &cfg.with_overlap(false), 2, steps);
+        let (f_over, snap_over) = run_dist(&geo, &cfg.clone().with_overlap(true), 2, steps);
+        let (f_sync, snap_sync) = run_dist(&geo, &cfg.with_overlap(false), 2, steps);
 
-            prop_assert_eq!(want, snap_over, "overlap vs serial, {:?} {:?}", layout, &case);
-            prop_assert_eq!(want, snap_sync, "sync vs serial, {:?} {:?}", layout, &case);
-            for (rank, (a, b)) in f_over.iter().zip(&f_sync).enumerate() {
-                prop_assert!(
-                    common::bits_eq(a, b),
-                    "rank {} distributions diverged, {:?} {:?}", rank, layout, &case
-                );
-            }
+        prop_assert_eq!(want, snap_over, "overlap vs serial, {:?}", &case);
+        prop_assert_eq!(want, snap_sync, "sync vs serial, {:?}", &case);
+        for (rank, (a, b)) in f_over.iter().zip(&f_sync).enumerate() {
+            prop_assert!(
+                common::bits_eq(a, b),
+                "rank {} distributions diverged, {:?}", rank, &case
+            );
         }
     }
 }
@@ -113,7 +105,7 @@ fn checkpoint_hands_off_between_overlapped_and_sync() {
             b.restore(&dir2).unwrap();
             assert_eq!(b.step_count(), 10);
             b.step_n(10).unwrap();
-            b.raw_distributions().to_vec()
+            b.raw_distributions()
         });
         for (rank, f) in results.iter().enumerate() {
             assert!(

@@ -479,6 +479,23 @@ fn checkpoint_round_trip_under_random_corruption() {
             "corruption at byte {k} must be caught"
         );
     }
+
+    // A crafted header whose `site_count × q` overflows, under a valid
+    // checksum (FNV-1a is not cryptographic), is rejected, not a panic.
+    let mut body = Vec::new();
+    for word in [7u64, 1 << 63, 2] {
+        body.extend(word.to_le_bytes());
+    }
+    let sum = body.iter().fold(0xcbf29ce484222325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x100000001b3)
+    });
+    let mut crafted = pristine[..8].to_vec();
+    crafted.extend(sum.to_le_bytes());
+    crafted.extend(body);
+    std::fs::write(&path, &crafted).unwrap();
+    let mut victim = Solver::new(geo, cfg);
+    let err = victim.restore(&path).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
