@@ -3,8 +3,9 @@
 #
 #   ./ci.sh --quick        # lint + tier1: format, clippy, release
 #                          #   build, root-package tests
-#   ./ci.sh                # + determinism, obs, render,
-#                          #   fault-injection, farm and projection
+#   ./ci.sh                # + every crate's unit tests, determinism,
+#                          #   obs, render, fault-injection, farm and
+#                          #   projection
 #                          #   suites + bench smokes, each gated against
 #                          #   the blessed baselines under
 #                          #   benches/baselines/, the repo benchmark's
@@ -30,7 +31,7 @@ cd "$(dirname "$0")"
 
 # The single source of truth for group names: the default tier runs
 # them in this order, and `--only` accepts exactly these (plus soak).
-CI_GROUPS_ALL=(lint tier1 determinism overlap faults gateway farm projection smoke bench-gate benchmark-quick loc)
+CI_GROUPS_ALL=(lint tier1 units determinism overlap faults gateway farm projection smoke bench-gate benchmark-quick loc)
 usage_groups() { (IFS='|'; echo "${CI_GROUPS_ALL[*]}|soak"); }
 
 TIER="full"
@@ -123,6 +124,21 @@ group_lint() {
 group_tier1() {
     stage build cargo build --release
     stage test  cargo test -q
+}
+
+# Every crate's in-module unit tests (`tier1` runs only the umbrella
+# package's integration tests): the steering gateway and protocol
+# cases, the solver, partitioner and transport suites.
+#
+# One known flake is kept out of the gate (open issue, CHANGES.md PR 15):
+# `driver_self_calibrates_from_window_measurements` fails about one run
+# in six. Every window of its run has the same msgs:bytes ratio, so the
+# α/β fit is unidentifiable and timing noise can land it on β = ∞. The
+# fix belongs in `steering::adaptive`'s calibration samples; drop the
+# `--skip` with it.
+group_units() {
+    stage units cargo test -q --workspace --lib -- \
+        --skip driver_self_calibrates_from_window_measurements
 }
 
 # Determinism suite (bit-exactness proptests + golden fixtures, incl.

@@ -23,8 +23,8 @@ use hemelb_core::{DistSolver, SolverConfig};
 use hemelb_obs::{fmt_secs, Histogram, ObsReport, Recorder};
 use hemelb_parallel::{run_spmd_opts, FaultEvent, FaultKind, FaultPlan, SpmdOptions, TagClass};
 use hemelb_steering::{
-    duplex_listener, run_closed_loop_opts, Acceptor, ClientLossPolicy, ClosedLoopConfig,
-    SteeringClient, SteeringCommand,
+    duplex_listener, run_closed_loop_opts, Acceptor, ClosedLoopConfig, SteeringClient,
+    SteeringCommand,
 };
 use parking_lot::Mutex;
 use std::fmt;
@@ -140,7 +140,6 @@ fn degraded_frames(
                 initial_vis_rate: u32::MAX, // frames only on request
                 steps_per_cycle: 5,
                 frame_deadline: Some(deadline),
-                on_client_loss: ClientLossPolicy::Headless,
                 ..Default::default()
             },
         )

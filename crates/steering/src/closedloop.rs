@@ -2,7 +2,8 @@
 //! situ post-processing → steering → simulation …
 //!
 //! [`run_closed_loop`] is the SPMD driver that couples a
-//! [`DistSolver`] with the in situ renderer and the steering server.
+//! [`DistSolver`] with the in situ renderer and the master's steering
+//! endpoint, the [`SessionGateway`].
 //! Every cycle it
 //!
 //! 1. drains client commands at the master and **broadcasts** them, so
@@ -22,7 +23,7 @@ use crate::gateway::{CacheLookup, FrameCache, FrameKey, GatewayConfig, SessionGa
 use crate::protocol::{
     FieldChoice, ImageFrame, ServerMessage, SparseImageFrame, StatusReport, SteeringCommand,
 };
-use crate::server::{ClientLossPolicy, SteeringServer, SteeringState};
+use crate::server::SteeringState;
 use crate::transport::{Acceptor, Transport};
 use bytes::Bytes;
 use hemelb_core::boundary::IoletBc;
@@ -60,10 +61,6 @@ pub struct ClosedLoopConfig {
     /// a degraded frame in [`StatusReport::problems`]). `None` keeps
     /// the fully synchronous binary-swap path.
     pub frame_deadline: Option<Duration>,
-    /// What the master does when the steering client vanishes:
-    /// terminate (default, the historical behaviour) or keep simulating
-    /// headless until a new client attaches through the acceptor.
-    pub on_client_loss: ClientLossPolicy,
     /// Measurement-driven adaptive load balancing: when set, an
     /// [`AdaptiveDriver`] closes each decision window of
     /// `adaptive_lb.window_steps` steps with measured per-rank costs and
@@ -72,10 +69,10 @@ pub struct ClosedLoopConfig {
     /// [`SteeringCommand::SetAdaptiveLb`]; the config default applies
     /// until the first such command.
     pub adaptive_lb: Option<AdaptiveLbConfig>,
-    /// Multi-tenant mode: accept N concurrent sessions through the
-    /// acceptor (one driver, any number of observers) with per-session
-    /// send queues and a rendered-frame cache, instead of the single
-    /// pre-connected client. Requires an [`Acceptor`] on the master.
+    /// Limits, frame encoding and frame-cache size of the master's
+    /// [`SessionGateway`]. `None` is one constant: dense frames, no
+    /// frame cache, default limits — what a lone client has always
+    /// been sent.
     pub gateway: Option<GatewayConfig>,
     /// Gather the final fields to the master at the end of the run
     /// (collective). `ClosedLoopOutcome::final_fields` is then `Some`
@@ -93,7 +90,6 @@ impl Default for ClosedLoopConfig {
             steps_per_cycle: 10,
             vis_aware_repartition: false,
             frame_deadline: None,
-            on_client_loss: ClientLossPolicy::Terminate,
             adaptive_lb: None,
             gateway: None,
             gather_final_fields: false,
@@ -122,7 +118,7 @@ pub struct ClosedLoopOutcome {
     /// because it blew the compositing deadline (master rank only).
     pub frames_degraded: u64,
     /// Due frames served from the rendered-frame cache instead of a
-    /// fresh render (gateway mode; identical on every rank).
+    /// fresh render (identical on every rank).
     pub frames_from_cache: u64,
     /// Frame-cache hits (identical on every rank — the key cache is
     /// replicated).
@@ -131,68 +127,16 @@ pub struct ClosedLoopOutcome {
     pub cache_misses: u64,
     /// Frame-cache evictions.
     pub cache_evictions: u64,
-    /// Most concurrent sessions observed (gateway mode, master only).
+    /// Most concurrent sessions observed (master rank only, else 0).
     pub sessions_peak: u64,
     /// Final fields gathered to the master when
     /// `ClosedLoopConfig::gather_final_fields` is set (master only).
     pub final_fields: Option<FieldSnapshot>,
 }
 
-/// The master's steering endpoint: the historical single-client server
-/// or the multi-tenant session gateway.
-enum Endpoint {
-    Single(SteeringServer),
-    Gateway(SessionGateway),
-}
-
-impl Endpoint {
-    fn poll_commands(&self) -> Vec<SteeringCommand> {
-        match self {
-            Endpoint::Single(s) => s.poll_commands(),
-            Endpoint::Gateway(g) => g.poll_commands(),
-        }
-    }
-    /// Whether anyone is watching (drives the periodic-frame cadence).
-    fn attached(&self) -> bool {
-        match self {
-            Endpoint::Single(s) => s.is_attached(),
-            Endpoint::Gateway(g) => g.session_count() > 0,
-        }
-    }
-    fn sessions(&self) -> u32 {
-        match self {
-            Endpoint::Single(s) => s.is_attached() as u32,
-            Endpoint::Gateway(g) => g.session_count() as u32,
-        }
-    }
-    fn take_events(&self) -> Vec<String> {
-        match self {
-            Endpoint::Single(s) => s.take_events(),
-            Endpoint::Gateway(g) => g.take_events(),
-        }
-    }
-    fn send_status(&self, status: StatusReport) {
-        match self {
-            Endpoint::Single(s) => s.send_status(status),
-            Endpoint::Gateway(g) => g.broadcast_status(status),
-        }
-    }
-    fn send_observables(&self, report: crate::protocol::ObservableReport) {
-        match self {
-            Endpoint::Single(s) => s.send_observables(report),
-            Endpoint::Gateway(g) => g.broadcast_observables(report),
-        }
-    }
-    fn bytes_sent(&self) -> u64 {
-        match self {
-            Endpoint::Single(s) => s.bytes_sent(),
-            Endpoint::Gateway(g) => g.bytes_sent(),
-        }
-    }
-}
-
 /// Run the closed loop collectively. Rank 0 must pass the server-side
-/// transport; other ranks pass `None`.
+/// transport; other ranks pass `None`. With no acceptor nobody can
+/// re-attach, so losing that client ends the run.
 ///
 /// Each cycle's phases are recorded into the communicator's
 /// observability recorder (`steer.poll`, `steer.broadcast`, `sim.step`,
@@ -211,9 +155,9 @@ pub fn run_closed_loop(
 }
 
 /// [`run_closed_loop`] with an optional [`Acceptor`] on the master, so
-/// the simulation can start (or continue) headless and let a steering
-/// client attach mid-run — the graceful-degradation wiring of the fault
-/// model. The master may then pass `transport: None`.
+/// the simulation can start (or continue) headless and let steering
+/// clients attach mid-run — the graceful-degradation wiring of the
+/// fault model. The master may then pass `transport: None`.
 pub fn run_closed_loop_opts(
     geo: Arc<SparseGeometry>,
     owner: Vec<usize>,
@@ -232,20 +176,6 @@ pub fn run_closed_loop_opts(
                 comm.size()
             )));
         }
-        if cfg.gateway.is_some() && acceptor.is_none() {
-            return Err(SteeringError::Config(
-                "gateway mode needs an acceptor on the master: sessions attach \
-                 by dialing, there is no single pre-connected client"
-                    .into(),
-            ));
-        }
-        if cfg.gateway.is_some() && transport.is_some() {
-            return Err(SteeringError::Config(
-                "gateway mode takes no pre-connected transport: \
-                 let the client dial the acceptor instead"
-                    .into(),
-            ));
-        }
     } else if transport.is_some() || acceptor.is_some() {
         return Err(SteeringError::Config(format!(
             "only the master rank carries steering endpoints \
@@ -254,21 +184,27 @@ pub fn run_closed_loop_opts(
             comm.size()
         )));
     }
-    let endpoint = if comm.is_master() {
-        Some(match &cfg.gateway {
-            Some(gcfg) => Endpoint::Gateway(SessionGateway::new(
-                acceptor.expect("validated above"),
-                gcfg.clone(),
-            )),
-            None => Endpoint::Single(SteeringServer::with_policy(
-                transport,
-                acceptor,
-                cfg.on_client_loss,
-            )),
-        })
-    } else {
-        None
+    let gateway_cfg = cfg.gateway.clone().unwrap_or_else(|| GatewayConfig {
+        frame_cache_entries: 0,
+        sparse_frames: false,
+        ..Default::default()
+    });
+    let sparse_frames = gateway_cfg.sparse_frames;
+    // Every rank keeps an identical *key* cache built from replicated
+    // state (the master additionally stores the encoded payload), so all
+    // ranks agree on hit vs miss without communicating — on a hit they
+    // all skip the same render/composite collectives. Deadline
+    // compositing can degrade a frame non-deterministically, so the
+    // cache is bypassed whenever a frame deadline is configured:
+    // replaying a degraded frame forever would be worse than
+    // re-rendering.
+    let cache_entries = match cfg.frame_deadline {
+        None => gateway_cfg.frame_cache_entries,
+        Some(_) => 0,
     };
+    let gateway = comm
+        .is_master()
+        .then(|| SessionGateway::new(transport, acceptor, gateway_cfg));
     let mut state = SteeringState::new(geo.shape());
     state.vis_rate = cfg.initial_vis_rate.max(1);
 
@@ -302,18 +238,6 @@ pub fn run_closed_loop_opts(
     let mut window_steps_done = 0u64;
     let mut loop_problems: Vec<String> = Vec::new();
 
-    // Rendered-frame cache, gateway mode only. Every rank keeps an
-    // identical *key* cache built from replicated state (the master
-    // additionally stores the encoded payload), so all ranks agree on
-    // hit vs miss without communicating — on a hit they all skip the
-    // same render/composite collectives. Deadline compositing can
-    // degrade a frame non-deterministically, so the cache is bypassed
-    // whenever a frame deadline is configured: replaying a degraded
-    // frame forever would be worse than re-rendering.
-    let cache_entries = match (&cfg.gateway, cfg.frame_deadline) {
-        (Some(g), None) => g.frame_cache_entries,
-        _ => 0,
-    };
     let mut frame_cache = FrameCache::new(cache_entries);
     let tf_family_hash = TransferFunction::heat(0.0, 1.0).family_hash();
 
@@ -322,11 +246,11 @@ pub fn run_closed_loop_opts(
         // The cycle broadcast carries the attachment flag alongside the
         // commands, so every rank agrees on whether periodic frames are
         // worth rendering (a headless run has nobody to show them to).
-        let (commands, attached): (Vec<SteeringCommand>, bool) = if let Some(ep) = &endpoint {
+        let (commands, attached): (Vec<SteeringCommand>, bool) = if let Some(gw) = &gateway {
             let span = comm.with_obs(|o| o.begin());
-            let cmds = ep.poll_commands();
+            let cmds = gw.poll_commands();
             comm.with_obs(|o| span.end(o, "steer.poll"));
-            let attached = ep.attached();
+            let attached = gw.session_count() > 0;
             let span = comm.with_obs(|o| o.begin());
             let mut w = WireWriter::new();
             w.put_bool(attached);
@@ -465,9 +389,9 @@ pub fn run_closed_loop_opts(
             let sums =
                 comm.all_reduce_f64_vec(vec![sites as f64, sum_rho, sum_speed], |a, b| a + b)?;
             let maxes = comm.all_reduce_f64_vec(vec![max_speed, max_wss], f64::max)?;
-            if let Some(ep) = &endpoint {
+            if let Some(gw) = &gateway {
                 let n = sums[0].max(1.0);
-                ep.send_observables(crate::protocol::ObservableReport {
+                gw.broadcast_observables(crate::protocol::ObservableReport {
                     step: outcome.steps_done,
                     sites: sums[0] as u64,
                     mean_density: sums[1] / n,
@@ -523,9 +447,7 @@ pub fn run_closed_loop_opts(
                 CacheLookup::Miss
             };
 
-            // What the master ships: a dense frame (single-client mode)
-            // or pre-encoded broadcast bytes (gateway mode).
-            let mut dense_image: Option<ImageFrame> = None;
+            // What the master ships: the encoded image message.
             let mut frame_bytes: Option<Bytes> = None;
             let mut dropped_ranks = Vec::new();
             match lookup {
@@ -607,26 +529,19 @@ pub fn run_closed_loop_opts(
                             height: image.height,
                             rgb: image.to_rgb8(),
                         };
-                        match &endpoint {
-                            Some(Endpoint::Gateway(_)) => {
-                                // Encode once (sparse run-length against
-                                // the white background, or dense); the
-                                // gateway fans the same bytes out to
-                                // every session and the cache replays
-                                // them on later hits.
-                                let sparse = cfg.gateway.as_ref().is_none_or(|g| g.sparse_frames);
-                                let msg = if sparse {
-                                    ServerMessage::ImageSparse(SparseImageFrame::from_dense(
-                                        &img,
-                                        [255, 255, 255],
-                                    ))
-                                } else {
-                                    ServerMessage::Image(img)
-                                };
-                                frame_bytes = Some(msg.to_bytes());
-                            }
-                            _ => dense_image = Some(img),
-                        }
+                        // Encode once (sparse run-length against the
+                        // white background, or dense); the gateway fans
+                        // the same bytes out to every session and the
+                        // cache replays them on later hits.
+                        let msg = if sparse_frames {
+                            ServerMessage::ImageSparse(SparseImageFrame::from_dense(
+                                &img,
+                                [255, 255, 255],
+                            ))
+                        } else {
+                            ServerMessage::Image(img)
+                        };
+                        frame_bytes = Some(msg.to_bytes());
                     }
                     if cache_entries > 0 {
                         // Collective insert: every rank records the key
@@ -670,7 +585,7 @@ pub fn run_closed_loop_opts(
             // master as part of the status problems.
             let rejections = state.take_rejections();
             let loop_notes = std::mem::take(&mut loop_problems);
-            if let Some(ep) = &endpoint {
+            if let Some(gw) = &gateway {
                 let span = comm.with_obs(|o| o.begin());
                 let mut problems = snap.validity_report();
                 problems.extend(rejections);
@@ -680,8 +595,8 @@ pub fn run_closed_loop_opts(
                         "degraded frame: compositing deadline dropped ranks {dropped_ranks:?}"
                     ));
                 }
-                problems.extend(ep.take_events());
-                ep.send_status(StatusReport {
+                problems.extend(gw.take_events());
+                gw.broadcast_status(StatusReport {
                     step: outcome.steps_done,
                     mass,
                     max_speed,
@@ -691,21 +606,12 @@ pub fn run_closed_loop_opts(
                     paused: state.paused,
                     rebalances: outcome.repartitions,
                     lb_imbalance: adaptive.as_ref().map_or(1.0, |d| d.last_imbalance()),
-                    sessions: ep.sessions(),
+                    sessions: gw.session_count() as u32,
                     cache_hits: frame_cache.hits(),
                     cache_misses: frame_cache.misses(),
                 });
-                match ep {
-                    Endpoint::Single(server) => {
-                        if let Some(img) = dense_image {
-                            server.send_image(img);
-                        }
-                    }
-                    Endpoint::Gateway(gw) => {
-                        if let Some(bytes) = frame_bytes {
-                            gw.broadcast_frame_bytes(bytes);
-                        }
-                    }
+                if let Some(bytes) = frame_bytes {
+                    gw.broadcast_frame_bytes(bytes);
                 }
                 comm.with_obs(|o| span.end(o, "steer.ship"));
             }
@@ -716,11 +622,12 @@ pub fn run_closed_loop_opts(
         }
     }
 
-    if let Some(ep) = &endpoint {
-        outcome.steering_bytes = ep.bytes_sent();
-        if let Endpoint::Gateway(gw) = ep {
-            outcome.sessions_peak = gw.sessions_peak();
-        }
+    if let Some(gw) = &gateway {
+        // Sends never block; push the run's last frame out before the
+        // gateway (and with it every transport) is dropped.
+        gw.flush();
+        outcome.steering_bytes = gw.bytes_sent();
+        outcome.sessions_peak = gw.sessions_peak();
     }
     outcome.cache_hits = frame_cache.hits();
     outcome.cache_misses = frame_cache.misses();
@@ -787,6 +694,49 @@ mod tests {
             assert!(!r.terminated_by_client);
         }
         assert!(results[0].steering_bytes > 0, "images were shipped");
+    }
+
+    #[test]
+    fn slow_link_to_the_only_client_does_not_end_the_run() {
+        // 256 B leave per pump against a ~2.3 KB frame every cycle: the
+        // backlog never empties, so it outlives any drain deadline (zero
+        // here). Nobody could replace this client, so the run must go on
+        // rather than detach it as wedged and terminate.
+        let geo = demo_geo();
+        let server_slot = Arc::new(Mutex::new(Some(crate::gateway::tests::backlogging(256))));
+        let results = run_spmd(2, move |comm| {
+            let transport = if comm.is_master() {
+                server_slot.lock().take()
+            } else {
+                None
+            };
+            run_closed_loop(
+                geo.clone(),
+                slab_owner(&geo, comm.size()),
+                SolverConfig::pressure_driven(1.005, 0.995),
+                comm,
+                transport,
+                &ClosedLoopConfig {
+                    max_steps: 100,
+                    image: (32, 24),
+                    initial_vis_rate: 10,
+                    steps_per_cycle: 10,
+                    gateway: Some(GatewayConfig {
+                        drain_deadline: Duration::ZERO,
+                        frame_cache_entries: 0,
+                        sparse_frames: false,
+                        ..Default::default()
+                    }),
+                    ..Default::default()
+                },
+            )
+            .unwrap()
+        });
+        for r in &results {
+            assert_eq!(r.steps_done, 100);
+            assert_eq!(r.frames_rendered, 10);
+            assert!(!r.terminated_by_client);
+        }
     }
 
     #[test]
@@ -1031,7 +981,6 @@ mod tests {
 
     #[test]
     fn client_loss_goes_headless_and_a_new_client_reattaches() {
-        use crate::server::ClientLossPolicy;
         use crate::transport::duplex_listener;
         let geo = demo_geo();
         let geo2 = geo.clone();
@@ -1073,7 +1022,6 @@ mod tests {
                     image: (16, 12),
                     initial_vis_rate: u32::MAX,
                     steps_per_cycle: 5,
-                    on_client_loss: ClientLossPolicy::Headless,
                     ..Default::default()
                 },
             )

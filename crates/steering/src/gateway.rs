@@ -1,12 +1,19 @@
-//! Multi-tenant session gateway: one simulation, many steering clients.
+//! The steering endpoint on the master rank: one simulation, N clients.
 //!
-//! The single-client [`crate::server::SteeringServer`] assumes one
-//! scientist driving one run. The ROADMAP north star is many users
-//! observing (and occasionally steering) shared runs, so the gateway
-//! decouples the one producer from N consumers, SENSEI-style:
+//! The paper's in situ loop (§IV-C-1, Fig. 2) has exactly one endpoint
+//! between clients and the simulation. This is it: one producer, N
+//! consumers, SENSEI-style, where the classic single scientist driving
+//! one run is simply N = 1.
 //!
+//! * a transport handed in at construction is seated silently as
+//!   session 1, the driver;
 //! * every client that dials the [`Acceptor`] becomes a **session**
 //!   with a monotonically increasing [`SessionId`];
+//! * when the last session is gone the run goes **headless** if there
+//!   is an acceptor (a client can attach later and resume steering),
+//!   and otherwise ends: nobody can ever attach again, so
+//!   [`SessionGateway::poll_commands`] yields
+//!   [`SteeringCommand::Terminate`];
 //! * exactly one session holds the **driver** role — only its commands
 //!   reach the simulation. Everyone else is an **observer** receiving
 //!   the status/image broadcast. The first session to attach drives;
@@ -19,7 +26,8 @@
 //!   never stall the simulation loop. A backlogged session walks a
 //!   degradation ladder: past `degrade_queued_bytes` it stops receiving
 //!   images (status-only), past `detach_queued_bytes` — or once its
-//!   backlog has failed to drain for `drain_deadline` — it is detached;
+//!   backlog has failed to drain for `drain_deadline` — it is detached
+//!   (the deadline spares a session nobody could replace);
 //! * identical observer views are served from a [`FrameCache`] keyed by
 //!   `(step, camera, ROI, transfer-function family)`: one render and
 //!   one run-length encode, N cheap sends.
@@ -50,16 +58,6 @@ impl std::fmt::Display for SessionId {
     }
 }
 
-/// What a session may do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Role {
-    /// Commands are applied to the simulation. Exactly one per gateway
-    /// (whenever any session exists at all).
-    Driver,
-    /// Receives the status/image broadcast; commands are rejected.
-    Observer,
-}
-
 /// Gateway tuning knobs.
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
@@ -72,7 +70,8 @@ pub struct GatewayConfig {
     pub detach_queued_bytes: u64,
     /// How long a session's backlog may stay non-empty before the
     /// session is declared wedged and detached (PR 4's deadline idea
-    /// applied to the send side).
+    /// applied to the send side). Not applied to the pre-connected
+    /// session of a gateway without an acceptor.
     pub drain_deadline: Duration,
     /// Rendered-frame cache capacity (entries). Zero disables caching.
     pub frame_cache_entries: usize,
@@ -250,7 +249,6 @@ impl FrameCache {
 }
 
 struct Session {
-    role: Role,
     transport: Box<dyn Transport>,
     /// When the send backlog last became non-empty (`None` = drained).
     backlog_since: Option<Instant>,
@@ -258,22 +256,22 @@ struct Session {
     status_only: bool,
 }
 
-/// The multi-session steering endpoint living on the master rank.
-///
-/// Interior mutability mirrors [`crate::server::SteeringServer`]: the
-/// closed loop holds it by shared reference.
+/// The steering endpoint living on the master rank. The closed loop
+/// holds it by shared reference, hence the interior mutability.
 pub struct SessionGateway {
-    acceptor: Box<dyn Acceptor>,
+    acceptor: Option<Box<dyn Acceptor>>,
     cfg: GatewayConfig,
     sessions: RefCell<BTreeMap<SessionId, Session>>,
     next_id: Cell<u64>,
     driver: Cell<Option<SessionId>>,
     events: RefCell<Vec<String>>,
-    /// Driver commands drained off a dying transport at detach time
-    /// (same salvage fix as the single-client server).
+    /// Driver commands drained off a dying transport at detach time,
+    /// returned by the next [`SessionGateway::poll_commands`]. A loss is
+    /// usually noticed on a *send*, when the driver may still have
+    /// decodable commands in flight.
     salvaged: RefCell<Vec<SteeringCommand>>,
-    /// Last broadcast frame, replayed to late joiners so they see a
-    /// picture immediately instead of waiting out the vis cadence.
+    /// Last broadcast frame, replayed to late-joining observers so they
+    /// see a picture immediately instead of waiting out the vis cadence.
     last_frame: RefCell<Option<Bytes>>,
     bytes_retired: Cell<u64>,
     attaches: Cell<u64>,
@@ -283,9 +281,16 @@ pub struct SessionGateway {
 }
 
 impl SessionGateway {
-    /// A gateway accepting sessions through `acceptor`.
-    pub fn new(acceptor: Box<dyn Acceptor>, cfg: GatewayConfig) -> Self {
-        SessionGateway {
+    /// The endpoint over either or both ends the closed loop receives:
+    /// an already-connected `transport`, seated as session 1 / driver
+    /// without an event (nothing happened that a client needs telling),
+    /// and an `acceptor` through which further sessions dial in.
+    pub fn new(
+        transport: Option<Box<dyn Transport>>,
+        acceptor: Option<Box<dyn Acceptor>>,
+        cfg: GatewayConfig,
+    ) -> Self {
+        let gw = SessionGateway {
             acceptor,
             cfg,
             sessions: RefCell::new(BTreeMap::new()),
@@ -299,7 +304,11 @@ impl SessionGateway {
             detaches: Cell::new(0),
             sessions_peak: Cell::new(0),
             frames_skipped_status_only: Cell::new(0),
+        };
+        if let Some(transport) = transport {
+            gw.seat(transport);
         }
+        gw
     }
 
     /// Concurrent sessions right now.
@@ -349,6 +358,11 @@ impl SessionGateway {
                 .sum::<u64>()
     }
 
+    /// A snapshot of the seated ids: loops over it may detach sessions.
+    fn session_ids(&self) -> Vec<SessionId> {
+        self.sessions.borrow().keys().copied().collect()
+    }
+
     fn event(&self, msg: String) {
         self.events.borrow_mut().push(msg);
     }
@@ -359,15 +373,18 @@ impl SessionGateway {
         let Some(session) = self.sessions.borrow_mut().remove(&id) else {
             return;
         };
-        let was_driver = session.role == Role::Driver;
-        let mut salvaged = 0usize;
+        let was_driver = self.driver.get() == Some(id);
+        let (mut salvaged, mut rejected) = (0usize, 0usize);
         if was_driver {
-            // Same bug class as the single-client server: the driver's
-            // last commands may still sit on the dying transport.
+            // The driver's last commands may still sit on the dying
+            // transport; an observer's would be rejected anyway.
             while let Ok(Some(frame)) = session.transport.try_recv_frame() {
-                if let Ok(cmd) = SteeringCommand::from_bytes(frame) {
-                    self.salvaged.borrow_mut().push(cmd);
-                    salvaged += 1;
+                match SteeringCommand::from_bytes(frame) {
+                    Ok(cmd) => {
+                        self.salvaged.borrow_mut().push(cmd);
+                        salvaged += 1;
+                    }
+                    Err(_) => rejected += 1,
                 }
             }
         }
@@ -375,11 +392,13 @@ impl SessionGateway {
             .set(self.bytes_retired.get() + session.transport.bytes_sent());
         self.detaches.set(self.detaches.get() + 1);
         let mut msg = format!("{id} detached: {why}");
-        if salvaged > 0 {
-            msg.push_str(&format!(" (salvaged {salvaged} queued command(s))"));
+        if salvaged > 0 || rejected > 0 {
+            msg.push_str(&format!(
+                " (salvaged {salvaged} queued command(s), rejected {rejected} undecodable)"
+            ));
         }
         self.event(msg);
-        if self.driver.get() == Some(id) {
+        if was_driver {
             self.driver.set(None);
             self.promote_driver(None);
         }
@@ -390,32 +409,46 @@ impl SessionGateway {
     /// session left). Lowest-id promotion makes hand-off a pure
     /// function of the session set — deterministic and testable.
     fn promote_driver(&self, exclude: Option<SessionId>) {
-        let mut sessions = self.sessions.borrow_mut();
-        let chosen = sessions
-            .keys()
-            .find(|id| Some(**id) != exclude)
-            .or_else(|| sessions.keys().next())
-            .copied();
+        let chosen = {
+            let sessions = self.sessions.borrow();
+            let others = sessions.keys().find(|id| Some(**id) != exclude);
+            others.or_else(|| sessions.keys().next()).copied()
+        };
         if let Some(id) = chosen {
-            if let Some(s) = sessions.get_mut(&id) {
-                s.role = Role::Driver;
-            }
             self.driver.set(Some(id));
-            if let Some(prev) = exclude {
-                if prev != id {
-                    if let Some(s) = sessions.get_mut(&prev) {
-                        s.role = Role::Observer;
-                    }
-                }
-            }
-            drop(sessions);
             self.event(format!("driver hand-off: {id} now drives"));
         }
     }
 
-    /// Accept every client currently knocking.
-    fn accept_pending(&self) {
-        while let Ok(Some(transport)) = self.acceptor.try_accept() {
+    /// Seat `transport` as the next session: the driver if nobody
+    /// drives, an observer otherwise.
+    fn seat(&self, transport: Box<dyn Transport>) -> SessionId {
+        let id = SessionId(self.next_id.get());
+        self.next_id.set(id.0 + 1);
+        if self.driver.get().is_none() {
+            self.driver.set(Some(id));
+        }
+        self.sessions.borrow_mut().insert(
+            id,
+            Session {
+                transport,
+                backlog_since: None,
+                status_only: false,
+            },
+        );
+        self.attaches.set(self.attaches.get() + 1);
+        self.sessions_peak
+            .set(self.sessions_peak.get().max(self.session_count() as u64));
+        id
+    }
+
+    /// Accept every client currently knocking; returns the new sessions.
+    fn accept_pending(&self) -> Vec<SessionId> {
+        let mut seated = Vec::new();
+        let Some(acceptor) = &self.acceptor else {
+            return seated;
+        };
+        while let Ok(Some(transport)) = acceptor.try_accept() {
             if self.session_count() >= self.cfg.max_sessions {
                 // Dropping the transport closes the connection.
                 self.event(format!(
@@ -424,52 +457,40 @@ impl SessionGateway {
                 ));
                 continue;
             }
-            let id = SessionId(self.next_id.get());
-            self.next_id.set(id.0 + 1);
-            let role = if self.driver.get().is_none() {
-                Role::Driver
+            // Catch-up for observers only: a session about to drive asks
+            // for what it wants, and must not get its predecessor's
+            // stale frame as the answer.
+            if self.driver.get().is_some() {
+                if let Some(frame) = self.last_frame.borrow().clone() {
+                    if transport.try_send_frame(frame).is_err() {
+                        self.event("a session died during attach".into());
+                        continue;
+                    }
+                }
+            }
+            let id = self.seat(transport);
+            let role = if self.driver.get() == Some(id) {
+                "driver"
             } else {
-                Role::Observer
+                "observer"
             };
-            // Catch-up: late joiners get the last broadcast frame
-            // immediately instead of waiting out the vis cadence.
-            if let Some(frame) = self.last_frame.borrow().clone() {
-                if transport.try_send_frame(frame).is_err() {
-                    self.event(format!("{id} died during attach"));
-                    continue;
-                }
-            }
-            self.sessions.borrow_mut().insert(
-                id,
-                Session {
-                    role,
-                    transport,
-                    backlog_since: None,
-                    status_only: false,
-                },
-            );
-            if role == Role::Driver {
-                self.driver.set(Some(id));
-            }
-            self.attaches.set(self.attaches.get() + 1);
-            self.sessions_peak
-                .set(self.sessions_peak.get().max(self.session_count() as u64));
-            self.event(format!(
-                "{id} attached as {}",
-                match role {
-                    Role::Driver => "driver",
-                    Role::Observer => "observer",
-                }
-            ));
+            self.event(format!("{id} attached as {role}"));
+            seated.push(id);
         }
+        seated
     }
 
     /// Walk every session down the degradation ladder: opportunistic
     /// flush, then status-only past `degrade_queued_bytes`, then detach
     /// past `detach_queued_bytes` or the drain deadline.
+    ///
+    /// The clock spares the one session a gateway without an acceptor
+    /// can have: nobody could replace it, so detaching it could only end
+    /// the run. A slow link thins out to status-only; only the byte cap
+    /// (a peer that reads nothing at all) removes it.
     fn pump(&self) {
-        let ids: Vec<SessionId> = self.sessions.borrow().keys().copied().collect();
-        for id in ids {
+        let irreplaceable = self.acceptor.is_none();
+        for id in self.session_ids() {
             let verdict = {
                 let mut sessions = self.sessions.borrow_mut();
                 let Some(s) = sessions.get_mut(&id) else {
@@ -488,7 +509,7 @@ impl SessionGateway {
                     Ok(pending) => {
                         let since = *s.backlog_since.get_or_insert_with(Instant::now);
                         if pending > self.cfg.detach_queued_bytes
-                            || since.elapsed() > self.cfg.drain_deadline
+                            || (!irreplaceable && since.elapsed() > self.cfg.drain_deadline)
                         {
                             Err(format!(
                                 "wedged: {pending} bytes backlogged for {:.1?}",
@@ -530,14 +551,10 @@ impl SessionGateway {
         }
     }
 
-    /// Accept dials, drain every session's inbound queue, arbitrate
-    /// roles, and pump the send queues. Returns the commands to apply —
-    /// the driver's stream, in order (salvaged commands first).
-    pub fn poll_commands(&self) -> Vec<SteeringCommand> {
-        self.accept_pending();
-        let mut out = std::mem::take(&mut *self.salvaged.borrow_mut());
-        let ids: Vec<SessionId> = self.sessions.borrow().keys().copied().collect();
-        for id in ids {
+    /// Drain the inbound queues of `ids` into `out`, arbitrating roles
+    /// and detaching dead or garbling sessions.
+    fn drain_inbound(&self, ids: &[SessionId], out: &mut Vec<SteeringCommand>) {
+        for &id in ids {
             loop {
                 let polled = {
                     let sessions = self.sessions.borrow();
@@ -575,16 +592,62 @@ impl SessionGateway {
                 }
             }
         }
+    }
+
+    /// Drain every session's inbound queue, accept dials, arbitrate
+    /// roles, and pump the send queues. Returns the commands to apply —
+    /// the driver's stream, in order (salvaged commands first).
+    ///
+    /// The seated sessions are drained — and the dead among them
+    /// detached — *before* the acceptor is polled, so a client redialing
+    /// in the poll that reaps its predecessor finds the seat (and the
+    /// driver role) free instead of being refused at capacity.
+    ///
+    /// With no session left and no acceptor nobody can ever attach
+    /// again: the stream ends in [`SteeringCommand::Terminate`].
+    pub fn poll_commands(&self) -> Vec<SteeringCommand> {
+        let mut out = std::mem::take(&mut *self.salvaged.borrow_mut());
+        self.drain_inbound(&self.session_ids(), &mut out);
+        let newcomers = self.accept_pending();
+        self.drain_inbound(&newcomers, &mut out);
         self.pump();
+        if self.acceptor.is_none() && self.session_count() == 0 {
+            out.push(SteeringCommand::Terminate);
+        }
         out
+    }
+
+    /// Pump until every session's send backlog has drained, giving up
+    /// once the total backlog has not shrunk for `drain_deadline` (a
+    /// slow link gets all the time it uses, a wedged one none beyond the
+    /// deadline). Sends never block, so without this the tail of a run —
+    /// its last frame — could still sit in a transport's buffer when the
+    /// gateway is dropped.
+    pub(crate) fn flush(&self) {
+        let mut least = u64::MAX;
+        let mut since = Instant::now();
+        loop {
+            self.pump();
+            let pending = |s: &Session| s.transport.pending_bytes();
+            let pending: u64 = self.sessions.borrow().values().map(pending).sum();
+            if pending == 0 {
+                return;
+            }
+            if pending < least {
+                least = pending;
+                since = Instant::now();
+            } else if since.elapsed() > self.cfg.drain_deadline {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     /// Broadcast an encoded [`ServerMessage`] to sessions, skipping
     /// image frames for status-only sessions when `is_image`. Send
     /// errors detach the session (terminal — never retry mid-frame).
     fn broadcast_bytes(&self, bytes: &Bytes, is_image: bool) {
-        let ids: Vec<SessionId> = self.sessions.borrow().keys().copied().collect();
-        for id in ids {
+        for id in self.session_ids() {
             let result = {
                 let sessions = self.sessions.borrow();
                 let Some(s) = sessions.get(&id) else { continue };
@@ -625,10 +688,10 @@ impl SessionGateway {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::protocol::ImageFrame;
-    use crate::transport::{duplex_listener, InMemoryTransport};
+    use crate::transport::{duplex_listener, duplex_pair, DuplexConnector, InMemoryTransport};
     use crossbeam_channel::{unbounded, Receiver, Sender};
     use parking_lot::Mutex;
 
@@ -637,6 +700,21 @@ mod tests {
             max_sessions: 8,
             ..Default::default()
         }
+    }
+
+    /// A gateway behind an in-memory acceptor, no pre-connected client.
+    fn listening(cfg: GatewayConfig) -> (DuplexConnector, SessionGateway) {
+        let (connector, acceptor) = duplex_listener();
+        let gw = SessionGateway::new(None, Some(Box::new(acceptor)), cfg);
+        (connector, gw)
+    }
+
+    /// A gateway over one pre-connected client and no acceptor — what
+    /// `run_closed_loop` builds. Returns the client end.
+    fn preconnected() -> (InMemoryTransport, SessionGateway) {
+        let (client_end, server_end) = duplex_pair();
+        let gw = SessionGateway::new(Some(Box::new(server_end)), None, small_cfg());
+        (client_end, gw)
     }
 
     fn status(step: u64) -> StatusReport {
@@ -668,8 +746,7 @@ mod tests {
 
     #[test]
     fn first_session_drives_listeners_observe() {
-        let (connector, acceptor) = duplex_listener();
-        let gw = SessionGateway::new(Box::new(acceptor), small_cfg());
+        let (connector, gw) = listening(small_cfg());
         let driver = connector.connect().unwrap();
         let observer = connector.connect().unwrap();
         driver
@@ -691,8 +768,7 @@ mod tests {
 
     #[test]
     fn broadcast_reaches_every_session() {
-        let (connector, acceptor) = duplex_listener();
-        let gw = SessionGateway::new(Box::new(acceptor), small_cfg());
+        let (connector, gw) = listening(small_cfg());
         let clients: Vec<InMemoryTransport> =
             (0..3).map(|_| connector.connect().unwrap()).collect();
         gw.poll_commands();
@@ -710,8 +786,7 @@ mod tests {
 
     #[test]
     fn driver_handoff_on_disconnect_is_deterministic() {
-        let (connector, acceptor) = duplex_listener();
-        let gw = SessionGateway::new(Box::new(acceptor), small_cfg());
+        let (connector, gw) = listening(small_cfg());
         let c1 = connector.connect().unwrap();
         let _c2 = connector.connect().unwrap();
         let _c3 = connector.connect().unwrap();
@@ -735,8 +810,7 @@ mod tests {
 
     #[test]
     fn explicit_release_hands_off_and_demotes() {
-        let (connector, acceptor) = duplex_listener();
-        let gw = SessionGateway::new(Box::new(acceptor), small_cfg());
+        let (connector, gw) = listening(small_cfg());
         let c1 = connector.connect().unwrap();
         let c2 = connector.connect().unwrap();
         gw.poll_commands();
@@ -761,23 +835,148 @@ mod tests {
 
     #[test]
     fn driver_commands_are_salvaged_at_detach() {
-        let (connector, acceptor) = duplex_listener();
-        let gw = SessionGateway::new(Box::new(acceptor), small_cfg());
+        let (connector, gw) = listening(small_cfg());
         let c1 = connector.connect().unwrap();
         gw.poll_commands();
         c1.send_frame(SteeringCommand::Pause.to_bytes()).unwrap();
+        c1.send_frame(SteeringCommand::SetVisRate(7).to_bytes())
+            .unwrap();
         drop(c1);
-        // The loss is noticed on a send before the commands are polled.
+        // The loss is noticed on a failed *send*, before the commands
+        // are polled: the send detaches, the next poll returns them.
         gw.broadcast_status(status(0));
+        assert_eq!(gw.session_count(), 0, "failed send detaches the client");
+        assert_eq!(
+            gw.poll_commands(),
+            vec![SteeringCommand::Pause, SteeringCommand::SetVisRate(7)]
+        );
+        let events = gw.take_events();
+        assert!(
+            events
+                .iter()
+                .any(|e| e.contains("detached") && e.contains("salvaged 2")),
+            "{events:?}"
+        );
+    }
+
+    #[test]
+    fn undecodable_leftovers_at_detach_are_rejected_explicitly() {
+        let (connector, gw) = listening(small_cfg());
+        let c1 = connector.connect().unwrap();
+        gw.poll_commands();
+        c1.send_frame(SteeringCommand::Resume.to_bytes()).unwrap();
+        c1.send_frame(Bytes::from_static(&[250, 9, 9])).unwrap();
+        drop(c1);
+        gw.broadcast_status(status(0));
+        assert_eq!(gw.poll_commands(), vec![SteeringCommand::Resume]);
+        let events = gw.take_events();
+        assert!(
+            events
+                .iter()
+                .any(|e| e.contains("salvaged 1") && e.contains("rejected 1")),
+            "{events:?}"
+        );
+    }
+
+    #[test]
+    fn preconnected_client_drives_in_order_without_an_event() {
+        let (client, gw) = preconnected();
+        assert_eq!(gw.driver_id(), Some(SessionId(1)));
+        assert_eq!((gw.session_count(), gw.attach_count()), (1, 1));
+        client
+            .send_frame(SteeringCommand::Pause.to_bytes())
+            .unwrap();
+        client
+            .send_frame(SteeringCommand::SetVisRate(10).to_bytes())
+            .unwrap();
+        assert_eq!(
+            gw.poll_commands(),
+            vec![SteeringCommand::Pause, SteeringCommand::SetVisRate(10)]
+        );
+        assert!(gw.poll_commands().is_empty());
+        // Adoption is not news: any event would land in every status
+        // report's `problems`.
+        assert!(gw.take_events().is_empty());
+    }
+
+    #[test]
+    fn losing_the_only_client_without_an_acceptor_terminates() {
+        // Dead peer.
+        let (client, gw) = preconnected();
+        drop(client);
+        assert_eq!(gw.poll_commands(), vec![SteeringCommand::Terminate]);
         assert_eq!(gw.session_count(), 0);
+        // Garbage frame.
+        let (client, gw) = preconnected();
+        client.send_frame(Bytes::from_static(&[250, 1, 2])).unwrap();
+        assert_eq!(gw.poll_commands(), vec![SteeringCommand::Terminate]);
+        // Nobody can attach any more, so every later poll says so too.
+        assert_eq!(gw.poll_commands(), vec![SteeringCommand::Terminate]);
+    }
+
+    #[test]
+    fn headless_gateway_survives_loss_and_reattach() {
+        let (connector, gw) = listening(small_cfg());
+        assert!(gw.poll_commands().is_empty(), "no client yet, no Terminate");
+        gw.broadcast_status(status(0)); // no-op with nobody attached
+
+        // First client attaches and steers.
+        let c1 = connector.connect().unwrap();
+        c1.send_frame(SteeringCommand::Pause.to_bytes()).unwrap();
         assert_eq!(gw.poll_commands(), vec![SteeringCommand::Pause]);
-        assert!(gw.take_events().iter().any(|e| e.contains("salvaged 1")));
+        assert_eq!((gw.session_count(), gw.attach_count()), (1, 1));
+        gw.broadcast_frame_bytes(image_bytes(1));
+        let sent_to_c1 = gw.bytes_sent();
+        assert!(sent_to_c1 > 0);
+
+        // It dies: the run goes headless instead of terminating.
+        drop(c1);
+        assert!(gw.poll_commands().is_empty(), "no Terminate injected");
+        assert_eq!(gw.session_count(), 0);
+
+        // A second client takes over; byte accounting spans both.
+        let c2 = connector.connect().unwrap();
+        c2.send_frame(SteeringCommand::Resume.to_bytes()).unwrap();
+        assert_eq!(gw.poll_commands(), vec![SteeringCommand::Resume]);
+        assert_eq!(gw.attach_count(), 2);
+        assert_eq!(gw.driver_id(), Some(SessionId(2)));
+        gw.broadcast_frame_bytes(image_bytes(2));
+        assert!(gw.bytes_sent() > sent_to_c1);
+
+        let events = gw.take_events();
+        assert_eq!(events.len(), 3, "attach, loss, attach: {events:?}");
+        assert!(events[0].contains("attached as driver"));
+        assert!(events[1].contains("detached"));
+        assert!(events[2].contains("attached as driver"));
+        assert!(gw.take_events().is_empty(), "drained");
+    }
+
+    #[test]
+    fn redial_in_the_poll_that_reaps_the_predecessor_drives() {
+        let (connector, gw) = listening(GatewayConfig {
+            max_sessions: 1,
+            ..Default::default()
+        });
+        let c1 = connector.connect().unwrap();
+        gw.poll_commands();
+        gw.broadcast_frame_bytes(image_bytes(3));
+        // c1 dies and c2 dials before the gateway polls again: the one
+        // poll must reap first, then accept into the freed seat.
+        drop(c1);
+        let c2 = connector.connect().unwrap();
+        c2.send_frame(SteeringCommand::Resume.to_bytes()).unwrap();
+        assert_eq!(gw.poll_commands(), vec![SteeringCommand::Resume]);
+        assert_eq!(gw.driver_id(), Some(SessionId(2)));
+        let events = gw.take_events();
+        assert!(!events.iter().any(|e| e.contains("refused")), "{events:?}");
+        // A session seated as driver gets no catch-up replay: c1's
+        // stale frame must not answer c2's first `RequestFrame`.
+        assert!(c2.try_recv_frame().unwrap().is_none());
     }
 
     #[test]
     fn late_joiner_gets_the_last_frame_immediately() {
-        let (connector, acceptor) = duplex_listener();
-        let gw = SessionGateway::new(Box::new(acceptor), small_cfg());
+        let (connector, gw) = listening(small_cfg());
         let _c1 = connector.connect().unwrap();
         gw.poll_commands();
         gw.broadcast_frame_bytes(image_bytes(42));
@@ -789,14 +988,10 @@ mod tests {
 
     #[test]
     fn session_cap_refuses_extra_dials() {
-        let (connector, acceptor) = duplex_listener();
-        let gw = SessionGateway::new(
-            Box::new(acceptor),
-            GatewayConfig {
-                max_sessions: 2,
-                ..Default::default()
-            },
-        );
+        let (connector, gw) = listening(GatewayConfig {
+            max_sessions: 2,
+            ..Default::default()
+        });
         let _a = connector.connect().unwrap();
         let _b = connector.connect().unwrap();
         let refused = connector.connect().unwrap();
@@ -807,11 +1002,21 @@ mod tests {
         assert!(refused.try_recv_frame().is_err());
     }
 
-    /// A transport whose send side wedges: try_send accepts frames into
-    /// a fake backlog that never drains.
+    /// A transport whose send side backs up: try_send accepts frames
+    /// into a fake backlog that drains `drains` bytes per flush — never,
+    /// when wedged.
     struct WedgedTransport {
         pending: Mutex<u64>,
         sent: Mutex<u64>,
+        drains: u64,
+    }
+
+    pub(crate) fn backlogging(drains: u64) -> Box<dyn Transport> {
+        Box::new(WedgedTransport {
+            pending: Mutex::new(0),
+            sent: Mutex::new(0),
+            drains,
+        })
     }
 
     impl Transport for WedgedTransport {
@@ -836,7 +1041,9 @@ mod tests {
             Ok(())
         }
         fn flush_pending(&self) -> std::io::Result<u64> {
-            Ok(*self.pending.lock())
+            let mut pending = self.pending.lock();
+            *pending = pending.saturating_sub(self.drains);
+            Ok(*pending)
         }
         fn pending_bytes(&self) -> u64 {
             *self.pending.lock()
@@ -863,7 +1070,8 @@ mod tests {
     fn wedged_observer_degrades_to_status_only_then_detaches() {
         let (tx, acceptor) = push_acceptor();
         let gw = SessionGateway::new(
-            Box::new(acceptor),
+            None,
+            Some(Box::new(acceptor)),
             GatewayConfig {
                 degrade_queued_bytes: 64,
                 detach_queued_bytes: 4096,
@@ -871,12 +1079,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert!(tx
-            .send(Box::new(WedgedTransport {
-                pending: Mutex::new(0),
-                sent: Mutex::new(0),
-            }))
-            .is_ok());
+        assert!(tx.send(backlogging(0)).is_ok());
         gw.poll_commands();
         assert_eq!(gw.session_count(), 1);
 
@@ -907,7 +1110,8 @@ mod tests {
     fn drain_deadline_detaches_a_stuck_backlog() {
         let (tx, acceptor) = push_acceptor();
         let gw = SessionGateway::new(
-            Box::new(acceptor),
+            None,
+            Some(Box::new(acceptor)),
             GatewayConfig {
                 degrade_queued_bytes: 1 << 30,
                 detach_queued_bytes: 1 << 30,
@@ -915,18 +1119,76 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert!(tx
-            .send(Box::new(WedgedTransport {
-                pending: Mutex::new(0),
-                sent: Mutex::new(0),
-            }))
-            .is_ok());
+        assert!(tx.send(backlogging(0)).is_ok());
         gw.poll_commands();
         gw.broadcast_status(status(0));
         gw.poll_commands(); // backlog noticed; clock starts
         std::thread::sleep(Duration::from_millis(30));
         gw.poll_commands();
         assert_eq!(gw.session_count(), 0, "deadline detach");
+    }
+
+    #[test]
+    fn flush_drains_slow_sessions_and_detaches_wedged_ones() {
+        let (tx, acceptor) = push_acceptor();
+        let gw = SessionGateway::new(
+            None,
+            Some(Box::new(acceptor)),
+            GatewayConfig {
+                degrade_queued_bytes: 1 << 30,
+                detach_queued_bytes: 1 << 30,
+                drain_deadline: Duration::from_millis(20),
+                ..Default::default()
+            },
+        );
+        assert!(tx.send(backlogging(64)).is_ok());
+        assert!(tx.send(backlogging(0)).is_ok());
+        gw.poll_commands();
+        gw.broadcast_frame_bytes(Bytes::from(vec![0u8; 300]));
+        // Returns once nothing is pending: the slow session needed
+        // several pumps, the wedged one ran out its deadline.
+        gw.flush();
+        assert_eq!(gw.session_count(), 1, "slow drained, wedged detached");
+        assert_eq!(gw.driver_id(), Some(SessionId(1)));
+        assert!(gw.take_events().iter().any(|e| e.contains("wedged")));
+    }
+
+    #[test]
+    fn slow_sole_client_without_an_acceptor_is_thinned_out_not_detached() {
+        // The old blocking server throttled the run to a slow link. With
+        // non-blocking sends the link's backlog outlives any deadline —
+        // zero here, so every backlogged pump is "past it" — and that
+        // must not cost the run its only possible client.
+        let cfg = GatewayConfig {
+            degrade_queued_bytes: 64,
+            detach_queued_bytes: 4096,
+            drain_deadline: Duration::ZERO,
+            ..Default::default()
+        };
+        let gw = SessionGateway::new(Some(backlogging(8)), None, cfg.clone());
+        gw.broadcast_frame_bytes(Bytes::from(vec![0u8; 400]));
+        for _ in 0..3 {
+            assert!(gw.poll_commands().is_empty(), "no Terminate");
+        }
+        assert_eq!(gw.session_count(), 1);
+        assert!(gw.take_events().iter().any(|e| e.contains("status-only")));
+        // The final flush lasts as long as the backlog keeps shrinking.
+        gw.flush();
+        assert_eq!(gw.session_count(), 1);
+        assert!(gw.take_events().iter().any(|e| e.contains("recovered")));
+
+        // A peer that reads nothing at all: flush gives up at the
+        // deadline, and the byte cap still ends it (and so the run).
+        let cfg = GatewayConfig {
+            degrade_queued_bytes: 1 << 30,
+            ..cfg
+        };
+        let gw = SessionGateway::new(Some(backlogging(0)), None, cfg);
+        gw.broadcast_frame_bytes(Bytes::from(vec![0u8; 400]));
+        gw.flush();
+        assert_eq!(gw.session_count(), 1);
+        gw.broadcast_frame_bytes(Bytes::from(vec![0u8; 4000]));
+        assert_eq!(gw.poll_commands(), vec![SteeringCommand::Terminate]);
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!
 //! Transports: an in-memory duplex for tests/benches and a real TCP
 //! framing for out-of-process clients. The closed-loop runner couples a
-//! [`hemelb_core::DistSolver`] with the in situ renderer and the
-//! steering server.
+//! [`hemelb_core::DistSolver`] with the in situ renderer and the one
+//! master-side endpoint, the [`SessionGateway`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,14 +36,11 @@ pub use adaptive::{AdaptiveDriver, WindowDecision};
 pub use client::{BackoffPolicy, SteeringClient, TransportFactory};
 pub use closedloop::{run_closed_loop, run_closed_loop_opts, ClosedLoopConfig, ClosedLoopOutcome};
 pub use error::{SteeringError, SteeringResult};
-pub use gateway::{
-    CacheLookup, FrameCache, FrameKey, GatewayConfig, Role, SessionGateway, SessionId,
-};
+pub use gateway::{CacheLookup, FrameCache, FrameKey, GatewayConfig, SessionGateway, SessionId};
 pub use protocol::{
     FieldChoice, ImageFrame, ObservableReport, SparseImageFrame, StatusReport, SteeringCommand,
     MAX_FRAME_LEN,
 };
-pub use server::{ClientLossPolicy, SteeringServer};
 pub use transport::{
     duplex_listener, duplex_pair, Acceptor, DuplexAcceptor, DuplexConnector, InMemoryTransport,
     TcpAcceptor, TcpTransport, Transport,

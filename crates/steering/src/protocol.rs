@@ -113,10 +113,9 @@ pub enum SteeringCommand {
     /// Enable or disable measurement-driven adaptive load balancing
     /// mid-run (the `ClosedLoopConfig::adaptive_lb` loop).
     SetAdaptiveLb(bool),
-    /// Give up the driver role voluntarily (multi-client gateway): the
-    /// sender becomes an observer and the longest-attached observer is
-    /// promoted to driver. A no-op at the simulation level and in
-    /// single-client sessions.
+    /// Give up the driver role voluntarily: the sender becomes an
+    /// observer and the longest-attached observer is promoted to
+    /// driver. A no-op at the simulation level, and for a sole session.
     ReleaseDriver,
     /// End the run.
     Terminate,
@@ -226,12 +225,11 @@ pub struct StatusReport {
     /// Most recently measured max/mean step-time imbalance (1.0 when no
     /// adaptive-LB window has completed yet).
     pub lb_imbalance: f64,
-    /// Steering sessions currently attached (0 or 1 in single-client
-    /// mode; any number under the session gateway).
+    /// Steering sessions currently attached.
     pub sessions: u32,
-    /// Rendered-frame cache hits so far (0 without a gateway).
+    /// Rendered-frame cache hits so far (0 with the cache off).
     pub cache_hits: u64,
-    /// Rendered-frame cache misses so far (0 without a gateway).
+    /// Rendered-frame cache misses so far (0 with the cache off).
     pub cache_misses: u64,
 }
 
@@ -294,8 +292,9 @@ impl Wire for ImageFrame {
         let height = r.get_u32()?;
         // u64 arithmetic: `width * height * 3` in u32 silently wraps for
         // a hostile 65536×65536 header, which would make a mismatched
-        // payload pass the check below.
-        let expect = width as u64 * height as u64 * 3;
+        // payload pass the check below. Two u32s fit a u64; the `× 3`
+        // on top need not, so it saturates.
+        let expect = (width as u64 * height as u64).saturating_mul(3);
         check_frame_len(expect.min(usize::MAX as u64) as usize)?;
         let rgb = r.get_bytes()?.to_vec();
         if rgb.len() as u64 != expect {
@@ -377,10 +376,7 @@ impl SparseImageFrame {
     /// [`SparseImageFrame::from_dense`]).
     pub fn to_dense(&self) -> ImageFrame {
         let npx = self.width as usize * self.height as usize;
-        let mut rgb = Vec::with_capacity(npx * 3);
-        for _ in 0..npx {
-            rgb.extend_from_slice(&self.background);
-        }
+        let mut rgb = self.background.repeat(npx);
         let mut src = 0usize;
         for &(start, count) in &self.runs {
             let (start, count) = (start as usize, count as usize);
@@ -429,7 +425,9 @@ impl Wire for SparseImageFrame {
                 reason: format!("sparse image claims {nruns} runs over {npx} pixels"),
             });
         }
-        let mut runs = Vec::with_capacity(nruns);
+        // Each run takes 8 bytes on the wire: reserve for no more runs
+        // than the frame can still carry, whatever `nruns` claims.
+        let mut runs = Vec::with_capacity(nruns.min(r.remaining() / 8));
         let mut covered = 0u64;
         let mut prev_end = 0u64;
         for _ in 0..nruns {
@@ -846,6 +844,20 @@ mod tests {
         w.put_f64(0.1); // max_speed
         w.put_f64(0.0); // residual
         w.put_u64(u64::MAX); // absurd problems count
+        assert!(ServerMessage::from_bytes(w.finish()).is_err());
+
+        // And for a sparse frame whose run count passes the `≤ pixels`
+        // check (20 M runs over 4000 × 5000) but carries no run bytes:
+        // the reservation is bounded by what the frame still holds.
+        let mut w = hemelb_parallel::WireWriter::new();
+        w.put_u8(3); // ServerMessage::ImageSparse
+        w.put_u64(0); // step
+        w.put_u32(4000); // width
+        w.put_u32(5000); // height
+        for _ in 0..3 {
+            w.put_u8(255); // background
+        }
+        w.put_u64(20_000_000); // run count, no runs behind it
         assert!(ServerMessage::from_bytes(w.finish()).is_err());
     }
 }

@@ -1,10 +1,9 @@
-//! The steering server state machine (lives on the master rank).
+//! The replicated steering state every rank applies the command stream
+//! to. The master-side endpoint that produces that stream is
+//! [`crate::gateway::SessionGateway`].
 
-use crate::protocol::{FieldChoice, ImageFrame, ServerMessage, StatusReport, SteeringCommand};
-use crate::transport::{Acceptor, Transport};
-use hemelb_parallel::Wire;
+use crate::protocol::{FieldChoice, SteeringCommand};
 use serde::{Deserialize, Serialize};
-use std::cell::{Cell, RefCell};
 
 /// Steering-relevant state, replicated on every rank by broadcasting
 /// the command stream (so the whole SPMD job stays consistent).
@@ -130,8 +129,7 @@ impl SteeringState {
             SteeringCommand::SetAdaptiveLb(on) => self.adaptive_lb_override = Some(*on),
             SteeringCommand::Terminate => self.terminate = true,
             // Session arbitration, not simulation state: the gateway
-            // consumes this before commands reach the replicated state,
-            // and a single-client server has no driver role to release.
+            // consumes this before commands reach the replicated state.
             SteeringCommand::ReleaseDriver => {}
         }
     }
@@ -148,224 +146,9 @@ impl SteeringState {
     }
 }
 
-/// What the master does when the steering client vanishes (or sends
-/// garbage) mid-run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ClientLossPolicy {
-    /// Treat the loss as a terminate request — the historical default:
-    /// an interactive session without its human stops.
-    #[default]
-    Terminate,
-    /// Keep simulating headless. With an [`Acceptor`] configured, a new
-    /// client can attach later and resume steering where the old one
-    /// left off.
-    Headless,
-}
-
-/// The master-rank endpoint: drains client commands, ships results.
-///
-/// The transport slot may be empty (headless): sends become no-ops and
-/// [`SteeringServer::poll_commands`] polls the acceptor, if any, for a
-/// client (re-)attaching to the running simulation.
-pub struct SteeringServer {
-    transport: RefCell<Option<Box<dyn Transport>>>,
-    acceptor: Option<Box<dyn Acceptor>>,
-    loss_policy: ClientLossPolicy,
-    /// Bytes sent over transports that have since been dropped.
-    bytes_retired: Cell<u64>,
-    /// Times a client attached via the acceptor.
-    attach_count: Cell<u64>,
-    /// Human-readable connection events (attach/loss), drained into
-    /// status reports by the closed loop.
-    events: RefCell<Vec<String>>,
-    /// Commands drained off a dying transport at detach time, returned
-    /// by the next [`SteeringServer::poll_commands`]. Before this
-    /// existed, anything the client sent between the loss being noticed
-    /// (often via a failed send) and the transport being dropped was
-    /// silently lost.
-    salvaged: RefCell<Vec<SteeringCommand>>,
-}
-
-impl SteeringServer {
-    /// Wrap a connected transport. Client loss terminates the run (the
-    /// historical behaviour); there is no acceptor to re-attach through.
-    pub fn new(transport: Box<dyn Transport>) -> Self {
-        Self::with_policy(Some(transport), None, ClientLossPolicy::Terminate)
-    }
-
-    /// Full wiring: an optionally already-connected client, an optional
-    /// acceptor for (re-)attachment, and the loss policy.
-    pub fn with_policy(
-        transport: Option<Box<dyn Transport>>,
-        acceptor: Option<Box<dyn Acceptor>>,
-        loss_policy: ClientLossPolicy,
-    ) -> Self {
-        SteeringServer {
-            attach_count: Cell::new(transport.is_some() as u64),
-            transport: RefCell::new(transport),
-            acceptor,
-            loss_policy,
-            bytes_retired: Cell::new(0),
-            events: RefCell::new(Vec::new()),
-            salvaged: RefCell::new(Vec::new()),
-        }
-    }
-
-    /// Headless from the start: simulate with no client, let one attach
-    /// through `acceptor` whenever it likes.
-    pub fn headless(acceptor: Box<dyn Acceptor>) -> Self {
-        Self::with_policy(None, Some(acceptor), ClientLossPolicy::Headless)
-    }
-
-    /// Whether a client is currently attached.
-    pub fn is_attached(&self) -> bool {
-        self.transport.borrow().is_some()
-    }
-
-    /// How many times a client has attached (initial connection
-    /// included).
-    pub fn attach_count(&self) -> u64 {
-        self.attach_count.get()
-    }
-
-    /// Drain pending connection events (client attached / client lost).
-    pub fn take_events(&self) -> Vec<String> {
-        std::mem::take(&mut *self.events.borrow_mut())
-    }
-
-    /// Drop the current client connection, accounting its bytes.
-    ///
-    /// Before dropping the transport, drain any commands still queued
-    /// on it: a loss is usually noticed on a *send* (e.g. a failed
-    /// image ship), at which point the client may have decodable
-    /// commands in flight that would otherwise vanish with the
-    /// transport. Salvaged commands are returned by the next
-    /// [`SteeringServer::poll_commands`]; undecodable leftovers are
-    /// rejected explicitly. Both outcomes are surfaced in the loss
-    /// event so `take_events()` / `StatusReport.problems` show what
-    /// happened instead of losing commands silently.
-    fn detach(&self, why: &str) {
-        if let Some(old) = self.transport.borrow_mut().take() {
-            let mut salvaged = 0usize;
-            let mut rejected = 0usize;
-            while let Ok(Some(frame)) = old.try_recv_frame() {
-                match SteeringCommand::from_bytes(frame) {
-                    Ok(cmd) => {
-                        self.salvaged.borrow_mut().push(cmd);
-                        salvaged += 1;
-                    }
-                    Err(_) => rejected += 1,
-                }
-            }
-            self.bytes_retired
-                .set(self.bytes_retired.get() + old.bytes_sent());
-            let mut event = format!("steering client lost: {why}");
-            if salvaged > 0 || rejected > 0 {
-                event.push_str(&format!(
-                    " (salvaged {salvaged} queued command(s), rejected {rejected} undecodable)"
-                ));
-            }
-            self.events.borrow_mut().push(event);
-        }
-    }
-
-    /// React to a dead or garbling client per the loss policy.
-    fn on_client_loss(&self, why: &str, out: &mut Vec<SteeringCommand>) {
-        match self.loss_policy {
-            ClientLossPolicy::Terminate => out.push(SteeringCommand::Terminate),
-            ClientLossPolicy::Headless => self.detach(why),
-        }
-    }
-
-    /// Drain all commands currently queued by the client. A transport
-    /// error (client gone) follows the loss policy: terminate (default)
-    /// or detach and keep simulating headless. While detached, the
-    /// acceptor (if any) is polled so a new client can take over.
-    pub fn poll_commands(&self) -> Vec<SteeringCommand> {
-        if self.transport.borrow().is_none() {
-            if let Some(acceptor) = &self.acceptor {
-                if let Ok(Some(t)) = acceptor.try_accept() {
-                    *self.transport.borrow_mut() = Some(t);
-                    self.attach_count.set(self.attach_count.get() + 1);
-                    self.events
-                        .borrow_mut()
-                        .push("steering client attached".into());
-                }
-            }
-        }
-        // Commands salvaged off a dying transport come first: they were
-        // sent before anything the current transport holds.
-        let mut out = std::mem::take(&mut *self.salvaged.borrow_mut());
-        loop {
-            let polled = match self.transport.borrow().as_deref() {
-                None => return out,
-                Some(t) => t.try_recv_frame(),
-            };
-            match polled {
-                Ok(Some(frame)) => match SteeringCommand::from_bytes(frame) {
-                    Ok(cmd) => out.push(cmd),
-                    Err(e) => {
-                        self.on_client_loss(&format!("undecodable command: {e}"), &mut out);
-                        break;
-                    }
-                },
-                Ok(None) => break,
-                Err(e) => {
-                    self.on_client_loss(&e.to_string(), &mut out);
-                    break;
-                }
-            }
-        }
-        out
-    }
-
-    /// Ship one message; a send failure means the client is gone, which
-    /// under the headless policy detaches it (the next poll may accept
-    /// a replacement). Under the terminate policy errors are ignored —
-    /// a vanished client must not kill the run mid-collective; the next
-    /// poll sees the disconnect.
-    fn ship(&self, msg: ServerMessage) {
-        let result = match self.transport.borrow().as_deref() {
-            None => return,
-            Some(t) => t.send_frame(msg.to_bytes()),
-        };
-        if let Err(e) = result {
-            if self.loss_policy == ClientLossPolicy::Headless {
-                self.detach(&e.to_string());
-            }
-        }
-    }
-
-    /// Send a status report.
-    pub fn send_status(&self, status: StatusReport) {
-        self.ship(ServerMessage::Status(status));
-    }
-
-    /// Send an image frame.
-    pub fn send_image(&self, image: ImageFrame) {
-        self.ship(ServerMessage::Image(image));
-    }
-
-    /// Send an observable report.
-    pub fn send_observables(&self, report: crate::protocol::ObservableReport) {
-        self.ship(ServerMessage::Observables(report));
-    }
-
-    /// Steering bytes sent so far, across all client connections.
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_retired.get()
-            + self
-                .transport
-                .borrow()
-                .as_ref()
-                .map_or(0, |t| t.bytes_sent())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::duplex_pair;
 
     #[test]
     fn state_applies_commands() {
@@ -435,213 +218,5 @@ mod tests {
             assert!(r.contains("rejected ROI"), "{r}");
         }
         assert!(st.take_rejections().is_empty(), "drained");
-    }
-
-    #[test]
-    fn server_drains_queued_commands_in_order() {
-        let (client_end, server_end) = duplex_pair();
-        let server = SteeringServer::new(Box::new(server_end));
-        client_end
-            .send_frame(SteeringCommand::Pause.to_bytes())
-            .unwrap();
-        client_end
-            .send_frame(SteeringCommand::SetVisRate(10).to_bytes())
-            .unwrap();
-        let cmds = server.poll_commands();
-        assert_eq!(
-            cmds,
-            vec![SteeringCommand::Pause, SteeringCommand::SetVisRate(10)]
-        );
-        assert!(server.poll_commands().is_empty());
-    }
-
-    #[test]
-    fn dead_client_becomes_terminate() {
-        let (client_end, server_end) = duplex_pair();
-        let server = SteeringServer::new(Box::new(server_end));
-        drop(client_end);
-        let cmds = server.poll_commands();
-        assert_eq!(cmds, vec![SteeringCommand::Terminate]);
-    }
-
-    #[test]
-    fn headless_server_survives_loss_and_reattach() {
-        use crate::transport::duplex_listener;
-        let (connector, acceptor) = duplex_listener();
-        let server = SteeringServer::headless(Box::new(acceptor));
-        assert!(!server.is_attached());
-        assert!(server.poll_commands().is_empty(), "no client yet");
-        server.send_status(StatusReport {
-            step: 0,
-            mass: 1.0,
-            max_speed: 0.0,
-            residual: 0.0,
-            problems: vec![],
-            eta_steps: 10,
-            paused: false,
-            rebalances: 0,
-            lb_imbalance: 1.0,
-            sessions: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-        }); // no-op while detached
-
-        // First client attaches and steers.
-        let c1 = connector.connect().unwrap();
-        c1.send_frame(SteeringCommand::Pause.to_bytes()).unwrap();
-        assert_eq!(server.poll_commands(), vec![SteeringCommand::Pause]);
-        assert!(server.is_attached());
-        assert_eq!(server.attach_count(), 1);
-        let sent_to_c1 = {
-            server.send_image(ImageFrame {
-                step: 1,
-                width: 1,
-                height: 1,
-                rgb: vec![0, 0, 0],
-            });
-            server.bytes_sent()
-        };
-        assert!(sent_to_c1 > 0);
-
-        // It dies: the run goes headless instead of terminating.
-        drop(c1);
-        assert!(server.poll_commands().is_empty(), "no Terminate injected");
-        assert!(!server.is_attached());
-
-        // A second client takes over; byte accounting spans both.
-        let c2 = connector.connect().unwrap();
-        c2.send_frame(SteeringCommand::Resume.to_bytes()).unwrap();
-        assert_eq!(server.poll_commands(), vec![SteeringCommand::Resume]);
-        assert_eq!(server.attach_count(), 2);
-        server.send_image(ImageFrame {
-            step: 2,
-            width: 1,
-            height: 1,
-            rgb: vec![0, 0, 0],
-        });
-        assert!(server.bytes_sent() > sent_to_c1);
-
-        let events = server.take_events();
-        assert_eq!(events.len(), 3, "attach, loss, attach: {events:?}");
-        assert!(events[0].contains("attached"));
-        assert!(events[1].contains("lost"));
-        assert!(server.take_events().is_empty(), "drained");
-    }
-
-    #[test]
-    fn send_failure_detaches_headless_client() {
-        use crate::transport::duplex_listener;
-        let (connector, acceptor) = duplex_listener();
-        let server = SteeringServer::headless(Box::new(acceptor));
-        let c1 = connector.connect().unwrap();
-        while !server.is_attached() {
-            server.poll_commands();
-        }
-        drop(c1);
-        server.send_status(StatusReport {
-            step: 0,
-            mass: 1.0,
-            max_speed: 0.0,
-            residual: 0.0,
-            problems: vec![],
-            eta_steps: 10,
-            paused: false,
-            rebalances: 0,
-            lb_imbalance: 1.0,
-            sessions: 1,
-            cache_hits: 0,
-            cache_misses: 0,
-        });
-        assert!(!server.is_attached(), "failed send detaches the client");
-        assert!(server.take_events().iter().any(|e| e.contains("lost")));
-    }
-
-    #[test]
-    fn commands_in_flight_at_detach_are_salvaged_not_dropped() {
-        use crate::transport::duplex_listener;
-        let (connector, acceptor) = duplex_listener();
-        let server = SteeringServer::headless(Box::new(acceptor));
-        let c1 = connector.connect().unwrap();
-        while !server.is_attached() {
-            server.poll_commands();
-        }
-        // The client sends commands, then vanishes before the server
-        // polls them; the server notices the loss on a failed *send*.
-        c1.send_frame(SteeringCommand::Pause.to_bytes()).unwrap();
-        c1.send_frame(SteeringCommand::SetVisRate(7).to_bytes())
-            .unwrap();
-        drop(c1);
-        server.send_status(StatusReport {
-            step: 3,
-            mass: 1.0,
-            max_speed: 0.0,
-            residual: 0.0,
-            problems: vec![],
-            eta_steps: 10,
-            paused: false,
-            rebalances: 0,
-            lb_imbalance: 1.0,
-            sessions: 1,
-            cache_hits: 0,
-            cache_misses: 0,
-        });
-        assert!(!server.is_attached(), "failed send detaches the client");
-        // The detach→re-attach window used to drop these on the floor.
-        assert_eq!(
-            server.poll_commands(),
-            vec![SteeringCommand::Pause, SteeringCommand::SetVisRate(7)]
-        );
-        let events = server.take_events();
-        assert!(
-            events.iter().any(|e| e.contains("salvaged 2")),
-            "salvage is surfaced in events: {events:?}"
-        );
-    }
-
-    #[test]
-    fn undecodable_leftovers_at_detach_are_rejected_explicitly() {
-        use crate::transport::duplex_listener;
-        let (connector, acceptor) = duplex_listener();
-        let server = SteeringServer::headless(Box::new(acceptor));
-        let c1 = connector.connect().unwrap();
-        while !server.is_attached() {
-            server.poll_commands();
-        }
-        c1.send_frame(SteeringCommand::Resume.to_bytes()).unwrap();
-        c1.send_frame(bytes::Bytes::from_static(&[250, 9, 9]))
-            .unwrap();
-        drop(c1);
-        server.send_status(StatusReport {
-            step: 0,
-            mass: 1.0,
-            max_speed: 0.0,
-            residual: 0.0,
-            problems: vec![],
-            eta_steps: 1,
-            paused: false,
-            rebalances: 0,
-            lb_imbalance: 1.0,
-            sessions: 1,
-            cache_hits: 0,
-            cache_misses: 0,
-        });
-        assert_eq!(server.poll_commands(), vec![SteeringCommand::Resume]);
-        let events = server.take_events();
-        assert!(
-            events
-                .iter()
-                .any(|e| e.contains("salvaged 1") && e.contains("rejected 1")),
-            "{events:?}"
-        );
-    }
-
-    #[test]
-    fn garbage_frame_becomes_terminate() {
-        let (client_end, server_end) = duplex_pair();
-        let server = SteeringServer::new(Box::new(server_end));
-        client_end
-            .send_frame(bytes::Bytes::from_static(&[250, 1, 2]))
-            .unwrap();
-        assert_eq!(server.poll_commands(), vec![SteeringCommand::Terminate]);
     }
 }

@@ -10,8 +10,8 @@ use hemelb::parallel::{
     run_spmd, run_spmd_opts, FaultEvent, FaultKind, FaultPlan, SpmdOptions, TagClass,
 };
 use hemelb::steering::{
-    duplex_listener, run_closed_loop_opts, BackoffPolicy, ClientLossPolicy, ClosedLoopConfig,
-    SteeringClient, SteeringCommand, Transport, TransportFactory,
+    duplex_listener, run_closed_loop_opts, BackoffPolicy, ClosedLoopConfig, SteeringClient,
+    SteeringCommand, Transport, TransportFactory,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -207,7 +207,6 @@ fn dead_render_rank_yields_degraded_frame_not_a_hang() {
                 initial_vis_rate: u32::MAX,
                 steps_per_cycle: 5,
                 frame_deadline: Some(std::time::Duration::from_millis(100)),
-                on_client_loss: ClientLossPolicy::Headless,
                 ..Default::default()
             },
         )
@@ -329,7 +328,6 @@ fn dropped_steering_client_auto_reconnects_with_backoff() {
                 image: (16, 12),
                 initial_vis_rate: u32::MAX,
                 steps_per_cycle: 5,
-                on_client_loss: ClientLossPolicy::Headless,
                 ..Default::default()
             },
         )

@@ -240,35 +240,140 @@ proptest! {
     }
 
     #[test]
-    fn steering_commands_round_trip(kind in 0u8..10, a in any::<f64>(), b in any::<u32>()) {
-        use hemelb::steering::{FieldChoice, SteeringCommand};
-        let a = if a.is_finite() { a } else { 1.0 };
-        let cmd = match kind {
-            0 => SteeringCommand::SetCamera {
-                eye: [a, 1.0, 2.0],
-                target: [0.0, a, 0.0],
-                up: [0.0, 0.0, 1.0],
-                fov_y: 0.7,
-            },
-            1 => SteeringCommand::SetField(match b % 3 {
-                0 => FieldChoice::Density,
-                1 => FieldChoice::Speed,
-                _ => FieldChoice::Shear,
-            }),
-            2 => SteeringCommand::SetVisRate(b),
-            3 => SteeringCommand::SetRoi {
-                lo: [b % 100, 0, 1],
-                hi: [b % 100 + 5, 10, 11],
-            },
-            4 => SteeringCommand::SetInletPressure { id: b % 4, rho: a },
-            5 => SteeringCommand::Pause,
-            6 => SteeringCommand::Resume,
-            7 => SteeringCommand::RequestFrame,
-            8 => SteeringCommand::RequestObservables,
-            _ => SteeringCommand::Terminate,
-        };
+    fn steering_commands_round_trip(kind in 0u8..12, a in any::<f64>(), b in any::<u32>()) {
+        use hemelb::steering::SteeringCommand;
+        let cmd = steering_command(kind, a, b);
         let bytes = cmd.to_bytes();
         prop_assert_eq!(SteeringCommand::from_bytes(bytes).unwrap(), cmd);
+    }
+}
+
+/// One of the 12 steering command kinds, filled from drawn raw values.
+fn steering_command(kind: u8, a: f64, b: u32) -> hemelb::steering::SteeringCommand {
+    use hemelb::steering::{FieldChoice, SteeringCommand};
+    let a = if a.is_finite() { a } else { 1.0 };
+    match kind {
+        0 => SteeringCommand::SetCamera {
+            eye: [a, 1.0, 2.0],
+            target: [0.0, a, 0.0],
+            up: [0.0, 0.0, 1.0],
+            fov_y: 0.7,
+        },
+        1 => SteeringCommand::SetField(match b % 3 {
+            0 => FieldChoice::Density,
+            1 => FieldChoice::Speed,
+            _ => FieldChoice::Shear,
+        }),
+        2 => SteeringCommand::SetVisRate(b),
+        3 => SteeringCommand::SetRoi {
+            lo: [b % 100, 0, 1],
+            hi: [b % 100 + 5, 10, 11],
+        },
+        4 => SteeringCommand::SetInletPressure { id: b % 4, rho: a },
+        5 => SteeringCommand::Pause,
+        6 => SteeringCommand::Resume,
+        7 => SteeringCommand::RequestFrame,
+        8 => SteeringCommand::RequestObservables,
+        9 => SteeringCommand::Terminate,
+        10 => SteeringCommand::SetAdaptiveLb(b & 1 == 0),
+        11 => SteeringCommand::ReleaseDriver,
+        _ => unreachable!("12 command kinds"),
+    }
+}
+
+/// A valid server message of each kind a client decodes off the
+/// socket. Images are 4 × 3; bit `i` of `b` decides whether pixel `i`
+/// is background, so sparse frames carry anything from zero runs to six.
+fn server_message(
+    kind: u8,
+    a: f64,
+    b: u32,
+    pixels: &[u8],
+) -> hemelb::steering::protocol::ServerMessage {
+    use hemelb::steering::protocol::ServerMessage;
+    use hemelb::steering::{ImageFrame, ObservableReport, SparseImageFrame, StatusReport};
+    let mut rgb = pixels.to_vec();
+    for (i, px) in rgb.chunks_mut(3).enumerate() {
+        if b >> i & 1 == 0 {
+            px.fill(255);
+        }
+    }
+    let image = ImageFrame {
+        step: b as u64,
+        width: 4,
+        height: 3,
+        rgb,
+    };
+    match kind {
+        0 => ServerMessage::Status(StatusReport {
+            step: b as u64,
+            mass: a,
+            max_speed: 0.1,
+            residual: 1e-6,
+            problems: (0..b % 3).map(|i| format!("problem {i}: {a}")).collect(),
+            eta_steps: 10,
+            paused: b & 1 == 0,
+            rebalances: 1,
+            lb_imbalance: 1.0,
+            sessions: 2,
+            cache_hits: 3,
+            cache_misses: 4,
+        }),
+        1 => ServerMessage::Image(image),
+        2 => ServerMessage::ImageSparse(SparseImageFrame::from_dense(&image, [255; 3])),
+        3 => ServerMessage::Observables(ObservableReport {
+            step: b as u64,
+            sites: 12,
+            mean_density: a,
+            mean_speed: 0.01,
+            max_speed: 0.02,
+            max_wss: 0.003,
+            roi: (b & 1 == 0).then_some(([0, 1, 2], [b % 50 + 3, 4, 5])),
+        }),
+        _ => unreachable!("4 server message kinds"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn steering_decoders_survive_truncation_and_bit_flips(
+        cmd_kind in 0u8..12,
+        msg_kind in 0u8..4,
+        a in any::<f64>(),
+        b in any::<u32>(),
+        pixels in proptest::collection::vec(any::<u8>(), 36..37),
+    ) {
+        // Both ends read these bytes off a socket: every truncation and
+        // every single-bit flip of a valid encoding must come back as
+        // `Ok` or `Err`, never a panic or an absurd allocation.
+        use hemelb::steering::protocol::ServerMessage;
+        use hemelb::steering::SteeringCommand;
+        let mutations = |valid: bytes::Bytes| {
+            let valid = valid.to_vec();
+            let truncations = (0..valid.len()).map({
+                let valid = valid.clone();
+                move |len| valid[..len].to_vec()
+            });
+            let flips = (0..valid.len() * 8).map(move |bit| {
+                let mut flipped = valid.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                flipped
+            });
+            truncations.chain(flips).map(bytes::Bytes::from)
+        };
+        for hostile in mutations(steering_command(cmd_kind, a, b).to_bytes()) {
+            let _ = SteeringCommand::from_bytes(hostile);
+        }
+        for hostile in mutations(server_message(msg_kind, a, b, &pixels).to_bytes()) {
+            // `to_dense` indexes by the decoded runs: decode-time
+            // validation is all that keeps it in bounds.
+            if let Ok(ServerMessage::ImageSparse(sparse)) = ServerMessage::from_bytes(hostile) {
+                let dense = sparse.to_dense();
+                prop_assert_eq!(dense.rgb.len() as u64, 3 * sparse.width as u64 * sparse.height as u64);
+            }
+        }
     }
 }
 
