@@ -152,12 +152,15 @@ group_determinism() {
     stage render      cargo test -q --test render_compositing
 }
 
-# Overlapped halo exchange: classifier per-orientation suite, the
-# overlapped == sync == serial bitwise equivalence proptests (incl.
-# checkpoint hand-off between schedules and injected delays), the E18
-# smoke writing out/BENCH_overlap.json, and its regression gate.
+# Distributed step schedule: the storage-order and overlap on == off ==
+# serial bitwise equivalence proptests over slab-to-scatter owner maps
+# (incl. checkpoint hand-off between the settings and injected delays),
+# the allocation budget of the step path (a count per rank-step that
+# does not depend on map fragmentation), the E18 smoke writing
+# out/BENCH_overlap.json, and its regression gate.
 group_overlap() {
     stage overlap cargo test -q --test overlap
+    stage alloc-budget cargo test -q --test alloc_budget
     # shellcheck disable=SC2046
     stage overlap-smoke cargo run --release -q -p hemelb-bench --bin reproduce -- $(gated_smoke overlap)
     gate overlap

@@ -1,7 +1,8 @@
 //! Experiment E18 — communication/computation overlap: the synchronous
-//! halo exchange against the frontier-first overlapped schedule, on the
-//! standard aneurysm workload, with and without an injected per-peer
-//! delay.
+//! halo exchange (`overlap = false`: the one distributed schedule with
+//! nothing held back to compute under the sends) against the
+//! frontier-first overlapped schedule, on the standard aneurysm
+//! workload, with and without an injected per-peer delay.
 //!
 //! The co-design claim being measured: a sparse-geometry LB rank spends
 //! its halo time *waiting*, not transferring — so colliding the

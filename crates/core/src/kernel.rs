@@ -3,7 +3,7 @@
 //!
 //! The serial [`Solver`], the [`ParallelSolver`] here and the distributed
 //! solver all step through the three drivers below; they differ only in
-//! the site ranges and the thread count they pass. Pull streaming reads
+//! the site range and the thread count they pass. Pull streaming reads
 //! only the previous-step buffer and every site writes only its own
 //! `f_next` entries, so partitioning the site list into contiguous
 //! chunks and running them on worker threads is race-free **and**
@@ -16,32 +16,8 @@ use crate::fields::FieldSnapshot;
 use crate::layout::{collide_span_soa, macroscopics_span_soa, stream_span_soa, SoaLattice};
 use crate::solver::{Solver, SolverConfig};
 use hemelb_geometry::SparseGeometry;
+use std::ops::Range;
 use std::sync::Arc;
-
-/// Split a list of ascending, disjoint `(start, len)` site ranges into
-/// `(first_site, len)` chunks of at most ⌈total/threads⌉ sites, each
-/// contained in one source range. The subdivision never affects results
-/// — collide is per-site independent and stream writes disjoint outputs
-/// — only which thread computes which sites.
-pub(crate) fn range_chunks(ranges: &[(u32, u32)], threads: usize) -> Vec<(usize, usize)> {
-    let total: usize = ranges.iter().map(|&(_, len)| len as usize).sum();
-    if total == 0 {
-        return Vec::new();
-    }
-    let chunk = total.div_ceil(threads.max(1));
-    let mut out = Vec::new();
-    for &(start, len) in ranges {
-        let mut first = start as usize;
-        let mut rem = len as usize;
-        while rem > 0 {
-            let take = chunk.min(rem);
-            out.push((first, take));
-            first += take;
-            rem -= take;
-        }
-    }
-    out
-}
 
 /// Detach the first `len` elements of `rest`, leaving the tail — the
 /// safe-Rust way to hand disjoint spans of one array to workers.
@@ -51,99 +27,86 @@ fn take_span<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
     head
 }
 
-/// Carve `lanes` into one bundle per chunk — the same site span of every
-/// direction, for one worker; sites between chunks are skipped.
-fn split_lanes<'a>(
-    lanes: &'a mut [Vec<f64>],
-    chunks: &[(usize, usize)],
-) -> Vec<Vec<&'a mut [f64]>> {
-    let mut rest: Vec<&mut [f64]> = lanes.iter_mut().map(|l| l.as_mut_slice()).collect();
-    let mut cursor = 0;
-    chunks
-        .iter()
-        .map(|&(first, len)| {
-            for lane in rest.iter_mut() {
-                take_span(lane, first - cursor);
-            }
-            cursor = first + len;
-            rest.iter_mut().map(|lane| take_span(lane, len)).collect()
-        })
+/// Per-site state a worker can own a contiguous span of: `carve`
+/// detaches the first `len` sites and leaves the rest.
+trait Carve {
+    fn carve(&mut self, len: usize) -> Self;
+}
+
+impl<T> Carve for &mut [T] {
+    fn carve(&mut self, len: usize) -> Self {
+        take_span(self, len)
+    }
+}
+
+/// A lane bundle: the same site span of every direction.
+impl Carve for Vec<&mut [f64]> {
+    fn carve(&mut self, len: usize) -> Self {
+        self.iter_mut().map(|lane| take_span(lane, len)).collect()
+    }
+}
+
+impl<A: Carve, B: Carve> Carve for (A, B) {
+    fn carve(&mut self, len: usize) -> Self {
+        (self.0.carve(len), self.1.carve(len))
+    }
+}
+
+/// The site span `range` of every lane, as one bundle.
+fn lane_spans(lanes: &mut [Vec<f64>], range: Range<usize>) -> Vec<&mut [f64]> {
+    lanes
+        .iter_mut()
+        .map(|lane| &mut lane[range.clone()])
         .collect()
 }
 
-/// [`split_lanes`] for one per-site array.
-fn split_spans<'a, T>(array: &'a mut [T], chunks: &[(usize, usize)]) -> Vec<&'a mut [T]> {
-    let mut rest = array;
-    let mut cursor = 0;
-    chunks
-        .iter()
-        .map(|&(first, len)| {
-            take_span(&mut rest, first - cursor);
-            cursor = first + len;
-            take_span(&mut rest, len)
-        })
-        .collect()
-}
-
-/// Execute `work` items across at most `threads` scoped workers,
-/// preserving item order within each worker. With a single thread — or
-/// a single item — everything runs inline on the caller's thread with
-/// no spawn at all. The grouping can never affect results (items write
-/// disjoint spans; order within a worker is the global order); it
-/// exists to bound thread churn, which matters when site ranges are
-/// fragmented and chunks far outnumber workers.
-fn run_grouped<W, F>(work: Vec<W>, threads: usize, run: F)
+/// Run `run(first_site, state)` over `range`, whose per-site `state`
+/// is cut into at most `threads` contiguous chunks of ⌈len/threads⌉
+/// sites, one scoped worker each. With a single thread — or a range that
+/// fits one chunk — everything runs inline on the caller's thread with
+/// no spawn and no further allocation. The subdivision never affects
+/// results (collide is per-site independent and stream writes disjoint
+/// outputs), only which thread computes which sites.
+fn for_chunks<W, F>(range: Range<usize>, threads: usize, mut state: W, run: F)
 where
-    W: Send,
-    F: Fn(W) + Sync,
+    W: Carve + Send,
+    F: Fn(usize, W) + Sync,
 {
-    if threads <= 1 || work.len() <= 1 {
-        for w in work {
-            run(w);
+    let chunk = range.len().div_ceil(threads.max(1));
+    if chunk == range.len() {
+        if chunk > 0 {
+            run(range.start, state);
         }
         return;
     }
-    let per = work.len().div_ceil(threads);
-    let mut groups: Vec<Vec<W>> = Vec::with_capacity(threads);
-    let mut items = work.into_iter();
-    loop {
-        let group: Vec<W> = items.by_ref().take(per).collect();
-        if group.is_empty() {
-            break;
-        }
-        groups.push(group);
-    }
     let run = &run;
     rayon::scope(|sc| {
-        for group in groups {
-            sc.spawn(move |_| {
-                for w in group {
-                    run(w);
-                }
-            });
+        for first in range.clone().step_by(chunk) {
+            let part = state.carve(chunk.min(range.end - first));
+            sc.spawn(move |_| run(first, part));
         }
     });
 }
 
 impl SoaLattice {
-    /// Collide the sites in `ranges` in place (`f` becomes `f*`),
-    /// recording their pre-collision moments; sites outside the ranges
-    /// are untouched. The chunked BGK path is chunk-offset-invariant, so
-    /// neither the ranges nor `threads` can change any site's value.
+    /// Collide the sites of `range` in place (`f` becomes `f*`),
+    /// recording their pre-collision moments; sites outside it are
+    /// untouched. The chunked BGK path is chunk-offset-invariant, so
+    /// neither the range nor `threads` can change any site's value.
     /// Each worker gets (for MRT) its own clone of the operator, whose
     /// only mutable state is scratch space.
-    pub(crate) fn collide(&mut self, ranges: &[(u32, u32)], threads: usize) {
-        let chunks = range_chunks(ranges, threads);
-        let work: Vec<_> = split_lanes(&mut self.f, &chunks)
-            .into_iter()
-            .zip(split_spans(&mut self.moments, &chunks))
-            .collect();
-        run_grouped(work, threads, |(mut lanes, moments)| {
+    pub(crate) fn collide(&mut self, range: Range<usize>, threads: usize) {
+        let state = (
+            lane_spans(&mut self.f, range.clone()),
+            &mut self.moments[range.clone()],
+        );
+        for_chunks(range, threads, state, |_, (mut lanes, moments)| {
             let mut op = self.mrt.clone();
             collide_span_soa(
                 &self.model,
                 self.cfg.collision,
                 self.cfg.tau,
+                &self.bgk,
                 op.as_mut(),
                 &mut lanes,
                 moments,
@@ -151,20 +114,15 @@ impl SoaLattice {
         });
     }
 
-    /// Pull-stream the destination sites in `ranges` into the next
+    /// Pull-stream the destination sites of `range` into the next
     /// buffer, with boundary rules on missing links and `halo` feeding
     /// cross-rank links (empty for non-distributed solvers). Reads only
     /// immutable post-collision state and does **not** close the step
-    /// (see [`SoaLattice::finish_step`]) — the overlapped distributed
-    /// schedule streams in two pieces first.
-    pub(crate) fn stream(&mut self, ranges: &[(u32, u32)], halo: &[f64], threads: usize) {
-        let chunks = range_chunks(ranges, threads);
-        let work: Vec<_> = chunks
-            .iter()
-            .map(|&(first, _)| first)
-            .zip(split_lanes(&mut self.f_next, &chunks))
-            .collect();
-        run_grouped(work, threads, |(first, mut out)| {
+    /// (see [`SoaLattice::finish_step`]) — the distributed schedule
+    /// streams in two pieces first.
+    pub(crate) fn stream(&mut self, range: Range<usize>, halo: &[f64], threads: usize) {
+        let out = lane_spans(&mut self.f_next, range.clone());
+        for_chunks(range, threads, out, |first, mut out| {
             stream_span_soa(
                 &self.model,
                 &self.cfg,
@@ -188,15 +146,8 @@ impl SoaLattice {
         let mut rho = vec![0.0; n];
         let mut u = vec![[0.0; 3]; n];
         let mut shear = vec![0.0; n];
-        let chunks = range_chunks(&self.full_range(), threads);
-        let work: Vec<_> = chunks
-            .iter()
-            .map(|&(first, _)| first)
-            .zip(split_spans(&mut rho, &chunks))
-            .zip(split_spans(&mut u, &chunks))
-            .zip(split_spans(&mut shear, &chunks))
-            .collect();
-        run_grouped(work, threads, |(((first, rho), u), shear)| {
+        let state = ((&mut rho[..], &mut u[..]), &mut shear[..]);
+        for_chunks(0..n, threads, state, |first, ((rho, u), shear)| {
             macroscopics_span_soa(&self.model, self.cfg.tau, &self.f, first, rho, u, shear)
         });
         FieldSnapshot {
@@ -335,31 +286,41 @@ mod tests {
     }
 
     #[test]
-    fn range_chunks_respect_range_bounds() {
-        let ranges = [(2u32, 5u32), (10, 1), (20, 7)];
-        let chunks = range_chunks(&ranges, 2);
-        let sites: Vec<usize> = chunks
-            .iter()
-            .flat_map(|&(first, len)| first..first + len)
-            .collect();
-        let expect: Vec<usize> = ranges
-            .iter()
-            .flat_map(|&(s, l)| s as usize..(s + l) as usize)
-            .collect();
-        assert_eq!(sites, expect, "chunks must tile the ranges in order");
-        for (first, len) in chunks {
-            assert!(ranges
-                .iter()
-                .any(|&(s, l)| first >= s as usize && first + len <= (s + l) as usize));
+    fn chunks_tile_the_range_in_at_most_threads_pieces() {
+        use std::sync::Mutex;
+        for (range, threads) in [(2..19, 1), (2..19, 3), (5..6, 4), (0..8, 8), (3..3, 2)] {
+            let mut marks = [0u8; 20];
+            let seen = Mutex::new(Vec::new());
+            for_chunks(
+                range.clone(),
+                threads,
+                &mut marks[range.clone()],
+                |first, part| {
+                    part.fill(1);
+                    seen.lock().unwrap().push((first, part.len()));
+                },
+            );
+            let mut seen = seen.into_inner().unwrap();
+            seen.sort_unstable();
+            assert!(seen.len() <= threads, "{range:?} on {threads}: {seen:?}");
+            let mut next = range.start;
+            for (first, len) in seen {
+                assert_eq!(first, next, "chunks must tile {range:?} in order");
+                assert!(len > 0);
+                next += len;
+            }
+            assert_eq!(next, range.end);
+            for (s, &m) in marks.iter().enumerate() {
+                assert_eq!(m == 1, range.contains(&s), "site {s} of {range:?}");
+            }
         }
-        assert!(range_chunks(&[], 2).is_empty());
     }
 
-    /// Collide over a two-piece range split is bit-identical on covered
-    /// sites to collide over everything, and leaves uncovered sites
-    /// untouched — the invariant the overlapped step's frontier/interior
-    /// phases rely on (the chunked BGK path must be offset-invariant
-    /// across the range seams).
+    /// Collide over a sub-range is bit-identical on covered sites to
+    /// collide over everything, and leaves uncovered sites untouched —
+    /// the invariant the distributed step's frontier/interior phases
+    /// rely on (the chunked BGK path must be offset-invariant across the
+    /// seam and the worker chunks).
     #[test]
     fn range_collide_matches_full_collide_on_covered_sites() {
         let geo = Arc::new(VesselBuilder::straight_tube(6.0, 2.0).voxelise(1.0));
@@ -372,16 +333,16 @@ mod tests {
         full.install_site_major(0, &init);
         part.install_site_major(0, &init);
 
-        full.collide(&full.full_range(), 1);
-        // Cover sites 0..4 and 9..23, leaving the rest untouched.
-        let ranges = [(0u32, 4u32), (9, 14)];
-        part.collide(&ranges, 3);
+        full.collide(0..n, 1);
+        // Cover sites 0..5 inline and 9..23 on three workers, leaving
+        // the rest untouched.
+        let ranges = [0..5, 9..23];
+        part.collide(ranges[0].clone(), 1);
+        part.collide(ranges[1].clone(), 3);
 
         let (full_f, part_f) = (full.to_site_major(), part.to_site_major());
         for s in 0..n {
-            let covered = ranges
-                .iter()
-                .any(|&(st, l)| s >= st as usize && s < (st + l) as usize);
+            let covered = ranges.iter().any(|r| r.contains(&s));
             let want = if covered { &full_f } else { &init };
             assert!(
                 bit_eq(&part_f[s * q..(s + 1) * q], &want[s * q..(s + 1) * q]),

@@ -11,9 +11,13 @@
 //! two flat link lists with no per-link dispatch.
 //!
 //! Site `s` of a lattice is the `s`-th fluid site handed to it at
-//! construction (every fluid site for the serial solver, a rank's owned
-//! sites for the distributed one); snapshots and checkpoints exchange
-//! state in the canonical site-major order (`[site][dir]`).
+//! construction: every fluid site in global order for the serial
+//! solver; for the distributed one a rank's owned sites in its storage
+//! order — frontier first, interior after (see [`SitePartition`] and
+//! [`crate::dist`]) — so the drivers in [`crate::kernel`] only ever
+//! sweep one contiguous site range. Snapshots and checkpoints exchange
+//! state in the canonical site-major order (`[site][dir]`) over that
+//! site list.
 //!
 //! ## Bitwise reference
 //!
@@ -165,6 +169,8 @@ pub(crate) struct SoaLattice {
     pub(crate) cfg: SolverConfig,
     /// MRT operator when `cfg.collision` is [`CollisionKind::Mrt`].
     pub(crate) mrt: Option<MrtOperator>,
+    /// Direction tables of the chunked BGK path, built once.
+    pub(crate) bgk: BgkTables,
     /// Site kinds, local order.
     pub(crate) kinds: Vec<SiteKind>,
     /// Precomputed iolet velocities (zero away from velocity iolets).
@@ -206,6 +212,7 @@ impl SoaLattice {
         };
         SoaLattice {
             mrt,
+            bgk: BgkTables::new(&model),
             kinds: sites.clone().map(|g| geo.kind(g)).collect(),
             bc_velocity: precompute_bc_velocities(geo, &cfg, sites),
             moments: vec![(1.0, [0.0; 3]); n],
@@ -222,11 +229,6 @@ impl SoaLattice {
     /// Number of fluid sites.
     pub(crate) fn site_count(&self) -> usize {
         self.moments.len()
-    }
-
-    /// The whole site list as one `(start, len)` range.
-    pub(crate) fn full_range(&self) -> [(u32, u32); 1] {
-        [(0, self.site_count() as u32)]
     }
 
     /// Fraction of sites whose every link is a plain local source (they
@@ -292,11 +294,6 @@ impl SoaLattice {
         self.step = step;
     }
 
-    /// The `q` populations of one site, in direction order.
-    pub(crate) fn site_values(&self, s: usize) -> Vec<f64> {
-        self.f.iter().map(|lane| lane[s]).collect()
-    }
-
     /// Overwrite the `q` populations of one site.
     pub(crate) fn set_site_values(&mut self, s: usize, values: &[f64]) {
         assert_eq!(values.len(), self.model.q);
@@ -339,8 +336,8 @@ impl SoaLattice {
     }
 }
 
-/// The interior/frontier split of a rank's site list, compiled once at
-/// setup for the overlapped halo exchange.
+/// The frontier/interior split of a rank's site list, fixed at setup for
+/// the distributed step schedule.
 ///
 /// **Frontier** sites are the communication surface: their
 /// post-collision populations are sent to peers (they appear in the
@@ -349,46 +346,20 @@ impl SoaLattice {
 /// else — by construction their streaming reads touch no halo slot, so
 /// they can collide and stream while halo messages are still in flight.
 ///
-/// Both classes are stored as ascending, disjoint, maximal
-/// `(start, len)` ranges over the local site indices; together the two
-/// lists tile `0..site_count` exactly.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// The distributed solver stores its sites frontier first, so the two
+/// classes are the contiguous local index ranges `0..split` and
+/// `split..n`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SitePartition {
     n: usize,
-    frontier: Vec<(u32, u32)>,
-    interior: Vec<(u32, u32)>,
-    frontier_count: usize,
+    split: usize,
 }
 
 impl SitePartition {
-    /// Compile the partition from a per-site frontier flag vector.
-    pub fn from_flags(flags: &[bool]) -> Self {
-        let n = flags.len();
-        let mut frontier = Vec::new();
-        let mut interior = Vec::new();
-        let mut frontier_count = 0usize;
-        let mut s = 0usize;
-        while s < n {
-            let is_frontier = flags[s];
-            let start = s;
-            s += 1;
-            while s < n && flags[s] == is_frontier {
-                s += 1;
-            }
-            let range = (start as u32, (s - start) as u32);
-            if is_frontier {
-                frontier_count += s - start;
-                frontier.push(range);
-            } else {
-                interior.push(range);
-            }
-        }
-        SitePartition {
-            n,
-            frontier,
-            interior,
-            frontier_count,
-        }
+    /// `n` local sites of which the first `split` are the frontier.
+    pub(crate) fn new(n: usize, split: usize) -> Self {
+        assert!(split <= n, "frontier cannot exceed the site list");
+        SitePartition { n, split }
     }
 
     /// Number of local sites covered by the partition.
@@ -396,33 +367,20 @@ impl SitePartition {
         self.n
     }
 
-    /// Frontier ranges, ascending and disjoint.
-    pub fn frontier_ranges(&self) -> &[(u32, u32)] {
-        &self.frontier
-    }
-
-    /// Interior ranges, ascending and disjoint.
-    pub fn interior_ranges(&self) -> &[(u32, u32)] {
-        &self.interior
-    }
-
-    /// Number of frontier sites.
+    /// Number of frontier sites: local sites `0..frontier_count()`.
     pub fn frontier_count(&self) -> usize {
-        self.frontier_count
+        self.split
     }
 
-    /// Number of interior sites.
+    /// Number of interior sites: the rest of the local site list.
     pub fn interior_count(&self) -> usize {
-        self.n - self.frontier_count
+        self.n - self.split
     }
 
     /// Whether local site `s` is on the frontier.
     pub fn is_frontier(&self, s: usize) -> bool {
         debug_assert!(s < self.n);
-        let s = s as u32;
-        self.frontier
-            .iter()
-            .any(|&(start, len)| s >= start && s < start + len)
+        s < self.split
     }
 }
 
@@ -434,13 +392,14 @@ pub(crate) fn collide_span_soa(
     model: &LatticeModel,
     collision: CollisionKind,
     tau: f64,
+    bgk: &BgkTables,
     mut mrt: Option<&mut MrtOperator>,
     lanes: &mut [&mut [f64]],
     moments: &mut [(f64, [f64; 3])],
 ) {
     debug_assert_eq!(lanes.len(), model.q);
     if matches!(collision, CollisionKind::Bgk) && mrt.is_none() {
-        bgk_collide_chunked(model, tau, lanes, moments);
+        bgk_collide_chunked(model, bgk, tau, lanes, moments);
         return;
     }
     let q = model.q;
@@ -464,6 +423,42 @@ pub(crate) fn collide_span_soa(
 /// arrays the compiler keeps in vector registers.
 const CHUNK: usize = 8;
 
+/// The direction tables of the chunked BGK path, derived from the
+/// velocity set once per lattice instead of once per collide call.
+pub(crate) struct BgkTables {
+    /// The velocity vectors as `f64`.
+    cs: Vec<[f64; 3]>,
+    /// Opposite-direction pairs `(i, j)`, `i < j`. They share the two
+    /// equilibrium divisions: `c_j = −c_i` gives `cu_j = −cu_i` exactly
+    /// (IEEE negation commutes with the dot product), so
+    /// `cu_j / cs² = −(cu_i / cs²)` and `cu_j² = cu_i²` bit-for-bit —
+    /// half the fdivs of the naive loop.
+    pairs: Vec<(usize, usize)>,
+    /// Rest directions (`c = 0`, their own opposite): `cu = ±0`, so the
+    /// polynomial collapses to `1 − u²/2cs²` with no division at all.
+    rests: Vec<usize>,
+}
+
+impl BgkTables {
+    pub(crate) fn new(model: &LatticeModel) -> Self {
+        let cs = model
+            .c
+            .iter()
+            .map(|c| [c[0] as f64, c[1] as f64, c[2] as f64])
+            .collect();
+        let mut pairs = Vec::new();
+        let mut rests = Vec::new();
+        for (i, &j) in model.opp.iter().enumerate() {
+            match i.cmp(&j) {
+                std::cmp::Ordering::Less => pairs.push((i, j)),
+                std::cmp::Ordering::Equal => rests.push(i),
+                std::cmp::Ordering::Greater => {}
+            }
+        }
+        BgkTables { cs, pairs, rests }
+    }
+}
+
 /// The vectorised BGK collision: process `CHUNK` sites at a time, one
 /// lane pass for the moments, one lane pass per opposite-direction pair
 /// for the relaxation. Every per-site operation sequence (moment
@@ -474,6 +469,7 @@ const CHUNK: usize = 8;
 /// `x ± 0 ≡ x` in the polynomial), so the result is bit-identical.
 fn bgk_collide_chunked(
     model: &LatticeModel,
+    tables: &BgkTables,
     tau: f64,
     lanes: &mut [&mut [f64]],
     moments: &mut [(f64, [f64; 3])],
@@ -481,26 +477,7 @@ fn bgk_collide_chunked(
     let q = model.q;
     let omega = 1.0 / tau;
     let n = moments.len();
-    let cs: Vec<[f64; 3]> = model
-        .c
-        .iter()
-        .map(|c| [c[0] as f64, c[1] as f64, c[2] as f64])
-        .collect();
-    // Opposite-direction pairs share the two equilibrium divisions:
-    // `c_j = −c_i` gives `cu_j = −cu_i` exactly (IEEE negation commutes
-    // with the dot product), so `cu_j / cs² = −(cu_i / cs²)` and
-    // `cu_j² = cu_i²` bit-for-bit — half the fdivs of the naive loop.
-    // The rest direction (`c = 0`, its own opposite) has `cu = ±0`, so
-    // its polynomial collapses to `1 − u²/2cs²` with no division at all.
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-    let mut rests: Vec<usize> = Vec::new();
-    for i in 0..q {
-        match model.opp[i] {
-            j if i < j => pairs.push((i, j)),
-            j if i == j => rests.push(i),
-            _ => {}
-        }
-    }
+    let BgkTables { cs, pairs, rests } = tables;
     let mut s0 = 0;
     // Full chunks: fixed-size `[f64; CHUNK]` windows, so every index is
     // statically in range (no bounds checks) and the loops vectorise.
@@ -541,7 +518,7 @@ fn bgk_collide_chunked(
             let u2 = ux[l] * ux[l] + uy[l] * uy[l] + uz[l] * uz[l];
             u2h[l] = u2 / (2.0 * CS2);
         }
-        for &(i, j) in &pairs {
+        for &(i, j) in pairs {
             let [cx, cy, cz] = cs[i];
             let wi = model.w[i];
             let wj = model.w[j];
@@ -570,7 +547,7 @@ fn bgk_collide_chunked(
                 lj[l] = fj + omega * (fe - fj);
             }
         }
-        for &i in &rests {
+        for &i in rests {
             let wi = model.w[i];
             let lane: &mut [f64; CHUNK] = (&mut lanes[i][s0..s0 + CHUNK])
                 .try_into()
@@ -770,7 +747,11 @@ mod tests {
         lat.install_site_major(7, &g);
         assert_eq!(lat.step, 7);
         assert_eq!(lat.to_site_major(), g);
-        assert_eq!(lat.site_values(3), g[3 * q..4 * q].to_vec());
+        // One site overwritten in place moves exactly its q values.
+        let mut want = g.clone();
+        want[3 * q..4 * q].fill(0.5);
+        lat.set_site_values(3, &vec![0.5; q]);
+        assert_eq!(lat.to_site_major(), want);
     }
 
     /// Satellite: validate streaming-index construction at **domain
@@ -865,7 +846,13 @@ mod tests {
             .collect();
         let mut lanes: Vec<&mut [f64]> = lanes_store.iter_mut().map(|l| l.as_mut_slice()).collect();
         let mut moments = vec![(0.0, [0.0; 3]); n];
-        bgk_collide_chunked(&model, 0.8, &mut lanes, &mut moments);
+        bgk_collide_chunked(
+            &model,
+            &BgkTables::new(&model),
+            0.8,
+            &mut lanes,
+            &mut moments,
+        );
         for s in 0..n {
             for i in 0..q {
                 assert_eq!(
@@ -879,54 +866,6 @@ mod tests {
                 assert_eq!(moments[s].1[k].to_bits(), moments_ref[s].1[k].to_bits());
             }
         }
-    }
-
-    #[test]
-    fn site_partition_tiles_the_range() {
-        // Mixed pattern with runs of both classes at both ends.
-        let flags = [true, true, false, false, false, true, false, true, true];
-        let p = SitePartition::from_flags(&flags);
-        assert_eq!(p.site_count(), flags.len());
-        assert_eq!(p.frontier_ranges(), &[(0, 2), (5, 1), (7, 2)]);
-        assert_eq!(p.interior_ranges(), &[(2, 3), (6, 1)]);
-        assert_eq!(p.frontier_count(), 5);
-        assert_eq!(p.interior_count(), 4);
-        for (s, &f) in flags.iter().enumerate() {
-            assert_eq!(p.is_frontier(s), f, "site {s}");
-        }
-        // The two lists merged and sorted must tile 0..n exactly.
-        let mut all: Vec<(u32, u32)> = p
-            .frontier_ranges()
-            .iter()
-            .chain(p.interior_ranges())
-            .copied()
-            .collect();
-        all.sort_unstable();
-        let mut next = 0u32;
-        for (start, len) in all {
-            assert_eq!(start, next);
-            assert!(len > 0);
-            next += len;
-        }
-        assert_eq!(next as usize, flags.len());
-    }
-
-    #[test]
-    fn site_partition_degenerate_cases() {
-        let empty = SitePartition::from_flags(&[]);
-        assert_eq!(empty.site_count(), 0);
-        assert!(empty.frontier_ranges().is_empty());
-        assert!(empty.interior_ranges().is_empty());
-
-        let all_frontier = SitePartition::from_flags(&[true; 4]);
-        assert_eq!(all_frontier.frontier_ranges(), &[(0, 4)]);
-        assert!(all_frontier.interior_ranges().is_empty());
-        assert_eq!(all_frontier.interior_count(), 0);
-
-        let all_interior = SitePartition::from_flags(&[false; 4]);
-        assert!(all_interior.frontier_ranges().is_empty());
-        assert_eq!(all_interior.interior_ranges(), &[(0, 4)]);
-        assert_eq!(all_interior.frontier_count(), 0);
     }
 
     #[test]

@@ -50,8 +50,9 @@ pub struct SolverConfig {
     pub outlet_bcs: Vec<IoletBc>,
     /// Whether the distributed solver overlaps the halo exchange with
     /// interior compute (frontier-first collide, interior collide+stream
-    /// under in-flight messages). Bit-identical to the synchronous
-    /// schedule — only latency hiding differs. Serial and thread-parallel
+    /// under in-flight messages). Off, the same schedule holds nothing
+    /// back: everything collides before the sends. Bit-identical either
+    /// way — only latency hiding differs. Serial and thread-parallel
     /// solvers ignore it.
     #[serde(default = "default_overlap")]
     pub overlap: bool,
@@ -282,12 +283,12 @@ impl Solver {
     /// One step with the site list split across `threads` workers (see
     /// [`crate::kernel::ParallelSolver`]).
     pub(crate) fn step_with(&mut self, threads: usize) {
-        let full = self.lat.full_range();
+        let all = 0..self.lat.site_count();
         let span = self.obs.borrow().begin();
-        self.lat.collide(&full, threads);
+        self.lat.collide(all.clone(), threads);
         span.end(&mut self.obs.borrow_mut(), "lb.collide");
         let span = self.obs.borrow().begin();
-        self.lat.stream(&full, &[], threads);
+        self.lat.stream(all, &[], threads);
         span.end(&mut self.obs.borrow_mut(), "lb.stream");
         self.lat.finish_step();
     }

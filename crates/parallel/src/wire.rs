@@ -90,8 +90,15 @@ impl WireWriter {
 
     /// Append a length-prefixed `f64` slice.
     pub fn put_f64_slice(&mut self, v: &[f64]) {
-        self.put_usize(v.len());
-        for &x in v {
+        self.put_f64_seq(v.iter().copied());
+    }
+
+    /// Append `values` in the encoding of [`Self::put_f64_slice`]
+    /// without staging them in a slice first (gathers such as the halo
+    /// pack).
+    pub fn put_f64_seq(&mut self, values: impl ExactSizeIterator<Item = f64>) {
+        self.put_usize(values.len());
+        for x in values {
             self.buf.put_f64_le(x);
         }
     }
@@ -262,18 +269,21 @@ impl WireReader {
         Ok(())
     }
 
-    /// Read a length-prefixed `f64` slice into `out` (cleared first),
-    /// reusing its allocation — the bulk path for halo payloads, which
-    /// are decoded once per peer per LB step.
-    pub fn get_f64_slice(&mut self, out: &mut Vec<f64>) -> CommResult<()> {
+    /// Read a length-prefixed `f64` slice straight into `out` — the bulk
+    /// path for halo payloads, which are decoded once per peer per LB
+    /// step into a fixed slot range. The encoded length must equal
+    /// `out.len()`; it is checked before anything is written, so a
+    /// malformed payload leaves `out` untouched.
+    pub fn get_f64_into(&mut self, out: &mut [f64]) -> CommResult<()> {
         let n = self.get_checked_len(8, "f64 slice")?;
-        out.clear();
-        out.reserve(n);
+        if n != out.len() {
+            return Err(CommError::Decode {
+                reason: format!("f64 slice of {n} elems where {} were expected", out.len()),
+            });
+        }
         let raw = self.buf.split_to(n * 8);
-        for ch in raw.chunks_exact(8) {
-            out.push(f64::from_le_bytes([
-                ch[0], ch[1], ch[2], ch[3], ch[4], ch[5], ch[6], ch[7],
-            ]));
+        for (v, ch) in out.iter_mut().zip(raw.chunks_exact(8)) {
+            *v = f64::from_le_bytes(ch.try_into().expect("8-byte chunk"));
         }
         Ok(())
     }
@@ -521,6 +531,31 @@ mod tests {
         w.put_u64(4); // claims 4 f32s, provides none
         let mut r = WireReader::new(w.finish());
         assert!(r.get_f32_slice(&mut out).is_err());
+    }
+
+    #[test]
+    fn f64_read_into_checks_the_count_before_writing() {
+        let mut w = WireWriter::new();
+        w.put_f64_slice(&[1.5, -0.25, f64::INFINITY]);
+        let payload = w.finish();
+        let mut out = [9.0f64; 3];
+        let mut r = WireReader::new(payload.clone());
+        r.get_f64_into(&mut out).unwrap();
+        assert_eq!(out, [1.5, -0.25, f64::INFINITY]);
+        r.expect_end().unwrap();
+
+        // Wrong count, either way: an error, and nothing written.
+        for len in [2, 4] {
+            let mut out = vec![9.0f64; len];
+            let err = WireReader::new(payload.clone()).get_f64_into(&mut out);
+            assert!(matches!(err, Err(CommError::Decode { .. })));
+            assert!(out.iter().all(|&v| v == 9.0));
+        }
+
+        let mut w = WireWriter::new();
+        w.put_u64(3); // claims 3 f64s, provides none
+        assert!(WireReader::new(w.finish()).get_f64_into(&mut out).is_err());
+        assert_eq!(out, [1.5, -0.25, f64::INFINITY]);
     }
 
     #[test]

@@ -1,17 +1,21 @@
-//! Overlapped-halo-exchange equivalence suite: the frontier-first
+//! Distributed step-schedule equivalence suite: the frontier-first
 //! schedule (collide frontier → post sends → interior compute under
 //! in-flight messages → arrival-order drain → frontier stream) must be
-//! **bit-identical** to the synchronous schedule and to the serial
-//! solver, over random geometries × collision operators ×
-//! boundary-condition families. Checkpoints written
-//! mid-run under one schedule must restore and continue under the
-//! other on the same bit trajectory, and the overlap accounting in
-//! `CommStats` must engage exactly when the overlapped path runs.
+//! **bit-identical** to the same schedule with nothing held back
+//! (`overlap = false`) and to the serial solver, over random geometries
+//! × collision operators × boundary-condition families × owner maps
+//! from slabs to per-site scatter × threads per rank, with the storage
+//! order the schedule relies on checked against an independent
+//! geometry query. Checkpoints written mid-run under one setting must
+//! restore and continue under the other on the same bit trajectory,
+//! and the overlap accounting in `CommStats` must engage exactly when
+//! there is interior work to hide the exchange behind.
 
 mod common;
 
+use hemelb::core::dist::locals_of;
 use hemelb::core::{DistSolver, Solver, SolverConfig};
-use hemelb::geometry::VesselBuilder;
+use hemelb::geometry::{SparseGeometry, VesselBuilder};
 use hemelb::parallel::{
     run_spmd, run_spmd_opts, run_spmd_with_stats, FaultEvent, FaultKind, FaultPlan, SpmdOptions,
     TagClass,
@@ -24,66 +28,176 @@ fn even_owner(n: usize, p: usize) -> Vec<usize> {
     (0..n).map(|s| (s * p / n).min(p - 1)).collect()
 }
 
-/// Run `steps` of a distributed solve and return each rank's raw
-/// distributions plus the root's gathered snapshot digests.
-fn run_dist(
-    geo: &Arc<hemelb::geometry::SparseGeometry>,
-    cfg: &SolverConfig,
-    ranks: usize,
-    steps: u64,
-) -> (Vec<Vec<f64>>, (u64, u64, u64)) {
-    let geo2 = geo.clone();
-    let cfg2 = cfg.clone();
-    let results = run_spmd(ranks, move |comm| {
-        let owner = even_owner(geo2.fluid_count(), comm.size());
-        let mut ds = DistSolver::new(geo2.clone(), owner, cfg2.clone(), comm).unwrap();
-        ds.step_n(steps).unwrap();
-        let f = ds.raw_distributions();
-        (f, ds.gather_snapshot().unwrap())
-    });
-    let digests = common::snapshot_digests(results[0].1.as_ref().expect("root gathers"));
-    (results.into_iter().map(|(f, _)| f).collect(), digests)
+/// How an owner map is drawn, from the best case for contiguity to the
+/// worst.
+#[derive(Debug, Clone, Copy)]
+enum MapKind {
+    /// Contiguous index slabs.
+    Slab,
+    /// Checkerboard of 2³-voxel blocks.
+    Blocks,
+    /// Every site to a rank of its own choosing (seeded hash).
+    Scatter(u64),
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// Random geometries × {D3Q15, D3Q19} × {BGK, TRT, MRT} ×
-    /// {pressure, velocity}: the overlapped schedule equals the
-    /// synchronous schedule **per rank, per population**, and both equal
-    /// the serial solver, by `to_bits`.
-    #[test]
-    fn overlapped_equals_sync_and_serial_bitwise(case in common::case_strategy()) {
-        let geo = case.geo.build();
-        let steps = 10u64;
-        let cfg = case.config();
-        let mut serial = Solver::new(geo.clone(), cfg.clone());
-        serial.step_n(steps);
-        let want = common::snapshot_digests(&serial.snapshot());
-
-        let (f_over, snap_over) = run_dist(&geo, &cfg.clone().with_overlap(true), 2, steps);
-        let (f_sync, snap_sync) = run_dist(&geo, &cfg.with_overlap(false), 2, steps);
-
-        prop_assert_eq!(want, snap_over, "overlap vs serial, {:?}", &case);
-        prop_assert_eq!(want, snap_sync, "sync vs serial, {:?}", &case);
-        for (rank, (a, b)) in f_over.iter().zip(&f_sync).enumerate() {
-            prop_assert!(
-                common::bits_eq(a, b),
-                "rank {} distributions diverged, {:?}", rank, &case
-            );
-        }
+fn owner_map(geo: &SparseGeometry, kind: MapKind, p: usize) -> Vec<usize> {
+    let n = geo.fluid_count();
+    match kind {
+        MapKind::Slab => even_owner(n, p),
+        MapKind::Blocks => (0..n as u32)
+            .map(|s| {
+                let [x, y, z] = geo.position(s);
+                ((x / 2 + y / 2 + z / 2) as usize) % p
+            })
+            .collect(),
+        MapKind::Scatter(seed) => (0..n as u64)
+            .map(|s| {
+                let h = (s ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                ((h >> 33) % p as u64) as usize
+            })
+            .collect(),
     }
 }
 
-/// A checkpoint written mid-run under the overlapped schedule restores
-/// into a synchronous solver (and vice versa) and continues on the
-/// exact bit trajectory of an uninterrupted run — the two schedules are
-/// interchangeable at any step boundary.
+fn map_strategy() -> impl Strategy<Value = MapKind> {
+    (0usize..4, any::<u64>()).prop_map(|(pick, seed)| match pick {
+        0 => MapKind::Slab,
+        1 => MapKind::Blocks,
+        _ => MapKind::Scatter(seed),
+    })
+}
+
+/// What one rank reports after a run.
+struct RankOut {
+    /// `local_sites()`: global ids in storage order.
+    sites: Vec<u32>,
+    /// Where the frontier prefix ends.
+    split: usize,
+    /// `raw_distributions()`, site-major over `sites`.
+    f: Vec<f64>,
+}
+
+/// Run `steps` of a distributed solve over `owner` and return each
+/// rank's report plus the digests of the root's gathered snapshot.
+fn run_dist(
+    geo: &Arc<SparseGeometry>,
+    cfg: &SolverConfig,
+    owner: &[usize],
+    ranks: usize,
+    threads_per_rank: usize,
+    steps: u64,
+) -> (Vec<RankOut>, (u64, u64, u64)) {
+    let (geo2, cfg2, owner2) = (geo.clone(), cfg.clone(), owner.to_vec());
+    let opts = SpmdOptions {
+        threads_per_rank,
+        ..Default::default()
+    };
+    let results = run_spmd_opts(ranks, opts, move |comm| {
+        let mut ds = DistSolver::new(geo2.clone(), owner2.clone(), cfg2.clone(), comm).unwrap();
+        ds.step_n(steps).unwrap();
+        let out = RankOut {
+            sites: ds.local_sites().to_vec(),
+            split: ds.partition().frontier_count(),
+            f: ds.raw_distributions(),
+        };
+        (out, ds.gather_snapshot().unwrap())
+    })
+    .results;
+    let digests = common::snapshot_digests(results[0].1.as_ref().expect("root gathers"));
+    (results.into_iter().map(|(out, _)| out).collect(), digests)
+}
+
+/// Slab-map run on one thread per rank; each rank's raw distributions.
+fn run_slabs(
+    geo: &Arc<SparseGeometry>,
+    cfg: &SolverConfig,
+    ranks: usize,
+    steps: u64,
+) -> Vec<Vec<f64>> {
+    let owner = even_owner(geo.fluid_count(), ranks);
+    let (outs, _) = run_dist(geo, cfg, &owner, ranks, 1, steps);
+    outs.into_iter().map(|out| out.f).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Random geometries × {D3Q15, D3Q19} × {BGK, TRT, MRT} ×
+    /// {pressure, velocity} × {slab, block checkerboard, per-site
+    /// scatter} owner maps × {2, 3} ranks × {1, 2} threads per rank.
+    ///
+    /// Storage order: `local_sites()` is a permutation of the rank's
+    /// owned sites, ascending within the frontier prefix and within the
+    /// interior suffix, and a site is in the prefix exactly when some
+    /// lattice neighbour belongs to another rank (it is in a send plan
+    /// or has a halo link — the velocity sets are symmetric, so one
+    /// implies the other). Physics: the gathered snapshot and every
+    /// rank's distributions, read in global order, equal the serial
+    /// solver's by `to_bits`, with `overlap` on and off.
+    #[test]
+    fn storage_order_and_schedules_match_serial_bitwise(
+        case in common::case_strategy(),
+        map in map_strategy(),
+        ranks in 2usize..4,
+        threads in 1usize..3,
+    ) {
+        let geo = case.geo.build();
+        let steps = 10u64;
+        let cfg = case.config();
+        let model = cfg.model.build();
+        let q = model.q;
+        let owner = owner_map(&geo, map, ranks);
+        let mut serial = Solver::new(geo.clone(), cfg.clone());
+        serial.step_n(steps);
+        let want = common::snapshot_digests(&serial.snapshot());
+        let want_f = serial.raw_distributions();
+
+        let touches_peer = |g: u32| {
+            let [x, y, z] = geo.position(g);
+            model.c.iter().any(|c| {
+                geo.site_at(x as i64 + c[0] as i64, y as i64 + c[1] as i64, z as i64 + c[2] as i64)
+                    .is_some_and(|nb| owner[nb as usize] != owner[g as usize])
+            })
+        };
+
+        let mut orders = Vec::new();
+        for overlap in [true, false] {
+            let cfg = cfg.clone().with_overlap(overlap);
+            let (outs, digests) = run_dist(&geo, &cfg, &owner, ranks, threads, steps);
+            prop_assert_eq!(want, digests, "overlap {} vs serial, {:?} {:?}", overlap, &case, map);
+            for (rank, out) in outs.iter().enumerate() {
+                let mut sorted = out.sites.clone();
+                sorted.sort_unstable();
+                prop_assert_eq!(&sorted, &locals_of(&owner, rank), "rank {} owns other sites", rank);
+                for class in [&out.sites[..out.split], &out.sites[out.split..]] {
+                    prop_assert!(class.windows(2).all(|w| w[0] < w[1]), "rank {} class order", rank);
+                }
+                for (l, &g) in out.sites.iter().enumerate() {
+                    prop_assert_eq!(l < out.split, touches_peer(g), "rank {} site {}", rank, g);
+                    let g = g as usize;
+                    prop_assert!(
+                        common::bits_eq(&out.f[l * q..(l + 1) * q], &want_f[g * q..(g + 1) * q]),
+                        "rank {} site {} diverged from serial, overlap {}, {:?} {:?}",
+                        rank, g, overlap, &case, map
+                    );
+                }
+            }
+            orders.push(outs.into_iter().map(|out| out.sites).collect::<Vec<_>>());
+        }
+        prop_assert_eq!(&orders[0], &orders[1], "storage order must not depend on the schedule");
+    }
+}
+
+/// A checkpoint written mid-run with overlap on restores into a solver
+/// with overlap off (and vice versa) and continues on the exact bit
+/// trajectory of an uninterrupted run — the storage order depends on
+/// the decomposition alone, so the two settings are interchangeable at
+/// any step boundary.
 #[test]
 fn checkpoint_hands_off_between_overlapped_and_sync() {
     let geo = Arc::new(VesselBuilder::straight_tube(16.0, 3.0).voxelise(1.0));
     let base = SolverConfig::pressure_driven(1.01, 0.99);
-    let (f_ref, _) = run_dist(&geo, &base.clone().with_overlap(true), 2, 20);
+    let f_ref = run_slabs(&geo, &base.clone().with_overlap(true), 2, 20);
 
     for (first_overlap, then_overlap) in [(true, false), (false, true)] {
         let dir = std::env::temp_dir().join(format!(
@@ -117,12 +231,13 @@ fn checkpoint_hands_off_between_overlapped_and_sync() {
     }
 }
 
-/// Overlap accounting engages exactly when the overlapped path runs:
-/// an overlapped multi-rank run records latency-hiding compute seconds
-/// (efficiency in (0, 1]), a synchronous run records none, and a
-/// zero-peer rank reports the fast path through the public accessors.
+/// Overlap accounting engages exactly when there is interior work to
+/// hide the exchange behind: an overlapped multi-rank run records
+/// latency-hiding compute seconds (efficiency in (0, 1]), a run with
+/// overlap off records none, and a zero-peer rank reports that it has
+/// nothing to overlap through the public accessors.
 #[test]
-fn overlap_accounting_and_degenerate_fast_path() {
+fn overlap_accounting_and_degenerate_domains() {
     let geo = Arc::new(VesselBuilder::straight_tube(16.0, 3.0).voxelise(1.0));
     let base = SolverConfig::pressure_driven(1.01, 0.99);
 
