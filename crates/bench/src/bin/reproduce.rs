@@ -1,23 +1,191 @@
-//! `reproduce` — regenerate every table and figure of the paper.
+//! `reproduce` — regenerate the paper's tables and figures and the
+//! co-design experiments built on them.
 //!
 //! ```text
-//! reproduce [table1|fig1|fig2|fig3|fig4a|fig4b|scaling|preprocessing|multires|repartition|obs|render|faults|adaptive|kernel|overlap|gateway|farm|projection|ablation|all]
-//!           [--size tiny|small|medium] [--ranks N]
+//! reproduce [EXPERIMENT|all] [--size tiny|small|medium] [--ranks N]
 //! ```
 //!
-//! Results print as paper-style tables; figure experiments also write
-//! PPM images under `./out/`. `EXPERIMENTS.md` records a reference run.
+//! [`EXPERIMENTS`] is the one list of experiment names: dispatch,
+//! `--help` and the unknown-experiment error all read it. Results print
+//! as paper-style tables; figure experiments also write PPM images and
+//! some write a `BENCH_*.json` report under `./out/` (artefacts —
+//! nothing compares them). `EXPERIMENTS.md` records a reference run.
+//! Timings of the solver, halo, render and observability layers are not
+//! here: they come from the repo benchmark (`benchmark/README.md`).
 
 use hemelb_bench::workloads::Size;
 use hemelb_bench::{
-    ablation, adaptive, extract, farm, faults, fig1, fig2, fig3, fig4, gateway, kernel, multires,
-    obs, overlap, preprocess, projection, render, repartition, scaling, table1,
+    ablation, adaptive, extract, farm, faults, fig1, fig2, fig3, fig4, gateway, multires,
+    preprocess, projection, repartition, scaling, table1,
 };
 
 struct Args {
     what: String,
     size: Size,
     ranks: usize,
+}
+
+/// One experiment: the name on the command line, the banner printed
+/// above its output, and the function that runs and prints it.
+struct Experiment {
+    name: &'static str,
+    title: &'static str,
+    run: fn(&Args),
+}
+
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        name: "table1",
+        title: "E1: Table I",
+        run: |a| {
+            let params = table1::Table1Params {
+                size: a.size,
+                ranks: a.ranks,
+                ..Default::default()
+            };
+            println!("{}", table1::run(params));
+        },
+    },
+    Experiment {
+        name: "fig1",
+        title: "E2: Fig. 1 (sparse storage)",
+        run: |a| {
+            let sizes: &[Size] = match a.size {
+                Size::Tiny => &[Size::Tiny],
+                Size::Small => &[Size::Tiny, Size::Small],
+                Size::Medium => &[Size::Tiny, Size::Small, Size::Medium],
+            };
+            println!("{}", fig1::run(sizes));
+        },
+    },
+    Experiment {
+        name: "fig2",
+        title: "E3: Fig. 2 (closed-loop steering)",
+        run: |a| {
+            let configs = [
+                (2usize, (64u32, 48u32)),
+                (a.ranks.max(2), (128, 96)),
+                (a.ranks.max(2), (256, 192)),
+            ];
+            println!("{}", fig2::run(a.size, &configs, 5));
+        },
+    },
+    Experiment {
+        name: "fig3",
+        title: "E4: Fig. 3 (post-processing pipeline)",
+        run: |a| println!("{}", fig3::run(a.size, 3, (128, 96))),
+    },
+    Experiment {
+        name: "fig4a",
+        title: "E5: Fig. 4a (volume rendering)",
+        run: |a| println!("{}", fig4::run_4a(a.size, a.ranks, 512, 384)),
+    },
+    Experiment {
+        name: "fig4b",
+        title: "E6: Fig. 4b (streamlines)",
+        run: |a| println!("{}", fig4::run_4b(a.size, a.ranks, 64, 512, 384)),
+    },
+    Experiment {
+        name: "lic",
+        title: "E1-aux: LIC slice figure",
+        run: |a| println!("{}", fig4::run_lic(a.size, a.ranks.min(4))),
+    },
+    Experiment {
+        name: "scaling",
+        title: "E7: strong scaling by partitioner",
+        run: |a| println!("{}", scaling::run(a.size, &[1, 2, 4, 8, 16], 10)),
+    },
+    Experiment {
+        name: "preprocessing",
+        title: "E8: two-level read, reading-core sweep",
+        run: |a| println!("{}", preprocess::run(a.size, 16, &[1, 2, 4, 8, 16])),
+    },
+    Experiment {
+        name: "multires",
+        title: "E9: multi-resolution octree",
+        run: |a| println!("{}", multires::run(a.size)),
+    },
+    Experiment {
+        name: "repartition",
+        title: "E10: vis-aware repartitioning",
+        run: |a| println!("{}", repartition::run(a.size, a.ranks)),
+    },
+    Experiment {
+        name: "extract",
+        title: "E11: in situ feature extraction (isosurface + vortices)",
+        run: |a| println!("{}", extract::run(a.size)),
+    },
+    Experiment {
+        name: "faults",
+        title: "E14: fault injection (degraded frames + recovery replay)",
+        run: |a| println!("{}", faults::run(a.size, a.ranks.clamp(3, 8), 5)),
+    },
+    Experiment {
+        name: "adaptive",
+        title: "E15: adaptive load balancing (measure -> plan -> gate -> migrate)",
+        run: |a| println!("{}", adaptive::run(a.size, a.ranks.clamp(2, 8))),
+    },
+    Experiment {
+        name: "gateway",
+        title: "E17: steering gateway load test (fan-out + frame cache)",
+        run: |a| {
+            let (observers, frames) = match a.size {
+                Size::Tiny => (120, 5),
+                Size::Small => (200, 8),
+                Size::Medium => (400, 10),
+            };
+            println!(
+                "{}",
+                gateway::run(a.size, a.ranks.clamp(2, 8), observers, frames)
+            );
+        },
+    },
+    Experiment {
+        name: "farm",
+        title: "E19: simulation farm (sweep saturation vs sequential baseline)",
+        run: |a| println!("{}", farm::run(a.size, a.ranks.clamp(2, 8))),
+    },
+    Experiment {
+        name: "projection",
+        title: "E20: calibrated cost model + 1k-32k rank projection",
+        run: |a| {
+            let steps = match a.size {
+                Size::Tiny => 4,
+                Size::Small => 8,
+                Size::Medium => 4,
+            };
+            println!("{}", projection::run(a.size, steps, a.ranks.clamp(2, 16)));
+        },
+    },
+    Experiment {
+        name: "ablation",
+        title: "A1: resolution convergence (mesh refinement pay-off)",
+        run: |a| {
+            let spacings: &[f64] = match a.size {
+                Size::Tiny => &[1.0, 0.5],
+                _ => &[1.0, 0.5, 0.25],
+            };
+            println!("{}", ablation::run(spacings));
+        },
+    },
+];
+
+/// The experiments `what` selects: all of them for `all`, the named one
+/// otherwise (empty for an unknown name).
+fn selected(what: &str) -> Vec<&'static Experiment> {
+    EXPERIMENTS
+        .iter()
+        .filter(|e| what == "all" || e.name == what)
+        .collect()
+}
+
+fn usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    format!(
+        "usage: reproduce [{}|all] [--size tiny|small|medium] [--ranks N]",
+        names.join("|")
+    )
 }
 
 fn parse_args() -> Args {
@@ -48,9 +216,7 @@ fn parse_args() -> Args {
                 });
             }
             "--help" | "-h" => {
-                println!(
-                    "usage: reproduce [table1|fig1|fig2|fig3|fig4a|fig4b|scaling|preprocessing|multires|repartition|obs|render|faults|adaptive|kernel|overlap|gateway|farm|projection|ablation|all] [--size tiny|small|medium] [--ranks N]"
-                );
+                println!("{}", usage());
                 std::process::exit(0);
             }
             w => what = w.to_string(),
@@ -62,172 +228,36 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
-    let run_all = args.what == "all";
-    let mut ran = false;
-
-    if run_all || args.what == "table1" {
-        ran = true;
-        println!("=== E1: Table I ===");
-        let params = table1::Table1Params {
-            size: args.size,
-            ranks: args.ranks,
-            ..Default::default()
-        };
-        println!("{}", table1::run(params));
-    }
-    if run_all || args.what == "fig1" {
-        ran = true;
-        println!("=== E2: Fig. 1 (sparse storage) ===");
-        let sizes: &[Size] = match args.size {
-            Size::Tiny => &[Size::Tiny],
-            Size::Small => &[Size::Tiny, Size::Small],
-            Size::Medium => &[Size::Tiny, Size::Small, Size::Medium],
-        };
-        println!("{}", fig1::run(sizes));
-    }
-    if run_all || args.what == "fig2" {
-        ran = true;
-        println!("=== E3: Fig. 2 (closed-loop steering) ===");
-        let configs = [
-            (2usize, (64u32, 48u32)),
-            (args.ranks.max(2), (128, 96)),
-            (args.ranks.max(2), (256, 192)),
-        ];
-        println!("{}", fig2::run(args.size, &configs, 5));
-    }
-    if run_all || args.what == "fig3" {
-        ran = true;
-        println!("=== E4: Fig. 3 (post-processing pipeline) ===");
-        println!("{}", fig3::run(args.size, 3, (128, 96)));
-    }
-    if run_all || args.what == "fig4a" {
-        ran = true;
-        println!("=== E5: Fig. 4a (volume rendering) ===");
-        println!("{}", fig4::run_4a(args.size, args.ranks, 512, 384));
-    }
-    if run_all || args.what == "fig4b" {
-        ran = true;
-        println!("=== E6: Fig. 4b (streamlines) ===");
-        println!("{}", fig4::run_4b(args.size, args.ranks, 64, 512, 384));
-    }
-    if run_all || args.what == "lic" {
-        ran = true;
-        println!("=== E1-aux: LIC slice figure ===");
-        println!("{}", fig4::run_lic(args.size, args.ranks.min(4)));
-    }
-    if run_all || args.what == "scaling" {
-        ran = true;
-        println!("=== E7: strong scaling + 32k projection ===");
-        println!("{}", scaling::run(args.size, &[1, 2, 4, 8, 16], 10));
-    }
-    if run_all || args.what == "preprocessing" {
-        ran = true;
-        println!("=== E8: two-level read, reading-core sweep ===");
-        println!("{}", preprocess::run(args.size, 16, &[1, 2, 4, 8, 16]));
-    }
-    if run_all || args.what == "multires" {
-        ran = true;
-        println!("=== E9: multi-resolution octree ===");
-        println!("{}", multires::run(args.size));
-    }
-    if run_all || args.what == "repartition" {
-        ran = true;
-        println!("=== E10: vis-aware repartitioning ===");
-        println!("{}", repartition::run(args.size, args.ranks));
-    }
-    if run_all || args.what == "extract" {
-        ran = true;
-        println!("=== E11: in situ feature extraction (isosurface + vortices) ===");
-        println!("{}", extract::run(args.size));
-    }
-    if run_all || args.what == "obs" {
-        ran = true;
-        println!("=== E12: observability (phase timings, wait by class, steering RTT) ===");
-        println!("{}", obs::run(args.size, args.ranks, 5));
-    }
-    if run_all || args.what == "render" {
-        ran = true;
-        println!("=== E13: in situ rendering (macrocell skipping + sparse compositing) ===");
-        let (w, h) = match args.size {
-            Size::Tiny => (160u32, 120u32),
-            Size::Small => (320, 240),
-            Size::Medium => (512, 384),
-        };
-        println!("{}", render::run(args.size, args.ranks.clamp(2, 8), w, h));
-    }
-    if run_all || args.what == "faults" {
-        ran = true;
-        println!("=== E14: fault injection (degraded frames + recovery replay) ===");
-        println!("{}", faults::run(args.size, args.ranks.clamp(3, 8), 5));
-    }
-    if run_all || args.what == "adaptive" {
-        ran = true;
-        println!("=== E15: adaptive load balancing (measure -> plan -> gate -> migrate) ===");
-        println!("{}", adaptive::run(args.size, args.ranks.clamp(2, 8)));
-    }
-    if run_all || args.what == "kernel" {
-        ran = true;
-        println!("=== E16: kernel throughput (site-updates/s, golden digest re-checked) ===");
-        let steps = match args.size {
-            Size::Tiny => 50,
-            Size::Small => 40,
-            Size::Medium => 10,
-        };
-        println!("{}", kernel::run(args.size, steps));
-    }
-    if run_all || args.what == "overlap" {
-        ran = true;
-        println!("=== E18: communication/computation overlap (sync vs frontier-first) ===");
-        let steps = match args.size {
-            Size::Tiny => 4,
-            Size::Small => 8,
-            Size::Medium => 6,
-        };
-        println!("{}", overlap::run(args.size, steps, args.ranks.clamp(2, 8)));
-    }
-    if run_all || args.what == "gateway" {
-        ran = true;
-        println!("=== E17: steering gateway load test (fan-out + frame cache) ===");
-        let (observers, frames) = match args.size {
-            Size::Tiny => (120, 5),
-            Size::Small => (200, 8),
-            Size::Medium => (400, 10),
-        };
-        println!(
-            "{}",
-            gateway::run(args.size, args.ranks.clamp(2, 8), observers, frames)
-        );
-    }
-    if run_all || args.what == "farm" {
-        ran = true;
-        println!("=== E19: simulation farm (sweep saturation vs sequential baseline) ===");
-        println!("{}", farm::run(args.size, args.ranks.clamp(2, 8)));
-    }
-    if run_all || args.what == "projection" {
-        ran = true;
-        println!("=== E20: calibrated cost model + 1k-32k rank projection ===");
-        let steps = match args.size {
-            Size::Tiny => 4,
-            Size::Small => 8,
-            Size::Medium => 4,
-        };
-        println!(
-            "{}",
-            projection::run(args.size, steps, args.ranks.clamp(2, 16))
-        );
-    }
-    if run_all || args.what == "ablation" {
-        ran = true;
-        println!("=== A1: resolution convergence (mesh refinement pay-off) ===");
-        let spacings: &[f64] = match args.size {
-            Size::Tiny => &[1.0, 0.5],
-            _ => &[1.0, 0.5, 0.25],
-        };
-        println!("{}", ablation::run(spacings));
-    }
-
-    if !ran {
-        eprintln!("unknown experiment '{}'; try --help", args.what);
+    let chosen = selected(&args.what);
+    if chosen.is_empty() {
+        eprintln!("unknown experiment '{}'\n{}", args.what, usage());
         std::process::exit(2);
+    }
+    for e in chosen {
+        println!("=== {} ===", e.title);
+        (e.run)(&args);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_table_name_dispatches_and_help_lists_it() {
+        let help = usage();
+        for e in EXPERIMENTS {
+            let hit = selected(e.name);
+            assert_eq!(hit.len(), 1, "{} must select exactly itself", e.name);
+            assert_eq!(hit[0].name, e.name);
+            assert!(
+                help.split(|c: char| !c.is_alphanumeric())
+                    .any(|w| w == e.name),
+                "--help must list {}: {help}",
+                e.name
+            );
+        }
+        assert_eq!(selected("all").len(), EXPERIMENTS.len());
+        assert!(selected("no-such-experiment").is_empty());
     }
 }

@@ -17,7 +17,8 @@
 //! the clean sequential baseline's digest: recovery is bit-exact and
 //! neighbouring jobs are unperturbed, in a single assertion.
 //!
-//! Results export to `out/BENCH_farm.json` (gated by `ci-gate`).
+//! Results export to `out/BENCH_farm.json`, an uploaded artefact; the
+//! counters that must not move are asserted by this module's test.
 
 use crate::workloads::{self, Size};
 use hemelb_farm::{Drive, FarmConfig, FarmScheduler, GeometryKind, JobSpec, Scenario};
@@ -31,9 +32,9 @@ const KILL_STEP: u64 = 3;
 /// Checkpoint cadence of the designated kill job.
 const KILL_CHECKPOINT_EVERY: u64 = 2;
 /// Timed repetitions per configuration; the best (shortest makespan)
-/// is kept. Millisecond-scale farm runs are noisy on shared CI boxes;
-/// best-of-N keeps the numbers comparable against the blessed
-/// baselines (digest assertions still run on every rep).
+/// is kept. Millisecond-scale farm runs are noisy on shared boxes;
+/// best-of-N keeps the printed throughput comparable run to run (digest
+/// assertions still run on every rep).
 const REPS: usize = 5;
 
 /// One farm configuration of the saturation sweep.
@@ -384,21 +385,26 @@ mod tests {
     fn farm_bench_amortises_prep_and_replays_the_kill_bit_exactly() {
         // `run` asserts digest equality against the baseline inline;
         // reaching the assertions below means recovery was bit-exact
-        // and neighbours were unperturbed.
+        // and neighbours were unperturbed. This is the run CI's
+        // `farm-smoke` stage does, so the counters are pinned as
+        // equalities: they depend on the sweep, not on the clock.
         let result = run(Size::Tiny, 2);
+        assert_eq!(result.jobs, 12);
         assert_eq!(result.rows.len(), 2, "pool sizes 1 and 2");
         assert!(result.kill_replay_bit_exact, "kill must fire and replay");
         for row in &result.rows {
             assert!(row.makespan_secs > 0.0 && row.jobs_per_hour > 0.0);
-            assert!(
-                row.cache_misses < (result.jobs * 2) as u64,
-                "the shared cache must amortise some pre-processing: \
-                 {} misses for {} jobs",
-                row.cache_misses,
-                result.jobs
-            );
-            assert!(row.restarts >= 1, "the injected kill must fire");
+            // Three lookups per job; two geometries and three
+            // (geometry, ranks) owner maps are all that is ever built.
+            assert_eq!(row.cache_hits + row.cache_misses, 36);
+            assert_eq!(row.restarts, 1, "the injected kill fires once");
         }
+        // One slot dispatches serially, so the build count is exact.
+        // With two, the sweep's two 1-rank jobs can run side by side and
+        // both build their shared owner map (`PrepCache` builds outside
+        // its lock on purpose): one extra miss, never more.
+        assert_eq!(result.rows[0].cache_misses, 5);
+        assert!((5..=6).contains(&result.rows[1].cache_misses));
         assert!(workloads::out_dir().join("BENCH_farm.json").exists());
     }
 }

@@ -29,7 +29,7 @@ use hemelb_steering::{
 };
 use parking_lot::Mutex;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 /// Everything E17 measures.
 pub struct GatewayResult {
@@ -95,12 +95,18 @@ pub fn run(size: Size, ranks: usize, observers: usize, frames: usize) -> Gateway
         let (first, _) = driver.request_frame().expect("driver's first frame");
 
         // The observer fleet: each drains the broadcast stream until the
-        // server goes away, counting the images it saw.
+        // server goes away, counting the images it saw. The driver waits
+        // for the whole fleet to have dialled before its next request,
+        // so every frame from here on fans out to all of them and the
+        // bytes shipped depend on the workload, not on thread start-up.
+        let dialled = Arc::new(Barrier::new(observers + 1));
         let observer_threads: Vec<_> = (0..observers)
             .map(|_| {
                 let conn = connector.clone();
+                let dialled = dialled.clone();
                 std::thread::spawn(move || {
                     let client = SteeringClient::new(Box::new(conn.connect().unwrap()));
+                    dialled.wait();
                     let mut images = 0u64;
                     while let Ok(msg) = client.recv() {
                         if matches!(msg, hemelb_steering::protocol::ServerMessage::Image(_)) {
@@ -114,6 +120,7 @@ pub fn run(size: Size, ranks: usize, observers: usize, frames: usize) -> Gateway
 
         // Live round trips: the simulation advances between frames, so
         // every request is a cache miss rendered under full fan-out.
+        dialled.wait();
         let mut rtts = Vec::with_capacity(frames);
         for _ in 0..frames {
             let (_, rtt) = driver.request_frame().expect("live frame");
@@ -276,20 +283,33 @@ mod tests {
 
     #[test]
     fn gateway_load_test_reports_cache_hits_and_fanout() {
-        let r = run(Size::Tiny, 2, 8, 3);
-        assert_eq!(r.rtts.len(), 3);
-        assert_eq!(r.cached_rtts.len(), 3);
-        assert!(r.cache_hits >= 3, "every paused repeat hits the cache");
-        assert!(r.hit_rate() > 0.0);
-        assert_eq!(r.sessions_peak, 9, "driver + 8 observers");
-        assert!(r.fanout_bytes > 0);
+        let (observers, frames) = (8, 3);
+        let r = run(Size::Tiny, 2, observers, frames);
+        assert_eq!(r.rtts.len(), frames);
+        assert_eq!(r.cached_rtts.len(), frames);
+        assert_eq!(r.sessions_peak, observers as u64 + 1, "driver + observers");
+        // The driver asks for the first frame, `frames` live ones, two
+        // while the pause settles and `frames` repeats; each request is
+        // one cache lookup.
+        let requested = 2 * frames as u64 + 3;
+        assert_eq!(r.cache_hits + r.cache_misses, requested);
+        assert_eq!(r.frames_rendered, r.cache_misses);
+        assert_eq!(r.frames_from_cache, r.cache_hits);
+        // The repeats and the second settling frame always hit; the
+        // first settling frame hits too unless the simulation got one
+        // more cycle in before the pause landed.
+        let sure = frames as u64 + 1;
         assert!(
-            r.observer_frames.1 >= 1,
-            "observers saw broadcast frames: {:?}",
-            r.observer_frames
+            (sure..=sure + 1).contains(&r.cache_hits),
+            "{} hits of {requested}",
+            r.cache_hits
         );
+        // Every observer dialled in before the second request, and a
+        // newcomer is sent the frame in hand: all of them saw all of it.
+        assert_eq!(r.observer_frames, (requested, requested));
+        assert!(r.fanout_bytes > 0);
         let back = ObsReport::from_json(&r.report.to_json()).expect("valid JSON");
-        assert!(back.counters["gateway.cache.hits"] >= 3);
-        assert_eq!(back.counters["gateway.observers"], 8);
+        assert_eq!(back.counters["gateway.cache.hits"], r.cache_hits);
+        assert_eq!(back.counters["gateway.observers"], observers as u64);
     }
 }

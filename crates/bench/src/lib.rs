@@ -1,10 +1,11 @@
 //! # hemelb-bench
 //!
-//! The experiment harness: one module per table/figure of the paper
-//! (see `DESIGN.md` §3 for the experiment index), shared workload
-//! builders, and the `reproduce` binary that runs everything and prints
-//! paper-style tables. Criterion micro-benchmarks live in the umbrella
-//! crate's `benches/` and reuse [`workloads`].
+//! The experiment harness: one module per table, figure or co-design
+//! question of the paper (see `DESIGN.md` §3 for the experiment index),
+//! shared workload builders, and the `reproduce` binary that runs them
+//! and prints paper-style tables. Nothing here is a timing harness:
+//! how fast a layer runs is measured by the standalone `benchmark/`
+//! package (see `benchmark/README.md`), and nowhere else.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,15 +19,10 @@ pub mod fig1;
 pub mod fig2;
 pub mod fig3;
 pub mod fig4;
-pub mod gate;
 pub mod gateway;
-pub mod kernel;
 pub mod multires;
-pub mod obs;
-pub mod overlap;
 pub mod preprocess;
 pub mod projection;
-pub mod render;
 pub mod repartition;
 pub mod scaling;
 pub mod table1;

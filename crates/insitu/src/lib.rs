@@ -41,6 +41,6 @@ pub use camera::Camera;
 pub use compositing::{CompositeOutcome, DeadlineCompositor};
 pub use field::SampledField;
 pub use image::Image;
-pub use pipeline::{compare_solver_backends, BackendComparison, Pipeline, StageStats};
+pub use pipeline::{Pipeline, StageStats};
 pub use report::TechniqueReport;
 pub use transfer::TransferFunction;

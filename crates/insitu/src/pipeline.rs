@@ -130,101 +130,6 @@ impl<T: Sized2> Pipeline<T> {
     }
 }
 
-/// Outcome of driving the same in situ pipeline once from the serial
-/// solver and once from the thread-parallel solver (see
-/// [`compare_solver_backends`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BackendComparison {
-    /// Wall seconds for the serial solver + pipeline pass.
-    pub serial_seconds: f64,
-    /// Wall seconds for the parallel solver + pipeline pass.
-    pub parallel_seconds: f64,
-    /// Worker threads of the parallel backend.
-    pub threads: usize,
-    /// Time steps advanced per backend.
-    pub steps: u64,
-    /// Snapshots fed through the pipeline per backend.
-    pub frames: usize,
-    /// Whether every pipeline output matched bit-for-bit between the
-    /// two backends (`f64::to_bits` equality over ρ, u and shear).
-    pub bit_identical: bool,
-}
-
-fn snapshots_bit_identical(a: &hemelb_core::FieldSnapshot, b: &hemelb_core::FieldSnapshot) -> bool {
-    a.rho.len() == b.rho.len()
-        && a.rho
-            .iter()
-            .zip(&b.rho)
-            .all(|(x, y)| x.to_bits() == y.to_bits())
-        && a.u
-            .iter()
-            .zip(&b.u)
-            .all(|(x, y)| (0..3).all(|k| x[k].to_bits() == y[k].to_bits()))
-        && a.shear
-            .iter()
-            .zip(&b.shear)
-            .all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-/// Drive the same extract→…→render pipeline from both on-node solver
-/// backends: the serial [`hemelb_core::Solver`] and the chunk-parallel
-/// [`hemelb_core::ParallelSolver`] with `threads` workers. Every
-/// `snapshot_every` steps a macroscopic snapshot is taken and pushed
-/// through a fresh pipeline built by `make_pipeline`; the comparison
-/// records wall time per backend and whether all pipeline outputs were
-/// bit-identical (the determinism contract says they must be).
-///
-/// On a single hardware core the parallel backend cannot be faster —
-/// this is a correctness-and-accounting harness, not a speedup claim.
-pub fn compare_solver_backends<F>(
-    geo: &std::sync::Arc<hemelb_geometry::SparseGeometry>,
-    cfg: &hemelb_core::SolverConfig,
-    threads: usize,
-    steps: u64,
-    snapshot_every: u64,
-    make_pipeline: F,
-) -> BackendComparison
-where
-    F: Fn() -> Pipeline<hemelb_core::FieldSnapshot>,
-{
-    assert!(snapshot_every > 0);
-    let mut rec = Recorder::new();
-
-    let span = rec.begin();
-    let mut serial = hemelb_core::Solver::new(geo.clone(), cfg.clone());
-    let mut serial_pipe = make_pipeline();
-    let mut serial_frames = Vec::new();
-    for _ in 0..steps / snapshot_every {
-        serial.step_n(snapshot_every);
-        serial_frames.push(serial_pipe.run(serial.snapshot()));
-    }
-    let serial_seconds = span.end(&mut rec, "backend.serial");
-
-    let span = rec.begin();
-    let mut par = hemelb_core::ParallelSolver::new(geo.clone(), cfg.clone(), threads);
-    let mut par_pipe = make_pipeline();
-    let mut par_frames = Vec::new();
-    for _ in 0..steps / snapshot_every {
-        par.step_n(snapshot_every);
-        par_frames.push(par_pipe.run(par.snapshot()));
-    }
-    let parallel_seconds = span.end(&mut rec, "backend.parallel");
-
-    let bit_identical = serial_frames.len() == par_frames.len()
-        && serial_frames
-            .iter()
-            .zip(&par_frames)
-            .all(|(a, b)| snapshots_bit_identical(a, b));
-    BackendComparison {
-        serial_seconds,
-        parallel_seconds,
-        threads,
-        steps,
-        frames: serial_frames.len(),
-        bit_identical,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,30 +168,6 @@ mod tests {
         let stats = p.stats();
         assert_eq!(stats[0].last_bytes, Some(800));
         assert_eq!(stats[1].last_bytes, Some(200), "filter reduces 4×");
-    }
-
-    #[test]
-    fn solver_backends_feed_the_pipeline_identically() {
-        use hemelb_geometry::VesselBuilder;
-        let geo = std::sync::Arc::new(VesselBuilder::straight_tube(14.0, 3.0).voxelise(1.0));
-        let cfg = hemelb_core::SolverConfig::pressure_driven(1.01, 0.99);
-        let cmp = compare_solver_backends(&geo, &cfg, 4, 20, 5, || {
-            Pipeline::new()
-                .stage("extract", |s: hemelb_core::FieldSnapshot| s)
-                .stage("filter", |mut s: hemelb_core::FieldSnapshot| {
-                    // Zero out slow sites: a typical thresholding filter.
-                    for i in 0..s.rho.len() {
-                        if s.speed(i) < 1e-6 {
-                            s.u[i] = [0.0; 3];
-                        }
-                    }
-                    s
-                })
-        });
-        assert!(cmp.bit_identical, "{cmp:?}");
-        assert_eq!(cmp.frames, 4);
-        assert_eq!(cmp.threads, 4);
-        assert!(cmp.serial_seconds > 0.0 && cmp.parallel_seconds > 0.0);
     }
 
     #[test]

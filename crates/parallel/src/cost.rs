@@ -34,9 +34,6 @@ pub enum MachineModel {
     /// bandwidth jump, so byte-heavy algorithms regress *relative to*
     /// compute.
     ExascaleProjection,
-    /// A laptop-class shared-memory "interconnect", for sanity checks
-    /// against measured in-process times.
-    SharedMemory,
 }
 
 /// Linear cost model `T = α·msgs + bytes/β + flops/γ`.
@@ -63,11 +60,6 @@ impl CostModel {
                 alpha: 0.5e-6,
                 beta: 5.0e10,
                 gamma: 1.0e12,
-            },
-            MachineModel::SharedMemory => CostModel {
-                alpha: 1.0e-7,
-                beta: 2.0e10,
-                gamma: 5.0e9,
             },
         }
     }
@@ -154,7 +146,7 @@ mod tests {
 
     #[test]
     fn zero_workload_costs_nothing() {
-        let m = CostModel::for_machine(MachineModel::SharedMemory);
+        let m = CostModel::for_machine(MachineModel::CrayXe6);
         assert_eq!(m.time(0, 0, 0), 0.0);
         assert_eq!(m.critical_path(0, 0, 0).data_movement_fraction(), 0.0);
     }

@@ -85,9 +85,7 @@ impl std::error::Error for CalibrationError {}
 pub struct CalibratedModel {
     /// The fitted α–β–γ model. A term whose coefficient the
     /// non-negativity constraint forced to zero appears as `alpha == 0`
-    /// (free messages) or an infinite `beta`/`gamma` (free bytes/work);
-    /// [`CalibratedModel::is_usable`] reports whether the comm terms
-    /// came out finite and positive.
+    /// (free messages) or an infinite `beta`/`gamma` (free bytes/work).
     pub model: CostModel,
     /// Per-sample `predicted − measured` seconds, in input order.
     pub residuals: Vec<f64>,
@@ -107,19 +105,6 @@ impl CalibratedModel {
     /// Largest absolute residual, seconds (0 when no residuals).
     pub fn max_abs_residual(&self) -> f64 {
         self.residuals.iter().fold(0.0, |a, r| a.max(r.abs()))
-    }
-
-    /// Whether the fit produced a model safe to price communication
-    /// with: finite positive bandwidth and compute rate, non-negative
-    /// finite latency. A fit over samples that never exercised a term
-    /// fails this test, and callers should fall back to a preset.
-    pub fn is_usable(&self) -> bool {
-        self.model.alpha.is_finite()
-            && self.model.alpha >= 0.0
-            && self.model.beta.is_finite()
-            && self.model.beta > 0.0
-            && self.model.gamma.is_finite()
-            && self.model.gamma > 0.0
     }
 
     /// Record the model losslessly into an obs recorder under
@@ -373,7 +358,6 @@ mod tests {
         assert!((cal.model.gamma - 8e8).abs() / 8e8 < 1e-9);
         assert!(cal.r2 > 0.999_999);
         assert!(cal.max_abs_residual() < 1e-12);
-        assert!(cal.is_usable());
     }
 
     #[test]
@@ -385,7 +369,7 @@ mod tests {
             s.secs *= 1.0 + sign * 0.05;
         }
         let cal = fit(&samples).unwrap();
-        assert!(cal.is_usable());
+        assert!(cal.model.beta.is_finite() && cal.model.gamma.is_finite());
         assert!(cal.r2 > 0.9, "r2={}", cal.r2);
         assert!((cal.model.alpha - 1e-6).abs() / 1e-6 < 0.2);
     }
@@ -408,7 +392,7 @@ mod tests {
     }
 
     #[test]
-    fn unexercised_terms_come_back_free_and_unusable() {
+    fn unexercised_terms_come_back_free() {
         // Pure compute samples: no message or byte signal at all.
         let samples: Vec<CalSample> = (1..10)
             .map(|i| CalSample {
@@ -422,7 +406,6 @@ mod tests {
         assert_eq!(cal.model.alpha, 0.0);
         assert_eq!(cal.model.beta, f64::INFINITY);
         assert!((cal.model.gamma - 1e7).abs() / 1e7 < 1e-9);
-        assert!(!cal.is_usable(), "comm terms never measured");
         // The free terms predict zero cost.
         assert_eq!(cal.predict(1000, 1 << 30, 0), 0.0);
     }

@@ -16,13 +16,13 @@
 //!    with an α–β–γ [`CostModel`] (projected migration seconds) and
 //!    gated by [`payoff_gate`](hemelb_partition::payoff_gate) against
 //!    the projected saving over the remaining steps. The pricing model
-//!    **self-calibrates**: every window's all-reduced measurements
-//!    (span totals, message/byte counts, send times) feed a
-//!    non-negative least-squares fit
-//!    ([`hemelb_parallel::calibrate_fit`]), and once that fit is usable
-//!    it replaces the preset — migrations are priced at this machine's
-//!    measured rates, identically on every rank because the fit is a
-//!    pure function of all-reduced inputs;
+//!    is **measured, never preset**: the first window times a small and
+//!    a large probe message round a rank ring (encode → send → receive
+//!    → decode, as a migration does), and two sizes give two equations
+//!    for α and β; γ is the window's site updates over its measured
+//!    compute seconds. The timings ride the window's all-reduce, so
+//!    every rank solves from identical inputs and holds bit-identical
+//!    coefficients — before any window can trigger;
 //! 4. an applied plan goes through [`DistSolver::repartition`], which
 //!    is bit-transparent — physics after an adaptive rebalance is
 //!    bit-identical to never having rebalanced.
@@ -33,12 +33,13 @@
 use crate::error::SteeringResult;
 use hemelb_core::DistSolver;
 use hemelb_geometry::SparseGeometry;
-use hemelb_parallel::{calibrate_fit, CalSample, Communicator, CostModel, MachineModel};
+use hemelb_parallel::{Communicator, CostModel, Tag, WireReader, WireWriter};
 use hemelb_partition::graph::Connectivity;
 use hemelb_partition::{
     payoff_gate, plan_rebalance, AdaptiveLb, AdaptiveLbConfig, GateDecision, Observation,
     SiteGraph, WindowCosts,
 };
+use std::time::Instant;
 
 /// Simulation phases whose span totals count as per-rank *load*.
 /// `lb.halo-wait` is deliberately excluded: wait time is idleness
@@ -56,6 +57,46 @@ const SIM_PHASES: [&str; 5] = [
 
 /// Visualisation phase whose span total counts as per-rank vis load.
 const VIS_PHASE: &str = "vis.render";
+
+/// Tag of the link probe: Migration class, since a migration is what
+/// the probed coefficients price.
+const T_PROBE: Tag = Tag::migration(1);
+
+/// `f64`s in the small and the large probe message. The large one is
+/// big enough (512 KiB) that its per-byte cost stands clear of the
+/// per-message cost on any box; two sizes are what make α and β
+/// separable at all.
+const PROBE_F64S: [usize; 2] = [1, 1 << 16];
+
+/// Rounds per probe size; the fastest is kept, because interference on
+/// a shared box only ever adds time.
+const PROBE_ROUNDS: usize = 5;
+
+/// Bytes on the wire of a probe message of `n` values (length prefix
+/// plus payload).
+fn probe_bytes(n: usize) -> usize {
+    8 + 8 * n
+}
+
+/// Fastest time, in seconds, for one `n`-value message to go through
+/// encode → send → receive → decode round the rank ring. **Collective.**
+fn probe_secs(comm: &Communicator, n: usize) -> SteeringResult<f64> {
+    let data = vec![1.0f64; n];
+    let next = (comm.rank() + 1) % comm.size();
+    let prev = (comm.rank() + comm.size() - 1) % comm.size();
+    let mut best = f64::INFINITY;
+    for _ in 0..PROBE_ROUNDS {
+        let t0 = Instant::now();
+        let mut w = WireWriter::with_capacity(probe_bytes(n));
+        w.put_f64_slice(&data);
+        let payload = w.finish();
+        debug_assert_eq!(payload.len(), probe_bytes(n));
+        comm.send(next, T_PROBE, payload)?;
+        std::hint::black_box(WireReader::new(comm.recv(prev, T_PROBE)?).get_f64_vec()?);
+        best = best.min(t0.elapsed().as_secs_f64());
+    }
+    Ok(best)
+}
 
 /// What one decision window concluded.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,70 +121,34 @@ pub struct WindowDecision {
 pub struct AdaptiveDriver {
     lb: AdaptiveLb,
     graph: SiteGraph,
-    cost_model: CostModel,
-    /// Model fitted from this run's own windows; replaces `cost_model`
-    /// for migration pricing as soon as the fit is usable.
-    calibrated: Option<CostModel>,
-    /// Calibration samples accumulated from all-reduced window
-    /// measurements — identical on every rank by construction.
-    samples: Vec<CalSample>,
+    /// The model pricing migrations, measured at the first window.
+    model: Option<CostModel>,
     prev_sim_secs: f64,
     prev_vis_secs: f64,
-    prev_msgs: u64,
-    prev_bytes: u64,
-    prev_send_secs: f64,
     last_imbalance: f64,
     applied: u64,
 }
 
-/// Cap on retained calibration samples: enough windows to fit well,
-/// bounded so a long run's driver state stays small. Growth simply
-/// stops at the cap (identically on every rank), keeping the fit —
-/// and therefore the collective decisions — consistent.
-const MAX_CAL_SAMPLES: usize = 512;
-
 impl AdaptiveDriver {
     /// Build the driver: the site graph is constructed once from the
-    /// geometry (topology never changes mid-run). Migrations start out
-    /// priced with the shared-memory preset and switch to the
-    /// self-calibrated fit as windows accumulate measurements.
+    /// geometry (topology never changes mid-run). The pricing model is
+    /// measured inside the first [`AdaptiveDriver::end_window`].
     pub fn new(geo: &SparseGeometry, cfg: AdaptiveLbConfig) -> Self {
         AdaptiveDriver {
             lb: AdaptiveLb::new(cfg),
             graph: SiteGraph::from_geometry(geo, Connectivity::Six),
-            cost_model: CostModel::for_machine(MachineModel::SharedMemory),
-            calibrated: None,
-            samples: Vec::new(),
+            model: None,
             prev_sim_secs: 0.0,
             prev_vis_secs: 0.0,
-            prev_msgs: 0,
-            prev_bytes: 0,
-            prev_send_secs: 0.0,
             last_imbalance: 1.0,
             applied: 0,
         }
     }
 
-    /// Price migrations with a different *fallback* machine model (e.g.
-    /// [`MachineModel::CrayXe6`] for co-design projections). Once the
-    /// driver's own window measurements yield a usable calibrated fit,
-    /// that fit takes over the pricing (see
-    /// [`AdaptiveDriver::pricing_model`]).
-    pub fn with_cost_model(mut self, model: CostModel) -> Self {
-        self.cost_model = model;
-        self
-    }
-
-    /// The model currently pricing migrations: the self-calibrated fit
-    /// when one is usable, the fallback preset before that.
-    pub fn pricing_model(&self) -> &CostModel {
-        self.calibrated.as_ref().unwrap_or(&self.cost_model)
-    }
-
-    /// Whether migration pricing is running on a self-calibrated model
-    /// (false until enough windows produced a usable fit).
-    pub fn is_calibrated(&self) -> bool {
-        self.calibrated.is_some()
+    /// The model pricing migrations: this machine's measured α, β and
+    /// γ, `None` until the first window has closed.
+    pub fn pricing_model(&self) -> Option<&CostModel> {
+        self.model.as_ref()
     }
 
     /// The configuration in force.
@@ -200,68 +205,52 @@ impl AdaptiveDriver {
         self.prev_sim_secs = sim_total;
         self.prev_vis_secs = vis_total;
 
-        // This rank's communication deltas for the window, for the
-        // calibration samples. `send_secs` (time spent inside sends),
-        // not `recv_wait`: wait is idleness *caused by* imbalance
-        // elsewhere — folding it in would inflate α with load skew and
-        // invert the signal, the same reason `lb.halo-wait` is excluded
-        // from SIM_PHASES.
-        let stats = comm.stats();
-        let msgs = stats.total_msgs().saturating_sub(self.prev_msgs);
-        let bytes = stats.total_bytes().saturating_sub(self.prev_bytes);
-        let send_secs = (stats.total_send_secs() - self.prev_send_secs).max(0.0);
-        self.prev_msgs = stats.total_msgs();
-        self.prev_bytes = stats.total_bytes();
-        self.prev_send_secs = stats.total_send_secs();
         let work = solver.local_sites().len() as u64 * steps_elapsed.max(1);
+
+        // The first window also probes the link at two message sizes.
+        let probe = match self.model {
+            None => [
+                probe_secs(comm, PROBE_F64S[0])?,
+                probe_secs(comm, PROBE_F64S[1])?,
+            ],
+            Some(_) => [0.0; 2],
+        };
 
         // 2. Share: each rank fills its own slot group, sum-reduce, so
         // every rank ends up with the identical per-rank measurement
-        // vector and every later decision — including the calibration
-        // fit — is collectively consistent by construction.
+        // vector and every later decision — including the model solved
+        // from it — is collectively consistent by construction.
         let size = comm.size();
-        const SLOTS: usize = 6;
+        const SLOTS: usize = 5;
         let mut slots = vec![0.0f64; SLOTS * size];
         let base = SLOTS * comm.rank();
         slots[base] = sim;
         slots[base + 1] = vis;
-        slots[base + 2] = msgs as f64;
-        slots[base + 3] = bytes as f64;
-        slots[base + 4] = work as f64;
-        slots[base + 5] = send_secs;
+        slots[base + 2] = work as f64;
+        slots[base + 3] = probe[0];
+        slots[base + 4] = probe[1];
         let reduced = comm.all_reduce_f64_vec(slots, |a, b| a + b)?;
+        let reduced = &reduced;
+        let column = |k: usize| (0..size).map(move |r| reduced[SLOTS * r + k]);
         let costs = WindowCosts {
-            sim_secs: (0..size).map(|r| reduced[SLOTS * r]).collect(),
-            vis_secs: (0..size).map(|r| reduced[SLOTS * r + 1]).collect(),
+            sim_secs: column(0).collect(),
+            vis_secs: column(1).collect(),
             steps: steps_elapsed.max(1),
         };
 
-        // 2b. Self-calibration: every rank contributes one pure-compute
-        // sample (sim span total vs site updates) and one pure-comm
-        // sample (send time vs message/byte counts) per window. The
-        // inputs are the all-reduced vector, so the fit — a pure
-        // function — lands on bit-identical coefficients everywhere.
-        for r in 0..size {
-            if self.samples.len() + 2 > MAX_CAL_SAMPLES {
-                break;
-            }
-            self.samples.push(CalSample {
-                msgs: 0,
-                bytes: 0,
-                work: reduced[SLOTS * r + 4] as u64,
-                secs: reduced[SLOTS * r],
+        // 2b. Calibration, once: two probe sizes are two equations
+        // `t = α + bytes / β`, taken on the slowest rank's link (a
+        // migration ends when its last message lands); γ is the
+        // window's site updates over its compute seconds.
+        if self.model.is_none() {
+            let [small, large] = [3, 4].map(|k| column(k).fold(0.0, f64::max));
+            let [small_bytes, large_bytes] = PROBE_F64S.map(|n| probe_bytes(n) as f64);
+            let secs_per_byte = ((large - small) / (large_bytes - small_bytes)).max(0.0);
+            self.model = Some(CostModel {
+                alpha: (small - small_bytes * secs_per_byte).max(0.0),
+                beta: 1.0 / secs_per_byte,
+                gamma: column(2).sum::<f64>() / column(0).sum::<f64>(),
             });
-            self.samples.push(CalSample {
-                msgs: reduced[SLOTS * r + 2] as u64,
-                bytes: reduced[SLOTS * r + 3] as u64,
-                work: 0,
-                secs: reduced[SLOTS * r + 5],
-            });
-        }
-        if let Ok(cal) = calibrate_fit(&self.samples) {
-            if cal.is_usable() {
-                self.calibrated = Some(cal.model);
-            }
         }
 
         // 3. Hysteresis.
@@ -304,7 +293,8 @@ impl AdaptiveDriver {
         let q = solver.model().q;
         let mig_bytes = plan.moved_vertices as u64 * (4 + 8 * q as u64);
         let mig_msgs = 2 * (size as u64) * (size as u64);
-        let migration_secs = self.pricing_model().time(mig_msgs, mig_bytes, 0);
+        let model = self.model.expect("measured at the first window");
+        let migration_secs = model.time(mig_msgs, mig_bytes, 0);
         let gate = payoff_gate(
             &plan,
             &costs,
@@ -355,36 +345,28 @@ mod tests {
             let cfg = SolverConfig::pressure_driven(1.005, 0.995);
             let mut ds = DistSolver::new(geo2.clone(), owner, cfg, comm).unwrap();
             let mut driver = AdaptiveDriver::new(&geo2, AdaptiveLbConfig::default());
-            assert!(!driver.is_calibrated());
-            let preset = *driver.pricing_model();
-            // A few windows of real stepping provide both pure-compute
-            // and pure-comm samples; the fit should become usable.
-            for _ in 0..4 {
-                ds.step_n(10).unwrap();
-                driver.end_window(comm, &mut ds, 10, 100).unwrap();
-            }
-            let calibrated = driver.is_calibrated();
-            let model = *driver.pricing_model();
-            (calibrated, preset, model)
+            assert!(driver.pricing_model().is_none());
+            // One window of real stepping is all it takes: the probe
+            // and the window's compute time give all three terms.
+            ds.step_n(10).unwrap();
+            driver.end_window(comm, &mut ds, 10, 100).unwrap();
+            let first = *driver
+                .pricing_model()
+                .expect("calibrated by the first window");
+            // Later windows price with the same coefficients.
+            ds.step_n(10).unwrap();
+            driver.end_window(comm, &mut ds, 10, 90).unwrap();
+            assert_eq!(driver.pricing_model(), Some(&first));
+            first
         });
-        for (calibrated, preset, model) in &results {
-            assert!(
-                *calibrated,
-                "driver never produced a usable calibrated model"
-            );
-            // The fitted model is usable and is not the fallback preset.
-            assert!(model.gamma.is_finite() && model.gamma > 0.0);
-            assert!(model.beta.is_finite() && model.beta > 0.0);
-            assert!(model.alpha.is_finite() && model.alpha >= 0.0);
-            assert!(
-                (model.alpha, model.beta, model.gamma) != (preset.alpha, preset.beta, preset.gamma),
-                "calibrated model identical to the preset — fit never took over"
-            );
+        for model in &results {
+            assert!(model.gamma.is_finite() && model.gamma > 0.0, "{model:?}");
+            assert!(model.beta.is_finite() && model.beta > 0.0, "{model:?}");
+            assert!(model.alpha.is_finite() && model.alpha >= 0.0, "{model:?}");
         }
-        // Collective consistency: the fit is a pure function of the
-        // all-reduced inputs, so both ranks hold bit-identical models.
-        let (_, _, m0) = &results[0];
-        let (_, _, m1) = &results[1];
+        // Collective consistency: the model is a pure function of the
+        // all-reduced inputs, so both ranks hold bit-identical ones.
+        let (m0, m1) = (&results[0], &results[1]);
         assert_eq!(m0.alpha.to_bits(), m1.alpha.to_bits());
         assert_eq!(m0.beta.to_bits(), m1.beta.to_bits());
         assert_eq!(m0.gamma.to_bits(), m1.gamma.to_bits());

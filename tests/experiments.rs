@@ -73,14 +73,6 @@ fn e7_scaling_shape() {
         assert!(rows[1].halo_bytes_per_step > 0);
         assert!(rows[1].imbalance < 1.5, "{name}: {}", rows[1].imbalance);
     }
-    // The projection prices with the *calibrated* model, so the exact
-    // comm share depends on this box's measured in-process rates (far
-    // slower than a real interconnect — often comm-dominated at 32k);
-    // the invariant is that it is a genuine fraction, not the old
-    // hand-constant artefact of always landing compute-dominated.
-    assert!(result.projection.comm_fraction > 0.0);
-    assert!(result.projection.comm_fraction < 1.0);
-    assert!(result.projection.model.gamma.is_finite());
 }
 
 #[test]
