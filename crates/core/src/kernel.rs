@@ -91,26 +91,16 @@ where
 impl SoaLattice {
     /// Collide the sites of `range` in place (`f` becomes `f*`),
     /// recording their pre-collision moments; sites outside it are
-    /// untouched. The chunked BGK path is chunk-offset-invariant, so
-    /// neither the range nor `threads` can change any site's value.
-    /// Each worker gets (for MRT) its own clone of the operator, whose
-    /// only mutable state is scratch space.
+    /// untouched. The chunked sweep is chunk-offset-invariant, so
+    /// neither the range nor `threads` can change any site's value;
+    /// workers share the direction tables and the operator immutably.
     pub(crate) fn collide(&mut self, range: Range<usize>, threads: usize) {
         let state = (
             lane_spans(&mut self.f, range.clone()),
             &mut self.moments[range.clone()],
         );
         for_chunks(range, threads, state, |_, (mut lanes, moments)| {
-            let mut op = self.mrt.clone();
-            collide_span_soa(
-                &self.model,
-                self.cfg.collision,
-                self.cfg.tau,
-                &self.bgk,
-                op.as_mut(),
-                &mut lanes,
-                moments,
-            );
+            collide_span_soa(&self.model, &self.dirs, &self.relax, &mut lanes, moments);
         });
     }
 
@@ -148,7 +138,16 @@ impl SoaLattice {
         let mut shear = vec![0.0; n];
         let state = ((&mut rho[..], &mut u[..]), &mut shear[..]);
         for_chunks(0..n, threads, state, |first, ((rho, u), shear)| {
-            macroscopics_span_soa(&self.model, self.cfg.tau, &self.f, first, rho, u, shear)
+            macroscopics_span_soa(
+                &self.model,
+                &self.dirs,
+                self.cfg.tau,
+                &self.f,
+                first,
+                rho,
+                u,
+                shear,
+            )
         });
         FieldSnapshot {
             step: self.step,
@@ -319,37 +318,46 @@ mod tests {
     /// Collide over a sub-range is bit-identical on covered sites to
     /// collide over everything, and leaves uncovered sites untouched —
     /// the invariant the distributed step's frontier/interior phases
-    /// rely on (the chunked BGK path must be offset-invariant across the
-    /// seam and the worker chunks).
+    /// rely on (the chunked sweep must be offset-invariant across the
+    /// seam and the worker chunks, whose boundaries below fall off
+    /// multiples of the chunk width under every operator).
     #[test]
     fn range_collide_matches_full_collide_on_covered_sites() {
         let geo = Arc::new(VesselBuilder::straight_tube(6.0, 2.0).voxelise(1.0));
-        let cfg = SolverConfig::pressure_driven(1.0, 1.0).with_tau(0.9);
-        let mut full = Solver::new(geo.clone(), cfg.clone()).lat;
-        let mut part = Solver::new(geo, cfg).lat;
-        let (n, q) = (full.site_count(), full.model.q);
-        assert!(n > 23, "need room for the split below");
-        let init: Vec<f64> = (0..n * q).map(|k| 0.05 + (k as f64).cos().abs()).collect();
-        full.install_site_major(0, &init);
-        part.install_site_major(0, &init);
+        for collision in [
+            CollisionKind::Bgk,
+            CollisionKind::trt_magic(),
+            CollisionKind::Mrt { omega_ghost: 1.2 },
+        ] {
+            let cfg = SolverConfig::pressure_driven(1.0, 1.0)
+                .with_tau(0.9)
+                .with_collision(collision);
+            let mut full = Solver::new(geo.clone(), cfg.clone()).lat;
+            let mut part = Solver::new(geo.clone(), cfg).lat;
+            let (n, q) = (full.site_count(), full.model.q);
+            assert!(n > 23, "need room for the split below");
+            let init: Vec<f64> = (0..n * q).map(|k| 0.05 + (k as f64).cos().abs()).collect();
+            full.install_site_major(0, &init);
+            part.install_site_major(0, &init);
 
-        full.collide(0..n, 1);
-        // Cover sites 0..5 inline and 9..23 on three workers, leaving
-        // the rest untouched.
-        let ranges = [0..5, 9..23];
-        part.collide(ranges[0].clone(), 1);
-        part.collide(ranges[1].clone(), 3);
+            full.collide(0..n, 1);
+            // Cover sites 0..5 inline and 9..23 on three workers, leaving
+            // the rest untouched.
+            let ranges = [0..5, 9..23];
+            part.collide(ranges[0].clone(), 1);
+            part.collide(ranges[1].clone(), 3);
 
-        let (full_f, part_f) = (full.to_site_major(), part.to_site_major());
-        for s in 0..n {
-            let covered = ranges.iter().any(|r| r.contains(&s));
-            let want = if covered { &full_f } else { &init };
-            assert!(
-                bit_eq(&part_f[s * q..(s + 1) * q], &want[s * q..(s + 1) * q]),
-                "site {s}"
-            );
-            if covered {
-                assert_eq!(part.moments[s].0.to_bits(), full.moments[s].0.to_bits());
+            let (full_f, part_f) = (full.to_site_major(), part.to_site_major());
+            for s in 0..n {
+                let covered = ranges.iter().any(|r| r.contains(&s));
+                let want = if covered { &full_f } else { &init };
+                assert!(
+                    bit_eq(&part_f[s * q..(s + 1) * q], &want[s * q..(s + 1) * q]),
+                    "{collision:?} site {s}"
+                );
+                if covered {
+                    assert_eq!(part.moments[s].0.to_bits(), full.moments[s].0.to_bits());
+                }
             }
         }
     }

@@ -21,15 +21,42 @@
 //!
 //! ## Bitwise reference
 //!
-//! The chunked-lane BGK path performs the exact per-site operation
-//! sequence of the scalar [`collide`](crate::collision::collide) (same
-//! associativity, same visit order within a site); TRT and MRT run that
-//! scalar code per site directly. Whole-step behaviour is pinned by the
-//! digests under `tests/golden/`.
+//! Every operator collides through one chunked-lane sweep
+//! ([`collide_span_soa`]); the per-site [`collide`](crate::collision::collide)
+//! and [`MrtOperator::collide`] are the references the unit tests here
+//! compare it against with `to_bits`, site by site. The sweep performs
+//! their per-site operation sequence (same operands, same associativity,
+//! same visit order within a site) and no operation ever mixes two
+//! sites, so a site's bits do not depend on its place in a chunk, on the
+//! zero padding of a ragged tail, on the span or on the thread count.
+//! The only rewrites are exact IEEE-754 identities:
+//!
+//! * **Shared front stage** (all operators and the macroscopics): the
+//!   `ρ ≠ 0` guard as a select over quotients computed unconditionally;
+//!   `u²/2cs²` evaluated once per site instead of once per direction;
+//!   for an opposite pair `c_j = −c_i`: `c_j·u ≡ −(c_i·u)` (negation
+//!   commutes with products and with round-to-nearest sums, except for
+//!   the sign of an exact zero, which the next two absorb),
+//!   `(−x)/c ≡ −(x/c)`, `1 + (−t) ≡ 1 − t`, `(−x)² ≡ x²`; for a rest
+//!   direction `c·u = ±0` and `1 + (±0) + (+0) ≡ 1`.
+//! * **BGK**: nothing further — `f += ω (f_eq − f)` as written.
+//! * **TRT**: `τ⁻` and `ω⁻` evaluated once per lattice instead of once
+//!   per site (same expression); each pair then runs the scalar
+//!   statements verbatim, and a rest direction runs them with `o == i`
+//!   (`f⁻ = ½(f − f)`, `e⁻ = ½(e − e)`), so its signed zeros are the
+//!   scalar's.
+//! * **MRT**: the moment loop in the scalar's fixed order over a chunk
+//!   held in stack arrays; `Iterator::sum` folds `f64`s from `−0.0`, so
+//!   the explicit accumulator starts there (`−0.0 + x ≡ x` for every
+//!   `x`); conserved moments are skipped by the same `rate == 0` test.
+//! * **Macroscopics**: the stress sum in direction order with
+//!   `(c_a c_b) · f_neq` associated as the scalar's `cx * cy * fi_neq`.
+//!
+//! Whole-step behaviour is pinned by the digests under `tests/golden/`.
 
 use crate::boundary::IoletBc;
-use crate::collision::{collide, CollisionKind};
-use crate::equilibrium::{moments as site_moments, pi_neq, shear_rate_magnitude};
+use crate::collision::CollisionKind;
+use crate::equilibrium::shear_rate_magnitude;
 use crate::model::LatticeModel;
 use crate::mrt::MrtOperator;
 use crate::solver::{boundary_rule, precompute_bc_velocities, SolverConfig};
@@ -167,10 +194,10 @@ pub(crate) fn build_stream_table(
 pub(crate) struct SoaLattice {
     pub(crate) model: LatticeModel,
     pub(crate) cfg: SolverConfig,
-    /// MRT operator when `cfg.collision` is [`CollisionKind::Mrt`].
-    pub(crate) mrt: Option<MrtOperator>,
-    /// Direction tables of the chunked BGK path, built once.
-    pub(crate) bgk: BgkTables,
+    /// Direction tables of the chunked sweep, built once.
+    pub(crate) dirs: DirTables,
+    /// `cfg.collision` and `cfg.tau` resolved to relaxation rates.
+    pub(crate) relax: Relaxation,
     /// Site kinds, local order.
     pub(crate) kinds: Vec<SiteKind>,
     /// Precomputed iolet velocities (zero away from velocity iolets).
@@ -193,6 +220,10 @@ pub(crate) struct SoaLattice {
 impl SoaLattice {
     /// The rest state (`ρ = 1`, `u = 0`: lane `i` is the constant `w_i`)
     /// on `sites` of `geo`, streaming by `stream`.
+    ///
+    /// # Panics
+    /// Panics on relaxation times no operator can run with (see
+    /// [`Relaxation::new`]).
     pub(crate) fn new(
         geo: &SparseGeometry,
         sites: impl ExactSizeIterator<Item = u32> + Clone,
@@ -206,13 +237,9 @@ impl SoaLattice {
             "streaming table shape"
         );
         let f: Vec<Vec<f64>> = model.w.iter().map(|&w| vec![w; n]).collect();
-        let mrt = match cfg.collision {
-            CollisionKind::Mrt { omega_ghost } => Some(MrtOperator::new(&model, omega_ghost)),
-            _ => None,
-        };
         SoaLattice {
-            mrt,
-            bgk: BgkTables::new(&model),
+            dirs: DirTables::new(&model),
+            relax: Relaxation::new(&model, &cfg),
             kinds: sites.clone().map(|g| geo.kind(g)).collect(),
             bc_velocity: precompute_bc_velocities(geo, &cfg, sites),
             moments: vec![(1.0, [0.0; 3]); n],
@@ -384,63 +411,49 @@ impl SitePartition {
     }
 }
 
-/// Collide a span of sites over per-lane chunks, recording pre-collision
-/// moments. `lanes[i]` and `moments` cover the same site span. BGK runs
-/// the chunked-lane vectorised path; TRT/MRT take the scalar
-/// gather/scatter site loop.
-pub(crate) fn collide_span_soa(
-    model: &LatticeModel,
-    collision: CollisionKind,
-    tau: f64,
-    bgk: &BgkTables,
-    mut mrt: Option<&mut MrtOperator>,
-    lanes: &mut [&mut [f64]],
-    moments: &mut [(f64, [f64; 3])],
-) {
-    debug_assert_eq!(lanes.len(), model.q);
-    if matches!(collision, CollisionKind::Bgk) && mrt.is_none() {
-        bgk_collide_chunked(model, bgk, tau, lanes, moments);
-        return;
-    }
-    let q = model.q;
-    let mut buf = vec![0.0; q];
-    let mut scratch = vec![0.0; q];
-    for (s, m) in moments.iter_mut().enumerate() {
-        for (b, lane) in buf.iter_mut().zip(lanes.iter()) {
-            *b = lane[s];
-        }
-        *m = match mrt.as_deref_mut() {
-            Some(op) => op.collide(model, tau, &mut buf),
-            None => collide(model, collision, tau, &mut buf, &mut scratch),
-        };
-        for (b, lane) in buf.iter().zip(lanes.iter_mut()) {
-            lane[s] = *b;
-        }
-    }
-}
-
-/// Width of the chunked-lane BGK path: small fixed-size accumulator
-/// arrays the compiler keeps in vector registers.
+/// Width of the chunked-lane sweep: small fixed-size arrays the
+/// compiler keeps in vector registers.
 const CHUNK: usize = 8;
 
-/// The direction tables of the chunked BGK path, derived from the
-/// velocity set once per lattice instead of once per collide call.
-pub(crate) struct BgkTables {
+/// Largest velocity set the per-chunk stack arrays hold (D3Q19).
+const MAX_Q: usize = 19;
+
+/// `CHUNK` consecutive sites of one lane.
+type Window = [f64; CHUNK];
+
+/// The window of `lane` starting at site `s0`.
+#[inline(always)]
+fn window(lane: &[f64], s0: usize) -> &Window {
+    lane[s0..s0 + CHUNK].try_into().expect("chunk window")
+}
+
+/// The window of `lane` starting at site `s0`, writable.
+#[inline(always)]
+fn window_mut(lane: &mut [f64], s0: usize) -> &mut Window {
+    (&mut lane[s0..s0 + CHUNK])
+        .try_into()
+        .expect("chunk window")
+}
+
+/// The operator-independent direction tables of the chunked sweep,
+/// derived from the velocity set once per lattice.
+pub(crate) struct DirTables {
     /// The velocity vectors as `f64`.
     cs: Vec<[f64; 3]>,
     /// Opposite-direction pairs `(i, j)`, `i < j`. They share the two
-    /// equilibrium divisions: `c_j = −c_i` gives `cu_j = −cu_i` exactly
-    /// (IEEE negation commutes with the dot product), so
-    /// `cu_j / cs² = −(cu_i / cs²)` and `cu_j² = cu_i²` bit-for-bit —
-    /// half the fdivs of the naive loop.
+    /// equilibrium divisions: `c_j = −c_i` gives `cu_j = −cu_i` (IEEE
+    /// negation commutes with the dot product, up to the sign of a zero
+    /// that `1 + t` then absorbs), so `cu_j / cs² = −(cu_i / cs²)` and
+    /// `cu_j² = cu_i²` bit-for-bit — half the fdivs of the naive loop.
     pairs: Vec<(usize, usize)>,
     /// Rest directions (`c = 0`, their own opposite): `cu = ±0`, so the
     /// polynomial collapses to `1 − u²/2cs²` with no division at all.
     rests: Vec<usize>,
 }
 
-impl BgkTables {
+impl DirTables {
     pub(crate) fn new(model: &LatticeModel) -> Self {
+        assert!(model.q <= MAX_Q, "{} exceeds the chunk arrays", model.name);
         let cs = model
             .c
             .iter()
@@ -455,40 +468,72 @@ impl BgkTables {
                 std::cmp::Ordering::Greater => {}
             }
         }
-        BgkTables { cs, pairs, rests }
+        DirTables { cs, pairs, rests }
     }
 }
 
-/// The vectorised BGK collision: process `CHUNK` sites at a time, one
-/// lane pass for the moments, one lane pass per opposite-direction pair
-/// for the relaxation. Every per-site operation sequence (moment
-/// accumulation order, the guarded `u = m/ρ`, the equilibrium
-/// polynomial, the `f += ω (f_eq − f)` update) matches the scalar
-/// kernels operand-for-operand — the only rewrites are exact IEEE-754
-/// identities (`1 − t ≡ 1 + (−t)`, `(−x)/c ≡ −(x/c)`, `(−x)² ≡ x²`,
-/// `x ± 0 ≡ x` in the polynomial), so the result is bit-identical.
-fn bgk_collide_chunked(
-    model: &LatticeModel,
-    tables: &BgkTables,
-    tau: f64,
-    lanes: &mut [&mut [f64]],
-    moments: &mut [(f64, [f64; 3])],
-) {
-    let q = model.q;
-    let omega = 1.0 / tau;
-    let n = moments.len();
-    let BgkTables { cs, pairs, rests } = tables;
-    let mut s0 = 0;
-    // Full chunks: fixed-size `[f64; CHUNK]` windows, so every index is
-    // statically in range (no bounds checks) and the loops vectorise.
-    while s0 + CHUNK <= n {
+/// The collision operator of a lattice with its rates resolved once, so
+/// no sweep derives `τ⁻` or `ω` per site and a relaxation time that came
+/// in through the `pub` field of [`SolverConfig`] is checked like one
+/// that came through `with_tau`.
+pub(crate) enum Relaxation {
+    /// `f += ω (f_eq − f)`.
+    Bgk { omega: f64 },
+    /// Even parts relax at `ω⁺ = 1/τ`, odd parts at `ω⁻ = 1/τ⁻`.
+    Trt { omega_plus: f64, omega_minus: f64 },
+    /// Moment-space relaxation, shear moments at `omega_shear = 1/τ`.
+    Mrt { op: MrtOperator, omega_shear: f64 },
+}
+
+impl Relaxation {
+    /// # Panics
+    /// Panics unless `cfg.tau > ½` and, for TRT, `τ⁻ = ½ + Λ/(τ − ½)` is
+    /// finite and above ½ as well (at `τ = ½` it is infinite and TRT
+    /// would run with `ω⁻ = 0`; below, with NaNs).
+    fn new(model: &LatticeModel, cfg: &SolverConfig) -> Self {
+        let tau = cfg.tau;
+        assert!(tau > 0.5, "tau must exceed 1/2, got {tau}");
+        match cfg.collision {
+            CollisionKind::Bgk => Relaxation::Bgk { omega: 1.0 / tau },
+            CollisionKind::Trt { magic } => {
+                let tau_minus = 0.5 + magic / (tau - 0.5);
+                assert!(
+                    tau_minus.is_finite() && tau_minus > 0.5,
+                    "TRT needs a finite tau_minus above 1/2, got {tau_minus} (tau {tau}, magic {magic})"
+                );
+                Relaxation::Trt {
+                    omega_plus: 1.0 / tau,
+                    omega_minus: 1.0 / tau_minus,
+                }
+            }
+            CollisionKind::Mrt { omega_ghost } => Relaxation::Mrt {
+                op: MrtOperator::new(model, omega_ghost),
+                omega_shear: 1.0 / tau,
+            },
+        }
+    }
+}
+
+/// What the front stage of the sweep leaves for one chunk of sites:
+/// density, velocity and the direction-independent `u²/2cs²` term of the
+/// equilibrium.
+struct ChunkFront {
+    rho: Window,
+    u: [Window; 3],
+    u2h: Window,
+}
+
+impl ChunkFront {
+    /// Moments accumulated in direction order, then the guarded
+    /// `u = m/ρ`; `lane(i)` is the chunk's window of lane `i`.
+    #[inline(always)]
+    fn new<'a>(dirs: &DirTables, lane: impl Fn(usize) -> &'a Window) -> Self {
         let mut rho = [0.0f64; CHUNK];
         let mut mx = [0.0f64; CHUNK];
         let mut my = [0.0f64; CHUNK];
         let mut mz = [0.0f64; CHUNK];
-        for i in 0..q {
-            let [cx, cy, cz] = cs[i];
-            let lane: &[f64; CHUNK] = lanes[i][s0..s0 + CHUNK].try_into().expect("chunk window");
+        for (i, &[cx, cy, cz]) in dirs.cs.iter().enumerate() {
+            let lane = lane(i);
             for l in 0..CHUNK {
                 let fi = lane[l];
                 rho[l] += fi;
@@ -497,9 +542,7 @@ fn bgk_collide_chunked(
                 mz[l] += cz * fi;
             }
         }
-        let mut ux = [0.0f64; CHUNK];
-        let mut uy = [0.0f64; CHUNK];
-        let mut uz = [0.0f64; CHUNK];
+        let mut u = [[0.0f64; CHUNK]; 3];
         let mut u2h = [0.0f64; CHUNK];
         for l in 0..CHUNK {
             // Branchless form of the `ρ ≠ 0` guard: compute the
@@ -509,103 +552,176 @@ fn bgk_collide_chunked(
             let qx = mx[l] / rho[l];
             let qy = my[l] / rho[l];
             let qz = mz[l] / rho[l];
-            ux[l] = if nz { qx } else { 0.0 };
-            uy[l] = if nz { qy } else { 0.0 };
-            uz[l] = if nz { qz } else { 0.0 };
-            // The direction-independent `u² / (2 cs²)` term of the
-            // equilibrium, hoisted out of the lane loop: same operands,
-            // same operation, computed once instead of q times.
-            let u2 = ux[l] * ux[l] + uy[l] * uy[l] + uz[l] * uz[l];
-            u2h[l] = u2 / (2.0 * CS2);
+            let (ux, uy, uz) = if nz { (qx, qy, qz) } else { (0.0, 0.0, 0.0) };
+            u[0][l] = ux;
+            u[1][l] = uy;
+            u[2][l] = uz;
+            // Hoisted out of the direction loop: same operands, same
+            // operation, computed once instead of q times.
+            u2h[l] = (ux * ux + uy * uy + uz * uz) / (2.0 * CS2);
         }
-        for &(i, j) in pairs {
-            let [cx, cy, cz] = cs[i];
-            let wi = model.w[i];
-            let wj = model.w[j];
-            let mut t = [0.0f64; CHUNK];
-            let mut sq = [0.0f64; CHUNK];
-            for l in 0..CHUNK {
-                let cu = cx * ux[l] + cy * uy[l] + cz * uz[l];
-                t[l] = cu / CS2;
-                sq[l] = cu * cu / (2.0 * CS2 * CS2);
-            }
-            let (left, right) = lanes.split_at_mut(j);
-            let li: &mut [f64; CHUNK] = (&mut left[i][s0..s0 + CHUNK])
-                .try_into()
-                .expect("chunk window");
-            for l in 0..CHUNK {
-                let fi = li[l];
-                let fe = wi * rho[l] * (1.0 + t[l] + sq[l] - u2h[l]);
-                li[l] = fi + omega * (fe - fi);
-            }
-            let lj: &mut [f64; CHUNK] = (&mut right[0][s0..s0 + CHUNK])
-                .try_into()
-                .expect("chunk window");
-            for l in 0..CHUNK {
-                let fj = lj[l];
-                let fe = wj * rho[l] * (1.0 - t[l] + sq[l] - u2h[l]);
-                lj[l] = fj + omega * (fe - fj);
-            }
-        }
-        for &i in rests {
-            let wi = model.w[i];
-            let lane: &mut [f64; CHUNK] = (&mut lanes[i][s0..s0 + CHUNK])
-                .try_into()
-                .expect("chunk window");
-            for l in 0..CHUNK {
-                let fi = lane[l];
-                let fe = wi * rho[l] * (1.0 - u2h[l]);
-                lane[l] = fi + omega * (fe - fi);
-            }
-        }
-        for (l, m) in moments[s0..s0 + CHUNK].iter_mut().enumerate() {
-            *m = (rho[l], [ux[l], uy[l], uz[l]]);
-        }
-        s0 += CHUNK;
+        ChunkFront { rho, u, u2h }
     }
-    // Ragged tail (< CHUNK sites): same operation order, plain loops.
-    if s0 < n {
-        let w = n - s0;
-        let mut rho = [0.0f64; CHUNK];
-        let mut mx = [0.0f64; CHUNK];
-        let mut my = [0.0f64; CHUNK];
-        let mut mz = [0.0f64; CHUNK];
-        for i in 0..q {
-            let [cx, cy, cz] = cs[i];
-            let lane = &lanes[i][s0..s0 + w];
-            for (l, &fi) in lane.iter().enumerate() {
-                rho[l] += fi;
-                mx[l] += cx * fi;
-                my[l] += cy * fi;
-                mz[l] += cz * fi;
+
+    /// The equilibria of the opposite pair `(i, j)` with `c_i = c`.
+    #[inline(always)]
+    fn pair_equilibria(&self, [cx, cy, cz]: [f64; 3], wi: f64, wj: f64) -> (Window, Window) {
+        let mut ei = [0.0f64; CHUNK];
+        let mut ej = [0.0f64; CHUNK];
+        for l in 0..CHUNK {
+            let cu = cx * self.u[0][l] + cy * self.u[1][l] + cz * self.u[2][l];
+            let t = cu / CS2;
+            let sq = cu * cu / (2.0 * CS2 * CS2);
+            ei[l] = wi * self.rho[l] * (1.0 + t + sq - self.u2h[l]);
+            ej[l] = wj * self.rho[l] * (1.0 - t + sq - self.u2h[l]);
+        }
+        (ei, ej)
+    }
+
+    /// The equilibrium of a rest direction of weight `w`.
+    #[inline(always)]
+    fn rest_equilibrium(&self, w: f64) -> Window {
+        std::array::from_fn(|l| w * self.rho[l] * (1.0 - self.u2h[l]))
+    }
+
+    /// Every direction's equilibrium, for the consumers that visit
+    /// directions in index order (MRT's moment sums, the stress tensor).
+    #[inline(always)]
+    fn equilibria(&self, model: &LatticeModel, dirs: &DirTables) -> [Window; MAX_Q] {
+        let mut fe = [[0.0f64; CHUNK]; MAX_Q];
+        for &(i, j) in &dirs.pairs {
+            (fe[i], fe[j]) = self.pair_equilibria(dirs.cs[i], model.w[i], model.w[j]);
+        }
+        for &i in &dirs.rests {
+            fe[i] = self.rest_equilibrium(model.w[i]);
+        }
+        fe
+    }
+}
+
+/// Collide a span of sites in place over per-lane chunks, recording
+/// pre-collision moments. `lanes[i]` and `moments` cover the same site
+/// span. Every operator runs the same sweep — `CHUNK` sites at a time,
+/// the shared [`ChunkFront`], then its own relaxation — and a site's
+/// result does not depend on where in a chunk, a span or a worker's
+/// share it falls.
+pub(crate) fn collide_span_soa(
+    model: &LatticeModel,
+    dirs: &DirTables,
+    relax: &Relaxation,
+    lanes: &mut [&mut [f64]],
+    moments: &mut [(f64, [f64; 3])],
+) {
+    debug_assert_eq!(lanes.len(), model.q);
+    match *relax {
+        Relaxation::Bgk { omega } => sweep(dirs, lanes, moments, |front, lanes, s0| {
+            relax_pairs(model, dirs, front, lanes, s0, |fi, fj, ei, ej| {
+                (fi + omega * (ei - fi), fj + omega * (ej - fj))
+            })
+        }),
+        Relaxation::Trt {
+            omega_plus,
+            omega_minus,
+        } => sweep(dirs, lanes, moments, |front, lanes, s0| {
+            relax_pairs(model, dirs, front, lanes, s0, |fi, fj, ei, ej| {
+                let f_p = 0.5 * (fi + fj);
+                let f_m = 0.5 * (fi - fj);
+                let e_p = 0.5 * (ei + ej);
+                let e_m = 0.5 * (ei - ej);
+                let d_p = omega_plus * (e_p - f_p);
+                let d_m = omega_minus * (e_m - f_m);
+                (fi + (d_p + d_m), fj + (d_p - d_m))
+            })
+        }),
+        Relaxation::Mrt {
+            ref op,
+            omega_shear,
+        } => sweep(dirs, lanes, moments, |front, lanes, s0| {
+            let fe = front.equilibria(model, dirs);
+            let mut f = [[0.0f64; CHUNK]; MAX_Q];
+            for (fi, lane) in f.iter_mut().zip(lanes.iter()) {
+                *fi = *window(lane, s0);
             }
-        }
-        let mut ux = [0.0f64; CHUNK];
-        let mut uy = [0.0f64; CHUNK];
-        let mut uz = [0.0f64; CHUNK];
-        let mut u2h = [0.0f64; CHUNK];
-        for l in 0..w {
-            if rho[l] != 0.0 {
-                ux[l] = mx[l] / rho[l];
-                uy[l] = my[l] / rho[l];
-                uz[l] = mz[l] / rho[l];
+            op.relax_lanes(omega_shear, &mut f[..model.q], &fe[..model.q]);
+            for (fi, lane) in f.iter().zip(lanes.iter_mut()) {
+                *window_mut(lane, s0) = *fi;
             }
-            let u2 = ux[l] * ux[l] + uy[l] * uy[l] + uz[l] * uz[l];
-            u2h[l] = u2 / (2.0 * CS2);
+        }),
+    }
+}
+
+/// The chunk loop of [`collide_span_soa`]. One chunk body — front stage,
+/// the operator's `relax(front, lanes, first_site_of_chunk)`, moments
+/// out — runs over every full chunk of the lanes and once more over the
+/// ragged tail copied into a zero-padded window (`ρ = 0` on the padding,
+/// where the `ρ ≠ 0` guard discards the one non-finite quotient).
+#[inline(always)]
+fn sweep(
+    dirs: &DirTables,
+    lanes: &mut [&mut [f64]],
+    moments: &mut [(f64, [f64; 3])],
+    relax: impl Fn(&ChunkFront, &mut [&mut [f64]], usize),
+) {
+    let chunk = |lanes: &mut [&mut [f64]], s0: usize, moments: &mut [(f64, [f64; 3])]| {
+        let front = ChunkFront::new(dirs, |i| window(lanes[i], s0));
+        relax(&front, lanes, s0);
+        for (l, m) in moments.iter_mut().enumerate() {
+            *m = (front.rho[l], [front.u[0][l], front.u[1][l], front.u[2][l]]);
         }
-        for i in 0..q {
-            let [cx, cy, cz] = cs[i];
-            let wi = model.w[i];
-            let lane = &mut lanes[i][s0..s0 + w];
-            for (l, fi) in lane.iter_mut().enumerate() {
-                let cu = cx * ux[l] + cy * uy[l] + cz * uz[l];
-                let fe = wi * rho[l] * (1.0 + cu / CS2 + cu * cu / (2.0 * CS2 * CS2) - u2h[l]);
-                *fi += omega * (fe - *fi);
-            }
+    };
+    let n = moments.len();
+    let full = n - n % CHUNK;
+    for s0 in (0..full).step_by(CHUNK) {
+        chunk(lanes, s0, &mut moments[s0..s0 + CHUNK]);
+    }
+    if full < n {
+        let mut pad = [[0.0f64; CHUNK]; MAX_Q];
+        for (p, lane) in pad.iter_mut().zip(lanes.iter()) {
+            p[..n - full].copy_from_slice(&lane[full..]);
         }
-        for (l, m) in moments[s0..s0 + w].iter_mut().enumerate() {
-            *m = (rho[l], [ux[l], uy[l], uz[l]]);
+        let mut tail = pad.each_mut().map(|p| &mut p[..]);
+        chunk(&mut tail[..lanes.len()], 0, &mut moments[full..]);
+        for (p, lane) in pad.iter().zip(lanes.iter_mut()) {
+            lane[full..].copy_from_slice(&p[..n - full]);
         }
+    }
+}
+
+/// Relax a chunk one opposite pair at a time: `pair(f_i, f_j, e_i, e_j)`
+/// returns the two post-collision populations of one site. Both lanes of
+/// a pair are loaded into local windows before the arithmetic (a fused
+/// loop over two `&mut` lane windows does not vectorise). A rest
+/// direction is the pair `o == i`, as in the scalar TRT loop, so the
+/// signed zeros of its odd part match.
+#[inline(always)]
+fn relax_pairs(
+    model: &LatticeModel,
+    dirs: &DirTables,
+    front: &ChunkFront,
+    lanes: &mut [&mut [f64]],
+    s0: usize,
+    pair: impl Fn(f64, f64, f64, f64) -> (f64, f64),
+) {
+    for &(i, j) in &dirs.pairs {
+        let fi = *window(lanes[i], s0);
+        let fj = *window(lanes[j], s0);
+        let (ei, ej) = front.pair_equilibria(dirs.cs[i], model.w[i], model.w[j]);
+        let mut oi = [0.0f64; CHUNK];
+        let mut oj = [0.0f64; CHUNK];
+        for l in 0..CHUNK {
+            (oi[l], oj[l]) = pair(fi[l], fj[l], ei[l], ej[l]);
+        }
+        *window_mut(lanes[i], s0) = oi;
+        *window_mut(lanes[j], s0) = oj;
+    }
+    for &i in &dirs.rests {
+        let f = *window(lanes[i], s0);
+        let e = front.rest_equilibrium(model.w[i]);
+        let mut o = [0.0f64; CHUNK];
+        for l in 0..CHUNK {
+            o[l] = pair(f[l], f[l], e[l], e[l]).0;
+        }
+        *window_mut(lanes[i], s0) = o;
     }
 }
 
@@ -689,10 +805,12 @@ pub(crate) fn stream_span_soa(
 }
 
 /// Macroscopic fields of the site span `first..first + rho.len()` over
-/// SoA lanes: gather each site into a scratch buffer and run the scalar
-/// moment/stress code on it.
+/// SoA lanes, chunked like the collide (full chunks in place, the ragged
+/// tail through a zero-padded copy).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn macroscopics_span_soa(
     model: &LatticeModel,
+    dirs: &DirTables,
     tau: f64,
     f: &[Vec<f64>],
     first: usize,
@@ -700,25 +818,67 @@ pub(crate) fn macroscopics_span_soa(
     u: &mut [[f64; 3]],
     shear: &mut [f64],
 ) {
-    let q = model.q;
-    let mut buf = vec![0.0; q];
-    for k in 0..rho.len() {
-        let s = first + k;
-        for (b, lane) in buf.iter_mut().zip(f.iter()) {
-            *b = lane[s];
+    let n = rho.len();
+    for k0 in (0..n).step_by(CHUNK) {
+        let (s0, w) = (first + k0, CHUNK.min(n - k0));
+        let (rho, u, shear) = (
+            &mut rho[k0..k0 + w],
+            &mut u[k0..k0 + w],
+            &mut shear[k0..k0 + w],
+        );
+        if w == CHUNK {
+            macroscopics_chunk(model, dirs, tau, |i| window(&f[i], s0), rho, u, shear);
+        } else {
+            let mut pad = [[0.0f64; CHUNK]; MAX_Q];
+            for (p, lane) in pad.iter_mut().zip(f) {
+                p[..w].copy_from_slice(&lane[s0..s0 + w]);
+            }
+            macroscopics_chunk(model, dirs, tau, |i| &pad[i], rho, u, shear);
         }
-        let (r, v) = site_moments(model, &buf);
-        let pi = pi_neq(model, &buf, r, v);
-        rho[k] = r;
-        u[k] = v;
-        shear[k] = shear_rate_magnitude(pi, r, tau);
+    }
+}
+
+/// Density, velocity and shear rate of the first `rho.len() ≤ CHUNK`
+/// sites of one chunk: the collide's [`ChunkFront`], then the
+/// non-equilibrium stress summed in direction order.
+#[inline(always)]
+fn macroscopics_chunk<'a>(
+    model: &LatticeModel,
+    dirs: &DirTables,
+    tau: f64,
+    lane: impl Fn(usize) -> &'a Window,
+    rho: &mut [f64],
+    u: &mut [[f64; 3]],
+    shear: &mut [f64],
+) {
+    let front = ChunkFront::new(dirs, &lane);
+    let fe = front.equilibria(model, dirs);
+    let mut pi = [[0.0f64; CHUNK]; 6];
+    for (i, &[cx, cy, cz]) in dirs.cs.iter().enumerate() {
+        let fi = lane(i);
+        let mut neq = [0.0f64; CHUNK];
+        for l in 0..CHUNK {
+            neq[l] = fi[l] - fe[i][l];
+        }
+        let coef = [cx * cx, cy * cy, cz * cz, cx * cy, cx * cz, cy * cz];
+        for (p, c) in pi.iter_mut().zip(coef) {
+            for l in 0..CHUNK {
+                p[l] += c * neq[l];
+            }
+        }
+    }
+    for l in 0..rho.len() {
+        rho[l] = front.rho[l];
+        u[l] = [front.u[0][l], front.u[1][l], front.u[2][l]];
+        shear[l] = shear_rate_magnitude(pi.map(|p| p[l]), front.rho[l], tau);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::equilibrium::feq_all;
+    use crate::collision::collide;
+    use crate::equilibrium::{feq_all, moments as site_moments, pi_neq};
     use crate::solver::ModelKind;
     use hemelb_geometry::{SparseGeometry, VesselBuilder};
     use std::sync::Arc;
@@ -806,12 +966,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn chunked_bgk_is_bit_identical_to_scalar_collide() {
-        let model = LatticeModel::d3q19();
-        let q = model.q;
-        // 37 sites: exercises full chunks and a ragged tail.
-        let n = 37;
+    /// 37 sites (four full chunks and a ragged tail of five) in
+    /// site-major order: off-equilibrium states, one site whose
+    /// populations cancel to `ρ = 0` with momentum left over (the
+    /// guard), one whose populations are all equal (`f⁻`, `e⁻` and the
+    /// momentum are signed zeros).
+    fn probe_sites(model: &LatticeModel) -> Vec<f64> {
+        let (q, n) = (model.q, 37);
         let mut site_major = vec![0.0; n * q];
         for s in 0..n {
             let u = [
@@ -819,53 +980,150 @@ mod tests {
                 0.02 * ((s % 3) as f64 - 1.0),
                 0.01 * ((s % 7) as f64 - 3.0),
             ];
-            feq_all(
-                &model,
-                1.0 + 0.01 * s as f64,
-                u,
-                &mut site_major[s * q..(s + 1) * q],
-            );
-            site_major[s * q + (s % q)] += 1e-3; // off-equilibrium
+            let site = &mut site_major[s * q..(s + 1) * q];
+            feq_all(model, 1.0 + 0.01 * s as f64, u, site);
+            site[s % q] += 1e-3; // off-equilibrium
         }
-        // Scalar reference via the per-site collide().
-        let mut reference = site_major.clone();
-        let mut moments_ref = vec![(0.0, [0.0; 3]); n];
-        let mut scratch = vec![0.0; q];
-        for (s, m) in moments_ref.iter_mut().enumerate() {
-            *m = collide(
-                &model,
-                CollisionKind::Bgk,
-                0.8,
-                &mut reference[s * q..(s + 1) * q],
-                &mut scratch,
-            );
+        for i in 0..q {
+            let sign = if i < model.opp[i] { 1.0 } else { -1.0 };
+            site_major[11 * q + i] = if i == model.opp[i] { 0.0 } else { 0.25 * sign };
+            site_major[34 * q + i] = 0.05;
         }
-        // Chunked path over lanes.
-        let mut lanes_store: Vec<Vec<f64>> = (0..q)
-            .map(|i| (0..n).map(|s| site_major[s * q + i]).collect())
-            .collect();
-        let mut lanes: Vec<&mut [f64]> = lanes_store.iter_mut().map(|l| l.as_mut_slice()).collect();
-        let mut moments = vec![(0.0, [0.0; 3]); n];
-        bgk_collide_chunked(
-            &model,
-            &BgkTables::new(&model),
-            0.8,
-            &mut lanes,
-            &mut moments,
-        );
-        for s in 0..n {
-            for i in 0..q {
+        site_major
+    }
+
+    fn to_lanes(model: &LatticeModel, site_major: &[f64]) -> Vec<Vec<f64>> {
+        let q = model.q;
+        (0..q)
+            .map(|i| site_major.iter().skip(i).step_by(q).copied().collect())
+            .collect()
+    }
+
+    /// The chunked sweep against the per-site reference operators.
+    fn assert_chunked_collide_matches_scalar(collision: CollisionKind) {
+        let tau = 0.8;
+        for model in [LatticeModel::d3q15(), LatticeModel::d3q19()] {
+            let q = model.q;
+            let site_major = probe_sites(&model);
+            let n = site_major.len() / q;
+
+            let mut reference = site_major.clone();
+            let mut scratch = vec![0.0; q];
+            let mut op = match collision {
+                CollisionKind::Mrt { omega_ghost } => Some(MrtOperator::new(&model, omega_ghost)),
+                _ => None,
+            };
+            let moments_ref: Vec<_> = reference
+                .chunks_exact_mut(q)
+                .map(|site| match op.as_mut() {
+                    Some(op) => op.collide(&model, tau, site),
+                    None => collide(&model, collision, tau, site, &mut scratch),
+                })
+                .collect();
+            assert_eq!(moments_ref[11], (0.0, [0.0; 3]), "the guarded site");
+
+            let cfg = SolverConfig::pressure_driven(1.0, 1.0)
+                .with_tau(tau)
+                .with_collision(collision);
+            let mut lanes_store = to_lanes(&model, &site_major);
+            let mut lanes: Vec<&mut [f64]> =
+                lanes_store.iter_mut().map(|l| l.as_mut_slice()).collect();
+            let mut moments = vec![(0.0, [0.0; 3]); n];
+            collide_span_soa(
+                &model,
+                &DirTables::new(&model),
+                &Relaxation::new(&model, &cfg),
+                &mut lanes,
+                &mut moments,
+            );
+            for s in 0..n {
+                for i in 0..q {
+                    assert_eq!(
+                        lanes_store[i][s].to_bits(),
+                        reference[s * q + i].to_bits(),
+                        "{} {collision:?} site {s} dir {i}",
+                        model.name
+                    );
+                }
+                assert_eq!(moments[s].0.to_bits(), moments_ref[s].0.to_bits());
+                for k in 0..3 {
+                    assert_eq!(moments[s].1[k].to_bits(), moments_ref[s].1[k].to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_bgk_is_bit_identical_to_scalar_collide() {
+        assert_chunked_collide_matches_scalar(CollisionKind::Bgk);
+    }
+
+    #[test]
+    fn chunked_trt_is_bit_identical_to_scalar_collide() {
+        assert_chunked_collide_matches_scalar(CollisionKind::trt_magic());
+    }
+
+    #[test]
+    fn chunked_mrt_is_bit_identical_to_scalar_collide() {
+        assert_chunked_collide_matches_scalar(CollisionKind::Mrt { omega_ghost: 1.2 });
+    }
+
+    #[test]
+    fn chunked_macroscopics_are_bit_identical_to_the_scalar_moments() {
+        let tau = 0.8;
+        for model in [LatticeModel::d3q15(), LatticeModel::d3q19()] {
+            let q = model.q;
+            let site_major = probe_sites(&model);
+            let n = site_major.len() / q;
+            let lanes = to_lanes(&model, &site_major);
+            // A span that starts off a chunk boundary and ends in a tail.
+            let first = 3;
+            let (mut rho, mut u, mut shear) = (
+                vec![0.0; n - first],
+                vec![[0.0; 3]; n - first],
+                vec![0.0; n - first],
+            );
+            let dirs = DirTables::new(&model);
+            macroscopics_span_soa(
+                &model, &dirs, tau, &lanes, first, &mut rho, &mut u, &mut shear,
+            );
+            for s in first..n {
+                let site = &site_major[s * q..(s + 1) * q];
+                let (r, v) = site_moments(&model, site);
+                let want = shear_rate_magnitude(pi_neq(&model, site, r, v), r, tau);
+                let k = s - first;
+                assert_eq!(rho[k].to_bits(), r.to_bits(), "{} site {s}", model.name);
+                for a in 0..3 {
+                    assert_eq!(u[k][a].to_bits(), v[a].to_bits(), "{} site {s}", model.name);
+                }
                 assert_eq!(
-                    lanes_store[i][s].to_bits(),
-                    reference[s * q + i].to_bits(),
-                    "site {s} dir {i}"
+                    shear[k].to_bits(),
+                    want.to_bits(),
+                    "{} site {s}",
+                    model.name
                 );
             }
-            assert_eq!(moments[s].0.to_bits(), moments_ref[s].0.to_bits());
-            for k in 0..3 {
-                assert_eq!(moments[s].1[k].to_bits(), moments_ref[s].1[k].to_bits());
-            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "tau must exceed 1/2")]
+    fn tau_set_through_the_pub_field_is_checked() {
+        let geo = tube();
+        let cfg = SolverConfig {
+            tau: 0.5,
+            ..SolverConfig::pressure_driven(1.0, 1.0)
+        };
+        crate::Solver::new(geo, cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite tau_minus above 1/2")]
+    fn trt_without_a_finite_odd_relaxation_time_is_refused() {
+        let geo = tube();
+        let cfg = SolverConfig::pressure_driven(1.0, 1.0)
+            .with_collision(CollisionKind::Trt { magic: 0.0 });
+        crate::Solver::new(geo, cfg);
     }
 
     #[test]

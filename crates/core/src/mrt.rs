@@ -145,6 +145,15 @@ impl MrtOperator {
         }
     }
 
+    /// The relaxation rate of a moment of `class`.
+    fn rate(&self, class: MomentClass, omega_shear: f64) -> f64 {
+        match class {
+            MomentClass::Conserved => 0.0,
+            MomentClass::Shear => omega_shear,
+            MomentClass::Ghost => self.omega_ghost,
+        }
+    }
+
     /// Apply one MRT collision to a site's populations; `tau` sets the
     /// shear (viscosity) rate. Returns the pre-collision `(ρ, u)`.
     pub fn collide(&mut self, model: &LatticeModel, tau: f64, f: &mut [f64]) -> (f64, [f64; 3]) {
@@ -156,11 +165,7 @@ impl MrtOperator {
         // With an orthonormal basis, M⁻¹ = Mᵀ.
         let omega_shear = 1.0 / tau;
         for m in 0..self.q {
-            let rate = match self.class[m] {
-                MomentClass::Conserved => 0.0,
-                MomentClass::Shear => omega_shear,
-                MomentClass::Ghost => self.omega_ghost,
-            };
+            let rate = self.rate(self.class[m], omega_shear);
             if rate == 0.0 {
                 continue;
             }
@@ -176,6 +181,44 @@ impl MrtOperator {
             }
         }
         (rho, u)
+    }
+
+    /// The relaxation of [`collide`](Self::collide) over `N` sites at
+    /// once: `f[i]` and `fe[i]` hold direction `i`'s populations and
+    /// equilibria of the `N` sites. Per site it is the same operation
+    /// sequence — moments in index order, each non-equilibrium moment
+    /// summed over directions in index order from the `−0.0` that
+    /// `Iterator::sum` starts from, then `f_i −= (rate · m_neq) b_mi` —
+    /// so the result is bit-identical; it borrows the operator immutably
+    /// and keeps its scratch on the stack.
+    pub(crate) fn relax_lanes<const N: usize>(
+        &self,
+        omega_shear: f64,
+        f: &mut [[f64; N]],
+        fe: &[[f64; N]],
+    ) {
+        debug_assert!(f.len() == self.q && fe.len() == self.q);
+        for (row, class) in self.basis.chunks_exact(self.q).zip(&self.class) {
+            let rate = self.rate(*class, omega_shear);
+            if rate == 0.0 {
+                continue;
+            }
+            let mut m_neq = [-0.0f64; N];
+            for ((b, fi), fei) in row.iter().zip(f.iter()).zip(fe) {
+                for l in 0..N {
+                    m_neq[l] += b * (fi[l] - fei[l]);
+                }
+            }
+            let mut delta = [0.0f64; N];
+            for l in 0..N {
+                delta[l] = rate * m_neq[l];
+            }
+            for (fi, b) in f.iter_mut().zip(row) {
+                for l in 0..N {
+                    fi[l] -= delta[l] * b;
+                }
+            }
+        }
     }
 
     /// Verify the basis is orthonormal (used by tests; cheap).

@@ -5,13 +5,14 @@
 //! A rank-step of the distributed solver may allocate for its messages
 //! (encode buffer, shared payload header) and for the lane bundles its
 //! four lattice sweeps hand to the kernels — a count per peer, not per
-//! site and not per frontier run — and a serial BGK step only for its
-//! two lane bundles.
+//! site and not per frontier run — and a serial step, whatever the
+//! collision operator, only for its two lane bundles.
 //!
 //! The binary has its own counting `#[global_allocator]`, with one
 //! counter per thread, so ranks (threads of this process) are counted
 //! apart and the test harness's own threads never disturb a figure.
 
+use hemelb::core::collision::CollisionKind;
 use hemelb::core::{DistSolver, Solver, SolverConfig};
 use hemelb::geometry::{SparseGeometry, VesselBuilder};
 use hemelb::parallel::run_spmd;
@@ -108,22 +109,36 @@ fn rank_step_allocations_do_not_depend_on_map_fragmentation() {
     }
 }
 
+/// Allocations per steady-state step of the serial solver under
+/// `collision` on the aneurysm at resolution `dx`.
+fn serial_step_allocations(collision: CollisionKind, dx: f64) -> u64 {
+    let cfg = SolverConfig::pressure_driven(1.01, 0.99).with_collision(collision);
+    let mut solver = Solver::new(aneurysm(dx), cfg);
+    solver.set_obs_enabled(false);
+    solver.step_n(5);
+    let before = allocations();
+    solver.step_n(STEPS);
+    let total = allocations() - before;
+    assert_eq!(total % STEPS, 0, "a constant count per step at dx {dx}");
+    total / STEPS
+}
+
 #[test]
 fn serial_bgk_step_allocates_a_small_constant() {
-    let per_step: Vec<u64> = [0.5, 0.25]
-        .into_iter()
-        .map(|dx| {
-            let cfg = SolverConfig::pressure_driven(1.01, 0.99);
-            let mut solver = Solver::new(aneurysm(dx), cfg);
-            solver.set_obs_enabled(false);
-            solver.step_n(5);
-            let before = allocations();
-            solver.step_n(STEPS);
-            let total = allocations() - before;
-            assert_eq!(total % STEPS, 0, "a constant count per step at dx {dx}");
-            total / STEPS
-        })
-        .collect();
+    let per_step = [0.5, 0.25].map(|dx| serial_step_allocations(CollisionKind::Bgk, dx));
     assert_eq!(per_step[0], per_step[1], "Small vs Medium");
     assert!(per_step[0] <= 4, "{} allocations a step", per_step[0]);
+}
+
+/// TRT and MRT run the same chunked sweep as BGK over borrowed tables
+/// and stack scratch: the two lane bundles are all a step allocates.
+#[test]
+fn serial_trt_and_mrt_steps_allocate_only_the_two_lane_bundles() {
+    for collision in [
+        CollisionKind::Bgk,
+        CollisionKind::trt_magic(),
+        CollisionKind::Mrt { omega_ghost: 1.2 },
+    ] {
+        assert_eq!(serial_step_allocations(collision, 0.5), 2, "{collision:?}");
+    }
 }

@@ -504,14 +504,25 @@ proptest! {
     }
 }
 
+/// The lengths `for_chunks` cuts `n` sites into on `threads` workers.
+fn worker_chunks(n: usize, threads: usize) -> Vec<usize> {
+    let chunk = n.div_ceil(threads);
+    (0..n).step_by(chunk).map(|at| chunk.min(n - at)).collect()
+}
+
 #[test]
 fn parallel_kernel_is_bit_exact_across_all_operator_combinations() {
     // Exhaustive sweep guaranteeing the coverage the random cases only
     // sample: both velocity sets × three collision operators × both BC
-    // families, on a cylinder and on a porous block, 20 steps each.
+    // families, on a cylinder and on a porous block, 20 steps each,
+    // serial == threads == ranks. The thread count is drawn per geometry
+    // so that every worker's share is a non-multiple of the kernels'
+    // 8-site chunk: each operator then crosses the padded-tail path on
+    // every worker, every step, as does each rank's frontier or
+    // interior range.
     use hemelb::core::collision::CollisionKind;
     use hemelb::core::solver::ModelKind;
-    use hemelb::core::{ParallelSolver, Solver};
+    use hemelb::core::{DistSolver, ParallelSolver, Solver};
     let geos = [
         common::GeoSpec::Cylinder {
             len: 10.0,
@@ -526,6 +537,12 @@ fn parallel_kernel_is_bit_exact_across_all_operator_combinations() {
     ];
     for geo_spec in &geos {
         let geo = geo_spec.build();
+        let n = geo.fluid_count();
+        let ragged = |threads: &usize| worker_chunks(n, *threads).iter().all(|len| len % 8 != 0);
+        let threads = (2..=8)
+            .find(ragged)
+            .unwrap_or_else(|| panic!("no thread count leaves {n} sites ragged on every worker"));
+        let owner: Vec<usize> = (0..n).map(|s| s * 2 / n).collect();
         for model in [ModelKind::D3Q15, ModelKind::D3Q19] {
             for collision in [
                 CollisionKind::Bgk,
@@ -541,12 +558,35 @@ fn parallel_kernel_is_bit_exact_across_all_operator_combinations() {
                     };
                     let cfg = case.config();
                     let mut serial = Solver::new(geo.clone(), cfg.clone());
-                    let mut par = ParallelSolver::new(geo.clone(), cfg, 4);
+                    let mut par = ParallelSolver::new(geo.clone(), cfg.clone(), threads);
                     serial.step_n(20);
                     par.step_n(20);
                     assert!(
                         common::bits_eq(&serial.raw_distributions(), &par.raw_distributions()),
-                        "diverged for {case:?}"
+                        "{threads} threads diverged for {case:?}"
+                    );
+                    let want = common::snapshot_digests(&serial.snapshot());
+                    assert_eq!(
+                        common::snapshot_digests(&par.snapshot()),
+                        want,
+                        "{threads}-thread snapshot of {case:?}"
+                    );
+                    let (geo, owner) = (geo.clone(), owner.clone());
+                    let gathered = run_spmd(2, move |comm| {
+                        let mut ds =
+                            DistSolver::new(geo.clone(), owner.clone(), cfg.clone(), comm).unwrap();
+                        let part = ds.partition();
+                        let ragged =
+                            part.frontier_count() % 8 != 0 || part.interior_count() % 8 != 0;
+                        ds.step_n(20).unwrap();
+                        (ragged, ds.gather_snapshot().unwrap())
+                    });
+                    assert!(gathered.iter().all(|(ragged, _)| *ragged), "rank ranges");
+                    let snap = gathered[0].1.as_ref().expect("root gathers");
+                    assert_eq!(
+                        common::snapshot_digests(snap),
+                        want,
+                        "2 ranks diverged for {case:?}"
                     );
                 }
             }
