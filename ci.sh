@@ -86,10 +86,18 @@ smoke() {
     stage "$name-smoke" cargo run --release -q -p hemelb-bench --bin reproduce -- "$name" "$@"
 }
 
-# Format + lint.
+# Format + lint; and no generated image in the index (the examples and
+# `reproduce` write .ppm files into the root and out/, both ignored).
 group_lint() {
     stage fmt    cargo fmt --all -- --check
     stage clippy cargo clippy --workspace --all-targets -- -D warnings
+    stage no-tracked-images no_tracked_images
+}
+no_tracked_images() {
+    if git ls-files '*.ppm' | grep .; then
+        echo "^ generated images are tracked: git rm --cached them" >&2
+        return 1
+    fi
 }
 
 # Tier-1 (ROADMAP): release build + the root-package test suite.

@@ -395,16 +395,12 @@ mod tests {
         for row in &result.rows {
             assert!(row.makespan_secs > 0.0 && row.jobs_per_hour > 0.0);
             // Three lookups per job; two geometries and three
-            // (geometry, ranks) owner maps are all that is ever built.
+            // (geometry, ranks) owner maps are all that is ever built,
+            // however many jobs race on a key.
             assert_eq!(row.cache_hits + row.cache_misses, 36);
+            assert_eq!(row.cache_misses, 5);
             assert_eq!(row.restarts, 1, "the injected kill fires once");
         }
-        // One slot dispatches serially, so the build count is exact.
-        // With two, the sweep's two 1-rank jobs can run side by side and
-        // both build their shared owner map (`PrepCache` builds outside
-        // its lock on purpose): one extra miss, never more.
-        assert_eq!(result.rows[0].cache_misses, 5);
-        assert!((5..=6).contains(&result.rows[1].cache_misses));
         assert!(workloads::out_dir().join("BENCH_farm.json").exists());
     }
 }

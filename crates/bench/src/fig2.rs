@@ -106,7 +106,6 @@ pub fn run(size: Size, configs: &[(usize, (u32, u32))], frames: usize) -> Fig2Re
                     image,
                     initial_vis_rate: u32::MAX, // frames only on request
                     steps_per_cycle: 5,
-                    vis_aware_repartition: false,
                     ..Default::default()
                 },
             )

@@ -350,6 +350,8 @@ pub struct ProjectionResult {
     /// with any unexercised (infinite) term replaced by the CrayXe6
     /// preset so the curves stay finite.
     pub model: CostModel,
+    /// Which of α / β / γ in `model` are the preset's.
+    pub from_preset: Vec<&'static str>,
     /// Model-vs-measurement at every multi-rank world.
     pub validation: Vec<ValidationRow>,
     /// Whether every validation row stayed inside [`VALIDATION_BAND`].
@@ -376,26 +378,39 @@ pub fn calibrate(size: Size, steps: u64, max_ranks: usize) -> CalibratedModel {
 
 /// Fill any term the fit could not exercise (infinite β/γ from
 /// all-zero columns) from the CrayXe6 preset: a projection must price
-/// every term, even when the measurement had no signal for one.
-pub fn effective_model(cal: &CalibratedModel) -> CostModel {
+/// every term, even when the measurement had no signal for one. The
+/// filled terms are named alongside the model, so whoever prints a
+/// number priced with it can say which coefficients are not this
+/// machine's (see [`preset_note`]).
+pub fn effective_model(cal: &CalibratedModel) -> (CostModel, Vec<&'static str>) {
     let preset = CostModel::for_machine(hemelb_parallel::MachineModel::CrayXe6);
-    CostModel {
-        alpha: if cal.model.alpha.is_finite() {
-            cal.model.alpha
+    let mut from_preset = Vec::new();
+    let mut term = |name, fitted: f64, fallback| {
+        if fitted.is_finite() {
+            fitted
         } else {
-            preset.alpha
-        },
-        beta: if cal.model.beta.is_finite() {
-            cal.model.beta
-        } else {
-            preset.beta
-        },
-        gamma: if cal.model.gamma.is_finite() {
-            cal.model.gamma
-        } else {
-            preset.gamma
-        },
+            from_preset.push(name);
+            fallback
+        }
+    };
+    let model = CostModel {
+        alpha: term("α", cal.model.alpha, preset.alpha),
+        beta: term("β", cal.model.beta, preset.beta),
+        gamma: term("γ", cal.model.gamma, preset.gamma),
+    };
+    (model, from_preset)
+}
+
+/// One line naming the terms [`effective_model`] took from the preset;
+/// empty when the fit exercised all three.
+pub(crate) fn preset_note(from_preset: &[&str]) -> String {
+    if from_preset.is_empty() {
+        return String::new();
     }
+    format!(
+        "  note: the fit had no signal for {}; priced from the CrayXe6 preset, not this machine\n",
+        from_preset.join(", ")
+    )
 }
 
 /// Scale the trace to `ranks` under `model`.
@@ -447,7 +462,7 @@ pub fn run(size: Size, steps: u64, max_ranks: usize) -> ProjectionResult {
 
     let samples: Vec<CalSample> = worlds.iter().flat_map(|w| w.samples()).collect();
     let calibration = calibrate_fit(&samples).expect("calibration fit from measured worlds");
-    let model = effective_model(&calibration);
+    let (model, from_preset) = effective_model(&calibration);
 
     let validation: Vec<ValidationRow> = worlds
         .iter()
@@ -538,6 +553,7 @@ pub fn run(size: Size, steps: u64, max_ranks: usize) -> ProjectionResult {
         steps,
         calibration,
         model,
+        from_preset,
         validation,
         within_band,
         trace,
@@ -557,6 +573,7 @@ impl fmt::Display for ProjectionResult {
             "  α = {:.3e} s/msg, β = {:.3e} B/s, γ = {:.3e} site-updates/s",
             self.model.alpha, self.model.beta, self.model.gamma
         )?;
+        f.write_str(&preset_note(&self.from_preset))?;
         writeln!(
             f,
             "validation (band ±{:.0}%): {}",
@@ -657,6 +674,37 @@ mod tests {
             assert!(c.composite_direct_secs > 0.0 && c.composite_swap_secs > 0.0);
         }
         assert!(workloads::out_dir().join("BENCH_projection.json").exists());
+    }
+
+    #[test]
+    fn effective_model_names_the_terms_it_takes_from_the_preset() {
+        // A one-rank world moves no bytes: the fit cannot price β.
+        let sample = |msgs, work, secs| CalSample {
+            msgs,
+            bytes: 0,
+            work,
+            secs,
+        };
+        let samples = [
+            sample(1, 1000, 1.1e-3),
+            sample(2, 1000, 1.2e-3),
+            sample(1, 3000, 3.1e-3),
+        ];
+        let cal = calibrate_fit(&samples).unwrap();
+        assert!(cal.model.beta.is_infinite());
+        let (model, from_preset) = effective_model(&cal);
+        assert_eq!(from_preset, ["β"]);
+        let preset = CostModel::for_machine(hemelb_parallel::MachineModel::CrayXe6);
+        assert_eq!(model.beta, preset.beta);
+        assert_eq!(
+            (model.alpha, model.gamma),
+            (cal.model.alpha, cal.model.gamma)
+        );
+
+        let line = preset_note(&from_preset);
+        assert!(line.contains("β") && line.contains("CrayXe6"), "{line}");
+        assert_eq!(line.lines().count(), 1);
+        assert_eq!(preset_note(&[]), "", "a full fit prints nothing");
     }
 
     #[test]

@@ -55,6 +55,9 @@ pub struct Table1Result {
     /// site-updates/s), shown alongside the two presets in the
     /// data-movement shares.
     pub calibrated: hemelb_parallel::CostModel,
+    /// Which of α / β / γ in `calibrated` are the CrayXe6 preset's
+    /// because the probe had no signal for them.
+    pub from_preset: Vec<&'static str>,
 }
 
 /// Run E1.
@@ -63,7 +66,7 @@ pub fn run(params: Table1Params) -> Table1Result {
     // price data movement with measured coefficients instead of only
     // the presets (machine coefficients do not depend on the workload
     // size, so the probe stays cheap regardless of `params.size`).
-    let calibrated =
+    let (calibrated, from_preset) =
         crate::projection::effective_model(&crate::projection::calibrate(Size::Tiny, 3, 2));
     let geo = workloads::aneurysm(params.size);
     let snap = workloads::developed_flow(&geo, params.flow_steps);
@@ -88,6 +91,7 @@ pub fn run(params: Table1Params) -> Table1Result {
         params,
         reports: measure_techniques(&inputs),
         calibrated,
+        from_preset,
     }
 }
 
@@ -192,7 +196,7 @@ impl fmt::Display for Table1Result {
                 c * 100.0
             )?;
         }
-        Ok(())
+        f.write_str(&crate::projection::preset_note(&self.from_preset))
     }
 }
 

@@ -10,6 +10,7 @@
 
 use crate::solver::Solver;
 use crate::DistSolver;
+use hemelb_obs::Fnv1a;
 use hemelb_parallel::CommResult;
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -23,12 +24,9 @@ fn bad(msg: impl Into<String>) -> io::Error {
 
 /// FNV-1a over the raw bytes — cheap corruption detection, not crypto.
 fn checksum(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    let mut h = Fnv1a::new();
+    h.bytes(bytes);
+    h.finish()
 }
 
 /// Serialised state common to serial and per-rank checkpoints.

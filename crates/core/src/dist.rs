@@ -284,11 +284,6 @@ impl<'a> DistSolver<'a> {
         &self.locals
     }
 
-    /// Number of peer ranks this rank exchanges halo data with.
-    pub fn neighbour_count(&self) -> usize {
-        self.recv_plan.len().max(self.send_plan.len())
-    }
-
     /// Halo values (f64 populations) this rank sends per step.
     pub fn halo_send_volume(&self) -> usize {
         self.send_plan.iter().map(|(_, l)| l.len()).sum()

@@ -21,16 +21,17 @@ use hemelb_partition::graph::{Connectivity, SiteGraph};
 use hemelb_partition::{MultilevelKWay, Partitioner};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
-/// Owner maps memoised per `(geometry cache key, rank count)`.
-type OwnerMap = BTreeMap<(String, usize), Arc<Vec<usize>>>;
+/// One build-once cell per key.
+type Cells<K, T> = Mutex<BTreeMap<K, Arc<OnceLock<Arc<T>>>>>;
 
 /// Memoised pre-processing products shared by every job of a farm run.
 #[derive(Debug, Default)]
 pub struct PrepCache {
-    geos: Mutex<BTreeMap<String, Arc<SparseGeometry>>>,
-    owners: Mutex<OwnerMap>,
+    geos: Cells<String, SparseGeometry>,
+    /// Owner maps per `(geometry cache key, rank count)`.
+    owners: Cells<(String, usize), Vec<usize>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -41,41 +42,46 @@ impl PrepCache {
         PrepCache::default()
     }
 
+    /// The value under `key`, built by whichever lookup gets there
+    /// first. Only the key's cell is inserted under the map lock; the
+    /// build runs outside it, so a concurrent job wanting a *different*
+    /// key does not serialise behind this build, while one wanting the
+    /// *same* key waits in `get_or_init` for the one build there is.
+    fn get_or_build<K: Ord, T>(
+        &self,
+        cells: &Cells<K, T>,
+        key: K,
+        build: impl FnOnce() -> T,
+    ) -> Arc<T> {
+        let cell = lock(cells).entry(key).or_default().clone();
+        let mut built = false;
+        let value = cell.get_or_init(|| {
+            built = true;
+            Arc::new(build())
+        });
+        let counter = if built { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+        value.clone()
+    }
+
     /// The voxelised geometry for `(kind, dx)`, building it on first
     /// use.
     pub fn geometry(&self, kind: &GeometryKind, dx: f64) -> Arc<SparseGeometry> {
-        let key = kind.cache_key(dx);
-        if let Some(geo) = lock(&self.geos).get(&key).cloned() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return geo;
-        }
-        // Voxelise outside the lock: a concurrent job wanting a
-        // *different* geometry must not serialise behind this build.
-        // Two jobs racing on the same key both build; the first insert
-        // wins and both results are identical (voxelisation is
-        // deterministic), so the only cost is one wasted build.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let built = Arc::new(kind.build(dx));
-        lock(&self.geos).entry(key).or_insert(built).clone()
+        self.get_or_build(&self.geos, kind.cache_key(dx), || kind.build(dx))
     }
 
     /// The multilevel k-way owner map for `(kind, dx, ranks)`, building
     /// it on first use. Single-rank jobs get the trivial map.
     pub fn owner(&self, kind: &GeometryKind, dx: f64, ranks: usize) -> Arc<Vec<usize>> {
         let geo = self.geometry(kind, dx);
-        let key = (kind.cache_key(dx), ranks);
-        if let Some(owner) = lock(&self.owners).get(&key).cloned() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return owner;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let built = Arc::new(if ranks <= 1 {
-            vec![0usize; geo.fluid_count()]
-        } else {
-            let graph = SiteGraph::from_geometry(&geo, Connectivity::D3Q15);
-            MultilevelKWay::default().partition(&graph, ranks)
-        });
-        lock(&self.owners).entry(key).or_insert(built).clone()
+        self.get_or_build(&self.owners, (kind.cache_key(dx), ranks), || {
+            if ranks <= 1 {
+                vec![0usize; geo.fluid_count()]
+            } else {
+                let graph = SiteGraph::from_geometry(&geo, Connectivity::D3Q15);
+                MultilevelKWay::default().partition(&graph, ranks)
+            }
+        })
     }
 
     /// Cache hits so far.
@@ -129,5 +135,27 @@ mod tests {
         assert!(Arc::ptr_eq(&o2, &o2b));
         let o1 = cache.owner(&tube(), 1.0, 1);
         assert!(o1.iter().all(|&o| o == 0));
+    }
+
+    #[test]
+    fn two_jobs_racing_on_one_key_build_it_once() {
+        // Big enough that both builds would overlap if both ran.
+        let kind = GeometryKind::Tube {
+            length: 48.0,
+            radius: 5.0,
+        };
+        let cache = PrepCache::new();
+        let start = std::sync::Barrier::new(2);
+        let (a, b) = std::thread::scope(|s| {
+            let job = || {
+                start.wait();
+                cache.owner(&kind, 1.0, 2)
+            };
+            let (a, b) = (s.spawn(job), s.spawn(job));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(cache.misses(), 2, "one geometry, one owner map");
+        assert_eq!(cache.hits(), 2, "the other job waited for both");
     }
 }

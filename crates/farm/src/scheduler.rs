@@ -38,7 +38,7 @@ use crate::cache::PrepCache;
 use crate::queue::{JobId, JobQueue};
 use crate::spec::JobSpec;
 use hemelb_core::DistSolver;
-use hemelb_obs::{Histogram, ObsReport};
+use hemelb_obs::{Fnv1a, Histogram, ObsReport};
 use hemelb_parallel::{
     install_quiet_panic_hook, run_spmd_opts, InjectedJobFault, RankKilled, SpmdOptions,
 };
@@ -578,7 +578,8 @@ fn run_job(
                 }
             }
         }
-        Ok((digest_bits(&ds.raw_distributions()), ds.step_count()))
+        let f = ds.raw_distributions();
+        Ok((digest(f.iter().map(|v| v.to_bits())), ds.step_count()))
     });
     let mut rank_digests = Vec::with_capacity(ranks);
     let mut steps = 0;
@@ -593,31 +594,17 @@ fn run_job(
     }
     let obs = out.merged_obs();
     let restarts = obs.counters.get("fault.restarts").copied().unwrap_or(0);
-    Ok((combine_digests(&rank_digests), steps, restarts, obs))
+    Ok((digest(rank_digests), steps, restarts, obs))
 }
 
-/// FNV-1a over the IEEE bit patterns of a field array.
-fn digest_bits(values: &[f64]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for v in values {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
+/// FNV-1a over 64-bit words: the IEEE bit patterns of one rank's
+/// distributions, or the per-rank digests in rank order.
+fn digest(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = Fnv1a::new();
+    for w in words {
+        h.u64(w);
     }
-    h
-}
-
-/// Fold per-rank digests (rank order) into one job digest.
-fn combine_digests(rank_digests: &[u64]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for d in rank_digests {
-        for b in d.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
+    h.finish()
 }
 
 #[cfg(test)]

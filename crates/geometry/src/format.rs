@@ -65,11 +65,6 @@ impl SgmyHeader {
         self.data_offset + before * SITE_RECORD_BYTES
     }
 
-    /// Byte length of block `b`'s level-two records.
-    pub fn block_len(&self, b: usize) -> u64 {
-        self.fluid_per_block[b] as u64 * SITE_RECORD_BYTES
-    }
-
     /// Lattice coordinates of the minimum corner of block `b`.
     pub fn block_origin(&self, b: usize) -> [u32; 3] {
         let blocks = self.blocks();

@@ -45,11 +45,6 @@ impl SiteKind {
             _ => None,
         }
     }
-
-    /// Whether this is an inlet or outlet site.
-    pub fn is_iolet(self) -> bool {
-        matches!(self, SiteKind::Inlet(_) | SiteKind::Outlet(_))
-    }
 }
 
 /// Whether an open boundary is an inlet or an outlet.

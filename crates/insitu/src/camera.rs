@@ -2,6 +2,7 @@
 //! projection for the line renderer.
 
 use hemelb_geometry::Vec3;
+use hemelb_obs::Fnv1a;
 use serde::{Deserialize, Serialize};
 
 /// A look-at pinhole camera.
@@ -70,22 +71,16 @@ impl Camera {
     /// rays, so the steering gateway can key its rendered-frame cache
     /// on this without ever comparing floats for "closeness".
     pub fn content_hash(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        let mut mix = |bits: u64| {
-            for b in bits.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
+        let mut h = Fnv1a::new();
         for v in [self.eye, self.target, self.up] {
-            mix(v.x.to_bits());
-            mix(v.y.to_bits());
-            mix(v.z.to_bits());
+            h.u64(v.x.to_bits());
+            h.u64(v.y.to_bits());
+            h.u64(v.z.to_bits());
         }
-        mix(self.fov_y.to_bits());
-        mix(self.width as u64);
-        mix(self.height as u64);
-        h
+        h.u64(self.fov_y.to_bits());
+        h.u64(self.width as u64);
+        h.u64(self.height as u64);
+        h.finish()
     }
 
     /// Project a world point to pixel coordinates and view depth.

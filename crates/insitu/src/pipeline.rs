@@ -105,12 +105,6 @@ impl<T> Pipeline<T> {
     pub fn obs_report(&self) -> ObsReport {
         self.recorder.report()
     }
-
-    /// The pipeline's recorder (e.g. to add custom counters or disable
-    /// recording).
-    pub fn recorder_mut(&mut self) -> &mut Recorder {
-        &mut self.recorder
-    }
 }
 
 impl<T: Sized2> Pipeline<T> {

@@ -1,5 +1,6 @@
 //! Transfer functions: scalar → premultiplied RGBA.
 
+use hemelb_obs::Fnv1a;
 use serde::{Deserialize, Serialize};
 
 /// A piecewise-linear colour/opacity map over a scalar range.
@@ -50,21 +51,15 @@ impl TransferFunction {
     /// force the reduction to run before the cache can be consulted,
     /// defeating the point of a hit.
     pub fn family_hash(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        let mut mix = |bits: u64| {
-            for b in bits.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        mix(self.stops.len() as u64);
+        let mut h = Fnv1a::new();
+        h.u64(self.stops.len() as u64);
         for stop in &self.stops {
             for c in stop {
-                mix(c.to_bits() as u64);
+                h.u64(c.to_bits() as u64);
             }
         }
-        mix(self.opacity_scale.to_bits() as u64);
-        h
+        h.u64(self.opacity_scale.to_bits() as u64);
+        h.finish()
     }
 
     /// Classify a scalar: straight RGB and opacity in `[0, 1]`.
@@ -128,51 +123,6 @@ impl TransferFunction {
         let seg = |t: f64| ((t * (n - 1) as f64).floor() as usize).min(n - 2);
         let (s_lo, s_hi) = (seg(t_of(vmin)), seg(t_of(vmax)));
         self.stops[s_lo..=s_hi + 1].iter().all(|s| s[3] == 0.0)
-    }
-}
-
-/// A precomputed table of [`TransferFunction::sample`] values over the
-/// function's scalar range, for renders where shading throughput matters
-/// more than exact classification (the table quantises `v`, so LUT
-/// renders are *not* bit-identical to exact-sampling renders — the
-/// determinism tests always use the exact path).
-#[derive(Debug, Clone)]
-pub struct TransferLut {
-    lo: f64,
-    scale: f64,
-    table: Vec<[f32; 4]>,
-}
-
-impl TransferLut {
-    /// Tabulate `tf.sample(·, ds)` at `n` evenly spaced scalars across
-    /// `[tf.lo, tf.hi]` (`n` is clamped to at least 2). Out-of-range
-    /// scalars clamp to the end entries, mirroring `classify`.
-    pub fn build(tf: &TransferFunction, ds: f64, n: usize) -> Self {
-        let n = n.max(2);
-        let table = (0..n)
-            .map(|i| {
-                let v = tf.lo + (tf.hi - tf.lo) * i as f64 / (n - 1) as f64;
-                tf.sample(v, ds)
-            })
-            .collect();
-        let width = tf.hi - tf.lo;
-        TransferLut {
-            lo: tf.lo,
-            scale: if width > 0.0 {
-                (n - 1) as f64 / width
-            } else {
-                0.0
-            },
-            table,
-        }
-    }
-
-    /// Nearest tabulated premultiplied sample for scalar `v`.
-    #[inline]
-    pub fn sample(&self, v: f64) -> [f32; 4] {
-        let i = ((v - self.lo) * self.scale + 0.5) as isize;
-        let i = i.clamp(0, self.table.len() as isize - 1) as usize;
-        self.table[i]
     }
 }
 
@@ -288,22 +238,5 @@ mod tests {
             TransferFunction::heat(0.0, 1.0).family_hash(),
             scaled.family_hash()
         );
-    }
-
-    #[test]
-    fn lut_approximates_exact_sampling() {
-        let tf = TransferFunction::heat(0.0, 1.0);
-        let lut = TransferLut::build(&tf, 0.5, 4096);
-        for i in 0..=200 {
-            let v = -0.2 + 1.4 * i as f64 / 200.0;
-            let exact = tf.sample(v, 0.5);
-            let approx = lut.sample(v);
-            for (e, a) in exact.iter().zip(&approx) {
-                assert!((e - a).abs() < 2e-3, "v={v}: {exact:?} vs {approx:?}");
-            }
-        }
-        // Table entries themselves are hit exactly at the grid points.
-        assert_eq!(lut.sample(0.0), tf.sample(0.0, 0.5));
-        assert_eq!(lut.sample(1.0), tf.sample(1.0, 0.5));
     }
 }

@@ -30,7 +30,7 @@
 use crate::camera::{ray_box, Camera};
 use crate::field::Scalar;
 use crate::image::PartialImage;
-use crate::transfer::{TransferFunction, TransferLut};
+use crate::transfer::TransferFunction;
 use hemelb_core::FieldSnapshot;
 use hemelb_geometry::{SparseGeometry, Vec3};
 
@@ -222,11 +222,6 @@ impl Brick {
         self.values.len() * 4 + self.macro_grid.cells.len() * 8
     }
 
-    /// Macrocell count of the acceleration grid.
-    pub fn macrocell_count(&self) -> usize {
-        self.macro_grid.cells.len()
-    }
-
     /// Fraction of macrocells a render with `tf` may skip outright.
     pub fn skippable_fraction(&self, tf: &TransferFunction) -> f64 {
         let mask = self.macro_grid.skippable(tf);
@@ -413,18 +408,11 @@ pub struct RenderOptions {
     /// Skip ray segments through skippable macrocells (bit-identical to
     /// the naive march; on by default).
     pub macrocells: bool,
-    /// Shade through a precomputed transfer-function table of this many
-    /// entries instead of exact classification. `None` (the default)
-    /// keeps exact sampling — required for the determinism tests.
-    pub lut_size: Option<usize>,
 }
 
 impl Default for RenderOptions {
     fn default() -> Self {
-        RenderOptions {
-            macrocells: true,
-            lut_size: None,
-        }
+        RenderOptions { macrocells: true }
     }
 }
 
@@ -447,16 +435,6 @@ impl RenderStats {
         self.samples_shaded + self.samples_skipped
     }
 
-    /// Fraction of samples the macrocell grid skipped.
-    pub fn skip_fraction(&self) -> f64 {
-        let total = self.samples_total();
-        if total == 0 {
-            0.0
-        } else {
-            self.samples_skipped as f64 / total as f64
-        }
-    }
-
     fn absorb(&mut self, o: &RenderStats) {
         self.rays += o.rays;
         self.samples_shaded += o.samples_shaded;
@@ -472,7 +450,6 @@ impl RenderStats {
 fn march(
     brick: &Brick,
     tf: &TransferFunction,
-    lut: Option<&TransferLut>,
     skippable: Option<&[bool]>,
     origin: Vec3,
     dir: Vec3,
@@ -509,10 +486,7 @@ fn march(
         }
         stats.samples_shaded += 1;
         if let Some(v) = brick.sample(p) {
-            let s = match lut {
-                Some(l) => l.sample(v),
-                None => tf.sample(v, step),
-            };
+            let s = tf.sample(v, step);
             if s[3] > 0.0 && depth.is_infinite() {
                 depth = t as f32;
             }
@@ -559,7 +533,6 @@ pub fn render_brick_opts(
     } else {
         None
     };
-    let lut = opts.lut_size.map(|n| TransferLut::build(tf, step, n));
 
     let rows_per = height.div_ceil(rayon::current_num_threads().clamp(1, height.max(1)));
     let n_bands = height.div_ceil(rows_per.max(1)).max(1);
@@ -570,7 +543,6 @@ pub fn render_brick_opts(
         let mut dp_rest = out.depth.as_mut_slice();
         let mut st_rest = band_stats.as_mut_slice();
         let skippable = skippable.as_deref();
-        let lut = lut.as_ref();
         let mut y0 = 0usize;
         while y0 < height {
             let rows = rows_per.min(height - y0);
@@ -591,7 +563,6 @@ pub fn render_brick_opts(
                             Some((t0, t1)) => march(
                                 brick,
                                 tf,
-                                lut,
                                 skippable,
                                 origin,
                                 dir,
@@ -780,10 +751,7 @@ mod tests {
             (Scalar::Speed, TransferFunction::heat(0.0, 0.06)),
         ] {
             let brick = Brick::from_sites(&geo, &snap, which, &all).unwrap();
-            let naive = RenderOptions {
-                macrocells: false,
-                lut_size: None,
-            };
+            let naive = RenderOptions { macrocells: false };
             let (img_naive, st_naive) = render_brick_opts(&brick, &cam, &tf, 0.5, &naive);
             let (img_accel, st_accel) =
                 render_brick_opts(&brick, &cam, &tf, 0.5, &RenderOptions::default());

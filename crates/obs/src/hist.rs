@@ -64,11 +64,6 @@ impl Histogram {
         self.max = self.max.max(secs);
     }
 
-    /// Record a [`std::time::Duration`] sample.
-    pub fn record_duration(&mut self, d: std::time::Duration) {
-        self.record(d.as_secs_f64());
-    }
-
     /// Total samples recorded.
     pub fn count(&self) -> u64 {
         self.count

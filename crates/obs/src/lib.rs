@@ -13,7 +13,9 @@
 //! * [`ObsReport`] — an exportable snapshot: JSON round-trip
 //!   ([`ObsReport::to_json`] / [`ObsReport::from_json`]), cross-rank
 //!   [`ObsReport::merge`], and a human-readable
-//!   [`ObsReport::render_table`].
+//!   [`ObsReport::render_table`];
+//! * [`Fnv1a`] — the workspace's one 64-bit FNV-1a, for checksums,
+//!   cache keys and field digests.
 //!
 //! A [`Recorder::disabled`] recorder turns every entry point into a
 //! single-branch no-op, so instrumentation can stay compiled in without
@@ -22,11 +24,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod fnv;
 pub mod hist;
 pub mod json;
 pub mod recorder;
 pub mod report;
 
+pub use fnv::Fnv1a;
 pub use hist::{Histogram, BUCKET_BOUNDS};
 pub use json::{Json, JsonError};
 pub use recorder::{PhaseStats, PhaseTimer, Recorder, Span, Timeline, TIMELINE_CAP};

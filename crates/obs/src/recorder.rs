@@ -81,11 +81,6 @@ pub struct Span {
 }
 
 impl Span {
-    /// Elapsed seconds so far (0 for an inert span).
-    pub fn elapsed_secs(&self) -> f64 {
-        self.t0.map(|t| t.elapsed().as_secs_f64()).unwrap_or(0.0)
-    }
-
     /// Close the span, crediting its duration to `phase` on `rec`.
     /// Returns the elapsed seconds.
     pub fn end(self, rec: &mut Recorder, phase: &str) -> f64 {

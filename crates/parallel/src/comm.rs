@@ -484,17 +484,6 @@ impl Communicator {
         Ok(None)
     }
 
-    /// Non-blocking receive under `tag` from any source.
-    pub fn try_recv_any(&self, tag: Tag) -> Option<(usize, Bytes)> {
-        self.drain_inbox();
-        let mut pending = self.pending.borrow_mut();
-        if let Some(pos) = pending.iter().position(|e| e.tag == tag) {
-            let env = pending.remove(pos).expect("position valid");
-            return Some((env.src, env.payload));
-        }
-        None
-    }
-
     /// Blocking receive and decode from `src` under `tag`.
     pub fn recv_wire<T: Wire>(&self, src: usize, tag: Tag) -> CommResult<T> {
         let payload = self.recv(src, tag)?;

@@ -21,8 +21,8 @@
 //!    load);
 //! 3. on trigger, [`plan_rebalance`] converts the rank costs into
 //!    per-site weights and runs the multi-constraint diffusive
-//!    [`rebalance`](crate::visaware::rebalance) (falling back to
-//!    single-constraint when there is no visualisation signal);
+//!    [`rebalance`](crate::visaware::rebalance) (single-constraint
+//!    when there is no visualisation signal);
 //! 4. [`payoff_gate`] weighs the projected per-step saving against the
 //!    migration cost (projected by the caller's α–β–γ machine model)
 //!    over the steps that remain — a migration that cannot amortise
@@ -31,7 +31,7 @@
 use crate::error::{PartitionError, PartitionResult};
 use crate::graph::SiteGraph;
 use crate::metrics::imbalance_of;
-use crate::visaware::{rebalance_or_single, RebalanceOutcome};
+use crate::visaware::{rebalance, RebalanceOutcome};
 use serde::{Deserialize, Serialize};
 
 /// Knobs of the adaptive load balancer.
@@ -268,7 +268,7 @@ pub fn plan_rebalance(
     let mut weighted = graph.clone();
     weighted.vwgt = weights.sim;
     weighted.vwgt2 = weights.vis;
-    rebalance_or_single(&weighted, owner, k, cfg.epsilon, cfg.max_passes)
+    rebalance(&weighted, owner, k, cfg.epsilon, cfg.max_passes)
 }
 
 /// The cost/benefit decision on a planned rebalance.
@@ -436,6 +436,33 @@ mod tests {
         let owner = [0, 1];
         let w = derive_site_weights(&owner, 2, &costs(&[f64::NAN, -1.0], &[0.0, 0.0], 1)).unwrap();
         assert_eq!(w.sim, vec![0.0, 0.0], "NaN/negative timers zeroed");
+    }
+
+    #[test]
+    fn plan_from_skewed_vis_cost_balances_vis_and_keeps_compute_balance() {
+        use crate::graph::Connectivity;
+        use crate::{NaiveBlock, Partitioner};
+        let geo = hemelb_geometry::VesselBuilder::straight_tube(32.0, 4.0).voxelise(1.0);
+        let g = SiteGraph::from_geometry(&geo, Connectivity::Six);
+        let owner = NaiveBlock.partition(&g, 3);
+        // Every rank computes as long as the others, but rank 0 holds
+        // most of what the camera sees.
+        let c = costs(&[1.0, 1.0, 1.0], &[0.8, 0.1, 0.1], 50);
+        let cfg = AdaptiveLbConfig::default();
+        let plan = plan_rebalance(&g, &owner, 3, &cfg, &c).unwrap();
+        assert!(plan.imbalance2_before > 2.0, "{}", plan.imbalance2_before);
+        assert!(
+            plan.imbalance2_after < plan.imbalance2_before,
+            "vis imbalance {} -> {}",
+            plan.imbalance2_before,
+            plan.imbalance2_after
+        );
+        assert!(
+            plan.imbalance_after <= 1.0 + cfg.epsilon + 1e-9,
+            "compute imbalance after: {}",
+            plan.imbalance_after
+        );
+        assert!(plan.moved_vertices > 0);
     }
 
     #[test]

@@ -10,9 +10,6 @@ use std::fmt;
 /// Errors returned by fallible partitioning operations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PartitionError {
-    /// A multi-constraint operation needs `SiteGraph::vwgt2` but the
-    /// graph carries only primary weights.
-    MissingSecondaryWeights,
     /// The owner map's length does not match the graph's vertex count.
     OwnerLengthMismatch {
         /// Length of the supplied owner map.
@@ -43,9 +40,6 @@ pub enum PartitionError {
 impl fmt::Display for PartitionError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PartitionError::MissingSecondaryWeights => {
-                write!(f, "graph has no secondary (visualisation) weights")
-            }
             PartitionError::OwnerLengthMismatch {
                 owner_len,
                 graph_len,

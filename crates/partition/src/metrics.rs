@@ -107,15 +107,6 @@ pub fn imbalance_of(loads: &[f64]) -> f64 {
     }
 }
 
-/// Per-part primary loads under an owner map.
-pub fn part_loads(graph: &SiteGraph, owner: &[usize], k: usize) -> Vec<f64> {
-    let mut loads = vec![0.0; k];
-    for (v, &o) in owner.iter().enumerate() {
-        loads[o] += graph.vwgt[v];
-    }
-    loads
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

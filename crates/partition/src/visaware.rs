@@ -40,14 +40,15 @@ pub struct RebalanceOutcome {
 }
 
 /// Migrate sites so that both the compute weight (`graph.vwgt`) and the
-/// visualisation weight (`graph.vwgt2`, required) are balanced to within
-/// `1 + epsilon`, starting from `owner`.
+/// visualisation weight (`graph.vwgt2`) are balanced to within
+/// `1 + epsilon`, starting from `owner`. A graph without secondary
+/// weights gets a *single-constraint* rebalance (all secondary weights
+/// zero): overloaded parts shed boundary vertices under the compute cap
+/// only — a missing visualisation signal must never stop a rebalance
+/// that the compute imbalance alone justifies.
 ///
 /// # Errors
-/// Returns [`PartitionError::MissingSecondaryWeights`] when the graph
-/// carries no secondary weights (use [`rebalance_or_single`] to fall
-/// back to single-constraint behaviour instead), and
-/// [`PartitionError::OwnerLengthMismatch`] /
+/// Returns [`PartitionError::OwnerLengthMismatch`] /
 /// [`PartitionError::OwnerOutOfRange`] / [`PartitionError::ZeroParts`]
 /// for malformed inputs. Historically these were panics, which meant a
 /// mid-run rebalance could abort the whole SPMD job.
@@ -59,67 +60,14 @@ pub fn rebalance(
     max_passes: usize,
 ) -> PartitionResult<RebalanceOutcome> {
     validate_owner(graph, owner, k)?;
-    let w2 = graph
-        .vwgt2
-        .as_ref()
-        .ok_or(PartitionError::MissingSecondaryWeights)?;
-    Ok(rebalance_impl(graph, w2, owner, k, epsilon, max_passes))
-}
-
-/// Like [`rebalance`], but a graph without secondary weights degrades to
-/// a *single-constraint* rebalance (all secondary weights zero) instead
-/// of erroring: overloaded parts shed boundary vertices under the
-/// compute cap only. This is the entry point the adaptive load balancer
-/// uses — a missing visualisation signal must never stop a rebalance
-/// that the compute imbalance alone justifies.
-///
-/// # Errors
-/// Returns an error only for malformed `owner` maps or `k == 0`.
-pub fn rebalance_or_single(
-    graph: &SiteGraph,
-    owner: &[usize],
-    k: usize,
-    epsilon: f64,
-    max_passes: usize,
-) -> PartitionResult<RebalanceOutcome> {
-    validate_owner(graph, owner, k)?;
-    match graph.vwgt2.as_ref() {
-        Some(w2) => Ok(rebalance_impl(graph, w2, owner, k, epsilon, max_passes)),
+    let zeros;
+    let w2 = match graph.vwgt2.as_ref() {
+        Some(w2) => w2,
         None => {
-            let zeros = vec![0.0f64; graph.len()];
-            Ok(rebalance_impl(graph, &zeros, owner, k, epsilon, max_passes))
+            zeros = vec![0.0f64; graph.len()];
+            &zeros
         }
-    }
-}
-
-fn validate_owner(graph: &SiteGraph, owner: &[usize], k: usize) -> PartitionResult<()> {
-    if k == 0 {
-        return Err(PartitionError::ZeroParts);
-    }
-    if owner.len() != graph.len() {
-        return Err(PartitionError::OwnerLengthMismatch {
-            owner_len: owner.len(),
-            graph_len: graph.len(),
-        });
-    }
-    if let Some((vertex, &o)) = owner.iter().enumerate().find(|&(_, &o)| o >= k) {
-        return Err(PartitionError::OwnerOutOfRange {
-            vertex,
-            owner: o,
-            k,
-        });
-    }
-    Ok(())
-}
-
-fn rebalance_impl(
-    graph: &SiteGraph,
-    w2: &[f64],
-    owner: &[usize],
-    k: usize,
-    epsilon: f64,
-    max_passes: usize,
-) -> RebalanceOutcome {
+    };
     let n = graph.len();
 
     let q_before = quality(graph, owner, k);
@@ -233,7 +181,7 @@ fn rebalance_impl(
         .map(|(v, _)| graph.vwgt[v])
         .sum();
 
-    RebalanceOutcome {
+    Ok(RebalanceOutcome {
         owner,
         moved_vertices,
         migration_volume,
@@ -243,7 +191,27 @@ fn rebalance_impl(
         imbalance2_after: q_after.vis_imbalance(),
         cut_before: q_before.edge_cut,
         cut_after: q_after.edge_cut,
+    })
+}
+
+fn validate_owner(graph: &SiteGraph, owner: &[usize], k: usize) -> PartitionResult<()> {
+    if k == 0 {
+        return Err(PartitionError::ZeroParts);
     }
+    if owner.len() != graph.len() {
+        return Err(PartitionError::OwnerLengthMismatch {
+            owner_len: owner.len(),
+            graph_len: graph.len(),
+        });
+    }
+    if let Some((vertex, &o)) = owner.iter().enumerate().find(|&(_, &o)| o >= k) {
+        return Err(PartitionError::OwnerOutOfRange {
+            vertex,
+            owner: o,
+            k,
+        });
+    }
+    Ok(())
 }
 
 /// Full multi-constraint repartition by **striping**: sites are ordered
@@ -375,17 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn rebalance_without_secondary_weights_is_a_typed_error() {
-        let (g, owner) = setup();
-        // Regression: this was an `.expect` panic, which could take down
-        // a whole SPMD run when the adaptive loop fired before the first
-        // render produced visualisation weights.
-        let err = rebalance(&g, &owner, 4, 0.1, 5).unwrap_err();
-        assert_eq!(err, crate::PartitionError::MissingSecondaryWeights);
-        assert!(err.to_string().contains("secondary"));
-    }
-
-    #[test]
     fn rebalance_rejects_malformed_owner_maps() {
         let (g, owner) = setup();
         let g2 = g.clone().with_secondary_weights(vec![1.0; g.len()]);
@@ -421,7 +378,7 @@ mod tests {
                 }
             })
             .collect();
-        let out = rebalance_or_single(&g, &owner, 4, 0.10, 40).unwrap();
+        let out = rebalance(&g, &owner, 4, 0.10, 40).unwrap();
         assert!(
             out.imbalance_after < out.imbalance_before,
             "fallback should reduce compute imbalance: {} -> {}",

@@ -126,7 +126,6 @@ pub struct AdaptiveDriver {
     prev_sim_secs: f64,
     prev_vis_secs: f64,
     last_imbalance: f64,
-    applied: u64,
 }
 
 impl AdaptiveDriver {
@@ -141,7 +140,6 @@ impl AdaptiveDriver {
             prev_sim_secs: 0.0,
             prev_vis_secs: 0.0,
             last_imbalance: 1.0,
-            applied: 0,
         }
     }
 
@@ -160,11 +158,6 @@ impl AdaptiveDriver {
     /// window, 1.0 before the first window completes.
     pub fn last_imbalance(&self) -> f64 {
         self.last_imbalance
-    }
-
-    /// Repartitions applied by this driver so far.
-    pub fn rebalances_applied(&self) -> u64 {
-        self.applied
     }
 
     /// Read this rank's cumulative load-proportional span totals.
@@ -314,7 +307,6 @@ impl AdaptiveDriver {
         // `lb.rebalance.sites_moved` and the CommStats rebalance column.
         decision.sites_moved_local = solver.repartition(plan.owner)?;
         decision.applied = true;
-        self.applied += 1;
         comm.with_obs(|o| o.count("lb.rebalance.applied", 1));
         // The measurements that justified this trigger describe the old
         // decomposition; start accumulating evidence afresh.
@@ -326,10 +318,129 @@ impl AdaptiveDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hemelb_core::SolverConfig;
+    use hemelb_core::{FieldSnapshot, Solver, SolverConfig};
     use hemelb_geometry::VesselBuilder;
     use hemelb_parallel::run_spmd;
     use std::sync::Arc;
+
+    const RANKS: usize = 3;
+    const WINDOW: u64 = 10;
+
+    /// What one rank of [`vis_hot_run`] saw.
+    struct HotRun {
+        /// The decision of every window, with the one rank-local field
+        /// zeroed so ranks can be compared.
+        decisions: Vec<WindowDecision>,
+        sites_before: usize,
+        sites_after: usize,
+        owner_changed: bool,
+        gate_skips: u64,
+        fields: Option<FieldSnapshot>,
+    }
+
+    /// Three slab ranks step a tube while rank 0 "renders": every window
+    /// books 100 s of `vis.render` on rank 0 alone and 1 s of collide on
+    /// every rank. The booked seconds swamp the measured ones (a
+    /// millisecond or so a window), so the cost vector, and with it the
+    /// plan and the verdict, are the same on every run. The window
+    /// that triggers is closed with `horizon` steps left to amortise
+    /// over; afterwards the run steps one more window.
+    fn vis_hot_run(horizon: u64) -> (Vec<HotRun>, FieldSnapshot) {
+        let geo = Arc::new(VesselBuilder::straight_tube(24.0, 3.0).voxelise(1.0));
+        let cfg = SolverConfig::pressure_driven(1.01, 0.99);
+        let lb_cfg = AdaptiveLbConfig {
+            window_steps: WINDOW,
+            ..Default::default()
+        };
+        let windows = u64::from(lb_cfg.hysteresis_windows);
+        let (geo2, cfg2) = (geo.clone(), cfg.clone());
+        let runs = run_spmd(RANKS, move |comm| {
+            let owner: Vec<usize> = (0..geo2.fluid_count() as u32)
+                .map(|s| (geo2.position(s)[0] as usize * RANKS / geo2.shape()[0]).min(RANKS - 1))
+                .collect();
+            let mut ds = DistSolver::new(geo2.clone(), owner.clone(), cfg2.clone(), comm).unwrap();
+            let mut driver = AdaptiveDriver::new(&geo2, lb_cfg);
+            let sites_before = ds.local_sites().len();
+            let mut decisions = Vec::new();
+            for _ in 0..windows {
+                ds.step_n(WINDOW).unwrap();
+                comm.with_obs(|o| {
+                    o.record_secs("lb.collide", 1.0);
+                    if comm.rank() == 0 {
+                        o.record_secs(VIS_PHASE, 100.0);
+                    }
+                });
+                let mut d = driver.end_window(comm, &mut ds, WINDOW, horizon).unwrap();
+                d.sites_moved_local = 0;
+                decisions.push(d);
+            }
+            let sites_after = ds.local_sites().len();
+            let owner_changed = ds.owner() != owner;
+            ds.step_n(WINDOW).unwrap();
+            HotRun {
+                decisions,
+                sites_before,
+                sites_after,
+                owner_changed,
+                gate_skips: comm.with_obs(|o| o.counter("lb.rebalance.skipped.gate")),
+                fields: ds.gather_snapshot().unwrap(),
+            }
+        });
+        let mut serial = Solver::new(geo, cfg);
+        serial.step_n((windows + 1) * WINDOW);
+        (runs, serial.snapshot())
+    }
+
+    fn assert_bitwise(got: &FieldSnapshot, want: &FieldSnapshot) {
+        let bits = |f: &FieldSnapshot| -> Vec<u64> {
+            let u = f.u.iter().flatten();
+            (f.rho.iter().chain(u).chain(&f.shear))
+                .map(|x| x.to_bits())
+                .collect()
+        };
+        assert_eq!(got.step, want.step);
+        assert_eq!(bits(got), bits(want));
+    }
+
+    #[test]
+    fn measured_vis_load_moves_sites_off_the_hot_rank_bit_transparently() {
+        let (runs, serial) = vis_hot_run(100_000);
+        for r in &runs {
+            assert_eq!(r.decisions, runs[0].decisions, "the decision is collective");
+        }
+        let (armed, fired) = (&runs[0].decisions[0], &runs[0].decisions[1]);
+        assert!(armed.observation.hot && !armed.observation.triggered && !armed.applied);
+        assert!(armed.observation.vis_imbalance > 2.9 && armed.observation.sim_imbalance < 1.1);
+        assert!(fired.observation.triggered && fired.planned_moves > 0);
+        assert!(fired.gate.expect("priced").apply && fired.applied);
+        assert!(
+            runs[0].sites_after < runs[0].sites_before,
+            "rank 0 kept {} of {} sites",
+            runs[0].sites_after,
+            runs[0].sites_before
+        );
+        assert_eq!(
+            runs.iter().map(|r| r.sites_after).sum::<usize>(),
+            serial.len()
+        );
+        assert!(runs.iter().all(|r| r.owner_changed && r.gate_skips == 0));
+        assert_bitwise(runs[0].fields.as_ref().expect("master gathers"), &serial);
+    }
+
+    #[test]
+    fn gate_refuses_the_same_plan_when_no_steps_remain_to_amortise_it() {
+        let (runs, serial) = vis_hot_run(0);
+        for r in &runs {
+            assert_eq!(r.decisions, runs[0].decisions, "the decision is collective");
+            assert_eq!(r.gate_skips, 1);
+            assert!(!r.owner_changed);
+            assert_eq!(r.sites_after, r.sites_before);
+        }
+        let refused = &runs[0].decisions[1];
+        assert!(refused.observation.triggered && refused.planned_moves > 0);
+        assert!(!refused.gate.expect("priced").apply && !refused.applied);
+        assert_bitwise(runs[0].fields.as_ref().expect("master gathers"), &serial);
+    }
 
     #[test]
     fn driver_self_calibrates_from_window_measurements() {

@@ -34,8 +34,6 @@ use hemelb_insitu::compositing::{binary_swap, DeadlineCompositor};
 use hemelb_insitu::transfer::TransferFunction;
 use hemelb_insitu::volume::{render_brick_opts, Brick, RenderOptions};
 use hemelb_parallel::{Communicator, Wire, WireReader, WireWriter};
-use hemelb_partition::graph::{Connectivity, SiteGraph};
-use hemelb_partition::visaware::{rebalance, synthetic_view_weights};
 use hemelb_partition::AdaptiveLbConfig;
 use std::sync::Arc;
 use std::time::Duration;
@@ -51,11 +49,6 @@ pub struct ClosedLoopConfig {
     pub initial_vis_rate: u32,
     /// Simulation steps between command polls.
     pub steps_per_cycle: u32,
-    /// If true, a camera change triggers a visualisation-aware
-    /// repartition (paper §IV-B: vis costs enter the balance equation
-    /// and "the opportunity to adjust the partitioning mid-term is
-    /// introduced").
-    pub vis_aware_repartition: bool,
     /// If set, compositing waits at most this long per missing rank
     /// before shipping the frame without its contribution (reported as
     /// a degraded frame in [`StatusReport::problems`]). `None` keeps
@@ -88,7 +81,6 @@ impl Default for ClosedLoopConfig {
             image: (128, 96),
             initial_vis_rate: 50,
             steps_per_cycle: 10,
-            vis_aware_repartition: false,
             frame_deadline: None,
             adaptive_lb: None,
             gateway: None,
@@ -236,7 +228,6 @@ pub fn run_closed_loop_opts(
     let mut compositor = cfg.frame_deadline.map(|_| DeadlineCompositor::new());
     let mut adaptive = cfg.adaptive_lb.map(|c| AdaptiveDriver::new(&geo, c));
     let mut window_steps_done = 0u64;
-    let mut loop_problems: Vec<String> = Vec::new();
 
     let mut frame_cache = FrameCache::new(cache_entries);
     let tf_family_hash = TransferFunction::heat(0.0, 1.0).family_hash();
@@ -267,52 +258,9 @@ pub fn run_closed_loop_opts(
             let cmds = Vec::<SteeringCommand>::from_bytes(r.get_bytes()?)?;
             (cmds, attached)
         };
-        let mut camera_changed = false;
         for cmd in &commands {
-            if matches!(cmd, SteeringCommand::SetCamera { .. }) {
-                camera_changed = true;
-            }
             state.apply(cmd);
             outcome.commands_applied += 1;
-        }
-        // §IV-B: when the view changes, the visualisation load moves —
-        // rebalance the decomposition around the new camera and migrate
-        // the affected sites' state, mid-run.
-        if camera_changed && cfg.vis_aware_repartition && !state.terminate {
-            let graph = SiteGraph::from_geometry(&geo, Connectivity::Six);
-            let dir = [
-                state.target[0] - state.eye[0],
-                state.target[1] - state.eye[1],
-                state.target[2] - state.eye[2],
-            ];
-            let norm = (dir[0] * dir[0] + dir[1] * dir[1] + dir[2] * dir[2])
-                .sqrt()
-                .max(1e-12);
-            let w2 =
-                synthetic_view_weights(&graph, [dir[0] / norm, dir[1] / norm, dir[2] / norm], 0.3);
-            let graph = graph.with_secondary_weights(w2);
-            // The rebalance is fallible now; a degenerate input skips
-            // the repartition (reported to the client) instead of
-            // taking the whole run down. Every rank computes the same
-            // verdict from the same replicated inputs, so the skip is
-            // collectively consistent.
-            match rebalance(&graph, solver.owner(), comm.size(), 0.10, 20) {
-                Ok(out) => {
-                    outcome.sites_migrated += solver.repartition(out.owner)? as u64;
-                    outcome.repartitions += 1;
-                    // The render path indexes by local site; refresh the
-                    // cache.
-                    local_positions = solver
-                        .local_sites()
-                        .iter()
-                        .map(|&g| geo.position(g))
-                        .collect();
-                    prev_speed = None; // residual baseline is decomposition-local
-                }
-                Err(e) => {
-                    loop_problems.push(format!("view-aware repartition skipped: {e}"));
-                }
-            }
         }
         if state.terminate {
             outcome.terminated_by_client = true;
@@ -584,12 +532,10 @@ pub fn run_closed_loop_opts(
             // so the queue is identical everywhere); reported by the
             // master as part of the status problems.
             let rejections = state.take_rejections();
-            let loop_notes = std::mem::take(&mut loop_problems);
             if let Some(gw) = &gateway {
                 let span = comm.with_obs(|o| o.begin());
                 let mut problems = snap.validity_report();
                 problems.extend(rejections);
-                problems.extend(loop_notes);
                 if !dropped_ranks.is_empty() {
                     problems.push(format!(
                         "degraded frame: compositing deadline dropped ranks {dropped_ranks:?}"
@@ -682,7 +628,6 @@ mod tests {
                     image: (32, 24),
                     initial_vis_rate: 20,
                     steps_per_cycle: 10,
-                    vis_aware_repartition: false,
                     ..Default::default()
                 },
             )
@@ -792,7 +737,6 @@ mod tests {
                     image: (16, 12),
                     initial_vis_rate: u32::MAX,
                     steps_per_cycle: 10,
-                    vis_aware_repartition: false,
                     ..Default::default()
                 },
             )
@@ -816,7 +760,7 @@ mod tests {
     }
 
     #[test]
-    fn camera_change_triggers_repartition_without_touching_physics() {
+    fn camera_change_renders_the_new_view_without_repartitioning() {
         let geo = demo_geo();
         let (client_end, server_end) = duplex_pair();
         let server_slot = Arc::new(Mutex::new(Some(Box::new(server_end) as Box<dyn Transport>)));
@@ -824,14 +768,14 @@ mod tests {
 
         let client_thread = std::thread::spawn(move || {
             let client = SteeringClient::new(Box::new(client_end));
-            // Run a while, then orbit the camera (→ repartition), then
-            // keep running and terminate.
-            loop {
+            // Run a while, then orbit the camera, then keep running and
+            // terminate.
+            let before = loop {
                 let (img, _) = client.request_frame().unwrap();
                 if img.step >= 30 {
-                    break;
+                    break img;
                 }
-            }
+            };
             client
                 .send(&SteeringCommand::SetCamera {
                     eye: [50.0, 8.0, 8.0],
@@ -840,14 +784,15 @@ mod tests {
                     fov_y: 0.8,
                 })
                 .unwrap();
-            loop {
+            let after = loop {
                 let (img, _) = client.request_frame().unwrap();
                 if img.step >= 60 {
-                    break;
+                    break img;
                 }
-            }
+            };
             client.send(&SteeringCommand::Terminate).unwrap();
             while client.recv().is_ok() {}
+            (before, after)
         });
 
         let results = run_spmd(3, move |comm| {
@@ -867,34 +812,23 @@ mod tests {
                     image: (16, 12),
                     initial_vis_rate: u32::MAX,
                     steps_per_cycle: 10,
-                    vis_aware_repartition: true,
                     ..Default::default()
                 },
             )
             .unwrap()
         });
-        client_thread.join().unwrap();
-        let steps = results[0].steps_done;
+        let (before, after) = client_thread.join().unwrap();
+        // The new view shows the vessel, and it is a different picture:
+        // down the tube axis instead of side-on.
+        let drawn = |img: &ImageFrame| img.rgb.chunks(3).filter(|c| *c != [255; 3]).count();
+        assert!(drawn(&before) > 0 && drawn(&after) > 0);
+        assert_ne!(before.rgb, after.rgb, "the camera command took effect");
+        // A view change alone moves no site: only a measured, priced
+        // imbalance does, and this run has no adaptive driver.
         for r in &results {
-            assert_eq!(r.repartitions, 1, "one camera change, one repartition");
+            assert_eq!(r.repartitions, 0);
+            assert_eq!(r.sites_migrated, 0);
         }
-        let migrated: u64 = results.iter().map(|r| r.sites_migrated).sum();
-        assert!(migrated > 0, "the rebalance must move something");
-
-        // Physics check: the same number of steps without any steering
-        // gives the same fields (bitwise) despite the migration.
-        let geo3 = geo.clone();
-        let reference = {
-            let mut s =
-                hemelb_core::Solver::new(geo3.clone(), SolverConfig::pressure_driven(1.01, 0.99));
-            s.step_n(steps);
-            s.snapshot()
-        };
-        // Re-run the steered scenario deterministically? The command
-        // timing is racy, so instead verify directly: a distributed run
-        // with an explicit mid-run repartition matches serial (covered
-        // bit-exactly in hemelb-core). Here assert plausibility only.
-        assert!(reference.validity_report().is_empty());
     }
 
     #[test]
@@ -947,7 +881,6 @@ mod tests {
                     image: (16, 12),
                     initial_vis_rate: u32::MAX,
                     steps_per_cycle: 5,
-                    vis_aware_repartition: false,
                     ..Default::default()
                 },
             )
@@ -1145,7 +1078,6 @@ mod tests {
                     image: (8, 6),
                     initial_vis_rate: 10,
                     steps_per_cycle: 5,
-                    vis_aware_repartition: false,
                     ..Default::default()
                 },
             )
@@ -1207,7 +1139,6 @@ mod tests {
                     image: (32, 24),
                     initial_vis_rate: 1_000_000,
                     steps_per_cycle: 5,
-                    vis_aware_repartition: false,
                     ..Default::default()
                 },
             )
@@ -1299,7 +1230,6 @@ mod tests {
                     image: (32, 24),
                     initial_vis_rate: 1_000_000,
                     steps_per_cycle: 5,
-                    vis_aware_repartition: false,
                     gateway: Some(GatewayConfig::default()),
                     ..Default::default()
                 },

@@ -42,6 +42,7 @@
 use crate::protocol::{ObservableReport, ServerMessage, StatusReport, SteeringCommand};
 use crate::transport::{Acceptor, Transport};
 use bytes::Bytes;
+use hemelb_obs::Fnv1a;
 use hemelb_parallel::Wire;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -119,41 +120,23 @@ impl FrameKey {
         field_tag: u8,
         tf_family_hash: u64,
     ) -> Self {
-        let mut h = Fnv::new();
-        h.mix_u64(camera_hash);
+        let mut h = Fnv1a::new();
+        h.u64(camera_hash);
         match roi {
-            None => h.mix_u64(0),
+            None => h.u64(0),
             Some((lo, hi)) => {
-                h.mix_u64(1);
+                h.u64(1);
                 for v in lo.iter().chain(hi.iter()) {
-                    h.mix_u64(*v as u64);
+                    h.u64(*v as u64);
                 }
             }
         }
-        h.mix_u64(field_tag as u64);
-        h.mix_u64(tf_family_hash);
+        h.u64(field_tag as u64);
+        h.u64(tf_family_hash);
         FrameKey {
             step,
             view: h.finish(),
         }
-    }
-}
-
-/// Incremental FNV-1a, the same mixing the insitu content hashes use.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf29ce484222325)
-    }
-    fn mix_u64(&mut self, bits: u64) {
-        for b in bits.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -275,7 +258,6 @@ pub struct SessionGateway {
     last_frame: RefCell<Option<Bytes>>,
     bytes_retired: Cell<u64>,
     attaches: Cell<u64>,
-    detaches: Cell<u64>,
     sessions_peak: Cell<u64>,
     frames_skipped_status_only: Cell<u64>,
 }
@@ -301,7 +283,6 @@ impl SessionGateway {
             last_frame: RefCell::new(None),
             bytes_retired: Cell::new(0),
             attaches: Cell::new(0),
-            detaches: Cell::new(0),
             sessions_peak: Cell::new(0),
             frames_skipped_status_only: Cell::new(0),
         };
@@ -324,11 +305,6 @@ impl SessionGateway {
     /// Total attaches over the gateway's lifetime.
     pub fn attach_count(&self) -> u64 {
         self.attaches.get()
-    }
-
-    /// Total detaches over the gateway's lifetime.
-    pub fn detach_count(&self) -> u64 {
-        self.detaches.get()
     }
 
     /// The session currently holding the driver role, if any.
@@ -390,7 +366,6 @@ impl SessionGateway {
         }
         self.bytes_retired
             .set(self.bytes_retired.get() + session.transport.bytes_sent());
-        self.detaches.set(self.detaches.get() + 1);
         let mut msg = format!("{id} detached: {why}");
         if salvaged > 0 || rejected > 0 {
             msg.push_str(&format!(

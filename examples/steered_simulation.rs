@@ -107,7 +107,6 @@ fn main() {
                 image: (256, 192),
                 initial_vis_rate: u32::MAX, // frames on request only
                 steps_per_cycle: 20,
-                vis_aware_repartition: false,
                 ..Default::default()
             },
         )

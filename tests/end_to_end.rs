@@ -263,7 +263,6 @@ fn steered_run_reacts_to_pressure_change() {
                 image: (32, 24),
                 initial_vis_rate: u32::MAX,
                 steps_per_cycle: 25,
-                vis_aware_repartition: false,
                 ..Default::default()
             },
         )

@@ -49,7 +49,6 @@ fn obs_reports_survive_json_and_show_real_phase_timings() {
                 image: (32, 24),
                 initial_vis_rate: u32::MAX,
                 steps_per_cycle: 10,
-                vis_aware_repartition: false,
                 ..Default::default()
             },
         )

@@ -66,10 +66,7 @@ fn check_bit_identity(spec: &common::GeoSpec, scalar: Scalar, grey: bool) {
         H,
     );
 
-    let naive = RenderOptions {
-        macrocells: false,
-        lut_size: None,
-    };
+    let naive = RenderOptions { macrocells: false };
     let (img_naive, _) = render_brick_opts(&brick, &cam, &tf, 0.5, &naive);
     let (img_accel, _) = render_brick_opts(&brick, &cam, &tf, 0.5, &RenderOptions::default());
     assert!(

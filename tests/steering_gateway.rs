@@ -31,7 +31,6 @@ fn loop_cfg(gateway: Option<GatewayConfig>, max_steps: u64) -> ClosedLoopConfig 
         image: (32, 24),
         initial_vis_rate: 25,
         steps_per_cycle: 5,
-        vis_aware_repartition: false,
         gather_final_fields: true,
         gateway,
         ..Default::default()
@@ -252,7 +251,6 @@ fn wedged_tcp_observer_cannot_stall_the_step_loop() {
                 image: (160, 120),
                 initial_vis_rate: u32::MAX, // frames only on request
                 steps_per_cycle: 5,
-                vis_aware_repartition: false,
                 gateway: Some(GatewayConfig {
                     // Dense frames so every broadcast carries real bytes,
                     // and a hair-trigger ladder so the wedge is caught as

@@ -100,7 +100,6 @@ fn closed_loop_over_tcp() {
                 image: (48, 36),
                 initial_vis_rate: u32::MAX,
                 steps_per_cycle: 10,
-                vis_aware_repartition: false,
                 ..Default::default()
             },
         )
