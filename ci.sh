@@ -19,8 +19,10 @@
 # judged); the smokes here prove `reproduce` runs end to end and leave
 # out/BENCH_*.json behind as artefacts.
 #
-# Each stage is timed; a per-stage summary prints on exit (also on
-# failure, so CI logs show where the time — or the break — went).
+# Each stage is timed and runs under a fixed 30-minute `timeout`, so a
+# hang fails the named stage (exit 124) instead of stalling the job; a
+# per-stage summary prints on exit (also on failure, so CI logs show
+# where the time — or the break — went).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -74,7 +76,9 @@ stage() {
     shift
     echo "==> [$name] $*"
     local t0=$SECONDS
-    "$@"
+    # The inner shell lets `timeout` run this script's (exported)
+    # functions as well as programs.
+    timeout 1800 bash -c '"$@"' stage "$@"
     STAGE_NAMES+=("$name")
     STAGE_SECS+=($((SECONDS - t0)))
 }
@@ -99,6 +103,7 @@ no_tracked_images() {
         return 1
     fi
 }
+export -f no_tracked_images
 
 # Tier-1 (ROADMAP): release build + the root-package test suite.
 group_tier1() {
@@ -125,11 +130,11 @@ group_determinism() {
     stage render      cargo test -q --test render_compositing
 }
 
-# Distributed step schedule: the storage-order and overlap on == off ==
-# serial bitwise equivalence proptests over slab-to-scatter owner maps
-# (incl. checkpoint hand-off between the settings and injected delays)
-# and the allocation budget of the step path (a count per rank-step that
-# does not depend on map fragmentation).
+# Distributed step schedule: the storage-order and dist == serial
+# bitwise equivalence proptests over slab-to-scatter owner maps (incl.
+# injected delays), the overlap accounting on ordinary and degenerate
+# domains, and the allocation budget of the step path (a count per
+# rank-step that does not depend on map fragmentation).
 group_overlap() {
     stage overlap cargo test -q --test overlap
     stage alloc-budget cargo test -q --test alloc_budget
@@ -199,6 +204,7 @@ loc_report() {
     done
     printf '    %-12s %8s %6s\n' workspace "$total_lines" "$total_pubs"
 }
+export -f loc_report
 
 # Long soaks.
 group_soak() {

@@ -65,7 +65,7 @@ fn migration(owner_a: &[usize], owner_b: &[usize]) -> f64 {
 pub fn run(size: Size, ranks: usize) -> RepartitionResult {
     let geo = workloads::aneurysm(size);
     let graph = SiteGraph::from_geometry(&geo, Connectivity::Six);
-    let baseline = MultilevelKWay::default().partition(&graph, ranks);
+    let baseline = MultilevelKWay.partition(&graph, ranks);
 
     let views: [(&'static str, [f64; 3]); 3] = [
         ("front (+x)", [1.0, 0.0, 0.0]),

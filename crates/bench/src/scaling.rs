@@ -53,7 +53,7 @@ pub fn run(size: Size, rank_counts: &[usize], steps: u64) -> ScalingResult {
     let partitioners: Vec<(&'static str, Box<dyn Partitioner>)> = vec![
         ("naive", Box::new(NaiveBlock)),
         ("hilbert", Box::new(HilbertSfc)),
-        ("kway", Box::new(MultilevelKWay::default())),
+        ("kway", Box::new(MultilevelKWay)),
     ];
 
     let mut rows = Vec::new();

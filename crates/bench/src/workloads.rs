@@ -63,7 +63,7 @@ pub fn slab_owner(geo: &SparseGeometry, p: usize) -> Vec<usize> {
 /// Multilevel k-way decomposition (the ParMETIS-analogue owner map).
 pub fn kway_owner(geo: &SparseGeometry, p: usize) -> Vec<usize> {
     let graph = SiteGraph::from_geometry(geo, Connectivity::D3Q15);
-    MultilevelKWay::default().partition(&graph, p)
+    MultilevelKWay.partition(&graph, p)
 }
 
 /// Seed points clustered in the inlet cross-section (how a user places

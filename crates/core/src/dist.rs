@@ -31,8 +31,6 @@
 //!
 //! Collide is per-site independent and stream reads only immutable
 //! post-collision state, so where the seam falls changes no value.
-//! `cfg.overlap = false` runs the same schedule with the seam at `n`:
-//! nothing is held back to compute under the in-flight exchange.
 //!
 //! **Ordering contract.** [`DistSolver::local_sites`] returns the
 //! storage order; [`DistSolver::local_snapshot`],
@@ -306,12 +304,10 @@ impl<'a> DistSolver<'a> {
     }
 
     /// Whether this rank's step hides its halo exchange behind interior
-    /// work: overlap must be configured on, there must be peers to
-    /// exchange with, and there must be interior sites to compute under
-    /// the in-flight messages.
+    /// work: there must be peers to exchange with, and interior sites
+    /// to compute under the in-flight messages.
     pub fn overlap_active(&self) -> bool {
-        self.lat.cfg.overlap
-            && !(self.send_plan.is_empty() && self.recv_plan.is_empty())
+        !(self.send_plan.is_empty() && self.recv_plan.is_empty())
             && self.partition.interior_count() > 0
     }
 
@@ -385,8 +381,7 @@ impl<'a> DistSolver<'a> {
     /// phases changes no value; every collide finishes before any stream
     /// that could read it (the interior streams after phases 1 and 3a;
     /// the frontier streams last); and the pack in phase 2 reads only
-    /// frontier sites, which phase 3 never touches. With
-    /// `cfg.overlap = false` the seam sits at `n` and phase 3 is empty.
+    /// frontier sites, which phase 3 never touches.
     ///
     /// Collide and stream run through the lattice drivers in
     /// [`crate::kernel`]: inside a rayon pool (the runner's
@@ -400,11 +395,7 @@ impl<'a> DistSolver<'a> {
         self.comm.set_fault_step(self.lat.step);
         let threads = rayon::current_num_threads();
         let n = self.locals.len();
-        let split = if self.lat.cfg.overlap {
-            self.partition.frontier_count()
-        } else {
-            n
-        };
+        let split = self.partition.frontier_count();
 
         // (1) Frontier-first collide.
         let span = self.comm.with_obs(|o| o.begin());
@@ -1136,7 +1127,7 @@ mod tests {
             assert_eq!(sorted, locals_of(&owner2, me), "rank {me}: a permutation");
 
             // An x-slab of a 16-long tube has interior sites, so
-            // overlap engages by default.
+            // overlap engages.
             assert!(ds.overlap_active(), "rank {me}: overlap should engage");
         });
     }
@@ -1181,9 +1172,8 @@ mod tests {
 
     /// Satellite: degenerate domains run the same schedule with one of
     /// its sweeps empty — a zero-peer rank has nothing to overlap with,
-    /// an all-frontier slab has no interior to hide latency behind, and
-    /// `with_overlap(false)` moves the seam to the end. All still step
-    /// correctly and report no overlap.
+    /// an all-frontier slab has no interior to hide latency behind. Both
+    /// still step correctly and report no overlap.
     #[test]
     fn degenerate_domains_have_nothing_to_overlap() {
         // Zero peers: single rank owns everything.
@@ -1219,45 +1209,6 @@ mod tests {
             assert!(!ds.overlap_active(), "all-frontier rank must not overlap");
             ds.step_n(3).unwrap();
         });
-
-        // Explicit opt-out with peers and interior present.
-        let geo2 = geo.clone();
-        let cfg_off = cfg.with_overlap(false);
-        run_spmd(2, move |comm| {
-            let owner = even_owner(geo2.fluid_count(), comm.size());
-            let mut ds = DistSolver::new(geo2.clone(), owner, cfg_off.clone(), comm).unwrap();
-            assert!(ds.partition.interior_count() > 0);
-            assert!(!ds.overlap_active(), "with_overlap(false) must opt out");
-            ds.step_n(3).unwrap();
-        });
-    }
-
-    /// Overlap on and off are bit-identical (the heavyweight proptest
-    /// over geometries × operators × owner maps lives in
-    /// `tests/overlap.rs`; this is the fast in-module check).
-    #[test]
-    fn overlapped_step_matches_sync_bitwise_quick() {
-        let geo = demo_geo();
-        let base = SolverConfig::pressure_driven(1.01, 0.99);
-        let snapshots: Vec<_> = [true, false]
-            .into_iter()
-            .map(|overlap| {
-                let geo2 = geo.clone();
-                let cfg = base.clone().with_overlap(overlap);
-                let results = run_spmd(3, move |comm| {
-                    let owner = even_owner(geo2.fluid_count(), comm.size());
-                    let mut ds = DistSolver::new(geo2.clone(), owner, cfg.clone(), comm).unwrap();
-                    ds.step_n(15).unwrap();
-                    ds.gather_snapshot().unwrap()
-                });
-                results[0].clone().expect("root gathers")
-            })
-            .collect();
-        let (over, sync) = (&snapshots[0], &snapshots[1]);
-        for s in 0..sync.rho.len() {
-            assert_eq!(over.rho[s], sync.rho[s], "rho at {s}");
-            assert_eq!(over.u[s], sync.u[s], "u at {s}");
-        }
     }
 
     #[test]

@@ -48,18 +48,6 @@ pub struct SolverConfig {
     pub inlet_bcs: Vec<IoletBc>,
     /// Boundary prescriptions for outlets, indexed likewise.
     pub outlet_bcs: Vec<IoletBc>,
-    /// Whether the distributed solver overlaps the halo exchange with
-    /// interior compute (frontier-first collide, interior collide+stream
-    /// under in-flight messages). Off, the same schedule holds nothing
-    /// back: everything collides before the sends. Bit-identical either
-    /// way — only latency hiding differs. Serial and thread-parallel
-    /// solvers ignore it.
-    #[serde(default = "default_overlap")]
-    pub overlap: bool,
-}
-
-fn default_overlap() -> bool {
-    true
 }
 
 impl SolverConfig {
@@ -71,7 +59,6 @@ impl SolverConfig {
             collision: CollisionKind::Bgk,
             inlet_bcs: vec![IoletBc::Pressure { rho: rho_in }],
             outlet_bcs: vec![IoletBc::Pressure { rho: rho_out }],
-            overlap: default_overlap(),
         }
     }
 
@@ -87,7 +74,6 @@ impl SolverConfig {
                 parabolic: true,
             }],
             outlet_bcs: vec![IoletBc::Pressure { rho: 1.0 }],
-            overlap: default_overlap(),
         }
     }
 
@@ -107,14 +93,6 @@ impl SolverConfig {
     /// Override the collision operator.
     pub fn with_collision(mut self, collision: CollisionKind) -> Self {
         self.collision = collision;
-        self
-    }
-
-    /// Enable or disable communication/computation overlap in the
-    /// distributed solver (on by default; results are identical either
-    /// way).
-    pub fn with_overlap(mut self, on: bool) -> Self {
-        self.overlap = on;
         self
     }
 
@@ -516,7 +494,6 @@ mod tests {
                 period,
             }],
             outlet_bcs: vec![IoletBc::Pressure { rho: 1.0 }],
-            overlap: true,
         };
         let mut s = tube_solver(cfg);
         // Skip the initial transient, then record mean inflow speed over

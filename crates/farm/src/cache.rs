@@ -79,7 +79,7 @@ impl PrepCache {
                 vec![0usize; geo.fluid_count()]
             } else {
                 let graph = SiteGraph::from_geometry(&geo, Connectivity::D3Q15);
-                MultilevelKWay::default().partition(&graph, ranks)
+                MultilevelKWay.partition(&graph, ranks)
             }
         })
     }

@@ -13,11 +13,11 @@
 //! initial approximate decomposition computed from level one.
 
 use crate::format::{read_block_sites, read_header, SgmyHeader, SiteRecord};
-use crate::lattice::{IoLet, IoLetKind, SiteKind};
-use crate::vec3::Vec3;
-use hemelb_parallel::{CommResult, Communicator, Tag, Wire, WireReader, WireWriter};
+use crate::lattice::SiteKind;
+use bytes::Bytes;
+use hemelb_parallel::{CommError, CommResult, Communicator, Tag, Wire, WireReader, WireWriter};
 use std::fs::File;
-use std::io::BufReader;
+use std::io::{BufReader, Read, Seek};
 use std::path::Path;
 
 const T_SITES: Tag = Tag::geometry(1);
@@ -91,76 +91,20 @@ impl Wire for SiteRecord {
         let position = [r.get_u32()?, r.get_u32()?, r.get_u32()?];
         let code = r.get_u8()?;
         let id = r.get_u32()? as u16;
-        let kind = SiteKind::from_code(code, id).ok_or(hemelb_parallel::CommError::Decode {
+        let kind = SiteKind::from_code(code, id).ok_or(CommError::Decode {
             reason: format!("invalid site kind code {code}"),
         })?;
         Ok(SiteRecord { position, kind })
     }
 }
 
-fn encode_header(h: &SgmyHeader) -> bytes::Bytes {
-    let mut w = WireWriter::new();
-    for s in h.shape {
-        w.put_u64(s as u64);
-    }
-    w.put_u64(h.block_size as u64);
-    w.put_u64(h.fluid_total);
-    w.put_u64(h.data_offset);
-    w.put_usize(h.iolets.len());
-    for io in &h.iolets {
-        w.put_u8(match io.kind {
-            IoLetKind::Inlet => 0,
-            IoLetKind::Outlet => 1,
-        });
-        w.put(&io.centre.to_array());
-        w.put(&io.normal.to_array());
-        w.put_f64(io.radius);
-    }
-    w.put_u32_slice(&h.fluid_per_block);
-    w.finish()
-}
-
-fn decode_header(b: bytes::Bytes) -> CommResult<SgmyHeader> {
-    let mut r = WireReader::new(b);
-    let shape = [
-        r.get_u64()? as usize,
-        r.get_u64()? as usize,
-        r.get_u64()? as usize,
-    ];
-    let block_size = r.get_u64()? as usize;
-    let fluid_total = r.get_u64()?;
-    let data_offset = r.get_u64()?;
-    let n = r.get_usize()?;
-    let mut iolets = Vec::with_capacity(n);
-    for _ in 0..n {
-        let kind = match r.get_u8()? {
-            0 => IoLetKind::Inlet,
-            1 => IoLetKind::Outlet,
-            k => {
-                return Err(hemelb_parallel::CommError::Decode {
-                    reason: format!("invalid iolet kind {k}"),
-                })
-            }
-        };
-        let centre: [f64; 3] = r.get()?;
-        let normal: [f64; 3] = r.get()?;
-        let radius = r.get_f64()?;
-        iolets.push(IoLet {
-            kind,
-            centre: Vec3::from(centre),
-            normal: Vec3::from(normal),
-            radius,
-        });
-    }
-    let fluid_per_block = r.get_u32_vec()?;
-    r.expect_end()?;
-    Ok(SgmyHeader {
-        shape,
-        block_size,
-        fluid_total,
-        iolets,
-        fluid_per_block,
-        data_offset,
+/// Broadcast the file's header and level-one bytes, as they are on
+/// disk, from rank 0 (`raw` is `None` elsewhere) and parse them on every
+/// rank with the format's own reader.
+fn share_header(comm: &Communicator, raw: Option<Bytes>) -> CommResult<SgmyHeader> {
+    let raw = comm.broadcast(0, raw)?;
+    read_header(&mut &raw[..]).map_err(|e| CommError::Decode {
+        reason: format!("sgmy header: {e}"),
     })
 }
 
@@ -180,16 +124,16 @@ pub fn read_distributed(
     let n_readers = n_readers.clamp(1, p);
 
     // Rank 0 reads header + level one, broadcasts both.
-    let header = if comm.is_master() {
-        let mut f = BufReader::new(File::open(path).expect("geometry file must open"));
-        let h = read_header(&mut f).expect("geometry header must parse");
-        let payload = encode_header(&h);
-        comm.broadcast(0, Some(payload))?;
-        h
-    } else {
-        let payload = comm.broadcast(0, None)?;
-        decode_header(payload)?
-    };
+    let raw = comm.is_master().then(|| {
+        let mut f = File::open(path).expect("geometry file must open");
+        let h = read_header(&mut BufReader::new(&f)).expect("geometry header must parse");
+        let mut raw = vec![0u8; h.data_offset as usize];
+        f.rewind()
+            .and_then(|()| f.read_exact(&mut raw))
+            .expect("geometry header must re-read");
+        Bytes::from(raw)
+    });
+    let header = share_header(comm, raw)?;
 
     let block_owner = plan_block_owners(&header.fluid_per_block, p);
     let reader_ranges = plan_reader_ranges(&header.fluid_per_block, n_readers);
@@ -351,16 +295,45 @@ mod tests {
         assert_eq!(SiteRecord::from_bytes(b).unwrap(), rec);
     }
 
+    /// The broadcast header is the file's own bytes through the file's
+    /// own reader: intact it round-trips, and truncated or with any one
+    /// bit flipped it is a typed error (or a header that still passes
+    /// every check) on the master and the non-master alike — no panic.
     #[test]
-    fn header_wire_round_trip() {
+    fn header_broadcast_round_trips_and_corruption_is_a_typed_error() {
         let geo = VesselBuilder::straight_tube(12.0, 3.0).voxelise(1.0);
         let mut buf = Vec::new();
         write_sgmy(&geo, 8, &mut buf).unwrap();
         let h = read_header(&mut std::io::Cursor::new(&buf)).unwrap();
-        let h2 = decode_header(encode_header(&h)).unwrap();
-        assert_eq!(h2.shape, h.shape);
-        assert_eq!(h2.fluid_per_block, h.fluid_per_block);
-        assert_eq!(h2.iolets, h.iolets);
-        assert_eq!(h2.data_offset, h.data_offset);
+        buf.truncate(h.data_offset as usize);
+        hemelb_parallel::run_spmd(2, move |comm| {
+            let share = |bytes: &[u8]| {
+                let raw = comm.is_master().then(|| Bytes::copy_from_slice(bytes));
+                share_header(comm, raw)
+            };
+            let h2 = share(&buf).unwrap();
+            assert_eq!(h2.shape, h.shape);
+            assert_eq!(h2.fluid_per_block, h.fluid_per_block);
+            assert_eq!(h2.iolets, h.iolets);
+            assert_eq!(h2.data_offset, h.data_offset);
+
+            for cut in [0, 3, 7, buf.len() / 2, buf.len() - 1] {
+                let got = share(&buf[..cut]);
+                assert!(matches!(got, Err(CommError::Decode { .. })), "cut {cut}");
+            }
+            let mut rejected = 0;
+            for bit in 0..buf.len() * 8 {
+                let mut bad = buf.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                match share(&bad) {
+                    Err(CommError::Decode { .. }) => rejected += 1,
+                    // A flip no check covers (a coordinate, a radius).
+                    Ok(_) => assert!(bit >= 64, "magic and version are checked"),
+                    Err(e) => panic!("bit {bit}: {e}"),
+                }
+            }
+            // Magic, version and every level-one count at the least.
+            assert!(rejected >= 64 + h.fluid_per_block.len() * 32);
+        });
     }
 }

@@ -216,12 +216,12 @@ pub fn read_header(r: &mut impl Read) -> io::Result<SgmyHeader> {
         });
     }
     let block_count = get_u64(r)? as usize;
-    let expected_blocks = shape[0].div_ceil(block_size)
-        * shape[1].div_ceil(block_size)
-        * shape[2].div_ceil(block_size);
-    if block_count != expected_blocks {
+    let expected_blocks = shape
+        .iter()
+        .try_fold(1usize, |n, s| n.checked_mul(s.div_ceil(block_size)));
+    if expected_blocks != Some(block_count) {
         return Err(bad(format!(
-            "block count {block_count} does not match shape (expected {expected_blocks})"
+            "block count {block_count} does not match shape {shape:?}"
         )));
     }
     let mut fluid_per_block = Vec::with_capacity(block_count);

@@ -20,7 +20,7 @@
 
 use crate::error::{CommError, CommResult};
 use crate::fault::{FaultSession, RankKilled, WorldAborted};
-use crate::stats::{CommStats, FaultStat};
+use crate::stats::{CommStats, FaultStat, TagClass};
 use crate::tag::Tag;
 use crate::wire::{Wire, WireReader, WireWriter};
 use bytes::Bytes;
@@ -28,6 +28,7 @@ use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use hemelb_obs::{ObsReport, Recorder};
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -74,14 +75,13 @@ impl World {
             senders.push(tx);
             receivers.push(rx);
         }
+        let aborted = Arc::new(AtomicBool::new(false));
         receivers
             .into_iter()
             .enumerate()
             .map(|(rank, rx)| {
                 // A rank holds no sender to itself: self-sends are
-                // delivered locally in `send`, and — crucially — a rank
-                // that dies drops its senders, so peers blocked on it see
-                // a disconnect instead of hanging forever.
+                // delivered locally in `send`.
                 let peer_senders: Vec<Option<Sender<Envelope>>> = senders
                     .iter()
                     .enumerate()
@@ -95,6 +95,7 @@ impl World {
                     pending: RefCell::new(VecDeque::new()),
                     stats: RefCell::new(CommStats::new()),
                     obs: RefCell::new(Recorder::new()),
+                    aborted: Arc::clone(&aborted),
                     fault: fault.clone(),
                     seq_next: RefCell::new(vec![0; size]),
                     seq_seen: RefCell::new(vec![0; size]),
@@ -121,6 +122,9 @@ pub struct Communicator {
     /// steering loop, pipelines) record named spans here so one report
     /// per rank covers the whole stack.
     obs: RefCell<Recorder>,
+    /// World-wide abort marker: set by the first rank that dies (a panic
+    /// or an injected kill), honoured by every rank's next wait.
+    aborted: Arc<AtomicBool>,
     /// Shared fault-injection session, if this world runs under a
     /// [`FaultPlan`](crate::fault::FaultPlan). `None` costs one branch
     /// per operation.
@@ -134,7 +138,7 @@ pub struct Communicator {
 }
 
 /// Reserved tag used to wake every rank out of blocking receives when a
-/// killed rank aborts the world attempt. Kept at the top of the
+/// dying rank aborts the world. Kept at the top of the
 /// collective range, far from the per-round tags real collectives use.
 const T_ABORT: Tag = Tag::collective(0x00FF_FFFF);
 
@@ -201,14 +205,26 @@ impl Communicator {
     /// Advance this rank's fault clock (see
     /// [`FaultPlan`](crate::fault::FaultPlan)); message faults arm once
     /// the sending rank's clock reaches their step, and a `KillRank`
-    /// event whose step is reached fires here: the rank wakes all peers
-    /// with an abort message, then dies like a lost node. A no-op
-    /// without an active fault session.
+    /// event whose step is reached fires here: the rank aborts the
+    /// world, then dies like a lost node. A no-op without an active
+    /// fault session.
     pub fn set_fault_step(&self, step: u64) {
         let Some(fs) = &self.fault else { return };
         self.abort_check();
         if fs.advance(self.rank, step) {
             self.with_obs(|o| o.count("fault.injected.kill", 1));
+            self.abort_world();
+            std::panic::panic_any(RankKilled {
+                rank: self.rank,
+                step,
+            });
+        }
+    }
+
+    /// Mark the world aborted and wake every peer out of its wait; the
+    /// first dying rank posts, later ones find the marker set.
+    fn abort_world(&self) {
+        if !self.aborted.swap(true, Ordering::SeqCst) {
             for tx in self.senders.iter().flatten() {
                 let _ = tx.send(Envelope {
                     src: self.rank,
@@ -217,41 +233,32 @@ impl Communicator {
                     seq: 0,
                 });
             }
-            std::panic::panic_any(RankKilled {
-                rank: self.rank,
-                step,
-            });
         }
     }
 
-    /// Die with `WorldAborted` if a kill has aborted this world attempt.
+    /// Die with `WorldAborted` if another rank's death aborted the world.
     #[inline]
     fn abort_check(&self) {
-        if let Some(fs) = &self.fault {
-            if fs.aborted() {
-                std::panic::panic_any(WorldAborted);
-            }
+        if self.aborted.load(Ordering::SeqCst) {
+            std::panic::panic_any(WorldAborted);
         }
     }
 
-    /// Admit one envelope from the channel: aborts the attempt on an
-    /// abort marker, drops injected duplicates (`None`), passes
-    /// everything else through.
+    /// Admit one envelope from the channel: dies with the world on an
+    /// abort wake-up (blocking or polling, whoever reads it), drops
+    /// injected duplicates (`None`), passes everything else through.
     fn intake(&self, env: Envelope) -> Option<Envelope> {
-        if let Some(fs) = &self.fault {
-            if env.tag == T_ABORT {
-                fs.mark_aborted();
-                std::panic::panic_any(WorldAborted);
+        if env.tag == T_ABORT {
+            std::panic::panic_any(WorldAborted);
+        }
+        if self.fault.is_some() && env.seq != 0 {
+            let mut seen = self.seq_seen.borrow_mut();
+            if env.seq <= seen[env.src] {
+                drop(seen);
+                self.note_fault(FaultStat::Dedup);
+                return None;
             }
-            if env.seq != 0 {
-                let mut seen = self.seq_seen.borrow_mut();
-                if env.seq <= seen[env.src] {
-                    drop(seen);
-                    self.note_fault(FaultStat::Dedup);
-                    return None;
-                }
-                seen[env.src] = env.seq;
-            }
+            seen[env.src] = env.seq;
         }
         Some(env)
     }
@@ -271,16 +278,22 @@ impl Communicator {
 
     // ----- point to point ------------------------------------------------
 
+    fn check_rank(&self, rank: usize) -> CommResult<()> {
+        if rank < self.size {
+            Ok(())
+        } else {
+            Err(CommError::InvalidRank {
+                rank,
+                size: self.size,
+            })
+        }
+    }
+
     /// Send `payload` to `dst` under `tag`. Never blocks (except under
     /// an injected delay fault, which models a slow link by stalling
     /// the sender — preserving per-pair FIFO order).
     pub fn send(&self, dst: usize, tag: Tag, payload: Bytes) -> CommResult<()> {
-        if dst >= self.size {
-            return Err(CommError::InvalidRank {
-                rank: dst,
-                size: self.size,
-            });
-        }
+        self.check_rank(dst)?;
         let mut env = Envelope {
             src: self.rank,
             tag,
@@ -297,7 +310,6 @@ impl Communicator {
             Some(tx) => {
                 let mut duplicate = false;
                 if let Some(fs) = &self.fault {
-                    self.abort_check();
                     let f = fs.send_faults(self.rank, tag.class());
                     if f.delay_ms > 0 {
                         self.note_fault(FaultStat::Delay);
@@ -320,9 +332,12 @@ impl Communicator {
                 let len = env.payload.len();
                 let t0 = Instant::now();
                 let retransmit = duplicate.then(|| env.clone());
-                let result = tx
-                    .send(env)
-                    .map_err(|_| CommError::Disconnected { peer: dst });
+                let result = tx.send(env).map_err(|_| {
+                    // A peer that died aborted the world before its
+                    // inbox closed: die with it, not with this error.
+                    self.abort_check();
+                    CommError::Disconnected { peer: dst }
+                });
                 if let Some(again) = retransmit {
                     // Identical envelope, identical sequence number: the
                     // receiver's dedup drops it silently.
@@ -344,43 +359,73 @@ impl Communicator {
         self.send(dst, tag, w.finish())
     }
 
-    /// Blocking receive of the next message from `src` under `tag`.
-    pub fn recv(&self, src: usize, tag: Tag) -> CommResult<Bytes> {
-        if src >= self.size {
-            return Err(CommError::InvalidRank {
-                rank: src,
-                size: self.size,
-            });
-        }
+    /// The one place a rank blocks. Returns the first envelope `want`
+    /// accepts: a buffered one at once (FIFO within a match, no wait
+    /// recorded), otherwise the next matching arrival, buffering the
+    /// rest. Time spent blocked is booked to `class` as recv wait (the
+    /// halo-wait / composite-wait split the observability layer
+    /// reports); `blame` is the peer a `Timeout` (`until` passed) or
+    /// `Disconnected` error names. An aborted world is honoured on
+    /// entry and as soon as its wake-up is read.
+    fn wait_for(
+        &self,
+        class: TagClass,
+        blame: usize,
+        until: Option<Instant>,
+        want: impl Fn(&Envelope) -> bool,
+    ) -> CommResult<Envelope> {
+        use RecvTimeoutError::{Disconnected, Timeout};
         self.abort_check();
-        // Check already-buffered messages first (FIFO within a match).
-        {
-            let mut pending = self.pending.borrow_mut();
-            if let Some(pos) = pending.iter().position(|e| e.src == src && e.tag == tag) {
-                return Ok(pending.remove(pos).expect("position valid").payload);
-            }
+        if let Some(env) = self.take_pending(&want) {
+            return Ok(env);
         }
-        // Nothing buffered: the rest of this call is genuine wait time,
-        // attributed to the tag's class (the halo-wait / composite-wait
-        // split the observability layer reports).
         let t0 = Instant::now();
         let result = loop {
-            let env = match self.inbox.recv() {
-                Ok(env) => env,
-                Err(_) => break Err(CommError::Disconnected { peer: src }),
+            let left = until.map(|t| t.saturating_duration_since(Instant::now()));
+            let arrived = match left {
+                None => self.inbox.recv().map_err(|_| Disconnected),
+                Some(left) => self.inbox.recv_timeout(left),
             };
-            let Some(env) = self.intake(env) else {
-                continue;
-            };
-            if env.src == src && env.tag == tag {
-                break Ok(env.payload);
+            match arrived {
+                Ok(env) => match self.intake(env) {
+                    Some(env) if want(&env) => break Ok(env),
+                    Some(env) => self.pending.borrow_mut().push_back(env),
+                    None => {}
+                },
+                Err(Timeout) => {
+                    let waited_ms = t0.elapsed().as_millis() as u64;
+                    break Err(CommError::Timeout {
+                        peer: blame,
+                        waited_ms,
+                    });
+                }
+                Err(Disconnected) => break Err(CommError::Disconnected { peer: blame }),
             }
-            self.pending.borrow_mut().push_back(env);
         };
         self.stats
             .borrow_mut()
-            .record_recv_wait(tag.class(), t0.elapsed().as_secs_f64());
+            .record_recv_wait(class, t0.elapsed().as_secs_f64());
         result
+    }
+
+    /// Remove and return the oldest buffered envelope `want` accepts.
+    fn take_pending(&self, want: impl Fn(&Envelope) -> bool) -> Option<Envelope> {
+        let mut pending = self.pending.borrow_mut();
+        let pos = pending.iter().position(want)?;
+        pending.remove(pos)
+    }
+
+    /// [`wait_for`](Self::wait_for) the next message from `src` under
+    /// `tag`, without limit or until the instant `until`.
+    fn recv_until(&self, src: usize, tag: Tag, until: Option<Instant>) -> CommResult<Bytes> {
+        self.check_rank(src)?;
+        let env = self.wait_for(tag.class(), src, until, |e| e.src == src && e.tag == tag)?;
+        Ok(env.payload)
+    }
+
+    /// Blocking receive of the next message from `src` under `tag`.
+    pub fn recv(&self, src: usize, tag: Tag) -> CommResult<Bytes> {
+        self.recv_until(src, tag, None)
     }
 
     /// Like [`recv`](Self::recv), but gives up with
@@ -389,114 +434,42 @@ impl Communicator {
     /// otherwise hang forever on a slow or dead peer can drop the
     /// contribution and move on.
     pub fn recv_deadline(&self, src: usize, tag: Tag, timeout: Duration) -> CommResult<Bytes> {
-        if src >= self.size {
-            return Err(CommError::InvalidRank {
-                rank: src,
-                size: self.size,
-            });
-        }
-        self.abort_check();
-        {
-            let mut pending = self.pending.borrow_mut();
-            if let Some(pos) = pending.iter().position(|e| e.src == src && e.tag == tag) {
-                return Ok(pending.remove(pos).expect("position valid").payload);
-            }
-        }
-        let t0 = Instant::now();
-        let deadline = t0 + timeout;
-        let timed_out = || CommError::Timeout {
-            peer: src,
-            waited_ms: timeout.as_millis() as u64,
-        };
-        let result = loop {
-            let Some(remaining) = deadline
-                .checked_duration_since(Instant::now())
-                .filter(|d| !d.is_zero())
-            else {
-                break Err(timed_out());
-            };
-            match self.inbox.recv_timeout(remaining) {
-                Ok(env) => {
-                    let Some(env) = self.intake(env) else {
-                        continue;
-                    };
-                    if env.src == src && env.tag == tag {
-                        break Ok(env.payload);
-                    }
-                    self.pending.borrow_mut().push_back(env);
-                }
-                Err(RecvTimeoutError::Timeout) => break Err(timed_out()),
-                Err(RecvTimeoutError::Disconnected) => {
-                    break Err(CommError::Disconnected { peer: src })
-                }
-            }
-        };
-        self.stats
-            .borrow_mut()
-            .record_recv_wait(tag.class(), t0.elapsed().as_secs_f64());
-        result
+        self.recv_until(src, tag, Some(Instant::now() + timeout))
     }
 
     /// Blocking receive of the next message under `tag` from *any* source.
     /// Returns `(source, payload)`.
     pub fn recv_any(&self, tag: Tag) -> CommResult<(usize, Bytes)> {
-        self.abort_check();
-        {
-            let mut pending = self.pending.borrow_mut();
-            if let Some(pos) = pending.iter().position(|e| e.tag == tag) {
-                let env = pending.remove(pos).expect("position valid");
-                return Ok((env.src, env.payload));
-            }
-        }
-        let t0 = Instant::now();
-        let result = loop {
-            let env = match self.inbox.recv() {
-                Ok(env) => env,
-                Err(_) => break Err(CommError::Disconnected { peer: usize::MAX }),
-            };
-            let Some(env) = self.intake(env) else {
-                continue;
-            };
-            if env.tag == tag {
-                break Ok((env.src, env.payload));
-            }
-            self.pending.borrow_mut().push_back(env);
-        };
-        self.stats
-            .borrow_mut()
-            .record_recv_wait(tag.class(), t0.elapsed().as_secs_f64());
-        result
+        let env = self.wait_for(tag.class(), usize::MAX, None, |e| e.tag == tag)?;
+        Ok((env.src, env.payload))
+    }
+
+    /// Blocking receive of the next message under `tag` from any source
+    /// in `sources`. Returns `(source, payload)` in arrival order across
+    /// calls.
+    pub fn recv_any_of(&self, tag: Tag, sources: &[usize]) -> CommResult<(usize, Bytes)> {
+        let blame = sources.first().copied().unwrap_or(usize::MAX);
+        let env = self.wait_for(tag.class(), blame, None, |e| {
+            e.tag == tag && sources.contains(&e.src)
+        })?;
+        Ok((env.src, env.payload))
     }
 
     /// Non-blocking receive from `src` under `tag`.
     pub fn try_recv(&self, src: usize, tag: Tag) -> CommResult<Option<Bytes>> {
-        if src >= self.size {
-            return Err(CommError::InvalidRank {
-                rank: src,
-                size: self.size,
-            });
-        }
+        self.check_rank(src)?;
         self.drain_inbox();
-        let mut pending = self.pending.borrow_mut();
-        if let Some(pos) = pending.iter().position(|e| e.src == src && e.tag == tag) {
-            return Ok(Some(pending.remove(pos).expect("position valid").payload));
-        }
-        Ok(None)
-    }
-
-    /// Blocking receive and decode from `src` under `tag`.
-    pub fn recv_wire<T: Wire>(&self, src: usize, tag: Tag) -> CommResult<T> {
-        let payload = self.recv(src, tag)?;
-        T::from_bytes(payload)
+        Ok(self
+            .take_pending(|e| e.src == src && e.tag == tag)
+            .map(|env| env.payload))
     }
 
     /// Move everything waiting in the channel into the local buffer.
     fn drain_inbox(&self) {
         while let Ok(env) = self.inbox.try_recv() {
-            let Some(env) = self.intake(env) else {
-                continue;
-            };
-            self.pending.borrow_mut().push_back(env);
+            if let Some(env) = self.intake(env) {
+                self.pending.borrow_mut().push_back(env);
+            }
         }
     }
 
@@ -546,51 +519,11 @@ impl Communicator {
     /// [`recv_any_of`](Self::recv_any_of) calls) after doing useful work
     /// — the communication/computation overlap the overlapped LB step is
     /// built on.
-    pub fn exchange_start(&self, tag: Tag, outgoing: &[(usize, Bytes)]) -> CommResult<()> {
+    fn exchange_start(&self, tag: Tag, outgoing: &[(usize, Bytes)]) -> CommResult<()> {
         for (dst, payload) in outgoing {
             self.send(*dst, tag, payload.clone())?;
         }
         Ok(())
-    }
-
-    /// Blocking receive of the next message under `tag` from any source
-    /// in `sources`. Returns `(source, payload)` in arrival order across
-    /// calls. Buffered messages are consulted first (FIFO within the
-    /// match); only genuinely blocked time is recorded as recv wait.
-    pub fn recv_any_of(&self, tag: Tag, sources: &[usize]) -> CommResult<(usize, Bytes)> {
-        self.abort_check();
-        {
-            let mut pending = self.pending.borrow_mut();
-            if let Some(pos) = pending
-                .iter()
-                .position(|e| e.tag == tag && sources.contains(&e.src))
-            {
-                let env = pending.remove(pos).expect("position valid");
-                return Ok((env.src, env.payload));
-            }
-        }
-        let t0 = Instant::now();
-        let result = loop {
-            let env = match self.inbox.recv() {
-                Ok(env) => env,
-                Err(_) => {
-                    break Err(CommError::Disconnected {
-                        peer: sources.first().copied().unwrap_or(usize::MAX),
-                    })
-                }
-            };
-            let Some(env) = self.intake(env) else {
-                continue;
-            };
-            if env.tag == tag && sources.contains(&env.src) {
-                break Ok((env.src, env.payload));
-            }
-            self.pending.borrow_mut().push_back(env);
-        };
-        self.stats
-            .borrow_mut()
-            .record_recv_wait(tag.class(), t0.elapsed().as_secs_f64());
-        result
     }
 
     /// Second half of a split [`exchange`](Self::exchange): collect one
@@ -598,11 +531,7 @@ impl Communicator {
     /// `(source, payload)` pairs in **arrival order** so the caller can
     /// start unpacking the fastest peer while slower ones are still in
     /// flight. A source listed `k` times yields `k` of its messages.
-    pub fn exchange_finish(
-        &self,
-        tag: Tag,
-        expect_from: &[usize],
-    ) -> CommResult<Vec<(usize, Bytes)>> {
+    fn exchange_finish(&self, tag: Tag, expect_from: &[usize]) -> CommResult<Vec<(usize, Bytes)>> {
         let mut remaining = expect_from.to_vec();
         let mut received = Vec::with_capacity(expect_from.len());
         while !remaining.is_empty() {
@@ -625,6 +554,17 @@ impl Communicator {
     }
 }
 
+impl Drop for Communicator {
+    /// A rank that unwinds takes the world with it, as an MPI abort
+    /// would: its peers hold senders to each other, so without the
+    /// marker none of them would ever see a disconnect.
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.abort_world();
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Collectives
 // ---------------------------------------------------------------------------
@@ -644,23 +584,7 @@ impl Communicator {
     /// Dissemination barrier: ⌈log₂ P⌉ rounds, each rank sends one empty
     /// message per round. All ranks must call it.
     pub fn barrier(&self) -> CommResult<()> {
-        self.note_sync();
-        let p = self.size;
-        if p == 1 {
-            return Ok(());
-        }
-        let mut round = 0u32;
-        let mut dist = 1usize;
-        while dist < p {
-            let dst = (self.rank + dist) % p;
-            let src = (self.rank + p - dist % p) % p;
-            let tag = Tag(T_BARRIER.0 + round);
-            self.send(dst, tag, Bytes::new())?;
-            self.recv(src, tag)?;
-            dist *= 2;
-            round += 1;
-        }
-        Ok(())
+        self.dissemination(T_BARRIER, None)
     }
 
     /// Dissemination barrier with an overall deadline: returns
@@ -675,23 +599,21 @@ impl Communicator {
     /// and either abandon the synchronisation structure or restart, not
     /// simply retry.
     pub fn barrier_deadline(&self, timeout: Duration) -> CommResult<()> {
+        self.dissemination(T_BARRIER_DL, Some(Instant::now() + timeout))
+    }
+
+    /// The rounds of both barriers, on round tags counted up from `base`.
+    fn dissemination(&self, base: Tag, until: Option<Instant>) -> CommResult<()> {
         self.note_sync();
         let p = self.size;
-        if p == 1 {
-            return Ok(());
-        }
-        let deadline = Instant::now() + timeout;
         let mut round = 0u32;
         let mut dist = 1usize;
         while dist < p {
             let dst = (self.rank + dist) % p;
             let src = (self.rank + p - dist % p) % p;
-            let tag = Tag(T_BARRIER_DL.0 + round);
+            let tag = Tag(base.0 + round);
             self.send(dst, tag, Bytes::new())?;
-            let remaining = deadline
-                .checked_duration_since(Instant::now())
-                .unwrap_or(Duration::ZERO);
-            self.recv_deadline(src, tag, remaining)?;
+            self.recv_until(src, tag, until)?;
             dist *= 2;
             round += 1;
         }
@@ -704,7 +626,7 @@ impl Communicator {
         let p = self.size;
         // Virtual rank with root relabelled to 0.
         let vrank = (self.rank + p - root) % p;
-        let mut data = if self.rank == root {
+        let data = if self.rank == root {
             payload.ok_or_else(|| CommError::CollectiveMismatch {
                 reason: "broadcast root must supply a payload".into(),
             })?
@@ -734,25 +656,7 @@ impl Communicator {
             }
             mask <<= 1;
         }
-        if self.rank == root {
-            // `data` already correct.
-        } else {
-            data = data.clone();
-        }
         Ok(data)
-    }
-
-    /// Broadcast an encodable value from `root`. Non-root ranks pass
-    /// `None`.
-    pub fn broadcast_wire<T: Wire>(&self, root: usize, value: Option<&T>) -> CommResult<T> {
-        let payload = value.map(|v| v.to_bytes());
-        if self.rank == root && payload.is_none() {
-            return Err(CommError::CollectiveMismatch {
-                reason: "broadcast_wire root must supply a value".into(),
-            });
-        }
-        let data = self.broadcast(root, payload)?;
-        T::from_bytes(data)
     }
 
     /// Gather each rank's payload at `root`; returns `Some(vec)` indexed
@@ -811,7 +715,7 @@ impl Communicator {
 
     /// Binomial-tree reduction of `value` with the associative,
     /// commutative combiner `op`; result at `root` only.
-    pub fn reduce_f64_vec<F>(
+    fn reduce_f64_vec<F>(
         &self,
         root: usize,
         mut value: Vec<f64>,
@@ -970,6 +874,10 @@ mod tests {
     use super::*;
     use crate::runner::run_spmd;
 
+    fn recv_u64(comm: &Communicator, src: usize, tag: Tag) -> u64 {
+        u64::from_bytes(comm.recv(src, tag).unwrap()).unwrap()
+    }
+
     #[test]
     fn p2p_fifo_per_source_and_tag() {
         let results = run_spmd(2, |comm| {
@@ -980,7 +888,7 @@ mod tests {
                 Vec::new()
             } else {
                 (0..10)
-                    .map(|_| comm.recv_wire::<u64>(0, Tag::user(0)).unwrap())
+                    .map(|_| recv_u64(comm, 0, Tag::user(0)))
                     .collect::<Vec<_>>()
             }
         });
@@ -996,8 +904,8 @@ mod tests {
                 (0, 0)
             } else {
                 // Receive tag 2 first even though tag 1 arrived first.
-                let b = comm.recv_wire::<u64>(0, Tag::user(2)).unwrap();
-                let a = comm.recv_wire::<u64>(0, Tag::user(1)).unwrap();
+                let b = recv_u64(comm, 0, Tag::user(2));
+                let a = recv_u64(comm, 0, Tag::user(1));
                 (a, b)
             }
         });
@@ -1020,12 +928,8 @@ mod tests {
         for p in 1..=6 {
             for root in 0..p {
                 let results = run_spmd(p, move |comm| {
-                    let v = if comm.rank() == root {
-                        Some(&123_456u64)
-                    } else {
-                        None
-                    };
-                    comm.broadcast_wire::<u64>(root, v).unwrap()
+                    let v = (comm.rank() == root).then(|| 123_456u64.to_bytes());
+                    u64::from_bytes(comm.broadcast(root, v).unwrap()).unwrap()
                 });
                 assert!(results.iter().all(|&v| v == 123_456));
             }
@@ -1249,32 +1153,92 @@ mod tests {
         use std::time::Duration;
         run_spmd(2, |comm| {
             if comm.rank() == 0 {
-                // Nothing has been sent yet: the deadline must expire.
-                let err = comm
-                    .recv_deadline(1, Tag::user(0), Duration::from_millis(30))
-                    .unwrap_err();
-                assert!(matches!(err, CommError::Timeout { peer: 1, .. }), "{err}");
+                // Nothing has been sent under tag 0 yet: the deadline
+                // must expire, every time, until rank 1's tag-7 message
+                // has arrived under one of the expiring waits.
+                while comm.pending.borrow().is_empty() {
+                    let err = comm
+                        .recv_deadline(1, Tag::user(0), Duration::from_millis(30))
+                        .unwrap_err();
+                    assert!(matches!(err, CommError::Timeout { peer: 1, .. }), "{err}");
+                }
+                // The timed-out wait buffered it for a later receive.
+                assert_eq!(recv_u64(comm, 1, Tag::user(7)), 70);
                 comm.send(1, Tag::user(1), Bytes::new()).unwrap(); // release
                 let got = comm
                     .recv_deadline(1, Tag::user(0), Duration::from_secs(10))
                     .unwrap();
                 assert_eq!(u64::from_bytes(got).unwrap(), 5);
             } else {
-                comm.recv(0, Tag::user(1)).unwrap(); // wait out the timeout
+                comm.send_wire(0, Tag::user(7), &70u64).unwrap();
+                comm.recv(0, Tag::user(1)).unwrap(); // wait out the timeouts
                 comm.send_wire(0, Tag::user(0), &5u64).unwrap();
             }
         });
     }
 
+    /// A message buffered before the call comes back through each of
+    /// the four wrappers in FIFO order, and none of them books a wait.
     #[test]
-    fn recv_deadline_finds_buffered_messages() {
+    fn buffered_messages_return_through_every_wrapper_without_a_wait() {
+        use crate::stats::TagClass;
         use std::time::Duration;
         run_spmd(1, |comm| {
-            comm.send_wire(0, Tag::user(3), &9u64).unwrap();
-            // Already buffered: succeeds even with a zero deadline.
-            let got = comm.recv_deadline(0, Tag::user(3), Duration::ZERO).unwrap();
-            assert_eq!(u64::from_bytes(got).unwrap(), 9);
+            let tag = Tag::user(3);
+            for v in 6..10u64 {
+                comm.send_wire(0, tag, &v).unwrap();
+            }
+            let got = [
+                comm.recv(0, tag).unwrap(),
+                // Already buffered: succeeds even with a zero deadline.
+                comm.recv_deadline(0, tag, Duration::ZERO).unwrap(),
+                comm.recv_any(tag).unwrap().1,
+                comm.recv_any_of(tag, &[0]).unwrap().1,
+            ]
+            .map(|b| u64::from_bytes(b).unwrap());
+            assert_eq!(got, [6, 7, 8, 9]);
+            assert_eq!(comm.stats().recv_wait_secs(TagClass::User), 0.0);
         });
+    }
+
+    /// An injected duplicate is dropped, once, by whichever wrapper's
+    /// wait reads it off the channel: the sender's first message goes
+    /// out twice, then a second one the receiver asks for first.
+    #[test]
+    fn duplicates_are_dropped_once_whichever_wrapper_admits_them() {
+        use crate::fault::{FaultEvent, FaultKind, FaultPlan};
+        use crate::runner::{run_spmd_opts, SpmdOptions};
+        use crate::stats::TagClass;
+        use std::time::Duration;
+
+        for wrapper in 0..4 {
+            let plan = FaultPlan::new(vec![FaultEvent {
+                rank: 1,
+                class: TagClass::User,
+                step: 0,
+                kind: FaultKind::DuplicateOnce,
+            }]);
+            let out = run_spmd_opts(2, SpmdOptions::with_faults(plan), |comm| {
+                if comm.rank() == 1 {
+                    comm.send_wire(0, Tag::user(0), &5u64).unwrap();
+                    comm.send_wire(0, Tag::user(1), &6u64).unwrap();
+                } else {
+                    let tag = Tag::user(1);
+                    let second = match wrapper {
+                        0 => comm.recv(1, tag).unwrap(),
+                        1 => comm.recv_deadline(1, tag, Duration::from_secs(10)).unwrap(),
+                        2 => comm.recv_any(tag).unwrap().1,
+                        _ => comm.recv_any_of(tag, &[1]).unwrap().1,
+                    };
+                    assert_eq!(u64::from_bytes(second).unwrap(), 6);
+                    assert_eq!(recv_u64(comm, 1, Tag::user(0)), 5);
+                    assert!(comm.try_recv(1, Tag::user(0)).unwrap().is_none());
+                }
+                comm.stats()
+            });
+            assert_eq!(out.results[0].faults(FaultStat::Dedup), 1, "{wrapper}");
+            assert_eq!(out.results[1].faults(FaultStat::Duplicate), 1, "{wrapper}");
+        }
     }
 
     #[test]
@@ -1310,8 +1274,7 @@ mod tests {
     fn self_send_delivers_locally_without_counting() {
         run_spmd(1, |comm| {
             comm.send_wire(0, Tag::user(0), &77u64).unwrap();
-            let v: u64 = comm.recv_wire(0, Tag::user(0)).unwrap();
-            assert_eq!(v, 77);
+            assert_eq!(recv_u64(comm, 0, Tag::user(0)), 77);
             assert_eq!(comm.stats().total_msgs(), 0);
         });
     }

@@ -36,7 +36,7 @@
 
 use crate::stats::TagClass;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, Once};
 
 /// What an injected fault does to matching traffic.
@@ -126,11 +126,6 @@ impl FaultPlan {
             .count()
     }
 
-    /// Whether any event is a `KillRank`.
-    pub fn has_kills(&self) -> bool {
-        self.kill_count() > 0
-    }
-
     /// A seeded pseudo-random plan of *benign* events only (delays up to
     /// `max_delay_ms` and duplicates), spread over `world` ranks, all
     /// eight traffic classes and steps `0..=max_step`. Deterministic in
@@ -189,8 +184,8 @@ pub(crate) struct SendFaults {
 }
 
 /// Shared per-world-attempt fault state: which one-shot events have
-/// fired, each rank's fault clock, and whether a kill has aborted the
-/// attempt. One session is created per attempt by the SPMD runner;
+/// fired, each rank's fault clock, and the kill that ended the attempt,
+/// if one did. One session is created per attempt by the SPMD runner;
 /// kills consumed by earlier attempts never re-fire.
 #[derive(Debug)]
 pub(crate) struct FaultSession {
@@ -201,9 +196,6 @@ pub(crate) struct FaultSession {
     consumed_kills: HashSet<usize>,
     /// Per-rank fault clocks.
     steps: Vec<AtomicU64>,
-    /// Set when a kill fires; every comm operation on every rank then
-    /// aborts the attempt.
-    aborted: AtomicBool,
     /// The kill that ended this attempt: `(event index, rank, step)`.
     kill: Mutex<Option<(usize, usize, u64)>>,
 }
@@ -215,7 +207,6 @@ impl FaultSession {
             fired: Mutex::new(HashSet::new()),
             consumed_kills,
             steps: (0..world).map(|_| AtomicU64::new(0)).collect(),
-            aborted: AtomicBool::new(false),
             kill: Mutex::new(None),
         }
     }
@@ -239,7 +230,6 @@ impl FaultSession {
                 && fired.insert(i)
             {
                 *lock(&self.kill) = Some((i, rank, step));
-                self.aborted.store(true, Ordering::Release);
                 return true;
             }
         }
@@ -274,17 +264,6 @@ impl FaultSession {
         out
     }
 
-    /// Whether a kill has aborted this attempt.
-    pub(crate) fn aborted(&self) -> bool {
-        self.aborted.load(Ordering::Acquire)
-    }
-
-    /// Mark the attempt aborted (set when an abort message is received,
-    /// in case the flag write has not yet propagated).
-    pub(crate) fn mark_aborted(&self) {
-        self.aborted.store(true, Ordering::Release);
-    }
-
     /// The kill that ended this attempt, if any.
     pub(crate) fn kill_record(&self) -> Option<(usize, usize, u64)> {
         *lock(&self.kill)
@@ -305,7 +284,8 @@ pub struct RankKilled {
     pub step: u64,
 }
 
-/// Panic payload of surviving ranks when a kill aborts a world attempt.
+/// Panic payload of surviving ranks when another rank's death (an
+/// injected kill or a genuine panic) aborts the world.
 #[derive(Debug, Clone, Copy)]
 pub struct WorldAborted;
 
@@ -410,7 +390,6 @@ mod tests {
         let s = FaultSession::new(plan.clone(), 3, HashSet::new());
         assert!(!s.advance(1, 4));
         assert!(s.advance(1, 5), "kill fires when the clock reaches 5");
-        assert!(s.aborted());
         assert_eq!(s.kill_record(), Some((0, 1, 5)));
         // A fresh attempt with the kill consumed never fires it again.
         let s2 = FaultSession::new(plan, 3, HashSet::from([0]));

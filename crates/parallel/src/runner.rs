@@ -1,7 +1,7 @@
 //! SPMD execution: run the same closure on `P` rank-threads.
 
 use crate::comm::{Communicator, World};
-use crate::fault::{install_quiet_panic_hook, FaultPlan, FaultSession};
+use crate::fault::{install_quiet_panic_hook, FaultPlan, FaultSession, WorldAborted};
 use crate::stats::{CommStats, StatsSummary};
 use hemelb_obs::ObsReport;
 use std::collections::HashSet;
@@ -35,8 +35,10 @@ impl<T> SpmdOutput<T> {
 /// Run `f` on `size` ranks (one OS thread each) and collect the per-rank
 /// return values, indexed by rank.
 ///
-/// Panics in any rank propagate to the caller (with the rank attributed),
-/// matching the fail-fast behaviour of an MPI abort.
+/// A panic in any rank aborts the world — peers blocked in a receive or
+/// collective die with it instead of waiting forever — and propagates to
+/// the caller with the rank attributed, the fail-fast behaviour of an
+/// MPI abort.
 pub fn run_spmd<T, F>(size: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -126,16 +128,14 @@ where
     F: Fn(&Communicator) -> T + Send + Sync,
 {
     let threads = opts.threads_per_rank.max(1);
+    // A dying rank's peers unwind with `WorldAborted`, and injected
+    // deaths are scheduled, not bugs: keep both off stderr.
+    install_quiet_panic_hook();
     let Some(plan) = opts.fault_plan else {
         return run_world(size, threads, None, &f).unwrap_or_else(|_| {
             unreachable!("attempts abort only under kill faults");
         });
     };
-    if plan.has_kills() {
-        // Injected deaths are scheduled, not bugs: keep their panics
-        // off stderr.
-        install_quiet_panic_hook();
-    }
     let max_restarts = plan.kill_count();
     let mut consumed: HashSet<usize> = HashSet::new();
     let mut restarts = 0usize;
@@ -176,8 +176,9 @@ where
 
 /// One attempt at running the world. Returns `Err(())` when a kill
 /// fault aborted the attempt (all panics are then collateral and the
-/// partial results are discarded); genuine panics propagate with the
-/// rank attributed, as ever.
+/// partial results are discarded); otherwise the first genuine panic
+/// propagates with its rank attributed (the `WorldAborted` deaths of the
+/// peers it woke are collateral).
 fn run_world<T, F>(
     size: usize,
     threads: usize,
@@ -211,7 +212,7 @@ where
             match handle.join() {
                 Ok(triple) => triples.push(triple),
                 Err(payload) => {
-                    if first_panic.is_none() {
+                    if first_panic.is_none() && !payload.is::<WorldAborted>() {
                         let msg = payload
                             .downcast_ref::<String>()
                             .map(String::as_str)
@@ -230,6 +231,7 @@ where
     if let Some((rank, msg)) = first_panic {
         panic!("rank {rank} panicked: {msg}");
     }
+    assert_eq!(triples.len(), size, "world aborted with no genuine panic");
     let mut results = Vec::with_capacity(size);
     let mut stats = Vec::with_capacity(size);
     let mut obs = Vec::with_capacity(size);
@@ -358,6 +360,46 @@ mod tests {
         });
     }
 
+    /// A rank that panics takes the world down instead of leaving its
+    /// peers blocked in a collective it never joins (they hold senders
+    /// to each other, so none of them ever sees a disconnect).
+    #[test]
+    fn panicking_rank_aborts_its_peers_instead_of_hanging_them() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        for (size, stage) in [(3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2)] {
+            let victim = size - 2;
+            let (tx, rx) = mpsc::channel();
+            let helper = thread::spawn(move || {
+                let died = std::panic::catch_unwind(|| {
+                    run_spmd(size, |comm| {
+                        let die_at = |at: usize| {
+                            if comm.rank() == victim && at == stage {
+                                panic!("victim gives up at stage {at}");
+                            }
+                        };
+                        die_at(0);
+                        comm.barrier().unwrap();
+                        die_at(1);
+                        comm.all_reduce_f64_vec(vec![1.0], |a, b| a + b).unwrap();
+                        die_at(2);
+                        comm.gather(0, bytes::Bytes::new()).unwrap();
+                    })
+                });
+                let _ = tx.send(died);
+            });
+            let died = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("peers of a panicked rank still blocked after 10 s");
+            helper.join().unwrap();
+            let payload = died.expect_err("the victim's panic reaches the caller");
+            let msg = payload.downcast_ref::<String>().expect("string payload");
+            let expect = format!("rank {victim} panicked: victim gives up at stage {stage}");
+            assert_eq!(*msg, expect, "{size} ranks");
+        }
+    }
+
     #[test]
     fn killed_rank_restarts_the_world_once() {
         use crate::fault::{FaultEvent, FaultKind, FaultPlan};
@@ -417,7 +459,7 @@ mod tests {
                 comm.send_wire(1, Tag::user(0), &big).unwrap();
                 0.0
             } else {
-                let big: Vec<f64> = comm.recv_wire(0, Tag::user(0)).unwrap();
+                let big = Vec::<f64>::from_bytes(comm.recv(0, Tag::user(0)).unwrap()).unwrap();
                 big.iter().sum::<f64>()
             }
         });

@@ -275,11 +275,6 @@ impl CommStats {
         self.recv_wait.iter().sum()
     }
 
-    /// Total seconds spent in `send` across all classes.
-    pub fn total_send_secs(&self) -> f64 {
-        self.send_time.iter().sum()
-    }
-
     /// Total messages sent across all classes.
     pub fn total_msgs(&self) -> u64 {
         self.msgs.iter().sum()
@@ -394,16 +389,6 @@ impl StatsSummary {
             .map(|c| (c.label(), self.total.bytes(*c)))
             .collect()
     }
-
-    /// Recv-wait seconds per class as `(label, secs)` pairs for classes
-    /// that saw any traffic or wait time.
-    pub fn wait_by_class(&self) -> Vec<(&'static str, f64)> {
-        TagClass::ALL
-            .iter()
-            .filter(|c| self.total.msgs(**c) > 0 || self.total.recv_wait_secs(**c) > 0.0)
-            .map(|c| (c.label(), self.total.recv_wait_secs(*c)))
-            .collect()
-    }
 }
 
 impl fmt::Display for StatsSummary {
@@ -494,7 +479,6 @@ mod tests {
         assert_eq!(s.recv_wait_secs(TagClass::Halo), 0.75);
         assert_eq!(s.send_secs(TagClass::Steering), 0.1);
         assert_eq!(s.total_recv_wait_secs(), 0.75);
-        assert_eq!(s.total_send_secs(), 0.1);
 
         let snap = s.clone();
         s.record_recv_wait(TagClass::Halo, 1.0);
@@ -507,13 +491,11 @@ mod tests {
     }
 
     #[test]
-    fn summary_reports_wait_by_class() {
+    fn summary_display_reports_recv_wait() {
         let mut a = CommStats::new();
         a.record_send(TagClass::Halo, 10);
         a.record_recv_wait(TagClass::Halo, 0.2);
         let sum = StatsSummary::from_ranks(&[a]);
-        let wait = sum.wait_by_class();
-        assert_eq!(wait, vec![("halo", 0.2)]);
         assert!(format!("{sum}").contains("recv-wait"));
     }
 

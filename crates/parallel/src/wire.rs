@@ -57,11 +57,6 @@ impl WireWriter {
         self.buf.put_u64_le(v);
     }
 
-    /// Append an `i64` (little-endian).
-    pub fn put_i64(&mut self, v: i64) {
-        self.buf.put_i64_le(v);
-    }
-
     /// Append an `f32` (little-endian bit pattern).
     pub fn put_f32(&mut self, v: f32) {
         self.buf.put_f32_le(v);
@@ -109,14 +104,6 @@ impl WireWriter {
         self.buf.reserve(v.len() * 4);
         for &x in v {
             self.buf.put_f32_le(x);
-        }
-    }
-
-    /// Append a length-prefixed `u64` slice.
-    pub fn put_u64_slice(&mut self, v: &[u64]) {
-        self.put_usize(v.len());
-        for &x in v {
-            self.buf.put_u64_le(x);
         }
     }
 
@@ -193,12 +180,6 @@ impl WireReader {
     pub fn get_u64(&mut self) -> CommResult<u64> {
         need!(self, 8, "u64");
         Ok(self.buf.get_u64_le())
-    }
-
-    /// Read an `i64`.
-    pub fn get_i64(&mut self) -> CommResult<i64> {
-        need!(self, 8, "i64");
-        Ok(self.buf.get_i64_le())
     }
 
     /// Read an `f32`.
@@ -286,16 +267,6 @@ impl WireReader {
             *v = f64::from_le_bytes(ch.try_into().expect("8-byte chunk"));
         }
         Ok(())
-    }
-
-    /// Read a length-prefixed `u64` vector.
-    pub fn get_u64_vec(&mut self) -> CommResult<Vec<u64>> {
-        let n = self.get_checked_len(8, "u64 slice")?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.buf.get_u64_le());
-        }
-        Ok(out)
     }
 
     /// Read a length-prefixed `u32` vector.
@@ -482,7 +453,6 @@ mod tests {
         w.put_u8(7);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX);
-        w.put_i64(-42);
         w.put_f32(1.5);
         w.put_f64(-0.125);
         w.put_bool(true);
@@ -491,7 +461,6 @@ mod tests {
         assert_eq!(r.get_u8().unwrap(), 7);
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), u64::MAX);
-        assert_eq!(r.get_i64().unwrap(), -42);
         assert_eq!(r.get_f32().unwrap(), 1.5);
         assert_eq!(r.get_f64().unwrap(), -0.125);
         assert!(r.get_bool().unwrap());
@@ -503,12 +472,10 @@ mod tests {
     fn slices_round_trip() {
         let mut w = WireWriter::new();
         w.put_f64_slice(&[1.0, 2.0, 3.0]);
-        w.put_u64_slice(&[]);
         w.put_u32_slice(&[9, 8]);
         w.put_bytes(b"xyz");
         let mut r = WireReader::new(w.finish());
         assert_eq!(r.get_f64_vec().unwrap(), vec![1.0, 2.0, 3.0]);
-        assert_eq!(r.get_u64_vec().unwrap(), Vec::<u64>::new());
         assert_eq!(r.get_u32_vec().unwrap(), vec![9, 8]);
         assert_eq!(&r.get_bytes().unwrap()[..], b"xyz");
         r.expect_end().unwrap();
@@ -572,7 +539,7 @@ mod tests {
         let mut w = WireWriter::new();
         w.put_u64(u64::MAX);
         let mut r = WireReader::new(w.finish());
-        assert!(r.get_u64_vec().is_err());
+        assert!(r.get_u32_vec().is_err());
     }
 
     #[test]

@@ -34,28 +34,17 @@ impl Level {
 }
 
 /// Deterministic multilevel k-way partitioner.
-#[derive(Debug, Clone)]
-pub struct MultilevelKWay {
-    /// Stop coarsening when at most `coarsen_factor * k` vertices remain.
-    pub coarsen_factor: usize,
-    /// Maximum refinement passes per level.
-    pub refine_passes: usize,
-    /// Allowed load imbalance (`max ≤ (1+ε)·mean`).
-    pub epsilon: f64,
-    /// RNG seed for the matching order.
-    pub seed: u64,
-}
+#[derive(Debug, Clone, Default)]
+pub struct MultilevelKWay;
 
-impl Default for MultilevelKWay {
-    fn default() -> Self {
-        MultilevelKWay {
-            coarsen_factor: 30,
-            refine_passes: 8,
-            epsilon: 0.05,
-            seed: 0x5EED_1234_ABCD,
-        }
-    }
-}
+/// Stop coarsening when at most `COARSEN_FACTOR * k` vertices remain.
+const COARSEN_FACTOR: usize = 30;
+/// Maximum refinement passes per level.
+const REFINE_PASSES: usize = 8;
+/// Allowed load imbalance (`max ≤ (1+ε)·mean`).
+const EPSILON: f64 = 0.05;
+/// RNG seed for the matching order.
+const SEED: u64 = 0x5EED_1234_ABCD;
 
 impl Partitioner for MultilevelKWay {
     fn partition(&self, graph: &SiteGraph, k: usize) -> Vec<usize> {
@@ -79,8 +68,8 @@ impl Partitioner for MultilevelKWay {
         // Without the guard such a level could be re-coarsened forever
         // while never approaching the target size.
         let mut levels = vec![base];
-        let target = (self.coarsen_factor * k).max(64);
-        let mut rng = self.seed | 1;
+        let target = (COARSEN_FACTOR * k).max(64);
+        let mut rng = SEED | 1;
         loop {
             let last = levels.last().expect("nonempty");
             if last.len() <= target {
@@ -99,7 +88,7 @@ impl Partitioner for MultilevelKWay {
         // Phase 2: initial partition of the coarsest level.
         let coarsest = levels.last().expect("nonempty");
         let mut owner = initial_partition(coarsest, k);
-        refine(coarsest, &mut owner, k, self.epsilon, self.refine_passes);
+        refine(coarsest, &mut owner, k, EPSILON, REFINE_PASSES);
 
         // Phase 3: project back, refining at each level.
         for li in (0..levels.len() - 1).rev() {
@@ -109,7 +98,7 @@ impl Partitioner for MultilevelKWay {
                 fine_owner[v] = owner[fine.coarse_map[v] as usize];
             }
             owner = fine_owner;
-            refine(fine, &mut owner, k, self.epsilon, self.refine_passes);
+            refine(fine, &mut owner, k, EPSILON, REFINE_PASSES);
         }
         owner
     }
@@ -352,7 +341,7 @@ mod tests {
     fn kway_respects_balance_constraint() {
         let g = demo_graph();
         for k in [2, 4, 8] {
-            let owner = MultilevelKWay::default().partition(&g, k);
+            let owner = MultilevelKWay.partition(&g, k);
             let q = quality(&g, &owner, k);
             assert!(
                 q.imbalance <= 1.0 + 0.05 + 1e-9,
@@ -365,8 +354,8 @@ mod tests {
     #[test]
     fn kway_is_deterministic() {
         let g = demo_graph();
-        let a = MultilevelKWay::default().partition(&g, 4);
-        let b = MultilevelKWay::default().partition(&g, 4);
+        let a = MultilevelKWay.partition(&g, 4);
+        let b = MultilevelKWay.partition(&g, 4);
         assert_eq!(a, b);
     }
 
@@ -374,7 +363,7 @@ mod tests {
     fn kway_beats_random_assignment_on_cut() {
         let g = demo_graph();
         let k = 4;
-        let owner = MultilevelKWay::default().partition(&g, k);
+        let owner = MultilevelKWay.partition(&g, k);
         let q = quality(&g, &owner, k);
         // Random assignment cuts ~ (1 - 1/k) of all edges.
         let total_edges = (g.directed_edge_count() / 2) as f64;
@@ -455,7 +444,7 @@ mod tests {
         // per level, so coarsening can never reach the target size; the
         // progress guard must break to refinement instead of spinning.
         let g = star_graph(400);
-        let owner = MultilevelKWay::default().partition(&g, 4);
+        let owner = MultilevelKWay.partition(&g, 4);
         assert_eq!(owner.len(), 400);
         assert!(owner.iter().all(|&o| o < 4));
         let q = quality(&g, &owner, 4);
@@ -474,7 +463,7 @@ mod tests {
             vwgt2: None,
             coords: (0..n).map(|v| [v as f64, 0.0, 0.0]).collect(),
         };
-        let owner = MultilevelKWay::default().partition(&g, 3);
+        let owner = MultilevelKWay.partition(&g, 3);
         assert_eq!(owner.len(), n);
         assert!(owner.iter().all(|&o| o < 3));
         let q = quality(&g, &owner, 3);
@@ -489,7 +478,7 @@ mod tests {
     #[test]
     fn k_equals_one_short_circuits() {
         let g = demo_graph();
-        let owner = MultilevelKWay::default().partition(&g, 1);
+        let owner = MultilevelKWay.partition(&g, 1);
         assert!(owner.iter().all(|&o| o == 0));
     }
 }

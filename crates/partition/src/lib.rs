@@ -28,7 +28,7 @@
 //!
 //! let geo = VesselBuilder::straight_tube(20.0, 4.0).voxelise(1.0);
 //! let graph = SiteGraph::from_geometry(&geo, hemelb_partition::graph::Connectivity::D3Q15);
-//! let owner = MultilevelKWay::default().partition(&graph, 4);
+//! let owner = MultilevelKWay.partition(&graph, 4);
 //! let q = hemelb_partition::metrics::quality(&graph, &owner, 4);
 //! assert!(q.imbalance < 1.2);
 //! ```
@@ -94,7 +94,7 @@ mod tests {
             Box::new(MortonSfc),
             Box::new(HilbertSfc),
             Box::new(Rcb),
-            Box::new(MultilevelKWay::default()),
+            Box::new(MultilevelKWay),
         ];
         for p in &partitioners {
             for k in [1, 2, 4, 5] {
@@ -117,7 +117,7 @@ mod tests {
         let graph = SiteGraph::from_geometry(&geo, Connectivity::D3Q15);
         let k = 8;
         let naive = quality(&graph, &NaiveBlock.partition(&graph, k), k);
-        let kway = quality(&graph, &MultilevelKWay::default().partition(&graph, k), k);
+        let kway = quality(&graph, &MultilevelKWay.partition(&graph, k), k);
         // Index slabs are near-optimal cuts for an elongated tube, so the
         // requirement here is sanity, not victory; the decisive
         // comparisons run on complex geometry in the benches.

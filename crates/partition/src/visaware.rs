@@ -288,7 +288,7 @@ mod tests {
     fn setup() -> (SiteGraph, Vec<usize>) {
         let geo = VesselBuilder::aneurysm(28.0, 4.0, 6.0).voxelise(1.0);
         let g = SiteGraph::from_geometry(&geo, Connectivity::Six);
-        let owner = MultilevelKWay::default().partition(&g, 4);
+        let owner = MultilevelKWay.partition(&g, 4);
         (g, owner)
     }
 
@@ -412,7 +412,7 @@ mod tests {
         let im2 = q.imbalance2.unwrap();
         assert!(im2 < 1.5, "vis imbalance {im2} should be near-balanced");
         // The price: a worse cut than a locality-preserving partition.
-        let kway = crate::MultilevelKWay::default().partition(&g, 4);
+        let kway = crate::MultilevelKWay.partition(&g, 4);
         let q_kway = crate::metrics::quality(&g, &kway, 4);
         assert!(
             q.edge_cut > q_kway.edge_cut,

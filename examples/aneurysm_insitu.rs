@@ -28,7 +28,7 @@ fn main() {
     // ParMETIS role).
     let geo = Arc::new(VesselBuilder::aneurysm(28.0, 4.0, 6.0).voxelise(0.5));
     let graph = SiteGraph::from_geometry(&geo, Connectivity::D3Q15);
-    let owner = Arc::new(MultilevelKWay::default().partition(&graph, RANKS));
+    let owner = Arc::new(MultilevelKWay.partition(&graph, RANKS));
     let q = quality(&graph, &owner, RANKS);
     println!(
         "decomposition: {} sites over {RANKS} ranks, imbalance {:.3}, edge cut {}",

@@ -64,7 +64,7 @@ fn main() {
         Box::new(MortonSfc),
         Box::new(HilbertSfc),
         Box::new(Rcb),
-        Box::new(MultilevelKWay::default()),
+        Box::new(MultilevelKWay),
     ];
     println!("\npartition quality at 16 parts ({} sites):", graph.len());
     println!(

@@ -45,7 +45,6 @@ fn main() {
             period: PERIOD,
         }],
         outlet_bcs: vec![IoletBc::Pressure { rho: 1.0 }],
-        overlap: true,
     };
 
     let geo2 = geo.clone();

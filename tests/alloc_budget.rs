@@ -90,7 +90,7 @@ fn rank_step_allocations_do_not_depend_on_map_fragmentation() {
     let n = geo.fluid_count();
     let slab: Vec<usize> = (0..n).map(|s| s * 2 / n).collect();
     let graph = SiteGraph::from_geometry(&geo, Connectivity::D3Q15);
-    let kway = MultilevelKWay::default().partition(&graph, 2);
+    let kway = MultilevelKWay.partition(&graph, 2);
     // The k-way map is the fragmented one: far more maximal runs of one
     // owner along the site list than the slab's two.
     let runs = |owner: &[usize]| 1 + owner.windows(2).filter(|w| w[0] != w[1]).count();

@@ -128,7 +128,7 @@ fn kway_partition_reduces_halo_traffic_vs_naive() {
     let naive: Vec<usize> = (0..graph.len())
         .map(|s| (s * p / graph.len()).min(p - 1))
         .collect();
-    let kway = MultilevelKWay::default().partition(&graph, p);
+    let kway = MultilevelKWay.partition(&graph, p);
     let q_naive = quality(&graph, &naive, p);
     let q_kway = quality(&graph, &kway, p);
 

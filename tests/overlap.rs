@@ -1,15 +1,13 @@
 //! Distributed step-schedule equivalence suite: the frontier-first
 //! schedule (collide frontier → post sends → interior compute under
 //! in-flight messages → arrival-order drain → frontier stream) must be
-//! **bit-identical** to the same schedule with nothing held back
-//! (`overlap = false`) and to the serial solver, over random geometries
+//! **bit-identical** to the serial solver, over random geometries
 //! × collision operators × boundary-condition families × owner maps
 //! from slabs to per-site scatter × threads per rank, with the storage
 //! order the schedule relies on checked against an independent
-//! geometry query. Checkpoints written mid-run under one setting must
-//! restore and continue under the other on the same bit trajectory,
-//! and the overlap accounting in `CommStats` must engage exactly when
-//! there is interior work to hide the exchange behind.
+//! geometry query, and the overlap accounting in `CommStats` must
+//! engage exactly when there is interior work to hide the exchange
+//! behind.
 
 mod common;
 
@@ -17,8 +15,7 @@ use hemelb::core::dist::locals_of;
 use hemelb::core::{DistSolver, Solver, SolverConfig};
 use hemelb::geometry::{SparseGeometry, VesselBuilder};
 use hemelb::parallel::{
-    run_spmd, run_spmd_opts, run_spmd_with_stats, FaultEvent, FaultKind, FaultPlan, SpmdOptions,
-    TagClass,
+    run_spmd_opts, run_spmd_with_stats, FaultEvent, FaultKind, FaultPlan, SpmdOptions, TagClass,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -107,18 +104,6 @@ fn run_dist(
     (results.into_iter().map(|(out, _)| out).collect(), digests)
 }
 
-/// Slab-map run on one thread per rank; each rank's raw distributions.
-fn run_slabs(
-    geo: &Arc<SparseGeometry>,
-    cfg: &SolverConfig,
-    ranks: usize,
-    steps: u64,
-) -> Vec<Vec<f64>> {
-    let owner = even_owner(geo.fluid_count(), ranks);
-    let (outs, _) = run_dist(geo, cfg, &owner, ranks, 1, steps);
-    outs.into_iter().map(|out| out.f).collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -133,7 +118,7 @@ proptest! {
     /// or has a halo link — the velocity sets are symmetric, so one
     /// implies the other). Physics: the gathered snapshot and every
     /// rank's distributions, read in global order, equal the serial
-    /// solver's by `to_bits`, with `overlap` on and off.
+    /// solver's by `to_bits`.
     #[test]
     fn storage_order_and_schedules_match_serial_bitwise(
         case in common::case_strategy(),
@@ -160,127 +145,71 @@ proptest! {
             })
         };
 
-        let mut orders = Vec::new();
-        for overlap in [true, false] {
-            let cfg = cfg.clone().with_overlap(overlap);
-            let (outs, digests) = run_dist(&geo, &cfg, &owner, ranks, threads, steps);
-            prop_assert_eq!(want, digests, "overlap {} vs serial, {:?} {:?}", overlap, &case, map);
-            for (rank, out) in outs.iter().enumerate() {
-                let mut sorted = out.sites.clone();
-                sorted.sort_unstable();
-                prop_assert_eq!(&sorted, &locals_of(&owner, rank), "rank {} owns other sites", rank);
-                for class in [&out.sites[..out.split], &out.sites[out.split..]] {
-                    prop_assert!(class.windows(2).all(|w| w[0] < w[1]), "rank {} class order", rank);
-                }
-                for (l, &g) in out.sites.iter().enumerate() {
-                    prop_assert_eq!(l < out.split, touches_peer(g), "rank {} site {}", rank, g);
-                    let g = g as usize;
-                    prop_assert!(
-                        common::bits_eq(&out.f[l * q..(l + 1) * q], &want_f[g * q..(g + 1) * q]),
-                        "rank {} site {} diverged from serial, overlap {}, {:?} {:?}",
-                        rank, g, overlap, &case, map
-                    );
-                }
+        let (outs, digests) = run_dist(&geo, &cfg, &owner, ranks, threads, steps);
+        prop_assert_eq!(want, digests, "dist vs serial, {:?} {:?}", &case, map);
+        for (rank, out) in outs.iter().enumerate() {
+            let mut sorted = out.sites.clone();
+            sorted.sort_unstable();
+            prop_assert_eq!(&sorted, &locals_of(&owner, rank), "rank {} owns other sites", rank);
+            for class in [&out.sites[..out.split], &out.sites[out.split..]] {
+                prop_assert!(class.windows(2).all(|w| w[0] < w[1]), "rank {} class order", rank);
             }
-            orders.push(outs.into_iter().map(|out| out.sites).collect::<Vec<_>>());
+            for (l, &g) in out.sites.iter().enumerate() {
+                prop_assert_eq!(l < out.split, touches_peer(g), "rank {} site {}", rank, g);
+                let g = g as usize;
+                prop_assert!(
+                    common::bits_eq(&out.f[l * q..(l + 1) * q], &want_f[g * q..(g + 1) * q]),
+                    "rank {} site {} diverged from serial, {:?} {:?}",
+                    rank, g, &case, map
+                );
+            }
         }
-        prop_assert_eq!(&orders[0], &orders[1], "storage order must not depend on the schedule");
-    }
-}
-
-/// A checkpoint written mid-run with overlap on restores into a solver
-/// with overlap off (and vice versa) and continues on the exact bit
-/// trajectory of an uninterrupted run — the storage order depends on
-/// the decomposition alone, so the two settings are interchangeable at
-/// any step boundary.
-#[test]
-fn checkpoint_hands_off_between_overlapped_and_sync() {
-    let geo = Arc::new(VesselBuilder::straight_tube(16.0, 3.0).voxelise(1.0));
-    let base = SolverConfig::pressure_driven(1.01, 0.99);
-    let f_ref = run_slabs(&geo, &base.clone().with_overlap(true), 2, 20);
-
-    for (first_overlap, then_overlap) in [(true, false), (false, true)] {
-        let dir = std::env::temp_dir().join(format!(
-            "hemelb_overlap_handoff_{first_overlap}_{}",
-            std::process::id()
-        ));
-        let geo2 = geo.clone();
-        let cfg_a = base.clone().with_overlap(first_overlap);
-        let cfg_b = base.clone().with_overlap(then_overlap);
-        let dir2 = dir.clone();
-        let results = run_spmd(2, move |comm| {
-            let owner = even_owner(geo2.fluid_count(), comm.size());
-            let mut a = DistSolver::new(geo2.clone(), owner.clone(), cfg_a.clone(), comm).unwrap();
-            a.step_n(10).unwrap();
-            a.checkpoint(&dir2).unwrap();
-            // Hand off: a fresh solver under the *other* schedule picks
-            // up the state and finishes the run.
-            let mut b = DistSolver::new(geo2.clone(), owner, cfg_b.clone(), comm).unwrap();
-            b.restore(&dir2).unwrap();
-            assert_eq!(b.step_count(), 10);
-            b.step_n(10).unwrap();
-            b.raw_distributions()
-        });
-        for (rank, f) in results.iter().enumerate() {
-            assert!(
-                common::bits_eq(f, &f_ref[rank]),
-                "rank {rank} diverged after {first_overlap}->{then_overlap} hand-off"
-            );
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
 /// Overlap accounting engages exactly when there is interior work to
-/// hide the exchange behind: an overlapped multi-rank run records
-/// latency-hiding compute seconds (efficiency in (0, 1]), a run with
-/// overlap off records none, and a zero-peer rank reports that it has
-/// nothing to overlap through the public accessors.
+/// hide the exchange behind: a multi-rank run with interior sites
+/// records latency-hiding compute seconds (efficiency in (0, 1]), and a
+/// zero-peer rank reports that it has nothing to overlap through the
+/// public accessors and records none.
 #[test]
 fn overlap_accounting_and_degenerate_domains() {
     let geo = Arc::new(VesselBuilder::straight_tube(16.0, 3.0).voxelise(1.0));
     let base = SolverConfig::pressure_driven(1.01, 0.99);
 
-    for overlap in [true, false] {
-        let geo2 = geo.clone();
-        let cfg = base.clone().with_overlap(overlap);
-        let out = run_spmd_with_stats(2, move |comm| {
-            let owner = even_owner(geo2.fluid_count(), comm.size());
-            let mut ds = DistSolver::new(geo2.clone(), owner, cfg.clone(), comm).unwrap();
-            assert_eq!(ds.overlap_active(), overlap);
-            let part = ds.partition();
-            assert_eq!(
-                part.frontier_count() + part.interior_count(),
-                part.site_count()
-            );
-            ds.step_n(10).unwrap();
-            ds.local_snapshot().rho.len()
-        });
-        assert!(out.results.iter().all(|&n| n > 0));
-        let total = &out.summary.total;
-        if overlap {
-            assert!(
-                total.overlap_compute_secs() > 0.0,
-                "overlapped run must record latency-hiding compute"
-            );
-            let eff = total.overlap_efficiency();
-            assert!((0.0..=1.0).contains(&eff), "efficiency {eff} out of range");
-        } else {
-            assert_eq!(total.overlap_compute_secs(), 0.0);
-            assert_eq!(total.overlap_residual_secs(), 0.0);
-        }
-    }
-
-    // Zero peers: overlap configured on, but nothing to overlap with.
     let geo2 = geo.clone();
     let cfg = base.clone();
-    run_spmd(1, move |comm| {
-        let owner = vec![0; geo2.fluid_count()];
+    let out = run_spmd_with_stats(2, move |comm| {
+        let owner = even_owner(geo2.fluid_count(), comm.size());
         let mut ds = DistSolver::new(geo2.clone(), owner, cfg.clone(), comm).unwrap();
+        assert!(ds.overlap_active());
+        let part = ds.partition();
+        assert_eq!(
+            part.frontier_count() + part.interior_count(),
+            part.site_count()
+        );
+        ds.step_n(10).unwrap();
+        ds.local_snapshot().rho.len()
+    });
+    assert!(out.results.iter().all(|&n| n > 0));
+    let total = &out.summary.total;
+    assert!(
+        total.overlap_compute_secs() > 0.0,
+        "overlapped run must record latency-hiding compute"
+    );
+    let eff = total.overlap_efficiency();
+    assert!((0.0..=1.0).contains(&eff), "efficiency {eff} out of range");
+
+    // Zero peers: nothing to overlap with, nothing recorded.
+    let out = run_spmd_with_stats(1, move |comm| {
+        let owner = vec![0; geo.fluid_count()];
+        let mut ds = DistSolver::new(geo.clone(), owner, base.clone(), comm).unwrap();
         assert!(!ds.overlap_active(), "no peers, no overlap");
         assert_eq!(ds.partition().frontier_count(), 0);
         ds.step_n(3).unwrap();
     });
+    assert_eq!(out.summary.total.overlap_compute_secs(), 0.0);
+    assert_eq!(out.summary.total.overlap_residual_secs(), 0.0);
 }
 
 /// Composition with the PR 4 fault plans: a per-peer `Delay` on the
@@ -306,7 +235,7 @@ fn overlapped_run_is_bit_exact_under_injected_delay() {
         kind: FaultKind::Delay { millis: 20 },
     }]);
     let geo2 = geo.clone();
-    let cfg2 = cfg.clone().with_overlap(true);
+    let cfg2 = cfg.clone();
     let out = run_spmd_opts(3, SpmdOptions::with_faults(plan), move |comm| {
         let owner = even_owner(geo2.fluid_count(), comm.size());
         let mut ds = DistSolver::new(geo2.clone(), owner, cfg2.clone(), comm).unwrap();

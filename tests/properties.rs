@@ -139,7 +139,7 @@ proptest! {
             Box::new(MortonSfc),
             Box::new(HilbertSfc),
             Box::new(Rcb),
-            Box::new(MultilevelKWay::default()),
+            Box::new(MultilevelKWay),
         ];
         for p in &partitioners {
             let owner = p.partition(&graph, k);
