@@ -123,7 +123,9 @@ group_units() {
 # the operator grid, the corrupted-streaming-index negative control and
 # the serial/threaded checkpoint hand-off), observability (phase
 # timings end to end, lossless JSON export) and the render path
-# (macrocell marcher bit-identity, sparse compositing).
+# (macrocell marcher bit-identity, the screen-bounded render against a
+# scan of every pixel over random bricks and eye positions, sparse
+# compositing).
 group_determinism() {
     stage determinism cargo test -q --test properties --test golden
     stage obs         cargo test -q --test obs_smoke

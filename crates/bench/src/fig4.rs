@@ -9,7 +9,7 @@
 
 use crate::workloads::{self, Size};
 use hemelb_geometry::Vec3;
-use hemelb_insitu::camera::Camera;
+use hemelb_insitu::camera::{Camera, RayGenerator};
 use hemelb_insitu::compositing::binary_swap;
 use hemelb_insitu::field::{SampledField, Scalar};
 use hemelb_insitu::image::Image;
@@ -143,6 +143,7 @@ pub fn run_4b(size: Size, ranks: usize, n_seeds: usize, width: u32, height: u32)
     let tf = TransferFunction::heat(lo, hi.max(lo + 1e-9));
 
     let mut image = Image::new(width, height);
+    let gen = cam.ray_generator();
     let mut drawn = 0usize;
     for line in &lines {
         if line.len() < 2 {
@@ -156,7 +157,7 @@ pub fn run_4b(size: Size, ranks: usize, n_seeds: usize, width: u32, height: u32)
                 .unwrap_or(0.0);
             let mut c = tf.classify(speed);
             c[3] = 1.0;
-            draw_segment(&mut image, &cam, w2[0], w2[1], c);
+            draw_segment(&mut image, &gen, w2[0], w2[1], c);
         }
     }
 
@@ -222,8 +223,8 @@ pub fn run_lic(size: Size, ranks: usize) -> Fig4Result {
 }
 
 /// Rasterise one projected 3-D segment with simple DDA.
-pub fn draw_segment(img: &mut Image, cam: &Camera, a: Vec3, b: Vec3, colour: [f32; 4]) {
-    let (Some((ax, ay, _)), Some((bx, by, _))) = (cam.project(a), cam.project(b)) else {
+pub fn draw_segment(img: &mut Image, gen: &RayGenerator, a: Vec3, b: Vec3, colour: [f32; 4]) {
+    let (Some((ax, ay, _)), Some((bx, by, _))) = (gen.project(a), gen.project(b)) else {
         return;
     };
     let steps = ((bx - ax).abs().max((by - ay).abs()).ceil() as usize).max(1);

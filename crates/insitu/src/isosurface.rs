@@ -226,8 +226,8 @@ fn contour_tet<FV>(
 pub fn render_mesh(mesh: &TriangleMesh, cam: &Camera, colour: [f32; 3]) -> Image {
     let mut img = Image::new(cam.width, cam.height);
     let mut zbuf = vec![f32::INFINITY; (cam.width * cam.height) as usize];
-    let (_, _, forward) = cam.basis();
-    let light = (forward * -1.0).normalised();
+    let gen = cam.ray_generator();
+    let light = (gen.forward() * -1.0).normalised();
 
     for t in &mesh.triangles {
         let a = mesh.vertices[t[0] as usize];
@@ -236,7 +236,7 @@ pub fn render_mesh(mesh: &TriangleMesh, cam: &Camera, colour: [f32; 3]) -> Image
         let n = (b - a).cross(c - a).normalised();
         let shade = (n.dot(light).abs() * 0.8 + 0.2) as f32;
 
-        let (Some(pa), Some(pb), Some(pc)) = (cam.project(a), cam.project(b), cam.project(c))
+        let (Some(pa), Some(pb), Some(pc)) = (gen.project(a), gen.project(b), gen.project(c))
         else {
             continue;
         };

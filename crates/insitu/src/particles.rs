@@ -78,7 +78,7 @@ impl<'a> ParticleEnsemble<'a> {
         for mut part in self.local.drain(..) {
             let p = Vec3::from(part.pos);
             let v = |q: Vec3| field.velocity_at(q);
-            match rk4_step(&v, p, self.h) {
+            match v(p).and_then(|k1| rk4_step(&v, p, k1, self.h)) {
                 None => self.finished.push(part),
                 Some(next) => {
                     part.pos = next.to_array();

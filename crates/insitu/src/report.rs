@@ -183,10 +183,11 @@ pub fn measure_volume(inputs: &TechniqueInputs) -> TechniqueReport {
 
 fn estimate_samples(brick: &Brick, cam: &Camera, step: f64) -> u64 {
     let (lo, hi) = brick.bounds();
+    let gen = cam.ray_generator();
     let mut total = 0.0f64;
     for py in 0..cam.height {
         for px in 0..cam.width {
-            let (o, d) = cam.ray(px, py);
+            let (o, d) = gen.ray(px, py);
             if let Some((t0, t1)) = crate::camera::ray_box(o, d, lo, hi) {
                 total += ((t1 - t0.max(0.0)) / step).max(0.0);
             }

@@ -93,7 +93,8 @@ impl<'a> DistStreaklines<'a> {
         let mut keep = Vec::with_capacity(self.live.len() + self.seeds.len());
         for mut part in self.live.drain(..) {
             let v = |q: Vec3| field.velocity_at(q);
-            match rk4_step(&v, Vec3::from(part.pos), self.h) {
+            let p = Vec3::from(part.pos);
+            match v(p).and_then(|k1| rk4_step(&v, p, k1, self.h)) {
                 None => {} // left the fluid: the streak ends here
                 Some(next) => {
                     part.pos = next.to_array();

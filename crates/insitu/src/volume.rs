@@ -3,7 +3,8 @@
 //! without any data exchange with the neighbours."
 //!
 //! Each rank builds a dense *brick* over the bounding box of its own
-//! sites, casts all camera rays through that brick with front-to-back
+//! sites, casts the camera rays that can reach that brick (those inside
+//! its box's projected pixel rectangle) through it with front-to-back
 //! compositing (no communication), and the partial images meet only in
 //! the sort-last compositing stage ([`crate::compositing`]).
 //!
@@ -258,9 +259,9 @@ impl Brick {
     /// per-corner path. Both paths accumulate corners in the same order
     /// with the same operations, so they are bit-identical.
     pub fn sample(&self, p: Vec3) -> Option<f64> {
-        let x0 = p.x.floor() as i64;
-        let y0 = p.y.floor() as i64;
-        let z0 = p.z.floor() as i64;
+        let x0 = floor_i64(p.x);
+        let y0 = floor_i64(p.y);
+        let z0 = floor_i64(p.z);
         let fx = p.x - x0 as f64;
         let fy = p.y - y0 as f64;
         let fz = p.z - z0 as f64;
@@ -338,12 +339,9 @@ impl Brick {
     #[inline]
     fn macrocell_of(&self, p: Vec3) -> (usize, [i64; 3]) {
         let md = &self.macro_grid.mdims;
-        let cx =
-            ((p.x.floor() as i64 - self.lo[0] as i64) >> MACRO_SHIFT).clamp(0, md[0] as i64 - 1);
-        let cy =
-            ((p.y.floor() as i64 - self.lo[1] as i64) >> MACRO_SHIFT).clamp(0, md[1] as i64 - 1);
-        let cz =
-            ((p.z.floor() as i64 - self.lo[2] as i64) >> MACRO_SHIFT).clamp(0, md[2] as i64 - 1);
+        let cx = ((floor_i64(p.x) - self.lo[0] as i64) >> MACRO_SHIFT).clamp(0, md[0] as i64 - 1);
+        let cy = ((floor_i64(p.y) - self.lo[1] as i64) >> MACRO_SHIFT).clamp(0, md[1] as i64 - 1);
+        let cz = ((floor_i64(p.z) - self.lo[2] as i64) >> MACRO_SHIFT).clamp(0, md[2] as i64 - 1);
         (
             (cx as usize * md[1] + cy as usize) * md[2] + cz as usize,
             [cx, cy, cz],
@@ -399,6 +397,20 @@ impl Brick {
             kn -= 1;
         }
         kn
+    }
+}
+
+/// `x.floor() as i64` without the call into libm that `floor` is on a
+/// baseline x86-64 target: truncate, then step down where truncation
+/// rounded up (negative non-integers). Equal for every input, the
+/// saturating ends and NaN (→ 0) included.
+#[inline]
+fn floor_i64(x: f64) -> i64 {
+    let i = x as i64;
+    if (i as f64) > x {
+        i.saturating_sub(1)
+    } else {
+        i
     }
 }
 
@@ -513,9 +525,15 @@ pub fn render_brick(brick: &Brick, cam: &Camera, tf: &TransferFunction, step: f6
 
 /// [`render_brick`] with explicit options, returning the work counters.
 ///
-/// Rows are split into contiguous bands, one per worker; each band
-/// writes its pixels and depths straight into the output's disjoint
-/// sub-slices (no per-row allocation, no copy-back pass).
+/// Only the pixels inside the brick box's projected rectangle
+/// ([`RayGenerator::box_pixel_bounds`]) generate a ray; the rest keep the
+/// `([0; 4], ∞)` of [`PartialImage::new`], which is what a ray that
+/// misses the box yields. The covered rows are split into contiguous
+/// bands, one per worker; each band writes its pixels and depths
+/// straight into the output's disjoint sub-slices (no per-row
+/// allocation, no copy-back pass).
+///
+/// [`RayGenerator::box_pixel_bounds`]: crate::camera::RayGenerator::box_pixel_bounds
 pub fn render_brick_opts(
     brick: &Brick,
     cam: &Camera,
@@ -526,64 +544,61 @@ pub fn render_brick_opts(
     assert!(step > 0.0);
     let (blo, bhi) = brick.bounds();
     let width = cam.width as usize;
-    let height = cam.height as usize;
     let mut out = PartialImage::new(cam.width, cam.height);
     let skippable = if opts.macrocells {
         Some(brick.macro_grid.skippable(tf))
     } else {
         None
     };
+    let gen = cam.ray_generator();
+    let (cols, rows) = gen.box_pixel_bounds(blo, bhi);
 
-    let rows_per = height.div_ceil(rayon::current_num_threads().clamp(1, height.max(1)));
-    let n_bands = height.div_ceil(rows_per.max(1)).max(1);
+    let n_bands = rayon::current_num_threads().clamp(1, rows.len().max(1));
+    let rows_per = rows.len().div_ceil(n_bands);
     let mut band_stats = vec![RenderStats::default(); n_bands];
 
     rayon::scope(|s| {
-        let mut px_rest = out.image.pixels.as_mut_slice();
-        let mut dp_rest = out.depth.as_mut_slice();
+        let first = rows.start as usize * width;
+        let mut px_rest = &mut out.image.pixels[first..];
+        let mut dp_rest = &mut out.depth[first..];
         let mut st_rest = band_stats.as_mut_slice();
         let skippable = skippable.as_deref();
-        let mut y0 = 0usize;
-        while y0 < height {
-            let rows = rows_per.min(height - y0);
-            let (px_band, px_tail) = { px_rest }.split_at_mut(rows * width);
-            let (dp_band, dp_tail) = { dp_rest }.split_at_mut(rows * width);
+        let (gen, cols) = (&gen, &cols);
+        let mut y0 = rows.start as usize;
+        let y_end = rows.end as usize;
+        while y0 < y_end {
+            let n_rows = rows_per.min(y_end - y0);
+            let (px_band, px_tail) = { px_rest }.split_at_mut(n_rows * width);
+            let (dp_band, dp_tail) = { dp_rest }.split_at_mut(n_rows * width);
             let (st_band, st_tail) = { st_rest }.split_at_mut(1);
             px_rest = px_tail;
             dp_rest = dp_tail;
             st_rest = st_tail;
             s.spawn(move |_| {
                 let st = &mut st_band[0];
-                for r in 0..rows {
+                for r in 0..n_rows {
                     let py = (y0 + r) as u32;
-                    for px in 0..width {
-                        let (origin, dir) = cam.ray(px as u32, py);
-                        st.rays += 1;
-                        let (rgba, depth) = match ray_box(origin, dir, blo, bhi) {
-                            Some((t0, t1)) => march(
-                                brick,
-                                tf,
-                                skippable,
-                                origin,
-                                dir,
-                                t0.max(0.0) + step * 0.5,
-                                t1,
-                                step,
-                                st,
-                            ),
-                            None => ([0.0f32; 4], f32::INFINITY),
-                        };
-                        let idx = r * width + px;
-                        px_band[idx] = rgba;
-                        dp_band[idx] = depth;
+                    for px in cols.clone() {
+                        let (origin, dir) = gen.ray(px, py);
+                        if let Some((t0, t1)) = ray_box(origin, dir, blo, bhi) {
+                            let t_start = t0.max(0.0) + step * 0.5;
+                            let idx = r * width + px as usize;
+                            (px_band[idx], dp_band[idx]) =
+                                march(brick, tf, skippable, origin, dir, t_start, t1, step, st);
+                        }
                     }
                 }
             });
-            y0 += rows;
+            y0 += n_rows;
         }
     });
 
-    let mut stats = RenderStats::default();
+    // One ray per image pixel, generated or not: the counter keeps
+    // meaning "pixels of the frame".
+    let mut stats = RenderStats {
+        rays: cam.width as u64 * cam.height as u64,
+        ..RenderStats::default()
+    };
     for b in &band_stats {
         stats.absorb(b);
     }
@@ -695,6 +710,40 @@ mod tests {
     }
 
     #[test]
+    fn floor_i64_is_floor_then_cast_for_every_input() {
+        let mut probes = vec![
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.0,
+            -1.0,
+            -1.0 + f64::EPSILON,
+            7.999999999999999,
+            -8.000000000000002,
+            4503599627370495.5,
+            -4503599627370495.5,
+            9.3e18,
+            -9.3e18,
+            1e300,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+        ];
+        let mut h = 0x9E3779B97F4A7C15u64;
+        for _ in 0..2000 {
+            h = h.wrapping_mul(0x2545F4914F6CDD1D).rotate_left(23) ^ 0x5851F42D4C957F2D;
+            probes.push((h >> 11) as f64 / (1u64 << 53) as f64 * 200.0 - 100.0);
+        }
+        for x in probes {
+            assert_eq!(floor_i64(x), x.floor() as i64, "{x:e}");
+        }
+    }
+
+    #[test]
     fn brick_samples_match_sites() {
         let (geo, snap) = setup();
         let all: Vec<u32> = (0..geo.fluid_count() as u32).collect();
@@ -766,6 +815,103 @@ mod tests {
             );
             assert!(st_accel.samples_shaded < st_naive.samples_shaded);
             assert_eq!(st_accel.rays, st_naive.rays);
+        }
+    }
+
+    /// The whole-image scan `render_brick_opts` made before it bounded
+    /// the pixel loop by the brick's projected rectangle: every pixel
+    /// takes a ray from the per-call `Camera::ray` and tests it against
+    /// the box. The reference the bounded render must equal bit for bit.
+    fn render_full_scan(
+        brick: &Brick,
+        cam: &Camera,
+        tf: &TransferFunction,
+        step: f64,
+        opts: &RenderOptions,
+    ) -> (PartialImage, RenderStats) {
+        let (blo, bhi) = brick.bounds();
+        let mut out = PartialImage::new(cam.width, cam.height);
+        let skippable = opts.macrocells.then(|| brick.macro_grid.skippable(tf));
+        let mut st = RenderStats::default();
+        for py in 0..cam.height {
+            for px in 0..cam.width {
+                let (origin, dir) = cam.ray(px, py);
+                st.rays += 1;
+                if let Some((t0, t1)) = ray_box(origin, dir, blo, bhi) {
+                    let t_start = t0.max(0.0) + step * 0.5;
+                    let idx = (py * cam.width + px) as usize;
+                    (out.image.pixels[idx], out.depth[idx]) = march(
+                        brick,
+                        tf,
+                        skippable.as_deref(),
+                        origin,
+                        dir,
+                        t_start,
+                        t1,
+                        step,
+                        &mut st,
+                    );
+                }
+            }
+        }
+        (out, st)
+    }
+
+    /// Exact work counters are the one thing the public-API property in
+    /// `tests/render_compositing.rs` cannot pin with macrocells on (its
+    /// reference does not jump), so they are pinned here, against the
+    /// scan that shares `march`: half-domain bricks as a rank holds
+    /// them, seen from outside, from inside, from afar and not at all.
+    #[test]
+    fn bounded_render_repeats_the_full_scan_counters() {
+        let (geo, _) = setup();
+        let snap = varied_snapshot(&geo);
+        let framing = camera(&geo);
+        let (right, up, forward) = framing.basis();
+        let inside = Camera {
+            eye: framing.target + right * 3.0,
+            ..framing
+        };
+        let afar = Camera {
+            eye: framing.eye - forward * 900.0,
+            ..framing
+        };
+        let askance = Camera {
+            target: framing.eye + right * 0.9 + forward * 0.5 + up * 0.1,
+            fov_y: 0.6,
+            ..framing
+        };
+        let mid = geo.shape()[0] as u32 / 2;
+        let tf = TransferFunction::heat(0.0, 0.06);
+        let mut covered = Vec::new();
+        for half in [0, 1] {
+            let sites: Vec<u32> = (0..geo.fluid_count() as u32)
+                .filter(|&s| usize::from(geo.position(s)[0] >= mid) == half)
+                .collect();
+            let brick = Brick::from_sites(&geo, &snap, Scalar::Speed, &sites).unwrap();
+            let (blo, bhi) = brick.bounds();
+            for cam in [framing, inside, afar, askance] {
+                let (cols, rows) = cam.ray_generator().box_pixel_bounds(blo, bhi);
+                covered.push(cols.len() * rows.len());
+                for macrocells in [true, false] {
+                    let opts = RenderOptions { macrocells };
+                    let (want, want_st) = render_full_scan(&brick, &cam, &tf, 0.5, &opts);
+                    let (got, got_st) = render_brick_opts(&brick, &cam, &tf, 0.5, &opts);
+                    assert!(partials_bit_eq(&want, &got), "{cam:?}");
+                    assert_eq!(want_st, got_st, "{cam:?}");
+                }
+            }
+        }
+        // Part of the image, all of it, a few pixels, none.
+        let all = (framing.width * framing.height) as usize;
+        for per_brick in covered.chunks(4) {
+            assert!(
+                per_brick[0] > all / 8 && per_brick[0] < all,
+                "{per_brick:?}"
+            );
+            assert_eq!(per_brick[1], all);
+            assert!(per_brick[2] > 0 && per_brick[2] <= 40, "{per_brick:?}");
+            assert_eq!(per_brick[3], 0);
         }
     }
 

@@ -395,6 +395,10 @@ pub fn run_closed_loop_opts(
                 CacheLookup::Miss
             };
 
+            // Every site's speed: the status monitors below want it on
+            // every due frame, and it is the field most often drawn.
+            let speeds: Vec<f64> = (0..snap.len()).map(|i| snap.speed(i)).collect();
+
             // What the master ships: the encoded image message.
             let mut frame_bytes: Option<Bytes> = None;
             let mut dropped_ranks = Vec::new();
@@ -411,22 +415,24 @@ pub fn run_closed_loop_opts(
                     if cache_entries > 0 {
                         comm.with_obs(|o| o.count("vis.cache.miss", 1));
                     }
-                    let values: Vec<f64> = (0..snap.len())
-                        .map(|i| match state.field {
-                            FieldChoice::Density => snap.rho[i],
-                            FieldChoice::Speed => snap.speed(i),
-                            FieldChoice::Shear => snap.shear[i],
-                        })
-                        .collect();
-                    // ROI restriction, if any.
-                    let (points, values): (Vec<[u32; 3]>, Vec<f64>) = match state.roi {
-                        None => (local_positions.clone(), values),
-                        Some((lo, hi)) => local_positions
+                    let displayed: &[f64] = match state.field {
+                        FieldChoice::Density => &snap.rho,
+                        FieldChoice::Speed => &speeds,
+                        FieldChoice::Shear => &snap.shear,
+                    };
+                    // ROI restriction, if any; without one the sites
+                    // and their values are rendered where they lie.
+                    let in_roi: Option<(Vec<[u32; 3]>, Vec<f64>)> = state.roi.map(|(lo, hi)| {
+                        local_positions
                             .iter()
-                            .zip(&values)
+                            .zip(displayed)
                             .filter(|(p, _)| (0..3).all(|a| p[a] >= lo[a] && p[a] < hi[a]))
                             .map(|(p, v)| (*p, *v))
-                            .unzip(),
+                            .unzip()
+                    });
+                    let (points, values): (&[[u32; 3]], &[f64]) = match &in_roi {
+                        None => (&local_positions, displayed),
+                        Some((points, values)) => (points, values),
                     };
 
                     // A consistent transfer-function range needs the
@@ -438,7 +444,7 @@ pub fn run_closed_loop_opts(
                     let tf = TransferFunction::heat(lo_v, hi_v.max(lo_v + 1e-9));
 
                     let span = comm.with_obs(|o| o.begin());
-                    let partial = match Brick::from_points(&points, &values) {
+                    let partial = match Brick::from_points(points, values) {
                         Some(brick) => {
                             let (partial, st) = render_brick_opts(
                                 &brick,
@@ -510,7 +516,6 @@ pub fn run_closed_loop_opts(
             // run on every due frame, cache hit or miss — status must
             // stay live even when the pixels are replayed.
             let mass = solver.mass()?;
-            let speeds: Vec<f64> = (0..snap.len()).map(|i| snap.speed(i)).collect();
             let local_max_speed = speeds.iter().cloned().fold(0.0, f64::max);
             let max_speed = comm.all_reduce_f64(local_max_speed, f64::max)?;
             let residual = match &prev_speed {

@@ -2,7 +2,7 @@
 # Alternating parent / change pairs of the repository benchmark: how a
 # performance change is judged (README, "how a perf change is judged").
 #
-#   tools/ab_pairs.sh <parent-rev> <workload>... [--pairs N]
+#   tools/ab_pairs.sh <parent-rev> <workload>... [--pairs N] [--layer <metric>...]
 #
 # The parent is exported (`git archive`) into target/ab_pairs/parent and
 # built into target/ab_pairs/build; the change is the working tree,
@@ -14,22 +14,41 @@
 # (end-to-end metric, workload) it prints both medians, both quartile
 # pairs and in how many pairs the change read better; every run is kept
 # in target/ab_pairs/runs.tsv.
+#
+# With `--layer`, the same pairs run traced (`--trace 1`, a CPU per
+# rank) and the table is of the named per-layer metrics instead, so a
+# layer target is judged on pairs like the end-to-end claim, not on one
+# traced run. The gated metrics are untraced figures: claim them from a
+# run without `--layer`.
 set -euo pipefail
 cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 root=$PWD
 
 pairs=10
 args=()
+layers=()
 while (($#)); do
     case $1 in
     --pairs) pairs=$2; shift 2 ;;
-    -h | --help) sed -n '2,17s/^# \{0,1\}//p' "$0"; exit 0 ;;
+    --layer)
+        shift
+        while (($#)) && [[ $1 != -* ]]; do layers+=("$1"); shift; done ;;
+    -h | --help) sed -n '2,23s/^# \{0,1\}//p' "$0"; exit 0 ;;
     *) args+=("$1"); shift ;;
     esac
 done
 if ((${#args[@]} < 2)) || ! [[ $pairs =~ ^[1-9][0-9]*$ ]]; then
-    echo "usage: tools/ab_pairs.sh <parent-rev> <workload>... [--pairs N]" >&2
+    echo "usage: tools/ab_pairs.sh <parent-rev> <workload>... [--pairs N] [--layer <metric>...]" >&2
     exit 2
+fi
+# Which metrics the table is of, and the regime they are measured in.
+trace=0 judged=end_to_end progress=op_ms_p10
+if ((${#layers[@]})); then
+    trace=1 judged=per_layer progress=${layers[0]}
+    for m in "${layers[@]}"; do
+        jq -e --arg m "$m" 'any(.per_layer[]; .name == $m)' BENCHMARK.json >/dev/null ||
+            { echo "ab_pairs: BENCHMARK.json has no per-layer metric '$m'" >&2; exit 2; }
+    done
 fi
 rev=$(git rev-parse --verify "${args[0]}^{commit}")
 workloads=("${args[@]:1}")
@@ -68,18 +87,19 @@ for ((k = 1; k <= pairs; k++)); do
     ((k % 2 == 0)) && order=(change parent)
     for w in "${workloads[@]}"; do
         for side in "${order[@]}"; do
-            bench "$side" --workload "$w" --seed "$k" --seconds "$seconds" --trace 0 | tail -n 1 |
+            bench "$side" --workload "$w" --seed "$k" --seconds "$seconds" --trace "$trace" | tail -n 1 |
                 jq -r --arg k "$k" --arg s "$side" --arg w "$w" '
                 (.metrics | to_entries[] | [$k, $s, $w, .key, .value.value]),
                 [$k, $s, $w, "failed", .failed] | @tsv' >>"$runs"
         done
-        echo "pair $k/$pairs $w: $(awk -F'\t' -v k="$k" -v w="$w" \
-            '$1 == k && $3 == w && $4 == "op_ms_p10" { printf "%s %s  ", $2, $5 }' "$runs")" >&2
+        echo "pair $k/$pairs $w $progress: $(awk -F'\t' -v k="$k" -v w="$w" -v m="$progress" \
+            '$1 == k && $3 == w && $4 == m { printf "%s %s  ", $2, $5 }' "$runs")" >&2
     done
 done
 
-# Direction of each metric, then the table.
-jq -r '.end_to_end[] | [.name, .better] | @tsv' BENCHMARK.json >"$work/better.tsv"
+# Direction of each judged metric, then the table.
+jq -r --arg j "$judged" --args '.[$j][] | select($j == "end_to_end" or IN(.name; $ARGS.positional[]))
+    | [.name, .better] | @tsv' "${layers[@]}" <BENCHMARK.json >"$work/better.tsv"
 awk -F'\t' '
 function quart(side, key, n,    i, j, tmp) {
     # Sorted values of (side, key) into s[1..n]; nearest-rank quartiles.
@@ -89,6 +109,7 @@ function quart(side, key, n,    i, j, tmp) {
     med = (n % 2) ? s[(n + 1) / 2] : (s[n / 2] + s[n / 2 + 1]) / 2
 }
 FNR == NR { better[$1] = $2; next }
+!($4 in better) && $4 != "failed" { next }
 {
     key = $4 SUBSEP $3
     if (!(key in seen)) { seen[key] = 1; keys[++nkeys] = key }
@@ -96,13 +117,13 @@ FNR == NR { better[$1] = $2; next }
     if ($1 > pairs) pairs = $1
 }
 END {
-    printf "%-14s %-16s %30s %30s  %s\n", "metric", "workload", "parent median [q1, q3]", "change median [q1, q3]", "change wins"
+    printf "%-24s %-16s %30s %30s  %s\n", "metric", "workload", "parent median [q1, q3]", "change median [q1, q3]", "change wins"
     for (m = 1; m <= nkeys; m++) {
         key = keys[m]; split(key, part, SUBSEP)
         if (part[1] == "failed") {
             fp = fc = 0
             for (i = 1; i <= pairs; i++) { fp += val["parent", key, i]; fc += val["change", key, i] }
-            printf "%-14s %-16s %30d %30d  (failed checks, summed)\n", part[1], part[2], fp, fc
+            printf "%-24s %-16s %30d %30d  (failed checks, summed)\n", part[1], part[2], fp, fc
             continue
         }
         wins = ties = 0
@@ -113,7 +134,7 @@ END {
         }
         quart("parent", key, pairs); pm = med; p1 = q1; p3 = q3
         quart("change", key, pairs)
-        printf "%-14s %-16s %12.4g [%.4g, %.4g] %12.4g [%.4g, %.4g]  %d/%d", part[1], part[2], pm, p1, p3, med, q1, q3, wins, pairs
+        printf "%-24s %-16s %12.4g [%.4g, %.4g] %12.4g [%.4g, %.4g]  %d/%d", part[1], part[2], pm, p1, p3, med, q1, q3, wins, pairs
         if (ties) printf " (%d ties)", ties
         gap = (med > pm) ? med - pm : pm - med
         printf "  %+.1f %%%s\n", 100 * (med - pm) / pm, (gap > p3 - p1) ? "" : "  (inside the parent interquartile distance)"
