@@ -4,13 +4,13 @@
 #   ./ci.sh --quick        # lint + tier1: format, clippy, release
 #                          #   build, root-package tests
 #   ./ci.sh                # + every crate's unit tests, determinism,
-#                          #   obs, render, fault-injection, gateway,
-#                          #   farm and projection suites, the
-#                          #   `reproduce` smokes, the repo benchmark's
-#                          #   --quick checks and the LOC report
+#                          #   obs, render, fault-injection, gateway
+#                          #   and projection suites, the `reproduce`
+#                          #   smokes, the repo benchmark's --quick
+#                          #   checks and the size report
 #   ./ci.sh --soak         # + long soaks: golden --ignored (500 steps,
-#                          #   8 threads), the 200-step two-kill fault
-#                          #   recovery and the farm kill/restart soak
+#                          #   8 threads) and the 200-step two-kill
+#                          #   fault recovery
 #   ./ci.sh --only GROUP   # one group (what the staged GitHub workflow
 #                          #   jobs shell into)
 #
@@ -28,7 +28,7 @@ cd "$(dirname "$0")"
 
 # The single source of truth for group names: the default tier runs
 # them in this order, and `--only` accepts exactly these (plus soak).
-CI_GROUPS_ALL=(lint tier1 units determinism overlap faults gateway farm projection smoke benchmark-quick loc)
+CI_GROUPS_ALL=(lint tier1 units determinism overlap faults gateway projection smoke benchmark-quick loc)
 usage_groups() { (IFS='|'; echo "${CI_GROUPS_ALL[*]}|soak"); }
 
 TIER="full"
@@ -157,15 +157,6 @@ group_gateway() {
     smoke gateway --size tiny --ranks 2
 }
 
-# Simulation farm: scheduler determinism proptest, fair-share
-# no-starvation, kill/restart bit-exactness with neighbour isolation,
-# bounded retry/backoff, and the E19 saturation smoke writing
-# out/BENCH_farm.json.
-group_farm() {
-    stage farm cargo test -q --test farm
-    smoke farm --size tiny --ranks 2
-}
-
 # Calibrated α–β–γ cost model + 1k–32k rank projection: the fit and
 # projector unit tests run under units; here the E20 smoke calibrates
 # on real measured worlds, asserts the validation band in-bench
@@ -190,7 +181,8 @@ group_benchmark_quick() {
 }
 
 # Size report for simplicity PRs: per-crate non-test lines (everything
-# before the first `#[cfg(test)]` of each file) and `pub` item counts.
+# before the first `#[cfg(test)]` of each file) and `pub` item counts,
+# then the number of workspace member crates and of vendored crates.
 group_loc() {
     stage loc loc_report
 }
@@ -205,6 +197,8 @@ loc_report() {
         total_pubs=$((total_pubs + pubs))
     done
     printf '    %-12s %8s %6s\n' workspace "$total_lines" "$total_pubs"
+    printf '    %-12s %8s\n' crates "$(find crates -mindepth 1 -maxdepth 1 -type d | wc -l)"
+    printf '    %-12s %8s\n' vendored "$(find vendor -mindepth 1 -maxdepth 1 -type d | wc -l)"
 }
 export -f loc_report
 
@@ -212,7 +206,6 @@ export -f loc_report
 group_soak() {
     stage golden-soak cargo test -q --test golden -- --ignored
     stage fault-soak  cargo test -q --test fault_injection -- --ignored
-    stage farm-soak   cargo test -q --test farm -- --ignored
 }
 
 for g in "${CI_GROUPS[@]}"; do

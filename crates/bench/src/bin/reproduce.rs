@@ -15,8 +15,8 @@
 
 use hemelb_bench::workloads::Size;
 use hemelb_bench::{
-    ablation, adaptive, extract, farm, faults, fig1, fig2, fig3, fig4, gateway, multires,
-    preprocess, projection, repartition, scaling, table1,
+    ablation, adaptive, extract, faults, fig1, fig2, fig3, fig4, gateway, multires, preprocess,
+    projection, repartition, scaling, table1,
 };
 
 struct Args {
@@ -113,7 +113,7 @@ const EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         name: "extract",
-        title: "E11: in situ feature extraction (isosurface + vortices)",
+        title: "E11: in situ feature extraction (vortex regions)",
         run: |a| println!("{}", extract::run(a.size)),
     },
     Experiment {
@@ -140,11 +140,6 @@ const EXPERIMENTS: &[Experiment] = &[
                 gateway::run(a.size, a.ranks.clamp(2, 8), observers, frames)
             );
         },
-    },
-    Experiment {
-        name: "farm",
-        title: "E19: simulation farm (sweep saturation vs sequential baseline)",
-        run: |a| println!("{}", farm::run(a.size, a.ranks.clamp(2, 8))),
     },
     Experiment {
         name: "projection",

@@ -1,24 +1,14 @@
 //! Experiment E11 (extension) — in situ *feature extraction*: the
 //! paper's §I names "in situ visualisation and feature extraction" as
 //! the two data-reduction strategies; §IV-C-2 says line visualisation
-//! reveals "features such as vortices". This experiment extracts both
-//! kinds of derived geometry from a live aneurysm flow:
-//!
-//! * an **isosurface** of the speed field (marching tetrahedra) →
-//!   `out/speed_isosurface.ppm`;
-//! * **vortex regions** (connected high-vorticity components) → a
-//!   compact [`FeatureReport`].
-//!
-//! Both outputs are orders of magnitude smaller than the field they
-//! summarise — measured below.
+//! reveals "features such as vortices". This experiment extracts the
+//! **vortex regions** (connected high-vorticity components) of a live
+//! aneurysm flow into a compact [`FeatureReport`], orders of magnitude
+//! smaller than the field it summarises — measured below.
 
 use crate::workloads::{self, Size};
-use hemelb_geometry::Vec3;
-use hemelb_insitu::camera::Camera;
 use hemelb_insitu::features::{swirling_regions, vorticity, vorticity_magnitude, FeatureReport};
-use hemelb_insitu::isosurface::{marching_tetrahedra, render_mesh, TriangleMesh};
 use std::fmt;
-use std::path::PathBuf;
 
 /// The extraction results.
 pub struct ExtractResult {
@@ -26,14 +16,6 @@ pub struct ExtractResult {
     pub sites: usize,
     /// Raw field bytes (speed, f64).
     pub field_bytes: usize,
-    /// The extracted isosurface.
-    pub mesh_triangles: usize,
-    /// Mesh transport bytes.
-    pub mesh_bytes: usize,
-    /// Where the render went.
-    pub image_path: PathBuf,
-    /// Image coverage.
-    pub coverage: f64,
     /// The vortex report.
     pub features: FeatureReport,
 }
@@ -42,29 +24,6 @@ pub struct ExtractResult {
 pub fn run(size: Size) -> ExtractResult {
     let geo = workloads::aneurysm(size);
     let snap = workloads::developed_flow(&geo, 400);
-
-    // Isosurface of speed at 40% of the peak.
-    let peak = snap.max_speed();
-    let iso = peak * 0.4;
-    let shape = geo.shape();
-    let geo2 = geo.clone();
-    let snap2 = snap.clone();
-    let mesh: TriangleMesh = marching_tetrahedra(
-        [shape[0], shape[1], shape[2]],
-        move |x, y, z| geo2.site_at(x, y, z).map(|s| snap2.speed(s as usize)),
-        iso,
-    );
-
-    let cam = Camera::framing(
-        Vec3::ZERO,
-        Vec3::new(shape[0] as f64, shape[1] as f64, shape[2] as f64),
-        Vec3::new(0.15, -1.0, 0.25),
-        512,
-        384,
-    );
-    let image = render_mesh(&mesh, &cam, [0.75, 0.15, 0.15]);
-    let image_path = workloads::out_dir().join("speed_isosurface.ppm");
-    image.write_ppm(&image_path).expect("PPM written");
 
     // Vortex regions: threshold at twice the median vorticity.
     let w = vorticity(&geo, &snap);
@@ -76,10 +35,6 @@ pub fn run(size: Size) -> ExtractResult {
     ExtractResult {
         sites: geo.fluid_count(),
         field_bytes: geo.fluid_count() * 8,
-        mesh_triangles: mesh.triangle_count(),
-        mesh_bytes: mesh.approx_bytes(),
-        image_path,
-        coverage: image.coverage(),
         features,
     }
 }
@@ -91,15 +46,6 @@ impl fmt::Display for ExtractResult {
             "In situ extraction over {} sites ({} raw field):",
             self.sites,
             workloads::fmt_bytes(self.field_bytes as u64)
-        )?;
-        writeln!(
-            f,
-            "isosurface: {} triangles, {} shipped (vs {} field; surface scales as N^2/3) → {} ({:.1}% coverage)",
-            self.mesh_triangles,
-            workloads::fmt_bytes(self.mesh_bytes as u64),
-            workloads::fmt_bytes(self.field_bytes as u64),
-            self.image_path.display(),
-            self.coverage * 100.0,
         )?;
         writeln!(
             f,
@@ -132,17 +78,10 @@ mod tests {
     fn extraction_reduces_and_finds_structure() {
         let r = run(Size::Tiny);
         assert!(
-            r.mesh_triangles > 50,
-            "a surface exists: {}",
-            r.mesh_triangles
-        );
-        assert!(r.coverage > 0.01, "visible render: {}", r.coverage);
-        assert!(
             !r.features.features.is_empty(),
             "the aneurysm flow has vortical structure"
         );
         // The whole point: extracted representations are small.
         assert!(r.features.approx_bytes() < r.field_bytes / 4);
-        std::fs::remove_file(&r.image_path).ok();
     }
 }

@@ -13,7 +13,6 @@
 pub mod ablation;
 pub mod adaptive;
 pub mod extract;
-pub mod farm;
 pub mod faults;
 pub mod fig1;
 pub mod fig2;

@@ -16,10 +16,9 @@
 use crate::model::LatticeModel;
 use crate::CS2;
 use hemelb_geometry::{IoLet, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// Prescription applied at one open boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum IoletBc {
     /// Prescribed inflow velocity along the inward normal.
     Velocity {

@@ -147,53 +147,6 @@ impl<'a> DistSolver<'a> {
         self.barrier()
     }
 
-    /// The step recorded in this rank's checkpoint under `dir`, if the
-    /// file exists, passes its checksum and matches this solver's
-    /// decomposition. `None` means "no usable checkpoint" — corruption
-    /// degrades to a cold restart rather than an error.
-    pub fn checkpoint_step(&self, dir: &Path) -> Option<u64> {
-        let path = dir.join(format!("rank_{}.chkp", self.comm_rank()));
-        let mut file = std::fs::File::open(&path).ok()?;
-        let state = read_state(&mut file).ok()?;
-        (state.site_count as usize == self.local_sites().len()
-            && state.q as usize == self.model_q())
-        .then_some(state.step)
-    }
-
-    /// Collective conditional restore — the restart handle a job
-    /// scheduler calls unconditionally at the top of every (re)attempt.
-    ///
-    /// If *every* rank holds a usable checkpoint under `dir` and they
-    /// all record the same step (a consistent cut), the set is restored
-    /// and `Ok(true)` returned; otherwise every rank returns
-    /// `Ok(false)` and the run starts cold. Agreement is established by
-    /// all-reduce, so the decision is identical on all ranks even when
-    /// only some files survived.
-    ///
-    /// # Panics
-    /// Panics if the surviving checkpoints disagree on the step — a
-    /// torn cut should never exist (`checkpoint` fences with a barrier
-    /// before returning) and restoring it would silently fork the
-    /// physics.
-    pub fn try_restore(&mut self, dir: &Path) -> CommResult<bool> {
-        let step = self.checkpoint_step(dir);
-        let have = self
-            .comm()
-            .all_reduce_u64(u64::from(step.is_some()), |a, b| a.min(b))?;
-        if have == 0 {
-            return Ok(false);
-        }
-        let s = step.expect("all ranks agreed a checkpoint exists");
-        let lo = self.comm().all_reduce_u64(s, |a, b| a.min(b))?;
-        let hi = self.comm().all_reduce_u64(s, |a, b| a.max(b))?;
-        assert_eq!(
-            lo, hi,
-            "checkpoint cut is torn: ranks hold steps {lo}..={hi} under {dir:?}"
-        );
-        self.restore(dir)?;
-        Ok(true)
-    }
-
     /// Collective restore of a checkpoint written with the *same*
     /// decomposition.
     ///
@@ -282,51 +235,6 @@ mod tests {
         s.checkpoint(&path).unwrap();
         let mut other = Solver::new(geo_b, cfg);
         assert!(other.restore(&path).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn try_restore_agrees_collectively_and_survives_corruption() {
-        let geo = Arc::new(VesselBuilder::straight_tube(14.0, 3.0).voxelise(1.0));
-        let cfg = SolverConfig::pressure_driven(1.01, 0.99);
-        let dir = scratch_dir("try_restore");
-        let dir2 = dir.clone();
-        let geo2 = geo.clone();
-        let results = run_spmd(2, move |comm| {
-            let owner: Vec<usize> = (0..geo2.fluid_count())
-                .map(|s| (s * comm.size() / geo2.fluid_count()).min(comm.size() - 1))
-                .collect();
-            let mut ds = DistSolver::new(geo2.clone(), owner, cfg.clone(), comm).unwrap();
-            // Nothing on disk yet: everyone must agree on a cold start.
-            let cold = ds.try_restore(&dir2).unwrap();
-            ds.step_n(6).unwrap();
-            ds.checkpoint(&dir2).unwrap();
-            let mut fresh =
-                DistSolver::new(geo2.clone(), ds.owner().to_vec(), cfg.clone(), comm).unwrap();
-            let warm = fresh.try_restore(&dir2).unwrap();
-            let step_after = fresh.step_count();
-            // Corrupt rank 0's file (everyone waits for the write, so
-            // the next decision sees the damaged set on both ranks).
-            fresh.barrier().unwrap();
-            if comm.rank() == 0 {
-                let path = dir2.join("rank_0.chkp");
-                let mut bytes = std::fs::read(&path).unwrap();
-                let n = bytes.len();
-                bytes[n / 2] ^= 0xFF;
-                std::fs::write(&path, bytes).unwrap();
-            }
-            fresh.barrier().unwrap();
-            let mut third =
-                DistSolver::new(geo2.clone(), fresh.owner().to_vec(), cfg.clone(), comm).unwrap();
-            let torn = third.try_restore(&dir2).unwrap();
-            (cold, warm, step_after, torn)
-        });
-        for &(cold, warm, step_after, torn) in &results {
-            assert!(!cold, "no files means no restore");
-            assert!(warm, "a complete cut restores");
-            assert_eq!(step_after, 6);
-            assert!(!torn, "a damaged set degrades to a cold start on all ranks");
-        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -3,10 +3,9 @@
 
 use crate::equilibrium::{feq, moments};
 use crate::model::LatticeModel;
-use serde::{Deserialize, Serialize};
 
 /// Which collision operator the solver applies.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CollisionKind {
     /// Single-relaxation-time BGK with relaxation time τ.
     Bgk,

@@ -630,12 +630,6 @@ impl<'a> DistSolver<'a> {
         self.comm.barrier()
     }
 
-    /// The communicator this solver was built over (collective helpers
-    /// in sibling modules, e.g. checkpoint restore agreement).
-    pub(crate) fn comm(&self) -> &'a Communicator {
-        self.comm
-    }
-
     /// The geometry.
     pub fn geometry(&self) -> &Arc<SparseGeometry> {
         &self.geo

@@ -7,11 +7,10 @@
 
 use hemelb_geometry::{SiteKind, SparseGeometry};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Macroscopic fields over the fluid sites at one time step, indexed by
 /// fluid-site id.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FieldSnapshot {
     /// Time step the snapshot was taken at.
     pub step: u64,

@@ -11,12 +11,11 @@ use crate::layout::{build_stream_table, SoaLattice};
 use crate::model::LatticeModel;
 use hemelb_geometry::{IoLetKind, SiteKind, SparseGeometry};
 use hemelb_obs::{ObsReport, Recorder};
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Which velocity set to instantiate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelKind {
     /// 15-velocity set (HemeLB's default).
     D3Q15,
@@ -35,7 +34,7 @@ impl ModelKind {
 }
 
 /// Solver parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SolverConfig {
     /// Velocity set.
     pub model: ModelKind,

@@ -8,10 +8,9 @@
 //! range, low Mach number).
 
 use crate::CS2;
-use serde::{Deserialize, Serialize};
 
 /// Converts between physical (SI) and lattice units.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UnitConverter {
     /// Lattice spacing, metres per cell.
     pub dx: f64,

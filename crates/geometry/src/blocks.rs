@@ -9,13 +9,12 @@
 //! partitioners.
 
 use crate::lattice::SparseGeometry;
-use serde::{Deserialize, Serialize};
 
 /// Default block edge length, matching HemeLB's 8³ blocks.
 pub const DEFAULT_BLOCK_SIZE: usize = 8;
 
 /// Cubic-block overlay on a sparse geometry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockDecomposition {
     /// Block edge length in lattice cells.
     pub block_size: usize,

@@ -172,6 +172,12 @@ pub fn write_sgmy(geo: &SparseGeometry, block_size: usize, w: &mut impl Write) -
 }
 
 /// Read the header and level-one table (cheap: no site data touched).
+///
+/// No allocation is sized by a header field before the bytes that back
+/// it have been read: the iolet list grows as records arrive and the
+/// level-one table is read through a length-limited reader, so a header
+/// whose shape and block count merely agree cannot ask for more memory
+/// than the stream holds.
 pub fn read_header(r: &mut impl Read) -> io::Result<SgmyHeader> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
@@ -196,7 +202,7 @@ pub fn read_header(r: &mut impl Read) -> io::Result<SgmyHeader> {
     if n_iolets > 1_000_000 {
         return Err(bad(format!("implausible iolet count {n_iolets}")));
     }
-    let mut iolets = Vec::with_capacity(n_iolets as usize);
+    let mut iolets = Vec::new();
     for _ in 0..n_iolets {
         let mut kind = [0u8; 1];
         r.read_exact(&mut kind)?;
@@ -224,21 +230,26 @@ pub fn read_header(r: &mut impl Read) -> io::Result<SgmyHeader> {
             "block count {block_count} does not match shape {shape:?}"
         )));
     }
-    let mut fluid_per_block = Vec::with_capacity(block_count);
-    let mut sum = 0u64;
-    for _ in 0..block_count {
-        let c = get_u32(r)?;
-        sum += c as u64;
-        fluid_per_block.push(c);
+    let table_bytes = (block_count as u64)
+        .checked_mul(4)
+        .ok_or_else(|| bad("level-one table size overflows"))?;
+    let mut table = Vec::new();
+    r.take(table_bytes).read_to_end(&mut table)?;
+    if table.len() as u64 != table_bytes {
+        return Err(io::ErrorKind::UnexpectedEof.into());
     }
+    let fluid_per_block: Vec<u32> = table
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+        .collect();
+    let sum: u64 = fluid_per_block.iter().map(|&c| c as u64).sum();
     if sum != fluid_total {
         return Err(bad(format!(
             "level-one total {sum} disagrees with header fluid count {fluid_total}"
         )));
     }
     // Header size: fixed part + iolets + level-1 table.
-    let data_offset =
-        4 + 4 + 3 * 8 + 8 + 8 + 8 + n_iolets * (1 + 7 * 8) + 8 + block_count as u64 * 4;
+    let data_offset = 4 + 4 + 3 * 8 + 8 + 8 + 8 + n_iolets * (1 + 7 * 8) + 8 + table_bytes;
     Ok(SgmyHeader {
         shape,
         block_size,
@@ -421,6 +432,33 @@ mod tests {
         .unwrap();
         buf.truncate(buf.len() - 3);
         assert!(read_sgmy(&mut Cursor::new(buf)).is_err());
+    }
+
+    /// A header whose shape and block count agree but that no stream
+    /// could back: the reader must run out of bytes, not size a table
+    /// from the claim (2^63 entries overflow `Vec`'s capacity, 2^60 and
+    /// 2^36 ask the allocator for exbi- and gibibytes).
+    #[test]
+    fn hostile_header_is_an_error_not_an_allocation() {
+        for log2_edge in [21u32, 20, 12] {
+            let edge = 1u64 << log2_edge;
+            let mut buf = Vec::new();
+            buf.extend_from_slice(MAGIC);
+            put_u32(&mut buf, VERSION).unwrap();
+            for v in [edge, edge, edge, 1, 0, 0, edge * edge * edge] {
+                put_u64(&mut buf, v).unwrap();
+            }
+            // A few level-one entries, then the stream ends.
+            buf.extend_from_slice(&[0u8; 64]);
+            let err = read_header(&mut Cursor::new(buf)).unwrap_err();
+            assert!(
+                matches!(
+                    err.kind(),
+                    io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
+                ),
+                "edge 2^{log2_edge}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -8,11 +8,10 @@
 //! for O(1) neighbour lookup inside the bounding box.
 
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// Classification of a fluid site, fixing which boundary condition the
 /// solver applies on its missing links.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SiteKind {
     /// Interior fluid: all lattice neighbours are fluid.
     Bulk,
@@ -48,7 +47,7 @@ impl SiteKind {
 }
 
 /// Whether an open boundary is an inlet or an outlet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoLetKind {
     /// Flow enters here.
     Inlet,
@@ -57,7 +56,7 @@ pub enum IoLetKind {
 }
 
 /// An open vessel end: a disk in the cutting plane.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IoLet {
     /// Inlet or outlet.
     pub kind: IoLetKind,
@@ -73,7 +72,7 @@ pub struct IoLet {
 pub const NOT_FLUID: u32 = u32::MAX;
 
 /// The sparse lattice produced by the voxeliser.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SparseGeometry {
     shape: [usize; 3],
     /// Dense `x-major` grid of fluid-site indices (`NOT_FLUID` outside).

@@ -1,10 +1,9 @@
 //! Minimal 3-vector used throughout the geometry, solver and renderer.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub};
 
 /// A 3-component double-precision vector.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
     /// x component.
     pub x: f64,

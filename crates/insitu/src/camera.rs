@@ -3,11 +3,10 @@
 
 use hemelb_geometry::Vec3;
 use hemelb_obs::Fnv1a;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// A look-at pinhole camera.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Camera {
     /// Eye position (lattice units).
     pub eye: Vec3,

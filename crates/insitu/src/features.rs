@@ -14,7 +14,6 @@
 
 use hemelb_core::FieldSnapshot;
 use hemelb_geometry::SparseGeometry;
-use serde::{Deserialize, Serialize};
 
 /// Per-site vorticity vectors `ω = ∇ × u`.
 ///
@@ -58,7 +57,7 @@ pub fn vorticity_magnitude(w: [f64; 3]) -> f64 {
 }
 
 /// One extracted flow feature (a connected high-swirl region).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Feature {
     /// Number of sites in the region.
     pub sites: u32,
@@ -74,7 +73,7 @@ pub struct Feature {
 
 /// The in situ feature-extraction result: a compact description of the
 /// flow's vortical structures.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureReport {
     /// Threshold used (vorticity magnitude).
     pub threshold: f64,

@@ -1,12 +1,11 @@
 //! Images: RGBA accumulation buffers, the *over* operator, and PPM
 //! output (how this repository regenerates the paper's Fig. 4 panels).
 
-use serde::{Deserialize, Serialize};
 use std::io::{self, Write};
 use std::path::Path;
 
 /// An RGBA image with premultiplied-alpha `f32` channels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Image {
     /// Width in pixels.
     pub width: u32,
@@ -91,7 +90,7 @@ pub fn over_px(f: [f32; 4], b: [f32; 4]) -> [f32; 4] {
 
 /// A partial image with per-pixel depth, as produced by one rank of the
 /// sort-last volume renderer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartialImage {
     /// The RGBA content (premultiplied).
     pub image: Image,

@@ -25,9 +25,7 @@ pub mod camera;
 pub mod compositing;
 pub mod features;
 pub mod field;
-pub mod histogram;
 pub mod image;
-pub mod isosurface;
 pub mod lic;
 pub mod lines;
 pub mod particles;

@@ -12,12 +12,11 @@ use crate::field::SampledField;
 use hemelb_geometry::Vec3;
 use hemelb_parallel::{CommResult, Communicator, Tag, WireReader, WireWriter};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 const T_HALO: Tag = Tag::vis(20);
 
 /// A 2-D slice of the in-plane velocity field at `z = plane_z`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VelocitySlice {
     /// Pixels along x.
     pub nx: usize,
@@ -111,7 +110,7 @@ pub fn noise(x: u32, y: u32, seed: u64) -> f32 {
 }
 
 /// LIC parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LicConfig {
     /// Half kernel length in integration steps.
     pub half_kernel: usize,
@@ -175,7 +174,7 @@ pub fn lic_serial(slice: &VelocitySlice, cfg: &LicConfig) -> Vec<f32> {
 }
 
 /// Per-rank statistics of a distributed LIC.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LicStats {
     /// Pixels this rank convolved (work metric).
     pub pixels: u64,

@@ -13,10 +13,9 @@ use crate::field::SampledField;
 use hemelb_geometry::{SparseGeometry, Vec3};
 use hemelb_parallel::{CommResult, Communicator, Wire, WireReader, WireWriter};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Integration parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceConfig {
     /// RK4 step length (cells).
     pub h: f64,
@@ -208,7 +207,7 @@ impl Wire for WireParticle {
 }
 
 /// Statistics of one distributed trace (per rank).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceStats {
     /// Integration steps this rank computed (the work metric whose
     /// max/mean is Table I's "load balance" for line integrals).

@@ -11,10 +11,9 @@ use crate::field::SampledField;
 use crate::lines::{owner_of_point, rk4_step, WireParticle};
 use hemelb_geometry::{SparseGeometry, Vec3};
 use hemelb_parallel::{CommResult, Communicator};
-use serde::{Deserialize, Serialize};
 
 /// Per-rank statistics of an in situ particle run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ParticleStats {
     /// Advection updates this rank computed.
     pub updates: u64,

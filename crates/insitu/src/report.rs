@@ -35,11 +35,10 @@ use crate::volume::{render_brick, Brick};
 use hemelb_core::FieldSnapshot;
 use hemelb_geometry::{SparseGeometry, Vec3};
 use hemelb_parallel::{run_spmd_with_stats, CostModel, ProjectedCost, StatsSummary, TagClass};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Measured characteristics of one technique on one frame/run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TechniqueReport {
     /// Technique name as in the paper's Table I.
     pub technique: String,

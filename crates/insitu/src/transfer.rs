@@ -1,10 +1,9 @@
 //! Transfer functions: scalar → premultiplied RGBA.
 
 use hemelb_obs::Fnv1a;
-use serde::{Deserialize, Serialize};
 
 /// A piecewise-linear colour/opacity map over a scalar range.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransferFunction {
     /// Scalar value mapped to the first control point.
     pub lo: f64,

@@ -12,7 +12,6 @@ use crate::field::SampledField;
 use crate::lines::{exchange_particles, owner_of_point, rk4_step};
 use hemelb_geometry::{SparseGeometry, Vec3};
 use hemelb_parallel::{CommResult, Communicator, Wire, WireReader, WireWriter};
-use serde::{Deserialize, Serialize};
 
 /// A tracer particle of an unsteady line: which seed released it, and
 /// when.
@@ -42,7 +41,7 @@ impl Wire for StreakParticle {
 }
 
 /// Per-rank statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StreakStats {
     /// Advection updates computed by this rank.
     pub updates: u64,

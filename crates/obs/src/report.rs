@@ -72,34 +72,6 @@ impl ObsReport {
         }
     }
 
-    /// Fold `other` into `self` with every phase and counter renamed to
-    /// `{prefix}.{name}` — the cross-*job* roll-up: a farm merges each
-    /// job's (already rank-merged) report under a per-job or per-tenant
-    /// namespace so one aggregate report keeps the jobs tellable apart.
-    /// Same-name entries from repeated calls with the same prefix
-    /// accumulate, so a tenant's jobs fold into one set of rows.
-    pub fn merge_prefixed(&mut self, prefix: &str, other: &ObsReport) {
-        self.rank = None;
-        self.timeline.clear();
-        self.dropped_events += other.dropped_events;
-        for (name, p) in &other.phases {
-            let key = format!("{prefix}.{name}");
-            match self.phases.get_mut(&key) {
-                Some(mine) => {
-                    mine.calls += p.calls;
-                    mine.total_secs += p.total_secs;
-                    mine.hist.merge(&p.hist);
-                }
-                None => {
-                    self.phases.insert(key, p.clone());
-                }
-            }
-        }
-        for (name, &n) in &other.counters {
-            *self.counters.entry(format!("{prefix}.{name}")).or_insert(0) += n;
-        }
-    }
-
     /// Merge a sequence of per-rank reports into one aggregate.
     pub fn merged(reports: &[ObsReport]) -> ObsReport {
         let mut out = ObsReport::default();
@@ -309,26 +281,6 @@ mod tests {
         assert!(m.timeline.is_empty(), "aggregate keeps no timeline");
         let delta = (m.phases["stream"].total_secs - 2.0 * a.phases["stream"].total_secs).abs();
         assert!(delta < 1e-12);
-    }
-
-    #[test]
-    fn merge_prefixed_namespaces_and_accumulates() {
-        let a = sample_report();
-        let mut roll = ObsReport::default();
-        roll.merge_prefixed("tenant.icu", &a);
-        roll.merge_prefixed("tenant.icu", &a);
-        roll.merge_prefixed("tenant.lab", &a);
-        assert_eq!(
-            roll.phases["tenant.icu.collide"].calls,
-            2 * a.phases["collide"].calls
-        );
-        assert_eq!(
-            roll.phases["tenant.lab.collide"].calls,
-            a.phases["collide"].calls
-        );
-        assert_eq!(roll.counters["tenant.icu.steps"], 400);
-        assert!(roll.phases.keys().all(|k| k.starts_with("tenant.")));
-        assert!(roll.timeline.is_empty());
     }
 
     #[test]

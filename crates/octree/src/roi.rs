@@ -5,10 +5,9 @@
 //! coarse *context* everywhere, fine *detail* inside the user's box.
 
 use crate::tree::{FieldOctree, OctreeNode, NONE};
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned region of interest in lattice cells.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Roi {
     /// Minimum corner (inclusive).
     pub lo: [u32; 3],

@@ -8,10 +8,9 @@
 //! first and detail later.
 
 use crate::tree::{FieldOctree, OctreeNode, NONE};
-use serde::{Deserialize, Serialize};
 
 /// One streamed node record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamEntry {
     /// Index into [`FieldOctree::nodes`].
     pub node: u32,
@@ -23,7 +22,7 @@ pub struct StreamEntry {
 }
 
 /// The full streaming order of a tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StreamOrder {
     entries: Vec<StreamEntry>,
     /// First entry index of each level (for prefix arithmetic).

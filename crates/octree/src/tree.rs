@@ -1,10 +1,9 @@
 //! The field octree: construction, aggregates and level cuts.
 
 use hemelb_geometry::SparseGeometry;
-use serde::{Deserialize, Serialize};
 
 /// Conservative aggregates a node carries about the field beneath it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Aggregates {
     /// Fluid sites beneath this node.
     pub count: u32,
@@ -47,7 +46,7 @@ impl Aggregates {
 }
 
 /// One octree node over a cubic region `[origin, origin + size)³`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OctreeNode {
     /// Minimum corner in lattice cells.
     pub origin: [u32; 3],
@@ -77,7 +76,7 @@ impl OctreeNode {
 /// An octree over the fluid sites of a sparse geometry, aggregating one
 /// scalar field (callers build one per field, or re-aggregate in place
 /// with [`FieldOctree::refresh`] as the simulation advances).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FieldOctree {
     nodes: Vec<OctreeNode>,
     root: u32,

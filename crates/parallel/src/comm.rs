@@ -1,6 +1,6 @@
 //! Ranks, worlds and point-to-point messaging.
 //!
-//! A [`World`] owns the mailboxes of `P` ranks; each rank holds one
+//! A world is the mailboxes of `P` ranks; each rank holds one
 //! [`Communicator`] (its MPI-communicator analogue) through which it sends
 //! and receives tagged byte payloads. Semantics mirror MPI:
 //!
@@ -43,27 +43,17 @@ struct Envelope {
     seq: u64,
 }
 
-/// Factory for a set of connected [`Communicator`]s.
-///
-/// Usually constructed indirectly through [`run_spmd`](crate::run_spmd);
-/// exposed for callers that manage their own threads (e.g. the steering
-/// server embeds rank 0 in the simulation driver thread).
-#[derive(Debug)]
-pub struct World;
+/// Factory for a set of connected [`Communicator`]s; the SPMD runner
+/// ([`run_spmd`](crate::run_spmd) and its variants) is its only caller.
+pub(crate) struct World;
 
 impl World {
-    /// Create `size` connected communicators, one per rank.
+    /// Create `size` connected communicators, one per rank, with an
+    /// optional shared fault session every communicator consults.
     ///
     /// # Panics
     /// Panics if `size == 0`.
-    pub fn communicators(size: usize) -> Vec<Communicator> {
-        Self::communicators_faulty(size, None)
-    }
-
-    /// Like [`World::communicators`], with an optional shared fault
-    /// session every communicator consults (the SPMD runner's entry
-    /// point for fault-injected worlds).
-    pub(crate) fn communicators_faulty(
+    pub(crate) fn communicators(
         size: usize,
         fault: Option<Arc<FaultSession>>,
     ) -> Vec<Communicator> {
@@ -214,10 +204,7 @@ impl Communicator {
         if fs.advance(self.rank, step) {
             self.with_obs(|o| o.count("fault.injected.kill", 1));
             self.abort_world();
-            std::panic::panic_any(RankKilled {
-                rank: self.rank,
-                step,
-            });
+            std::panic::panic_any(RankKilled);
         }
     }
 

@@ -19,12 +19,10 @@
 //! — exactly the regime in which the paper argues data movement becomes
 //! the dominant cost.
 
-use serde::{Deserialize, Serialize};
-
 pub mod calibrate;
 
 /// Machine presets for cost projection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MachineModel {
     /// Cray XE6 / Gemini-class interconnect (c. 2012, HECToR): α ≈ 1.5 µs,
     /// β ≈ 5 GB/s per link, γ ≈ 10 Gflop/s per core.
@@ -37,7 +35,7 @@ pub enum MachineModel {
 }
 
 /// Linear cost model `T = α·msgs + bytes/β + flops/γ`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Per-message latency, seconds.
     pub alpha: f64,
@@ -83,7 +81,7 @@ impl CostModel {
 }
 
 /// A decomposed projected time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProjectedCost {
     /// α-term: message-count-dominated latency.
     pub latency_s: f64,

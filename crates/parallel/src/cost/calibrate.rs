@@ -33,10 +33,9 @@
 
 use super::CostModel;
 use hemelb_obs::{ObsReport, Recorder};
-use serde::{Deserialize, Serialize};
 
 /// One calibration observation: exact counts against a measured time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalSample {
     /// Messages sent/received during the measured interval.
     pub msgs: u64,
@@ -49,7 +48,7 @@ pub struct CalSample {
 }
 
 /// Why a fit could not be produced.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CalibrationError {
     /// Fewer usable samples than free coefficients.
     TooFewSamples {
@@ -81,7 +80,7 @@ impl std::fmt::Display for CalibrationError {
 impl std::error::Error for CalibrationError {}
 
 /// A fitted cost model that carries its own fit quality.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CalibratedModel {
     /// The fitted α–β–γ model. A term whose coefficient the
     /// non-negativity constraint forced to zero appears as `alpha == 0`

@@ -274,46 +274,29 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Panic payload of the victim rank of a [`FaultKind::KillRank`] fault.
-/// Recognised (and silenced) by the SPMD runner's restart machinery.
+/// Panic payload of the victim rank of a [`FaultKind::KillRank`] fault
+/// (who died, and when, is in the session's kill record).
 #[derive(Debug, Clone, Copy)]
-pub struct RankKilled {
-    /// The killed rank.
-    pub rank: usize,
-    /// The fault-clock step at which it died.
-    pub step: u64,
-}
+pub(crate) struct RankKilled;
 
 /// Panic payload of surviving ranks when another rank's death (an
 /// injected kill or a genuine panic) aborts the world.
 #[derive(Debug, Clone, Copy)]
-pub struct WorldAborted;
-
-/// Panic payload for a *deliberately* injected job-level failure — the
-/// chaos hook a job scheduler (see `hemelb-farm`) uses to exercise its
-/// retry/backoff path. Like [`RankKilled`], these panics are scheduled,
-/// not bugs, so the quiet hook keeps them off stderr; the scheduler
-/// catches them at the job boundary and retries or marks the job
-/// failed.
-#[derive(Debug, Clone)]
-pub struct InjectedJobFault(pub String);
+pub(crate) struct WorldAborted;
 
 static QUIET_HOOK: Once = Once::new();
 
 /// Install (once per process) a panic hook that silences the expected
-/// [`RankKilled`] / [`WorldAborted`] / [`InjectedJobFault`] payloads
-/// and forwards everything else to the previously installed hook.
-/// Injected kills are part of the plan, not bugs; they should not spray
-/// backtraces over test output. The SPMD runner installs it before any
-/// world that can kill ranks; schedulers that inject job-level faults
-/// call it themselves.
-pub fn install_quiet_panic_hook() {
+/// [`RankKilled`] / [`WorldAborted`] payloads and forwards everything
+/// else to the previously installed hook. Injected kills are part of
+/// the plan, not bugs; they should not spray backtraces over test
+/// output. The SPMD runner installs it before any world that can kill
+/// ranks.
+pub(crate) fn install_quiet_panic_hook() {
     QUIET_HOOK.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let expected = info.payload().is::<RankKilled>()
-                || info.payload().is::<WorldAborted>()
-                || info.payload().is::<InjectedJobFault>();
+            let expected = info.payload().is::<RankKilled>() || info.payload().is::<WorldAborted>();
             if !expected {
                 prev(info);
             }

@@ -50,14 +50,11 @@ pub mod stats;
 pub mod tag;
 pub mod wire;
 
-pub use comm::{Communicator, World};
+pub use comm::Communicator;
 pub use cost::calibrate::{fit as calibrate_fit, CalSample, CalibratedModel, CalibrationError};
 pub use cost::{CostModel, MachineModel, ProjectedCost};
 pub use error::{CommError, CommResult};
-pub use fault::{
-    install_quiet_panic_hook, FaultEvent, FaultKind, FaultPlan, InjectedJobFault, RankKilled,
-    WorldAborted,
-};
+pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use runner::{run_spmd, run_spmd_opts, run_spmd_with_stats, SpmdOptions, SpmdOutput};
 pub use stats::{CommStats, FaultStat, StatsSummary, TagClass};
 pub use tag::Tag;

@@ -89,18 +89,6 @@ impl SpmdOptions {
             ..Default::default()
         }
     }
-
-    /// Options for one scheduled job: `threads` rayon workers per rank
-    /// and an optional per-job fault schedule. Worlds built from
-    /// different jobs share nothing — each `run_spmd_opts` call gets its
-    /// own fault session, so a plan (or a kill-triggered restart) in one
-    /// job cannot perturb a concurrently running neighbour.
-    pub fn for_job(threads: usize, plan: Option<FaultPlan>) -> Self {
-        SpmdOptions {
-            threads_per_rank: threads.max(1),
-            fault_plan: plan.map(Arc::new),
-        }
-    }
 }
 
 /// Like [`run_spmd`] but also returns communication statistics — the
@@ -189,7 +177,7 @@ where
     T: Send,
     F: Fn(&Communicator) -> T + Send + Sync,
 {
-    let comms = World::communicators_faulty(size, session.clone());
+    let comms = World::communicators(size, session.clone());
     let mut triples: Vec<(T, CommStats, ObsReport)> = Vec::with_capacity(size);
     let mut first_panic: Option<(usize, String)> = None;
     thread::scope(|scope| {

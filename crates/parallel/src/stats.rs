@@ -7,11 +7,10 @@
 //! which is the measured stand-in for the paper's qualitative
 //! "communication cost" column.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Traffic classes, one per co-design subsystem (derived from tag ranges).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TagClass {
     /// Collective-internal traffic (barriers, reductions, ...).
     Collective,
@@ -78,7 +77,7 @@ impl TagClass {
 /// fault-injection layer (`hemelb_parallel::fault`). `Dedup` counts
 /// receiver-side drops of duplicated messages — the proof that a
 /// duplicate was both injected and absorbed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultStat {
     /// A send was delayed.
     Delay,
@@ -131,7 +130,7 @@ impl FaultStat {
 /// spent in `send` (`send_secs`), the complement the observability
 /// layer needs to turn Table I's "communication cost" from a volume
 /// column into a latency budget.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CommStats {
     msgs: [u64; 8],
     bytes: [u64; 8],
@@ -143,16 +142,13 @@ pub struct CommStats {
     /// Number of repartitions (adaptive or steered) this rank took part
     /// in. Migration *traffic* is under [`TagClass::Migration`]; this
     /// counts the events themselves.
-    #[serde(default)]
     pub rebalances: u64,
     /// Wall seconds of useful compute performed *under* in-flight halo
     /// messages (the interior collide+stream of an overlapped LB step).
-    #[serde(default)]
     overlap_compute: f64,
     /// Wall seconds still blocked on halo receives *after* the
     /// overlapped compute finished — the residual latency the overlap
     /// failed to hide.
-    #[serde(default)]
     overlap_residual: f64,
 }
 
@@ -338,7 +334,7 @@ impl CommStats {
 }
 
 /// Aggregate view over the per-rank [`CommStats`] of one SPMD run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StatsSummary {
     /// Number of ranks that contributed.
     pub ranks: usize,

@@ -7,11 +7,9 @@
 //! column). Attribution is carried by [`TagClass`](crate::stats::TagClass),
 //! derived from the tag's numeric range.
 
-use serde::{Deserialize, Serialize};
-
 /// A message tag. The numeric space is partitioned into ranges, one per
 /// subsystem; see [`Tag::class`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Tag(pub u32);
 
 impl Tag {

@@ -107,14 +107,6 @@ impl WireWriter {
         }
     }
 
-    /// Append a length-prefixed `u32` slice.
-    pub fn put_u32_slice(&mut self, v: &[u32]) {
-        self.put_usize(v.len());
-        for &x in v {
-            self.buf.put_u32_le(x);
-        }
-    }
-
     /// Append a length-prefixed raw byte slice.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_usize(v.len());
@@ -267,16 +259,6 @@ impl WireReader {
             *v = f64::from_le_bytes(ch.try_into().expect("8-byte chunk"));
         }
         Ok(())
-    }
-
-    /// Read a length-prefixed `u32` vector.
-    pub fn get_u32_vec(&mut self) -> CommResult<Vec<u32>> {
-        let n = self.get_checked_len(4, "u32 slice")?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.buf.get_u32_le());
-        }
-        Ok(out)
     }
 
     /// Read a length-prefixed raw byte vector.
@@ -472,11 +454,9 @@ mod tests {
     fn slices_round_trip() {
         let mut w = WireWriter::new();
         w.put_f64_slice(&[1.0, 2.0, 3.0]);
-        w.put_u32_slice(&[9, 8]);
         w.put_bytes(b"xyz");
         let mut r = WireReader::new(w.finish());
         assert_eq!(r.get_f64_vec().unwrap(), vec![1.0, 2.0, 3.0]);
-        assert_eq!(r.get_u32_vec().unwrap(), vec![9, 8]);
         assert_eq!(&r.get_bytes().unwrap()[..], b"xyz");
         r.expect_end().unwrap();
     }
@@ -539,7 +519,7 @@ mod tests {
         let mut w = WireWriter::new();
         w.put_u64(u64::MAX);
         let mut r = WireReader::new(w.finish());
-        assert!(r.get_u32_vec().is_err());
+        assert!(r.get_f64_vec().is_err());
     }
 
     #[test]

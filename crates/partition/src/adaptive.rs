@@ -32,10 +32,9 @@ use crate::error::{PartitionError, PartitionResult};
 use crate::graph::SiteGraph;
 use crate::metrics::imbalance_of;
 use crate::visaware::{rebalance, RebalanceOutcome};
-use serde::{Deserialize, Serialize};
 
 /// Knobs of the adaptive load balancer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveLbConfig {
     /// Decision window length in simulation steps.
     pub window_steps: u64,
@@ -73,7 +72,7 @@ impl Default for AdaptiveLbConfig {
 /// (collide, stream, halo pack, macroscopics) — halo-*wait* time is
 /// idleness **caused by** imbalance and would invert the signal if
 /// included.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowCosts {
     /// Seconds of simulation work per rank.
     pub sim_secs: Vec<f64>,
@@ -102,7 +101,7 @@ impl WindowCosts {
 }
 
 /// What [`AdaptiveLb::observe`] concluded about one window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Observation {
     /// Index of the observed window (0-based).
     pub window: u64,
@@ -272,7 +271,7 @@ pub fn plan_rebalance(
 }
 
 /// The cost/benefit decision on a planned rebalance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GateDecision {
     /// Projected seconds saved per step if the plan is applied.
     pub benefit_per_step: f64,

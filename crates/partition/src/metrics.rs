@@ -6,10 +6,9 @@
 //! counts (message counts).
 
 use crate::graph::SiteGraph;
-use serde::{Deserialize, Serialize};
 
 /// Quality summary of a k-way partition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionQuality {
     /// Parts.
     pub k: usize,

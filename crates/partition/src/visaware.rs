@@ -14,10 +14,9 @@
 use crate::error::{PartitionError, PartitionResult};
 use crate::graph::SiteGraph;
 use crate::metrics::quality;
-use serde::{Deserialize, Serialize};
 
 /// Result of a multi-constraint rebalance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RebalanceOutcome {
     /// The new owner map.
     pub owner: Vec<usize>,

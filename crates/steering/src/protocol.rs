@@ -6,7 +6,6 @@
 //! little-endian wire layer the substrate uses.
 
 use hemelb_parallel::{CommError, CommResult, Wire, WireReader, WireWriter};
-use serde::{Deserialize, Serialize};
 
 /// The one frame-length ceiling every steering endpoint enforces, in
 /// both directions. The TCP framing refuses to *read* a longer frame
@@ -32,7 +31,7 @@ pub fn check_frame_len(len: usize) -> CommResult<()> {
 }
 
 /// Which field the in situ renderer displays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FieldChoice {
     /// Pressure/density.
     Density,
@@ -67,7 +66,7 @@ impl FieldChoice {
 /// of hydrodynamic observables from a user-defined subset of the
 /// simulation volume", plus parameter modification for closing the
 /// loop).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SteeringCommand {
     /// Move the camera (eye, target, up as `[x, y, z]`; vertical FOV in
     /// radians).
@@ -204,7 +203,7 @@ impl Wire for SteeringCommand {
 
 /// Status information returned to the client (paper §I: "consistency
 /// and validity checks, or estimates on the remaining runtime").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StatusReport {
     /// Completed simulation steps.
     pub step: u64,
@@ -267,7 +266,7 @@ impl Wire for StatusReport {
 }
 
 /// A rendered frame returned to the client (RGB, 8-bit).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ImageFrame {
     /// Simulation step the frame shows.
     pub step: u64,
@@ -325,7 +324,7 @@ impl Wire for ImageFrame {
 /// observers costs a fraction of the dense bytes. Lossless:
 /// `SparseImageFrame::from_dense` → [`SparseImageFrame::to_dense`] is
 /// bit-exact.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SparseImageFrame {
     /// Simulation step the frame shows.
     pub step: u64,
@@ -466,7 +465,7 @@ impl Wire for SparseImageFrame {
 
 /// Hydrodynamic observables over a site subset (the ROI, or the whole
 /// domain), computed in situ without shipping the fields.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObservableReport {
     /// Simulation step of the measurement.
     pub step: u64,

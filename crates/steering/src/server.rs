@@ -3,11 +3,10 @@
 //! [`crate::gateway::SessionGateway`].
 
 use crate::protocol::{FieldChoice, SteeringCommand};
-use serde::{Deserialize, Serialize};
 
 /// Steering-relevant state, replicated on every rank by broadcasting
 /// the command stream (so the whole SPMD job stays consistent).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SteeringState {
     /// Camera eye.
     pub eye: [f64; 3],

@@ -10,7 +10,6 @@
 //! paper-versus-measured record of every table and figure.
 
 pub use hemelb_core as core;
-pub use hemelb_farm as farm;
 pub use hemelb_geometry as geometry;
 pub use hemelb_insitu as insitu;
 pub use hemelb_obs as obs;

@@ -212,34 +212,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn isosurfaces_of_spheres_are_watertight(
-        cx in 6.0f64..14.0,
-        cy in 6.0f64..14.0,
-        cz in 6.0f64..14.0,
-        r in 2.0f64..5.0,
-    ) {
-        use hemelb::insitu::isosurface::marching_tetrahedra;
-        let dims = [20usize, 20, 20];
-        let mesh = marching_tetrahedra(dims, move |x, y, z| {
-            if x < 0 || y < 0 || z < 0
-                || x >= dims[0] as i64 || y >= dims[1] as i64 || z >= dims[2] as i64 {
-                return None;
-            }
-            let dx = x as f64 - cx;
-            let dy = y as f64 - cy;
-            let dz = z as f64 - cz;
-            Some((dx * dx + dy * dy + dz * dz).sqrt() - r)
-        }, 0.0);
-        prop_assert!(mesh.triangle_count() > 0);
-        // Sphere fully interior (margins guaranteed by the ranges above
-        // since centre ∈ [6,14] and r < 5 ⇒ surface within [1,19]).
-        prop_assert!(mesh.is_watertight());
-        // Area within 25% of the analytic value at this coarse grid.
-        let expect = 4.0 * std::f64::consts::PI * r * r;
-        prop_assert!((mesh.area() - expect).abs() / expect < 0.25);
-    }
-
-    #[test]
     fn steering_commands_round_trip(kind in 0u8..12, a in any::<f64>(), b in any::<u32>()) {
         use hemelb::steering::SteeringCommand;
         let cmd = steering_command(kind, a, b);
