@@ -4,8 +4,8 @@
 #   ./ci.sh --quick        # lint + tier1: format, clippy, release
 #                          #   build, root-package tests
 #   ./ci.sh                # + every crate's unit tests, determinism,
-#                          #   obs, render, fault-injection, gateway
-#                          #   and projection suites, the `reproduce`
+#                          #   obs, render, fault-injection and
+#                          #   projection suites, the `reproduce`
 #                          #   smokes, the repo benchmark's --quick
 #                          #   checks and the size report
 #   ./ci.sh --soak         # + long soaks: golden --ignored (500 steps,
@@ -28,7 +28,7 @@ cd "$(dirname "$0")"
 
 # The single source of truth for group names: the default tier runs
 # them in this order, and `--only` accepts exactly these (plus soak).
-CI_GROUPS_ALL=(lint tier1 units determinism overlap faults gateway projection smoke benchmark-quick loc)
+CI_GROUPS_ALL=(lint tier1 units determinism overlap faults projection smoke benchmark-quick loc)
 usage_groups() { (IFS='|'; echo "${CI_GROUPS_ALL[*]}|soak"); }
 
 TIER="full"
@@ -112,7 +112,7 @@ group_tier1() {
 }
 
 # Every crate's in-module unit tests (`tier1` runs only the umbrella
-# package's integration tests): the steering gateway and protocol
+# package's integration tests): the steering endpoint and protocol
 # cases, the solver, partitioner and transport suites, the experiment
 # modules of `hemelb-bench` and the `reproduce` dispatch table.
 group_units() {
@@ -143,18 +143,11 @@ group_overlap() {
 }
 
 # Fault injection: benign-fault transparency, kill/checkpoint replay,
-# degraded frames under a dead render rank, steering reconnect.
+# degraded frames under a dead render rank, steering reconnect; and the
+# steering loop over real sockets, where a client that stops reading is
+# thinned out, detached and replaced without stalling a step.
 group_faults() {
-    stage faults cargo test -q --test fault_injection
-}
-
-# Multi-client steering gateway: observer churn bit-exactness,
-# deterministic driver hand-off, the wedged-observer degradation
-# ladder, and the E17 load-test smoke (≥100 synthetic observers,
-# broadcast fan-out, cache hits) writing out/BENCH_gateway.json.
-group_gateway() {
-    stage gateway cargo test -q --test steering_gateway
-    smoke gateway --size tiny --ranks 2
+    stage faults cargo test -q --test fault_injection --test steering_tcp
 }
 
 # Calibrated α–β–γ cost model + 1k–32k rank projection: the fit and

@@ -15,8 +15,8 @@
 
 use hemelb_bench::workloads::Size;
 use hemelb_bench::{
-    ablation, adaptive, extract, faults, fig1, fig2, fig3, fig4, gateway, multires, preprocess,
-    projection, repartition, scaling, table1,
+    ablation, adaptive, extract, faults, fig1, fig2, fig3, fig4, multires, preprocess, projection,
+    repartition, scaling, table1,
 };
 
 struct Args {
@@ -125,21 +125,6 @@ const EXPERIMENTS: &[Experiment] = &[
         name: "adaptive",
         title: "E15: adaptive load balancing (measure -> plan -> gate -> migrate)",
         run: |a| println!("{}", adaptive::run(a.size, a.ranks.clamp(2, 8))),
-    },
-    Experiment {
-        name: "gateway",
-        title: "E17: steering gateway load test (fan-out + frame cache)",
-        run: |a| {
-            let (observers, frames) = match a.size {
-                Size::Tiny => (120, 5),
-                Size::Small => (200, 8),
-                Size::Medium => (400, 10),
-            };
-            println!(
-                "{}",
-                gateway::run(a.size, a.ranks.clamp(2, 8), observers, frames)
-            );
-        },
     },
     Experiment {
         name: "projection",

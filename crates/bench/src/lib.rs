@@ -18,7 +18,6 @@ pub mod fig1;
 pub mod fig2;
 pub mod fig3;
 pub mod fig4;
-pub mod gateway;
 pub mod multires;
 pub mod preprocess;
 pub mod projection;

@@ -39,7 +39,6 @@ pub mod layout;
 pub mod model;
 pub mod mrt;
 pub mod solver;
-pub mod units;
 
 pub use dist::DistSolver;
 pub use fields::FieldSnapshot;
@@ -47,7 +46,6 @@ pub use kernel::ParallelSolver;
 pub use layout::SitePartition;
 pub use model::LatticeModel;
 pub use solver::{Solver, SolverConfig};
-pub use units::UnitConverter;
 
 /// Speed of sound squared of the standard isothermal lattices, in lattice
 /// units (`cs² = 1/3`).

@@ -177,7 +177,8 @@ pub fn write_sgmy(geo: &SparseGeometry, block_size: usize, w: &mut impl Write) -
 /// it have been read: the iolet list grows as records arrive and the
 /// level-one table is read through a length-limited reader, so a header
 /// whose shape and block count merely agree cannot ask for more memory
-/// than the stream holds.
+/// than the stream holds. A level-one entry larger than a block has
+/// cells is rejected here, before anything is sized by it.
 pub fn read_header(r: &mut impl Read) -> io::Result<SgmyHeader> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
@@ -242,6 +243,13 @@ pub fn read_header(r: &mut impl Read) -> io::Result<SgmyHeader> {
         .chunks_exact(4)
         .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
         .collect();
+    let block_cells = (block_size * block_size * block_size) as u32;
+    if let Some(b) = fluid_per_block.iter().position(|&c| c > block_cells) {
+        return Err(bad(format!(
+            "block {b} claims {} fluid sites, a {block_size}^3 block holds {block_cells}",
+            fluid_per_block[b]
+        )));
+    }
     let sum: u64 = fluid_per_block.iter().map(|&c| c as u64).sum();
     if sum != fluid_total {
         return Err(bad(format!(
@@ -270,7 +278,10 @@ pub struct SiteRecord {
 }
 
 /// Decode the level-two records of blocks `block_range` from a reader
-/// positioned anywhere (seeks to the right offset itself).
+/// positioned anywhere (seeks to the right offset itself). The records
+/// are read through a length-limited reader, so what is allocated is
+/// what the stream holds, not what level one claims; a short stream is
+/// `UnexpectedEof`.
 pub fn read_block_sites<R: Read + Seek>(
     header: &SgmyHeader,
     r: &mut R,
@@ -281,9 +292,15 @@ pub fn read_block_sites<R: Read + Seek>(
         .iter()
         .map(|&c| c as u64)
         .sum();
+    let total_bytes = total_sites
+        .checked_mul(SITE_RECORD_BYTES)
+        .ok_or_else(|| bad("level-two size overflows"))?;
     r.seek(SeekFrom::Start(start))?;
-    let mut raw = vec![0u8; (total_sites * SITE_RECORD_BYTES) as usize];
-    r.read_exact(&mut raw)?;
+    let mut raw = Vec::new();
+    r.take(total_bytes).read_to_end(&mut raw)?;
+    if raw.len() as u64 != total_bytes {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
 
     let mut out = Vec::with_capacity(total_sites as usize);
     let mut cursor = 0usize;
@@ -315,14 +332,26 @@ pub fn read_block_sites<R: Read + Seek>(
 pub fn read_sgmy<R: Read + Seek>(r: &mut R) -> io::Result<SparseGeometry> {
     let header = read_header(r)?;
     let sites = read_block_sites(&header, r, 0..header.fluid_per_block.len())?;
-    Ok(assemble(&header, sites))
+    assemble(&header, sites)
 }
 
 /// Build a [`SparseGeometry`] from a header plus a full set of records
 /// (in any order).
-pub fn assemble(header: &SgmyHeader, sites: Vec<SiteRecord>) -> SparseGeometry {
+///
+/// # Errors
+/// A shape whose index grid cannot be addressed or allocated is an
+/// error, not a capacity panic.
+pub fn assemble(header: &SgmyHeader, sites: Vec<SiteRecord>) -> io::Result<SparseGeometry> {
     let shape = header.shape;
-    let mut index = vec![NOT_FLUID; shape[0] * shape[1] * shape[2]];
+    let cells = shape
+        .iter()
+        .try_fold(1usize, |n, &s| n.checked_mul(s))
+        .ok_or_else(|| bad(format!("lattice shape {shape:?} overflows")))?;
+    let mut index = Vec::new();
+    index
+        .try_reserve_exact(cells)
+        .map_err(|e| io::Error::new(io::ErrorKind::OutOfMemory, e))?;
+    index.resize(cells, NOT_FLUID);
     let mut positions = Vec::with_capacity(sites.len());
     let mut kinds = Vec::with_capacity(sites.len());
     for s in sites {
@@ -332,7 +361,13 @@ pub fn assemble(header: &SgmyHeader, sites: Vec<SiteRecord>) -> SparseGeometry {
         positions.push(s.position);
         kinds.push(s.kind);
     }
-    SparseGeometry::from_parts(shape, index, positions, kinds, header.iolets.clone())
+    Ok(SparseGeometry::from_parts(
+        shape,
+        index,
+        positions,
+        kinds,
+        header.iolets.clone(),
+    ))
 }
 
 #[cfg(test)]
@@ -459,6 +494,46 @@ mod tests {
                 "edge 2^{log2_edge}: {err:?}"
             );
         }
+    }
+
+    /// A level-one entry is four bytes and used to size the level-two
+    /// read: no entry may exceed its block, a table the stream does not
+    /// back is a short read, and a shape nothing can index is an error.
+    #[test]
+    fn hostile_level_one_entry_is_an_error_not_an_allocation() {
+        let header_bytes = |shape: [u64; 3], block_size: u64, per_block: &[u32]| {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(MAGIC);
+            put_u32(&mut buf, VERSION).unwrap();
+            let total = per_block.iter().map(|&c| c as u64).sum();
+            for v in [shape[0], shape[1], shape[2], block_size, total, 0] {
+                put_u64(&mut buf, v).unwrap();
+            }
+            put_u64(&mut buf, per_block.len() as u64).unwrap();
+            for &c in per_block {
+                put_u32(&mut buf, c).unwrap();
+            }
+            buf
+        };
+        // One 8^3 block claiming 2^32 - 1 sites (a ~25 GB level two).
+        let buf = header_bytes([8, 8, 8], 8, &[u32::MAX]);
+        let err = read_header(&mut Cursor::new(buf)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err:?}");
+        // Sixteen full 255^3 blocks (1.6 GB of records) and no level two.
+        let buf = header_bytes([255 * 16, 255, 255], 255, &[255 * 255 * 255; 16]);
+        let err = read_sgmy(&mut Cursor::new(buf)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err:?}");
+        // A shape whose cell count does not fit a usize.
+        let header = SgmyHeader {
+            shape: [usize::MAX, 2, 2],
+            block_size: 8,
+            fluid_total: 0,
+            iolets: vec![],
+            fluid_per_block: vec![],
+            data_offset: 0,
+        };
+        let err = assemble(&header, vec![]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err:?}");
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! projection for the line renderer.
 
 use hemelb_geometry::Vec3;
-use hemelb_obs::Fnv1a;
 use std::ops::Range;
 
 /// A look-at pinhole camera.
@@ -74,23 +73,6 @@ impl Camera {
     /// [`Camera::ray_generator`] once instead.
     pub fn ray(&self, px: u32, py: u32) -> (Vec3, Vec3) {
         self.ray_generator().ray(px, py)
-    }
-
-    /// FNV-1a hash over the exact bit patterns of every camera
-    /// parameter. Two cameras hash equal iff they produce identical
-    /// rays, so the steering gateway can key its rendered-frame cache
-    /// on this without ever comparing floats for "closeness".
-    pub fn content_hash(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        for v in [self.eye, self.target, self.up] {
-            h.u64(v.x.to_bits());
-            h.u64(v.y.to_bits());
-            h.u64(v.z.to_bits());
-        }
-        h.u64(self.fov_y.to_bits());
-        h.u64(self.width as u64);
-        h.u64(self.height as u64);
-        h.finish()
     }
 
     /// Project a world point to pixel coordinates and view depth.
@@ -364,18 +346,6 @@ mod tests {
         assert_eq!(gen.box_pixel_bounds(cam.eye - r, cam.eye + r), whole);
         let behind = cam.eye - gen.forward() * 5.0;
         assert_eq!(gen.box_pixel_bounds(behind - r, cam.target + r), whole);
-    }
-
-    #[test]
-    fn content_hash_separates_views_and_is_stable() {
-        let cam = demo_cam();
-        assert_eq!(cam.content_hash(), demo_cam().content_hash());
-        let mut moved = cam;
-        moved.eye.x += 1e-12; // even sub-visual nudges are a new view
-        assert_ne!(cam.content_hash(), moved.content_hash());
-        let mut resized = cam;
-        resized.width += 1;
-        assert_ne!(cam.content_hash(), resized.content_hash());
     }
 
     #[test]

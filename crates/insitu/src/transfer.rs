@@ -1,7 +1,5 @@
 //! Transfer functions: scalar → premultiplied RGBA.
 
-use hemelb_obs::Fnv1a;
-
 /// A piecewise-linear colour/opacity map over a scalar range.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransferFunction {
@@ -39,26 +37,6 @@ impl TransferFunction {
             stops: vec![[0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]],
             opacity_scale: 1.0,
         }
-    }
-
-    /// FNV-1a hash of the transfer-function *family*: the control
-    /// points and opacity scale, excluding the scalar range `lo`/`hi`.
-    /// The closed loop derives the range deterministically from the
-    /// displayed data (a global min/max reduction over the step, field
-    /// and ROI), so a frame-cache key built from `(step, field, ROI,
-    /// family)` already pins the range — hashing `lo`/`hi` here would
-    /// force the reduction to run before the cache can be consulted,
-    /// defeating the point of a hit.
-    pub fn family_hash(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.u64(self.stops.len() as u64);
-        for stop in &self.stops {
-            for c in stop {
-                h.u64(c.to_bits() as u64);
-            }
-        }
-        h.u64(self.opacity_scale.to_bits() as u64);
-        h.finish()
     }
 
     /// Classify a scalar: straight RGB and opacity in `[0, 1]`.
@@ -218,24 +196,5 @@ mod tests {
             ..TransferFunction::grey(0.0, 1.0)
         };
         assert!(clear.zero_opacity_over(-5.0, 5.0));
-    }
-
-    #[test]
-    fn family_hash_ignores_range_but_not_stops() {
-        // Same family, different data-derived range: one cache family.
-        assert_eq!(
-            TransferFunction::heat(0.0, 1.0).family_hash(),
-            TransferFunction::heat(-3.0, 42.0).family_hash()
-        );
-        assert_ne!(
-            TransferFunction::heat(0.0, 1.0).family_hash(),
-            TransferFunction::grey(0.0, 1.0).family_hash()
-        );
-        let mut scaled = TransferFunction::heat(0.0, 1.0);
-        scaled.opacity_scale = 2.0;
-        assert_ne!(
-            TransferFunction::heat(0.0, 1.0).family_hash(),
-            scaled.family_hash()
-        );
     }
 }

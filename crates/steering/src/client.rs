@@ -191,23 +191,11 @@ impl SteeringClient {
         })
     }
 
-    /// Expand the gateway's run-length-encoded frames transparently:
-    /// callers always see dense [`ServerMessage::Image`]s, whichever
-    /// wire form the server chose.
-    fn densify(msg: ServerMessage) -> ServerMessage {
-        match msg {
-            ServerMessage::ImageSparse(s) => ServerMessage::Image(s.to_dense()),
-            other => other,
-        }
-    }
-
     /// Blocking receive of the next server message.
     pub fn recv(&self) -> SteeringResult<ServerMessage> {
         self.once(|t| {
             let frame = t.recv_frame()?;
-            ServerMessage::from_bytes(frame)
-                .map(Self::densify)
-                .map_err(|e| SteeringError::Protocol(e.to_string()))
+            ServerMessage::from_bytes(frame).map_err(|e| SteeringError::Protocol(e.to_string()))
         })
     }
 
@@ -216,7 +204,7 @@ impl SteeringClient {
         self.once(|t| match t.try_recv_frame()? {
             None => Ok(None),
             Some(frame) => ServerMessage::from_bytes(frame)
-                .map(|m| Some(Self::densify(m)))
+                .map(Some)
                 .map_err(|e| SteeringError::Protocol(e.to_string())),
         })
     }
@@ -228,8 +216,6 @@ impl SteeringClient {
         loop {
             match self.recv()? {
                 ServerMessage::Image(img) => return Ok((img, statuses)),
-                // recv() densifies, but stay exhaustive for safety.
-                ServerMessage::ImageSparse(s) => return Ok((s.to_dense(), statuses)),
                 ServerMessage::Status(s) => statuses.push(s),
                 ServerMessage::Observables(_) => {}
             }
@@ -344,30 +330,6 @@ mod tests {
         let (got_img, statuses) = client.wait_for_image().unwrap();
         assert_eq!(got_img, img);
         assert_eq!(statuses, vec![status]);
-    }
-
-    #[test]
-    fn sparse_frames_arrive_as_dense_images() {
-        use crate::protocol::SparseImageFrame;
-        let (client_end, server_end) = duplex_pair();
-        let client = SteeringClient::new(Box::new(client_end));
-        let mut img = ImageFrame {
-            step: 9,
-            width: 4,
-            height: 2,
-            rgb: vec![0; 24],
-        };
-        img.rgb[3..6].copy_from_slice(&[10, 20, 30]);
-        img.rgb[21..24].copy_from_slice(&[1, 2, 3]);
-        let sparse = SparseImageFrame::from_dense(&img, [0, 0, 0]);
-        server_end
-            .send_frame(ServerMessage::ImageSparse(sparse).to_bytes())
-            .unwrap();
-        // The client never sees the sparse form.
-        match client.recv().unwrap() {
-            ServerMessage::Image(got) => assert_eq!(got, img),
-            other => panic!("expected a dense image, got {other:?}"),
-        }
     }
 
     #[test]

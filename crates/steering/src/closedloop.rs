@@ -2,9 +2,8 @@
 //! situ post-processing → steering → simulation …
 //!
 //! [`run_closed_loop`] is the SPMD driver that couples a
-//! [`DistSolver`] with the in situ renderer and the master's steering
-//! endpoint, the [`SessionGateway`].
-//! Every cycle it
+//! [`DistSolver`] with the in situ renderer and the master's one-seat
+//! steering endpoint (`server::SteeringEndpoint`). Every cycle it
 //!
 //! 1. drains client commands at the master and **broadcasts** them, so
 //!    every rank applies the identical command stream (steps 3–4 of the
@@ -19,15 +18,12 @@
 
 use crate::adaptive::AdaptiveDriver;
 use crate::error::{SteeringError, SteeringResult};
-use crate::gateway::{CacheLookup, FrameCache, FrameKey, GatewayConfig, SessionGateway};
-use crate::protocol::{
-    FieldChoice, ImageFrame, ServerMessage, SparseImageFrame, StatusReport, SteeringCommand,
-};
-use crate::server::SteeringState;
+use crate::protocol::{FieldChoice, ImageFrame, ServerMessage, StatusReport, SteeringCommand};
+use crate::server::{SteeringEndpoint, SteeringState};
 use crate::transport::{Acceptor, Transport};
 use bytes::Bytes;
 use hemelb_core::boundary::IoletBc;
-use hemelb_core::{DistSolver, FieldSnapshot, SolverConfig};
+use hemelb_core::{DistSolver, SolverConfig};
 use hemelb_geometry::{SparseGeometry, Vec3};
 use hemelb_insitu::camera::Camera;
 use hemelb_insitu::compositing::{binary_swap, DeadlineCompositor};
@@ -62,16 +58,6 @@ pub struct ClosedLoopConfig {
     /// [`SteeringCommand::SetAdaptiveLb`]; the config default applies
     /// until the first such command.
     pub adaptive_lb: Option<AdaptiveLbConfig>,
-    /// Limits, frame encoding and frame-cache size of the master's
-    /// [`SessionGateway`]. `None` is one constant: dense frames, no
-    /// frame cache, default limits — what a lone client has always
-    /// been sent.
-    pub gateway: Option<GatewayConfig>,
-    /// Gather the final fields to the master at the end of the run
-    /// (collective). `ClosedLoopOutcome::final_fields` is then `Some`
-    /// on the master — the bit-exactness hook for the gateway churn
-    /// tests.
-    pub gather_final_fields: bool,
 }
 
 impl Default for ClosedLoopConfig {
@@ -83,8 +69,6 @@ impl Default for ClosedLoopConfig {
             steps_per_cycle: 10,
             frame_deadline: None,
             adaptive_lb: None,
-            gateway: None,
-            gather_final_fields: false,
         }
     }
 }
@@ -109,21 +93,6 @@ pub struct ClosedLoopOutcome {
     /// Frames shipped with at least one rank's contribution missing
     /// because it blew the compositing deadline (master rank only).
     pub frames_degraded: u64,
-    /// Due frames served from the rendered-frame cache instead of a
-    /// fresh render (identical on every rank).
-    pub frames_from_cache: u64,
-    /// Frame-cache hits (identical on every rank — the key cache is
-    /// replicated).
-    pub cache_hits: u64,
-    /// Frame-cache misses.
-    pub cache_misses: u64,
-    /// Frame-cache evictions.
-    pub cache_evictions: u64,
-    /// Most concurrent sessions observed (master rank only, else 0).
-    pub sessions_peak: u64,
-    /// Final fields gathered to the master when
-    /// `ClosedLoopConfig::gather_final_fields` is set (master only).
-    pub final_fields: Option<FieldSnapshot>,
 }
 
 /// Run the closed loop collectively. Rank 0 must pass the server-side
@@ -176,27 +145,9 @@ pub fn run_closed_loop_opts(
             comm.size()
         )));
     }
-    let gateway_cfg = cfg.gateway.clone().unwrap_or_else(|| GatewayConfig {
-        frame_cache_entries: 0,
-        sparse_frames: false,
-        ..Default::default()
-    });
-    let sparse_frames = gateway_cfg.sparse_frames;
-    // Every rank keeps an identical *key* cache built from replicated
-    // state (the master additionally stores the encoded payload), so all
-    // ranks agree on hit vs miss without communicating — on a hit they
-    // all skip the same render/composite collectives. Deadline
-    // compositing can degrade a frame non-deterministically, so the
-    // cache is bypassed whenever a frame deadline is configured:
-    // replaying a degraded frame forever would be worse than
-    // re-rendering.
-    let cache_entries = match cfg.frame_deadline {
-        None => gateway_cfg.frame_cache_entries,
-        Some(_) => 0,
-    };
-    let gateway = comm
+    let endpoint = comm
         .is_master()
-        .then(|| SessionGateway::new(transport, acceptor, gateway_cfg));
+        .then(|| SteeringEndpoint::new(transport, acceptor));
     let mut state = SteeringState::new(geo.shape());
     state.vis_rate = cfg.initial_vis_rate.max(1);
 
@@ -216,12 +167,6 @@ pub fn run_closed_loop_opts(
         repartitions: 0,
         sites_migrated: 0,
         frames_degraded: 0,
-        frames_from_cache: 0,
-        cache_hits: 0,
-        cache_misses: 0,
-        cache_evictions: 0,
-        sessions_peak: 0,
-        final_fields: None,
     };
     let mut last_frame_step = 0u64;
     let mut prev_speed: Option<Vec<f64>> = None;
@@ -229,19 +174,16 @@ pub fn run_closed_loop_opts(
     let mut adaptive = cfg.adaptive_lb.map(|c| AdaptiveDriver::new(&geo, c));
     let mut window_steps_done = 0u64;
 
-    let mut frame_cache = FrameCache::new(cache_entries);
-    let tf_family_hash = TransferFunction::heat(0.0, 1.0).family_hash();
-
     loop {
         // Step 3–4 of the paper's loop: client → master → all ranks.
         // The cycle broadcast carries the attachment flag alongside the
         // commands, so every rank agrees on whether periodic frames are
         // worth rendering (a headless run has nobody to show them to).
-        let (commands, attached): (Vec<SteeringCommand>, bool) = if let Some(gw) = &gateway {
+        let (commands, attached): (Vec<SteeringCommand>, bool) = if let Some(ep) = &endpoint {
             let span = comm.with_obs(|o| o.begin());
-            let cmds = gw.poll_commands();
+            let cmds = ep.poll_commands();
             comm.with_obs(|o| span.end(o, "steer.poll"));
-            let attached = gw.session_count() > 0;
+            let attached = ep.attached();
             let span = comm.with_obs(|o| o.begin());
             let mut w = WireWriter::new();
             w.put_bool(attached);
@@ -337,9 +279,9 @@ pub fn run_closed_loop_opts(
             let sums =
                 comm.all_reduce_f64_vec(vec![sites as f64, sum_rho, sum_speed], |a, b| a + b)?;
             let maxes = comm.all_reduce_f64_vec(vec![max_speed, max_wss], f64::max)?;
-            if let Some(gw) = &gateway {
+            if let Some(ep) = &endpoint {
                 let n = sums[0].max(1.0);
-                gw.broadcast_observables(crate::protocol::ObservableReport {
+                ep.send_observables(crate::protocol::ObservableReport {
                     step: outcome.steps_done,
                     sites: sums[0] as u64,
                     mean_density: sums[1] / n,
@@ -372,149 +314,78 @@ pub fn run_closed_loop_opts(
                 width: cfg.image.0,
                 height: cfg.image.1,
             };
-            // The frame key is a pure function of replicated steering
-            // state, so every rank computes the same key and the same
-            // hit/miss verdict without communicating. The data-derived
-            // transfer range is NOT in the key — it is itself a pure
-            // function of (step, field, ROI), which the key pins.
-            let field_tag = match state.field {
-                FieldChoice::Density => 0u8,
-                FieldChoice::Speed => 1,
-                FieldChoice::Shear => 2,
-            };
-            let key = FrameKey::new(
-                outcome.steps_done,
-                cam.content_hash(),
-                state.roi,
-                field_tag,
-                tf_family_hash,
-            );
-            let lookup = if cache_entries > 0 {
-                frame_cache.lookup(key)
-            } else {
-                CacheLookup::Miss
-            };
-
             // Every site's speed: the status monitors below want it on
             // every due frame, and it is the field most often drawn.
             let speeds: Vec<f64> = (0..snap.len()).map(|i| snap.speed(i)).collect();
 
-            // What the master ships: the encoded image message.
-            let mut frame_bytes: Option<Bytes> = None;
-            let mut dropped_ranks = Vec::new();
-            match lookup {
-                CacheLookup::Hit(payload) => {
-                    // All ranks skip the same three collectives (range
-                    // reduce, render, composite); the master replays the
-                    // cached encode. One render, one encode, N sends.
-                    frame_bytes = payload;
-                    outcome.frames_from_cache += 1;
-                    comm.with_obs(|o| o.count("vis.cache.hit", 1));
-                }
-                CacheLookup::Miss => {
-                    if cache_entries > 0 {
-                        comm.with_obs(|o| o.count("vis.cache.miss", 1));
-                    }
-                    let displayed: &[f64] = match state.field {
-                        FieldChoice::Density => &snap.rho,
-                        FieldChoice::Speed => &speeds,
-                        FieldChoice::Shear => &snap.shear,
-                    };
-                    // ROI restriction, if any; without one the sites
-                    // and their values are rendered where they lie.
-                    let in_roi: Option<(Vec<[u32; 3]>, Vec<f64>)> = state.roi.map(|(lo, hi)| {
-                        local_positions
-                            .iter()
-                            .zip(displayed)
-                            .filter(|(p, _)| (0..3).all(|a| p[a] >= lo[a] && p[a] < hi[a]))
-                            .map(|(p, v)| (*p, *v))
-                            .unzip()
+            let displayed: &[f64] = match state.field {
+                FieldChoice::Density => &snap.rho,
+                FieldChoice::Speed => &speeds,
+                FieldChoice::Shear => &snap.shear,
+            };
+            // ROI restriction, if any; without one the sites and their
+            // values are rendered where they lie.
+            let in_roi: Option<(Vec<[u32; 3]>, Vec<f64>)> = state.roi.map(|(lo, hi)| {
+                local_positions
+                    .iter()
+                    .zip(displayed)
+                    .filter(|(p, _)| (0..3).all(|a| p[a] >= lo[a] && p[a] < hi[a]))
+                    .map(|(p, v)| (*p, *v))
+                    .unzip()
+            });
+            let (points, values): (&[[u32; 3]], &[f64]) = match &in_roi {
+                None => (&local_positions, displayed),
+                Some((points, values)) => (points, values),
+            };
+
+            // A consistent transfer-function range needs the *global*
+            // min/max of the displayed values.
+            let local_min = values.iter().cloned().fold(f64::INFINITY, f64::min);
+            let local_max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            let global = comm.all_reduce_f64_vec(vec![-local_min, local_max], f64::max)?;
+            let (lo_v, hi_v) = (-global[0], global[1]);
+            let tf = TransferFunction::heat(lo_v, hi_v.max(lo_v + 1e-9));
+
+            let span = comm.with_obs(|o| o.begin());
+            let partial = match Brick::from_points(points, values) {
+                Some(brick) => {
+                    let (partial, st) =
+                        render_brick_opts(&brick, &cam, &tf, 0.5, &RenderOptions::default());
+                    comm.with_obs(|o| {
+                        o.count("vis.render.samples_shaded", st.samples_shaded);
+                        o.count("vis.render.samples_skipped", st.samples_skipped);
                     });
-                    let (points, values): (&[[u32; 3]], &[f64]) = match &in_roi {
-                        None => (&local_positions, displayed),
-                        Some((points, values)) => (points, values),
-                    };
-
-                    // A consistent transfer-function range needs the
-                    // *global* min/max of the displayed values.
-                    let local_min = values.iter().cloned().fold(f64::INFINITY, f64::min);
-                    let local_max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                    let global = comm.all_reduce_f64_vec(vec![-local_min, local_max], f64::max)?;
-                    let (lo_v, hi_v) = (-global[0], global[1]);
-                    let tf = TransferFunction::heat(lo_v, hi_v.max(lo_v + 1e-9));
-
-                    let span = comm.with_obs(|o| o.begin());
-                    let partial = match Brick::from_points(points, values) {
-                        Some(brick) => {
-                            let (partial, st) = render_brick_opts(
-                                &brick,
-                                &cam,
-                                &tf,
-                                0.5,
-                                &RenderOptions::default(),
-                            );
-                            comm.with_obs(|o| {
-                                o.count("vis.render.samples_shaded", st.samples_shaded);
-                                o.count("vis.render.samples_skipped", st.samples_skipped);
-                            });
-                            partial
-                        }
-                        None => hemelb_insitu::image::PartialImage::new(cam.width, cam.height),
-                    };
-                    comm.with_obs(|o| span.end(o, "vis.render"));
-                    let span = comm.with_obs(|o| o.begin());
-                    let (composited, dropped) = match (&mut compositor, cfg.frame_deadline) {
-                        (Some(dc), Some(deadline)) => {
-                            let out = dc.composite(comm, partial, deadline)?;
-                            (out.image, out.dropped)
-                        }
-                        _ => (binary_swap(comm, partial)?, Vec::new()),
-                    };
-                    comm.with_obs(|o| span.end(o, "vis.composite"));
-                    dropped_ranks = dropped;
-                    if !dropped_ranks.is_empty() {
-                        outcome.frames_degraded += 1;
-                    }
-
-                    if let Some(image) = composited {
-                        let img = ImageFrame {
-                            step: outcome.steps_done,
-                            width: image.width,
-                            height: image.height,
-                            rgb: image.to_rgb8(),
-                        };
-                        // Encode once (sparse run-length against the
-                        // white background, or dense); the gateway fans
-                        // the same bytes out to every session and the
-                        // cache replays them on later hits.
-                        let msg = if sparse_frames {
-                            ServerMessage::ImageSparse(SparseImageFrame::from_dense(
-                                &img,
-                                [255, 255, 255],
-                            ))
-                        } else {
-                            ServerMessage::Image(img)
-                        };
-                        frame_bytes = Some(msg.to_bytes());
-                    }
-                    if cache_entries > 0 {
-                        // Collective insert: every rank records the key
-                        // (FIFO order is the replicated insertion
-                        // order); only the master holds payload bytes.
-                        let evictions_before = frame_cache.evictions();
-                        frame_cache.insert(key, frame_bytes.clone());
-                        let evicted = frame_cache.evictions() - evictions_before;
-                        if evicted > 0 {
-                            comm.with_obs(|o| o.count("vis.cache.evict", evicted));
-                        }
-                    }
-                    outcome.frames_rendered += 1;
+                    partial
                 }
+                None => hemelb_insitu::image::PartialImage::new(cam.width, cam.height),
+            };
+            comm.with_obs(|o| span.end(o, "vis.render"));
+            let span = comm.with_obs(|o| o.begin());
+            let (composited, dropped_ranks) = match (&mut compositor, cfg.frame_deadline) {
+                (Some(dc), Some(deadline)) => {
+                    let out = dc.composite(comm, partial, deadline)?;
+                    (out.image, out.dropped)
+                }
+                _ => (binary_swap(comm, partial)?, Vec::new()),
+            };
+            comm.with_obs(|o| span.end(o, "vis.composite"));
+            if !dropped_ranks.is_empty() {
+                outcome.frames_degraded += 1;
             }
 
-            // Status: global consistency monitors. These collectives
-            // run on every due frame, cache hit or miss — status must
-            // stay live even when the pixels are replayed.
+            // What the master ships: the encoded image message.
+            let frame_bytes: Option<Bytes> = composited.map(|image| {
+                ServerMessage::Image(ImageFrame {
+                    step: outcome.steps_done,
+                    width: image.width,
+                    height: image.height,
+                    rgb: image.to_rgb8(),
+                })
+                .to_bytes()
+            });
+            outcome.frames_rendered += 1;
+
+            // Status: global consistency monitors.
             let mass = solver.mass()?;
             let local_max_speed = speeds.iter().cloned().fold(0.0, f64::max);
             let max_speed = comm.all_reduce_f64(local_max_speed, f64::max)?;
@@ -537,7 +408,7 @@ pub fn run_closed_loop_opts(
             // so the queue is identical everywhere); reported by the
             // master as part of the status problems.
             let rejections = state.take_rejections();
-            if let Some(gw) = &gateway {
+            if let Some(ep) = &endpoint {
                 let span = comm.with_obs(|o| o.begin());
                 let mut problems = snap.validity_report();
                 problems.extend(rejections);
@@ -546,8 +417,8 @@ pub fn run_closed_loop_opts(
                         "degraded frame: compositing deadline dropped ranks {dropped_ranks:?}"
                     ));
                 }
-                problems.extend(gw.take_events());
-                gw.broadcast_status(StatusReport {
+                problems.extend(ep.take_events());
+                ep.send_status(StatusReport {
                     step: outcome.steps_done,
                     mass,
                     max_speed,
@@ -557,12 +428,12 @@ pub fn run_closed_loop_opts(
                     paused: state.paused,
                     rebalances: outcome.repartitions,
                     lb_imbalance: adaptive.as_ref().map_or(1.0, |d| d.last_imbalance()),
-                    sessions: gw.session_count() as u32,
-                    cache_hits: frame_cache.hits(),
-                    cache_misses: frame_cache.misses(),
+                    sessions: ep.attached() as u32,
+                    cache_hits: 0,
+                    cache_misses: 0,
                 });
                 if let Some(bytes) = frame_bytes {
-                    gw.broadcast_frame_bytes(bytes);
+                    ep.send_frame_bytes(bytes);
                 }
                 comm.with_obs(|o| span.end(o, "steer.ship"));
             }
@@ -573,19 +444,11 @@ pub fn run_closed_loop_opts(
         }
     }
 
-    if let Some(gw) = &gateway {
+    if let Some(ep) = &endpoint {
         // Sends never block; push the run's last frame out before the
-        // gateway (and with it every transport) is dropped.
-        gw.flush();
-        outcome.steering_bytes = gw.bytes_sent();
-        outcome.sessions_peak = gw.sessions_peak();
-    }
-    outcome.cache_hits = frame_cache.hits();
-    outcome.cache_misses = frame_cache.misses();
-    outcome.cache_evictions = frame_cache.evictions();
-    if cfg.gather_final_fields {
-        // Collective: cfg is replicated, so every rank takes this path.
-        outcome.final_fields = solver.gather_snapshot()?;
+        // endpoint (and with it the transport) is dropped.
+        ep.flush();
+        outcome.steering_bytes = ep.bytes_sent();
     }
     Ok(outcome)
 }
@@ -649,11 +512,12 @@ mod tests {
     #[test]
     fn slow_link_to_the_only_client_does_not_end_the_run() {
         // 256 B leave per pump against a ~2.3 KB frame every cycle: the
-        // backlog never empties, so it outlives any drain deadline (zero
-        // here). Nobody could replace this client, so the run must go on
-        // rather than detach it as wedged and terminate.
+        // backlog never empties for the whole run. Nobody could replace
+        // this client, so the run must go on rather than detach it as
+        // wedged and terminate (the zero-deadline form of this is
+        // `server::tests::drain_deadline_spares_an_irreplaceable_client`).
         let geo = demo_geo();
-        let server_slot = Arc::new(Mutex::new(Some(crate::gateway::tests::backlogging(256))));
+        let server_slot = Arc::new(Mutex::new(Some(crate::server::tests::backlogging(256))));
         let results = run_spmd(2, move |comm| {
             let transport = if comm.is_master() {
                 server_slot.lock().take()
@@ -671,12 +535,6 @@ mod tests {
                     image: (32, 24),
                     initial_vis_rate: 10,
                     steps_per_cycle: 10,
-                    gateway: Some(GatewayConfig {
-                        drain_deadline: Duration::ZERO,
-                        frame_cache_entries: 0,
-                        sparse_frames: false,
-                        ..Default::default()
-                    }),
                     ..Default::default()
                 },
             )
@@ -1162,106 +1020,5 @@ mod tests {
             assert!(r.frames_rendered >= 1);
             assert!(r.commands_applied >= 5);
         }
-    }
-
-    #[test]
-    fn gateway_mode_broadcasts_to_observers_and_caches_repeated_views() {
-        use crate::gateway::GatewayConfig;
-        use crate::transport::{duplex_listener, Acceptor};
-
-        let geo = demo_geo();
-        let (connector, acceptor) = duplex_listener();
-        let acceptor_slot = Arc::new(Mutex::new(Some(Box::new(acceptor) as Box<dyn Acceptor>)));
-        let geo2 = geo.clone();
-
-        let driver_conn = connector.clone();
-        let obs_conn = connector;
-        let client_thread = std::thread::spawn(move || {
-            // First to attach becomes the driver.
-            let driver = SteeringClient::new(Box::new(driver_conn.connect().unwrap()));
-            let (first, _) = driver.request_frame().unwrap();
-
-            // An observer attaches mid-run and only watches: it sends
-            // nothing, yet receives every broadcast frame (densified
-            // from the sparse wire encoding by the client).
-            let observer = std::thread::spawn(move || {
-                let client = SteeringClient::new(Box::new(obs_conn.connect().unwrap()));
-                let mut images = 0u64;
-                while let Ok(msg) = client.recv() {
-                    if let crate::protocol::ServerMessage::Image(_) = msg {
-                        images += 1;
-                    }
-                }
-                images
-            });
-
-            // Freeze the simulation, then re-request the same view: once
-            // the pause lands, (step, camera, ROI, field, tf) repeats,
-            // so every further frame is served from the cache.
-            driver.send(&SteeringCommand::Pause).unwrap();
-            let mut prev = first.step;
-            let mut repeats = 0;
-            let mut last_statuses = Vec::new();
-            while repeats < 3 {
-                driver.send(&SteeringCommand::RequestFrame).unwrap();
-                let (img, statuses) = driver.wait_for_image().unwrap();
-                if img.step == prev {
-                    repeats += 1;
-                } else {
-                    prev = img.step;
-                }
-                last_statuses = statuses;
-            }
-            driver.send(&SteeringCommand::Terminate).unwrap();
-            while driver.recv().is_ok() {}
-            (last_statuses, observer.join().unwrap())
-        });
-
-        let results = run_spmd(2, move |comm| {
-            let acceptor = if comm.is_master() {
-                acceptor_slot.lock().take()
-            } else {
-                None
-            };
-            run_closed_loop_opts(
-                geo2.clone(),
-                slab_owner(&geo2, comm.size()),
-                SolverConfig::pressure_driven(1.005, 0.995),
-                comm,
-                None,
-                acceptor,
-                &ClosedLoopConfig {
-                    max_steps: 1_000_000, // only the driver stops this run
-                    image: (32, 24),
-                    initial_vis_rate: 1_000_000,
-                    steps_per_cycle: 5,
-                    gateway: Some(GatewayConfig::default()),
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-        });
-        let (statuses, observer_images) = client_thread.join().unwrap();
-        assert!(
-            observer_images >= 1,
-            "observer saw broadcast frames without requesting any"
-        );
-        assert!(
-            statuses.iter().any(|s| s.cache_hits > 0),
-            "status reports surface the cache counters"
-        );
-        for r in &results {
-            assert!(r.terminated_by_client);
-            assert!(r.frames_rendered >= 1, "the first view was rendered");
-            assert!(r.frames_from_cache >= 3, "repeat views came from cache");
-            assert_eq!(r.cache_hits, r.frames_from_cache);
-            assert!(r.cache_misses >= r.frames_rendered);
-        }
-        // Hit/miss verdicts are replicated: every rank agrees exactly.
-        assert_eq!(results[0].frames_rendered, results[1].frames_rendered);
-        assert_eq!(results[0].frames_from_cache, results[1].frames_from_cache);
-        assert_eq!(results[0].sessions_peak, 2, "driver + observer");
-        assert_eq!(results[1].sessions_peak, 0, "peak is master-side state");
-        assert!(results[0].steering_bytes > 0);
     }
 }

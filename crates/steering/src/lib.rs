@@ -17,8 +17,10 @@
 //!
 //! Transports: an in-memory duplex for tests/benches and a real TCP
 //! framing for out-of-process clients. The closed-loop runner couples a
-//! [`hemelb_core::DistSolver`] with the in situ renderer and the one
-//! master-side endpoint, the [`SessionGateway`].
+//! [`hemelb_core::DistSolver`] with the in situ renderer and the
+//! master-side endpoint in [`server`]: one seat, so one client steers
+//! at a time; a lost client leaves the run headless until the next one
+//! dials in, and a slow one is thinned out rather than waited for.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,7 +29,6 @@ pub mod adaptive;
 pub mod client;
 pub mod closedloop;
 pub mod error;
-pub mod gateway;
 pub mod protocol;
 pub mod server;
 pub mod transport;
@@ -36,10 +37,8 @@ pub use adaptive::{AdaptiveDriver, WindowDecision};
 pub use client::{BackoffPolicy, SteeringClient, TransportFactory};
 pub use closedloop::{run_closed_loop, run_closed_loop_opts, ClosedLoopConfig, ClosedLoopOutcome};
 pub use error::{SteeringError, SteeringResult};
-pub use gateway::{CacheLookup, FrameCache, FrameKey, GatewayConfig, SessionGateway, SessionId};
 pub use protocol::{
-    FieldChoice, ImageFrame, ObservableReport, SparseImageFrame, StatusReport, SteeringCommand,
-    MAX_FRAME_LEN,
+    FieldChoice, ImageFrame, ObservableReport, StatusReport, SteeringCommand, MAX_FRAME_LEN,
 };
 pub use transport::{
     duplex_listener, duplex_pair, Acceptor, DuplexAcceptor, DuplexConnector, InMemoryTransport,

@@ -112,10 +112,6 @@ pub enum SteeringCommand {
     /// Enable or disable measurement-driven adaptive load balancing
     /// mid-run (the `ClosedLoopConfig::adaptive_lb` loop).
     SetAdaptiveLb(bool),
-    /// Give up the driver role voluntarily: the sender becomes an
-    /// observer and the longest-attached observer is promoted to
-    /// driver. A no-op at the simulation level, and for a sole session.
-    ReleaseDriver,
     /// End the run.
     Terminate,
 }
@@ -163,7 +159,6 @@ impl Wire for SteeringCommand {
                 w.put_u8(10);
                 w.put_bool(*on);
             }
-            SteeringCommand::ReleaseDriver => w.put_u8(11),
         }
     }
 
@@ -193,7 +188,6 @@ impl Wire for SteeringCommand {
             8 => Ok(SteeringCommand::Terminate),
             9 => Ok(SteeringCommand::RequestObservables),
             10 => Ok(SteeringCommand::SetAdaptiveLb(r.get_bool()?)),
-            11 => Ok(SteeringCommand::ReleaseDriver),
             k => Err(CommError::Decode {
                 reason: format!("invalid steering command kind {k}"),
             }),
@@ -224,11 +218,14 @@ pub struct StatusReport {
     /// Most recently measured max/mean step-time imbalance (1.0 when no
     /// adaptive-LB window has completed yet).
     pub lb_imbalance: f64,
-    /// Steering sessions currently attached.
+    /// Steering clients currently attached: 0 or 1, the endpoint has
+    /// one seat.
     pub sessions: u32,
-    /// Rendered-frame cache hits so far (0 with the cache off).
+    /// Always 0: there is no frame cache. Kept, with `cache_misses`,
+    /// because `benchmark/` spells the twelve fields out (ROADMAP
+    /// item 9 drops them).
     pub cache_hits: u64,
-    /// Rendered-frame cache misses so far (0 with the cache off).
+    /// Always 0, see `cache_hits`.
     pub cache_misses: u64,
 }
 
@@ -315,154 +312,6 @@ impl Wire for ImageFrame {
     }
 }
 
-/// A rendered frame in the sparse run-length wire form the gateway
-/// broadcasts: only the pixels that differ from the background are
-/// shipped, as `(offset, count)` runs over the row-major pixel index
-/// plus one concatenated RGB slice — the same idea as PR 3's sparse
-/// compositing format, applied to the client-facing payload. A vessel
-/// frame is mostly white background, so fanning this out to hundreds of
-/// observers costs a fraction of the dense bytes. Lossless:
-/// `SparseImageFrame::from_dense` → [`SparseImageFrame::to_dense`] is
-/// bit-exact.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SparseImageFrame {
-    /// Simulation step the frame shows.
-    pub step: u64,
-    /// Width in pixels.
-    pub width: u32,
-    /// Height in pixels.
-    pub height: u32,
-    /// The RGB value of every pixel not covered by a run.
-    pub background: [u8; 3],
-    /// `(first_pixel, pixel_count)` runs, strictly increasing and
-    /// non-overlapping, in row-major pixel indices.
-    pub runs: Vec<(u32, u32)>,
-    /// RGB bytes of all run pixels, concatenated in run order.
-    pub rgb: Vec<u8>,
-}
-
-impl SparseImageFrame {
-    /// Run-length encode a dense frame against `background`.
-    pub fn from_dense(img: &ImageFrame, background: [u8; 3]) -> Self {
-        let npx = img.rgb.len() / 3;
-        let mut runs: Vec<(u32, u32)> = Vec::new();
-        let mut rgb = Vec::new();
-        let mut i = 0usize;
-        while i < npx {
-            let px = &img.rgb[i * 3..i * 3 + 3];
-            if px == background {
-                i += 1;
-                continue;
-            }
-            let start = i;
-            while i < npx && img.rgb[i * 3..i * 3 + 3] != background[..] {
-                i += 1;
-            }
-            runs.push((start as u32, (i - start) as u32));
-            rgb.extend_from_slice(&img.rgb[start * 3..i * 3]);
-        }
-        SparseImageFrame {
-            step: img.step,
-            width: img.width,
-            height: img.height,
-            background,
-            runs,
-            rgb,
-        }
-    }
-
-    /// Expand back to the dense frame (bit-exact inverse of
-    /// [`SparseImageFrame::from_dense`]).
-    pub fn to_dense(&self) -> ImageFrame {
-        let npx = self.width as usize * self.height as usize;
-        let mut rgb = self.background.repeat(npx);
-        let mut src = 0usize;
-        for &(start, count) in &self.runs {
-            let (start, count) = (start as usize, count as usize);
-            rgb[start * 3..(start + count) * 3].copy_from_slice(&self.rgb[src..src + count * 3]);
-            src += count * 3;
-        }
-        ImageFrame {
-            step: self.step,
-            width: self.width,
-            height: self.height,
-            rgb,
-        }
-    }
-
-    /// Encoded payload bytes (what the wire carries, modulo framing).
-    pub fn wire_bytes(&self) -> usize {
-        8 + 4 + 4 + 3 + 8 + self.runs.len() * 8 + 8 + self.rgb.len()
-    }
-}
-
-impl Wire for SparseImageFrame {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_u64(self.step);
-        w.put_u32(self.width);
-        w.put_u32(self.height);
-        for b in self.background {
-            w.put_u8(b);
-        }
-        w.put_usize(self.runs.len());
-        for &(start, count) in &self.runs {
-            w.put_u32(start);
-            w.put_u32(count);
-        }
-        w.put_bytes(&self.rgb);
-    }
-    fn decode(r: &mut WireReader) -> CommResult<Self> {
-        let step = r.get_u64()?;
-        let width = r.get_u32()?;
-        let height = r.get_u32()?;
-        let npx = width as u64 * height as u64;
-        check_frame_len((npx.min(usize::MAX as u64 / 3) * 3) as usize)?;
-        let background = [r.get_u8()?, r.get_u8()?, r.get_u8()?];
-        let nruns = r.get_usize()?;
-        if nruns as u64 > npx {
-            return Err(CommError::Decode {
-                reason: format!("sparse image claims {nruns} runs over {npx} pixels"),
-            });
-        }
-        // Each run takes 8 bytes on the wire: reserve for no more runs
-        // than the frame can still carry, whatever `nruns` claims.
-        let mut runs = Vec::with_capacity(nruns.min(r.remaining() / 8));
-        let mut covered = 0u64;
-        let mut prev_end = 0u64;
-        for _ in 0..nruns {
-            let start = r.get_u32()? as u64;
-            let count = r.get_u32()? as u64;
-            if start < prev_end || count == 0 || start + count > npx {
-                return Err(CommError::Decode {
-                    reason: format!(
-                        "sparse image run ({start},{count}) out of order or past {npx} pixels"
-                    ),
-                });
-            }
-            prev_end = start + count;
-            covered += count;
-            runs.push((start as u32, count as u32));
-        }
-        let rgb = r.get_bytes()?.to_vec();
-        if rgb.len() as u64 != covered * 3 {
-            return Err(CommError::Decode {
-                reason: format!(
-                    "sparse image payload {} bytes does not match {covered} run pixels",
-                    rgb.len()
-                ),
-            });
-        }
-        Ok(SparseImageFrame {
-            step,
-            width,
-            height,
-            background,
-            runs,
-            rgb,
-        })
-    }
-}
-
 /// Hydrodynamic observables over a site subset (the ROI, or the whole
 /// domain), computed in situ without shipping the fields.
 #[derive(Debug, Clone, PartialEq)]
@@ -542,10 +391,6 @@ pub enum ServerMessage {
     Image(ImageFrame),
     /// In situ observables over the ROI.
     Observables(ObservableReport),
-    /// A rendered image in the sparse run-length form (gateway
-    /// broadcasts; [`crate::SteeringClient`] converts it back to a
-    /// dense [`ImageFrame`] transparently).
-    ImageSparse(SparseImageFrame),
 }
 
 impl Wire for ServerMessage {
@@ -563,10 +408,6 @@ impl Wire for ServerMessage {
                 w.put_u8(2);
                 o.encode(w);
             }
-            ServerMessage::ImageSparse(s) => {
-                w.put_u8(3);
-                s.encode(w);
-            }
         }
     }
     fn decode(r: &mut WireReader) -> CommResult<Self> {
@@ -574,7 +415,6 @@ impl Wire for ServerMessage {
             0 => Ok(ServerMessage::Status(StatusReport::decode(r)?)),
             1 => Ok(ServerMessage::Image(ImageFrame::decode(r)?)),
             2 => Ok(ServerMessage::Observables(ObservableReport::decode(r)?)),
-            3 => Ok(ServerMessage::ImageSparse(SparseImageFrame::decode(r)?)),
             k => Err(CommError::Decode {
                 reason: format!("invalid server message kind {k}"),
             }),
@@ -612,7 +452,6 @@ mod tests {
         round_trip(SteeringCommand::RequestObservables);
         round_trip(SteeringCommand::SetAdaptiveLb(true));
         round_trip(SteeringCommand::SetAdaptiveLb(false));
-        round_trip(SteeringCommand::ReleaseDriver);
         round_trip(SteeringCommand::Terminate);
     }
 
@@ -718,79 +557,16 @@ mod tests {
 
     #[test]
     fn bad_tags_are_errors_on_both_directions() {
-        for kind in [12u8, 42, 255] {
+        for kind in [11u8, 12, 42, 255] {
             let mut w = hemelb_parallel::WireWriter::new();
             w.put_u8(kind);
             assert!(SteeringCommand::from_bytes(w.finish()).is_err());
         }
-        for kind in [4u8, 77, 255] {
+        for kind in [3u8, 4, 77, 255] {
             let mut w = hemelb_parallel::WireWriter::new();
             w.put_u8(kind);
             assert!(ServerMessage::from_bytes(w.finish()).is_err());
         }
-    }
-
-    #[test]
-    fn sparse_image_round_trips_and_is_lossless() {
-        // A frame with background margins, interior runs and runs that
-        // touch both ends of the pixel range.
-        let w = 8u32;
-        let h = 4u32;
-        let bg = [255u8, 255, 255];
-        let mut rgb = vec![255u8; (w * h * 3) as usize];
-        for px in [0usize, 3, 4, 5, 12, 30, 31] {
-            rgb[px * 3..px * 3 + 3].copy_from_slice(&[px as u8, 0, 7]);
-        }
-        let dense = ImageFrame {
-            step: 12,
-            width: w,
-            height: h,
-            rgb,
-        };
-        let sparse = SparseImageFrame::from_dense(&dense, bg);
-        assert_eq!(sparse.runs, vec![(0, 1), (3, 3), (12, 1), (30, 2)]);
-        assert_eq!(sparse.to_dense(), dense, "lossless round trip");
-        round_trip(sparse.clone());
-        round_trip(ServerMessage::ImageSparse(sparse.clone()));
-        assert!(
-            sparse.wire_bytes() < dense.rgb.len(),
-            "sparse beats dense on a mostly-background frame"
-        );
-        // An all-background frame has no runs at all.
-        let blank = ImageFrame {
-            step: 0,
-            width: 4,
-            height: 4,
-            rgb: vec![255; 48],
-        };
-        let s = SparseImageFrame::from_dense(&blank, bg);
-        assert!(s.runs.is_empty() && s.rgb.is_empty());
-        assert_eq!(s.to_dense(), blank);
-    }
-
-    #[test]
-    fn sparse_image_rejects_malformed_runs() {
-        let good = SparseImageFrame {
-            step: 1,
-            width: 4,
-            height: 1,
-            background: [255, 255, 255],
-            runs: vec![(0, 2)],
-            rgb: vec![1, 2, 3, 4, 5, 6],
-        };
-        round_trip(good.clone());
-        // Run past the pixel range.
-        let mut bad = good.clone();
-        bad.runs = vec![(3, 2)];
-        assert!(SparseImageFrame::from_bytes(bad.to_bytes()).is_err());
-        // Overlapping / out-of-order runs.
-        let mut bad = good.clone();
-        bad.runs = vec![(2, 1), (0, 1)];
-        assert!(SparseImageFrame::from_bytes(bad.to_bytes()).is_err());
-        // Payload length not matching the runs.
-        let mut bad = good.clone();
-        bad.rgb = vec![1, 2, 3];
-        assert!(SparseImageFrame::from_bytes(bad.to_bytes()).is_err());
     }
 
     #[test]
@@ -813,13 +589,6 @@ mod tests {
                 "{w}x{h} header must be rejected"
             );
         }
-        // Same ceiling on the sparse path.
-        let mut wr = hemelb_parallel::WireWriter::new();
-        wr.put_u8(3); // ServerMessage::ImageSparse
-        wr.put_u64(0);
-        wr.put_u32(65536);
-        wr.put_u32(65536);
-        assert!(ServerMessage::from_bytes(wr.finish()).is_err());
     }
 
     #[test]
@@ -843,20 +612,6 @@ mod tests {
         w.put_f64(0.1); // max_speed
         w.put_f64(0.0); // residual
         w.put_u64(u64::MAX); // absurd problems count
-        assert!(ServerMessage::from_bytes(w.finish()).is_err());
-
-        // And for a sparse frame whose run count passes the `≤ pixels`
-        // check (20 M runs over 4000 × 5000) but carries no run bytes:
-        // the reservation is bounded by what the frame still holds.
-        let mut w = hemelb_parallel::WireWriter::new();
-        w.put_u8(3); // ServerMessage::ImageSparse
-        w.put_u64(0); // step
-        w.put_u32(4000); // width
-        w.put_u32(5000); // height
-        for _ in 0..3 {
-            w.put_u8(255); // background
-        }
-        w.put_u64(20_000_000); // run count, no runs behind it
         assert!(ServerMessage::from_bytes(w.finish()).is_err());
     }
 }

@@ -29,7 +29,7 @@ pub trait Transport: Send {
     /// Enqueue one frame without ever blocking the caller: as much as
     /// possible is written immediately, the rest is buffered inside the
     /// transport until a later [`Transport::flush_pending`] (or the
-    /// next send) drains it. The session gateway uses this so one slow
+    /// next send) drains it. The steering endpoint uses this so a slow
     /// client cannot stall the simulation loop. Default: fall back to
     /// the blocking send (correct for transports that never block, like
     /// the in-memory duplex).
@@ -162,7 +162,7 @@ impl Transport for InMemoryTransport {
 /// in one coalesced buffered write, and any send failure poisons the
 /// transport — a partial write desyncs the length-prefixed stream for
 /// every subsequent reader, so the only safe reaction is to detach the
-/// session, never to retry mid-frame. Poisoned transports fail every
+/// client, never to retry mid-frame. Poisoned transports fail every
 /// later send with `BrokenPipe` immediately.
 pub struct TcpTransport {
     stream: Mutex<TcpStream>,

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use hemelb::core::{Solver, SolverConfig, UnitConverter};
+use hemelb::core::{Solver, SolverConfig, CS2};
 use hemelb::geometry::{Vec3, VesselBuilder};
 use hemelb::insitu::camera::Camera;
 use hemelb::insitu::field::{SampledField, Scalar};
@@ -23,17 +23,15 @@ fn main() {
         geo.fluid_fraction() * 100.0
     );
 
-    // 2. Physical units: 50 µm cells, blood viscosity, τ chosen for
-    //    stability at arterial speeds.
-    let units = UnitConverter::for_viscosity(50e-6, 3.3e-6, 0.55, 1050.0);
-    println!(
-        "units: dx = {:.1} µm, dt = {:.2} µs",
-        units.dx * 1e6,
-        units.dt * 1e6
-    );
+    // 2. Physical units: 50 µm cells, blood viscosity and density, τ
+    //    chosen for stability at arterial speeds. `dt` follows from
+    //    ν_lat = cs²(τ − ½) = ν_phys dt / dx².
+    let (dx, nu_phys, tau, rho0) = (50e-6, 3.3e-6, 0.55, 1050.0);
+    let dt = CS2 * (tau - 0.5) * dx * dx / nu_phys;
+    println!("units: dx = {:.1} µm, dt = {:.2} µs", dx * 1e6, dt * 1e6);
 
     // 3. Solve a pressure-driven flow to steady state.
-    let cfg = SolverConfig::pressure_driven(1.005, 0.995).with_tau(0.55);
+    let cfg = SolverConfig::pressure_driven(1.005, 0.995).with_tau(tau);
     let mut solver = Solver::new(geo.clone(), cfg);
     let (converged, steps, residual) = solver.run_to_steady_state(1e-9, 100, 20_000);
     let snap = solver.snapshot();
@@ -41,7 +39,7 @@ fn main() {
     println!(
         "flow: max speed {:.4} lattice units = {:.3} m/s physical",
         snap.max_speed(),
-        units.velocity_to_physical(snap.max_speed())
+        snap.max_speed() * dx / dt
     );
     let problems = snap.validity_report();
     assert!(problems.is_empty(), "validity: {problems:?}");
@@ -53,7 +51,7 @@ fn main() {
     println!(
         "peak wall shear stress: {:.2e} lattice = {:.3} Pa physical",
         max_wss,
-        units.stress_to_physical(max_wss)
+        max_wss * rho0 * dx * dx / (dt * dt)
     );
 
     // 5. Render the speed field to quickstart.ppm.

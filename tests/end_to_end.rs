@@ -56,7 +56,7 @@ fn file_format_to_distributed_read_to_solver() {
                 });
             }
         }
-        let rebuilt = Arc::new(assemble(&dg.header, records));
+        let rebuilt = Arc::new(assemble(&dg.header, records).unwrap());
 
         // Solve distributedly on the rebuilt geometry.
         let owner: Vec<usize> = (0..rebuilt.fluid_count())

@@ -212,7 +212,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn steering_commands_round_trip(kind in 0u8..12, a in any::<f64>(), b in any::<u32>()) {
+    fn steering_commands_round_trip(kind in 0u8..11, a in any::<f64>(), b in any::<u32>()) {
         use hemelb::steering::SteeringCommand;
         let cmd = steering_command(kind, a, b);
         let bytes = cmd.to_bytes();
@@ -220,7 +220,7 @@ proptest! {
     }
 }
 
-/// One of the 12 steering command kinds, filled from drawn raw values.
+/// One of the 11 steering command kinds, filled from drawn raw values.
 fn steering_command(kind: u8, a: f64, b: u32) -> hemelb::steering::SteeringCommand {
     use hemelb::steering::{FieldChoice, SteeringCommand};
     let a = if a.is_finite() { a } else { 1.0 };
@@ -248,14 +248,12 @@ fn steering_command(kind: u8, a: f64, b: u32) -> hemelb::steering::SteeringComma
         8 => SteeringCommand::RequestObservables,
         9 => SteeringCommand::Terminate,
         10 => SteeringCommand::SetAdaptiveLb(b & 1 == 0),
-        11 => SteeringCommand::ReleaseDriver,
-        _ => unreachable!("12 command kinds"),
+        _ => unreachable!("11 command kinds"),
     }
 }
 
 /// A valid server message of each kind a client decodes off the
-/// socket. Images are 4 × 3; bit `i` of `b` decides whether pixel `i`
-/// is background, so sparse frames carry anything from zero runs to six.
+/// socket. Images are 4 × 3.
 fn server_message(
     kind: u8,
     a: f64,
@@ -263,19 +261,7 @@ fn server_message(
     pixels: &[u8],
 ) -> hemelb::steering::protocol::ServerMessage {
     use hemelb::steering::protocol::ServerMessage;
-    use hemelb::steering::{ImageFrame, ObservableReport, SparseImageFrame, StatusReport};
-    let mut rgb = pixels.to_vec();
-    for (i, px) in rgb.chunks_mut(3).enumerate() {
-        if b >> i & 1 == 0 {
-            px.fill(255);
-        }
-    }
-    let image = ImageFrame {
-        step: b as u64,
-        width: 4,
-        height: 3,
-        rgb,
-    };
+    use hemelb::steering::{ImageFrame, ObservableReport, StatusReport};
     match kind {
         0 => ServerMessage::Status(StatusReport {
             step: b as u64,
@@ -291,9 +277,13 @@ fn server_message(
             cache_hits: 3,
             cache_misses: 4,
         }),
-        1 => ServerMessage::Image(image),
-        2 => ServerMessage::ImageSparse(SparseImageFrame::from_dense(&image, [255; 3])),
-        3 => ServerMessage::Observables(ObservableReport {
+        1 => ServerMessage::Image(ImageFrame {
+            step: b as u64,
+            width: 4,
+            height: 3,
+            rgb: pixels.to_vec(),
+        }),
+        2 => ServerMessage::Observables(ObservableReport {
             step: b as u64,
             sites: 12,
             mean_density: a,
@@ -302,7 +292,7 @@ fn server_message(
             max_wss: 0.003,
             roi: (b & 1 == 0).then_some(([0, 1, 2], [b % 50 + 3, 4, 5])),
         }),
-        _ => unreachable!("4 server message kinds"),
+        _ => unreachable!("3 server message kinds"),
     }
 }
 
@@ -311,8 +301,8 @@ proptest! {
 
     #[test]
     fn steering_decoders_survive_truncation_and_bit_flips(
-        cmd_kind in 0u8..12,
-        msg_kind in 0u8..4,
+        cmd_kind in 0u8..11,
+        msg_kind in 0u8..3,
         a in any::<f64>(),
         b in any::<u32>(),
         pixels in proptest::collection::vec(any::<u8>(), 36..37),
@@ -339,12 +329,7 @@ proptest! {
             let _ = SteeringCommand::from_bytes(hostile);
         }
         for hostile in mutations(server_message(msg_kind, a, b, &pixels).to_bytes()) {
-            // `to_dense` indexes by the decoded runs: decode-time
-            // validation is all that keeps it in bounds.
-            if let Ok(ServerMessage::ImageSparse(sparse)) = ServerMessage::from_bytes(hostile) {
-                let dense = sparse.to_dense();
-                prop_assert_eq!(dense.rgb.len() as u64, 3 * sparse.width as u64 * sparse.height as u64);
-            }
+            let _ = ServerMessage::from_bytes(hostile);
         }
     }
 }

@@ -1,12 +1,14 @@
-//! The steering loop over a *real* TCP socket — the deployment shape of
+//! The steering loop over *real* TCP sockets — the deployment shape of
 //! the original HemeLB steering client (an out-of-process viewer
-//! connecting to the simulation master over the network).
+//! connecting to the simulation master over the network), including a
+//! client that stops reading.
 
 use hemelb::core::SolverConfig;
 use hemelb::geometry::VesselBuilder;
 use hemelb::parallel::run_spmd;
 use hemelb::steering::{
-    run_closed_loop, ClosedLoopConfig, SteeringClient, SteeringCommand, TcpTransport, Transport,
+    run_closed_loop, run_closed_loop_opts, Acceptor, ClosedLoopConfig, SteeringClient,
+    SteeringCommand, TcpAcceptor, TcpTransport, Transport,
 };
 use parking_lot::Mutex;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -28,6 +30,12 @@ fn connect_with_retry(addr: SocketAddr) -> TcpStream {
         }
     }
     panic!("connect to {addr} failed after bounded retries: {last_err:?}");
+}
+
+/// Equal runs of consecutive sites per rank.
+fn block_owner(geo: &hemelb::geometry::SparseGeometry, p: usize) -> Vec<usize> {
+    let n = geo.fluid_count();
+    (0..n).map(|s| (s * p / n).min(p - 1)).collect()
 }
 
 #[test]
@@ -86,12 +94,9 @@ fn closed_loop_over_tcp() {
         } else {
             None
         };
-        let owner: Vec<usize> = (0..geo2.fluid_count())
-            .map(|s| (s * comm.size() / geo2.fluid_count()).min(comm.size() - 1))
-            .collect();
         run_closed_loop(
             geo2.clone(),
-            owner,
+            block_owner(&geo2, comm.size()),
             SolverConfig::pressure_driven(1.005, 0.995),
             comm,
             transport,
@@ -115,4 +120,80 @@ fn closed_loop_over_tcp() {
         .filter(|c| c[0] != 255 || c[1] != 255 || c[2] != 255)
         .count();
     assert!(non_white > 10, "vessel visible over TCP: {non_white}");
+}
+
+#[test]
+fn wedged_tcp_client_cannot_stall_the_step_loop() {
+    let geo = Arc::new(VesselBuilder::straight_tube(16.0, 3.0).voxelise(1.0));
+    let acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind");
+    let addr = acceptor.local_addr().expect("addr");
+    let acceptor_slot = Arc::new(Mutex::new(Some(Box::new(acceptor) as Box<dyn Acceptor>)));
+
+    let client_thread = std::thread::spawn(move || {
+        // The wedge: asks for a large frame every cycle, then never
+        // reads a byte. Dense frames fill its kernel buffers, the
+        // endpoint's buffered sends start backlogging, and the
+        // degradation ladder must end it — without a blocked cycle.
+        let wedge = SteeringClient::new(Box::new(
+            TcpTransport::new(connect_with_retry(addr)).expect("wedge transport"),
+        ));
+        wedge.send(&SteeringCommand::SetVisRate(1)).unwrap();
+
+        // The successor dials while the wedge holds the seat, so it
+        // waits in the listener; its request is answered only once the
+        // wedge has been detached and it has been seated.
+        let successor = SteeringClient::new(Box::new(
+            TcpTransport::new(connect_with_retry(addr)).expect("successor transport"),
+        ));
+        successor.send(&SteeringCommand::RequestFrame).unwrap();
+        let (img, statuses) = successor.wait_for_image().expect("seated after the wedge");
+        let first = statuses.first().expect("a status precedes the image");
+        assert!(
+            first.problems.iter().any(|p| p.contains("wedged")),
+            "the first status names the predecessor's fate: {:?}",
+            first.problems
+        );
+        assert!(first.problems.iter().any(|p| p.contains("client attached")));
+        assert_eq!(first.sessions, 1);
+        successor.send(&SteeringCommand::Terminate).unwrap();
+        while successor.recv().is_ok() {}
+        drop(wedge);
+        img.step
+    });
+
+    let geo2 = geo.clone();
+    let outcome = run_spmd(2, move |comm| {
+        let acceptor = if comm.is_master() {
+            acceptor_slot.lock().take()
+        } else {
+            None
+        };
+        run_closed_loop_opts(
+            geo2.clone(),
+            block_owner(&geo2, comm.size()),
+            SolverConfig::pressure_driven(1.005, 0.995),
+            comm,
+            None,
+            acceptor,
+            &ClosedLoopConfig {
+                max_steps: u64::MAX / 2,
+                image: (512, 384),
+                initial_vis_rate: u32::MAX, // frames only on request
+                steps_per_cycle: 5,
+                ..Default::default()
+            },
+        )
+        .unwrap()
+    })
+    .swap_remove(0);
+    let seated_at_step = client_thread.join().expect("client thread");
+    assert!(outcome.terminated_by_client, "the successor took control");
+    // A send that blocked would hang this test, not fail it: the wedge
+    // never reads. What is asserted is that cycles went on while the
+    // backlog sat out the two-second drain deadline (a debug build on
+    // this box does ~35 cycles in that time).
+    assert!(
+        seated_at_step >= 40,
+        "the step loop kept advancing under the wedge (step {seated_at_step})"
+    );
 }
