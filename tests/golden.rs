@@ -14,6 +14,11 @@
 //! equal cell for cell) before those were deleted, and have never been
 //! re-blessed since. Each named case is run serially and on the
 //! chunk-parallel `ParallelSolver`; both must match the *same* fixture.
+//!
+//! `kway_owner.txt` (and its `--ignored` Medium twin) pins the
+//! multilevel k-way owner maps the same way: one FNV-1a of the owner
+//! vector per graph × stencil × `k` cell, recorded before the
+//! partitioner's bookkeeping was rewritten.
 
 mod common;
 
@@ -21,6 +26,9 @@ use hemelb::core::collision::CollisionKind;
 use hemelb::core::solver::ModelKind;
 use hemelb::core::{ParallelSolver, Solver, SolverConfig};
 use hemelb::geometry::{SparseGeometry, VesselBuilder};
+use hemelb::obs::Fnv1a;
+use hemelb::partition::graph::{Connectivity, SiteGraph};
+use hemelb::partition::{quality, MultilevelKWay, Partitioner};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -291,6 +299,114 @@ fn threaded_checkpoint_resumes_on_the_serial_solver_mid_run() {
         "threaded checkpoint + 10 serial steps diverged from the uninterrupted run"
     );
     std::fs::remove_file(&path).ok();
+}
+
+/// One `kway_owner` line: the partitioned graph's label, `k`, its size,
+/// the FNV-1a of the owner vector and the edge cut of the map.
+fn kway_line(label: &str, graph: &SiteGraph, k: usize) -> String {
+    let owner = MultilevelKWay.partition(graph, k);
+    let mut h = Fnv1a::new();
+    for &o in &owner {
+        h.u64(o as u64);
+    }
+    let cut = quality(graph, &owner, k).edge_cut;
+    format!(
+        "{label} k={k} n={} owner={:016x} cut={cut}\n",
+        graph.len(),
+        h.finish()
+    )
+}
+
+fn aneurysm_graph(dx: f64, conn: Connectivity) -> SiteGraph {
+    SiteGraph::from_geometry(&VesselBuilder::aneurysm(28.0, 4.0, 6.0).voxelise(dx), conn)
+}
+
+/// The k-way owner maps, pinned so that a bookkeeping rewrite of
+/// `MultilevelKWay` can show it returns the same map: the aneurysm at
+/// two resolutions × three stencils × five `k`, a straight tube, the
+/// aneurysm under non-uniform vertex weights (pins the f64 load
+/// arithmetic), and the star and edgeless graphs of the stall guard.
+fn kway_owner_lines() -> String {
+    const KS: [usize; 5] = [2, 3, 4, 8, 16];
+    let mut out = String::new();
+    for dx in [1.0, 0.5] {
+        for (cname, conn) in [
+            ("six", Connectivity::Six),
+            ("d3q15", Connectivity::D3Q15),
+            ("d3q19", Connectivity::D3Q19),
+        ] {
+            let g = aneurysm_graph(dx, conn);
+            for k in KS {
+                out.push_str(&kway_line(&format!("aneurysm dx={dx} {cname}"), &g, k));
+            }
+        }
+    }
+    let tube = SiteGraph::from_geometry(
+        &VesselBuilder::straight_tube(28.0, 4.0).voxelise(0.5),
+        Connectivity::D3Q15,
+    );
+    for k in KS {
+        out.push_str(&kway_line("tube dx=0.5 d3q15", &tube, k));
+    }
+    let mut weighted = aneurysm_graph(1.0, Connectivity::D3Q15);
+    let nx = weighted.coords.iter().map(|c| c[0]).fold(0.0, f64::max) + 1.0;
+    weighted.vwgt = weighted.coords.iter().map(|c| 1.0 + c[0] / nx).collect();
+    for k in KS {
+        out.push_str(&kway_line("aneurysm dx=1 d3q15 vwgt=1+x/nx", &weighted, k));
+    }
+    out.push_str(&kway_line("star n=400", &star_graph(400), 4));
+    out.push_str(&kway_line("edgeless n=300", &edgeless_graph(300), 3));
+    out
+}
+
+/// Vertex 0 joined to every other vertex: heavy-edge matching collapses
+/// one pair per round (the stall guard's worst case).
+fn star_graph(n: usize) -> SiteGraph {
+    let mut xadj = vec![0usize];
+    let mut adjncy = Vec::new();
+    for v in 0..n {
+        if v == 0 {
+            adjncy.extend(1..n as u32);
+        } else {
+            adjncy.push(0);
+        }
+        xadj.push(adjncy.len());
+    }
+    SiteGraph {
+        xadj,
+        adjncy,
+        vwgt: vec![1.0; n],
+        vwgt2: None,
+        coords: (0..n).map(|v| [v as f64, 0.0, 0.0]).collect(),
+    }
+}
+
+fn edgeless_graph(n: usize) -> SiteGraph {
+    SiteGraph {
+        xadj: vec![0; n + 1],
+        adjncy: Vec::new(),
+        vwgt: vec![1.0; n],
+        vwgt2: None,
+        coords: (0..n).map(|v| [v as f64, 0.0, 0.0]).collect(),
+    }
+}
+
+#[test]
+fn golden_kway_owner_maps() {
+    check_or_bless("kway_owner", &kway_owner_lines());
+}
+
+/// The Medium aneurysm (dx 0.25, the `prep_cold` map) at k ∈ {2, 4}:
+/// too slow for a debug tier-1 run, so it rides the golden soak.
+#[test]
+#[ignore = "Medium k-way in debug; run via cargo test -- --ignored"]
+fn golden_kway_owner_maps_medium() {
+    let g = aneurysm_graph(0.25, Connectivity::D3Q15);
+    let lines: String = [2, 4]
+        .into_iter()
+        .map(|k| kway_line("aneurysm dx=0.25 d3q15", &g, k))
+        .collect();
+    check_or_bless("kway_owner_medium", &lines);
 }
 
 /// Long soak: 500 steps at 8 threads must stay bit-identical to serial.
