@@ -120,12 +120,13 @@ group_units() {
 }
 
 # Determinism suite (bit-exactness proptests + golden fixtures, incl.
-# the operator grid, the corrupted-streaming-index negative control and
-# the serial/threaded checkpoint hand-off), observability (phase
-# timings end to end, lossless JSON export) and the render path
-# (macrocell marcher bit-identity, the screen-bounded render against a
-# scan of every pixel over random bricks and eye positions, sparse
-# compositing).
+# the operator grid, the corrupted-streaming-index negative control,
+# the serial/threaded checkpoint hand-off and the k-way owner maps
+# `golden_kway_owner_maps`, whose Medium cell runs in `golden-soak`),
+# observability (phase timings end to end, lossless JSON export) and
+# the render path (macrocell marcher bit-identity, the screen-bounded
+# render against a scan of every pixel over random bricks and eye
+# positions, sparse compositing).
 group_determinism() {
     stage determinism cargo test -q --test properties --test golden
     stage obs         cargo test -q --test obs_smoke

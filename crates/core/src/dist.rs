@@ -99,6 +99,63 @@ fn global_to_local(locals: &[u32], fluid_count: usize) -> Vec<u32> {
     g2l
 }
 
+/// Decode one peer's request list — a count, then `(global site,
+/// direction)` pairs of `u32`s — into `(local site, direction)` pairs
+/// over `g2l`. A count the bytes cannot hold, a site this rank does not
+/// own or a direction past `q` is a `Decode` error, not an allocation
+/// or a panic.
+fn decode_requests(payload: Bytes, g2l: &[u32], q: usize) -> CommResult<Vec<(u32, u16)>> {
+    let mut r = WireReader::new(payload);
+    let count = r.get_checked_len(8, "site requests")?;
+    let mut requests = Vec::with_capacity(count);
+    for _ in 0..count {
+        let g = r.get_u32()?;
+        let d = r.get_u32()?;
+        let l = g2l.get(g as usize).copied().unwrap_or(u32::MAX);
+        if l == u32::MAX {
+            return Err(CommError::Decode {
+                reason: format!("peer requested site {g}, which this rank does not own"),
+            });
+        }
+        if d as usize >= q {
+            return Err(CommError::Decode {
+                reason: format!("peer requested direction {d} of a {q}-velocity model"),
+            });
+        }
+        requests.push((l, d as u16));
+    }
+    r.expect_end()?;
+    Ok(requests)
+}
+
+/// `(rho, u, shear)` of one rank's sites, ascending global order.
+type RankFields = (Vec<f64>, Vec<[f64; 3]>, Vec<f64>);
+
+/// Decode one rank's `gather_snapshot` payload. A count the bytes cannot
+/// hold, or a field that does not hold exactly `sites` values, is a
+/// `Decode` error.
+fn decode_rank_fields(payload: Bytes, sites: usize) -> CommResult<RankFields> {
+    let mut r = WireReader::new(payload);
+    let rho = r.get_f64_vec()?;
+    let nu = r.get_checked_len(24, "velocities")?;
+    let u = (0..nu)
+        .map(|_| r.get())
+        .collect::<CommResult<Vec<[f64; 3]>>>()?;
+    let shear = r.get_f64_vec()?;
+    r.expect_end()?;
+    if [rho.len(), u.len(), shear.len()] != [sites; 3] {
+        return Err(CommError::Decode {
+            reason: format!(
+                "fields of {} / {} / {} sites from a rank owning {sites}",
+                rho.len(),
+                u.len(),
+                shear.len()
+            ),
+        });
+    }
+    Ok((rho, u, shear))
+}
+
 impl<'a> DistSolver<'a> {
     /// Collective constructor: every rank passes the same geometry,
     /// owner map and configuration.
@@ -168,20 +225,10 @@ impl<'a> DistSolver<'a> {
             if peer == me {
                 continue;
             }
-            let mut r = WireReader::new(payload);
-            let count = r.get_usize()?;
-            if count == 0 {
-                continue;
+            let requests = decode_requests(payload, &g2l, model.q)?;
+            if !requests.is_empty() {
+                send_plan.push((peer, requests));
             }
-            let mut requests = Vec::with_capacity(count);
-            for _ in 0..count {
-                let g = r.get_u32()?;
-                let d = r.get_u32()? as u16;
-                let l = g2l[g as usize];
-                assert_ne!(l, u32::MAX, "peer requested a site we do not own");
-                requests.push((l, d));
-            }
-            send_plan.push((peer, requests));
         }
         send_plan.sort_unstable_by_key(|(peer, _)| *peer);
 
@@ -575,16 +622,7 @@ impl<'a> DistSolver<'a> {
         let mut shear = vec![0.0; n];
         for (rank, payload) in parts.into_iter().enumerate() {
             let ids = locals_of(&self.owner, rank);
-            let mut r = WireReader::new(payload);
-            let rho_l = r.get_f64_vec()?;
-            let nu = r.get_usize()?;
-            let mut u_l = Vec::with_capacity(nu);
-            for _ in 0..nu {
-                let a: [f64; 3] = r.get()?;
-                u_l.push(a);
-            }
-            let shear_l = r.get_f64_vec()?;
-            assert_eq!(ids.len(), rho_l.len(), "rank {rank} payload mismatch");
+            let (rho_l, u_l, shear_l) = decode_rank_fields(payload, ids.len())?;
             for (k, &g) in ids.iter().enumerate() {
                 rho[g as usize] = rho_l[k];
                 u[g as usize] = u_l[k];
@@ -952,6 +990,79 @@ mod tests {
             ds.unpack_halo(peer, slice_of(count)).unwrap();
             assert!(ds.halo.iter().filter(|&&v| v == 7.0).count() >= count);
         });
+    }
+
+    /// A request list as `DistSolver::new` encodes it, with any count.
+    fn request_list(count: u64, pairs: &[(u32, u32)]) -> Bytes {
+        let mut w = WireWriter::new();
+        w.put_u64(count);
+        for &(g, d) in pairs {
+            w.put_u32(g);
+            w.put_u32(d);
+        }
+        w.finish()
+    }
+
+    /// `g2l` of a rank owning global sites 0 and 2 of four.
+    const G2L: [u32; 4] = [0, u32::MAX, 1, u32::MAX];
+
+    #[test]
+    fn hostile_request_count_is_a_decode_error() {
+        for count in [u64::MAX, 1 << 40, 2] {
+            let got = decode_requests(request_list(count, &[(0, 1)]), &G2L, 15);
+            assert!(
+                matches!(got, Err(CommError::Decode { .. })),
+                "{count}: {got:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn request_for_a_site_past_the_map_is_a_decode_error() {
+        let got = decode_requests(request_list(1, &[(4, 1)]), &G2L, 15);
+        assert!(matches!(got, Err(CommError::Decode { .. })), "{got:?}");
+    }
+
+    #[test]
+    fn request_for_an_unowned_site_or_direction_is_a_decode_error() {
+        for (g, d) in [(1, 1), (0, 15)] {
+            let got = decode_requests(request_list(1, &[(g, d)]), &G2L, 15);
+            assert!(matches!(got, Err(CommError::Decode { .. })), "{got:?}");
+        }
+        let ok = decode_requests(request_list(2, &[(2, 3), (0, 14)]), &G2L, 15);
+        assert_eq!(ok.unwrap(), vec![(1, 3), (0, 14)]);
+    }
+
+    #[test]
+    fn short_or_hostile_rank_fields_are_decode_errors() {
+        let fields = |n_rho: usize, nu: u64, n_u: usize, n_shear: usize| {
+            let mut w = WireWriter::new();
+            w.put_f64_slice(&vec![1.0; n_rho]);
+            w.put_u64(nu);
+            for _ in 0..n_u {
+                w.put(&[2.0f64; 3]);
+            }
+            w.put_f64_slice(&vec![3.0; n_shear]);
+            w.finish()
+        };
+        for (what, payload) in [
+            ("velocity count u64::MAX", fields(2, u64::MAX, 2, 2)),
+            ("velocity count past the bytes", fields(2, 1 << 40, 0, 0)),
+            ("short rho", fields(1, 2, 2, 2)),
+            ("short u", fields(2, 1, 1, 2)),
+            ("short shear", fields(2, 2, 2, 1)),
+        ] {
+            let got = decode_rank_fields(payload, 2);
+            assert!(
+                matches!(got, Err(CommError::Decode { .. })),
+                "{what}: {got:?}"
+            );
+        }
+        let (rho, u, shear) = decode_rank_fields(fields(2, 2, 2, 2), 2).unwrap();
+        assert_eq!(
+            (rho, u, shear),
+            (vec![1.0; 2], vec![[2.0; 3]; 2], vec![3.0; 2])
+        );
     }
 
     #[test]

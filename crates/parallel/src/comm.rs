@@ -690,14 +690,7 @@ impl Communicator {
         } else {
             None
         };
-        let all = self.broadcast(0, packed)?;
-        let mut r = WireReader::new(all);
-        let n = r.get_usize()?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(r.get_bytes()?);
-        }
-        Ok(out)
+        unpack_parts(self.broadcast(0, packed)?, self.size)
     }
 
     /// Binomial-tree reduction of `value` with the associative,
@@ -856,10 +849,53 @@ impl Communicator {
     }
 }
 
+/// Decode `all_gather`'s broadcast: a count, then that many
+/// length-prefixed parts, one per rank of a world of `size`. A count
+/// that the bytes cannot hold or that is not `size` is a `Decode` error.
+fn unpack_parts(all: Bytes, size: usize) -> CommResult<Vec<Bytes>> {
+    let mut r = WireReader::new(all);
+    // Each part carries at least its 8-byte length prefix.
+    let n = r.get_checked_len(8, "all-gather parts")?;
+    if n != size {
+        return Err(CommError::Decode {
+            reason: format!("all-gather of {n} parts in a world of {size}"),
+        });
+    }
+    let parts = (0..n).map(|_| r.get_bytes()).collect::<CommResult<_>>()?;
+    r.expect_end()?;
+    Ok(parts)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runner::run_spmd;
+
+    #[test]
+    fn hostile_all_gather_counts_are_decode_errors() {
+        let packed = |count: u64, parts: &[&[u8]]| {
+            let mut w = WireWriter::new();
+            w.put_u64(count);
+            for p in parts {
+                w.put_bytes(p);
+            }
+            w.finish()
+        };
+        for (what, all) in [
+            ("count u64::MAX", packed(u64::MAX, &[b"ab"])),
+            ("count past the bytes", packed(1 << 40, &[])),
+            ("fewer parts than ranks", packed(1, &[b"ab"])),
+            ("truncated part", packed(2, &[b"ab"])),
+        ] {
+            let got = unpack_parts(all, 2);
+            assert!(
+                matches!(got, Err(CommError::Decode { .. })),
+                "{what}: {got:?}"
+            );
+        }
+        let ok = unpack_parts(packed(2, &[b"ab", b""]), 2).unwrap();
+        assert_eq!(ok, vec![Bytes::from_static(b"ab"), Bytes::new()]);
+    }
 
     fn recv_u64(comm: &Communicator, src: usize, tag: Tag) -> u64 {
         u64::from_bytes(comm.recv(src, tag).unwrap()).unwrap()

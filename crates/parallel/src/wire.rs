@@ -284,10 +284,13 @@ impl WireReader {
         }
     }
 
-    /// Read a length prefix and validate that `len * elem` bytes are
-    /// actually present, so corrupt lengths fail cleanly instead of
-    /// attempting huge allocations.
-    fn get_checked_len(&mut self, elem: usize, what: &str) -> CommResult<usize> {
+    /// Read a count of `elem`-byte items and check that `count * elem`
+    /// bytes remain. This is the one rule for every count read off the
+    /// wire: it is checked against the bytes that remain *before* any
+    /// `with_capacity`, so a corrupt or hostile count is a `Decode`
+    /// error, never a huge allocation. `elem` is the least number of
+    /// bytes one item can take.
+    pub fn get_checked_len(&mut self, elem: usize, what: &str) -> CommResult<usize> {
         let n = self.get_usize()?;
         let need = n.checked_mul(elem).ok_or_else(|| CommError::Decode {
             reason: format!("length overflow decoding {what}"),
@@ -389,13 +392,8 @@ impl<T: Wire> Wire for Vec<T> {
         }
     }
     fn decode(r: &mut WireReader) -> CommResult<Self> {
-        let n = r.get_usize()?;
-        // Guard against corrupt lengths: each element needs >= 1 byte.
-        if r.remaining() < n {
-            return Err(CommError::Decode {
-                reason: format!("vec length {n} exceeds remaining {} bytes", r.remaining()),
-            });
-        }
+        // Each element needs at least one byte.
+        let n = r.get_checked_len(1, "vec")?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(T::decode(r)?);

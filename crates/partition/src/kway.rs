@@ -8,28 +8,60 @@
 //!    weight chunking (a greedy graph-growing variant);
 //! 3. **Uncoarsening** with greedy boundary Kernighan–Lin refinement at
 //!    every level, under a balance constraint.
+//!
+//! Bookkeeping: the finest level borrows the [`SiteGraph`] (its edges
+//! all weigh 1, so no weight array is built); a coarse vertex is its
+//! pair's lower fine index, the partner being that vertex's mate; a
+//! coarse row is summed in a dense array indexed by coarse id, its
+//! touched ids sorted and emitted; refinement keeps each vertex's count
+//! of neighbours in another part and skips a vertex whose count is 0.
+//!
+//! This returns the same owner vector, bit for bit, as the per-row
+//! `HashMap`, member-list and full-rescan code it replaced (pinned by
+//! `tests/golden/kway_owner.txt`): every weight sum starts at `0.0` and
+//! adds the same terms in the same member / neighbour order; members
+//! come in ascending fine index either way; and on a symmetric graph a
+//! zero count is exactly "no foreign part found by a rescan", so every
+//! move decision is the same.
 
 use crate::graph::SiteGraph;
 use crate::Partitioner;
+use std::borrow::Cow;
 
 /// Weighted CSR graph used internally across coarsening levels.
-#[derive(Debug, Clone)]
-struct Level {
-    xadj: Vec<usize>,
-    adjncy: Vec<u32>,
-    adjwgt: Vec<f64>,
-    vwgt: Vec<f64>,
+#[derive(Debug)]
+struct Level<'g> {
+    xadj: Cow<'g, [usize]>,
+    adjncy: Cow<'g, [u32]>,
+    /// Edge weights; `None` on the finest level, where every edge
+    /// weighs 1.
+    adjwgt: Option<Vec<f64>>,
+    vwgt: Cow<'g, [f64]>,
     /// Map from this level's vertices to the *next coarser* level.
     coarse_map: Vec<u32>,
 }
 
-impl Level {
+impl<'g> Level<'g> {
+    /// The finest level: the site graph itself, borrowed.
+    fn finest(graph: &'g SiteGraph) -> Self {
+        Level {
+            xadj: Cow::Borrowed(&graph.xadj),
+            adjncy: Cow::Borrowed(&graph.adjncy),
+            adjwgt: None,
+            vwgt: Cow::Borrowed(&graph.vwgt),
+            coarse_map: Vec::new(),
+        }
+    }
     fn len(&self) -> usize {
         self.vwgt.len()
     }
     fn neighbours(&self, v: u32) -> impl Iterator<Item = (u32, f64)> + '_ {
         let r = self.xadj[v as usize]..self.xadj[v as usize + 1];
-        r.map(move |e| (self.adjncy[e], self.adjwgt[e]))
+        let w = self.adjwgt.as_deref().map(|w| &w[r.clone()]);
+        self.adjncy[r]
+            .iter()
+            .enumerate()
+            .map(move |(i, &u)| (u, w.map_or(1.0, |w| w[i])))
     }
 }
 
@@ -52,13 +84,6 @@ impl Partitioner for MultilevelKWay {
         if k == 1 {
             return vec![0; graph.len()];
         }
-        let base = Level {
-            xadj: graph.xadj.clone(),
-            adjncy: graph.adjncy.clone(),
-            adjwgt: vec![1.0; graph.adjncy.len()],
-            vwgt: graph.vwgt.clone(),
-            coarse_map: Vec::new(),
-        };
 
         // Phase 1: coarsen, with an explicit stall guard. Heavy-edge
         // matching makes no real progress on adversarial topologies — a
@@ -67,7 +92,7 @@ impl Partitioner for MultilevelKWay {
         // straight to initial partitioning + refinement on what we have.
         // Without the guard such a level could be re-coarsened forever
         // while never approaching the target size.
-        let mut levels = vec![base];
+        let mut levels = vec![Level::finest(graph)];
         let target = (COARSEN_FACTOR * k).max(64);
         let mut rng = SEED | 1;
         loop {
@@ -120,7 +145,7 @@ fn next_rand(state: &mut u64) -> u64 {
 
 /// Heavy-edge matching coarsening. Returns the coarse level and the
 /// fine→coarse map.
-fn coarsen(fine: &Level, rng: &mut u64) -> (Level, Vec<u32>) {
+fn coarsen(fine: &Level<'_>, rng: &mut u64) -> (Level<'static>, Vec<u32>) {
     let n = fine.len();
     // Random visit order (Fisher–Yates with the deterministic RNG).
     let mut order: Vec<u32> = (0..n as u32).collect();
@@ -154,61 +179,68 @@ fn coarsen(fine: &Level, rng: &mut u64) -> (Level, Vec<u32>) {
         }
     }
 
-    // Assign coarse ids (pair gets one id, deterministic by min index).
+    // Assign coarse ids in ascending fine index: a pair's id goes to its
+    // lower index, kept in `first`; the partner is that vertex's mate.
     let mut coarse_map = vec![u32::MAX; n];
-    let mut next_id = 0u32;
+    let mut first: Vec<u32> = Vec::with_capacity(n);
     for v in 0..n as u32 {
         if coarse_map[v as usize] != u32::MAX {
             continue;
         }
-        let m = mate[v as usize];
-        coarse_map[v as usize] = next_id;
-        if m != v && m != unmatched {
-            coarse_map[m as usize] = next_id;
-        }
-        next_id += 1;
+        let id = first.len() as u32;
+        coarse_map[v as usize] = id;
+        coarse_map[mate[v as usize] as usize] = id;
+        first.push(v);
     }
 
     // Build the coarse graph: combine vertex weights, collapse edges.
-    let nc = next_id as usize;
-    let mut vwgt = vec![0.0f64; nc];
-    for v in 0..n {
-        vwgt[coarse_map[v] as usize] += fine.vwgt[v];
-    }
-    // Per-coarse-vertex edge accumulation.
-    let mut xadj = vec![0usize; nc + 1];
+    // `wacc[cu]` holds the current row's weight to `cu` iff
+    // `stamp[cu]` is that row's id; `row` lists the ids it touched.
+    let nc = first.len();
+    let mut vwgt = Vec::with_capacity(nc);
+    let mut xadj = Vec::with_capacity(nc + 1);
+    xadj.push(0);
     let mut adjncy: Vec<u32> = Vec::with_capacity(fine.adjncy.len() / 2);
     let mut adjwgt: Vec<f64> = Vec::with_capacity(fine.adjncy.len() / 2);
-    // Group fine vertices by coarse id.
-    let mut members: Vec<Vec<u32>> = vec![Vec::new(); nc];
-    for v in 0..n as u32 {
-        members[coarse_map[v as usize] as usize].push(v);
-    }
-    let mut acc: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
-    for cv in 0..nc {
-        acc.clear();
-        for &v in &members[cv] {
+    let mut wacc = vec![0.0f64; nc];
+    let mut stamp = vec![u32::MAX; nc];
+    let mut row: Vec<u32> = Vec::new();
+    for (cv, &a) in first.iter().enumerate() {
+        let cv = cv as u32;
+        let b = mate[a as usize];
+        let pair = [a, b];
+        let members = &pair[..if b == a { 1 } else { 2 }];
+        let mut w_v = 0.0f64;
+        row.clear();
+        for &v in members {
+            w_v += fine.vwgt[v as usize];
             for (u, w) in fine.neighbours(v) {
                 let cu = coarse_map[u as usize];
-                if cu as usize != cv {
-                    *acc.entry(cu).or_insert(0.0) += w;
+                if cu == cv {
+                    continue;
                 }
+                if stamp[cu as usize] != cv {
+                    stamp[cu as usize] = cv;
+                    wacc[cu as usize] = 0.0;
+                    row.push(cu);
+                }
+                wacc[cu as usize] += w;
             }
         }
-        let mut entries: Vec<(u32, f64)> = acc.iter().map(|(&u, &w)| (u, w)).collect();
-        entries.sort_unstable_by_key(|e| e.0);
-        for (u, w) in entries {
-            adjncy.push(u);
-            adjwgt.push(w);
+        vwgt.push(w_v);
+        row.sort_unstable();
+        for &cu in &row {
+            adjncy.push(cu);
+            adjwgt.push(wacc[cu as usize]);
         }
-        xadj[cv + 1] = adjncy.len();
+        xadj.push(adjncy.len());
     }
     (
         Level {
-            xadj,
-            adjncy,
-            adjwgt,
-            vwgt,
+            xadj: Cow::Owned(xadj),
+            adjncy: Cow::Owned(adjncy),
+            adjwgt: Some(adjwgt),
+            vwgt: Cow::Owned(vwgt),
             coarse_map: Vec::new(),
         },
         coarse_map,
@@ -217,7 +249,7 @@ fn coarsen(fine: &Level, rng: &mut u64) -> (Level, Vec<u32>) {
 
 /// Initial partition: BFS order from vertex 0 (component by component),
 /// chunked by weight.
-fn initial_partition(level: &Level, k: usize) -> Vec<usize> {
+fn initial_partition(level: &Level<'_>, k: usize) -> Vec<usize> {
     let n = level.len();
     let mut order = Vec::with_capacity(n);
     let mut seen = vec![false; n];
@@ -253,21 +285,66 @@ fn initial_partition(level: &Level, k: usize) -> Vec<usize> {
 }
 
 /// Greedy boundary KL refinement under a balance constraint.
-fn refine(level: &Level, owner: &mut [usize], k: usize, epsilon: f64, max_passes: usize) {
-    let n = level.len();
-    let total: f64 = level.vwgt.iter().sum();
-    let mean = total / k as f64;
-    let max_load = mean * (1.0 + epsilon);
-    let mut loads = vec![0.0f64; k];
-    for v in 0..n {
-        loads[owner[v]] += level.vwgt[v];
+fn refine(level: &Level<'_>, owner: &mut [usize], k: usize, epsilon: f64, max_passes: usize) {
+    let mut refiner = Refiner::new(level, owner, k, epsilon);
+    for _pass in 0..max_passes {
+        if refiner.pass(owner) == 0 {
+            break;
+        }
+    }
+}
+
+/// One level's refinement state: part loads and, per vertex, `ext` —
+/// the number of its adjacency entries owned by another part, kept
+/// exact across moves so that an interior vertex is skipped in O(1).
+struct Refiner<'a> {
+    level: &'a Level<'a>,
+    loads: Vec<f64>,
+    max_load: f64,
+    ext: Vec<u32>,
+    /// Scratch: edge weight from the visited vertex to each part.
+    link: Vec<f64>,
+    touched: Vec<usize>,
+}
+
+impl<'a> Refiner<'a> {
+    fn new(level: &'a Level<'_>, owner: &[usize], k: usize, epsilon: f64) -> Self {
+        let n = level.len();
+        let total: f64 = level.vwgt.iter().sum();
+        let mean = total / k as f64;
+        let mut loads = vec![0.0f64; k];
+        for v in 0..n {
+            loads[owner[v]] += level.vwgt[v];
+        }
+        let ext = (0..n as u32)
+            .map(|v| {
+                let o = owner[v as usize];
+                level
+                    .neighbours(v)
+                    .filter(|&(u, _)| owner[u as usize] != o)
+                    .count() as u32
+            })
+            .collect();
+        Refiner {
+            level,
+            loads,
+            max_load: mean * (1.0 + epsilon),
+            ext,
+            link: vec![0.0f64; k],
+            touched: Vec::with_capacity(8),
+        }
     }
 
-    let mut link = vec![0.0f64; k]; // scratch: edge weight to each part
-    let mut touched: Vec<usize> = Vec::with_capacity(8);
-    for _pass in 0..max_passes {
+    /// One greedy pass over the vertices in index order, moves applied
+    /// at once. Returns the number of moves.
+    fn pass(&mut self, owner: &mut [usize]) -> usize {
+        let level = self.level;
+        let (link, touched, loads) = (&mut self.link, &mut self.touched, &mut self.loads);
         let mut moves = 0usize;
-        for v in 0..n as u32 {
+        for v in 0..level.len() as u32 {
+            if self.ext[v as usize] == 0 {
+                continue; // not a boundary vertex
+            }
             let src = owner[v as usize];
             // Weight of edges into each adjacent part.
             touched.clear();
@@ -283,15 +360,12 @@ fn refine(level: &Level, owner: &mut [usize], k: usize, epsilon: f64, max_passes
                     link[ou] += w;
                 }
             }
-            if touched.is_empty() {
-                continue; // not a boundary vertex
-            }
             // Best destination by gain, then by load (deterministic).
             let w_v = level.vwgt[v as usize];
             let mut best: Option<(usize, f64)> = None;
-            for &dst in &touched {
+            for &dst in touched.iter() {
                 let gain = link[dst] - internal;
-                if loads[dst] + w_v > max_load {
+                if loads[dst] + w_v > self.max_load {
                     continue;
                 }
                 let better = match best {
@@ -302,7 +376,7 @@ fn refine(level: &Level, owner: &mut [usize], k: usize, epsilon: f64, max_passes
                     best = Some((dst, gain));
                 }
             }
-            for &t in &touched {
+            for &t in touched.iter() {
                 link[t] = 0.0;
             }
             if let Some((dst, gain)) = best {
@@ -315,12 +389,25 @@ fn refine(level: &Level, owner: &mut [usize], k: usize, epsilon: f64, max_passes
                     loads[src] -= w_v;
                     loads[dst] += w_v;
                     moves += 1;
+                    // `v` left `src` for `dst`: neighbours in `src` gain a
+                    // foreign neighbour, those in `dst` lose one.
+                    let mut foreign = 0;
+                    for (u, _) in level.neighbours(v) {
+                        let ou = owner[u as usize];
+                        if ou == src {
+                            self.ext[u as usize] += 1;
+                        } else if ou == dst {
+                            self.ext[u as usize] -= 1;
+                        }
+                        if ou != dst {
+                            foreign += 1;
+                        }
+                    }
+                    self.ext[v as usize] = foreign;
                 }
             }
         }
-        if moves == 0 {
-            break;
-        }
+        moves
     }
 }
 
@@ -380,13 +467,7 @@ mod tests {
     fn refinement_never_worsens_cut() {
         let g = demo_graph();
         let k = 4;
-        let level = Level {
-            xadj: g.xadj.clone(),
-            adjncy: g.adjncy.clone(),
-            adjwgt: vec![1.0; g.adjncy.len()],
-            vwgt: g.vwgt.clone(),
-            coarse_map: Vec::new(),
-        };
+        let level = Level::finest(&g);
         let mut owner = initial_partition(&level, k);
         let before = quality(&g, &owner, k).edge_cut;
         refine(&level, &mut owner, k, 0.05, 8);
@@ -394,16 +475,49 @@ mod tests {
         assert!(after <= before, "refine worsened cut: {before} -> {after}");
     }
 
+    /// A fresh count of each vertex's neighbours in another part.
+    fn recount_ext(level: &Level<'_>, owner: &[usize]) -> Vec<u32> {
+        (0..level.len() as u32)
+            .map(|v| {
+                level
+                    .neighbours(v)
+                    .filter(|&(u, _)| owner[u as usize] != owner[v as usize])
+                    .count() as u32
+            })
+            .collect()
+    }
+
+    #[test]
+    fn refine_keeps_foreign_counts_exact() {
+        let g = demo_graph();
+        let fine = Level::finest(&g);
+        let (coarse, _) = coarsen(&fine, &mut 42u64);
+        for level in [&fine, &coarse] {
+            for k in [2, 4, 8] {
+                let mut owner = initial_partition(level, k);
+                let mut refiner = Refiner::new(level, &owner, k, EPSILON);
+                let mut moved = 0;
+                for pass in 0..REFINE_PASSES {
+                    let moves = refiner.pass(&mut owner);
+                    assert_eq!(
+                        refiner.ext,
+                        recount_ext(level, &owner),
+                        "k={k} pass {pass}: ext drifted"
+                    );
+                    moved += moves;
+                    if moves == 0 {
+                        break;
+                    }
+                }
+                assert!(moved > 0, "k={k}: no move exercised the update");
+            }
+        }
+    }
+
     #[test]
     fn coarsening_preserves_total_weight() {
         let g = demo_graph();
-        let level = Level {
-            xadj: g.xadj.clone(),
-            adjncy: g.adjncy.clone(),
-            adjwgt: vec![1.0; g.adjncy.len()],
-            vwgt: g.vwgt.clone(),
-            coarse_map: Vec::new(),
-        };
+        let level = Level::finest(&g);
         let mut rng = 42u64;
         let (coarse, map) = coarsen(&level, &mut rng);
         assert!(coarse.len() < level.len());
@@ -412,6 +526,61 @@ mod tests {
         let coarse_w: f64 = coarse.vwgt.iter().sum();
         assert!((fine_w - coarse_w).abs() < 1e-9);
         assert!(map.iter().all(|&c| (c as usize) < coarse.len()));
+    }
+
+    /// Two rounds of coarsening from the demo graph, `check(fine, coarse,
+    /// map)` after each: the unit-weight finest level and a weighted
+    /// coarse one as input.
+    fn coarsen_twice(check: impl Fn(&Level<'_>, &Level<'_>, &[u32])) {
+        let g = demo_graph();
+        let mut rng = 42u64;
+        let mut fine = Level::finest(&g);
+        for _ in 0..2 {
+            let (coarse, map) = coarsen(&fine, &mut rng);
+            check(&fine, &coarse, &map);
+            fine = coarse;
+        }
+    }
+
+    #[test]
+    fn coarse_rows_are_ascending_and_loop_free() {
+        coarsen_twice(|_, coarse, _| {
+            for cv in 0..coarse.len() as u32 {
+                let row: Vec<u32> = coarse.neighbours(cv).map(|(u, _)| u).collect();
+                assert!(
+                    row.windows(2).all(|p| p[0] < p[1]),
+                    "row {cv} not ascending"
+                );
+                assert!(!row.contains(&cv), "self-loop at {cv}");
+            }
+        });
+    }
+
+    #[test]
+    fn coarse_graph_is_symmetric_and_keeps_uncollapsed_edge_weight() {
+        coarsen_twice(|fine, coarse, map| {
+            let as_graph = SiteGraph {
+                xadj: coarse.xadj.to_vec(),
+                adjncy: coarse.adjncy.to_vec(),
+                vwgt: coarse.vwgt.to_vec(),
+                vwgt2: None,
+                coords: vec![[0.0; 3]; coarse.len()],
+            };
+            as_graph.validate().unwrap();
+            let total = |l: &Level<'_>| -> f64 {
+                (0..l.len() as u32)
+                    .flat_map(|v| l.neighbours(v))
+                    .map(|(_, w)| w)
+                    .sum()
+            };
+            let collapsed: f64 = (0..fine.len() as u32)
+                .flat_map(|v| fine.neighbours(v).map(move |(u, w)| (v, u, w)))
+                .filter(|&(v, u, _)| map[v as usize] == map[u as usize])
+                .map(|(_, _, w)| w)
+                .sum();
+            assert!(collapsed > 0.0, "matching collapsed no edge");
+            assert_eq!(total(coarse), total(fine) - collapsed);
+        });
     }
 
     /// A star: vertex 0 joined to every other vertex, no other edges.
