@@ -19,14 +19,22 @@
 //! multilevel k-way owner maps the same way: one FNV-1a of the owner
 //! vector per graph × stencil × `k` cell, recorded before the
 //! partitioner's bookkeeping was rewritten.
+//!
+//! `iolet_rules.txt` pins the open-boundary rules the named cases leave
+//! unexercised — a pulsatile inlet and BCs changed mid-run — with one
+//! line per cell that the serial, threaded and distributed solvers must
+//! all reproduce. It was recorded before the stream phase's boundary
+//! links were split into wall copies and iolet rules.
 
 mod common;
 
+use hemelb::core::boundary::IoletBc;
 use hemelb::core::collision::CollisionKind;
 use hemelb::core::solver::ModelKind;
-use hemelb::core::{ParallelSolver, Solver, SolverConfig};
-use hemelb::geometry::{SparseGeometry, VesselBuilder};
+use hemelb::core::{DistSolver, FieldSnapshot, ParallelSolver, Solver, SolverConfig};
+use hemelb::geometry::{IoLetKind, SparseGeometry, VesselBuilder};
 use hemelb::obs::Fnv1a;
+use hemelb::parallel::run_spmd;
 use hemelb::partition::graph::{Connectivity, SiteGraph};
 use hemelb::partition::{quality, MultilevelKWay, Partitioner};
 use std::path::PathBuf;
@@ -209,6 +217,186 @@ fn operator_grid_lines() -> String {
 #[test]
 fn golden_operator_grid() {
     check_or_bless("operator_grid", &operator_grid_lines());
+}
+
+/// One iolet-rule cell: a configuration, the steps run before a mid-run
+/// BC change (if any), the change, and the steps run after it.
+struct IoletCell {
+    name: &'static str,
+    cfg: fn() -> SolverConfig,
+    before: u64,
+    change: Option<(IoLetKind, IoletBc)>,
+    after: u64,
+}
+
+const IOLET_CELLS: &[IoletCell] = &[
+    IoletCell {
+        name: "pulsatile_inlet_d3q15_bgk",
+        cfg: || SolverConfig {
+            inlet_bcs: vec![IoletBc::Pulsatile {
+                peak: 0.03,
+                parabolic: true,
+                amplitude: 0.6,
+                period: 12,
+            }],
+            ..SolverConfig::velocity_driven(0.03)
+        },
+        before: 30,
+        change: None,
+        after: 0,
+    },
+    IoletCell {
+        name: "outlet_pressure_change_d3q15_bgk",
+        cfg: || SolverConfig::pressure_driven(1.01, 0.99),
+        before: 15,
+        change: Some((IoLetKind::Outlet, IoletBc::Pressure { rho: 0.98 })),
+        after: 15,
+    },
+    IoletCell {
+        name: "inlet_velocity_change_d3q19_trt",
+        cfg: || {
+            SolverConfig::velocity_driven(0.03)
+                .with_model(ModelKind::D3Q19)
+                .with_collision(CollisionKind::trt_magic())
+        },
+        before: 15,
+        change: Some((
+            IoLetKind::Inlet,
+            IoletBc::Velocity {
+                peak: 0.05,
+                parabolic: false,
+            },
+        )),
+        after: 15,
+    },
+];
+
+/// The iolet cells' vessel: an aneurysm with one inlet and one outlet.
+fn iolet_geometry() -> Arc<SparseGeometry> {
+    Arc::new(VesselBuilder::aneurysm(12.0, 2.5, 3.5).voxelise(1.0))
+}
+
+/// What each solver must offer to run an [`IoletCell`].
+trait IoletDriven {
+    fn run(&mut self, steps: u64);
+    fn set_bc(&mut self, kind: IoLetKind, bc: IoletBc);
+}
+
+impl IoletDriven for Solver {
+    fn run(&mut self, steps: u64) {
+        self.step_n(steps);
+    }
+    fn set_bc(&mut self, kind: IoLetKind, bc: IoletBc) {
+        match kind {
+            IoLetKind::Inlet => self.set_inlet_bc(0, bc),
+            IoLetKind::Outlet => self.set_outlet_bc(0, bc),
+        }
+    }
+}
+
+impl IoletDriven for ParallelSolver {
+    fn run(&mut self, steps: u64) {
+        self.step_n(steps);
+    }
+    fn set_bc(&mut self, kind: IoLetKind, bc: IoletBc) {
+        match kind {
+            IoLetKind::Inlet => self.set_inlet_bc(0, bc),
+            IoLetKind::Outlet => self.set_outlet_bc(0, bc),
+        }
+    }
+}
+
+impl IoletDriven for DistSolver<'_> {
+    fn run(&mut self, steps: u64) {
+        self.step_n(steps).unwrap();
+    }
+    fn set_bc(&mut self, kind: IoLetKind, bc: IoletBc) {
+        match kind {
+            IoLetKind::Inlet => self.set_inlet_bc(0, bc),
+            IoLetKind::Outlet => self.set_outlet_bc(0, bc),
+        }
+    }
+}
+
+fn drive(cell: &IoletCell, solver: &mut impl IoletDriven) {
+    solver.run(cell.before);
+    if let Some((kind, bc)) = cell.change {
+        solver.set_bc(kind, bc);
+    }
+    solver.run(cell.after);
+}
+
+/// The cell's digest line on `DistSolver` over `ranks` ranks of a k-way
+/// map: the gathered snapshot and every rank's distributions put back
+/// in global site order.
+fn dist_iolet_line(cell: &IoletCell, geo: &Arc<SparseGeometry>, ranks: usize) -> String {
+    let graph = SiteGraph::from_geometry(geo, Connectivity::D3Q15);
+    let owner = MultilevelKWay.partition(&graph, ranks);
+    let cfg = (cell.cfg)();
+    let q = cfg.model.build().q;
+    let geo2 = geo.clone();
+    let steps = cell.before + cell.after;
+    let out = run_spmd(ranks, move |comm| {
+        let mut ds = DistSolver::new(geo2.clone(), owner.clone(), cfg.clone(), comm).unwrap();
+        drive(cell, &mut ds);
+        let snap = ds.gather_snapshot().unwrap();
+        (snap, ds.local_sites().to_vec(), ds.raw_distributions())
+    });
+    let mut f = vec![0.0; geo.fluid_count() * q];
+    for (_, sites, raw) in &out {
+        for (k, &g) in sites.iter().enumerate() {
+            f[g as usize * q..(g as usize + 1) * q].copy_from_slice(&raw[k * q..(k + 1) * q]);
+        }
+    }
+    let snap = out[0].0.as_ref().expect("rank 0 gathers");
+    digest_line(cell.name, snap, &f, steps)
+}
+
+fn digest_line(name: &str, snap: &FieldSnapshot, f: &[f64], steps: u64) -> String {
+    let (rho, u, shear) = common::snapshot_digests(snap);
+    let f = common::fnv1a_bits(f.iter().copied());
+    format!("{name} steps={steps} rho={rho:016x} u={u:016x} shear={shear:016x} f={f:016x}\n")
+}
+
+/// The iolet rules nothing else pins: a pulsatile (step-dependent)
+/// velocity inlet, and a pressure outlet and a velocity inlet each
+/// changed mid-run through the steering setters. Every cell runs on
+/// `Solver`, `ParallelSolver` at 3 threads and `DistSolver` at 2 and 3
+/// ranks of a k-way map; all four must give the one stored line.
+#[test]
+fn golden_iolet_rules() {
+    let geo = iolet_geometry();
+    let mut lines = String::new();
+    for cell in IOLET_CELLS {
+        let steps = cell.before + cell.after;
+        let mut serial = Solver::new(geo.clone(), (cell.cfg)());
+        drive(cell, &mut serial);
+        let line = digest_line(
+            cell.name,
+            &serial.snapshot(),
+            &serial.raw_distributions(),
+            steps,
+        );
+
+        let mut par = ParallelSolver::new(geo.clone(), (cell.cfg)(), 3);
+        drive(cell, &mut par);
+        let par_line = digest_line(cell.name, &par.snapshot(), &par.raw_distributions(), steps);
+        assert_eq!(
+            par_line, line,
+            "{}: 3 threads diverged from serial",
+            cell.name
+        );
+        for ranks in [2, 3] {
+            assert_eq!(
+                dist_iolet_line(cell, &geo, ranks),
+                line,
+                "{}: {ranks} ranks diverged from serial",
+                cell.name
+            );
+        }
+        lines.push_str(&line);
+    }
+    check_or_bless("iolet_rules", &lines);
 }
 
 /// Negative control for the fixtures: swapping one pair of
