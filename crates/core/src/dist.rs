@@ -337,17 +337,13 @@ impl<'a> DistSolver<'a> {
     /// Replace the BC of inlet `id` at runtime (steering). Must be
     /// called identically on every rank.
     pub fn set_inlet_bc(&mut self, id: usize, bc: IoletBc) {
-        let sites = self.locals.iter().copied();
-        self.lat
-            .set_iolet_bc(&self.geo, sites, IoLetKind::Inlet, id, bc);
+        self.lat.set_iolet_bc(&self.geo, IoLetKind::Inlet, id, bc);
     }
 
     /// Replace the BC of outlet `id` at runtime (steering). Must be
     /// called identically on every rank.
     pub fn set_outlet_bc(&mut self, id: usize, bc: IoletBc) {
-        let sites = self.locals.iter().copied();
-        self.lat
-            .set_iolet_bc(&self.geo, sites, IoLetKind::Outlet, id, bc);
+        self.lat.set_iolet_bc(&self.geo, IoLetKind::Outlet, id, bc);
     }
 
     /// Whether this rank's step hides its halo exchange behind interior
@@ -693,7 +689,7 @@ impl<'a> DistSolver<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::Solver;
+    use crate::solver::{ModelKind, Solver};
     use hemelb_geometry::VesselBuilder;
     use hemelb_parallel::{run_spmd, run_spmd_with_stats, TagClass};
 
@@ -1104,6 +1100,7 @@ mod tests {
             let ds = DistSolver::new(geo2.clone(), owner2.clone(), cfg.clone(), comm).unwrap();
             let me = comm.rank();
             let q = ds.lat.model.q;
+            let table = ds.lat.stream_table();
             let mut halo_links = vec![0usize; q];
             for (l, &g) in ds.locals.iter().enumerate() {
                 let [x, y, z] = geo2.position(g);
@@ -1114,7 +1111,7 @@ mod tests {
                         y as i64 - c[1] as i64,
                         z as i64 - c[2] as i64,
                     );
-                    let entry = ds.lat.stream[i][l];
+                    let entry = table[i][l];
                     match src {
                         None => assert_eq!(entry, BOUNDARY, "dir {i} at local {l}"),
                         Some(sg) if owner2[sg as usize] == me => {
@@ -1151,6 +1148,54 @@ mod tests {
         });
     }
 
+    /// On every rank of a 3-rank k-way-like split (a checkerboard, so
+    /// the plan has halo links in every direction), for both velocity
+    /// sets: every link lies in exactly one of the plan's four lists,
+    /// and the plan expands back to the streaming table entry for entry
+    /// — local and missing links exactly as an independent
+    /// `build_stream_table` over the storage order gives them, halo
+    /// links as distinct slots of the halo buffer.
+    #[test]
+    fn plan_partitions_the_links_and_expands_to_the_table_on_every_rank() {
+        let geo = Arc::new(VesselBuilder::aneurysm(12.0, 2.5, 3.5).voxelise(1.0));
+        for kind in [ModelKind::D3Q15, ModelKind::D3Q19] {
+            let cfg = SolverConfig::velocity_driven(0.03).with_model(kind);
+            let geo2 = geo.clone();
+            run_spmd(3, move |comm| {
+                let owner = checkerboard_owner(&geo2, comm.size());
+                let ds = DistSolver::new(geo2.clone(), owner.clone(), cfg.clone(), comm).unwrap();
+                crate::layout::tests::assert_plan_partitions_the_links(&ds.lat);
+                let me = comm.rank();
+                let g2l = global_to_local(&ds.locals, geo2.fluid_count());
+                let want =
+                    build_stream_table(&geo2, &ds.lat.model, ds.locals.iter().copied(), |sg, _| {
+                        if owner[sg as usize] == me {
+                            g2l[sg as usize]
+                        } else {
+                            HALO_FLAG
+                        }
+                    });
+                let got = ds.lat.stream_table();
+                let mut slots = vec![false; ds.halo.len()];
+                for (lane, want_lane) in got.iter().zip(&want) {
+                    for (&e, &w) in lane.iter().zip(want_lane) {
+                        if w == HALO_FLAG {
+                            assert!(e != BOUNDARY && e & HALO_FLAG != 0, "rank {me}: {e:x}");
+                            let slot = (e & !HALO_FLAG) as usize;
+                            assert!(
+                                !std::mem::replace(&mut slots[slot], true),
+                                "slot {slot} twice"
+                            );
+                        } else {
+                            assert_eq!(e, w, "rank {me} {kind:?}");
+                        }
+                    }
+                }
+                assert!(slots.iter().all(|&s| s), "rank {me}: every halo slot read");
+            });
+        }
+    }
+
     /// Satellite: the interior/frontier classifier, validated **per
     /// link orientation at rank boundaries** with the same explicit
     /// x-slab decomposition as the streaming-table test above. A site must
@@ -1173,6 +1218,7 @@ mod tests {
             let me = comm.rank();
             let q = ds.lat.model.q;
             let nl = ds.locals.len();
+            let table = ds.lat.stream_table();
 
             // Independent reconstruction of the frontier set.
             let mut expected = vec![false; nl];
@@ -1183,7 +1229,7 @@ mod tests {
             }
             for (l, flag) in expected.iter_mut().enumerate() {
                 *flag |= (0..q).any(|d| {
-                    let e = ds.lat.stream[d][l];
+                    let e = table[d][l];
                     e != BOUNDARY && e & HALO_FLAG != 0
                 });
             }
@@ -1202,7 +1248,7 @@ mod tests {
                 let crosses = (me == 0 && c[0] == -1) || (me == 1 && c[0] == 1);
                 let halo_sites = (0..nl)
                     .filter(|&l| {
-                        let e = ds.lat.stream[i][l];
+                        let e = table[i][l];
                         e != BOUNDARY && e & HALO_FLAG != 0
                     })
                     .count();
@@ -1211,8 +1257,7 @@ mod tests {
                 } else {
                     assert_eq!(halo_sites, 0, "rank {me}: dir {i} must not cross");
                 }
-                for l in 0..nl {
-                    let e = ds.lat.stream[i][l];
+                for (l, &e) in table[i].iter().enumerate() {
                     if e != BOUNDARY && e & HALO_FLAG != 0 {
                         assert!(ds.partition.is_frontier(l));
                     }
@@ -1255,8 +1300,9 @@ mod tests {
                 };
                 let ds = DistSolver::new(geo2.clone(), owner, cfg2.clone(), comm).unwrap();
                 let split = ds.partition.frontier_count();
+                let table = ds.lat.stream_table();
                 for l in split..ds.locals.len() {
-                    for lane in &ds.lat.stream {
+                    for lane in &table {
                         assert!(
                             lane[l] == BOUNDARY || lane[l] & HALO_FLAG == 0,
                             "rank {}: interior site {l} reads the halo",

@@ -13,7 +13,9 @@
 
 use crate::boundary::IoletBc;
 use crate::fields::FieldSnapshot;
-use crate::layout::{collide_span_soa, macroscopics_span_soa, stream_span_soa, SoaLattice};
+use crate::layout::{
+    collide_span_soa, macroscopics_span_soa, stream_span_soa, IoletSpan, SoaLattice,
+};
 use crate::solver::{Solver, SolverConfig};
 use hemelb_geometry::SparseGeometry;
 use std::ops::Range;
@@ -43,6 +45,24 @@ impl<T> Carve for &mut [T] {
 impl Carve for Vec<&mut [f64]> {
     fn carve(&mut self, len: usize) -> Self {
         self.iter_mut().map(|lane| take_span(lane, len)).collect()
+    }
+}
+
+/// The iolet sites of a span: the first `len` sites' share is cut off
+/// where their local indices end (`partition_point`).
+impl Carve for IoletSpan<'_> {
+    fn carve(&mut self, len: usize) -> Self {
+        let end = self.first + len;
+        let k = self.sites.partition_point(|&s| (s as usize) < end);
+        let (sites, rest) = self.sites.split_at(k);
+        self.sites = rest;
+        let head = IoletSpan {
+            first: self.first,
+            sites,
+            moments: take_span(&mut self.moments, k),
+        };
+        self.first = end;
+        head
     }
 }
 
@@ -90,17 +110,18 @@ where
 
 impl SoaLattice {
     /// Collide the sites of `range` in place (`f` becomes `f*`),
-    /// recording their pre-collision moments; sites outside it are
-    /// untouched. The chunked sweep is chunk-offset-invariant, so
-    /// neither the range nor `threads` can change any site's value;
-    /// workers share the direction tables and the operator immutably.
+    /// recording the pre-collision moments of its iolet sites; sites
+    /// outside it are untouched. The chunked sweep is
+    /// chunk-offset-invariant, so neither the range nor `threads` can
+    /// change any site's value; workers share the direction tables and
+    /// the operator immutably.
     pub(crate) fn collide(&mut self, range: Range<usize>, threads: usize) {
         let state = (
             lane_spans(&mut self.f, range.clone()),
-            &mut self.moments[range.clone()],
+            self.iolets.span_mut(range.clone()),
         );
-        for_chunks(range, threads, state, |_, (mut lanes, moments)| {
-            collide_span_soa(&self.model, &self.dirs, &self.relax, &mut lanes, moments);
+        for_chunks(range, threads, state, |_, (mut lanes, iolets)| {
+            collide_span_soa(&self.model, &self.dirs, &self.relax, &mut lanes, iolets);
         });
     }
 
@@ -116,11 +137,9 @@ impl SoaLattice {
             stream_span_soa(
                 &self.model,
                 &self.cfg,
-                &self.kinds,
                 &self.f,
                 &self.plan,
-                &self.moments,
-                &self.bc_velocity,
+                &self.iolets,
                 halo,
                 self.step,
                 first,
@@ -355,8 +374,51 @@ mod tests {
                     bit_eq(&part_f[s * q..(s + 1) * q], &want[s * q..(s + 1) * q]),
                     "{collision:?} site {s}"
                 );
-                if covered {
-                    assert_eq!(part.moments[s].0.to_bits(), full.moments[s].0.to_bits());
+            }
+            // The covered iolet sites' stored moments agree too.
+            let iolets = &full.iolets.sites;
+            assert!(!iolets.is_empty());
+            for (k, &s) in iolets.iter().enumerate() {
+                if ranges.iter().any(|r| r.contains(&(s as usize))) {
+                    let (a, b) = (part.iolets.moments[k], full.iolets.moments[k]);
+                    assert_eq!(a.0.to_bits(), b.0.to_bits(), "{collision:?} iolet {k}");
+                    assert!(bit_eq(&a.1, &b.1), "{collision:?} iolet {k}");
+                }
+            }
+        }
+    }
+
+    /// The compact moments the collide stores at the iolet sites equal
+    /// the scalar pre-collision moments of those sites at any thread
+    /// count — the worker shares split the iolet list where their site
+    /// ranges split.
+    #[test]
+    fn compact_iolet_moments_match_the_full_moments() {
+        let geo = Arc::new(VesselBuilder::straight_tube(10.0, 2.5).voxelise(1.0));
+        for kind in [ModelKind::D3Q15, ModelKind::D3Q19] {
+            let cfg = SolverConfig::velocity_driven(0.03).with_model(kind);
+            let mut base = Solver::new(geo.clone(), cfg).lat;
+            let (n, q) = (base.site_count(), base.model.q);
+            let init: Vec<f64> = (0..n * q).map(|k| 0.05 + (k as f64).sin().abs()).collect();
+            base.install_site_major(0, &init);
+            let full: Vec<_> = init
+                .chunks_exact(q)
+                .map(|site| crate::equilibrium::moments(&base.model, site))
+                .collect();
+            let sites = base.iolets.sites.clone();
+            assert!(sites.len() > 3, "inlet and outlet slabs");
+            for threads in [1, 2, 3] {
+                let mut lat = Solver::new(geo.clone(), base.cfg.clone()).lat;
+                lat.install_site_major(0, &init);
+                lat.collide(0..n, threads);
+                for (k, &s) in sites.iter().enumerate() {
+                    let (got, want) = (lat.iolets.moments[k], full[s as usize]);
+                    assert_eq!(
+                        got.0.to_bits(),
+                        want.0.to_bits(),
+                        "{kind:?} t{threads} site {s}"
+                    );
+                    assert!(bit_eq(&got.1, &want.1), "{kind:?} t{threads} site {s}");
                 }
             }
         }

@@ -2,13 +2,31 @@
 //! (SoA) fluid-site list every solver in this crate steps.
 //!
 //! Distributions are kept as **one contiguous `f64` lane per velocity
-//! direction** (`f[dir][site]`) plus a streaming-index table built once
-//! at setup: `stream[dir][site]` names the site whose direction-`dir`
-//! population streams *into* `site` (pull streaming), with missing links
-//! resolved to the sentinel [`LINK_BOUNDARY`] (bounce-back / iolet rule)
-//! and cross-rank links to `HALO_FLAG | slot`. The table is compiled
-//! into a [`StreamPlan`], so the streaming phase is segment copies plus
-//! two flat link lists with no per-link dispatch.
+//! direction** (`f[dir][site]`), double-buffered. Setup builds a
+//! streaming-index table — `stream[dir][site]` names the site whose
+//! direction-`dir` population streams *into* `site` (pull streaming),
+//! with missing links the sentinel [`LINK_BOUNDARY`] and cross-rank
+//! links `HALO_FLAG | slot` — compiles it into a [`StreamPlan`] and
+//! drops it before the lanes are allocated. The plan puts every link in
+//! exactly one of four lists, each of which moves the value the old
+//! per-link table walk moved, so the step is bit-identical to it:
+//!
+//! * **copy** — per-direction segments of consecutive local sources:
+//!   `copy_from_slice` moves the same values to the same slots;
+//! * **wall** — per direction, the non-iolet sites missing that link:
+//!   halfway bounce-back is `wall_bounce_back(f) = f`, so the rule is the
+//!   lane-to-lane copy `out[i][s] = f*[opp(i)][s]` with no dispatch;
+//! * **iolet** — the missing links of inlet / outlet sites, the only ones
+//!   that run a rule: the site's BC, its precomputed velocity and its
+//!   pre-collision `(ρ, u)`, all kept in [`Iolets`] at the iolet sites
+//!   alone; the collide stores those moments through a cursor over the
+//!   iolet list, the very `ChunkFront` values a per-site array held;
+//! * **halo** — `(site, dir, slot)` reads of the exchanged buffer.
+//!
+//! Each output slot is written exactly once from state the phase only
+//! reads, so neither list order nor the split into lists can change a
+//! bit. The table comes back only through [`SoaLattice::stream_table`]
+//! (tests and the corruption hook).
 //!
 //! Site `s` of a lattice is the `s`-th fluid site handed to it at
 //! construction: every fluid site in global order for the serial
@@ -59,9 +77,10 @@ use crate::collision::CollisionKind;
 use crate::equilibrium::shear_rate_magnitude;
 use crate::model::LatticeModel;
 use crate::mrt::MrtOperator;
-use crate::solver::{boundary_rule, precompute_bc_velocities, SolverConfig};
+use crate::solver::{iolet_rule, SolverConfig};
 use crate::CS2;
 use hemelb_geometry::{IoLetKind, SiteKind, SparseGeometry};
+use std::ops::Range;
 
 /// Sentinel in the streaming table marking a missing (boundary) link.
 pub(crate) const LINK_BOUNDARY: u32 = u32::MAX;
@@ -93,70 +112,106 @@ pub(crate) struct CopySeg {
     pub len: u32,
 }
 
-/// The fully resolved streaming schedule: every `(site, dir)` link of
-/// the table appears in exactly one of the three lists, so the
-/// streaming phase has no per-link dispatch left — local links run as
-/// segment copies, boundary links as a flat list of rule applications,
-/// halo links as a flat list of buffer reads. Link order never matters
-/// for the result: each output slot is written exactly once from inputs
-/// that the phase only reads.
+/// The fully resolved streaming schedule: every `(site, dir)` link
+/// appears in exactly one of the four lists, so the streaming phase has
+/// no per-link dispatch left for anything but the iolet rules. Link
+/// order never matters for the result: each output slot is written
+/// exactly once from inputs that the phase only reads.
 pub(crate) struct StreamPlan {
     /// Per-direction contiguous-copy segments over all plain-local
     /// links, sorted by destination.
     pub copy: Vec<Vec<CopySeg>>,
-    /// `(site, dir)` links resolved by the boundary rule, sorted by site.
-    pub boundary: Vec<(u32, u32)>,
+    /// Per direction `i`, the ascending non-iolet sites missing link
+    /// `i`: halfway bounce-back, `out[i][s] = f*[opp(i)][s]`.
+    pub wall: Vec<Vec<u32>>,
+    /// `(k, dir)` links of iolet site `k` of [`Iolets`], resolved by its
+    /// BC's rule; sorted by site.
+    pub iolet: Vec<(u32, u32)>,
     /// `(site, dir, slot)` links fed from the halo buffer, sorted by site.
     pub halo: Vec<(u32, u32, u32)>,
 }
 
-/// Compile the streaming table into a [`StreamPlan`].
-fn build_stream_plan(stream: &[Vec<u32>], n: usize) -> StreamPlan {
-    let mut boundary = Vec::new();
-    let mut halo = Vec::new();
-    for s in 0..n {
-        for (i, lane) in stream.iter().enumerate() {
-            let e = lane[s];
-            if e == LINK_BOUNDARY {
-                boundary.push((s as u32, i as u32));
-            } else if !is_local(e) {
-                halo.push((s as u32, i as u32, e & !HALO_FLAG));
+impl StreamPlan {
+    /// Compile a lane-major streaming table: local entries into copy
+    /// segments, missing links into the wall lists or — at the ascending
+    /// `iolet_sites` — the iolet list, halo entries into the halo list.
+    fn compile(table: &[Vec<u32>], iolet_sites: &[u32]) -> Self {
+        let n = table.first().map_or(0, Vec::len);
+        let mut wall = vec![Vec::new(); table.len()];
+        let mut iolet = Vec::new();
+        let mut halo = Vec::new();
+        let mut next_iolet = 0;
+        for s in 0..n {
+            let at_iolet = iolet_sites.get(next_iolet) == Some(&(s as u32));
+            for (i, lane) in table.iter().enumerate() {
+                let e = lane[s];
+                if e == LINK_BOUNDARY {
+                    if at_iolet {
+                        iolet.push((next_iolet as u32, i as u32));
+                    } else {
+                        wall[i].push(s as u32);
+                    }
+                } else if !is_local(e) {
+                    halo.push((s as u32, i as u32, e & !HALO_FLAG));
+                }
             }
+            next_iolet += usize::from(at_iolet);
+        }
+        let copy = table
+            .iter()
+            .map(|lane| {
+                let mut segs = Vec::new();
+                let mut s = 0;
+                while s < n {
+                    let e = lane[s];
+                    if !is_local(e) {
+                        s += 1;
+                        continue;
+                    }
+                    let mut len = 1usize;
+                    while s + len < n {
+                        let e2 = lane[s + len];
+                        if !is_local(e2) || e2 != e + len as u32 {
+                            break;
+                        }
+                        len += 1;
+                    }
+                    segs.push(CopySeg {
+                        dst: s as u32,
+                        src: e,
+                        len: len as u32,
+                    });
+                    s += len;
+                }
+                segs
+            })
+            .collect();
+        StreamPlan {
+            copy,
+            wall,
+            iolet,
+            halo,
         }
     }
-    let copy = stream
-        .iter()
-        .map(|lane| {
-            let mut segs = Vec::new();
-            let mut s = 0;
-            while s < n {
-                let e = lane[s];
-                if !is_local(e) {
-                    s += 1;
-                    continue;
+
+    /// Expand the plan over `n` sites back into the lane-major table it
+    /// was compiled from (tests and the corruption hook; nothing on the
+    /// step path). Wall and iolet links are the sentinel the table
+    /// starts from.
+    fn to_table(&self, n: usize) -> Vec<Vec<u32>> {
+        let mut table = vec![vec![LINK_BOUNDARY; n]; self.copy.len()];
+        for (lane, segs) in table.iter_mut().zip(&self.copy) {
+            for seg in segs {
+                let (d, len) = (seg.dst as usize, seg.len as usize);
+                for (e, src) in lane[d..d + len].iter_mut().zip(seg.src..) {
+                    *e = src;
                 }
-                let mut len = 1usize;
-                while s + len < n {
-                    let e2 = lane[s + len];
-                    if !is_local(e2) || e2 != e + len as u32 {
-                        break;
-                    }
-                    len += 1;
-                }
-                segs.push(CopySeg {
-                    dst: s as u32,
-                    src: e,
-                    len: len as u32,
-                });
-                s += len;
             }
-            segs
-        })
-        .collect();
-    StreamPlan {
-        copy,
-        boundary,
-        halo,
+        }
+        for &(s, i, slot) in &self.halo {
+            table[i as usize][s as usize] = HALO_FLAG | slot;
+        }
+        table
     }
 }
 
@@ -187,10 +242,92 @@ pub(crate) fn build_stream_table(
     table
 }
 
+/// The per-site state only the iolet rules read, kept at the iolet
+/// sites alone: every other site's missing links are wall copies that
+/// read nothing but the populations.
+pub(crate) struct Iolets {
+    /// Local indices of the inlet / outlet sites, ascending.
+    pub(crate) sites: Vec<u32>,
+    /// Their global ids (where the velocity profiles are evaluated).
+    global: Vec<u32>,
+    /// Which inlet or outlet each one belongs to.
+    kinds: Vec<(IoLetKind, u16)>,
+    /// Precomputed BC velocity of each one (zero at pressure iolets).
+    velocity: Vec<[f64; 3]>,
+    /// Pre-collision moments of the current step, stored by the collide.
+    pub(crate) moments: Vec<(f64, [f64; 3])>,
+}
+
+impl Iolets {
+    /// The iolet sites among `sites` (global ids in local order).
+    fn new(geo: &SparseGeometry, cfg: &SolverConfig, sites: impl Iterator<Item = u32>) -> Self {
+        let (mut local, mut global, mut kinds) = (Vec::new(), Vec::new(), Vec::new());
+        for (l, g) in sites.enumerate() {
+            let kind = match geo.kind(g) {
+                SiteKind::Inlet(id) => (IoLetKind::Inlet, id),
+                SiteKind::Outlet(id) => (IoLetKind::Outlet, id),
+                SiteKind::Bulk | SiteKind::Wall => continue,
+            };
+            local.push(l as u32);
+            global.push(g);
+            kinds.push(kind);
+        }
+        let mut iolets = Iolets {
+            moments: vec![(1.0, [0.0; 3]); local.len()],
+            velocity: Vec::new(),
+            sites: local,
+            global,
+            kinds,
+        };
+        iolets.refresh_velocities(geo, cfg);
+        iolets
+    }
+
+    /// Recompute the BC velocities from `cfg` (an id past the disks
+    /// takes the last one, as the BC lists do).
+    fn refresh_velocities(&mut self, geo: &SparseGeometry, cfg: &SolverConfig) {
+        let (inlets, outlets) = (geo.inlets(), geo.outlets());
+        let velocity = self
+            .global
+            .iter()
+            .zip(&self.kinds)
+            .map(|(&g, &(kind, id))| {
+                let disks = match kind {
+                    IoLetKind::Inlet => &inlets,
+                    IoLetKind::Outlet => &outlets,
+                };
+                let disk = disks[(id as usize).min(disks.len() - 1)];
+                cfg.iolet_bc(kind, id).velocity_at(disk, geo.position_v(g))
+            });
+        self.velocity = velocity.collect();
+    }
+
+    /// The iolet sites of the local range `range`, with their moments,
+    /// for a collide to store into.
+    pub(crate) fn span_mut(&mut self, range: Range<usize>) -> IoletSpan<'_> {
+        let a = self.sites.partition_point(|&s| (s as usize) < range.start);
+        let b = self.sites.partition_point(|&s| (s as usize) < range.end);
+        IoletSpan {
+            first: range.start,
+            sites: &self.sites[a..b],
+            moments: &mut self.moments[a..b],
+        }
+    }
+}
+
+/// The iolet sites of a site span starting at local site `first`, and
+/// the slots the collide stores their pre-collision moments in.
+pub(crate) struct IoletSpan<'a> {
+    pub(crate) first: usize,
+    pub(crate) sites: &'a [u32],
+    pub(crate) moments: &'a mut [(f64, [f64; 3])],
+}
+
 /// The complete lattice state of one solver (or one rank): the
-/// double-buffered distribution lanes, the streaming schedule, the
-/// per-site collision inputs and the step counter. The collide, stream
-/// and macroscopics drivers over it live in [`crate::kernel`].
+/// double-buffered distribution lanes, the compiled streaming plan, the
+/// iolet sites' state, the collision inputs and the step counter. The
+/// collide, stream and macroscopics drivers over it live in
+/// [`crate::kernel`].
 pub(crate) struct SoaLattice {
     pub(crate) model: LatticeModel,
     pub(crate) cfg: SolverConfig,
@@ -198,20 +335,13 @@ pub(crate) struct SoaLattice {
     pub(crate) dirs: DirTables,
     /// `cfg.collision` and `cfg.tau` resolved to relaxation rates.
     pub(crate) relax: Relaxation,
-    /// Site kinds, local order.
-    pub(crate) kinds: Vec<SiteKind>,
-    /// Precomputed iolet velocities (zero away from velocity iolets).
-    pub(crate) bc_velocity: Vec<[f64; 3]>,
-    /// Pre-collision moments of the current step, per site.
-    pub(crate) moments: Vec<(f64, [f64; 3])>,
+    /// The inlet / outlet sites and everything their rules read.
+    pub(crate) iolets: Iolets,
     /// Current distributions, `f[dir][site]`.
     pub(crate) f: Vec<Vec<f64>>,
     /// Streaming destination buffer, same shape.
     pub(crate) f_next: Vec<Vec<f64>>,
-    /// Streaming source table, `stream[dir][site]`: local site index,
-    /// `HALO_FLAG | slot`, or [`LINK_BOUNDARY`].
-    pub(crate) stream: Vec<Vec<u32>>,
-    /// The compiled streaming schedule (copies + boundary + halo lists).
+    /// The compiled streaming schedule (copies + wall + iolet + halo).
     pub(crate) plan: StreamPlan,
     /// Completed time steps.
     pub(crate) step: u64,
@@ -219,14 +349,17 @@ pub(crate) struct SoaLattice {
 
 impl SoaLattice {
     /// The rest state (`ρ = 1`, `u = 0`: lane `i` is the constant `w_i`)
-    /// on `sites` of `geo`, streaming by `stream`.
+    /// on `sites` of `geo`, streaming by the lane-major table `stream`
+    /// (local site index, `HALO_FLAG | slot` or [`LINK_BOUNDARY`] per
+    /// `(dir, site)`). The table is compiled and dropped before the lanes
+    /// are allocated, so it is neither kept nor part of the peak.
     ///
     /// # Panics
     /// Panics on relaxation times no operator can run with (see
     /// [`Relaxation::new`]).
     pub(crate) fn new(
         geo: &SparseGeometry,
-        sites: impl ExactSizeIterator<Item = u32> + Clone,
+        sites: impl ExactSizeIterator<Item = u32>,
         cfg: SolverConfig,
         model: LatticeModel,
         stream: Vec<Vec<u32>>,
@@ -236,17 +369,17 @@ impl SoaLattice {
             stream.len() == model.q && stream.iter().all(|lane| lane.len() == n),
             "streaming table shape"
         );
+        let iolets = Iolets::new(geo, &cfg, sites);
+        let plan = StreamPlan::compile(&stream, &iolets.sites);
+        drop(stream);
         let f: Vec<Vec<f64>> = model.w.iter().map(|&w| vec![w; n]).collect();
         SoaLattice {
             dirs: DirTables::new(&model),
             relax: Relaxation::new(&model, &cfg),
-            kinds: sites.clone().map(|g| geo.kind(g)).collect(),
-            bc_velocity: precompute_bc_velocities(geo, &cfg, sites),
-            moments: vec![(1.0, [0.0; 3]); n],
+            iolets,
             f_next: f.clone(),
             f,
-            plan: build_stream_plan(&stream, n),
-            stream,
+            plan,
             model,
             cfg,
             step: 0,
@@ -255,28 +388,48 @@ impl SoaLattice {
 
     /// Number of fluid sites.
     pub(crate) fn site_count(&self) -> usize {
-        self.moments.len()
+        self.f[0].len()
     }
 
     /// Fraction of sites whose every link is a plain local source (they
-    /// stream by segment copies alone).
+    /// stream by segment copies alone): the sites in no wall, iolet or
+    /// halo list.
     pub(crate) fn bulk_fraction(&self) -> f64 {
         let n = self.site_count();
         if n == 0 {
             return 0.0;
         }
-        let bulk = (0..n)
-            .filter(|&s| self.stream.iter().all(|lane| is_local(lane[s])))
-            .count();
-        bulk as f64 / n as f64
+        let mut bulk = vec![true; n];
+        let iolet = self
+            .plan
+            .iolet
+            .iter()
+            .map(|&(k, _)| self.iolets.sites[k as usize]);
+        let halo = self.plan.halo.iter().map(|&(s, _, _)| s);
+        for s in self
+            .plan
+            .wall
+            .iter()
+            .flatten()
+            .copied()
+            .chain(iolet)
+            .chain(halo)
+        {
+            bulk[s as usize] = false;
+        }
+        bulk.iter().filter(|&&b| b).count() as f64 / n as f64
+    }
+
+    /// The streaming table the plan was compiled from, expanded back.
+    pub(crate) fn stream_table(&self) -> Vec<Vec<u32>> {
+        self.plan.to_table(self.site_count())
     }
 
     /// Replace the BC of one inlet or outlet and refresh the precomputed
-    /// boundary velocities; `geo` and `sites` as at construction.
+    /// iolet velocities from `geo` (the construction geometry).
     pub(crate) fn set_iolet_bc(
         &mut self,
         geo: &SparseGeometry,
-        sites: impl ExactSizeIterator<Item = u32>,
         kind: IoLetKind,
         id: usize,
         bc: IoletBc,
@@ -289,7 +442,7 @@ impl SoaLattice {
             bcs.resize(id + 1, bc);
         }
         bcs[id] = bc;
-        self.bc_velocity = precompute_bc_velocities(geo, &self.cfg, sites);
+        self.iolets.refresh_velocities(geo, &self.cfg);
     }
 
     /// Transpose the current distributions to the canonical site-major
@@ -348,17 +501,18 @@ impl SoaLattice {
         self.step += 1;
     }
 
-    /// Deliberately corrupt the streaming table by swapping the sources
-    /// of two `(dir, site)` links and recompiling the plan. Returns
-    /// `true` if the two entries actually differed. Test-only hook for
-    /// the golden-digest negative test.
+    /// Deliberately corrupt the streaming schedule by swapping the
+    /// sources of two `(dir, site)` links of its table and recompiling
+    /// the plan. Returns `true` if the two entries actually differed.
+    /// Test-only hook for the golden-digest negative test.
     pub(crate) fn debug_swap_stream_entries(&mut self, dir: usize, a: usize, b: usize) -> bool {
-        let lane = &mut self.stream[dir];
+        let mut table = self.stream_table();
+        let lane = &mut table[dir];
         if lane[a] == lane[b] {
             return false;
         }
         lane.swap(a, b);
-        self.plan = build_stream_plan(&self.stream, self.site_count());
+        self.plan = StreamPlan::compile(&table, &self.iolets.sites);
         true
     }
 }
@@ -599,22 +753,22 @@ impl ChunkFront {
     }
 }
 
-/// Collide a span of sites in place over per-lane chunks, recording
-/// pre-collision moments. `lanes[i]` and `moments` cover the same site
-/// span. Every operator runs the same sweep — `CHUNK` sites at a time,
-/// the shared [`ChunkFront`], then its own relaxation — and a site's
-/// result does not depend on where in a chunk, a span or a worker's
-/// share it falls.
+/// Collide a span of sites in place over per-lane chunks, recording the
+/// pre-collision moments of the span's iolet sites in `iolets` (whose
+/// `first` is the span's first site). Every operator runs the same
+/// sweep — `CHUNK` sites at a time, the shared [`ChunkFront`], then its
+/// own relaxation — and a site's result does not depend on where in a
+/// chunk, a span or a worker's share it falls.
 pub(crate) fn collide_span_soa(
     model: &LatticeModel,
     dirs: &DirTables,
     relax: &Relaxation,
     lanes: &mut [&mut [f64]],
-    moments: &mut [(f64, [f64; 3])],
+    iolets: IoletSpan<'_>,
 ) {
     debug_assert_eq!(lanes.len(), model.q);
     match *relax {
-        Relaxation::Bgk { omega } => sweep(dirs, lanes, moments, |front, lanes, s0| {
+        Relaxation::Bgk { omega } => sweep(dirs, lanes, iolets, |front, lanes, s0| {
             relax_pairs(model, dirs, front, lanes, s0, |fi, fj, ei, ej| {
                 (fi + omega * (ei - fi), fj + omega * (ej - fj))
             })
@@ -622,7 +776,7 @@ pub(crate) fn collide_span_soa(
         Relaxation::Trt {
             omega_plus,
             omega_minus,
-        } => sweep(dirs, lanes, moments, |front, lanes, s0| {
+        } => sweep(dirs, lanes, iolets, |front, lanes, s0| {
             relax_pairs(model, dirs, front, lanes, s0, |fi, fj, ei, ej| {
                 let f_p = 0.5 * (fi + fj);
                 let f_m = 0.5 * (fi - fj);
@@ -636,7 +790,7 @@ pub(crate) fn collide_span_soa(
         Relaxation::Mrt {
             ref op,
             omega_shear,
-        } => sweep(dirs, lanes, moments, |front, lanes, s0| {
+        } => sweep(dirs, lanes, iolets, |front, lanes, s0| {
             let fe = front.equilibria(model, dirs);
             let mut f = [[0.0f64; CHUNK]; MAX_Q];
             for (fi, lane) in f.iter_mut().zip(lanes.iter()) {
@@ -651,28 +805,42 @@ pub(crate) fn collide_span_soa(
 }
 
 /// The chunk loop of [`collide_span_soa`]. One chunk body — front stage,
-/// the operator's `relax(front, lanes, first_site_of_chunk)`, moments
-/// out — runs over every full chunk of the lanes and once more over the
-/// ragged tail copied into a zero-padded window (`ρ = 0` on the padding,
-/// where the `ρ ≠ 0` guard discards the one non-finite quotient).
+/// the operator's `relax(front, lanes, first_site_of_chunk)`, then the
+/// front's `(ρ, u)` stored for each iolet site of the chunk through a
+/// cursor over `iolets` — runs over every full chunk of the lanes and
+/// once more over the ragged tail copied into a zero-padded window
+/// (`ρ = 0` on the padding, where the `ρ ≠ 0` guard discards the one
+/// non-finite quotient).
 #[inline(always)]
 fn sweep(
     dirs: &DirTables,
     lanes: &mut [&mut [f64]],
-    moments: &mut [(f64, [f64; 3])],
+    iolets: IoletSpan<'_>,
     relax: impl Fn(&ChunkFront, &mut [&mut [f64]], usize),
 ) {
-    let chunk = |lanes: &mut [&mut [f64]], s0: usize, moments: &mut [(f64, [f64; 3])]| {
+    let IoletSpan {
+        first,
+        sites,
+        moments,
+    } = iolets;
+    let mut next = 0;
+    // `base` is the chunk's first site within the span.
+    let mut chunk = |lanes: &mut [&mut [f64]], s0: usize, base: usize| {
         let front = ChunkFront::new(dirs, |i| window(lanes[i], s0));
         relax(&front, lanes, s0);
-        for (l, m) in moments.iter_mut().enumerate() {
-            *m = (front.rho[l], [front.u[0][l], front.u[1][l], front.u[2][l]]);
+        while let Some(&s) = sites.get(next) {
+            let l = s as usize - first - base;
+            if l >= CHUNK {
+                break;
+            }
+            moments[next] = (front.rho[l], [front.u[0][l], front.u[1][l], front.u[2][l]]);
+            next += 1;
         }
     };
-    let n = moments.len();
+    let n = lanes[0].len();
     let full = n - n % CHUNK;
     for s0 in (0..full).step_by(CHUNK) {
-        chunk(lanes, s0, &mut moments[s0..s0 + CHUNK]);
+        chunk(lanes, s0, s0);
     }
     if full < n {
         let mut pad = [[0.0f64; CHUNK]; MAX_Q];
@@ -680,11 +848,12 @@ fn sweep(
             p[..n - full].copy_from_slice(&lane[full..]);
         }
         let mut tail = pad.each_mut().map(|p| &mut p[..]);
-        chunk(&mut tail[..lanes.len()], 0, &mut moments[full..]);
+        chunk(&mut tail[..lanes.len()], 0, full);
         for (p, lane) in pad.iter().zip(lanes.iter_mut()) {
             lane[full..].copy_from_slice(&p[..n - full]);
         }
     }
+    debug_assert_eq!(next, sites.len(), "every iolet site of the span stored");
 }
 
 /// Relax a chunk one opposite pair at a time: `pair(f_i, f_j, e_i, e_j)`
@@ -729,19 +898,18 @@ fn relax_pairs(
 /// covers sites `first..first + out[i].len()`. The whole phase runs off
 /// the compiled [`StreamPlan`]: plain-local links as clipped segment
 /// copies (`copy_from_slice` — the dominant case under raster site
-/// numbering), boundary links as a flat list of rule applications, halo
-/// links as a flat list of buffer reads. No per-link dispatch remains.
-/// `halo` feeds the halo list (empty slice for non-distributed
-/// solvers); `kinds` and `bc_velocity` are indexed by (local) site.
+/// numbering), wall links as per-direction lane-to-lane copies
+/// (`wall_bounce_back(f) = f`), iolet links as a flat list of rule
+/// applications, halo links as a flat list of buffer reads. Only the
+/// iolet list dispatches on a rule. `halo` feeds the halo list (empty
+/// slice for non-distributed solvers).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn stream_span_soa(
     model: &LatticeModel,
     cfg: &SolverConfig,
-    kinds: &[SiteKind],
     f_old: &[Vec<f64>],
     plan: &StreamPlan,
-    moments: &[(f64, [f64; 3])],
-    bc_velocity: &[[f64; 3]],
+    iolets: &Iolets,
     halo: &[f64],
     step: u64,
     first: usize,
@@ -771,24 +939,37 @@ pub(crate) fn stream_span_soa(
         }
     }
 
-    // Boundary links: bounce-back / iolet rule per listed link.
-    let k0 = plan
-        .boundary
-        .partition_point(|&(s, _)| (s as usize) < first);
-    for &(s, i) in &plan.boundary[k0..] {
-        let s = s as usize;
+    // Wall links: the site's own opposite population, lane to lane.
+    for (i, sites) in plan.wall.iter().enumerate() {
+        let fo = &f_old[model.opp[i]][..];
+        let o = &mut *out[i];
+        let k0 = sites.partition_point(|&s| (s as usize) < first);
+        for &s in &sites[k0..] {
+            let s = s as usize;
+            if s >= hi {
+                break;
+            }
+            o[s - first] = fo[s];
+        }
+    }
+
+    // Iolet links: the inlet / outlet rule per listed link.
+    let site = |k: u32| iolets.sites[k as usize] as usize;
+    let k0 = plan.iolet.partition_point(|&(k, _)| site(k) < first);
+    for &(k, i) in &plan.iolet[k0..] {
+        let s = site(k);
         if s >= hi {
             break;
         }
-        let i = i as usize;
-        out[i][s - first] = boundary_rule(
+        let (k, i) = (k as usize, i as usize);
+        let (kind, id) = iolets.kinds[k];
+        out[i][s - first] = iolet_rule(
             model,
-            cfg,
-            kinds[s],
-            bc_velocity[s],
+            cfg.iolet_bc(kind, id),
+            iolets.velocity[k],
             i,
             f_old[model.opp[i]][s],
-            moments[s],
+            iolets.moments[k],
             step,
         );
     }
@@ -875,7 +1056,7 @@ fn macroscopics_chunk<'a>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::collision::collide;
     use crate::equilibrium::{feq_all, moments as site_moments, pi_neq};
@@ -926,8 +1107,9 @@ mod tests {
         for kind in [ModelKind::D3Q15, ModelKind::D3Q19] {
             let soa = lattice_for(&geo, kind);
             let model = &soa.model;
+            let table = soa.stream_table();
             let mut bulk = vec![true; geo.fluid_count()];
-            for i in 0..model.q {
+            for (i, lane) in table.iter().enumerate() {
                 let c = model.c[i];
                 let mut boundary_links = 0usize;
                 for s in 0..geo.fluid_count() as u32 {
@@ -937,7 +1119,7 @@ mod tests {
                         y as i64 - c[1] as i64,
                         z as i64 - c[2] as i64,
                     );
-                    let entry = soa.stream[i][s as usize];
+                    let entry = lane[s as usize];
                     bulk[s as usize] &= src.is_some();
                     match src {
                         Some(g) => assert_eq!(
@@ -1028,13 +1210,20 @@ mod tests {
             let mut lanes_store = to_lanes(&model, &site_major);
             let mut lanes: Vec<&mut [f64]> =
                 lanes_store.iter_mut().map(|l| l.as_mut_slice()).collect();
+            // Every site an iolet site: the cursor stores all moments.
+            let sites: Vec<u32> = (0..n as u32).collect();
             let mut moments = vec![(0.0, [0.0; 3]); n];
+            let all = IoletSpan {
+                first: 0,
+                sites: &sites,
+                moments: &mut moments,
+            };
             collide_span_soa(
                 &model,
                 &DirTables::new(&model),
                 &Relaxation::new(&model, &cfg),
                 &mut lanes,
-                &mut moments,
+                all,
             );
             for s in 0..n {
                 for i in 0..q {
@@ -1126,24 +1315,116 @@ mod tests {
         crate::Solver::new(geo, cfg);
     }
 
+    /// How often each `(site, dir)` link appears across the plan's four
+    /// lists, `[dir][site]`.
+    pub(crate) fn link_cover(lat: &SoaLattice) -> Vec<Vec<u32>> {
+        let plan = &lat.plan;
+        let mut cover = vec![vec![0u32; lat.site_count()]; lat.model.q];
+        for (i, segs) in plan.copy.iter().enumerate() {
+            for seg in segs {
+                for c in &mut cover[i][seg.dst as usize..(seg.dst + seg.len) as usize] {
+                    *c += 1;
+                }
+            }
+        }
+        for (i, sites) in plan.wall.iter().enumerate() {
+            for &s in sites {
+                cover[i][s as usize] += 1;
+            }
+        }
+        for &(k, i) in &plan.iolet {
+            cover[i as usize][lat.iolets.sites[k as usize] as usize] += 1;
+        }
+        for &(s, i, _) in &plan.halo {
+            cover[i as usize][s as usize] += 1;
+        }
+        cover
+    }
+
+    /// Every link is in exactly one list, the wall list holds no iolet
+    /// site and the iolet list nothing else, and every list is sorted
+    /// the way the stream phase's `partition_point` needs it.
+    pub(crate) fn assert_plan_partitions_the_links(lat: &SoaLattice) {
+        let cover = link_cover(lat);
+        assert!(
+            cover.iter().flatten().all(|&c| c == 1),
+            "a link not covered exactly once"
+        );
+        let plan = &lat.plan;
+        let sites = &lat.iolets.sites;
+        assert!(sites.windows(2).all(|w| w[0] < w[1]));
+        for wall in &plan.wall {
+            assert!(wall.windows(2).all(|w| w[0] < w[1]));
+            assert!(
+                wall.iter().all(|s| sites.binary_search(s).is_err()),
+                "iolet site on a wall list"
+            );
+        }
+        assert!(plan.iolet.windows(2).all(|w| w[0] < w[1]));
+        assert!(plan
+            .halo
+            .windows(2)
+            .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+        for segs in &plan.copy {
+            assert!(segs.windows(2).all(|w| w[0].dst + w[0].len <= w[1].dst));
+        }
+    }
+
+    #[test]
+    fn plan_expands_to_the_table_it_was_compiled_from() {
+        let geo = Arc::new(VesselBuilder::aneurysm(12.0, 2.5, 3.5).voxelise(1.0));
+        for kind in [ModelKind::D3Q15, ModelKind::D3Q19] {
+            let lat = lattice_for(&geo, kind);
+            let sites = 0..geo.fluid_count() as u32;
+            let want = build_stream_table(&geo, &lat.model, sites, |src, _| src);
+            assert_eq!(lat.stream_table(), want, "{kind:?}");
+            assert_plan_partitions_the_links(&lat);
+            assert!(!lat.iolets.sites.is_empty() && !lat.plan.iolet.is_empty());
+            // Iolet sites keep their missing links off the wall lists.
+            for &(k, i) in &lat.plan.iolet {
+                let s = lat.iolets.sites[k as usize];
+                assert_eq!(want[i as usize][s as usize], LINK_BOUNDARY);
+                assert!(matches!(
+                    geo.kind(s),
+                    SiteKind::Inlet(_) | SiteKind::Outlet(_)
+                ));
+            }
+        }
+    }
+
+    /// `bulk_fraction` from the plan equals the table definition (every
+    /// link a plain local source) on the aneurysm at two spacings.
+    #[test]
+    fn bulk_fraction_from_the_plan_matches_the_table() {
+        for dx in [1.0, 0.5] {
+            let geo = VesselBuilder::aneurysm(12.0, 2.5, 3.5).voxelise(dx);
+            let lat = lattice_for(&geo, ModelKind::D3Q15);
+            let n = geo.fluid_count();
+            let table = build_stream_table(&geo, &lat.model, 0..n as u32, |src, _| src);
+            let bulk = (0..n)
+                .filter(|&s| table.iter().all(|lane| is_local(lane[s])))
+                .count();
+            assert!(0 < bulk && bulk < n);
+            assert_eq!(lat.bulk_fraction(), bulk as f64 / n as f64, "dx {dx}");
+        }
+    }
+
     #[test]
     fn swapping_stream_entries_corrupts_and_recompiles_the_plan() {
         let geo = tube();
         let mut soa = lattice_for(&geo, ModelKind::D3Q15);
         // Find two sites with different sources in direction 1.
-        let lane = &soa.stream[1];
+        let before = soa.stream_table();
+        let lane = &before[1];
         let b = (1..lane.len())
             .find(|&t| lane[t] != lane[0])
             .expect("tube must have differing sources");
         let (ea, eb) = (lane[0], lane[b]);
         assert!(soa.debug_swap_stream_entries(1, 0, b));
-        assert_eq!((soa.stream[1][0], soa.stream[1][b]), (eb, ea));
+        let after = soa.stream_table();
+        assert_eq!((after[1][0], after[1][b]), (eb, ea));
         assert!(!soa.debug_swap_stream_entries(1, 0, 0), "equal entries");
         // The recompiled plan still covers every link exactly once.
-        let copied: usize = soa.plan.copy.iter().flatten().map(|s| s.len as usize).sum();
-        assert_eq!(
-            copied + soa.plan.boundary.len() + soa.plan.halo.len(),
-            soa.site_count() * soa.model.q
-        );
+        assert_plan_partitions_the_links(&soa);
     }
 }

@@ -4,12 +4,12 @@
 //! missing links. The distributed solver in [`crate::dist`] reproduces
 //! this bit-for-bit; tests assert the equality.
 
-use crate::boundary::{pressure_anti_bounce_back, velocity_bounce_back, wall_bounce_back, IoletBc};
+use crate::boundary::{pressure_anti_bounce_back, velocity_bounce_back, IoletBc};
 use crate::collision::CollisionKind;
 use crate::fields::FieldSnapshot;
 use crate::layout::{build_stream_table, SoaLattice};
 use crate::model::LatticeModel;
-use hemelb_geometry::{IoLetKind, SiteKind, SparseGeometry};
+use hemelb_geometry::{IoLetKind, SparseGeometry};
 use hemelb_obs::{ObsReport, Recorder};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -111,64 +111,41 @@ impl SolverConfig {
         let idx = (id as usize).min(self.outlet_bcs.len().saturating_sub(1));
         self.outlet_bcs[idx]
     }
+
+    /// The BC for inlet or outlet `id`.
+    pub(crate) fn iolet_bc(&self, kind: IoLetKind, id: u16) -> IoletBc {
+        match kind {
+            IoLetKind::Inlet => self.inlet_bc(id),
+            IoLetKind::Outlet => self.outlet_bc(id),
+        }
+    }
 }
 
-/// Precomputed boundary velocity of each of `sites` (global ids) for
-/// velocity iolets (zero for everything else).
-pub(crate) fn precompute_bc_velocities(
-    geo: &SparseGeometry,
-    cfg: &SolverConfig,
-    sites: impl Iterator<Item = u32>,
-) -> Vec<[f64; 3]> {
-    let inlets = geo.inlets();
-    let outlets = geo.outlets();
-    sites
-        .map(|s| match geo.kind(s) {
-            SiteKind::Inlet(id) => {
-                let io = inlets[(id as usize).min(inlets.len() - 1)];
-                cfg.inlet_bc(id).velocity_at(io, geo.position_v(s))
-            }
-            SiteKind::Outlet(id) => {
-                let io = outlets[(id as usize).min(outlets.len() - 1)];
-                cfg.outlet_bc(id).velocity_at(io, geo.position_v(s))
-            }
-            _ => [0.0; 3],
-        })
-        .collect()
-}
-
-/// Apply the boundary rule for the missing link `(s, i)`.
+/// Apply the iolet rule `bc` to the missing link `(s, i)` of an inlet
+/// or outlet site. (A wall site's missing link is halfway bounce-back,
+/// [`wall_bounce_back`](crate::boundary::wall_bounce_back)`(f) = f`,
+/// which the stream phase runs as a lane-to-lane copy.)
 ///
-/// `f_star_opp` is the site's own post-collision opposite population,
-/// `rho_u` the site's pre-collision moments this step.
+/// `bc_velocity` is the site's precomputed BC velocity, `f_star_opp`
+/// its own post-collision opposite population, `rho_u` its
+/// pre-collision moments this step.
 #[inline]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn boundary_rule(
+pub(crate) fn iolet_rule(
     model: &LatticeModel,
-    cfg: &SolverConfig,
-    kind: SiteKind,
+    bc: IoletBc,
     bc_velocity: [f64; 3],
     i: usize,
     f_star_opp: f64,
     rho_u: (f64, [f64; 3]),
     step: u64,
 ) -> f64 {
-    let apply = |bc: IoletBc| -> f64 {
-        match bc {
-            IoletBc::Velocity { .. } | IoletBc::Pulsatile { .. } => {
-                let k = bc.pulse_factor(step);
-                let u = [bc_velocity[0] * k, bc_velocity[1] * k, bc_velocity[2] * k];
-                velocity_bounce_back(model, i, u, f_star_opp)
-            }
-            IoletBc::Pressure { rho } => {
-                pressure_anti_bounce_back(model, i, rho, rho_u.1, f_star_opp)
-            }
+    match bc {
+        IoletBc::Velocity { .. } | IoletBc::Pulsatile { .. } => {
+            let k = bc.pulse_factor(step);
+            let u = [bc_velocity[0] * k, bc_velocity[1] * k, bc_velocity[2] * k];
+            velocity_bounce_back(model, i, u, f_star_opp)
         }
-    };
-    match kind {
-        SiteKind::Bulk | SiteKind::Wall => wall_bounce_back(f_star_opp),
-        SiteKind::Inlet(id) => apply(cfg.inlet_bc(id)),
-        SiteKind::Outlet(id) => apply(cfg.outlet_bc(id)),
+        IoletBc::Pressure { rho } => pressure_anti_bounce_back(model, i, rho, rho_u.1, f_star_opp),
     }
 }
 
@@ -238,18 +215,14 @@ impl Solver {
 
     /// Replace the BC of inlet `id` at runtime (computational steering:
     /// "not only simulation parameters … can be further modified").
-    /// Precomputed boundary velocities are refreshed.
+    /// Precomputed iolet velocities are refreshed.
     pub fn set_inlet_bc(&mut self, id: usize, bc: IoletBc) {
-        let sites = 0..self.geo.fluid_count() as u32;
-        self.lat
-            .set_iolet_bc(&self.geo, sites, IoLetKind::Inlet, id, bc);
+        self.lat.set_iolet_bc(&self.geo, IoLetKind::Inlet, id, bc);
     }
 
     /// Replace the BC of outlet `id` at runtime.
     pub fn set_outlet_bc(&mut self, id: usize, bc: IoletBc) {
-        let sites = 0..self.geo.fluid_count() as u32;
-        self.lat
-            .set_iolet_bc(&self.geo, sites, IoLetKind::Outlet, id, bc);
+        self.lat.set_iolet_bc(&self.geo, IoLetKind::Outlet, id, bc);
     }
 
     /// Advance one time step (collide + stream) on the calling thread.

@@ -112,7 +112,10 @@ pub fn merge_pixel_runs(into: &mut PartialImage, payload: Bytes) -> CommResult<R
     let start = r.get_usize()?;
     let len = r.get_usize()?;
     let nruns = r.get_usize()?;
-    if start + len > into.image.pixels.len() {
+    if start
+        .checked_add(len)
+        .is_none_or(|end| end > into.image.pixels.len())
+    {
         return Err(decode_err(format!(
             "pixel range {start}+{len} exceeds image of {}",
             into.image.pixels.len()
@@ -126,7 +129,7 @@ pub fn merge_pixel_runs(into: &mut PartialImage, payload: Bytes) -> CommResult<R
     for _ in 0..nruns {
         let off = r.get_usize()?;
         let rl = r.get_usize()?;
-        if off + rl > len {
+        if off.checked_add(rl).is_none_or(|end| end > len) {
             return Err(decode_err(format!("run {off}+{rl} exceeds range of {len}")));
         }
         runs.push((off, rl));
@@ -463,6 +466,35 @@ mod tests {
         assert!(merge_pixel_runs(&mut into, truncated).is_err());
         let mut small = PartialImage::new(2, 2);
         assert!(merge_pixel_runs(&mut small, good).is_err(), "range bound");
+    }
+
+    /// A pixel-run header whose bounds overflow `usize` when added is a
+    /// `Decode` error, not an overflow panic or a wrapped bounds check.
+    #[test]
+    fn overflowing_pixel_run_bounds_are_decode_errors() {
+        let header = |start: usize, len: usize, run: Option<(usize, usize)>| {
+            let mut w = WireWriter::new();
+            w.put_usize(start);
+            w.put_usize(len);
+            w.put_usize(run.is_some() as usize);
+            if let Some((off, rl)) = run {
+                w.put_usize(off);
+                w.put_usize(rl);
+            }
+            w.put_f32_slice(&[0.0; 5]);
+            w.finish()
+        };
+        for (what, payload) in [
+            ("start = usize::MAX", header(usize::MAX, 1, None)),
+            ("off = usize::MAX", header(0, 4, Some((usize::MAX, 1)))),
+        ] {
+            let mut into = PartialImage::new(2, 2);
+            let got = merge_pixel_runs(&mut into, payload);
+            assert!(
+                matches!(got, Err(CommError::Decode { .. })),
+                "{what}: {got:?}"
+            );
+        }
     }
 
     #[test]

@@ -8,7 +8,9 @@
 # built into target/ab_pairs/build; the change is the working tree,
 # built into target/. Both sides must carry the same benchmark, so the
 # script refuses to run if benchmark/ or BENCHMARK.json differ between
-# the two trees. Pair k runs every workload once per side at seed k for
+# the two trees, and names the paths that do. A benchmark build
+# rewrites benchmark/Cargo.lock; the committed file is put back on exit.
+# Pair k runs every workload once per side at seed k for
 # the run length BENCHMARK.json fixes, the side that goes first flipping
 # from pair to pair (the box drifts 10-20 % within the hour). For every
 # (end-to-end metric, workload) it prints both medians, both quartile
@@ -33,7 +35,7 @@ while (($#)); do
     --layer)
         shift
         while (($#)) && [[ $1 != -* ]]; do layers+=("$1"); shift; done ;;
-    -h | --help) sed -n '2,23s/^# \{0,1\}//p' "$0"; exit 0 ;;
+    -h | --help) sed -n '2,25s/^# \{0,1\}//p' "$0"; exit 0 ;;
     *) args+=("$1"); shift ;;
     esac
 done
@@ -57,10 +59,20 @@ for w in "${workloads[@]}"; do
         { echo "ab_pairs: BENCHMARK.json has no workload '$w'" >&2; exit 2; }
 done
 
-if ! git diff --quiet "$rev" -- benchmark BENCHMARK.json ||
-    [[ -n $(git ls-files --others --exclude-standard -- benchmark) ]]; then
-    echo "ab_pairs: benchmark/ or BENCHMARK.json differ from $rev; both sides must run the same benchmark" >&2
+differ=$(git diff --name-only "$rev" -- benchmark BENCHMARK.json
+    git ls-files --others --exclude-standard -- benchmark)
+if [[ -n $differ ]]; then
+    echo "ab_pairs: these paths differ from $rev; both sides must run the same benchmark:" >&2
+    sed 's/^/  /' <<<"$differ" >&2
     exit 1
+fi
+# A benchmark build rewrites benchmark/Cargo.lock (it drops stale
+# entries); put the committed file back on the way out so the next run's
+# check above still passes. Only a lock this script found clean is
+# restored.
+lock=benchmark/Cargo.lock
+if git diff --quiet HEAD -- "$lock"; then
+    trap 'git diff --quiet HEAD -- "$lock" || git checkout -q HEAD -- "$lock"' EXIT
 fi
 
 work=$root/target/ab_pairs
