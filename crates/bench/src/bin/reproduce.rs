@@ -15,7 +15,7 @@
 
 use hemelb_bench::workloads::Size;
 use hemelb_bench::{
-    ablation, adaptive, extract, faults, fig1, fig2, fig3, fig4, multires, preprocess, projection,
+    ablation, adaptive, extract, fig1, fig2, fig3, fig4, multires, preprocess, projection,
     repartition, scaling, table1,
 };
 
@@ -115,11 +115,6 @@ const EXPERIMENTS: &[Experiment] = &[
         name: "extract",
         title: "E11: in situ feature extraction (vortex regions)",
         run: |a| println!("{}", extract::run(a.size)),
-    },
-    Experiment {
-        name: "faults",
-        title: "E14: fault injection (degraded frames + recovery replay)",
-        run: |a| println!("{}", faults::run(a.size, a.ranks.clamp(3, 8), 5)),
     },
     Experiment {
         name: "adaptive",

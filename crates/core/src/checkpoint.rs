@@ -6,12 +6,13 @@
 //! functions plus the step counter) with an integrity checksum, so a
 //! failed run resumes *bit-exactly* where it stopped. The distributed
 //! variant writes one file per rank (the scalable pattern) and verifies
-//! the decomposition on restore.
+//! the decomposition on restore; a file error on any rank is an error on
+//! every rank, never a panic or a peer left waiting.
 
 use crate::solver::Solver;
 use crate::DistSolver;
 use hemelb_obs::Fnv1a;
-use hemelb_parallel::CommResult;
+use hemelb_parallel::{CommError, CommResult};
 use std::io::{self, Read, Write};
 use std::path::Path;
 
@@ -95,6 +96,22 @@ fn read_state(r: &mut impl Read) -> io::Result<RawState> {
     })
 }
 
+/// Read the state at `path`, rejecting one of another site count or
+/// velocity set.
+fn read_matching(path: &Path, sites: usize, q: usize) -> io::Result<RawState> {
+    let state = read_state(&mut std::fs::File::open(path)?)?;
+    if state.site_count != sites as u64 {
+        return Err(bad(format!(
+            "checkpoint has {} sites, solver has {sites}; repartition before restoring",
+            state.site_count
+        )));
+    }
+    if state.q != q as u64 {
+        return Err(bad("checkpoint velocity set differs"));
+    }
+    Ok(state)
+}
+
 impl Solver {
     /// Write the complete state to `path`.
     pub fn checkpoint(&self, path: &Path) -> io::Result<()> {
@@ -112,18 +129,7 @@ impl Solver {
     /// must have been constructed over the same geometry and velocity
     /// set; mismatches are rejected.
     pub fn restore(&mut self, path: &Path) -> io::Result<()> {
-        let mut file = std::fs::File::open(path)?;
-        let state = read_state(&mut file)?;
-        if state.site_count as usize != self.geometry().fluid_count() {
-            return Err(bad(format!(
-                "checkpoint has {} sites, solver has {}",
-                state.site_count,
-                self.geometry().fluid_count()
-            )));
-        }
-        if state.q as usize != self.model().q {
-            return Err(bad("checkpoint velocity set differs"));
-        }
+        let state = read_matching(path, self.geometry().fluid_count(), self.model().q)?;
         self.lat.install_site_major(state.step, &state.f);
         Ok(())
     }
@@ -131,40 +137,55 @@ impl Solver {
 
 impl<'a> DistSolver<'a> {
     /// Collective checkpoint: every rank writes `dir/rank_<r>.chkp` with
-    /// its own sites (the scalable one-file-per-rank pattern).
+    /// its own sites (the scalable one-file-per-rank pattern), and no
+    /// rank returns before every rank's file is on disk.
+    ///
+    /// A file error is a [`CommError::Decode`] naming the file on the
+    /// rank that hit it, and a `Decode` counting the failed ranks on
+    /// every other rank.
     pub fn checkpoint(&self, dir: &Path) -> CommResult<()> {
-        std::fs::create_dir_all(dir).expect("checkpoint directory");
-        let path = dir.join(format!("rank_{}.chkp", self.comm_rank()));
+        let path = dir.join(format!("rank_{}.chkp", self.comm().rank()));
         let state = RawState {
             step: self.step_count(),
             site_count: self.local_sites().len() as u64,
-            q: self.model_q() as u64,
+            q: self.model().q as u64,
             f: self.raw_distributions(),
         };
-        let mut file = std::fs::File::create(&path).expect("checkpoint file");
-        write_state(&state, &mut file).expect("checkpoint write");
-        // Nobody proceeds until every rank's file is on disk.
-        self.barrier()
+        let written = std::fs::create_dir_all(dir)
+            .and_then(|()| write_state(&state, &mut std::fs::File::create(&path)?));
+        self.agree(written.map_err(|e| file_error(&path, e)))
     }
 
     /// Collective restore of a checkpoint written with the *same*
-    /// decomposition.
-    ///
-    /// # Panics
-    /// Panics on I/O errors or mismatched decomposition (an unusable
-    /// checkpoint is unrecoverable for the job).
+    /// decomposition. Errors as [`DistSolver::checkpoint`]; a rank
+    /// installs its state only when every rank has read a valid file.
     pub fn restore(&mut self, dir: &Path) -> CommResult<()> {
-        let path = dir.join(format!("rank_{}.chkp", self.comm_rank()));
-        let mut file = std::fs::File::open(&path).expect("checkpoint file");
-        let state = read_state(&mut file).expect("checkpoint parse");
-        assert_eq!(
-            state.site_count as usize,
-            self.local_sites().len(),
-            "checkpoint decomposition differs; repartition before restoring"
-        );
-        assert_eq!(state.q as usize, self.model_q());
+        let path = dir.join(format!("rank_{}.chkp", self.comm().rank()));
+        let read = read_matching(&path, self.local_sites().len(), self.model().q);
+        let state = self.agree(read.map_err(|e| file_error(&path, e)))?;
         self.lat.install_site_major(state.step, &state.f);
-        self.barrier()
+        Ok(())
+    }
+
+    /// This rank's outcome if every rank succeeded, else an error on
+    /// every rank (collective: it is also the fence that ends a
+    /// checkpoint or restore).
+    fn agree<T>(&self, local: CommResult<T>) -> CommResult<T> {
+        let failed = self
+            .comm()
+            .all_reduce_u64(u64::from(local.is_err()), |a, b| a + b)?;
+        match local {
+            Ok(_) if failed > 0 => Err(CommError::Decode {
+                reason: format!("checkpoint failed on {failed} other rank(s)"),
+            }),
+            local => local,
+        }
+    }
+}
+
+fn file_error(path: &Path, e: io::Error) -> CommError {
+    CommError::Decode {
+        reason: format!("checkpoint {}: {e}", path.display()),
     }
 }
 
@@ -265,6 +286,55 @@ mod tests {
         });
         let snap = results[0].as_ref().unwrap();
         assert_eq!(snap.rho, ref_snap.rho);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn bad_rank_file_is_an_error_on_every_rank_not_a_panic() {
+        let geo = Arc::new(VesselBuilder::straight_tube(16.0, 3.0).voxelise(1.0));
+        let cfg = SolverConfig::pressure_driven(1.01, 0.99);
+        let dir = scratch_dir("bad_rank");
+        let (geo2, cfg2, dir2) = (geo.clone(), cfg.clone(), dir.clone());
+        let results = run_spmd(3, move |comm| {
+            let (geo, cfg, dir) = (&geo2, &cfg2, &dir2);
+            let owner: Vec<usize> = (0..geo.fluid_count())
+                .map(|s| s * comm.size() / geo.fluid_count())
+                .collect();
+            let mut ds = DistSolver::new(geo.clone(), owner, cfg.clone(), comm).unwrap();
+            ds.step_n(4).unwrap();
+            ds.checkpoint(dir).unwrap();
+            if comm.rank() == 1 {
+                // Flip one body byte of this rank's own file.
+                let path = dir.join("rank_1.chkp");
+                let mut bytes = std::fs::read(&path).unwrap();
+                let n = bytes.len();
+                bytes[n / 2] ^= 0x01;
+                std::fs::write(&path, bytes).unwrap();
+            }
+            comm.barrier().unwrap();
+            let mut fresh =
+                DistSolver::new(geo.clone(), ds.owner().to_vec(), cfg.clone(), comm).unwrap();
+            (fresh.restore(dir), fresh.step_count())
+        });
+        match &results[1].0 {
+            Err(CommError::Decode { reason }) => {
+                assert!(reason.contains("rank_1.chkp"), "{reason}");
+                assert!(reason.contains("checksum"), "{reason}");
+            }
+            other => panic!("rank 1 must fail to decode its file: {other:?}"),
+        }
+        for (rank, (outcome, step)) in results.iter().enumerate() {
+            assert!(outcome.is_err(), "rank {rank} restored half a world");
+            assert_eq!(*step, 0, "rank {rank} installed state");
+        }
+        // A checkpoint into a path that is a file fails the same way.
+        let not_a_dir = dir.join("rank_0.chkp");
+        let results = run_spmd(2, move |comm| {
+            let owner: Vec<usize> = (0..geo.fluid_count()).map(|s| s % comm.size()).collect();
+            let ds = DistSolver::new(geo.clone(), owner, cfg.clone(), comm).unwrap();
+            ds.checkpoint(&not_a_dir)
+        });
+        assert!(results.iter().all(|r| r.is_err()), "{results:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -643,25 +643,16 @@ impl<'a> DistSolver<'a> {
         self.lat.step
     }
 
-    /// This rank's index (checkpoint naming).
-    pub fn comm_rank(&self) -> usize {
-        self.comm.rank()
-    }
-
-    /// Number of discrete velocities.
-    pub fn model_q(&self) -> usize {
-        self.lat.model.q
-    }
-
     /// This rank's whole local distribution array, site-major over
     /// [`DistSolver::local_sites`].
     pub fn raw_distributions(&self) -> Vec<f64> {
         self.lat.to_site_major()
     }
 
-    /// Block until every rank reaches this point (checkpoint fencing).
-    pub fn barrier(&self) -> CommResult<()> {
-        self.comm.barrier()
+    /// The communicator this rank steps on (checkpoint naming and
+    /// fencing).
+    pub(crate) fn comm(&self) -> &'a Communicator {
+        self.comm
     }
 
     /// The geometry.

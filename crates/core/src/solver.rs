@@ -101,13 +101,13 @@ impl SolverConfig {
     }
 
     /// The BC for inlet `id` (last entry reused beyond the list).
-    pub fn inlet_bc(&self, id: u16) -> IoletBc {
+    pub(crate) fn inlet_bc(&self, id: u16) -> IoletBc {
         let idx = (id as usize).min(self.inlet_bcs.len().saturating_sub(1));
         self.inlet_bcs[idx]
     }
 
     /// The BC for outlet `id`.
-    pub fn outlet_bc(&self, id: u16) -> IoletBc {
+    pub(crate) fn outlet_bc(&self, id: u16) -> IoletBc {
         let idx = (id as usize).min(self.outlet_bcs.len().saturating_sub(1));
         self.outlet_bcs[idx]
     }

@@ -177,24 +177,6 @@ impl Sdf for Union {
     }
 }
 
-/// Intersection of a shape with a half-space `(p - point)·normal <= 0`
-/// (used to cut vessels flat at inlet/outlet planes).
-pub struct HalfSpaceCut<S> {
-    /// The shape being cut.
-    pub shape: S,
-    /// A point on the cutting plane.
-    pub point: Vec3,
-    /// Outward normal: the side `(p-point)·normal > 0` is removed.
-    pub normal: Vec3,
-}
-
-impl<S: Sdf> Sdf for HalfSpaceCut<S> {
-    fn distance(&self, p: Vec3) -> f64 {
-        let plane = (p - self.point).dot(self.normal);
-        self.shape.distance(p).max(plane)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,19 +250,5 @@ mod tests {
         assert!(u.contains(Vec3::new(5.0, 0.0, 0.0)));
         assert!(!u.contains(Vec3::new(2.5, 0.0, 0.0)));
         assert!(Union::new().distance(Vec3::ZERO).is_infinite());
-    }
-
-    #[test]
-    fn half_space_cut_removes_one_side() {
-        let cut = HalfSpaceCut {
-            shape: Sphere {
-                centre: Vec3::ZERO,
-                radius: 2.0,
-            },
-            point: Vec3::ZERO,
-            normal: Vec3::new(1.0, 0.0, 0.0),
-        };
-        assert!(cut.contains(Vec3::new(-1.0, 0.0, 0.0)));
-        assert!(!cut.contains(Vec3::new(1.0, 0.0, 0.0)));
     }
 }

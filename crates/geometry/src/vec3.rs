@@ -85,12 +85,6 @@ impl Vec3 {
         Vec3::new(self.x.max(o.x), self.y.max(o.y), self.z.max(o.z))
     }
 
-    /// Linear interpolation `self + t (o - self)`.
-    #[inline]
-    pub fn lerp(self, o: Vec3, t: f64) -> Vec3 {
-        self + (o - self) * t
-    }
-
     /// Some unit vector orthogonal to `self` (assumes `self` nonzero).
     pub fn any_orthogonal(self) -> Vec3 {
         let trial = if self.x.abs() < 0.9 {
@@ -204,15 +198,5 @@ mod tests {
             assert!(v.dot(o).abs() < 1e-12, "{v:?}");
             assert!((o.norm() - 1.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        let a = Vec3::new(1.0, 2.0, 3.0);
-        let b = Vec3::new(-1.0, 0.0, 5.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        let mid = a.lerp(b, 0.5);
-        assert_eq!(mid, Vec3::new(0.0, 1.0, 4.0));
     }
 }

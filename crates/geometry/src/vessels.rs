@@ -176,48 +176,6 @@ impl VesselBuilder {
         vb
     }
 
-    /// A vessel along an arbitrary polyline with per-vertex radii
-    /// (rounded joints), inlet at the first vertex, outlet at the last —
-    /// the building block for synthetic vascular trees.
-    ///
-    /// # Panics
-    /// Panics unless `points.len() == radii.len() >= 2`.
-    pub fn polyline(points: &[Vec3], radii: &[f64]) -> Self {
-        assert_eq!(points.len(), radii.len());
-        assert!(points.len() >= 2, "a polyline needs at least two vertices");
-        let margin = 2.0;
-        let rmax = radii.iter().cloned().fold(0.0, f64::max);
-        let mut lo = Vec3::splat(f64::INFINITY);
-        let mut hi = Vec3::splat(f64::NEG_INFINITY);
-        for p in points {
-            lo = lo.min(*p);
-            hi = hi.max(*p);
-        }
-        let pad = Vec3::splat(rmax + margin);
-        let mut vb = VesselBuilder::new(lo - pad, hi + pad);
-        for w in points.windows(2).zip(radii.windows(2)) {
-            let ((a, b), (ra, rb)) = ((w.0[0], w.0[1]), (w.1[0], w.1[1]));
-            // Approximate a taper with the mean radius per segment.
-            vb.lumen.add(Capsule::rounded(a, b, (ra + rb) / 2.0));
-        }
-        let dir_in = (points[1] - points[0]).normalised();
-        let n = points.len();
-        let dir_out = (points[n - 1] - points[n - 2]).normalised();
-        vb.iolets.push(IoLet {
-            kind: IoLetKind::Inlet,
-            centre: points[0] + dir_in * 1.0,
-            normal: -dir_in,
-            radius: radii[0],
-        });
-        vb.iolets.push(IoLet {
-            kind: IoLetKind::Outlet,
-            centre: points[n - 1] - dir_out * 1.0,
-            normal: dir_out,
-            radius: radii[n - 1],
-        });
-        vb
-    }
-
     /// A synthetic bifurcating arterial tree: a root vessel that splits
     /// in two at every generation (radii by Murray's law for equal
     /// children, branching planes alternating), `depth` generations
@@ -408,22 +366,6 @@ mod tests {
         let (_, _, inlets, outlets) = geo.kind_census();
         assert!(inlets > 0);
         assert!(outlets > 0);
-    }
-
-    #[test]
-    fn polyline_vessel_connects_inlet_to_outlet() {
-        let pts = [
-            Vec3::new(0.0, 0.0, 0.0),
-            Vec3::new(10.0, 2.0, 0.0),
-            Vec3::new(18.0, 6.0, 2.0),
-            Vec3::new(26.0, 6.0, 6.0),
-        ];
-        let radii = [4.0, 3.5, 3.0, 2.5];
-        let geo = VesselBuilder::polyline(&pts, &radii).voxelise(1.0);
-        assert!(geo.fluid_count() > 300);
-        let (_, _, inlets, outlets) = geo.kind_census();
-        assert!(inlets > 0, "inlet capped");
-        assert!(outlets > 0, "outlet capped");
     }
 
     #[test]

@@ -68,26 +68,6 @@ impl<'a> SampledField<'a> {
         }
     }
 
-    /// Trilinearly interpolated scalar at `p`.
-    pub fn scalar_at(&self, p: Vec3, which: Scalar) -> Option<f64> {
-        let mut acc = 0.0f64;
-        let mut wsum = 0.0;
-        self.gather(p, |site, w| {
-            let v = match which {
-                Scalar::Density => self.snap.rho[site as usize],
-                Scalar::Speed => self.snap.speed(site as usize),
-                Scalar::Shear => self.snap.shear[site as usize],
-            };
-            acc += v * w;
-            wsum += w;
-        });
-        if wsum <= 1e-12 {
-            None
-        } else {
-            Some(acc / wsum)
-        }
-    }
-
     /// Visit the up-to-8 fluid cells around `p` with trilinear weights.
     fn gather(&self, p: Vec3, mut visit: impl FnMut(u32, f64)) {
         let x0 = p.x.floor() as i64;
@@ -193,9 +173,6 @@ mod tests {
         let (geo, snap) = setup();
         let f = SampledField::new(&geo, &snap);
         assert!(f.velocity_at(Vec3::new(-50.0, 0.0, 0.0)).is_none());
-        assert!(f
-            .scalar_at(Vec3::new(1e6, 0.0, 0.0), Scalar::Speed)
-            .is_none());
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! | Technique | Module | Communication structure |
 //! |---|---|---|
 //! | Volume rendering | [`volume`] | none during sampling; sort-last compositing ([`compositing`]) |
-//! | Line integrals (stream/path/streak) | [`lines`] | per-step particle hand-off between ranks |
-//! | Particle tracing | [`particles`] | per-step migration |
+//! | Line integrals (stream/path) | [`lines`] | per-step particle hand-off between ranks |
+//! | Particle tracing, streak-lines | [`particles`] | per-step migration |
 //! | LIC | [`lic`] | one-time slice halo exchange |
 //!
 //! The paper tabulates these qualitatively (communication cost, load
@@ -32,7 +32,6 @@ pub mod particles;
 pub mod pipeline;
 pub mod report;
 pub mod transfer;
-pub mod unsteady;
 pub mod volume;
 
 pub use camera::Camera;

@@ -1,5 +1,6 @@
 //! Line integrals: streamlines, pathlines and streak-lines, serial and
-//! distributed.
+//! distributed (the distributed per-step tracer, which also draws
+//! streak-lines, is [`crate::particles::ParticleEnsemble`]).
 //!
 //! These are the *hard* row of the paper's Table I: "algorithms which
 //! need a lot of neighbourhood searching, such as path-lines, are

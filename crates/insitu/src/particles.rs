@@ -6,6 +6,11 @@
 //! subdomain boundaries. Communication is therefore per-step (high),
 //! and load follows the seeding density (can be optimised by vis-aware
 //! partitioning — the "can be optimised" cell of the table).
+//!
+//! The same ensemble traces **streak-lines**, which the paper names
+//! among the physiologically relevant line integrals: call
+//! [`ParticleEnsemble::release`] after every [`ParticleEnsemble::step`]
+//! and each seed emits one particle per solver step.
 
 use crate::field::SampledField;
 use crate::lines::{owner_of_point, rk4_step, WireParticle};
@@ -47,23 +52,35 @@ impl<'a> ParticleEnsemble<'a> {
         seeds: &[Vec3],
         h: f64,
     ) -> Self {
-        let local = seeds
-            .iter()
-            .enumerate()
-            .filter(|(_, &s)| owner_of_point(geo, owner, s) == Some(comm.rank()))
-            .map(|(i, &s)| WireParticle {
-                id: i as u32,
-                steps: 0,
-                pos: s.to_array(),
-            })
-            .collect();
-        ParticleEnsemble {
+        let mut ensemble = ParticleEnsemble {
             comm,
             owner,
-            local,
+            local: Vec::new(),
             finished: Vec::new(),
             h,
             stats: ParticleStats::default(),
+        };
+        ensemble.release(geo, seeds);
+        ensemble
+    }
+
+    /// Release a particle `{ id: i, steps: 0 }` at every seed `i` this
+    /// rank owns; every rank passes the full seed list. Called after each
+    /// [`ParticleEnsemble::step`], this traces streak-lines: the
+    /// streak-line of seed `i` is the live particles with `id == i`
+    /// sorted by `steps` ascending (newest first, from the seed
+    /// outwards). A streak particle that leaves the fluid moves to
+    /// `finished` like any other.
+    pub fn release(&mut self, geo: &SparseGeometry, seeds: &[Vec3]) {
+        let me = self.comm.rank();
+        for (i, &s) in seeds.iter().enumerate() {
+            if owner_of_point(geo, self.owner, s) == Some(me) {
+                self.local.push(WireParticle {
+                    id: i as u32,
+                    steps: 0,
+                    pos: s.to_array(),
+                });
+            }
         }
     }
 
@@ -111,20 +128,28 @@ impl<'a> ParticleEnsemble<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lines::UnsteadyTracer;
     use hemelb_core::FieldSnapshot;
     use hemelb_geometry::VesselBuilder;
-    use hemelb_parallel::run_spmd;
+    use hemelb_parallel::{run_spmd, Wire};
 
-    fn uniform_flow() -> (SparseGeometry, FieldSnapshot) {
+    fn uniform_flow(u: [f64; 3]) -> (SparseGeometry, FieldSnapshot) {
         let geo = VesselBuilder::straight_tube(32.0, 5.0).voxelise(1.0);
         let n = geo.fluid_count();
         let snap = FieldSnapshot {
             step: 0,
             rho: vec![1.0; n],
-            u: vec![[0.08, 0.0, 0.0]; n],
+            u: vec![u; n],
             shear: vec![0.0; n],
         };
         (geo, snap)
+    }
+
+    /// Slabs along x, one per rank.
+    fn slab_owner(geo: &SparseGeometry, ranks: usize) -> Vec<usize> {
+        (0..geo.fluid_count() as u32)
+            .map(|s| (geo.position(s)[0] as usize * ranks / geo.shape()[0]).min(ranks - 1))
+            .collect()
     }
 
     fn seeds(geo: &SparseGeometry, n: usize) -> Vec<Vec3> {
@@ -137,16 +162,11 @@ mod tests {
 
     #[test]
     fn particles_conserve_count_until_exit() {
-        let (geo, snap) = uniform_flow();
+        let (geo, snap) = uniform_flow([0.08, 0.0, 0.0]);
         let seed_list = seeds(&geo, 12);
         let n_seeds = seed_list.len() as u64;
         let results = run_spmd(3, move |comm| {
-            let owner: Vec<usize> = (0..geo.fluid_count() as u32)
-                .map(|s| {
-                    (geo.position(s)[0] as usize * comm.size() / geo.shape()[0])
-                        .min(comm.size() - 1)
-                })
-                .collect();
+            let owner = slab_owner(&geo, comm.size());
             let field = SampledField::new(&geo, &snap);
             let mut ens = ParticleEnsemble::new(comm, &geo, &owner, &seed_list, 1.0);
             let mut counts = Vec::new();
@@ -174,15 +194,10 @@ mod tests {
 
     #[test]
     fn particles_eventually_exit_the_outlet() {
-        let (geo, snap) = uniform_flow();
+        let (geo, snap) = uniform_flow([0.08, 0.0, 0.0]);
         let seed_list = seeds(&geo, 6);
         let results = run_spmd(2, move |comm| {
-            let owner: Vec<usize> = (0..geo.fluid_count() as u32)
-                .map(|s| {
-                    (geo.position(s)[0] as usize * comm.size() / geo.shape()[0])
-                        .min(comm.size() - 1)
-                })
-                .collect();
+            let owner = slab_owner(&geo, comm.size());
             let field = SampledField::new(&geo, &snap);
             let mut ens = ParticleEnsemble::new(comm, &geo, &owner, &seed_list, 0.5);
             for _ in 0..2000 {
@@ -198,7 +213,7 @@ mod tests {
 
     #[test]
     fn single_rank_never_migrates() {
-        let (geo, snap) = uniform_flow();
+        let (geo, snap) = uniform_flow([0.08, 0.0, 0.0]);
         let seed_list = seeds(&geo, 5);
         let results = run_spmd(1, move |comm| {
             let owner = vec![0usize; geo.fluid_count()];
@@ -211,5 +226,79 @@ mod tests {
         });
         assert_eq!(results[0].migrations, 0);
         assert!(results[0].updates > 0);
+    }
+
+    fn streak_seed(geo: &SparseGeometry) -> Vec3 {
+        Vec3::new(
+            2.0,
+            (geo.shape()[1] as f64 - 1.0) / 2.0,
+            (geo.shape()[2] as f64 - 1.0) / 2.0,
+        )
+    }
+
+    #[test]
+    fn released_streaklines_match_serial_tracer() {
+        let (geo, snap) = uniform_flow([0.06, 0.005, 0.0]);
+        let s = streak_seed(&geo);
+
+        // Serial reference: the shared-memory UnsteadyTracer in streak
+        // mode, which also releases after each advection. It seeds one
+        // extra particle at construction (the oldest, last in
+        // newest-first order), so compare the common prefix.
+        let field = SampledField::new(&geo, &snap);
+        let mut serial = UnsteadyTracer::new(vec![s], 0.5, true);
+        for _ in 0..400 {
+            serial.advect(&field);
+        }
+        let serial_streak = serial.streakline(0);
+
+        for p in [1usize, 3] {
+            let (geo, snap) = (geo.clone(), snap.clone());
+            let results = run_spmd(p, move |comm| {
+                let owner = slab_owner(&geo, comm.size());
+                let field = SampledField::new(&geo, &snap);
+                let mut ens = ParticleEnsemble::new(comm, &geo, &owner, &[], 0.5);
+                for _ in 0..400 {
+                    ens.step(&geo, &field).unwrap();
+                    ens.release(&geo, &[s]);
+                }
+                let gathered = comm.gather(0, ens.local.to_bytes()).unwrap();
+                (gathered, ens.stats.clone())
+            });
+            let mut streak: Vec<WireParticle> = Vec::new();
+            for part in results[0].0.clone().unwrap() {
+                streak.extend(Vec::<WireParticle>::from_bytes(part).unwrap());
+            }
+            assert_eq!(streak.len(), 400, "p={p}: 400 releases all alive");
+            assert!(streak.iter().all(|w| w.id == 0));
+            streak.sort_by_key(|w| w.steps);
+            for (a, b) in streak.iter().zip(&serial_streak) {
+                assert!((Vec3::from(a.pos) - *b).norm() < 1e-9, "p={p}");
+            }
+            if p > 1 {
+                let migrations: u64 = results.iter().map(|r| r.1.migrations).sum();
+                assert!(migrations > 0, "streak must cross slabs");
+            }
+        }
+    }
+
+    #[test]
+    fn streak_particles_exit_at_the_outlet() {
+        let (geo, snap) = uniform_flow([0.06, 0.005, 0.0]);
+        let s = streak_seed(&geo);
+        let results = run_spmd(2, move |comm| {
+            let owner = slab_owner(&geo, comm.size());
+            let field = SampledField::new(&geo, &snap);
+            let mut ens = ParticleEnsemble::new(comm, &geo, &owner, &[], 1.0);
+            for _ in 0..1500 {
+                ens.step(&geo, &field).unwrap();
+                ens.release(&geo, &[s]);
+            }
+            ens.global_active().unwrap()
+        });
+        // Releases continue, but the oldest particles have left: the
+        // live count is bounded by the transit time, far below 1500.
+        assert!(results[0] < 800, "live particles bounded: {}", results[0]);
+        assert!(results[0] > 0);
     }
 }

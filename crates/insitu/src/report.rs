@@ -89,7 +89,7 @@ impl TechniqueReport {
     }
 
     /// Total work units across ranks.
-    pub fn total_work(&self) -> u64 {
+    fn total_work(&self) -> u64 {
         self.work_per_rank.iter().sum()
     }
 
@@ -153,7 +153,7 @@ pub fn measure_techniques(inputs: &TechniqueInputs) -> Vec<TechniqueReport> {
 
 /// Volume rendering: local ray casting + binary-swap compositing.
 /// Zero data rounds: nothing is exchanged until the image reduction.
-pub fn measure_volume(inputs: &TechniqueInputs) -> TechniqueReport {
+fn measure_volume(inputs: &TechniqueInputs) -> TechniqueReport {
     let inp = inputs.clone();
     let cam = inputs.camera();
     let out = run_spmd_with_stats(inputs.ranks, move |comm| {
@@ -196,7 +196,7 @@ fn estimate_samples(brick: &Brick, cam: &Camera, step: f64) -> u64 {
 }
 
 /// Line integrals: distributed streamline tracing with hand-off.
-pub fn measure_lines(inputs: &TechniqueInputs) -> TechniqueReport {
+fn measure_lines(inputs: &TechniqueInputs) -> TechniqueReport {
     let inp = inputs.clone();
     let out = run_spmd_with_stats(inputs.ranks, move |comm| {
         let field = SampledField::new(&inp.geo, &inp.snap);
@@ -211,7 +211,7 @@ pub fn measure_lines(inputs: &TechniqueInputs) -> TechniqueReport {
 }
 
 /// Particle tracing: per-step advection + migration.
-pub fn measure_particles(inputs: &TechniqueInputs) -> TechniqueReport {
+fn measure_particles(inputs: &TechniqueInputs) -> TechniqueReport {
     let inp = inputs.clone();
     let out = run_spmd_with_stats(inputs.ranks, move |comm| {
         let field = SampledField::new(&inp.geo, &inp.snap);
@@ -227,7 +227,7 @@ pub fn measure_particles(inputs: &TechniqueInputs) -> TechniqueReport {
 }
 
 /// LIC on the mid-plane slice: one halo phase, then local convolution.
-pub fn measure_lic(inputs: &TechniqueInputs) -> TechniqueReport {
+fn measure_lic(inputs: &TechniqueInputs) -> TechniqueReport {
     let inp = inputs.clone();
     let out = run_spmd_with_stats(inputs.ranks, move |comm| {
         let field = SampledField::new(&inp.geo, &inp.snap);

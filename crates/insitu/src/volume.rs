@@ -223,12 +223,6 @@ impl Brick {
         self.values.len() * 4 + self.macro_grid.cells.len() * 8
     }
 
-    /// Fraction of macrocells a render with `tf` may skip outright.
-    pub fn skippable_fraction(&self, tf: &TransferFunction) -> f64 {
-        let mask = self.macro_grid.skippable(tf);
-        mask.iter().filter(|&&b| b).count() as f64 / mask.len().max(1) as f64
-    }
-
     #[inline]
     fn value(&self, x: i64, y: i64, z: i64) -> Option<f64> {
         let bx = x - self.lo[0] as i64;
@@ -925,7 +919,7 @@ mod tests {
             stops: vec![[1.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]],
             ..TransferFunction::grey(0.9, 1.1)
         };
-        assert_eq!(brick.skippable_fraction(&clear), 1.0);
+        assert!(brick.macro_grid.skippable(&clear).iter().all(|&b| b));
         let (img, st) = render_brick_opts(&brick, &cam, &clear, 0.5, &RenderOptions::default());
         assert_eq!(st.samples_shaded, 0);
         assert!(st.samples_skipped > 0);

@@ -8,6 +8,11 @@
 
 use std::fmt;
 
+/// Deepest array / object nesting [`Json::parse`] accepts. Reports and
+/// `BENCHMARK.json` nest a handful of levels; the cap keeps a hostile
+/// document from recursing the parser off the end of its stack.
+const MAX_DEPTH: usize = 128;
+
 /// A JSON document node. Object member order is preserved (members are
 /// a `Vec` of pairs, not a map), which keeps rendered reports stable
 /// and diffable.
@@ -113,11 +118,13 @@ impl Json {
     }
 
     /// Parse a JSON document. The whole input must be consumed (apart
-    /// from trailing whitespace).
+    /// from trailing whitespace), and arrays and objects may nest at most
+    /// 128 deep.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -199,6 +206,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -239,8 +248,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(JsonError::at(self.pos, "nested too deeply"));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(JsonError::at(self.pos, "expected a JSON value")),
         }
@@ -407,6 +427,19 @@ mod tests {
         for src in ["", "{", "[1,", "{\"a\"}", "tru", "1 2", "\"unterminated"] {
             assert!(Json::parse(src).is_err(), "{src:?} should fail");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for src in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+            let err = Json::parse(&src).unwrap_err();
+            assert_eq!(err.offset, MAX_DEPTH * (src.len() / 100_000), "{err}");
+        }
+        // The cap itself still parses.
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
+        let over = format!("[{at_cap}]");
+        assert!(Json::parse(&over).is_err());
     }
 
     #[test]

@@ -141,11 +141,6 @@ impl Recorder {
         r
     }
 
-    /// Whether this recorder is recording.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Turn recording on or off (existing data is kept).
     pub fn set_enabled(&mut self, on: bool) {
         self.enabled = on;
@@ -365,7 +360,7 @@ mod tests {
         rec.begin().end(&mut rec, "p");
         rec.count("c", 1);
         rec.reset();
-        assert!(rec.is_enabled());
+        assert!(rec.enabled);
         assert!(rec.phase_stats("p").is_none());
         assert_eq!(rec.counter("c"), 0);
         assert!(rec.timeline().events().is_empty());

@@ -87,7 +87,7 @@ impl ObsReport {
     }
 
     /// Export as a JSON value tree.
-    pub fn to_json_value(&self) -> Json {
+    fn to_json_value(&self) -> Json {
         let phases = self
             .phases
             .iter()
@@ -150,7 +150,7 @@ impl ObsReport {
     }
 
     /// Rebuild from a parsed JSON value tree.
-    pub fn from_json_value(v: &Json) -> Option<ObsReport> {
+    fn from_json_value(v: &Json) -> Option<ObsReport> {
         let rank = match v.get("rank")? {
             Json::Null => None,
             n => Some(n.as_u64()? as usize),

@@ -96,16 +96,6 @@ pub struct CalibratedModel {
 }
 
 impl CalibratedModel {
-    /// Predicted seconds for a workload, under the fitted model.
-    pub fn predict(&self, msgs: u64, bytes: u64, work: u64) -> f64 {
-        self.model.time(msgs, bytes, work)
-    }
-
-    /// Largest absolute residual, seconds (0 when no residuals).
-    pub fn max_abs_residual(&self) -> f64 {
-        self.residuals.iter().fold(0.0, |a, r| a.max(r.abs()))
-    }
-
     /// Record the model losslessly into an obs recorder under
     /// `{prefix}.` counter names, so a `BENCH_*.json` report carries
     /// its own calibration. Obs counters are `u64` rendered through
@@ -356,7 +346,7 @@ mod tests {
         assert!((cal.model.beta - 4e9).abs() / 4e9 < 1e-9);
         assert!((cal.model.gamma - 8e8).abs() / 8e8 < 1e-9);
         assert!(cal.r2 > 0.999_999);
-        assert!(cal.max_abs_residual() < 1e-12);
+        assert!(cal.residuals.iter().all(|r| r.abs() < 1e-12));
     }
 
     #[test]
@@ -406,7 +396,7 @@ mod tests {
         assert_eq!(cal.model.beta, f64::INFINITY);
         assert!((cal.model.gamma - 1e7).abs() / 1e7 < 1e-9);
         // The free terms predict zero cost.
-        assert_eq!(cal.predict(1000, 1 << 30, 0), 0.0);
+        assert_eq!(cal.model.time(1000, 1 << 30, 0), 0.0);
     }
 
     #[test]

@@ -70,12 +70,6 @@ impl FaultKind {
             FaultKind::KillRank => "kill",
         }
     }
-
-    /// Whether this kind is bit-transparent to collectives (delay and
-    /// duplicate are; drops and kills are observable).
-    pub fn is_benign(self) -> bool {
-        matches!(self, FaultKind::Delay { .. } | FaultKind::DuplicateOnce)
-    }
 }
 
 /// One scheduled fault.
@@ -314,7 +308,10 @@ mod tests {
         let b = FaultPlan::seeded_benign(42, 4, 10, 5, 3);
         assert_eq!(a, b);
         assert_eq!(a.events().len(), 10);
-        assert!(a.events().iter().all(|e| e.kind.is_benign()));
+        assert!(a
+            .events()
+            .iter()
+            .all(|e| matches!(e.kind, FaultKind::Delay { .. } | FaultKind::DuplicateOnce)));
         assert!(a.events().iter().all(|e| e.rank < 4 && e.step <= 5));
         let c = FaultPlan::seeded_benign(43, 4, 10, 5, 3);
         assert_ne!(a, c, "different seeds give different plans");

@@ -376,15 +376,6 @@ impl StatsSummary {
             byte_imbalance,
         }
     }
-
-    /// Bytes per class as `(label, bytes)` pairs with non-zero counts.
-    pub fn bytes_by_class(&self) -> Vec<(&'static str, u64)> {
-        TagClass::ALL
-            .iter()
-            .filter(|c| self.total.bytes(**c) > 0)
-            .map(|c| (c.label(), self.total.bytes(*c)))
-            .collect()
-    }
 }
 
 impl fmt::Display for StatsSummary {
@@ -400,17 +391,13 @@ impl fmt::Display for StatsSummary {
             self.total.sync_points,
             self.total.rebalances,
         )?;
-        for (label, bytes) in self.bytes_by_class() {
-            let wait = self.total.recv_wait_secs(
-                *TagClass::ALL
-                    .iter()
-                    .find(|c| c.label() == label)
-                    .expect("label comes from TagClass::ALL"),
-            );
+        for &class in TagClass::ALL.iter().filter(|&&c| self.total.bytes(c) > 0) {
             writeln!(
                 f,
-                "  {label:>10}: {bytes} B  (recv-wait {:.3} ms)",
-                wait * 1e3
+                "  {:>10}: {} B  (recv-wait {:.3} ms)",
+                class.label(),
+                self.total.bytes(class),
+                self.total.recv_wait_secs(class) * 1e3
             )?;
         }
         Ok(())

@@ -15,24 +15,24 @@ pub struct Tag(pub u32);
 impl Tag {
     // ----- reserved internal ranges -------------------------------------
     /// Tags used by collective implementations (barrier, reduce, ...).
-    pub const COLLECTIVE_BASE: u32 = 0x0100_0000;
+    const COLLECTIVE_BASE: u32 = 0x0100_0000;
     /// Tags used by the LB solver's halo exchange.
-    pub const HALO_BASE: u32 = 0x0200_0000;
+    const HALO_BASE: u32 = 0x0200_0000;
     /// Tags used by geometry loading / redistribution (pre-processing).
-    pub const GEOMETRY_BASE: u32 = 0x0300_0000;
+    const GEOMETRY_BASE: u32 = 0x0300_0000;
     /// Tags used by partition migration (repartitioning).
-    pub const MIGRATION_BASE: u32 = 0x0400_0000;
+    const MIGRATION_BASE: u32 = 0x0400_0000;
     /// Tags used by visualisation algorithms moving *simulation data*
     /// (halo strips, particle hand-off, ...).
-    pub const VIS_BASE: u32 = 0x0500_0000;
+    const VIS_BASE: u32 = 0x0500_0000;
     /// Tags used by image compositing (result reduction, not data
     /// movement — the distinction Table I's "communication cost" rests
     /// on).
-    pub const COMPOSITE_BASE: u32 = 0x0580_0000;
+    const COMPOSITE_BASE: u32 = 0x0580_0000;
     /// Tags used by the steering protocol.
-    pub const STEERING_BASE: u32 = 0x0600_0000;
+    const STEERING_BASE: u32 = 0x0600_0000;
     /// First tag value free for application use.
-    pub const USER_BASE: u32 = 0x0700_0000;
+    const USER_BASE: u32 = 0x0700_0000;
 
     /// A collective-internal tag with the given offset.
     #[inline]

@@ -95,7 +95,7 @@ impl WindowCosts {
     }
 
     /// Whether any rank reported visualisation work this window.
-    pub fn has_vis_signal(&self) -> bool {
+    fn has_vis_signal(&self) -> bool {
         self.vis_secs.iter().any(|&v| v > 0.0)
     }
 }
@@ -143,11 +143,6 @@ impl AdaptiveLb {
         &self.cfg
     }
 
-    /// Windows observed so far.
-    pub fn windows_seen(&self) -> u64 {
-        self.windows_seen
-    }
-
     /// Digest one window of measurements. A window is *hot* when either
     /// constraint's imbalance exceeds the threshold; `triggered` becomes
     /// true only after `hysteresis_windows` consecutive hot windows, and
@@ -186,7 +181,7 @@ impl AdaptiveLb {
 /// Derived per-site weights: measured rank cost spread evenly over the
 /// rank's sites. Secondary is `None` when there was no vis signal.
 #[derive(Debug, Clone)]
-pub struct SiteWeights {
+struct SiteWeights {
     /// Primary (simulation) per-site weight.
     pub sim: Vec<f64>,
     /// Secondary (visualisation) per-site weight, if any rank rendered.
@@ -202,7 +197,7 @@ pub struct SiteWeights {
 /// # Errors
 /// Rejects owner values outside `0..k` and cost vectors whose length is
 /// not `k`.
-pub fn derive_site_weights(
+fn derive_site_weights(
     owner: &[usize],
     k: usize,
     costs: &WindowCosts,

@@ -6,9 +6,8 @@
 //! Provided partitioners, all implementing [`Partitioner`]:
 //!
 //! * [`NaiveBlock`] — contiguous site-index chunks (the strawman);
-//! * [`MortonSfc`] / [`HilbertSfc`] — space-filling-curve orderings cut
-//!   into weight-balanced chunks;
-//! * [`Rcb`] — recursive coordinate bisection;
+//! * [`HilbertSfc`] — the Hilbert-curve ordering cut into
+//!   weight-balanced chunks;
 //! * [`MultilevelKWay`] — the ParMETIS-family algorithm: heavy-edge
 //!   matching coarsening, greedy graph growing on the coarsest graph,
 //!   boundary Kernighan–Lin refinement during uncoarsening.
@@ -41,20 +40,18 @@ pub mod error;
 pub mod graph;
 pub mod kway;
 pub mod metrics;
-pub mod rcb;
-pub mod sfc;
+mod sfc;
 pub mod visaware;
 
 pub use adaptive::{
-    derive_site_weights, payoff_gate, plan_rebalance, AdaptiveLb, AdaptiveLbConfig, GateDecision,
-    Observation, WindowCosts,
+    payoff_gate, plan_rebalance, AdaptiveLb, AdaptiveLbConfig, GateDecision, Observation,
+    WindowCosts,
 };
 pub use error::{PartitionError, PartitionResult};
 pub use graph::SiteGraph;
 pub use kway::MultilevelKWay;
 pub use metrics::{quality, PartitionQuality};
-pub use rcb::Rcb;
-pub use sfc::{HilbertSfc, MortonSfc};
+pub use sfc::HilbertSfc;
 
 /// A k-way partitioner of site graphs.
 pub trait Partitioner {
@@ -91,9 +88,7 @@ mod tests {
         let graph = SiteGraph::from_geometry(&geo, Connectivity::D3Q15);
         let partitioners: Vec<Box<dyn Partitioner>> = vec![
             Box::new(NaiveBlock),
-            Box::new(MortonSfc),
             Box::new(HilbertSfc),
-            Box::new(Rcb),
             Box::new(MultilevelKWay),
         ];
         for p in &partitioners {

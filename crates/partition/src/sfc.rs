@@ -1,4 +1,4 @@
-//! Space-filling-curve partitioners (Morton/Z-order and Hilbert).
+//! The Hilbert space-filling-curve partitioner.
 //!
 //! Order the sites along the curve, then cut the ordering into k
 //! weight-balanced contiguous chunks. Cheap, decent locality, and the
@@ -8,24 +8,9 @@
 use crate::graph::SiteGraph;
 use crate::Partitioner;
 
-/// Interleave the low 21 bits of x, y, z into a Morton code.
-pub fn morton3(x: u32, y: u32, z: u32) -> u64 {
-    fn spread(v: u32) -> u64 {
-        // Spread the low 21 bits of v to every third bit position.
-        let mut x = v as u64 & 0x1f_ffff;
-        x = (x | x << 32) & 0x1f00000000ffff;
-        x = (x | x << 16) & 0x1f0000ff0000ff;
-        x = (x | x << 8) & 0x100f00f00f00f00f;
-        x = (x | x << 4) & 0x10c30c30c30c30c3;
-        x = (x | x << 2) & 0x1249249249249249;
-        x
-    }
-    spread(x) | spread(y) << 1 | spread(z) << 2
-}
-
 /// Hilbert-curve index of a 3-D point with `bits` bits per axis
 /// (Skilling's transform).
-pub fn hilbert3(p: [u32; 3], bits: u32) -> u128 {
+pub(crate) fn hilbert3(p: [u32; 3], bits: u32) -> u128 {
     let n = 3usize;
     let mut x = [p[0], p[1], p[2]];
     let m = 1u32 << (bits - 1);
@@ -73,7 +58,7 @@ pub fn hilbert3(p: [u32; 3], bits: u32) -> u128 {
 
 /// Cut an ordering of all vertices into `k` contiguous chunks balanced by
 /// primary vertex weight; returns the owner map.
-pub fn split_ordering_by_weight(order: &[u32], graph: &SiteGraph, k: usize) -> Vec<usize> {
+pub(crate) fn split_ordering_by_weight(order: &[u32], graph: &SiteGraph, k: usize) -> Vec<usize> {
     assert!(k > 0);
     assert_eq!(order.len(), graph.len());
     let total = graph.total_weight();
@@ -91,26 +76,8 @@ pub fn split_ordering_by_weight(order: &[u32], graph: &SiteGraph, k: usize) -> V
     owner
 }
 
-/// Morton/Z-order curve partitioner.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct MortonSfc;
-
-impl Partitioner for MortonSfc {
-    fn partition(&self, graph: &SiteGraph, k: usize) -> Vec<usize> {
-        let mut order: Vec<u32> = (0..graph.len() as u32).collect();
-        order.sort_unstable_by_key(|&v| {
-            let c = graph.coords[v as usize];
-            morton3(c[0] as u32, c[1] as u32, c[2] as u32)
-        });
-        split_ordering_by_weight(&order, graph, k)
-    }
-    fn name(&self) -> &'static str {
-        "morton"
-    }
-}
-
-/// Hilbert curve partitioner (better locality than Morton: consecutive
-/// curve positions are always lattice neighbours).
+/// Hilbert curve partitioner (consecutive curve positions are always
+/// lattice neighbours).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct HilbertSfc;
 
@@ -142,29 +109,6 @@ mod tests {
     use crate::graph::Connectivity;
     use crate::metrics::quality;
     use hemelb_geometry::VesselBuilder;
-
-    #[test]
-    fn morton_codes_are_unique_and_monotone_in_octants() {
-        // Points in the lower octant must precede the upper octant.
-        assert!(morton3(0, 0, 0) < morton3(1, 1, 1));
-        assert!(morton3(3, 3, 3) < morton3(4, 0, 0) | morton3(0, 4, 0));
-        let mut codes = std::collections::HashSet::new();
-        for x in 0..8 {
-            for y in 0..8 {
-                for z in 0..8 {
-                    assert!(codes.insert(morton3(x, y, z)), "duplicate code");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn morton_interleaves_single_axis_bits() {
-        assert_eq!(morton3(1, 0, 0), 0b001);
-        assert_eq!(morton3(0, 1, 0), 0b010);
-        assert_eq!(morton3(0, 0, 1), 0b100);
-        assert_eq!(morton3(2, 0, 0), 0b001000);
-    }
 
     #[test]
     fn hilbert_is_a_bijection_on_a_small_cube() {
@@ -205,25 +149,7 @@ mod tests {
     fn weight_balanced_split_is_balanced() {
         let geo = VesselBuilder::aneurysm(24.0, 4.0, 6.0).voxelise(1.0);
         let g = crate::SiteGraph::from_geometry(&geo, Connectivity::Six);
-        for p in [MortonSfc.partition(&g, 6), HilbertSfc.partition(&g, 6)] {
-            let q = quality(&g, &p, 6);
-            assert!(q.imbalance < 1.05, "imbalance {}", q.imbalance);
-        }
-    }
-
-    #[test]
-    fn hilbert_cut_no_worse_than_morton_on_aneurysm() {
-        let geo = VesselBuilder::aneurysm(32.0, 5.0, 7.0).voxelise(1.0);
-        let g = crate::SiteGraph::from_geometry(&geo, Connectivity::Six);
-        let qm = quality(&g, &MortonSfc.partition(&g, 8), 8);
-        let qh = quality(&g, &HilbertSfc.partition(&g, 8), 8);
-        // Hilbert's locality advantage is geometry-dependent; allow a
-        // modest margin rather than asserting strict superiority.
-        assert!(
-            (qh.edge_cut as f64) <= qm.edge_cut as f64 * 1.3,
-            "hilbert {} vs morton {}",
-            qh.edge_cut,
-            qm.edge_cut
-        );
+        let q = quality(&g, &HilbertSfc.partition(&g, 6), 6);
+        assert!(q.imbalance < 1.05, "imbalance {}", q.imbalance);
     }
 }

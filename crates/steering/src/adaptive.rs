@@ -143,12 +143,6 @@ impl AdaptiveDriver {
         }
     }
 
-    /// The model pricing migrations: this machine's measured α, β and
-    /// γ, `None` until the first window has closed.
-    pub fn pricing_model(&self) -> Option<&CostModel> {
-        self.model.as_ref()
-    }
-
     /// The configuration in force.
     pub fn config(&self) -> &AdaptiveLbConfig {
         self.lb.config()
@@ -456,18 +450,16 @@ mod tests {
             let cfg = SolverConfig::pressure_driven(1.005, 0.995);
             let mut ds = DistSolver::new(geo2.clone(), owner, cfg, comm).unwrap();
             let mut driver = AdaptiveDriver::new(&geo2, AdaptiveLbConfig::default());
-            assert!(driver.pricing_model().is_none());
+            assert!(driver.model.is_none());
             // One window of real stepping is all it takes: the probe
             // and the window's compute time give all three terms.
             ds.step_n(10).unwrap();
             driver.end_window(comm, &mut ds, 10, 100).unwrap();
-            let first = *driver
-                .pricing_model()
-                .expect("calibrated by the first window");
+            let first = driver.model.expect("calibrated by the first window");
             // Later windows price with the same coefficients.
             ds.step_n(10).unwrap();
             driver.end_window(comm, &mut ds, 10, 90).unwrap();
-            assert_eq!(driver.pricing_model(), Some(&first));
+            assert_eq!(driver.model, Some(first));
             first
         });
         for model in &results {

@@ -33,7 +33,7 @@ impl SteeringError {
     /// Classify an I/O error: the error kinds that mean "the peer is
     /// gone" become [`SteeringError::Disconnected`]; everything else
     /// stays a generic transport error.
-    pub fn from_io(e: std::io::Error) -> Self {
+    pub(crate) fn from_io(e: std::io::Error) -> Self {
         use std::io::ErrorKind::*;
         match e.kind() {
             UnexpectedEof | BrokenPipe | ConnectionReset | ConnectionAborted | NotConnected => {

@@ -21,7 +21,7 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 /// Frame-length guard applied on every decode path, client and server
 /// alike (the satellite fix: the guard used to exist only on the server
 /// receive path).
-pub fn check_frame_len(len: usize) -> CommResult<()> {
+pub(crate) fn check_frame_len(len: usize) -> CommResult<()> {
     if len > MAX_FRAME_LEN {
         return Err(CommError::Decode {
             reason: format!("frame of {len} bytes exceeds MAX_FRAME_LEN ({MAX_FRAME_LEN})"),

@@ -197,15 +197,6 @@ impl TcpTransport {
         Self::new(stream)
     }
 
-    /// Bound every blocking read: a peer that stops talking surfaces as
-    /// a `WouldBlock`/`TimedOut` I/O error instead of wedging
-    /// `recv_frame` forever. A timeout can split a frame mid-read, so
-    /// treat a timed-out transport as dead and reconnect rather than
-    /// retrying the read.
-    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.stream.lock().set_read_timeout(timeout)
-    }
-
     fn read_exact_frame(stream: &mut TcpStream) -> std::io::Result<Bytes> {
         let mut len = [0u8; 4];
         stream.read_exact(&mut len)?;

@@ -1,7 +1,7 @@
 //! The pre-processing chain of the paper's §IV-B: write the two-level
 //! geometry file, load it collectively with a subset of reading cores,
-//! then compare domain decompositions (naive slabs vs space-filling
-//! curves vs multilevel k-way) on the metrics that decide solver
+//! then compare domain decompositions (naive slabs vs a Hilbert
+//! curve vs multilevel k-way) on the metrics that decide solver
 //! scalability.
 //!
 //! ```sh
@@ -13,9 +13,7 @@ use hemelb::geometry::format::{read_header, write_sgmy};
 use hemelb::geometry::VesselBuilder;
 use hemelb::parallel::{run_spmd_with_stats, TagClass};
 use hemelb::partition::graph::{Connectivity, SiteGraph};
-use hemelb::partition::{
-    quality, HilbertSfc, MortonSfc, MultilevelKWay, NaiveBlock, Partitioner, Rcb,
-};
+use hemelb::partition::{quality, HilbertSfc, MultilevelKWay, NaiveBlock, Partitioner};
 use std::sync::Arc;
 
 fn main() {
@@ -61,9 +59,7 @@ fn main() {
     let graph = SiteGraph::from_geometry(&geo, Connectivity::D3Q15);
     let partitioners: Vec<Box<dyn Partitioner>> = vec![
         Box::new(NaiveBlock),
-        Box::new(MortonSfc),
         Box::new(HilbertSfc),
-        Box::new(Rcb),
         Box::new(MultilevelKWay),
     ];
     println!("\npartition quality at 16 parts ({} sites):", graph.len());

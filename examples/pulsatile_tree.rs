@@ -15,7 +15,7 @@ use hemelb::core::{DistSolver, SolverConfig};
 use hemelb::geometry::{Vec3, VesselBuilder};
 use hemelb::insitu::features::swirling_regions;
 use hemelb::insitu::field::SampledField;
-use hemelb::insitu::unsteady::DistStreaklines;
+use hemelb::insitu::particles::ParticleEnsemble;
 use hemelb::parallel::{run_spmd_with_stats, TagClass, WireReader, WireWriter};
 use std::sync::Arc;
 
@@ -82,7 +82,7 @@ fn main() {
                 )
             })
             .collect();
-        let mut streaks = DistStreaklines::new(comm, &owner, seeds, 1.0);
+        let mut streaks = ParticleEnsemble::new(comm, &geo2, &owner, &[], 1.0);
 
         // One full cardiac cycle with in situ tracing per step; the
         // tracers sample the *global* field view, refreshed every 20
@@ -94,6 +94,7 @@ fn main() {
             let field = SampledField::new(&geo2, &full);
             for _ in 0..20 {
                 streaks.step(&geo2, &field).unwrap();
+                streaks.release(&geo2, &seeds);
             }
             let mean: f64 = (0..full.len()).map(|i| full.speed(i)).sum::<f64>() / full.len() as f64;
             mean_speeds.push(mean);
@@ -115,7 +116,7 @@ fn main() {
         } else {
             None
         };
-        let live = streaks.global_live().unwrap();
+        let live = streaks.global_active().unwrap();
         (mean_speeds, live, report)
     });
 

@@ -9,9 +9,7 @@ use hemelb::insitu::image::{over_px, PartialImage};
 use hemelb::octree::FieldOctree;
 use hemelb::parallel::{run_spmd, Wire, WireReader, WireWriter};
 use hemelb::partition::graph::{Connectivity, SiteGraph};
-use hemelb::partition::{
-    quality, HilbertSfc, MortonSfc, MultilevelKWay, NaiveBlock, Partitioner, Rcb,
-};
+use hemelb::partition::{quality, HilbertSfc, MultilevelKWay, NaiveBlock, Partitioner};
 use proptest::prelude::*;
 
 mod common;
@@ -136,9 +134,7 @@ proptest! {
         let graph = SiteGraph::from_geometry(&geo, Connectivity::Six);
         let partitioners: Vec<Box<dyn Partitioner>> = vec![
             Box::new(NaiveBlock),
-            Box::new(MortonSfc),
             Box::new(HilbertSfc),
-            Box::new(Rcb),
             Box::new(MultilevelKWay),
         ];
         for p in &partitioners {
@@ -331,6 +327,66 @@ proptest! {
         for hostile in mutations(server_message(msg_kind, a, b, &pixels).to_bytes()) {
             let _ = ServerMessage::from_bytes(hostile);
         }
+    }
+}
+
+#[test]
+fn solver_checkpoints_reject_every_truncation_and_bit_flip() {
+    // A checkpoint is read back off disk after a crash: every strict
+    // prefix and every single-bit flip of a valid file must come back as
+    // `Err` from `restore` (FNV-1a catches any one changed byte), never a
+    // panic, and must leave the solver as it was.
+    use hemelb::core::{Solver, SolverConfig};
+    use std::sync::Arc;
+    let geo = Arc::new(VesselBuilder::straight_tube(4.0, 1.0).voxelise(1.0));
+    let cfg = SolverConfig::pressure_driven(1.01, 0.99);
+    let mut s = Solver::new(geo.clone(), cfg.clone());
+    s.step_n(3);
+    let dir = std::env::temp_dir().join(format!("hlb_prop_hostile_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("st.chkp");
+    s.checkpoint(&path).unwrap();
+    let valid = std::fs::read(&path).unwrap();
+    let mut victim = Solver::new(geo, cfg);
+    let untouched = victim.raw_distributions();
+    let truncations = (0..valid.len()).map(|len| valid[..len].to_vec());
+    let flips = (0..valid.len() * 8).map(|bit| {
+        let mut flipped = valid.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        flipped
+    });
+    let mut cases = 0;
+    for hostile in truncations.chain(flips) {
+        std::fs::write(&path, &hostile).unwrap();
+        assert!(
+            victim.restore(&path).is_err(),
+            "{} bytes accepted",
+            hostile.len()
+        );
+        cases += 1;
+    }
+    assert_eq!(cases, valid.len() * 9);
+    assert_eq!(victim.step_count(), 0);
+    assert!(common::bits_eq(&victim.raw_distributions(), &untouched));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn obs_reports_reject_every_truncation() {
+    use hemelb::obs::{ObsReport, Recorder};
+    let mut rec = Recorder::new();
+    rec.record_secs("lb.collide", 1.5e-3);
+    rec.record_secs("lb.collide", 2.5e-3);
+    rec.time("vis.render", || ());
+    rec.count("halo.msgs", 12);
+    rec.count("fault.injected.drop", 1);
+    let json = rec.report().to_json();
+    assert!(ObsReport::from_json(&json).is_ok());
+    for (len, _) in json.char_indices() {
+        assert!(
+            ObsReport::from_json(&json[..len]).is_err(),
+            "prefix of {len} bytes accepted"
+        );
     }
 }
 
