@@ -112,9 +112,11 @@ group_tier1() {
 }
 
 # Every crate's in-module unit tests (`tier1` runs only the umbrella
-# package's integration tests): the steering endpoint and protocol
-# cases, the solver, partitioner and transport suites, the experiment
-# modules of `hemelb-bench` and the `reproduce` dispatch table.
+# package's integration tests): the steering endpoint, closed-loop and
+# protocol cases (rejected ROIs and inlet pressures among them), the
+# solver, partitioner and transport suites, the E20 fit and projector,
+# the experiment modules of `hemelb-bench` and the `reproduce` dispatch
+# table.
 group_units() {
     stage units cargo test -q --workspace --lib --bins
 }
@@ -187,7 +189,8 @@ export -f benchmark_quick
 
 # Size report for simplicity PRs: per-crate non-test lines (everything
 # before the first `#[cfg(test)]` of each file) and `pub` item counts,
-# then the number of workspace member crates and of vendored crates.
+# then the number of workspace member crates, of vendored crates and of
+# `reproduce` experiments (the `name: "` rows of its table).
 group_loc() {
     stage loc loc_report
 }
@@ -204,6 +207,7 @@ loc_report() {
     printf '    %-12s %8s %6s\n' workspace "$total_lines" "$total_pubs"
     printf '    %-12s %8s\n' crates "$(find crates -mindepth 1 -maxdepth 1 -type d | wc -l)"
     printf '    %-12s %8s\n' vendored "$(find vendor -mindepth 1 -maxdepth 1 -type d | wc -l)"
+    printf '    %-12s %8s\n' reproduce "$(grep -c 'name: "' crates/bench/src/bin/reproduce.rs)"
 }
 export -f loc_report
 

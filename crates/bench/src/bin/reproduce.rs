@@ -15,8 +15,8 @@
 
 use hemelb_bench::workloads::Size;
 use hemelb_bench::{
-    ablation, adaptive, extract, fig1, fig2, fig3, fig4, multires, preprocess, projection,
-    repartition, scaling, table1,
+    ablation, adaptive, extract, fig1, fig3, fig4, multires, preprocess, projection, repartition,
+    scaling, table1,
 };
 
 struct Args {
@@ -60,18 +60,6 @@ const EXPERIMENTS: &[Experiment] = &[
         },
     },
     Experiment {
-        name: "fig2",
-        title: "E3: Fig. 2 (closed-loop steering)",
-        run: |a| {
-            let configs = [
-                (2usize, (64u32, 48u32)),
-                (a.ranks.max(2), (128, 96)),
-                (a.ranks.max(2), (256, 192)),
-            ];
-            println!("{}", fig2::run(a.size, &configs, 5));
-        },
-    },
-    Experiment {
         name: "fig3",
         title: "E4: Fig. 3 (post-processing pipeline)",
         run: |a| println!("{}", fig3::run(a.size, 3, (128, 96))),
@@ -94,7 +82,7 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "scaling",
         title: "E7: strong scaling by partitioner",
-        run: |a| println!("{}", scaling::run(a.size, &[1, 2, 4, 8, 16], 10)),
+        run: |a| println!("{}", scaling::run(a.size, &[1, 2, 4, 8, 16])),
     },
     Experiment {
         name: "preprocessing",

@@ -1,169 +1,99 @@
 //! Experiment E4 — the paper's **Fig. 3**: the post-processing pipeline
 //! (extract → filter → map → render) with user iteration.
 //!
-//! We build that exact pipeline over a live solver snapshot and measure
-//! per-stage time and payload size, with the *filter* stage either a
-//! pass-through (classical post-processing) or an octree level cut
-//! (the in situ data-reduction path of §V) — quantifying how much the
+//! We run the four stages over a live solver snapshot and record each
+//! stage's payload size, with the *filter* stage either a pass-through
+//! (classical post-processing) or an octree level cut (the in situ
+//! data-reduction path of §V) — quantifying how much the
 //! multi-resolution filter shrinks what the downstream stages touch.
+//! How long a stage takes is the repo benchmark's business
+//! (`insitu.render_ms_p50`, `octree.build_s`).
 
 use crate::workloads::{self, Size};
 use hemelb_core::FieldSnapshot;
 use hemelb_geometry::{SparseGeometry, Vec3};
 use hemelb_insitu::camera::Camera;
-use hemelb_insitu::pipeline::{Pipeline, Sized2, StageStats};
+use hemelb_insitu::image::Image;
 use hemelb_insitu::transfer::TransferFunction;
 use hemelb_insitu::volume::{render_brick, Brick};
 use hemelb_octree::FieldOctree;
 use std::fmt;
-use std::sync::Arc;
 
-/// The payload flowing through the Fig. 3 pipeline.
-pub enum Payload {
-    /// Raw snapshot (after extract).
-    Field {
-        /// Geometry.
-        geo: Arc<SparseGeometry>,
-        /// Per-site scalar.
-        values: Vec<f64>,
-    },
-    /// Reduced point set (after filter).
-    Points {
-        /// Positions.
-        points: Vec<[u32; 3]>,
-        /// Scalar values.
-        values: Vec<f64>,
-    },
-    /// Classified render input (after map).
-    Classified {
-        /// Positions.
-        points: Vec<[u32; 3]>,
-        /// Scalar values.
-        values: Vec<f64>,
-        /// Transfer function.
-        tf: TransferFunction,
-    },
-    /// The rendered image (after render).
-    Rendered(hemelb_insitu::image::Image),
-}
+/// `(stage name, payload bytes after the stage)` for the four stages.
+type Stages = [(&'static str, usize); 4];
 
-impl Sized2 for Payload {
-    fn approx_bytes(&self) -> usize {
-        match self {
-            Payload::Field { values, .. } => values.len() * 8,
-            Payload::Points { points, values } => points.len() * 12 + values.len() * 8,
-            Payload::Classified { points, values, .. } => points.len() * 12 + values.len() * 8,
-            Payload::Rendered(img) => img.pixels.len() * 16,
-        }
-    }
-}
-
-/// Result: stage stats for both pipeline variants.
+/// Result: the stage payloads of both pipeline variants.
 pub struct Fig3Result {
-    /// Stages of the full-resolution pipeline.
-    pub full: Vec<StageStats>,
-    /// Stages of the octree-reduced pipeline.
-    pub reduced: Vec<StageStats>,
+    /// The full-resolution pipeline.
+    pub full: Stages,
+    /// The octree-reduced pipeline.
+    pub reduced: Stages,
     /// Octree level used by the reduced variant.
     pub level: u8,
 }
 
-fn build_pipeline(
-    geo: Arc<SparseGeometry>,
-    snap: Arc<FieldSnapshot>,
+/// One pass through the four stages; `reduce_to_level` picks the
+/// filter. Payload bytes: 8 B per value, 12 + 8 B per point, 16 B per
+/// pixel.
+fn stages(
+    geo: &SparseGeometry,
+    snap: &FieldSnapshot,
     reduce_to_level: Option<u8>,
     image: (u32, u32),
-) -> Pipeline<Payload> {
-    let geo_extract = geo.clone();
-    let snap_extract = snap.clone();
-    let geo_filter = geo.clone();
-    Pipeline::new()
-        .stage("extract", move |_ignored: Payload| Payload::Field {
-            geo: geo_extract.clone(),
-            values: (0..snap_extract.len())
-                .map(|i| snap_extract.speed(i))
-                .collect(),
-        })
-        .stage("filter", move |p: Payload| {
-            let Payload::Field { geo, values } = p else {
-                unreachable!("filter follows extract")
-            };
-            match reduce_to_level {
-                None => Payload::Points {
-                    points: geo.positions().to_vec(),
-                    values,
-                },
-                Some(level) => {
-                    let tree = FieldOctree::build(&geo_filter, &values);
-                    let cut = tree.cut_at_level(level);
-                    let (points, values) = cut
-                        .iter()
-                        .map(|n| {
-                            let c = n.origin;
-                            let h = n.size / 2;
-                            ([c[0] + h, c[1] + h, c[2] + h], n.agg.mean)
-                        })
-                        .unzip();
-                    Payload::Points { points, values }
-                }
-            }
-        })
-        .stage("map", |p: Payload| {
-            let Payload::Points { points, values } = p else {
-                unreachable!("map follows filter")
-            };
-            let lo = values.iter().cloned().fold(f64::INFINITY, f64::min);
-            let hi = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            Payload::Classified {
-                points,
-                values,
-                tf: TransferFunction::heat(lo, hi.max(lo + 1e-9)),
-            }
-        })
-        .stage("render", move |p: Payload| {
-            let Payload::Classified { points, values, tf } = p else {
-                unreachable!("render follows map")
-            };
-            let cam = Camera::framing(
-                Vec3::ZERO,
-                Vec3::new(
-                    geo.shape()[0] as f64,
-                    geo.shape()[1] as f64,
-                    geo.shape()[2] as f64,
-                ),
-                Vec3::new(0.2, -1.0, 0.3),
-                image.0,
-                image.1,
-            );
-            let img = match Brick::from_points(&points, &values) {
-                Some(brick) => render_brick(&brick, &cam, &tf, 0.5).image,
-                None => hemelb_insitu::image::Image::new(image.0, image.1),
-            };
-            Payload::Rendered(img)
-        })
+) -> Stages {
+    // Extract: one speed value per site.
+    let values: Vec<f64> = (0..snap.len()).map(|i| snap.speed(i)).collect();
+    let extracted = values.len() * 8;
+
+    // Filter: every site, or the level cut's node centres and means.
+    let (points, values): (Vec<[u32; 3]>, Vec<f64>) = match reduce_to_level {
+        None => (geo.positions().to_vec(), values),
+        Some(level) => FieldOctree::build(geo, &values)
+            .cut_at_level(level)
+            .iter()
+            .map(|n| {
+                let c = n.origin;
+                let h = n.size / 2;
+                ([c[0] + h, c[1] + h, c[2] + h], n.agg.mean)
+            })
+            .unzip(),
+    };
+    let filtered = points.len() * 12 + values.len() * 8;
+
+    // Map: classify by the filtered range; the points travel on.
+    let lo = values.iter().cloned().fold(f64::INFINITY, f64::min);
+    let hi = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    let tf = TransferFunction::heat(lo, hi.max(lo + 1e-9));
+
+    // Render.
+    let shape = geo.shape();
+    let cam = Camera::framing(
+        Vec3::ZERO,
+        Vec3::new(shape[0] as f64, shape[1] as f64, shape[2] as f64),
+        Vec3::new(0.2, -1.0, 0.3),
+        image.0,
+        image.1,
+    );
+    let img = match Brick::from_points(&points, &values) {
+        Some(brick) => render_brick(&brick, &cam, &tf, 0.5).image,
+        None => Image::new(image.0, image.1),
+    };
+
+    [
+        ("extract", extracted),
+        ("filter", filtered),
+        ("map", filtered),
+        ("render", img.pixels.len() * 16),
+    ]
 }
 
 /// Run E4.
 pub fn run(size: Size, level: u8, image: (u32, u32)) -> Fig3Result {
     let geo = workloads::aneurysm(size);
     let snap = workloads::developed_flow(&geo, 150);
-    let seed = Payload::Points {
-        points: vec![],
-        values: vec![],
-    };
-    let seed2 = Payload::Points {
-        points: vec![],
-        values: vec![],
-    };
-
-    let mut full = build_pipeline(geo.clone(), snap.clone(), None, image);
-    full.run_tracked(seed);
-    let mut reduced = build_pipeline(geo, snap, Some(level), image);
-    reduced.run_tracked(seed2);
-
     Fig3Result {
-        full: full.stats().into_iter().cloned().collect(),
-        reduced: reduced.stats().into_iter().cloned().collect(),
+        full: stages(&geo, &snap, None, image),
+        reduced: stages(&geo, &snap, Some(level), image),
         level,
     }
 }
@@ -171,10 +101,7 @@ pub fn run(size: Size, level: u8, image: (u32, u32)) -> Fig3Result {
 impl Fig3Result {
     /// Payload size after the filter stage (bytes) for both variants.
     pub fn filtered_bytes(&self) -> (usize, usize) {
-        (
-            self.full[1].last_bytes.unwrap_or(0),
-            self.reduced[1].last_bytes.unwrap_or(0),
-        )
+        (self.full[1].1, self.reduced[1].1)
     }
 }
 
@@ -187,19 +114,11 @@ impl fmt::Display for Fig3Result {
         )?;
         writeln!(
             f,
-            "{:<10} {:>12} {:>12} {:>12} {:>12}",
-            "stage", "full [ms]", "full [B]", "reduced [ms]", "reduced [B]"
+            "{:<10} {:>12} {:>12}",
+            "stage", "full [B]", "reduced [B]"
         )?;
-        for (a, b) in self.full.iter().zip(&self.reduced) {
-            writeln!(
-                f,
-                "{:<10} {:>12.3} {:>12} {:>12.3} {:>12}",
-                a.name,
-                a.seconds * 1e3,
-                a.last_bytes.unwrap_or(0),
-                b.seconds * 1e3,
-                b.last_bytes.unwrap_or(0),
-            )?;
+        for ((name, full), (_, reduced)) in self.full.iter().zip(&self.reduced) {
+            writeln!(f, "{name:<10} {full:>12} {reduced:>12}")?;
         }
         let (full, reduced) = self.filtered_bytes();
         if reduced > 0 {
@@ -220,8 +139,6 @@ mod tests {
     #[test]
     fn pipeline_stages_run_and_reduce() {
         let result = run(Size::Tiny, 3, (48, 36));
-        assert_eq!(result.full.len(), 4);
-        assert_eq!(result.reduced.len(), 4);
         let (full, reduced) = result.filtered_bytes();
         assert!(full > 0);
         assert!(reduced > 0);
@@ -229,5 +146,8 @@ mod tests {
             reduced < full / 2,
             "octree filter must reduce the payload: {reduced} !< {full}/2"
         );
+        // Neither variant changes the image size.
+        assert_eq!(result.full[3], ("render", 48 * 36 * 16));
+        assert_eq!(result.reduced[3], result.full[3]);
     }
 }

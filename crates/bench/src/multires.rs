@@ -3,16 +3,15 @@
 //! region-of-interest refinement.
 //!
 //! For each octree level ℓ the experiment reports the cut size, the
-//! transport bytes, the relative L2 error of the downsampled speed
-//! field, and the time to build the level's view ("time to first
-//! image" proxy); plus a context+detail ROI cut around the aneurysm sac
-//! compared with a uniform fine cut.
+//! transport bytes and the relative L2 error of the downsampled speed
+//! field; plus a context+detail ROI cut around the aneurysm sac
+//! compared with a uniform fine cut. How long the octree takes to build
+//! is the repo benchmark's `octree.build_s` on `prep_cold`.
 
 use crate::workloads::{self, Size};
 use hemelb_octree::roi::{Roi, RoiCut};
 use hemelb_octree::{FieldOctree, StreamOrder};
 use std::fmt;
-use std::time::Instant;
 
 /// One level's row.
 #[derive(Debug, Clone)]
@@ -25,8 +24,6 @@ pub struct MultiresRow {
     pub prefix_bytes: usize,
     /// Relative L2 error of the reconstruction.
     pub l2_error: f64,
-    /// Seconds to extract the level view.
-    pub seconds: f64,
 }
 
 /// The experiment result.
@@ -55,16 +52,11 @@ pub fn run(size: Size) -> MultiresResult {
 
     let mut rows = Vec::new();
     for level in 0..=tree.depth() {
-        let t0 = Instant::now();
-        let cut = tree.cut_at_level(level);
-        let err = tree.l2_error_at_level(&geo, &speed, level);
-        let seconds = t0.elapsed().as_secs_f64();
         rows.push(MultiresRow {
             level,
-            nodes: cut.len(),
+            nodes: tree.cut_at_level(level).len(),
             prefix_bytes: order.prefix_bytes(level),
-            l2_error: err,
-            seconds,
+            l2_error: tree.l2_error_at_level(&geo, &speed, level),
         });
     }
 
@@ -105,19 +97,18 @@ impl fmt::Display for MultiresResult {
         )?;
         writeln!(
             f,
-            "{:>6} {:>10} {:>14} {:>12} {:>12} {:>10}",
-            "level", "nodes", "stream bytes", "reduction", "L2 error", "ms"
+            "{:>6} {:>10} {:>14} {:>12} {:>12}",
+            "level", "nodes", "stream bytes", "reduction", "L2 error"
         )?;
         for r in &self.rows {
             writeln!(
                 f,
-                "{:>6} {:>10} {:>14} {:>11.1}x {:>12.4} {:>10.3}",
+                "{:>6} {:>10} {:>14} {:>11.1}x {:>12.4}",
                 r.level,
                 r.nodes,
                 workloads::fmt_bytes(r.prefix_bytes as u64),
                 self.full_bytes as f64 / r.prefix_bytes.max(1) as f64,
                 r.l2_error,
-                r.seconds * 1e3,
             )?;
         }
         writeln!(

@@ -5,7 +5,8 @@
 //! Write the aneurysm geometry as `.sgmy`, then load it with `R` of `P`
 //! ranks reading, sweeping `R`; measure per-reader file bytes (the
 //! filesystem pressure) against forwarding traffic (the distribution
-//! communication) and the wall time of the collective load.
+//! communication). How long the load takes is the repo benchmark's
+//! `geometry.read_distributed_s` on `prep_cold`.
 
 use crate::workloads::{self, Size};
 use hemelb_geometry::distio::read_distributed;
@@ -13,7 +14,6 @@ use hemelb_geometry::format::write_sgmy;
 use hemelb_parallel::{run_spmd_with_stats, TagClass};
 use std::fmt;
 use std::path::PathBuf;
-use std::time::Instant;
 
 /// One reader-count measurement.
 #[derive(Debug, Clone)]
@@ -24,8 +24,6 @@ pub struct PreprocessRow {
     pub max_file_bytes_per_reader: u64,
     /// Total forwarding (geometry-class) bytes.
     pub forward_bytes: u64,
-    /// Wall seconds for the collective load.
-    pub seconds: f64,
 }
 
 /// The sweep.
@@ -56,19 +54,16 @@ pub fn run(size: Size, p: usize, reader_counts: &[usize]) -> PreprocessResult {
     let mut rows = Vec::new();
     for &readers in reader_counts {
         let path2 = path.clone();
-        let t0 = Instant::now();
         let out = run_spmd_with_stats(p, move |comm| {
             let dg = read_distributed(&path2, comm, readers).unwrap();
             (dg.file_bytes_read, dg.my_sites.len())
         });
-        let seconds = t0.elapsed().as_secs_f64();
         let total_sites: usize = out.results.iter().map(|r| r.1).sum();
         assert_eq!(total_sites, geo.fluid_count(), "every site delivered once");
         rows.push(PreprocessRow {
             readers,
             max_file_bytes_per_reader: out.results.iter().map(|r| r.0).max().unwrap_or(0),
             forward_bytes: out.summary.total.bytes(TagClass::Geometry),
-            seconds,
         });
     }
     std::fs::remove_file(&path).ok();
@@ -91,17 +86,16 @@ impl fmt::Display for PreprocessResult {
         )?;
         writeln!(
             f,
-            "{:>8} {:>20} {:>16} {:>10}",
-            "readers", "max file B / reader", "forwarded B", "ms"
+            "{:>8} {:>20} {:>16}",
+            "readers", "max file B / reader", "forwarded B"
         )?;
         for r in &self.rows {
             writeln!(
                 f,
-                "{:>8} {:>20} {:>16} {:>10.2}",
+                "{:>8} {:>20} {:>16}",
                 r.readers,
                 workloads::fmt_bytes(r.max_file_bytes_per_reader),
                 workloads::fmt_bytes(r.forward_bytes),
-                r.seconds * 1e3,
             )?;
         }
         writeln!(

@@ -362,27 +362,13 @@ pub struct ProjectionResult {
     pub curves: Vec<ProjectionRow>,
 }
 
-/// Calibrate a cost model from scratch with a quick measurement sweep:
-/// worlds at 1, 2, 4, … ranks (clipped to `max_ranks`), `steps` LB
-/// steps per timed round. This is the probe other benches use when
-/// they need calibrated coefficients without E20's validation and
-/// trace stages (e.g. `table1`'s data-movement shares).
-pub fn calibrate(size: Size, steps: u64, max_ranks: usize) -> CalibratedModel {
-    let samples: Vec<CalSample> = [1usize, 2, 4, 8, 16]
-        .into_iter()
-        .filter(|&p| p <= max_ranks.max(2))
-        .flat_map(|p| measure_world(size, steps, p).samples())
-        .collect();
-    calibrate_fit(&samples).expect("calibration fit from measured worlds")
-}
-
 /// Fill any term the fit could not exercise (infinite β/γ from
 /// all-zero columns) from the CrayXe6 preset: a projection must price
 /// every term, even when the measurement had no signal for one. The
 /// filled terms are named alongside the model, so whoever prints a
 /// number priced with it can say which coefficients are not this
 /// machine's (see [`preset_note`]).
-pub fn effective_model(cal: &CalibratedModel) -> (CostModel, Vec<&'static str>) {
+fn effective_model(cal: &CalibratedModel) -> (CostModel, Vec<&'static str>) {
     let preset = CostModel::for_machine(hemelb_parallel::MachineModel::CrayXe6);
     let mut from_preset = Vec::new();
     let mut term = |name, fitted: f64, fallback| {
@@ -403,7 +389,7 @@ pub fn effective_model(cal: &CalibratedModel) -> (CostModel, Vec<&'static str>) 
 
 /// One line naming the terms [`effective_model`] took from the preset;
 /// empty when the fit exercised all three.
-pub(crate) fn preset_note(from_preset: &[&str]) -> String {
+fn preset_note(from_preset: &[&str]) -> String {
     if from_preset.is_empty() {
         return String::new();
     }

@@ -51,23 +51,10 @@ pub struct Table1Result {
     pub params: Table1Params,
     /// One report per technique.
     pub reports: Vec<TechniqueReport>,
-    /// Cost model calibrated from a quick measurement probe (γ in
-    /// site-updates/s), shown alongside the two presets in the
-    /// data-movement shares.
-    pub calibrated: hemelb_parallel::CostModel,
-    /// Which of α / β / γ in `calibrated` are the CrayXe6 preset's
-    /// because the probe had no signal for them.
-    pub from_preset: Vec<&'static str>,
 }
 
 /// Run E1.
 pub fn run(params: Table1Params) -> Table1Result {
-    // Quick calibration probe: 1- and 2-rank tiny worlds are enough to
-    // price data movement with measured coefficients instead of only
-    // the presets (machine coefficients do not depend on the workload
-    // size, so the probe stays cheap regardless of `params.size`).
-    let (calibrated, from_preset) =
-        crate::projection::effective_model(&crate::projection::calibrate(Size::Tiny, 3, 2));
     let geo = workloads::aneurysm(params.size);
     let snap = workloads::developed_flow(&geo, params.flow_steps);
     let owner = Arc::new(workloads::slab_owner(&geo, params.ranks));
@@ -90,8 +77,6 @@ pub fn run(params: Table1Params) -> Table1Result {
     Table1Result {
         params,
         reports: measure_techniques(&inputs),
-        calibrated,
-        from_preset,
     }
 }
 
@@ -173,30 +158,28 @@ impl fmt::Display for Table1Result {
             }
         }
         // The exascale premise: project each frame onto the two machine
-        // presets *and* the model calibrated on this machine, and show
-        // the data-movement share growing.
+        // presets and show the data-movement share growing. A model
+        // fitted on this machine is E20's (`reproduce projection`).
         use hemelb_parallel::{CostModel, MachineModel};
         let xe6 = CostModel::for_machine(MachineModel::CrayXe6);
         let exa = CostModel::for_machine(MachineModel::ExascaleProjection);
         writeln!(
             f,
-            "{:<18} {:>22} {:>22} {:>22}",
-            "data-movement share", "Cray-XE6 model", "exascale model", "calibrated (this box)"
+            "{:<18} {:>22} {:>22}",
+            "data-movement share", "Cray-XE6 model", "exascale model"
         )?;
         for r in &self.reports {
             let a = r.projected_cost(&xe6).data_movement_fraction();
             let b = r.projected_cost(&exa).data_movement_fraction();
-            let c = r.projected_cost(&self.calibrated).data_movement_fraction();
             writeln!(
                 f,
-                "{:<18} {:>21.1}% {:>21.1}% {:>21.1}%",
+                "{:<18} {:>21.1}% {:>21.1}%",
                 r.technique,
                 a * 100.0,
-                b * 100.0,
-                c * 100.0
+                b * 100.0
             )?;
         }
-        f.write_str(&crate::projection::preset_note(&self.from_preset))
+        Ok(())
     }
 }
 
@@ -215,13 +198,10 @@ mod tests {
         });
         let problems = result.check_orderings();
         assert!(problems.is_empty(), "{problems:?}");
-        // The calibrated model is finite and priced the shares.
-        assert!(result.calibrated.gamma.is_finite() && result.calibrated.gamma > 0.0);
-        assert!(result.calibrated.beta.is_finite() && result.calibrated.beta > 0.0);
-        // And the table prints, calibrated column included.
+        // And the table prints, both preset columns included.
         let text = format!("{result}");
         assert!(text.contains("volume rendering"));
         assert!(text.contains("LIC"));
-        assert!(text.contains("calibrated (this box)"));
+        assert!(text.contains("exascale model"));
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! In situ post-processing for the sparse-geometry LB solver: the
 //! four visualisation techniques of the paper's Table I, each in a
-//! distributed, instrumented implementation, plus the extract → filter →
-//! map → render pipeline of its Fig. 3.
+//! distributed, instrumented implementation. The extract → filter →
+//! map → render pipeline of its Fig. 3 is these pieces called in that
+//! order (experiment E4 in `hemelb-bench`).
 //!
 //! | Technique | Module | Communication structure |
 //! |---|---|---|
@@ -29,7 +30,6 @@ pub mod image;
 pub mod lic;
 pub mod lines;
 pub mod particles;
-pub mod pipeline;
 pub mod report;
 pub mod transfer;
 pub mod volume;
@@ -38,6 +38,5 @@ pub use camera::Camera;
 pub use compositing::{CompositeOutcome, DeadlineCompositor};
 pub use field::SampledField;
 pub use image::Image;
-pub use pipeline::{Pipeline, StageStats};
 pub use report::TechniqueReport;
 pub use transfer::TransferFunction;

@@ -34,4 +34,4 @@ pub use fnv::Fnv1a;
 pub use hist::{Histogram, BUCKET_BOUNDS};
 pub use json::{Json, JsonError};
 pub use recorder::{PhaseStats, PhaseTimer, Recorder, Span, Timeline, TIMELINE_CAP};
-pub use report::{fmt_secs, ObsReport, PhaseReport, TimelineEvent};
+pub use report::{ObsReport, PhaseReport, TimelineEvent};

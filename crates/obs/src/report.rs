@@ -231,7 +231,7 @@ impl ObsReport {
 }
 
 /// Format a duration in seconds with an adaptive unit (ns/µs/ms/s).
-pub fn fmt_secs(s: f64) -> String {
+pub(crate) fn fmt_secs(s: f64) -> String {
     if s == 0.0 {
         "0".to_string()
     } else if s < 1e-6 {

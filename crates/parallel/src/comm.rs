@@ -562,35 +562,11 @@ const T_GATHER: Tag = Tag::collective(2);
 const T_REDUCE: Tag = Tag::collective(3);
 const T_SCAN: Tag = Tag::collective(4);
 const T_ALLTOALL: Tag = Tag::collective(5);
-/// Round tags for the deadline barrier, kept disjoint from the plain
-/// barrier's rounds so the two variants can never match each other's
-/// messages.
-const T_BARRIER_DL: Tag = Tag::collective(32);
 
 impl Communicator {
     /// Dissemination barrier: ⌈log₂ P⌉ rounds, each rank sends one empty
     /// message per round. All ranks must call it.
     pub fn barrier(&self) -> CommResult<()> {
-        self.dissemination(T_BARRIER, None)
-    }
-
-    /// Dissemination barrier with an overall deadline: returns
-    /// [`CommError::Timeout`] if any round's partner message fails to
-    /// arrive before `timeout` elapses (measured across the whole
-    /// barrier). All ranks must call it together, like
-    /// [`barrier`](Self::barrier).
-    ///
-    /// A timed-out deadline barrier is *torn*: some peers may have
-    /// completed it, others not, and round messages may still be in
-    /// flight. Callers must treat a timeout as "this world is degraded"
-    /// and either abandon the synchronisation structure or restart, not
-    /// simply retry.
-    pub fn barrier_deadline(&self, timeout: Duration) -> CommResult<()> {
-        self.dissemination(T_BARRIER_DL, Some(Instant::now() + timeout))
-    }
-
-    /// The rounds of both barriers, on round tags counted up from `base`.
-    fn dissemination(&self, base: Tag, until: Option<Instant>) -> CommResult<()> {
         self.note_sync();
         let p = self.size;
         let mut round = 0u32;
@@ -598,9 +574,9 @@ impl Communicator {
         while dist < p {
             let dst = (self.rank + dist) % p;
             let src = (self.rank + p - dist % p) % p;
-            let tag = Tag(base.0 + round);
+            let tag = Tag(T_BARRIER.0 + round);
             self.send(dst, tag, Bytes::new())?;
-            self.recv_until(src, tag, until)?;
+            self.recv(src, tag)?;
             dist *= 2;
             round += 1;
         }
@@ -1262,35 +1238,6 @@ mod tests {
             assert_eq!(out.results[0].faults(FaultStat::Dedup), 1, "{wrapper}");
             assert_eq!(out.results[1].faults(FaultStat::Duplicate), 1, "{wrapper}");
         }
-    }
-
-    #[test]
-    fn barrier_deadline_passes_and_expires() {
-        use std::time::Duration;
-        for p in 1..=5 {
-            run_spmd(p, |comm| {
-                for _ in 0..3 {
-                    comm.barrier_deadline(Duration::from_secs(10)).unwrap();
-                }
-            });
-        }
-        // One rank never shows up (never calls the barrier): the others
-        // time out instead of hanging. The defector stays alive until
-        // both survivors report, so they observe a clean timeout rather
-        // than a racy channel disconnect.
-        let results = run_spmd(3, |comm| {
-            if comm.rank() == 2 {
-                comm.recv(0, Tag::user(9)).unwrap();
-                comm.recv(1, Tag::user(9)).unwrap();
-                Ok(())
-            } else {
-                let r = comm.barrier_deadline(Duration::from_millis(40));
-                comm.send(2, Tag::user(9), Bytes::new()).unwrap();
-                r
-            }
-        });
-        assert!(matches!(results[0], Err(CommError::Timeout { .. })));
-        assert!(matches!(results[1], Err(CommError::Timeout { .. })));
     }
 
     #[test]

@@ -29,8 +29,8 @@ pub enum CommError {
         /// Human-readable description of the inconsistency.
         reason: String,
     },
-    /// A deadline-bounded operation (`recv_deadline`,
-    /// `barrier_deadline`) expired before the expected message arrived —
+    /// A deadline-bounded receive (`recv_deadline`) expired before the
+    /// expected message arrived —
     /// the peer is slow or gone. The graceful-degradation paths (e.g.
     /// deadline compositing) treat this as "drop the contributor", not
     /// as a fatal error.

@@ -113,7 +113,7 @@ impl FaultPlan {
     }
 
     /// Number of `KillRank` events (bounds the runner's restart count).
-    pub fn kill_count(&self) -> usize {
+    pub(crate) fn kill_count(&self) -> usize {
         self.events
             .iter()
             .filter(|e| e.kind == FaultKind::KillRank)

@@ -160,7 +160,7 @@ impl CommStats {
 
     /// Record one sent message of `len` payload bytes in `class`.
     #[inline]
-    pub fn record_send(&mut self, class: TagClass, len: usize) {
+    pub(crate) fn record_send(&mut self, class: TagClass, len: usize) {
         let i = class.index();
         self.msgs[i] += 1;
         self.bytes[i] += len as u64;
@@ -168,25 +168,25 @@ impl CommStats {
 
     /// Record entry into a blocking collective (a synchronisation point).
     #[inline]
-    pub fn record_sync(&mut self) {
+    pub(crate) fn record_sync(&mut self) {
         self.sync_points += 1;
     }
 
     /// Record participation in one repartition event.
     #[inline]
-    pub fn record_rebalance(&mut self) {
+    pub(crate) fn record_rebalance(&mut self) {
         self.rebalances += 1;
     }
 
     /// Record wall seconds spent blocked in a `recv` of `class`.
     #[inline]
-    pub fn record_recv_wait(&mut self, class: TagClass, secs: f64) {
+    pub(crate) fn record_recv_wait(&mut self, class: TagClass, secs: f64) {
         self.recv_wait[class.index()] += secs;
     }
 
     /// Record wall seconds spent inside a `send` of `class`.
     #[inline]
-    pub fn record_send_time(&mut self, class: TagClass, secs: f64) {
+    pub(crate) fn record_send_time(&mut self, class: TagClass, secs: f64) {
         self.send_time[class.index()] += secs;
     }
 
@@ -194,7 +194,7 @@ impl CommStats {
     /// work done while halo messages were in flight, and `residual`
     /// seconds still blocked on receives after that work finished.
     #[inline]
-    pub fn record_overlap(&mut self, compute: f64, residual: f64) {
+    pub(crate) fn record_overlap(&mut self, compute: f64, residual: f64) {
         self.overlap_compute += compute.max(0.0);
         self.overlap_residual += residual.max(0.0);
     }
@@ -227,7 +227,7 @@ impl CommStats {
 
     /// Record one injected (or absorbed) fault event of `kind`.
     #[inline]
-    pub fn record_fault(&mut self, kind: FaultStat) {
+    pub(crate) fn record_fault(&mut self, kind: FaultStat) {
         self.faults[kind.index()] += 1;
     }
 
@@ -351,7 +351,7 @@ pub struct StatsSummary {
 
 impl StatsSummary {
     /// Fold per-rank records into an aggregate.
-    pub fn from_ranks(per_rank: &[CommStats]) -> Self {
+    pub(crate) fn from_ranks(per_rank: &[CommStats]) -> Self {
         let ranks = per_rank.len();
         let total = per_rank
             .iter()

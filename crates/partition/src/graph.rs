@@ -118,7 +118,7 @@ impl SiteGraph {
     }
 
     /// Total primary weight.
-    pub fn total_weight(&self) -> f64 {
+    pub(crate) fn total_weight(&self) -> f64 {
         self.vwgt.iter().sum()
     }
 

@@ -173,6 +173,7 @@ pub fn run_closed_loop_opts(
     let mut compositor = cfg.frame_deadline.map(|_| DeadlineCompositor::new());
     let mut adaptive = cfg.adaptive_lb.map(|c| AdaptiveDriver::new(&geo, c));
     let mut window_steps_done = 0u64;
+    let inlets = geo.inlets().len();
 
     loop {
         // Step 3–4 of the paper's loop: client → master → all ranks.
@@ -208,7 +209,16 @@ pub fn run_closed_loop_opts(
             outcome.terminated_by_client = true;
         }
         for (id, rho) in state.take_pressure_changes() {
-            solver.set_inlet_bc(id as usize, IoletBc::Pressure { rho });
+            // An id past the geometry's inlets would grow the BC table
+            // to `id + 1` entries on every rank and steer nothing.
+            if (id as usize) < inlets {
+                solver.set_inlet_bc(id as usize, IoletBc::Pressure { rho });
+            } else {
+                state.rejections.push(format!(
+                    "rejected inlet pressure {rho} at inlet {id}: the geometry has \
+                     {inlets} inlet(s)"
+                ));
+            }
         }
 
         // Advance the simulation.
@@ -773,6 +783,70 @@ mod tests {
         assert!(results[0].1.phases.contains_key("steer.poll"));
         assert!(results[0].1.phases.contains_key("steer.ship"));
         assert!(!results[1].1.phases.contains_key("steer.poll"));
+    }
+
+    #[test]
+    fn unknown_inlet_or_bad_density_is_rejected_not_applied() {
+        let geo = demo_geo();
+        assert_eq!(geo.inlets().len(), 1);
+        let (client_end, server_end) = duplex_pair();
+        let server_slot = Arc::new(Mutex::new(Some(Box::new(server_end) as Box<dyn Transport>)));
+        let geo2 = geo.clone();
+
+        let client_thread = std::thread::spawn(move || {
+            let client = SteeringClient::new(Box::new(client_end));
+            for (id, rho) in [(7, 1.02), (0, f64::NAN), (0, 1.02)] {
+                client
+                    .send(&SteeringCommand::SetInletPressure { id, rho })
+                    .unwrap();
+            }
+            // Both notices drain into the status ahead of the first
+            // requested frame; the second frame shows nothing trails.
+            let mut problems = Vec::new();
+            for _ in 0..2 {
+                client.send(&SteeringCommand::RequestFrame).unwrap();
+                let (_, statuses) = client.wait_for_image().unwrap();
+                problems.extend(statuses.into_iter().flat_map(|s| s.problems));
+            }
+            client.send(&SteeringCommand::Terminate).unwrap();
+            while client.recv().is_ok() {}
+            problems
+        });
+
+        run_spmd(2, move |comm| {
+            let transport = if comm.is_master() {
+                server_slot.lock().take()
+            } else {
+                None
+            };
+            run_closed_loop(
+                geo2.clone(),
+                slab_owner(&geo2, comm.size()),
+                SolverConfig::pressure_driven(1.005, 0.995),
+                comm,
+                transport,
+                &ClosedLoopConfig {
+                    max_steps: u64::MAX / 2,
+                    image: (16, 12),
+                    initial_vis_rate: u32::MAX,
+                    steps_per_cycle: 5,
+                    ..Default::default()
+                },
+            )
+            .unwrap()
+        });
+
+        let problems = client_thread.join().unwrap();
+        let rejected: Vec<&String> = problems
+            .iter()
+            .filter(|p| p.contains("rejected inlet pressure"))
+            .collect();
+        assert_eq!(rejected.len(), 2, "{problems:?}");
+        assert!(
+            rejected.iter().any(|p| p.contains("inlet 7")),
+            "{rejected:?}"
+        );
+        assert!(rejected.iter().any(|p| p.contains("NaN")), "{rejected:?}");
     }
 
     #[test]

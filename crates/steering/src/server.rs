@@ -145,7 +145,16 @@ impl SteeringState {
                 }
             }
             SteeringCommand::SetInletPressure { id, rho } => {
-                self.pressure_changes.push((*id, *rho));
+                // A NaN or non-positive density would spread through
+                // every population downstream of the inlet.
+                if rho.is_finite() && *rho > 0.0 {
+                    self.pressure_changes.push((*id, *rho));
+                } else {
+                    self.rejections.push(format!(
+                        "rejected inlet pressure {rho} at inlet {id}: density must be \
+                         finite and positive"
+                    ));
+                }
             }
             SteeringCommand::Pause => self.paused = true,
             SteeringCommand::Resume => self.paused = false,

@@ -372,6 +372,59 @@ fn solver_checkpoints_reject_every_truncation_and_bit_flip() {
 }
 
 #[test]
+fn pixel_runs_survive_every_truncation_and_bit_flip() {
+    // A peer's compositing payload arrives every frame. Every strict
+    // prefix and every single-bit flip of a valid multi-run payload must
+    // come back from `merge_pixel_runs` as `Ok` or `Err`, never a panic.
+    // An `Err` writes nothing; an `Ok` writes only inside the range it
+    // returns.
+    use hemelb::insitu::compositing::{encode_pixel_runs, merge_pixel_runs};
+    let lit = |p: &mut PartialImage, i: usize, d: f32| {
+        p.image.pixels[i] = [0.25, 0.5, 0.125, 0.5];
+        p.depth[i] = d;
+    };
+    let mut sender = PartialImage::new(16, 8);
+    for i in (20..26).chain(40..43).chain(90..100) {
+        lit(&mut sender, i, i as f32);
+    }
+    let valid = encode_pixel_runs(&sender, 16..112).to_vec();
+    let mut base = PartialImage::new(16, 8);
+    for i in (0..128).step_by(7) {
+        lit(&mut base, i, 50.0);
+    }
+    let bits = |p: &PartialImage, i: usize| {
+        let px = p.image.pixels[i].map(f32::to_bits);
+        (px, p.depth[i].to_bits())
+    };
+    let truncations = (0..valid.len()).map(|len| valid[..len].to_vec());
+    let flips = (0..valid.len() * 8).map(|bit| {
+        let mut flipped = valid.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        flipped
+    });
+    let (mut oks, mut errs) = (0, 0);
+    for hostile in truncations.chain(flips) {
+        let mut into = base.clone();
+        let kept = match merge_pixel_runs(&mut into, hostile.into()) {
+            Ok(range) => {
+                oks += 1;
+                range
+            }
+            Err(_) => {
+                errs += 1;
+                0..0
+            }
+        };
+        for i in (0..128).filter(|i| !kept.contains(i)) {
+            assert_eq!(bits(&into, i), bits(&base, i), "pixel {i} outside {kept:?}");
+        }
+    }
+    assert_eq!(oks + errs, valid.len() * 9);
+    // Flips in the float payload still decode; every truncation fails.
+    assert!(oks > 0 && errs >= valid.len());
+}
+
+#[test]
 fn obs_reports_reject_every_truncation() {
     use hemelb::obs::{ObsReport, Recorder};
     let mut rec = Recorder::new();
