@@ -25,6 +25,12 @@
 //! line per cell that the serial, threaded and distributed solvers must
 //! all reproduce. It was recorded before the stream phase's boundary
 //! links were split into wall copies and iolet rules.
+//!
+//! `trace_lines.txt` pins what the in situ tracers draw from a developed
+//! flow — sampled velocities, streamline vertices, hand-off counts,
+//! particle positions and the LIC slice — as one line per cell. It was
+//! recorded before the field sampler learned to keep a particle's cell
+//! corners between look-ups.
 
 mod common;
 
@@ -32,7 +38,13 @@ use hemelb::core::boundary::IoletBc;
 use hemelb::core::collision::CollisionKind;
 use hemelb::core::solver::ModelKind;
 use hemelb::core::{DistSolver, FieldSnapshot, ParallelSolver, Solver, SolverConfig};
-use hemelb::geometry::{IoLetKind, SparseGeometry, VesselBuilder};
+use hemelb::geometry::{IoLetKind, SparseGeometry, Vec3, VesselBuilder};
+use hemelb::insitu::lic::{lic_serial, LicConfig, VelocitySlice};
+use hemelb::insitu::lines::{
+    stitch_segments, trace_distributed, trace_streamline, TraceConfig, WireParticle,
+};
+use hemelb::insitu::particles::ParticleEnsemble;
+use hemelb::insitu::SampledField;
 use hemelb::obs::Fnv1a;
 use hemelb::parallel::run_spmd;
 use hemelb::partition::graph::{Connectivity, SiteGraph};
@@ -595,6 +607,177 @@ fn golden_kway_owner_maps_medium() {
         .map(|k| kway_line("aneurysm dx=0.25 d3q15", &g, k))
         .collect();
     check_or_bless("kway_owner_medium", &lines);
+}
+
+/// A developed pressure-driven flow through the small aneurysm: curved
+/// lines, a recirculating sac, speeds that differ at every site.
+fn developed_aneurysm() -> (Arc<SparseGeometry>, FieldSnapshot) {
+    let geo = Arc::new(VesselBuilder::aneurysm(28.0, 4.0, 6.0).voxelise(1.0));
+    let cfg = SolverConfig::pressure_driven(1.01, 0.99).with_tau(0.8);
+    let mut solver = Solver::new(geo.clone(), cfg);
+    solver.step_n(200);
+    (geo, solver.snapshot())
+}
+
+fn fnv_vec3s<'a>(h: &mut Fnv1a, points: impl IntoIterator<Item = &'a Vec3>) {
+    for p in points {
+        p.to_array().iter().for_each(|c| h.u64(c.to_bits()));
+    }
+}
+
+/// Slabs along x, one per rank.
+fn slab_owner(geo: &SparseGeometry, ranks: usize) -> Vec<usize> {
+    geo.positions()
+        .iter()
+        .map(|q| (q[0] as usize * ranks / geo.shape()[0]).min(ranks - 1))
+        .collect()
+}
+
+/// The field sampler and every tracer that reads it, pinned bit for bit:
+/// `velocity_at` and `in_fluid` over grids that run past the bounding
+/// box and land on cell centres, faces and half-integers; streamlines
+/// serial and distributed (with their hand-off counts); the particle
+/// ensemble with streak releases; the LIC slice and its convolution.
+fn trace_lines() -> String {
+    let (geo, snap) = developed_aneurysm();
+    let field = SampledField::new(&geo, &snap);
+    let shape = geo.shape();
+    let mut out = String::new();
+
+    let (mut h, mut fluid, mut sampled) = (Fnv1a::new(), 0, 0);
+    for step in [0.5, 0.37] {
+        let axis = |n: usize| {
+            (0..)
+                .map(move |i| i as f64 * step - 1.5)
+                .take_while(move |&v| v < n as f64 + 1.0)
+        };
+        for x in axis(shape[0]) {
+            for y in axis(shape[1]) {
+                for z in axis(shape[2]) {
+                    let p = Vec3::new(x, y, z);
+                    let inside = field.in_fluid(p);
+                    fluid += usize::from(inside);
+                    h.u64(u64::from(inside));
+                    if let Some(u) = field.velocity_at(p) {
+                        sampled += 1;
+                        u.iter().for_each(|c| h.u64(c.to_bits()));
+                    }
+                }
+            }
+        }
+    }
+    out.push_str(&format!(
+        "sampler fluid={fluid} sampled={sampled} digest={:016x}\n",
+        h.finish()
+    ));
+
+    // A rake across the inlet that overshoots the lumen on both sides.
+    let inlet: Vec<Vec3> = (0..geo.fluid_count() as u32)
+        .map(|s| geo.position_v(s))
+        .filter(|p| p.x == 2.0)
+        .collect();
+    let axis = inlet.iter().fold(Vec3::ZERO, |a, &p| a + p) * (1.0 / inlet.len() as f64);
+    let seeds: Vec<Vec3> = (0..40)
+        .map(|i| axis + Vec3::new(0.3, (i as f64 - 19.5) * 0.32, 0.2))
+        .collect();
+    let cfg = TraceConfig {
+        h: 3.0,
+        max_steps: 1000,
+        ..TraceConfig::default()
+    };
+    let serial: Vec<Vec<Vec3>> = seeds
+        .iter()
+        .map(|&s| trace_streamline(&field, s, &cfg))
+        .collect();
+    let mut h = Fnv1a::new();
+    serial.iter().for_each(|l| fnv_vec3s(&mut h, l));
+    let verts: usize = serial.iter().map(Vec::len).sum();
+    out.push_str(&format!(
+        "streamlines serial seeds={} verts={verts} digest={:016x}\n",
+        seeds.len(),
+        h.finish()
+    ));
+
+    for p in [1usize, 2, 4] {
+        let (g, s, sd) = (geo.clone(), snap.clone(), seeds.clone());
+        let results = run_spmd(p, move |comm| {
+            let owner = slab_owner(&g, comm.size());
+            let field = SampledField::new(&g, &s);
+            trace_distributed(comm, &g, &field, &owner, &sd, &cfg).unwrap()
+        });
+        let (mut segments, mut steps, mut handoffs, mut rounds) = (Vec::new(), 0, 0, 0);
+        for (segs, stats) in results {
+            segments.extend(segs);
+            steps += stats.steps_computed;
+            handoffs += stats.handoffs;
+            rounds = rounds.max(stats.rounds);
+        }
+        let mut h = Fnv1a::new();
+        stitch_segments(segments, seeds.len())
+            .iter()
+            .for_each(|l| fnv_vec3s(&mut h, l));
+        out.push_str(&format!(
+            "streamlines p={p} steps={steps} handoffs={handoffs} rounds={rounds} digest={:016x}\n",
+            h.finish()
+        ));
+    }
+
+    for p in [1usize, 3] {
+        let (g, s, sd) = (geo.clone(), snap.clone(), seeds.clone());
+        let results = run_spmd(p, move |comm| {
+            let owner = slab_owner(&g, comm.size());
+            let field = SampledField::new(&g, &s);
+            let mut ens = ParticleEnsemble::new(comm, &g, &owner, &sd, 6.0);
+            for _ in 0..150 {
+                ens.step(&g, &field).unwrap();
+                ens.release(&g, &sd[18..22]);
+            }
+            let mut parts = ens.local.clone();
+            parts.extend(ens.finished.iter().copied());
+            (parts, ens.stats.clone())
+        });
+        let (mut parts, mut updates, mut migrations) = (Vec::new(), 0, 0);
+        for (ps, stats) in results {
+            parts.extend(ps);
+            updates += stats.updates;
+            migrations += stats.migrations;
+        }
+        let key = |q: &WireParticle| (q.id, q.steps, q.pos.map(f64::to_bits));
+        parts.sort_by_key(key);
+        let mut h = Fnv1a::new();
+        for q in &parts {
+            h.u64(u64::from(q.id) << 32 | u64::from(q.steps));
+            q.pos.iter().for_each(|c| h.u64(c.to_bits()));
+        }
+        out.push_str(&format!(
+            "particles p={p} n={} updates={updates} migrations={migrations} digest={:016x}\n",
+            parts.len(),
+            h.finish()
+        ));
+    }
+
+    let slice = VelocitySlice::extract(&field, axis.z.round());
+    let mut h = Fnv1a::new();
+    slice
+        .uv
+        .iter()
+        .flatten()
+        .for_each(|c| h.u64(u64::from(c.to_bits())));
+    let image = lic_serial(&slice, &LicConfig::default());
+    let mut g = Fnv1a::new();
+    image.iter().for_each(|c| g.u64(u64::from(c.to_bits())));
+    out.push_str(&format!(
+        "lic z={} slice={:016x} image={:016x}\n",
+        slice.plane_z,
+        h.finish(),
+        g.finish()
+    ));
+    out
+}
+
+#[test]
+fn golden_trace_lines() {
+    check_or_bless("trace_lines", &trace_lines());
 }
 
 /// Long soak: 500 steps at 8 threads must stay bit-identical to serial.
