@@ -123,8 +123,9 @@ group_units() {
 
 # Determinism suite (bit-exactness proptests + golden fixtures, incl.
 # the operator grid, the corrupted-streaming-index negative control,
-# the serial/threaded checkpoint hand-off and the k-way owner maps
-# `golden_kway_owner_maps`, whose Medium cell runs in `golden-soak`),
+# the serial/threaded checkpoint hand-off, the k-way owner maps
+# `golden_kway_owner_maps`, whose Medium cell runs in `golden-soak`, and
+# the tracers' vertices, particles and LIC image `golden_trace_lines`),
 # observability (phase timings end to end, lossless JSON export) and
 # the render path (macrocell marcher bit-identity, the screen-bounded
 # render against a scan of every pixel over random bricks and eye

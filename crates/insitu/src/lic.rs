@@ -8,10 +8,11 @@
 //! less than per-step particle hand-off; and pixels distribute evenly,
 //! so load balance is good. Exactly the "medium / good / moderate" row.
 
-use crate::field::SampledField;
+use crate::field::{floor_i64, SampledField};
 use hemelb_geometry::Vec3;
-use hemelb_parallel::{CommResult, Communicator, Tag, WireReader, WireWriter};
+use hemelb_parallel::{CommError, CommResult, Communicator, Tag, WireReader, WireWriter};
 use rayon::prelude::*;
+use std::ops::Range;
 
 const T_HALO: Tag = Tag::vis(20);
 
@@ -69,8 +70,8 @@ impl VelocitySlice {
 
     /// Bilinear in-plane velocity at a fractional position.
     pub fn sample(&self, x: f64, y: f64) -> Option<[f32; 2]> {
-        let x0 = x.floor() as i64;
-        let y0 = y.floor() as i64;
+        let x0 = floor_i64(x);
+        let y0 = floor_i64(y);
         let fx = (x - x0 as f64) as f32;
         let fy = (y - y0 as f64) as f32;
         let mut acc = [0.0f32; 2];
@@ -252,10 +253,9 @@ pub fn lic_distributed(
     let received = comm.exchange(T_HALO, &outgoing, &expect)?;
     for payload in received {
         let mut r = WireReader::new(payload);
-        let start = r.get_usize()?;
-        let len = r.get_usize()?;
-        stats.halo_columns += len as u64;
-        for x in start..start + len {
+        let cols = column_range(&mut r, slice.nx)?;
+        stats.halo_columns += cols.len() as u64;
+        for x in cols {
             for y in 0..slice.ny {
                 working.uv[x * slice.ny + y] = [r.get_f32()?, r.get_f32()?];
             }
@@ -290,19 +290,37 @@ pub fn lic_distributed(
             let mut out = vec![f32::NAN; slice.nx * slice.ny];
             for payload in parts {
                 let mut r = WireReader::new(payload);
-                let start = r.get_usize()?;
-                let len = r.get_usize()?;
+                let cols = column_range(&mut r, slice.nx)?;
                 let vals = r.get_f32_vec()?;
-                for i in 0..len {
-                    for y in 0..slice.ny {
-                        out[(start + i) * slice.ny + y] = vals[i * slice.ny + y];
-                    }
+                if vals.len() != cols.len() * slice.ny {
+                    return Err(CommError::Decode {
+                        reason: format!(
+                            "LIC slab of {} columns carries {} values, not {} per column",
+                            cols.len(),
+                            vals.len(),
+                            slice.ny
+                        ),
+                    });
                 }
+                out[cols.start * slice.ny..cols.end * slice.ny].copy_from_slice(&vals);
             }
             Some(out)
         }
     };
     Ok((image, stats))
+}
+
+/// A peer's `start, len` column header, checked to lie inside a slice
+/// `nx` columns wide before anything is indexed by it.
+fn column_range(r: &mut WireReader, nx: usize) -> CommResult<Range<usize>> {
+    let start = r.get_usize()?;
+    let len = r.get_usize()?;
+    match start.checked_add(len) {
+        Some(end) if end <= nx => Ok(start..end),
+        _ => Err(CommError::Decode {
+            reason: format!("LIC columns {start} + {len} outside a slice of {nx}"),
+        }),
+    }
 }
 
 #[cfg(test)]
@@ -395,6 +413,72 @@ mod tests {
                 }
             }
             assert_eq!(mismatched, 0, "p={p}: {mismatched}/{total} differ");
+        }
+    }
+
+    /// A halo whose column header overflows or runs past the slice, or a
+    /// gathered slab whose values do not fill its columns, is a decode
+    /// error on the receiving rank, not an out-of-range access.
+    #[test]
+    fn hostile_halo_columns_are_decode_errors() {
+        let s = slice_of_tube();
+        let nx = s.nx;
+        // (halo header, then the gathered slab's header and value count;
+        // no slab: the forger stops after its halo).
+        let short_slab = Some((nx / 2, nx - nx / 2, 3));
+        let cases = [
+            ((usize::MAX, 2), None),
+            ((nx - 1, 5), None),
+            ((0, nx + 1), None),
+            ((nx / 2, 0), short_slab),
+        ];
+        for ((start, len), slab) in cases {
+            let s2 = s.clone();
+            let results = run_spmd(2, move |comm| {
+                let got = if comm.rank() == 1 {
+                    let header = |start: usize, len: usize| {
+                        let mut w = WireWriter::new();
+                        w.put_usize(start);
+                        w.put_usize(len);
+                        w
+                    };
+                    let halo = header(start, len).finish();
+                    if let Some((start, len, values)) = slab {
+                        comm.exchange(T_HALO, &[(0, halo)], &[0]).unwrap();
+                        let mut w = header(start, len);
+                        w.put_f32_slice(&vec![0.0; values]);
+                        comm.gather(0, w.finish()).unwrap();
+                    } else {
+                        comm.send(0, T_HALO, halo).unwrap();
+                    }
+                    None
+                } else {
+                    Some(lic_distributed(comm, &s2, &LicConfig::default()).map(|_| ()))
+                };
+                // The forger stays up until the victim has decoded.
+                comm.barrier().unwrap();
+                got
+            });
+            assert!(
+                matches!(results[0], Some(Err(CommError::Decode { .. }))),
+                "({start}, {len}), slab {slab:?}: {:?}",
+                results[0]
+            );
+        }
+    }
+
+    #[test]
+    fn column_headers_must_fit_the_slice() {
+        let header = |start: usize, len: usize| {
+            let mut w = WireWriter::new();
+            w.put_usize(start);
+            w.put_usize(len);
+            column_range(&mut WireReader::new(w.finish()), 10)
+        };
+        assert_eq!(header(3, 7), Ok(3..10));
+        assert_eq!(header(10, 0), Ok(10..10));
+        for (start, len) in [(3, 8), (11, 0), (usize::MAX, 1), (1, usize::MAX)] {
+            assert!(matches!(header(start, len), Err(CommError::Decode { .. })));
         }
     }
 

@@ -10,7 +10,7 @@
 //! per crossing; and because seeds cluster where the user looks, the
 //! work distribution is inherently unbalanced.
 
-use crate::field::SampledField;
+use crate::field::{nearest_site, SampledField};
 use hemelb_geometry::{SparseGeometry, Vec3};
 use hemelb_parallel::{CommResult, Communicator, Wire, WireReader, WireWriter};
 use rayon::prelude::*;
@@ -39,11 +39,14 @@ impl Default for TraceConfig {
 /// One RK4 step through a steady velocity field from `p`, where the
 /// field reads `k1 = v(p)`: the caller samples it, so a tracer that
 /// tests the speed at `p` first pays four field evaluations a step, not
-/// five. `None` when a later stage leaves the fluid.
-pub fn rk4_step<F>(v: &F, p: Vec3, k1: [f64; 3], h: f64) -> Option<Vec3>
-where
-    F: Fn(Vec3) -> Option<[f64; 3]>,
-{
+/// five. `v` may keep state between calls (a [`crate::field::CornerProbe`]
+/// does). `None` when a later stage leaves the fluid.
+pub fn rk4_step(
+    mut v: impl FnMut(Vec3) -> Option<[f64; 3]>,
+    p: Vec3,
+    k1: [f64; 3],
+    h: f64,
+) -> Option<Vec3> {
     let k2 = v(p + Vec3::from(k1) * (h / 2.0))?;
     let k3 = v(p + Vec3::from(k2) * (h / 2.0))?;
     let k4 = v(p + Vec3::from(k3) * h)?;
@@ -57,7 +60,7 @@ where
 
 /// Trace one steady streamline from `seed` (forward direction).
 pub fn trace_streamline(field: &SampledField<'_>, seed: Vec3, cfg: &TraceConfig) -> Vec<Vec3> {
-    let v = |p: Vec3| field.velocity_at(p);
+    let mut probe = field.probe();
     let mut line = vec![seed];
     // A seed whose own cell is not fluid (placed in the vessel wall) is
     // dropped even where interpolation from fluid neighbours would carry
@@ -67,14 +70,14 @@ pub fn trace_streamline(field: &SampledField<'_>, seed: Vec3, cfg: &TraceConfig)
     }
     let mut p = seed;
     for _ in 0..cfg.max_steps {
-        let Some(vel) = v(p) else {
+        let Some(vel) = probe.velocity_at(p) else {
             break;
         };
         let speed = (vel[0] * vel[0] + vel[1] * vel[1] + vel[2] * vel[2]).sqrt();
         if speed < cfg.min_speed {
             break;
         }
-        let Some(q) = rk4_step(&v, p, vel, cfg.h) else {
+        let Some(q) = rk4_step(|q| probe.velocity_at(q), p, vel, cfg.h) else {
             break;
         };
         line.push(q);
@@ -222,8 +225,7 @@ pub struct TraceStats {
 /// Which rank owns the point `p` (owner of the nearest fluid site of the
 /// containing cell), if any.
 pub fn owner_of_point(geo: &SparseGeometry, owner: &[usize], p: Vec3) -> Option<usize> {
-    geo.site_at(p.x.round() as i64, p.y.round() as i64, p.z.round() as i64)
-        .map(|s| owner[s as usize])
+    nearest_site(geo, p).map(|s| owner[s as usize])
 }
 
 /// One recorded line segment: `(line id, step-of-first-vertex, vertices)`.
@@ -273,20 +275,20 @@ pub fn trace_distributed(
                 let mut verts = vec![Vec3::from(part.pos)];
                 let start_step = part.steps;
                 let mut dest = None;
+                let mut probe = field.probe();
                 loop {
                     if part.steps as usize >= cfg.max_steps {
                         break;
                     }
                     let p = Vec3::from(part.pos);
-                    let v = |q: Vec3| field.velocity_at(q);
-                    let Some(vel) = v(p) else {
+                    let Some(vel) = probe.velocity_at(p) else {
                         break;
                     };
                     let speed = (vel[0] * vel[0] + vel[1] * vel[1] + vel[2] * vel[2]).sqrt();
                     if speed < cfg.min_speed {
                         break;
                     }
-                    let Some(next) = rk4_step(&v, p, vel, cfg.h) else {
+                    let Some(next) = rk4_step(|q| probe.velocity_at(q), p, vel, cfg.h) else {
                         break;
                     };
                     part.pos = next.to_array();

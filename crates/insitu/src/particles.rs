@@ -93,8 +93,9 @@ impl<'a> ParticleEnsemble<'a> {
         let mut keep = Vec::with_capacity(self.local.len());
         for mut part in self.local.drain(..) {
             let p = Vec3::from(part.pos);
-            let v = |q: Vec3| field.velocity_at(q);
-            match v(p).and_then(|k1| rk4_step(&v, p, k1, self.h)) {
+            let mut probe = field.probe();
+            let k1 = probe.velocity_at(p);
+            match k1.and_then(|k1| rk4_step(|q| probe.velocity_at(q), p, k1, self.h)) {
                 None => self.finished.push(part),
                 Some(next) => {
                     part.pos = next.to_array();

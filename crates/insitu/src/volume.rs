@@ -29,7 +29,7 @@
 //! one at the bit level. Tests assert this across random geometries.
 
 use crate::camera::{ray_box, Camera};
-use crate::field::Scalar;
+use crate::field::{floor_i64, Scalar};
 use crate::image::PartialImage;
 use crate::transfer::TransferFunction;
 use hemelb_core::FieldSnapshot;
@@ -394,20 +394,6 @@ impl Brick {
     }
 }
 
-/// `x.floor() as i64` without the call into libm that `floor` is on a
-/// baseline x86-64 target: truncate, then step down where truncation
-/// rounded up (negative non-integers). Equal for every input, the
-/// saturating ends and NaN (→ 0) included.
-#[inline]
-fn floor_i64(x: f64) -> i64 {
-    let i = x as i64;
-    if (i as f64) > x {
-        i.saturating_sub(1)
-    } else {
-        i
-    }
-}
-
 /// Knobs of [`render_brick_opts`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RenderOptions {
@@ -700,40 +686,6 @@ mod tests {
             None
         } else {
             Some(acc / wsum)
-        }
-    }
-
-    #[test]
-    fn floor_i64_is_floor_then_cast_for_every_input() {
-        let mut probes = vec![
-            0.0,
-            -0.0,
-            0.5,
-            -0.5,
-            1.0,
-            -1.0,
-            -1.0 + f64::EPSILON,
-            7.999999999999999,
-            -8.000000000000002,
-            4503599627370495.5,
-            -4503599627370495.5,
-            9.3e18,
-            -9.3e18,
-            1e300,
-            -1e300,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::NAN,
-            f64::MIN_POSITIVE,
-            -f64::MIN_POSITIVE,
-        ];
-        let mut h = 0x9E3779B97F4A7C15u64;
-        for _ in 0..2000 {
-            h = h.wrapping_mul(0x2545F4914F6CDD1D).rotate_left(23) ^ 0x5851F42D4C957F2D;
-            probes.push((h >> 11) as f64 / (1u64 << 53) as f64 * 200.0 - 100.0);
-        }
-        for x in probes {
-            assert_eq!(floor_i64(x), x.floor() as i64, "{x:e}");
         }
     }
 
