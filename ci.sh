@@ -96,6 +96,7 @@ group_lint() {
     stage fmt    cargo fmt --all -- --check
     stage clippy cargo clippy --workspace --all-targets -- -D warnings
     stage no-tracked-images no_tracked_images
+    stage no-dead-deps no_dead_deps
 }
 no_tracked_images() {
     if git ls-files '*.ppm' | grep .; then
@@ -104,6 +105,24 @@ no_tracked_images() {
     fi
 }
 export -f no_tracked_images
+
+# Every `[dependencies]` entry of a workspace crate is used: its name
+# (with `-` as `_`) appears as a path (`name::`) in that crate's src/.
+no_dead_deps() {
+    local manifest crate dep status=0
+    for manifest in crates/*/Cargo.toml; do
+        crate=$(dirname "$manifest")
+        for dep in $(awk '/^\[/ { sec = $0; next }
+                          sec == "[dependencies]" && /^[A-Za-z0-9_-]+/ { sub(/[ .=].*/, ""); print }' "$manifest"); do
+            if ! grep -rqE "(^|[^A-Za-z0-9_])${dep//-/_}::" "$crate/src"; then
+                echo "$manifest: dependency $dep is never named in $crate/src" >&2
+                status=1
+            fi
+        done
+    done
+    return $status
+}
+export -f no_dead_deps
 
 # Tier-1 (ROADMAP): release build + the root-package test suite.
 group_tier1() {

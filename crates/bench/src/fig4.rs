@@ -7,19 +7,16 @@
 //! distributed streamline tracing with hand-off → gather → projection
 //! (4b). Both also report the communication the frame cost.
 
+use crate::techniques::{self, Scene, TechniqueRow};
 use crate::workloads::{self, Size};
 use hemelb_geometry::Vec3;
-use hemelb_insitu::camera::{Camera, RayGenerator};
-use hemelb_insitu::compositing::binary_swap;
+use hemelb_insitu::camera::RayGenerator;
 use hemelb_insitu::field::{SampledField, Scalar};
 use hemelb_insitu::image::Image;
-use hemelb_insitu::lines::{stitch_segments, trace_distributed, TraceConfig};
+use hemelb_insitu::lines::TraceConfig;
 use hemelb_insitu::transfer::TransferFunction;
-use hemelb_insitu::volume::{render_brick, Brick};
-use hemelb_parallel::{run_spmd_with_stats, TagClass, WireReader, WireWriter};
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 /// Result of a Fig. 4 render.
 pub struct Fig4Result {
@@ -37,108 +34,48 @@ pub struct Fig4Result {
     pub lines: usize,
 }
 
-fn camera_for(geo: &hemelb_geometry::SparseGeometry, width: u32, height: u32) -> Camera {
-    let s = geo.shape();
-    Camera::framing(
-        Vec3::ZERO,
-        Vec3::new(s[0] as f64, s[1] as f64, s[2] as f64),
-        Vec3::new(0.15, -1.0, 0.25),
-        width,
-        height,
-    )
+impl Fig4Result {
+    /// Write `image` to `out/<file>` and report it with `row`'s traffic.
+    fn written(panel: &'static str, file: &str, image: &Image, row: &TechniqueRow) -> Fig4Result {
+        let path = workloads::out_dir().join(file);
+        image.write_ppm(&path).expect("PPM written");
+        Fig4Result {
+            panel,
+            path,
+            coverage: image.coverage(),
+            data_bytes: row.data_bytes,
+            composite_bytes: row.composite_bytes,
+            lines: 0,
+        }
+    }
 }
+
+/// The panels' view direction.
+const VIEW: Vec3 = Vec3::new(0.15, -1.0, 0.25);
 
 /// E5: distributed volume rendering of the aneurysm flow → `fig4a.ppm`.
 pub fn run_4a(size: Size, ranks: usize, width: u32, height: u32) -> Fig4Result {
-    let geo = workloads::aneurysm(size);
-    let snap = workloads::developed_flow(&geo, 300);
-    let owner = Arc::new(workloads::kway_owner(&geo, ranks));
-    let cam = camera_for(&geo, width, height);
-    let geo2 = geo.clone();
-    let snap2 = snap.clone();
-
-    let out = run_spmd_with_stats(ranks, move |comm| {
-        let mine: Vec<u32> = (0..geo2.fluid_count() as u32)
-            .filter(|&s| owner[s as usize] == comm.rank())
-            .collect();
-        let field = SampledField::new(&geo2, &snap2);
-        let (lo, hi) = field.scalar_range(Scalar::Speed);
-        let tf = TransferFunction::heat(lo, hi.max(lo + 1e-9));
-        let partial = match Brick::from_sites(&geo2, &snap2, Scalar::Speed, &mine) {
-            Some(brick) => render_brick(&brick, &cam, &tf, 0.4),
-            None => hemelb_insitu::image::PartialImage::new(cam.width, cam.height),
-        };
-        binary_swap(comm, partial).unwrap()
-    });
-    let image = out.results[0].as_ref().expect("master image").clone();
-    let path = workloads::out_dir().join("fig4a_volume_rendering.ppm");
-    image.write_ppm(&path).expect("PPM written");
-    Fig4Result {
-        panel: "4a",
-        path,
-        coverage: image.coverage(),
-        data_bytes: out.summary.total.bytes(TagClass::Visualisation),
-        composite_bytes: out.summary.total.bytes(TagClass::Compositing),
-        lines: 0,
-    }
+    let scene = Scene::aneurysm(size, 300, ranks);
+    let owner = workloads::kway_owner(&scene.geo, ranks);
+    let cam = scene.camera(VIEW, width, height);
+    let (image, row) = techniques::volume(&scene, &owner, &cam, 0.4);
+    Fig4Result::written("4a", "fig4a_volume_rendering.ppm", &image, &row)
 }
 
 /// E6: distributed streamline tracing → projected line render →
 /// `fig4b_streamlines.ppm`.
 pub fn run_4b(size: Size, ranks: usize, n_seeds: usize, width: u32, height: u32) -> Fig4Result {
-    let geo = workloads::aneurysm(size);
-    let snap = workloads::developed_flow(&geo, 300);
-    let owner = Arc::new(workloads::kway_owner(&geo, ranks));
-    let seeds = Arc::new(workloads::inlet_seeds(&geo, n_seeds));
-    let cam = camera_for(&geo, width, height);
-    let geo2 = geo.clone();
-    let snap2 = snap.clone();
-    let n_lines = seeds.len();
-
-    let out = run_spmd_with_stats(ranks, move |comm| {
-        let field = SampledField::new(&geo2, &snap2);
-        let cfg = TraceConfig {
-            h: 0.4,
-            max_steps: 4000,
-            min_speed: 1e-9,
-        };
-        let (segments, _) = trace_distributed(comm, &geo2, &field, &owner, &seeds, &cfg).unwrap();
-        // Gather segments at rank 0 (encode: id, start, points).
-        let mut w = WireWriter::new();
-        w.put_usize(segments.len());
-        for (id, start, verts) in &segments {
-            w.put_u32(*id);
-            w.put_u32(*start);
-            w.put_usize(verts.len());
-            for v in verts {
-                w.put(&v.to_array());
-            }
-        }
-        let gathered = comm.gather(0, w.finish()).unwrap();
-        gathered.map(|parts| {
-            let mut all = Vec::new();
-            for part in parts {
-                let mut r = WireReader::new(part);
-                let n = r.get_usize().unwrap();
-                for _ in 0..n {
-                    let id = r.get_u32().unwrap();
-                    let start = r.get_u32().unwrap();
-                    let m = r.get_usize().unwrap();
-                    let mut verts = Vec::with_capacity(m);
-                    for _ in 0..m {
-                        let a: [f64; 3] = r.get().unwrap();
-                        verts.push(Vec3::from(a));
-                    }
-                    all.push((id, start, verts));
-                }
-            }
-            all
-        })
-    });
-
-    let segments = out.results[0].clone().expect("master gathers segments");
-    let lines = stitch_segments(segments, n_lines);
-    let field = SampledField::new(&geo, &snap);
+    let scene = Scene::aneurysm(size, 300, ranks);
+    let owner = workloads::kway_owner(&scene.geo, ranks);
+    let seeds = workloads::inlet_seeds(&scene.geo, n_seeds);
+    let cam = scene.camera(VIEW, width, height);
+    let cfg = TraceConfig {
+        h: 0.4,
+        max_steps: 4000,
+        min_speed: 1e-9,
+    };
+    let (lines, row) = techniques::streamlines(&scene, &owner, &seeds, &cfg);
+    let field = SampledField::new(&scene.geo, &scene.snap);
     let (lo, hi) = field.scalar_range(Scalar::Speed);
     let tf = TransferFunction::heat(lo, hi.max(lo + 1e-9));
 
@@ -160,36 +97,17 @@ pub fn run_4b(size: Size, ranks: usize, n_seeds: usize, width: u32, height: u32)
             draw_segment(&mut image, &gen, w2[0], w2[1], c);
         }
     }
-
-    let path = workloads::out_dir().join("fig4b_streamlines.ppm");
-    image.write_ppm(&path).expect("PPM written");
     Fig4Result {
-        panel: "4b",
-        path,
-        coverage: image.coverage(),
-        data_bytes: out.summary.total.bytes(TagClass::Visualisation),
-        composite_bytes: out.summary.total.bytes(TagClass::Compositing),
         lines: drawn,
+        ..Fig4Result::written("4b", "fig4b_streamlines.ppm", &image, &row)
     }
 }
 
 /// Table I's fourth technique as an artefact: distributed LIC of the
 /// mid-vessel slice → greyscale PPM (`out/lic_slice.ppm`).
 pub fn run_lic(size: Size, ranks: usize) -> Fig4Result {
-    use hemelb_insitu::lic::{lic_distributed, LicConfig, VelocitySlice};
-
-    let geo = workloads::aneurysm(size);
-    let snap = workloads::developed_flow(&geo, 300);
-    let plane_z = workloads::find_axis_z(&geo);
-    let geo2 = geo.clone();
-    let snap2 = snap.clone();
-    let out = run_spmd_with_stats(ranks, move |comm| {
-        let field = SampledField::new(&geo2, &snap2);
-        let slice = VelocitySlice::extract(&field, plane_z);
-        let (img, _) = lic_distributed(comm, &slice, &LicConfig::default()).unwrap();
-        img.map(|v| (slice.nx, slice.ny, v))
-    });
-    let (nx, ny, values) = out.results[0].clone().expect("master image");
+    let scene = Scene::aneurysm(size, 300, ranks);
+    let ((nx, ny, values), row) = techniques::lic(&scene, workloads::find_axis_z(&scene.geo));
 
     // Greyscale with NaN (solid) as white.
     let mut image = Image::new(nx as u32, ny as u32);
@@ -210,20 +128,11 @@ pub fn run_lic(size: Size, ranks: usize) -> Fig4Result {
             }
         }
     }
-    let path = workloads::out_dir().join("lic_slice.ppm");
-    image.write_ppm(&path).expect("PPM written");
-    Fig4Result {
-        panel: "LIC",
-        path,
-        coverage: image.coverage(),
-        data_bytes: out.summary.total.bytes(TagClass::Visualisation),
-        composite_bytes: out.summary.total.bytes(TagClass::Compositing),
-        lines: 0,
-    }
+    Fig4Result::written("LIC", "lic_slice.ppm", &image, &row)
 }
 
 /// Rasterise one projected 3-D segment with simple DDA.
-pub fn draw_segment(img: &mut Image, gen: &RayGenerator, a: Vec3, b: Vec3, colour: [f32; 4]) {
+fn draw_segment(img: &mut Image, gen: &RayGenerator, a: Vec3, b: Vec3, colour: [f32; 4]) {
     let (Some((ax, ay, _)), Some((bx, by, _))) = (gen.project(a), gen.project(b)) else {
         return;
     };

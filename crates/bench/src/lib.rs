@@ -26,4 +26,5 @@ pub mod projection;
 pub mod repartition;
 pub mod scaling;
 pub mod table1;
+mod techniques;
 pub mod workloads;

@@ -13,10 +13,14 @@
 //! mid-frame rounds (ease of parallelisation), all measured on the same
 //! aneurysm flow and decomposition.
 
+use crate::techniques::{self, Scene};
 use crate::workloads::{self, Size};
-use hemelb_insitu::report::{measure_techniques, TechniqueInputs, TechniqueReport};
+use hemelb_geometry::Vec3;
+use hemelb_insitu::lines::TraceConfig;
+use hemelb_parallel::{CostModel, MachineModel, ProjectedCost};
 use std::fmt;
-use std::sync::Arc;
+
+pub use crate::techniques::TechniqueRow;
 
 /// Parameters of the Table I run.
 #[derive(Debug, Clone, Copy)]
@@ -49,53 +53,48 @@ impl Default for Table1Params {
 pub struct Table1Result {
     /// Parameters used.
     pub params: Table1Params,
-    /// One report per technique.
-    pub reports: Vec<TechniqueReport>,
+    /// One row per technique, in Table I column order.
+    pub reports: Vec<TechniqueRow>,
 }
 
 /// Run E1.
 pub fn run(params: Table1Params) -> Table1Result {
-    let geo = workloads::aneurysm(params.size);
-    let snap = workloads::developed_flow(&geo, params.flow_steps);
-    let owner = Arc::new(workloads::slab_owner(&geo, params.ranks));
-    let seeds = Arc::new(workloads::inlet_seeds(&geo, params.seeds));
-    let inputs = TechniqueInputs {
-        lic_plane_z: workloads::find_axis_z(&geo),
-        trace: hemelb_insitu::lines::TraceConfig {
-            h: 1.0,
-            max_steps: 1500,
-            min_speed: 1e-8,
-        },
-        geo,
-        snap,
-        owner,
-        ranks: params.ranks,
-        image: (128, 96),
-        seeds,
-        particle_steps: params.particle_steps,
+    let scene = Scene::aneurysm(params.size, params.flow_steps, params.ranks);
+    let owner = workloads::slab_owner(&scene.geo, params.ranks);
+    let seeds = workloads::inlet_seeds(&scene.geo, params.seeds);
+    let cam = scene.camera(Vec3::new(0.2, -1.0, 0.3), 128, 96);
+    let trace = TraceConfig {
+        h: 1.0,
+        max_steps: 1500,
+        min_speed: 1e-8,
     };
-    Table1Result {
-        params,
-        reports: measure_techniques(&inputs),
-    }
+    let reports = vec![
+        techniques::volume(&scene, &owner, &cam, 0.5).1,
+        techniques::streamlines(&scene, &owner, &seeds, &trace).1,
+        techniques::particles(&scene, &owner, &seeds, params.particle_steps),
+        techniques::lic(&scene, workloads::find_axis_z(&scene.geo)).1,
+    ];
+    Table1Result { params, reports }
+}
+
+/// Project a technique's frame onto a machine: α-term from data
+/// messages plus one per round of synchronisation, β-term from all
+/// moved bytes, γ-term from the work estimate.
+pub(crate) fn projected(r: &TechniqueRow, model: &CostModel) -> ProjectedCost {
+    model.critical_path(
+        r.data_msgs + r.rounds * r.work_per_rank.len() as u64,
+        r.data_bytes + r.composite_bytes,
+        r.total_work() * r.flops_per_work,
+    )
 }
 
 impl Table1Result {
-    /// Look a technique up by substring.
-    pub fn by_name(&self, name: &str) -> &TechniqueReport {
-        self.reports
-            .iter()
-            .find(|r| r.technique.contains(name))
-            .expect("technique present")
-    }
-
     /// Check the paper's qualitative orderings; returns failures.
     pub fn check_orderings(&self) -> Vec<String> {
         let mut problems = Vec::new();
-        let volume = self.by_name("volume");
-        let lines = self.by_name("line");
-        let particles = self.by_name("particle");
-        let lic = self.by_name("LIC");
+        let [volume, lines, particles, lic] = self.reports.as_slice() else {
+            unreachable!("Table I has four columns")
+        };
         if volume.data_bytes != 0 {
             problems.push(format!(
                 "volume rendering moved {} data bytes (expected 0)",
@@ -114,10 +113,11 @@ impl Table1Result {
         if particles.rounds <= lic.rounds {
             problems.push("particle rounds not > LIC rounds".into());
         }
-        if lic.work_imbalance >= lines.work_imbalance {
+        if lic.work_imbalance() >= lines.work_imbalance() {
             problems.push(format!(
                 "LIC imbalance {} not < line imbalance {}",
-                lic.work_imbalance, lines.work_imbalance
+                lic.work_imbalance(),
+                lines.work_imbalance()
             ));
         }
         problems
@@ -145,7 +145,7 @@ impl fmt::Display for Table1Result {
                 workloads::fmt_bytes(r.data_bytes),
                 workloads::fmt_bytes(r.composite_bytes),
                 r.rounds,
-                r.work_imbalance,
+                r.work_imbalance(),
                 expect,
             )?;
         }
@@ -160,7 +160,6 @@ impl fmt::Display for Table1Result {
         // The exascale premise: project each frame onto the two machine
         // presets and show the data-movement share growing. A model
         // fitted on this machine is E20's (`reproduce projection`).
-        use hemelb_parallel::{CostModel, MachineModel};
         let xe6 = CostModel::for_machine(MachineModel::CrayXe6);
         let exa = CostModel::for_machine(MachineModel::ExascaleProjection);
         writeln!(
@@ -169,8 +168,8 @@ impl fmt::Display for Table1Result {
             "data-movement share", "Cray-XE6 model", "exascale model"
         )?;
         for r in &self.reports {
-            let a = r.projected_cost(&xe6).data_movement_fraction();
-            let b = r.projected_cost(&exa).data_movement_fraction();
+            let a = projected(r, &xe6).data_movement_fraction();
+            let b = projected(r, &exa).data_movement_fraction();
             writeln!(
                 f,
                 "{:<18} {:>21.1}% {:>21.1}%",

@@ -112,9 +112,12 @@ fn share_header(comm: &Communicator, raw: Option<Bytes>) -> CommResult<SgmyHeade
 /// ranks doing file I/O. Every rank returns its owned slice of the
 /// geometry. Must be called by all ranks of `comm`.
 ///
-/// # Panics
-/// Panics on I/O errors (a missing geometry file is unrecoverable for an
-/// SPMD job, matching HemeLB's abort-on-bad-input behaviour).
+/// A file that cannot be opened or parsed is an error on **every** rank,
+/// never a panic or a hang: the header's failure reaches the peers
+/// through its broadcast, and the readers agree on their outcome in one
+/// all-reduce before any rank waits for site records. The rank that hit
+/// the fault gets a [`CommError::Decode`] naming the file, the others a
+/// `Decode` counting the failed ranks.
 pub fn read_distributed(
     path: &Path,
     comm: &Communicator,
@@ -123,45 +126,61 @@ pub fn read_distributed(
     let p = comm.size();
     let n_readers = n_readers.clamp(1, p);
 
-    // Rank 0 reads header + level one, broadcasts both.
-    let raw = comm.is_master().then(|| {
-        let mut f = File::open(path).expect("geometry file must open");
-        let h = read_header(&mut BufReader::new(&f)).expect("geometry header must parse");
+    // Rank 0 reads header + level one, broadcasts both; on a file error
+    // it broadcasts no bytes, which every rank fails to parse.
+    let level_one = comm.is_master().then(|| -> std::io::Result<Bytes> {
+        let mut f = File::open(path)?;
+        let h = read_header(&mut BufReader::new(&f))?;
         let mut raw = vec![0u8; h.data_offset as usize];
-        f.rewind()
-            .and_then(|()| f.read_exact(&mut raw))
-            .expect("geometry header must re-read");
-        Bytes::from(raw)
+        f.rewind()?;
+        f.read_exact(&mut raw)?;
+        Ok(Bytes::from(raw))
     });
-    let header = share_header(comm, raw)?;
+    let raw = level_one
+        .as_ref()
+        .map(|r| r.as_ref().map_or_else(|_| Bytes::new(), Bytes::clone));
+    let header = share_header(comm, raw);
+    if let Some(Err(e)) = level_one {
+        return Err(file_error(path, e));
+    }
+    let header = header?;
 
     let block_owner = plan_block_owners(&header.fluid_per_block, p);
     let reader_ranges = plan_reader_ranges(&header.fluid_per_block, n_readers);
 
-    // Phase 2: readers read their slice and forward per-owner batches.
-    let mut file_bytes_read = 0u64;
-    if comm.rank() < n_readers {
-        let range = reader_ranges[comm.rank()].clone();
-        if !range.is_empty() {
-            let mut f = File::open(path).expect("geometry file must open");
-            let records = read_block_sites(&header, &mut f, range.clone())
-                .expect("geometry blocks must parse");
-            file_bytes_read = records.len() as u64 * crate::format::SITE_RECORD_BYTES;
+    // Phase 2: readers read their slice, all ranks agree that every
+    // read succeeded, then the readers forward per-owner batches.
+    let range = reader_ranges.get(comm.rank()).cloned().unwrap_or(0..0);
+    let read = if range.is_empty() {
+        Ok(Vec::new())
+    } else {
+        File::open(path)
+            .and_then(|mut f| read_block_sites(&header, &mut f, range.clone()))
+            .map_err(|e| file_error(path, e))
+    };
+    let failed = comm.all_reduce_u64(u64::from(read.is_err()), |a, b| a + b)?;
+    let records = match read {
+        Ok(_) if failed > 0 => {
+            return Err(CommError::Decode {
+                reason: format!("geometry read failed on {failed} other rank(s)"),
+            })
+        }
+        read => read?,
+    };
+    let file_bytes_read = records.len() as u64 * crate::format::SITE_RECORD_BYTES;
 
-            // Group records by owning rank (blocks are contiguous per
-            // owner, so batches stay in block order).
-            let mut batches: Vec<Vec<SiteRecord>> = vec![Vec::new(); p];
-            let mut cursor = 0usize;
-            for b in range {
-                let n = header.fluid_per_block[b] as usize;
-                batches[block_owner[b]].extend_from_slice(&records[cursor..cursor + n]);
-                cursor += n;
-            }
-            for (owner, batch) in batches.into_iter().enumerate() {
-                if !batch.is_empty() {
-                    comm.send_wire(owner, T_SITES, &batch)?;
-                }
-            }
+    // Group records by owning rank (blocks are contiguous per owner, so
+    // batches stay in block order).
+    let mut batches: Vec<Vec<SiteRecord>> = vec![Vec::new(); p];
+    let mut cursor = 0usize;
+    for b in range {
+        let n = header.fluid_per_block[b] as usize;
+        batches[block_owner[b]].extend_from_slice(&records[cursor..cursor + n]);
+        cursor += n;
+    }
+    for (owner, batch) in batches.into_iter().enumerate() {
+        if !batch.is_empty() {
+            comm.send_wire(owner, T_SITES, &batch)?;
         }
     }
 
@@ -191,6 +210,12 @@ pub fn read_distributed(
         my_sites,
         file_bytes_read,
     })
+}
+
+fn file_error(path: &Path, e: std::io::Error) -> CommError {
+    CommError::Decode {
+        reason: format!("geometry {}: {e}", path.display()),
+    }
 }
 
 #[cfg(test)]
@@ -335,5 +360,41 @@ mod tests {
             // Magic, version and every level-one count at the least.
             assert!(rejected >= 64 + h.fluid_per_block.len() * 32);
         });
+    }
+
+    /// A missing file and a truncated level two are an `Err` on every
+    /// rank — the failed reader's peers among them — not a panic and not
+    /// owners left waiting for site records that never come.
+    #[test]
+    fn missing_or_truncated_file_is_an_error_on_every_rank() {
+        let missing = std::env::temp_dir().join(format!(
+            "hemelb_distio_test_{}_missing.sgmy",
+            std::process::id()
+        ));
+        for p in [1, 3] {
+            let errs = hemelb_parallel::run_spmd(p, |comm| read_distributed(&missing, comm, 1));
+            assert!(errs.iter().all(|r| r.is_err()), "p={p}: {errs:?}");
+        }
+
+        let (path, _) = write_demo_file("truncated");
+        let len = std::fs::metadata(&path).unwrap().len();
+        File::options()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(len - 10)
+            .unwrap();
+        let got = hemelb_parallel::run_spmd(3, |comm| read_distributed(&path, comm, 2));
+        std::fs::remove_file(&path).ok();
+        for (rank, r) in got.iter().enumerate() {
+            assert!(
+                matches!(r, Err(CommError::Decode { .. })),
+                "rank {rank}: {r:?}"
+            );
+        }
+        // Only the reader of the last blocks hit the truncation; its
+        // peers learn of it from the agreement.
+        let peer = |r: &CommResult<DistributedGeometry>| matches!(r, Err(CommError::Decode { reason }) if reason.contains("on 1 other rank"));
+        assert!(peer(&got[0]) && !peer(&got[1]) && peer(&got[2]));
     }
 }

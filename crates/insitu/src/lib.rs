@@ -14,10 +14,12 @@
 //! | LIC | [`lic`] | one-time slice halo exchange |
 //!
 //! The paper tabulates these qualitatively (communication cost, load
-//! balance, ease of parallelisation); running them here over the
-//! instrumented [`hemelb_parallel`] substrate turns every cell of that
-//! table into a measured number (experiment E1), and the renderers also
-//! regenerate its Fig. 4 images ([`image::Image::write_ppm`]).
+//! balance, ease of parallelisation). Every technique talks only through
+//! the instrumented [`hemelb_parallel`] substrate, so its traffic is
+//! counted by class; `hemelb-bench` runs each one once per experiment
+//! and turns those counts into the measured cells of that table (E1)
+//! and the renderers' output into its Fig. 4 images (E5, E6). This
+//! crate holds no experiment code and no cost model.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +32,6 @@ pub mod image;
 pub mod lic;
 pub mod lines;
 pub mod particles;
-pub mod report;
 pub mod transfer;
 pub mod volume;
 
@@ -38,5 +39,4 @@ pub use camera::Camera;
 pub use compositing::{CompositeOutcome, DeadlineCompositor};
 pub use field::SampledField;
 pub use image::Image;
-pub use report::TechniqueReport;
 pub use transfer::TransferFunction;

@@ -29,12 +29,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod distributed;
 pub mod roi;
 pub mod stream;
 pub mod tree;
 
-pub use distributed::{distributed_level_cut, CutCell};
 pub use roi::RoiCut;
 pub use stream::{StreamEntry, StreamOrder};
 pub use tree::{Aggregates, FieldOctree, OctreeNode};

@@ -560,7 +560,6 @@ const T_BARRIER: Tag = Tag::collective(0);
 const T_BCAST: Tag = Tag::collective(1);
 const T_GATHER: Tag = Tag::collective(2);
 const T_REDUCE: Tag = Tag::collective(3);
-const T_SCAN: Tag = Tag::collective(4);
 const T_ALLTOALL: Tag = Tag::collective(5);
 
 impl Communicator {
@@ -649,24 +648,6 @@ impl Communicator {
             self.send(root, T_GATHER, payload)?;
             Ok(None)
         }
-    }
-
-    /// All-gather: every rank ends with every rank's payload, indexed by
-    /// rank. Implemented as gather-to-0 + broadcast.
-    pub fn all_gather(&self, payload: Bytes) -> CommResult<Vec<Bytes>> {
-        let gathered = self.gather(0, payload)?;
-        let packed = if self.rank == 0 {
-            let parts = gathered.expect("root holds gathered parts");
-            let mut w = WireWriter::new();
-            w.put_usize(parts.len());
-            for p in &parts {
-                w.put_bytes(p);
-            }
-            Some(w.finish())
-        } else {
-            None
-        };
-        unpack_parts(self.broadcast(0, packed)?, self.size)
     }
 
     /// Binomial-tree reduction of `value` with the associative,
@@ -768,22 +749,6 @@ impl Communicator {
         u64::from_bytes(data)
     }
 
-    /// Exclusive prefix sum of `value` over ranks: rank r receives
-    /// `sum(values[0..r])`; rank 0 receives 0. Linear chain.
-    pub fn exscan_u64(&self, value: u64) -> CommResult<u64> {
-        self.note_sync();
-        let prefix = if self.rank == 0 {
-            0u64
-        } else {
-            u64::from_bytes(self.recv(self.rank - 1, T_SCAN)?)?
-        };
-        if self.rank + 1 < self.size {
-            let next = prefix + value;
-            self.send(self.rank + 1, T_SCAN, next.to_bytes())?;
-        }
-        Ok(prefix)
-    }
-
     /// Personalised all-to-all: `outgoing[r]` goes to rank `r`; returns
     /// the payloads received from each rank, indexed by source rank
     /// (including this rank's own `outgoing[self.rank]`, delivered
@@ -825,53 +790,10 @@ impl Communicator {
     }
 }
 
-/// Decode `all_gather`'s broadcast: a count, then that many
-/// length-prefixed parts, one per rank of a world of `size`. A count
-/// that the bytes cannot hold or that is not `size` is a `Decode` error.
-fn unpack_parts(all: Bytes, size: usize) -> CommResult<Vec<Bytes>> {
-    let mut r = WireReader::new(all);
-    // Each part carries at least its 8-byte length prefix.
-    let n = r.get_checked_len(8, "all-gather parts")?;
-    if n != size {
-        return Err(CommError::Decode {
-            reason: format!("all-gather of {n} parts in a world of {size}"),
-        });
-    }
-    let parts = (0..n).map(|_| r.get_bytes()).collect::<CommResult<_>>()?;
-    r.expect_end()?;
-    Ok(parts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runner::run_spmd;
-
-    #[test]
-    fn hostile_all_gather_counts_are_decode_errors() {
-        let packed = |count: u64, parts: &[&[u8]]| {
-            let mut w = WireWriter::new();
-            w.put_u64(count);
-            for p in parts {
-                w.put_bytes(p);
-            }
-            w.finish()
-        };
-        for (what, all) in [
-            ("count u64::MAX", packed(u64::MAX, &[b"ab"])),
-            ("count past the bytes", packed(1 << 40, &[])),
-            ("fewer parts than ranks", packed(1, &[b"ab"])),
-            ("truncated part", packed(2, &[b"ab"])),
-        ] {
-            let got = unpack_parts(all, 2);
-            assert!(
-                matches!(got, Err(CommError::Decode { .. })),
-                "{what}: {got:?}"
-            );
-        }
-        let ok = unpack_parts(packed(2, &[b"ab", b""]), 2).unwrap();
-        assert_eq!(ok, vec![Bytes::from_static(b"ab"), Bytes::new()]);
-    }
 
     fn recv_u64(comm: &Communicator, src: usize, tag: Tag) -> u64 {
         u64::from_bytes(comm.recv(src, tag).unwrap()).unwrap()
@@ -949,21 +871,6 @@ mod tests {
     }
 
     #[test]
-    fn all_gather_consistent_everywhere() {
-        let results = run_spmd(4, |comm| {
-            let payload = (comm.rank() as u64).to_bytes();
-            comm.all_gather(payload)
-                .unwrap()
-                .into_iter()
-                .map(|b| u64::from_bytes(b).unwrap())
-                .collect::<Vec<_>>()
-        });
-        for r in &results {
-            assert_eq!(*r, vec![0, 1, 2, 3]);
-        }
-    }
-
-    #[test]
     fn reduce_and_allreduce() {
         for p in 1..=8 {
             let results = run_spmd(p, |comm| {
@@ -987,12 +894,6 @@ mod tests {
         for r in &results {
             assert_eq!(*r, vec![2.0, 0.0, 4.0]);
         }
-    }
-
-    #[test]
-    fn exscan_prefix_sums() {
-        let results = run_spmd(5, |comm| comm.exscan_u64(comm.rank() as u64 + 1).unwrap());
-        assert_eq!(results, vec![0, 1, 3, 6, 10]);
     }
 
     #[test]

@@ -25,8 +25,9 @@ fn file_format_to_distributed_read_to_solver() {
     let path2 = path.clone();
     let results = run_spmd(4, move |comm| {
         let dg = read_distributed(&path2, comm, 2).unwrap();
-        // Reassemble the *global* geometry from everyone's pieces via
-        // all-gather (each rank ships its records; positions+kinds).
+        // Reassemble the *global* geometry from everyone's pieces: each
+        // rank ships its records (positions + kinds) to rank 0, which
+        // broadcasts them all back.
         let mut w = hemelb::parallel::WireWriter::new();
         w.put_usize(dg.my_sites.len());
         for s in &dg.my_sites {
@@ -37,10 +38,14 @@ fn file_format_to_distributed_read_to_solver() {
             w.put_u8(code);
             w.put_u32(id as u32);
         }
-        let parts = comm.all_gather(w.finish()).unwrap();
+        let packed = comm.gather(0, w.finish()).unwrap().map(|parts| {
+            let all: Vec<u8> = parts.iter().flat_map(|p| p.iter().copied()).collect();
+            all.into()
+        });
+        let all = comm.broadcast(0, packed).unwrap();
+        let mut r = hemelb::parallel::WireReader::new(all);
         let mut records = Vec::new();
-        for part in parts {
-            let mut r = hemelb::parallel::WireReader::new(part);
+        while r.remaining() > 0 {
             let n = r.get_usize().unwrap();
             for _ in 0..n {
                 let position = [

@@ -48,7 +48,6 @@ fn collective_workload(comm: &hemelb::parallel::Communicator, steps: u64) -> Vec
             .all_reduce_f64_vec(vec![seed as f64, 1.0 / (seed + 1) as f64], |a, b| a + b)
             .unwrap();
         out.extend(vec.iter().map(|v| v.to_bits()));
-        out.push(comm.exscan_u64(seed).unwrap());
         if let Some(all) = comm
             .gather(0, bytes::Bytes::from(seed.to_le_bytes().to_vec()))
             .unwrap()

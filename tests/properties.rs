@@ -188,20 +188,6 @@ proptest! {
         }
     }
 
-    #[test]
-    fn exscan_matches_prefix_sums(
-        values in proptest::collection::vec(0u64..1000, 2..6),
-    ) {
-        let vals = values.clone();
-        let results = run_spmd(values.len(), move |comm| {
-            comm.exscan_u64(vals[comm.rank()]).unwrap()
-        });
-        let mut acc = 0u64;
-        for (r, v) in results.iter().zip(&values) {
-            prop_assert_eq!(*r, acc);
-            acc += v;
-        }
-    }
 }
 
 proptest! {
