@@ -97,6 +97,7 @@ group_lint() {
     stage clippy cargo clippy --workspace --all-targets -- -D warnings
     stage no-tracked-images no_tracked_images
     stage no-dead-deps no_dead_deps
+    stage cpu-baseline cpu_baseline
 }
 no_tracked_images() {
     if git ls-files '*.ppm' | grep .; then
@@ -106,23 +107,47 @@ no_tracked_images() {
 }
 export -f no_tracked_images
 
-# Every `[dependencies]` entry of a workspace crate is used: its name
-# (with `-` as `_`) appears as a path (`name::`) in that crate's src/.
+# Every `[dependencies]` and `[dev-dependencies]` entry of a workspace
+# crate is used: its name (with `-` as `_`) appears as a path (`name::`)
+# in that crate's src/ (its unit tests live there too; no crate has a
+# tests/ directory of its own).
 no_dead_deps() {
-    local manifest crate dep status=0
+    local manifest crate sec dep status=0
     for manifest in crates/*/Cargo.toml; do
         crate=$(dirname "$manifest")
-        for dep in $(awk '/^\[/ { sec = $0; next }
-                          sec == "[dependencies]" && /^[A-Za-z0-9_-]+/ { sub(/[ .=].*/, ""); print }' "$manifest"); do
+        while read -r sec dep; do
             if ! grep -rqE "(^|[^A-Za-z0-9_])${dep//-/_}::" "$crate/src"; then
-                echo "$manifest: dependency $dep is never named in $crate/src" >&2
+                echo "$manifest: $sec entry $dep is never named in $crate/src" >&2
                 status=1
             fi
-        done
+        done < <(awk '/^\[/ { sec = $0; next }
+                      (sec == "[dependencies]" || sec == "[dev-dependencies]") && /^[A-Za-z0-9_-]+/ {
+                          sub(/[ .=].*/, ""); print sec, $0 }' "$manifest")
     done
     return $status
 }
 export -f no_dead_deps
+
+# The host can run what the build emits. `.cargo/config.toml` compiles
+# every x86_64 target for x86-64-v3; on a host without one of its
+# features the first test binary would die of SIGILL deep inside tier1.
+# So name the CPU, and fail here with the missing flags (spelled as
+# /proc/cpuinfo spells them) instead.
+cpu_baseline() {
+    [[ $(uname -m) == x86_64 ]] || { echo "$(uname -m): builds with the default target CPU"; return 0; }
+    local flag missing=()
+    grep -m1 '^model name' /proc/cpuinfo
+    local flags=" $(grep -m1 '^flags' /proc/cpuinfo | cut -d: -f2) "
+    for flag in avx avx2 bmi1 bmi2 fma f16c abm movbe; do
+        [[ $flags == *" $flag "* ]] || missing+=("$flag")
+    done
+    if ((${#missing[@]})); then
+        echo "this CPU lacks x86-64-v3 flags the build targets: ${missing[*]}" >&2
+        return 1
+    fi
+    echo "has every x86-64-v3 flag the build targets"
+}
+export -f cpu_baseline
 
 # Tier-1 (ROADMAP): release build + the root-package test suite.
 group_tier1() {

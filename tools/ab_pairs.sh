@@ -4,9 +4,14 @@
 #
 #   tools/ab_pairs.sh <parent-rev> <workload>... [--pairs N] [--layer <metric>...]
 #
-# The parent is exported (`git archive`) into target/ab_pairs/parent and
-# built into target/ab_pairs/build; the change is the working tree,
-# built into target/. Both sides must carry the same benchmark, so the
+# The parent is exported (`git archive`) into
+# ${TMPDIR:-/tmp}/hemelb_ab_pairs/parent and built into
+# target/ab_pairs/build; the change is the working tree, built into
+# target/. The export must live outside the repository: cargo reads
+# `.cargo/config.toml` from every directory above the one it runs in, so
+# a parent nested in this tree would build with the change's compiler
+# flags (its `target-cpu`, say), and the pairs would compare the change
+# with itself. Both sides must carry the same benchmark, so the
 # script refuses to run if benchmark/ or BENCHMARK.json differ between
 # the two trees, and names the paths that do. A benchmark build
 # rewrites benchmark/Cargo.lock; the committed file is put back on exit.
@@ -35,7 +40,7 @@ while (($#)); do
     --layer)
         shift
         while (($#)) && [[ $1 != -* ]]; do layers+=("$1"); shift; done ;;
-    -h | --help) sed -n '2,25s/^# \{0,1\}//p' "$0"; exit 0 ;;
+    -h | --help) sed -n '2,29s/^# \{0,1\}//p' "$0"; exit 0 ;;
     *) args+=("$1"); shift ;;
     esac
 done
@@ -76,15 +81,21 @@ if git diff --quiet HEAD -- "$lock"; then
 fi
 
 work=$root/target/ab_pairs
-rm -rf "$work/parent"
-mkdir -p "$work/parent"
-git archive "$rev" | tar -x -C "$work/parent"
+parent=${TMPDIR:-/tmp}/hemelb_ab_pairs/parent
+rm -rf "$parent"
+mkdir -p "$work" "$parent"
+parent=$(cd "$parent" && pwd -P)
+if [[ $parent/ == "$(pwd -P)"/* ]]; then
+    echo "ab_pairs: the parent export $parent is inside the repository; point TMPDIR elsewhere" >&2
+    exit 2
+fi
+git archive "$rev" | tar -x -C "$parent"
 
 seconds=$(jq -r .run_seconds BENCHMARK.json)
 # bench <side> <benchmark arguments>: that side's benchmark/run.sh.
 bench() {
     local tree=$root target=$root/target
-    [[ $1 == parent ]] && tree=$work/parent target=$work/build
+    [[ $1 == parent ]] && tree=$parent target=$work/build
     shift
     CARGO_TARGET_DIR=$target bash "$tree/benchmark/run.sh" "$@"
 }
