@@ -31,6 +31,13 @@
 //! particle positions and the LIC slice — as one line per cell. It was
 //! recorded before the field sampler learned to keep a particle's cell
 //! corners between look-ups.
+//!
+//! `parity.txt` (and its `--ignored` Medium twin) pins the states after
+//! steps 1, 2, 3 and 7 of every operator × BC × velocity set, on the
+//! serial, threaded and distributed solvers, plus a step-3 checkpoint
+//! and a step-3 repartition run on to step 7. It was recorded under the
+//! two-buffer pull scheme, before the solver streamed in place in pairs
+//! of steps.
 
 mod common;
 
@@ -409,6 +416,205 @@ fn golden_iolet_rules() {
         lines.push_str(&line);
     }
     check_or_bless("iolet_rules", &lines);
+}
+
+/// Steps after which `parity.txt` digests a run: both step-count
+/// parities, a state saved between two steps that form a pair, and one
+/// further out.
+const PARITY_STEPS: [u64; 4] = [1, 2, 3, 7];
+
+/// The parity cells: {D3Q15, D3Q19} × {BGK, TRT-magic, MRT ω=1.2} ×
+/// {pressure, velocity, pulsatile} BCs.
+fn parity_cells() -> Vec<(String, SolverConfig)> {
+    let mut cells = Vec::new();
+    for (model_name, model) in [("d3q15", ModelKind::D3Q15), ("d3q19", ModelKind::D3Q19)] {
+        for (coll_name, collision) in [
+            ("bgk", CollisionKind::Bgk),
+            ("trt", CollisionKind::trt_magic()),
+            ("mrt", CollisionKind::Mrt { omega_ghost: 1.2 }),
+        ] {
+            for bc_name in ["pressure", "velocity", "pulsatile"] {
+                let base = match bc_name {
+                    "pressure" => SolverConfig::pressure_driven(1.01, 0.99),
+                    "velocity" => SolverConfig::velocity_driven(0.03),
+                    _ => SolverConfig {
+                        inlet_bcs: vec![IoletBc::Pulsatile {
+                            peak: 0.03,
+                            parabolic: true,
+                            amplitude: 0.6,
+                            period: 5,
+                        }],
+                        ..SolverConfig::velocity_driven(0.03)
+                    },
+                };
+                let cfg = base.with_model(model).with_collision(collision);
+                cells.push((format!("{model_name} {coll_name} {bc_name}"), cfg));
+            }
+        }
+    }
+    cells
+}
+
+/// Rank-ordered `(local_sites, raw_distributions)` put back in global
+/// site order.
+fn global_distributions(parts: &[(Vec<u32>, Vec<f64>)], n: usize, q: usize) -> Vec<f64> {
+    let mut f = vec![0.0; n * q];
+    for (sites, raw) in parts {
+        for (k, &g) in sites.iter().enumerate() {
+            f[g as usize * q..(g as usize + 1) * q].copy_from_slice(&raw[k * q..(k + 1) * q]);
+        }
+    }
+    f
+}
+
+/// One rank's contribution to a digest line: the gathered snapshot (on
+/// rank 0) and its sites with their distributions.
+type RankDigest = (Option<FieldSnapshot>, Vec<u32>, Vec<f64>);
+
+fn rank_digest(ds: &DistSolver<'_>) -> RankDigest {
+    (
+        ds.gather_snapshot().unwrap(),
+        ds.local_sites().to_vec(),
+        ds.raw_distributions(),
+    )
+}
+
+/// A digest line from every rank's [`RankDigest`].
+fn dist_digest_line(name: &str, ranks: &[RankDigest], n: usize, q: usize, steps: u64) -> String {
+    let parts: Vec<_> = ranks
+        .iter()
+        .map(|(_, s, f)| (s.clone(), f.clone()))
+        .collect();
+    let snap = ranks[0].0.as_ref().expect("rank 0 gathers");
+    digest_line(name, snap, &global_distributions(&parts, n, q), steps)
+}
+
+/// The `parity.txt` lines of one cell on `geo`: the state after each of
+/// [`PARITY_STEPS`], which `Solver`, `ParallelSolver` at 3 threads and
+/// `DistSolver` at 2 ranks of a k-way map must all give; then the
+/// step-7 state reached through a checkpoint written at step 3 (serial
+/// and distributed writers must agree) and through a
+/// `DistSolver::repartition` to x-slabs at step 3.
+fn parity_cell_lines(geo: &Arc<SparseGeometry>, name: &str, cfg: &SolverConfig) -> String {
+    let (n, q) = (geo.fluid_count(), cfg.model.build().q);
+    let last = PARITY_STEPS[PARITY_STEPS.len() - 1];
+    let mut out = String::new();
+
+    let mut serial = Solver::new(geo.clone(), cfg.clone());
+    let mut par = ParallelSolver::new(geo.clone(), cfg.clone(), 3);
+    let mut lines = Vec::new();
+    for steps in PARITY_STEPS {
+        serial.step_n(steps - serial.step_count());
+        par.step_n(steps - par.step_count());
+        let line = digest_line(name, &serial.snapshot(), &serial.raw_distributions(), steps);
+        let par_line = digest_line(name, &par.snapshot(), &par.raw_distributions(), steps);
+        assert_eq!(par_line, line, "{name}: 3 threads diverged from serial");
+        lines.push(line);
+    }
+
+    let tag = name.replace(' ', "_");
+    let path = std::env::temp_dir().join(format!("hlb_parity_{tag}_{}.chkp", std::process::id()));
+    let mut writer = Solver::new(geo.clone(), cfg.clone());
+    writer.step_n(3);
+    writer.checkpoint(&path).unwrap();
+    let mut resumed = Solver::new(geo.clone(), cfg.clone());
+    resumed.restore(&path).unwrap();
+    resumed.step_n(last - 3);
+    std::fs::remove_file(&path).ok();
+    let restored = digest_line(
+        &format!("{name} restore@3"),
+        &resumed.snapshot(),
+        &resumed.raw_distributions(),
+        last,
+    );
+
+    let graph = SiteGraph::from_geometry(geo, Connectivity::D3Q15);
+    let owner = MultilevelKWay.partition(&graph, 2);
+    let dir = std::env::temp_dir().join(format!("hlb_parity_{tag}_{}", std::process::id()));
+    let (geo2, cfg2, dir2) = (geo.clone(), cfg.clone(), dir.clone());
+    let out_ranks = run_spmd(2, move |comm| {
+        let mut ds = DistSolver::new(geo2.clone(), owner.clone(), cfg2.clone(), comm).unwrap();
+        let mut at = Vec::new();
+        let mut restored = None;
+        let mut repartitioned = None;
+        for steps in PARITY_STEPS {
+            ds.step_n(steps - ds.step_count()).unwrap();
+            at.push(rank_digest(&ds));
+            if steps == 3 {
+                ds.checkpoint(&dir2).unwrap();
+                let mut back =
+                    DistSolver::new(geo2.clone(), owner.clone(), cfg2.clone(), comm).unwrap();
+                back.restore(&dir2).unwrap();
+                back.step_n(last - 3).unwrap();
+                restored = Some(rank_digest(&back));
+
+                let mut moved =
+                    DistSolver::new(geo2.clone(), owner.clone(), cfg2.clone(), comm).unwrap();
+                moved.restore(&dir2).unwrap();
+                moved.repartition(slab_owner(&geo2, comm.size())).unwrap();
+                moved.step_n(last - 3).unwrap();
+                repartitioned = Some(rank_digest(&moved));
+            }
+        }
+        (at, restored.unwrap(), repartitioned.unwrap())
+    });
+    std::fs::remove_dir_all(&dir).ok();
+
+    for (k, (line, steps)) in lines.iter().zip(PARITY_STEPS).enumerate() {
+        let ranks: Vec<RankDigest> = out_ranks.iter().map(|r| r.0[k].clone()).collect();
+        assert_eq!(
+            &dist_digest_line(name, &ranks, n, q, steps),
+            line,
+            "{name}: 2 ranks diverged from serial"
+        );
+        out.push_str(line);
+    }
+    let ranks: Vec<RankDigest> = out_ranks.iter().map(|r| r.1.clone()).collect();
+    assert_eq!(
+        dist_digest_line(&format!("{name} restore@3"), &ranks, n, q, last),
+        restored,
+        "{name}: distributed restore diverged from the serial one"
+    );
+    out.push_str(&restored);
+    let ranks: Vec<RankDigest> = out_ranks.iter().map(|r| r.2.clone()).collect();
+    out.push_str(&dist_digest_line(
+        &format!("{name} repartition@3"),
+        &ranks,
+        n,
+        q,
+        last,
+    ));
+    out
+}
+
+/// Both step-count parities pinned, and the states saved between two
+/// steps that form a pair: the four named fixtures digest after 50 or
+/// 10 steps, both even counts. Recorded before the solver streamed in
+/// place.
+#[test]
+fn golden_parity() {
+    let geo = iolet_geometry();
+    let lines: String = parity_cells()
+        .iter()
+        .map(|(name, cfg)| parity_cell_lines(&geo, name, cfg))
+        .collect();
+    check_or_bless("parity", &lines);
+}
+
+/// The Medium aneurysm (dx 0.25, the `kernel_serial` lattice) through
+/// two parity cells: the `kernel_serial` and `kernel_trt_par2`
+/// operators, where copy segments are long and the threaded seam is a
+/// few percent of the sites.
+#[test]
+#[ignore = "Medium solver runs in debug; run via cargo test -- --ignored"]
+fn golden_parity_medium() {
+    let geo = Arc::new(VesselBuilder::aneurysm(28.0, 4.0, 6.0).voxelise(0.25));
+    let lines: String = parity_cells()
+        .iter()
+        .filter(|(name, _)| name == "d3q15 bgk pressure" || name == "d3q19 trt velocity")
+        .map(|(name, cfg)| parity_cell_lines(&geo, name, cfg))
+        .collect();
+    check_or_bless("parity_medium", &lines);
 }
 
 /// Negative control for the fixtures: swapping one pair of
