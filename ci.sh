@@ -9,8 +9,9 @@
 #                          #   smokes, the repo benchmark's --quick
 #                          #   checks and the size report
 #   ./ci.sh --soak         # + long soaks: golden --ignored (500 steps,
-#                          #   8 threads) and the 200-step two-kill
-#                          #   fault recovery
+#                          #   8 threads; the Medium k-way and parity
+#                          #   twins) and the 200-step two-kill fault
+#                          #   recovery
 #   ./ci.sh --only GROUP   # one group (what the staged GitHub workflow
 #                          #   jobs shell into)
 #
@@ -168,8 +169,11 @@ group_units() {
 # Determinism suite (bit-exactness proptests + golden fixtures, incl.
 # the operator grid, the corrupted-streaming-index negative control,
 # the serial/threaded checkpoint hand-off, the k-way owner maps
-# `golden_kway_owner_maps`, whose Medium cell runs in `golden-soak`, and
-# the tracers' vertices, particles and LIC image `golden_trace_lines`),
+# `golden_kway_owner_maps`, whose Medium cell runs in `golden-soak`, the
+# tracers' vertices, particles and LIC image `golden_trace_lines`, and
+# `golden_parity`: both step-count parities of every operator × BC on
+# the serial, threaded and distributed solvers, with a step-3
+# checkpoint and repartition, whose Medium twin runs in `golden-soak`),
 # observability (phase timings end to end, lossless JSON export) and
 # the render path (macrocell marcher bit-identity, the screen-bounded
 # render against a scan of every pixel over random bricks and eye
@@ -256,7 +260,9 @@ loc_report() {
 }
 export -f loc_report
 
-# Long soaks.
+# Long soaks: the golden suite's `--ignored` cells (500 steps at 8
+# threads, and the Medium twins of the k-way maps and of the parity
+# fixture) and the fault-injection soak.
 group_soak() {
     stage golden-soak cargo test -q --test golden -- --ignored
     stage fault-soak  cargo test -q --test fault_injection -- --ignored

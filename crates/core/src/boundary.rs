@@ -1,7 +1,7 @@
 //! Boundary conditions on missing lattice links.
 //!
-//! With pull streaming, site `s` is missing the population arriving
-//! along `c_i` whenever the upstream cell `s − c_i` is not fluid. The
+//! Site `s` is missing the population arriving along `c_i` whenever the
+//! upstream cell `s − c_i` is not fluid. The
 //! rule applied depends on the site's classification:
 //!
 //! * **wall** — halfway bounce-back (no-slip at the midpoint);

@@ -2,10 +2,10 @@
 //!
 //! Domain decomposition by an arbitrary site→rank owner map (produced by
 //! any partitioner in `hemelb-partition`); each rank stores distributions
-//! only for its own sites, and the pull streaming of cross-rank links is
-//! fed by a per-step **halo exchange** of post-collision populations —
-//! the communication whose volume the partitioners minimise and the
-//! paper's load-balance discussion revolves around.
+//! only for its own sites, and the cross-rank links are fed by a
+//! per-step **halo exchange** of post-collision populations — the
+//! communication whose volume the partitioners minimise and the paper's
+//! load-balance discussion revolves around.
 //!
 //! The distributed stepper is bit-for-bit identical to the serial
 //! [`Solver`](crate::Solver) (asserted in tests): both perform the same
@@ -20,17 +20,28 @@
 //! the interior the suffix `split..n`, ascending global id within each
 //! class — HemeLB's "domain-edge first, mid-domain after" order. However
 //! fragmented the owner map, the step (DESIGN.md §2.14) is then two
-//! contiguous sweeps around the exchange:
+//! contiguous sweeps around the exchange, at either parity of the AA
+//! pair (see [`crate::layout`]):
 //!
-//! 1. collide the frontier `0..split`;
+//! 1. step the frontier `0..split`;
 //! 2. pack and post every peer's message;
-//! 3. collide and stream the interior `split..n` while the messages are
-//!    in flight;
-//! 4. drain receives in arrival order;
-//! 5. stream the frontier from the complete halo buffer.
+//! 3. step the interior `split..n` while the messages are in flight;
+//! 4. drain receives in arrival order.
 //!
-//! Collide is per-site independent and stream reads only immutable
-//! post-collision state, so where the seam falls changes no value.
+//! The messages are one per peer and step, and carry the same pairs in
+//! the same order both ways. A **local step** ships, for each `(t, i)` a
+//! peer requested, `t`'s outgoing `f*_i` (lane `ī` at `t` after the AA
+//! store); the receiver keeps them in the ghost slots of its halo links.
+//! A **pull–push step** reads those ghosts, writes the outgoing `f*_ī`
+//! of each halo link back into its ghost slot and ships the slots back
+//! in the order they came; the owner of `t` installs each value into
+//! lane `ī` at `t`, its *send slot*, which no site of its own reads or
+//! writes in that step. Both steps end with their drain, so the state
+//! between two steps is complete on every rank: snapshots, checkpoints
+//! and repartitions need no message in flight. The local step touches
+//! only a site's own lanes and the pull–push step only a site's own
+//! slot set, so where the seam between the sweeps falls changes no
+//! value.
 //!
 //! **Ordering contract.** [`DistSolver::local_sites`] returns the
 //! storage order; [`DistSolver::local_snapshot`],
@@ -68,10 +79,9 @@ pub struct DistSolver<'a> {
     /// Per peer rank: `(peer, requests)` where requests are
     /// `(local_src, dir)` pairs to ship each step, in the peer's order.
     send_plan: Vec<(usize, Vec<(u32, u16)>)>,
-    /// Per peer rank: `(peer, halo slot range start, count)`.
+    /// Per peer rank: `(peer, ghost slot range start, count)`; the
+    /// slots follow the peer's request order.
     recv_plan: Vec<(usize, usize, usize)>,
-    /// Halo buffer of received post-collision populations.
-    halo: Vec<f64>,
     /// Where the frontier prefix of the local sites ends (see
     /// [`SitePartition`]).
     partition: SitePartition,
@@ -253,8 +263,7 @@ impl<'a> DistSolver<'a> {
         // its post-collision populations (send plan) or it pulls at
         // least one population from a peer (halo link in its streaming
         // row). Interior sites touch no halo state in either direction,
-        // so they can collide and stream while the exchange is in
-        // flight.
+        // so they can step while the exchange is in flight.
         let mut frontier = vec![false; n];
         for (_, requests) in &send_plan {
             for &(l, _) in requests {
@@ -307,6 +316,7 @@ impl<'a> DistSolver<'a> {
         }
 
         let lat = SoaLattice::new(&geo, locals.iter().copied(), cfg, model, stream);
+        assert_eq!(lat.ghost.len(), n_halo, "one ghost slot per halo link");
         Ok(DistSolver {
             comm,
             geo,
@@ -316,7 +326,6 @@ impl<'a> DistSolver<'a> {
             send_plan,
             awaited: Vec::with_capacity(recv_plan.len()),
             recv_plan,
-            halo: vec![0.0; n_halo],
             partition: SitePartition::new(n, split),
         })
     }
@@ -329,7 +338,8 @@ impl<'a> DistSolver<'a> {
         &self.locals
     }
 
-    /// Halo values (f64 populations) this rank sends per step.
+    /// Halo values (f64 populations) this rank sends in a local step; in
+    /// a pull–push step it sends back as many as it received.
     pub fn halo_send_volume(&self) -> usize {
         self.send_plan.iter().map(|(_, l)| l.len()).sum()
     }
@@ -359,31 +369,70 @@ impl<'a> DistSolver<'a> {
         &self.partition
     }
 
-    /// Encode each peer's requested post-collision populations as one
-    /// length-prefixed `f64` slice (the bulk wire path) and post it.
+    /// Encode each peer's message as one length-prefixed `f64` slice
+    /// (the bulk wire path) and post it: in a local step the requested
+    /// outgoing populations, in a pull–push step the peer's ghost slots.
     fn post_halo(&self) -> CommResult<()> {
-        let f = &self.lat.f;
-        for (peer, requests) in &self.send_plan {
-            let mut w = WireWriter::with_capacity(8 + requests.len() * 8);
-            w.put_f64_seq(requests.iter().map(|&(l, d)| f[d as usize][l as usize]));
-            self.comm.send(*peer, T_HALO, w.finish())?;
+        let (f, ghost) = (&self.lat.f, &self.lat.ghost);
+        let opp = &self.lat.model.opp;
+        if self.lat.between_pair() {
+            for &(peer, start, count) in &self.recv_plan {
+                let mut w = WireWriter::with_capacity(8 + count * 8);
+                w.put_f64_slice(&ghost[start..start + count]);
+                self.comm.send(peer, T_HALO, w.finish())?;
+            }
+        } else {
+            for (peer, requests) in &self.send_plan {
+                let mut w = WireWriter::with_capacity(8 + requests.len() * 8);
+                w.put_f64_seq(
+                    requests
+                        .iter()
+                        .map(|&(l, d)| f[opp[d as usize]][l as usize]),
+                );
+                self.comm.send(*peer, T_HALO, w.finish())?;
+            }
         }
         Ok(())
     }
 
-    /// Decode one peer's halo payload (bulk `f64` slice) straight into
-    /// its slot range of the halo buffer. A payload from a rank outside
-    /// the receive plan, or with the wrong population count, is an
+    /// Decode one peer's halo payload (bulk `f64` slice): in a local
+    /// step straight into its ghost slot range, in a pull–push step into
+    /// the send slots of its requests, in request order. A payload from a
+    /// rank outside the plan, or with the wrong population count, is an
     /// error and writes nothing.
     fn unpack_halo(&mut self, peer: usize, payload: Bytes) -> CommResult<()> {
-        let &(_, start, count) = self
-            .recv_plan
+        let not_planned = || CommError::Decode {
+            reason: format!("halo payload from rank {peer}, which is not in the exchange plan"),
+        };
+        if !self.lat.between_pair() {
+            let &(_, start, count) = self
+                .recv_plan
+                .iter()
+                .find(|(p, _, _)| *p == peer)
+                .ok_or_else(not_planned)?;
+            return WireReader::new(payload)
+                .get_f64_into(&mut self.lat.ghost[start..start + count]);
+        }
+        let (_, requests) = self
+            .send_plan
             .iter()
-            .find(|(p, _, _)| *p == peer)
-            .ok_or_else(|| CommError::Decode {
-                reason: format!("halo payload from rank {peer}, which is not in the receive plan"),
-            })?;
-        WireReader::new(payload).get_f64_into(&mut self.halo[start..start + count])
+            .find(|(p, _)| *p == peer)
+            .ok_or_else(not_planned)?;
+        let mut r = WireReader::new(payload);
+        let count = r.get_checked_len(8, "returned populations")?;
+        if count != requests.len() {
+            return Err(CommError::Decode {
+                reason: format!(
+                    "{count} returned populations where {} were sent",
+                    requests.len()
+                ),
+            });
+        }
+        let (f, opp) = (&mut self.lat.f, &self.lat.model.opp);
+        for &(l, d) in requests {
+            f[opp[d as usize]][l as usize] = r.get_f64()?;
+        }
+        Ok(())
     }
 
     /// Receive and unpack every peer's halo payload in arrival order, so
@@ -405,32 +454,35 @@ impl<'a> DistSolver<'a> {
         Ok(waited)
     }
 
-    /// Advance one time step: collide, halo-exchange, stream.
+    /// Advance one time step: one half of an AA pair, with its halo
+    /// exchange.
     ///
-    /// One schedule, two contiguous sweeps around the exchange:
+    /// One schedule at either parity, two contiguous sweeps around the
+    /// exchange:
     ///
-    /// 1. collide the frontier `0..split` — exactly the populations
-    ///    peers wait on, plus the sites that will need peers' data;
-    /// 2. pack from the frontier and post all sends;
-    /// 3. collide + stream the interior `split..n` while messages are in
-    ///    flight (interior streaming touches no halo slot by
+    /// 1. step the frontier `0..split` — exactly the sites whose
+    ///    populations peers wait on, plus the sites that read peers';
+    /// 2. pack from the frontier (local step) or the ghost slots
+    ///    (pull–push step) and post all sends;
+    /// 3. step the interior `split..n` while messages are in flight
+    ///    (the interior reads and writes no ghost or send slot by
     ///    construction);
     /// 4. drain receives in arrival order, unpacking each payload as it
-    ///    lands — the remaining blocked time is the *residual* halo wait;
-    /// 5. stream the frontier from the now-complete halo buffer.
+    ///    lands into the ghost slots (local step) or the send slots
+    ///    (pull–push step) — the remaining blocked time is the
+    ///    *residual* halo wait.
     ///
-    /// Ordering argument for bit-exactness: collide is per-site
-    /// independent and chunk-offset-invariant, so splitting it into two
-    /// phases changes no value; every collide finishes before any stream
-    /// that could read it (the interior streams after phases 1 and 3a;
-    /// the frontier streams last); and the pack in phase 2 reads only
-    /// frontier sites, which phase 3 never touches.
+    /// Ordering argument for bit-exactness: a local step touches only
+    /// its sites' own lanes, and a pull–push step only its sites' slot
+    /// sets, which are disjoint, so splitting either into two sweeps
+    /// changes no value; the pack in phase 2 reads only frontier lanes
+    /// or ghost slots, which phase 3 never touches; and the unpack in
+    /// phase 4 writes only slots no sweep of the step reads.
     ///
-    /// Collide and stream run through the lattice drivers in
-    /// [`crate::kernel`]: inside a rayon pool (the runner's
-    /// threads-per-rank knob) the site loops split across worker
-    /// threads, and with one thread they degenerate to the exact serial
-    /// loops — bit-identical either way.
+    /// Both sweeps run through the lattice drivers in [`crate::kernel`]:
+    /// inside a rayon pool (the runner's threads-per-rank knob) the site
+    /// loops split across worker threads, and with one thread they
+    /// degenerate to the exact serial loops — bit-identical either way.
     pub fn step(&mut self) -> CommResult<()> {
         // The LB step drives the fault clock: a `FaultPlan` keyed by
         // step sees the simulation's notion of time (no-op without an
@@ -440,9 +492,9 @@ impl<'a> DistSolver<'a> {
         let n = self.locals.len();
         let split = self.partition.frontier_count();
 
-        // (1) Frontier-first collide.
+        // (1) Frontier first.
         let span = self.comm.with_obs(|o| o.begin());
-        self.lat.collide(0..split, threads);
+        self.lat.advance(0..split, threads);
         self.comm.with_obs(|o| span.end(o, "lb.collide-frontier"));
 
         // (2) Pack and post all sends; messages are now in flight.
@@ -451,16 +503,12 @@ impl<'a> DistSolver<'a> {
         self.comm.with_obs(|o| span.end(o, "lb.halo-pack"));
 
         // (3) Interior compute under the in-flight exchange. The inner
-        // spans keep feeding the classic lb.collide / lb.stream phases;
-        // the umbrella span measures how much latency-hiding work this
-        // rank had available.
+        // span feeds the lb.collide phase; the umbrella span measures
+        // how much latency-hiding work this rank had available.
         let overlap_span = self.comm.with_obs(|o| o.begin());
         let span = self.comm.with_obs(|o| o.begin());
-        self.lat.collide(split..n, threads);
+        self.lat.advance(split..n, threads);
         self.comm.with_obs(|o| span.end(o, "lb.collide"));
-        let span = self.comm.with_obs(|o| o.begin());
-        self.lat.stream(split..n, &self.halo, threads);
-        self.comm.with_obs(|o| span.end(o, "lb.stream"));
         let compute_secs = self
             .comm
             .with_obs(|o| overlap_span.end(o, "lb.overlap.compute"));
@@ -468,11 +516,6 @@ impl<'a> DistSolver<'a> {
         // (4) Residual drain: only time still blocked *after* the
         // interior work counts as halo wait under overlap.
         let residual_secs = self.drain_halo()?;
-
-        // (5) Frontier stream from the complete halo buffer.
-        let span = self.comm.with_obs(|o| o.begin());
-        self.lat.stream(0..split, &self.halo, threads);
-        self.comm.with_obs(|o| span.end(o, "lb.stream"));
 
         if self.overlap_active() {
             self.comm.note_overlap(compute_secs, residual_secs);
@@ -506,13 +549,16 @@ impl<'a> DistSolver<'a> {
         let q = self.lat.model.q;
 
         // Sort my sites by new owner into flat batches: global ids plus
-        // their populations, `q` per site. `batches[me]` stays here.
+        // their canonical populations, `q` per site. `batches[me]` stays
+        // here.
+        let f = self.lat.to_site_major();
         let mut batches: Vec<(Vec<u32>, Vec<f64>)> = vec![Default::default(); self.comm.size()];
         for (l, &g) in self.locals.iter().enumerate() {
             let (ids, values) = &mut batches[new_owner[g as usize]];
             ids.push(g);
-            values.extend(self.lat.f.iter().map(|lane| lane[l]));
+            values.extend_from_slice(&f[l * q..(l + 1) * q]);
         }
+        drop(f);
         let (mut ids, mut values) = std::mem::take(&mut batches[me]);
         let moved = self.locals.len() - ids.len();
 
@@ -567,12 +613,14 @@ impl<'a> DistSolver<'a> {
             "every new-local site received data"
         );
         let g2l = global_to_local(&fresh.locals, self.geo.fluid_count());
+        let mut f = vec![0.0; ids.len() * q];
         for (g, fs) in ids.iter().zip(values.chunks_exact(q)) {
             let l = g2l[*g as usize];
             assert_ne!(l, u32::MAX, "migrated site {g} not owned under new map");
-            fresh.lat.set_site_values(l as usize, fs);
+            f[l as usize * q..(l as usize + 1) * q].copy_from_slice(fs);
         }
-        fresh.lat.step = step;
+        drop(values);
+        fresh.lat.install_site_major(step, &f);
         *self = fresh;
         self.comm.note_rebalance();
         self.comm.with_obs(|o| {
@@ -943,8 +991,10 @@ mod tests {
 
     /// Bytes off a channel never panic a rank: a halo payload with the
     /// wrong population count, a truncated one, or one from a rank
-    /// outside the receive plan is a typed error that leaves the halo
-    /// buffer untouched.
+    /// outside the exchange plan is a typed error that writes nothing —
+    /// into the ghost slots at an even step count (a local step's
+    /// message) or into the send slots at an odd one (a pull–push
+    /// step's).
     #[test]
     fn malformed_halo_payloads_are_errors_not_panics() {
         let geo = demo_geo();
@@ -952,30 +1002,39 @@ mod tests {
         run_spmd(2, move |comm| {
             let owner = even_owner(geo.fluid_count(), comm.size());
             let mut ds = DistSolver::new(geo.clone(), owner, cfg.clone(), comm).unwrap();
-            ds.step_n(2).unwrap();
             let (peer, _, count) = ds.recv_plan[0];
-            let before = ds.halo.clone();
-
+            let sent = ds.send_plan[0].1.len();
             let slice_of = |len: usize| {
                 let mut w = WireWriter::new();
                 w.put_f64_slice(&vec![7.0; len]);
                 w.finish()
             };
-            let mut truncated = WireWriter::new();
-            truncated.put_usize(count);
-            for (who, payload) in [
-                (peer, slice_of(count + 1)),
-                (peer, slice_of(count - 1)),
-                (peer, truncated.finish()),
-                (peer, Bytes::new()),
-                (comm.rank(), slice_of(count)),
-            ] {
-                let got = ds.unpack_halo(who, payload);
-                assert!(matches!(got, Err(CommError::Decode { .. })), "{got:?}");
-                assert_eq!(ds.halo, before, "a rejected payload writes nothing");
+            for (steps, count) in [(2, count), (3, sent)] {
+                ds.step_n(steps - ds.step_count()).unwrap();
+                let before = (ds.lat.ghost.clone(), ds.lat.f.clone());
+                let mut truncated = WireWriter::new();
+                truncated.put_usize(count);
+                for (who, payload) in [
+                    (peer, slice_of(count + 1)),
+                    (peer, slice_of(count - 1)),
+                    (peer, truncated.finish()),
+                    (peer, Bytes::new()),
+                    (comm.rank(), slice_of(count)),
+                ] {
+                    let got = ds.unpack_halo(who, payload);
+                    assert!(matches!(got, Err(CommError::Decode { .. })), "{got:?}");
+                    let after = (&ds.lat.ghost, &ds.lat.f);
+                    assert_eq!(
+                        after,
+                        (&before.0, &before.1),
+                        "a rejected payload writes nothing"
+                    );
+                }
+                ds.unpack_halo(peer, slice_of(count)).unwrap();
+                let sevens = |v: &[f64]| v.iter().filter(|&&v| v == 7.0).count();
+                let lanes: usize = ds.lat.f.iter().map(|l| sevens(l)).sum();
+                assert!(sevens(&ds.lat.ghost) + lanes >= count, "step {steps}");
             }
-            ds.unpack_halo(peer, slice_of(count)).unwrap();
-            assert!(ds.halo.iter().filter(|&&v| v == 7.0).count() >= count);
         });
     }
 
@@ -1115,7 +1174,7 @@ mod tests {
                         Some(_) => {
                             assert_ne!(entry, BOUNDARY);
                             assert_ne!(entry & HALO_FLAG, 0, "peer source must be a halo slot");
-                            assert!(((entry & !HALO_FLAG) as usize) < ds.halo.len());
+                            assert!(((entry & !HALO_FLAG) as usize) < ds.lat.ghost.len());
                             *links += 1;
                         }
                     }
@@ -1167,7 +1226,7 @@ mod tests {
                         }
                     });
                 let got = ds.lat.stream_table();
-                let mut slots = vec![false; ds.halo.len()];
+                let mut slots = vec![false; ds.lat.ghost.len()];
                 for (lane, want_lane) in got.iter().zip(&want) {
                     for (&e, &w) in lane.iter().zip(want_lane) {
                         if w == HALO_FLAG {

@@ -1,20 +1,33 @@
-//! The collide, stream and macroscopics drivers over [`SoaLattice`] and
-//! the thread-parallel solver.
+//! The local-step, pull–push and macroscopics drivers over
+//! [`SoaLattice`] and the thread-parallel solver.
 //!
 //! The serial [`Solver`], the [`ParallelSolver`] here and the distributed
-//! solver all step through the three drivers below; they differ only in
-//! the site range and the thread count they pass. Pull streaming reads
-//! only the previous-step buffer and every site writes only its own
-//! `f_next` entries, so partitioning the site list into contiguous
-//! chunks and running them on worker threads is race-free **and**
-//! bit-exact by construction: no atomics, no reductions, no operation
-//! reordering. The determinism proptests in `tests/properties.rs` assert
+//! solver all step through the drivers below; they differ only in the
+//! site range and the thread count they pass. Both steps of an AA pair
+//! (see [`crate::layout`]) are race-free **and** bit-exact on threads
+//! by construction, with no atomics, no reductions and no operation
+//! reordering:
+//!
+//! * the **local step** touches nothing but each site's own lanes, so
+//!   contiguous chunks of the site list run on worker threads as they
+//!   are;
+//! * in the **pull–push step** every site reads and writes exactly its
+//!   own slot set, whose lanes belong to its neighbours. A worker owns
+//!   one contiguous, [`BLOCK`]-aligned share of the lanes
+//!   (`split_at_mut`), and runs the blocks whose slot sets lie wholly
+//!   inside it (the plan's per-block `reach`). The **seam** — blocks
+//!   with a slot in another share or in the ghost buffer — runs on the
+//!   calling thread after the join. Slot sets are disjoint, so neither
+//!   the order nor the thread a block runs on can change a bit.
+//!
+//! The determinism proptests in `tests/properties.rs` assert
 //! `serial == parallel(1) == parallel(4)` via `f64::to_bits`.
 
 use crate::boundary::IoletBc;
 use crate::fields::FieldSnapshot;
 use crate::layout::{
-    collide_span_soa, macroscopics_span_soa, stream_span_soa, IoletSpan, SoaLattice,
+    apply_iolet_rules, blocks, collide_span_soa, macroscopics_span_soa, pull_push_blocks,
+    IoletSpan, SoaLattice, BLOCK,
 };
 use crate::solver::{Solver, SolverConfig};
 use hemelb_geometry::SparseGeometry;
@@ -48,21 +61,10 @@ impl Carve for Vec<&mut [f64]> {
     }
 }
 
-/// The iolet sites of a span: the first `len` sites' share is cut off
-/// where their local indices end (`partition_point`).
+/// The iolet sites of a span.
 impl Carve for IoletSpan<'_> {
     fn carve(&mut self, len: usize) -> Self {
-        let end = self.first + len;
-        let k = self.sites.partition_point(|&s| (s as usize) < end);
-        let (sites, rest) = self.sites.split_at(k);
-        self.sites = rest;
-        let head = IoletSpan {
-            first: self.first,
-            sites,
-            moments: take_span(&mut self.moments, k),
-        };
-        self.first = end;
-        head
+        self.take_front(len)
     }
 }
 
@@ -85,8 +87,8 @@ fn lane_spans(lanes: &mut [Vec<f64>], range: Range<usize>) -> Vec<&mut [f64]> {
 /// sites, one scoped worker each. With a single thread — or a range that
 /// fits one chunk — everything runs inline on the caller's thread with
 /// no spawn and no further allocation. The subdivision never affects
-/// results (collide is per-site independent and stream writes disjoint
-/// outputs), only which thread computes which sites.
+/// results (the local step and the macroscopics are per-site
+/// independent), only which thread computes which sites.
 fn for_chunks<W, F>(range: Range<usize>, threads: usize, mut state: W, run: F)
 where
     W: Carve + Send,
@@ -108,48 +110,138 @@ where
     });
 }
 
+/// How the pull–push step splits a site range among up to `threads`
+/// workers: contiguous shares of `per` [`BLOCK`]s each, aligned to the
+/// plan's blocks so that a block lies in exactly one share.
+struct Shares {
+    range: Range<usize>,
+    first_block: usize,
+    per: usize,
+    /// Number of shares (1: no worker is spawned).
+    count: usize,
+}
+
+impl Shares {
+    fn new(range: Range<usize>, threads: usize) -> Self {
+        let nblocks = blocks(range.clone()).count();
+        let per = nblocks.div_ceil(threads.max(1)).max(1);
+        Shares {
+            first_block: range.start / BLOCK,
+            count: nblocks.div_ceil(per).max(1),
+            per,
+            range,
+        }
+    }
+
+    /// The sites of share `w`: blocks `w·per..(w+1)·per` of the range.
+    fn share(&self, w: usize) -> Range<usize> {
+        let a = ((self.first_block + w * self.per) * BLOCK).max(self.range.start);
+        a..((self.first_block + (w + 1) * self.per) * BLOCK).min(self.range.end)
+    }
+
+    /// The share holding `block`.
+    fn home(&self, block: &Range<usize>) -> Range<usize> {
+        self.share((block.start / BLOCK - self.first_block) / self.per)
+    }
+}
+
 impl SoaLattice {
-    /// Collide the sites of `range` in place (`f` becomes `f*`),
-    /// recording the pre-collision moments of its iolet sites; sites
-    /// outside it are untouched. The chunked sweep is
+    /// One step over the sites of `range`: the local step at an even
+    /// step count, the pull–push step at an odd one. Sites outside it
+    /// are untouched, and neither the range nor `threads` can change
+    /// any value. Does not advance the step counter (see
+    /// [`SoaLattice::finish_step`]): the distributed schedule runs a
+    /// step in two ranges.
+    pub(crate) fn advance(&mut self, range: Range<usize>, threads: usize) {
+        if self.between_pair() {
+            self.pull_push(range, threads);
+        } else {
+            self.collide(range.clone(), threads);
+            let (span, rules) = self
+                .iolets
+                .span_mut(range, &self.model, &self.cfg, self.step);
+            apply_iolet_rules(&self.plan, rules, &mut self.f, &span);
+        }
+    }
+
+    /// Close a step: advance the step counter, which flips the parity
+    /// the lanes are read with.
+    pub(crate) fn finish_step(&mut self) {
+        self.step += 1;
+    }
+
+    /// Collide the sites of `range` in place with the AA store (`f*_i`
+    /// into lane `ī`), recording the pre-collision moments of its iolet
+    /// sites; sites outside it are untouched. The chunked sweep is
     /// chunk-offset-invariant, so neither the range nor `threads` can
     /// change any site's value; workers share the direction tables and
     /// the operator immutably.
     pub(crate) fn collide(&mut self, range: Range<usize>, threads: usize) {
-        let state = (
-            lane_spans(&mut self.f, range.clone()),
-            self.iolets.span_mut(range.clone()),
-        );
+        let (span, _) = self
+            .iolets
+            .span_mut(range.clone(), &self.model, &self.cfg, self.step);
+        let state = (lane_spans(&mut self.f, range.clone()), span);
         for_chunks(range, threads, state, |_, (mut lanes, iolets)| {
             collide_span_soa(&self.model, &self.dirs, &self.relax, &mut lanes, iolets);
         });
     }
 
-    /// Pull-stream the destination sites of `range` into the next
-    /// buffer, with boundary rules on missing links and `halo` feeding
-    /// cross-rank links (empty for non-distributed solvers). Reads only
-    /// immutable post-collision state and does **not** close the step
-    /// (see [`SoaLattice::finish_step`]) — the distributed schedule
-    /// streams in two pieces first.
-    pub(crate) fn stream(&mut self, range: Range<usize>, halo: &[f64], threads: usize) {
-        let out = lane_spans(&mut self.f_next, range.clone());
-        for_chunks(range, threads, out, |first, mut out| {
-            stream_span_soa(
-                &self.model,
-                &self.cfg,
-                &self.f,
-                &self.plan,
-                &self.iolets,
-                halo,
-                self.step,
-                first,
-                &mut out,
-            );
-        });
+    /// The pull–push step over the sites of `range`. On one thread the
+    /// blocks run in order; on more, each worker takes a [`Shares`]
+    /// share of the range with its lanes and runs the blocks whose slot
+    /// sets lie inside it, and the seam runs after the join.
+    fn pull_push(&mut self, range: Range<usize>, threads: usize) {
+        let SoaLattice {
+            model,
+            cfg,
+            dirs,
+            relax,
+            iolets,
+            f,
+            ghost,
+            plan,
+            step,
+        } = self;
+        let (model, dirs, relax, plan) = (&*model, &*dirs, &*relax, &*plan);
+        let shares = Shares::new(range.clone(), threads);
+        if shares.count > 1 {
+            let (span, rules) = iolets.span_mut(range.clone(), model, cfg, *step);
+            let mut state = (lane_spans(f, range.clone()), span);
+            rayon::scope(|sc| {
+                for w in 0..shares.count {
+                    let own = shares.share(w);
+                    let (mut lanes, span) = state.carve(own.len());
+                    sc.spawn(move |_| {
+                        let inside = |block: &Range<usize>| plan.block_within(block, &own);
+                        pull_push_blocks(
+                            model,
+                            dirs,
+                            relax,
+                            plan,
+                            rules,
+                            own.clone(),
+                            &mut lanes,
+                            own.start,
+                            &mut [],
+                            span,
+                            inside,
+                        );
+                    });
+                }
+            });
+        }
+        let seam = |block: &Range<usize>| {
+            shares.count == 1 || !plan.block_within(block, &shares.home(block))
+        };
+        let (span, rules) = iolets.span_mut(range.clone(), model, cfg, *step);
+        let mut lanes: Vec<&mut [f64]> = f.iter_mut().map(|l| &mut l[..]).collect();
+        pull_push_blocks(
+            model, dirs, relax, plan, rules, range, &mut lanes, 0, ghost, span, seam,
+        );
     }
 
     /// Macroscopic fields (density, velocity, shear-rate magnitude) of
-    /// every site.
+    /// every site, from the canonical state at either parity.
     pub(crate) fn snapshot(&self, threads: usize) -> FieldSnapshot {
         let n = self.site_count();
         let mut rho = vec![0.0; n];
@@ -157,16 +249,19 @@ impl SoaLattice {
         let mut shear = vec![0.0; n];
         let state = ((&mut rho[..], &mut u[..]), &mut shear[..]);
         for_chunks(0..n, threads, state, |first, ((rho, u), shear)| {
-            macroscopics_span_soa(
-                &self.model,
-                &self.dirs,
-                self.cfg.tau,
-                &self.f,
-                first,
-                rho,
-                u,
-                shear,
-            )
+            let span = first..first + rho.len();
+            self.canonical(span, |at, lanes| {
+                let (k, len) = (at - first, lanes[0].len());
+                macroscopics_span_soa(
+                    &self.model,
+                    &self.dirs,
+                    self.cfg.tau,
+                    lanes,
+                    &mut rho[k..k + len],
+                    &mut u[k..k + len],
+                    &mut shear[k..k + len],
+                )
+            });
         });
         FieldSnapshot {
             step: self.step,
@@ -180,10 +275,11 @@ impl SoaLattice {
 /// The thread-parallel solver: the serial [`Solver`]'s state stepped
 /// with the site list split across `threads` workers.
 ///
-/// Because pull streaming reads only the old buffer and chunk writes are
-/// disjoint, the result is **bit-for-bit identical** to [`Solver`] at
-/// any thread count — asserted by the determinism suite and the golden
-/// fixtures under `tests/golden/`.
+/// Because every site reads and writes only its own lanes (local step)
+/// or its own slot set (pull–push step), and workers own disjoint
+/// shares of the lanes, the result is **bit-for-bit identical** to
+/// [`Solver`] at any thread count — asserted by the determinism suite
+/// and the golden fixtures under `tests/golden/`.
 pub struct ParallelSolver {
     inner: Solver,
     threads: usize,
@@ -224,7 +320,7 @@ impl ParallelSolver {
         self.inner.step_count()
     }
 
-    /// Advance one time step (collide + stream), chunk-parallel.
+    /// Advance one time step, chunk-parallel.
     pub fn step(&mut self) {
         self.inner.step_with(self.threads);
     }
@@ -300,6 +396,47 @@ mod tests {
         assert!(bit_eq(&ss.shear, &ps.shear));
         for (a, b) in ss.u.iter().zip(&ps.u) {
             assert!(bit_eq(a, b));
+        }
+    }
+
+    /// On a lattice long enough that the shares hold blocks of both
+    /// kinds — inner blocks run on their worker, seam blocks after the
+    /// join — the threaded state after every step of two pairs equals
+    /// the serial one, bit for bit.
+    #[test]
+    fn threaded_pull_push_runs_inner_and_seam_blocks_bit_exactly() {
+        let geo = Arc::new(VesselBuilder::straight_tube(40.0, 3.0).voxelise(0.5));
+        let cfg = SolverConfig::velocity_driven(0.03)
+            .with_model(ModelKind::D3Q19)
+            .with_collision(CollisionKind::trt_magic());
+        let mut serial = Solver::new(geo.clone(), cfg.clone());
+        let want: Vec<Vec<f64>> = (0..4)
+            .map(|_| {
+                serial.step();
+                serial.raw_distributions()
+            })
+            .collect();
+        for threads in [2, 3, 4] {
+            let mut par = ParallelSolver::new(geo.clone(), cfg.clone(), threads);
+            let lat = &par.solver().lat;
+            let n = lat.site_count();
+            let shares = Shares::new(0..n, threads);
+            assert_eq!(shares.count, threads);
+            let inner = blocks(0..n)
+                .filter(|b| lat.plan.block_within(b, &shares.home(b)))
+                .count();
+            let all = blocks(0..n).count();
+            assert!(
+                0 < inner && inner < all,
+                "{threads} threads: {inner} of {all} inner"
+            );
+            for (k, want) in want.iter().enumerate() {
+                par.step();
+                assert!(
+                    bit_eq(want, &par.raw_distributions()),
+                    "{threads} threads, step {k}"
+                );
+            }
         }
     }
 

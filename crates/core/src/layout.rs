@@ -2,31 +2,53 @@
 //! (SoA) fluid-site list every solver in this crate steps.
 //!
 //! Distributions are kept as **one contiguous `f64` lane per velocity
-//! direction** (`f[dir][site]`), double-buffered. Setup builds a
+//! direction** (`f[dir][site]`), one buffer only. Setup builds a
 //! streaming-index table — `stream[dir][site]` names the site whose
-//! direction-`dir` population streams *into* `site` (pull streaming),
-//! with missing links the sentinel [`LINK_BOUNDARY`] and cross-rank
-//! links `HALO_FLAG | slot` — compiles it into a [`StreamPlan`] and
-//! drops it before the lanes are allocated. The plan puts every link in
-//! exactly one of four lists, each of which moves the value the old
-//! per-link table walk moved, so the step is bit-identical to it:
+//! direction-`dir` population streams *into* `site`, with missing links
+//! the sentinel [`LINK_BOUNDARY`] and cross-rank links
+//! `HALO_FLAG | slot` — compiles it into a [`StreamPlan`] and drops it
+//! before the lanes are allocated. The plan puts every link `(s, i)` in
+//! exactly one of four lists:
 //!
-//! * **copy** — per-direction segments of consecutive local sources:
-//!   `copy_from_slice` moves the same values to the same slots;
+//! * **copy** — per-direction segments of consecutive local sources;
 //! * **wall** — per direction, the non-iolet sites missing that link:
-//!   halfway bounce-back is `wall_bounce_back(f) = f`, so the rule is the
-//!   lane-to-lane copy `out[i][s] = f*[opp(i)][s]` with no dispatch;
+//!   halfway bounce-back is `wall_bounce_back(f) = f`, no rule to run;
 //! * **iolet** — the missing links of inlet / outlet sites, the only ones
 //!   that run a rule: the site's BC, its precomputed velocity and its
 //!   pre-collision `(ρ, u)`, all kept in [`Iolets`] at the iolet sites
 //!   alone; the collide stores those moments through a cursor over the
-//!   iolet list, the very `ChunkFront` values a per-site array held;
-//! * **halo** — `(site, dir, slot)` reads of the exchanged buffer.
+//!   iolet list;
+//! * **halo** — `(site, dir, slot)` links fed through the ghost buffer.
 //!
-//! Each output slot is written exactly once from state the phase only
-//! reads, so neither list order nor the split into lists can change a
-//! bit. The table comes back only through [`SoaLattice::stream_table`]
-//! (tests and the corruption hook).
+//! ## In-place (AA) streaming
+//!
+//! Steps come in pairs on the one buffer. At an even step count the
+//! lanes hold the post-stream state as is (`f[i][s]`). The **local
+//! step** collides every site in place and stores its outgoing `f*_i`
+//! in lane `ī = opp(i)` of the same site; no site touches another. The
+//! odd state this leaves keeps each link's population in the link's
+//! **slot**: `(t, ī)` for a copy link with source `t` (that is `t`'s
+//! `f*_i`), the site's own `(s, i)` for a wall or iolet link, and ghost
+//! slot `slot` for a halo link. The **pull–push step** gathers every
+//! link of a site from its slot, collides, and writes the outgoing
+//! `f*_ī` back into that same slot, which is where the even state keeps
+//! it (`(t, ī)` is `f[ī][t]` of the next even state, since
+//! `t − c_ī = s`). Iolet links apply their rule when they are written,
+//! in either step, with that collide's `(ρ, u)` and step number, so
+//! every state between two steps is complete: a BC changed between the
+//! two steps of a pair acts from the next step on, as it would under a
+//! pull from a second buffer.
+//!
+//! Each value is the one the pull scheme moved — same operands, same
+//! rule — so the step is bit-identical to it; `tests/golden/parity.txt`
+//! pins both parities. A site's **slot set** is its own in the
+//! pull–push step: slot `(t, j)` belongs to the site `t − c_j` if that
+//! link is local, to `t` if link `(t, j)` is missing, and to no site if
+//! `t − c_j` lives on a peer (a *send slot*, see [`crate::dist`]).
+//! Disjoint slot sets make the visit order irrelevant, which is what the
+//! threaded sweep in [`crate::kernel`] relies on. The table comes back
+//! only through [`SoaLattice::stream_table`] (tests and the corruption
+//! hook).
 //!
 //! Site `s` of a lattice is the `s`-th fluid site handed to it at
 //! construction: every fluid site in global order for the serial
@@ -35,7 +57,7 @@
 //! [`crate::dist`]) — so the drivers in [`crate::kernel`] only ever
 //! sweep one contiguous site range. Snapshots and checkpoints exchange
 //! state in the canonical site-major order (`[site][dir]`) over that
-//! site list.
+//! site list; at an odd step count they gather it from the slots.
 //!
 //! ## Bitwise reference
 //!
@@ -95,13 +117,12 @@ fn is_local(entry: u32) -> bool {
     entry & HALO_FLAG == 0
 }
 
-/// One contiguous copy segment of the bulk streaming plan: destination
-/// sites `dst..dst+len` of a lane pull from the consecutive sources
-/// `src..src+len` of the same lane, so the gather collapses to a
-/// `copy_from_slice` (bit-identical by construction — it moves the same
-/// values to the same places). Raster site numbering makes such
-/// segments long: within a column of fluid sites every direction's
-/// sources are themselves consecutive.
+/// One contiguous copy segment of the streaming plan: links `i` of the
+/// sites `dst..dst+len` come from the consecutive sources
+/// `src..src+len`, so their slots are the run `src..src+len` of lane
+/// `ī` and a block moves them with one `copy_from_slice`. Raster site
+/// numbering makes such segments long: within a column of fluid sites
+/// every direction's sources are themselves consecutive.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CopySeg {
     /// First destination site.
@@ -112,23 +133,31 @@ pub(crate) struct CopySeg {
     pub len: u32,
 }
 
+/// Sites per block of the pull–push sweep: a block's links are gathered
+/// into a `q × BLOCK` stack buffer, collided there and written back. It
+/// is also the grain at which threaded ranges tell inner sites from the
+/// seam.
+pub(crate) const BLOCK: usize = 256;
+
 /// The fully resolved streaming schedule: every `(site, dir)` link
-/// appears in exactly one of the four lists, so the streaming phase has
-/// no per-link dispatch left for anything but the iolet rules. Link
-/// order never matters for the result: each output slot is written
-/// exactly once from inputs that the phase only reads.
+/// appears in exactly one of the four lists, so the pull–push step has
+/// no per-link dispatch left for anything but the iolet rules.
 pub(crate) struct StreamPlan {
     /// Per-direction contiguous-copy segments over all plain-local
     /// links, sorted by destination.
     pub copy: Vec<Vec<CopySeg>>,
     /// Per direction `i`, the ascending non-iolet sites missing link
-    /// `i`: halfway bounce-back, `out[i][s] = f*[opp(i)][s]`.
+    /// `i`; the link's slot is the site's own `(s, i)`.
     pub wall: Vec<Vec<u32>>,
     /// `(k, dir)` links of iolet site `k` of [`Iolets`], resolved by its
-    /// BC's rule; sorted by site.
+    /// BC's rule; sorted by site. Slot `(s, i)`, as a wall link.
     pub iolet: Vec<(u32, u32)>,
-    /// `(site, dir, slot)` links fed from the halo buffer, sorted by site.
+    /// `(site, dir, slot)` links kept in the ghost buffer, sorted by site.
     pub halo: Vec<(u32, u32, u32)>,
+    /// Per [`BLOCK`] of sites, the lowest and highest site whose lanes
+    /// the block's slot sets touch; `u32::MAX` as the highest if one of
+    /// them is a ghost slot.
+    pub reach: Vec<(u32, u32)>,
 }
 
 impl StreamPlan {
@@ -186,12 +215,40 @@ impl StreamPlan {
                 segs
             })
             .collect();
+        let reach = (0..n)
+            .step_by(BLOCK)
+            .map(|b0| {
+                let sites = b0..(b0 + BLOCK).min(n);
+                let (mut lo, mut hi) = (b0 as u32, (sites.end - 1) as u32);
+                for s in sites {
+                    for e in table.iter().map(|lane| lane[s]) {
+                        if e == LINK_BOUNDARY {
+                            continue;
+                        }
+                        if is_local(e) {
+                            (lo, hi) = (lo.min(e), hi.max(e));
+                        } else {
+                            hi = u32::MAX;
+                        }
+                    }
+                }
+                (lo, hi)
+            })
+            .collect();
         StreamPlan {
             copy,
             wall,
             iolet,
             halo,
+            reach,
         }
+    }
+
+    /// Whether every slot of the block holding `sites` lies in the
+    /// lanes of `within` (no ghost slot, no site outside it).
+    pub(crate) fn block_within(&self, sites: &Range<usize>, within: &Range<usize>) -> bool {
+        let (lo, hi) = self.reach[sites.start / BLOCK];
+        within.start <= lo as usize && (hi as usize) < within.end
     }
 
     /// Expand the plan over `n` sites back into the lane-major table it
@@ -213,6 +270,194 @@ impl StreamPlan {
         }
         table
     }
+}
+
+/// One piece of a plan list inside a block of sites, as
+/// [`Cursor::walk`] hands it out: where links `(s, i)` keep their
+/// populations between the two steps of a pair.
+enum Link {
+    /// Links `i` of sites `dst..dst+len`: slots `src..src+len` of lane
+    /// `ī`.
+    Copy {
+        i: usize,
+        dst: usize,
+        src: usize,
+        len: usize,
+    },
+    /// A wall link: slot `(s, i)`.
+    Wall { i: usize, s: usize },
+    /// Link `i` of iolet site `k` (local site `s`): slot `(s, i)`.
+    Iolet { k: usize, i: usize, s: usize },
+    /// A halo link: ghost slot `slot`.
+    Halo { i: usize, s: usize, slot: usize },
+}
+
+/// Positions in every list of a [`StreamPlan`], for walking it block by
+/// block in ascending site order.
+#[derive(Clone, Copy)]
+struct Cursor {
+    copy: [usize; MAX_Q],
+    wall: [usize; MAX_Q],
+    iolet: usize,
+    halo: usize,
+}
+
+impl Cursor {
+    /// The first entry of each list at or past site `s`.
+    fn at(plan: &StreamPlan, iolet_sites: &[u32], s: usize) -> Self {
+        let mut cur = Cursor {
+            copy: [0; MAX_Q],
+            wall: [0; MAX_Q],
+            iolet: plan
+                .iolet
+                .partition_point(|&(k, _)| (iolet_sites[k as usize] as usize) < s),
+            halo: plan.halo.partition_point(|&(t, _, _)| (t as usize) < s),
+        };
+        for (i, segs) in plan.copy.iter().enumerate() {
+            cur.copy[i] = segs.partition_point(|seg| (seg.dst + seg.len) as usize <= s);
+            cur.wall[i] = plan.wall[i].partition_point(|&t| (t as usize) < s);
+        }
+        cur
+    }
+
+    /// Hand every link of `sites` to `visit` and move past them: copy
+    /// segments clipped to the block, one direction after another, then
+    /// the iolet and the halo links. `sites` must start where the last
+    /// walk ended (or where [`Cursor::at`] began).
+    #[inline(always)]
+    fn walk(
+        &mut self,
+        plan: &StreamPlan,
+        iolet_sites: &[u32],
+        sites: Range<usize>,
+        mut visit: impl FnMut(Link),
+    ) {
+        let (b0, b1) = (sites.start, sites.end);
+        for (i, segs) in plan.copy.iter().enumerate() {
+            let mut k = self.copy[i];
+            while let Some(seg) = segs.get(k) {
+                let (d, end) = (seg.dst as usize, (seg.dst + seg.len) as usize);
+                if d >= b1 {
+                    break;
+                }
+                let a = d.max(b0);
+                visit(Link::Copy {
+                    i,
+                    dst: a,
+                    src: seg.src as usize + (a - d),
+                    len: end.min(b1) - a,
+                });
+                if end > b1 {
+                    break;
+                }
+                k += 1;
+            }
+            self.copy[i] = k;
+            let wall = &plan.wall[i];
+            let mut k = self.wall[i];
+            while let Some(&s) = wall.get(k) {
+                if s as usize >= b1 {
+                    break;
+                }
+                visit(Link::Wall { i, s: s as usize });
+                k += 1;
+            }
+            self.wall[i] = k;
+        }
+        while let Some(&(k, i)) = plan.iolet.get(self.iolet) {
+            let s = iolet_sites[k as usize] as usize;
+            if s >= b1 {
+                break;
+            }
+            visit(Link::Iolet {
+                k: k as usize,
+                i: i as usize,
+                s,
+            });
+            self.iolet += 1;
+        }
+        while let Some(&(s, i, slot)) = plan.halo.get(self.halo) {
+            if s as usize >= b1 {
+                break;
+            }
+            visit(Link::Halo {
+                i: i as usize,
+                s: s as usize,
+                slot: slot as usize,
+            });
+            self.halo += 1;
+        }
+    }
+}
+
+/// The `q × BLOCK` stack buffer a block of sites is gathered into.
+type BlockBuf = [[f64; BLOCK]; MAX_Q];
+
+/// The blocks of `range`: [`BLOCK`]-aligned site ranges, clipped to it.
+pub(crate) fn blocks(range: Range<usize>) -> impl Iterator<Item = Range<usize>> {
+    let first = range.start - range.start % BLOCK;
+    (first..range.end)
+        .step_by(BLOCK)
+        .map(move |b0| b0.max(range.start)..(b0 + BLOCK).min(range.end))
+        .filter(|block| !block.is_empty())
+}
+
+/// Fill `buf[i][s − sites.start]` with the population of every link
+/// `(s, i)` of `sites`, read from its slot. `lanes[j]` holds sites
+/// `base..` of lane `j`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn gather<L: AsRef<[f64]>>(
+    opp: &[usize],
+    plan: &StreamPlan,
+    iolet_sites: &[u32],
+    cur: &mut Cursor,
+    sites: Range<usize>,
+    lanes: &[L],
+    base: usize,
+    ghost: &[f64],
+    buf: &mut BlockBuf,
+) {
+    let b0 = sites.start;
+    cur.walk(plan, iolet_sites, sites, |link| match link {
+        Link::Copy { i, dst, src, len } => {
+            let from = &lanes[opp[i]].as_ref()[src - base..src - base + len];
+            buf[i][dst - b0..dst - b0 + len].copy_from_slice(from);
+        }
+        Link::Wall { i, s } | Link::Iolet { i, s, .. } => {
+            buf[i][s - b0] = lanes[i].as_ref()[s - base];
+        }
+        Link::Halo { i, s, slot } => buf[i][s - b0] = ghost[slot],
+    });
+}
+
+/// The inverse of [`gather`]: write `buf[i][s − sites.start]` into the
+/// slot of every link `(s, i)` of `sites`, an iolet link's through
+/// `iolet(k, i, value)`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn scatter(
+    opp: &[usize],
+    plan: &StreamPlan,
+    iolet_sites: &[u32],
+    cur: &mut Cursor,
+    sites: Range<usize>,
+    lanes: &mut [&mut [f64]],
+    base: usize,
+    ghost: &mut [f64],
+    buf: &BlockBuf,
+    iolet: impl Fn(usize, usize, f64) -> f64,
+) {
+    let b0 = sites.start;
+    cur.walk(plan, iolet_sites, sites, |link| match link {
+        Link::Copy { i, dst, src, len } => {
+            lanes[opp[i]][src - base..src - base + len]
+                .copy_from_slice(&buf[i][dst - b0..dst - b0 + len]);
+        }
+        Link::Wall { i, s } => lanes[i][s - base] = buf[i][s - b0],
+        Link::Iolet { k, i, s } => lanes[i][s - base] = iolet(k, i, buf[i][s - b0]),
+        Link::Halo { i, s, slot } => ghost[slot] = buf[i][s - b0],
+    });
 }
 
 /// Build the lane-major streaming table for `sites` (global ids):
@@ -303,30 +548,114 @@ impl Iolets {
     }
 
     /// The iolet sites of the local range `range`, with their moments,
-    /// for a collide to store into.
-    pub(crate) fn span_mut(&mut self, range: Range<usize>) -> IoletSpan<'_> {
+    /// for a collide to store into, and the rules of step `step` that
+    /// read them.
+    pub(crate) fn span_mut<'a>(
+        &'a mut self,
+        range: Range<usize>,
+        model: &'a LatticeModel,
+        cfg: &'a SolverConfig,
+        step: u64,
+    ) -> (IoletSpan<'a>, IoletRules<'a>) {
         let a = self.sites.partition_point(|&s| (s as usize) < range.start);
         let b = self.sites.partition_point(|&s| (s as usize) < range.end);
-        IoletSpan {
+        let span = IoletSpan {
             first: range.start,
+            k0: a,
             sites: &self.sites[a..b],
             moments: &mut self.moments[a..b],
-        }
+        };
+        let rules = IoletRules {
+            model,
+            cfg,
+            sites: &self.sites,
+            kinds: &self.kinds,
+            velocity: &self.velocity,
+            step,
+        };
+        (span, rules)
     }
 }
 
 /// The iolet sites of a site span starting at local site `first`, and
-/// the slots the collide stores their pre-collision moments in.
+/// the slots the collide stores their pre-collision moments in; `k0` is
+/// the index of the first of them in [`Iolets`].
 pub(crate) struct IoletSpan<'a> {
     pub(crate) first: usize,
+    pub(crate) k0: usize,
     pub(crate) sites: &'a [u32],
     pub(crate) moments: &'a mut [(f64, [f64; 3])],
 }
 
-/// The complete lattice state of one solver (or one rank): the
-/// double-buffered distribution lanes, the compiled streaming plan, the
-/// iolet sites' state, the collision inputs and the step counter. The
-/// collide, stream and macroscopics drivers over it live in
+impl<'a> IoletSpan<'a> {
+    /// Detach the iolet sites of the span's first `len` sites, leaving
+    /// the rest (where their local indices end: `partition_point`).
+    pub(crate) fn take_front(&mut self, len: usize) -> IoletSpan<'a> {
+        let end = self.first + len;
+        let k = self.sites.partition_point(|&s| (s as usize) < end);
+        let (sites, rest) = self.sites.split_at(k);
+        let (moments, rest_moments) = std::mem::take(&mut self.moments).split_at_mut(k);
+        let head = IoletSpan {
+            first: self.first,
+            k0: self.k0,
+            sites,
+            moments,
+        };
+        (self.first, self.k0, self.sites, self.moments) = (end, self.k0 + k, rest, rest_moments);
+        head
+    }
+
+    /// The same span, borrowed again for one collide.
+    pub(crate) fn reborrow(&mut self) -> IoletSpan<'_> {
+        IoletSpan {
+            first: self.first,
+            k0: self.k0,
+            sites: self.sites,
+            moments: self.moments,
+        }
+    }
+
+    /// The stored moments of iolet site `k` (an index into [`Iolets`]).
+    fn moments_of(&self, k: usize) -> (f64, [f64; 3]) {
+        self.moments[k - self.k0]
+    }
+}
+
+/// What the iolet rules of one step read besides a site's moments: the
+/// BCs, the iolet sites' kinds and velocities, and the step number.
+#[derive(Clone, Copy)]
+pub(crate) struct IoletRules<'a> {
+    model: &'a LatticeModel,
+    cfg: &'a SolverConfig,
+    /// Local indices of every iolet site of the lattice.
+    sites: &'a [u32],
+    kinds: &'a [(IoLetKind, u16)],
+    velocity: &'a [[f64; 3]],
+    step: u64,
+}
+
+impl IoletRules<'_> {
+    /// The population of missing link `i` of iolet site `k` whose own
+    /// outgoing `f*_ī` is `f_star_opp` and pre-collision moments `rho_u`.
+    fn apply(&self, k: usize, i: usize, f_star_opp: f64, rho_u: (f64, [f64; 3])) -> f64 {
+        let (kind, id) = self.kinds[k];
+        iolet_rule(
+            self.model,
+            self.cfg.iolet_bc(kind, id),
+            self.velocity[k],
+            i,
+            f_star_opp,
+            rho_u,
+            self.step,
+        )
+    }
+}
+
+/// The complete lattice state of one solver (or one rank): the one
+/// buffer of distribution lanes, the ghost slots of its halo links, the
+/// compiled streaming plan, the iolet sites' state, the collision inputs
+/// and the step counter, whose parity says how the lanes are to be read
+/// (module doc). The local-step and pull–push drivers over it live in
 /// [`crate::kernel`].
 pub(crate) struct SoaLattice {
     pub(crate) model: LatticeModel,
@@ -337,10 +666,12 @@ pub(crate) struct SoaLattice {
     pub(crate) relax: Relaxation,
     /// The inlet / outlet sites and everything their rules read.
     pub(crate) iolets: Iolets,
-    /// Current distributions, `f[dir][site]`.
+    /// The distributions, `f[dir][site]`.
     pub(crate) f: Vec<Vec<f64>>,
-    /// Streaming destination buffer, same shape.
-    pub(crate) f_next: Vec<Vec<f64>>,
+    /// One slot per halo link (empty unless distributed): at an odd step
+    /// count the population a peer sent for it, after a pull–push step
+    /// the outgoing one to send back.
+    pub(crate) ghost: Vec<f64>,
     /// The compiled streaming schedule (copies + wall + iolet + halo).
     pub(crate) plan: StreamPlan,
     /// Completed time steps.
@@ -372,13 +703,12 @@ impl SoaLattice {
         let iolets = Iolets::new(geo, &cfg, sites);
         let plan = StreamPlan::compile(&stream, &iolets.sites);
         drop(stream);
-        let f: Vec<Vec<f64>> = model.w.iter().map(|&w| vec![w; n]).collect();
         SoaLattice {
             dirs: DirTables::new(&model),
             relax: Relaxation::new(&model, &cfg),
             iolets,
-            f_next: f.clone(),
-            f,
+            f: model.w.iter().map(|&w| vec![w; n]).collect(),
+            ghost: vec![0.0; plan.halo.len()],
             plan,
             model,
             cfg,
@@ -445,60 +775,123 @@ impl SoaLattice {
         self.iolets.refresh_velocities(geo, &self.cfg);
     }
 
-    /// Transpose the current distributions to the canonical site-major
-    /// order (checkpointing, digests).
+    /// Whether the lanes hold the state between the two steps of a pair
+    /// (an odd step count), whose links are read from their slots.
+    pub(crate) fn between_pair(&self) -> bool {
+        self.step % 2 == 1
+    }
+
+    /// Run `visit(first, lanes)` over `range` with `lanes[i]` the
+    /// canonical direction-`i` populations of sites `first..`: the lanes
+    /// themselves in one piece at an even step count, else block by
+    /// block as gathered from the slots.
+    pub(crate) fn canonical(&self, range: Range<usize>, mut visit: impl FnMut(usize, &[&[f64]])) {
+        let q = self.model.q;
+        if !self.between_pair() {
+            let lanes: [&[f64]; MAX_Q] =
+                std::array::from_fn(|i| self.f.get(i).map_or(&[][..], |l| &l[range.clone()]));
+            visit(range.start, &lanes[..q]);
+            return;
+        }
+        let mut cur = Cursor::at(&self.plan, &self.iolets.sites, range.start);
+        let mut buf = [[0.0; BLOCK]; MAX_Q];
+        for sites in blocks(range) {
+            let (first, len) = (sites.start, sites.len());
+            gather(
+                &self.model.opp,
+                &self.plan,
+                &self.iolets.sites,
+                &mut cur,
+                sites,
+                &self.f,
+                0,
+                &self.ghost,
+                &mut buf,
+            );
+            let lanes: [&[f64]; MAX_Q] = std::array::from_fn(|i| &buf[i][..len]);
+            visit(first, &lanes[..q]);
+        }
+    }
+
+    /// The canonical distributions in site-major order (checkpointing,
+    /// digests), whatever the step parity.
     pub(crate) fn to_site_major(&self) -> Vec<f64> {
         let q = self.model.q;
         let mut out = vec![0.0; self.site_count() * q];
-        for (i, lane) in self.f.iter().enumerate() {
-            for (s, &v) in lane.iter().enumerate() {
-                out[s * q + i] = v;
+        self.canonical(0..self.site_count(), |first, lanes| {
+            for (i, lane) in lanes.iter().enumerate() {
+                for (k, &v) in lane.iter().enumerate() {
+                    out[(first + k) * q + i] = v;
+                }
             }
-        }
+        });
         out
     }
 
-    /// Overwrite the dynamical state from a site-major array and its
-    /// step counter (checkpoint restore).
+    /// Overwrite the dynamical state from a canonical site-major array
+    /// and its step counter (checkpoint restore, repartition): at an odd
+    /// count every link's value goes to its slot. Send slots are left
+    /// alone; the next pull–push step's messages fill them.
     ///
     /// # Panics
     /// Panics if the array length does not match `sites × q`.
     pub(crate) fn install_site_major(&mut self, step: u64, f_site_major: &[f64]) {
-        let q = self.model.q;
-        assert_eq!(f_site_major.len(), self.site_count() * q);
-        for (i, lane) in self.f.iter_mut().enumerate() {
-            for (s, v) in lane.iter_mut().enumerate() {
-                *v = f_site_major[s * q + i];
-            }
-        }
+        let (q, n) = (self.model.q, self.site_count());
+        assert_eq!(f_site_major.len(), n * q);
         self.step = step;
-    }
-
-    /// Overwrite the `q` populations of one site.
-    pub(crate) fn set_site_values(&mut self, s: usize, values: &[f64]) {
-        assert_eq!(values.len(), self.model.q);
-        for (lane, &v) in self.f.iter_mut().zip(values) {
-            lane[s] = v;
+        if !self.between_pair() {
+            for (i, lane) in self.f.iter_mut().enumerate() {
+                for (s, v) in lane.iter_mut().enumerate() {
+                    *v = f_site_major[s * q + i];
+                }
+            }
+            return;
+        }
+        let SoaLattice {
+            model,
+            iolets,
+            f,
+            ghost,
+            plan,
+            ..
+        } = self;
+        let mut lanes: Vec<&mut [f64]> = f.iter_mut().map(|l| &mut l[..]).collect();
+        let mut cur = Cursor::at(plan, &iolets.sites, 0);
+        let mut buf = [[0.0; BLOCK]; MAX_Q];
+        for sites in blocks(0..n) {
+            for (k, s) in sites.clone().enumerate() {
+                for (i, b) in buf[..q].iter_mut().enumerate() {
+                    b[k] = f_site_major[s * q + i];
+                }
+            }
+            scatter(
+                &model.opp,
+                plan,
+                &iolets.sites,
+                &mut cur,
+                sites,
+                &mut lanes,
+                0,
+                ghost,
+                &buf,
+                |_, _, v| v,
+            );
         }
     }
 
-    /// Total mass `Σ_s Σ_i f_si`, summed in the canonical site-major
-    /// order so the value does not depend on the storage order.
+    /// Total mass `Σ_s Σ_i f_si` of the canonical state, summed in
+    /// site-major order so the value does not depend on the storage
+    /// order or the step parity.
     pub(crate) fn mass(&self) -> f64 {
         let mut acc = 0.0;
-        for s in 0..self.site_count() {
-            for lane in &self.f {
-                acc += lane[s];
+        self.canonical(0..self.site_count(), |_, lanes| {
+            for s in 0..lanes[0].len() {
+                for lane in lanes {
+                    acc += lane[s];
+                }
             }
-        }
+        });
         acc
-    }
-
-    /// Close a step once every destination site is streamed: swap the
-    /// double buffers and advance the step counter.
-    pub(crate) fn finish_step(&mut self) {
-        std::mem::swap(&mut self.f, &mut self.f_next);
-        self.step += 1;
     }
 
     /// Deliberately corrupt the streaming schedule by swapping the
@@ -524,8 +917,8 @@ impl SoaLattice {
 /// post-collision populations are sent to peers (they appear in the
 /// send plan) or they pull at least one population *from* a peer (their
 /// streaming row contains a halo link). **Interior** sites are everything
-/// else — by construction their streaming reads touch no halo slot, so
-/// they can collide and stream while halo messages are still in flight.
+/// else — by construction they read and write no ghost or send slot, so
+/// they can step while halo messages are still in flight.
 ///
 /// The distributed solver stores its sites frontier first, so the two
 /// classes are the contiguous local index ranges `0..split` and
@@ -753,12 +1146,14 @@ impl ChunkFront {
     }
 }
 
-/// Collide a span of sites in place over per-lane chunks, recording the
-/// pre-collision moments of the span's iolet sites in `iolets` (whose
-/// `first` is the span's first site). Every operator runs the same
-/// sweep — `CHUNK` sites at a time, the shared [`ChunkFront`], then its
-/// own relaxation — and a site's result does not depend on where in a
-/// chunk, a span or a worker's share it falls.
+/// Collide a span of sites in place over per-lane chunks and store each
+/// site's outgoing `f*_i` in lane `ī` (the AA store: a local step's
+/// whole write, and what a pull–push block writes back through its
+/// slots), recording the pre-collision moments of the span's iolet
+/// sites in `iolets` (whose `first` is the span's first site). Every
+/// operator runs the same sweep — `CHUNK` sites at a time, the shared
+/// [`ChunkFront`], then its own relaxation — and a site's result does
+/// not depend on where in a chunk, a span or a worker's share it falls.
 pub(crate) fn collide_span_soa(
     model: &LatticeModel,
     dirs: &DirTables,
@@ -797,8 +1192,8 @@ pub(crate) fn collide_span_soa(
                 *fi = *window(lane, s0);
             }
             op.relax_lanes(omega_shear, &mut f[..model.q], &fe[..model.q]);
-            for (fi, lane) in f.iter().zip(lanes.iter_mut()) {
-                *window_mut(lane, s0) = *fi;
+            for (fi, &o) in f.iter().zip(&model.opp) {
+                *window_mut(lanes[o], s0) = *fi;
             }
         }),
     }
@@ -822,6 +1217,7 @@ fn sweep(
         first,
         sites,
         moments,
+        ..
     } = iolets;
     let mut next = 0;
     // `base` is the chunk's first site within the span.
@@ -857,11 +1253,12 @@ fn sweep(
 }
 
 /// Relax a chunk one opposite pair at a time: `pair(f_i, f_j, e_i, e_j)`
-/// returns the two post-collision populations of one site. Both lanes of
-/// a pair are loaded into local windows before the arithmetic (a fused
-/// loop over two `&mut` lane windows does not vectorise). A rest
-/// direction is the pair `o == i`, as in the scalar TRT loop, so the
-/// signed zeros of its odd part match.
+/// returns the two post-collision populations of one site, which go to
+/// the swapped lanes (`f*_i` to lane `j`). Both lanes of a pair are
+/// loaded into local windows before the arithmetic (a fused loop over
+/// two `&mut` lane windows does not vectorise). A rest direction is the
+/// pair `o == i`, as in the scalar TRT loop, so the signed zeros of its
+/// odd part match.
 #[inline(always)]
 fn relax_pairs(
     model: &LatticeModel,
@@ -880,8 +1277,8 @@ fn relax_pairs(
         for l in 0..CHUNK {
             (oi[l], oj[l]) = pair(fi[l], fj[l], ei[l], ej[l]);
         }
-        *window_mut(lanes[i], s0) = oi;
-        *window_mut(lanes[j], s0) = oj;
+        *window_mut(lanes[j], s0) = oi;
+        *window_mut(lanes[i], s0) = oj;
     }
     for &i in &dirs.rests {
         let f = *window(lanes[i], s0);
@@ -894,121 +1291,111 @@ fn relax_pairs(
     }
 }
 
-/// Pull-stream a span of sites into per-lane output chunks. `out[i]`
-/// covers sites `first..first + out[i].len()`. The whole phase runs off
-/// the compiled [`StreamPlan`]: plain-local links as clipped segment
-/// copies (`copy_from_slice` — the dominant case under raster site
-/// numbering), wall links as per-direction lane-to-lane copies
-/// (`wall_bounce_back(f) = f`), iolet links as a flat list of rule
-/// applications, halo links as a flat list of buffer reads. Only the
-/// iolet list dispatches on a rule. `halo` feeds the halo list (empty
-/// slice for non-distributed solvers).
+/// The pull–push step over the sites `sites` of the lanes `lanes[j]`
+/// (which hold sites `base..` of lane `j`), block by block from `cur`:
+/// gather every link of a block from its slot into a stack buffer,
+/// collide there with the AA store, and write each link's outgoing
+/// population back into the same slot — an iolet link's through its
+/// rule, with the moments this collide stored. `select` picks the blocks
+/// to run; the others are walked past untouched.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn stream_span_soa(
+pub(crate) fn pull_push_blocks(
     model: &LatticeModel,
-    cfg: &SolverConfig,
-    f_old: &[Vec<f64>],
+    dirs: &DirTables,
+    relax: &Relaxation,
     plan: &StreamPlan,
-    iolets: &Iolets,
-    halo: &[f64],
-    step: u64,
-    first: usize,
-    out: &mut [&mut [f64]],
+    rules: IoletRules<'_>,
+    sites: Range<usize>,
+    lanes: &mut [&mut [f64]],
+    base: usize,
+    ghost: &mut [f64],
+    mut iolets: IoletSpan<'_>,
+    select: impl Fn(&Range<usize>) -> bool,
 ) {
-    let q = model.q;
-    debug_assert_eq!(out.len(), q);
-    let hi = first + out[0].len();
-
-    // Local links: clipped segment copies. Segments are sorted by
-    // destination, so skip straight to the first one overlapping the
-    // span and stop at the first one past it.
-    for i in 0..q {
-        let fo = &f_old[i][..];
-        let o = &mut *out[i];
-        let segs = &plan.copy[i];
-        let k0 = segs.partition_point(|seg| (seg.dst + seg.len) as usize <= first);
-        for seg in &segs[k0..] {
-            let d = seg.dst as usize;
-            if d >= hi {
-                break;
-            }
-            let a = d.max(first);
-            let b = (d + seg.len as usize).min(hi);
-            let s = seg.src as usize + (a - d);
-            o[a - first..b - first].copy_from_slice(&fo[s..s + (b - a)]);
+    let (q, iolet_sites) = (model.q, rules.sites);
+    let mut cur = Cursor::at(plan, iolet_sites, sites.start);
+    let mut buf = [[0.0; BLOCK]; MAX_Q];
+    for block in blocks(sites) {
+        let mut span = iolets.take_front(block.len());
+        if !select(&block) {
+            cur.walk(plan, iolet_sites, block, |_| {});
+            continue;
         }
-    }
-
-    // Wall links: the site's own opposite population, lane to lane.
-    for (i, sites) in plan.wall.iter().enumerate() {
-        let fo = &f_old[model.opp[i]][..];
-        let o = &mut *out[i];
-        let k0 = sites.partition_point(|&s| (s as usize) < first);
-        for &s in &sites[k0..] {
-            let s = s as usize;
-            if s >= hi {
-                break;
-            }
-            o[s - first] = fo[s];
-        }
-    }
-
-    // Iolet links: the inlet / outlet rule per listed link.
-    let site = |k: u32| iolets.sites[k as usize] as usize;
-    let k0 = plan.iolet.partition_point(|&(k, _)| site(k) < first);
-    for &(k, i) in &plan.iolet[k0..] {
-        let s = site(k);
-        if s >= hi {
-            break;
-        }
-        let (k, i) = (k as usize, i as usize);
-        let (kind, id) = iolets.kinds[k];
-        out[i][s - first] = iolet_rule(
-            model,
-            cfg.iolet_bc(kind, id),
-            iolets.velocity[k],
-            i,
-            f_old[model.opp[i]][s],
-            iolets.moments[k],
-            step,
+        let start = cur;
+        gather(
+            &model.opp,
+            plan,
+            iolet_sites,
+            &mut cur,
+            block.clone(),
+            lanes,
+            base,
+            ghost,
+            &mut buf,
         );
-    }
-
-    // Halo links: direct reads from the exchanged buffer.
-    let k0 = plan.halo.partition_point(|&(s, _, _)| (s as usize) < first);
-    for &(s, i, slot) in &plan.halo[k0..] {
-        let s = s as usize;
-        if s >= hi {
-            break;
-        }
-        out[i as usize][s - first] = halo[slot as usize];
+        let len = block.len();
+        let mut window = buf.each_mut().map(|lane| &mut lane[..len]);
+        collide_span_soa(model, dirs, relax, &mut window[..q], span.reborrow());
+        let mut cur_out = start;
+        scatter(
+            &model.opp,
+            plan,
+            iolet_sites,
+            &mut cur_out,
+            block,
+            lanes,
+            base,
+            ghost,
+            &buf,
+            |k, i, v| rules.apply(k, i, v, span.moments_of(k)),
+        );
     }
 }
 
-/// Macroscopic fields of the site span `first..first + rho.len()` over
-/// SoA lanes, chunked like the collide (full chunks in place, the ragged
-/// tail through a zero-padded copy).
-#[allow(clippy::too_many_arguments)]
+/// The local step's iolet links of `range`, after its collide: each
+/// missing link `(s, i)` of an iolet site holds `f*_ī` and becomes its
+/// rule's value.
+pub(crate) fn apply_iolet_rules(
+    plan: &StreamPlan,
+    rules: IoletRules<'_>,
+    f: &mut [Vec<f64>],
+    iolets: &IoletSpan<'_>,
+) {
+    let site = |k: u32| iolets.sites[k as usize - iolets.k0] as usize;
+    let k0 = plan
+        .iolet
+        .partition_point(|&(k, _)| (k as usize) < iolets.k0);
+    let k1 = plan
+        .iolet
+        .partition_point(|&(k, _)| (k as usize) < iolets.k0 + iolets.sites.len());
+    for &(k, i) in &plan.iolet[k0..k1] {
+        let (s, i) = (site(k), i as usize);
+        f[i][s] = rules.apply(k as usize, i, f[i][s], iolets.moments_of(k as usize));
+    }
+}
+
+/// Macroscopic fields of a site span over SoA lanes (`f[i]` holds the
+/// span's direction-`i` populations), chunked like the collide (full
+/// chunks in place, the ragged tail through a zero-padded copy).
 pub(crate) fn macroscopics_span_soa(
     model: &LatticeModel,
     dirs: &DirTables,
     tau: f64,
-    f: &[Vec<f64>],
-    first: usize,
+    f: &[&[f64]],
     rho: &mut [f64],
     u: &mut [[f64; 3]],
     shear: &mut [f64],
 ) {
     let n = rho.len();
-    for k0 in (0..n).step_by(CHUNK) {
-        let (s0, w) = (first + k0, CHUNK.min(n - k0));
+    for s0 in (0..n).step_by(CHUNK) {
+        let w = CHUNK.min(n - s0);
         let (rho, u, shear) = (
-            &mut rho[k0..k0 + w],
-            &mut u[k0..k0 + w],
-            &mut shear[k0..k0 + w],
+            &mut rho[s0..s0 + w],
+            &mut u[s0..s0 + w],
+            &mut shear[s0..s0 + w],
         );
         if w == CHUNK {
-            macroscopics_chunk(model, dirs, tau, |i| window(&f[i], s0), rho, u, shear);
+            macroscopics_chunk(model, dirs, tau, |i| window(f[i], s0), rho, u, shear);
         } else {
             let mut pad = [[0.0f64; CHUNK]; MAX_Q];
             for (p, lane) in pad.iter_mut().zip(f) {
@@ -1076,8 +1463,11 @@ pub(crate) mod tests {
         SoaLattice::new(geo, sites, cfg, model, stream)
     }
 
+    /// At either parity the canonical state goes in and comes back out
+    /// unchanged; at an even count it is the lanes as they are, at an
+    /// odd one every value sits in its link's slot.
     #[test]
-    fn transpose_round_trips_site_major() {
+    fn transpose_round_trips_site_major_at_both_parities() {
         let geo = tube();
         let mut lat = lattice_for(&geo, ModelKind::D3Q15);
         let q = lat.model.q;
@@ -1085,14 +1475,22 @@ pub(crate) mod tests {
         let g: Vec<f64> = (0..geo.fluid_count() * q)
             .map(|k| (k as f64).sin())
             .collect();
+        lat.install_site_major(6, &g);
+        assert_eq!(lat.step, 6);
+        assert_eq!(lat.to_site_major(), g);
+        assert_eq!(lat.f[1][3], g[3 * q + 1], "even: the lanes as they are");
         lat.install_site_major(7, &g);
         assert_eq!(lat.step, 7);
         assert_eq!(lat.to_site_major(), g);
-        // One site overwritten in place moves exactly its q values.
-        let mut want = g.clone();
-        want[3 * q..4 * q].fill(0.5);
-        lat.set_site_values(3, &vec![0.5; q]);
-        assert_eq!(lat.to_site_major(), want);
+        let table = lat.stream_table();
+        let (s, i) = (0..geo.fluid_count())
+            .flat_map(|s| (0..q).map(move |i| (s, i)))
+            .find(|&(s, i)| table[i][s] != LINK_BOUNDARY && table[i][s] as usize != s)
+            .expect("a local link");
+        let t = table[i][s] as usize;
+        assert_eq!(lat.f[lat.model.opp[i]][t], g[s * q + i], "odd: slot (t, ī)");
+        let sum: f64 = g.iter().sum();
+        assert!((lat.mass() - sum).abs() < 1e-9);
     }
 
     /// Satellite: validate streaming-index construction at **domain
@@ -1215,6 +1613,7 @@ pub(crate) mod tests {
             let mut moments = vec![(0.0, [0.0; 3]); n];
             let all = IoletSpan {
                 first: 0,
+                k0: 0,
                 sites: &sites,
                 moments: &mut moments,
             };
@@ -1225,10 +1624,11 @@ pub(crate) mod tests {
                 &mut lanes,
                 all,
             );
+            // The AA store: outgoing `f*_i` lands in lane `ī`.
             for s in 0..n {
                 for i in 0..q {
                     assert_eq!(
-                        lanes_store[i][s].to_bits(),
+                        lanes_store[model.opp[i]][s].to_bits(),
                         reference[s * q + i].to_bits(),
                         "{} {collision:?} site {s} dir {i}",
                         model.name
@@ -1273,9 +1673,8 @@ pub(crate) mod tests {
                 vec![0.0; n - first],
             );
             let dirs = DirTables::new(&model);
-            macroscopics_span_soa(
-                &model, &dirs, tau, &lanes, first, &mut rho, &mut u, &mut shear,
-            );
+            let span: Vec<&[f64]> = lanes.iter().map(|l| &l[first..]).collect();
+            macroscopics_span_soa(&model, &dirs, tau, &span, &mut rho, &mut u, &mut shear);
             for s in first..n {
                 let site = &site_major[s * q..(s + 1) * q];
                 let (r, v) = site_moments(&model, site);
@@ -1343,7 +1742,7 @@ pub(crate) mod tests {
 
     /// Every link is in exactly one list, the wall list holds no iolet
     /// site and the iolet list nothing else, and every list is sorted
-    /// the way the stream phase's `partition_point` needs it.
+    /// the way [`Cursor::at`]'s `partition_point` needs it.
     pub(crate) fn assert_plan_partitions_the_links(lat: &SoaLattice) {
         let cover = link_cover(lat);
         assert!(

@@ -1,8 +1,11 @@
 //! The serial sparse-geometry LB solver.
 //!
-//! One time step is collide → stream (pull) with local boundary rules on
-//! missing links. The distributed solver in [`crate::dist`] reproduces
-//! this bit-for-bit; tests assert the equality.
+//! Time steps come in AA pairs on one population buffer (see
+//! [`crate::layout`]): a local collide, then a fused pull–collide–push,
+//! with local boundary rules on missing links. Each pair gives the bits
+//! of two collide → pull-stream steps. The distributed solver in
+//! [`crate::dist`] reproduces this bit-for-bit; tests assert the
+//! equality.
 
 use crate::boundary::{pressure_anti_bounce_back, velocity_bounce_back, IoletBc};
 use crate::collision::CollisionKind;
@@ -124,7 +127,7 @@ impl SolverConfig {
 /// Apply the iolet rule `bc` to the missing link `(s, i)` of an inlet
 /// or outlet site. (A wall site's missing link is halfway bounce-back,
 /// [`wall_bounce_back`](crate::boundary::wall_bounce_back)`(f) = f`,
-/// which the stream phase runs as a lane-to-lane copy.)
+/// which leaves the slot of the link as it is.)
 ///
 /// `bc_velocity` is the site's precomputed BC velocity, `f_star_opp`
 /// its own post-collision opposite population, `rho_u` its
@@ -155,8 +158,8 @@ pub struct Solver {
     geo: Arc<SparseGeometry>,
     /// Crate-visible for checkpoint restore.
     pub(crate) lat: SoaLattice,
-    /// Per-phase observability recorder (`lb.collide`, `lb.stream`,
-    /// `lb.macroscopics`). Interior-mutable so `snapshot(&self)` can
+    /// Per-phase observability recorder (`lb.collide` for a step's site
+    /// update, either half of a pair, and `lb.macroscopics`). Interior-mutable so `snapshot(&self)` can
     /// record; never touched inside the per-site kernels, so the
     /// instrumentation cannot perturb results.
     obs: RefCell<Recorder>,
@@ -182,7 +185,7 @@ impl Solver {
     }
 
     /// Snapshot the solver's observability report (phase timings for
-    /// collide, stream and macroscopic extraction).
+    /// the site updates and macroscopic extraction).
     pub fn obs_report(&self) -> ObsReport {
         self.obs.borrow().report()
     }
@@ -225,7 +228,7 @@ impl Solver {
         self.lat.set_iolet_bc(&self.geo, IoLetKind::Outlet, id, bc);
     }
 
-    /// Advance one time step (collide + stream) on the calling thread.
+    /// Advance one time step on the calling thread.
     pub fn step(&mut self) {
         self.step_with(1);
     }
@@ -233,13 +236,9 @@ impl Solver {
     /// One step with the site list split across `threads` workers (see
     /// [`crate::kernel::ParallelSolver`]).
     pub(crate) fn step_with(&mut self, threads: usize) {
-        let all = 0..self.lat.site_count();
         let span = self.obs.borrow().begin();
-        self.lat.collide(all.clone(), threads);
+        self.lat.advance(0..self.lat.site_count(), threads);
         span.end(&mut self.obs.borrow_mut(), "lb.collide");
-        let span = self.obs.borrow().begin();
-        self.lat.stream(all, &[], threads);
-        span.end(&mut self.obs.borrow_mut(), "lb.stream");
         self.lat.finish_step();
     }
 
@@ -515,7 +514,7 @@ mod tests {
         s.snapshot();
         let report = s.obs_report();
         assert_eq!(report.phases["lb.collide"].calls, 7);
-        assert_eq!(report.phases["lb.stream"].calls, 7);
+        assert!(!report.phases.contains_key("lb.stream"), "no stream phase");
         assert_eq!(report.phases["lb.macroscopics"].calls, 1);
         assert!(report.phases["lb.collide"].total_secs > 0.0);
 

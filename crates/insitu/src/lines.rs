@@ -11,8 +11,9 @@
 //! work distribution is inherently unbalanced.
 
 use crate::field::{nearest_site, SampledField};
+use bytes::Bytes;
 use hemelb_geometry::{SparseGeometry, Vec3};
-use hemelb_parallel::{CommResult, Communicator, Wire, WireReader, WireWriter};
+use hemelb_parallel::{CommError, CommResult, Communicator, Wire, WireReader, WireWriter};
 use rayon::prelude::*;
 
 /// Integration parameters.
@@ -330,29 +331,56 @@ pub fn trace_distributed(
     Ok((segments, stats))
 }
 
+/// Bytes of one [`WireParticle`] on the wire.
+const PARTICLE_BYTES: usize = 32;
+
+/// One peer's hand-off batch on the wire: a count, then the particles.
+fn encode_batch(batch: &[WireParticle]) -> Bytes {
+    let mut w = WireWriter::with_capacity(8 + batch.len() * PARTICLE_BYTES);
+    w.put_usize(batch.len());
+    for p in batch {
+        p.encode(&mut w);
+    }
+    w.finish()
+}
+
+/// Decode one peer's hand-off batch. A count the bytes cannot hold, a
+/// count other than the `expected` one the peer announced in the
+/// round's all-to-all (a short batch would silently drop lines), or
+/// bytes past the last particle is a `Decode` error.
+pub(crate) fn decode_batch(payload: Bytes, expected: u64) -> CommResult<Vec<WireParticle>> {
+    let mut r = WireReader::new(payload);
+    let n = r.get_checked_len(PARTICLE_BYTES, "hand-off batch")?;
+    if n as u64 != expected {
+        return Err(CommError::Decode {
+            reason: format!("hand-off batch of {n} particles where {expected} were announced"),
+        });
+    }
+    let batch = (0..n)
+        .map(|_| WireParticle::decode(&mut r))
+        .collect::<CommResult<Vec<_>>>()?;
+    r.expect_end()?;
+    Ok(batch)
+}
+
 /// One hand-off round: counts travel in a small all-to-all (the round's
 /// control/synchronisation), particle payloads in point-to-point
 /// messages under a visualisation tag (so Table I's "communication
 /// cost" attribution sees them).
-pub(crate) fn exchange_particles<T: Wire + Copy>(
+pub(crate) fn exchange_particles(
     comm: &Communicator,
-    outgoing: &[Vec<T>],
-    queue: &mut Vec<T>,
+    outgoing: &[Vec<WireParticle>],
+    queue: &mut Vec<WireParticle>,
 ) -> CommResult<()> {
     const T_HANDOFF: hemelb_parallel::Tag = hemelb_parallel::Tag::vis(30);
-    let counts: Vec<bytes::Bytes> = outgoing
+    let counts: Vec<Bytes> = outgoing
         .iter()
         .map(|b| (b.len() as u64).to_bytes())
         .collect();
     let incoming_counts = comm.all_to_all(counts)?;
     for (dst, batch) in outgoing.iter().enumerate() {
         if !batch.is_empty() && dst != comm.rank() {
-            let mut w = WireWriter::with_capacity(8 + batch.len() * 32);
-            w.put_usize(batch.len());
-            for p in batch {
-                p.encode(&mut w);
-            }
-            comm.send(dst, T_HANDOFF, w.finish())?;
+            comm.send(dst, T_HANDOFF, encode_batch(batch))?;
         }
     }
     // Locally routed particles (possible when a seed rounds to a cell
@@ -368,12 +396,7 @@ pub(crate) fn exchange_particles<T: Wire + Copy>(
         if n == 0 {
             continue;
         }
-        let payload = comm.recv(src, T_HANDOFF)?;
-        let mut r = WireReader::new(payload);
-        let m = r.get_usize()?;
-        for _ in 0..m {
-            queue.push(T::decode(&mut r)?);
-        }
+        queue.extend(decode_batch(comm.recv(src, T_HANDOFF)?, n)?);
     }
     Ok(())
 }
@@ -563,6 +586,62 @@ mod tests {
             }
             if p > 1 {
                 assert!(total_handoffs > 0, "lines must cross slab boundaries");
+            }
+        }
+    }
+
+    /// Every strict prefix and every single-bit flip of a valid
+    /// 3-particle batch, and every batch whose count disagrees with the
+    /// announced one or that carries trailing bytes, decodes to an error
+    /// or to exactly the batch its bytes spell (re-encoding gives them
+    /// back): a flip in the count is an error, one in a particle changes
+    /// that particle's field and nothing else.
+    #[test]
+    fn hand_off_batches_survive_every_truncation_and_bit_flip() {
+        let batch = [
+            WireParticle {
+                id: 3,
+                steps: 40,
+                pos: [1.5, -2.25, 7.0],
+            },
+            WireParticle {
+                id: 9,
+                steps: 0,
+                pos: [0.0, 0.125, -0.0],
+            },
+            WireParticle {
+                id: u32::MAX,
+                steps: 7,
+                pos: [1e300, f64::MIN_POSITIVE, 3.0],
+            },
+        ];
+        let valid = encode_batch(&batch).to_vec();
+        assert_eq!(valid.len(), 8 + 3 * PARTICLE_BYTES);
+        assert_eq!(decode_batch(valid.clone().into(), 3).unwrap(), batch);
+        let is_decode =
+            |got: CommResult<Vec<WireParticle>>| matches!(got, Err(CommError::Decode { .. }));
+        for announced in [0, 2, 4, u64::MAX] {
+            assert!(is_decode(decode_batch(valid.clone().into(), announced)));
+        }
+        let mut padded = valid.clone();
+        padded.push(0);
+        assert!(is_decode(decode_batch(padded.into(), 3)), "trailing byte");
+        for len in 0..valid.len() {
+            let got = decode_batch(valid[..len].to_vec().into(), 3);
+            assert!(is_decode(got), "prefix of {len} bytes");
+        }
+        for bit in 0..valid.len() * 8 {
+            let mut flipped = valid.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            match decode_batch(flipped.clone().into(), 3) {
+                Ok(got) => {
+                    assert!(bit >= 64, "a flipped count decoded (bit {bit})");
+                    assert_eq!(encode_batch(&got).to_vec(), flipped, "bit {bit}");
+                }
+                Err(e) => {
+                    assert!(matches!(e, CommError::Decode { .. }));
+                    assert!(bit < 64, "a flipped particle field was refused (bit {bit})");
+                }
             }
         }
     }

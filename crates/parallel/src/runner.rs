@@ -52,10 +52,10 @@ where
 /// The paper's co-design target is MPI ranks × on-node threads; here the
 /// analogue is rank-threads × a rayon pool per rank. With
 /// `threads_per_rank > 1` every rank closure runs inside its own rayon
-/// pool, so the chunk-parallel collide/stream kernels in `hemelb-core`
-/// split each rank's site loop across that many workers. Results are
-/// bit-identical at any setting (pull streaming + disjoint chunk
-/// writes), so the knob trades nothing but scheduling.
+/// pool, so the chunk-parallel step kernels in `hemelb-core` split each
+/// rank's site loop across that many workers. Results are bit-identical
+/// at any setting (each site writes only its own slots, on disjoint
+/// shares), so the knob trades nothing but scheduling.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpmdOptions {
     /// Rayon worker threads installed for each rank closure (≥ 1).

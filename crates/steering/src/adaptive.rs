@@ -46,11 +46,10 @@ use std::time::Instant;
 /// *caused by* imbalance on other ranks — including it would make the
 /// starved ranks look busy and invert the signal. `lb.overlap.compute`
 /// is excluded too: it is an umbrella span over the interior
-/// `lb.collide`/`lb.stream` pieces and would double-count them.
-const SIM_PHASES: [&str; 5] = [
+/// `lb.collide` piece and would double-count it.
+const SIM_PHASES: [&str; 4] = [
     "lb.collide",
     "lb.collide-frontier",
-    "lb.stream",
     "lb.halo-pack",
     "lb.macroscopics",
 ];

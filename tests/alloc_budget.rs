@@ -4,9 +4,10 @@
 //!
 //! A rank-step of the distributed solver may allocate for its messages
 //! (encode buffer, shared payload header) and for the lane bundles its
-//! four lattice sweeps hand to the kernels — a count per peer, not per
-//! site and not per frontier run — and a serial step, whatever the
-//! collision operator, only for its two lane bundles.
+//! two lattice sweeps hand to the kernels — a count per peer, not per
+//! site and not per frontier run, and the same in both steps of an AA
+//! pair — and a serial step, whatever the collision operator and the
+//! step's parity, only for its one lane bundle.
 //!
 //! The binary has its own counting `#[global_allocator]`, with one
 //! counter per thread, so ranks (threads of this process) are counted
@@ -131,14 +132,16 @@ fn serial_bgk_step_allocates_a_small_constant() {
 }
 
 /// TRT and MRT run the same chunked sweep as BGK over borrowed tables
-/// and stack scratch: the two lane bundles are all a step allocates.
+/// and stack scratch, and a pull–push block's buffer is on the stack
+/// too: the one lane bundle is all a step allocates, local or
+/// pull–push.
 #[test]
-fn serial_trt_and_mrt_steps_allocate_only_the_two_lane_bundles() {
+fn serial_trt_and_mrt_steps_allocate_only_their_lane_bundle() {
     for collision in [
         CollisionKind::Bgk,
         CollisionKind::trt_magic(),
         CollisionKind::Mrt { omega_ghost: 1.2 },
     ] {
-        assert_eq!(serial_step_allocations(collision, 0.5), 2, "{collision:?}");
+        assert_eq!(serial_step_allocations(collision, 0.5), 1, "{collision:?}");
     }
 }

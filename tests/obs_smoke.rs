@@ -60,7 +60,7 @@ fn obs_reports_survive_json_and_show_real_phase_timings() {
     assert_eq!(output.obs.len(), 2);
     for (r, report) in output.obs.iter().enumerate() {
         assert_eq!(report.rank, Some(r));
-        for phase in ["lb.collide", "lb.stream", "lb.halo-wait", "sim.step"] {
+        for phase in ["lb.collide", "lb.halo-wait", "sim.step"] {
             let p = report
                 .phases
                 .get(phase)
