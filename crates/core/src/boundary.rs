@@ -1,8 +1,8 @@
 //! Boundary conditions on missing lattice links.
 //!
 //! Site `s` is missing the population arriving along `c_i` whenever the
-//! upstream cell `s − c_i` is not fluid. The
-//! rule applied depends on the site's classification:
+//! upstream cell `s − c_i` is not fluid. The rule applied depends on the
+//! site's classification:
 //!
 //! * **wall** — halfway bounce-back (no-slip at the midpoint);
 //! * **velocity iolet** — Ladd bounce-back with the prescribed wall

@@ -159,9 +159,10 @@ pub struct Solver {
     /// Crate-visible for checkpoint restore.
     pub(crate) lat: SoaLattice,
     /// Per-phase observability recorder (`lb.collide` for a step's site
-    /// update, either half of a pair, and `lb.macroscopics`). Interior-mutable so `snapshot(&self)` can
-    /// record; never touched inside the per-site kernels, so the
-    /// instrumentation cannot perturb results.
+    /// update, either half of a pair, and `lb.macroscopics`).
+    /// Interior-mutable so `snapshot(&self)` can record; never touched
+    /// inside the per-site kernels, so the instrumentation cannot
+    /// perturb results.
     obs: RefCell<Recorder>,
 }
 
