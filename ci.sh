@@ -177,9 +177,12 @@ group_units() {
 # observability (phase timings end to end, lossless JSON export) and
 # the render path (macrocell marcher bit-identity, the screen-bounded
 # render against a scan of every pixel over random bricks and eye
-# positions, sparse compositing).
+# positions, sparse compositing). `golden-release` runs the golden
+# fixtures again on the optimised x86-64-v3 build the benchmark times,
+# since every other test stage builds in debug.
 group_determinism() {
     stage determinism cargo test -q --test properties --test golden
+    stage golden-release cargo test --release -q --test golden
     stage obs         cargo test -q --test obs_smoke
     stage render      cargo test -q --test render_compositing
 }

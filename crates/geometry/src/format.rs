@@ -281,7 +281,8 @@ pub struct SiteRecord {
 /// positioned anywhere (seeks to the right offset itself). The records
 /// are read through a length-limited reader, so what is allocated is
 /// what the stream holds, not what level one claims; a short stream is
-/// `UnexpectedEof`.
+/// `UnexpectedEof`, and a record whose local offset leaves its block is
+/// `InvalidData`.
 pub fn read_block_sites<R: Read + Seek>(
     header: &SgmyHeader,
     r: &mut R,
@@ -309,6 +310,12 @@ pub fn read_block_sites<R: Read + Seek>(
         for _ in 0..header.fluid_per_block[b] {
             let rec = &raw[cursor..cursor + SITE_RECORD_BYTES as usize];
             cursor += SITE_RECORD_BYTES as usize;
+            if rec[..3].iter().any(|&c| c as usize >= header.block_size) {
+                return Err(bad(format!(
+                    "site record {:?} outside its block",
+                    &rec[..3]
+                )));
+            }
             let position = [
                 origin[0] + rec[0] as u32,
                 origin[1] + rec[1] as u32,
@@ -340,7 +347,8 @@ pub fn read_sgmy<R: Read + Seek>(r: &mut R) -> io::Result<SparseGeometry> {
 ///
 /// # Errors
 /// A shape whose index grid cannot be addressed or allocated is an
-/// error, not a capacity panic.
+/// error, not a capacity panic; two records at one position are an
+/// error, not a site the index grid cannot find.
 pub fn assemble(header: &SgmyHeader, sites: Vec<SiteRecord>) -> io::Result<SparseGeometry> {
     let shape = header.shape;
     let cells = shape
@@ -357,6 +365,9 @@ pub fn assemble(header: &SgmyHeader, sites: Vec<SiteRecord>) -> io::Result<Spars
     for s in sites {
         let off = (s.position[0] as usize * shape[1] + s.position[1] as usize) * shape[2]
             + s.position[2] as usize;
+        if index[off] != NOT_FLUID {
+            return Err(bad(format!("two site records at {:?}", s.position)));
+        }
         index[off] = positions.len() as u32;
         positions.push(s.position);
         kinds.push(s.kind);

@@ -108,6 +108,17 @@ impl CornerProbe<'_> {
     /// [`SampledField::velocity_at`], bit for bit.
     #[inline(always)]
     pub(crate) fn velocity_at(&mut self, p: Vec3) -> Option<[f64; 3]> {
+        let w = self.weights_at(p);
+        self.velocity(&w)
+    }
+
+    /// The first half of [`CornerProbe::velocity_at`]: load the cell of
+    /// `p` if the probe holds another, and weigh its eight corners. A
+    /// tracer advancing several particles calls it for each before
+    /// calling [`CornerProbe::velocity`] for each, so that the
+    /// particles' independent arithmetic interleaves.
+    #[inline(always)]
+    pub(crate) fn weights_at(&mut self, p: Vec3) -> [f64; 8] {
         let lo = self.lo;
         let inside = |x: f64, lo: f64| lo <= x && x < lo + 1.0;
         if !(inside(p.x, lo[0]) && inside(p.y, lo[1]) && inside(p.z, lo[2])) {
@@ -118,13 +129,20 @@ impl CornerProbe<'_> {
         let fz = p.z - self.lo[2];
         let (wx, wy, wz) = ([1.0 - fx, fx], [1.0 - fy, fy], [1.0 - fz, fz]);
         let wxy = [wx[0] * wy[0], wx[0] * wy[1], wx[1] * wy[0], wx[1] * wy[1]];
-        let w: [f64; 8] = std::array::from_fn(|c| wxy[c >> 1] * wz[c & 1]);
+        std::array::from_fn(|c| wxy[c >> 1] * wz[c & 1])
+    }
+
+    /// The second half of [`CornerProbe::velocity_at`]: the weighted
+    /// mean of the loaded corners under the weights `w` of
+    /// [`CornerProbe::weights_at`].
+    #[inline(always)]
+    pub(crate) fn velocity(&self, w: &[f64; 8]) -> Option<[f64; 3]> {
         // Inside the lumen every corner is fluid and weighs something:
         // the same sum in the same order, without a branch per corner.
         let (acc, wsum) = if self.fluid == 0xFF && w.iter().all(|&w| weighs(w)) {
-            weighted_sum(self.u.iter().zip(&w))
+            weighted_sum(self.u.iter().zip(w))
         } else {
-            self.partial_sum(&w)
+            self.partial_sum(w)
         };
         if wsum <= 1e-12 {
             None

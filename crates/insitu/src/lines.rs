@@ -10,7 +10,7 @@
 //! per crossing; and because seeds cluster where the user looks, the
 //! work distribution is inherently unbalanced.
 
-use crate::field::{nearest_site, SampledField};
+use crate::field::{nearest_site, CornerProbe, SampledField};
 use bytes::Bytes;
 use hemelb_geometry::{SparseGeometry, Vec3};
 use hemelb_parallel::{CommError, CommResult, Communicator, Wire, WireReader, WireWriter};
@@ -59,6 +59,12 @@ pub fn rk4_step(
     Some(p + d * h)
 }
 
+/// The length of a velocity.
+#[inline(always)]
+fn speed(v: [f64; 3]) -> f64 {
+    (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]).sqrt()
+}
+
 /// Trace one steady streamline from `seed` (forward direction).
 pub fn trace_streamline(field: &SampledField<'_>, seed: Vec3, cfg: &TraceConfig) -> Vec<Vec3> {
     let mut probe = field.probe();
@@ -74,8 +80,7 @@ pub fn trace_streamline(field: &SampledField<'_>, seed: Vec3, cfg: &TraceConfig)
         let Some(vel) = probe.velocity_at(p) else {
             break;
         };
-        let speed = (vel[0] * vel[0] + vel[1] * vel[1] + vel[2] * vel[2]).sqrt();
-        if speed < cfg.min_speed {
+        if speed(vel) < cfg.min_speed {
             break;
         }
         let Some(q) = rk4_step(|q| probe.velocity_at(q), p, vel, cfg.h) else {
@@ -232,6 +237,204 @@ pub fn owner_of_point(geo: &SparseGeometry, owner: &[usize], p: Vec3) -> Option<
 /// One recorded line segment: `(line id, step-of-first-vertex, vertices)`.
 pub type LineSegment = (u32, u32, Vec<Vec3>);
 
+// ---------------------------------------------------------------------------
+// The lockstep RK4 kernel
+// ---------------------------------------------------------------------------
+
+/// Particles the kernel advances side by side. One particle's RK4 step
+/// is a single dependency chain (weights, eight-term sums, three
+/// divisions, the next stage's position); two independent chains keep
+/// the FP units busy, and more did not pay without vectorising the probe
+/// (EXPERIMENTS E6).
+const LANES: usize = 2;
+
+/// How far one call of [`advance_lockstep`] takes each particle.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Run {
+    /// RK4 step length.
+    pub h: f64,
+    /// Stop below this speed at a vertex.
+    pub min_speed: f64,
+    /// Stop once a particle's `steps` reaches this.
+    pub max_steps: usize,
+    /// Steps a particle may take in this call.
+    pub budget: usize,
+}
+
+/// Why a particle left the kernel.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum End {
+    /// Its `max_steps` or the call's budget is spent; still owned here.
+    Budget,
+    /// No field at a stage, too slow at a vertex, or the vertex left the
+    /// fluid.
+    Stopped,
+    /// The vertex lies in another rank's subdomain.
+    HandOff(usize),
+}
+
+/// One lane: a particle, its probe, and the vertices of its run so far
+/// in a buffer that keeps its capacity from particle to particle.
+struct Lane<'a> {
+    probe: CornerProbe<'a>,
+    /// Batch index of the particle, `None` while the lane is idle.
+    slot: Option<usize>,
+    part: WireParticle,
+    taken: usize,
+    verts: Vec<Vec3>,
+}
+
+/// Advance every particle of `batch` through `field` until it ends, in
+/// rank `me`'s subdomain of `owner` over `geo`'s sites, and return
+/// `keep(particle, vertices, end)` of each in batch order. The vertices
+/// start at the particle's position on entry.
+///
+/// Each lane holds one particle; the kernel runs one RK4 stage across
+/// all lanes before the next, and refills a lane from the batch as soon
+/// as its particle ends. A particle's arithmetic is that of
+/// [`rk4_step`] after the stop tests of [`trace_streamline`] — the same
+/// operations in the same order, with no contraction into FMA — so its
+/// vertices are the serial tracer's, bit for bit, whatever lane it
+/// runs in and whoever shares the kernel with it.
+pub(crate) fn advance_lockstep<T>(
+    field: &SampledField<'_>,
+    geo: &SparseGeometry,
+    owner: &[usize],
+    me: usize,
+    batch: &[WireParticle],
+    run: &Run,
+    mut keep: impl FnMut(WireParticle, &[Vec3], End) -> T,
+) -> Vec<T> {
+    let half = run.h / 2.0;
+    let mut ended: Vec<Option<T>> = batch.iter().map(|_| None).collect();
+    let mut queued = batch.iter().copied().enumerate();
+    let mut lanes: [Lane; LANES] = std::array::from_fn(|_| Lane {
+        probe: field.probe(),
+        slot: None,
+        part: WireParticle {
+            id: 0,
+            steps: 0,
+            pos: [0.0; 3],
+        },
+        taken: 0,
+        verts: Vec::new(),
+    });
+    let mut retire = |lane: &mut Lane, end: End| {
+        if let Some(slot) = lane.slot.take() {
+            ended[slot] = Some(keep(lane.part, &lane.verts, end));
+        }
+    };
+    loop {
+        let mut busy = [false; LANES];
+        for (lane, busy) in lanes.iter_mut().zip(&mut busy) {
+            if lane.slot.is_none() {
+                if let Some((slot, part)) = queued.next() {
+                    lane.slot = Some(slot);
+                    lane.part = part;
+                    lane.taken = 0;
+                    lane.verts.clear();
+                    lane.verts.push(Vec3::from(part.pos));
+                }
+            }
+            *busy = lane.slot.is_some();
+        }
+        if !busy.contains(&true) {
+            break;
+        }
+
+        // Stage 1: the stop tests at the vertex, and k1. Each stage
+        // weighs every lane's corners before it sums any lane's, so the
+        // lanes' arithmetic interleaves.
+        let mut w = [[0.0; 8]; LANES];
+        for l in 0..LANES {
+            let lane = &mut lanes[l];
+            if !busy[l] {
+                continue;
+            }
+            if lane.part.steps as usize >= run.max_steps || lane.taken >= run.budget {
+                busy[l] = false;
+                retire(lane, End::Budget);
+                continue;
+            }
+            w[l] = lane.probe.weights_at(Vec3::from(lane.part.pos));
+        }
+        let mut k = [[[0.0; 3]; LANES]; 4];
+        for l in 0..LANES {
+            if !busy[l] {
+                continue;
+            }
+            // At the vertex, a particle too slow to trace on stops.
+            match lanes[l].probe.velocity(&w[l]) {
+                Some(v) if speed(v) < run.min_speed => {}
+                Some(v) => {
+                    k[0][l] = v;
+                    continue;
+                }
+                None => {}
+            }
+            busy[l] = false;
+            retire(&mut lanes[l], End::Stopped);
+        }
+
+        // Stages 2–4: each lane's next position from its previous stage.
+        for (stage, scale) in [(1, half), (2, half), (3, run.h)] {
+            for l in 0..LANES {
+                if busy[l] {
+                    let lane = &mut lanes[l];
+                    let q = Vec3::from(lane.part.pos) + Vec3::from(k[stage - 1][l]) * scale;
+                    w[l] = lane.probe.weights_at(q);
+                }
+            }
+            for l in 0..LANES {
+                if !busy[l] {
+                    continue;
+                }
+                match lanes[l].probe.velocity(&w[l]) {
+                    Some(v) => k[stage][l] = v,
+                    None => {
+                        busy[l] = false;
+                        retire(&mut lanes[l], End::Stopped);
+                    }
+                }
+            }
+        }
+
+        // The combination, the vertex and the owner test.
+        let [k1, k2, k3, k4] = k;
+        for l in 0..LANES {
+            let lane = &mut lanes[l];
+            if !busy[l] {
+                continue;
+            }
+            let (a, b, c, e) = (k1[l], k2[l], k3[l], k4[l]);
+            let d = Vec3::new(
+                (a[0] + 2.0 * b[0] + 2.0 * c[0] + e[0]) / 6.0,
+                (a[1] + 2.0 * b[1] + 2.0 * c[1] + e[1]) / 6.0,
+                (a[2] + 2.0 * b[2] + 2.0 * c[2] + e[2]) / 6.0,
+            );
+            let next = Vec3::from(lane.part.pos) + d * run.h;
+            lane.part.pos = next.to_array();
+            lane.part.steps += 1;
+            lane.taken += 1;
+            lane.verts.push(next);
+            match owner_of_point(geo, owner, next) {
+                Some(o) if o == me => {}
+                Some(o) => retire(lane, End::HandOff(o)),
+                None => retire(lane, End::Stopped),
+            }
+        }
+    }
+    ended
+        .into_iter()
+        .map(|e| e.expect("every particle ends"))
+        .collect()
+}
+
+/// Particles of a hand-off batch that one parallel task traces. Fixed,
+/// so the split, and with it every segment's order, does not depend on
+/// the thread count.
+const TRACE_CHUNK: usize = 64;
+
 /// Distributed steady streamline tracing with particle hand-off.
 /// Collective; every rank passes the full seed list. Returns this rank's
 /// recorded segments `(line id, step-of-first-vertex, vertices)` and its
@@ -262,60 +465,39 @@ pub fn trace_distributed(
         })
         .collect();
 
+    let run = Run {
+        h: cfg.h,
+        min_speed: cfg.min_speed,
+        max_steps: cfg.max_steps,
+        budget: usize::MAX,
+    };
     loop {
         // Advance every queued particle until it finishes or leaves my
-        // subdomain. Particles are independent, so the batch runs in
-        // parallel; the collect preserves batch order, and the serial
-        // merge below keeps segments and outgoing queues in exactly the
-        // order the serial loop produced.
+        // subdomain. Particles are independent, so fixed chunks of the
+        // batch run in parallel, each through the lockstep kernel; the
+        // collect keeps batch order, and so the serial merge below keeps
+        // segments and outgoing queues in batch order whatever the lanes
+        // and threads.
         let mut outgoing: Vec<Vec<WireParticle>> = vec![Vec::new(); comm.size()];
         let batch: Vec<WireParticle> = std::mem::take(&mut queue);
-        let advanced: Vec<(WireParticle, u32, Vec<Vec3>, Option<usize>)> = batch
-            .into_par_iter()
-            .map(|mut part| {
-                let mut verts = vec![Vec3::from(part.pos)];
-                let start_step = part.steps;
-                let mut dest = None;
-                let mut probe = field.probe();
-                loop {
-                    if part.steps as usize >= cfg.max_steps {
-                        break;
-                    }
-                    let p = Vec3::from(part.pos);
-                    let Some(vel) = probe.velocity_at(p) else {
-                        break;
-                    };
-                    let speed = (vel[0] * vel[0] + vel[1] * vel[1] + vel[2] * vel[2]).sqrt();
-                    if speed < cfg.min_speed {
-                        break;
-                    }
-                    let Some(next) = rk4_step(|q| probe.velocity_at(q), p, vel, cfg.h) else {
-                        break;
-                    };
-                    part.pos = next.to_array();
-                    part.steps += 1;
-                    verts.push(next);
-                    match owner_of_point(geo, owner, next) {
-                        Some(o) if o == me => {}
-                        Some(o) => {
-                            // Hand off to the owning rank.
-                            dest = Some(o);
-                            break;
-                        }
-                        None => break, // left the fluid
-                    }
-                }
-                (part, start_step, verts, dest)
+        let ended = batch
+            .par_chunks(TRACE_CHUNK)
+            .map(|chunk| {
+                advance_lockstep(field, geo, owner, me, chunk, &run, |part, verts, end| {
+                    (part, verts.to_vec(), end)
+                })
             })
-            .collect();
-        for (part, start_step, verts, dest) in advanced {
-            stats.steps_computed += (part.steps - start_step) as u64;
-            if let Some(o) = dest {
+            .collect::<Vec<_>>()
+            .into_iter()
+            .flatten();
+        for (start, (part, verts, end)) in batch.iter().zip(ended) {
+            stats.steps_computed += (part.steps - start.steps) as u64;
+            if let End::HandOff(o) = end {
                 outgoing[o].push(part);
                 stats.handoffs += 1;
             }
             if verts.len() > 1 {
-                segments.push((part.id, start_step, verts));
+                segments.push((part.id, start.steps, verts));
             }
         }
 
@@ -514,6 +696,15 @@ mod tests {
         (geo, solver.snapshot())
     }
 
+    /// The mean of the sites in the inlet plane `x = 2`.
+    fn inlet_axis(geo: &SparseGeometry) -> Vec3 {
+        let inlet: Vec<Vec3> = (0..geo.fluid_count() as u32)
+            .map(|s| geo.position_v(s))
+            .filter(|p| p.x == 2.0)
+            .collect();
+        inlet.iter().fold(Vec3::ZERO, |a, &p| a + p) * (1.0 / inlet.len() as f64)
+    }
+
     #[test]
     fn distributed_trace_matches_serial_bitwise() {
         let (geo, snap) = developed_aneurysm();
@@ -521,11 +712,7 @@ mod tests {
         // sides: seeds in the fluid, seeds whose cell is wall but whose
         // neighbours are fluid (interpolation succeeds there), seeds in
         // solid with nothing around them.
-        let inlet: Vec<Vec3> = (0..geo.fluid_count() as u32)
-            .map(|s| geo.position_v(s))
-            .filter(|p| p.x == 2.0)
-            .collect();
-        let axis = inlet.iter().fold(Vec3::ZERO, |a, &p| a + p) * (1.0 / inlet.len() as f64);
+        let axis = inlet_axis(&geo);
         let seeds: Vec<Vec3> = (0..40)
             .map(|i| axis + Vec3::new(0.3, (i as f64 - 19.5) * 0.32, 0.2))
             .collect();
@@ -551,12 +738,38 @@ mod tests {
             assert_eq!(line.len() > 1, field.in_fluid(*seed), "seed {seed:?}");
         }
 
-        for p in [1usize, 2, 4] {
-            let geo2 = geo.clone();
-            let snap2 = snap.clone();
-            let seeds2 = seeds.clone();
+        // Lines cross slab boundaries at 2 and 4 ranks.
+        let handoffs = distributed_equals_serial(&geo, &snap, &seeds, &cfg, &[1, 2, 4]);
+        assert!(
+            handoffs[0] == 0 && handoffs[1] > 0 && handoffs[2] > 0,
+            "{handoffs:?}"
+        );
+    }
+
+    /// Trace `seeds` over slabs along x at each rank count of `ranks`,
+    /// assert every stitched line equals [`trace_streamline`]'s by
+    /// `to_bits`, and return the hand-offs at each rank count.
+    fn distributed_equals_serial(
+        geo: &SparseGeometry,
+        snap: &FieldSnapshot,
+        seeds: &[Vec3],
+        cfg: &TraceConfig,
+        ranks: &[usize],
+    ) -> Vec<u64> {
+        let field = SampledField::new(geo, snap);
+        let serial: Vec<Vec<Vec3>> = seeds
+            .iter()
+            .map(|&s| trace_streamline(&field, s, cfg))
+            .collect();
+        let bits = |line: &[Vec3]| -> Vec<[u64; 3]> {
+            line.iter()
+                .map(|v| v.to_array().map(f64::to_bits))
+                .collect()
+        };
+        let mut handoffs = Vec::new();
+        for &p in ranks {
+            let (geo2, snap2, seeds2, cfg) = (geo.clone(), snap.clone(), seeds.to_vec(), *cfg);
             let results = run_spmd(p, move |comm| {
-                // Slab decomposition along x.
                 let owner: Vec<usize> = (0..geo2.fluid_count() as u32)
                     .map(|s| {
                         (geo2.position(s)[0] as usize * comm.size() / geo2.shape()[0])
@@ -566,26 +779,127 @@ mod tests {
                 let field = SampledField::new(&geo2, &snap2);
                 trace_distributed(comm, &geo2, &field, &owner, &seeds2, &cfg).unwrap()
             });
-            // Stitch across ranks.
-            let mut all_segments = Vec::new();
-            let mut total_handoffs = 0;
+            let mut segments = Vec::new();
+            handoffs.push(0);
             for (segs, stats) in results {
-                all_segments.extend(segs);
-                total_handoffs += stats.handoffs;
+                segments.extend(segs);
+                *handoffs.last_mut().unwrap() += stats.handoffs;
             }
-            let lines = stitch_segments(all_segments, seeds.len());
-            let bits = |line: &[Vec3]| -> Vec<[u64; 3]> {
-                line.iter()
-                    .map(|v| v.to_array().map(f64::to_bits))
-                    .collect()
-            };
+            let lines = stitch_segments(segments, seeds.len());
             for (i, line) in lines.iter().enumerate() {
                 // A line that never left its seed records no segment.
                 let want: &[Vec3] = if serial[i].len() > 1 { &serial[i] } else { &[] };
-                assert_eq!(bits(line), bits(want), "p={p} line {i}");
+                assert_eq!(
+                    bits(line),
+                    bits(want),
+                    "p={p}, {} seeds: line {i}",
+                    seeds.len()
+                );
             }
-            if p > 1 {
-                assert!(total_handoffs > 0, "lines must cross slab boundaries");
+        }
+        handoffs
+    }
+
+    /// The lockstep kernel refills a lane as soon as its line ends, so
+    /// lines that end at different steps, for every reason a line ends,
+    /// share lanes in every pattern: batches of 0, 1, `LANES` ± 1,
+    /// `2 LANES + 1` seeds and one past a chunk boundary, at 1, 2 and 3
+    /// ranks. Every line equals the serial tracer's by `to_bits`.
+    #[test]
+    fn lockstep_trace_matches_serial_for_every_batch_shape() {
+        let (geo, mut snap) = developed_aneurysm();
+        let axis = inlet_axis(&geo);
+        // Still fluid in one half of the lumen downstream: lines that
+        // reach it slow to a stop, the others run on to the outlet.
+        let still_x = 0.7 * geo.shape()[0] as f64;
+        for (s, u) in snap.u.iter_mut().enumerate() {
+            let [x, y, _] = geo.position(s as u32);
+            if x as f64 >= still_x && (y as f64) < axis.y {
+                *u = [0.0; 3];
+            }
+        }
+        let cfg = TraceConfig {
+            h: 3.0,
+            max_steps: 400,
+            ..TraceConfig::default()
+        };
+        // Rakes across the lumen at several distances from the still
+        // fluid, overshooting it into the wall and beyond, and a few
+        // seeds inside the still fluid.
+        let pool: Vec<Vec3> = (0..TRACE_CHUNK + 8)
+            .map(|i| {
+                let x = 2.3 + (i % 6) as f64 * 0.2 * still_x;
+                Vec3::new(x, axis.y + ((i * 7) % 23) as f64 * 0.4 - 4.4, axis.z + 0.2)
+            })
+            .collect();
+
+        // Classify each line's end; deal the pool out so that any prefix
+        // mixes ends.
+        let field = SampledField::new(&geo, &snap);
+        let end = |seed: Vec3| {
+            let line = trace_streamline(&field, seed, &cfg);
+            let last = *line.last().unwrap();
+            if !field.in_fluid(seed) {
+                "seed in the wall"
+            } else if line.len() == cfg.max_steps + 1 {
+                "max_steps"
+            } else if !field.in_fluid(last) {
+                "left the fluid"
+            } else if field
+                .velocity_at(last)
+                .is_some_and(|v| speed(v) < cfg.min_speed)
+            {
+                "min_speed"
+            } else {
+                "no field at a stage"
+            }
+        };
+        let mut by_end: Vec<(&str, Vec<Vec3>)> = Vec::new();
+        for &seed in &pool {
+            let e = end(seed);
+            match by_end.iter_mut().find(|(k, _)| *k == e) {
+                Some((_, seeds)) => seeds.push(seed),
+                None => by_end.push((e, vec![seed])),
+            }
+        }
+        let ends: Vec<&str> = by_end.iter().map(|(e, _)| *e).collect();
+        for want in [
+            "seed in the wall",
+            "max_steps",
+            "left the fluid",
+            "min_speed",
+        ] {
+            assert!(ends.contains(&want), "no line ends by {want}: {ends:?}");
+        }
+        let mut dealt = Vec::new();
+        for round in 0.. {
+            let before = dealt.len();
+            dealt.extend(by_end.iter().filter_map(|(_, s)| s.get(round)));
+            if dealt.len() == before {
+                break;
+            }
+        }
+        let lens: Vec<usize> = dealt
+            .iter()
+            .map(|&s| trace_streamline(&field, s, &cfg).len())
+            .collect();
+        assert!(lens[..4].windows(2).all(|w| w[0] != w[1]), "{lens:?}");
+
+        for n in [
+            0,
+            1,
+            LANES - 1,
+            LANES,
+            LANES + 1,
+            2 * LANES + 1,
+            TRACE_CHUNK + 1,
+        ] {
+            let handoffs = distributed_equals_serial(&geo, &snap, &dealt[..n], &cfg, &[1, 2, 3]);
+            if n > LANES {
+                assert!(
+                    handoffs[1] > 0 && handoffs[2] > 0,
+                    "{n} seeds: {handoffs:?}"
+                );
             }
         }
     }

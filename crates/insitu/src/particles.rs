@@ -13,7 +13,7 @@
 //! and each seed emits one particle per solver step.
 
 use crate::field::SampledField;
-use crate::lines::{owner_of_point, rk4_step, WireParticle};
+use crate::lines::{advance_lockstep, owner_of_point, End, Run, WireParticle};
 use hemelb_geometry::{SparseGeometry, Vec3};
 use hemelb_parallel::{CommResult, Communicator};
 
@@ -88,31 +88,31 @@ impl<'a> ParticleEnsemble<'a> {
     /// current field, then migrate border-crossers. Collective — all
     /// ranks must call it once per solver step.
     pub fn step(&mut self, geo: &SparseGeometry, field: &SampledField<'_>) -> CommResult<()> {
+        // One RK4 step of every particle, with no speed test.
+        let run = Run {
+            h: self.h,
+            min_speed: f64::NEG_INFINITY,
+            max_steps: usize::MAX,
+            budget: 1,
+        };
+        let batch = std::mem::take(&mut self.local);
         let me = self.comm.rank();
+        let ended = advance_lockstep(field, geo, self.owner, me, &batch, &run, |part, _, end| {
+            (part, end)
+        });
         let mut outgoing: Vec<Vec<WireParticle>> = vec![Vec::new(); self.comm.size()];
-        let mut keep = Vec::with_capacity(self.local.len());
-        for mut part in self.local.drain(..) {
-            let p = Vec3::from(part.pos);
-            let mut probe = field.probe();
-            let k1 = probe.velocity_at(p);
-            match k1.and_then(|k1| rk4_step(|q| probe.velocity_at(q), p, k1, self.h)) {
-                None => self.finished.push(part),
-                Some(next) => {
-                    part.pos = next.to_array();
-                    part.steps += 1;
-                    self.stats.updates += 1;
-                    match owner_of_point(geo, self.owner, next) {
-                        Some(o) if o == me => keep.push(part),
-                        Some(o) => {
-                            outgoing[o].push(part);
-                            self.stats.migrations += 1;
-                        }
-                        None => self.finished.push(part),
-                    }
+        self.local = Vec::with_capacity(batch.len());
+        for (start, (part, end)) in batch.iter().zip(ended) {
+            self.stats.updates += u64::from(part.steps - start.steps);
+            match end {
+                End::Budget => self.local.push(part),
+                End::Stopped => self.finished.push(part),
+                End::HandOff(o) => {
+                    outgoing[o].push(part);
+                    self.stats.migrations += 1;
                 }
             }
         }
-        self.local = keep;
 
         crate::lines::exchange_particles(self.comm, &outgoing, &mut self.local)?;
         self.stats.rounds += 1;

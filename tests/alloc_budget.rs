@@ -9,18 +9,26 @@
 //! pair — and a serial step, whatever the collision operator and the
 //! step's parity, only for its one lane bundle.
 //!
+//! The same allocator bounds what a decoder asks for: hostile `.sgmy`
+//! bytes must not make the reader allocate more than the file or its
+//! index grid.
+//!
 //! The binary has its own counting `#[global_allocator]`, with one
 //! counter per thread, so ranks (threads of this process) are counted
 //! apart and the test harness's own threads never disturb a figure.
 
 use hemelb::core::collision::CollisionKind;
 use hemelb::core::{DistSolver, Solver, SolverConfig};
+use hemelb::geometry::format::{
+    assemble, read_block_sites, read_header, read_sgmy, write_sgmy, SgmyHeader,
+};
 use hemelb::geometry::{SparseGeometry, VesselBuilder};
 use hemelb::parallel::run_spmd;
 use hemelb::partition::graph::Connectivity;
 use hemelb::partition::{MultilevelKWay, Partitioner, SiteGraph};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::io::Cursor;
 use std::sync::Arc;
 
 thread_local! {
@@ -28,16 +36,24 @@ thread_local! {
     /// initialised and without a destructor, so touching it from inside
     /// the allocator cannot itself allocate.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// The largest block this thread has asked for, fresh or grown.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Count one request for `bytes` on this thread.
+fn note(bytes: usize) {
+    ALLOCATIONS.with(|c| c.set(c.get() + 1));
+    LARGEST.with(|c| c.set(c.get().max(bytes)));
 }
 
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the only addition is a thread-local
-// counter bump that neither allocates nor unwinds.
+// the `GlobalAlloc` contract; the only addition is two thread-local
+// counter updates that neither allocate nor unwind.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        note(layout.size());
         // SAFETY: `layout` is passed on exactly as the caller gave it.
         unsafe { System.alloc(layout) }
     }
@@ -47,7 +63,7 @@ unsafe impl GlobalAlloc for Counting {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        note(new_size);
         // SAFETY: as for `dealloc`; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -143,5 +159,93 @@ fn serial_trt_and_mrt_steps_allocate_only_their_lane_bundle() {
         CollisionKind::Mrt { omega_ghost: 1.2 },
     ] {
         assert_eq!(serial_step_allocations(collision, 0.5), 1, "{collision:?}");
+    }
+}
+
+/// The largest block `f` asks the allocator for on this thread, next to
+/// its result.
+fn largest_allocation<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let before = LARGEST.with(|c| c.replace(0));
+    let r = f();
+    let largest = LARGEST.with(|c| c.replace(before.max(c.get())));
+    (r, largest)
+}
+
+/// Whether `geo` is a geometry `header` can describe: as many sites as
+/// it announces, each inside its shape, each the one the index grid
+/// finds at its position.
+fn consistent(header: &SgmyHeader, geo: &SparseGeometry) -> bool {
+    geo.shape() == header.shape
+        && geo.fluid_count() as u64 == header.fluid_total
+        && (0..geo.fluid_count() as u32).all(|i| {
+            let [x, y, z] = geo.position(i);
+            let inside = [x, y, z]
+                .iter()
+                .zip(header.shape)
+                .all(|(&c, n)| (c as usize) < n);
+            inside && geo.site_at(x as i64, y as i64, z as i64) == Some(i)
+        })
+}
+
+/// `.sgmy` level two under every truncation and every single-bit flip of
+/// a small written file: `read_sgmy`, and `read_block_sites` over two
+/// halves of the block range assembled as a distributed read does, both
+/// return an error or the same consistent geometry. Nothing panics, and
+/// no request to the allocator is larger than the file or the index
+/// grid its header's blocks can span (a flipped shape stays inside its
+/// blocks, since the block count must still match it).
+#[test]
+fn sgmy_level_two_survives_every_truncation_and_bit_flip() {
+    let geo = VesselBuilder::straight_tube(10.0, 2.0).voxelise(1.0);
+    let mut valid = Vec::new();
+    write_sgmy(&geo, 4, &mut valid).unwrap();
+    let header = read_header(&mut Cursor::new(&valid)).unwrap();
+    let blocks = header.fluid_per_block.len();
+    let block_cells = blocks * header.block_size.pow(3);
+    let bound = valid.len().max(block_cells * std::mem::size_of::<u32>());
+    assert!(blocks >= 4 && geo.fluid_count() > 50, "{blocks} blocks");
+
+    let decode = |bytes: &[u8]| -> Result<(), String> {
+        let (got, largest) = largest_allocation(|| {
+            let whole = read_sgmy(&mut Cursor::new(bytes));
+            let halves = read_header(&mut Cursor::new(bytes)).and_then(|h| {
+                let mut r = Cursor::new(bytes);
+                let mut sites = read_block_sites(&h, &mut r, 0..blocks / 2)?;
+                sites.extend(read_block_sites(&h, &mut r, blocks / 2..blocks)?);
+                Ok((assemble(&h, sites)?, h))
+            });
+            (whole, halves)
+        });
+        if largest > bound {
+            return Err(format!("asked for {largest} B, bound {bound} B"));
+        }
+        match got {
+            (Ok(whole), Ok((halves, h))) => {
+                if !consistent(&h, &whole) {
+                    return Err("an inconsistent geometry".into());
+                }
+                if whole.positions() != halves.positions() {
+                    return Err("the halves differ from the whole".into());
+                }
+                Ok(())
+            }
+            (Err(_), Err(_)) => Ok(()),
+            (whole, halves) => Err(format!(
+                "read_sgmy {:?} but the block reads {:?}",
+                whole.err(),
+                halves.err()
+            )),
+        }
+    };
+    decode(&valid).unwrap();
+    for len in 0..valid.len() {
+        let got = read_sgmy(&mut Cursor::new(&valid[..len]));
+        assert!(got.is_err(), "a {len}-byte prefix decoded");
+        decode(&valid[..len]).unwrap_or_else(|e| panic!("prefix of {len} bytes: {e}"));
+    }
+    for bit in 0..valid.len() * 8 {
+        let mut flipped = valid.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        decode(&flipped).unwrap_or_else(|e| panic!("bit {bit} (byte {}): {e}", bit / 8));
     }
 }
