@@ -417,7 +417,11 @@ pub(crate) fn advance_lockstep<T>(
             lane.part.steps += 1;
             lane.taken += 1;
             lane.verts.push(next);
+            let spent = lane.part.steps as usize >= run.max_steps || lane.taken >= run.budget;
             match owner_of_point(geo, owner, next) {
+                // Spent here: retire now, so that the lane refills at
+                // once rather than idling through the next iteration.
+                Some(o) if o == me && spent => retire(lane, End::Budget),
                 Some(o) if o == me => {}
                 Some(o) => retire(lane, End::HandOff(o)),
                 None => retire(lane, End::Stopped),
