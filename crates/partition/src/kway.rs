@@ -12,17 +12,30 @@
 //! Bookkeeping: the finest level borrows the [`SiteGraph`] (its edges
 //! all weigh 1, so no weight array is built); a coarse vertex is its
 //! pair's lower fine index, the partner being that vertex's mate; a
-//! coarse row is summed in a dense array indexed by coarse id, its
-//! touched ids sorted and emitted; refinement keeps each vertex's count
-//! of neighbours in another part and skips a vertex whose count is 0.
+//! coarse edge weight is a `u32`, the number of fine edges it merges;
+//! refinement keeps each vertex's count of neighbours in another part and
+//! skips a vertex whose count is 0.
 //!
-//! This returns the same owner vector, bit for bit, as the per-row
-//! `HashMap`, member-list and full-rescan code it replaced (pinned by
-//! `tests/golden/kway_owner.txt`): every weight sum starts at `0.0` and
-//! adds the same terms in the same member / neighbour order; members
-//! come in ascending fine index either way; and on a symmetric graph a
-//! zero count is exactly "no foreign part found by a rescan", so every
-//! move decision is the same.
+//! On the finest level matching takes the first unmatched neighbour: all
+//! weights are 1, so that is the heaviest one, the one a full scan that
+//! keeps the first of equals would pick. The coarse graph is built in one
+//! ordered scatter pass. Coarse vertices are visited in ascending id, and
+//! each appends its id to the row of every coarse neighbour, merging a
+//! repeat into that row's last entry. Rows come out ascending with no
+//! sort, and on a symmetric graph the scattered rows are the rows
+//! themselves, so no transpose is needed. Each row has the room its
+//! members' out-edges give it (their in-edges, on a symmetric graph); a
+//! row that overflows it shows the graph is asymmetric, and coarsening
+//! stops at that level rather than index past the row.
+//!
+//! This returns the same owner vector, bit for bit, as the per-row sorted
+//! `f64` accumulator, `HashMap`, member-list and full-rescan code it
+//! replaced (pinned by `tests/golden/kway_owner.txt`). Every edge-weight
+//! sum, here or in refinement, is a sum of integers far below 2⁵³, so it
+//! is exact in `f64` whatever order it adds in; vertex weights, which are
+//! not integers, are still summed from `0.0` over the members in
+//! ascending fine index. On a symmetric graph a zero count is exactly "no
+//! foreign part found by a rescan", so every move decision is the same.
 
 use crate::graph::SiteGraph;
 use crate::Partitioner;
@@ -33,9 +46,9 @@ use std::borrow::Cow;
 struct Level<'g> {
     xadj: Cow<'g, [usize]>,
     adjncy: Cow<'g, [u32]>,
-    /// Edge weights; `None` on the finest level, where every edge
-    /// weighs 1.
-    adjwgt: Option<Vec<f64>>,
+    /// Edge weights, each the number of fine edges it merges; `None` on
+    /// the finest level, where every edge weighs 1.
+    adjwgt: Option<Vec<u32>>,
     vwgt: Cow<'g, [f64]>,
     /// Map from this level's vertices to the *next coarser* level.
     coarse_map: Vec<u32>,
@@ -55,14 +68,28 @@ impl<'g> Level<'g> {
     fn len(&self) -> usize {
         self.vwgt.len()
     }
+    fn row(&self, v: u32) -> std::ops::Range<usize> {
+        self.xadj[v as usize]..self.xadj[v as usize + 1]
+    }
     fn neighbours(&self, v: u32) -> impl Iterator<Item = (u32, f64)> + '_ {
-        let r = self.xadj[v as usize]..self.xadj[v as usize + 1];
+        let r = self.row(v);
         let w = self.adjwgt.as_deref().map(|w| &w[r.clone()]);
         self.adjncy[r]
             .iter()
             .enumerate()
-            .map(move |(i, &u)| (u, w.map_or(1.0, |w| w[i])))
+            .map(move |(i, &u)| (u, w.map_or(1.0, |w| f64::from(w[i]))))
     }
+}
+
+/// Why a level cannot be coarsened; the level is then the coarsest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CoarsenError {
+    /// More than `u32::MAX` directed edges: a row slot or a coarse edge
+    /// weight could wrap.
+    TooManyEdges,
+    /// A coarse row received more entries than its members have
+    /// out-edges, so the graph is not symmetric.
+    Asymmetric,
 }
 
 /// Deterministic multilevel k-way partitioner.
@@ -85,30 +112,8 @@ impl Partitioner for MultilevelKWay {
             return vec![0; graph.len()];
         }
 
-        // Phase 1: coarsen, with an explicit stall guard. Heavy-edge
-        // matching makes no real progress on adversarial topologies — a
-        // star graph collapses only one pair per round, an edgeless
-        // graph not at all — so a level shrinking by less than 5% breaks
-        // straight to initial partitioning + refinement on what we have.
-        // Without the guard such a level could be re-coarsened forever
-        // while never approaching the target size.
-        let mut levels = vec![Level::finest(graph)];
-        let target = (COARSEN_FACTOR * k).max(64);
-        let mut rng = SEED | 1;
-        loop {
-            let last = levels.last().expect("nonempty");
-            if last.len() <= target {
-                break;
-            }
-            let (coarse, map) = coarsen(last, &mut rng);
-            let stalled = coarse.len() >= last.len() * 95 / 100;
-            let reached_target = coarse.len() <= target;
-            levels.last_mut().expect("nonempty").coarse_map = map;
-            levels.push(coarse);
-            if stalled || reached_target {
-                break;
-            }
-        }
+        // Phase 1: coarsen.
+        let levels = coarsen_levels(graph, k);
 
         // Phase 2: initial partition of the coarsest level.
         let coarsest = levels.last().expect("nonempty");
@@ -133,6 +138,38 @@ impl Partitioner for MultilevelKWay {
     }
 }
 
+/// The coarsening hierarchy for `k` parts, finest first, each level but
+/// the last holding its map to the next.
+///
+/// There is an explicit stall guard. Heavy-edge matching makes no real
+/// progress on adversarial topologies — a star graph collapses only one
+/// pair per round, an edgeless graph not at all — so a level shrinking by
+/// less than 5% is the last. Without the guard such a level could be
+/// re-coarsened forever while never approaching the target size. A level
+/// [`coarsen`] refuses is the last too.
+fn coarsen_levels(graph: &SiteGraph, k: usize) -> Vec<Level<'_>> {
+    let mut levels = vec![Level::finest(graph)];
+    let target = (COARSEN_FACTOR * k).max(64);
+    let mut rng = SEED | 1;
+    loop {
+        let last = levels.last().expect("nonempty");
+        if last.len() <= target {
+            break;
+        }
+        let Ok((coarse, map)) = coarsen(last, &mut rng) else {
+            break;
+        };
+        let stalled = coarse.len() >= last.len() * 95 / 100;
+        let reached_target = coarse.len() <= target;
+        levels.last_mut().expect("nonempty").coarse_map = map;
+        levels.push(coarse);
+        if stalled || reached_target {
+            break;
+        }
+    }
+    levels
+}
+
 /// xorshift64* step for deterministic tie-breaking.
 fn next_rand(state: &mut u64) -> u64 {
     let mut x = *state;
@@ -145,8 +182,9 @@ fn next_rand(state: &mut u64) -> u64 {
 
 /// Heavy-edge matching coarsening. Returns the coarse level and the
 /// fine→coarse map.
-fn coarsen(fine: &Level<'_>, rng: &mut u64) -> (Level<'static>, Vec<u32>) {
+fn coarsen(fine: &Level<'_>, rng: &mut u64) -> Result<(Level<'static>, Vec<u32>), CoarsenError> {
     let n = fine.len();
+    let edges = u32::try_from(fine.adjncy.len()).map_err(|_| CoarsenError::TooManyEdges)?;
     // Random visit order (Fisher–Yates with the deterministic RNG).
     let mut order: Vec<u32> = (0..n as u32).collect();
     for i in (1..n).rev() {
@@ -160,82 +198,108 @@ fn coarsen(fine: &Level<'_>, rng: &mut u64) -> (Level<'static>, Vec<u32>) {
         if mate[v as usize] != unmatched {
             continue;
         }
-        // Heaviest unmatched neighbour.
-        let mut best: Option<(u32, f64)> = None;
-        for (u, w) in fine.neighbours(v) {
-            if mate[u as usize] == unmatched && u != v {
-                match best {
-                    Some((_, bw)) if bw >= w => {}
-                    _ => best = Some((u, w)),
+        let r = fine.row(v);
+        let free = |u: u32| u != v && mate[u as usize] == unmatched;
+        let best = match fine.adjwgt.as_deref() {
+            // Every edge weighs 1: the first free neighbour is the
+            // heaviest, the first of equals being kept.
+            None => fine.adjncy[r].iter().copied().find(|&u| free(u)),
+            // Heaviest free neighbour, the first of equals kept.
+            Some(adjwgt) => {
+                let mut best: Option<(u32, u32)> = None;
+                for (&u, &w) in fine.adjncy[r.clone()].iter().zip(&adjwgt[r]) {
+                    if free(u) && best.is_none_or(|(_, bw)| w > bw) {
+                        best = Some((u, w));
+                    }
                 }
+                best.map(|(u, _)| u)
             }
-        }
-        match best {
-            Some((u, _)) => {
-                mate[v as usize] = u;
-                mate[u as usize] = v;
-            }
-            None => mate[v as usize] = v, // matched with itself
-        }
+        };
+        let u = best.unwrap_or(v); // matched with itself if none is free
+        mate[v as usize] = u;
+        mate[u as usize] = v;
     }
 
     // Assign coarse ids in ascending fine index: a pair's id goes to its
     // lower index, kept in `first`; the partner is that vertex's mate.
+    // Row `cv` of the coarse graph gets the room its members' out-edges
+    // give it, from `start[cv]` to `start[cv + 1]`.
     let mut coarse_map = vec![u32::MAX; n];
     let mut first: Vec<u32> = Vec::with_capacity(n);
+    let mut start: Vec<u32> = Vec::with_capacity(n + 1);
+    start.push(0);
+    let mut room = 0u32;
     for v in 0..n as u32 {
         if coarse_map[v as usize] != u32::MAX {
             continue;
         }
         let id = first.len() as u32;
+        let m = mate[v as usize];
         coarse_map[v as usize] = id;
-        coarse_map[mate[v as usize] as usize] = id;
+        coarse_map[m as usize] = id;
         first.push(v);
+        room += fine.row(v).len() as u32;
+        if m != v {
+            room += fine.row(m).len() as u32;
+        }
+        start.push(room);
     }
 
-    // Build the coarse graph: combine vertex weights, collapse edges.
-    // `wacc[cu]` holds the current row's weight to `cu` iff
-    // `stamp[cu]` is that row's id; `row` lists the ids it touched.
+    // Scatter: visit coarse vertices in ascending id and append each one
+    // to the rows of its coarse neighbours, so every row comes out
+    // ascending. `tail[cu]` is row `cu`'s next free slot and the id last
+    // appended to it: a repeat of that id merges into its entry.
     let nc = first.len();
     let mut vwgt = Vec::with_capacity(nc);
-    let mut xadj = Vec::with_capacity(nc + 1);
-    xadj.push(0);
-    let mut adjncy: Vec<u32> = Vec::with_capacity(fine.adjncy.len() / 2);
-    let mut adjwgt: Vec<f64> = Vec::with_capacity(fine.adjncy.len() / 2);
-    let mut wacc = vec![0.0f64; nc];
-    let mut stamp = vec![u32::MAX; nc];
-    let mut row: Vec<u32> = Vec::new();
+    let mut adjncy = vec![0u32; edges as usize];
+    let mut adjwgt = vec![0u32; edges as usize];
+    let mut tail: Vec<[u32; 2]> = start[..nc].iter().map(|&s| [s, u32::MAX]).collect();
     for (cv, &a) in first.iter().enumerate() {
         let cv = cv as u32;
         let b = mate[a as usize];
         let pair = [a, b];
         let members = &pair[..if b == a { 1 } else { 2 }];
         let mut w_v = 0.0f64;
-        row.clear();
         for &v in members {
             w_v += fine.vwgt[v as usize];
-            for (u, w) in fine.neighbours(v) {
+            let r = fine.row(v);
+            for (i, &u) in fine.adjncy[r.clone()].iter().enumerate() {
                 let cu = coarse_map[u as usize];
                 if cu == cv {
                     continue;
                 }
-                if stamp[cu as usize] != cv {
-                    stamp[cu as usize] = cv;
-                    wacc[cu as usize] = 0.0;
-                    row.push(cu);
+                let w = fine.adjwgt.as_deref().map_or(1, |aw| aw[r.start + i]);
+                let [next, last] = &mut tail[cu as usize];
+                if *last == cv {
+                    adjwgt[*next as usize - 1] += w;
+                } else if *next == start[cu as usize + 1] {
+                    return Err(CoarsenError::Asymmetric);
+                } else {
+                    adjncy[*next as usize] = cv;
+                    adjwgt[*next as usize] = w;
+                    *next += 1;
+                    *last = cv;
                 }
-                wacc[cu as usize] += w;
             }
         }
         vwgt.push(w_v);
-        row.sort_unstable();
-        for &cu in &row {
-            adjncy.push(cu);
-            adjwgt.push(wacc[cu as usize]);
-        }
-        xadj.push(adjncy.len());
     }
-    (
+
+    // Compact the rows to exact length, in place: a row never moves right.
+    let mut xadj = Vec::with_capacity(nc + 1);
+    xadj.push(0);
+    for (&s, &[next, _]) in start.iter().zip(&tail) {
+        let (s, e, at) = (s as usize, next as usize, *xadj.last().expect("nonempty"));
+        adjncy.copy_within(s..e, at);
+        adjwgt.copy_within(s..e, at);
+        xadj.push(at + e - s);
+    }
+    let len = *xadj.last().expect("nonempty");
+    adjncy.truncate(len);
+    adjncy.shrink_to_fit();
+    adjwgt.truncate(len);
+    adjwgt.shrink_to_fit();
+    Ok((
         Level {
             xadj: Cow::Owned(xadj),
             adjncy: Cow::Owned(adjncy),
@@ -244,7 +308,7 @@ fn coarsen(fine: &Level<'_>, rng: &mut u64) -> (Level<'static>, Vec<u32>) {
             coarse_map: Vec::new(),
         },
         coarse_map,
-    )
+    ))
 }
 
 /// Initial partition: BFS order from vertex 0 (component by component),
@@ -297,6 +361,8 @@ fn refine(level: &Level<'_>, owner: &mut [usize], k: usize, epsilon: f64, max_pa
 /// One level's refinement state: part loads and, per vertex, `ext` —
 /// the number of its adjacency entries owned by another part, kept
 /// exact across moves so that an interior vertex is skipped in O(1).
+/// (Exact on a symmetric graph; on an asymmetric one a count may lag,
+/// and it saturates at 0 rather than wrap.)
 struct Refiner<'a> {
     level: &'a Level<'a>,
     loads: Vec<f64>,
@@ -397,7 +463,7 @@ impl<'a> Refiner<'a> {
                         if ou == src {
                             self.ext[u as usize] += 1;
                         } else if ou == dst {
-                            self.ext[u as usize] -= 1;
+                            self.ext[u as usize] = self.ext[u as usize].saturating_sub(1);
                         }
                         if ou != dst {
                             foreign += 1;
@@ -418,6 +484,8 @@ mod tests {
     use crate::metrics::quality;
     use crate::SiteGraph;
     use hemelb_geometry::VesselBuilder;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn demo_graph() -> SiteGraph {
         let geo = VesselBuilder::aneurysm(28.0, 4.0, 6.0).voxelise(1.0);
@@ -491,7 +559,7 @@ mod tests {
     fn refine_keeps_foreign_counts_exact() {
         let g = demo_graph();
         let fine = Level::finest(&g);
-        let (coarse, _) = coarsen(&fine, &mut 42u64);
+        let (coarse, _) = coarsen(&fine, &mut 42u64).unwrap();
         for level in [&fine, &coarse] {
             for k in [2, 4, 8] {
                 let mut owner = initial_partition(level, k);
@@ -519,7 +587,7 @@ mod tests {
         let g = demo_graph();
         let level = Level::finest(&g);
         let mut rng = 42u64;
-        let (coarse, map) = coarsen(&level, &mut rng);
+        let (coarse, map) = coarsen(&level, &mut rng).unwrap();
         assert!(coarse.len() < level.len());
         assert!(coarse.len() >= level.len() / 2, "matching halves at most");
         let fine_w: f64 = level.vwgt.iter().sum();
@@ -536,7 +604,7 @@ mod tests {
         let mut rng = 42u64;
         let mut fine = Level::finest(&g);
         for _ in 0..2 {
-            let (coarse, map) = coarsen(&fine, &mut rng);
+            let (coarse, map) = coarsen(&fine, &mut rng).unwrap();
             check(&fine, &coarse, &map);
             fine = coarse;
         }
@@ -625,13 +693,7 @@ mod tests {
         // Every vertex self-matches, so a level does not shrink at all —
         // the zero-progress extreme of the stall case.
         let n = 300;
-        let g = SiteGraph {
-            xadj: vec![0; n + 1],
-            adjncy: Vec::new(),
-            vwgt: vec![1.0; n],
-            vwgt2: None,
-            coords: (0..n).map(|v| [v as f64, 0.0, 0.0]).collect(),
-        };
+        let g = edgeless_graph(n);
         let owner = MultilevelKWay.partition(&g, 3);
         assert_eq!(owner.len(), n);
         assert!(owner.iter().all(|&o| o < 3));
@@ -642,6 +704,167 @@ mod tests {
             q.imbalance
         );
         assert_eq!(q.edge_cut, 0);
+    }
+
+    fn edgeless_graph(n: usize) -> SiteGraph {
+        SiteGraph {
+            xadj: vec![0; n + 1],
+            adjncy: Vec::new(),
+            vwgt: vec![1.0; n],
+            vwgt2: None,
+            coords: (0..n).map(|v| [v as f64, 0.0, 0.0]).collect(),
+        }
+    }
+
+    /// The coarse level `fine` and `map` define, built the obvious way:
+    /// per coarse vertex an ordered map of neighbour → summed edge
+    /// weight, and vertex weights summed from `0.0` in ascending fine
+    /// index. Returns `xadj`, `adjncy`, the edge weights and `vwgt`.
+    fn naive_coarse(fine: &Level<'_>, map: &[u32]) -> (Vec<usize>, Vec<u32>, Vec<u32>, Vec<f64>) {
+        let nc = map.iter().max().map_or(0, |&c| c as usize + 1);
+        let mut rows = vec![BTreeMap::<u32, u32>::new(); nc];
+        let mut vwgt = vec![0.0f64; nc];
+        for v in 0..fine.len() as u32 {
+            let cv = map[v as usize];
+            vwgt[cv as usize] += fine.vwgt[v as usize];
+            for (u, w) in fine.neighbours(v) {
+                let cu = map[u as usize];
+                if cu != cv {
+                    *rows[cv as usize].entry(cu).or_default() += w as u32;
+                }
+            }
+        }
+        let mut xadj = vec![0];
+        let (mut adjncy, mut adjwgt) = (Vec::new(), Vec::new());
+        for row in rows {
+            adjncy.extend(row.keys());
+            adjwgt.extend(row.values());
+            xadj.push(adjncy.len());
+        }
+        (xadj, adjncy, adjwgt, vwgt)
+    }
+
+    /// Every level `partition` coarsens `graph` to for `k` parts equals
+    /// the naive rebuild from the level above and its map, bit for bit.
+    fn assert_levels_equal_naive_rebuilds(graph: &SiteGraph, k: usize) -> usize {
+        let levels = coarsen_levels(graph, k);
+        for (li, pair) in levels.windows(2).enumerate() {
+            let (fine, coarse) = (&pair[0], &pair[1]);
+            let (xadj, adjncy, adjwgt, vwgt) = naive_coarse(fine, &fine.coarse_map);
+            assert_eq!(*coarse.xadj, *xadj, "level {li}: xadj");
+            assert_eq!(*coarse.adjncy, *adjncy, "level {li}: adjncy");
+            assert_eq!(
+                coarse.adjwgt.as_deref(),
+                Some(&adjwgt[..]),
+                "level {li}: adjwgt"
+            );
+            let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&coarse.vwgt), bits(&vwgt), "level {li}: vwgt");
+        }
+        levels.len() - 1
+    }
+
+    #[test]
+    fn coarse_level_equals_a_naive_rebuild() {
+        let g = demo_graph();
+        assert!(assert_levels_equal_naive_rebuilds(&g, 2) >= 3);
+        let mut weighted = g;
+        let nx = weighted.coords.iter().map(|c| c[0]).fold(0.0, f64::max) + 1.0;
+        weighted.vwgt = weighted.coords.iter().map(|c| 1.0 + c[0] / nx).collect();
+        assert!(assert_levels_equal_naive_rebuilds(&weighted, 2) >= 3);
+        assert_eq!(assert_levels_equal_naive_rebuilds(&star_graph(400), 4), 1);
+        assert_eq!(
+            assert_levels_equal_naive_rebuilds(&edgeless_graph(300), 3),
+            1
+        );
+    }
+
+    /// A symmetric graph on `n` vertices from a list of vertex pairs
+    /// (self-pairs and repeats dropped, rows in list order) with the
+    /// given vertex weights.
+    fn symmetric_graph(n: usize, pairs: &[(u32, u32)], vwgt: &[f64]) -> SiteGraph {
+        let mut rows = vec![Vec::new(); n];
+        let mut seen = std::collections::HashSet::new();
+        for &(a, b) in pairs {
+            let (a, b) = (a % n as u32, b % n as u32);
+            if a != b && seen.insert((a.min(b), a.max(b))) {
+                rows[a as usize].push(b);
+                rows[b as usize].push(a);
+            }
+        }
+        let mut xadj = vec![0];
+        let mut adjncy = Vec::new();
+        for row in rows {
+            adjncy.extend(row);
+            xadj.push(adjncy.len());
+        }
+        SiteGraph {
+            xadj,
+            adjncy,
+            vwgt: vwgt[..n].to_vec(),
+            vwgt2: None,
+            coords: vec![[0.0; 3]; n],
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn random_coarse_levels_equal_naive_rebuilds(
+            n in 65usize..400,
+            pairs in proptest::collection::vec((0u32..400, 0u32..400), 0..2400),
+            vwgt in proptest::collection::vec(0.05f64..4.0, 400),
+        ) {
+            let g = symmetric_graph(n, &pairs, &vwgt);
+            g.validate().unwrap();
+            assert_levels_equal_naive_rebuilds(&g, 2);
+        }
+    }
+
+    /// Symmetry is `partition`'s precondition, but an asymmetric graph
+    /// must not make it index out of bounds or panic: coarsening stops at
+    /// the level whose rows would overflow.
+    #[test]
+    fn an_asymmetric_graph_is_partitioned_without_a_panic() {
+        // Every spoke points at the hub, and the hub at nothing: the
+        // hub's coarse row gets 398 entries and has room for 1.
+        let n = 400;
+        let mut xadj = vec![0usize, 0];
+        xadj.extend(1..n);
+        let inward = SiteGraph {
+            xadj,
+            adjncy: vec![0; n - 1],
+            vwgt: vec![1.0; n],
+            vwgt2: None,
+            coords: vec![[0.0; 3]; n],
+        };
+        let fine = Level::finest(&inward);
+        assert_eq!(
+            coarsen(&fine, &mut 42u64).unwrap_err(),
+            CoarsenError::Asymmetric
+        );
+        // The demo graph with the last entry of every third row dropped.
+        let g = demo_graph();
+        let mut xadj = vec![0];
+        let mut adjncy = Vec::new();
+        for v in 0..g.len() as u32 {
+            let row = g.neighbours(v);
+            let keep = if v % 3 == 0 {
+                row.len().saturating_sub(1)
+            } else {
+                row.len()
+            };
+            adjncy.extend(&row[..keep]);
+            xadj.push(adjncy.len());
+        }
+        let lopsided = SiteGraph { xadj, adjncy, ..g };
+        assert!(lopsided.validate().is_err());
+        for (graph, k) in [(&inward, 4), (&lopsided, 2), (&lopsided, 8)] {
+            let owner = MultilevelKWay.partition(graph, k);
+            assert_eq!(owner.len(), graph.len());
+            assert!(owner.iter().all(|&o| o < k));
+        }
     }
 
     #[test]
