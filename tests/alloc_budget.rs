@@ -11,24 +11,28 @@
 //!
 //! The same allocator bounds what a decoder asks for: hostile `.sgmy`
 //! bytes must not make the reader allocate more than the file or its
-//! index grid.
+//! index grid, and hostile `parallel::wire` bytes no more than the
+//! payload's length in the elements they decode to.
 //!
 //! The binary has its own counting `#[global_allocator]`, with one
 //! counter per thread, so ranks (threads of this process) are counted
 //! apart and the test harness's own threads never disturb a figure.
 
+use bytes::Bytes;
 use hemelb::core::collision::CollisionKind;
 use hemelb::core::{DistSolver, Solver, SolverConfig};
 use hemelb::geometry::format::{
     assemble, read_block_sites, read_header, read_sgmy, write_sgmy, SgmyHeader,
 };
 use hemelb::geometry::{SparseGeometry, VesselBuilder};
-use hemelb::parallel::run_spmd;
+use hemelb::parallel::wire::{Wire, WireReader, WireWriter};
+use hemelb::parallel::{run_spmd, CommResult};
 use hemelb::partition::graph::Connectivity;
 use hemelb::partition::{MultilevelKWay, Partitioner, SiteGraph};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::Cursor;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 thread_local! {
@@ -248,4 +252,105 @@ fn sgmy_level_two_survives_every_truncation_and_bit_flip() {
         flipped[bit / 8] ^= 1 << (bit % 8);
         decode(&flipped).unwrap_or_else(|e| panic!("bit {bit} (byte {}): {e}", bit / 8));
     }
+}
+
+/// `decode` over `valid`, every proper prefix of it and every single-bit
+/// flip of it: nothing panics, every prefix is an error, and no request
+/// to the allocator is larger than `elem` × `valid.len()`, `elem` being
+/// the size of the type the payload decodes into.
+fn sweep_wire_payload(
+    name: &str,
+    valid: Bytes,
+    elem: usize,
+    decode: impl Fn(Bytes) -> CommResult<()>,
+) {
+    let bound = elem * valid.len();
+    let check = |bytes: Vec<u8>, what: String| -> bool {
+        let bytes = Bytes::from(bytes);
+        let (outcome, largest) =
+            largest_allocation(|| catch_unwind(AssertUnwindSafe(|| decode(bytes))));
+        let Ok(decoded) = outcome else {
+            panic!("{name}: {what} panicked");
+        };
+        assert!(
+            largest <= bound,
+            "{name}: {what} asked for {largest} B, bound {bound} B"
+        );
+        decoded.is_ok()
+    };
+    assert!(check(valid.to_vec(), "the valid payload".into()), "{name}");
+    for len in 0..valid.len() {
+        let decoded = check(valid[..len].to_vec(), format!("a {len}-byte prefix"));
+        assert!(!decoded, "{name}: a {len}-byte prefix decoded");
+    }
+    for bit in 0..valid.len() * 8 {
+        let mut flipped = valid.to_vec();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        check(flipped, format!("bit {bit} flipped"));
+    }
+}
+
+/// `parallel::wire` under every truncation and every single-bit flip of
+/// a payload of each composite `Wire` impl the channels send and each
+/// bulk getter: an error or a value, never a panic, never a block
+/// larger than the payload's length in decoded elements. Each payload
+/// is a few hundred bytes, so a decode error's message fits its bound.
+#[test]
+fn wire_payloads_survive_every_truncation_and_bit_flip() {
+    use std::mem::size_of;
+    fn whole<T: Wire>(b: Bytes) -> CommResult<()> {
+        T::from_bytes(b).map(drop)
+    }
+    /// A getter that must consume the whole payload.
+    fn read_all<T>(b: Bytes, get: impl FnOnce(&mut WireReader) -> CommResult<T>) -> CommResult<()> {
+        let mut r = WireReader::new(b);
+        get(&mut r)?;
+        r.expect_end()
+    }
+    let written = |put: &dyn Fn(&mut WireWriter)| {
+        let mut w = WireWriter::new();
+        put(&mut w);
+        w.finish()
+    };
+
+    let labels: Vec<(u32, String)> = (0..12)
+        .map(|i| (i * 0x0101_0101, format!("rank {i}: ✓ sac")))
+        .collect();
+    sweep_wire_payload(
+        "Vec<(u32, String)>",
+        labels.to_bytes(),
+        size_of::<(u32, String)>(),
+        whole::<Vec<(u32, String)>>,
+    );
+    let seeds: Vec<[f64; 3]> = (0..12)
+        .map(|i| [i as f64, -0.5 * i as f64, f64::MIN_POSITIVE * i as f64])
+        .collect();
+    sweep_wire_payload(
+        "Vec<[f64; 3]>",
+        seeds.to_bytes(),
+        size_of::<[f64; 3]>(),
+        whole::<Vec<[f64; 3]>>,
+    );
+    let text = "pressure ✓ inlet 0 → outlet 1; ".repeat(10);
+    sweep_wire_payload("String", text.to_bytes(), 1, whole::<String>);
+
+    let f64s: Vec<f64> = (0..40).map(|i| i as f64 * 0.75 - 3.0).collect();
+    let f32s: Vec<f32> = (0..80).map(|i| i as f32 * 0.25 - 1.0).collect();
+    let raw: Vec<u8> = (0..=255).collect();
+    sweep_wire_payload(
+        "get_f64_vec",
+        written(&|w| w.put_f64_slice(&f64s)),
+        size_of::<f64>(),
+        |b| read_all(b, WireReader::get_f64_vec),
+    );
+    let f32_payload = written(&|w| w.put_f32_slice(&f32s));
+    sweep_wire_payload("get_f32_vec", f32_payload.clone(), size_of::<f32>(), |b| {
+        read_all(b, WireReader::get_f32_vec)
+    });
+    sweep_wire_payload("get_f32_slice", f32_payload, size_of::<f32>(), |b| {
+        read_all(b, |r| r.get_f32_slice(&mut Vec::new()))
+    });
+    sweep_wire_payload("get_bytes", written(&|w| w.put_bytes(&raw)), 1, |b| {
+        read_all(b, WireReader::get_bytes)
+    });
 }
