@@ -169,20 +169,24 @@ group_units() {
 # Determinism suite (bit-exactness proptests + golden fixtures, incl.
 # the operator grid, the corrupted-streaming-index negative control,
 # the serial/threaded checkpoint hand-off, the k-way owner maps
-# `golden_kway_owner_maps`, whose Medium cell runs in `golden-soak`, the
-# tracers' vertices, particles and LIC image `golden_trace_lines`, and
-# `golden_parity`: both step-count parities of every operator × BC on
-# the serial, threaded and distributed solvers, with a step-3
-# checkpoint and repartition, whose Medium twin runs in `golden-soak`),
+# `golden_kway_owner_maps`, whose Medium cells run in `golden-soak` and
+# `kway-medium-release`, the tracers' vertices, particles and LIC image
+# `golden_trace_lines`, and `golden_parity`: both step-count parities
+# of every operator × BC on the serial, threaded and distributed
+# solvers, with a step-3 checkpoint and repartition, whose Medium twin
+# runs in `golden-soak`),
 # observability (phase timings end to end, lossless JSON export) and
 # the render path (macrocell marcher bit-identity, the screen-bounded
 # render against a scan of every pixel over random bricks and eye
 # positions, sparse compositing). `golden-release` runs the golden
 # fixtures again on the optimised x86-64-v3 build the benchmark times,
-# since every other test stage builds in debug.
+# since every other test stage builds in debug, and `kway-medium-release`
+# runs there the Medium k-way cells (the `prep_cold` map, under a
+# second in release) that otherwise only the debug soak reaches.
 group_determinism() {
     stage determinism cargo test -q --test properties --test golden
     stage golden-release cargo test --release -q --test golden
+    stage kway-medium-release cargo test --release -q --test golden golden_kway_owner_maps_medium -- --ignored
     stage obs         cargo test -q --test obs_smoke
     stage render      cargo test -q --test render_compositing
 }
