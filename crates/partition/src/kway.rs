@@ -26,7 +26,9 @@
 //! themselves, so no transpose is needed. Each row has the room its
 //! members' out-edges give it (their in-edges, on a symmetric graph); a
 //! row that overflows it shows the graph is asymmetric, and coarsening
-//! stops at that level rather than index past the row.
+//! stops at that level rather than index past the row. A graph of more
+//! than `u32::MAX` directed edges is not coarsened either, so no slot or
+//! weight can wrap.
 //!
 //! This returns the same owner vector, bit for bit, as the per-row sorted
 //! `f64` accumulator, `HashMap`, member-list and full-rescan code it

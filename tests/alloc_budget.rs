@@ -291,8 +291,7 @@ fn sweep_wire_payload(
 }
 
 /// `parallel::wire` under every truncation and every single-bit flip of
-/// a payload of each composite `Wire` impl the channels send and each
-/// bulk getter: an error or a value, never a panic, never a block
+/// a payload of each composite `Wire` impl and of each bulk getter: an error or a value, never a panic, never a block
 /// larger than the payload's length in decoded elements. Each payload
 /// is a few hundred bytes, so a decode error's message fits its bound.
 #[test]
@@ -307,11 +306,11 @@ fn wire_payloads_survive_every_truncation_and_bit_flip() {
         get(&mut r)?;
         r.expect_end()
     }
-    let written = |put: &dyn Fn(&mut WireWriter)| {
+    fn written(put: impl FnOnce(&mut WireWriter)) -> Bytes {
         let mut w = WireWriter::new();
         put(&mut w);
         w.finish()
-    };
+    }
 
     let labels: Vec<(u32, String)> = (0..12)
         .map(|i| (i * 0x0101_0101, format!("rank {i}: ✓ sac")))
@@ -339,18 +338,18 @@ fn wire_payloads_survive_every_truncation_and_bit_flip() {
     let raw: Vec<u8> = (0..=255).collect();
     sweep_wire_payload(
         "get_f64_vec",
-        written(&|w| w.put_f64_slice(&f64s)),
+        written(|w| w.put_f64_slice(&f64s)),
         size_of::<f64>(),
         |b| read_all(b, WireReader::get_f64_vec),
     );
-    let f32_payload = written(&|w| w.put_f32_slice(&f32s));
+    let f32_payload = written(|w| w.put_f32_slice(&f32s));
     sweep_wire_payload("get_f32_vec", f32_payload.clone(), size_of::<f32>(), |b| {
         read_all(b, WireReader::get_f32_vec)
     });
     sweep_wire_payload("get_f32_slice", f32_payload, size_of::<f32>(), |b| {
         read_all(b, |r| r.get_f32_slice(&mut Vec::new()))
     });
-    sweep_wire_payload("get_bytes", written(&|w| w.put_bytes(&raw)), 1, |b| {
+    sweep_wire_payload("get_bytes", written(|w| w.put_bytes(&raw)), 1, |b| {
         read_all(b, WireReader::get_bytes)
     });
 }
