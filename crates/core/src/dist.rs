@@ -57,7 +57,6 @@ use crate::layout::{
 };
 use crate::model::LatticeModel;
 use crate::solver::SolverConfig;
-use bytes::Bytes;
 use hemelb_geometry::{IoLetKind, SparseGeometry};
 use hemelb_parallel::{CommError, CommResult, Communicator, Tag, WireReader, WireWriter};
 use std::sync::Arc;
@@ -114,7 +113,7 @@ fn global_to_local(locals: &[u32], fluid_count: usize) -> Vec<u32> {
 /// over `g2l`. A count the bytes cannot hold, a site this rank does not
 /// own or a direction past `q` is a `Decode` error, not an allocation
 /// or a panic.
-fn decode_requests(payload: Bytes, g2l: &[u32], q: usize) -> CommResult<Vec<(u32, u16)>> {
+fn decode_requests(payload: Vec<u8>, g2l: &[u32], q: usize) -> CommResult<Vec<(u32, u16)>> {
     let mut r = WireReader::new(payload);
     let count = r.get_checked_len(8, "site requests")?;
     let mut requests = Vec::with_capacity(count);
@@ -144,7 +143,7 @@ type RankFields = (Vec<f64>, Vec<[f64; 3]>, Vec<f64>);
 /// Decode one rank's `gather_snapshot` payload. A count the bytes cannot
 /// hold, or a field that does not hold exactly `sites` values, is a
 /// `Decode` error.
-fn decode_rank_fields(payload: Bytes, sites: usize) -> CommResult<RankFields> {
+fn decode_rank_fields(payload: Vec<u8>, sites: usize) -> CommResult<RankFields> {
     let mut r = WireReader::new(payload);
     let rho = r.get_f64_vec()?;
     let nu = r.get_checked_len(24, "velocities")?;
@@ -216,7 +215,7 @@ impl<'a> DistSolver<'a> {
         // Exchange request lists so each rank learns what to send.
         // (One all-to-all at construction; steady-state steps use only
         // the sparse neighbourhood exchange.)
-        let outgoing: Vec<Bytes> = needed
+        let outgoing: Vec<Vec<u8>> = needed
             .iter()
             .map(|list| {
                 let mut w = WireWriter::with_capacity(8 + list.len() * 6);
@@ -400,7 +399,7 @@ impl<'a> DistSolver<'a> {
     /// the send slots of its requests, in request order. A payload from a
     /// rank outside the plan, or with the wrong population count, is an
     /// error and writes nothing.
-    fn unpack_halo(&mut self, peer: usize, payload: Bytes) -> CommResult<()> {
+    fn unpack_halo(&mut self, peer: usize, payload: Vec<u8>) -> CommResult<()> {
         let not_planned = || CommError::Decode {
             reason: format!("halo payload from rank {peer}, which is not in the exchange plan"),
         };
@@ -564,7 +563,7 @@ impl<'a> DistSolver<'a> {
 
         // Counts first (collective control), then payloads under the
         // migration tag so the traffic is attributed correctly.
-        let counts: Vec<Bytes> = batches
+        let counts: Vec<Vec<u8>> = batches
             .iter()
             .map(|(ids, _)| {
                 let mut w = WireWriter::with_capacity(8);
@@ -1018,7 +1017,7 @@ mod tests {
                     (peer, slice_of(count + 1)),
                     (peer, slice_of(count - 1)),
                     (peer, truncated.finish()),
-                    (peer, Bytes::new()),
+                    (peer, Vec::new()),
                     (comm.rank(), slice_of(count)),
                 ] {
                     let got = ds.unpack_halo(who, payload);
@@ -1039,7 +1038,7 @@ mod tests {
     }
 
     /// A request list as `DistSolver::new` encodes it, with any count.
-    fn request_list(count: u64, pairs: &[(u32, u32)]) -> Bytes {
+    fn request_list(count: u64, pairs: &[(u32, u32)]) -> Vec<u8> {
         let mut w = WireWriter::new();
         w.put_u64(count);
         for &(g, d) in pairs {

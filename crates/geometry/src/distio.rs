@@ -14,7 +14,6 @@
 
 use crate::format::{read_block_sites, read_header, SgmyHeader, SiteRecord};
 use crate::lattice::SiteKind;
-use bytes::Bytes;
 use hemelb_parallel::{CommError, CommResult, Communicator, Tag, Wire, WireReader, WireWriter};
 use std::fs::File;
 use std::io::{BufReader, Read, Seek};
@@ -101,7 +100,7 @@ impl Wire for SiteRecord {
 /// Broadcast the file's header and level-one bytes, as they are on
 /// disk, from rank 0 (`raw` is `None` elsewhere) and parse them on every
 /// rank with the format's own reader.
-fn share_header(comm: &Communicator, raw: Option<Bytes>) -> CommResult<SgmyHeader> {
+fn share_header(comm: &Communicator, raw: Option<Vec<u8>>) -> CommResult<SgmyHeader> {
     let raw = comm.broadcast(0, raw)?;
     read_header(&mut &raw[..]).map_err(|e| CommError::Decode {
         reason: format!("sgmy header: {e}"),
@@ -128,19 +127,23 @@ pub fn read_distributed(
 
     // Rank 0 reads header + level one, broadcasts both; on a file error
     // it broadcasts no bytes, which every rank fails to parse.
-    let level_one = comm.is_master().then(|| -> std::io::Result<Bytes> {
+    let level_one = comm.is_master().then(|| -> std::io::Result<Vec<u8>> {
         let mut f = File::open(path)?;
         let h = read_header(&mut BufReader::new(&f))?;
         let mut raw = vec![0u8; h.data_offset as usize];
         f.rewind()?;
         f.read_exact(&mut raw)?;
-        Ok(Bytes::from(raw))
+        Ok(raw)
     });
-    let raw = level_one
-        .as_ref()
-        .map(|r| r.as_ref().map_or_else(|_| Bytes::new(), Bytes::clone));
+    let mut failed = None;
+    let raw = level_one.map(|r| {
+        r.unwrap_or_else(|e| {
+            failed = Some(e);
+            Vec::new()
+        })
+    });
     let header = share_header(comm, raw);
-    if let Some(Err(e)) = level_one {
+    if let Some(e) = failed {
         return Err(file_error(path, e));
     }
     let header = header?;
@@ -333,7 +336,7 @@ mod tests {
         buf.truncate(h.data_offset as usize);
         hemelb_parallel::run_spmd(2, move |comm| {
             let share = |bytes: &[u8]| {
-                let raw = comm.is_master().then(|| Bytes::copy_from_slice(bytes));
+                let raw = comm.is_master().then(|| bytes.to_vec());
                 share_header(comm, raw)
             };
             let h2 = share(&buf).unwrap();

@@ -31,7 +31,6 @@
 //! format would have shipped) as obs counters.
 
 use crate::image::{Image, PartialImage};
-use bytes::Bytes;
 use hemelb_parallel::{CommError, CommResult, Communicator, Tag, WireReader, WireWriter};
 use std::ops::Range;
 use std::time::Duration;
@@ -66,7 +65,7 @@ fn is_lit(px: &[f32; 4], depth: f32) -> bool {
 /// Serialise a pixel range of a partial image as lit runs (see the
 /// module docs for the layout). Lossless: [`merge_pixel_runs`] into a
 /// fresh image reproduces the range bit for bit.
-pub fn encode_pixel_runs(p: &PartialImage, range: Range<usize>) -> Bytes {
+pub fn encode_pixel_runs(p: &PartialImage, range: Range<usize>) -> Vec<u8> {
     let mut runs: Vec<(usize, usize)> = Vec::new();
     let mut lit = 0usize;
     let mut i = range.start;
@@ -107,7 +106,7 @@ fn decode_err(reason: String) -> CommError {
 /// Unlit gaps are untouched — bit-identical to merging them explicitly,
 /// because a background pixel is an exact no-op under the depth-ordered
 /// over operator.
-pub fn merge_pixel_runs(into: &mut PartialImage, payload: Bytes) -> CommResult<Range<usize>> {
+pub fn merge_pixel_runs(into: &mut PartialImage, payload: Vec<u8>) -> CommResult<Range<usize>> {
     let mut r = WireReader::new(payload);
     let start = r.get_usize()?;
     let len = r.get_usize()?;
@@ -160,7 +159,7 @@ pub fn merge_pixel_runs(into: &mut PartialImage, payload: Bytes) -> CommResult<R
 
 /// Record one compositing send's wire bytes against what the dense
 /// encoding would have cost.
-fn note_wire(comm: &Communicator, range_len: usize, payload: &Bytes) {
+fn note_wire(comm: &Communicator, range_len: usize, payload: &[u8]) {
     let (dense, wire) = (dense_bytes(range_len) as u64, payload.len() as u64);
     comm.with_obs(|o| {
         o.count("vis.composite.bytes_dense", dense);
@@ -461,7 +460,7 @@ mod tests {
 
         // Truncated/corrupt payloads fail cleanly.
         let good = encode_pixel_runs(&full, 0..64);
-        let truncated = Bytes::copy_from_slice(&good.to_vec()[..good.len() - 3]);
+        let truncated = good[..good.len() - 3].to_vec();
         let mut into = PartialImage::new(8, 8);
         assert!(merge_pixel_runs(&mut into, truncated).is_err());
         let mut small = PartialImage::new(2, 2);

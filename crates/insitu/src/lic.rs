@@ -250,7 +250,7 @@ pub fn lic_distributed(
             expect.push(n);
         }
     }
-    let received = comm.exchange(T_HALO, &outgoing, &expect)?;
+    let received = comm.exchange(T_HALO, outgoing, &expect)?;
     for payload in received {
         let mut r = WireReader::new(payload);
         let cols = column_range(&mut r, slice.nx)?;
@@ -444,7 +444,7 @@ mod tests {
                     };
                     let halo = header(start, len).finish();
                     if let Some((start, len, values)) = slab {
-                        comm.exchange(T_HALO, &[(0, halo)], &[0]).unwrap();
+                        comm.exchange(T_HALO, vec![(0, halo)], &[0]).unwrap();
                         let mut w = header(start, len);
                         w.put_f32_slice(&vec![0.0; values]);
                         comm.gather(0, w.finish()).unwrap();

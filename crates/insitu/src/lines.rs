@@ -11,7 +11,6 @@
 //! work distribution is inherently unbalanced.
 
 use crate::field::{nearest_site, CornerProbe, SampledField};
-use bytes::Bytes;
 use hemelb_geometry::{SparseGeometry, Vec3};
 use hemelb_parallel::{CommError, CommResult, Communicator, Wire, WireReader, WireWriter};
 use rayon::prelude::*;
@@ -521,7 +520,7 @@ pub fn trace_distributed(
 const PARTICLE_BYTES: usize = 32;
 
 /// One peer's hand-off batch on the wire: a count, then the particles.
-fn encode_batch(batch: &[WireParticle]) -> Bytes {
+fn encode_batch(batch: &[WireParticle]) -> Vec<u8> {
     let mut w = WireWriter::with_capacity(8 + batch.len() * PARTICLE_BYTES);
     w.put_usize(batch.len());
     for p in batch {
@@ -534,7 +533,7 @@ fn encode_batch(batch: &[WireParticle]) -> Bytes {
 /// count other than the `expected` one the peer announced in the
 /// round's all-to-all (a short batch would silently drop lines), or
 /// bytes past the last particle is a `Decode` error.
-pub(crate) fn decode_batch(payload: Bytes, expected: u64) -> CommResult<Vec<WireParticle>> {
+pub(crate) fn decode_batch(payload: Vec<u8>, expected: u64) -> CommResult<Vec<WireParticle>> {
     let mut r = WireReader::new(payload);
     let n = r.get_checked_len(PARTICLE_BYTES, "hand-off batch")?;
     if n as u64 != expected {
@@ -559,7 +558,7 @@ pub(crate) fn exchange_particles(
     queue: &mut Vec<WireParticle>,
 ) -> CommResult<()> {
     const T_HANDOFF: hemelb_parallel::Tag = hemelb_parallel::Tag::vis(30);
-    let counts: Vec<Bytes> = outgoing
+    let counts: Vec<Vec<u8>> = outgoing
         .iter()
         .map(|b| (b.len() as u64).to_bytes())
         .collect();
@@ -935,23 +934,23 @@ mod tests {
         ];
         let valid = encode_batch(&batch).to_vec();
         assert_eq!(valid.len(), 8 + 3 * PARTICLE_BYTES);
-        assert_eq!(decode_batch(valid.clone().into(), 3).unwrap(), batch);
+        assert_eq!(decode_batch(valid.clone(), 3).unwrap(), batch);
         let is_decode =
             |got: CommResult<Vec<WireParticle>>| matches!(got, Err(CommError::Decode { .. }));
         for announced in [0, 2, 4, u64::MAX] {
-            assert!(is_decode(decode_batch(valid.clone().into(), announced)));
+            assert!(is_decode(decode_batch(valid.clone(), announced)));
         }
         let mut padded = valid.clone();
         padded.push(0);
-        assert!(is_decode(decode_batch(padded.into(), 3)), "trailing byte");
+        assert!(is_decode(decode_batch(padded, 3)), "trailing byte");
         for len in 0..valid.len() {
-            let got = decode_batch(valid[..len].to_vec().into(), 3);
+            let got = decode_batch(valid[..len].to_vec(), 3);
             assert!(is_decode(got), "prefix of {len} bytes");
         }
         for bit in 0..valid.len() * 8 {
             let mut flipped = valid.clone();
             flipped[bit / 8] ^= 1 << (bit % 8);
-            match decode_batch(flipped.clone().into(), 3) {
+            match decode_batch(flipped.clone(), 3) {
                 Ok(got) => {
                     assert!(bit >= 64, "a flipped count decoded (bit {bit})");
                     assert_eq!(encode_batch(&got).to_vec(), flipped, "bit {bit}");

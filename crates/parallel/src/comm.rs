@@ -23,7 +23,6 @@ use crate::fault::{FaultSession, RankKilled, WorldAborted};
 use crate::stats::{CommStats, FaultStat, TagClass};
 use crate::tag::Tag;
 use crate::wire::{Wire, WireReader, WireWriter};
-use bytes::Bytes;
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use hemelb_obs::{ObsReport, Recorder};
 use std::cell::RefCell;
@@ -39,7 +38,7 @@ use std::time::{Duration, Instant};
 struct Envelope {
     src: usize,
     tag: Tag,
-    payload: Bytes,
+    payload: Vec<u8>,
     seq: u64,
 }
 
@@ -216,7 +215,7 @@ impl Communicator {
                 let _ = tx.send(Envelope {
                     src: self.rank,
                     tag: T_ABORT,
-                    payload: Bytes::new(),
+                    payload: Vec::new(),
                     seq: 0,
                 });
             }
@@ -279,7 +278,7 @@ impl Communicator {
     /// Send `payload` to `dst` under `tag`. Never blocks (except under
     /// an injected delay fault, which models a slow link by stalling
     /// the sender — preserving per-pair FIFO order).
-    pub fn send(&self, dst: usize, tag: Tag, payload: Bytes) -> CommResult<()> {
+    pub fn send(&self, dst: usize, tag: Tag, payload: Vec<u8>) -> CommResult<()> {
         self.check_rank(dst)?;
         let mut env = Envelope {
             src: self.rank,
@@ -404,14 +403,14 @@ impl Communicator {
 
     /// [`wait_for`](Self::wait_for) the next message from `src` under
     /// `tag`, without limit or until the instant `until`.
-    fn recv_until(&self, src: usize, tag: Tag, until: Option<Instant>) -> CommResult<Bytes> {
+    fn recv_until(&self, src: usize, tag: Tag, until: Option<Instant>) -> CommResult<Vec<u8>> {
         self.check_rank(src)?;
         let env = self.wait_for(tag.class(), src, until, |e| e.src == src && e.tag == tag)?;
         Ok(env.payload)
     }
 
     /// Blocking receive of the next message from `src` under `tag`.
-    pub fn recv(&self, src: usize, tag: Tag) -> CommResult<Bytes> {
+    pub fn recv(&self, src: usize, tag: Tag) -> CommResult<Vec<u8>> {
         self.recv_until(src, tag, None)
     }
 
@@ -420,13 +419,13 @@ impl Communicator {
     /// `timeout` — the degradation primitive: a caller that would
     /// otherwise hang forever on a slow or dead peer can drop the
     /// contribution and move on.
-    pub fn recv_deadline(&self, src: usize, tag: Tag, timeout: Duration) -> CommResult<Bytes> {
+    pub fn recv_deadline(&self, src: usize, tag: Tag, timeout: Duration) -> CommResult<Vec<u8>> {
         self.recv_until(src, tag, Some(Instant::now() + timeout))
     }
 
     /// Blocking receive of the next message under `tag` from *any* source.
     /// Returns `(source, payload)`.
-    pub fn recv_any(&self, tag: Tag) -> CommResult<(usize, Bytes)> {
+    pub fn recv_any(&self, tag: Tag) -> CommResult<(usize, Vec<u8>)> {
         let env = self.wait_for(tag.class(), usize::MAX, None, |e| e.tag == tag)?;
         Ok((env.src, env.payload))
     }
@@ -434,7 +433,7 @@ impl Communicator {
     /// Blocking receive of the next message under `tag` from any source
     /// in `sources`. Returns `(source, payload)` in arrival order across
     /// calls.
-    pub fn recv_any_of(&self, tag: Tag, sources: &[usize]) -> CommResult<(usize, Bytes)> {
+    pub fn recv_any_of(&self, tag: Tag, sources: &[usize]) -> CommResult<(usize, Vec<u8>)> {
         let blame = sources.first().copied().unwrap_or(usize::MAX);
         let env = self.wait_for(tag.class(), blame, None, |e| {
             e.tag == tag && sources.contains(&e.src)
@@ -443,7 +442,7 @@ impl Communicator {
     }
 
     /// Non-blocking receive from `src` under `tag`.
-    pub fn try_recv(&self, src: usize, tag: Tag) -> CommResult<Option<Bytes>> {
+    pub fn try_recv(&self, src: usize, tag: Tag) -> CommResult<Option<Vec<u8>>> {
         self.check_rank(src)?;
         self.drain_inbox();
         Ok(self
@@ -477,15 +476,15 @@ impl Communicator {
     pub fn exchange(
         &self,
         tag: Tag,
-        outgoing: &[(usize, Bytes)],
+        outgoing: Vec<(usize, Vec<u8>)>,
         expect_from: &[usize],
-    ) -> CommResult<Vec<Bytes>> {
+    ) -> CommResult<Vec<Vec<u8>>> {
         self.exchange_start(tag, outgoing)?;
         let arrived = self.exchange_finish(tag, expect_from)?;
         // Reorder into `expect_from` order for callers that index the
         // result positionally. `expect_from` may repeat a source (the
         // pairwise tests do); consume arrivals per source FIFO.
-        let mut slots: Vec<Option<Bytes>> = vec![None; expect_from.len()];
+        let mut slots: Vec<Option<Vec<u8>>> = vec![None; expect_from.len()];
         for (src, payload) in arrived {
             let slot = expect_from
                 .iter()
@@ -506,9 +505,9 @@ impl Communicator {
     /// [`recv_any_of`](Self::recv_any_of) calls) after doing useful work
     /// — the communication/computation overlap the overlapped LB step is
     /// built on.
-    fn exchange_start(&self, tag: Tag, outgoing: &[(usize, Bytes)]) -> CommResult<()> {
+    fn exchange_start(&self, tag: Tag, outgoing: Vec<(usize, Vec<u8>)>) -> CommResult<()> {
         for (dst, payload) in outgoing {
-            self.send(*dst, tag, payload.clone())?;
+            self.send(dst, tag, payload)?;
         }
         Ok(())
     }
@@ -518,7 +517,11 @@ impl Communicator {
     /// `(source, payload)` pairs in **arrival order** so the caller can
     /// start unpacking the fastest peer while slower ones are still in
     /// flight. A source listed `k` times yields `k` of its messages.
-    fn exchange_finish(&self, tag: Tag, expect_from: &[usize]) -> CommResult<Vec<(usize, Bytes)>> {
+    fn exchange_finish(
+        &self,
+        tag: Tag,
+        expect_from: &[usize],
+    ) -> CommResult<Vec<(usize, Vec<u8>)>> {
         let mut remaining = expect_from.to_vec();
         let mut received = Vec::with_capacity(expect_from.len());
         while !remaining.is_empty() {
@@ -574,7 +577,7 @@ impl Communicator {
             let dst = (self.rank + dist) % p;
             let src = (self.rank + p - dist % p) % p;
             let tag = Tag(T_BARRIER.0 + round);
-            self.send(dst, tag, Bytes::new())?;
+            self.send(dst, tag, Vec::new())?;
             self.recv(src, tag)?;
             dist *= 2;
             round += 1;
@@ -583,7 +586,7 @@ impl Communicator {
     }
 
     /// Binomial-tree broadcast of a byte payload from `root`.
-    pub fn broadcast(&self, root: usize, payload: Option<Bytes>) -> CommResult<Bytes> {
+    pub fn broadcast(&self, root: usize, payload: Option<Vec<u8>>) -> CommResult<Vec<u8>> {
         self.note_sync();
         let p = self.size;
         // Virtual rank with root relabelled to 0.
@@ -629,10 +632,10 @@ impl Communicator {
     /// though non-root ranks return as soon as their send is buffered — a
     /// fast rank's next-round message can never be consumed as this
     /// round's.
-    pub fn gather(&self, root: usize, payload: Bytes) -> CommResult<Option<Vec<Bytes>>> {
+    pub fn gather(&self, root: usize, payload: Vec<u8>) -> CommResult<Option<Vec<Vec<u8>>>> {
         self.note_sync();
         if self.rank == root {
-            let mut out: Vec<Option<Bytes>> = vec![None; self.size];
+            let mut out: Vec<Option<Vec<u8>>> = vec![None; self.size];
             out[root] = Some(payload);
             for (src, slot) in out.iter_mut().enumerate() {
                 if src != root {
@@ -753,7 +756,7 @@ impl Communicator {
     /// the payloads received from each rank, indexed by source rank
     /// (including this rank's own `outgoing[self.rank]`, delivered
     /// locally without touching the network counters).
-    pub fn all_to_all(&self, outgoing: Vec<Bytes>) -> CommResult<Vec<Bytes>> {
+    pub fn all_to_all(&self, outgoing: Vec<Vec<u8>>) -> CommResult<Vec<Vec<u8>>> {
         if outgoing.len() != self.size {
             return Err(CommError::CollectiveMismatch {
                 reason: format!(
@@ -764,7 +767,7 @@ impl Communicator {
             });
         }
         self.note_sync();
-        let mut incoming: Vec<Option<Bytes>> = vec![None; self.size];
+        let mut incoming: Vec<Option<Vec<u8>>> = vec![None; self.size];
         for (dst, payload) in outgoing.into_iter().enumerate() {
             if dst == self.rank {
                 incoming[dst] = Some(payload);
@@ -899,7 +902,7 @@ mod tests {
     #[test]
     fn all_to_all_personalised() {
         let results = run_spmd(4, |comm| {
-            let out: Vec<Bytes> = (0..4)
+            let out: Vec<Vec<u8>> = (0..4)
                 .map(|dst| ((comm.rank() * 100 + dst) as u64).to_bytes())
                 .collect();
             comm.all_to_all(out)
@@ -920,7 +923,7 @@ mod tests {
             let me = comm.rank();
             let peer = me ^ 1;
             let out = vec![(peer, (me as u64).to_bytes())];
-            let rcvd = comm.exchange(Tag::halo(0), &out, &[peer]).unwrap();
+            let rcvd = comm.exchange(Tag::halo(0), out, &[peer]).unwrap();
             u64::from_bytes(rcvd[0].clone()).unwrap()
         });
         assert_eq!(results, vec![1, 0, 3, 2]);
@@ -946,14 +949,14 @@ mod tests {
             let me = comm.rank();
             if me == 0 {
                 // Rank 1 (delayed) is deliberately FIRST in the plan.
-                comm.exchange_start(Tag::halo(0), &[]).unwrap();
+                comm.exchange_start(Tag::halo(0), Vec::new()).unwrap();
                 let arrived = comm.exchange_finish(Tag::halo(0), &[1, 2]).unwrap();
                 let order: Vec<usize> = arrived.iter().map(|(src, _)| *src).collect();
                 assert_eq!(order, vec![2, 1], "fast peer must be drained first");
 
                 // Same topology through the plan-order wrapper: payloads
                 // land in `expect_from` slots regardless of arrival.
-                let rcvd = comm.exchange(Tag::halo(0), &[], &[1, 2]).unwrap();
+                let rcvd = comm.exchange(Tag::halo(0), Vec::new(), &[1, 2]).unwrap();
                 assert_eq!(u64::from_bytes(rcvd[0].clone()).unwrap(), 100);
                 assert_eq!(u64::from_bytes(rcvd[1].clone()).unwrap(), 200);
                 comm.stats()
@@ -999,10 +1002,8 @@ mod tests {
     fn stats_count_sends() {
         let results = run_spmd(2, |comm| {
             if comm.rank() == 0 {
-                comm.send(1, Tag::halo(0), Bytes::from_static(&[0u8; 64]))
-                    .unwrap();
-                comm.send(1, Tag::vis(0), Bytes::from_static(&[0u8; 32]))
-                    .unwrap();
+                comm.send(1, Tag::halo(0), vec![0u8; 64]).unwrap();
+                comm.send(1, Tag::vis(0), vec![0u8; 32]).unwrap();
             } else {
                 comm.recv(0, Tag::halo(0)).unwrap();
                 comm.recv(0, Tag::vis(0)).unwrap();
@@ -1019,7 +1020,7 @@ mod tests {
     fn invalid_rank_is_an_error() {
         run_spmd(2, |comm| {
             assert!(matches!(
-                comm.send(9, Tag::user(0), Bytes::new()),
+                comm.send(9, Tag::user(0), Vec::new()),
                 Err(CommError::InvalidRank { rank: 9, size: 2 })
             ));
             assert!(matches!(
@@ -1035,7 +1036,7 @@ mod tests {
             if comm.rank() == 1 {
                 // Probe strictly before rank 0 is allowed to send.
                 assert!(comm.try_recv(0, Tag::user(5)).unwrap().is_none());
-                comm.send(0, Tag::user(6), Bytes::new()).unwrap(); // release
+                comm.send(0, Tag::user(6), Vec::new()).unwrap(); // release
                 let mut got = None;
                 while got.is_none() {
                     got = comm.try_recv(0, Tag::user(5)).unwrap();
@@ -1064,7 +1065,7 @@ mod tests {
                 }
                 // The timed-out wait buffered it for a later receive.
                 assert_eq!(recv_u64(comm, 1, Tag::user(7)), 70);
-                comm.send(1, Tag::user(1), Bytes::new()).unwrap(); // release
+                comm.send(1, Tag::user(1), Vec::new()).unwrap(); // release
                 let got = comm
                     .recv_deadline(1, Tag::user(0), Duration::from_secs(10))
                     .unwrap();

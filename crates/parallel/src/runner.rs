@@ -372,7 +372,7 @@ mod tests {
                         die_at(1);
                         comm.all_reduce_f64_vec(vec![1.0], |a, b| a + b).unwrap();
                         die_at(2);
-                        comm.gather(0, bytes::Bytes::new()).unwrap();
+                        comm.gather(0, Vec::new()).unwrap();
                     })
                 });
                 let _ = tx.send(died);

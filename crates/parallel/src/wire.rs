@@ -1,6 +1,8 @@
 //! Compact little-endian wire encoding.
 //!
-//! Messages on the substrate are raw byte payloads ([`bytes::Bytes`]).
+//! Messages on the substrate are owned byte payloads (`Vec<u8>`): a
+//! writer's buffer is the payload it sends, and a reader owns the
+//! payload it walks with a cursor, so neither end copies the bytes.
 //! This module provides a small, allocation-conscious encoding layer used
 //! by the solver, the visualisation algorithms and the steering protocol:
 //! fixed-width little-endian scalars, length-prefixed sequences, and a
@@ -11,12 +13,11 @@
 //! situation as MPI messages inside one binary.
 
 use crate::error::{CommError, CommResult};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Serialisation sink with typed put helpers.
 #[derive(Debug, Default)]
 pub struct WireWriter {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl WireWriter {
@@ -28,7 +29,7 @@ impl WireWriter {
     /// A writer pre-sized for `cap` bytes.
     pub fn with_capacity(cap: usize) -> Self {
         WireWriter {
-            buf: BytesMut::with_capacity(cap),
+            buf: Vec::with_capacity(cap),
         }
     }
 
@@ -44,27 +45,27 @@ impl WireWriter {
 
     /// Append a `u8`.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.buf.push(v);
     }
 
     /// Append a `u32` (little-endian).
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.put_u32_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append a `u64` (little-endian).
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.put_u64_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append an `f32` (little-endian bit pattern).
     pub fn put_f32(&mut self, v: f32) {
-        self.buf.put_f32_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append an `f64` (little-endian bit pattern).
     pub fn put_f64(&mut self, v: f64) {
-        self.buf.put_f64_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append a `usize` as `u64`.
@@ -80,7 +81,7 @@ impl WireWriter {
     /// Append a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, s: &str) {
         self.put_usize(s.len());
-        self.buf.put_slice(s.as_bytes());
+        self.buf.extend_from_slice(s.as_bytes());
     }
 
     /// Append a length-prefixed `f64` slice.
@@ -94,7 +95,7 @@ impl WireWriter {
     pub fn put_f64_seq(&mut self, values: impl ExactSizeIterator<Item = f64>) {
         self.put_usize(values.len());
         for x in values {
-            self.buf.put_f64_le(x);
+            self.buf.extend_from_slice(&x.to_le_bytes());
         }
     }
 
@@ -103,14 +104,14 @@ impl WireWriter {
         self.put_usize(v.len());
         self.buf.reserve(v.len() * 4);
         for &x in v {
-            self.buf.put_f32_le(x);
+            self.buf.extend_from_slice(&x.to_le_bytes());
         }
     }
 
     /// Append a length-prefixed raw byte slice.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_usize(v.len());
-        self.buf.put_slice(v);
+        self.buf.extend_from_slice(v);
     }
 
     /// Append an encodable value.
@@ -118,27 +119,29 @@ impl WireWriter {
         v.encode(self);
     }
 
-    /// Finish, yielding the immutable payload.
-    pub fn finish(self) -> Bytes {
-        self.buf.freeze()
+    /// Finish, yielding the payload.
+    pub fn finish(self) -> Vec<u8> {
+        self.buf
     }
 }
 
 /// Deserialisation cursor over a received payload.
 #[derive(Debug)]
 pub struct WireReader {
-    buf: Bytes,
+    buf: Vec<u8>,
+    /// Bytes consumed so far.
+    pos: usize,
 }
 
 macro_rules! need {
     ($self:ident, $n:expr, $what:expr) => {
-        if $self.buf.remaining() < $n {
+        if $self.remaining() < $n {
             return Err(CommError::Decode {
                 reason: format!(
                     "truncated payload: need {} bytes for {}, have {}",
                     $n,
                     $what,
-                    $self.buf.remaining()
+                    $self.remaining()
                 ),
             });
         }
@@ -147,43 +150,55 @@ macro_rules! need {
 
 impl WireReader {
     /// Wrap a payload for reading.
-    pub fn new(buf: Bytes) -> Self {
-        WireReader { buf }
+    pub fn new(buf: Vec<u8>) -> Self {
+        WireReader { buf, pos: 0 }
     }
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.buf.remaining()
+        self.buf.len() - self.pos
+    }
+
+    /// Consume the next `n` bytes; callers check `remaining` first.
+    fn take(&mut self, n: usize) -> &[u8] {
+        let raw = &self.buf[self.pos..self.pos + n];
+        self.pos += n;
+        raw
+    }
+
+    /// Consume the next `N` bytes as an array; callers check first.
+    fn take_le<const N: usize>(&mut self) -> [u8; N] {
+        self.take(N).try_into().expect("N bytes")
     }
 
     /// Read a `u8`.
     pub fn get_u8(&mut self) -> CommResult<u8> {
         need!(self, 1, "u8");
-        Ok(self.buf.get_u8())
+        Ok(self.take(1)[0])
     }
 
     /// Read a `u32`.
     pub fn get_u32(&mut self) -> CommResult<u32> {
         need!(self, 4, "u32");
-        Ok(self.buf.get_u32_le())
+        Ok(u32::from_le_bytes(self.take_le()))
     }
 
     /// Read a `u64`.
     pub fn get_u64(&mut self) -> CommResult<u64> {
         need!(self, 8, "u64");
-        Ok(self.buf.get_u64_le())
+        Ok(u64::from_le_bytes(self.take_le()))
     }
 
     /// Read an `f32`.
     pub fn get_f32(&mut self) -> CommResult<f32> {
         need!(self, 4, "f32");
-        Ok(self.buf.get_f32_le())
+        Ok(f32::from_le_bytes(self.take_le()))
     }
 
     /// Read an `f64`.
     pub fn get_f64(&mut self) -> CommResult<f64> {
         need!(self, 8, "f64");
-        Ok(self.buf.get_f64_le())
+        Ok(f64::from_le_bytes(self.take_le()))
     }
 
     /// Read a `usize` (encoded as `u64`); errors if it overflows `usize`.
@@ -202,8 +217,7 @@ impl WireReader {
     /// Read a length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> CommResult<String> {
         let n = self.get_checked_len(1, "string")?;
-        let raw = self.buf.split_to(n);
-        String::from_utf8(raw.to_vec()).map_err(|e| CommError::Decode {
+        String::from_utf8(self.take(n).to_vec()).map_err(|e| CommError::Decode {
             reason: format!("invalid utf-8: {e}"),
         })
     }
@@ -213,7 +227,7 @@ impl WireReader {
         let n = self.get_checked_len(8, "f64 slice")?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
-            out.push(self.buf.get_f64_le());
+            out.push(f64::from_le_bytes(self.take_le()));
         }
         Ok(out)
     }
@@ -223,7 +237,7 @@ impl WireReader {
         let n = self.get_checked_len(4, "f32 slice")?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
-            out.push(self.buf.get_f32_le());
+            out.push(f32::from_le_bytes(self.take_le()));
         }
         Ok(out)
     }
@@ -235,8 +249,7 @@ impl WireReader {
         let n = self.get_checked_len(4, "f32 slice")?;
         out.clear();
         out.reserve(n);
-        let raw = self.buf.split_to(n * 4);
-        for ch in raw.chunks_exact(4) {
+        for ch in self.take(n * 4).chunks_exact(4) {
             out.push(f32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]));
         }
         Ok(())
@@ -254,17 +267,16 @@ impl WireReader {
                 reason: format!("f64 slice of {n} elems where {} were expected", out.len()),
             });
         }
-        let raw = self.buf.split_to(n * 8);
-        for (v, ch) in out.iter_mut().zip(raw.chunks_exact(8)) {
+        for (v, ch) in out.iter_mut().zip(self.take(n * 8).chunks_exact(8)) {
             *v = f64::from_le_bytes(ch.try_into().expect("8-byte chunk"));
         }
         Ok(())
     }
 
     /// Read a length-prefixed raw byte vector.
-    pub fn get_bytes(&mut self) -> CommResult<Bytes> {
+    pub fn get_bytes(&mut self) -> CommResult<Vec<u8>> {
         let n = self.get_checked_len(1, "byte slice")?;
-        Ok(self.buf.split_to(n))
+        Ok(self.take(n).to_vec())
     }
 
     /// Read a decodable value.
@@ -275,9 +287,9 @@ impl WireReader {
     /// Error unless the payload has been fully consumed. Useful as a
     /// trailing check in protocol decoders.
     pub fn expect_end(&self) -> CommResult<()> {
-        if self.buf.has_remaining() {
+        if self.remaining() > 0 {
             Err(CommError::Decode {
-                reason: format!("{} trailing bytes after decode", self.buf.remaining()),
+                reason: format!("{} trailing bytes after decode", self.remaining()),
             })
         } else {
             Ok(())
@@ -295,11 +307,11 @@ impl WireReader {
         let need = n.checked_mul(elem).ok_or_else(|| CommError::Decode {
             reason: format!("length overflow decoding {what}"),
         })?;
-        if self.buf.remaining() < need {
+        if self.remaining() < need {
             return Err(CommError::Decode {
                 reason: format!(
                     "truncated payload: {what} of {n} elems needs {need} bytes, have {}",
-                    self.buf.remaining()
+                    self.remaining()
                 ),
             });
         }
@@ -315,14 +327,14 @@ pub trait Wire: Sized {
     fn decode(r: &mut WireReader) -> CommResult<Self>;
 
     /// Encode as a standalone payload.
-    fn to_bytes(&self) -> Bytes {
+    fn to_bytes(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
         self.encode(&mut w);
         w.finish()
     }
 
     /// Decode from a standalone payload, requiring full consumption.
-    fn from_bytes(b: Bytes) -> CommResult<Self> {
+    fn from_bytes(b: Vec<u8>) -> CommResult<Self> {
         let mut r = WireReader::new(b);
         let v = Self::decode(&mut r)?;
         r.expect_end()?;

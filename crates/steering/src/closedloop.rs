@@ -21,7 +21,6 @@ use crate::error::{SteeringError, SteeringResult};
 use crate::protocol::{FieldChoice, ImageFrame, ServerMessage, StatusReport, SteeringCommand};
 use crate::server::{SteeringEndpoint, SteeringState};
 use crate::transport::{Acceptor, Transport};
-use bytes::Bytes;
 use hemelb_core::boundary::IoletBc;
 use hemelb_core::{DistSolver, SolverConfig};
 use hemelb_geometry::{SparseGeometry, Vec3};
@@ -384,7 +383,7 @@ pub fn run_closed_loop_opts(
             }
 
             // What the master ships: the encoded image message.
-            let frame_bytes: Option<Bytes> = composited.map(|image| {
+            let frame_bytes: Option<Vec<u8>> = composited.map(|image| {
                 ServerMessage::Image(ImageFrame {
                     step: outcome.steps_done,
                     width: image.width,
@@ -470,7 +469,7 @@ mod tests {
     use crate::transport::duplex_pair;
     use hemelb_geometry::VesselBuilder;
     use hemelb_parallel::run_spmd;
-    use parking_lot::Mutex;
+    use std::sync::Mutex;
 
     fn demo_geo() -> Arc<SparseGeometry> {
         Arc::new(VesselBuilder::straight_tube(16.0, 3.0).voxelise(1.0))
@@ -491,7 +490,7 @@ mod tests {
         let geo2 = geo.clone();
         let results = run_spmd(2, move |comm| {
             let transport = if comm.is_master() {
-                server_slot.lock().take()
+                server_slot.lock().unwrap().take()
             } else {
                 None
             };
@@ -530,7 +529,7 @@ mod tests {
         let server_slot = Arc::new(Mutex::new(Some(crate::server::tests::backlogging(256))));
         let results = run_spmd(2, move |comm| {
             let transport = if comm.is_master() {
-                server_slot.lock().take()
+                server_slot.lock().unwrap().take()
             } else {
                 None
             };
@@ -595,7 +594,7 @@ mod tests {
 
         run_spmd(2, move |comm| {
             let transport = if comm.is_master() {
-                server_slot.lock().take()
+                server_slot.lock().unwrap().take()
             } else {
                 None
             };
@@ -670,7 +669,7 @@ mod tests {
 
         let results = run_spmd(3, move |comm| {
             let transport = if comm.is_master() {
-                server_slot.lock().take()
+                server_slot.lock().unwrap().take()
             } else {
                 None
             };
@@ -739,7 +738,7 @@ mod tests {
 
         let results = run_spmd(2, move |comm| {
             let transport = if comm.is_master() {
-                server_slot.lock().take()
+                server_slot.lock().unwrap().take()
             } else {
                 None
             };
@@ -815,7 +814,7 @@ mod tests {
 
         run_spmd(2, move |comm| {
             let transport = if comm.is_master() {
-                server_slot.lock().take()
+                server_slot.lock().unwrap().take()
             } else {
                 None
             };
@@ -876,7 +875,7 @@ mod tests {
 
         let results = run_spmd(2, move |comm| {
             let acceptor = if comm.is_master() {
-                acceptor_slot.lock().take()
+                acceptor_slot.lock().unwrap().take()
             } else {
                 None
             };
@@ -936,7 +935,7 @@ mod tests {
 
         let results = run_spmd(3, move |comm| {
             let transport = if comm.is_master() {
-                server_slot.lock().take()
+                server_slot.lock().unwrap().take()
             } else {
                 None
             };
@@ -1061,7 +1060,7 @@ mod tests {
 
         let results = run_spmd(2, move |comm| {
             let transport = if comm.is_master() {
-                server_slot.lock().take()
+                server_slot.lock().unwrap().take()
             } else {
                 None
             };

@@ -292,7 +292,7 @@ impl Wire for ImageFrame {
         // on top need not, so it saturates.
         let expect = (width as u64 * height as u64).saturating_mul(3);
         check_frame_len(expect.min(usize::MAX as u64) as usize)?;
-        let rgb = r.get_bytes()?.to_vec();
+        let rgb = r.get_bytes()?;
         if rgb.len() as u64 != expect {
             return Err(CommError::Decode {
                 reason: format!(
@@ -528,7 +528,7 @@ mod tests {
         };
         let full = cmd.to_bytes();
         for n in 0..full.len() {
-            let prefix = bytes::Bytes::from(full[..n].to_vec());
+            let prefix = full[..n].to_vec();
             assert!(
                 SteeringCommand::from_bytes(prefix).is_err(),
                 "prefix of {n} bytes must not decode"
@@ -550,7 +550,7 @@ mod tests {
         });
         let full = msg.to_bytes();
         for n in 0..full.len() {
-            let prefix = bytes::Bytes::from(full[..n].to_vec());
+            let prefix = full[..n].to_vec();
             assert!(ServerMessage::from_bytes(prefix).is_err());
         }
     }

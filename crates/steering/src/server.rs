@@ -25,7 +25,6 @@ use crate::protocol::{
     FieldChoice, ObservableReport, ServerMessage, StatusReport, SteeringCommand,
 };
 use crate::transport::{Acceptor, Transport};
-use bytes::Bytes;
 use hemelb_parallel::Wire;
 use std::cell::{Cell, RefCell};
 use std::time::{Duration, Instant};
@@ -448,7 +447,7 @@ impl SteeringEndpoint {
     /// Send an encoded [`ServerMessage`] to the seated client, unless
     /// it `is_image` and the client is status-only. A send error
     /// detaches the client (terminal — never retry mid-frame).
-    fn send_bytes(&self, bytes: Bytes, is_image: bool) {
+    fn send_bytes(&self, bytes: Vec<u8>, is_image: bool) {
         let result = match &*self.seat.borrow() {
             Some(link) if !(is_image && link.status_only) => link.transport.try_send_frame(bytes),
             _ => return,
@@ -471,7 +470,7 @@ impl SteeringEndpoint {
 
     /// Send an already-encoded image message; withheld from a
     /// status-only client.
-    pub(crate) fn send_frame_bytes(&self, bytes: Bytes) {
+    pub(crate) fn send_frame_bytes(&self, bytes: Vec<u8>) {
         self.send_bytes(bytes, true);
     }
 }
@@ -482,7 +481,7 @@ pub(crate) mod tests {
     use crate::protocol::ImageFrame;
     use crate::transport::{duplex_listener, duplex_pair, DuplexConnector, InMemoryTransport};
     use crossbeam_channel::{unbounded, Receiver, Sender};
-    use parking_lot::Mutex;
+    use std::sync::Mutex;
 
     #[test]
     fn state_applies_commands() {
@@ -590,7 +589,7 @@ pub(crate) mod tests {
         }
     }
 
-    fn image_bytes(step: u64) -> Bytes {
+    fn image_bytes(step: u64) -> Vec<u8> {
         ServerMessage::Image(ImageFrame {
             step,
             width: 1,
@@ -646,7 +645,7 @@ pub(crate) mod tests {
         let c1 = connector.connect().unwrap();
         ep.poll_commands();
         c1.send_frame(SteeringCommand::Resume.to_bytes()).unwrap();
-        c1.send_frame(Bytes::from_static(&[250, 9, 9])).unwrap();
+        c1.send_frame(vec![250, 9, 9]).unwrap();
         drop(c1);
         ep.send_status(status(0));
         assert_eq!(ep.poll_commands(), vec![SteeringCommand::Resume]);
@@ -688,7 +687,7 @@ pub(crate) mod tests {
         assert!(!ep.attached());
         // Garbage frame.
         let (client, ep) = preconnected();
-        client.send_frame(Bytes::from_static(&[250, 1, 2])).unwrap();
+        client.send_frame(vec![250, 1, 2]).unwrap();
         assert_eq!(ep.poll_commands(), vec![SteeringCommand::Terminate]);
         // Nobody can attach any more, so every later poll says so too.
         assert_eq!(ep.poll_commands(), vec![SteeringCommand::Terminate]);
@@ -793,33 +792,33 @@ pub(crate) mod tests {
     }
 
     impl Transport for WedgedTransport {
-        fn send_frame(&self, frame: Bytes) -> std::io::Result<()> {
+        fn send_frame(&self, frame: Vec<u8>) -> std::io::Result<()> {
             self.try_send_frame(frame)
         }
-        fn try_recv_frame(&self) -> std::io::Result<Option<Bytes>> {
+        fn try_recv_frame(&self) -> std::io::Result<Option<Vec<u8>>> {
             Ok(None)
         }
-        fn recv_frame(&self) -> std::io::Result<Bytes> {
+        fn recv_frame(&self) -> std::io::Result<Vec<u8>> {
             Err(std::io::Error::new(
                 std::io::ErrorKind::WouldBlock,
                 "wedged",
             ))
         }
         fn bytes_sent(&self) -> u64 {
-            *self.sent.lock()
+            *self.sent.lock().unwrap()
         }
-        fn try_send_frame(&self, frame: Bytes) -> std::io::Result<()> {
-            *self.sent.lock() += frame.len() as u64;
-            *self.pending.lock() += frame.len() as u64;
+        fn try_send_frame(&self, frame: Vec<u8>) -> std::io::Result<()> {
+            *self.sent.lock().unwrap() += frame.len() as u64;
+            *self.pending.lock().unwrap() += frame.len() as u64;
             Ok(())
         }
         fn flush_pending(&self) -> std::io::Result<u64> {
-            let mut pending = self.pending.lock();
+            let mut pending = self.pending.lock().unwrap();
             *pending = pending.saturating_sub(self.drains);
             Ok(*pending)
         }
         fn pending_bytes(&self) -> u64 {
-            *self.pending.lock()
+            *self.pending.lock().unwrap()
         }
     }
 
@@ -860,7 +859,7 @@ pub(crate) mod tests {
         assert!(ep.attached());
 
         // Push past the degrade threshold: images stop, status flows.
-        let big = Bytes::from(vec![0u8; 200]);
+        let big = vec![0u8; 200];
         ep.send_frame_bytes(big.clone());
         ep.poll_commands();
         assert!(ep.take_events().iter().any(|e| e.contains("status-only")));
@@ -916,7 +915,7 @@ pub(crate) mod tests {
             );
             assert!(tx.send(backlogging(drains)).is_ok());
             ep.poll_commands();
-            ep.send_frame_bytes(Bytes::from(vec![0u8; 300]));
+            ep.send_frame_bytes(vec![0u8; 300]);
             ep.flush();
             assert_eq!(ep.attached(), survives, "draining {drains} B a pump");
         }
@@ -932,7 +931,7 @@ pub(crate) mod tests {
             None,
             limits(64, 4096, Duration::ZERO),
         );
-        ep.send_frame_bytes(Bytes::from(vec![0u8; 400]));
+        ep.send_frame_bytes(vec![0u8; 400]);
         for _ in 0..3 {
             assert!(ep.poll_commands().is_empty(), "no Terminate");
         }
@@ -950,10 +949,10 @@ pub(crate) mod tests {
             None,
             limits(1 << 30, 4096, Duration::ZERO),
         );
-        ep.send_frame_bytes(Bytes::from(vec![0u8; 400]));
+        ep.send_frame_bytes(vec![0u8; 400]);
         ep.flush();
         assert!(ep.attached());
-        ep.send_frame_bytes(Bytes::from(vec![0u8; 4000]));
+        ep.send_frame_bytes(vec![0u8; 4000]);
         assert_eq!(ep.poll_commands(), vec![SteeringCommand::Terminate]);
     }
 }

@@ -18,8 +18,8 @@ use hemelb::steering::protocol::ServerMessage;
 use hemelb::steering::{
     duplex_pair, run_closed_loop, ClosedLoopConfig, SteeringClient, SteeringCommand, Transport,
 };
-use parking_lot::Mutex;
 use std::sync::Arc;
+use std::sync::Mutex;
 
 const RANKS: usize = 4;
 
@@ -87,7 +87,7 @@ fn main() {
     let geo2 = geo.clone();
     let results = run_spmd(RANKS, move |comm| {
         let transport = if comm.is_master() {
-            server_slot.lock().take()
+            server_slot.lock().unwrap().take()
         } else {
             None
         };

@@ -1,7 +1,8 @@
 //! Shared helpers for the integration suites: a random sparse-geometry
 //! generator (cylinders, bifurcations, porous blocks), solver-case
-//! strategies for the determinism proptests, and the checksum utilities
-//! the golden-fixture tests are built on.
+//! strategies for the determinism proptests, the checksum utilities
+//! the golden-fixture tests are built on, and a seeded generator for
+//! hand-rolled random cases.
 #![allow(dead_code)]
 
 use hemelb::core::collision::CollisionKind;
@@ -242,4 +243,32 @@ pub fn snapshot_digests(snap: &FieldSnapshot) -> (u64, u64, u64) {
     let u = fnv1a_bits(snap.u.iter().flat_map(|v| v.iter().copied()));
     let shear = fnv1a_bits(snap.shear.iter().copied());
     (rho, u, shear)
+}
+
+/// A deterministic SplitMix64 generator, for tests that draw their own
+/// random cases from a seed instead of a proptest strategy.
+#[derive(Debug, Clone)]
+pub struct Rng {
+    state: u64,
+}
+
+impl Rng {
+    /// A generator starting from `seed`.
+    pub fn seed_from_u64(seed: u64) -> Self {
+        Rng { state: seed }
+    }
+
+    /// Next raw 64-bit output.
+    fn next_u64(&mut self) -> u64 {
+        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform `f64` in `[0, 1)`: the top 53 bits of the next output.
+    pub fn gen_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
 }

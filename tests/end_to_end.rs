@@ -40,7 +40,7 @@ fn file_format_to_distributed_read_to_solver() {
         }
         let packed = comm.gather(0, w.finish()).unwrap().map(|parts| {
             let all: Vec<u8> = parts.iter().flat_map(|p| p.iter().copied()).collect();
-            all.into()
+            all
         });
         let all = comm.broadcast(0, packed).unwrap();
         let mut r = hemelb::parallel::WireReader::new(all);
@@ -220,7 +220,7 @@ fn steered_run_reacts_to_pressure_change() {
     use hemelb::steering::{
         duplex_pair, run_closed_loop, ClosedLoopConfig, SteeringClient, SteeringCommand, Transport,
     };
-    use parking_lot::Mutex;
+    use std::sync::Mutex;
 
     let geo = Arc::new(VesselBuilder::straight_tube(16.0, 3.0).voxelise(1.0));
     let (client_end, server_end) = duplex_pair();
@@ -250,7 +250,7 @@ fn steered_run_reacts_to_pressure_change() {
     let geo2 = geo.clone();
     run_spmd(2, move |comm| {
         let transport = if comm.is_master() {
-            server_slot.lock().take()
+            server_slot.lock().unwrap().take()
         } else {
             None
         };

@@ -35,11 +35,7 @@ fn collective_workload(comm: &hemelb::parallel::Communicator, steps: u64) -> Vec
         comm.set_fault_step(step);
         let seed = step * 1000 + rank;
         let payload = comm
-            .broadcast(
-                0,
-                comm.is_master()
-                    .then(|| bytes::Bytes::from(step.to_le_bytes().to_vec())),
-            )
+            .broadcast(0, comm.is_master().then(|| step.to_le_bytes().to_vec()))
             .unwrap();
         out.extend(payload.iter().map(|&b| b as u64));
         let sum = comm.all_reduce_u64(seed, |a, b| a.wrapping_add(b)).unwrap();
@@ -48,16 +44,13 @@ fn collective_workload(comm: &hemelb::parallel::Communicator, steps: u64) -> Vec
             .all_reduce_f64_vec(vec![seed as f64, 1.0 / (seed + 1) as f64], |a, b| a + b)
             .unwrap();
         out.extend(vec.iter().map(|v| v.to_bits()));
-        if let Some(all) = comm
-            .gather(0, bytes::Bytes::from(seed.to_le_bytes().to_vec()))
-            .unwrap()
-        {
+        if let Some(all) = comm.gather(0, seed.to_le_bytes().to_vec()).unwrap() {
             for b in all {
                 out.extend(b.iter().map(|&x| x as u64));
             }
         }
-        let outgoing: Vec<bytes::Bytes> = (0..size)
-            .map(|dst| bytes::Bytes::from(vec![(rank * size + dst) as u8; 3]))
+        let outgoing: Vec<Vec<u8>> = (0..size)
+            .map(|dst| vec![(rank * size + dst) as u8; 3])
             .collect();
         for b in comm.all_to_all(outgoing).unwrap() {
             out.extend(b.iter().map(|&x| x as u64));
@@ -153,7 +146,7 @@ fn dead_render_rank_yields_degraded_frame_not_a_hang() {
     let geo = Arc::new(VesselBuilder::straight_tube(16.0, 3.0).voxelise(1.0));
     let geo2 = geo.clone();
     let (connector, acceptor) = duplex_listener();
-    let acceptor_slot = Arc::new(parking_lot::Mutex::new(Some(
+    let acceptor_slot = Arc::new(std::sync::Mutex::new(Some(
         Box::new(acceptor) as Box<dyn hemelb::steering::Acceptor>
     )));
     // Rank 1's first compositing-class send is silently dropped: its
@@ -189,7 +182,7 @@ fn dead_render_rank_yields_degraded_frame_not_a_hang() {
             .map(|s| (s * comm.size() / geo2.fluid_count()).min(comm.size() - 1))
             .collect();
         let acceptor = if comm.is_master() {
-            acceptor_slot.lock().take()
+            acceptor_slot.lock().unwrap().take()
         } else {
             None
         };
@@ -233,7 +226,7 @@ struct FlakyTransport {
 }
 
 impl Transport for FlakyTransport {
-    fn send_frame(&self, frame: bytes::Bytes) -> std::io::Result<()> {
+    fn send_frame(&self, frame: Vec<u8>) -> std::io::Result<()> {
         let mut left = self.sends_left.lock().unwrap();
         if *left == 0 {
             return Err(std::io::Error::new(
@@ -244,10 +237,10 @@ impl Transport for FlakyTransport {
         *left -= 1;
         self.inner.send_frame(frame)
     }
-    fn try_recv_frame(&self) -> std::io::Result<Option<bytes::Bytes>> {
+    fn try_recv_frame(&self) -> std::io::Result<Option<Vec<u8>>> {
         self.inner.try_recv_frame()
     }
-    fn recv_frame(&self) -> std::io::Result<bytes::Bytes> {
+    fn recv_frame(&self) -> std::io::Result<Vec<u8>> {
         self.inner.recv_frame()
     }
     fn bytes_sent(&self) -> u64 {
@@ -262,7 +255,7 @@ fn dropped_steering_client_auto_reconnects_with_backoff() {
     let geo = Arc::new(VesselBuilder::straight_tube(16.0, 3.0).voxelise(1.0));
     let geo2 = geo.clone();
     let (connector, acceptor) = duplex_listener();
-    let acceptor_slot = Arc::new(parking_lot::Mutex::new(Some(
+    let acceptor_slot = Arc::new(std::sync::Mutex::new(Some(
         Box::new(acceptor) as Box<dyn hemelb::steering::Acceptor>
     )));
 
@@ -311,7 +304,7 @@ fn dropped_steering_client_auto_reconnects_with_backoff() {
             .map(|s| (s * comm.size() / geo2.fluid_count()).min(comm.size() - 1))
             .collect();
         let acceptor = if comm.is_master() {
-            acceptor_slot.lock().take()
+            acceptor_slot.lock().unwrap().take()
         } else {
             None
         };

@@ -9,8 +9,8 @@ use hemelb::parallel::{run_spmd_opts, SpmdOptions, TagClass};
 use hemelb::steering::{
     duplex_pair, run_closed_loop, ClosedLoopConfig, SteeringClient, SteeringCommand, Transport,
 };
-use parking_lot::Mutex;
 use std::sync::Arc;
+use std::sync::Mutex;
 
 #[test]
 fn obs_reports_survive_json_and_show_real_phase_timings() {
@@ -31,7 +31,7 @@ fn obs_reports_survive_json_and_show_real_phase_timings() {
     let geo2 = geo.clone();
     let output = run_spmd_opts(2, SpmdOptions::default(), move |comm| {
         let transport = if comm.is_master() {
-            server_slot.lock().take()
+            server_slot.lock().unwrap().take()
         } else {
             None
         };

@@ -48,11 +48,10 @@ proptest! {
     #[test]
     fn truncated_payloads_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
         // Decoding arbitrary bytes as various types must error, not panic.
-        let b = bytes::Bytes::from(bytes);
-        let _ = u64::from_bytes(b.clone());
-        let _ = String::from_bytes(b.clone());
-        let _ = Vec::<f64>::from_bytes(b.clone());
-        let _ = Vec::<(u32, String)>::from_bytes(b);
+        let _ = u64::from_bytes(bytes.clone());
+        let _ = String::from_bytes(bytes.clone());
+        let _ = Vec::<f64>::from_bytes(bytes.clone());
+        let _ = Vec::<(u32, String)>::from_bytes(bytes);
     }
 
     #[test]
@@ -294,8 +293,7 @@ proptest! {
         // `Ok` or `Err`, never a panic or an absurd allocation.
         use hemelb::steering::protocol::ServerMessage;
         use hemelb::steering::SteeringCommand;
-        let mutations = |valid: bytes::Bytes| {
-            let valid = valid.to_vec();
+        let mutations = |valid: Vec<u8>| {
             let truncations = (0..valid.len()).map({
                 let valid = valid.clone();
                 move |len| valid[..len].to_vec()
@@ -305,7 +303,7 @@ proptest! {
                 flipped[bit / 8] ^= 1 << (bit % 8);
                 flipped
             });
-            truncations.chain(flips).map(bytes::Bytes::from)
+            truncations.chain(flips)
         };
         for hostile in mutations(steering_command(cmd_kind, a, b).to_bytes()) {
             let _ = SteeringCommand::from_bytes(hostile);
@@ -391,7 +389,7 @@ fn pixel_runs_survive_every_truncation_and_bit_flip() {
     let (mut oks, mut errs) = (0, 0);
     for hostile in truncations.chain(flips) {
         let mut into = base.clone();
-        let kept = match merge_pixel_runs(&mut into, hostile.into()) {
+        let kept = match merge_pixel_runs(&mut into, hostile) {
             Ok(range) => {
                 oks += 1;
                 range

@@ -10,9 +10,9 @@ use hemelb::steering::{
     run_closed_loop, run_closed_loop_opts, Acceptor, ClosedLoopConfig, SteeringClient,
     SteeringCommand, TcpAcceptor, TcpTransport, Transport,
 };
-use parking_lot::Mutex;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Connect with bounded retries: on a loaded CI host the accept loop may
@@ -90,7 +90,7 @@ fn closed_loop_over_tcp() {
     let geo2 = geo.clone();
     let results = run_spmd(2, move |comm| {
         let transport = if comm.is_master() {
-            server_slot.lock().take()
+            server_slot.lock().unwrap().take()
         } else {
             None
         };
@@ -164,7 +164,7 @@ fn wedged_tcp_client_cannot_stall_the_step_loop() {
     let geo2 = geo.clone();
     let outcome = run_spmd(2, move |comm| {
         let acceptor = if comm.is_master() {
-            acceptor_slot.lock().take()
+            acceptor_slot.lock().unwrap().take()
         } else {
             None
         };
