@@ -108,17 +108,24 @@ no_tracked_images() {
 }
 export -f no_tracked_images
 
-# Every `[dependencies]` and `[dev-dependencies]` entry of a workspace
-# crate is used: its name (with `-` as `_`) appears as a path (`name::`)
-# in that crate's src/ (its unit tests live there too; no crate has a
-# tests/ directory of its own).
+# Every dependency of the root package and of each workspace crate is
+# used: its name (with `-` as `_`) appears as a path (`name::`) or a
+# rename (`name as`) in that package's src/ for a `[dependencies]`
+# entry, and in its src/, tests/ or examples/ for a `[dev-dependencies]`
+# one (the crates keep their unit tests in src/).
 no_dead_deps() {
-    local manifest crate sec dep status=0
-    for manifest in crates/*/Cargo.toml; do
-        crate=$(dirname "$manifest")
+    local manifest dir sec dep status=0
+    local -a where
+    for manifest in Cargo.toml crates/*/Cargo.toml; do
+        dir=$(dirname "$manifest")
         while read -r sec dep; do
-            if ! grep -rqE "(^|[^A-Za-z0-9_])${dep//-/_}::" "$crate/src"; then
-                echo "$manifest: $sec entry $dep is never named in $crate/src" >&2
+            where=("$dir/src")
+            if [[ $sec == "[dev-dependencies]" ]]; then
+                [[ -d $dir/tests ]] && where+=("$dir/tests")
+                [[ -d $dir/examples ]] && where+=("$dir/examples")
+            fi
+            if ! grep -rqE "(^|[^A-Za-z0-9_])${dep//-/_}(::| as )" "${where[@]}"; then
+                echo "$manifest: $sec entry $dep is never named in ${where[*]}" >&2
                 status=1
             fi
         done < <(awk '/^\[/ { sec = $0; next }
@@ -245,16 +252,21 @@ export -f benchmark_quick
 
 # Size report for simplicity PRs: per-crate non-test lines (everything
 # before the first `#[cfg(test)]` of each file) and `pub` item counts,
-# then the number of workspace member crates, of vendored crates and of
-# `reproduce` experiments (the `name: "` rows of its table).
+# then the number of workspace member crates, of vendored crates (with
+# their non-test lines) and of `reproduce` experiments (the `name: "`
+# rows of its table).
 group_loc() {
     stage loc loc_report
 }
+non_test_lines() {
+    find "$1" -name '*.rs' -print0 | xargs -0 -n1 awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' | awk '{s+=$1} END{print s+0}'
+}
+export -f non_test_lines
 loc_report() {
     local crate lines pubs total_lines=0 total_pubs=0
     printf '    %-12s %8s %6s\n' crate non-test pub
     for crate in crates/*/; do
-        lines=$(find "$crate/src" -name '*.rs' -print0 | xargs -0 -n1 awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' | awk '{s+=$1} END{print s+0}')
+        lines=$(non_test_lines "$crate/src")
         pubs=$(find "$crate/src" -name '*.rs' -print0 | xargs -0 grep -hcE "^\s*pub (fn|struct|enum|const|type|trait|mod)" | awk '{s+=$1} END{print s+0}')
         printf '    %-12s %8s %6s\n' "$(basename "$crate")" "$lines" "$pubs"
         total_lines=$((total_lines + lines))
@@ -262,7 +274,7 @@ loc_report() {
     done
     printf '    %-12s %8s %6s\n' workspace "$total_lines" "$total_pubs"
     printf '    %-12s %8s\n' crates "$(find crates -mindepth 1 -maxdepth 1 -type d | wc -l)"
-    printf '    %-12s %8s\n' vendored "$(find vendor -mindepth 1 -maxdepth 1 -type d | wc -l)"
+    printf '    %-12s %8s %8s\n' vendored "$(find vendor -mindepth 1 -maxdepth 1 -type d | wc -l)" "$(non_test_lines vendor)"
     printf '    %-12s %8s\n' reproduce "$(grep -c 'name: "' crates/bench/src/bin/reproduce.rs)"
 }
 export -f loc_report
