@@ -10,8 +10,9 @@
 #                          #   checks and the size report
 #   ./ci.sh --soak         # + long soaks: golden --ignored (500 steps,
 #                          #   8 threads; the Medium k-way and parity
-#                          #   twins) and the 200-step two-kill fault
-#                          #   recovery
+#                          #   twins; the Medium k-way quality floor at
+#                          #   k = 8 and 16) and the 200-step two-kill
+#                          #   fault recovery
 #   ./ci.sh --only GROUP   # one group (what the staged GitHub workflow
 #                          #   jobs shell into)
 #
@@ -175,8 +176,10 @@ group_units() {
 
 # Determinism suite (bit-exactness proptests + golden fixtures, incl.
 # the operator grid, the corrupted-streaming-index negative control,
-# the serial/threaded checkpoint hand-off, the k-way owner maps
-# `golden_kway_owner_maps`, whose Medium cells run in `golden-soak` and
+# the serial/threaded checkpoint hand-off, the k-way owner maps and
+# their quality floor `golden_kway_owner_maps`, whose Medium cells and
+# Medium floor `kway_medium_quality_floor` (k = 8 and 16: cut within 5 %
+# of the maps before the 2³-cell level) run in `golden-soak` and
 # `kway-medium-release`, the tracers' vertices, particles and LIC image
 # `golden_trace_lines`, and `golden_parity`: both step-count parities
 # of every operator × BC on the serial, threaded and distributed
@@ -188,12 +191,13 @@ group_units() {
 # positions, sparse compositing). `golden-release` runs the golden
 # fixtures again on the optimised x86-64-v3 build the benchmark times,
 # since every other test stage builds in debug, and `kway-medium-release`
-# runs there the Medium k-way cells (the `prep_cold` map, under a
-# second in release) that otherwise only the debug soak reaches.
+# runs there the Medium k-way cells (the `prep_cold` map) and the Medium
+# quality floor, under a second in release, that otherwise only the
+# debug soak reaches.
 group_determinism() {
     stage determinism cargo test -q --test properties --test golden
     stage golden-release cargo test --release -q --test golden
-    stage kway-medium-release cargo test --release -q --test golden golden_kway_owner_maps_medium -- --ignored
+    stage kway-medium-release cargo test --release -q --test golden kway_ -- --ignored
     stage obs         cargo test -q --test obs_smoke
     stage render      cargo test -q --test render_compositing
 }
@@ -280,8 +284,9 @@ loc_report() {
 export -f loc_report
 
 # Long soaks: the golden suite's `--ignored` cells (500 steps at 8
-# threads, and the Medium twins of the k-way maps and of the parity
-# fixture) and the fault-injection soak.
+# threads, the Medium twins of the k-way maps and of the parity fixture,
+# and the Medium k-way quality floor `kway_medium_quality_floor`) and
+# the fault-injection soak.
 group_soak() {
     stage golden-soak cargo test -q --test golden -- --ignored
     stage fault-soak  cargo test -q --test fault_injection -- --ignored

@@ -8,9 +8,10 @@
 //! * [`NaiveBlock`] — contiguous site-index chunks (the strawman);
 //! * [`HilbertSfc`] — the Hilbert-curve ordering cut into
 //!   weight-balanced chunks;
-//! * [`MultilevelKWay`] — the ParMETIS-family algorithm: heavy-edge
-//!   matching coarsening, greedy graph growing on the coarsest graph,
-//!   boundary Kernighan–Lin refinement during uncoarsening.
+//! * [`MultilevelKWay`] — the ParMETIS-family algorithm: a first
+//!   coarsening step that contracts the lattice's 2×2×2 cells, then
+//!   heavy-edge matching; greedy graph growing on the coarsest graph;
+//!   boundary Fiduccia–Mattheyses refinement during uncoarsening.
 //!
 //! [`quality`](metrics::quality) computes the metrics the paper's
 //! load-balance discussion revolves around (imbalance, edge cut,
