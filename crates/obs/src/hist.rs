@@ -169,51 +169,6 @@ impl Histogram {
             ("buckets".into(), Json::Arr(buckets)),
         ])
     }
-
-    /// Rebuild from the [`Histogram::to_json`] encoding.
-    ///
-    /// The encoding is redundant — `count` and the bucket entries both
-    /// state how many samples there are — and the two can disagree in a
-    /// corrupted or hand-edited report. Such a histogram would *merge*
-    /// cleanly and then lie from its quantiles (which walk the buckets
-    /// against `count`), so inconsistency is rejected here, at the
-    /// trust boundary: duplicate bucket indices are an error rather
-    /// than a silent overwrite, and the bucket total must equal
-    /// `count`.
-    pub fn from_json(v: &Json) -> Option<Histogram> {
-        let mut h = Histogram::new();
-        h.count = v.get("count")?.as_u64()?;
-        h.sum = v.get("sum")?.as_f64()?;
-        h.max = v.get("max")?.as_f64()?;
-        h.min = if h.count == 0 {
-            f64::INFINITY
-        } else {
-            v.get("min")?.as_f64()?
-        };
-        let mut bucket_total = 0u64;
-        let mut seen = [false; NBUCKETS];
-        for pair in v.get("buckets")?.as_arr()? {
-            let pair = pair.as_arr()?;
-            if pair.len() != 2 {
-                return None;
-            }
-            let idx = pair[0].as_u64()? as usize;
-            if idx >= NBUCKETS {
-                return None;
-            }
-            if seen[idx] {
-                return None; // duplicate bucket index
-            }
-            seen[idx] = true;
-            let n = pair[1].as_u64()?;
-            h.buckets[idx] = n;
-            bucket_total = bucket_total.checked_add(n)?;
-        }
-        if bucket_total != h.count {
-            return None; // buckets disagree with the sample count
-        }
-        Some(h)
-    }
 }
 
 #[cfg(test)]
@@ -286,56 +241,23 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_is_exact() {
+    fn json_export_parses_back_to_the_same_tree() {
         let mut h = Histogram::new();
         for i in 0..1000 {
             h.record((i as f64 + 0.5) * 3.7e-5);
         }
-        let back = Histogram::from_json(&Json::parse(&h.to_json().render()).unwrap()).unwrap();
-        assert_eq!(back, h);
-        let empty = Histogram::new();
-        let back = Histogram::from_json(&Json::parse(&empty.to_json().render()).unwrap()).unwrap();
-        assert_eq!(back, empty);
-    }
-
-    #[test]
-    fn from_json_rejects_bucket_count_mismatch() {
-        // count says 5 but the buckets only hold 3 samples: the
-        // quantile walk would run off the end and report max for
-        // everything — must be rejected, not accepted.
-        let doc = r#"{"count":5,"sum":1.0,"min":0.1,"max":0.3,"buckets":[[18,3]]}"#;
-        assert!(Histogram::from_json(&Json::parse(doc).unwrap()).is_none());
-        // Buckets holding *more* than count is just as inconsistent.
-        let doc = r#"{"count":1,"sum":1.0,"min":0.1,"max":0.3,"buckets":[[18,3]]}"#;
-        assert!(Histogram::from_json(&Json::parse(doc).unwrap()).is_none());
-        // Empty histogram with a stray bucket entry.
-        let doc = r#"{"count":0,"sum":0.0,"min":0.0,"max":0.0,"buckets":[[0,1]]}"#;
-        assert!(Histogram::from_json(&Json::parse(doc).unwrap()).is_none());
-    }
-
-    #[test]
-    fn from_json_rejects_duplicate_bucket_indices() {
-        // Two entries for bucket 18: the old decoder silently kept the
-        // second one (losing 2 samples); now it is an error.
-        let doc = r#"{"count":5,"sum":1.0,"min":0.1,"max":0.3,"buckets":[[18,2],[18,3]]}"#;
-        assert!(Histogram::from_json(&Json::parse(doc).unwrap()).is_none());
-        // Even when the duplicated entries happen to sum to count.
-        let doc = r#"{"count":5,"sum":1.0,"min":0.1,"max":0.3,"buckets":[[18,0],[18,5]]}"#;
-        assert!(Histogram::from_json(&Json::parse(doc).unwrap()).is_none());
-    }
-
-    #[test]
-    fn from_json_still_rejects_malformed_shapes() {
-        for doc in [
-            // Bucket index out of range.
-            r#"{"count":1,"sum":1.0,"min":1.0,"max":1.0,"buckets":[[99,1]]}"#,
-            // Pair of the wrong arity.
-            r#"{"count":1,"sum":1.0,"min":1.0,"max":1.0,"buckets":[[1,1,1]]}"#,
-        ] {
-            assert!(
-                Histogram::from_json(&Json::parse(doc).unwrap()).is_none(),
-                "{doc}"
-            );
+        for h in [h, Histogram::new()] {
+            let tree = Json::parse(&h.to_json().render()).unwrap();
+            assert_eq!(tree, h.to_json());
+            assert_eq!(tree.get("count").and_then(Json::as_u64), Some(h.count()));
+            let sum = tree.get("sum").and_then(Json::as_f64).unwrap();
+            assert_eq!(sum.to_bits(), h.sum().to_bits());
+            let buckets = tree.get("buckets").and_then(Json::as_arr).unwrap();
+            let total: u64 = buckets
+                .iter()
+                .map(|pair| pair.as_arr().unwrap()[1].as_u64().unwrap())
+                .sum();
+            assert_eq!(total, h.count(), "bucket entries hold every sample");
         }
     }
 }

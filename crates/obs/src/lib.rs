@@ -10,8 +10,8 @@
 //! * [`Span`] / [`PhaseTimer`] — scope timers feeding a recorder;
 //! * [`Histogram`] — fixed log-bucket latency histogram with
 //!   p50/p95/p99/max, mergeable across ranks;
-//! * [`ObsReport`] — an exportable snapshot: JSON round-trip
-//!   ([`ObsReport::to_json`] / [`ObsReport::from_json`]), cross-rank
+//! * [`ObsReport`] — an exportable snapshot: JSON export
+//!   ([`ObsReport::to_json`], which [`Json::parse`] reads back), cross-rank
 //!   [`ObsReport::merge`], and a human-readable
 //!   [`ObsReport::render_table`];
 //! * [`Fnv1a`] — the workspace's one 64-bit FNV-1a, for checksums,

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::hist::Histogram;
-use crate::json::{Json, JsonError};
+use crate::json::Json;
 
 /// One retained span on a rank's timeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -140,53 +140,6 @@ impl ObsReport {
         ])
     }
 
-    /// Rebuild a report from its [`ObsReport::to_json`] string.
-    pub fn from_json(s: &str) -> Result<ObsReport, JsonError> {
-        let v = Json::parse(s)?;
-        Self::from_json_value(&v).ok_or_else(|| JsonError {
-            offset: 0,
-            message: "not an ObsReport document".to_string(),
-        })
-    }
-
-    /// Rebuild from a parsed JSON value tree.
-    fn from_json_value(v: &Json) -> Option<ObsReport> {
-        let rank = match v.get("rank")? {
-            Json::Null => None,
-            n => Some(n.as_u64()? as usize),
-        };
-        let mut phases = BTreeMap::new();
-        for (name, p) in v.get("phases")?.as_obj()? {
-            phases.insert(
-                name.clone(),
-                PhaseReport {
-                    calls: p.get("calls")?.as_u64()?,
-                    total_secs: p.get("total_secs")?.as_f64()?,
-                    hist: Histogram::from_json(p.get("hist")?)?,
-                },
-            );
-        }
-        let mut counters = BTreeMap::new();
-        for (name, n) in v.get("counters")?.as_obj()? {
-            counters.insert(name.clone(), n.as_u64()?);
-        }
-        let mut timeline = Vec::new();
-        for ev in v.get("timeline")?.as_arr()? {
-            timeline.push(TimelineEvent {
-                phase: ev.get("phase")?.as_str()?.to_string(),
-                start_us: ev.get("start_us")?.as_u64()?,
-                dur_us: ev.get("dur_us")?.as_u64()?,
-            });
-        }
-        Some(ObsReport {
-            rank,
-            phases,
-            counters,
-            timeline,
-            dropped_events: v.get("dropped_events")?.as_u64()?,
-        })
-    }
-
     /// Render a human-readable per-phase table:
     /// `phase  calls  total  mean  p50  p95  p99  max`.
     pub fn render_table(&self) -> String {
@@ -264,10 +217,33 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_preserves_everything() {
+    fn json_export_parses_back_to_the_same_tree() {
         let r = sample_report();
-        let back = ObsReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(back, r);
+        let tree = Json::parse(&r.to_json()).unwrap();
+        assert_eq!(tree, r.to_json_value());
+        assert_eq!(tree.get("rank").and_then(Json::as_u64), Some(3));
+        let collide = tree.get("phases").and_then(|p| p.get("collide")).unwrap();
+        assert_eq!(collide.get("calls").and_then(Json::as_u64), Some(200));
+        assert_eq!(
+            collide
+                .get("total_secs")
+                .and_then(Json::as_f64)
+                .map(f64::to_bits),
+            Some(r.phases["collide"].total_secs.to_bits())
+        );
+        assert_eq!(
+            collide.get("hist"),
+            Some(&r.phases["collide"].hist.to_json())
+        );
+        let steps = tree.get("counters").and_then(|c| c.get("steps"));
+        assert_eq!(steps.and_then(Json::as_u64), Some(200));
+        let timeline = tree.get("timeline").and_then(Json::as_arr).unwrap();
+        assert_eq!(timeline.len(), r.timeline.len());
+        assert_eq!(
+            timeline[0].get("phase").and_then(Json::as_str),
+            Some("halo-wait")
+        );
+        assert_eq!(tree.get("dropped_events").and_then(Json::as_u64), Some(0));
     }
 
     #[test]
@@ -291,13 +267,6 @@ mod tests {
             assert!(table.contains(phase), "{table}");
         }
         assert!(table.contains("steps = 200"), "{table}");
-    }
-
-    #[test]
-    fn from_json_rejects_wrong_shape() {
-        assert!(ObsReport::from_json("{}").is_err());
-        assert!(ObsReport::from_json("[1,2]").is_err());
-        assert!(ObsReport::from_json("not json").is_err());
     }
 
     #[test]

@@ -319,6 +319,7 @@ fn solve_normal_equations(samples: &[&CalSample], cols: &[usize]) -> Option<Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hemelb_obs::Json;
 
     fn synth(alpha: f64, beta: f64, gamma: f64) -> Vec<CalSample> {
         // A grid of workloads measured under an exact linear model.
@@ -438,8 +439,13 @@ mod tests {
         let cal = fit(&synth(1.5e-6, 5e9, 1e10)).unwrap();
         let mut rec = Recorder::new();
         cal.record_to(&mut rec, "proj.model");
-        let json = rec.report().to_json();
-        let report = ObsReport::from_json(&json).unwrap();
+        let report = rec.report();
+        let tree = Json::parse(&report.to_json()).unwrap();
+        let counters = tree.get("counters").and_then(Json::as_obj).unwrap();
+        assert_eq!(counters.len(), report.counters.len());
+        for (name, n) in counters {
+            assert_eq!(n.as_u64(), Some(report.counters[name]), "{name}");
+        }
         let back = CalibratedModel::from_report(&report, "proj.model").unwrap();
         assert_eq!(back.model.alpha.to_bits(), cal.model.alpha.to_bits());
         assert_eq!(back.model.beta.to_bits(), cal.model.beta.to_bits());

@@ -4,7 +4,7 @@
 
 use hemelb::core::SolverConfig;
 use hemelb::geometry::VesselBuilder;
-use hemelb::obs::ObsReport;
+use hemelb::obs::Json;
 use hemelb::parallel::{run_spmd_opts, SpmdOptions, TagClass};
 use hemelb::steering::{
     duplex_pair, run_closed_loop, ClosedLoopConfig, SteeringClient, SteeringCommand, Transport,
@@ -94,11 +94,25 @@ fn obs_reports_survive_json_and_show_real_phase_timings() {
     assert!(rtt.total_secs > 0.0);
     assert!(rtt.hist.p95() >= rtt.hist.p50());
 
-    // JSON export round-trips bit-exactly for every report.
+    // JSON export parses back with every phase and counter, bit-exactly.
     for report in output.obs.iter().chain([&merged, &client_report]) {
-        let json = report.to_json();
-        let parsed = ObsReport::from_json(&json).expect("export must parse");
-        assert_eq!(&parsed, report, "JSON round trip must be lossless");
+        let tree = Json::parse(&report.to_json()).expect("export must parse");
+        let phases = tree.get("phases").and_then(Json::as_obj).unwrap();
+        assert_eq!(phases.len(), report.phases.len());
+        for (name, p) in phases {
+            let want = &report.phases[name];
+            assert_eq!(p.get("calls").and_then(Json::as_u64), Some(want.calls));
+            let secs = p.get("total_secs").and_then(Json::as_f64).unwrap();
+            assert_eq!(secs.to_bits(), want.total_secs.to_bits(), "{name}");
+            assert_eq!(p.get("hist"), Some(&want.hist.to_json()), "{name}");
+        }
+        let counters = tree.get("counters").and_then(Json::as_obj).unwrap();
+        assert_eq!(counters.len(), report.counters.len());
+        for (name, n) in counters {
+            assert_eq!(n.as_u64(), Some(report.counters[name]), "{name}");
+        }
+        let timeline = tree.get("timeline").and_then(Json::as_arr).unwrap();
+        assert_eq!(timeline.len(), report.timeline.len());
     }
 
     // And the human-readable table mentions the phases and quantiles.
