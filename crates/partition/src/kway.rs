@@ -15,7 +15,9 @@
 //!    refinement at every level under the balance bound `(1+ε)·mean`.
 //!    On the finest level the bound tightens to the mean plus one
 //!    vertex: coarse levels spend ε's slack on the cut, and the finest
-//!    evens the loads along it.
+//!    evens the loads along it. A part over the bound may pass a vertex
+//!    to a full neighbour that stays lighter than it was, so a chain of
+//!    moves can reach a part with room.
 //!
 //! A graph skips the cell level and is matched from the finest level
 //! when its coords put more than 8 vertices in one cell, when the cells
@@ -636,9 +638,11 @@ impl<'a> Refiner<'a> {
         (overload, self.cut)
     }
 
-    /// `v`'s best move under the bound: the adjacent part it gains most
-    /// by joining, the lighter of equals, with that gain. `None` if no
-    /// part can take it, or if it would empty its own.
+    /// `v`'s best move: the adjacent part with room for it that it gains
+    /// most by joining, the lighter of equals, with that gain. A part has
+    /// room if `v` leaves it within the bound, or if `v`'s own part is
+    /// over the bound and the part stays lighter than that one was.
+    /// `None` if no part has room, or if the move would empty `v`'s part.
     fn best_move(&mut self, v: u32, owner: &[usize]) -> Option<(usize, i64)> {
         let src = owner[v as usize];
         let w_v = self.level.vwgt[v as usize];
@@ -661,7 +665,11 @@ impl<'a> Refiner<'a> {
             // lagging `internal` could leave.
             let gain = (self.link[dst] - internal).clamp(-self.queue.offset, self.queue.offset);
             self.link[dst] = 0;
-            if self.loads[dst] + w_v > self.max_load {
+            // A full part may take a vertex from a heavier one over the
+            // bound, so a chain of moves can reach a part with room.
+            let after = self.loads[dst] + w_v;
+            let over = self.loads[src] > self.max_load;
+            if after > self.max_load && !(over && after < self.loads[src]) {
                 continue;
             }
             if best.is_none_or(|(bd, bg)| {
@@ -860,8 +868,9 @@ mod tests {
     }
 
     /// `v`'s best move recomputed from `owner` and the loads alone: the
-    /// adjacent part under the bound with the most gain, the lighter of
-    /// equals, the first seen of equal loads.
+    /// adjacent part with room under the bound (or, from a part over it,
+    /// lighter than that part after the move) with the most gain, the
+    /// lighter of equals, the first seen of equal loads.
     fn naive_best_move(fm: &Refiner<'_>, v: u32, owner: &[usize]) -> Option<(usize, i64)> {
         let (src, w_v) = (owner[v as usize], fm.level.vwgt[v as usize]);
         if fm.loads[src] - w_v <= 0.0 {
@@ -882,7 +891,10 @@ mod tests {
         let mut best: Option<(usize, i64)> = None;
         for (dst, l) in link {
             let gain = l - internal;
-            if fm.loads[dst] + w_v <= fm.max_load
+            let after = fm.loads[dst] + w_v;
+            let room =
+                after <= fm.max_load || (fm.loads[src] > fm.max_load && after < fm.loads[src]);
+            if room
                 && best.is_none_or(|(bd, bg)| {
                     gain > bg || (gain == bg && fm.loads[dst] < fm.loads[bd])
                 })
