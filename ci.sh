@@ -193,11 +193,14 @@ group_units() {
 # since every other test stage builds in debug, and `kway-medium-release`
 # runs there the Medium k-way cells (the `prep_cold` map) and the Medium
 # quality floor, under a second in release, that otherwise only the
-# debug soak reaches.
+# debug soak reaches; `plan-medium-release` runs the streaming-plan
+# builder's oracles on that map at Medium (`hemelb-core`'s ignored
+# `plan_builder_keeps_its_promises_at_medium`).
 group_determinism() {
     stage determinism cargo test -q --test properties --test golden
     stage golden-release cargo test --release -q --test golden
     stage kway-medium-release cargo test --release -q --test golden kway_ -- --ignored
+    stage plan-medium-release cargo test --release -q -p hemelb-core --lib plan_builder -- --ignored
     stage obs         cargo test -q --test obs_smoke
     stage render      cargo test -q --test render_compositing
 }

@@ -15,13 +15,14 @@
 //!
 //! A rank's sites are either **frontier** (their post-collision
 //! populations are shipped to peers, or they pull from peers) or
-//! **interior** (everything else). The constructor renumbers the rank's
-//! sites once so that the frontier is the local prefix `0..split` and
-//! the interior the suffix `split..n`, ascending global id within each
-//! class — HemeLB's "domain-edge first, mid-domain after" order. However
-//! fragmented the owner map, the step (DESIGN.md §2.14) is then two
-//! contiguous sweeps around the exchange, at either parity of the AA
-//! pair (see [`crate::layout`]):
+//! **interior** (everything else). The constructor finds the frontier in
+//! one pass over the rank's sites and stores it as the local prefix
+//! `0..split`, the interior as the suffix `split..n`, ascending global
+//! id within each class — HemeLB's "domain-edge first, mid-domain
+//! after" order — then builds the streaming plan in one walk over that
+//! order. However fragmented the owner map, the step (DESIGN.md §2.14)
+//! is then two contiguous sweeps around the exchange, at either parity
+//! of the AA pair (see [`crate::layout`]):
 //!
 //! 1. step the frontier `0..split`;
 //! 2. pack and post every peer's message;
@@ -52,11 +53,10 @@
 
 use crate::boundary::IoletBc;
 use crate::fields::FieldSnapshot;
-use crate::layout::{
-    build_stream_table, SitePartition, SoaLattice, HALO_FLAG, LINK_BOUNDARY as BOUNDARY,
-};
+use crate::layout::{upstream, SitePartition, SoaLattice, HALO_FLAG, LINK_BOUNDARY as BOUNDARY};
 use crate::model::LatticeModel;
 use crate::solver::SolverConfig;
+use hemelb_geometry::lattice::Stencil;
 use hemelb_geometry::{IoLetKind, SparseGeometry};
 use hemelb_parallel::{CommError, CommResult, Communicator, Tag, WireReader, WireWriter};
 use std::sync::Arc;
@@ -89,16 +89,6 @@ pub struct DistSolver<'a> {
     awaited: Vec<usize>,
 }
 
-/// Compute the ascending list of global site ids owned by `rank`.
-pub fn locals_of(owner: &[usize], rank: usize) -> Vec<u32> {
-    owner
-        .iter()
-        .enumerate()
-        .filter(|(_, &o)| o == rank)
-        .map(|(s, _)| s as u32)
-        .collect()
-}
-
 /// Global → local index over `locals`; `u32::MAX` for sites not in it.
 fn global_to_local(locals: &[u32], fluid_count: usize) -> Vec<u32> {
     let mut g2l = vec![u32::MAX; fluid_count];
@@ -108,11 +98,71 @@ fn global_to_local(locals: &[u32], fluid_count: usize) -> Vec<u32> {
     g2l
 }
 
-/// Decode one peer's request list — a count, then `(global site,
-/// direction)` pairs of `u32`s — into `(local site, direction)` pairs
-/// over `g2l`. A count the bytes cannot hold, a site this rank does not
-/// own or a direction past `q` is a `Decode` error, not an allocation
-/// or a panic.
+/// The storage order, where its frontier ends, and the requests to each
+/// rank (see [`frontier_pass`]).
+type Frontier = (Vec<u32>, usize, Vec<Vec<(u32, u16)>>);
+
+/// The frontier pass over the sites `rank` owns, ascending, `back` the
+/// stencil of a site's `q` link sources. The velocity sets are
+/// symmetric, so a site is frontier iff some neighbour is owned
+/// elsewhere. Returns the storage order (the frontier, then the
+/// interior, each ascending so copy segments stay long), where the
+/// frontier ends, and per rank the `(source, dir)` links pulled from it
+/// in `(site, dir)` order: the requests.
+fn frontier_pass(
+    geo: &SparseGeometry,
+    back: &Stencil,
+    q: usize,
+    owner: &[usize],
+    rank: usize,
+    ranks: usize,
+) -> Frontier {
+    let mut needed: Vec<Vec<(u32, u16)>> = vec![Vec::new(); ranks];
+    // Which cells of the index grid hold a site owned elsewhere.
+    let (mut elsewhere, mut owned) = (vec![false; geo.shape().iter().product()], 0);
+    for (g, &o) in owner.iter().enumerate() {
+        let [x, y, z] = geo.position(g as u32).map(|c| c as usize);
+        elsewhere[geo.grid_offset(x, y, z)] = o != rank;
+        owned += usize::from(o == rank);
+    }
+    // The frontier fills it from the front, the interior from the back.
+    let mut locals = vec![0u32; owned];
+    let (mut split, mut rest) = (0, locals.len());
+    let (mut flags, mut row) = (vec![false; q], vec![BOUNDARY; q]);
+    for g in (0..owner.len() as u32).filter(|&g| owner[g as usize] == rank) {
+        geo.offset_cells(g, back, &elsewhere, false, &mut flags);
+        if !flags.contains(&true) {
+            rest -= 1;
+            locals[rest] = g;
+            continue;
+        }
+        geo.offset_sites(g, back, &mut row);
+        for (i, &src) in row.iter().enumerate().filter(|&(i, _)| flags[i]) {
+            needed[owner[src as usize]].push((src, i as u16));
+        }
+        locals[split] = g;
+        split += 1;
+    }
+    locals[split..].reverse();
+    (locals, split, needed)
+}
+
+/// Encode one peer's request list: a count, then `(global site,
+/// direction)` pairs of `u32`s.
+fn encode_requests(list: &[(u32, u16)]) -> Vec<u8> {
+    let mut w = WireWriter::with_capacity(8 + list.len() * 8);
+    w.put_usize(list.len());
+    for &(g, d) in list {
+        w.put_u32(g);
+        w.put_u32(d as u32);
+    }
+    w.finish()
+}
+
+/// Decode one peer's request list (see [`encode_requests`]) into
+/// `(local site, direction)` pairs over `g2l`. A count the bytes cannot
+/// hold, a site this rank does not own or a direction past `q` is a
+/// `Decode` error, not an allocation or a panic.
 fn decode_requests(payload: Vec<u8>, g2l: &[u32], q: usize) -> CommResult<Vec<(u32, u16)>> {
     let mut r = WireReader::new(payload);
     let count = r.get_checked_len(8, "site requests")?;
@@ -137,32 +187,88 @@ fn decode_requests(payload: Vec<u8>, g2l: &[u32], q: usize) -> CommResult<Vec<(u
     Ok(requests)
 }
 
-/// `(rho, u, shear)` of one rank's sites, ascending global order.
-type RankFields = (Vec<f64>, Vec<[f64; 3]>, Vec<f64>);
+/// `(rho, u, shear)` of every fluid site, global order.
+type Fields = (Vec<f64>, Vec<[f64; 3]>, Vec<f64>);
 
-/// Decode one rank's `gather_snapshot` payload. A count the bytes cannot
-/// hold, or a field that does not hold exactly `sites` values, is a
-/// `Decode` error.
-fn decode_rank_fields(payload: Vec<u8>, sites: usize) -> CommResult<RankFields> {
-    let mut r = WireReader::new(payload);
-    let rho = r.get_f64_vec()?;
-    let nu = r.get_checked_len(24, "velocities")?;
-    let u = (0..nu)
-        .map(|_| r.get())
-        .collect::<CommResult<Vec<[f64; 3]>>>()?;
-    let shear = r.get_f64_vec()?;
-    r.expect_end()?;
-    if [rho.len(), u.len(), shear.len()] != [sites; 3] {
-        return Err(CommError::Decode {
-            reason: format!(
-                "fields of {} / {} / {} sites from a rank owning {sites}",
-                rho.len(),
-                u.len(),
-                shear.len()
-            ),
-        });
+/// One rank's `gather_snapshot` payload: `rho`, `u` and `shear` of its
+/// `n` sites in ascending global order, `order` giving their storage
+/// indices in that order. Each field is a `u64` count `n` and its `f64`s
+/// (three a site for `u`) — the bytes `WireWriter` gives an `f64` slice,
+/// a count with its `[f64; 3]`s and an `f64` slice — and every value is
+/// written straight to its place.
+fn encode_fields(local: &FieldSnapshot, order: impl Iterator<Item = usize>) -> Vec<u8> {
+    let n = local.len();
+    let mut buf = vec![0u8; 24 + 40 * n];
+    let (rho, rest) = buf.split_at_mut(8 + 8 * n);
+    let (u, shear) = rest.split_at_mut(8 + 24 * n);
+    let place = |run: &mut [u8], k: usize, v: f64| {
+        run[8 + 8 * k..16 + 8 * k].copy_from_slice(&v.to_le_bytes());
+    };
+    for run in [&mut *rho, &mut *u, &mut *shear] {
+        run[..8].copy_from_slice(&(n as u64).to_le_bytes());
+    }
+    for (k, l) in order.enumerate() {
+        place(rho, k, local.rho[l]);
+        for (a, &v) in local.u[l].iter().enumerate() {
+            place(u, 3 * k + a, v);
+        }
+        place(shear, k, local.shear[l]);
+    }
+    buf
+}
+
+/// The global `(rho, u, shear)` from every rank's `gather_snapshot`
+/// payload (see [`encode_fields`]). Each payload must lay out exactly
+/// the sites its rank owns, or it is a `Decode` error; then one pass
+/// over `owner` decodes them straight into the global arrays, site `g`
+/// taking the next values of rank `owner[g]`. The arrays are sized by
+/// `owner`, never by a count off the wire.
+fn decode_fields(parts: &[Vec<u8>], owner: &[usize]) -> CommResult<Fields> {
+    let mut owned = vec![0usize; parts.len()];
+    for &o in owner {
+        owned[o] += 1;
+    }
+    let runs = parts.iter().zip(owned).enumerate().map(|(rank, (p, n))| {
+        let at = [0, 8 + 8 * n, 16 + 32 * n, 24 + 40 * n];
+        let counted = |a: usize| p.get(a..a + 8) == Some(&(n as u64).to_le_bytes()[..]);
+        if p.len() != at[3] || !at[..3].iter().all(|&a| counted(a)) {
+            let reason = format!(
+                "{} bytes of fields from rank {rank}, which owns {n} sites",
+                p.len()
+            );
+            return Err(CommError::Decode { reason });
+        }
+        Ok([&p[8..at[1]], &p[at[1] + 8..at[2]], &p[at[2] + 8..]])
+    });
+    let runs = runs.collect::<CommResult<Vec<_>>>()?;
+    let value = |run: &[u8], k: usize| {
+        f64::from_le_bytes(run[8 * k..8 * k + 8].try_into().expect("8 bytes"))
+    };
+    let n = owner.len();
+    let (mut rho, mut u, mut shear) = (vec![0.0; n], vec![[0.0; 3]; n], vec![0.0; n]);
+    let mut next = vec![0usize; parts.len()];
+    for (g, &o) in owner.iter().enumerate() {
+        let (k, [r, v, s]) = (next[o], runs[o]);
+        rho[g] = value(r, k);
+        u[g] = std::array::from_fn(|a| value(v, 3 * k + a));
+        shear[g] = value(s, k);
+        next[o] += 1;
     }
     Ok((rho, u, shear))
+}
+
+/// The storage indices of `locals` by ascending global id: a merge of
+/// its two ascending runs, `..split` (the frontier) and `split..`.
+fn ascending_order(locals: &[u32], split: usize) -> impl Iterator<Item = usize> + '_ {
+    let (mut a, mut b) = (0, split);
+    std::iter::from_fn(move || {
+        let from_front = a < split && (b == locals.len() || locals[a] < locals[b]);
+        let pick = if from_front { &mut a } else { &mut b };
+        (*pick < locals.len()).then(|| {
+            *pick += 1;
+            *pick - 1
+        })
+    })
 }
 
 impl<'a> DistSolver<'a> {
@@ -189,46 +295,30 @@ impl<'a> DistSolver<'a> {
         );
         let me = comm.rank();
         let model = cfg.model.build();
-        // Everything up to the renumbering below indexes the owned sites
-        // in ascending global order.
-        let ascending = locals_of(&owner, me);
-        let n = ascending.len();
-        let g2l = global_to_local(&ascending, geo.fluid_count());
+        let back = upstream(&geo, &model);
 
-        // Build the streaming table, registering remote sources per peer.
-        // needed[r] = list of (global_src, dir) this rank must receive
-        // from r each step, in deterministic (local site, dir) order.
-        let mut needed: Vec<Vec<(u32, u16)>> = vec![Vec::new(); comm.size()];
-        let mut halo_slot_of: Vec<Vec<usize>> = vec![Vec::new(); comm.size()];
+        let (locals, split, needed) = frontier_pass(&geo, &back, model.q, &owner, me, comm.size());
+        let n = locals.len();
+        let g2l = global_to_local(&locals, geo.fluid_count());
+
+        // Halo slots: one contiguous range per peer, in ascending peer
+        // order, each in the peer's request order.
+        let mut recv_plan = Vec::new();
+        let mut next_slot = Vec::with_capacity(comm.size());
         let mut n_halo = 0usize;
-        let mut stream = build_stream_table(&geo, &model, ascending.iter().copied(), |sg, i| {
-            let o = owner[sg as usize];
-            if o == me {
-                return g2l[sg as usize];
+        for (peer, list) in needed.iter().enumerate() {
+            next_slot.push(n_halo as u32);
+            if !list.is_empty() {
+                recv_plan.push((peer, n_halo, list.len()));
             }
-            needed[o].push((sg, i as u16));
-            halo_slot_of[o].push(n_halo);
-            n_halo += 1;
-            HALO_FLAG | (n_halo - 1) as u32
-        });
+            n_halo += list.len();
+        }
 
         // Exchange request lists so each rank learns what to send.
         // (One all-to-all at construction; steady-state steps use only
         // the sparse neighbourhood exchange.)
-        let outgoing: Vec<Vec<u8>> = needed
-            .iter()
-            .map(|list| {
-                let mut w = WireWriter::with_capacity(8 + list.len() * 6);
-                w.put_usize(list.len());
-                for &(g, d) in list {
-                    w.put_u32(g);
-                    w.put_u32(d as u32);
-                }
-                w.finish()
-            })
-            .collect();
+        let outgoing: Vec<Vec<u8>> = needed.iter().map(|list| encode_requests(list)).collect();
         let incoming = comm.all_to_all(outgoing)?;
-
         let mut send_plan = Vec::new();
         for (peer, payload) in incoming.into_iter().enumerate() {
             if peer == me {
@@ -239,82 +329,25 @@ impl<'a> DistSolver<'a> {
                 send_plan.push((peer, requests));
             }
         }
-        send_plan.sort_unstable_by_key(|(peer, _)| *peer);
 
-        // Receive plan: contiguousise halo slots per peer. Slots were
-        // allocated interleaved across peers, so build a remap.
-        let mut recv_plan = Vec::new();
-        let mut remap = vec![0usize; n_halo];
-        let mut next = 0usize;
-        for (peer, slots) in halo_slot_of.iter().enumerate() {
-            if slots.is_empty() {
-                continue;
-            }
-            let start = next;
-            for &old in slots {
-                remap[old] = next;
-                next += 1;
-            }
-            recv_plan.push((peer, start, slots.len()));
-        }
-
-        // Frontier classification: a site is frontier iff a peer needs
-        // its post-collision populations (send plan) or it pulls at
-        // least one population from a peer (halo link in its streaming
-        // row). Interior sites touch no halo state in either direction,
-        // so they can step while the exchange is in flight.
-        let mut frontier = vec![false; n];
-        for (_, requests) in &send_plan {
-            for &(l, _) in requests {
-                frontier[l as usize] = true;
-            }
-        }
-        for lane in &mut stream {
-            for (entry, flag) in lane.iter_mut().zip(&mut frontier) {
-                if *entry != BOUNDARY && *entry & HALO_FLAG != 0 {
-                    let old = (*entry & !HALO_FLAG) as usize;
-                    *entry = HALO_FLAG | remap[old] as u32;
-                    *flag = true;
-                }
-            }
-        }
-
-        // Renumber into storage order — frontier first, interior after,
-        // ascending global id within each class so copy segments stay
-        // long — and carry the table, the site list and the send plan
-        // through the permutation. Halo slots keep their numbers: they
-        // follow the peers' packing order, which is fixed above.
-        let frontier = &frontier;
-        let class = |want: bool| (0..n as u32).filter(move |&l| frontier[l as usize] == want);
-        let order: Vec<u32> = class(true).chain(class(false)).collect();
-        let split = class(true).count();
-        let mut renumber = vec![0u32; n];
-        for (new, &old) in order.iter().enumerate() {
-            renumber[old as usize] = new as u32;
-        }
-        let locals: Vec<u32> = order.iter().map(|&old| ascending[old as usize]).collect();
-        // One lane at a time through one spare lane: a second table
-        // would be fresh memory to fault in for nothing.
-        let relabel = |e: u32| {
-            if e & HALO_FLAG == 0 {
-                renumber[e as usize]
-            } else {
-                e
+        // One walk over the sites in storage order builds the plan. Halo
+        // links come from the frontier alone, which ascends like the
+        // requests, so a peer's k-th halo link takes the k-th slot of
+        // its range.
+        let links = |s: usize, row: &mut [u32]| {
+            geo.offset_sites(locals[s], &back, row);
+            for e in row.iter_mut().filter(|e| **e != BOUNDARY) {
+                let l = g2l[*e as usize];
+                *e = if l != u32::MAX {
+                    l
+                } else {
+                    let slot = &mut next_slot[owner[*e as usize]];
+                    *slot += 1;
+                    HALO_FLAG | (*slot - 1)
+                };
             }
         };
-        let mut spare = Vec::with_capacity(n);
-        for lane in &mut stream {
-            spare.clear();
-            spare.extend(order.iter().map(|&old| relabel(lane[old as usize])));
-            std::mem::swap(lane, &mut spare);
-        }
-        for (_, requests) in &mut send_plan {
-            for (l, _) in requests {
-                *l = renumber[*l as usize];
-            }
-        }
-
-        let lat = SoaLattice::new(&geo, locals.iter().copied(), cfg, model, stream);
+        let lat = SoaLattice::new(&geo, locals.iter().copied(), cfg, model, links);
         assert_eq!(lat.ghost.len(), n_halo, "one ghost slot per halo link");
         Ok(DistSolver {
             comm,
@@ -644,34 +677,13 @@ impl<'a> DistSolver<'a> {
     /// order, so the wire format does not depend on the storage order.
     pub fn gather_snapshot(&self) -> CommResult<Option<FieldSnapshot>> {
         let local = self.local_snapshot();
-        // Storage indices by ascending global id (two sorted runs: the
-        // stable sort merges them in one pass).
-        let mut ascending: Vec<usize> = (0..local.len()).collect();
-        ascending.sort_by_key(|&l| self.locals[l]);
-        let mut w = WireWriter::with_capacity(local.len() * 40);
-        w.put_f64_seq(ascending.iter().map(|&l| local.rho[l]));
-        w.put_usize(local.len());
-        for &l in &ascending {
-            w.put(&local.u[l]);
-        }
-        w.put_f64_seq(ascending.iter().map(|&l| local.shear[l]));
-        let gathered = self.comm.gather(0, w.finish())?;
+        let ascending = ascending_order(&self.locals, self.partition.frontier_count());
+        let gathered = self.comm.gather(0, encode_fields(&local, ascending))?;
+        drop(local);
         let Some(parts) = gathered else {
             return Ok(None);
         };
-        let n = self.geo.fluid_count();
-        let mut rho = vec![0.0; n];
-        let mut u = vec![[0.0; 3]; n];
-        let mut shear = vec![0.0; n];
-        for (rank, payload) in parts.into_iter().enumerate() {
-            let ids = locals_of(&self.owner, rank);
-            let (rho_l, u_l, shear_l) = decode_rank_fields(payload, ids.len())?;
-            for (k, &g) in ids.iter().enumerate() {
-                rho[g as usize] = rho_l[k];
-                u[g as usize] = u_l[k];
-                shear[g as usize] = shear_l[k];
-            }
-        }
+        let (rho, u, shear) = decode_fields(&parts, &self.owner)?;
         Ok(Some(FieldSnapshot {
             step: self.lat.step,
             rho,
@@ -727,9 +739,21 @@ impl<'a> DistSolver<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::tests::build_stream_table;
     use crate::solver::{ModelKind, Solver};
-    use hemelb_geometry::VesselBuilder;
+    use hemelb_geometry::lattice::NOT_FLUID;
+    use hemelb_geometry::{IoLet, SiteKind, Vec3, VesselBuilder};
     use hemelb_parallel::{run_spmd, run_spmd_with_stats, TagClass};
+    use hemelb_partition::graph::Connectivity;
+    use hemelb_partition::{HilbertSfc, MultilevelKWay, Partitioner, SiteGraph};
+    use proptest::prelude::*;
+
+    /// The ascending global ids of the sites `rank` owns.
+    fn locals_of(owner: &[usize], rank: usize) -> Vec<u32> {
+        (0..owner.len() as u32)
+            .filter(|&g| owner[g as usize] == rank)
+            .collect()
+    }
 
     fn demo_geo() -> Arc<SparseGeometry> {
         Arc::new(VesselBuilder::straight_tube(16.0, 3.0).voxelise(1.0))
@@ -1096,18 +1120,71 @@ mod tests {
             ("short rho", fields(1, 2, 2, 2)),
             ("short u", fields(2, 1, 1, 2)),
             ("short shear", fields(2, 2, 2, 1)),
+            ("fewer sites than owned", fields(1, 1, 1, 1)),
+            ("more sites than owned", fields(3, 3, 3, 3)),
         ] {
-            let got = decode_rank_fields(payload, 2);
+            let got = decode_fields(&[payload], &[0, 0]);
             assert!(
                 matches!(got, Err(CommError::Decode { .. })),
                 "{what}: {got:?}"
             );
         }
-        let (rho, u, shear) = decode_rank_fields(fields(2, 2, 2, 2), 2).unwrap();
+        let mut trailing = fields(2, 2, 2, 2);
+        trailing.push(0);
+        let got = decode_fields(&[trailing], &[0, 0]);
+        assert!(matches!(got, Err(CommError::Decode { .. })), "{got:?}");
+        let (rho, u, shear) = decode_fields(&[fields(2, 2, 2, 2)], &[0, 0]).unwrap();
         assert_eq!(
             (rho, u, shear),
             (vec![1.0; 2], vec![[2.0; 3]; 2], vec![3.0; 2])
         );
+    }
+
+    /// Every rank's `gather_snapshot` payload of a 2-rank run, each under
+    /// every truncation and every single-bit flip: decoding never
+    /// panics, every proper prefix is a `Decode` error, and a flip is
+    /// either one or a field of every site. The decoder writes straight
+    /// into the global arrays, which the owner map sizes: no count off
+    /// the wire sizes an allocation.
+    #[test]
+    fn gather_payloads_survive_every_truncation_and_bit_flip() {
+        let geo = Arc::new(VesselBuilder::straight_tube(4.0, 1.5).voxelise(1.0));
+        let owner = even_owner(geo.fluid_count(), 2);
+        let (geo2, owner2) = (geo.clone(), owner.clone());
+        let ranks = run_spmd(2, move |comm| {
+            let cfg = SolverConfig::pressure_driven(1.01, 0.99);
+            let mut ds = DistSolver::new(geo2.clone(), owner2.clone(), cfg, comm).unwrap();
+            ds.step_n(3).unwrap();
+            let ascending = ascending_order(&ds.locals, ds.partition.frontier_count());
+            let payload = encode_fields(&ds.local_snapshot(), ascending);
+            (payload, ds.gather_snapshot().unwrap())
+        });
+        let gathered = ranks[0].1.clone().expect("root gathers");
+        let mut parts: Vec<Vec<u8>> = ranks.into_iter().map(|r| r.0).collect();
+        let (rho, u, shear) = decode_fields(&parts, &owner).unwrap();
+        assert_eq!(
+            (&rho, &u, &shear),
+            (&gathered.rho, &gathered.u, &gathered.shear)
+        );
+        let n = geo.fluid_count();
+        for rank in 0..2 {
+            let valid = parts[rank].clone();
+            for len in 0..valid.len() {
+                parts[rank] = valid[..len].to_vec();
+                let got = decode_fields(&parts, &owner);
+                assert!(matches!(got, Err(CommError::Decode { .. })), "{len} bytes");
+            }
+            for bit in 0..valid.len() * 8 {
+                parts[rank] = valid.clone();
+                parts[rank][bit / 8] ^= 1 << (bit % 8);
+                match decode_fields(&parts, &owner) {
+                    Ok((rho, u, shear)) => assert_eq!([rho.len(), u.len(), shear.len()], [n; 3]),
+                    Err(CommError::Decode { .. }) => {}
+                    Err(other) => panic!("bit {bit}: {other:?}"),
+                }
+            }
+            parts[rank] = valid;
+        }
     }
 
     #[test]
@@ -1197,13 +1274,106 @@ mod tests {
         });
     }
 
+    /// Every promise of the plan builder on this rank, against oracles
+    /// drawn from the geometry and the owner map alone:
+    ///
+    /// * a site is frontier exactly when some lattice neighbour is owned
+    ///   elsewhere, and the storage order is the frontier, then the
+    ///   interior, each ascending;
+    /// * the requests this rank sends are byte for byte the lists a walk
+    ///   of the table in ascending global order gives (the encoding
+    ///   before the plan builder), and each peer's requests arrive in
+    ///   this rank's send plan in the peer's order;
+    /// * the halo slots are one contiguous range per peer, in peer order,
+    ///   each in the order of this rank's requests to that peer;
+    /// * the plan expands to `build_stream_table` over the storage order
+    ///   with those slots, every block's `reach` is the naive one of that
+    ///   table, and every link lies in exactly one of the plan's lists.
+    fn assert_plan_matches_oracles(ds: &DistSolver<'_>) {
+        let (geo, owner, model) = (&ds.geo, &ds.owner[..], &ds.lat.model);
+        let (me, ranks) = (ds.comm.rank(), ds.comm.size());
+
+        let split = ds.partition.frontier_count();
+        for (l, &g) in ds.locals.iter().enumerate() {
+            let [x, y, z] = geo.position(g).map(i64::from);
+            let elsewhere = model.c.iter().any(|c| {
+                let t = geo.site_at(x + c[0] as i64, y + c[1] as i64, z + c[2] as i64);
+                t.is_some_and(|t| owner[t as usize] != me)
+            });
+            assert_eq!(
+                ds.partition.is_frontier(l),
+                elsewhere,
+                "rank {me}: site {g}"
+            );
+        }
+        assert!(ds.locals[..split].windows(2).all(|w| w[0] < w[1]));
+        assert!(ds.locals[split..].windows(2).all(|w| w[0] < w[1]));
+        let mut sorted = ds.locals.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, locals_of(owner, me), "rank {me}: a permutation");
+
+        // Each rank's requests, per peer, as a table walk over its sites
+        // in ascending global order meets them.
+        let requests_of = |rank: usize| {
+            let mut lists = vec![Vec::new(); ranks];
+            build_stream_table(geo, model, locals_of(owner, rank).into_iter(), |src, i| {
+                let o = owner[src as usize];
+                if o != rank {
+                    lists[o].push((src, i as u16));
+                }
+                0
+            });
+            lists
+        };
+        let mine = requests_of(me);
+        let (_, _, sent) = frontier_pass(geo, &upstream(geo, model), model.q, owner, me, ranks);
+        for (list, want) in sent.iter().zip(&mine) {
+            let pairs: Vec<(u32, u32)> = want.iter().map(|&(g, d)| (g, d as u32)).collect();
+            assert_eq!(
+                encode_requests(list),
+                request_list(want.len() as u64, &pairs)
+            );
+        }
+        let g2l = global_to_local(&ds.locals, geo.fluid_count());
+        let send_plan: Vec<_> = (0..ranks)
+            .filter(|&peer| peer != me)
+            .map(|peer| (peer, requests_of(peer).swap_remove(me)))
+            .filter(|(_, list)| !list.is_empty())
+            .map(|(peer, list)| {
+                (
+                    peer,
+                    list.iter().map(|&(g, d)| (g2l[g as usize], d)).collect(),
+                )
+            })
+            .collect();
+        assert_eq!(ds.send_plan, send_plan, "rank {me}");
+
+        let mut recv_plan = Vec::new();
+        let mut slot_of = std::collections::HashMap::new();
+        for (peer, list) in mine.iter().enumerate() {
+            if !list.is_empty() {
+                recv_plan.push((peer, slot_of.len(), list.len()));
+            }
+            for &link in list {
+                slot_of.insert(link, slot_of.len() as u32);
+            }
+        }
+        assert_eq!(ds.recv_plan, recv_plan, "rank {me}");
+        let want = build_stream_table(geo, model, ds.locals.iter().copied(), |src, i| {
+            match owner[src as usize] == me {
+                true => g2l[src as usize],
+                false => HALO_FLAG | slot_of[&(src, i as u16)],
+            }
+        });
+        assert_eq!(ds.lat.stream_table(), want, "rank {me}");
+        crate::layout::tests::assert_reach_is_naive(&ds.lat, &want);
+        crate::layout::tests::assert_plan_partitions_the_links(&ds.lat);
+    }
+
     /// On every rank of a 3-rank k-way-like split (a checkerboard, so
     /// the plan has halo links in every direction), for both velocity
-    /// sets: every link lies in exactly one of the plan's four lists,
-    /// and the plan expands back to the streaming table entry for entry
-    /// — local and missing links exactly as an independent
-    /// `build_stream_table` over the storage order gives them, halo
-    /// links as distinct slots of the halo buffer.
+    /// sets: the plan keeps every promise of the builder, and every
+    /// ghost slot is read by exactly one link.
     #[test]
     fn plan_partitions_the_links_and_expands_to_the_table_on_every_rank() {
         let geo = Arc::new(VesselBuilder::aneurysm(12.0, 2.5, 3.5).voxelise(1.0));
@@ -1212,37 +1382,129 @@ mod tests {
             let geo2 = geo.clone();
             run_spmd(3, move |comm| {
                 let owner = checkerboard_owner(&geo2, comm.size());
-                let ds = DistSolver::new(geo2.clone(), owner.clone(), cfg.clone(), comm).unwrap();
-                crate::layout::tests::assert_plan_partitions_the_links(&ds.lat);
-                let me = comm.rank();
-                let g2l = global_to_local(&ds.locals, geo2.fluid_count());
-                let want =
-                    build_stream_table(&geo2, &ds.lat.model, ds.locals.iter().copied(), |sg, _| {
-                        if owner[sg as usize] == me {
-                            g2l[sg as usize]
-                        } else {
-                            HALO_FLAG
-                        }
-                    });
-                let got = ds.lat.stream_table();
-                let mut slots = vec![false; ds.lat.ghost.len()];
-                for (lane, want_lane) in got.iter().zip(&want) {
-                    for (&e, &w) in lane.iter().zip(want_lane) {
-                        if w == HALO_FLAG {
-                            assert!(e != BOUNDARY && e & HALO_FLAG != 0, "rank {me}: {e:x}");
-                            let slot = (e & !HALO_FLAG) as usize;
-                            assert!(
-                                !std::mem::replace(&mut slots[slot], true),
-                                "slot {slot} twice"
-                            );
-                        } else {
-                            assert_eq!(e, w, "rank {me} {kind:?}");
-                        }
-                    }
+                let ds = DistSolver::new(geo2.clone(), owner, cfg.clone(), comm).unwrap();
+                assert_plan_matches_oracles(&ds);
+                let mut slots = vec![0; ds.lat.ghost.len()];
+                for &(_, _, slot) in &ds.lat.plan.halo {
+                    slots[slot as usize] += 1;
                 }
-                assert!(slots.iter().all(|&s| s), "rank {me}: every halo slot read");
+                assert!(slots.iter().all(|&s| s == 1), "every halo slot read once");
             });
         }
+    }
+
+    /// A random blob of fluid cells filling a `shape` box to `density`,
+    /// numbered in raster order; the sites of the lowest fluid `x` are
+    /// inlet 0, those of the highest outlet 0.
+    fn blob(shape: [usize; 3], density: f64, seed: u64) -> Arc<SparseGeometry> {
+        let mut state = seed;
+        let mut draw = || {
+            // SplitMix64.
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut index = vec![NOT_FLUID; shape.iter().product()];
+        let mut positions = Vec::new();
+        for x in 0..shape[0] {
+            for y in 0..shape[1] {
+                for z in 0..shape[2] {
+                    if draw() < density {
+                        index[(x * shape[1] + y) * shape[2] + z] = positions.len() as u32;
+                        positions.push([x as u32, y as u32, z as u32]);
+                    }
+                }
+            }
+        }
+        let x0 = positions.first().map_or(0, |p| p[0]);
+        let x1 = positions.last().map_or(0, |p| p[0]);
+        let kinds = positions
+            .iter()
+            .map(|p| match p[0] {
+                x if x == x0 => SiteKind::Inlet(0),
+                x if x == x1 => SiteKind::Outlet(0),
+                _ => SiteKind::Wall,
+            })
+            .collect();
+        let disk = |kind, x: u32, nx: f64| IoLet {
+            kind,
+            centre: Vec3::new(x as f64, shape[1] as f64 / 2.0, shape[2] as f64 / 2.0),
+            normal: Vec3::new(nx, 0.0, 0.0),
+            radius: shape[1].max(shape[2]) as f64,
+        };
+        let iolets = vec![
+            disk(IoLetKind::Inlet, x0, -1.0),
+            disk(IoLetKind::Outlet, x1, 1.0),
+        ];
+        Arc::new(SparseGeometry::from_parts(
+            shape, index, positions, kinds, iolets,
+        ))
+    }
+
+    /// A slab, Hilbert (`map` 1) or k-way (`map` 2) map of `geo` on `p`
+    /// ranks.
+    fn owner_map(geo: &SparseGeometry, map: usize, p: usize) -> Vec<usize> {
+        let graph = SiteGraph::from_geometry(geo, Connectivity::D3Q15);
+        match map {
+            0 => even_owner(geo.fluid_count(), p),
+            1 => HilbertSfc.partition(&graph, p),
+            _ => MultilevelKWay.partition(&graph, p),
+        }
+    }
+
+    /// The serial lattice of `geo`, and every one of `p` ranks' under
+    /// `owner`, keep every promise of the plan builder.
+    fn assert_plans_match_oracles(
+        geo: &Arc<SparseGeometry>,
+        kind: ModelKind,
+        owner: Vec<usize>,
+        p: usize,
+    ) {
+        let cfg = SolverConfig::velocity_driven(0.03).with_model(kind);
+        let serial = Solver::new(geo.clone(), cfg.clone());
+        let sites = 0..geo.fluid_count() as u32;
+        let want = build_stream_table(geo, &serial.lat.model, sites, |src, _| src);
+        assert_eq!(serial.lat.stream_table(), want);
+        crate::layout::tests::assert_reach_is_naive(&serial.lat, &want);
+        crate::layout::tests::assert_plan_partitions_the_links(&serial.lat);
+        let geo = geo.clone();
+        run_spmd(p, move |comm| {
+            let ds = DistSolver::new(geo.clone(), owner.clone(), cfg.clone(), comm).unwrap();
+            assert_plan_matches_oracles(&ds);
+        });
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random fluid blobs up to 12³ × {D3Q15, D3Q19} × {slab,
+        /// Hilbert, k-way} maps × 1–4 ranks.
+        #[test]
+        fn plan_builder_keeps_its_promises_on_random_blobs(
+            shape in proptest::array::uniform3(2usize..13),
+            density in 0.2f64..0.9,
+            seed in any::<u64>(),
+            d3q19 in any::<bool>(),
+            map in 0usize..3,
+            ranks in 1usize..5,
+        ) {
+            let geo = blob(shape, density, seed);
+            prop_assume!(geo.fluid_count() >= ranks);
+            let kind = if d3q19 { ModelKind::D3Q19 } else { ModelKind::D3Q15 };
+            assert_plans_match_oracles(&geo, kind, owner_map(&geo, map, ranks), ranks);
+        }
+    }
+
+    /// The `prep_cold` case: the Medium aneurysm (137 320 sites) under its
+    /// two-rank k-way map, and the serial lattice.
+    #[test]
+    #[ignore = "Medium plan oracles in debug; run via cargo test --release -- --ignored"]
+    fn plan_builder_keeps_its_promises_at_medium() {
+        let geo = Arc::new(VesselBuilder::aneurysm(28.0, 4.0, 6.0).voxelise(0.25));
+        assert_eq!(geo.fluid_count(), 137_320);
+        assert_plans_match_oracles(&geo, ModelKind::D3Q15, owner_map(&geo, 2, 2), 2);
     }
 
     /// Satellite: the interior/frontier classifier, validated **per

@@ -2,13 +2,13 @@
 //! (SoA) fluid-site list every solver in this crate steps.
 //!
 //! Distributions are kept as **one contiguous `f64` lane per velocity
-//! direction** (`f[dir][site]`), one buffer only. Setup builds a
-//! streaming-index table — `stream[dir][site]` names the site whose
-//! direction-`dir` population streams *into* `site`, with missing links
-//! the sentinel [`LINK_BOUNDARY`] and cross-rank links
-//! `HALO_FLAG | slot` — compiles it into a [`StreamPlan`] and drops it
-//! before the lanes are allocated. The plan puts every link `(s, i)` in
-//! exactly one of four lists:
+//! direction** (`f[dir][site]`), one buffer only. Setup walks the sites
+//! once in storage order and resolves each link `(s, i)` to the site
+//! whose direction-`i` population streams *into* `s` — a local site,
+//! the sentinel [`LINK_BOUNDARY`] for a missing link or `HALO_FLAG |
+//! slot` for a cross-rank one — straight into a [`StreamPlan`], before
+//! the lanes are allocated; no `q × n` table of the links is built. The
+//! plan puts every link `(s, i)` in exactly one of four lists:
 //!
 //! * **copy** — per-direction segments of consecutive local sources;
 //! * **wall** — per direction, the non-iolet sites missing that link:
@@ -46,9 +46,9 @@
 //! link is local, to `t` if link `(t, j)` is missing, and to no site if
 //! `t − c_j` lives on a peer (a *send slot*, see [`crate::dist`]).
 //! Disjoint slot sets make the visit order irrelevant, which is what the
-//! threaded sweep in [`crate::kernel`] relies on. The table comes back
-//! only through [`SoaLattice::stream_table`] (tests and the corruption
-//! hook).
+//! threaded sweep in [`crate::kernel`] relies on. A table of the links
+//! exists only as [`SoaLattice::stream_table`]'s expansion of the plan
+//! (tests and the corruption hook).
 //!
 //! Site `s` of a lattice is the `s`-th fluid site handed to it at
 //! construction: every fluid site in global order for the serial
@@ -101,11 +101,14 @@ use crate::model::LatticeModel;
 use crate::mrt::MrtOperator;
 use crate::solver::{iolet_rule, SolverConfig};
 use crate::CS2;
+use hemelb_geometry::lattice::{Stencil, NOT_FLUID};
 use hemelb_geometry::{IoLetKind, SiteKind, SparseGeometry};
 use std::ops::Range;
 
-/// Sentinel in the streaming table marking a missing (boundary) link.
-pub(crate) const LINK_BOUNDARY: u32 = u32::MAX;
+/// Sentinel in the streaming table marking a missing (boundary) link:
+/// the geometry's own mark of a cell with no fluid site, so a lookup of
+/// a link's source gives it as is.
+pub(crate) const LINK_BOUNDARY: u32 = NOT_FLUID;
 
 /// Flag bit marking a streaming source that lives in the halo buffer of
 /// the distributed solver; the low bits are the halo slot. Check
@@ -161,80 +164,76 @@ pub(crate) struct StreamPlan {
 }
 
 impl StreamPlan {
-    /// Compile a lane-major streaming table: local entries into copy
-    /// segments, missing links into the wall lists or — at the ascending
-    /// `iolet_sites` — the iolet list, halo entries into the halo list.
-    fn compile(table: &[Vec<u32>], iolet_sites: &[u32]) -> Self {
-        let n = table.first().map_or(0, Vec::len);
-        let mut wall = vec![Vec::new(); table.len()];
-        let mut iolet = Vec::new();
-        let mut halo = Vec::new();
+    /// Build the plan of `n` sites in one walk over them in storage
+    /// order. `links(s, row)` fills `row[i]` with the source of link
+    /// `(s, i)` — a local site, `HALO_FLAG | slot` or [`LINK_BOUNDARY`] —
+    /// and is called once per site, ascending. Local sources extend or
+    /// open copy segments; missing links go to the iolet list at the
+    /// ascending `iolet_sites`, to the wall lists elsewhere; halo links
+    /// to the halo list; and each block's `reach` is taken on the way.
+    pub(crate) fn build(
+        q: usize,
+        n: usize,
+        iolet_sites: &[u32],
+        mut links: impl FnMut(usize, &mut [u32]),
+    ) -> Self {
+        let mut copy: Vec<Vec<CopySeg>> = vec![Vec::new(); q];
+        let mut wall = vec![Vec::new(); q];
+        let (mut iolet, mut halo) = (Vec::new(), Vec::new());
+        let mut reach = Vec::with_capacity(n.div_ceil(BLOCK));
+        // Each direction's last copy segment, open to extension (`len` 0:
+        // none yet).
+        let (mut dst, mut src, mut len) = ([0u32; MAX_Q], [0u32; MAX_Q], [0u32; MAX_Q]);
+        let mut row = [LINK_BOUNDARY; MAX_Q];
         let mut next_iolet = 0;
-        for s in 0..n {
-            let at_iolet = iolet_sites.get(next_iolet) == Some(&(s as u32));
-            for (i, lane) in table.iter().enumerate() {
-                let e = lane[s];
-                if e == LINK_BOUNDARY {
-                    if at_iolet {
-                        iolet.push((next_iolet as u32, i as u32));
-                    } else {
-                        wall[i].push(s as u32);
+        for b0 in (0..n).step_by(BLOCK) {
+            let b1 = (b0 + BLOCK).min(n);
+            let (mut lo, mut hi) = (b0 as u32, (b1 - 1) as u32);
+            for site in b0 as u32..b1 as u32 {
+                let at_iolet = iolet_sites.get(next_iolet) == Some(&site);
+                next_iolet += usize::from(at_iolet);
+                links(site as usize, &mut row[..q]);
+                // Most sites only extend every direction's segment.
+                let mut extends = true;
+                for i in 0..q {
+                    extends &= (dst[i] + len[i] == site) & (src[i] + len[i] == row[i]);
+                }
+                for (i, &e) in row[..q].iter().enumerate() {
+                    if extends || is_local(e) {
+                        (lo, hi) = (lo.min(e), hi.max(e));
                     }
-                } else if !is_local(e) {
-                    halo.push((s as u32, i as u32, e & !HALO_FLAG));
+                    if extends || dst[i] + len[i] == site && src[i] + len[i] == e {
+                        len[i] += 1;
+                    } else if is_local(e) {
+                        if len[i] > 0 {
+                            copy[i].push(CopySeg {
+                                dst: dst[i],
+                                src: src[i],
+                                len: len[i],
+                            });
+                        }
+                        (dst[i], src[i], len[i]) = (site, e, 1);
+                    } else if e != LINK_BOUNDARY {
+                        halo.push((site, i as u32, e & !HALO_FLAG));
+                        hi = u32::MAX;
+                    } else if at_iolet {
+                        iolet.push((next_iolet as u32 - 1, i as u32));
+                    } else {
+                        wall[i].push(site);
+                    }
                 }
             }
-            next_iolet += usize::from(at_iolet);
+            reach.push((lo, hi));
         }
-        let copy = table
-            .iter()
-            .map(|lane| {
-                let mut segs = Vec::new();
-                let mut s = 0;
-                while s < n {
-                    let e = lane[s];
-                    if !is_local(e) {
-                        s += 1;
-                        continue;
-                    }
-                    let mut len = 1usize;
-                    while s + len < n {
-                        let e2 = lane[s + len];
-                        if !is_local(e2) || e2 != e + len as u32 {
-                            break;
-                        }
-                        len += 1;
-                    }
-                    segs.push(CopySeg {
-                        dst: s as u32,
-                        src: e,
-                        len: len as u32,
-                    });
-                    s += len;
-                }
-                segs
-            })
-            .collect();
-        let reach = (0..n)
-            .step_by(BLOCK)
-            .map(|b0| {
-                let sites = b0..(b0 + BLOCK).min(n);
-                let (mut lo, mut hi) = (b0 as u32, (sites.end - 1) as u32);
-                for s in sites {
-                    for e in table.iter().map(|lane| lane[s]) {
-                        if e == LINK_BOUNDARY {
-                            continue;
-                        }
-                        if is_local(e) {
-                            (lo, hi) = (lo.min(e), hi.max(e));
-                        } else {
-                            hi = u32::MAX;
-                        }
-                    }
-                }
-                (lo, hi)
-            })
-            .collect();
+        for i in 0..q {
+            if len[i] > 0 {
+                copy[i].push(CopySeg {
+                    dst: dst[i],
+                    src: src[i],
+                    len: len[i],
+                });
+            }
+        }
         StreamPlan {
             copy,
             wall,
@@ -251,10 +250,10 @@ impl StreamPlan {
         within.start <= lo as usize && (hi as usize) < within.end
     }
 
-    /// Expand the plan over `n` sites back into the lane-major table it
-    /// was compiled from (tests and the corruption hook; nothing on the
-    /// step path). Wall and iolet links are the sentinel the table
-    /// starts from.
+    /// Expand the plan over `n` sites into the lane-major table of its
+    /// links, `table[dir][site]` in the encoding of [`StreamPlan::build`]
+    /// (tests and the corruption hook; nothing on the step path). Wall
+    /// and iolet links are the sentinel the table starts from.
     fn to_table(&self, n: usize) -> Vec<Vec<u32>> {
         let mut table = vec![vec![LINK_BOUNDARY; n]; self.copy.len()];
         for (lane, segs) in table.iter_mut().zip(&self.copy) {
@@ -460,31 +459,11 @@ fn scatter(
     });
 }
 
-/// Build the lane-major streaming table for `sites` (global ids):
-/// `table[dir][k]` is `resolve(g, dir)` for the fluid site `g` found at
-/// `pos(sites[k]) − c_dir`, or [`LINK_BOUNDARY`] when there is none.
-/// `resolve` is called in `(site, dir)` order.
-pub(crate) fn build_stream_table(
-    geo: &SparseGeometry,
-    model: &LatticeModel,
-    sites: impl ExactSizeIterator<Item = u32>,
-    mut resolve: impl FnMut(u32, usize) -> u32,
-) -> Vec<Vec<u32>> {
-    let mut table = vec![vec![LINK_BOUNDARY; sites.len()]; model.q];
-    for (k, g) in sites.enumerate() {
-        let [x, y, z] = geo.position(g);
-        for (i, c) in model.c.iter().enumerate() {
-            let src = geo.site_at(
-                x as i64 - c[0] as i64,
-                y as i64 - c[1] as i64,
-                z as i64 - c[2] as i64,
-            );
-            if let Some(src) = src {
-                table[i][k] = resolve(src, i);
-            }
-        }
-    }
-    table
+/// The offsets `−c_i` from a site to the sources of its links, as a
+/// stencil of `geo`: [`SparseGeometry::offset_sites`] over it gives a
+/// site's link sources, [`LINK_BOUNDARY`] where a link is missing.
+pub(crate) fn upstream(geo: &SparseGeometry, model: &LatticeModel) -> Stencil {
+    geo.stencil(model.c.iter().map(|c| c.map(|v| -v)))
 }
 
 /// The per-site state only the iolet rules read, kept at the iolet
@@ -653,7 +632,7 @@ impl IoletRules<'_> {
 
 /// The complete lattice state of one solver (or one rank): the one
 /// buffer of distribution lanes, the ghost slots of its halo links, the
-/// compiled streaming plan, the iolet sites' state, the collision inputs
+/// streaming plan, the iolet sites' state, the collision inputs
 /// and the step counter, whose parity says how the lanes are to be read
 /// (module doc). The local-step and pull–push drivers over it live in
 /// [`crate::kernel`].
@@ -672,7 +651,7 @@ pub(crate) struct SoaLattice {
     /// count the population a peer sent for it, after a pull–push step
     /// the outgoing one to send back.
     pub(crate) ghost: Vec<f64>,
-    /// The compiled streaming schedule (copies + wall + iolet + halo).
+    /// The streaming schedule (copies + wall + iolet + halo).
     pub(crate) plan: StreamPlan,
     /// Completed time steps.
     pub(crate) step: u64,
@@ -680,10 +659,11 @@ pub(crate) struct SoaLattice {
 
 impl SoaLattice {
     /// The rest state (`ρ = 1`, `u = 0`: lane `i` is the constant `w_i`)
-    /// on `sites` of `geo`, streaming by the lane-major table `stream`
-    /// (local site index, `HALO_FLAG | slot` or [`LINK_BOUNDARY`] per
-    /// `(dir, site)`). The table is compiled and dropped before the lanes
-    /// are allocated, so it is neither kept nor part of the peak.
+    /// on `sites` of `geo` (global ids in storage order), streaming by
+    /// the links `links(s, row)` gives for each local site `s` (see
+    /// [`StreamPlan::build`]). The plan is built in one walk over the
+    /// sites before the lanes are allocated; no table of the links is
+    /// ever held.
     ///
     /// # Panics
     /// Panics on relaxation times no operator can run with (see
@@ -693,16 +673,11 @@ impl SoaLattice {
         sites: impl ExactSizeIterator<Item = u32>,
         cfg: SolverConfig,
         model: LatticeModel,
-        stream: Vec<Vec<u32>>,
+        links: impl FnMut(usize, &mut [u32]),
     ) -> Self {
         let n = sites.len();
-        assert!(
-            stream.len() == model.q && stream.iter().all(|lane| lane.len() == n),
-            "streaming table shape"
-        );
         let iolets = Iolets::new(geo, &cfg, sites);
-        let plan = StreamPlan::compile(&stream, &iolets.sites);
-        drop(stream);
+        let plan = StreamPlan::build(model.q, n, &iolets.sites, links);
         SoaLattice {
             dirs: DirTables::new(&model),
             relax: Relaxation::new(&model, &cfg),
@@ -750,7 +725,7 @@ impl SoaLattice {
         bulk.iter().filter(|&&b| b).count() as f64 / n as f64
     }
 
-    /// The streaming table the plan was compiled from, expanded back.
+    /// The plan's links expanded into a lane-major table.
     pub(crate) fn stream_table(&self) -> Vec<Vec<u32>> {
         self.plan.to_table(self.site_count())
     }
@@ -895,9 +870,10 @@ impl SoaLattice {
     }
 
     /// Deliberately corrupt the streaming schedule by swapping the
-    /// sources of two `(dir, site)` links of its table and recompiling
-    /// the plan. Returns `true` if the two entries actually differed.
-    /// Test-only hook for the golden-digest negative test.
+    /// sources of two `(dir, site)` links of its table and rebuilding the
+    /// plan from the swapped table. Returns `true` if the two entries
+    /// actually differed. Test-only hook for the golden-digest negative
+    /// test.
     pub(crate) fn debug_swap_stream_entries(&mut self, dir: usize, a: usize, b: usize) -> bool {
         let mut table = self.stream_table();
         let lane = &mut table[dir];
@@ -905,7 +881,12 @@ impl SoaLattice {
             return false;
         }
         lane.swap(a, b);
-        self.plan = StreamPlan::compile(&table, &self.iolets.sites);
+        let (q, n) = (self.model.q, self.site_count());
+        self.plan = StreamPlan::build(q, n, &self.iolets.sites, |s, row| {
+            for (e, lane) in row.iter_mut().zip(&table) {
+                *e = lane[s];
+            }
+        });
         true
     }
 }
@@ -1451,6 +1432,34 @@ pub(crate) mod tests {
     use hemelb_geometry::{SparseGeometry, VesselBuilder};
     use std::sync::Arc;
 
+    /// The lane-major streaming table for `sites` (global ids), the oracle
+    /// the plan builder is tested against: `table[dir][k]` is `resolve(g,
+    /// dir)` for the fluid site `g` found at `pos(sites[k]) − c_dir`, or
+    /// [`LINK_BOUNDARY`] when there is none. `resolve` is called in `(site,
+    /// dir)` order.
+    pub(crate) fn build_stream_table(
+        geo: &SparseGeometry,
+        model: &LatticeModel,
+        sites: impl ExactSizeIterator<Item = u32>,
+        mut resolve: impl FnMut(u32, usize) -> u32,
+    ) -> Vec<Vec<u32>> {
+        let mut table = vec![vec![LINK_BOUNDARY; sites.len()]; model.q];
+        for (k, g) in sites.enumerate() {
+            let [x, y, z] = geo.position(g);
+            for (i, c) in model.c.iter().enumerate() {
+                let src = geo.site_at(
+                    x as i64 - c[0] as i64,
+                    y as i64 - c[1] as i64,
+                    z as i64 - c[2] as i64,
+                );
+                if let Some(src) = src {
+                    table[i][k] = resolve(src, i);
+                }
+            }
+        }
+        table
+    }
+
     fn tube() -> Arc<SparseGeometry> {
         Arc::new(VesselBuilder::straight_tube(12.0, 3.0).voxelise(1.0))
     }
@@ -1458,9 +1467,11 @@ pub(crate) mod tests {
     fn lattice_for(geo: &SparseGeometry, kind: ModelKind) -> SoaLattice {
         let cfg = SolverConfig::pressure_driven(1.0, 1.0).with_model(kind);
         let model = kind.build();
+        let back = upstream(geo, &model);
         let sites = 0..geo.fluid_count() as u32;
-        let stream = build_stream_table(geo, &model, sites.clone(), |src, _| src);
-        SoaLattice::new(geo, sites, cfg, model, stream)
+        SoaLattice::new(geo, sites, cfg, model, |s, row| {
+            geo.offset_sites(s as u32, &back, row)
+        })
     }
 
     /// At either parity the canonical state goes in and comes back out
@@ -1769,14 +1780,40 @@ pub(crate) mod tests {
         }
     }
 
+    /// Each block's `reach` is the naive one of `table`, the lattice's
+    /// links: the lowest and the highest site among its sites and their
+    /// local sources, `u32::MAX` as the highest if a source is a ghost
+    /// slot.
+    pub(crate) fn assert_reach_is_naive(lat: &SoaLattice, table: &[Vec<u32>]) {
+        let n = lat.site_count();
+        let want: Vec<(u32, u32)> = (0..n)
+            .step_by(BLOCK)
+            .map(|b0| {
+                let b1 = (b0 + BLOCK).min(n);
+                let sources = (b0..b1)
+                    .flat_map(|s| table.iter().map(move |lane| lane[s]))
+                    .filter(|&e| e != LINK_BOUNDARY);
+                let lo = sources.clone().filter(|&e| is_local(e)).min();
+                let hi = sources
+                    .clone()
+                    .map(|e| if is_local(e) { e } else { u32::MAX })
+                    .max();
+                let lo = lo.map_or(b0 as u32, |lo| lo.min(b0 as u32));
+                (lo, hi.map_or(b1 as u32 - 1, |hi| hi.max(b1 as u32 - 1)))
+            })
+            .collect();
+        assert_eq!(lat.plan.reach, want);
+    }
+
     #[test]
-    fn plan_expands_to_the_table_it_was_compiled_from() {
+    fn plan_expands_to_the_oracle_table() {
         let geo = Arc::new(VesselBuilder::aneurysm(12.0, 2.5, 3.5).voxelise(1.0));
         for kind in [ModelKind::D3Q15, ModelKind::D3Q19] {
             let lat = lattice_for(&geo, kind);
             let sites = 0..geo.fluid_count() as u32;
             let want = build_stream_table(&geo, &lat.model, sites, |src, _| src);
             assert_eq!(lat.stream_table(), want, "{kind:?}");
+            assert_reach_is_naive(&lat, &want);
             assert_plan_partitions_the_links(&lat);
             assert!(!lat.iolets.sites.is_empty() && !lat.plan.iolet.is_empty());
             // Iolet sites keep their missing links off the wall lists.
@@ -1809,7 +1846,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn swapping_stream_entries_corrupts_and_recompiles_the_plan() {
+    fn swapping_stream_entries_corrupts_and_rebuilds_the_plan() {
         let geo = tube();
         let mut soa = lattice_for(&geo, ModelKind::D3Q15);
         // Find two sites with different sources in direction 1.
@@ -1823,7 +1860,8 @@ pub(crate) mod tests {
         let after = soa.stream_table();
         assert_eq!((after[1][0], after[1][b]), (eb, ea));
         assert!(!soa.debug_swap_stream_entries(1, 0, 0), "equal entries");
-        // The recompiled plan still covers every link exactly once.
+        // The rebuilt plan still covers every link exactly once.
         assert_plan_partitions_the_links(&soa);
+        assert_reach_is_naive(&soa, &after);
     }
 }

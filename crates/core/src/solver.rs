@@ -10,7 +10,7 @@
 use crate::boundary::{pressure_anti_bounce_back, velocity_bounce_back, IoletBc};
 use crate::collision::CollisionKind;
 use crate::fields::FieldSnapshot;
-use crate::layout::{build_stream_table, SoaLattice};
+use crate::layout::{upstream, SoaLattice};
 use crate::model::LatticeModel;
 use hemelb_geometry::{IoLetKind, SparseGeometry};
 use hemelb_obs::{ObsReport, Recorder};
@@ -170,10 +170,11 @@ impl Solver {
     /// Initialise at rest (`ρ = 1`, `u = 0`) on the given geometry.
     pub fn new(geo: Arc<SparseGeometry>, cfg: SolverConfig) -> Self {
         let model = cfg.model.build();
+        let back = upstream(&geo, &model);
         let sites = 0..geo.fluid_count() as u32;
-        let stream = build_stream_table(&geo, &model, sites.clone(), |src, _| src);
+        let links = |s: usize, row: &mut [u32]| geo.offset_sites(s as u32, &back, row);
         Solver {
-            lat: SoaLattice::new(&geo, sites, cfg, model, stream),
+            lat: SoaLattice::new(&geo, sites, cfg, model, links),
             geo,
             obs: RefCell::new(Recorder::new()),
         }

@@ -71,6 +71,15 @@ pub struct IoLet {
 /// Sentinel in the dense index grid marking a non-fluid cell.
 pub const NOT_FLUID: u32 = u32::MAX;
 
+/// Lattice offsets with their steps in one geometry's index grid, for
+/// [`SparseGeometry::offset_sites`].
+#[derive(Debug, Clone)]
+pub struct Stencil {
+    shape: [usize; 3],
+    offsets: Vec<[i32; 3]>,
+    steps: Vec<isize>,
+}
+
 /// The sparse lattice produced by the voxeliser.
 #[derive(Debug, Clone)]
 pub struct SparseGeometry {
@@ -159,6 +168,61 @@ impl SparseGeometry {
         }
         let v = self.index[self.grid_offset(x as usize, y as usize, z as usize)];
         (v != NOT_FLUID).then_some(v)
+    }
+
+    /// `offsets` (components in {-1, 0, 1}) as a [`Stencil`] of this
+    /// geometry's index grid.
+    pub fn stencil(&self, offsets: impl IntoIterator<Item = [i32; 3]>) -> Stencil {
+        let [_, sy, sz] = self.shape.map(|s| s as isize);
+        let offsets: Vec<[i32; 3]> = offsets.into_iter().collect();
+        let step = |d: &[i32; 3]| (d[0] as isize * sy + d[1] as isize) * sz + d[2] as isize;
+        Stencil {
+            shape: self.shape,
+            steps: offsets.iter().map(step).collect(),
+            offsets,
+        }
+    }
+
+    /// The fluid sites at `pos(i) + d` for each offset `d` of `stencil`:
+    /// `out[k]` is the site at offset `k`, or [`NOT_FLUID`] if that cell
+    /// is solid or outside the bounding box. Equal to
+    /// [`site_at`](Self::site_at) per offset.
+    #[inline]
+    pub fn offset_sites(&self, i: u32, stencil: &Stencil, out: &mut [u32]) {
+        self.offset_cells(i, stencil, &self.index, NOT_FLUID, out);
+    }
+
+    /// The values `grid` (one per cell of the index grid, in its order)
+    /// holds at `pos(i) + d` for each offset `d` of `stencil`: `out[k]`
+    /// for offset `k`, `outside` past the bounding box. A site off the
+    /// box's faces takes each from `grid` without a bounds check.
+    #[inline]
+    pub fn offset_cells<T: Copy>(
+        &self,
+        i: u32,
+        stencil: &Stencil,
+        grid: &[T],
+        outside: T,
+        out: &mut [T],
+    ) {
+        debug_assert_eq!(stencil.shape, self.shape, "a stencil of another grid");
+        let p = self.positions[i as usize].map(|c| c as usize);
+        if (0..3).all(|a| p[a] >= 1 && p[a] + 1 < self.shape[a]) {
+            let base = self.grid_offset(p[0], p[1], p[2]);
+            for (o, &step) in out.iter_mut().zip(&stencil.steps) {
+                *o = grid[base.wrapping_add_signed(step)];
+            }
+            return;
+        }
+        for (o, d) in out.iter_mut().zip(&stencil.offsets) {
+            let c: [usize; 3] = std::array::from_fn(|a| p[a].wrapping_add_signed(d[a] as isize));
+            let inside = (0..3).all(|a| c[a] < self.shape[a]);
+            *o = if inside {
+                grid[self.grid_offset(c[0], c[1], c[2])]
+            } else {
+                outside
+            };
+        }
     }
 
     /// Whether `(x, y, z)` is a fluid cell.
@@ -261,6 +325,31 @@ mod tests {
             vec![SiteKind::Bulk, SiteKind::Wall],
             vec![],
         )
+    }
+
+    /// Every site and every offset of the 27-point neighbourhood, on a
+    /// padded vessel (no site on a face of its box) and on `tiny` (every
+    /// site on one).
+    #[test]
+    fn offset_sites_agree_with_site_at() {
+        let offsets: Vec<[i32; 3]> = (0..27)
+            .map(|k| [k / 9 - 1, k / 3 % 3 - 1, k % 3 - 1])
+            .collect();
+        let mut out = [0; 27];
+        for geo in [
+            crate::VesselBuilder::straight_tube(6.0, 2.0).voxelise(0.5),
+            tiny(),
+        ] {
+            let stencil = geo.stencil(offsets.iter().copied());
+            for i in 0..geo.fluid_count() as u32 {
+                geo.offset_sites(i, &stencil, &mut out);
+                let [x, y, z] = geo.position(i).map(i64::from);
+                for (&o, d) in out.iter().zip(&offsets) {
+                    let want = geo.site_at(x + d[0] as i64, y + d[1] as i64, z + d[2] as i64);
+                    assert_eq!(o, want.unwrap_or(NOT_FLUID), "site {i} offset {d:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -316,11 +316,16 @@ mod tests {
 
     #[test]
     fn recv_wait_time_is_attributed_to_the_tag_class() {
+        // Rank 1 says it is about to block before it does, and rank 0
+        // sleeps only once it has heard so: however late rank 1 starts,
+        // it waits out the whole sleep on the halo receive.
         let out = run_spmd_with_stats(2, |comm| {
             if comm.rank() == 0 {
+                comm.recv(1, Tag::user(0)).unwrap();
                 std::thread::sleep(std::time::Duration::from_millis(20));
                 comm.send(1, Tag::halo(0), 64u64.to_bytes()).unwrap();
             } else {
+                comm.send(0, Tag::user(0), Vec::new()).unwrap();
                 comm.recv(0, Tag::halo(0)).unwrap();
             }
         });

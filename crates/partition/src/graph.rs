@@ -4,6 +4,7 @@
 //! default to the per-site LB work (uniform) and can carry a secondary
 //! *visualisation* weight for the multi-constraint experiments.
 
+use hemelb_geometry::lattice::NOT_FLUID;
 use hemelb_geometry::SparseGeometry;
 
 /// Which lattice links define graph edges.
@@ -63,21 +64,14 @@ impl SiteGraph {
     /// Build the site graph of a sparse geometry under a stencil.
     pub fn from_geometry(geo: &SparseGeometry, conn: Connectivity) -> Self {
         let offsets = conn.offsets();
+        let (stencil, mut row) = (geo.stencil(offsets.iter().copied()), vec![0; offsets.len()]);
         let n = geo.fluid_count();
         let mut xadj = Vec::with_capacity(n + 1);
         let mut adjncy = Vec::new();
         xadj.push(0);
         for s in 0..n as u32 {
-            let [x, y, z] = geo.position(s);
-            for off in &offsets {
-                if let Some(t) = geo.site_at(
-                    x as i64 + off[0] as i64,
-                    y as i64 + off[1] as i64,
-                    z as i64 + off[2] as i64,
-                ) {
-                    adjncy.push(t);
-                }
-            }
+            geo.offset_sites(s, &stencil, &mut row);
+            adjncy.extend(row.iter().filter(|&&t| t != NOT_FLUID));
             xadj.push(adjncy.len());
         }
         let coords = (0..n as u32)

@@ -9,6 +9,9 @@
 //! pair — and a serial step, whatever the collision operator and the
 //! step's parity, only for its one lane bundle.
 //!
+//! Set-up has a byte budget: building a solver asks for its lanes and
+//! its streaming plan, not for a `q × n` table of the links besides.
+//!
 //! The same allocator bounds what a decoder asks for: hostile `.sgmy`
 //! bytes must not make the reader allocate more than the file or its
 //! index grid, hostile `parallel::wire` bytes no more than the
@@ -43,12 +46,17 @@ thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     /// The largest block this thread has asked for, fresh or grown.
     static LARGEST: Cell<usize> = const { Cell::new(0) };
+    /// Bytes this thread has asked for: each fresh block's size and what
+    /// each grown block grew by.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Count one request for `bytes` on this thread.
-fn note(bytes: usize) {
+/// Count one request on this thread for a block of `bytes`, `grown` of
+/// them new.
+fn note(bytes: usize, grown: usize) {
     ALLOCATIONS.with(|c| c.set(c.get() + 1));
     LARGEST.with(|c| c.set(c.get().max(bytes)));
+    BYTES.with(|c| c.set(c.get() + grown as u64));
 }
 
 struct Counting;
@@ -58,7 +66,7 @@ struct Counting;
 // counter updates that neither allocate nor unwind.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
+        note(layout.size(), layout.size());
         // SAFETY: `layout` is passed on exactly as the caller gave it.
         unsafe { System.alloc(layout) }
     }
@@ -68,7 +76,7 @@ unsafe impl GlobalAlloc for Counting {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
+        note(new_size, new_size.saturating_sub(layout.size()));
         // SAFETY: as for `dealloc`; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -129,6 +137,58 @@ fn rank_step_allocations_do_not_depend_on_map_fragmentation() {
         assert_eq!(total % STEPS, 0, "a constant count per step");
         // One halo payload to the one peer, one lane bundle per sweep.
         assert!(total / STEPS <= 3, "{} allocations a step", total / STEPS);
+    }
+}
+
+/// The bytes this thread asks the allocator for while `f` runs (see
+/// `BYTES`), next to its result.
+fn bytes_allocated<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = BYTES.with(Cell::get);
+    let r = f();
+    (r, BYTES.with(Cell::get) - before)
+}
+
+/// Set-up builds the streaming plan in one walk over the sites, with no
+/// `q × n` table of the links beside it. A lattice of `n` sites holds
+/// `q` lanes of `n` `f64`s, `8 q n` bytes; a table of its links would be
+/// `q × n` `u32`s, `4 q n` more. What `Solver::new` asks the allocator
+/// for at Small (D3Q15, 17 388 sites) is bounded by the two, `12 q n`:
+/// a construction that builds the table is over it with its first plan
+/// list. A rank of `DistSolver::new` (2 ranks, the k-way map, obs off)
+/// also holds its ordering and exchange state beside the plan: a `u32`
+/// per global and per own site (the global-to-local index and the
+/// storage order), a byte per cell of the geometry's box (the frontier
+/// pass's grid) and some fifty bytes per halo link (requests, their
+/// payloads, send plan, halo list, ghost slots) — under `2 q n` here —
+/// so its bound is `14 q n`. Fresh blocks count their size, grown ones
+/// what they grew by. The table-building construction before the plan
+/// builder asked for 13.3 `q n` serially and 17.0 and 18.3 on the ranks;
+/// the plan builder asks for 9.3, 11.6 and 12.8.
+#[test]
+fn solver_construction_allocates_no_link_table() {
+    let geo = aneurysm(0.5);
+    let cfg = SolverConfig::pressure_driven(1.01, 0.99);
+    let (solver, bytes) = bytes_allocated(|| Solver::new(geo.clone(), cfg.clone()));
+    let (q, n) = (solver.model().q as u64, geo.fluid_count() as u64);
+    assert_eq!(q, 15);
+    assert!(
+        bytes < 12 * q * n,
+        "Solver::new: {bytes} bytes for {n} sites"
+    );
+    let graph = SiteGraph::from_geometry(&geo, Connectivity::D3Q15);
+    let owner = MultilevelKWay.partition(&graph, 2);
+    let ranks = run_spmd(2, move |comm| {
+        comm.set_obs_enabled(false);
+        let owner = owner.clone();
+        let (ds, bytes) =
+            bytes_allocated(|| DistSolver::new(geo.clone(), owner, cfg.clone(), comm));
+        (ds.unwrap().local_sites().len() as u64, bytes)
+    });
+    for (rank, (n, bytes)) in ranks.into_iter().enumerate() {
+        assert!(
+            bytes < 14 * q * n,
+            "rank {rank}: {bytes} bytes for {n} sites"
+        );
     }
 }
 
