@@ -195,12 +195,15 @@ group_units() {
 # quality floor, under a second in release, that otherwise only the
 # debug soak reaches; `plan-medium-release` runs the streaming-plan
 # builder's oracles on that map at Medium (`hemelb-core`'s ignored
-# `plan_builder_keeps_its_promises_at_medium`).
+# `plan_builder_keeps_its_promises_at_medium`), and `voxel-medium-release`
+# the block voxeliser against its per-cell oracle on the Medium aneurysm
+# (`hemelb-geometry`'s ignored `block_voxeliser_matches_the_oracle_at_medium`).
 group_determinism() {
     stage determinism cargo test -q --test properties --test golden
     stage golden-release cargo test --release -q --test golden
     stage kway-medium-release cargo test --release -q --test golden kway_ -- --ignored
     stage plan-medium-release cargo test --release -q -p hemelb-core --lib plan_builder -- --ignored
+    stage voxel-medium-release cargo test --release -q -p hemelb-geometry --lib block_voxeliser -- --ignored
     stage obs         cargo test -q --test obs_smoke
     stage render      cargo test -q --test render_compositing
 }

@@ -7,7 +7,7 @@
 //! This is the transport format the in situ layer uses to ship context
 //! first and detail later.
 
-use crate::tree::{FieldOctree, OctreeNode, NONE};
+use crate::tree::FieldOctree;
 
 /// One streamed node record.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,8 +30,9 @@ pub struct StreamOrder {
 }
 
 /// Interleave bits for the hierarchical index (duplicated from the
-/// partitioner to keep the crates independent).
-fn morton3(x: u32, y: u32, z: u32) -> u64 {
+/// partitioner to keep the crates independent): bit `b` of `x, y, z`
+/// goes to bit `3b, 3b + 1, 3b + 2`.
+pub(crate) fn morton3(x: u32, y: u32, z: u32) -> u64 {
     fn spread(v: u32) -> u64 {
         let mut x = v as u64 & 0x1f_ffff;
         x = (x | x << 32) & 0x1f00000000ffff;
@@ -106,14 +107,10 @@ impl StreamOrder {
         self.prefix_for_level(level)
             .iter()
             .map(|e| &tree.nodes()[e.node as usize])
-            .filter(|n| n.level == level || (n.level < level && is_leaf(n)))
+            .filter(|n| n.level == level || (n.level < level && n.is_leaf()))
             .map(|n| n.agg.count as u64)
             .sum()
     }
-}
-
-fn is_leaf(n: &OctreeNode) -> bool {
-    n.children.iter().all(|&c| c == NONE)
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
 //! The field octree: construction, aggregates and level cuts.
 
+use crate::stream::morton3;
 use hemelb_geometry::SparseGeometry;
 
 /// Conservative aggregates a node carries about the field beneath it.
@@ -93,14 +94,27 @@ impl FieldOctree {
     pub fn build(geo: &SparseGeometry, field: &[f64]) -> Self {
         assert_eq!(field.len(), geo.fluid_count(), "field must cover all sites");
         assert!(geo.fluid_count() > 0, "cannot build over an empty geometry");
-        let shape = geo.shape();
-        let max_extent = shape.iter().copied().max().expect("3 axes");
+        let max_extent = geo.shape().into_iter().max().expect("3 axes");
         let root_size = max_extent.next_power_of_two() as u32;
 
-        let mut nodes = Vec::new();
-        let sites: Vec<u32> = (0..geo.fluid_count() as u32).collect();
-        let root = build_node(geo, field, &mut nodes, [0, 0, 0], root_size, 0, &sites);
-        let root = root.expect("non-empty geometry has a root");
+        // Keys with x's bit above y's above z's at every level: a node's
+        // three key bits are its octant `ox << 2 | oy << 1 | oz`, so the
+        // sorted keys list its sites contiguously, its children in order.
+        let mut keyed: Vec<(u64, u32)> = geo
+            .positions()
+            .iter()
+            .zip(0u32..)
+            .map(|(&[x, y, z], site)| (morton3(z, y, x), site))
+            .collect();
+        let bits = root_size.trailing_zeros() as usize;
+        radix_sort(&mut keyed, 3 * bits);
+        // A node per distinct key prefix at each level: all `bits + 1` for
+        // the first key, for each later one those below where it parts.
+        let below = |w: &[(u64, u32)]| (63 - (w[0].0 ^ w[1].0).leading_zeros()) as usize / 3 + 1;
+        let count = bits + 1 + keyed.windows(2).map(below).sum::<usize>();
+        let mut nodes = Vec::with_capacity(count);
+        let root = build_range(field, &mut nodes, [0, 0, 0], root_size, 0, &keyed);
+        debug_assert_eq!(nodes.len(), count);
         let depth = nodes.iter().map(|n| n.level).max().unwrap_or(0);
         FieldOctree {
             nodes,
@@ -237,24 +251,39 @@ fn fill_node(tree: &FieldOctree, node: &OctreeNode, out: &mut [f64]) {
     }
 }
 
-/// Recursive post-order construction. Returns the node index, or `None`
-/// if the region holds no fluid.
-fn build_node(
-    geo: &SparseGeometry,
+/// Sort keyed sites by their keys' low `key_bits` bits (the rest are
+/// zero), least significant digit first.
+fn radix_sort(keyed: &mut Vec<(u64, u32)>, key_bits: usize) {
+    const DIGIT: usize = 11;
+    let mut spare = vec![(0, 0); keyed.len()];
+    for shift in (0..key_bits).step_by(DIGIT) {
+        let digit = |key: u64| (key >> shift) as usize & ((1 << DIGIT) - 1);
+        let mut next = [0usize; 1 << DIGIT];
+        keyed.iter().for_each(|&(key, _)| next[digit(key)] += 1);
+        let mut sum = 0;
+        next.iter_mut()
+            .for_each(|slot| (*slot, sum) = (sum, sum + *slot));
+        for &entry in keyed.iter() {
+            spare[next[digit(entry.0)]] = entry;
+            next[digit(entry.0)] += 1;
+        }
+        std::mem::swap(keyed, &mut spare);
+    }
+}
+
+/// Post-order construction over a non-empty run of sorted keyed sites
+/// inside the cube at `origin`; returns the node index.
+fn build_range(
     field: &[f64],
     nodes: &mut Vec<OctreeNode>,
     origin: [u32; 3],
     size: u32,
     level: u8,
-    sites: &[u32],
-) -> Option<u32> {
-    if sites.is_empty() {
-        return None;
-    }
+    keyed: &[(u64, u32)],
+) -> u32 {
     if size == 1 {
-        let site = sites[0];
-        debug_assert_eq!(sites.len(), 1, "one site per unit cell");
-        let idx = nodes.len() as u32;
+        debug_assert_eq!(keyed.len(), 1, "one site per unit cell");
+        let site = keyed[0].1;
         nodes.push(OctreeNode {
             origin,
             size,
@@ -263,27 +292,19 @@ fn build_node(
             children: [NONE; 8],
             site,
         });
-        return Some(idx);
+        return nodes.len() as u32 - 1;
     }
     let half = size / 2;
-    // Distribute sites into octants.
-    let mut buckets: [Vec<u32>; 8] = Default::default();
-    for &s in sites {
-        let p = geo.position(s);
-        let ox = (p[0] >= origin[0] + half) as usize;
-        let oy = (p[1] >= origin[1] + half) as usize;
-        let oz = (p[2] >= origin[2] + half) as usize;
-        buckets[ox << 2 | oy << 1 | oz].push(s);
-    }
+    let shift = 3 * half.trailing_zeros();
     let mut children = [NONE; 8];
-    for (o, bucket) in buckets.iter().enumerate() {
-        let co = [
-            origin[0] + if o & 4 != 0 { half } else { 0 },
-            origin[1] + if o & 2 != 0 { half } else { 0 },
-            origin[2] + if o & 1 != 0 { half } else { 0 },
-        ];
-        if let Some(c) = build_node(geo, field, nodes, co, half, level + 1, bucket) {
-            children[o] = c;
+    let mut rest = keyed;
+    for (o, child) in children.iter_mut().enumerate() {
+        let n = rest.partition_point(|&(key, _)| (key >> shift) & 7 <= o as u64);
+        let (run, tail) = rest.split_at(n);
+        rest = tail;
+        if !run.is_empty() {
+            let co = [0, 1, 2].map(|a| origin[a] + half * (o as u32 >> (2 - a) & 1));
+            *child = build_range(field, nodes, co, half, level + 1, run);
         }
     }
     let agg = Aggregates::merge(
@@ -292,7 +313,6 @@ fn build_node(
             .filter(|&&c| c != NONE)
             .map(|&c| nodes[c as usize].agg),
     );
-    let idx = nodes.len() as u32;
     nodes.push(OctreeNode {
         origin,
         size,
@@ -301,13 +321,131 @@ fn build_node(
         children,
         site: NONE,
     });
-    Some(idx)
+    nodes.len() as u32 - 1
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hemelb_geometry::VesselBuilder;
+    use proptest::prelude::*;
+
+    /// The oracle: the nodes and root of a post-order recursion that
+    /// buckets each internal node's sites into its eight octants.
+    fn bucket_nodes(geo: &SparseGeometry, field: &[f64]) -> (Vec<OctreeNode>, u32) {
+        let root_size = geo.shape().iter().max().unwrap().next_power_of_two() as u32;
+        let sites: Vec<u32> = (0..geo.fluid_count() as u32).collect();
+        let mut nodes = Vec::new();
+        let root = bucket_node(geo, field, &mut nodes, [0, 0, 0], root_size, 0, &sites);
+        (nodes, root.unwrap())
+    }
+
+    fn bucket_node(
+        geo: &SparseGeometry,
+        field: &[f64],
+        nodes: &mut Vec<OctreeNode>,
+        origin: [u32; 3],
+        size: u32,
+        level: u8,
+        sites: &[u32],
+    ) -> Option<u32> {
+        if sites.is_empty() {
+            return None;
+        }
+        if size == 1 {
+            let site = sites[0];
+            assert_eq!(sites.len(), 1, "one site per unit cell");
+            nodes.push(OctreeNode {
+                origin,
+                size,
+                level,
+                agg: Aggregates::from_site(field[site as usize]),
+                children: [NONE; 8],
+                site,
+            });
+            return Some(nodes.len() as u32 - 1);
+        }
+        let half = size / 2;
+        let mut buckets: [Vec<u32>; 8] = Default::default();
+        for &s in sites {
+            let p = geo.position(s);
+            let ox = (p[0] >= origin[0] + half) as usize;
+            let oy = (p[1] >= origin[1] + half) as usize;
+            let oz = (p[2] >= origin[2] + half) as usize;
+            buckets[ox << 2 | oy << 1 | oz].push(s);
+        }
+        let mut children = [NONE; 8];
+        for (o, bucket) in buckets.iter().enumerate() {
+            let co = [
+                origin[0] + if o & 4 != 0 { half } else { 0 },
+                origin[1] + if o & 2 != 0 { half } else { 0 },
+                origin[2] + if o & 1 != 0 { half } else { 0 },
+            ];
+            if let Some(c) = bucket_node(geo, field, nodes, co, half, level + 1, bucket) {
+                children[o] = c;
+            }
+        }
+        let agg = Aggregates::merge(
+            children
+                .iter()
+                .filter(|&&c| c != NONE)
+                .map(|&c| nodes[c as usize].agg),
+        );
+        nodes.push(OctreeNode {
+            origin,
+            size,
+            level,
+            agg,
+            children,
+            site: NONE,
+        });
+        Some(nodes.len() as u32 - 1)
+    }
+
+    /// A node's every field, the aggregates' floats by their bits.
+    fn node_bits(n: &OctreeNode) -> impl PartialEq + std::fmt::Debug {
+        let a = n.agg;
+        let agg = (a.count, a.mean.to_bits(), a.min.to_bits(), a.max.to_bits());
+        (n.origin, n.size, n.level, agg, n.children, n.site)
+    }
+
+    fn scene(i: usize) -> VesselBuilder {
+        match i {
+            0 => VesselBuilder::straight_tube(12.0, 3.0),
+            1 => VesselBuilder::aneurysm(16.0, 3.0, 4.0),
+            2 => VesselBuilder::bifurcation(8.0, 8.0, 3.0, 0.5),
+            3 => VesselBuilder::bend(8.0, 2.5),
+            _ => VesselBuilder::arterial_tree(2, 8.0, 3.0),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The build from one Morton sort gives the bucket recursion's
+        /// nodes in its order, every field equal to the bit.
+        #[test]
+        fn morton_build_matches_the_bucket_recursion(
+            scene_id in 0usize..5,
+            dx_id in 0usize..3,
+            seed in any::<u64>(),
+        ) {
+            let geo = scene(scene_id).voxelise([1.0, 0.7, 0.5][dx_id]);
+            let field: Vec<f64> = (0..geo.fluid_count() as u64)
+                .map(|i| {
+                    let x = (i ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    (x >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+                })
+                .collect();
+            let tree = FieldOctree::build(&geo, &field);
+            let (nodes, root) = bucket_nodes(&geo, &field);
+            prop_assert_eq!(tree.root(), root);
+            prop_assert_eq!(tree.nodes().len(), nodes.len());
+            for (a, b) in tree.nodes().iter().zip(&nodes) {
+                prop_assert_eq!(node_bits(a), node_bits(b));
+            }
+        }
+    }
 
     fn setup() -> (SparseGeometry, Vec<f64>) {
         let geo = VesselBuilder::aneurysm(24.0, 4.0, 6.0).voxelise(1.0);
