@@ -167,9 +167,10 @@ group_tier1() {
 # Every crate's in-module unit tests (`tier1` runs only the umbrella
 # package's integration tests): the steering endpoint, closed-loop and
 # protocol cases (rejected ROIs and inlet pressures among them), the
-# solver, partitioner and transport suites, the E20 fit and projector,
-# the experiment modules of `hemelb-bench` and the `reproduce` dispatch
-# table.
+# solver, partitioner and transport suites, the one α–β–γ fit (with
+# its identifiability case) that the adaptive driver and E20 share, the
+# E20 projector, the experiment modules of `hemelb-bench` and the
+# `reproduce` dispatch table.
 group_units() {
     stage units cargo test -q --workspace --lib --bins
 }
@@ -228,11 +229,14 @@ group_faults() {
 
 # Calibrated α–β–γ cost model + 1k–32k rank projection: the fit and
 # projector unit tests run under units; here the E20 smoke calibrates
-# on real measured worlds, asserts the validation band in-bench
-# (predicted vs measured small-world step times) and writes
-# out/BENCH_projection.json.
+# on real measured worlds and link probes, asserts in-bench that β and
+# γ were fitted and that the validation band holds (predicted vs
+# measured small-world step times), and writes
+# out/BENCH_projection.json. The second run is Small on 8 ranks, about
+# 2 200 sites a rank as in the paper: the 8-rank validation row.
 group_projection() {
     smoke projection --size tiny --ranks 4
+    smoke projection --size small --ranks 8
 }
 
 # The remaining report-writing experiment, end to end: E15 (adaptive

@@ -9,9 +9,15 @@
 //! 1. **Calibrate.** Run the distributed LB step at several small rank
 //!    counts, collecting one [`CalSample`] per timed round: the
 //!    critical-path message/byte counts from `CommStats` deltas, the
-//!    site-update work, and the measured wall seconds. A non-negative
-//!    least-squares fit ([`hemelb_parallel::calibrate_fit`]) turns them
-//!    into a [`CalibratedModel`] that carries its own residuals and R².
+//!    site-update work, and the measured wall seconds. A step's halo
+//!    bytes track its message count, so every multi-rank world also
+//!    runs the link probe ([`hemelb_parallel::probe_link`]) and adds
+//!    its slowest rank's two samples, which separate β from α. A
+//!    non-negative least-squares fit
+//!    ([`hemelb_parallel::calibrate_fit`]) turns them into a
+//!    [`CalibratedModel`] that carries its own residuals and R²; the
+//!    projection prices with its model as fitted, and a β or γ the
+//!    measurements left free fails the run.
 //! 2. **Validate.** At every multi-rank world the calibrated model's
 //!    predicted step time is compared against the measured one; the
 //!    worst relative error must stay inside [`VALIDATION_BAND`]
@@ -34,7 +40,9 @@
 use crate::workloads::{self, Size};
 use hemelb_core::{DistSolver, SolverConfig};
 use hemelb_obs::Recorder;
-use hemelb_parallel::{calibrate_fit, run_spmd_with_stats, CalSample, CalibratedModel, CostModel};
+use hemelb_parallel::{
+    calibrate_fit, probe_link, run_spmd_with_stats, CalSample, CalibratedModel, CostModel,
+};
 use std::fmt;
 use std::time::Instant;
 
@@ -74,6 +82,9 @@ struct RankMeasure {
     /// Per timed round: (msgs, bytes, wall secs) from `CommStats`
     /// deltas around `step_n`.
     rounds: Vec<(u64, u64, f64)>,
+    /// The link probe's two samples, taken after the timed rounds in a
+    /// multi-rank world.
+    probe: Option<[CalSample; 2]>,
 }
 
 /// One measured world, reduced to what calibration and tracing need.
@@ -108,37 +119,32 @@ impl WorldMeasure {
 
     /// Critical-path calibration samples: one per kept round, built from
     /// the per-rank maxima (the wall time pairs with the heaviest rank's
-    /// counts).
+    /// counts), then the slowest rank's probe sample at each size.
     fn samples(&self) -> Vec<CalSample> {
         let max_sites = self.per_rank.iter().map(|r| r.sites).max().unwrap_or(0) as u64;
-        self.kept_rounds()
-            .into_iter()
-            .map(|i| {
-                let msgs = self
-                    .per_rank
-                    .iter()
-                    .map(|r| r.rounds[i].0)
-                    .max()
-                    .unwrap_or(0);
-                let bytes = self
-                    .per_rank
-                    .iter()
-                    .map(|r| r.rounds[i].1)
-                    .max()
-                    .unwrap_or(0);
-                let secs = self
-                    .per_rank
-                    .iter()
-                    .map(|r| r.rounds[i].2)
-                    .fold(0.0, f64::max);
-                CalSample {
-                    msgs,
-                    bytes,
-                    work: max_sites * self.steps,
-                    secs,
-                }
-            })
-            .collect()
+        let rounds = self.kept_rounds().into_iter().map(|i| {
+            let (msgs, bytes, secs) = self
+                .per_rank
+                .iter()
+                .map(|r| r.rounds[i])
+                .fold((0, 0, 0.0f64), |(m, b, s), (rm, rb, rs)| {
+                    (m.max(rm), b.max(rb), s.max(rs))
+                });
+            CalSample {
+                msgs,
+                bytes,
+                work: max_sites * self.steps,
+                secs,
+            }
+        });
+        let probes = self.per_rank.iter().filter_map(|r| r.probe);
+        let slowest = (0..2).filter_map(|k| {
+            probes
+                .clone()
+                .map(|p| p[k])
+                .max_by(|a, b| a.secs.total_cmp(&b.secs))
+        });
+        rounds.chain(slowest).collect()
     }
 
     /// Median over the kept rounds of the slowest rank's wall seconds
@@ -178,11 +184,14 @@ fn measure_world(size: Size, steps: u64, ranks: usize) -> WorldMeasure {
             let delta = comm.stats().delta_since(&before);
             rounds.push((delta.total_msgs(), delta.total_bytes(), secs));
         }
+        let probe =
+            (comm.size() > 1).then(|| probe_link(comm).expect("link probe round the rank ring"));
         RankMeasure {
             sites: solver.local_sites().len(),
             halo_bytes_per_step: solver.halo_send_volume() as u64 * 8,
             frontier_sites: solver.partition().frontier_count(),
             rounds,
+            probe,
         }
     });
     WorldMeasure {
@@ -344,14 +353,9 @@ pub struct ProjectionResult {
     pub sites: usize,
     /// Steps per timed round.
     pub steps: u64,
-    /// The fitted model with its fit quality.
+    /// The fitted model with its fit quality; the curves are priced
+    /// with its model.
     pub calibration: CalibratedModel,
-    /// The model actually used for projection: calibrated coefficients
-    /// with any unexercised (infinite) term replaced by the CrayXe6
-    /// preset so the curves stay finite.
-    pub model: CostModel,
-    /// Which of α / β / γ in `model` are the preset's.
-    pub from_preset: Vec<&'static str>,
     /// Model-vs-measurement at every multi-rank world.
     pub validation: Vec<ValidationRow>,
     /// Whether every validation row stayed inside [`VALIDATION_BAND`].
@@ -360,43 +364,6 @@ pub struct ProjectionResult {
     pub trace: RunTrace,
     /// Scale-out curves at [`PROJECTED_RANKS`].
     pub curves: Vec<ProjectionRow>,
-}
-
-/// Fill any term the fit could not exercise (infinite β/γ from
-/// all-zero columns) from the CrayXe6 preset: a projection must price
-/// every term, even when the measurement had no signal for one. The
-/// filled terms are named alongside the model, so whoever prints a
-/// number priced with it can say which coefficients are not this
-/// machine's (see [`preset_note`]).
-fn effective_model(cal: &CalibratedModel) -> (CostModel, Vec<&'static str>) {
-    let preset = CostModel::for_machine(hemelb_parallel::MachineModel::CrayXe6);
-    let mut from_preset = Vec::new();
-    let mut term = |name, fitted: f64, fallback| {
-        if fitted.is_finite() {
-            fitted
-        } else {
-            from_preset.push(name);
-            fallback
-        }
-    };
-    let model = CostModel {
-        alpha: term("α", cal.model.alpha, preset.alpha),
-        beta: term("β", cal.model.beta, preset.beta),
-        gamma: term("γ", cal.model.gamma, preset.gamma),
-    };
-    (model, from_preset)
-}
-
-/// One line naming the terms [`effective_model`] took from the preset;
-/// empty when the fit exercised all three.
-fn preset_note(from_preset: &[&str]) -> String {
-    if from_preset.is_empty() {
-        return String::new();
-    }
-    format!(
-        "  note: the fit had no signal for {}; priced from the CrayXe6 preset, not this machine\n",
-        from_preset.join(", ")
-    )
 }
 
 /// Scale the trace to `ranks` under `model`.
@@ -429,9 +396,10 @@ fn project(model: &CostModel, trace: &RunTrace, ranks: u64) -> ProjectionRow {
 /// largest world's trace and project it to [`PROJECTED_RANKS`].
 /// Exports `out/BENCH_projection.json`.
 ///
-/// Panics when the fit's validation error leaves [`VALIDATION_BAND`]:
-/// curves from a model that cannot reproduce the measurements it was
-/// fitted to are not worth exporting.
+/// Panics when the fit's validation error leaves [`VALIDATION_BAND`],
+/// or when it leaves β or γ unpriced (infinite): curves from a model
+/// that cannot reproduce the measurements it was fitted to, or that
+/// prices bytes or work at nothing, are not worth exporting.
 pub fn run(size: Size, steps: u64, max_ranks: usize) -> ProjectionResult {
     let geo = workloads::aneurysm(size);
     let sites = geo.fluid_count();
@@ -448,7 +416,7 @@ pub fn run(size: Size, steps: u64, max_ranks: usize) -> ProjectionResult {
 
     let samples: Vec<CalSample> = worlds.iter().flat_map(|w| w.samples()).collect();
     let calibration = calibrate_fit(&samples).expect("calibration fit from measured worlds");
-    let (model, from_preset) = effective_model(&calibration);
+    let model = calibration.model;
 
     let validation: Vec<ValidationRow> = worlds
         .iter()
@@ -481,9 +449,9 @@ pub fn run(size: Size, steps: u64, max_ranks: usize) -> ProjectionResult {
         .map(|&p| project(&model, &trace, p))
         .collect();
 
-    // The in-bench validation assert comes *before* the export: curves
-    // from a model that cannot reproduce the measurements it was fitted
-    // to must never land in out/.
+    // The in-bench asserts come *before* the export: curves from a
+    // model that cannot reproduce the measurements it was fitted to, or
+    // that prices bytes or work at nothing, must never land in out/.
     assert!(
         within_band,
         "calibrated model left the validation band (|err| > {VALIDATION_BAND}): {:?}",
@@ -491,6 +459,10 @@ pub fn run(size: Size, steps: u64, max_ranks: usize) -> ProjectionResult {
             .iter()
             .map(|v| (v.ranks, v.rel_error))
             .collect::<Vec<_>>()
+    );
+    assert!(
+        model.beta.is_finite() && model.gamma.is_finite(),
+        "the fit left a term unpriced: {model:?}"
     );
 
     // Export: workload identity, the validation flag, then the
@@ -538,8 +510,6 @@ pub fn run(size: Size, steps: u64, max_ranks: usize) -> ProjectionResult {
         sites,
         steps,
         calibration,
-        model,
-        from_preset,
         validation,
         within_band,
         trace,
@@ -554,12 +524,12 @@ impl fmt::Display for ProjectionResult {
             "Calibrated α–β–γ model — {} sites, {} samples, R² {:.4}",
             self.sites, self.calibration.samples, self.calibration.r2
         )?;
+        let m = &self.calibration.model;
         writeln!(
             f,
             "  α = {:.3e} s/msg, β = {:.3e} B/s, γ = {:.3e} site-updates/s",
-            self.model.alpha, self.model.beta, self.model.gamma
+            m.alpha, m.beta, m.gamma
         )?;
-        f.write_str(&preset_note(&self.from_preset))?;
         writeln!(
             f,
             "validation (band ±{:.0}%): {}",
@@ -634,9 +604,13 @@ mod tests {
     fn projection_calibrates_validates_and_scales_out() {
         let result = run(Size::Tiny, 3, 4);
         // The fit consumed the kept rounds of the 1-, 2- and 4-rank
-        // worlds, no more and no fewer.
-        assert_eq!(result.calibration.samples, 3 * KEEP);
-        assert!(result.model.gamma.is_finite() && result.model.gamma > 0.0);
+        // worlds and the two probe samples of each multi-rank world, no
+        // more and no fewer.
+        assert_eq!(result.calibration.samples, 3 * KEEP + 2 * 2);
+        // The probe gives β a signal of its own: every term is fitted.
+        let model = result.calibration.model;
+        assert!(model.beta.is_finite() && model.beta > 0.0, "{model:?}");
+        assert!(model.gamma.is_finite() && model.gamma > 0.0, "{model:?}");
         // Validation covered the multi-rank worlds and passed (run()
         // itself asserts the band; this pins the export flag).
         assert_eq!(result.validation.len(), 2, "worlds at 2 and 4 ranks");
@@ -660,37 +634,6 @@ mod tests {
             assert!(c.composite_direct_secs > 0.0 && c.composite_swap_secs > 0.0);
         }
         assert!(workloads::out_dir().join("BENCH_projection.json").exists());
-    }
-
-    #[test]
-    fn effective_model_names_the_terms_it_takes_from_the_preset() {
-        // A one-rank world moves no bytes: the fit cannot price β.
-        let sample = |msgs, work, secs| CalSample {
-            msgs,
-            bytes: 0,
-            work,
-            secs,
-        };
-        let samples = [
-            sample(1, 1000, 1.1e-3),
-            sample(2, 1000, 1.2e-3),
-            sample(1, 3000, 3.1e-3),
-        ];
-        let cal = calibrate_fit(&samples).unwrap();
-        assert!(cal.model.beta.is_infinite());
-        let (model, from_preset) = effective_model(&cal);
-        assert_eq!(from_preset, ["β"]);
-        let preset = CostModel::for_machine(hemelb_parallel::MachineModel::CrayXe6);
-        assert_eq!(model.beta, preset.beta);
-        assert_eq!(
-            (model.alpha, model.gamma),
-            (cal.model.alpha, cal.model.gamma)
-        );
-
-        let line = preset_note(&from_preset);
-        assert!(line.contains("β") && line.contains("CrayXe6"), "{line}");
-        assert_eq!(line.lines().count(), 1);
-        assert_eq!(preset_note(&[]), "", "a full fit prints nothing");
     }
 
     #[test]

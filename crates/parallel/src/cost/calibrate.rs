@@ -25,6 +25,10 @@
 //! flops, which retires the hand-guessed "~250 flops per site" constant
 //! — the model predicts seconds from site counts directly.
 //!
+//! Step samples cannot separate α from β (a step's halo bytes grow with
+//! its message count), so both callers, the adaptive load balancer and
+//! E20, add the two samples of [`probe_link`] to their own.
+//!
 //! The fit is a pure function of its inputs (fixed-order float
 //! arithmetic, no randomness), so identical samples produce a
 //! bit-identical model on every rank — the property that lets SPMD
@@ -32,7 +36,9 @@
 //! still reach collectively consistent decisions.
 
 use super::CostModel;
-use hemelb_obs::{ObsReport, Recorder};
+use crate::{CommResult, Communicator, Tag, WireReader, WireWriter};
+use hemelb_obs::Recorder;
+use std::time::Instant;
 
 /// One calibration observation: exact counts against a measured time.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,8 +107,8 @@ impl CalibratedModel {
     /// its own calibration. Obs counters are `u64` rendered through
     /// `f64` JSON numbers, which is exact only below 2⁵³ — so every
     /// `f64` is split into two 32-bit halves of its IEEE-754 bit
-    /// pattern (`*_hi`/`*_lo`), which round-trip exactly.
-    /// [`CalibratedModel::from_report`] reassembles them bit-for-bit.
+    /// pattern (`*_hi`/`*_lo`), which round-trip exactly: a reader
+    /// rebuilds each as `f64::from_bits(hi << 32 | lo)`.
     pub fn record_to(&self, rec: &mut Recorder, prefix: &str) {
         let mut put = |name: &str, v: f64| {
             let bits = v.to_bits();
@@ -119,32 +125,63 @@ impl CalibratedModel {
         rec.count(&format!("{prefix}.residuals"), self.residuals.len() as u64);
         rec.count(&format!("{prefix}.samples"), self.samples as u64);
     }
+}
 
-    /// Rebuild a model recorded with [`CalibratedModel::record_to`]
-    /// from a report. Returns `None` when any expected counter is
-    /// missing.
-    pub fn from_report(report: &ObsReport, prefix: &str) -> Option<CalibratedModel> {
-        let get = |name: &str| -> Option<f64> {
-            let hi = *report.counters.get(&format!("{prefix}.{name}_hi"))?;
-            let lo = *report.counters.get(&format!("{prefix}.{name}_lo"))?;
-            Some(f64::from_bits((hi << 32) | lo))
-        };
-        let nresid = *report.counters.get(&format!("{prefix}.residuals"))? as usize;
-        let mut residuals = Vec::with_capacity(nresid);
-        for i in 0..nresid {
-            residuals.push(get(&format!("resid{i:04}"))?);
-        }
-        Some(CalibratedModel {
-            model: CostModel {
-                alpha: get("alpha")?,
-                beta: get("beta")?,
-                gamma: get("gamma")?,
-            },
-            residuals,
-            r2: get("r2")?,
-            samples: *report.counters.get(&format!("{prefix}.samples"))? as usize,
-        })
+/// Tag of the link probe: Migration class, since a migration is what
+/// the probed coefficients price.
+const T_PROBE: Tag = Tag::migration(1);
+
+/// `f64`s in the small and the large probe message. The large one is
+/// big enough (512 KiB) that its per-byte cost stands clear of the
+/// per-message cost on any box; two sizes are what make α and β
+/// separable at all.
+const PROBE_F64S: [usize; 2] = [1, 1 << 16];
+
+/// Rounds per probe size; the fastest is kept, because interference on
+/// a shared box only ever adds time.
+const PROBE_ROUNDS: usize = 5;
+
+/// Bytes on the wire of a probe message of `n` values (length prefix
+/// plus payload).
+fn probe_bytes(n: usize) -> usize {
+    8 + 8 * n
+}
+
+/// Fastest time, in seconds, for one `n`-value message to go through
+/// encode → send → receive → decode round the rank ring. **Collective.**
+fn probe_secs(comm: &Communicator, n: usize) -> CommResult<f64> {
+    let data = vec![1.0f64; n];
+    let next = (comm.rank() + 1) % comm.size();
+    let prev = (comm.rank() + comm.size() - 1) % comm.size();
+    let mut best = f64::INFINITY;
+    for _ in 0..PROBE_ROUNDS {
+        let t0 = Instant::now();
+        let mut w = WireWriter::with_capacity(probe_bytes(n));
+        w.put_f64_slice(&data);
+        let payload = w.finish();
+        debug_assert_eq!(payload.len(), probe_bytes(n));
+        comm.send(next, T_PROBE, payload)?;
+        std::hint::black_box(WireReader::new(comm.recv(prev, T_PROBE)?).get_f64_vec()?);
+        best = best.min(t0.elapsed().as_secs_f64());
     }
+    Ok(best)
+}
+
+/// This rank's [`probe_secs`] at the small and the large size, each as
+/// a sample of one message, its payload bytes and no work: two
+/// equations that price bytes apart from messages. Callers fit each
+/// size's slowest rank, since an exchange ends when its last message
+/// lands. **Collective.**
+pub fn probe_link(comm: &Communicator) -> CommResult<[CalSample; 2]> {
+    let sample = |n| -> CommResult<CalSample> {
+        Ok(CalSample {
+            msgs: 1,
+            bytes: probe_bytes(n) as u64,
+            work: 0,
+            secs: probe_secs(comm, n)?,
+        })
+    };
+    Ok([sample(PROBE_F64S[0])?, sample(PROBE_F64S[1])?])
 }
 
 /// Fit α, β, γ to `samples` by non-negative least squares.
@@ -188,12 +225,8 @@ pub fn fit(samples: &[CalSample]) -> Result<CalibratedModel, CalibrationError> {
     // fixed, so ties resolve deterministically.
     let mut best: Option<(f64, [f64; 3])> = None;
     for mask in 1u32..8 {
-        let cols: Vec<usize> = active_cols
-            .iter()
-            .copied()
-            .filter(|&c| mask & (1 << c) != 0)
-            .collect();
-        if cols.is_empty() || !(0..3).all(|c| mask & (1 << c) == 0 || active_cols.contains(&c)) {
+        let cols: Vec<usize> = (0..3).filter(|&c| mask & (1 << c) != 0).collect();
+        if !cols.iter().all(|c| active_cols.contains(c)) {
             continue;
         }
         let Some(coef) = solve_normal_equations(&usable, &cols) else {
@@ -446,17 +479,61 @@ mod tests {
         for (name, n) in counters {
             assert_eq!(n.as_u64(), Some(report.counters[name]), "{name}");
         }
-        let back = CalibratedModel::from_report(&report, "proj.model").unwrap();
-        assert_eq!(back.model.alpha.to_bits(), cal.model.alpha.to_bits());
-        assert_eq!(back.model.beta.to_bits(), cal.model.beta.to_bits());
-        assert_eq!(back.model.gamma.to_bits(), cal.model.gamma.to_bits());
-        assert_eq!(back.r2.to_bits(), cal.r2.to_bits());
-        assert_eq!(back.samples, cal.samples);
-        assert_eq!(back.residuals.len(), cal.residuals.len());
-        for (a, b) in back.residuals.iter().zip(cal.residuals.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        // Rebuild every `*_hi`/`*_lo` pair from the parsed tree.
+        let count = |name: &str| {
+            let key = format!("proj.model.{name}");
+            tree.get("counters")
+                .and_then(|c| c.get(&key))
+                .and_then(Json::as_u64)
+        };
+        let bits = |name: &str| {
+            (count(&format!("{name}_hi")).unwrap() << 32) | count(&format!("{name}_lo")).unwrap()
+        };
+        assert_eq!(bits("alpha"), cal.model.alpha.to_bits());
+        assert_eq!(bits("beta"), cal.model.beta.to_bits());
+        assert_eq!(bits("gamma"), cal.model.gamma.to_bits());
+        assert_eq!(bits("r2"), cal.r2.to_bits());
+        assert_eq!(count("samples"), Some(cal.samples as u64));
+        assert_eq!(count("residuals"), Some(cal.residuals.len() as u64));
+        for (i, r) in cal.residuals.iter().enumerate() {
+            assert_eq!(bits(&format!("resid{i:04}")), r.to_bits());
         }
-        // Missing prefix → None, not garbage.
-        assert!(CalibratedModel::from_report(&report, "other").is_none());
+    }
+
+    #[test]
+    fn probe_samples_make_beta_identifiable() {
+        // Step samples whose bytes track their message count, as a
+        // halo exchange's do: α and 1/β share one column direction, so
+        // the fit must leave β free rather than invent it.
+        let (alpha, beta, gamma) = (3e-5, 1.2e9, 2e7);
+        let secs = |m: u64, b: u64, w: u64| alpha * m as f64 + b as f64 / beta + w as f64 / gamma;
+        let mut samples: Vec<CalSample> = [(4u64, 1_000u64), (6, 3_000), (9, 2_000), (12, 5_000)]
+            .into_iter()
+            .map(|(msgs, work)| {
+                let bytes = 4_096 * msgs;
+                CalSample {
+                    msgs,
+                    bytes,
+                    work,
+                    secs: secs(msgs, bytes, work),
+                }
+            })
+            .collect();
+        assert_eq!(fit(&samples).unwrap().model.beta, f64::INFINITY);
+        // The link probe's two sizes: one message each, no work.
+        for n in PROBE_F64S {
+            let bytes = probe_bytes(n) as u64;
+            samples.push(CalSample {
+                msgs: 1,
+                bytes,
+                work: 0,
+                secs: secs(1, bytes, 0),
+            });
+        }
+        let m = fit(&samples).unwrap().model;
+        let rel = |got: f64, want: f64| (got - want).abs() / want;
+        assert!(rel(m.alpha, alpha) < 1e-9, "{m:?}");
+        assert!(rel(m.beta, beta) < 1e-9, "{m:?}");
+        assert!(rel(m.gamma, gamma) < 1e-9, "{m:?}");
     }
 }

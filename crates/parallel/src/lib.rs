@@ -51,7 +51,9 @@ pub mod tag;
 pub mod wire;
 
 pub use comm::Communicator;
-pub use cost::calibrate::{fit as calibrate_fit, CalSample, CalibratedModel, CalibrationError};
+pub use cost::calibrate::{
+    fit as calibrate_fit, probe_link, CalSample, CalibratedModel, CalibrationError,
+};
 pub use cost::{CostModel, MachineModel, ProjectedCost};
 pub use error::{CommError, CommResult};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};

@@ -17,12 +17,13 @@
 //!    gated by [`payoff_gate`](hemelb_partition::payoff_gate) against
 //!    the projected saving over the remaining steps. The pricing model
 //!    is **measured, never preset**: the first window times a small and
-//!    a large probe message round a rank ring (encode → send → receive
-//!    → decode, as a migration does), and two sizes give two equations
-//!    for α and β; γ is the window's site updates over its measured
-//!    compute seconds. The timings ride the window's all-reduce, so
-//!    every rank solves from identical inputs and holds bit-identical
-//!    coefficients — before any window can trigger;
+//!    a large message round a rank ring
+//!    ([`probe_link`](hemelb_parallel::probe_link)), and
+//!    [`calibrate_fit`](hemelb_parallel::calibrate_fit) fits α, β and γ
+//!    to the slowest rank's two probe samples and one compute sample.
+//!    The timings ride the window's all-reduce, so every rank fits
+//!    identical inputs and holds bit-identical coefficients — before
+//!    any window can trigger;
 //! 4. an applied plan goes through [`DistSolver::repartition`], which
 //!    is bit-transparent — physics after an adaptive rebalance is
 //!    bit-identical to never having rebalanced.
@@ -33,13 +34,12 @@
 use crate::error::SteeringResult;
 use hemelb_core::DistSolver;
 use hemelb_geometry::SparseGeometry;
-use hemelb_parallel::{Communicator, CostModel, Tag, WireReader, WireWriter};
+use hemelb_parallel::{calibrate_fit, probe_link, CalSample, Communicator, CostModel};
 use hemelb_partition::graph::Connectivity;
 use hemelb_partition::{
     payoff_gate, plan_rebalance, AdaptiveLb, AdaptiveLbConfig, GateDecision, Observation,
     SiteGraph, WindowCosts,
 };
-use std::time::Instant;
 
 /// Simulation phases whose span totals count as per-rank *load*.
 /// `lb.halo-wait` is deliberately excluded: wait time is idleness
@@ -56,46 +56,6 @@ const SIM_PHASES: [&str; 4] = [
 
 /// Visualisation phase whose span total counts as per-rank vis load.
 const VIS_PHASE: &str = "vis.render";
-
-/// Tag of the link probe: Migration class, since a migration is what
-/// the probed coefficients price.
-const T_PROBE: Tag = Tag::migration(1);
-
-/// `f64`s in the small and the large probe message. The large one is
-/// big enough (512 KiB) that its per-byte cost stands clear of the
-/// per-message cost on any box; two sizes are what make α and β
-/// separable at all.
-const PROBE_F64S: [usize; 2] = [1, 1 << 16];
-
-/// Rounds per probe size; the fastest is kept, because interference on
-/// a shared box only ever adds time.
-const PROBE_ROUNDS: usize = 5;
-
-/// Bytes on the wire of a probe message of `n` values (length prefix
-/// plus payload).
-fn probe_bytes(n: usize) -> usize {
-    8 + 8 * n
-}
-
-/// Fastest time, in seconds, for one `n`-value message to go through
-/// encode → send → receive → decode round the rank ring. **Collective.**
-fn probe_secs(comm: &Communicator, n: usize) -> SteeringResult<f64> {
-    let data = vec![1.0f64; n];
-    let next = (comm.rank() + 1) % comm.size();
-    let prev = (comm.rank() + comm.size() - 1) % comm.size();
-    let mut best = f64::INFINITY;
-    for _ in 0..PROBE_ROUNDS {
-        let t0 = Instant::now();
-        let mut w = WireWriter::with_capacity(probe_bytes(n));
-        w.put_f64_slice(&data);
-        let payload = w.finish();
-        debug_assert_eq!(payload.len(), probe_bytes(n));
-        comm.send(next, T_PROBE, payload)?;
-        std::hint::black_box(WireReader::new(comm.recv(prev, T_PROBE)?).get_f64_vec()?);
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    Ok(best)
-}
 
 /// What one decision window concluded.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -195,11 +155,8 @@ impl AdaptiveDriver {
 
         // The first window also probes the link at two message sizes.
         let probe = match self.model {
-            None => [
-                probe_secs(comm, PROBE_F64S[0])?,
-                probe_secs(comm, PROBE_F64S[1])?,
-            ],
-            Some(_) => [0.0; 2],
+            None => Some(probe_link(comm)?),
+            Some(_) => None,
         };
 
         // 2. Share: each rank fills its own slot group, sum-reduce, so
@@ -213,8 +170,8 @@ impl AdaptiveDriver {
         slots[base] = sim;
         slots[base + 1] = vis;
         slots[base + 2] = work as f64;
-        slots[base + 3] = probe[0];
-        slots[base + 4] = probe[1];
+        slots[base + 3] = probe.map_or(0.0, |p| p[0].secs);
+        slots[base + 4] = probe.map_or(0.0, |p| p[1].secs);
         let reduced = comm.all_reduce_f64_vec(slots, |a, b| a + b)?;
         let reduced = &reduced;
         let column = |k: usize| (0..size).map(move |r| reduced[SLOTS * r + k]);
@@ -224,19 +181,23 @@ impl AdaptiveDriver {
             steps: steps_elapsed.max(1),
         };
 
-        // 2b. Calibration, once: two probe sizes are two equations
-        // `t = α + bytes / β`, taken on the slowest rank's link (a
-        // migration ends when its last message lands); γ is the
-        // window's site updates over its compute seconds.
-        if self.model.is_none() {
-            let [small, large] = [3, 4].map(|k| column(k).fold(0.0, f64::max));
-            let [small_bytes, large_bytes] = PROBE_F64S.map(|n| probe_bytes(n) as f64);
-            let secs_per_byte = ((large - small) / (large_bytes - small_bytes)).max(0.0);
-            self.model = Some(CostModel {
-                alpha: (small - small_bytes * secs_per_byte).max(0.0),
-                beta: 1.0 / secs_per_byte,
-                gamma: column(2).sum::<f64>() / column(0).sum::<f64>(),
-            });
+        // 2b. Calibration, once: the slowest rank's probe time at each
+        // size (a migration ends when its last message lands) and the
+        // window's site updates against its compute seconds.
+        if let Some([small, large]) = probe {
+            let slowest = |s: CalSample, k| CalSample {
+                secs: column(k).fold(0.0, f64::max),
+                ..s
+            };
+            let compute = CalSample {
+                msgs: 0,
+                bytes: 0,
+                work: column(2).sum::<f64>() as u64,
+                secs: column(0).sum(),
+            };
+            let samples = [slowest(small, 3), slowest(large, 4), compute];
+            let fitted = calibrate_fit(&samples).expect("probe samples always carry bytes");
+            self.model = Some(fitted.model);
         }
 
         // 3. Hysteresis.

@@ -460,16 +460,23 @@ proptest! {
         for (name, n) in counters {
             prop_assert_eq!(n.as_u64(), Some(report.counters[name]));
         }
-        // ... and reassemble the model bit for bit.
-        let back = CalibratedModel::from_report(&report, "projection.model").unwrap();
-        prop_assert_eq!(back.model.alpha.to_bits(), alpha.to_bits());
-        prop_assert_eq!(back.model.beta.to_bits(), beta.to_bits());
-        prop_assert_eq!(back.model.gamma.to_bits(), gamma.to_bits());
-        prop_assert_eq!(back.r2.to_bits(), r2.to_bits());
-        prop_assert_eq!(back.samples, residuals.len());
-        prop_assert_eq!(back.residuals.len(), residuals.len());
-        for (a, b) in back.residuals.iter().zip(&residuals) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
+        // ... and every `*_hi`/`*_lo` pair of the parsed tree
+        // reassembles its f64 bit for bit.
+        let count = |name: &str| {
+            let key = format!("projection.model.{name}");
+            tree.get("counters").and_then(|c| c.get(&key)).and_then(Json::as_u64)
+        };
+        let bits = |name: &str| {
+            (count(&format!("{name}_hi")).unwrap() << 32) | count(&format!("{name}_lo")).unwrap()
+        };
+        prop_assert_eq!(bits("alpha"), alpha.to_bits());
+        prop_assert_eq!(bits("beta"), beta.to_bits());
+        prop_assert_eq!(bits("gamma"), gamma.to_bits());
+        prop_assert_eq!(bits("r2"), r2.to_bits());
+        prop_assert_eq!(count("samples"), Some(residuals.len() as u64));
+        prop_assert_eq!(count("residuals"), Some(residuals.len() as u64));
+        for (i, r) in residuals.iter().enumerate() {
+            prop_assert_eq!(bits(&format!("resid{i:04}")), r.to_bits());
         }
     }
 

@@ -19,8 +19,10 @@
 # the run length BENCHMARK.json fixes, the side that goes first flipping
 # from pair to pair (the box drifts 10-20 % within the hour). For every
 # (end-to-end metric, workload) it prints both medians, both quartile
-# pairs and in how many pairs the change read better; every run is kept
-# in target/ab_pairs/runs.tsv.
+# pairs, in how many pairs the change read better, and the median and
+# [min, max] of the per-pair change/parent ratio, which the hour's drift
+# moves far less than either side's quartiles; every run is kept in
+# target/ab_pairs/runs.tsv.
 #
 # With `--layer`, the same pairs run traced (`--trace 1`, a CPU per
 # rank) and the table is of the named per-layer metrics instead, so a
@@ -40,7 +42,7 @@ while (($#)); do
     --layer)
         shift
         while (($#)) && [[ $1 != -* ]]; do layers+=("$1"); shift; done ;;
-    -h | --help) sed -n '2,29s/^# \{0,1\}//p' "$0"; exit 0 ;;
+    -h | --help) sed -n '2,31s/^# \{0,1\}//p' "$0"; exit 0 ;;
     *) args+=("$1"); shift ;;
     esac
 done
@@ -124,12 +126,23 @@ done
 jq -r --arg j "$judged" --args '.[$j][] | select($j == "end_to_end" or IN(.name; $ARGS.positional[]))
     | [.name, .better] | @tsv' "${layers[@]}" <BENCHMARK.json >"$work/better.tsv"
 awk -F'\t' '
-function quart(side, key, n,    i, j, tmp) {
+function sortmed(n,    i, j, tmp) {
+    # Sort s[1..n] in place and return its median.
+    for (i = 2; i <= n; i++) { tmp = s[i]; for (j = i - 1; j >= 1 && s[j] > tmp; j--) s[j + 1] = s[j]; s[j + 1] = tmp }
+    return (n % 2) ? s[(n + 1) / 2] : (s[n / 2] + s[n / 2 + 1]) / 2
+}
+function quart(side, key, n,    i) {
     # Sorted values of (side, key) into s[1..n]; nearest-rank quartiles.
     for (i = 1; i <= n; i++) s[i] = val[side, key, i]
-    for (i = 2; i <= n; i++) { tmp = s[i]; for (j = i - 1; j >= 1 && s[j] > tmp; j--) s[j + 1] = s[j]; s[j + 1] = tmp }
+    med = sortmed(n)
     q1 = s[int((n + 3) / 4)]; q3 = s[int((3 * n + 3) / 4)]
-    med = (n % 2) ? s[(n + 1) / 2] : (s[n / 2] + s[n / 2 + 1]) / 2
+}
+function ratio(key, n,    i, m, r) {
+    # Median [min, max] of change/parent over the pairs with a nonzero parent.
+    for (i = 1; i <= n; i++) if (val["parent", key, i] != 0) s[++m] = val["change", key, i] / val["parent", key, i]
+    if (!m) return "  ratio n/a"
+    r = sortmed(m)
+    return sprintf("  ratio %.3f [%.3f, %.3f]", r, s[1], s[m])
 }
 FNR == NR { better[$1] = $2; next }
 !($4 in better) && $4 != "failed" { next }
@@ -140,7 +153,7 @@ FNR == NR { better[$1] = $2; next }
     if ($1 > pairs) pairs = $1
 }
 END {
-    printf "%-24s %-16s %30s %30s  %s\n", "metric", "workload", "parent median [q1, q3]", "change median [q1, q3]", "change wins"
+    printf "%-24s %-16s %30s %30s  %s\n", "metric", "workload", "parent median [q1, q3]", "change median [q1, q3]", "change wins, change/parent median [min, max]"
     for (m = 1; m <= nkeys; m++) {
         key = keys[m]; split(key, part, SUBSEP)
         if (part[1] == "failed") {
@@ -160,6 +173,6 @@ END {
         printf "%-24s %-16s %12.4g [%.4g, %.4g] %12.4g [%.4g, %.4g]  %d/%d", part[1], part[2], pm, p1, p3, med, q1, q3, wins, pairs
         if (ties) printf " (%d ties)", ties
         gap = (med > pm) ? med - pm : pm - med
-        printf "  %+.1f %%%s\n", 100 * (med - pm) / pm, (gap > p3 - p1) ? "" : "  (inside the parent interquartile distance)"
+        printf "  %+.1f %%%s%s\n", 100 * (med - pm) / pm, (gap > p3 - p1) ? "" : "  (inside the parent interquartile distance)", ratio(key, pairs)
     }
 }' "$work/better.tsv" "$runs"
