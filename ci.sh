@@ -198,13 +198,17 @@ group_units() {
 # builder's oracles on that map at Medium (`hemelb-core`'s ignored
 # `plan_builder_keeps_its_promises_at_medium`), and `voxel-medium-release`
 # the block voxeliser against its per-cell oracle on the Medium aneurysm
-# (`hemelb-geometry`'s ignored `block_voxeliser_matches_the_oracle_at_medium`).
+# (`hemelb-geometry`'s ignored `block_voxeliser_matches_the_oracle_at_medium`),
+# and `sgmy-medium-release` the `.sgmy` writer against its block-list
+# oracle and the distributed read against the serial decode, on the
+# same Medium aneurysm (`hemelb-geometry`'s ignored `sgmy_medium_*`).
 group_determinism() {
     stage determinism cargo test -q --test properties --test golden
     stage golden-release cargo test --release -q --test golden
     stage kway-medium-release cargo test --release -q --test golden kway_ -- --ignored
     stage plan-medium-release cargo test --release -q -p hemelb-core --lib plan_builder -- --ignored
     stage voxel-medium-release cargo test --release -q -p hemelb-geometry --lib block_voxeliser -- --ignored
+    stage sgmy-medium-release cargo test --release -q -p hemelb-geometry --lib sgmy_medium -- --ignored
     stage obs         cargo test -q --test obs_smoke
     stage render      cargo test -q --test render_compositing
 }

@@ -96,7 +96,6 @@
 
 use crate::boundary::IoletBc;
 use crate::collision::CollisionKind;
-use crate::equilibrium::shear_rate_magnitude;
 use crate::model::LatticeModel;
 use crate::mrt::MrtOperator;
 use crate::solver::{iolet_rule, SolverConfig};
@@ -1416,10 +1415,21 @@ fn macroscopics_chunk<'a>(
             }
         }
     }
+    // `shear_rate_magnitude`'s operations in its order, lane by lane.
+    let mut rate = [0.0f64; CHUNK];
+    for l in 0..CHUNK {
+        let scale = -1.0 / (2.0 * front.rho[l] * CS2 * tau);
+        let s = pi.map(|p| p[l] * scale);
+        let ss = s[0] * s[0]
+            + s[1] * s[1]
+            + s[2] * s[2]
+            + 2.0 * (s[3] * s[3] + s[4] * s[4] + s[5] * s[5]);
+        rate[l] = (2.0 * ss).sqrt();
+    }
     for l in 0..rho.len() {
         rho[l] = front.rho[l];
         u[l] = [front.u[0][l], front.u[1][l], front.u[2][l]];
-        shear[l] = shear_rate_magnitude(pi.map(|p| p[l]), front.rho[l], tau);
+        shear[l] = rate[l];
     }
 }
 
@@ -1427,7 +1437,7 @@ fn macroscopics_chunk<'a>(
 pub(crate) mod tests {
     use super::*;
     use crate::collision::collide;
-    use crate::equilibrium::{feq_all, moments as site_moments, pi_neq};
+    use crate::equilibrium::{feq_all, moments as site_moments, pi_neq, shear_rate_magnitude};
     use crate::solver::ModelKind;
     use hemelb_geometry::{SparseGeometry, VesselBuilder};
     use std::sync::Arc;

@@ -10,13 +10,16 @@
 //! device under test in experiment **E8**: with `R` reading ranks out of
 //! `P`, each reader reads a contiguous slice of level two and forwards
 //! each block's site records to the rank that owns the block under the
-//! initial approximate decomposition computed from level one.
+//! initial approximate decomposition computed from level one. A reader
+//! never decodes: it forwards each owner's run of blocks as the file
+//! holds it, and the owner decodes that run with the format's own
+//! decoder.
 
-use crate::format::{read_block_sites, read_header, SgmyHeader, SiteRecord};
-use crate::lattice::SiteKind;
-use hemelb_parallel::{CommError, CommResult, Communicator, Tag, Wire, WireReader, WireWriter};
+use crate::format::{decode_block_records, read_header, SgmyHeader, SiteRecord, SITE_RECORD_BYTES};
+use hemelb_parallel::{CommError, CommResult, Communicator, Tag};
 use std::fs::File;
-use std::io::{BufReader, Read, Seek};
+use std::io::{BufReader, Read, Seek, SeekFrom};
+use std::ops::Range;
 use std::path::Path;
 
 const T_SITES: Tag = Tag::geometry(1);
@@ -77,24 +80,109 @@ pub struct DistributedGeometry {
     pub file_bytes_read: u64,
 }
 
-impl Wire for SiteRecord {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_u32(self.position[0]);
-        w.put_u32(self.position[1]);
-        w.put_u32(self.position[2]);
-        let (code, id) = self.kind.to_code();
-        w.put_u8(code);
-        w.put_u32(id as u32);
+/// Bytes of a forwarded batch's header: the first and the end block of
+/// its run, two little-endian `u64`s, ahead of the run's raw records.
+const BATCH_HEADER: usize = 16;
+
+/// Every batch of one distributed read, as `(reader, owner, blocks)`:
+/// each reader's range split into maximal runs of one owner, runs that
+/// hold no site left out. Readers and owners both derive their part of
+/// the traffic from it; an owner hears from each reader at most once,
+/// in reader order, which is block order.
+fn batches<'a>(
+    header: &'a SgmyHeader,
+    block_owner: &'a [usize],
+    reader_ranges: &'a [Range<usize>],
+) -> impl Iterator<Item = (usize, usize, Range<usize>)> + 'a {
+    reader_ranges
+        .iter()
+        .enumerate()
+        .flat_map(move |(reader, range)| {
+            let owners = &block_owner[range.clone()];
+            owners
+                .chunk_by(|a, b| a == b)
+                .scan(range.start, move |start, run| {
+                    let blocks = *start..*start + run.len();
+                    *start = blocks.end;
+                    Some((reader, run[0], blocks))
+                })
+                .filter(|(_, _, blocks)| {
+                    header.fluid_per_block[blocks.clone()]
+                        .iter()
+                        .any(|&c| c > 0)
+                })
+        })
+}
+
+/// Read blocks `blocks`' level two from `f` into a batch: its header,
+/// then the records as the file holds them. The records are read
+/// through a length-limited reader, so a short file is `UnexpectedEof`,
+/// not a buffer sized by level one's claim.
+fn read_batch(header: &SgmyHeader, f: &mut File, blocks: Range<usize>) -> std::io::Result<Vec<u8>> {
+    let sites: u64 = header.fluid_per_block[blocks.clone()]
+        .iter()
+        .map(|&c| c as u64)
+        .sum();
+    let bytes = sites * SITE_RECORD_BYTES;
+    let mut batch = Vec::new();
+    batch.extend_from_slice(&(blocks.start as u64).to_le_bytes());
+    batch.extend_from_slice(&(blocks.end as u64).to_le_bytes());
+    f.seek(SeekFrom::Start(header.block_offset(blocks.start)))?;
+    f.take(bytes).read_to_end(&mut batch)?;
+    if (batch.len() - BATCH_HEADER) as u64 != bytes {
+        return Err(std::io::ErrorKind::UnexpectedEof.into());
     }
-    fn decode(r: &mut WireReader) -> CommResult<Self> {
-        let position = [r.get_u32()?, r.get_u32()?, r.get_u32()?];
-        let code = r.get_u8()?;
-        let id = r.get_u32()? as u16;
-        let kind = SiteKind::from_code(code, id).ok_or(CommError::Decode {
-            reason: format!("invalid site kind code {code}"),
-        })?;
-        Ok(SiteRecord { position, kind })
+    Ok(batch)
+}
+
+/// Decode one forwarded batch onto `out`: its header must name
+/// `expected`, the run this owner awaits from that reader, and its
+/// records go through the format's decoder with every per-record check.
+fn decode_batch(
+    header: &SgmyHeader,
+    expected: &Range<usize>,
+    batch: &[u8],
+    out: &mut Vec<SiteRecord>,
+) -> CommResult<()> {
+    let decode = |reason: String| CommError::Decode { reason };
+    let (head, raw) = batch
+        .split_at_checked(BATCH_HEADER)
+        .ok_or_else(|| decode(format!("site batch of {} bytes", batch.len())))?;
+    let word = |i: usize| u64::from_le_bytes(head[8 * i..8 * i + 8].try_into().expect("8 bytes"));
+    if (word(0), word(1)) != (expected.start as u64, expected.end as u64) {
+        return Err(decode(format!(
+            "site batch for blocks {}..{}, expected {expected:?}",
+            word(0),
+            word(1)
+        )));
     }
+    decode_block_records(header, expected.clone(), raw, out)
+        .map_err(|e| decode(format!("site batch: {e}")))
+}
+
+/// `sites` in position order, by stable counting passes on z, then y,
+/// then x. Positions are unique, so this is the order any sort by
+/// position gives. Every coordinate lies inside `shape` (the decoder
+/// checked it).
+fn sort_by_position(sites: Vec<SiteRecord>, shape: [usize; 3]) -> Vec<SiteRecord> {
+    let mut from = sites;
+    let mut to = from.clone();
+    for axis in [2, 1, 0] {
+        let mut next = vec![0usize; shape[axis] + 1];
+        for s in &from {
+            next[s.position[axis] as usize + 1] += 1;
+        }
+        for k in 1..next.len() {
+            next[k] += next[k - 1];
+        }
+        for s in &from {
+            let at = &mut next[s.position[axis] as usize];
+            to[*at] = *s;
+            *at += 1;
+        }
+        std::mem::swap(&mut from, &mut to);
+    }
+    from
 }
 
 /// Broadcast the file's header and level-one bytes, as they are on
@@ -114,9 +202,11 @@ fn share_header(comm: &Communicator, raw: Option<Vec<u8>>) -> CommResult<SgmyHea
 /// A file that cannot be opened or parsed is an error on **every** rank,
 /// never a panic or a hang: the header's failure reaches the peers
 /// through its broadcast, and the readers agree on their outcome in one
-/// all-reduce before any rank waits for site records. The rank that hit
-/// the fault gets a [`CommError::Decode`] naming the file, the others a
-/// `Decode` counting the failed ranks.
+/// all-reduce before any rank waits for site records. A record that
+/// fails the decoder's checks is an error on every rank too: the owners
+/// agree on their decoding in a second all-reduce, which also ends the
+/// read. The rank that hit the fault gets a [`CommError::Decode`] naming
+/// it, the others a `Decode` counting the failed ranks.
 pub fn read_distributed(
     path: &Path,
     comm: &Communicator,
@@ -151,18 +241,27 @@ pub fn read_distributed(
     let block_owner = plan_block_owners(&header.fluid_per_block, p);
     let reader_ranges = plan_reader_ranges(&header.fluid_per_block, n_readers);
 
-    // Phase 2: readers read their slice, all ranks agree that every
-    // read succeeded, then the readers forward per-owner batches.
-    let range = reader_ranges.get(comm.rank()).cloned().unwrap_or(0..0);
-    let read = if range.is_empty() {
+    // Phase 2: each reader reads every owner's run of its slice, all
+    // ranks agree that every read succeeded, then the readers forward
+    // the runs as the file holds them.
+    let rank = comm.rank();
+    let plan: Vec<_> = batches(&header, &block_owner, &reader_ranges).collect();
+    let mine: Vec<_> = plan.iter().filter(|b| b.0 == rank).collect();
+    let read = if mine.is_empty() {
         Ok(Vec::new())
     } else {
         File::open(path)
-            .and_then(|mut f| read_block_sites(&header, &mut f, range.clone()))
+            .and_then(|mut f| {
+                mine.iter()
+                    .map(|(_, owner, blocks)| {
+                        Ok((*owner, read_batch(&header, &mut f, blocks.clone())?))
+                    })
+                    .collect::<std::io::Result<Vec<_>>>()
+            })
             .map_err(|e| file_error(path, e))
     };
     let failed = comm.all_reduce_u64(u64::from(read.is_err()), |a, b| a + b)?;
-    let records = match read {
+    let outgoing = match read {
         Ok(_) if failed > 0 => {
             return Err(CommError::Decode {
                 reason: format!("geometry read failed on {failed} other rank(s)"),
@@ -170,42 +269,34 @@ pub fn read_distributed(
         }
         read => read?,
     };
-    let file_bytes_read = records.len() as u64 * crate::format::SITE_RECORD_BYTES;
-
-    // Group records by owning rank (blocks are contiguous per owner, so
-    // batches stay in block order).
-    let mut batches: Vec<Vec<SiteRecord>> = vec![Vec::new(); p];
-    let mut cursor = 0usize;
-    for b in range {
-        let n = header.fluid_per_block[b] as usize;
-        batches[block_owner[b]].extend_from_slice(&records[cursor..cursor + n]);
-        cursor += n;
+    let mut file_bytes_read = 0;
+    for (owner, batch) in outgoing {
+        file_bytes_read += (batch.len() - BATCH_HEADER) as u64;
+        comm.send(owner, T_SITES, batch)?;
     }
-    for (owner, batch) in batches.into_iter().enumerate() {
-        if !batch.is_empty() {
-            comm.send_wire(owner, T_SITES, &batch)?;
+
+    // Phase 3: every rank decodes the runs it owns, reader by reader;
+    // one all-reduce then agrees on whether every batch decoded (and
+    // makes the read collective: nobody proceeds until all data
+    // arrived, as in HemeLB's synchronous initialisation).
+    let mut my_sites = Vec::new();
+    let mut bad = None;
+    for (reader, _, blocks) in plan.iter().filter(|b| b.1 == rank) {
+        let batch = comm.recv(*reader, T_SITES)?;
+        if bad.is_none() {
+            bad = decode_batch(&header, blocks, &batch, &mut my_sites).err();
         }
     }
-
-    // Phase 3: every rank collects the records for the blocks it owns.
-    let expected: u64 = header
-        .fluid_per_block
-        .iter()
-        .zip(&block_owner)
-        .filter(|(_, &o)| o == comm.rank())
-        .map(|(&c, _)| c as u64)
-        .sum();
-    let mut my_sites: Vec<SiteRecord> = Vec::with_capacity(expected as usize);
-    while (my_sites.len() as u64) < expected {
-        let (_, payload) = comm.recv_any(T_SITES)?;
-        let batch = Vec::<SiteRecord>::from_bytes(payload)?;
-        my_sites.extend(batch);
+    let failed = comm.all_reduce_u64(u64::from(bad.is_some()), |a, b| a + b)?;
+    if let Some(e) = bad {
+        return Err(e);
     }
-    my_sites.sort_unstable_by_key(|s| s.position);
-
-    // Make the read collective: nobody proceeds until all data arrived
-    // (mirrors HemeLB's synchronous initialisation).
-    comm.barrier()?;
+    if failed > 0 {
+        return Err(CommError::Decode {
+            reason: format!("geometry site records failed to decode on {failed} other rank(s)"),
+        });
+    }
+    let my_sites = sort_by_position(my_sites, header.shape);
 
     Ok(DistributedGeometry {
         header,
@@ -227,22 +318,22 @@ mod tests {
     use crate::format::write_sgmy;
     use crate::vessels::VesselBuilder;
     use hemelb_parallel::run_spmd_with_stats;
-    use std::io::Write as _;
 
-    /// One file per test (`tag`): tests run on parallel threads and each
-    /// removes its file when done.
-    fn write_demo_file(tag: &str) -> (std::path::PathBuf, usize) {
-        let geo = VesselBuilder::aneurysm(24.0, 5.0, 6.0).voxelise(1.0);
+    /// `geo` as a file of its own (`tag`): tests run on parallel threads
+    /// and each removes its file when done.
+    fn write_file(geo: &crate::lattice::SparseGeometry, tag: &str) -> std::path::PathBuf {
         let mut buf = Vec::new();
-        write_sgmy(&geo, 8, &mut buf).unwrap();
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!(
+        write_sgmy(geo, 8, &mut buf).unwrap();
+        let path = std::env::temp_dir().join(format!(
             "hemelb_distio_test_{}_{tag}.sgmy",
             std::process::id()
         ));
-        let mut f = File::create(&path).unwrap();
-        f.write_all(&buf).unwrap();
-        (path, geo.fluid_count())
+        std::fs::write(&path, &buf).unwrap();
+        path
+    }
+
+    fn write_demo_file(tag: &str) -> std::path::PathBuf {
+        write_file(&VesselBuilder::aneurysm(24.0, 5.0, 6.0).voxelise(1.0), tag)
     }
 
     #[test]
@@ -270,23 +361,8 @@ mod tests {
     }
 
     #[test]
-    fn distributed_read_delivers_every_site_exactly_once() {
-        let (path, fluid_count) = write_demo_file("exactly_once");
-        for (p, readers) in [(1, 1), (4, 1), (4, 2), (4, 4), (6, 3)] {
-            let path2 = path.clone();
-            let out = run_spmd_with_stats(p, move |comm| {
-                let dg = read_distributed(&path2, comm, readers).unwrap();
-                dg.my_sites.len()
-            });
-            let total: usize = out.results.iter().sum();
-            assert_eq!(total, fluid_count, "p={p} readers={readers}");
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn fewer_readers_means_less_file_io_but_more_forwarding() {
-        let (path, _) = write_demo_file("readers");
+        let path = write_demo_file("readers");
         let p = 8;
         let run = |readers: usize| {
             let path2 = path.clone();
@@ -313,14 +389,136 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// What a rank must hold after a distributed read of `buf` over
+    /// `p` ranks: the serial decode of the whole level two, the records
+    /// of that rank's blocks, sorted by position.
+    fn serial_decode_by_owner(buf: &[u8], p: usize) -> Vec<Vec<SiteRecord>> {
+        use crate::format::read_block_sites;
+        let mut c = std::io::Cursor::new(buf);
+        let header = read_header(&mut c).unwrap();
+        let all = read_block_sites(&header, &mut c, 0..header.fluid_per_block.len()).unwrap();
+        let owner = plan_block_owners(&header.fluid_per_block, p);
+        let bs = header.block_size as u32;
+        let [_, by, bz] = header.blocks();
+        let mut out = vec![Vec::new(); p];
+        for s in all {
+            let [x, y, z] = s.position.map(|c| (c / bs) as usize);
+            out[owner[(x * by + y) * bz + z]].push(s);
+        }
+        for v in &mut out {
+            v.sort_unstable_by_key(|s| s.position);
+        }
+        out
+    }
+
+    fn assert_reads_match_serial_decode(geo: &crate::lattice::SparseGeometry, tag: &str) {
+        let path = write_file(geo, tag);
+        let buf = std::fs::read(&path).unwrap();
+        for (p, readers) in [(1, 1), (2, 1), (4, 1), (4, 2), (4, 4), (6, 3), (8, 5)] {
+            let want = serial_decode_by_owner(&buf, p);
+            let got = hemelb_parallel::run_spmd(p, |comm| {
+                read_distributed(&path, comm, readers).unwrap().my_sites
+            });
+            assert!(got == want, "p={p} readers={readers}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
-    fn site_record_wire_round_trip() {
-        let rec = SiteRecord {
-            position: [3, 700, 12],
-            kind: SiteKind::Inlet(5),
+    fn distributed_read_is_the_serial_decode_split_by_owner() {
+        let geo = VesselBuilder::aneurysm(24.0, 5.0, 6.0).voxelise(1.0);
+        assert_reads_match_serial_decode(&geo, "serial_decode");
+    }
+
+    /// The Medium aneurysm of the `prep_cold` workload (~138k sites).
+    #[test]
+    #[ignore = "Medium; run in release"]
+    fn sgmy_medium_distributed_read_is_the_serial_decode_split_by_owner() {
+        let geo = VesselBuilder::aneurysm(28.0, 4.0, 6.0).voxelise(0.25);
+        assert_reads_match_serial_decode(&geo, "serial_decode_medium");
+    }
+
+    /// A forwarded batch under every truncation and every single-bit
+    /// flip: a `Decode` error or the records the file reader decodes
+    /// from the same level-two bytes, never a panic. A flip in the
+    /// batch header is always an error (the owner knows the run it
+    /// awaits).
+    #[test]
+    fn forwarded_batch_survives_every_truncation_and_bit_flip() {
+        use crate::format::read_block_sites;
+        let geo = VesselBuilder::straight_tube(10.0, 2.0).voxelise(1.0);
+        let mut file = Vec::new();
+        write_sgmy(&geo, 4, &mut file).unwrap();
+        let header = read_header(&mut std::io::Cursor::new(&file)).unwrap();
+        let blocks = header.fluid_per_block.len();
+        let run = 1..blocks - 1;
+        let at = header.block_offset(run.start) as usize..header.block_offset(run.end) as usize;
+        let mut valid = Vec::new();
+        valid.extend_from_slice(&(run.start as u64).to_le_bytes());
+        valid.extend_from_slice(&(run.end as u64).to_le_bytes());
+        valid.extend_from_slice(&file[at.clone()]);
+        assert!(at.len() > 300, "{} bytes of records", at.len());
+
+        let check = |batch: &[u8]| {
+            let mut got = Vec::new();
+            match decode_batch(&header, &run, batch, &mut got) {
+                Ok(()) => {
+                    let mut on_disk = file.clone();
+                    on_disk[at.clone()].copy_from_slice(&batch[BATCH_HEADER..]);
+                    let mut c = std::io::Cursor::new(&on_disk);
+                    assert_eq!(got, read_block_sites(&header, &mut c, run.clone()).unwrap());
+                    assert!(batch[..BATCH_HEADER] == valid[..BATCH_HEADER]);
+                    true
+                }
+                Err(CommError::Decode { .. }) => false,
+                Err(e) => panic!("{e}"),
+            }
         };
-        let b = rec.to_bytes();
-        assert_eq!(SiteRecord::from_bytes(b).unwrap(), rec);
+        assert!(check(&valid));
+        for len in 0..valid.len() {
+            assert!(!check(&valid[..len]), "a {len}-byte prefix decoded");
+        }
+        let mut rejected = 0;
+        for bit in 0..valid.len() * 8 {
+            let mut flipped = valid.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            rejected += usize::from(!check(&flipped));
+        }
+        // The header's 128 bits and every kind code's top five at least.
+        assert!(
+            rejected >= 128 + 5 * (at.len() / 6),
+            "{rejected} flips rejected"
+        );
+    }
+
+    /// A record that fails the decoder's checks is a `Decode` on every
+    /// rank: the owner that decoded it names it, its peers count it.
+    #[test]
+    fn corrupted_record_is_a_decode_error_on_every_rank() {
+        let path = write_demo_file("corrupt_record");
+        let mut buf = std::fs::read(&path).unwrap();
+        let header = read_header(&mut std::io::Cursor::new(&buf)).unwrap();
+        // The kind byte of the first record, in a block rank 0 owns.
+        buf[header.data_offset as usize + 3] = 200;
+        std::fs::write(&path, &buf).unwrap();
+        let got = hemelb_parallel::run_spmd(3, |comm| read_distributed(&path, comm, 2));
+        std::fs::remove_file(&path).ok();
+        let reason = |r: &CommResult<DistributedGeometry>| match r {
+            Err(CommError::Decode { reason }) => reason.clone(),
+            r => panic!("{r:?}"),
+        };
+        assert!(
+            reason(&got[0]).contains("invalid site kind code 200"),
+            "{}",
+            reason(&got[0])
+        );
+        for r in &got[1..] {
+            assert!(
+                reason(r).contains("failed to decode on 1 other rank"),
+                "{}",
+                reason(r)
+            );
+        }
     }
 
     /// The broadcast header is the file's own bytes through the file's
@@ -379,7 +577,7 @@ mod tests {
             assert!(errs.iter().all(|r| r.is_err()), "p={p}: {errs:?}");
         }
 
-        let (path, _) = write_demo_file("truncated");
+        let path = write_demo_file("truncated");
         let len = std::fs::metadata(&path).unwrap().len();
         File::options()
             .write(true)

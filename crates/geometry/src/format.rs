@@ -20,7 +20,6 @@
 //! All integers little-endian. Site records are 6 bytes, so the byte
 //! offset of any block's records follows from the level-one table alone.
 
-use crate::blocks::BlockDecomposition;
 use crate::lattice::{IoLet, IoLetKind, SiteKind, SparseGeometry, NOT_FLUID};
 use crate::vec3::Vec3;
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -118,7 +117,7 @@ pub fn write_sgmy(geo: &SparseGeometry, block_size: usize, w: &mut impl Write) -
         (1..=255).contains(&block_size),
         "block size must fit in a byte"
     );
-    let dec = BlockDecomposition::build(geo, block_size);
+    let (fluid_per_block, level_two) = levels(geo, block_size);
     let shape = geo.shape();
 
     w.write_all(MAGIC)?;
@@ -143,32 +142,52 @@ pub fn write_sgmy(geo: &SparseGeometry, block_size: usize, w: &mut impl Write) -
     }
 
     // Level one.
-    put_u64(w, dec.block_count() as u64)?;
-    for &c in &dec.fluid_per_block {
+    put_u64(w, fluid_per_block.len() as u64)?;
+    for &c in &fluid_per_block {
         put_u32(w, c)?;
     }
 
-    // Level two: group sites by block. Build per-block site lists first
-    // so records are written in block order regardless of site order.
-    let mut by_block: Vec<Vec<u32>> = vec![Vec::new(); dec.block_count()];
-    for i in 0..geo.fluid_count() as u32 {
-        by_block[dec.block_of(geo.position(i))].push(i);
+    w.write_all(&level_two)
+}
+
+/// Level one and level two of `geo` in `block_size`-cubed blocks: every
+/// block's fluid count, and every site's record at its block's running
+/// offset, so blocks lie in block order and a block's sites in storage
+/// order. Blocks are found through per-axis tables of (block
+/// coordinate, offset in the block), so no site divides.
+fn levels(geo: &SparseGeometry, block_size: usize) -> (Vec<u32>, Vec<u8>) {
+    const REC: usize = SITE_RECORD_BYTES as usize;
+    let shape = geo.shape();
+    let blocks = shape.map(|n| n.div_ceil(block_size));
+    let axis = |n: usize| -> Vec<(usize, u8)> {
+        (0..n)
+            .map(|c| (c / block_size, (c % block_size) as u8))
+            .collect()
+    };
+    let [tx, ty, tz] = shape.map(axis);
+    let at = |[x, y, z]: [u32; 3]| {
+        let ((bx, lx), (by, ly), (bz, lz)) = (tx[x as usize], ty[y as usize], tz[z as usize]);
+        ((bx * blocks[1] + by) * blocks[2] + bz, [lx, ly, lz])
+    };
+    let mut fluid_per_block = vec![0u32; blocks.iter().product()];
+    for &p in geo.positions() {
+        fluid_per_block[at(p).0] += 1;
     }
-    for sites in &by_block {
-        for &i in sites {
-            let [x, y, z] = geo.position(i);
-            let rec = [
-                (x as usize % block_size) as u8,
-                (y as usize % block_size) as u8,
-                (z as usize % block_size) as u8,
-            ];
-            w.write_all(&rec)?;
-            let (code, id) = geo.kind(i).to_code();
-            w.write_all(&[code])?;
-            w.write_all(&id.to_le_bytes())?;
-        }
+    let mut next = Vec::with_capacity(fluid_per_block.len());
+    let mut end = 0usize;
+    for &c in &fluid_per_block {
+        next.push(end);
+        end += c as usize * REC;
     }
-    Ok(())
+    let mut out = vec![0u8; end];
+    for (i, &p) in geo.positions().iter().enumerate() {
+        let (b, [lx, ly, lz]) = at(p);
+        let (code, id) = geo.kind(i as u32).to_code();
+        let [id0, id1] = id.to_le_bytes();
+        out[next[b]..next[b] + REC].copy_from_slice(&[lx, ly, lz, code, id0, id1]);
+        next[b] += REC;
+    }
+    (fluid_per_block, out)
 }
 
 /// Read the header and level-one table (cheap: no site data touched).
@@ -303,13 +322,40 @@ pub fn read_block_sites<R: Read + Seek>(
         return Err(io::ErrorKind::UnexpectedEof.into());
     }
 
-    let mut out = Vec::with_capacity(total_sites as usize);
-    let mut cursor = 0usize;
-    for b in block_range {
+    let mut out = Vec::new();
+    decode_block_records(header, block_range, &raw, &mut out)?;
+    Ok(out)
+}
+
+/// Decode `raw`, the level-two records of blocks `blocks` as the file
+/// holds them, onto `out`. The one level-two decoder: the file reader
+/// and the distributed reader's owners both call it. `raw` must hold
+/// exactly the records level one gives the range, and each record is
+/// checked: its offset inside its block, its kind code and its position
+/// inside the lattice shape. A failed check is `InvalidData`.
+pub(crate) fn decode_block_records(
+    header: &SgmyHeader,
+    blocks: std::ops::Range<usize>,
+    raw: &[u8],
+    out: &mut Vec<SiteRecord>,
+) -> io::Result<()> {
+    const REC: usize = SITE_RECORD_BYTES as usize;
+    let counts = header
+        .fluid_per_block
+        .get(blocks.clone())
+        .ok_or_else(|| bad(format!("block range {blocks:?} outside level one")))?;
+    let sites: usize = counts.iter().map(|&c| c as usize).sum();
+    if sites.checked_mul(REC) != Some(raw.len()) {
+        return Err(bad(format!(
+            "{} bytes of site records for {sites} sites",
+            raw.len()
+        )));
+    }
+    out.reserve(sites);
+    let mut records = raw.chunks_exact(REC);
+    for (b, &n) in blocks.zip(counts) {
         let origin = header.block_origin(b);
-        for _ in 0..header.fluid_per_block[b] {
-            let rec = &raw[cursor..cursor + SITE_RECORD_BYTES as usize];
-            cursor += SITE_RECORD_BYTES as usize;
+        for rec in records.by_ref().take(n as usize) {
             if rec[..3].iter().any(|&c| c as usize >= header.block_size) {
                 return Err(bad(format!(
                     "site record {:?} outside its block",
@@ -332,7 +378,7 @@ pub fn read_block_sites<R: Read + Seek>(
             out.push(SiteRecord { position, kind });
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Read an entire `.sgmy` stream back into a [`SparseGeometry`].
@@ -384,6 +430,7 @@ pub fn assemble(header: &SgmyHeader, sites: Vec<SiteRecord>) -> io::Result<Spars
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blocks::BlockDecomposition;
     use crate::vessels::VesselBuilder;
     use std::io::Cursor;
 
@@ -391,6 +438,86 @@ mod tests {
         let mut buf = Vec::new();
         write_sgmy(geo, block_size, &mut buf).unwrap();
         read_sgmy(&mut Cursor::new(buf)).unwrap()
+    }
+
+    /// Level two as the writer once made it, block by block from
+    /// per-block site lists, a record in three writes: the oracle of
+    /// [`levels`].
+    fn level_two_by_block_lists(geo: &SparseGeometry, block_size: usize) -> Vec<u8> {
+        let dec = BlockDecomposition::build(geo, block_size);
+        let mut by_block: Vec<Vec<u32>> = vec![Vec::new(); dec.block_count()];
+        for i in 0..geo.fluid_count() as u32 {
+            by_block[dec.block_of(geo.position(i))].push(i);
+        }
+        let mut w = Vec::new();
+        for sites in &by_block {
+            for &i in sites {
+                let [x, y, z] = geo.position(i);
+                let rec = [
+                    (x as usize % block_size) as u8,
+                    (y as usize % block_size) as u8,
+                    (z as usize % block_size) as u8,
+                ];
+                w.write_all(&rec).unwrap();
+                let (code, id) = geo.kind(i).to_code();
+                w.write_all(&[code]).unwrap();
+                w.write_all(&id.to_le_bytes()).unwrap();
+            }
+        }
+        w
+    }
+
+    fn every_scene() -> Vec<(&'static str, SparseGeometry)> {
+        vec![
+            (
+                "tube",
+                VesselBuilder::straight_tube(15.0, 3.0).voxelise(1.0),
+            ),
+            (
+                "aneurysm",
+                VesselBuilder::aneurysm(24.0, 5.0, 6.0).voxelise(1.0),
+            ),
+            (
+                "bifurcation",
+                VesselBuilder::bifurcation(12.0, 10.0, 3.0, 0.5).voxelise(1.0),
+            ),
+            ("bend", VesselBuilder::bend(10.0, 3.0).voxelise(1.0)),
+            (
+                "tree",
+                VesselBuilder::arterial_tree(2, 12.0, 3.0).voxelise(1.0),
+            ),
+        ]
+    }
+
+    #[test]
+    fn levels_are_the_block_list_writers_bytes() {
+        for (name, geo) in every_scene() {
+            for block_size in [4, 8, 16] {
+                let mut buf = Vec::new();
+                write_sgmy(&geo, block_size, &mut buf).unwrap();
+                let header = read_header(&mut Cursor::new(&buf)).unwrap();
+                let dec = BlockDecomposition::build(&geo, block_size);
+                assert_eq!(header.fluid_per_block, dec.fluid_per_block, "{name}");
+                assert!(
+                    buf[header.data_offset as usize..]
+                        == level_two_by_block_lists(&geo, block_size)[..],
+                    "{name}, block size {block_size}"
+                );
+            }
+        }
+    }
+
+    /// The Medium aneurysm of the `prep_cold` workload (~138k sites).
+    #[test]
+    #[ignore = "Medium; run in release"]
+    fn sgmy_medium_levels_are_the_block_list_writers_bytes() {
+        let geo = VesselBuilder::aneurysm(28.0, 4.0, 6.0).voxelise(0.25);
+        let mut buf = Vec::new();
+        write_sgmy(&geo, 8, &mut buf).unwrap();
+        let header = read_header(&mut Cursor::new(&buf)).unwrap();
+        let dec = BlockDecomposition::build(&geo, 8);
+        assert_eq!(header.fluid_per_block, dec.fluid_per_block);
+        assert!(buf[header.data_offset as usize..] == level_two_by_block_lists(&geo, 8)[..]);
     }
 
     #[test]

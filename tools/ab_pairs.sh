@@ -2,27 +2,29 @@
 # Alternating parent / change pairs of the repository benchmark: how a
 # performance change is judged (README, "how a perf change is judged").
 #
-#   tools/ab_pairs.sh <parent-rev> <workload>... [--pairs N] [--layer <metric>...]
+#   tools/ab_pairs.sh <parent-rev> <workload>... [--change <rev>] [--pairs N] [--layer <metric>...]
 #
-# The parent is exported (`git archive`) into
-# ${TMPDIR:-/tmp}/hemelb_ab_pairs/parent and built into
-# target/ab_pairs/build; the change is the working tree, built into
-# target/. The export must live outside the repository: cargo reads
-# `.cargo/config.toml` from every directory above the one it runs in, so
-# a parent nested in this tree would build with the change's compiler
-# flags (its `target-cpu`, say), and the pairs would compare the change
-# with itself. Both sides must carry the same benchmark, so the
-# script refuses to run if benchmark/ or BENCHMARK.json differ between
-# the two trees, and names the paths that do. A benchmark build
-# rewrites benchmark/Cargo.lock; the committed file is put back on exit.
-# Pair k runs every workload once per side at seed k for
-# the run length BENCHMARK.json fixes, the side that goes first flipping
-# from pair to pair (the box drifts 10-20 % within the hour). For every
-# (end-to-end metric, workload) it prints both medians, both quartile
-# pairs, in how many pairs the change read better, and the median and
-# [min, max] of the per-pair change/parent ratio, which the hour's drift
-# moves far less than either side's quartiles; every run is kept in
-# target/ab_pairs/runs.tsv.
+# Both sides are made and run alike. The parent revision and the change
+# (the working tree's tracked and unignored files, or `--change <rev>`)
+# are each exported to ${TMPDIR:-/tmp}/hemelb_ab_pairs/src, outside the
+# repository (cargo reads `.cargo/config.toml` from every directory
+# above the one it runs in, so an export nested in this tree would
+# build with this tree's flags), and built there in turn as
+# benchmark/run.sh builds, under one fixed environment. Each binary then
+# runs as run.sh runs it, from .../hemelb_ab_pairs/{parent,change}
+# (paths of one length). `--change <parent-rev>` is the A/A check of
+# the instrument itself: one commit against itself, which should build
+# to identical binaries. Both sides must carry the same benchmark, so
+# the script refuses to run if benchmark/ or BENCHMARK.json differ
+# between the two, and names the paths that do.
+# Pair k runs every workload once per side at seed k for the run length
+# BENCHMARK.json fixes, the side that goes first flipping from pair to
+# pair (the box drifts 10-20 % within the hour). For every (end-to-end
+# metric, workload) it prints both medians, both quartile pairs, in how
+# many pairs the change read better, and the median and [min, max] of
+# the per-pair change/parent ratio, which the hour's drift moves far
+# less than either side's quartiles; every run is kept in
+# ${TMPDIR:-/tmp}/hemelb_ab_pairs/runs.tsv.
 #
 # With `--layer`, the same pairs run traced (`--trace 1`, a CPU per
 # rank) and the table is of the named per-layer metrics instead, so a
@@ -31,23 +33,24 @@
 # run without `--layer`.
 set -euo pipefail
 cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
-root=$PWD
 
 pairs=10
+change=
 args=()
 layers=()
 while (($#)); do
     case $1 in
     --pairs) pairs=$2; shift 2 ;;
+    --change) change=$(git rev-parse --verify "$2^{commit}"); shift 2 ;;
     --layer)
         shift
         while (($#)) && [[ $1 != -* ]]; do layers+=("$1"); shift; done ;;
-    -h | --help) sed -n '2,31s/^# \{0,1\}//p' "$0"; exit 0 ;;
+    -h | --help) sed -n '2,33s/^# \{0,1\}//p' "$0"; exit 0 ;;
     *) args+=("$1"); shift ;;
     esac
 done
 if ((${#args[@]} < 2)) || ! [[ $pairs =~ ^[1-9][0-9]*$ ]]; then
-    echo "usage: tools/ab_pairs.sh <parent-rev> <workload>... [--pairs N] [--layer <metric>...]" >&2
+    echo "usage: tools/ab_pairs.sh <parent-rev> <workload>... [--change <rev>] [--pairs N] [--layer <metric>...]" >&2
     exit 2
 fi
 # Which metrics the table is of, and the regime they are measured in.
@@ -66,43 +69,78 @@ for w in "${workloads[@]}"; do
         { echo "ab_pairs: BENCHMARK.json has no workload '$w'" >&2; exit 2; }
 done
 
-differ=$(git diff --name-only "$rev" -- benchmark BENCHMARK.json
-    git ls-files --others --exclude-standard -- benchmark)
+if [[ -n $change ]]; then
+    differ=$(git diff --name-only "$rev" "$change" -- benchmark BENCHMARK.json)
+else
+    differ=$(git diff --name-only "$rev" -- benchmark BENCHMARK.json
+        git ls-files --others --exclude-standard -- benchmark)
+fi
 if [[ -n $differ ]]; then
     echo "ab_pairs: these paths differ from $rev; both sides must run the same benchmark:" >&2
     sed 's/^/  /' <<<"$differ" >&2
     exit 1
 fi
-# A benchmark build rewrites benchmark/Cargo.lock (it drops stale
-# entries); put the committed file back on the way out so the next run's
-# check above still passes. Only a lock this script found clean is
-# restored.
-lock=benchmark/Cargo.lock
-if git diff --quiet HEAD -- "$lock"; then
-    trap 'git diff --quiet HEAD -- "$lock" || git checkout -q HEAD -- "$lock"' EXIT
-fi
 
-work=$root/target/ab_pairs
-parent=${TMPDIR:-/tmp}/hemelb_ab_pairs/parent
-rm -rf "$parent"
-mkdir -p "$work" "$parent"
-parent=$(cd "$parent" && pwd -P)
-if [[ $parent/ == "$(pwd -P)"/* ]]; then
-    echo "ab_pairs: the parent export $parent is inside the repository; point TMPDIR elsewhere" >&2
+work=${TMPDIR:-/tmp}/hemelb_ab_pairs
+mkdir -p "$work"
+work=$(cd "$work" && pwd -P)
+if [[ $work/ == "$(pwd -P)"/* ]]; then
+    echo "ab_pairs: the export $work is inside the repository; point TMPDIR elsewhere" >&2
     exit 2
 fi
-git archive "$rev" | tar -x -C "$parent"
 
-seconds=$(jq -r .run_seconds BENCHMARK.json)
-# bench <side> <benchmark arguments>: that side's benchmark/run.sh.
-bench() {
-    local tree=$root target=$root/target
-    [[ $1 == parent ]] && tree=$parent target=$work/build
-    shift
-    CARGO_TARGET_DIR=$target bash "$tree/benchmark/run.sh" "$@"
+# The one environment both sides build and run under.
+clean_env() {
+    env -i HOME="$HOME" PATH="$PATH" ${CARGO_HOME:+CARGO_HOME="$CARGO_HOME"} \
+        ${RUSTUP_HOME:+RUSTUP_HOME="$RUSTUP_HOME"} "$@"
 }
 
-echo "building parent $(git rev-parse --short "$rev") and the working tree ..." >&2
+# build_side <side> [<rev>]: that revision, or the working tree, built
+# as benchmark/run.sh builds it, its binary kept as
+# $work/<side>/hemelb-benchmark. Both sides build in one directory,
+# $work/src, into one target directory, one after the other: rustc's
+# output depends on where the sources lie, so sides built in two
+# directories differ in code layout as well as in what they change. A
+# side whose files are unchanged since the last run keeps its binary;
+# any other builds from nothing (cargo judges freshness by file times,
+# which an export does not advance).
+build_side() {
+    local dir=$work/$1 tar=$work/src.tar sum
+    if (($# > 1)); then
+        git archive --format=tar "$2" >"$tar"
+    else
+        git ls-files -z --cached --others --exclude-standard |
+            while IFS= read -r -d '' f; do if [[ -e $f ]]; then printf '%s\0' "$f"; fi; done |
+            tar --null -T - --sort=name --mtime=@0 --owner=0 --group=0 --numeric-owner -cf "$tar"
+    fi
+    sum=$(sha1sum <"$tar")
+    if [[ ! -x $dir/hemelb-benchmark || $(cat "$dir/sum" 2>/dev/null) != "$sum" ]]; then
+        rm -rf "$work/src" "$work/target" "$dir"
+        mkdir -p "$work/src" "$dir"
+        tar -x -C "$work/src" -f "$tar"
+        (cd "$work/src" && clean_env CARGO_TARGET_DIR="$work/target" \
+            cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
+        cp "$work/target/release/hemelb-benchmark" "$dir/"
+        echo "$sum" >"$dir/sum"
+    fi
+    rm -f "$tar"
+}
+
+echo "building parent $(git rev-parse --short "$rev") and the change ${change:+$(git rev-parse --short "$change")} ..." >&2
+build_side parent "$rev"
+build_side change ${change:+"$change"}
+if cmp -s "$work/parent/hemelb-benchmark" "$work/change/hemelb-benchmark"; then
+    echo "the two sides' binaries are identical" >&2
+fi
+
+seconds=$(jq -r .run_seconds BENCHMARK.json)
+# bench <side> <benchmark arguments>: that side's binary, run as
+# benchmark/run.sh runs it, from $work/<side> (both paths of one length).
+bench() {
+    local side=$1
+    shift
+    (cd "$work/$side" && clean_env MALLOC_ARENA_MAX=1 ./hemelb-benchmark "$@")
+}
 for side in parent change; do bench "$side" --quick --workload "${workloads[0]}" >/dev/null; done
 
 runs=$work/runs.tsv
