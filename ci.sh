@@ -201,7 +201,10 @@ group_units() {
 # (`hemelb-geometry`'s ignored `block_voxeliser_matches_the_oracle_at_medium`),
 # and `sgmy-medium-release` the `.sgmy` writer against its block-list
 # oracle and the distributed read against the serial decode, on the
-# same Medium aneurysm (`hemelb-geometry`'s ignored `sgmy_medium_*`).
+# same Medium aneurysm (`hemelb-geometry`'s ignored `sgmy_medium_*`),
+# and `lines-release` the lockstep tracer against the serial one from
+# every fluid site of two lattice planes of the Small aneurysm, wall
+# cells included (`hemelb-insitu`'s ignored `wall_cells_*_at_small`).
 group_determinism() {
     stage determinism cargo test -q --test properties --test golden
     stage golden-release cargo test --release -q --test golden
@@ -209,6 +212,7 @@ group_determinism() {
     stage plan-medium-release cargo test --release -q -p hemelb-core --lib plan_builder -- --ignored
     stage voxel-medium-release cargo test --release -q -p hemelb-geometry --lib block_voxeliser -- --ignored
     stage sgmy-medium-release cargo test --release -q -p hemelb-geometry --lib sgmy_medium -- --ignored
+    stage lines-release cargo test --release -q -p hemelb-insitu --lib wall_cells -- --ignored
     stage obs         cargo test -q --test obs_smoke
     stage render      cargo test -q --test render_compositing
 }

@@ -11,7 +11,9 @@
 //! corners — which of them are fluid, and their velocities — and only
 //! reweights them while the particle stays; [`SampledField::velocity_at`]
 //! is a probe used once. Both give the same bits: the same corners in the
-//! same order, the same skip rule and the same arithmetic.
+//! same order, the same skip rule and the same arithmetic. A [`LaneProbe`]
+//! is [`LANES`] probes side by side for the lockstep tracer, with the
+//! same bits again.
 
 use hemelb_core::FieldSnapshot;
 use hemelb_geometry::{SparseGeometry, Vec3};
@@ -71,6 +73,22 @@ impl<'a> SampledField<'a> {
         }
     }
 
+    /// Which corners `c = 4·dx + 2·dy + dz` of `cell` are fluid (bit
+    /// `c`), and their velocities (zero at the others).
+    #[inline(never)]
+    fn corners(&self, cell: [i64; 3]) -> (u8, [[f64; 3]; 8]) {
+        let mut fluid = 0;
+        let mut u = [[0.0; 3]; 8];
+        for (c, u) in u.iter_mut().enumerate() {
+            let at = |axis: usize, bit: usize| cell[axis].saturating_add(((c >> bit) & 1) as i64);
+            if let Some(site) = self.geo.site_at(at(0, 2), at(1, 1), at(2, 0)) {
+                fluid |= 1 << c;
+                *u = self.snap.u[site as usize];
+            }
+        }
+        (fluid, u)
+    }
+
     /// Scalar range over all sites — used to calibrate transfer
     /// functions.
     pub fn scalar_range(&self, which: Scalar) -> (f64, f64) {
@@ -108,41 +126,23 @@ impl CornerProbe<'_> {
     /// [`SampledField::velocity_at`], bit for bit.
     #[inline(always)]
     pub(crate) fn velocity_at(&mut self, p: Vec3) -> Option<[f64; 3]> {
-        let w = self.weights_at(p);
-        self.velocity(&w)
-    }
-
-    /// The first half of [`CornerProbe::velocity_at`]: load the cell of
-    /// `p` if the probe holds another, and weigh its eight corners. A
-    /// tracer advancing several particles calls it for each before
-    /// calling [`CornerProbe::velocity`] for each, so that the
-    /// particles' independent arithmetic interleaves.
-    #[inline(always)]
-    pub(crate) fn weights_at(&mut self, p: Vec3) -> [f64; 8] {
         let lo = self.lo;
         let inside = |x: f64, lo: f64| lo <= x && x < lo + 1.0;
         if !(inside(p.x, lo[0]) && inside(p.y, lo[1]) && inside(p.z, lo[2])) {
-            self.load([floor_i64(p.x), floor_i64(p.y), floor_i64(p.z)]);
+            let cell = [p.x, p.y, p.z].map(floor_i64);
+            self.lo = cell.map(|c| c as f64);
+            (self.fluid, self.u) = self.field.corners(cell);
         }
-        let fx = p.x - self.lo[0];
-        let fy = p.y - self.lo[1];
-        let fz = p.z - self.lo[2];
+        let (fx, fy, fz) = (p.x - self.lo[0], p.y - self.lo[1], p.z - self.lo[2]);
         let (wx, wy, wz) = ([1.0 - fx, fx], [1.0 - fy, fy], [1.0 - fz, fz]);
         let wxy = [wx[0] * wy[0], wx[0] * wy[1], wx[1] * wy[0], wx[1] * wy[1]];
-        std::array::from_fn(|c| wxy[c >> 1] * wz[c & 1])
-    }
-
-    /// The second half of [`CornerProbe::velocity_at`]: the weighted
-    /// mean of the loaded corners under the weights `w` of
-    /// [`CornerProbe::weights_at`].
-    #[inline(always)]
-    pub(crate) fn velocity(&self, w: &[f64; 8]) -> Option<[f64; 3]> {
+        let w: [f64; 8] = std::array::from_fn(|c| wxy[c >> 1] * wz[c & 1]);
         // Inside the lumen every corner is fluid and weighs something:
         // the same sum in the same order, without a branch per corner.
         let (acc, wsum) = if self.fluid == 0xFF && w.iter().all(|&w| weighs(w)) {
-            weighted_sum(self.u.iter().zip(w))
+            weighted_sum(self.u.iter().zip(&w))
         } else {
-            self.partial_sum(w)
+            partial_sum(self.fluid, &self.u, &w)
         };
         if wsum <= 1e-12 {
             None
@@ -150,32 +150,135 @@ impl CornerProbe<'_> {
             Some([acc[0] / wsum, acc[1] / wsum, acc[2] / wsum])
         }
     }
+}
 
-    /// The sum over the fluid corners that weigh something, in corner
-    /// order: the cells at a wall.
-    #[inline(never)]
-    fn partial_sum(&self, w: &[f64; 8]) -> ([f64; 3], f64) {
-        weighted_sum(
-            (self.u.iter().zip(w).enumerate())
-                .filter(|&(c, (_, &w))| weighs(w) && self.fluid & (1 << c) != 0)
-                .map(|(_, uw)| uw),
-        )
+/// Particles a [`LaneProbe`] samples at once: two AVX2 registers per
+/// `[f64; LANES]`. Four and sixteen read slower (EXPERIMENTS E6).
+pub(crate) const LANES: usize = 8;
+
+/// One `f64` per lane.
+pub(crate) type Lanes = [f64; LANES];
+
+/// [`LANES`] [`CornerProbe`]s in structure-of-arrays form, so that each
+/// step of a query is a loop over the lanes that the compiler vectorises.
+/// Lane `l` answers what a `CornerProbe` asked at the same points would:
+/// it loads the same corners, applies the same skip rule and performs
+/// the same operations in the same order.
+pub(crate) struct LaneProbe<'a> {
+    field: SampledField<'a>,
+    /// `lo[axis][lane]`, as in [`CornerProbe`].
+    lo: [Lanes; 3],
+    /// Each lane's fluid corners, as in [`CornerProbe`].
+    fluid: [u8; LANES],
+    /// `u[corner][axis][lane]`, as in [`CornerProbe`].
+    u: [[Lanes; 3]; 8],
+}
+
+impl<'a> LaneProbe<'a> {
+    /// Probes that hold no cell yet.
+    pub(crate) fn new(field: SampledField<'a>) -> Self {
+        LaneProbe {
+            field,
+            lo: [[f64::NAN; LANES]; 3],
+            fluid: [0; LANES],
+            u: [[[0.0; LANES]; 3]; 8],
+        }
     }
 
-    /// Look up the eight corners of `cell`.
+    /// `(u, found)`, the velocity at `p[axis][lane]` of every lane `l`
+    /// with `live[l]`: where [`CornerProbe::velocity_at`] gives `Some(v)`,
+    /// `found[l]` is set and `u[axis][l]` is `v` bit for bit. Other lanes
+    /// read anything and load no cell.
+    #[inline(always)]
+    pub(crate) fn velocity_at(
+        &mut self,
+        p: &[Lanes; 3],
+        live: &[bool; LANES],
+    ) -> ([Lanes; 3], [bool; LANES]) {
+        let mut moved = [false; LANES];
+        for l in 0..LANES {
+            let mut stay = true;
+            for (p, lo) in p.iter().zip(&self.lo) {
+                stay &= (lo[l] <= p[l]) & (p[l] < lo[l] + 1.0);
+            }
+            moved[l] = live[l] & !stay;
+        }
+        if moved.contains(&true) {
+            for l in 0..LANES {
+                if moved[l] {
+                    self.load(l, [0, 1, 2].map(|a| floor_i64(p[a][l])));
+                }
+            }
+        }
+
+        let mut w = [[0.0; LANES]; 8];
+        let mut full = [true; LANES];
+        for l in 0..LANES {
+            let [fx, fy, fz] = [0, 1, 2].map(|a| p[a][l] - self.lo[a][l]);
+            let (wx, wy, wz) = ([1.0 - fx, fx], [1.0 - fy, fy], [1.0 - fz, fz]);
+            let wxy = [wx[0] * wy[0], wx[0] * wy[1], wx[1] * wy[0], wx[1] * wy[1]];
+            for (c, w) in w.iter_mut().enumerate() {
+                w[l] = wxy[c >> 1] * wz[c & 1];
+                full[l] &= weighs(w[l]);
+            }
+            full[l] &= self.fluid[l] == 0xFF;
+        }
+
+        // Every lane takes the full sum; a lane at a wall then takes
+        // the partial one in its place.
+        let mut acc = [[0.0; LANES]; 3];
+        let mut wsum = [0.0; LANES];
+        for (u, w) in self.u.iter().zip(&w) {
+            for l in 0..LANES {
+                acc[0][l] += u[0][l] * w[l];
+                acc[1][l] += u[1][l] * w[l];
+                acc[2][l] += u[2][l] * w[l];
+                wsum[l] += w[l];
+            }
+        }
+        for l in 0..LANES {
+            if live[l] && !full[l] {
+                let u = self.u.map(|u| [u[0][l], u[1][l], u[2][l]]);
+                let ([x, y, z], s) = partial_sum(self.fluid[l], &u, &w.map(|w| w[l]));
+                (acc[0][l], acc[1][l], acc[2][l], wsum[l]) = (x, y, z, s);
+            }
+        }
+
+        let mut found = [false; LANES];
+        for l in 0..LANES {
+            found[l] = wsum[l] > 1e-12 || wsum[l].is_nan();
+            for acc in &mut acc {
+                acc[l] /= wsum[l];
+            }
+        }
+        (acc, found)
+    }
+
+    /// Load the eight corners of `cell` into lane `l`.
     #[inline(never)]
-    fn load(&mut self, cell: [i64; 3]) {
-        let SampledField { geo, snap } = self.field;
-        self.lo = cell.map(|c| c as f64);
-        self.fluid = 0;
-        for (c, u) in self.u.iter_mut().enumerate() {
-            let at = |axis: usize, bit: usize| cell[axis].saturating_add(((c >> bit) & 1) as i64);
-            if let Some(site) = geo.site_at(at(0, 2), at(1, 1), at(2, 0)) {
-                self.fluid |= 1 << c;
-                *u = snap.u[site as usize];
+    fn load(&mut self, l: usize, cell: [i64; 3]) {
+        let (fluid, u) = self.field.corners(cell);
+        for (lo, c) in self.lo.iter_mut().zip(cell) {
+            lo[l] = c as f64;
+        }
+        self.fluid[l] = fluid;
+        for (lanes, u) in self.u.iter_mut().zip(u) {
+            for a in 0..3 {
+                lanes[a][l] = u[a];
             }
         }
     }
+}
+
+/// The sum over the fluid corners that weigh something, in corner
+/// order: the cells at a wall.
+#[inline(never)]
+fn partial_sum(fluid: u8, u: &[[f64; 3]; 8], w: &[f64; 8]) -> ([f64; 3], f64) {
+    weighted_sum(
+        (u.iter().zip(w).enumerate())
+            .filter(|&(c, (_, &w))| weighs(w) && fluid & (1 << c) != 0)
+            .map(|(_, uw)| uw),
+    )
 }
 
 /// Whether a corner of weight `w` joins the sum: the sampler has always

@@ -10,7 +10,7 @@
 //! per crossing; and because seeds cluster where the user looks, the
 //! work distribution is inherently unbalanced.
 
-use crate::field::{nearest_site, CornerProbe, SampledField};
+use crate::field::{nearest_site, LaneProbe, Lanes, SampledField, LANES};
 use hemelb_geometry::{SparseGeometry, Vec3};
 use hemelb_parallel::{CommError, CommResult, Communicator, Wire, WireReader, WireWriter};
 use rayon::prelude::*;
@@ -240,13 +240,6 @@ pub type LineSegment = (u32, u32, Vec<Vec3>);
 // The lockstep RK4 kernel
 // ---------------------------------------------------------------------------
 
-/// Particles the kernel advances side by side. One particle's RK4 step
-/// is a single dependency chain (weights, eight-term sums, three
-/// divisions, the next stage's position); two independent chains keep
-/// the FP units busy, and more did not pay without vectorising the probe
-/// (EXPERIMENTS E6).
-const LANES: usize = 2;
-
 /// How far one call of [`advance_lockstep`] takes each particle.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Run {
@@ -272,10 +265,10 @@ pub(crate) enum End {
     HandOff(usize),
 }
 
-/// One lane: a particle, its probe, and the vertices of its run so far
-/// in a buffer that keeps its capacity from particle to particle.
-struct Lane<'a> {
-    probe: CornerProbe<'a>,
+/// One lane: a particle and the vertices of its run so far, in a buffer
+/// that keeps its capacity from particle to particle. The RK4 stages
+/// read its position from the lane's column of the kernel's `pos`.
+struct Lane {
     /// Batch index of the particle, `None` while the lane is idle.
     slot: Option<usize>,
     part: WireParticle,
@@ -288,12 +281,12 @@ struct Lane<'a> {
 /// `keep(particle, vertices, end)` of each in batch order. The vertices
 /// start at the particle's position on entry.
 ///
-/// Each lane holds one particle; the kernel runs one RK4 stage across
-/// all lanes before the next, and refills a lane from the batch as soon
-/// as its particle ends. A particle's arithmetic is that of
-/// [`rk4_step`] after the stop tests of [`trace_streamline`] — the same
-/// operations in the same order, with no contraction into FMA — so its
-/// vertices are the serial tracer's, bit for bit, whatever lane it
+/// Each of [`LANES`] lanes holds one particle; every RK4 stage runs as
+/// loops over the lanes through one [`LaneProbe`], and a lane is refilled
+/// from the batch as soon as its particle ends. A particle's arithmetic is
+/// that of [`rk4_step`] after the stop tests of [`trace_streamline`] — the
+/// same operations in the same order, with no contraction into FMA — so
+/// its vertices are the serial tracer's, bit for bit, whatever lane it
 /// runs in and whoever shares the kernel with it.
 pub(crate) fn advance_lockstep<T>(
     field: &SampledField<'_>,
@@ -307,8 +300,9 @@ pub(crate) fn advance_lockstep<T>(
     let half = run.h / 2.0;
     let mut ended: Vec<Option<T>> = batch.iter().map(|_| None).collect();
     let mut queued = batch.iter().copied().enumerate();
+    let mut probe = LaneProbe::new(*field);
+    let mut pos: [Lanes; 3] = [[0.0; LANES]; 3];
     let mut lanes: [Lane; LANES] = std::array::from_fn(|_| Lane {
-        probe: field.probe(),
         slot: None,
         part: WireParticle {
             id: 0,
@@ -318,14 +312,15 @@ pub(crate) fn advance_lockstep<T>(
         taken: 0,
         verts: Vec::new(),
     });
-    let mut retire = |lane: &mut Lane, end: End| {
+    let mut busy = [false; LANES];
+    let mut retire = |lane: &mut Lane, busy: &mut bool, end: End| {
+        *busy = false;
         if let Some(slot) = lane.slot.take() {
             ended[slot] = Some(keep(lane.part, &lane.verts, end));
         }
     };
     loop {
-        let mut busy = [false; LANES];
-        for (lane, busy) in lanes.iter_mut().zip(&mut busy) {
+        for (l, lane) in lanes.iter_mut().enumerate() {
             if lane.slot.is_none() {
                 if let Some((slot, part)) = queued.next() {
                     lane.slot = Some(slot);
@@ -333,85 +328,65 @@ pub(crate) fn advance_lockstep<T>(
                     lane.taken = 0;
                     lane.verts.clear();
                     lane.verts.push(Vec3::from(part.pos));
+                    for (pos, x) in pos.iter_mut().zip(part.pos) {
+                        pos[l] = x;
+                    }
                 }
             }
-            *busy = lane.slot.is_some();
+            busy[l] = lane.slot.is_some();
         }
         if !busy.contains(&true) {
             break;
         }
 
-        // Stage 1: the stop tests at the vertex, and k1. Each stage
-        // weighs every lane's corners before it sums any lane's, so the
-        // lanes' arithmetic interleaves.
-        let mut w = [[0.0; 8]; LANES];
-        for l in 0..LANES {
-            let lane = &mut lanes[l];
-            if !busy[l] {
-                continue;
+        // Stage 1: the stop tests at the vertex, and k1.
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            if busy[l] && (lane.part.steps as usize >= run.max_steps || lane.taken >= run.budget) {
+                retire(lane, &mut busy[l], End::Budget);
             }
-            if lane.part.steps as usize >= run.max_steps || lane.taken >= run.budget {
-                busy[l] = false;
-                retire(lane, End::Budget);
-                continue;
-            }
-            w[l] = lane.probe.weights_at(Vec3::from(lane.part.pos));
         }
-        let mut k = [[[0.0; 3]; LANES]; 4];
+        let (k1, found) = probe.velocity_at(&pos, &busy);
+        let mut slow = [false; LANES];
         for l in 0..LANES {
-            if !busy[l] {
-                continue;
+            slow[l] = speed([k1[0][l], k1[1][l], k1[2][l]]) < run.min_speed;
+        }
+        for l in 0..LANES {
+            if busy[l] && (!found[l] || slow[l]) {
+                retire(&mut lanes[l], &mut busy[l], End::Stopped);
             }
-            // At the vertex, a particle too slow to trace on stops.
-            match lanes[l].probe.velocity(&w[l]) {
-                Some(v) if speed(v) < run.min_speed => {}
-                Some(v) => {
-                    k[0][l] = v;
-                    continue;
-                }
-                None => {}
-            }
-            busy[l] = false;
-            retire(&mut lanes[l], End::Stopped);
         }
 
         // Stages 2–4: each lane's next position from its previous stage.
+        let mut k = [k1; 4];
         for (stage, scale) in [(1, half), (2, half), (3, run.h)] {
-            for l in 0..LANES {
-                if busy[l] {
-                    let lane = &mut lanes[l];
-                    let q = Vec3::from(lane.part.pos) + Vec3::from(k[stage - 1][l]) * scale;
-                    w[l] = lane.probe.weights_at(q);
+            let mut q = pos;
+            for (q, k) in q.iter_mut().zip(&k[stage - 1]) {
+                for l in 0..LANES {
+                    q[l] += k[l] * scale;
                 }
             }
+            let found;
+            (k[stage], found) = probe.velocity_at(&q, &busy);
             for l in 0..LANES {
-                if !busy[l] {
-                    continue;
-                }
-                match lanes[l].probe.velocity(&w[l]) {
-                    Some(v) => k[stage][l] = v,
-                    None => {
-                        busy[l] = false;
-                        retire(&mut lanes[l], End::Stopped);
-                    }
+                if busy[l] && !found[l] {
+                    retire(&mut lanes[l], &mut busy[l], End::Stopped);
                 }
             }
         }
 
         // The combination, the vertex and the owner test.
         let [k1, k2, k3, k4] = k;
-        for l in 0..LANES {
-            let lane = &mut lanes[l];
+        for a in 0..3 {
+            for l in 0..LANES {
+                let d = (k1[a][l] + 2.0 * k2[a][l] + 2.0 * k3[a][l] + k4[a][l]) / 6.0;
+                pos[a][l] += d * run.h;
+            }
+        }
+        for (l, lane) in lanes.iter_mut().enumerate() {
             if !busy[l] {
                 continue;
             }
-            let (a, b, c, e) = (k1[l], k2[l], k3[l], k4[l]);
-            let d = Vec3::new(
-                (a[0] + 2.0 * b[0] + 2.0 * c[0] + e[0]) / 6.0,
-                (a[1] + 2.0 * b[1] + 2.0 * c[1] + e[1]) / 6.0,
-                (a[2] + 2.0 * b[2] + 2.0 * c[2] + e[2]) / 6.0,
-            );
-            let next = Vec3::from(lane.part.pos) + d * run.h;
+            let next = Vec3::new(pos[0][l], pos[1][l], pos[2][l]);
             lane.part.pos = next.to_array();
             lane.part.steps += 1;
             lane.taken += 1;
@@ -420,10 +395,10 @@ pub(crate) fn advance_lockstep<T>(
             match owner_of_point(geo, owner, next) {
                 // Spent here: retire now, so that the lane refills at
                 // once rather than idling through the next iteration.
-                Some(o) if o == me && spent => retire(lane, End::Budget),
+                Some(o) if o == me && spent => retire(lane, &mut busy[l], End::Budget),
                 Some(o) if o == me => {}
-                Some(o) => retire(lane, End::HandOff(o)),
-                None => retire(lane, End::Stopped),
+                Some(o) => retire(lane, &mut busy[l], End::HandOff(o)),
+                None => retire(lane, &mut busy[l], End::Stopped),
             }
         }
     }
@@ -601,6 +576,7 @@ pub fn stitch_segments(mut segments: Vec<(u32, u32, Vec<Vec3>)>, n_lines: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::particles::ParticleEnsemble;
     use hemelb_core::{FieldSnapshot, Solver, SolverConfig};
     use hemelb_geometry::VesselBuilder;
     use hemelb_parallel::run_spmd;
@@ -773,12 +749,7 @@ mod tests {
         for &p in ranks {
             let (geo2, snap2, seeds2, cfg) = (geo.clone(), snap.clone(), seeds.to_vec(), *cfg);
             let results = run_spmd(p, move |comm| {
-                let owner: Vec<usize> = (0..geo2.fluid_count() as u32)
-                    .map(|s| {
-                        (geo2.position(s)[0] as usize * comm.size() / geo2.shape()[0])
-                            .min(comm.size() - 1)
-                    })
-                    .collect();
+                let owner = slabs(&geo2, comm.size());
                 let field = SampledField::new(&geo2, &snap2);
                 trace_distributed(comm, &geo2, &field, &owner, &seeds2, &cfg).unwrap()
             });
@@ -801,6 +772,157 @@ mod tests {
             }
         }
         handoffs
+    }
+
+    /// Slabs along x, one per rank.
+    fn slabs(geo: &SparseGeometry, ranks: usize) -> Vec<usize> {
+        (0..geo.fluid_count() as u32)
+            .map(|s| (geo.position(s)[0] as usize * ranks / geo.shape()[0]).min(ranks - 1))
+            .collect()
+    }
+
+    /// Step a [`ParticleEnsemble`] seeded at `seeds` `steps` times over
+    /// slabs along x at each rank count of `ranks`, and assert that every
+    /// particle, live or finished, sits where [`UnsteadyTracer`]'s
+    /// pathline of its seed is after as many steps, by `to_bits`.
+    fn ensemble_equals_serial(
+        geo: &SparseGeometry,
+        snap: &FieldSnapshot,
+        seeds: &[Vec3],
+        h: f64,
+        steps: usize,
+        ranks: &[usize],
+    ) {
+        let field = SampledField::new(geo, snap);
+        let mut serial = UnsteadyTracer::new(seeds.to_vec(), h, false);
+        for _ in 0..steps {
+            serial.advect(&field);
+        }
+        for &p in ranks {
+            let (geo2, snap2, seeds2) = (geo.clone(), snap.clone(), seeds.to_vec());
+            let results = run_spmd(p, move |comm| {
+                let owner = slabs(&geo2, comm.size());
+                let field = SampledField::new(&geo2, &snap2);
+                let mut ens = ParticleEnsemble::new(comm, &geo2, &owner, &seeds2, h);
+                for _ in 0..steps {
+                    ens.step(&geo2, &field).unwrap();
+                }
+                (ens.local, ens.finished)
+            });
+            let mut seen = 0;
+            for (live, finished) in results {
+                seen += live.len() + finished.len();
+                for (part, is_live) in live
+                    .iter()
+                    .map(|w| (w, true))
+                    .chain(finished.iter().map(|w| (w, false)))
+                {
+                    let path = &serial.pathlines[part.id as usize];
+                    assert!(!is_live || part.steps as usize == steps, "p={p}: {part:?}");
+                    assert_eq!(
+                        part.pos.map(f64::to_bits),
+                        path[part.steps as usize].to_array().map(f64::to_bits),
+                        "p={p}, {} seeds: particle {}",
+                        seeds.len(),
+                        part.id
+                    );
+                }
+            }
+            assert_eq!(seen, seeds.len(), "p={p}: a particle went missing");
+        }
+    }
+
+    /// Every fluid site of the lattice planes `x ∈ xs`, jittered off its
+    /// lattice point by less than 0.4 of a cell on each axis, shuffled:
+    /// seeds in the lumen, whose cells have eight fluid corners, mixed
+    /// with seeds at the wall, whose cells do not.
+    fn plane_seeds(geo: &SparseGeometry, xs: &[u32]) -> Vec<Vec3> {
+        let mut h = 0x9E3779B97F4A7C15u64;
+        let mut jitter = || {
+            h = h.wrapping_mul(0x2545F4914F6CDD1D).rotate_left(23) ^ 0x5851F42D4C957F2D;
+            ((h >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 0.8
+        };
+        let mut seeds: Vec<(u64, Vec3)> = (0..geo.fluid_count() as u32)
+            .filter(|&s| xs.contains(&geo.position(s)[0]))
+            .map(|s| {
+                let key = u64::from(s)
+                    .wrapping_mul(0x9E3779B97F4A7C15)
+                    .rotate_left(29);
+                (
+                    key,
+                    geo.position_v(s) + Vec3::new(jitter(), jitter(), jitter()),
+                )
+            })
+            .collect();
+        seeds.sort_by_key(|&(key, _)| key);
+        seeds.into_iter().map(|(_, p)| p).collect()
+    }
+
+    /// Whether a corner of the cell containing `p` is not fluid.
+    fn at_wall(geo: &SparseGeometry, p: Vec3) -> bool {
+        let lo = [p.x, p.y, p.z].map(|x| x.floor() as i64);
+        (0..8).any(|c| {
+            let at = |axis: usize, bit: usize| lo[axis] + ((c >> bit) & 1);
+            geo.site_at(at(0, 2), at(1, 1), at(2, 0)).is_none()
+        })
+    }
+
+    /// Lanes at a wall take the partial sum while the lanes beside them
+    /// take the full one. Seeds at every fluid site of two lattice planes
+    /// of the developed aneurysm, jittered, go through the lockstep
+    /// kernel in batches of 0, 1, `LANES` ± 1, `2 LANES + 1` and 65 at 1,
+    /// 2 and 3 ranks: every line equals [`trace_streamline`]'s, and every
+    /// ensemble particle [`UnsteadyTracer`]'s, by `to_bits`.
+    #[test]
+    fn wall_cells_inside_a_vector_match_serial() {
+        let (geo, snap) = developed_aneurysm();
+        // Lines from x = 8 and 13 cross the slab boundaries at 2 and 3 ranks.
+        let seeds = plane_seeds(&geo, &[8, 13]);
+        let walls = seeds[..LANES].iter().filter(|&&s| at_wall(&geo, s)).count();
+        assert!(
+            0 < walls && walls < LANES,
+            "{walls} of {LANES} seeds at a wall"
+        );
+        let cfg = TraceConfig {
+            h: 3.0,
+            max_steps: 400,
+            ..TraceConfig::default()
+        };
+        for n in [0, 1, LANES - 1, LANES, LANES + 1, 2 * LANES + 1, 65] {
+            let handoffs = distributed_equals_serial(&geo, &snap, &seeds[..n], &cfg, &[1, 2, 3]);
+            if n > LANES {
+                assert!(
+                    handoffs[1] > 0 && handoffs[2] > 0,
+                    "{n} seeds: {handoffs:?}"
+                );
+            }
+            ensemble_equals_serial(&geo, &snap, &seeds[..n], cfg.h, 40, &[1, 2, 3]);
+        }
+    }
+
+    /// [`wall_cells_inside_a_vector_match_serial`] at the benchmark's
+    /// scale: every fluid site of the Small aneurysm's x = 4 and x = 30
+    /// planes (800 seeds) on the flow developed 300 steps, traced as
+    /// `insitu_lines` traces. `cargo test --release -p hemelb-insitu
+    /// --lib wall_cells -- --ignored`.
+    #[test]
+    #[ignore = "release-mode soak"]
+    fn wall_cells_inside_a_vector_match_serial_at_small() {
+        let geo = VesselBuilder::aneurysm(28.0, 4.0, 6.0).voxelise(0.5);
+        let cfg = SolverConfig::pressure_driven(1.01, 0.99).with_tau(0.8);
+        let mut solver = Solver::new(Arc::new(geo.clone()), cfg);
+        solver.step_n(300);
+        let snap = solver.snapshot();
+        let seeds = plane_seeds(&geo, &[4, 30]);
+        assert!(seeds.iter().filter(|&&s| at_wall(&geo, s)).count() > 100);
+        let cfg = TraceConfig {
+            h: 1.0,
+            max_steps: 1500,
+            min_speed: 1e-8,
+        };
+        let handoffs = distributed_equals_serial(&geo, &snap, &seeds, &cfg, &[1, 2, 3]);
+        assert!(handoffs[1] > 0 && handoffs[2] > 0, "{handoffs:?}");
+        ensemble_equals_serial(&geo, &snap, &seeds, 0.5, 50, &[1, 2, 3]);
     }
 
     /// The lockstep kernel refills a lane as soon as its line ends, so
