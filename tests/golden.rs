@@ -34,6 +34,11 @@
 //! recorded before the field sampler learned to keep a particle's cell
 //! corners between look-ups.
 //!
+//! `render_frames.txt` pins volume-rendered frames of the same developed
+//! flow: the serial full-domain render from three cameras, and k-way
+//! bricks composited by binary swap at 2 and 4 ranks. It was recorded
+//! while render rows were still split into bands across threads.
+//!
 //! `parity.txt` (and its `--ignored` Medium twin) pins the states after
 //! steps 1, 2, 3 and 7 of every operator × BC × velocity set, on the
 //! serial, threaded and distributed solvers, plus a step-3 checkpoint
@@ -48,12 +53,16 @@ use hemelb::core::collision::CollisionKind;
 use hemelb::core::solver::ModelKind;
 use hemelb::core::{DistSolver, FieldSnapshot, ParallelSolver, Solver, SolverConfig};
 use hemelb::geometry::{IoLetKind, SparseGeometry, Vec3, VesselBuilder};
+use hemelb::insitu::camera::Camera;
+use hemelb::insitu::compositing::binary_swap;
+use hemelb::insitu::field::Scalar;
 use hemelb::insitu::lic::{lic_serial, LicConfig, VelocitySlice};
 use hemelb::insitu::lines::{
     stitch_segments, trace_distributed, trace_streamline, TraceConfig, WireParticle,
 };
 use hemelb::insitu::particles::ParticleEnsemble;
-use hemelb::insitu::SampledField;
+use hemelb::insitu::volume::{render_brick_opts, render_full, Brick, RenderOptions};
+use hemelb::insitu::{SampledField, TransferFunction};
 use hemelb::obs::Fnv1a;
 use hemelb::parallel::run_spmd;
 use hemelb::partition::graph::{Connectivity, SiteGraph};
@@ -1045,6 +1054,84 @@ fn trace_lines() -> String {
 #[test]
 fn golden_trace_lines() {
     check_or_bless("trace_lines", &trace_lines());
+}
+
+fn fnv_f32s<'a>(h: &mut Fnv1a, values: impl IntoIterator<Item = &'a f32>) {
+    values
+        .into_iter()
+        .for_each(|c| h.u64(u64::from(c.to_bits())));
+}
+
+/// Volume-rendered frames of the developed aneurysm, pinned bit for bit:
+/// the serial full-domain render from three cameras (image and depth),
+/// and the k-way-bricked render composited by binary swap at 2 and 4
+/// ranks (each rank's partial image and depth, the composite, and the
+/// summed march counters).
+fn render_frames() -> String {
+    let (geo, snap) = developed_aneurysm();
+    let snap = Arc::new(snap);
+    let s = geo.shape();
+    let (lo, hi) = (Vec3::ZERO, Vec3::new(s[0] as f64, s[1] as f64, s[2] as f64));
+    let tf = TransferFunction::heat(0.0, snap.max_speed().max(1e-9));
+    let mut out = String::new();
+
+    let views = [
+        Vec3::new(0.0, -1.0, 0.3),
+        Vec3::new(1.0, 0.2, -0.4),
+        Vec3::new(-0.3, 0.5, 1.0),
+    ];
+    for (v, view) in views.into_iter().enumerate() {
+        let cam = Camera::framing(lo, hi, view, 64, 48);
+        let frame = render_full(&geo, &snap, Scalar::Speed, &cam, &tf, 0.5);
+        let (mut h, mut d) = (Fnv1a::new(), Fnv1a::new());
+        fnv_f32s(&mut h, frame.image.pixels.iter().flatten());
+        fnv_f32s(&mut d, &frame.depth);
+        out.push_str(&format!(
+            "full view={v} coverage={:.6} image={:016x} depth={:016x}\n",
+            frame.image.coverage(),
+            h.finish(),
+            d.finish()
+        ));
+    }
+
+    let graph = SiteGraph::from_geometry(&geo, Connectivity::D3Q15);
+    let cam = Camera::framing(lo, hi, views[0], 64, 48);
+    for p in [2usize, 4] {
+        let owner = Arc::new(MultilevelKWay.partition(&graph, p));
+        let (g, sn, c, t) = (geo.clone(), snap.clone(), cam, tf.clone());
+        let results = run_spmd(p, move |comm| {
+            let me = comm.rank();
+            let mine: Vec<u32> = (0..g.fluid_count() as u32)
+                .filter(|&site| owner[site as usize] == me)
+                .collect();
+            let brick = Brick::from_sites(&g, &sn, Scalar::Speed, &mine).expect("rank owns sites");
+            let (partial, stats) =
+                render_brick_opts(&brick, &c, &t, 0.5, &RenderOptions::default());
+            let image = binary_swap(comm, partial.clone()).unwrap();
+            (partial, stats, image)
+        });
+        let (mut h, mut shaded, mut skipped) = (Fnv1a::new(), 0, 0);
+        for (partial, stats, _) in &results {
+            fnv_f32s(&mut h, partial.image.pixels.iter().flatten());
+            fnv_f32s(&mut h, &partial.depth);
+            shaded += stats.samples_shaded;
+            skipped += stats.samples_skipped;
+        }
+        let image = results[0].2.as_ref().expect("rank 0 gathers the frame");
+        let mut g = Fnv1a::new();
+        fnv_f32s(&mut g, image.pixels.iter().flatten());
+        out.push_str(&format!(
+            "binary_swap p={p} shaded={shaded} skipped={skipped} partials={:016x} image={:016x}\n",
+            h.finish(),
+            g.finish()
+        ));
+    }
+    out
+}
+
+#[test]
+fn golden_render_frames() {
+    check_or_bless("render_frames", &render_frames());
 }
 
 /// Long soak: 500 steps at 8 threads must stay bit-identical to serial.
