@@ -9,7 +9,9 @@
 //!
 //! The distributed stepper is bit-for-bit identical to the serial
 //! [`Solver`](crate::Solver) (asserted in tests): both perform the same
-//! per-site arithmetic; only the storage and transport differ.
+//! per-site arithmetic; only the storage and transport differ. A rank is
+//! one thread, as an MPI rank is one core in HemeLB: its sweeps and
+//! snapshots run the serial solver's loops on the rank's own thread.
 //!
 //! ## Storage order and the step schedule
 //!
@@ -511,22 +513,20 @@ impl<'a> DistSolver<'a> {
     /// or ghost slots, which phase 3 never touches; and the unpack in
     /// phase 4 writes only slots no sweep of the step reads.
     ///
-    /// Both sweeps run through the lattice drivers in [`crate::kernel`]:
-    /// inside a rayon pool (the runner's threads-per-rank knob) the site
-    /// loops split across worker threads, and with one thread they
-    /// degenerate to the exact serial loops — bit-identical either way.
+    /// Both sweeps run through the lattice drivers in [`crate::kernel`]
+    /// on the rank's own thread: a rank is one thread, and its site loops
+    /// are the serial solver's.
     pub fn step(&mut self) -> CommResult<()> {
         // The LB step drives the fault clock: a `FaultPlan` keyed by
         // step sees the simulation's notion of time (no-op without an
         // active plan).
         self.comm.set_fault_step(self.lat.step);
-        let threads = rayon::current_num_threads();
         let n = self.locals.len();
         let split = self.partition.frontier_count();
 
         // (1) Frontier first.
         let span = self.comm.with_obs(|o| o.begin());
-        self.lat.advance(0..split, threads);
+        self.lat.advance(0..split, 1);
         self.comm.with_obs(|o| span.end(o, "lb.collide-frontier"));
 
         // (2) Pack and post all sends; messages are now in flight.
@@ -539,7 +539,7 @@ impl<'a> DistSolver<'a> {
         // how much latency-hiding work this rank had available.
         let overlap_span = self.comm.with_obs(|o| o.begin());
         let span = self.comm.with_obs(|o| o.begin());
-        self.lat.advance(split..n, threads);
+        self.lat.advance(split..n, 1);
         self.comm.with_obs(|o| span.end(o, "lb.collide"));
         let compute_secs = self
             .comm
@@ -667,7 +667,7 @@ impl<'a> DistSolver<'a> {
     /// [`DistSolver::local_sites`]).
     pub fn local_snapshot(&self) -> FieldSnapshot {
         let span = self.comm.with_obs(|o| o.begin());
-        let snap = self.lat.snapshot(rayon::current_num_threads());
+        let snap = self.lat.snapshot(1);
         self.comm.with_obs(|o| span.end(o, "lb.macroscopics"));
         snap
     }
@@ -786,45 +786,6 @@ mod tests {
             for s in 0..reference.rho.len() {
                 assert_eq!(gathered.rho[s], reference.rho[s], "rho at site {s}, p={p}");
                 assert_eq!(gathered.u[s], reference.u[s], "u at site {s}, p={p}");
-            }
-        }
-    }
-
-    #[test]
-    fn distributed_with_threads_per_rank_equals_serial_bitwise() {
-        // Hybrid decomposition: ranks × on-rank rayon workers. The
-        // chunked kernels keep every (p, t) combination bit-identical
-        // to the serial solver.
-        use hemelb_parallel::{run_spmd_opts, SpmdOptions};
-        let geo = demo_geo();
-        let cfg = SolverConfig::pressure_driven(1.01, 0.99);
-        let mut serial = Solver::new(geo.clone(), cfg.clone());
-        serial.step_n(20);
-        let reference = serial.snapshot();
-
-        for (p, t) in [(1, 4), (2, 2), (3, 3)] {
-            let geo2 = geo.clone();
-            let cfg2 = cfg.clone();
-            let out = run_spmd_opts(
-                p,
-                SpmdOptions {
-                    threads_per_rank: t,
-                    ..Default::default()
-                },
-                move |comm| {
-                    let owner = even_owner(geo2.fluid_count(), comm.size());
-                    let mut ds = DistSolver::new(geo2.clone(), owner, cfg2.clone(), comm).unwrap();
-                    ds.step_n(20).unwrap();
-                    ds.gather_snapshot().unwrap()
-                },
-            );
-            let gathered = out.results[0].as_ref().expect("root gathers");
-            for s in 0..reference.rho.len() {
-                assert_eq!(
-                    gathered.rho[s], reference.rho[s],
-                    "rho at {s}, p={p}, t={t}"
-                );
-                assert_eq!(gathered.u[s], reference.u[s], "u at {s}, p={p}, t={t}");
             }
         }
     }

@@ -1,12 +1,10 @@
 //! Macroscopic field snapshots — the data the in situ pipeline consumes.
 //!
-//! The whole-snapshot reductions here run through rayon's parallel
-//! iterators, which evaluate items concurrently but fold **in index
-//! order** — so every method returns the same bits at any thread count,
-//! matching the solver kernels' determinism contract.
+//! The whole-snapshot reductions here fold serially **in index order**
+//! on the caller's thread and allocate nothing, so a snapshot's mass or
+//! mean speed is one value whatever the rank count that produced it.
 
 use hemelb_geometry::{SiteKind, SparseGeometry};
-use rayon::prelude::*;
 
 /// Macroscopic fields over the fluid sites at one time step, indexed by
 /// fluid-site id.
@@ -36,7 +34,7 @@ impl FieldSnapshot {
 
     /// Total mass `Σ ρ`.
     pub fn mass(&self) -> f64 {
-        self.rho.par_iter().map(|&r| r).sum()
+        self.rho.iter().sum()
     }
 
     /// Speed `|u|` at a site.
@@ -48,11 +46,7 @@ impl FieldSnapshot {
 
     /// Maximum speed over all sites (0 if empty).
     pub fn max_speed(&self) -> f64 {
-        (0..self.len())
-            .into_par_iter()
-            .map(|i| self.speed(i))
-            .reduce_with(f64::max)
-            .map_or(0.0, |m| f64::max(0.0, m))
+        (0..self.len()).map(|i| self.speed(i)).fold(0.0, f64::max)
     }
 
     /// Mean speed over all sites (0 if empty).
@@ -60,7 +54,7 @@ impl FieldSnapshot {
         if self.is_empty() {
             0.0
         } else {
-            let total: f64 = (0..self.len()).into_par_iter().map(|i| self.speed(i)).sum();
+            let total: f64 = (0..self.len()).map(|i| self.speed(i)).sum();
             total / self.len() as f64
         }
     }
@@ -77,7 +71,6 @@ impl FieldSnapshot {
             return 0.0;
         }
         let sum: f64 = (0..self.len())
-            .into_par_iter()
             .map(|i| {
                 let a = self.u[i];
                 let b = other.u[i];
@@ -92,7 +85,6 @@ impl FieldSnapshot {
     /// viscosity.
     pub fn wall_shear_stress(&self, geo: &SparseGeometry, nu: f64) -> Vec<f64> {
         (0..self.len())
-            .into_par_iter()
             .map(|i| {
                 if geo.kind(i as u32) == SiteKind::Wall {
                     self.rho[i] * nu * self.shear[i]

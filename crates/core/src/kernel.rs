@@ -2,8 +2,11 @@
 //! [`SoaLattice`] and the thread-parallel solver.
 //!
 //! The serial [`Solver`], the [`ParallelSolver`] here and the distributed
-//! solver all step through the drivers below; they differ only in the
-//! site range and the thread count they pass. Both steps of an AA pair
+//! solver all step through the drivers below. The serial solver and a
+//! distributed rank pass one thread (a rank is one thread) and differ
+//! only in the site range; [`ParallelSolver`] is the one caller that
+//! passes more, and its workers are `std::thread::scope` threads spawned
+//! per call, one per chunk or share. Both steps of an AA pair
 //! (see [`crate::layout`]) are race-free **and** bit-exact on threads
 //! by construction, with no atomics, no reductions and no operation
 //! reordering:
@@ -102,10 +105,10 @@ where
         return;
     }
     let run = &run;
-    rayon::scope(|sc| {
+    std::thread::scope(|sc| {
         for first in range.clone().step_by(chunk) {
             let part = state.carve(chunk.min(range.end - first));
-            sc.spawn(move |_| run(first, part));
+            sc.spawn(move || run(first, part));
         }
     });
 }
@@ -207,11 +210,11 @@ impl SoaLattice {
         if shares.count > 1 {
             let (span, rules) = iolets.span_mut(range.clone(), model, cfg, *step);
             let mut state = (lane_spans(f, range.clone()), span);
-            rayon::scope(|sc| {
+            std::thread::scope(|sc| {
                 for w in 0..shares.count {
                     let own = shares.share(w);
                     let (mut lanes, span) = state.carve(own.len());
-                    sc.spawn(move |_| {
+                    sc.spawn(move || {
                         let inside = |block: &Range<usize>| plan.block_within(block, &own);
                         pull_push_blocks(
                             model,

@@ -11,7 +11,6 @@
 use crate::field::{floor_i64, SampledField};
 use hemelb_geometry::Vec3;
 use hemelb_parallel::{CommError, CommResult, Communicator, Tag, WireReader, WireWriter};
-use rayon::prelude::*;
 use std::ops::Range;
 
 const T_HALO: Tag = Tag::vis(20);
@@ -158,19 +157,17 @@ fn lic_pixel(slice: &VelocitySlice, px: usize, py: usize, cfg: &LicConfig) -> Op
     Some(sum / count)
 }
 
-/// Serial-equivalent LIC over the whole slice, convolving pixel columns
-/// in parallel (each worker owns a disjoint run of `ny`-sized rows, so
-/// the output is identical to the sequential loop). `None` pixels
-/// (solid) become NaN.
+/// LIC over the whole slice on the calling thread, one `ny`-long pixel
+/// column at a time. `None` pixels (solid) become NaN.
 pub fn lic_serial(slice: &VelocitySlice, cfg: &LicConfig) -> Vec<f32> {
     let mut out = vec![f32::NAN; slice.nx * slice.ny];
-    out.par_chunks_mut(slice.ny).enumerate_for_each(|x, row| {
+    for (x, row) in out.chunks_mut(slice.ny).enumerate() {
         for (y, slot) in row.iter_mut().enumerate() {
             if let Some(v) = lic_pixel(slice, x, y, cfg) {
                 *slot = v;
             }
         }
-    });
+    }
     out
 }
 
@@ -262,21 +259,16 @@ pub fn lic_distributed(
         }
     }
 
-    // Convolve the owned slab, x-columns in parallel.
+    // Convolve the owned slab, one x-column at a time.
     let mut local = vec![f32::NAN; mine.len() * slice.ny];
-    let working_ref = &working;
-    let slab_start = mine.start;
-    local.par_chunks_mut(slice.ny).enumerate_for_each(|i, row| {
-        let x = slab_start + i;
+    for (x, row) in mine.clone().zip(local.chunks_mut(slice.ny)) {
         for (y, slot) in row.iter_mut().enumerate() {
-            if let Some(v) = lic_pixel(working_ref, x, y, cfg) {
+            if let Some(v) = lic_pixel(&working, x, y, cfg) {
                 *slot = v;
+                stats.pixels += 1;
             }
         }
-    });
-    // `lic_pixel` never yields NaN (its kernel average has count ≥ 1),
-    // so the convolved-pixel count survives the parallel rewrite.
-    stats.pixels = local.iter().filter(|v| !v.is_nan()).count() as u64;
+    }
 
     // Gather slabs at rank 0.
     let mut w = WireWriter::with_capacity(16 + local.len() * 4);

@@ -9,11 +9,14 @@
 //! mid-line and the particle must be **handed off**, paying a message
 //! per crossing; and because seeds cluster where the user looks, the
 //! work distribution is inherently unbalanced.
+//!
+//! A rank traces its whole hand-off batch on its own thread, eight
+//! particles at a time through one lane-batched probe; the only
+//! parallelism is across ranks.
 
 use crate::field::{nearest_site, LaneProbe, Lanes, SampledField, LANES};
 use hemelb_geometry::{SparseGeometry, Vec3};
 use hemelb_parallel::{CommError, CommResult, Communicator, Wire, WireReader, WireWriter};
-use rayon::prelude::*;
 
 /// Integration parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -408,11 +411,6 @@ pub(crate) fn advance_lockstep<T>(
         .collect()
 }
 
-/// Particles of a hand-off batch that one parallel task traces. Fixed,
-/// so the split, and with it every segment's order, does not depend on
-/// the thread count.
-const TRACE_CHUNK: usize = 64;
-
 /// Distributed steady streamline tracing with particle hand-off.
 /// Collective; every rank passes the full seed list. Returns this rank's
 /// recorded segments `(line id, step-of-first-vertex, vertices)` and its
@@ -451,23 +449,14 @@ pub fn trace_distributed(
     };
     loop {
         // Advance every queued particle until it finishes or leaves my
-        // subdomain. Particles are independent, so fixed chunks of the
-        // batch run in parallel, each through the lockstep kernel; the
-        // collect keeps batch order, and so the serial merge below keeps
-        // segments and outgoing queues in batch order whatever the lanes
-        // and threads.
+        // subdomain, through the lockstep kernel. It returns the batch
+        // in batch order, so the merge below keeps segments and outgoing
+        // queues in batch order whatever the lanes.
         let mut outgoing: Vec<Vec<WireParticle>> = vec![Vec::new(); comm.size()];
         let batch: Vec<WireParticle> = std::mem::take(&mut queue);
-        let ended = batch
-            .par_chunks(TRACE_CHUNK)
-            .map(|chunk| {
-                advance_lockstep(field, geo, owner, me, chunk, &run, |part, verts, end| {
-                    (part, verts.to_vec(), end)
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .flatten();
+        let ended = advance_lockstep(field, geo, owner, me, &batch, &run, |part, verts, end| {
+            (part, verts.to_vec(), end)
+        });
         for (start, (part, verts, end)) in batch.iter().zip(ended) {
             stats.steps_computed += (part.steps - start.steps) as u64;
             if let End::HandOff(o) = end {
@@ -928,8 +917,7 @@ mod tests {
     /// The lockstep kernel refills a lane as soon as its line ends, so
     /// lines that end at different steps, for every reason a line ends,
     /// share lanes in every pattern: batches of 0, 1, `LANES` ± 1,
-    /// `2 LANES + 1` seeds and one past a chunk boundary, at 1, 2 and 3
-    /// ranks. Every line equals the serial tracer's by `to_bits`.
+    /// `2 LANES + 1` and 65 seeds, at 1, 2 and 3 ranks. Every line equals the serial tracer's by `to_bits`.
     #[test]
     fn lockstep_trace_matches_serial_for_every_batch_shape() {
         let (geo, mut snap) = developed_aneurysm();
@@ -951,7 +939,7 @@ mod tests {
         // Rakes across the lumen at several distances from the still
         // fluid, overshooting it into the wall and beyond, and a few
         // seeds inside the still fluid.
-        let pool: Vec<Vec3> = (0..TRACE_CHUNK + 8)
+        let pool: Vec<Vec3> = (0..72)
             .map(|i| {
                 let x = 2.3 + (i % 6) as f64 * 0.2 * still_x;
                 Vec3::new(x, axis.y + ((i * 7) % 23) as f64 * 0.4 - 4.4, axis.z + 0.2)
@@ -1010,15 +998,7 @@ mod tests {
             .collect();
         assert!(lens[..4].windows(2).all(|w| w[0] != w[1]), "{lens:?}");
 
-        for n in [
-            0,
-            1,
-            LANES - 1,
-            LANES,
-            LANES + 1,
-            2 * LANES + 1,
-            TRACE_CHUNK + 1,
-        ] {
+        for n in [0, 1, LANES - 1, LANES, LANES + 1, 2 * LANES + 1, 65] {
             let handoffs = distributed_equals_serial(&geo, &snap, &dealt[..n], &cfg, &[1, 2, 3]);
             if n > LANES {
                 assert!(

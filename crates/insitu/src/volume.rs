@@ -5,8 +5,9 @@
 //! Each rank builds a dense *brick* over the bounding box of its own
 //! sites, casts the camera rays that can reach that brick (those inside
 //! its box's projected pixel rectangle) through it with front-to-back
-//! compositing (no communication), and the partial images meet only in
-//! the sort-last compositing stage ([`crate::compositing`]).
+//! compositing (no communication, on the rank's one thread), and the
+//! partial images meet only in the sort-last compositing stage
+//! ([`crate::compositing`]).
 //!
 //! # Empty-space skipping
 //!
@@ -426,13 +427,6 @@ impl RenderStats {
     pub fn samples_total(&self) -> u64 {
         self.samples_shaded + self.samples_skipped
     }
-
-    fn absorb(&mut self, o: &RenderStats) {
-        self.rays += o.rays;
-        self.samples_shaded += o.samples_shaded;
-        self.samples_skipped += o.samples_skipped;
-        self.jumps += o.jumps;
-    }
 }
 
 /// March one ray through the brick. Sample positions follow the index
@@ -508,10 +502,9 @@ pub fn render_brick(brick: &Brick, cam: &Camera, tf: &TransferFunction, step: f6
 /// Only the pixels inside the brick box's projected rectangle
 /// ([`RayGenerator::box_pixel_bounds`]) generate a ray; the rest keep the
 /// `([0; 4], ∞)` of [`PartialImage::new`], which is what a ray that
-/// misses the box yields. The covered rows are split into contiguous
-/// bands, one per worker; each band writes its pixels and depths
-/// straight into the output's disjoint sub-slices (no per-row
-/// allocation, no copy-back pass).
+/// misses the box yields. The rays run on the calling thread (a rank is
+/// one thread), and write straight into the output: the only
+/// allocations are the output's buffers and the skip mask.
 ///
 /// [`RayGenerator::box_pixel_bounds`]: crate::camera::RayGenerator::box_pixel_bounds
 pub fn render_brick_opts(
@@ -533,54 +526,24 @@ pub fn render_brick_opts(
     let gen = cam.ray_generator();
     let (cols, rows) = gen.box_pixel_bounds(blo, bhi);
 
-    let n_bands = rayon::current_num_threads().clamp(1, rows.len().max(1));
-    let rows_per = rows.len().div_ceil(n_bands);
-    let mut band_stats = vec![RenderStats::default(); n_bands];
-
-    rayon::scope(|s| {
-        let first = rows.start as usize * width;
-        let mut px_rest = &mut out.image.pixels[first..];
-        let mut dp_rest = &mut out.depth[first..];
-        let mut st_rest = band_stats.as_mut_slice();
-        let skippable = skippable.as_deref();
-        let (gen, cols) = (&gen, &cols);
-        let mut y0 = rows.start as usize;
-        let y_end = rows.end as usize;
-        while y0 < y_end {
-            let n_rows = rows_per.min(y_end - y0);
-            let (px_band, px_tail) = { px_rest }.split_at_mut(n_rows * width);
-            let (dp_band, dp_tail) = { dp_rest }.split_at_mut(n_rows * width);
-            let (st_band, st_tail) = { st_rest }.split_at_mut(1);
-            px_rest = px_tail;
-            dp_rest = dp_tail;
-            st_rest = st_tail;
-            s.spawn(move |_| {
-                let st = &mut st_band[0];
-                for r in 0..n_rows {
-                    let py = (y0 + r) as u32;
-                    for px in cols.clone() {
-                        let (origin, dir) = gen.ray(px, py);
-                        if let Some((t0, t1)) = ray_box(origin, dir, blo, bhi) {
-                            let t_start = t0.max(0.0) + step * 0.5;
-                            let idx = r * width + px as usize;
-                            (px_band[idx], dp_band[idx]) =
-                                march(brick, tf, skippable, origin, dir, t_start, t1, step, st);
-                        }
-                    }
-                }
-            });
-            y0 += n_rows;
-        }
-    });
-
     // One ray per image pixel, generated or not: the counter keeps
     // meaning "pixels of the frame".
     let mut stats = RenderStats {
         rays: cam.width as u64 * cam.height as u64,
         ..RenderStats::default()
     };
-    for b in &band_stats {
-        stats.absorb(b);
+    let skippable = skippable.as_deref();
+    for py in rows {
+        for px in cols.clone() {
+            let (origin, dir) = gen.ray(px, py);
+            if let Some((t0, t1)) = ray_box(origin, dir, blo, bhi) {
+                let t_start = t0.max(0.0) + step * 0.5;
+                let idx = py as usize * width + px as usize;
+                (out.image.pixels[idx], out.depth[idx]) = march(
+                    brick, tf, skippable, origin, dir, t_start, t1, step, &mut stats,
+                );
+            }
+        }
     }
     (out, stats)
 }

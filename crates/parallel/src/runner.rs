@@ -1,4 +1,9 @@
 //! SPMD execution: run the same closure on `P` rank-threads.
+//!
+//! A rank is one OS thread, as an MPI rank is one core in HemeLB: no
+//! pool or second threading level is installed inside it, so whatever a
+//! rank closure computes runs serially on that thread, and parallelism
+//! comes from the rank count alone.
 
 use crate::comm::{Communicator, World};
 use crate::fault::{install_quiet_panic_hook, FaultPlan, FaultSession, WorldAborted};
@@ -47,19 +52,9 @@ where
     run_spmd_with_stats(size, f).results
 }
 
-/// Hybrid-execution options for an SPMD run.
-///
-/// The paper's co-design target is MPI ranks × on-node threads; here the
-/// analogue is rank-threads × a rayon pool per rank. With
-/// `threads_per_rank > 1` every rank closure runs inside its own rayon
-/// pool, so the chunk-parallel step kernels in `hemelb-core` split each
-/// rank's site loop across that many workers. Results are bit-identical
-/// at any setting (each site writes only its own slots, on disjoint
-/// shares), so the knob trades nothing but scheduling.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Options for an SPMD run.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpmdOptions {
-    /// Rayon worker threads installed for each rank closure (≥ 1).
-    pub threads_per_rank: usize,
     /// Deterministic fault schedule applied to every communicator in
     /// the world; `None` (the default) costs one branch per operation.
     ///
@@ -72,21 +67,11 @@ pub struct SpmdOptions {
     pub fault_plan: Option<Arc<FaultPlan>>,
 }
 
-impl Default for SpmdOptions {
-    fn default() -> Self {
-        SpmdOptions {
-            threads_per_rank: 1,
-            fault_plan: None,
-        }
-    }
-}
-
 impl SpmdOptions {
-    /// Options running `plan` on single-threaded ranks.
+    /// Options running `plan`.
     pub fn with_faults(plan: FaultPlan) -> Self {
         SpmdOptions {
             fault_plan: Some(Arc::new(plan)),
-            ..Default::default()
         }
     }
 }
@@ -101,8 +86,7 @@ where
     run_spmd_opts(size, SpmdOptions::default(), f)
 }
 
-/// Run `f` on `size` ranks with explicit [`SpmdOptions`]; each rank
-/// closure executes inside a rayon pool of `threads_per_rank` workers.
+/// Run `f` on `size` ranks with explicit [`SpmdOptions`].
 ///
 /// With a [`FaultPlan`](crate::fault::FaultPlan) containing `KillRank`
 /// events, a fired kill aborts the whole attempt and the world is
@@ -115,12 +99,11 @@ where
     T: Send,
     F: Fn(&Communicator) -> T + Send + Sync,
 {
-    let threads = opts.threads_per_rank.max(1);
     // A dying rank's peers unwind with `WorldAborted`, and injected
     // deaths are scheduled, not bugs: keep both off stderr.
     install_quiet_panic_hook();
     let Some(plan) = opts.fault_plan else {
-        return run_world(size, threads, None, &f).unwrap_or_else(|_| {
+        return run_world(size, None, &f).unwrap_or_else(|_| {
             unreachable!("attempts abort only under kill faults");
         });
     };
@@ -129,7 +112,7 @@ where
     let mut restarts = 0usize;
     loop {
         let session = Arc::new(FaultSession::new((*plan).clone(), size, consumed.clone()));
-        match run_world(size, threads, Some(Arc::clone(&session)), &f) {
+        match run_world(size, Some(Arc::clone(&session)), &f) {
             Ok(mut out) => {
                 if restarts > 0 {
                     // The killed attempts' per-rank reports died with
@@ -169,7 +152,6 @@ where
 /// peers it woke are collateral).
 fn run_world<T, F>(
     size: usize,
-    threads: usize,
     session: Option<Arc<FaultSession>>,
     f: &F,
 ) -> Result<SpmdOutput<T>, ()>
@@ -185,11 +167,7 @@ where
             .into_iter()
             .map(|comm| {
                 scope.spawn(move || {
-                    let pool = rayon::ThreadPoolBuilder::new()
-                        .num_threads(threads)
-                        .build()
-                        .expect("rank thread pool");
-                    let result = pool.install(|| f(&comm));
+                    let result = f(&comm);
                     let stats = comm.stats();
                     let obs = comm.obs_report();
                     (result, stats, obs)
@@ -247,22 +225,6 @@ mod tests {
     fn results_are_indexed_by_rank() {
         let results = run_spmd(6, |comm| comm.rank() * comm.rank());
         assert_eq!(results, vec![0, 1, 4, 9, 16, 25]);
-    }
-
-    #[test]
-    fn threads_per_rank_installs_a_pool() {
-        let out = run_spmd_opts(
-            2,
-            SpmdOptions {
-                threads_per_rank: 3,
-                ..Default::default()
-            },
-            |_| rayon::current_num_threads(),
-        );
-        assert_eq!(out.results, vec![3, 3]);
-        // Default options keep the historical single-thread behaviour.
-        let out = run_spmd_with_stats(2, |_| rayon::current_num_threads());
-        assert_eq!(out.results, vec![1, 1]);
     }
 
     #[test]

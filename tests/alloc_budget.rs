@@ -9,6 +9,10 @@
 //! pair — and a serial step, whatever the collision operator and the
 //! step's parity, only for its one lane bundle.
 //!
+//! In situ work inside a rank runs on the rank's one thread: a brick's
+//! render asks only for its partial image and its skip mask, and a
+//! snapshot's reductions ask for nothing.
+//!
 //! Set-up has a byte budget: building a solver asks for its lanes and
 //! its streaming plan, not for a `q × n` table of the links besides.
 //!
@@ -24,11 +28,15 @@
 //! apart and the test harness's own threads never disturb a figure.
 
 use hemelb::core::collision::CollisionKind;
-use hemelb::core::{DistSolver, Solver, SolverConfig};
+use hemelb::core::{DistSolver, FieldSnapshot, Solver, SolverConfig};
 use hemelb::geometry::format::{
     assemble, read_block_sites, read_header, read_sgmy, write_sgmy, SgmyHeader,
 };
-use hemelb::geometry::{SparseGeometry, VesselBuilder};
+use hemelb::geometry::{SparseGeometry, Vec3, VesselBuilder};
+use hemelb::insitu::camera::Camera;
+use hemelb::insitu::field::Scalar;
+use hemelb::insitu::volume::{render_brick_opts, Brick, RenderOptions};
+use hemelb::insitu::TransferFunction;
 use hemelb::octree::FieldOctree;
 use hemelb::parallel::wire::{Wire, WireReader, WireWriter};
 use hemelb::parallel::{run_spmd, CommResult};
@@ -243,6 +251,71 @@ fn serial_trt_and_mrt_steps_allocate_only_their_lane_bundle() {
     ] {
         assert_eq!(serial_step_allocations(collision, 0.5), 1, "{collision:?}");
     }
+}
+
+/// A developed snapshot of the Small aneurysm.
+fn developed_small() -> (Arc<SparseGeometry>, Arc<FieldSnapshot>) {
+    let geo = aneurysm(0.5);
+    let mut solver = Solver::new(geo.clone(), SolverConfig::pressure_driven(1.01, 0.99));
+    solver.step_n(20);
+    (geo, Arc::new(solver.snapshot()))
+}
+
+/// A rank's render of its k-way brick (2 ranks, Small) asks for the
+/// partial image's pixels and depths and the brick's skip mask, and for
+/// nothing per row, band or pixel.
+#[test]
+fn in_rank_render_allocates_its_image_and_skip_mask_only() {
+    let (geo, snap) = developed_small();
+    let graph = SiteGraph::from_geometry(&geo, Connectivity::D3Q15);
+    let owner = MultilevelKWay.partition(&graph, 2);
+    let s = geo.shape();
+    let cam = Camera::framing(
+        Vec3::ZERO,
+        Vec3::new(s[0] as f64, s[1] as f64, s[2] as f64),
+        Vec3::new(0.0, -1.0, 0.3),
+        96,
+        72,
+    );
+    let tf = TransferFunction::heat(0.0, snap.max_speed());
+    let counts = run_spmd(2, move |comm| {
+        let mine: Vec<u32> = (0..geo.fluid_count() as u32)
+            .filter(|&site| owner[site as usize] == comm.rank())
+            .collect();
+        let brick = Brick::from_sites(&geo, &snap, Scalar::Speed, &mine).unwrap();
+        let before = allocations();
+        let (_, stats) = render_brick_opts(&brick, &cam, &tf, 0.5, &RenderOptions::default());
+        (allocations() - before, stats.samples_shaded)
+    });
+    for (rank, (count, shaded)) in counts.into_iter().enumerate() {
+        assert!(shaded > 0, "rank {rank} rendered nothing");
+        assert_eq!(count, 3, "rank {rank}: render_brick_opts allocations");
+    }
+}
+
+/// The whole-snapshot reductions fold in place on a rank's thread.
+#[test]
+fn snapshot_reductions_allocate_nothing() {
+    let (_, snap) = developed_small();
+    let counts = run_spmd(1, move |_| {
+        let mut prev = (*snap).clone();
+        prev.u.iter_mut().for_each(|u| u[0] *= 0.5);
+        let count = |f: &dyn Fn() -> f64| {
+            let before = allocations();
+            assert!(f() > 0.0);
+            allocations() - before
+        };
+        [
+            count(&|| snap.mass()),
+            count(&|| snap.mean_speed()),
+            count(&|| snap.max_speed()),
+            count(&|| snap.velocity_rms_change(&prev)),
+        ]
+    });
+    assert_eq!(
+        counts[0], [0; 4],
+        "mass, mean_speed, max_speed, velocity_rms_change"
+    );
 }
 
 /// The largest block `f` asks the allocator for on this thread, next to

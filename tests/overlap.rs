@@ -3,7 +3,7 @@
 //! in-flight messages → arrival-order drain → frontier stream) must be
 //! **bit-identical** to the serial solver, over random geometries
 //! × collision operators × boundary-condition families × owner maps
-//! from slabs to per-site scatter × threads per rank, with the storage
+//! from slabs to per-site scatter × rank counts, with the storage
 //! order the schedule relies on checked against an independent
 //! geometry query, and the overlap accounting in `CommStats` must
 //! engage exactly when there is interior work to hide the exchange
@@ -14,7 +14,8 @@ mod common;
 use hemelb::core::{DistSolver, Solver, SolverConfig};
 use hemelb::geometry::{SparseGeometry, VesselBuilder};
 use hemelb::parallel::{
-    run_spmd_opts, run_spmd_with_stats, FaultEvent, FaultKind, FaultPlan, SpmdOptions, TagClass,
+    run_spmd, run_spmd_opts, run_spmd_with_stats, FaultEvent, FaultKind, FaultPlan, SpmdOptions,
+    TagClass,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -80,15 +81,10 @@ fn run_dist(
     cfg: &SolverConfig,
     owner: &[usize],
     ranks: usize,
-    threads_per_rank: usize,
     steps: u64,
 ) -> (Vec<RankOut>, (u64, u64, u64)) {
     let (geo2, cfg2, owner2) = (geo.clone(), cfg.clone(), owner.to_vec());
-    let opts = SpmdOptions {
-        threads_per_rank,
-        ..Default::default()
-    };
-    let results = run_spmd_opts(ranks, opts, move |comm| {
+    let results = run_spmd(ranks, move |comm| {
         let mut ds = DistSolver::new(geo2.clone(), owner2.clone(), cfg2.clone(), comm).unwrap();
         ds.step_n(steps).unwrap();
         let out = RankOut {
@@ -97,8 +93,7 @@ fn run_dist(
             f: ds.raw_distributions(),
         };
         (out, ds.gather_snapshot().unwrap())
-    })
-    .results;
+    });
     let digests = common::snapshot_digests(results[0].1.as_ref().expect("root gathers"));
     (results.into_iter().map(|(out, _)| out).collect(), digests)
 }
@@ -108,7 +103,7 @@ proptest! {
 
     /// Random geometries × {D3Q15, D3Q19} × {BGK, TRT, MRT} ×
     /// {pressure, velocity} × {slab, block checkerboard, per-site
-    /// scatter} owner maps × {2, 3} ranks × {1, 2} threads per rank.
+    /// scatter} owner maps × {2, 3} ranks.
     ///
     /// Storage order: `local_sites()` is a permutation of the rank's
     /// owned sites, ascending within the frontier prefix and within the
@@ -123,7 +118,6 @@ proptest! {
         case in common::case_strategy(),
         map in map_strategy(),
         ranks in 2usize..4,
-        threads in 1usize..3,
     ) {
         let geo = case.geo.build();
         let steps = 10u64;
@@ -144,7 +138,7 @@ proptest! {
             })
         };
 
-        let (outs, digests) = run_dist(&geo, &cfg, &owner, ranks, threads, steps);
+        let (outs, digests) = run_dist(&geo, &cfg, &owner, ranks, steps);
         prop_assert_eq!(want, digests, "dist vs serial, {:?} {:?}", &case, map);
         for (rank, out) in outs.iter().enumerate() {
             let mut sorted = out.sites.clone();
