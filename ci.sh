@@ -11,8 +11,9 @@
 #   ./ci.sh --soak         # + long soaks: golden --ignored (500 steps,
 #                          #   8 threads; the Medium k-way and parity
 #                          #   twins; the Medium k-way quality floor at
-#                          #   k = 8 and 16) and the 200-step two-kill
-#                          #   fault recovery
+#                          #   k = 8 and 16), the 200-step two-kill
+#                          #   fault recovery and the Poiseuille
+#                          #   ladder's dx 1/4 rung in release
 #   ./ci.sh --only GROUP   # one group (what the staged GitHub workflow
 #                          #   jobs shell into)
 #
@@ -92,11 +93,14 @@ smoke() {
     stage "$name-smoke" cargo run --release -q -p hemelb-bench --bin reproduce -- "$name" "$@"
 }
 
-# Format + lint; and no generated image in the index (the examples and
-# `reproduce` write .ppm files into the root and out/, both ignored).
+# Format + lint, rustdoc with every warning an error (unresolved and
+# private intra-doc links among them); and no generated image in the
+# index (the examples and `reproduce` write .ppm files into the root
+# and out/, both ignored).
 group_lint() {
     stage fmt    cargo fmt --all -- --check
     stage clippy cargo clippy --workspace --all-targets -- -D warnings
+    stage docs   env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
     stage no-tracked-images no_tracked_images
     stage no-dead-deps no_dead_deps
     stage cpu-baseline cpu_baseline
@@ -204,7 +208,11 @@ group_units() {
 # same Medium aneurysm (`hemelb-geometry`'s ignored `sgmy_medium_*`),
 # and `lines-release` the lockstep tracer against the serial one from
 # every fluid site of two lattice planes of the Small aneurysm, wall
-# cells included (`hemelb-insitu`'s ignored `wall_cells_*_at_small`).
+# cells included (`hemelb-insitu`'s ignored `wall_cells_*_at_small`),
+# and `validation-release` the Poiseuille ladder's dx 1 and 1/2 rungs
+# (L2 error against the analytic profile and its observed order in dx,
+# every operator and iolet BC) and the steady tube's mass drift
+# (`tests/validation.rs`' ignored cells but the `soak_` one).
 group_determinism() {
     stage determinism cargo test -q --test properties --test golden
     stage golden-release cargo test --release -q --test golden
@@ -213,6 +221,7 @@ group_determinism() {
     stage voxel-medium-release cargo test --release -q -p hemelb-geometry --lib block_voxeliser -- --ignored
     stage sgmy-medium-release cargo test --release -q -p hemelb-geometry --lib sgmy_medium -- --ignored
     stage lines-release cargo test --release -q -p hemelb-insitu --lib wall_cells -- --ignored
+    stage validation-release cargo test --release -q --test validation -- --ignored --skip soak_
     stage obs         cargo test -q --test obs_smoke
     stage render      cargo test -q --test render_compositing
 }
@@ -303,11 +312,13 @@ export -f loc_report
 
 # Long soaks: the golden suite's `--ignored` cells (500 steps at 8
 # threads, the Medium twins of the k-way maps and of the parity fixture,
-# and the Medium k-way quality floor `kway_medium_quality_floor`) and
-# the fault-injection soak.
+# and the Medium k-way quality floor `kway_medium_quality_floor`), the
+# fault-injection soak, and the Poiseuille ladder's dx 1/4 rung
+# (`tests/validation.rs`' `soak_` cell, about 4 minutes in release).
 group_soak() {
     stage golden-soak cargo test -q --test golden -- --ignored
     stage fault-soak  cargo test -q --test fault_injection -- --ignored
+    stage validation-soak cargo test --release -q --test validation soak_ -- --ignored
 }
 
 for g in "${CI_GROUPS[@]}"; do

@@ -15,8 +15,8 @@
 
 use hemelb_bench::workloads::Size;
 use hemelb_bench::{
-    ablation, adaptive, extract, fig1, fig3, fig4, multires, preprocess, projection, repartition,
-    scaling, table1,
+    adaptive, extract, fig1, fig3, fig4, multires, preprocess, projection, repartition, scaling,
+    table1,
 };
 
 struct Args {
@@ -119,17 +119,6 @@ const EXPERIMENTS: &[Experiment] = &[
                 Size::Medium => 4,
             };
             println!("{}", projection::run(a.size, steps, a.ranks.clamp(2, 16)));
-        },
-    },
-    Experiment {
-        name: "ablation",
-        title: "A1: resolution convergence (mesh refinement pay-off)",
-        run: |a| {
-            let spacings: &[f64] = match a.size {
-                Size::Tiny => &[1.0, 0.5],
-                _ => &[1.0, 0.5, 0.25],
-            };
-            println!("{}", ablation::run(spacings));
         },
     },
 ];

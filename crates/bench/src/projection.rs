@@ -50,8 +50,10 @@ use std::time::Instant;
 /// measured multi-rank step time (|predicted − measured| / measured).
 /// Generous by design: in-process rank-threads on a shared CI box jitter
 /// far more than a dedicated interconnect, and the band exists to catch
-/// a model that stopped describing the machine, not 10 % noise. The
-/// reference run (EXPERIMENTS.md E20) typically lands under 0.30.
+/// a model that stopped describing the machine, not 10 % noise. Over
+/// 240 `--size tiny --ranks 4` runs (EXPERIMENTS.md E20) the 2-rank row
+/// read a median of +0.10–0.11 and at worst +0.322, the 4-rank row
+/// stayed within 0.10.
 pub const VALIDATION_BAND: f64 = 0.5;
 
 /// Projected rank counts: 1k to the paper's 32k in powers of two.
@@ -401,7 +403,7 @@ fn project(model: &CostModel, trace: &RunTrace, ranks: u64) -> ProjectionRow {
 }
 
 /// Run E20: calibrate at 1..=`max_ranks` rank worlds (powers of two,
-/// the fastest of [`WORLDS`] fresh worlds at each), validate the fit
+/// the fastest of `WORLDS` fresh worlds at each), validate the fit
 /// against every multi-rank measurement, capture the largest world's
 /// trace and project it to [`PROJECTED_RANKS`].
 /// Exports `out/BENCH_projection.json`.

@@ -1,5 +1,5 @@
 //! The local-step, pull–push and macroscopics drivers over
-//! [`SoaLattice`] and the thread-parallel solver.
+//! `SoaLattice` and the thread-parallel solver.
 //!
 //! The serial [`Solver`], the [`ParallelSolver`] here and the distributed
 //! solver all step through the drivers below. The serial solver and a
@@ -16,7 +16,7 @@
 //!   are;
 //! * in the **pull–push step** every site reads and writes exactly its
 //!   own slot set, whose lanes belong to its neighbours. A worker owns
-//!   one contiguous, [`BLOCK`]-aligned share of the lanes
+//!   one contiguous, `BLOCK`-aligned share of the lanes
 //!   (`split_at_mut`), and runs the blocks whose slot sets lie wholly
 //!   inside it (the plan's per-block `reach`). The **seam** — blocks
 //!   with a slot in another share or in the ghost buffer — runs on the

@@ -5,8 +5,8 @@
 //! direction** (`f[dir][site]`), one buffer only. Setup walks the sites
 //! once in storage order and resolves each link `(s, i)` to the site
 //! whose direction-`i` population streams *into* `s` — a local site,
-//! the sentinel [`LINK_BOUNDARY`] for a missing link or `HALO_FLAG |
-//! slot` for a cross-rank one — straight into a [`StreamPlan`], before
+//! the sentinel `LINK_BOUNDARY` for a missing link or `HALO_FLAG |
+//! slot` for a cross-rank one — straight into a `StreamPlan`, before
 //! the lanes are allocated; no `q × n` table of the links is built. The
 //! plan puts every link `(s, i)` in exactly one of four lists:
 //!
@@ -15,7 +15,7 @@
 //!   halfway bounce-back is `wall_bounce_back(f) = f`, no rule to run;
 //! * **iolet** — the missing links of inlet / outlet sites, the only ones
 //!   that run a rule: the site's BC, its precomputed velocity and its
-//!   pre-collision `(ρ, u)`, all kept in [`Iolets`] at the iolet sites
+//!   pre-collision `(ρ, u)`, all kept in `Iolets` at the iolet sites
 //!   alone; the collide stores those moments through a cursor over the
 //!   iolet list;
 //! * **halo** — `(site, dir, slot)` links fed through the ghost buffer.
@@ -47,7 +47,7 @@
 //! `t − c_j` lives on a peer (a *send slot*, see [`crate::dist`]).
 //! Disjoint slot sets make the visit order irrelevant, which is what the
 //! threaded sweep in [`crate::kernel`] relies on. A table of the links
-//! exists only as [`SoaLattice::stream_table`]'s expansion of the plan
+//! exists only as `SoaLattice::stream_table`'s expansion of the plan
 //! (tests and the corruption hook).
 //!
 //! Site `s` of a lattice is the `s`-th fluid site handed to it at
@@ -62,7 +62,7 @@
 //! ## Bitwise reference
 //!
 //! Every operator collides through one chunked-lane sweep
-//! ([`collide_span_soa`]); the per-site [`collide`](crate::collision::collide)
+//! (`collide_span_soa`); the per-site [`collide`](crate::collision::collide)
 //! and [`MrtOperator::collide`] are the references the unit tests here
 //! compare it against with `to_bits`, site by site. The sweep performs
 //! their per-site operation sequence (same operands, same associativity,

@@ -7,12 +7,12 @@
 //!
 //! A tracer asks for the velocity four times an RK4 step and moves a few
 //! hundredths of a cell a step, so nearly every query lands in the cell
-//! the previous one was in. A [`CornerProbe`] keeps that cell's eight
+//! the previous one was in. A `CornerProbe` keeps that cell's eight
 //! corners — which of them are fluid, and their velocities — and only
 //! reweights them while the particle stays; [`SampledField::velocity_at`]
 //! is a probe used once. Both give the same bits: the same corners in the
-//! same order, the same skip rule and the same arithmetic. A [`LaneProbe`]
-//! is [`LANES`] probes side by side for the lockstep tracer, with the
+//! same order, the same skip rule and the same arithmetic. A `LaneProbe`
+//! is `LANES` probes side by side for the lockstep tracer, with the
 //! same bits again.
 
 use hemelb_core::FieldSnapshot;

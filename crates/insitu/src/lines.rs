@@ -42,7 +42,7 @@ impl Default for TraceConfig {
 /// One RK4 step through a steady velocity field from `p`, where the
 /// field reads `k1 = v(p)`: the caller samples it, so a tracer that
 /// tests the speed at `p` first pays four field evaluations a step, not
-/// five. `v` may keep state between calls (a [`crate::field::CornerProbe`]
+/// five. `v` may keep state between calls (a `field::CornerProbe`
 /// does). `None` when a later stage leaves the fluid.
 pub fn rk4_step(
     mut v: impl FnMut(Vec3) -> Option<[f64; 3]>,

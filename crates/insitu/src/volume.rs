@@ -117,9 +117,8 @@ pub struct Brick {
 }
 
 impl Brick {
-    /// Build from the subset `sites` of a geometry's fluid sites, in a
-    /// single pass over `sites` (positions, values and bounds gathered
-    /// together; the grid allocated at its exact final size). Returns
+    /// Build from the subset `sites` of a geometry's fluid sites: their
+    /// positions and values, handed to [`Brick::from_points`]. Returns
     /// `None` if `sites` is empty.
     pub fn from_sites(
         geo: &SparseGeometry,
@@ -127,37 +126,16 @@ impl Brick {
         which: Scalar,
         sites: &[u32],
     ) -> Option<Brick> {
-        if sites.is_empty() {
-            return None;
-        }
-        let mut lo = [u32::MAX; 3];
-        let mut hi = [0u32; 3];
-        let mut pts: Vec<([u32; 3], f32)> = Vec::with_capacity(sites.len());
-        for &s in sites {
-            let p = geo.position(s);
-            let v = match which {
+        let points: Vec<[u32; 3]> = sites.iter().map(|&s| geo.position(s)).collect();
+        let values: Vec<f64> = sites
+            .iter()
+            .map(|&s| match which {
                 Scalar::Density => snap.rho[s as usize],
                 Scalar::Speed => snap.speed(s as usize),
                 Scalar::Shear => snap.shear[s as usize],
-            };
-            for a in 0..3 {
-                lo[a] = lo[a].min(p[a]);
-                hi[a] = hi[a].max(p[a]);
-            }
-            pts.push((p, v as f32));
-        }
-        let dims = [
-            (hi[0] - lo[0] + 1) as usize,
-            (hi[1] - lo[1] + 1) as usize,
-            (hi[2] - lo[2] + 1) as usize,
-        ];
-        let mut grid = vec![f32::NAN; dims[0] * dims[1] * dims[2]];
-        for (p, v) in pts {
-            let i = ((p[0] - lo[0]) as usize * dims[1] + (p[1] - lo[1]) as usize) * dims[2]
-                + (p[2] - lo[2]) as usize;
-            grid[i] = v;
-        }
-        Some(Self::from_grid(lo, dims, grid))
+            })
+            .collect();
+        Self::from_points(&points, &values)
     }
 
     /// Build directly from lattice points and their scalar values (the

@@ -7,7 +7,7 @@
 //!
 //! * [`Recorder`] — a per-rank sink of named phase timings, monotonic
 //!   counters and a bounded [`Timeline`] of recent spans;
-//! * [`Span`] / [`PhaseTimer`] — scope timers feeding a recorder;
+//! * [`Span`] — the scope timer feeding a recorder;
 //! * [`Histogram`] — fixed log-bucket latency histogram with
 //!   p50/p95/p99/max, mergeable across ranks;
 //! * [`ObsReport`] — an exportable snapshot: JSON export
@@ -33,5 +33,5 @@ pub mod report;
 pub use fnv::Fnv1a;
 pub use hist::{Histogram, BUCKET_BOUNDS};
 pub use json::{Json, JsonError};
-pub use recorder::{PhaseStats, PhaseTimer, Recorder, Span, Timeline, TIMELINE_CAP};
+pub use recorder::{PhaseStats, Recorder, Span, Timeline, TIMELINE_CAP};
 pub use report::{ObsReport, PhaseReport, TimelineEvent};

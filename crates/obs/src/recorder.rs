@@ -88,23 +88,6 @@ impl Span {
     }
 }
 
-/// A scope guard from [`Recorder::phase`]: the borrowed alternative to
-/// [`Span`] — it records on drop, so a phase body can be timed without
-/// an explicit `end` call.
-#[derive(Debug)]
-pub struct PhaseTimer<'a> {
-    rec: &'a mut Recorder,
-    phase: &'a str,
-    t0: Option<Instant>,
-}
-
-impl Drop for PhaseTimer<'_> {
-    fn drop(&mut self) {
-        let t0 = self.t0.take();
-        self.rec.end_span(self.phase, t0);
-    }
-}
-
 /// Per-rank metrics recorder.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Recorder {
@@ -155,21 +138,6 @@ impl Recorder {
             } else {
                 None
             },
-        }
-    }
-
-    /// Scope-guard variant of [`Recorder::begin`]: records `phase` when
-    /// the returned guard drops.
-    pub fn phase<'a>(&'a mut self, phase: &'a str) -> PhaseTimer<'a> {
-        let t0 = if self.enabled {
-            Some(Instant::now())
-        } else {
-            None
-        };
-        PhaseTimer {
-            rec: self,
-            phase,
-            t0,
         }
     }
 
@@ -298,15 +266,6 @@ mod tests {
         assert!(p.total_secs >= 0.002);
         assert_eq!(rec.timeline().events().len(), 1);
         assert_eq!(rec.timeline().events()[0].phase, "collide");
-    }
-
-    #[test]
-    fn phase_guard_records_on_drop() {
-        let mut rec = Recorder::new();
-        {
-            let _t = rec.phase("stream");
-        }
-        assert_eq!(rec.phase_stats("stream").unwrap().calls, 1);
     }
 
     #[test]

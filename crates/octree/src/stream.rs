@@ -1,6 +1,6 @@
 //! Progressive, hierarchically indexed streaming of octree cuts.
 //!
-//! Pascucci & Frank's observation (paper reference [10]): if the nodes
+//! Pascucci & Frank's observation (paper reference \[10\]): if the nodes
 //! are emitted level by level, Morton-ordered within each level, then
 //! *every prefix* of the stream contains a complete (if coarse)
 //! representation, and refinement arrives in a cache/IO-friendly order.

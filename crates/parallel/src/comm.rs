@@ -14,7 +14,7 @@
 //!   *its* messages arrived, not when everyone's have).
 //!
 //! Every send is recorded in the rank's [`CommStats`] under the
-//! [`TagClass`](crate::stats::TagClass) derived from the tag, which is how
+//! [`TagClass`] derived from the tag, which is how
 //! the experiment harness attributes traffic to halo exchange,
 //! visualisation, steering, and so on.
 
@@ -164,7 +164,7 @@ impl Communicator {
 
     /// Record participation in one repartition event (adaptive or
     /// steered); the migrated bytes themselves are accounted under
-    /// [`TagClass::Migration`](crate::stats::TagClass::Migration).
+    /// [`TagClass::Migration`].
     pub fn note_rebalance(&self) {
         self.stats.borrow_mut().record_rebalance();
     }

@@ -14,7 +14,7 @@
 //! the compute rate (flop/s). Two presets bracket the design space of the
 //! 2012 paper: a HECToR-like Cray XE6 node (the machine HemeLB's 32k-core
 //! scaling study ran on) and a projected exascale node following the
-//! DOE/ASCAC exascale report the paper cites (its reference [12]): much
+//! DOE/ASCAC exascale report the paper cites (its reference \[12\]): much
 //! more compute per node than bandwidth, and latency that barely improves
 //! — exactly the regime in which the paper argues data movement becomes
 //! the dominant cost.

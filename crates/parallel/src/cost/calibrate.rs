@@ -167,7 +167,7 @@ fn probe_secs(comm: &Communicator, n: usize) -> CommResult<f64> {
     Ok(best)
 }
 
-/// This rank's [`probe_secs`] at the small and the large size, each as
+/// This rank's `probe_secs` at the small and the large size, each as
 /// a sample of one message, its payload bytes and no work: two
 /// equations that price bytes apart from messages. Callers fit each
 /// size's slowest rank, since an exchange ends when its last message

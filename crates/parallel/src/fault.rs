@@ -17,7 +17,8 @@
 //!   *bit-transparent* to every collective.
 //! * [`FaultKind::DropOnce`] — one matching send is swallowed,
 //!   modelling a lost message. Only deadline-based receives
-//!   ([`Communicator::recv_deadline`]) can observe the loss.
+//!   ([`Communicator::recv_deadline`](crate::Communicator::recv_deadline))
+//!   can observe the loss.
 //! * [`FaultKind::DuplicateOnce`] — one matching send is delivered
 //!   twice with the same sequence number; receiver-side dedup drops the
 //!   retransmit, so duplicates are bit-transparent too (the guarantee
@@ -29,8 +30,9 @@
 //!   from their latest checkpoint and replaying.
 //!
 //! The *fault clock* is per rank and advances only when the application
-//! calls [`Communicator::set_fault_step`] (the distributed solver does
-//! so once per LB step). Message faults arm once the sender's clock has
+//! calls
+//! [`Communicator::set_fault_step`](crate::Communicator::set_fault_step)
+//! (the distributed solver does so once per LB step). Message faults arm once the sender's clock has
 //! reached their `step`; a clock that never advances stays at 0, so
 //! step-0 events still apply to step-oblivious code.
 

@@ -88,7 +88,7 @@ where
 
 /// Run `f` on `size` ranks with explicit [`SpmdOptions`].
 ///
-/// With a [`FaultPlan`](crate::fault::FaultPlan) containing `KillRank`
+/// With a [`FaultPlan`] containing `KillRank`
 /// events, a fired kill aborts the whole attempt and the world is
 /// restarted with that kill consumed (at most one restart per kill
 /// event). The closure `f` re-runs from scratch on every rank; closures

@@ -21,7 +21,7 @@
 //!    load);
 //! 3. on trigger, [`plan_rebalance`] converts the rank costs into
 //!    per-site weights and runs the multi-constraint diffusive
-//!    [`rebalance`](crate::visaware::rebalance) (single-constraint
+//!    [`rebalance`] (single-constraint
 //!    when there is no visualisation signal);
 //! 4. [`payoff_gate`] weighs the projected per-step saving against the
 //!    migration cost (projected by the caller's α–β–γ machine model)

@@ -32,7 +32,7 @@
 //! is an exact integer.
 //!
 //! Grouping (cells or mate pairs) and contraction are separate steps.
-//! [`contract`] builds any coarse level in one ordered scatter pass.
+//! `contract` builds any coarse level in one ordered scatter pass.
 //! Coarse vertices are visited in ascending id, and each appends its id
 //! to the row of every coarse neighbour, merging a repeat into that
 //! row's last entry. Rows come out ascending with no sort, and on a

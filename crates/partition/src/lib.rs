@@ -13,7 +13,7 @@
 //!   heavy-edge matching; greedy graph growing on the coarsest graph;
 //!   boundary Fiduccia–Mattheyses refinement during uncoarsening.
 //!
-//! [`quality`](metrics::quality) computes the metrics the paper's
+//! [`quality`] computes the metrics the paper's
 //! load-balance discussion revolves around (imbalance, edge cut,
 //! communication volume, neighbour counts), and [`visaware`] implements
 //! the paper's proposal that *visualisation* work must enter the balance

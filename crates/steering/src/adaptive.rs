@@ -12,14 +12,14 @@
 //!    decision — the trigger is collective without extra control
 //!    messages;
 //! 3. on trigger, the plan from
-//!    [`plan_rebalance`](hemelb_partition::plan_rebalance) is priced
+//!    [`plan_rebalance`] is priced
 //!    with an α–β–γ [`CostModel`] (projected migration seconds) and
-//!    gated by [`payoff_gate`](hemelb_partition::payoff_gate) against
+//!    gated by [`payoff_gate`] against
 //!    the projected saving over the remaining steps. The pricing model
 //!    is **measured, never preset**: the first window times a small and
 //!    a large message round a rank ring
-//!    ([`probe_link`](hemelb_parallel::probe_link)), and
-//!    [`calibrate_fit`](hemelb_parallel::calibrate_fit) fits α, β and γ
+//!    ([`probe_link`]), and
+//!    [`calibrate_fit`] fits α, β and γ
 //!    to the slowest rank's two probe samples and one compute sample.
 //!    The timings ride the window's all-reduce, so every rank fits
 //!    identical inputs and holds bit-identical coefficients — before
