@@ -8,8 +8,8 @@
 #                          #   projection suites, the `reproduce`
 #                          #   smokes, the repo benchmark's --quick
 #                          #   checks and the size report
-#   ./ci.sh --soak         # + long soaks: golden --ignored (500 steps,
-#                          #   8 threads; the Medium k-way and parity
+#   ./ci.sh --soak         # + long soaks: golden --ignored (500 steps
+#                          #   on 8 ranks; the Medium k-way and parity
 #                          #   twins; the Medium k-way quality floor at
 #                          #   k = 8 and 16), the 200-step two-kill
 #                          #   fault recovery and the Poiseuille
@@ -94,13 +94,14 @@ smoke() {
 }
 
 # Format + lint, rustdoc with every warning an error (unresolved and
-# private intra-doc links among them); and no generated image in the
-# index (the examples and `reproduce` write .ppm files into the root
-# and out/, both ignored).
+# private intra-doc links among them); no thread spawned outside the
+# SPMD runner; and no generated image in the index (the examples and
+# `reproduce` write .ppm files into the root and out/, both ignored).
 group_lint() {
     stage fmt    cargo fmt --all -- --check
     stage clippy cargo clippy --workspace --all-targets -- -D warnings
     stage docs   env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+    stage one-thread-per-rank one_thread_per_rank
     stage no-tracked-images no_tracked_images
     stage no-dead-deps no_dead_deps
     stage cpu-baseline cpu_baseline
@@ -112,6 +113,23 @@ no_tracked_images() {
     fi
 }
 export -f no_tracked_images
+
+# A rank is one thread, as an MPI rank is one core in HemeLB, and a
+# solver steps on its caller's thread: no library code but the SPMD
+# runner that starts the ranks (crates/parallel/src/runner.rs) spawns a
+# thread. Each file is read up to its first `#[cfg(test)]`, where
+# `non_test_lines` cuts it too.
+one_thread_per_rank() {
+    local hits
+    hits=$(find crates/*/src -name '*.rs' ! -path crates/parallel/src/runner.rs -print0 |
+        xargs -0 -n1 awk '/^#\[cfg\(test\)\]/{exit} /thread::(scope|spawn|Builder)/{print FILENAME ":" FNR ": " $0}')
+    if [[ -n $hits ]]; then
+        echo "$hits"
+        echo "^ a thread spawned outside crates/parallel/src/runner.rs: a rank is one thread" >&2
+        return 1
+    fi
+}
+export -f one_thread_per_rank
 
 # Every dependency of the root package and of each workspace crate is
 # used: its name (with `-` as `_`) appears as a path (`name::`) or a
@@ -181,14 +199,15 @@ group_units() {
 
 # Determinism suite (bit-exactness proptests + golden fixtures, incl.
 # the operator grid, the corrupted-streaming-index negative control,
-# the serial/threaded checkpoint hand-off, the k-way owner maps and
+# the serial checkpoint resumed at both AA parities, the k-way owner
+# maps and
 # their quality floor `golden_kway_owner_maps`, whose Medium cells and
 # Medium floor `kway_medium_quality_floor` (k = 8 and 16: cut within 5 %
 # of the maps before the 2³-cell level) run in `golden-soak` and
 # `kway-medium-release`, the tracers' vertices, particles and LIC image
 # `golden_trace_lines`, and `golden_parity`: both step-count parities
-# of every operator × BC on the serial, threaded and distributed
-# solvers, with a step-3 checkpoint and repartition, whose Medium twin
+# of every operator × BC on the serial and distributed solvers, with a
+# step-3 checkpoint and repartition, whose Medium twin
 # runs in `golden-soak`),
 # observability (phase timings end to end, lossless JSON export) and
 # the render path (macrocell marcher bit-identity, the screen-bounded
@@ -310,8 +329,8 @@ loc_report() {
 }
 export -f loc_report
 
-# Long soaks: the golden suite's `--ignored` cells (500 steps at 8
-# threads, the Medium twins of the k-way maps and of the parity fixture,
+# Long soaks: the golden suite's `--ignored` cells (500 steps on 8
+# k-way ranks against serial, the Medium twins of the k-way maps and of the parity fixture,
 # and the Medium k-way quality floor `kway_medium_quality_floor`), the
 # fault-injection soak, and the Poiseuille ladder's dx 1/4 rung
 # (`tests/validation.rs`' `soak_` cell, about 4 minutes in release).

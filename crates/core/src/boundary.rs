@@ -52,7 +52,7 @@ pub enum IoletBc {
 impl IoletBc {
     /// Time-dependent scale of the boundary velocity at step `t`
     /// (1.0 for steady prescriptions).
-    pub fn pulse_factor(&self, t: u64) -> f64 {
+    pub(crate) fn pulse_factor(&self, t: u64) -> f64 {
         match *self {
             IoletBc::Pulsatile {
                 amplitude, period, ..
@@ -91,17 +91,10 @@ impl IoletBc {
     }
 }
 
-/// Halfway bounce-back: the missing population is the opposite
-/// post-collision population of the same site.
-#[inline]
-pub fn wall_bounce_back(f_star_opp: f64) -> f64 {
-    f_star_opp
-}
-
 /// Ladd moving-wall bounce-back:
 /// `f_i = f*_opp + 2 w_i ρ₀ (c_i·u_w)/cs²` with ρ₀ = 1.
 #[inline]
-pub fn velocity_bounce_back(
+pub(crate) fn velocity_bounce_back(
     model: &LatticeModel,
     i: usize,
     u_wall: [f64; 3],
@@ -114,7 +107,7 @@ pub fn velocity_bounce_back(
 /// `f_i = −f*_opp + 2 w_i ρ_w (1 + (c_i·u)²/2cs⁴ − u²/2cs²)`
 /// with the site's own velocity estimate `u`.
 #[inline]
-pub fn pressure_anti_bounce_back(
+pub(crate) fn pressure_anti_bounce_back(
     model: &LatticeModel,
     i: usize,
     rho_wall: f64,
@@ -216,12 +209,10 @@ mod tests {
     #[test]
     fn stationary_wall_reflects_exactly() {
         let model = LatticeModel::d3q15();
-        // With zero wall velocity, Ladd reduces to plain bounce-back.
+        // With zero wall velocity, Ladd reduces to halfway bounce-back:
+        // the opposite post-collision population as it is.
         for i in 0..model.q {
-            assert_eq!(
-                velocity_bounce_back(&model, i, [0.0; 3], 0.123),
-                wall_bounce_back(0.123)
-            );
+            assert_eq!(velocity_bounce_back(&model, i, [0.0; 3], 0.123), 0.123);
         }
     }
 

@@ -513,9 +513,8 @@ impl<'a> DistSolver<'a> {
     /// or ghost slots, which phase 3 never touches; and the unpack in
     /// phase 4 writes only slots no sweep of the step reads.
     ///
-    /// Both sweeps run through the lattice drivers in [`crate::kernel`]
-    /// on the rank's own thread: a rank is one thread, and its site loops
-    /// are the serial solver's.
+    /// Both sweeps run on the rank's own thread: a rank is one thread,
+    /// and its site loops are the serial solver's.
     pub fn step(&mut self) -> CommResult<()> {
         // The LB step drives the fault clock: a `FaultPlan` keyed by
         // step sees the simulation's notion of time (no-op without an
@@ -526,7 +525,7 @@ impl<'a> DistSolver<'a> {
 
         // (1) Frontier first.
         let span = self.comm.with_obs(|o| o.begin());
-        self.lat.advance(0..split, 1);
+        self.lat.advance(0..split);
         self.comm.with_obs(|o| span.end(o, "lb.collide-frontier"));
 
         // (2) Pack and post all sends; messages are now in flight.
@@ -539,7 +538,7 @@ impl<'a> DistSolver<'a> {
         // how much latency-hiding work this rank had available.
         let overlap_span = self.comm.with_obs(|o| o.begin());
         let span = self.comm.with_obs(|o| o.begin());
-        self.lat.advance(split..n, 1);
+        self.lat.advance(split..n);
         self.comm.with_obs(|o| span.end(o, "lb.collide"));
         let compute_secs = self
             .comm
@@ -667,7 +666,7 @@ impl<'a> DistSolver<'a> {
     /// [`DistSolver::local_sites`]).
     pub fn local_snapshot(&self) -> FieldSnapshot {
         let span = self.comm.with_obs(|o| o.begin());
-        let snap = self.lat.snapshot(1);
+        let snap = self.lat.snapshot();
         self.comm.with_obs(|o| span.end(o, "lb.macroscopics"));
         snap
     }
@@ -1248,8 +1247,8 @@ mod tests {
     /// * the halo slots are one contiguous range per peer, in peer order,
     ///   each in the order of this rank's requests to that peer;
     /// * the plan expands to `build_stream_table` over the storage order
-    ///   with those slots, every block's `reach` is the naive one of that
-    ///   table, and every link lies in exactly one of the plan's lists.
+    ///   with those slots, and every link lies in exactly one of the
+    ///   plan's lists.
     fn assert_plan_matches_oracles(ds: &DistSolver<'_>) {
         let (geo, owner, model) = (&ds.geo, &ds.owner[..], &ds.lat.model);
         let (me, ranks) = (ds.comm.rank(), ds.comm.size());
@@ -1327,7 +1326,6 @@ mod tests {
             }
         });
         assert_eq!(ds.lat.stream_table(), want, "rank {me}");
-        crate::layout::tests::assert_reach_is_naive(&ds.lat, &want);
         crate::layout::tests::assert_plan_partitions_the_links(&ds.lat);
     }
 
@@ -1428,7 +1426,6 @@ mod tests {
         let sites = 0..geo.fluid_count() as u32;
         let want = build_stream_table(geo, &serial.lat.model, sites, |src, _| src);
         assert_eq!(serial.lat.stream_table(), want);
-        crate::layout::tests::assert_reach_is_naive(&serial.lat, &want);
         crate::layout::tests::assert_plan_partitions_the_links(&serial.lat);
         let geo = geo.clone();
         run_spmd(p, move |comm| {

@@ -7,7 +7,7 @@ use crate::CS2;
 /// Equilibrium distribution
 /// `f_i^eq = w_i ρ (1 + c·u/cs² + (c·u)²/2cs⁴ − u²/2cs²)`.
 #[inline]
-pub fn feq(model: &LatticeModel, i: usize, rho: f64, u: [f64; 3]) -> f64 {
+pub(crate) fn feq(model: &LatticeModel, i: usize, rho: f64, u: [f64; 3]) -> f64 {
     let cu = model.ci_dot(i, u);
     let u2 = u[0] * u[0] + u[1] * u[1] + u[2] * u[2];
     model.w[i] * rho * (1.0 + cu / CS2 + cu * cu / (2.0 * CS2 * CS2) - u2 / (2.0 * CS2))
@@ -44,48 +44,50 @@ pub fn moments(model: &LatticeModel, f: &[f64]) -> (f64, [f64; 3]) {
     (rho, u)
 }
 
-/// Deviatoric non-equilibrium momentum-flux tensor
-/// `Π^neq_ab = Σ c_ia c_ib (f_i − f_i^eq)`, returned as the 6 unique
-/// components `[xx, yy, zz, xy, xz, yz]`. Used for the shear-rate and
-/// wall-shear-stress observables (the paper's "wall stress
-/// distributions").
-pub fn pi_neq(model: &LatticeModel, f: &[f64], rho: f64, u: [f64; 3]) -> [f64; 6] {
-    let mut pi = [0.0f64; 6];
-    for (i, &fi) in f.iter().enumerate() {
-        let fi_neq = fi - feq(model, i, rho, u);
-        let cx = model.c[i][0] as f64;
-        let cy = model.c[i][1] as f64;
-        let cz = model.c[i][2] as f64;
-        pi[0] += cx * cx * fi_neq;
-        pi[1] += cy * cy * fi_neq;
-        pi[2] += cz * cz * fi_neq;
-        pi[3] += cx * cy * fi_neq;
-        pi[4] += cx * cz * fi_neq;
-        pi[5] += cy * cz * fi_neq;
-    }
-    pi
-}
-
-/// Shear-rate magnitude `|S| = sqrt(2 S:S)` from the non-equilibrium
-/// stress, with `S_ab = −Π^neq_ab / (2 ρ cs² τ)`.
-pub fn shear_rate_magnitude(pi: [f64; 6], rho: f64, tau: f64) -> f64 {
-    let scale = -1.0 / (2.0 * rho * CS2 * tau);
-    let s = [
-        pi[0] * scale,
-        pi[1] * scale,
-        pi[2] * scale,
-        pi[3] * scale,
-        pi[4] * scale,
-        pi[5] * scale,
-    ];
-    let ss =
-        s[0] * s[0] + s[1] * s[1] + s[2] * s[2] + 2.0 * (s[3] * s[3] + s[4] * s[4] + s[5] * s[5]);
-    (2.0 * ss).sqrt()
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Deviatoric non-equilibrium momentum-flux tensor
+    /// `Π^neq_ab = Σ c_ia c_ib (f_i − f_i^eq)`, returned as the 6 unique
+    /// components `[xx, yy, zz, xy, xz, yz]`. Used for the shear-rate and
+    /// wall-shear-stress observables (the paper's "wall stress
+    /// distributions").
+    pub(crate) fn pi_neq(model: &LatticeModel, f: &[f64], rho: f64, u: [f64; 3]) -> [f64; 6] {
+        let mut pi = [0.0f64; 6];
+        for (i, &fi) in f.iter().enumerate() {
+            let fi_neq = fi - feq(model, i, rho, u);
+            let cx = model.c[i][0] as f64;
+            let cy = model.c[i][1] as f64;
+            let cz = model.c[i][2] as f64;
+            pi[0] += cx * cx * fi_neq;
+            pi[1] += cy * cy * fi_neq;
+            pi[2] += cz * cz * fi_neq;
+            pi[3] += cx * cy * fi_neq;
+            pi[4] += cx * cz * fi_neq;
+            pi[5] += cy * cz * fi_neq;
+        }
+        pi
+    }
+
+    /// Shear-rate magnitude `|S| = sqrt(2 S:S)` from the non-equilibrium
+    /// stress, with `S_ab = −Π^neq_ab / (2 ρ cs² τ)`.
+    pub(crate) fn shear_rate_magnitude(pi: [f64; 6], rho: f64, tau: f64) -> f64 {
+        let scale = -1.0 / (2.0 * rho * CS2 * tau);
+        let s = [
+            pi[0] * scale,
+            pi[1] * scale,
+            pi[2] * scale,
+            pi[3] * scale,
+            pi[4] * scale,
+            pi[5] * scale,
+        ];
+        let ss = s[0] * s[0]
+            + s[1] * s[1]
+            + s[2] * s[2]
+            + 2.0 * (s[3] * s[3] + s[4] * s[4] + s[5] * s[5]);
+        (2.0 * ss).sqrt()
+    }
 
     #[test]
     fn equilibrium_reproduces_its_moments() {

@@ -12,7 +12,8 @@
 //!
 //! * **copy** — per-direction segments of consecutive local sources;
 //! * **wall** — per direction, the non-iolet sites missing that link:
-//!   halfway bounce-back is `wall_bounce_back(f) = f`, no rule to run;
+//!   halfway bounce-back takes the opposite post-collision population as
+//!   it is, no rule to run;
 //! * **iolet** — the missing links of inlet / outlet sites, the only ones
 //!   that run a rule: the site's BC, its precomputed velocity and its
 //!   pre-collision `(ρ, u)`, all kept in `Iolets` at the iolet sites
@@ -45,17 +46,19 @@
 //! pull–push step: slot `(t, j)` belongs to the site `t − c_j` if that
 //! link is local, to `t` if link `(t, j)` is missing, and to no site if
 //! `t − c_j` lives on a peer (a *send slot*, see [`crate::dist`]).
-//! Disjoint slot sets make the visit order irrelevant, which is what the
-//! threaded sweep in [`crate::kernel`] relies on. A table of the links
-//! exists only as `SoaLattice::stream_table`'s expansion of the plan
-//! (tests and the corruption hook).
+//! Disjoint slot sets make the visit order irrelevant, which is what
+//! lets the distributed step run a pull–push step as two sweeps, the
+//! frontier and the interior, around its halo exchange. A table of the
+//! links exists only as `SoaLattice::stream_table`'s expansion of the
+//! plan (tests and the corruption hook).
 //!
 //! Site `s` of a lattice is the `s`-th fluid site handed to it at
 //! construction: every fluid site in global order for the serial
 //! solver; for the distributed one a rank's owned sites in its storage
 //! order — frontier first, interior after (see [`SitePartition`] and
-//! [`crate::dist`]) — so the drivers in [`crate::kernel`] only ever
-//! sweep one contiguous site range. Snapshots and checkpoints exchange
+//! [`crate::dist`]) — so a step (`SoaLattice::advance`) only ever
+//! sweeps one contiguous site range, on the caller's thread.
+//! Snapshots and checkpoints exchange
 //! state in the canonical site-major order (`[site][dir]`) over that
 //! site list; at an odd step count they gather it from the slots.
 //!
@@ -68,7 +71,7 @@
 //! their per-site operation sequence (same operands, same associativity,
 //! same visit order within a site) and no operation ever mixes two
 //! sites, so a site's bits do not depend on its place in a chunk, on the
-//! zero padding of a ragged tail, on the span or on the thread count.
+//! zero padding of a ragged tail or on the span.
 //! The only rewrites are exact IEEE-754 identities:
 //!
 //! * **Shared front stage** (all operators and the macroscopics): the
@@ -96,6 +99,7 @@
 
 use crate::boundary::IoletBc;
 use crate::collision::CollisionKind;
+use crate::fields::FieldSnapshot;
 use crate::model::LatticeModel;
 use crate::mrt::MrtOperator;
 use crate::solver::{iolet_rule, SolverConfig};
@@ -135,11 +139,10 @@ pub(crate) struct CopySeg {
     pub len: u32,
 }
 
-/// Sites per block of the pull–push sweep: a block's links are gathered
-/// into a `q × BLOCK` stack buffer, collided there and written back. It
-/// is also the grain at which threaded ranges tell inner sites from the
-/// seam.
-pub(crate) const BLOCK: usize = 256;
+/// Sites per block of the pull–push sweep: the size of the `q × BLOCK`
+/// stack buffer a block's links are gathered into, collided in and
+/// written back from.
+const BLOCK: usize = 256;
 
 /// The fully resolved streaming schedule: every `(site, dir)` link
 /// appears in exactly one of the four lists, so the pull–push step has
@@ -156,10 +159,6 @@ pub(crate) struct StreamPlan {
     pub iolet: Vec<(u32, u32)>,
     /// `(site, dir, slot)` links kept in the ghost buffer, sorted by site.
     pub halo: Vec<(u32, u32, u32)>,
-    /// Per [`BLOCK`] of sites, the lowest and highest site whose lanes
-    /// the block's slot sets touch; `u32::MAX` as the highest if one of
-    /// them is a ghost slot.
-    pub reach: Vec<(u32, u32)>,
 }
 
 impl StreamPlan {
@@ -169,7 +168,7 @@ impl StreamPlan {
     /// and is called once per site, ascending. Local sources extend or
     /// open copy segments; missing links go to the iolet list at the
     /// ascending `iolet_sites`, to the wall lists elsewhere; halo links
-    /// to the halo list; and each block's `reach` is taken on the way.
+    /// to the halo list.
     pub(crate) fn build(
         q: usize,
         n: usize,
@@ -179,50 +178,40 @@ impl StreamPlan {
         let mut copy: Vec<Vec<CopySeg>> = vec![Vec::new(); q];
         let mut wall = vec![Vec::new(); q];
         let (mut iolet, mut halo) = (Vec::new(), Vec::new());
-        let mut reach = Vec::with_capacity(n.div_ceil(BLOCK));
         // Each direction's last copy segment, open to extension (`len` 0:
         // none yet).
         let (mut dst, mut src, mut len) = ([0u32; MAX_Q], [0u32; MAX_Q], [0u32; MAX_Q]);
         let mut row = [LINK_BOUNDARY; MAX_Q];
         let mut next_iolet = 0;
-        for b0 in (0..n).step_by(BLOCK) {
-            let b1 = (b0 + BLOCK).min(n);
-            let (mut lo, mut hi) = (b0 as u32, (b1 - 1) as u32);
-            for site in b0 as u32..b1 as u32 {
-                let at_iolet = iolet_sites.get(next_iolet) == Some(&site);
-                next_iolet += usize::from(at_iolet);
-                links(site as usize, &mut row[..q]);
-                // Most sites only extend every direction's segment.
-                let mut extends = true;
-                for i in 0..q {
-                    extends &= (dst[i] + len[i] == site) & (src[i] + len[i] == row[i]);
-                }
-                for (i, &e) in row[..q].iter().enumerate() {
-                    if extends || is_local(e) {
-                        (lo, hi) = (lo.min(e), hi.max(e));
+        for site in 0..n as u32 {
+            let at_iolet = iolet_sites.get(next_iolet) == Some(&site);
+            next_iolet += usize::from(at_iolet);
+            links(site as usize, &mut row[..q]);
+            // Most sites only extend every direction's segment.
+            let mut extends = true;
+            for i in 0..q {
+                extends &= (dst[i] + len[i] == site) & (src[i] + len[i] == row[i]);
+            }
+            for (i, &e) in row[..q].iter().enumerate() {
+                if extends || dst[i] + len[i] == site && src[i] + len[i] == e {
+                    len[i] += 1;
+                } else if is_local(e) {
+                    if len[i] > 0 {
+                        copy[i].push(CopySeg {
+                            dst: dst[i],
+                            src: src[i],
+                            len: len[i],
+                        });
                     }
-                    if extends || dst[i] + len[i] == site && src[i] + len[i] == e {
-                        len[i] += 1;
-                    } else if is_local(e) {
-                        if len[i] > 0 {
-                            copy[i].push(CopySeg {
-                                dst: dst[i],
-                                src: src[i],
-                                len: len[i],
-                            });
-                        }
-                        (dst[i], src[i], len[i]) = (site, e, 1);
-                    } else if e != LINK_BOUNDARY {
-                        halo.push((site, i as u32, e & !HALO_FLAG));
-                        hi = u32::MAX;
-                    } else if at_iolet {
-                        iolet.push((next_iolet as u32 - 1, i as u32));
-                    } else {
-                        wall[i].push(site);
-                    }
+                    (dst[i], src[i], len[i]) = (site, e, 1);
+                } else if e != LINK_BOUNDARY {
+                    halo.push((site, i as u32, e & !HALO_FLAG));
+                } else if at_iolet {
+                    iolet.push((next_iolet as u32 - 1, i as u32));
+                } else {
+                    wall[i].push(site);
                 }
             }
-            reach.push((lo, hi));
         }
         for i in 0..q {
             if len[i] > 0 {
@@ -238,15 +227,7 @@ impl StreamPlan {
             wall,
             iolet,
             halo,
-            reach,
         }
-    }
-
-    /// Whether every slot of the block holding `sites` lies in the
-    /// lanes of `within` (no ghost slot, no site outside it).
-    pub(crate) fn block_within(&self, sites: &Range<usize>, within: &Range<usize>) -> bool {
-        let (lo, hi) = self.reach[sites.start / BLOCK];
-        within.start <= lo as usize && (hi as usize) < within.end
     }
 
     /// Expand the plan over `n` sites into the lane-major table of its
@@ -392,7 +373,7 @@ impl Cursor {
 type BlockBuf = [[f64; BLOCK]; MAX_Q];
 
 /// The blocks of `range`: [`BLOCK`]-aligned site ranges, clipped to it.
-pub(crate) fn blocks(range: Range<usize>) -> impl Iterator<Item = Range<usize>> {
+fn blocks(range: Range<usize>) -> impl Iterator<Item = Range<usize>> {
     let first = range.start - range.start % BLOCK;
     (first..range.end)
         .step_by(BLOCK)
@@ -401,8 +382,7 @@ pub(crate) fn blocks(range: Range<usize>) -> impl Iterator<Item = Range<usize>> 
 }
 
 /// Fill `buf[i][s − sites.start]` with the population of every link
-/// `(s, i)` of `sites`, read from its slot. `lanes[j]` holds sites
-/// `base..` of lane `j`.
+/// `(s, i)` of `sites`, read from its slot in the whole lanes `lanes`.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn gather<L: AsRef<[f64]>>(
@@ -412,18 +392,17 @@ fn gather<L: AsRef<[f64]>>(
     cur: &mut Cursor,
     sites: Range<usize>,
     lanes: &[L],
-    base: usize,
     ghost: &[f64],
     buf: &mut BlockBuf,
 ) {
     let b0 = sites.start;
     cur.walk(plan, iolet_sites, sites, |link| match link {
         Link::Copy { i, dst, src, len } => {
-            let from = &lanes[opp[i]].as_ref()[src - base..src - base + len];
+            let from = &lanes[opp[i]].as_ref()[src..src + len];
             buf[i][dst - b0..dst - b0 + len].copy_from_slice(from);
         }
         Link::Wall { i, s } | Link::Iolet { i, s, .. } => {
-            buf[i][s - b0] = lanes[i].as_ref()[s - base];
+            buf[i][s - b0] = lanes[i].as_ref()[s];
         }
         Link::Halo { i, s, slot } => buf[i][s - b0] = ghost[slot],
     });
@@ -441,7 +420,6 @@ fn scatter(
     cur: &mut Cursor,
     sites: Range<usize>,
     lanes: &mut [&mut [f64]],
-    base: usize,
     ghost: &mut [f64],
     buf: &BlockBuf,
     iolet: impl Fn(usize, usize, f64) -> f64,
@@ -449,13 +427,19 @@ fn scatter(
     let b0 = sites.start;
     cur.walk(plan, iolet_sites, sites, |link| match link {
         Link::Copy { i, dst, src, len } => {
-            lanes[opp[i]][src - base..src - base + len]
-                .copy_from_slice(&buf[i][dst - b0..dst - b0 + len]);
+            lanes[opp[i]][src..src + len].copy_from_slice(&buf[i][dst - b0..dst - b0 + len]);
         }
-        Link::Wall { i, s } => lanes[i][s - base] = buf[i][s - b0],
-        Link::Iolet { k, i, s } => lanes[i][s - base] = iolet(k, i, buf[i][s - b0]),
+        Link::Wall { i, s } => lanes[i][s] = buf[i][s - b0],
+        Link::Iolet { k, i, s } => lanes[i][s] = iolet(k, i, buf[i][s - b0]),
         Link::Halo { i, s, slot } => ghost[slot] = buf[i][s - b0],
     });
+}
+
+/// The site span `range` of every lane of `f`, as one bundle on the
+/// stack: `lanes[..q]` are the spans, the rest are empty.
+fn lane_spans(f: &mut [Vec<f64>], range: Range<usize>) -> [&mut [f64]; MAX_Q] {
+    let mut lanes = f.iter_mut();
+    std::array::from_fn(|_| lanes.next().map_or(&mut [][..], |l| &mut l[range.clone()]))
 }
 
 /// The offsets `−c_i` from a site to the sources of its links, as a
@@ -528,7 +512,7 @@ impl Iolets {
     /// The iolet sites of the local range `range`, with their moments,
     /// for a collide to store into, and the rules of step `step` that
     /// read them.
-    pub(crate) fn span_mut<'a>(
+    fn span_mut<'a>(
         &'a mut self,
         range: Range<usize>,
         model: &'a LatticeModel,
@@ -568,7 +552,7 @@ pub(crate) struct IoletSpan<'a> {
 impl<'a> IoletSpan<'a> {
     /// Detach the iolet sites of the span's first `len` sites, leaving
     /// the rest (where their local indices end: `partition_point`).
-    pub(crate) fn take_front(&mut self, len: usize) -> IoletSpan<'a> {
+    fn take_front(&mut self, len: usize) -> IoletSpan<'a> {
         let end = self.first + len;
         let k = self.sites.partition_point(|&s| (s as usize) < end);
         let (sites, rest) = self.sites.split_at(k);
@@ -584,7 +568,7 @@ impl<'a> IoletSpan<'a> {
     }
 
     /// The same span, borrowed again for one collide.
-    pub(crate) fn reborrow(&mut self) -> IoletSpan<'_> {
+    fn reborrow(&mut self) -> IoletSpan<'_> {
         IoletSpan {
             first: self.first,
             k0: self.k0,
@@ -633,8 +617,7 @@ impl IoletRules<'_> {
 /// buffer of distribution lanes, the ghost slots of its halo links, the
 /// streaming plan, the iolet sites' state, the collision inputs
 /// and the step counter, whose parity says how the lanes are to be read
-/// (module doc). The local-step and pull–push drivers over it live in
-/// [`crate::kernel`].
+/// (module doc).
 pub(crate) struct SoaLattice {
     pub(crate) model: LatticeModel,
     pub(crate) cfg: SolverConfig,
@@ -755,6 +738,113 @@ impl SoaLattice {
         self.step % 2 == 1
     }
 
+    /// One step over the sites of `range`: the local step at an even
+    /// step count, the pull–push step at an odd one. Sites outside it
+    /// are untouched, and the range cannot change any value. Does not
+    /// advance the step counter (see [`SoaLattice::finish_step`]): the
+    /// distributed schedule runs a step in two ranges.
+    pub(crate) fn advance(&mut self, range: Range<usize>) {
+        if self.between_pair() {
+            self.pull_push(range);
+        } else {
+            self.collide(range.clone());
+            let (span, rules) = self
+                .iolets
+                .span_mut(range, &self.model, &self.cfg, self.step);
+            apply_iolet_rules(&self.plan, rules, &mut self.f, &span);
+        }
+    }
+
+    /// Close a step: advance the step counter, which flips the parity
+    /// the lanes are read with.
+    pub(crate) fn finish_step(&mut self) {
+        self.step += 1;
+    }
+
+    /// Collide the sites of `range` in place with the AA store (`f*_i`
+    /// into lane `ī`), recording the pre-collision moments of its iolet
+    /// sites; sites outside it are untouched. The chunked sweep is
+    /// offset-invariant, so the range cannot change any site's value.
+    fn collide(&mut self, range: Range<usize>) {
+        let q = self.model.q;
+        let (span, _) = self
+            .iolets
+            .span_mut(range.clone(), &self.model, &self.cfg, self.step);
+        let mut lanes = lane_spans(&mut self.f, range);
+        collide_span_soa(&self.model, &self.dirs, &self.relax, &mut lanes[..q], span);
+    }
+
+    /// The pull–push step over the sites of `range`, block by block:
+    /// gather every link of a block from its slot into a stack buffer,
+    /// collide there with the AA store, and write each link's outgoing
+    /// population back into the same slot — an iolet link's through its
+    /// rule, with the moments this collide stored.
+    fn pull_push(&mut self, range: Range<usize>) {
+        let (q, n) = (self.model.q, self.site_count());
+        let (model, dirs, relax, plan) = (&self.model, &self.dirs, &self.relax, &self.plan);
+        let (mut iolets, rules) = self
+            .iolets
+            .span_mut(range.clone(), model, &self.cfg, self.step);
+        let mut lanes = lane_spans(&mut self.f, 0..n);
+        let lanes = &mut lanes[..q];
+        let mut cur = Cursor::at(plan, rules.sites, range.start);
+        let mut buf = [[0.0; BLOCK]; MAX_Q];
+        for block in blocks(range) {
+            let mut span = iolets.take_front(block.len());
+            let mut out = cur;
+            gather(
+                &model.opp,
+                plan,
+                rules.sites,
+                &mut cur,
+                block.clone(),
+                lanes,
+                &self.ghost,
+                &mut buf,
+            );
+            let mut window = buf.each_mut().map(|lane| &mut lane[..block.len()]);
+            collide_span_soa(model, dirs, relax, &mut window[..q], span.reborrow());
+            scatter(
+                &model.opp,
+                plan,
+                rules.sites,
+                &mut out,
+                block,
+                lanes,
+                &mut self.ghost,
+                &buf,
+                |k, i, v| rules.apply(k, i, v, span.moments_of(k)),
+            );
+        }
+    }
+
+    /// Macroscopic fields (density, velocity, shear-rate magnitude) of
+    /// every site, from the canonical state at either parity.
+    pub(crate) fn snapshot(&self) -> FieldSnapshot {
+        let n = self.site_count();
+        let mut rho = vec![0.0; n];
+        let mut u = vec![[0.0; 3]; n];
+        let mut shear = vec![0.0; n];
+        self.canonical(0..n, |at, lanes| {
+            let span = at..at + lanes[0].len();
+            macroscopics_span_soa(
+                &self.model,
+                &self.dirs,
+                self.cfg.tau,
+                lanes,
+                &mut rho[span.clone()],
+                &mut u[span.clone()],
+                &mut shear[span],
+            )
+        });
+        FieldSnapshot {
+            step: self.step,
+            rho,
+            u,
+            shear,
+        }
+    }
+
     /// Run `visit(first, lanes)` over `range` with `lanes[i]` the
     /// canonical direction-`i` populations of sites `first..`: the lanes
     /// themselves in one piece at an even step count, else block by
@@ -778,7 +868,6 @@ impl SoaLattice {
                 &mut cur,
                 sites,
                 &self.f,
-                0,
                 &self.ghost,
                 &mut buf,
             );
@@ -829,7 +918,7 @@ impl SoaLattice {
             plan,
             ..
         } = self;
-        let mut lanes: Vec<&mut [f64]> = f.iter_mut().map(|l| &mut l[..]).collect();
+        let mut lanes = lane_spans(f, 0..n);
         let mut cur = Cursor::at(plan, &iolets.sites, 0);
         let mut buf = [[0.0; BLOCK]; MAX_Q];
         for sites in blocks(0..n) {
@@ -844,8 +933,7 @@ impl SoaLattice {
                 &iolets.sites,
                 &mut cur,
                 sites,
-                &mut lanes,
-                0,
+                &mut lanes[..q],
                 ghost,
                 &buf,
                 |_, _, v| v,
@@ -1134,7 +1222,7 @@ impl ChunkFront {
 /// operator runs the same sweep — `CHUNK` sites at a time, the shared
 /// [`ChunkFront`], then its own relaxation — and a site's result does
 /// not depend on where in a chunk, a span or a worker's share it falls.
-pub(crate) fn collide_span_soa(
+fn collide_span_soa(
     model: &LatticeModel,
     dirs: &DirTables,
     relax: &Relaxation,
@@ -1271,71 +1359,10 @@ fn relax_pairs(
     }
 }
 
-/// The pull–push step over the sites `sites` of the lanes `lanes[j]`
-/// (which hold sites `base..` of lane `j`), block by block from `cur`:
-/// gather every link of a block from its slot into a stack buffer,
-/// collide there with the AA store, and write each link's outgoing
-/// population back into the same slot — an iolet link's through its
-/// rule, with the moments this collide stored. `select` picks the blocks
-/// to run; the others are walked past untouched.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pull_push_blocks(
-    model: &LatticeModel,
-    dirs: &DirTables,
-    relax: &Relaxation,
-    plan: &StreamPlan,
-    rules: IoletRules<'_>,
-    sites: Range<usize>,
-    lanes: &mut [&mut [f64]],
-    base: usize,
-    ghost: &mut [f64],
-    mut iolets: IoletSpan<'_>,
-    select: impl Fn(&Range<usize>) -> bool,
-) {
-    let (q, iolet_sites) = (model.q, rules.sites);
-    let mut cur = Cursor::at(plan, iolet_sites, sites.start);
-    let mut buf = [[0.0; BLOCK]; MAX_Q];
-    for block in blocks(sites) {
-        let mut span = iolets.take_front(block.len());
-        if !select(&block) {
-            cur.walk(plan, iolet_sites, block, |_| {});
-            continue;
-        }
-        let start = cur;
-        gather(
-            &model.opp,
-            plan,
-            iolet_sites,
-            &mut cur,
-            block.clone(),
-            lanes,
-            base,
-            ghost,
-            &mut buf,
-        );
-        let len = block.len();
-        let mut window = buf.each_mut().map(|lane| &mut lane[..len]);
-        collide_span_soa(model, dirs, relax, &mut window[..q], span.reborrow());
-        let mut cur_out = start;
-        scatter(
-            &model.opp,
-            plan,
-            iolet_sites,
-            &mut cur_out,
-            block,
-            lanes,
-            base,
-            ghost,
-            &buf,
-            |k, i, v| rules.apply(k, i, v, span.moments_of(k)),
-        );
-    }
-}
-
 /// The local step's iolet links of `range`, after its collide: each
 /// missing link `(s, i)` of an iolet site holds `f*_ī` and becomes its
 /// rule's value.
-pub(crate) fn apply_iolet_rules(
+fn apply_iolet_rules(
     plan: &StreamPlan,
     rules: IoletRules<'_>,
     f: &mut [Vec<f64>],
@@ -1357,7 +1384,7 @@ pub(crate) fn apply_iolet_rules(
 /// Macroscopic fields of a site span over SoA lanes (`f[i]` holds the
 /// span's direction-`i` populations), chunked like the collide (full
 /// chunks in place, the ragged tail through a zero-padded copy).
-pub(crate) fn macroscopics_span_soa(
+fn macroscopics_span_soa(
     model: &LatticeModel,
     dirs: &DirTables,
     tau: f64,
@@ -1437,7 +1464,8 @@ fn macroscopics_chunk<'a>(
 pub(crate) mod tests {
     use super::*;
     use crate::collision::collide;
-    use crate::equilibrium::{feq_all, moments as site_moments, pi_neq, shear_rate_magnitude};
+    use crate::equilibrium::tests::{pi_neq, shear_rate_magnitude};
+    use crate::equilibrium::{feq_all, moments as site_moments};
     use crate::solver::ModelKind;
     use hemelb_geometry::{SparseGeometry, VesselBuilder};
     use std::sync::Arc;
@@ -1790,31 +1818,6 @@ pub(crate) mod tests {
         }
     }
 
-    /// Each block's `reach` is the naive one of `table`, the lattice's
-    /// links: the lowest and the highest site among its sites and their
-    /// local sources, `u32::MAX` as the highest if a source is a ghost
-    /// slot.
-    pub(crate) fn assert_reach_is_naive(lat: &SoaLattice, table: &[Vec<u32>]) {
-        let n = lat.site_count();
-        let want: Vec<(u32, u32)> = (0..n)
-            .step_by(BLOCK)
-            .map(|b0| {
-                let b1 = (b0 + BLOCK).min(n);
-                let sources = (b0..b1)
-                    .flat_map(|s| table.iter().map(move |lane| lane[s]))
-                    .filter(|&e| e != LINK_BOUNDARY);
-                let lo = sources.clone().filter(|&e| is_local(e)).min();
-                let hi = sources
-                    .clone()
-                    .map(|e| if is_local(e) { e } else { u32::MAX })
-                    .max();
-                let lo = lo.map_or(b0 as u32, |lo| lo.min(b0 as u32));
-                (lo, hi.map_or(b1 as u32 - 1, |hi| hi.max(b1 as u32 - 1)))
-            })
-            .collect();
-        assert_eq!(lat.plan.reach, want);
-    }
-
     #[test]
     fn plan_expands_to_the_oracle_table() {
         let geo = Arc::new(VesselBuilder::aneurysm(12.0, 2.5, 3.5).voxelise(1.0));
@@ -1823,7 +1826,6 @@ pub(crate) mod tests {
             let sites = 0..geo.fluid_count() as u32;
             let want = build_stream_table(&geo, &lat.model, sites, |src, _| src);
             assert_eq!(lat.stream_table(), want, "{kind:?}");
-            assert_reach_is_naive(&lat, &want);
             assert_plan_partitions_the_links(&lat);
             assert!(!lat.iolets.sites.is_empty() && !lat.plan.iolet.is_empty());
             // Iolet sites keep their missing links off the wall lists.
@@ -1872,6 +1874,102 @@ pub(crate) mod tests {
         assert!(!soa.debug_swap_stream_entries(1, 0, 0), "equal entries");
         // The rebuilt plan still covers every link exactly once.
         assert_plan_partitions_the_links(&soa);
-        assert_reach_is_naive(&soa, &after);
+    }
+
+    fn bit_eq(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// Collide over a sub-range is bit-identical on covered sites to
+    /// collide over everything, and leaves uncovered sites untouched —
+    /// the invariant the distributed step's frontier/interior sweeps
+    /// rely on (the chunked sweep must be offset-invariant: the ranges
+    /// below start and end off multiples of the chunk width, under
+    /// every operator).
+    #[test]
+    fn range_collide_matches_full_collide_on_covered_sites() {
+        let geo = Arc::new(VesselBuilder::straight_tube(6.0, 2.0).voxelise(1.0));
+        for collision in [
+            CollisionKind::Bgk,
+            CollisionKind::trt_magic(),
+            CollisionKind::Mrt { omega_ghost: 1.2 },
+        ] {
+            let cfg = SolverConfig::pressure_driven(1.0, 1.0)
+                .with_tau(0.9)
+                .with_collision(collision);
+            let mut full = crate::Solver::new(geo.clone(), cfg.clone()).lat;
+            let mut part = crate::Solver::new(geo.clone(), cfg).lat;
+            let (n, q) = (full.site_count(), full.model.q);
+            assert!(n > 23, "need room for the split below");
+            let init: Vec<f64> = (0..n * q).map(|k| 0.05 + (k as f64).cos().abs()).collect();
+            full.install_site_major(0, &init);
+            part.install_site_major(0, &init);
+
+            full.collide(0..n);
+            // Cover sites 0..5 and 9..23, leaving the rest untouched.
+            let ranges = [0..5, 9..23];
+            for range in &ranges {
+                part.collide(range.clone());
+            }
+
+            let (full_f, part_f) = (full.to_site_major(), part.to_site_major());
+            for s in 0..n {
+                let covered = ranges.iter().any(|r| r.contains(&s));
+                let want = if covered { &full_f } else { &init };
+                assert!(
+                    bit_eq(&part_f[s * q..(s + 1) * q], &want[s * q..(s + 1) * q]),
+                    "{collision:?} site {s}"
+                );
+            }
+            // The covered iolet sites' stored moments agree too.
+            let iolets = &full.iolets.sites;
+            assert!(!iolets.is_empty());
+            for (k, &s) in iolets.iter().enumerate() {
+                if ranges.iter().any(|r| r.contains(&(s as usize))) {
+                    let (a, b) = (part.iolets.moments[k], full.iolets.moments[k]);
+                    assert_eq!(a.0.to_bits(), b.0.to_bits(), "{collision:?} iolet {k}");
+                    assert!(bit_eq(&a.1, &b.1), "{collision:?} iolet {k}");
+                }
+            }
+        }
+    }
+
+    /// The compact moments the collide stores at the iolet sites equal
+    /// the scalar pre-collision moments of those sites, whether one
+    /// range covers the lattice or several split its iolet list where
+    /// they split the sites.
+    #[test]
+    fn compact_iolet_moments_match_the_full_moments() {
+        let geo = Arc::new(VesselBuilder::straight_tube(10.0, 2.5).voxelise(1.0));
+        for kind in [ModelKind::D3Q15, ModelKind::D3Q19] {
+            let cfg = SolverConfig::velocity_driven(0.03).with_model(kind);
+            let mut base = crate::Solver::new(geo.clone(), cfg).lat;
+            let (n, q) = (base.site_count(), base.model.q);
+            let init: Vec<f64> = (0..n * q).map(|k| 0.05 + (k as f64).sin().abs()).collect();
+            base.install_site_major(0, &init);
+            let full: Vec<_> = init
+                .chunks_exact(q)
+                .map(|site| site_moments(&base.model, site))
+                .collect();
+            let sites = base.iolets.sites.clone();
+            assert!(sites.len() > 3, "inlet and outlet slabs");
+            let cut = sites[sites.len() / 2] as usize;
+            for cuts in [vec![0, n], vec![0, cut, n], vec![0, cut / 2, cut + 1, n]] {
+                let mut lat = crate::Solver::new(geo.clone(), base.cfg.clone()).lat;
+                lat.install_site_major(0, &init);
+                for w in cuts.windows(2) {
+                    lat.collide(w[0]..w[1]);
+                }
+                for (k, &s) in sites.iter().enumerate() {
+                    let (got, want) = (lat.iolets.moments[k], full[s as usize]);
+                    assert_eq!(
+                        got.0.to_bits(),
+                        want.0.to_bits(),
+                        "{kind:?} {cuts:?} site {s}"
+                    );
+                    assert!(bit_eq(&got.1, &want.1), "{kind:?} {cuts:?} site {s}");
+                }
+            }
+        }
     }
 }

@@ -34,7 +34,6 @@ pub mod collision;
 pub mod dist;
 pub mod equilibrium;
 pub mod fields;
-pub mod kernel;
 pub mod layout;
 pub mod model;
 pub mod mrt;
@@ -42,10 +41,9 @@ pub mod solver;
 
 pub use dist::DistSolver;
 pub use fields::FieldSnapshot;
-pub use kernel::ParallelSolver;
 pub use layout::SitePartition;
 pub use model::LatticeModel;
-pub use solver::{Solver, SolverConfig};
+pub use solver::{ParallelSolver, Solver, SolverConfig};
 
 /// Speed of sound squared of the standard isothermal lattices, in lattice
 /// units (`cs² = 1/3`).

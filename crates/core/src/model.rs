@@ -113,7 +113,7 @@ impl LatticeModel {
 
     /// Dot product `c_i · u`.
     #[inline]
-    pub fn ci_dot(&self, i: usize, u: [f64; 3]) -> f64 {
+    pub(crate) fn ci_dot(&self, i: usize, u: [f64; 3]) -> f64 {
         self.c[i][0] as f64 * u[0] + self.c[i][1] as f64 * u[1] + self.c[i][2] as f64 * u[2]
     }
 }

@@ -330,8 +330,8 @@ mod tests {
             assert!((ua[a] - ub[a]).abs() < 1e-13);
         }
         // Same deviatoric stress (shear moments relaxed identically).
-        let pa = crate::equilibrium::pi_neq(&model, &fa, ra, ua);
-        let pb = crate::equilibrium::pi_neq(&model, &fb, rb, ub);
+        let pa = crate::equilibrium::tests::pi_neq(&model, &fa, ra, ua);
+        let pb = crate::equilibrium::tests::pi_neq(&model, &fb, rb, ub);
         for k in 3..6 {
             // Off-diagonal components are pure shear.
             assert!((pa[k] - pb[k]).abs() < 1e-12, "component {k}");

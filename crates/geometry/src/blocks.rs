@@ -55,11 +55,6 @@ impl BlockDecomposition {
         self.fluid_per_block.iter().filter(|&&c| c > 0).count()
     }
 
-    /// Flat block index of the block containing lattice cell `p`.
-    pub fn block_of(&self, p: [u32; 3]) -> usize {
-        Self::block_of_impl(self.blocks, self.block_size, p)
-    }
-
     fn block_of_impl(blocks: [usize; 3], block_size: usize, p: [u32; 3]) -> usize {
         let bx = p[0] as usize / block_size;
         let by = p[1] as usize / block_size;
@@ -72,6 +67,13 @@ impl BlockDecomposition {
 mod tests {
     use super::*;
     use crate::vessels::VesselBuilder;
+
+    impl BlockDecomposition {
+        /// Flat block index of the block containing lattice cell `p`.
+        pub(crate) fn block_of(&self, p: [u32; 3]) -> usize {
+            Self::block_of_impl(self.blocks, self.block_size, p)
+        }
+    }
 
     fn demo_geo() -> SparseGeometry {
         VesselBuilder::aneurysm(32.0, 5.0, 7.0).voxelise(1.0)

@@ -27,7 +27,7 @@ const T_SITES: Tag = Tag::geometry(1);
 /// Greedy contiguous assignment of blocks to `parts` owners, balanced by
 /// fluid-site count — the "initial approximate load balance" HemeLB
 /// derives from level one before reading site data.
-pub fn plan_block_owners(fluid_per_block: &[u32], parts: usize) -> Vec<usize> {
+pub(crate) fn plan_block_owners(fluid_per_block: &[u32], parts: usize) -> Vec<usize> {
     assert!(parts > 0);
     let total: u64 = fluid_per_block.iter().map(|&c| c as u64).sum();
     let target = total as f64 / parts as f64;
@@ -47,7 +47,10 @@ pub fn plan_block_owners(fluid_per_block: &[u32], parts: usize) -> Vec<usize> {
 /// Contiguous split of the block list among `readers`, balanced by
 /// byte volume (site counts): `reader_ranges[r]` is the half-open block
 /// range read by reader `r`.
-pub fn plan_reader_ranges(fluid_per_block: &[u32], readers: usize) -> Vec<std::ops::Range<usize>> {
+pub(crate) fn plan_reader_ranges(
+    fluid_per_block: &[u32],
+    readers: usize,
+) -> Vec<std::ops::Range<usize>> {
     let owner = plan_block_owners(fluid_per_block, readers);
     let mut ranges = vec![0..0; readers];
     let mut start = 0usize;

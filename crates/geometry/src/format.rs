@@ -59,13 +59,13 @@ impl SgmyHeader {
     }
 
     /// Byte offset of block `b`'s level-two records.
-    pub fn block_offset(&self, b: usize) -> u64 {
+    pub(crate) fn block_offset(&self, b: usize) -> u64 {
         let before: u64 = self.fluid_per_block[..b].iter().map(|&c| c as u64).sum();
         self.data_offset + before * SITE_RECORD_BYTES
     }
 
     /// Lattice coordinates of the minimum corner of block `b`.
-    pub fn block_origin(&self, b: usize) -> [u32; 3] {
+    pub(crate) fn block_origin(&self, b: usize) -> [u32; 3] {
         let blocks = self.blocks();
         let bz = b % blocks[2];
         let by = (b / blocks[2]) % blocks[1];

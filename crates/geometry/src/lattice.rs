@@ -292,26 +292,28 @@ impl SparseGeometry {
         let dense = self.index.len() * dense_bytes_per_cell;
         (sparse, dense)
     }
-
-    /// Count of sites per [`SiteKind`] discriminant: `(bulk, wall,
-    /// inlet, outlet)`.
-    pub fn kind_census(&self) -> (usize, usize, usize, usize) {
-        let mut census = (0, 0, 0, 0);
-        for k in &self.kinds {
-            match k {
-                SiteKind::Bulk => census.0 += 1,
-                SiteKind::Wall => census.1 += 1,
-                SiteKind::Inlet(_) => census.2 += 1,
-                SiteKind::Outlet(_) => census.3 += 1,
-            }
-        }
-        census
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SparseGeometry {
+        /// Count of sites per [`SiteKind`] discriminant: `(bulk, wall,
+        /// inlet, outlet)`.
+        pub(crate) fn kind_census(&self) -> (usize, usize, usize, usize) {
+            let mut census = (0, 0, 0, 0);
+            for k in &self.kinds {
+                match k {
+                    SiteKind::Bulk => census.0 += 1,
+                    SiteKind::Wall => census.1 += 1,
+                    SiteKind::Inlet(_) => census.2 += 1,
+                    SiteKind::Outlet(_) => census.3 += 1,
+                }
+            }
+            census
+        }
+    }
 
     fn tiny() -> SparseGeometry {
         // 2×2×2 box with two fluid cells at (0,0,0) and (1,1,1).

@@ -86,7 +86,7 @@ impl Vec3 {
     }
 
     /// Some unit vector orthogonal to `self` (assumes `self` nonzero).
-    pub fn any_orthogonal(self) -> Vec3 {
+    pub(crate) fn any_orthogonal(self) -> Vec3 {
         let trial = if self.x.abs() < 0.9 {
             Vec3::new(1.0, 0.0, 0.0)
         } else {

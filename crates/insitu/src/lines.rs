@@ -44,7 +44,7 @@ impl Default for TraceConfig {
 /// tests the speed at `p` first pays four field evaluations a step, not
 /// five. `v` may keep state between calls (a `field::CornerProbe`
 /// does). `None` when a later stage leaves the fluid.
-pub fn rk4_step(
+pub(crate) fn rk4_step(
     mut v: impl FnMut(Vec3) -> Option<[f64; 3]>,
     p: Vec3,
     k1: [f64; 3],

@@ -82,7 +82,7 @@ impl TransferFunction {
     /// `0.0`, the interpolation `0.0 + (0.0 - 0.0)·frac` (then scaled)
     /// is exactly `±0.0` for any `frac` — and a `±0.0`-opacity sample
     /// contributes nothing to front-to-back compositing.
-    pub fn zero_opacity_over(&self, vmin: f64, vmax: f64) -> bool {
+    pub(crate) fn zero_opacity_over(&self, vmin: f64, vmax: f64) -> bool {
         if vmin.is_nan() || vmax.is_nan() || vmin > vmax {
             return false;
         }

@@ -64,11 +64,6 @@ impl<'a> RoiCut<'a> {
         }
     }
 
-    /// Fluid sites covered by the cut (must equal the domain size).
-    pub fn site_coverage(&self) -> u64 {
-        self.nodes.iter().map(|n| n.agg.count as u64).sum()
-    }
-
     /// Transport size of this cut (48 B per node, as elsewhere).
     pub fn bytes(&self) -> usize {
         self.nodes.len() * 48
@@ -106,6 +101,13 @@ mod tests {
     use super::*;
     use crate::tree::FieldOctree;
     use hemelb_geometry::VesselBuilder;
+
+    impl RoiCut<'_> {
+        /// Fluid sites covered by the cut (must equal the domain size).
+        fn site_coverage(&self) -> u64 {
+            self.nodes.iter().map(|n| n.agg.count as u64).sum()
+        }
+    }
 
     fn setup() -> (hemelb_geometry::SparseGeometry, FieldOctree) {
         let geo = VesselBuilder::aneurysm(24.0, 4.0, 6.0).voxelise(1.0);

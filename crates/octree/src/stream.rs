@@ -94,22 +94,10 @@ impl StreamOrder {
         &self.entries[..end]
     }
 
-    /// Bytes to transmit the prefix for `level` (48 B per node record,
-    /// matching [`FieldOctree::bytes_at_level`]'s record size).
+    /// Bytes to transmit the prefix for `level` (48 B per node record:
+    /// origin, size and aggregate).
     pub fn prefix_bytes(&self, level: u8) -> usize {
         self.prefix_for_level(level).len() * 48
-    }
-
-    /// Check the defining prefix property: the nodes in
-    /// `prefix_for_level(l)` with `level == l` *plus* shallower leaves
-    /// tile all fluid sites. Returns the tiled site count.
-    pub fn prefix_site_coverage(&self, tree: &FieldOctree, level: u8) -> u64 {
-        self.prefix_for_level(level)
-            .iter()
-            .map(|e| &tree.nodes()[e.node as usize])
-            .filter(|n| n.level == level || (n.level < level && n.is_leaf()))
-            .map(|n| n.agg.count as u64)
-            .sum()
     }
 }
 
@@ -144,7 +132,15 @@ mod tests {
         let (geo, t) = tree();
         let order = StreamOrder::build(&t);
         for level in 0..=t.depth() {
-            let covered = order.prefix_site_coverage(&t, level);
+            // The nodes of the prefix at `level` plus its shallower
+            // leaves tile every fluid site.
+            let covered: u64 = order
+                .prefix_for_level(level)
+                .iter()
+                .map(|e| &t.nodes()[e.node as usize])
+                .filter(|n| n.level == level || (n.level < level && n.is_leaf()))
+                .map(|n| n.agg.count as u64)
+                .sum();
             assert_eq!(
                 covered,
                 geo.fluid_count() as u64,

@@ -82,7 +82,6 @@ pub struct FieldOctree {
     nodes: Vec<OctreeNode>,
     root: u32,
     depth: u8,
-    root_size: u32,
 }
 
 impl FieldOctree {
@@ -116,12 +115,7 @@ impl FieldOctree {
         let root = build_range(field, &mut nodes, [0, 0, 0], root_size, 0, &keyed);
         debug_assert_eq!(nodes.len(), count);
         let depth = nodes.iter().map(|n| n.level).max().unwrap_or(0);
-        FieldOctree {
-            nodes,
-            root,
-            depth,
-            root_size,
-        }
+        FieldOctree { nodes, root, depth }
     }
 
     /// All nodes (parents appear after children; the root is last of its
@@ -139,11 +133,6 @@ impl FieldOctree {
     /// power-of-two domains).
     pub fn depth(&self) -> u8 {
         self.depth
-    }
-
-    /// Edge length of the root cube.
-    pub fn root_size(&self) -> u32 {
-        self.root_size
     }
 
     /// Recompute all aggregates for a new field without rebuilding the
@@ -195,7 +184,7 @@ impl FieldOctree {
     /// every site gets its covering node's mean. The L2 distance to the
     /// exact field is the information lost at that resolution
     /// (experiment E9).
-    pub fn reconstruct_at_level(&self, geo: &SparseGeometry, level: u8) -> Vec<f64> {
+    pub(crate) fn reconstruct_at_level(&self, geo: &SparseGeometry, level: u8) -> Vec<f64> {
         let mut out = vec![0.0; geo.fluid_count()];
         for node in self.cut_at_level(level) {
             fill_node(self, node, &mut out);
@@ -217,13 +206,6 @@ impl FieldOctree {
         } else {
             (num / den).sqrt()
         }
-    }
-
-    /// Bytes needed to ship the level-`level` cut (origin+size+aggregate
-    /// per node) versus the full field — the data-reduction factor of §V.
-    pub fn bytes_at_level(&self, level: u8) -> usize {
-        // 3×u32 origin + u32 size + 4×f64-ish aggregate ≈ 48 B.
-        self.cut_at_level(level).len() * 48
     }
 }
 
@@ -533,7 +515,8 @@ mod tests {
         let (geo, field) = setup();
         let tree = FieldOctree::build(&geo, &field);
         let full = geo.fluid_count() * 8; // one f64 per site
-        let coarse = tree.bytes_at_level(2);
+                                          // 3×u32 origin + u32 size + 4×f64-ish aggregate ≈ 48 B a node.
+        let coarse = tree.cut_at_level(2).len() * 48;
         assert!(
             coarse < full / 4,
             "level-2 cut must be much smaller: {coarse} vs {full}"

@@ -338,13 +338,6 @@ impl Communicator {
         }
     }
 
-    /// Send an encodable value to `dst` under `tag`.
-    pub fn send_wire<T: Wire>(&self, dst: usize, tag: Tag, value: &T) -> CommResult<()> {
-        let mut w = WireWriter::new();
-        value.encode(&mut w);
-        self.send(dst, tag, w.finish())
-    }
-
     /// The one place a rank blocks. Returns the first envelope `want`
     /// accepts: a buffered one at once (FIFO within a match, no wait
     /// recorded), otherwise the next matching arrival, buffering the
@@ -797,6 +790,15 @@ impl Communicator {
 mod tests {
     use super::*;
     use crate::runner::run_spmd;
+
+    impl Communicator {
+        /// Send an encodable value to `dst` under `tag`.
+        pub(crate) fn send_wire<T: Wire>(&self, dst: usize, tag: Tag, value: &T) -> CommResult<()> {
+            let mut w = crate::wire::WireWriter::new();
+            value.encode(&mut w);
+            self.send(dst, tag, w.finish())
+        }
+    }
 
     fn recv_u64(comm: &Communicator, src: usize, tag: Tag) -> u64 {
         u64::from_bytes(comm.recv(src, tag).unwrap()).unwrap()

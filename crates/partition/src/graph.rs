@@ -99,12 +99,6 @@ impl SiteGraph {
         self.len() == 0
     }
 
-    /// Number of (directed) adjacency entries; each undirected edge
-    /// appears twice.
-    pub fn directed_edge_count(&self) -> usize {
-        self.adjncy.len()
-    }
-
     /// Neighbours of vertex `v`.
     #[inline]
     pub fn neighbours(&self, v: u32) -> &[u32] {

@@ -96,7 +96,7 @@ pub fn quality(graph: &SiteGraph, owner: &[usize], k: usize) -> PartitionQuality
 
 /// `max/mean` of a load vector (1.0 = perfect, and also 1.0 for an
 /// all-zero or empty load vector, where imbalance is meaningless).
-pub fn imbalance_of(loads: &[f64]) -> f64 {
+pub(crate) fn imbalance_of(loads: &[f64]) -> f64 {
     let total: f64 = loads.iter().sum();
     let mean = total / loads.len() as f64;
     if mean <= 0.0 {

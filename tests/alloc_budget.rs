@@ -3,11 +3,11 @@
 //! fragmented the owner map is.
 //!
 //! A rank-step of the distributed solver may allocate for its messages
-//! (one encode buffer, which is the payload) and for the lane bundles its
-//! two lattice sweeps hand to the kernels — a count per peer, not per
-//! site and not per frontier run, and the same in both steps of an AA
-//! pair — and a serial step, whatever the collision operator and the
-//! step's parity, only for its one lane bundle.
+//! only (one encode buffer per peer, which is the payload) — a count per
+//! peer, not per site and not per frontier run, and the same in both
+//! steps of an AA pair. A serial step, whatever the collision operator
+//! and the step's parity, allocates nothing: the lane bundle a sweep
+//! hands the kernels and a pull–push block's buffer are on the stack.
 //!
 //! In situ work inside a rank runs on the rank's one thread: a brick's
 //! render asks only for its partial image and its skip mask, and a
@@ -144,8 +144,8 @@ fn rank_step_allocations_do_not_depend_on_map_fragmentation() {
     );
     for total in on_kway {
         assert_eq!(total % STEPS, 0, "a constant count per step");
-        // One halo payload to the one peer, one lane bundle per sweep.
-        assert!(total / STEPS <= 3, "{} allocations a step", total / STEPS);
+        // One halo payload to the one peer.
+        assert!(total / STEPS <= 1, "{} allocations a step", total / STEPS);
     }
 }
 
@@ -235,21 +235,21 @@ fn serial_step_allocations(collision: CollisionKind, dx: f64) -> u64 {
 fn serial_bgk_step_allocates_a_small_constant() {
     let per_step = [0.5, 0.25].map(|dx| serial_step_allocations(CollisionKind::Bgk, dx));
     assert_eq!(per_step[0], per_step[1], "Small vs Medium");
-    assert!(per_step[0] <= 4, "{} allocations a step", per_step[0]);
+    assert_eq!(per_step[0], 0, "allocations a step");
 }
 
 /// TRT and MRT run the same chunked sweep as BGK over borrowed tables
-/// and stack scratch, and a pull–push block's buffer is on the stack
-/// too: the one lane bundle is all a step allocates, local or
+/// and stack scratch, and the lane bundle and a pull–push block's
+/// buffer are on the stack too: a step allocates nothing, local or
 /// pull–push.
 #[test]
-fn serial_trt_and_mrt_steps_allocate_only_their_lane_bundle() {
+fn serial_trt_and_mrt_steps_allocate_nothing() {
     for collision in [
         CollisionKind::Bgk,
         CollisionKind::trt_magic(),
         CollisionKind::Mrt { omega_ghost: 1.2 },
     ] {
-        assert_eq!(serial_step_allocations(collision, 0.5), 1, "{collision:?}");
+        assert_eq!(serial_step_allocations(collision, 0.5), 0, "{collision:?}");
     }
 }
 

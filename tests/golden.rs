@@ -12,8 +12,9 @@
 //! The stored digests are the whole-step reference: they were blessed
 //! from the original site-major kernels (with the SoA kernels asserted
 //! equal cell for cell) before those were deleted, and have never been
-//! re-blessed since. Each named case is run serially and on the
-//! chunk-parallel `ParallelSolver`; both must match the *same* fixture.
+//! re-blessed since. Each named case runs on the serial `Solver`; the
+//! distributed solver is held to the same bits by `parity.txt`,
+//! `iolet_rules.txt` and the 8-rank soak.
 //!
 //! `kway_owner.txt` (and its `--ignored` Medium twin) pins the
 //! multilevel k-way owner maps the same way: one FNV-1a of the owner
@@ -24,9 +25,9 @@
 //!
 //! `iolet_rules.txt` pins the open-boundary rules the named cases leave
 //! unexercised — a pulsatile inlet and BCs changed mid-run — with one
-//! line per cell that the serial, threaded and distributed solvers must
-//! all reproduce. It was recorded before the stream phase's boundary
-//! links were split into wall copies and iolet rules.
+//! line per cell that the serial and distributed solvers must both
+//! reproduce. It was recorded before the stream phase's boundary links
+//! were split into wall copies and iolet rules.
 //!
 //! `trace_lines.txt` pins what the in situ tracers draw from a developed
 //! flow — sampled velocities, streamline vertices, hand-off counts,
@@ -41,17 +42,18 @@
 //!
 //! `parity.txt` (and its `--ignored` Medium twin) pins the states after
 //! steps 1, 2, 3 and 7 of every operator × BC × velocity set, on the
-//! serial, threaded and distributed solvers, plus a step-3 checkpoint
-//! and a step-3 repartition run on to step 7. It was recorded under the
+//! serial and distributed solvers, plus a step-3 checkpoint and a
+//! step-3 repartition run on to step 7. It was recorded under the
 //! two-buffer pull scheme, before the solver streamed in place in pairs
-//! of steps.
+//! of steps. It and `iolet_rules.txt` were both also reproduced by a
+//! thread-parallel solver until solvers became one thread each.
 
 mod common;
 
 use hemelb::core::boundary::IoletBc;
 use hemelb::core::collision::CollisionKind;
 use hemelb::core::solver::ModelKind;
-use hemelb::core::{DistSolver, FieldSnapshot, ParallelSolver, Solver, SolverConfig};
+use hemelb::core::{DistSolver, FieldSnapshot, Solver, SolverConfig};
 use hemelb::geometry::{IoLetKind, SparseGeometry, Vec3, VesselBuilder};
 use hemelb::insitu::camera::Camera;
 use hemelb::insitu::compositing::binary_swap;
@@ -136,20 +138,9 @@ fn digest_lines(solver: &Solver, steps: u64) -> String {
 fn run_case(case: &GoldenCase) {
     let (geo, cfg) = (case.build)();
 
-    let mut serial = Solver::new(geo.clone(), cfg.clone());
+    let mut serial = Solver::new(geo, cfg);
     serial.step_n(case.steps);
     let got = digest_lines(&serial, case.steps);
-
-    // The parallel solver must produce the *same* fixture.
-    let mut par = ParallelSolver::new(geo, cfg, 3);
-    par.step_n(case.steps);
-    assert_eq!(
-        got,
-        digest_lines(par.solver(), case.steps),
-        "{}: parallel kernel diverged from serial",
-        case.name
-    );
-
     check_or_bless(case.name, &got);
 }
 
@@ -324,18 +315,6 @@ impl IoletDriven for Solver {
     }
 }
 
-impl IoletDriven for ParallelSolver {
-    fn run(&mut self, steps: u64) {
-        self.step_n(steps);
-    }
-    fn set_bc(&mut self, kind: IoLetKind, bc: IoletBc) {
-        match kind {
-            IoLetKind::Inlet => self.set_inlet_bc(0, bc),
-            IoLetKind::Outlet => self.set_outlet_bc(0, bc),
-        }
-    }
-}
-
 impl IoletDriven for DistSolver<'_> {
     fn run(&mut self, steps: u64) {
         self.step_n(steps).unwrap();
@@ -391,8 +370,8 @@ fn digest_line(name: &str, snap: &FieldSnapshot, f: &[f64], steps: u64) -> Strin
 /// The iolet rules nothing else pins: a pulsatile (step-dependent)
 /// velocity inlet, and a pressure outlet and a velocity inlet each
 /// changed mid-run through the steering setters. Every cell runs on
-/// `Solver`, `ParallelSolver` at 3 threads and `DistSolver` at 2 and 3
-/// ranks of a k-way map; all four must give the one stored line.
+/// `Solver` and on `DistSolver` at 2 and 3 ranks of a k-way map; all
+/// three must give the one stored line.
 #[test]
 fn golden_iolet_rules() {
     let geo = iolet_geometry();
@@ -406,15 +385,6 @@ fn golden_iolet_rules() {
             &serial.snapshot(),
             &serial.raw_distributions(),
             steps,
-        );
-
-        let mut par = ParallelSolver::new(geo.clone(), (cell.cfg)(), 3);
-        drive(cell, &mut par);
-        let par_line = digest_line(cell.name, &par.snapshot(), &par.raw_distributions(), steps);
-        assert_eq!(
-            par_line, line,
-            "{}: 3 threads diverged from serial",
-            cell.name
         );
         for ranks in [2, 3] {
             assert_eq!(
@@ -501,8 +471,8 @@ fn dist_digest_line(name: &str, ranks: &[RankDigest], n: usize, q: usize, steps:
 }
 
 /// The `parity.txt` lines of one cell on `geo`: the state after each of
-/// [`PARITY_STEPS`], which `Solver`, `ParallelSolver` at 3 threads and
-/// `DistSolver` at 2 ranks of a k-way map must all give; then the
+/// [`PARITY_STEPS`], which `Solver` and `DistSolver` at 2 ranks of a
+/// k-way map must both give; then the
 /// step-7 state reached through a checkpoint written at step 3 (serial
 /// and distributed writers must agree) and through a
 /// `DistSolver::repartition` to x-slabs at step 3.
@@ -512,15 +482,15 @@ fn parity_cell_lines(geo: &Arc<SparseGeometry>, name: &str, cfg: &SolverConfig) 
     let mut out = String::new();
 
     let mut serial = Solver::new(geo.clone(), cfg.clone());
-    let mut par = ParallelSolver::new(geo.clone(), cfg.clone(), 3);
     let mut lines = Vec::new();
     for steps in PARITY_STEPS {
         serial.step_n(steps - serial.step_count());
-        par.step_n(steps - par.step_count());
-        let line = digest_line(name, &serial.snapshot(), &serial.raw_distributions(), steps);
-        let par_line = digest_line(name, &par.snapshot(), &par.raw_distributions(), steps);
-        assert_eq!(par_line, line, "{name}: 3 threads diverged from serial");
-        lines.push(line);
+        lines.push(digest_line(
+            name,
+            &serial.snapshot(),
+            &serial.raw_distributions(),
+            steps,
+        ));
     }
 
     let tag = name.replace(' ', "_");
@@ -614,8 +584,7 @@ fn golden_parity() {
 
 /// The Medium aneurysm (dx 0.25, the `kernel_serial` lattice) through
 /// two parity cells: the `kernel_serial` and `kernel_trt_par2`
-/// operators, where copy segments are long and the threaded seam is a
-/// few percent of the sites.
+/// operators, where copy segments are long.
 #[test]
 #[ignore = "Medium solver runs in debug; run via cargo test -- --ignored"]
 fn golden_parity_medium() {
@@ -667,55 +636,34 @@ fn corrupted_streaming_index_fails_golden_digest() {
     );
 }
 
-/// The mid-run checkpoint hand-off case: geometry, configuration, a
-/// scratch checkpoint path for `tag`, and the distributions of an
-/// uninterrupted 20-step serial run.
-fn handoff_case(tag: &str) -> (Arc<SparseGeometry>, SolverConfig, PathBuf, Vec<f64>) {
+/// State written by the serial solver mid-run, at step 10 and at step
+/// 11 (both AA parities: at an odd count the state is gathered from
+/// the link slots), restores into a fresh solver and continues on
+/// exactly the uninterrupted 20-step trajectory.
+#[test]
+fn serial_checkpoint_resumes_mid_run_at_either_parity() {
     let geo = Arc::new(VesselBuilder::aneurysm(12.0, 2.5, 3.5).voxelise(1.0));
     let cfg = SolverConfig::pressure_driven(1.005, 0.995);
-    let path = std::env::temp_dir().join(format!("hlb_handoff_{tag}_{}.chkp", std::process::id()));
     let mut reference = Solver::new(geo.clone(), cfg.clone());
     reference.step_n(20);
     let want = reference.raw_distributions();
-    (geo, cfg, path, want)
-}
-
-/// State written by the serial solver at step 10 restores into the
-/// threaded solver and continues on exactly the uninterrupted trajectory.
-#[test]
-fn serial_checkpoint_resumes_on_the_threaded_solver_mid_run() {
-    let (geo, cfg, path, want) = handoff_case("serial");
-    let mut writer = Solver::new(geo.clone(), cfg.clone());
-    writer.step_n(10);
-    writer.checkpoint(&path).unwrap();
-    let mut restored = Solver::new(geo, cfg);
-    restored.restore(&path).unwrap();
-    assert_eq!(restored.step_count(), 10, "restored step count");
-    let mut par = ParallelSolver::from_solver(restored, 3);
-    par.step_n(10);
-    assert!(
-        common::bits_eq(&want, &par.raw_distributions()),
-        "serial checkpoint + 10 threaded steps diverged from the uninterrupted run"
-    );
-    std::fs::remove_file(&path).ok();
-}
-
-/// The reverse hand-off: threaded writes, serial resumes.
-#[test]
-fn threaded_checkpoint_resumes_on_the_serial_solver_mid_run() {
-    let (geo, cfg, path, want) = handoff_case("threaded");
-    let mut writer = ParallelSolver::new(geo.clone(), cfg.clone(), 3);
-    writer.step_n(10);
-    writer.solver().checkpoint(&path).unwrap();
-    let mut serial = Solver::new(geo, cfg);
-    serial.restore(&path).unwrap();
-    assert_eq!(serial.step_count(), 10, "restored step count");
-    serial.step_n(10);
-    assert!(
-        common::bits_eq(&want, &serial.raw_distributions()),
-        "threaded checkpoint + 10 serial steps diverged from the uninterrupted run"
-    );
-    std::fs::remove_file(&path).ok();
+    for at in [10, 11] {
+        let path =
+            std::env::temp_dir().join(format!("hlb_resume_{at}_{}.chkp", std::process::id()));
+        let mut writer = Solver::new(geo.clone(), cfg.clone());
+        writer.step_n(at);
+        writer.checkpoint(&path).unwrap();
+        let mut resumed = Solver::new(geo.clone(), cfg.clone());
+        resumed.restore(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(resumed.step_count(), at, "restored step count");
+        resumed.step_n(20 - at);
+        assert!(
+            common::bits_eq(&want, &resumed.raw_distributions()),
+            "checkpoint at step {at} + {} steps diverged from the uninterrupted run",
+            20 - at
+        );
+    }
 }
 
 /// One `kway_owner` cell: the partitioned graph's label and `k`, the
@@ -1134,19 +1082,29 @@ fn golden_render_frames() {
     check_or_bless("render_frames", &render_frames());
 }
 
-/// Long soak: 500 steps at 8 threads must stay bit-identical to serial.
-/// Run with `cargo test --test golden -- --ignored` (wired into ci.sh).
+/// Long soak: 500 steps on 8 `DistSolver` ranks of a k-way map must
+/// stay bit-identical to serial. Run with `cargo test --test golden --
+/// --ignored` (wired into ci.sh).
 #[test]
 #[ignore = "long soak; run via cargo test -- --ignored"]
-fn soak_500_steps_8_threads_bit_exact() {
+fn soak_500_steps_8_ranks_bit_exact() {
     let geo = Arc::new(VesselBuilder::aneurysm(14.0, 3.0, 4.0).voxelise(1.0));
     let cfg = SolverConfig::pressure_driven(1.005, 0.995);
     let mut serial = Solver::new(geo.clone(), cfg.clone());
-    let mut par = ParallelSolver::new(geo, cfg, 8);
     serial.step_n(500);
-    par.step_n(500);
+    let graph = SiteGraph::from_geometry(&geo, Connectivity::D3Q15);
+    let owner = MultilevelKWay.partition(&graph, 8);
+    let (n, q) = (geo.fluid_count(), cfg.model.build().q);
+    let parts = run_spmd(8, move |comm| {
+        let mut ds = DistSolver::new(geo.clone(), owner.clone(), cfg.clone(), comm).unwrap();
+        ds.step_n(500).unwrap();
+        (ds.local_sites().to_vec(), ds.raw_distributions())
+    });
     assert!(
-        common::bits_eq(&serial.raw_distributions(), &par.raw_distributions()),
-        "8-thread soak diverged from serial after 500 steps"
+        common::bits_eq(
+            &serial.raw_distributions(),
+            &global_distributions(&parts, n, q)
+        ),
+        "8-rank soak diverged from serial after 500 steps"
     );
 }

@@ -535,58 +535,18 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn parallel_kernel_is_bit_exact_over_random_cases(case in common::case_strategy()) {
-        // The tentpole determinism property: over random sparse
-        // geometries (cylinders, bifurcations, porous blocks) × velocity
-        // sets × collision operators × BC families, the chunk-parallel
-        // solver matches the serial one bit-for-bit at any thread count.
-        use hemelb::core::{ParallelSolver, Solver};
-        let geo = case.geo.build();
-        let cfg = case.config();
-        let mut serial = Solver::new(geo.clone(), cfg.clone());
-        let mut par1 = ParallelSolver::new(geo.clone(), cfg.clone(), 1);
-        let mut par4 = ParallelSolver::new(geo, cfg, 4);
-        serial.step_n(24);
-        par1.step_n(24);
-        par4.step_n(24);
-        prop_assert!(
-            common::bits_eq(&serial.raw_distributions(), &par1.raw_distributions()),
-            "threads=1 diverged for {:?}", case
-        );
-        prop_assert!(
-            common::bits_eq(&serial.raw_distributions(), &par4.raw_distributions()),
-            "threads=4 diverged for {:?}", case
-        );
-        // Snapshot extraction (serial loop vs chunk-parallel) agrees too.
-        let serial_digest = common::snapshot_digests(&serial.snapshot());
-        let par_digest = common::snapshot_digests(&par4.snapshot());
-        prop_assert_eq!(serial_digest, par_digest);
-    }
-}
-
-/// The lengths `for_chunks` cuts `n` sites into on `threads` workers.
-fn worker_chunks(n: usize, threads: usize) -> Vec<usize> {
-    let chunk = n.div_ceil(threads);
-    (0..n).step_by(chunk).map(|at| chunk.min(n - at)).collect()
-}
-
 #[test]
 fn parallel_kernel_is_bit_exact_across_all_operator_combinations() {
-    // Exhaustive sweep guaranteeing the coverage the random cases only
-    // sample: both velocity sets × three collision operators × both BC
-    // families, on a cylinder and on a porous block, 20 steps each,
-    // serial == threads == ranks. The thread count is drawn per geometry
-    // so that every worker's share is a non-multiple of the kernels'
-    // 8-site chunk: each operator then crosses the padded-tail path on
-    // every worker, every step, as does each rank's frontier or
-    // interior range.
+    // Exhaustive sweep guaranteeing the coverage the random cases of
+    // `tests/overlap.rs` only sample: both velocity sets × three
+    // collision operators × both BC families, on a cylinder and on a
+    // porous block, 20 steps each, serial == 2 ranks. Each rank's
+    // frontier or interior range is asserted ragged (a non-multiple of
+    // the kernels' 8-site chunk), so every operator crosses the
+    // padded-tail path on every rank, every step.
     use hemelb::core::collision::CollisionKind;
     use hemelb::core::solver::ModelKind;
-    use hemelb::core::{DistSolver, ParallelSolver, Solver};
+    use hemelb::core::{DistSolver, Solver};
     let geos = [
         common::GeoSpec::Cylinder {
             len: 10.0,
@@ -602,10 +562,6 @@ fn parallel_kernel_is_bit_exact_across_all_operator_combinations() {
     for geo_spec in &geos {
         let geo = geo_spec.build();
         let n = geo.fluid_count();
-        let ragged = |threads: &usize| worker_chunks(n, *threads).iter().all(|len| len % 8 != 0);
-        let threads = (2..=8)
-            .find(ragged)
-            .unwrap_or_else(|| panic!("no thread count leaves {n} sites ragged on every worker"));
         let owner: Vec<usize> = (0..n).map(|s| s * 2 / n).collect();
         for model in [ModelKind::D3Q15, ModelKind::D3Q19] {
             for collision in [
@@ -622,19 +578,8 @@ fn parallel_kernel_is_bit_exact_across_all_operator_combinations() {
                     };
                     let cfg = case.config();
                     let mut serial = Solver::new(geo.clone(), cfg.clone());
-                    let mut par = ParallelSolver::new(geo.clone(), cfg.clone(), threads);
                     serial.step_n(20);
-                    par.step_n(20);
-                    assert!(
-                        common::bits_eq(&serial.raw_distributions(), &par.raw_distributions()),
-                        "{threads} threads diverged for {case:?}"
-                    );
                     let want = common::snapshot_digests(&serial.snapshot());
-                    assert_eq!(
-                        common::snapshot_digests(&par.snapshot()),
-                        want,
-                        "{threads}-thread snapshot of {case:?}"
-                    );
                     let (geo, owner) = (geo.clone(), owner.clone());
                     let gathered = run_spmd(2, move |comm| {
                         let mut ds =
