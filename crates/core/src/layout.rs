@@ -57,10 +57,10 @@
 //! solver; for the distributed one a rank's owned sites in its storage
 //! order — frontier first, interior after (see [`SitePartition`] and
 //! [`crate::dist`]) — so a step (`SoaLattice::advance`) only ever
-//! sweeps one contiguous site range, on the caller's thread.
-//! Snapshots and checkpoints exchange
-//! state in the canonical site-major order (`[site][dir]`) over that
-//! site list; at an odd step count they gather it from the slots.
+//! sweeps one contiguous site range, on the caller's thread. Snapshots
+//! and checkpoints exchange state in the canonical site-major order
+//! (`[site][dir]`) over that site list; at an odd step count they
+//! gather it from the slots.
 //!
 //! ## Bitwise reference
 //!
@@ -1221,7 +1221,7 @@ impl ChunkFront {
 /// sites in `iolets` (whose `first` is the span's first site). Every
 /// operator runs the same sweep — `CHUNK` sites at a time, the shared
 /// [`ChunkFront`], then its own relaxation — and a site's result does
-/// not depend on where in a chunk, a span or a worker's share it falls.
+/// not depend on where in a chunk or a span it falls.
 fn collide_span_soa(
     model: &LatticeModel,
     dirs: &DirTables,

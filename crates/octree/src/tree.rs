@@ -514,8 +514,9 @@ mod tests {
     fn data_reduction_is_geometric() {
         let (geo, field) = setup();
         let tree = FieldOctree::build(&geo, &field);
-        let full = geo.fluid_count() * 8; // one f64 per site
-                                          // 3×u32 origin + u32 size + 4×f64-ish aggregate ≈ 48 B a node.
+        // One f64 a site against a node record of 3×u32 origin + u32
+        // size + 4×f64-ish aggregate ≈ 48 B.
+        let full = geo.fluid_count() * 8;
         let coarse = tree.cut_at_level(2).len() * 48;
         assert!(
             coarse < full / 4,
