@@ -7,7 +7,9 @@
 //! failed run resumes *bit-exactly* where it stopped. The distributed
 //! variant writes one file per rank (the scalable pattern) and verifies
 //! the decomposition on restore; a file error on any rank is an error on
-//! every rank, never a panic or a peer left waiting.
+//! every rank, never a panic or a peer left waiting. The global variant
+//! writes the serial file from a distributed run and restores one on any
+//! decomposition.
 
 use crate::solver::Solver;
 use crate::DistSolver;
@@ -164,6 +166,62 @@ impl<'a> DistSolver<'a> {
         let read = read_matching(&path, self.local_sites().len(), self.model().q);
         let state = self.agree(read.map_err(|e| file_error(&path, e)))?;
         self.lat.install_site_major(state.step, &state.f);
+        Ok(())
+    }
+
+    /// Collective checkpoint into the one file at `path` that
+    /// [`Solver::checkpoint`] would write: rank 0 gathers every rank's
+    /// sites, puts them in global order and writes the file, so a serial
+    /// solver or any decomposition can resume from it. Errors as
+    /// [`DistSolver::checkpoint`].
+    pub fn checkpoint_global(&self, path: &Path) -> CommResult<()> {
+        let q = self.model().q;
+        let raw = self.raw_distributions();
+        let mut rows = Vec::with_capacity(raw.len() * 8 + self.local_sites().len() * 4);
+        for (&g, f) in self.local_sites().iter().zip(raw.chunks_exact(q)) {
+            rows.extend(g.to_le_bytes());
+            f.iter().for_each(|v| rows.extend(v.to_le_bytes()));
+        }
+        let written = match self.comm().gather(0, rows)? {
+            None => Ok(()),
+            Some(parts) => {
+                let n = self.geometry().fluid_count();
+                let mut f = vec![0.0; n * q];
+                for row in parts.iter().flat_map(|p| p.chunks_exact(4 + 8 * q)) {
+                    let g = u32::from_le_bytes(row[..4].try_into().expect("4 bytes")) as usize;
+                    for (v, b) in f[g * q..(g + 1) * q]
+                        .iter_mut()
+                        .zip(row[4..].chunks_exact(8))
+                    {
+                        *v = f64::from_le_bytes(b.try_into().expect("8 bytes"));
+                    }
+                }
+                let state = RawState {
+                    step: self.step_count(),
+                    site_count: n as u64,
+                    q: q as u64,
+                    f,
+                };
+                std::fs::File::create(path).and_then(|mut file| write_state(&state, &mut file))
+            }
+        };
+        self.agree(written.map_err(|e| file_error(path, e)))
+    }
+
+    /// Collective restore of the one file written by
+    /// [`Solver::checkpoint`] or [`DistSolver::checkpoint_global`], on
+    /// whatever decomposition this solver has: every rank reads the
+    /// whole file and installs its own sites. Errors as
+    /// [`DistSolver::checkpoint`].
+    pub fn restore_global(&mut self, path: &Path) -> CommResult<()> {
+        let q = self.model().q;
+        let read = read_matching(path, self.geometry().fluid_count(), q).map(|state| {
+            let rows = self.local_sites().iter().map(|&g| g as usize * q);
+            let f: Vec<f64> = rows.flat_map(|at| state.f[at..at + q].to_vec()).collect();
+            (state.step, f)
+        });
+        let (step, f) = self.agree(read.map_err(|e| file_error(path, e)))?;
+        self.lat.install_site_major(step, &f);
         Ok(())
     }
 

@@ -636,34 +636,82 @@ fn corrupted_streaming_index_fails_golden_digest() {
     );
 }
 
-/// State written by the serial solver mid-run, at step 10 and at step
-/// 11 (both AA parities: at an odd count the state is gathered from
-/// the link slots), restores into a fresh solver and continues on
-/// exactly the uninterrupted 20-step trajectory.
-#[test]
-fn serial_checkpoint_resumes_mid_run_at_either_parity() {
+/// The mid-run checkpoint hand-off case: geometry, configuration, a
+/// scratch checkpoint path for `tag`, a 3-rank block owner map and the
+/// distributions of an uninterrupted 20-step serial run.
+fn handoff_case(
+    tag: &str,
+) -> (
+    Arc<SparseGeometry>,
+    SolverConfig,
+    PathBuf,
+    Vec<usize>,
+    Vec<f64>,
+) {
     let geo = Arc::new(VesselBuilder::aneurysm(12.0, 2.5, 3.5).voxelise(1.0));
     let cfg = SolverConfig::pressure_driven(1.005, 0.995);
+    let path = std::env::temp_dir().join(format!("hlb_handoff_{tag}_{}.chkp", std::process::id()));
+    let n = geo.fluid_count();
+    let owner = (0..n).map(|s| s * 3 / n).collect();
     let mut reference = Solver::new(geo.clone(), cfg.clone());
     reference.step_n(20);
     let want = reference.raw_distributions();
+    (geo, cfg, path, owner, want)
+}
+
+/// State written by the serial solver at step 10 and at step 11 (both
+/// AA parities) restores into the threaded solver — `DistSolver` on
+/// three ranks, each stepping on its own thread — and continues on
+/// exactly the uninterrupted trajectory.
+#[test]
+fn serial_checkpoint_resumes_on_the_threaded_solver_mid_run() {
+    let (geo, cfg, path, owner, want) = handoff_case("serial");
+    let q = cfg.model.build().q;
     for at in [10, 11] {
-        let path =
-            std::env::temp_dir().join(format!("hlb_resume_{at}_{}.chkp", std::process::id()));
         let mut writer = Solver::new(geo.clone(), cfg.clone());
         writer.step_n(at);
         writer.checkpoint(&path).unwrap();
-        let mut resumed = Solver::new(geo.clone(), cfg.clone());
-        resumed.restore(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(resumed.step_count(), at, "restored step count");
-        resumed.step_n(20 - at);
+        let (geo2, cfg2, path2, owner2) = (geo.clone(), cfg.clone(), path.clone(), owner.clone());
+        let ranks = run_spmd(3, move |comm| {
+            let mut ds = DistSolver::new(geo2.clone(), owner2.clone(), cfg2.clone(), comm).unwrap();
+            ds.restore_global(&path2).unwrap();
+            assert_eq!(ds.step_count(), at, "restored step count");
+            ds.step_n(20 - at).unwrap();
+            (ds.local_sites().to_vec(), ds.raw_distributions())
+        });
         assert!(
-            common::bits_eq(&want, &resumed.raw_distributions()),
-            "checkpoint at step {at} + {} steps diverged from the uninterrupted run",
+            common::bits_eq(&want, &global_distributions(&ranks, geo.fluid_count(), q)),
+            "serial checkpoint at step {at} + {} threaded steps diverged from the uninterrupted run",
             20 - at
         );
     }
+    std::fs::remove_file(&path).ok();
+}
+
+/// The reverse hand-off: the threaded solver writes one global file at
+/// step 10 and at step 11, and the serial solver resumes from it.
+#[test]
+fn threaded_checkpoint_resumes_on_the_serial_solver_mid_run() {
+    let (geo, cfg, path, owner, want) = handoff_case("threaded");
+    for at in [10, 11] {
+        let (geo2, cfg2, path2, owner2) = (geo.clone(), cfg.clone(), path.clone(), owner.clone());
+        let written = run_spmd(3, move |comm| {
+            let mut ds = DistSolver::new(geo2.clone(), owner2.clone(), cfg2.clone(), comm).unwrap();
+            ds.step_n(at).unwrap();
+            ds.checkpoint_global(&path2)
+        });
+        assert!(written.iter().all(Result::is_ok), "{written:?}");
+        let mut serial = Solver::new(geo.clone(), cfg.clone());
+        serial.restore(&path).unwrap();
+        assert_eq!(serial.step_count(), at, "restored step count");
+        serial.step_n(20 - at);
+        assert!(
+            common::bits_eq(&want, &serial.raw_distributions()),
+            "threaded checkpoint at step {at} + {} serial steps diverged from the uninterrupted run",
+            20 - at
+        );
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 /// One `kway_owner` cell: the partitioned graph's label and `k`, the
