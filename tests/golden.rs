@@ -40,6 +40,13 @@
 //! bricks composited by binary swap at 2 and 4 ranks. It was recorded
 //! while render rows were still split into bands across threads.
 //!
+//! `octree_cuts.txt` (and its `--ignored` Medium twin) pins the field
+//! octree over the aneurysm with a fixed analytic field: one line per
+//! level with the digest of that level's cut in traversal order (each
+//! node's level, origin, size, count and aggregate bits) and the bits of
+//! its relative L2 error. It was recorded on the 88-byte node, whose
+//! eight child slots listed nodes in post-order.
+//!
 //! `parity.txt` (and its `--ignored` Medium twin) pins the states after
 //! steps 1, 2, 3 and 7 of every operator × BC × velocity set, on the
 //! serial and distributed solvers, plus a step-3 checkpoint and a
@@ -66,6 +73,7 @@ use hemelb::insitu::particles::ParticleEnsemble;
 use hemelb::insitu::volume::{render_brick_opts, render_full, Brick, RenderOptions};
 use hemelb::insitu::{SampledField, TransferFunction};
 use hemelb::obs::Fnv1a;
+use hemelb::octree::FieldOctree;
 use hemelb::parallel::run_spmd;
 use hemelb::partition::graph::{Connectivity, SiteGraph};
 use hemelb::partition::{quality, MultilevelKWay, PartitionQuality, Partitioner};
@@ -1128,6 +1136,61 @@ fn render_frames() -> String {
 #[test]
 fn golden_render_frames() {
     check_or_bless("render_frames", &render_frames());
+}
+
+/// The octree over the aneurysm at `dx` with a fixed field that differs
+/// at every site: a header with the site and node counts and the depth,
+/// then per level the cut's length and digest and the L2 error's bits.
+fn octree_cut_lines(dx: f64) -> String {
+    let geo = VesselBuilder::aneurysm(28.0, 4.0, 6.0).voxelise(dx);
+    let field: Vec<f64> = geo
+        .positions()
+        .iter()
+        .map(|p| {
+            let [x, y, z] = p.map(f64::from);
+            (0.31 * x).sin() + 0.5 * (0.17 * y).cos() + 0.013 * z * z
+        })
+        .collect();
+    let tree = FieldOctree::build(&geo, &field);
+    let mut out = format!(
+        "sites={} nodes={} depth={}\n",
+        geo.fluid_count(),
+        tree.nodes().len(),
+        tree.depth()
+    );
+    for level in 0..=tree.depth() {
+        let cut = tree.cut_at_level(level);
+        let mut h = Fnv1a::new();
+        for n in &cut {
+            h.u64(u64::from(n.level));
+            n.origin.iter().for_each(|&c| h.u64(u64::from(c)));
+            h.u64(u64::from(n.size));
+            h.u64(u64::from(n.agg.count));
+            [n.agg.mean, n.agg.min, n.agg.max]
+                .iter()
+                .for_each(|v| h.u64(v.to_bits()));
+        }
+        let l2 = tree.l2_error_at_level(&geo, &field, level);
+        out.push_str(&format!(
+            "level={level} cut={} digest={:016x} l2={:016x}\n",
+            cut.len(),
+            h.finish(),
+            l2.to_bits()
+        ));
+    }
+    out
+}
+
+#[test]
+fn golden_octree_cuts() {
+    check_or_bless("octree_cuts", &octree_cut_lines(0.5));
+}
+
+/// The Medium aneurysm (dx 0.25, the octree `prep_cold` builds).
+#[test]
+#[ignore = "Medium octree in debug; run via cargo test -- --ignored"]
+fn golden_octree_cuts_medium() {
+    check_or_bless("octree_cuts_medium", &octree_cut_lines(0.25));
 }
 
 /// Long soak: 500 steps on 8 `DistSolver` ranks of a k-way map must
