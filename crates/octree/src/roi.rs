@@ -4,7 +4,7 @@
 //! analysis and visualisation can be carried out on a refinable area" —
 //! coarse *context* everywhere, fine *detail* inside the user's box.
 
-use crate::tree::{FieldOctree, OctreeNode, NONE};
+use crate::tree::{FieldOctree, OctreeNode};
 
 /// An axis-aligned region of interest in lattice cells.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,17 +82,15 @@ fn descend<'a>(
     let node = &tree.nodes()[idx as usize];
     let in_roi = roi.intersects(node);
     let target = if in_roi { detail_level } else { context_level };
-    if node.level >= target || node.children.iter().all(|&c| c == NONE) {
+    if node.level >= target || node.is_leaf() {
         out.push(node);
         if in_roi && node.level > context_level {
             *detail_nodes += 1;
         }
         return;
     }
-    for &c in &node.children {
-        if c != NONE {
-            descend(tree, c, roi, context_level, detail_level, out, detail_nodes);
-        }
+    for c in node.children() {
+        descend(tree, c, roi, context_level, detail_level, out, detail_nodes);
     }
 }
 

@@ -46,7 +46,9 @@ impl Aggregates {
     }
 }
 
-/// One octree node over a cubic region `[origin, origin + size)³`.
+/// One octree node over a cubic region `[origin, origin + size)³`, in
+/// 64 bytes: a node's children are one contiguous *sibling block* of
+/// [`FieldOctree::nodes`], so two small fields name them all.
 #[derive(Debug, Clone)]
 pub struct OctreeNode {
     /// Minimum corner in lattice cells.
@@ -57,20 +59,30 @@ pub struct OctreeNode {
     pub level: u8,
     /// Field aggregates beneath this node.
     pub agg: Aggregates,
-    /// Child node indices (8 octants; `u32::MAX` = absent/empty).
-    pub children: [u32; 8],
+    /// Index of the first child (0 for a leaf); the children are the
+    /// next `child_count` nodes, non-empty octants in ascending order.
+    first_child: u32,
+    /// Non-empty octants (0 for a leaf, at most 8).
+    child_count: u8,
     /// For size-1 leaves: the fluid-site id, else `u32::MAX`.
     pub site: u32,
 }
 
-/// Sentinel for absent children / sites.
+/// Sentinel for absent sites.
 pub const NONE: u32 = u32::MAX;
 
 impl OctreeNode {
+    /// Indices of this node's children in [`FieldOctree::nodes`], in
+    /// ascending octant order `ox << 2 | oy << 1 | oz` (empty octants
+    /// have no node).
+    pub fn children(&self) -> std::ops::Range<u32> {
+        self.first_child..self.first_child + u32::from(self.child_count)
+    }
+
     /// Whether this node has no children (either a unit cell or an
     /// unrefined region).
     pub fn is_leaf(&self) -> bool {
-        self.children.iter().all(|&c| c == NONE)
+        self.child_count == 0
     }
 }
 
@@ -112,14 +124,17 @@ impl FieldOctree {
         let below = |w: &[(u64, u32)]| (63 - (w[0].0 ^ w[1].0).leading_zeros()) as usize / 3 + 1;
         let count = bits + 1 + keyed.windows(2).map(below).sum::<usize>();
         let mut nodes = Vec::with_capacity(count);
-        let root = build_range(field, &mut nodes, [0, 0, 0], root_size, 0, &keyed);
+        let root = build_node(field, &mut nodes, [0, 0, 0], root_size, 0, &keyed);
+        nodes.push(root);
         debug_assert_eq!(nodes.len(), count);
         let depth = nodes.iter().map(|n| n.level).max().unwrap_or(0);
+        let root = nodes.len() as u32 - 1;
         FieldOctree { nodes, root, depth }
     }
 
-    /// All nodes (parents appear after children; the root is last of its
-    /// subtree but indexable via [`FieldOctree::root`]).
+    /// All nodes: each node's children are one sibling block, emitted
+    /// after the children's own subtrees, so children precede parents
+    /// and the root ([`FieldOctree::root`]) is last.
     pub fn nodes(&self) -> &[OctreeNode] {
         &self.nodes
     }
@@ -140,22 +155,20 @@ impl FieldOctree {
     /// is not).
     pub fn refresh(&mut self, geo: &SparseGeometry, field: &[f64]) {
         assert_eq!(field.len(), geo.fluid_count());
-        // Children precede parents in `nodes` (post-order construction),
-        // so one forward sweep refreshes bottom-up.
+        // Children precede parents in `nodes`, so one forward sweep
+        // refreshes bottom-up.
         for idx in 0..self.nodes.len() {
             let node = &self.nodes[idx];
-            if node.site != NONE {
-                self.nodes[idx].agg = Aggregates::from_site(field[node.site as usize]);
+            self.nodes[idx].agg = if node.site != NONE {
+                Aggregates::from_site(field[node.site as usize])
             } else {
-                let agg = Aggregates::merge(
-                    self.nodes[idx]
-                        .children
+                let c = node.children();
+                Aggregates::merge(
+                    self.nodes[c.start as usize..c.end as usize]
                         .iter()
-                        .filter(|&&c| c != NONE)
-                        .map(|&c| self.nodes[c as usize].agg),
-                );
-                self.nodes[idx].agg = agg;
-            }
+                        .map(|c| c.agg),
+                )
+            };
         }
     }
 
@@ -173,10 +186,8 @@ impl FieldOctree {
             out.push(node);
             return;
         }
-        for &c in &node.children {
-            if c != NONE {
-                self.collect_cut(c, level, out);
-            }
+        for c in node.children() {
+            self.collect_cut(c, level, out);
         }
     }
 
@@ -225,11 +236,7 @@ fn fill_node(tree: &FieldOctree, node: &OctreeNode, out: &mut [f64]) {
             out[n.site as usize] = node.agg.mean;
             continue;
         }
-        for &c in &n.children {
-            if c != NONE {
-                stack.push(&tree.nodes[c as usize]);
-            }
-        }
+        stack.extend(n.children().map(|c| &tree.nodes[c as usize]));
     }
 }
 
@@ -253,57 +260,49 @@ fn radix_sort(keyed: &mut Vec<(u64, u32)>, key_bits: usize) {
     }
 }
 
-/// Post-order construction over a non-empty run of sorted keyed sites
-/// inside the cube at `origin`; returns the node index.
-fn build_range(
+/// The node over a non-empty run of sorted keyed sites inside the cube
+/// at `origin`. Its descendants are pushed first: each child's subtree
+/// in octant order, then the children themselves as one sibling block.
+/// The caller places the node itself.
+fn build_node(
     field: &[f64],
     nodes: &mut Vec<OctreeNode>,
     origin: [u32; 3],
     size: u32,
     level: u8,
     keyed: &[(u64, u32)],
-) -> u32 {
+) -> OctreeNode {
+    let node = |agg, first_child, child_count, site| OctreeNode {
+        origin,
+        size,
+        level,
+        agg,
+        first_child,
+        child_count,
+        site,
+    };
     if size == 1 {
         debug_assert_eq!(keyed.len(), 1, "one site per unit cell");
         let site = keyed[0].1;
-        nodes.push(OctreeNode {
-            origin,
-            size,
-            level,
-            agg: Aggregates::from_site(field[site as usize]),
-            children: [NONE; 8],
-            site,
-        });
-        return nodes.len() as u32 - 1;
+        return node(Aggregates::from_site(field[site as usize]), 0, 0, site);
     }
     let half = size / 2;
     let shift = 3 * half.trailing_zeros();
-    let mut children = [NONE; 8];
+    let mut block: [Option<OctreeNode>; 8] = Default::default();
     let mut rest = keyed;
-    for (o, child) in children.iter_mut().enumerate() {
+    for (o, child) in block.iter_mut().enumerate() {
         let n = rest.partition_point(|&(key, _)| (key >> shift) & 7 <= o as u64);
         let (run, tail) = rest.split_at(n);
         rest = tail;
         if !run.is_empty() {
             let co = [0, 1, 2].map(|a| origin[a] + half * (o as u32 >> (2 - a) & 1));
-            *child = build_range(field, nodes, co, half, level + 1, run);
+            *child = Some(build_node(field, nodes, co, half, level + 1, run));
         }
     }
-    let agg = Aggregates::merge(
-        children
-            .iter()
-            .filter(|&&c| c != NONE)
-            .map(|&c| nodes[c as usize].agg),
-    );
-    nodes.push(OctreeNode {
-        origin,
-        size,
-        level,
-        agg,
-        children,
-        site: NONE,
-    });
-    nodes.len() as u32 - 1
+    let first = nodes.len();
+    nodes.extend(block.into_iter().flatten());
+    let agg = Aggregates::merge(nodes[first..].iter().map(|c| c.agg));
+    node(agg, first as u32, (nodes.len() - first) as u8, NONE)
 }
 
 #[cfg(test)]
@@ -312,14 +311,17 @@ mod tests {
     use hemelb_geometry::VesselBuilder;
     use proptest::prelude::*;
 
-    /// The oracle: the nodes and root of a post-order recursion that
-    /// buckets each internal node's sites into its eight octants.
-    fn bucket_nodes(geo: &SparseGeometry, field: &[f64]) -> (Vec<OctreeNode>, u32) {
+    /// The oracle: the nodes of a recursion that buckets each internal
+    /// node's sites into its eight octants and lays out the sibling
+    /// blocks by hand — each child's subtree, then the non-empty
+    /// children — with the root last.
+    fn bucket_nodes(geo: &SparseGeometry, field: &[f64]) -> Vec<OctreeNode> {
         let root_size = geo.shape().iter().max().unwrap().next_power_of_two() as u32;
         let sites: Vec<u32> = (0..geo.fluid_count() as u32).collect();
         let mut nodes = Vec::new();
         let root = bucket_node(geo, field, &mut nodes, [0, 0, 0], root_size, 0, &sites);
-        (nodes, root.unwrap())
+        nodes.push(root);
+        nodes
     }
 
     fn bucket_node(
@@ -330,22 +332,21 @@ mod tests {
         size: u32,
         level: u8,
         sites: &[u32],
-    ) -> Option<u32> {
-        if sites.is_empty() {
-            return None;
-        }
+    ) -> OctreeNode {
+        let mut node = OctreeNode {
+            origin,
+            size,
+            level,
+            agg: Aggregates::from_site(0.0),
+            first_child: 0,
+            child_count: 0,
+            site: NONE,
+        };
         if size == 1 {
-            let site = sites[0];
             assert_eq!(sites.len(), 1, "one site per unit cell");
-            nodes.push(OctreeNode {
-                origin,
-                size,
-                level,
-                agg: Aggregates::from_site(field[site as usize]),
-                children: [NONE; 8],
-                site,
-            });
-            return Some(nodes.len() as u32 - 1);
+            node.site = sites[0];
+            node.agg = Aggregates::from_site(field[node.site as usize]);
+            return node;
         }
         let half = size / 2;
         let mut buckets: [Vec<u32>; 8] = Default::default();
@@ -356,39 +357,29 @@ mod tests {
             let oz = (p[2] >= origin[2] + half) as usize;
             buckets[ox << 2 | oy << 1 | oz].push(s);
         }
-        let mut children = [NONE; 8];
+        let mut children = Vec::new();
         for (o, bucket) in buckets.iter().enumerate() {
             let co = [
                 origin[0] + if o & 4 != 0 { half } else { 0 },
                 origin[1] + if o & 2 != 0 { half } else { 0 },
                 origin[2] + if o & 1 != 0 { half } else { 0 },
             ];
-            if let Some(c) = bucket_node(geo, field, nodes, co, half, level + 1, bucket) {
-                children[o] = c;
+            if !bucket.is_empty() {
+                children.push(bucket_node(geo, field, nodes, co, half, level + 1, bucket));
             }
         }
-        let agg = Aggregates::merge(
-            children
-                .iter()
-                .filter(|&&c| c != NONE)
-                .map(|&c| nodes[c as usize].agg),
-        );
-        nodes.push(OctreeNode {
-            origin,
-            size,
-            level,
-            agg,
-            children,
-            site: NONE,
-        });
-        Some(nodes.len() as u32 - 1)
+        node.agg = Aggregates::merge(children.iter().map(|c| c.agg));
+        node.first_child = nodes.len() as u32;
+        node.child_count = children.len() as u8;
+        nodes.extend(children);
+        node
     }
 
     /// A node's every field, the aggregates' floats by their bits.
     fn node_bits(n: &OctreeNode) -> impl PartialEq + std::fmt::Debug {
         let a = n.agg;
         let agg = (a.count, a.mean.to_bits(), a.min.to_bits(), a.max.to_bits());
-        (n.origin, n.size, n.level, agg, n.children, n.site)
+        (n.origin, n.size, n.level, agg, n.children(), n.site)
     }
 
     fn scene(i: usize) -> VesselBuilder {
@@ -405,7 +396,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// The build from one Morton sort gives the bucket recursion's
-        /// nodes in its order, every field equal to the bit.
+        /// nodes in its sibling-block order, every field equal to the
+        /// bit.
         #[test]
         fn morton_build_matches_the_bucket_recursion(
             scene_id in 0usize..5,
@@ -420,8 +412,8 @@ mod tests {
                 })
                 .collect();
             let tree = FieldOctree::build(&geo, &field);
-            let (nodes, root) = bucket_nodes(&geo, &field);
-            prop_assert_eq!(tree.root(), root);
+            let nodes = bucket_nodes(&geo, &field);
+            prop_assert_eq!(tree.root() as usize, nodes.len() - 1);
             prop_assert_eq!(tree.nodes().len(), nodes.len());
             for (a, b) in tree.nodes().iter().zip(&nodes) {
                 prop_assert_eq!(node_bits(a), node_bits(b));
@@ -438,6 +430,25 @@ mod tests {
             })
             .collect();
         (geo, field)
+    }
+
+    /// Every internal node's children are one block of the next level
+    /// before it, the leaves are the sites, and a node is 64 bytes.
+    #[test]
+    fn sibling_blocks_precede_their_parents() {
+        assert_eq!(std::mem::size_of::<OctreeNode>(), 64);
+        let (geo, field) = setup();
+        let tree = FieldOctree::build(&geo, &field);
+        assert_eq!(tree.root() as usize, tree.nodes().len() - 1);
+        for (idx, node) in tree.nodes().iter().enumerate() {
+            assert_eq!(node.is_leaf(), node.site != NONE, "node {idx}");
+            let c = node.children();
+            assert!(c.end as usize <= idx, "node {idx}: children {c:?}");
+            for k in c {
+                let child = &tree.nodes()[k as usize];
+                assert_eq!((child.level, child.size * 2), (node.level + 1, node.size));
+            }
+        }
     }
 
     #[test]
