@@ -276,9 +276,12 @@ group_projection() {
 }
 
 # The remaining report-writing experiment, end to end: E15 (adaptive
-# LB).
+# LB); and the two experiments that read the field octree, E9's
+# multires table and E4's fig3 pipeline (under a second each).
 group_smoke() {
     smoke adaptive --size tiny --ranks 3
+    smoke multires --size tiny
+    smoke fig3 --size tiny
 }
 
 # The repo benchmark's correctness checks, all six workloads (~4 s after

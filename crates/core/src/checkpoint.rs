@@ -176,36 +176,48 @@ impl<'a> DistSolver<'a> {
     /// [`DistSolver::checkpoint`].
     pub fn checkpoint_global(&self, path: &Path) -> CommResult<()> {
         let q = self.model().q;
+        let n = if self.comm().rank() == 0 {
+            self.geometry().fluid_count()
+        } else {
+            0
+        };
+        let (mut f, mut listed) = (vec![0.0; n * q], vec![false; n]);
+        let mut decoded = Ok(());
+        self.comm()
+            .gather_each(0, self.checkpoint_rows(), |src, rows| {
+                if decoded.is_ok() {
+                    decoded = decode_rows(&rows, src, self.owner(), q, &mut f, &mut listed);
+                }
+                Ok(())
+            })?;
+        let written = decoded.and_then(|()| {
+            if self.comm().rank() != 0 {
+                return Ok(());
+            }
+            let state = RawState {
+                step: self.step_count(),
+                site_count: n as u64,
+                q: q as u64,
+                f,
+            };
+            std::fs::File::create(path)
+                .and_then(|mut file| write_state(&state, &mut file))
+                .map_err(|e| file_error(path, e))
+        });
+        self.agree(written)
+    }
+
+    /// This rank's rows of a global checkpoint: for each of its sites,
+    /// the `u32` global id and its `q` canonical populations.
+    fn checkpoint_rows(&self) -> Vec<u8> {
+        let q = self.model().q;
         let raw = self.raw_distributions();
         let mut rows = Vec::with_capacity(raw.len() * 8 + self.local_sites().len() * 4);
         for (&g, f) in self.local_sites().iter().zip(raw.chunks_exact(q)) {
             rows.extend(g.to_le_bytes());
             f.iter().for_each(|v| rows.extend(v.to_le_bytes()));
         }
-        let written = match self.comm().gather(0, rows)? {
-            None => Ok(()),
-            Some(parts) => {
-                let n = self.geometry().fluid_count();
-                let mut f = vec![0.0; n * q];
-                for row in parts.iter().flat_map(|p| p.chunks_exact(4 + 8 * q)) {
-                    let g = u32::from_le_bytes(row[..4].try_into().expect("4 bytes")) as usize;
-                    for (v, b) in f[g * q..(g + 1) * q]
-                        .iter_mut()
-                        .zip(row[4..].chunks_exact(8))
-                    {
-                        *v = f64::from_le_bytes(b.try_into().expect("8 bytes"));
-                    }
-                }
-                let state = RawState {
-                    step: self.step_count(),
-                    site_count: n as u64,
-                    q: q as u64,
-                    f,
-                };
-                std::fs::File::create(path).and_then(|mut file| write_state(&state, &mut file))
-            }
-        };
-        self.agree(written.map_err(|e| file_error(path, e)))
+        rows
     }
 
     /// Collective restore of the one file written by
@@ -239,6 +251,41 @@ impl<'a> DistSolver<'a> {
             local => local,
         }
     }
+}
+
+/// Decode rank `rank`'s rows of a global checkpoint (see
+/// `DistSolver::checkpoint_rows`) into the site-major `f`, marking each
+/// site in `listed`. The rows must list exactly the sites the rank owns
+/// under `owner`, each once, or it is a `Decode` error: a site past the
+/// map or owned elsewhere, a site listed twice or a partial row.
+fn decode_rows(
+    rows: &[u8],
+    rank: usize,
+    owner: &[usize],
+    q: usize,
+    f: &mut [f64],
+    listed: &mut [bool],
+) -> CommResult<()> {
+    let (row, owned) = (4 + 8 * q, owner.iter().filter(|&&o| o == rank).count());
+    if rows.len() != owned * row {
+        let reason = format!(
+            "{} bytes of checkpoint rows from rank {rank}, which owns {owned} sites",
+            rows.len()
+        );
+        return Err(CommError::Decode { reason });
+    }
+    for r in rows.chunks_exact(row) {
+        let g = u32::from_le_bytes(r[..4].try_into().expect("4 bytes")) as usize;
+        if owner.get(g) != Some(&rank) || std::mem::replace(&mut listed[g], true) {
+            let reason =
+                format!("rank {rank} listed site {g}, which it does not own or listed twice");
+            return Err(CommError::Decode { reason });
+        }
+        for (v, b) in f[g * q..(g + 1) * q].iter_mut().zip(r[4..].chunks_exact(8)) {
+            *v = f64::from_le_bytes(b.try_into().expect("8 bytes"));
+        }
+    }
+    Ok(())
 }
 
 fn file_error(path: &Path, e: io::Error) -> CommError {
@@ -345,6 +392,51 @@ mod tests {
         let snap = results[0].as_ref().unwrap();
         assert_eq!(snap.rho, ref_snap.rho);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every rank's global-checkpoint rows of a 2-rank run, each under
+    /// every truncation and every single-bit flip: decoding never
+    /// panics, every proper prefix is a `Decode` error, and a decode that
+    /// succeeds has listed every site exactly once.
+    #[test]
+    fn checkpoint_rows_survive_every_truncation_and_bit_flip() {
+        let geo = Arc::new(VesselBuilder::straight_tube(4.0, 1.5).voxelise(1.0));
+        let n = geo.fluid_count();
+        let owner: Vec<usize> = (0..n).map(|s| s * 2 / n).collect();
+        let (geo2, owner2) = (geo.clone(), owner.clone());
+        let mut parts = run_spmd(2, move |comm| {
+            let cfg = SolverConfig::pressure_driven(1.01, 0.99);
+            let mut ds = DistSolver::new(geo2.clone(), owner2.clone(), cfg, comm).unwrap();
+            ds.step_n(3).unwrap();
+            ds.checkpoint_rows()
+        });
+        let q = 15;
+        let decode = |parts: &[Vec<u8>]| -> CommResult<Vec<bool>> {
+            let (mut f, mut listed) = (vec![0.0; n * q], vec![false; n]);
+            for (rank, rows) in parts.iter().enumerate() {
+                decode_rows(rows, rank, &owner, q, &mut f, &mut listed)?;
+            }
+            Ok(listed)
+        };
+        assert_eq!(decode(&parts).unwrap(), vec![true; n]);
+        for rank in 0..2 {
+            let valid = parts[rank].clone();
+            for len in 0..valid.len() {
+                parts[rank] = valid[..len].to_vec();
+                let got = decode(&parts);
+                assert!(matches!(got, Err(CommError::Decode { .. })), "{len} bytes");
+            }
+            for bit in 0..valid.len() * 8 {
+                parts[rank] = valid.clone();
+                parts[rank][bit / 8] ^= 1 << (bit % 8);
+                match decode(&parts) {
+                    Ok(listed) => assert!(listed.iter().all(|&l| l), "bit {bit}"),
+                    Err(CommError::Decode { .. }) => {}
+                    Err(other) => panic!("bit {bit}: {other:?}"),
+                }
+            }
+            parts[rank] = valid;
+        }
     }
 
     #[test]

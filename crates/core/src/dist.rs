@@ -192,14 +192,14 @@ fn decode_requests(payload: Vec<u8>, g2l: &[u32], q: usize) -> CommResult<Vec<(u
 /// `(rho, u, shear)` of every fluid site, global order.
 type Fields = (Vec<f64>, Vec<[f64; 3]>, Vec<f64>);
 
-/// One rank's `gather_snapshot` payload: `rho`, `u` and `shear` of its
-/// `n` sites in ascending global order, `order` giving their storage
-/// indices in that order. Each field is a `u64` count `n` and its `f64`s
-/// (three a site for `u`) — the bytes `WireWriter` gives an `f64` slice,
-/// a count with its `[f64; 3]`s and an `f64` slice — and every value is
-/// written straight to its place.
-fn encode_fields(local: &FieldSnapshot, order: impl Iterator<Item = usize>) -> Vec<u8> {
-    let n = local.len();
+/// One rank's `gather_snapshot` payload, computed straight from its
+/// lattice: `rho`, `u` and `shear` of its `n` sites in ascending global
+/// order. Each field is a `u64` count `n` and its `f64`s (three a site
+/// for `u`) — the bytes `WireWriter` gives an `f64` slice, a count with
+/// its `[f64; 3]`s and an `f64` slice — and every value is written
+/// straight to its place.
+fn fields_payload(lat: &SoaLattice, locals: &[u32], split: usize) -> Vec<u8> {
+    let n = locals.len();
     let mut buf = vec![0u8; 24 + 40 * n];
     let (rho, rest) = buf.split_at_mut(8 + 8 * n);
     let (u, shear) = rest.split_at_mut(8 + 24 * n);
@@ -209,68 +209,71 @@ fn encode_fields(local: &FieldSnapshot, order: impl Iterator<Item = usize>) -> V
     for run in [&mut *rho, &mut *u, &mut *shear] {
         run[..8].copy_from_slice(&(n as u64).to_le_bytes());
     }
-    for (k, l) in order.enumerate() {
-        place(rho, k, local.rho[l]);
-        for (a, &v) in local.u[l].iter().enumerate() {
-            place(u, 3 * k + a, v);
+    let mut ascending = ascending_slots(locals, split);
+    lat.macroscopics(|l, r, v, g| {
+        let k = ascending(l);
+        place(rho, k, r);
+        for (a, &c) in v.iter().enumerate() {
+            place(u, 3 * k + a, c);
         }
-        place(shear, k, local.shear[l]);
-    }
+        place(shear, k, g);
+    });
     buf
 }
 
-/// The global `(rho, u, shear)` from every rank's `gather_snapshot`
-/// payload (see [`encode_fields`]). Each payload must lay out exactly
-/// the sites its rank owns, or it is a `Decode` error; then one pass
-/// over `owner` decodes them straight into the global arrays, site `g`
-/// taking the next values of rank `owner[g]`. The arrays are sized by
-/// `owner`, never by a count off the wire.
-fn decode_fields(parts: &[Vec<u8>], owner: &[usize]) -> CommResult<Fields> {
-    let mut owned = vec![0usize; parts.len()];
-    for &o in owner {
-        owned[o] += 1;
+/// Decode rank `rank`'s `gather_snapshot` payload (see
+/// [`fields_payload`]) straight into the global `fields`, site `g` taking
+/// the next values for each `g` the rank owns in `owner`. The payload
+/// must lay out exactly the sites its rank owns, or it is a `Decode`
+/// error and nothing is written. The arrays are sized by `owner`, never
+/// by a count off the wire.
+fn decode_fields_of(
+    payload: &[u8],
+    rank: usize,
+    owner: &[usize],
+    (rho, u, shear): &mut Fields,
+) -> CommResult<()> {
+    let n = owner.iter().filter(|&&o| o == rank).count();
+    let at = [0, 8 + 8 * n, 16 + 32 * n, 24 + 40 * n];
+    let counted = |a: usize| payload.get(a..a + 8) == Some(&(n as u64).to_le_bytes()[..]);
+    if payload.len() != at[3] || !at[..3].iter().all(|&a| counted(a)) {
+        let reason = format!(
+            "{} bytes of fields from rank {rank}, which owns {n} sites",
+            payload.len()
+        );
+        return Err(CommError::Decode { reason });
     }
-    let runs = parts.iter().zip(owned).enumerate().map(|(rank, (p, n))| {
-        let at = [0, 8 + 8 * n, 16 + 32 * n, 24 + 40 * n];
-        let counted = |a: usize| p.get(a..a + 8) == Some(&(n as u64).to_le_bytes()[..]);
-        if p.len() != at[3] || !at[..3].iter().all(|&a| counted(a)) {
-            let reason = format!(
-                "{} bytes of fields from rank {rank}, which owns {n} sites",
-                p.len()
-            );
-            return Err(CommError::Decode { reason });
-        }
-        Ok([&p[8..at[1]], &p[at[1] + 8..at[2]], &p[at[2] + 8..]])
-    });
-    let runs = runs.collect::<CommResult<Vec<_>>>()?;
+    let [r, v, s] = [at[0], at[1], at[2]].map(|a| &payload[a + 8..]);
     let value = |run: &[u8], k: usize| {
         f64::from_le_bytes(run[8 * k..8 * k + 8].try_into().expect("8 bytes"))
     };
-    let n = owner.len();
-    let (mut rho, mut u, mut shear) = (vec![0.0; n], vec![[0.0; 3]; n], vec![0.0; n]);
-    let mut next = vec![0usize; parts.len()];
-    for (g, &o) in owner.iter().enumerate() {
-        let (k, [r, v, s]) = (next[o], runs[o]);
+    let sites = owner.iter().enumerate().filter(|&(_, &o)| o == rank);
+    for (k, (g, _)) in sites.enumerate() {
         rho[g] = value(r, k);
         u[g] = std::array::from_fn(|a| value(v, 3 * k + a));
         shear[g] = value(s, k);
-        next[o] += 1;
     }
-    Ok((rho, u, shear))
+    Ok(())
 }
 
-/// The storage indices of `locals` by ascending global id: a merge of
-/// its two ascending runs, `..split` (the frontier) and `split..`.
-fn ascending_order(locals: &[u32], split: usize) -> impl Iterator<Item = usize> + '_ {
-    let (mut a, mut b) = (0, split);
-    std::iter::from_fn(move || {
-        let from_front = a < split && (b == locals.len() || locals[a] < locals[b]);
-        let pick = if from_front { &mut a } else { &mut b };
-        (*pick < locals.len()).then(|| {
-            *pick += 1;
-            *pick - 1
-        })
-    })
+/// Where each storage index of `locals` falls in ascending global order,
+/// asked of storage indices in increasing order: its place in its own
+/// ascending run (the frontier `..split` or the interior `split..`)
+/// plus the sites of the other run below it, counted by a cursor that
+/// only moves forward.
+fn ascending_slots(locals: &[u32], split: usize) -> impl FnMut(usize) -> usize + '_ {
+    let (frontier, interior) = locals.split_at(split);
+    let (mut below_in_frontier, mut below_in_interior) = (0, 0);
+    let below = |run: &[u32], count: &mut usize, g: u32| {
+        while run.get(*count).is_some_and(|&h| h < g) {
+            *count += 1;
+        }
+        *count
+    };
+    move |l| match l.checked_sub(split) {
+        None => l + below(interior, &mut below_in_interior, locals[l]),
+        Some(k) => k + below(frontier, &mut below_in_frontier, locals[l]),
+    }
 }
 
 impl<'a> DistSolver<'a> {
@@ -674,15 +677,32 @@ impl<'a> DistSolver<'a> {
     /// Gather the global snapshot at rank 0 (collective). Non-root ranks
     /// receive `None`. Every rank ships its fields in ascending global
     /// order, so the wire format does not depend on the storage order.
+    ///
+    /// The field is held once: rank 0 writes its own sites straight into
+    /// the global arrays and decodes each peer's payload into them as it
+    /// arrives; a peer computes its fields straight into its payload.
     pub fn gather_snapshot(&self) -> CommResult<Option<FieldSnapshot>> {
-        let local = self.local_snapshot();
-        let ascending = ascending_order(&self.locals, self.partition.frontier_count());
-        let gathered = self.comm.gather(0, encode_fields(&local, ascending))?;
-        drop(local);
-        let Some(parts) = gathered else {
+        let span = self.comm.with_obs(|o| o.begin());
+        if self.comm.rank() != 0 {
+            let payload = fields_payload(&self.lat, &self.locals, self.partition.frontier_count());
+            self.comm.with_obs(|o| span.end(o, "lb.macroscopics"));
+            self.comm.gather_each(0, payload, |_, _| Ok(()))?;
             return Ok(None);
-        };
-        let (rho, u, shear) = decode_fields(&parts, &self.owner)?;
+        }
+        let n = self.owner.len();
+        let mut fields: Fields = (vec![0.0; n], vec![[0.0; 3]; n], vec![0.0; n]);
+        let (rho, u, shear) = &mut fields;
+        self.lat.macroscopics(|l, r, v, s| {
+            let g = self.locals[l] as usize;
+            (rho[g], u[g], shear[g]) = (r, v, s);
+        });
+        self.comm.with_obs(|o| span.end(o, "lb.macroscopics"));
+        self.comm
+            .gather_each(0, Vec::new(), |src, payload| match src {
+                0 => Ok(()),
+                _ => decode_fields_of(&payload, src, &self.owner, &mut fields),
+            })?;
+        let (rho, u, shear) = fields;
         Ok(Some(FieldSnapshot {
             step: self.lat.step,
             rho,
@@ -746,6 +766,80 @@ mod tests {
     use hemelb_partition::graph::Connectivity;
     use hemelb_partition::{HilbertSfc, MultilevelKWay, Partitioner, SiteGraph};
     use proptest::prelude::*;
+
+    /// The storage indices of `locals` by ascending global id, by a sort
+    /// (each run, `..split` and `split..`, ascends on its own).
+    fn ascending_order(locals: &[u32], split: usize) -> impl Iterator<Item = usize> + '_ {
+        let mut order: Vec<usize> = (0..locals.len()).collect();
+        order.sort_by_key(|&l| locals[l]);
+        assert!(locals[..split].is_sorted() && locals[split..].is_sorted());
+        order.into_iter()
+    }
+
+    /// The wire format of [`fields_payload`] from a local snapshot, its
+    /// sites taken in `order`: a `WireWriter` with each field's count
+    /// and values.
+    fn encode_fields(local: &FieldSnapshot, order: impl Iterator<Item = usize>) -> Vec<u8> {
+        let order: Vec<usize> = order.collect();
+        let mut w = WireWriter::new();
+        w.put_f64_seq(order.iter().map(|&l| local.rho[l]));
+        w.put_usize(order.len());
+        order.iter().for_each(|&l| w.put(&local.u[l]));
+        w.put_f64_seq(order.iter().map(|&l| local.shear[l]));
+        w.finish()
+    }
+
+    /// The global fields decoded from every rank's payload, rank by rank.
+    fn decode_fields(parts: &[Vec<u8>], owner: &[usize]) -> CommResult<Fields> {
+        let n = owner.len();
+        let mut fields = (vec![0.0; n], vec![[0.0; 3]; n], vec![0.0; n]);
+        for (rank, part) in parts.iter().enumerate() {
+            decode_fields_of(part, rank, owner, &mut fields)?;
+        }
+        Ok(fields)
+    }
+
+    /// The gathered snapshot equals the serial one by `to_bits` at both
+    /// parities, on a k-way map at 2 and 3 ranks and on a checkerboard
+    /// (ascending runs a voxel or two long), and each rank's streamed
+    /// payload is the wire encoding of its local snapshot.
+    #[test]
+    fn gather_snapshot_is_the_serial_snapshot_by_bits() {
+        let geo = Arc::new(VesselBuilder::aneurysm(14.0, 3.0, 4.0).voxelise(1.0));
+        let cfg = SolverConfig::pressure_driven(1.01, 0.99);
+        let graph = SiteGraph::from_geometry(&geo, Connectivity::D3Q15);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for steps in [6, 7] {
+            let mut serial = Solver::new(geo.clone(), cfg.clone());
+            serial.step_n(steps);
+            let want = serial.snapshot();
+            let maps = [
+                MultilevelKWay.partition(&graph, 2),
+                MultilevelKWay.partition(&graph, 3),
+                checkerboard_owner(&geo, 3),
+            ];
+            for owner in maps {
+                let ranks = owner.iter().max().unwrap() + 1;
+                let (geo2, cfg2) = (geo.clone(), cfg.clone());
+                let results = run_spmd(ranks, move |comm| {
+                    let mut ds =
+                        DistSolver::new(geo2.clone(), owner.clone(), cfg2.clone(), comm).unwrap();
+                    ds.step_n(steps).unwrap();
+                    let split = ds.partition.frontier_count();
+                    let streamed = fields_payload(&ds.lat, &ds.locals, split);
+                    let encoded =
+                        encode_fields(&ds.local_snapshot(), ascending_order(&ds.locals, split));
+                    assert!(streamed == encoded, "rank {}", comm.rank());
+                    ds.gather_snapshot().unwrap()
+                });
+                let got = results[0].as_ref().expect("root gathers");
+                assert_eq!(bits(&got.rho), bits(&want.rho), "{ranks} ranks");
+                assert_eq!(bits(&got.shear), bits(&want.shear), "{ranks} ranks");
+                let u = |s: &FieldSnapshot| bits(s.u.as_flattened());
+                assert_eq!(u(got), u(&want), "{ranks} ranks");
+            }
+        }
+    }
 
     /// The ascending global ids of the sites `rank` owns.
     fn locals_of(owner: &[usize], rank: usize) -> Vec<u32> {

@@ -822,27 +822,24 @@ impl SoaLattice {
     /// every site, from the canonical state at either parity.
     pub(crate) fn snapshot(&self) -> FieldSnapshot {
         let n = self.site_count();
-        let mut rho = vec![0.0; n];
-        let mut u = vec![[0.0; 3]; n];
-        let mut shear = vec![0.0; n];
-        self.canonical(0..n, |at, lanes| {
-            let span = at..at + lanes[0].len();
-            macroscopics_span_soa(
-                &self.model,
-                &self.dirs,
-                self.cfg.tau,
-                lanes,
-                &mut rho[span.clone()],
-                &mut u[span.clone()],
-                &mut shear[span],
-            )
-        });
+        let (mut rho, mut u, mut shear) = (vec![0.0; n], vec![[0.0; 3]; n], vec![0.0; n]);
+        self.macroscopics(|s, r, v, g| (rho[s], u[s], shear[s]) = (r, v, g));
         FieldSnapshot {
             step: self.step,
             rho,
             u,
             shear,
         }
+    }
+
+    /// The block kernel behind every snapshot: `put(site, rho, u,
+    /// shear)` for each site in storage order, from the canonical state
+    /// at either parity. A caller supplies only where each value goes.
+    pub(crate) fn macroscopics(&self, mut put: impl FnMut(usize, f64, [f64; 3], f64)) {
+        self.canonical(0..self.site_count(), |at, lanes| {
+            let put = |k, r, v, g| put(at + k, r, v, g);
+            macroscopics_span_soa(&self.model, &self.dirs, self.cfg.tau, lanes, put)
+        });
     }
 
     /// Run `visit(first, lanes)` over `range` with `lanes[i]` the
@@ -1383,48 +1380,50 @@ fn apply_iolet_rules(
 
 /// Macroscopic fields of a site span over SoA lanes (`f[i]` holds the
 /// span's direction-`i` populations), chunked like the collide (full
-/// chunks in place, the ragged tail through a zero-padded copy).
+/// chunks in place, the ragged tail through a zero-padded copy), handed
+/// to `put(k, rho, u, shear)` for span site `k` in order.
 fn macroscopics_span_soa(
     model: &LatticeModel,
     dirs: &DirTables,
     tau: f64,
     f: &[&[f64]],
-    rho: &mut [f64],
-    u: &mut [[f64; 3]],
-    shear: &mut [f64],
+    mut put: impl FnMut(usize, f64, [f64; 3], f64),
 ) {
-    let n = rho.len();
+    let n = f[0].len();
     for s0 in (0..n).step_by(CHUNK) {
         let w = CHUNK.min(n - s0);
-        let (rho, u, shear) = (
-            &mut rho[s0..s0 + w],
-            &mut u[s0..s0 + w],
-            &mut shear[s0..s0 + w],
-        );
+        let put = |l, r, v, g| put(s0 + l, r, v, g);
         if w == CHUNK {
-            macroscopics_chunk(model, dirs, tau, |i| window(f[i], s0), rho, u, shear);
+            macroscopics_chunk(model, dirs, tau, |i| window(f[i], s0), w, put);
         } else {
             let mut pad = [[0.0f64; CHUNK]; MAX_Q];
             for (p, lane) in pad.iter_mut().zip(f) {
                 p[..w].copy_from_slice(&lane[s0..s0 + w]);
             }
-            macroscopics_chunk(model, dirs, tau, |i| &pad[i], rho, u, shear);
+            macroscopics_chunk(model, dirs, tau, |i| &pad[i], w, put);
         }
     }
 }
 
-/// Density, velocity and shear rate of the first `rho.len() ≤ CHUNK`
-/// sites of one chunk: the collide's [`ChunkFront`], then the
-/// non-equilibrium stress summed in direction order.
+/// Density, velocity and shear rate of the first `w ≤ CHUNK` sites of
+/// one chunk, handed to `put(l, rho, u, shear)`: the collide's
+/// [`ChunkFront`], then the non-equilibrium stress summed in direction
+/// order.
+///
+/// The stress sum skips the terms whose coefficient `c_a c_b` is zero
+/// (D3Q15: 54 of 90 a site are kept). Such a term adds ±0.0 to a sum
+/// that starts at +0.0 and so is never −0.0, which changes no bit while
+/// every non-equilibrium part is finite. With a non-finite population
+/// the density is non-finite and the shear rate is NaN with or without
+/// the skipped terms; only which NaN may differ.
 #[inline(always)]
 fn macroscopics_chunk<'a>(
     model: &LatticeModel,
     dirs: &DirTables,
     tau: f64,
     lane: impl Fn(usize) -> &'a Window,
-    rho: &mut [f64],
-    u: &mut [[f64; 3]],
-    shear: &mut [f64],
+    w: usize,
+    mut put: impl FnMut(usize, f64, [f64; 3], f64),
 ) {
     let front = ChunkFront::new(dirs, &lane);
     let fe = front.equilibria(model, dirs);
@@ -1436,7 +1435,7 @@ fn macroscopics_chunk<'a>(
             neq[l] = fi[l] - fe[i][l];
         }
         let coef = [cx * cx, cy * cy, cz * cz, cx * cy, cx * cz, cy * cz];
-        for (p, c) in pi.iter_mut().zip(coef) {
+        for (p, c) in pi.iter_mut().zip(coef).filter(|&(_, c)| c != 0.0) {
             for l in 0..CHUNK {
                 p[l] += c * neq[l];
             }
@@ -1453,10 +1452,9 @@ fn macroscopics_chunk<'a>(
             + 2.0 * (s[3] * s[3] + s[4] * s[4] + s[5] * s[5]);
         rate[l] = (2.0 * ss).sqrt();
     }
-    for l in 0..rho.len() {
-        rho[l] = front.rho[l];
-        u[l] = [front.u[0][l], front.u[1][l], front.u[2][l]];
-        shear[l] = rate[l];
+    for (l, &rate) in rate.iter().enumerate().take(w) {
+        let u = [front.u[0][l], front.u[1][l], front.u[2][l]];
+        put(l, front.rho[l], u, rate);
     }
 }
 
@@ -1723,7 +1721,9 @@ pub(crate) mod tests {
             );
             let dirs = DirTables::new(&model);
             let span: Vec<&[f64]> = lanes.iter().map(|l| &l[first..]).collect();
-            macroscopics_span_soa(&model, &dirs, tau, &span, &mut rho, &mut u, &mut shear);
+            macroscopics_span_soa(&model, &dirs, tau, &span, |k, r, v, g| {
+                (rho[k], u[k], shear[k]) = (r, v, g)
+            });
             for s in first..n {
                 let site = &site_major[s * q..(s + 1) * q];
                 let (r, v) = site_moments(&model, site);
@@ -1739,6 +1739,73 @@ pub(crate) mod tests {
                     "{} site {s}",
                     model.name
                 );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Skipping the stress terms with a zero coefficient changes no
+        /// bit: over random finite states at either velocity set and
+        /// either parity, a snapshot's fields equal the per-site moments
+        /// and the unskipped stress sum (`pi_neq` adds all six terms of
+        /// every direction) by `to_bits`.
+        #[test]
+        fn skipped_stress_terms_change_no_bit(
+            d3q19 in proptest::prelude::any::<bool>(),
+            odd in proptest::prelude::any::<bool>(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let kind = if d3q19 { ModelKind::D3Q19 } else { ModelKind::D3Q15 };
+            let geo = tube();
+            let mut lat = lattice_for(&geo, kind);
+            let (q, tau) = (lat.model.q, lat.cfg.tau);
+            let mut x = seed;
+            let state: Vec<f64> = (0..lat.site_count() * q)
+                .map(|_| {
+                    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                    let h = (x ^ x >> 31).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                    let m = (h >> 11) as f64 / (1u64 << 53) as f64 - 0.25;
+                    m * f64::powi(2.0, (h % 17) as i32 - 8)
+                })
+                .collect();
+            lat.install_site_major(u64::from(odd), &state);
+            let snap = lat.snapshot();
+            let f = lat.to_site_major();
+            for s in 0..lat.site_count() {
+                let site = &f[s * q..(s + 1) * q];
+                let (r, v) = site_moments(&lat.model, site);
+                let want = shear_rate_magnitude(pi_neq(&lat.model, site, r, v), r, tau);
+                proptest::prop_assert_eq!(snap.rho[s].to_bits(), r.to_bits());
+                proptest::prop_assert_eq!(snap.u[s].map(f64::to_bits), v.map(f64::to_bits));
+                proptest::prop_assert_eq!(snap.shear[s].to_bits(), want.to_bits(), "site {}", s);
+            }
+        }
+    }
+
+    /// A non-finite population makes the shear rate NaN with or without
+    /// the zero-coefficient terms.
+    #[test]
+    fn a_non_finite_population_gives_a_nan_shear_rate_either_way() {
+        let geo = tube();
+        for (kind, bad) in [
+            (ModelKind::D3Q15, f64::INFINITY),
+            (ModelKind::D3Q19, f64::NAN),
+        ] {
+            let mut lat = lattice_for(&geo, kind);
+            let (q, tau) = (lat.model.q, lat.cfg.tau);
+            let mut state = lat.to_site_major();
+            for (s, i) in [(0, 0), (3, 1), (5, q - 1)] {
+                state[s * q + i] = bad;
+            }
+            lat.install_site_major(0, &state);
+            let snap = lat.snapshot();
+            for s in [0, 3, 5] {
+                let site = &state[s * q..(s + 1) * q];
+                let (r, v) = site_moments(&lat.model, site);
+                let want = shear_rate_magnitude(pi_neq(&lat.model, site, r, v), r, tau);
+                assert!(want.is_nan() && snap.shear[s].is_nan(), "site {s}");
             }
         }
     }

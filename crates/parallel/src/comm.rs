@@ -618,32 +618,51 @@ impl Communicator {
     }
 
     /// Gather each rank's payload at `root`; returns `Some(vec)` indexed
-    /// by rank at the root, `None` elsewhere.
+    /// by rank at the root, `None` elsewhere (see
+    /// [`Communicator::gather_each`]).
+    pub fn gather(&self, root: usize, payload: Vec<u8>) -> CommResult<Option<Vec<Vec<u8>>>> {
+        let mut parts = Vec::new();
+        self.gather_each(root, payload, |_, part| {
+            parts.push(part);
+            Ok(())
+        })?;
+        Ok((self.rank == root).then_some(parts))
+    }
+
+    /// Gather each rank's payload at `root` and hand it to `each(src,
+    /// payload)` there as it is received, in rank order (the root's own
+    /// in its place), so the root holds one payload at a time. Elsewhere
+    /// `each` is not called.
     ///
     /// The root receives per source rank (not `recv_any`): `(src, tag)`
     /// matching is FIFO, so back-to-back gathers stay **round-safe** even
     /// though non-root ranks return as soon as their send is buffered — a
     /// fast rank's next-round message can never be consumed as this
-    /// round's.
-    pub fn gather(&self, root: usize, payload: Vec<u8>) -> CommResult<Option<Vec<Vec<u8>>>> {
+    /// round's. For the same reason, once `each` fails the root still
+    /// receives (and drops) the remaining payloads, then returns the
+    /// first error.
+    pub fn gather_each(
+        &self,
+        root: usize,
+        mut payload: Vec<u8>,
+        mut each: impl FnMut(usize, Vec<u8>) -> CommResult<()>,
+    ) -> CommResult<()> {
         self.note_sync();
-        if self.rank == root {
-            let mut out: Vec<Option<Vec<u8>>> = vec![None; self.size];
-            out[root] = Some(payload);
-            for (src, slot) in out.iter_mut().enumerate() {
-                if src != root {
-                    *slot = Some(self.recv(src, T_GATHER)?);
-                }
-            }
-            Ok(Some(
-                out.into_iter()
-                    .map(|o| o.expect("all ranks reported"))
-                    .collect(),
-            ))
-        } else {
-            self.send(root, T_GATHER, payload)?;
-            Ok(None)
+        if self.rank != root {
+            return self.send(root, T_GATHER, payload);
         }
+        let mut outcome = Ok(());
+        for src in 0..self.size {
+            let part = if src == root {
+                std::mem::take(&mut payload)
+            } else {
+                self.recv(src, T_GATHER)?
+            };
+            if outcome.is_ok() {
+                outcome = each(src, part);
+            }
+        }
+        outcome
     }
 
     /// Binomial-tree reduction of `value` with the associative,
@@ -873,6 +892,40 @@ mod tests {
             assert_eq!(u64::from_bytes(b.clone()).unwrap(), r as u64 * 10);
         }
         assert!(results[0].is_none());
+    }
+
+    /// A failing `each` leaves no payload of its round behind: the root
+    /// returns the first error, and the next gather sees the next
+    /// round's payloads.
+    #[test]
+    fn gather_each_drains_its_round_after_a_failure() {
+        let results = run_spmd(4, |comm| {
+            let mine = |round: u64| (round * 10 + comm.rank() as u64).to_bytes();
+            let mut seen = Vec::new();
+            let first = comm.gather_each(0, mine(0), |src, _| {
+                seen.push(src);
+                match src {
+                    1 => Err(CommError::Decode {
+                        reason: "rank 1".into(),
+                    }),
+                    _ => Ok(()),
+                }
+            });
+            let next = comm.gather(0, mine(1)).unwrap();
+            (first.is_err(), seen, next)
+        });
+        let (failed, seen, next) = &results[0];
+        assert!(*failed);
+        assert_eq!(seen, &[0, 1]);
+        let next: Vec<u64> = next
+            .iter()
+            .flatten()
+            .map(|b| u64::from_bytes(b.clone()).unwrap())
+            .collect();
+        assert_eq!(next, [10, 11, 12, 13]);
+        for (failed, seen, next) in &results[1..] {
+            assert!(!failed && seen.is_empty() && next.is_none());
+        }
     }
 
     #[test]

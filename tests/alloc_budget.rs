@@ -14,7 +14,9 @@
 //! snapshot's reductions ask for nothing.
 //!
 //! Set-up has a byte budget: building a solver asks for its lanes and
-//! its streaming plan, not for a `q × n` table of the links besides.
+//! its streaming plan, not for a `q × n` table of the links besides,
+//! and an octree for its 64-byte nodes and its sort. A gathered
+//! snapshot asks for the global field once.
 //!
 //! The same allocator bounds what a decoder asks for: hostile `.sgmy`
 //! bytes must not make the reader allocate more than the file or its
@@ -205,16 +207,65 @@ fn solver_construction_allocates_no_link_table() {
 /// keyed sites and the exactly sized node array are all it asks the
 /// allocator for, at any site count. The build that bucketed each
 /// internal node's sites into eight `Vec`s made 24 482 allocations at
-/// Small.
+/// Small. In bytes that is 64 a node (a node names its children as one
+/// sibling block; with eight child slots it was 88) and the keyed
+/// sort's two buffers of 16 a site.
 #[test]
 fn octree_build_allocates_a_small_constant() {
     let geo = aneurysm(0.5);
     let field: Vec<f64> = (0..geo.fluid_count()).map(|i| i as f64).collect();
     let before = allocations();
-    let tree = FieldOctree::build(&geo, &field);
+    let (tree, bytes) = bytes_allocated(|| FieldOctree::build(&geo, &field));
     let count = allocations() - before;
-    assert!(tree.nodes().len() > geo.fluid_count());
+    let (nodes, sites) = (tree.nodes().len() as u64, geo.fluid_count() as u64);
+    assert!(nodes > sites);
     assert!(count <= 4, "FieldOctree::build: {count} allocations");
+    assert!(
+        bytes <= 64 * nodes + 2 * 16 * sites,
+        "FieldOctree::build: {bytes} bytes for {nodes} nodes over {sites} sites"
+    );
+}
+
+/// A gathered snapshot holds the global field once. Rank 0 asks for the
+/// field's 40 bytes a site (`rho`, `u`, `shear`) and writes its own
+/// sites straight into it; it may hold one peer's payload beside it, and
+/// it decodes each as it arrives. A peer asks for its payload alone, its
+/// 40 bytes a site and three 8-byte counts, and computes its fields
+/// straight into it. Both budgets leave 4 KiB for the collective's
+/// bookkeeping. Before the stream, every rank also built a local
+/// snapshot and rank 0 encoded and decoded its own share.
+#[test]
+fn gather_snapshot_holds_the_field_once() {
+    const SLACK: u64 = 4096;
+    let geo = aneurysm(0.5);
+    let n = geo.fluid_count() as u64;
+    let graph = SiteGraph::from_geometry(&geo, Connectivity::D3Q15);
+    for ranks in [2, 3] {
+        let owner = MultilevelKWay.partition(&graph, ranks);
+        let geo = geo.clone();
+        let asked = run_spmd(ranks, move |comm| {
+            comm.set_obs_enabled(false);
+            let cfg = SolverConfig::pressure_driven(1.01, 0.99);
+            let mut ds = DistSolver::new(geo.clone(), owner.clone(), cfg, comm).unwrap();
+            ds.step_n(3).unwrap();
+            comm.barrier().unwrap();
+            let (snap, bytes) = bytes_allocated(|| ds.gather_snapshot().unwrap());
+            assert_eq!(snap.is_some(), comm.rank() == 0);
+            (ds.local_sites().len() as u64, bytes)
+        });
+        let largest_payload = asked[1..].iter().map(|&(n_r, _)| 40 * n_r + 24).max();
+        let (_, root) = asked[0];
+        assert!(
+            root <= 40 * n + largest_payload.unwrap() + SLACK,
+            "{ranks} ranks, rank 0: {root} bytes for {n} sites"
+        );
+        for (rank, &(n_r, bytes)) in asked.iter().enumerate().skip(1) {
+            assert!(
+                bytes <= 40 * n_r + 24 + SLACK,
+                "{ranks} ranks, rank {rank}: {bytes} bytes for {n_r} sites"
+            );
+        }
+    }
 }
 
 /// Allocations per steady-state step of the serial solver under
