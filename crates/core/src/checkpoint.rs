@@ -175,12 +175,8 @@ impl<'a> DistSolver<'a> {
     /// solver or any decomposition can resume from it. Errors as
     /// [`DistSolver::checkpoint`].
     pub fn checkpoint_global(&self, path: &Path) -> CommResult<()> {
-        let q = self.model().q;
-        let n = if self.comm().rank() == 0 {
-            self.geometry().fluid_count()
-        } else {
-            0
-        };
+        let (q, root) = (self.model().q, self.comm().rank() == 0);
+        let n = self.geometry().fluid_count() * usize::from(root);
         let (mut f, mut listed) = (vec![0.0; n * q], vec![false; n]);
         let mut decoded = Ok(());
         self.comm()
@@ -191,7 +187,7 @@ impl<'a> DistSolver<'a> {
                 Ok(())
             })?;
         let written = decoded.and_then(|()| {
-            if self.comm().rank() != 0 {
+            if !root {
                 return Ok(());
             }
             let state = RawState {
@@ -253,11 +249,9 @@ impl<'a> DistSolver<'a> {
     }
 }
 
-/// Decode rank `rank`'s rows of a global checkpoint (see
-/// `DistSolver::checkpoint_rows`) into the site-major `f`, marking each
-/// site in `listed`. The rows must list exactly the sites the rank owns
-/// under `owner`, each once, or it is a `Decode` error: a site past the
-/// map or owned elsewhere, a site listed twice or a partial row.
+/// Decode rank `rank`'s rows of a global checkpoint into the site-major
+/// `f`. They must list exactly the sites the rank owns, each once
+/// (`listed` marks them), or it is a `Decode` error.
 fn decode_rows(
     rows: &[u8],
     rank: usize,
@@ -267,19 +261,14 @@ fn decode_rows(
     listed: &mut [bool],
 ) -> CommResult<()> {
     let (row, owned) = (4 + 8 * q, owner.iter().filter(|&&o| o == rank).count());
+    let bad = |reason| Err(CommError::Decode { reason });
     if rows.len() != owned * row {
-        let reason = format!(
-            "{} bytes of checkpoint rows from rank {rank}, which owns {owned} sites",
-            rows.len()
-        );
-        return Err(CommError::Decode { reason });
+        return bad(format!("rank {rank}: {} bytes of rows", rows.len()));
     }
     for r in rows.chunks_exact(row) {
         let g = u32::from_le_bytes(r[..4].try_into().expect("4 bytes")) as usize;
         if owner.get(g) != Some(&rank) || std::mem::replace(&mut listed[g], true) {
-            let reason =
-                format!("rank {rank} listed site {g}, which it does not own or listed twice");
-            return Err(CommError::Decode { reason });
+            return bad(format!("rank {rank}: site {g} not its own or listed twice"));
         }
         for (v, b) in f[g * q..(g + 1) * q].iter_mut().zip(r[4..].chunks_exact(8)) {
             *v = f64::from_le_bytes(b.try_into().expect("8 bytes"));

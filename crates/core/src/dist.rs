@@ -189,9 +189,6 @@ fn decode_requests(payload: Vec<u8>, g2l: &[u32], q: usize) -> CommResult<Vec<(u
     Ok(requests)
 }
 
-/// `(rho, u, shear)` of every fluid site, global order.
-type Fields = (Vec<f64>, Vec<[f64; 3]>, Vec<f64>);
-
 /// One rank's `gather_snapshot` payload, computed straight from its
 /// lattice: `rho`, `u` and `shear` of its `n` sites in ascending global
 /// order. Each field is a `u64` count `n` and its `f64`s (three a site
@@ -222,16 +219,15 @@ fn fields_payload(lat: &SoaLattice, locals: &[u32], split: usize) -> Vec<u8> {
 }
 
 /// Decode rank `rank`'s `gather_snapshot` payload (see
-/// [`fields_payload`]) straight into the global `fields`, site `g` taking
-/// the next values for each `g` the rank owns in `owner`. The payload
-/// must lay out exactly the sites its rank owns, or it is a `Decode`
-/// error and nothing is written. The arrays are sized by `owner`, never
-/// by a count off the wire.
+/// [`fields_payload`]) straight into the global `snap`, the sites `rank`
+/// owns in `owner` taking its values in turn. The payload must lay out
+/// exactly those sites, or it is a `Decode` error and nothing is
+/// written; no count off the wire sizes anything.
 fn decode_fields_of(
     payload: &[u8],
     rank: usize,
     owner: &[usize],
-    (rho, u, shear): &mut Fields,
+    snap: &mut FieldSnapshot,
 ) -> CommResult<()> {
     let n = owner.iter().filter(|&&o| o == rank).count();
     let at = [0, 8 + 8 * n, 16 + 32 * n, 24 + 40 * n];
@@ -249,18 +245,17 @@ fn decode_fields_of(
     };
     let sites = owner.iter().enumerate().filter(|&(_, &o)| o == rank);
     for (k, (g, _)) in sites.enumerate() {
-        rho[g] = value(r, k);
-        u[g] = std::array::from_fn(|a| value(v, 3 * k + a));
-        shear[g] = value(s, k);
+        snap.rho[g] = value(r, k);
+        snap.u[g] = std::array::from_fn(|a| value(v, 3 * k + a));
+        snap.shear[g] = value(s, k);
     }
     Ok(())
 }
 
-/// Where each storage index of `locals` falls in ascending global order,
-/// asked of storage indices in increasing order: its place in its own
-/// ascending run (the frontier `..split` or the interior `split..`)
-/// plus the sites of the other run below it, counted by a cursor that
-/// only moves forward.
+/// Where each storage index of `locals`, asked in increasing order,
+/// falls in ascending global order: its place in its own ascending run
+/// (frontier `..split` or interior `split..`) plus the other run's
+/// sites below it, which a forward-only cursor counts.
 fn ascending_slots(locals: &[u32], split: usize) -> impl FnMut(usize) -> usize + '_ {
     let (frontier, interior) = locals.split_at(split);
     let (mut below_in_frontier, mut below_in_interior) = (0, 0);
@@ -678,9 +673,9 @@ impl<'a> DistSolver<'a> {
     /// receive `None`. Every rank ships its fields in ascending global
     /// order, so the wire format does not depend on the storage order.
     ///
-    /// The field is held once: rank 0 writes its own sites straight into
-    /// the global arrays and decodes each peer's payload into them as it
-    /// arrives; a peer computes its fields straight into its payload.
+    /// The field is held once: a peer computes its fields straight into
+    /// its payload; rank 0 writes its own sites straight into the global
+    /// arrays and decodes each peer's payload into them as it arrives.
     pub fn gather_snapshot(&self) -> CommResult<Option<FieldSnapshot>> {
         let span = self.comm.with_obs(|o| o.begin());
         if self.comm.rank() != 0 {
@@ -690,25 +685,23 @@ impl<'a> DistSolver<'a> {
             return Ok(None);
         }
         let n = self.owner.len();
-        let mut fields: Fields = (vec![0.0; n], vec![[0.0; 3]; n], vec![0.0; n]);
-        let (rho, u, shear) = &mut fields;
+        let mut snap = FieldSnapshot {
+            step: self.lat.step,
+            rho: vec![0.0; n],
+            u: vec![[0.0; 3]; n],
+            shear: vec![0.0; n],
+        };
         self.lat.macroscopics(|l, r, v, s| {
             let g = self.locals[l] as usize;
-            (rho[g], u[g], shear[g]) = (r, v, s);
+            (snap.rho[g], snap.u[g], snap.shear[g]) = (r, v, s);
         });
         self.comm.with_obs(|o| span.end(o, "lb.macroscopics"));
         self.comm
             .gather_each(0, Vec::new(), |src, payload| match src {
                 0 => Ok(()),
-                _ => decode_fields_of(&payload, src, &self.owner, &mut fields),
+                _ => decode_fields_of(&payload, src, &self.owner, &mut snap),
             })?;
-        let (rho, u, shear) = fields;
-        Ok(Some(FieldSnapshot {
-            step: self.lat.step,
-            rho,
-            u,
-            shear,
-        }))
+        Ok(Some(snap))
     }
 
     /// Global mass via all-reduce (collective).
@@ -789,14 +782,23 @@ mod tests {
         w.finish()
     }
 
+    /// `(rho, u, shear)` of every fluid site, global order.
+    type Fields = (Vec<f64>, Vec<[f64; 3]>, Vec<f64>);
+
     /// The global fields decoded from every rank's payload, rank by rank.
     fn decode_fields(parts: &[Vec<u8>], owner: &[usize]) -> CommResult<Fields> {
         let n = owner.len();
-        let mut fields = (vec![0.0; n], vec![[0.0; 3]; n], vec![0.0; n]);
+        let (rho, u, shear) = (vec![0.0; n], vec![[0.0; 3]; n], vec![0.0; n]);
+        let mut snap = FieldSnapshot {
+            step: 0,
+            rho,
+            u,
+            shear,
+        };
         for (rank, part) in parts.iter().enumerate() {
-            decode_fields_of(part, rank, owner, &mut fields)?;
+            decode_fields_of(part, rank, owner, &mut snap)?;
         }
-        Ok(fields)
+        Ok((snap.rho, snap.u, snap.shear))
     }
 
     /// The gathered snapshot equals the serial one by `to_bits` at both

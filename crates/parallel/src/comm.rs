@@ -630,16 +630,12 @@ impl Communicator {
     }
 
     /// Gather each rank's payload at `root` and hand it to `each(src,
-    /// payload)` there as it is received, in rank order (the root's own
-    /// in its place), so the root holds one payload at a time. Elsewhere
-    /// `each` is not called.
-    ///
-    /// The root receives per source rank (not `recv_any`): `(src, tag)`
-    /// matching is FIFO, so back-to-back gathers stay **round-safe** even
-    /// though non-root ranks return as soon as their send is buffered — a
-    /// fast rank's next-round message can never be consumed as this
-    /// round's. For the same reason, once `each` fails the root still
-    /// receives (and drops) the remaining payloads, then returns the
+    /// payload)` there as it is received, in rank order, so the root
+    /// holds one at a time. The root receives per source rank (not
+    /// `recv_any`): `(src, tag)` matching is FIFO, so back-to-back
+    /// gathers stay **round-safe** even though non-root ranks return as
+    /// soon as their send is buffered. For the same reason, once `each`
+    /// fails the root still receives the round's rest, then returns the
     /// first error.
     pub fn gather_each(
         &self,
@@ -658,9 +654,7 @@ impl Communicator {
             } else {
                 self.recv(src, T_GATHER)?
             };
-            if outcome.is_ok() {
-                outcome = each(src, part);
-            }
+            outcome = outcome.and_then(|()| each(src, part));
         }
         outcome
     }
